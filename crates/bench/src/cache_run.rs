@@ -299,9 +299,11 @@ mod tests {
 
     #[test]
     fn zipf_cell_meets_the_acceptance_bar() {
-        // The ISSUE acceptance: on the repeated-access workload, cached
-        // mode shows >= 2x fewer NVMe submissions and a lower mean
-        // doorbell->retire latency than uncached.
+        // The acceptance bar's deterministic half: on the repeated-access
+        // workload, cached mode does >= 2x fewer NVMe submissions. Its
+        // wall-clock half — a lower mean doorbell->retire latency than
+        // uncached — is asserted on the `"cache"` section by CI's
+        // `repro bench` smoke, on a release build.
         let r = run_cache_cell(CacheWorkload::DlrmZipf, 2048);
         assert!(r.cache_hit_rate > 0.5, "hit rate {}", r.cache_hit_rate);
         assert!(
@@ -310,12 +312,6 @@ mod tests {
             r.submission_ratio(),
             r.uncached_submissions,
             r.cached_submissions
-        );
-        assert!(
-            r.cached_read_mean_ns < r.uncached_read_mean_ns,
-            "cached mean {} >= uncached mean {}",
-            r.cached_read_mean_ns,
-            r.uncached_read_mean_ns
         );
         assert!(r.coalesced_misses > 0, "zipf batches repeat rows in-batch");
     }

@@ -202,7 +202,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pipelined_mode_sustains_depth_and_beats_blocking_latency() {
+    fn pipelined_mode_sustains_depth_on_every_ssd() {
+        // The batch counts and the in-flight depth (> 1 on every SSD, mean
+        // and peak) stay here. The wall-clock half of the acceptance bar —
+        // read latency no worse than blocking — is asserted on the
+        // `"pipeline"` section by CI's `repro bench` smoke, on a release
+        // build.
         let report = run_pipeline_experiment(16);
         assert_eq!(report.pipelined.batches, 16 * N_CHANNELS as u64);
         assert_eq!(report.blocking.batches, 16 * N_CHANNELS as u64);
@@ -215,12 +220,6 @@ mod tests {
         for (ssd, &peak) in report.pipelined.inflight_peak.iter().enumerate() {
             assert!(peak > 1, "pipelined SSD {ssd} peak {peak} <= 1");
         }
-        assert!(
-            report.pipelined.mean_read_ns <= report.blocking.mean_read_ns,
-            "pipelined {} ns > blocking {} ns",
-            report.pipelined.mean_read_ns,
-            report.blocking.mean_read_ns
-        );
         let json = pipeline_section_json(&report);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         for key in [

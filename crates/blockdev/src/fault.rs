@@ -228,6 +228,23 @@ impl BlockStore for FaultyStore {
         }
         self.inner.write(lba, buf)
     }
+
+    /// Same fault decision as [`read`](Self::read) — one per access, before
+    /// any range check — then the inner store lends its blocks directly, so
+    /// a wrapped device keeps the single-copy read path.
+    fn read_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &[u8]),
+    ) -> Result<(), BlockError> {
+        if self.should_fail(lba, true) {
+            let bs = self.inner.geometry().block_size as usize;
+            let len = usize::try_from(count).map_or(usize::MAX, |c| c.saturating_mul(bs));
+            return Err(self.fault(lba, len));
+        }
+        self.inner.read_blocks(lba, count, visit)
+    }
 }
 
 #[cfg(test)]
@@ -310,6 +327,33 @@ mod tests {
         assert_eq!(s.injected(), 3);
         // Writes are unaffected by a read-only transient policy.
         assert!(s.write(Lba(3), &buf).is_ok());
+    }
+
+    #[test]
+    fn read_blocks_faults_like_read_then_lends_the_inner_blocks() {
+        let s = wrapped(FaultPolicy::transient_reads_in(0, 8, 1));
+        s.write(Lba(3), &[6u8; 1024]).unwrap();
+        let mut seen = Vec::new();
+        let mut visit = |i: usize, block: &[u8]| seen.push((i, block[0], block.len()));
+        assert_eq!(
+            s.read_blocks(Lba(3), 2, &mut visit),
+            Err(BlockError::Media {
+                lba: Lba(3),
+                transient: true
+            })
+        );
+        // One fault decision per access, shared with `read`: the retry
+        // clears, and nothing was lent by the failed attempt.
+        assert!(s.read_blocks(Lba(3), 2, &mut visit).is_ok());
+        assert_eq!(seen, vec![(0, 6, 512), (1, 6, 512)]);
+        assert_eq!(s.injected(), 1);
+        // A permanent fault reports the same error `read` would.
+        let p = wrapped(FaultPolicy::reads_in(10, 20));
+        let mut buf = vec![0u8; 1024];
+        assert_eq!(
+            p.read_blocks(Lba(15), 2, &mut |_, _| panic!("lent a faulted block")),
+            p.read(Lba(15), &mut buf)
+        );
     }
 
     #[test]

@@ -75,6 +75,48 @@ pub trait BlockStore: Send + Sync {
     /// Writes `buf.len() / block_size` blocks starting at `lba`.
     fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError>;
 
+    /// Visits the `count` blocks starting at `lba` in order, lending each
+    /// block's bytes to `visit(index within the access, block)` — the
+    /// single-copy read path: a device DMA-writes each lent block straight
+    /// to its destination. A store that holds blocks in memory overrides
+    /// this to lend them in place (under whatever lock guards them, so
+    /// `visit` must not call back into the store), and a wrapper forwards
+    /// to its inner store after its own checks (`FaultyStore`). This default
+    /// bounces through [`read`](Self::read) with a per-call buffer, so a
+    /// store that only implements `read` (`Raid0`) keeps its semantics
+    /// without further code — it is the cold path, not one a device should
+    /// sit on. `visit` is not called at all unless the whole access is
+    /// valid and readable.
+    fn read_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &[u8]),
+    ) -> Result<(), BlockError> {
+        let mut buf = vec![0u8; self.check_blocks(lba, count)?];
+        self.read(lba, &mut buf)?;
+        let bs = self.geometry().block_size as usize;
+        for (i, block) in buf.chunks_exact(bs).enumerate() {
+            visit(i, block);
+        }
+        Ok(())
+    }
+
+    /// Validates a `count`-block access and returns its length in bytes.
+    fn check_blocks(&self, lba: Lba, count: u64) -> Result<usize, BlockError> {
+        let g = self.geometry();
+        let len = usize::try_from(count)
+            .ok()
+            .and_then(|c| c.checked_mul(g.block_size as usize))
+            .ok_or(BlockError::OutOfRange {
+                lba,
+                count,
+                blocks: g.blocks,
+            })?;
+        self.check_access(lba, len)?;
+        Ok(len)
+    }
+
     /// Validates an access and returns its block count.
     fn check_access(&self, lba: Lba, len: usize) -> Result<u64, BlockError> {
         let g = self.geometry();
@@ -105,6 +147,8 @@ pub struct SparseMemStore {
     geometry: BlockGeometry,
     shards: Vec<Mutex<HashMap<u64, Box<[u8]>>>>,
     shard_mask: u64,
+    /// What every never-written block reads as; lent by `read_blocks`.
+    zero_block: Box<[u8]>,
 }
 
 impl SparseMemStore {
@@ -120,6 +164,7 @@ impl SparseMemStore {
             geometry,
             shards,
             shard_mask: (Self::SHARDS - 1) as u64,
+            zero_block: vec![0u8; geometry.block_size as usize].into_boxed_slice(),
         }
     }
 
@@ -165,9 +210,30 @@ impl BlockStore for SparseMemStore {
         for i in 0..count {
             let block = lba.0 + i;
             let src = &buf[i as usize * bs..(i as usize + 1) * bs];
+            // Overwrite a resident block in place; only a first write
+            // allocates.
             self.shard(block)
                 .lock()
-                .insert(block, src.to_vec().into_boxed_slice());
+                .entry(block)
+                .and_modify(|data| data.copy_from_slice(src))
+                .or_insert_with(|| src.into());
+        }
+        Ok(())
+    }
+
+    fn read_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &[u8]),
+    ) -> Result<(), BlockError> {
+        self.check_blocks(lba, count)?;
+        for i in 0..count {
+            let block = lba.0 + i;
+            // The shard lock is held while the visitor runs, so the lent
+            // bytes cannot change under it.
+            let shard = self.shard(block).lock();
+            visit(i as usize, shard.get(&block).unwrap_or(&self.zero_block));
         }
         Ok(())
     }
@@ -211,6 +277,48 @@ mod tests {
         s.read(Lba(0), &mut out).unwrap();
         assert!(out[..512].iter().all(|&b| b == 1));
         assert!(out[512..].iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn overwrite_reuses_the_resident_block() {
+        let s = store();
+        s.write(Lba(4), &[1u8; 1024]).unwrap();
+        assert_eq!(s.resident_blocks(), 2);
+        s.write(Lba(4), &[9u8; 1024]).unwrap();
+        s.write(Lba(5), &[7u8; 512]).unwrap();
+        assert_eq!(s.resident_blocks(), 2, "overwrites materialize nothing");
+        let mut out = vec![0u8; 1024];
+        s.read(Lba(4), &mut out).unwrap();
+        assert!(out[..512].iter().all(|&b| b == 9));
+        assert!(out[512..].iter().all(|&b| b == 7));
+    }
+
+    #[test]
+    fn read_blocks_lends_resident_and_zero_blocks_in_order() {
+        let s = store();
+        s.write(Lba(11), &[5u8; 512]).unwrap();
+        let mut seen = Vec::new();
+        s.read_blocks(Lba(10), 3, &mut |i, block| {
+            assert_eq!(block.len(), 512);
+            seen.push((i, block[0], block[511]));
+        })
+        .unwrap();
+        assert_eq!(seen, vec![(0, 0, 0), (1, 5, 5), (2, 0, 0)]);
+        assert_eq!(s.resident_blocks(), 1, "reading materializes nothing");
+        // Invalid accesses are rejected before any block is lent.
+        let mut calls = 0;
+        assert!(matches!(
+            s.read_blocks(Lba(999), 2, &mut |_, _| calls += 1),
+            Err(BlockError::OutOfRange { count: 2, .. })
+        ));
+        assert!(matches!(
+            s.read_blocks(Lba(0), 0, &mut |_, _| calls += 1),
+            Err(BlockError::BadBuffer { len: 0, .. })
+        ));
+        assert!(s
+            .read_blocks(Lba(0), u64::MAX, &mut |_, _| calls += 1)
+            .is_err());
+        assert_eq!(calls, 0);
     }
 
     #[test]

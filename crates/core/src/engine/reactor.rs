@@ -1,19 +1,20 @@
 //! The threaded worker shell around [`WorkerCore`].
 //!
-//! [`execute`], [`accept`] and the per-SSD reap path are shared by both
-//! threaded engines: the legacy central-poller workers ([`worker_loop`])
-//! and the thread-per-core shards (`shard`). Each worker thread owns one
-//! private queue pair per SSD, a [`WorkerCore`] protocol state machine,
-//! and its own [`LaneHealth`] machines (worker-owned state — no per-lane
-//! mutex; the lane-health CI workloads run single-worker configurations,
-//! where the sequence is identical to a global machine's). The loop is
-//! pure driver glue: feed accepted groups in, [`pump`](WorkerCore::pump)
-//! at the wall clock, reap CQEs into [`on_cqe`](WorkerCore::on_cqe), and
-//! [`execute`] whatever [`Command`]s come back — SQE pushes, doorbell
-//! rings, metrics, flight-recorder events, batch retirement. Every
-//! submission, retry, and closure *decision* is the protocol's; the DES
-//! driver executes the same commands against a device timing model
-//! instead.
+//! [`Worker`] is shared by both threaded engines: the legacy
+//! central-poller workers ([`worker_loop`]) and the thread-per-core shards
+//! (`shard`). Each worker thread owns one private queue pair per SSD, a
+//! [`WorkerCore`] protocol state machine, its own [`LaneHealth`] machines
+//! (worker-owned state — no per-lane mutex; the lane-health CI workloads
+//! run single-worker configurations, where the sequence is identical to a
+//! global machine's) and the scratch buffers the loop reuses, so the
+//! steady-state I/O path allocates nothing and takes no lock. The loop is
+//! pure driver glue: feed accepted groups in
+//! ([`accept`](Worker::accept)), [`pump`](Worker::pump) at the wall clock,
+//! [`reap`](Worker::reap) CQEs into [`on_cqe`](WorkerCore::on_cqe), and
+//! execute whatever [`Command`]s come back — SQE pushes, doorbell rings,
+//! metrics, flight-recorder events, batch retirement. Every submission,
+//! retry, and closure *decision* is the protocol's; the DES driver executes
+//! the same commands against a device timing model instead.
 //!
 //! A `Submit` command is executed infallibly: the protocol admits a
 //! command only when the lane's inflight table (sized to the queue depth)
@@ -26,57 +27,289 @@ use std::time::Duration;
 
 use cam_nvme::spec::{Cqe, Sqe};
 use cam_nvme::QueuePair;
-use cam_protocol::{
-    op_index, ChannelOp, Command, GroupSpec, HealthConfig, LaneHealth, WorkerCore,
-};
+use cam_protocol::{op_index, ChannelOp, Command, GroupSpec, HealthConfig, LaneHealth, WorkerCore};
 use cam_telemetry::{EventKind, Stage};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use super::retire::retire_batch;
 use super::Shared;
 
-/// Fresh per-worker lane-health machines, one per SSD.
-pub(super) fn new_lane_health(n_ssds: usize) -> Vec<LaneHealth> {
-    (0..n_ssds)
-        .map(|ssd| LaneHealth::new(ssd, HealthConfig::default()))
-        .collect()
+/// One worker thread's private state.
+pub(super) struct Worker {
+    wid: usize,
+    /// This worker's queue-pair column: one private pair per SSD.
+    qps: Vec<Arc<QueuePair>>,
+    pub(super) core: WorkerCore,
+    health: Vec<LaneHealth>,
+    /// Commands drained from the core, executed in order.
+    out: Vec<Command>,
+    cqes: Vec<Cqe>,
+    /// Bounce buffer for dedup replication at retire; grows to the largest
+    /// request once and is reused from then on.
+    copy_buf: Vec<u8>,
 }
 
-/// Quiesces a worker's lanes at loop exit: every lane is drained once a
-/// worker stops, so degraded/overloaded lanes are declared recovered. The
-/// DES driver performs the identical drain at the end of its calendar,
-/// keeping the transition sequences comparable.
-pub(super) fn drain_lane_health(sh: &Shared, health: &mut [LaneHealth]) {
-    let now = sh.clock.now_ns();
-    for lane in health.iter_mut() {
-        if let Some(t) = lane.on_drain() {
-            super::emit_lane_transition(sh, t, now);
+impl Worker {
+    /// Builds worker `wid`'s state on the calling thread — which, from now
+    /// on, is the only host-side driver of its queue-pair column (ownership
+    /// moves across rescale epochs change *which column* serves an SSD, not
+    /// who drives a pair); the pairs are claimed so a sharding bug panics
+    /// at the site.
+    pub(super) fn new(sh: &Shared, wid: usize) -> Self {
+        if let Some(rec) = &sh.recorder {
+            rec.name_current_thread(&format!("cam-worker{wid}"));
+        }
+        let qps: Vec<Arc<QueuePair>> = (0..sh.n_ssds)
+            .map(|ssd| Arc::clone(&sh.qps[ssd][wid]))
+            .collect();
+        for qp in &qps {
+            qp.bind_host_owner();
+        }
+        Worker {
+            wid,
+            core: WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry),
+            qps,
+            health: (0..sh.n_ssds)
+                .map(|ssd| LaneHealth::new(ssd, HealthConfig::default()))
+                .collect(),
+            out: Vec::new(),
+            cqes: Vec::new(),
+            copy_buf: Vec::new(),
+        }
+    }
+
+    /// Quiesces the lanes at loop exit: every lane is drained once a worker
+    /// stops, so degraded/overloaded lanes are declared recovered. The DES
+    /// driver performs the identical drain at the end of its calendar,
+    /// keeping the transition sequences comparable.
+    pub(super) fn drain_lane_health(&mut self, sh: &Shared) {
+        let now = sh.clock.now_ns();
+        for lane in &mut self.health {
+            if let Some(t) = lane.on_drain() {
+                super::emit_lane_transition(sh, t, now);
+            }
+        }
+    }
+
+    /// Takes ownership of a dispatched group: record the dispatch stage,
+    /// then hand it to the protocol core.
+    pub(super) fn accept(&mut self, sh: &Shared, spec: GroupSpec) {
+        let recv_ns = sh.clock.now_ns();
+        let op_idx = op_index(spec.batch.op);
+        let dispatch_span = recv_ns.saturating_sub(spec.batch.pickup_ns);
+        sh.metrics
+            .stage(op_idx, Stage::Dispatch)
+            .record(dispatch_span);
+        if let Some(w) = &sh.windows {
+            w.stage(Stage::Dispatch).record_at(recv_ns, dispatch_span);
+        }
+        if let Some(rec) = &sh.recorder {
+            rec.emit_at(
+                recv_ns,
+                EventKind::GroupDispatch {
+                    channel: spec.batch.channel as u16,
+                    seq: spec.batch.seq,
+                    ssd: spec.ssd as u16,
+                    worker: self.wid as u16,
+                },
+            );
+        }
+        self.core.on_group(spec, recv_ns);
+    }
+
+    /// One submission pass at the wall clock, executed. Returns whether it
+    /// produced any command.
+    pub(super) fn pump(&mut self, sh: &Shared) -> bool {
+        self.core.pump(sh.clock.now_ns(), &mut self.out);
+        let progress = !self.out.is_empty();
+        self.execute(sh);
+        progress
+    }
+
+    /// One reap pass over every queue pair: drains available CQEs into the
+    /// protocol core and executes the resulting commands. Returns whether
+    /// any completion arrived.
+    pub(super) fn reap(&mut self, sh: &Shared) -> bool {
+        let mut progress = false;
+        for ssd in 0..self.qps.len() {
+            self.cqes.clear();
+            let depth = self.qps[ssd].depth();
+            if self.qps[ssd].poll_cqes(depth, &mut self.cqes) == 0 {
+                continue;
+            }
+            progress = true;
+            let now = sh.clock.now_ns();
+            for cqe in &self.cqes {
+                self.core
+                    .on_cqe(ssd, cqe.cid, cqe.status, now, &mut self.out);
+            }
+            self.execute(sh);
+            update_inflight_gauges(sh, ssd, &self.qps[ssd], &mut self.health);
+        }
+        progress
+    }
+
+    /// Executes the drained protocol commands against the real queue pairs
+    /// and the telemetry registry, in order (submissions precede their
+    /// doorbell ring).
+    fn execute(&mut self, sh: &Shared) {
+        let Worker {
+            wid,
+            qps,
+            health,
+            out,
+            copy_buf,
+            ..
+        } = self;
+        let wid = *wid;
+        for cmd in out.drain(..) {
+            match cmd {
+                Command::Submit(s) => {
+                    let sqe = match s.op {
+                        ChannelOp::Read => Sqe::read(s.cid, s.dev_lba, s.blocks, s.addr),
+                        ChannelOp::Write => Sqe::write(s.cid, s.dev_lba, s.blocks, s.addr),
+                    };
+                    qps[s.ssd]
+                        .push_sqe(sqe)
+                        .expect("protocol admission implies SQ room");
+                    if s.first {
+                        // Retries are deliberately excluded:
+                        // `cam_ssd_submitted_total` counts logical requests, so
+                        // its sum stays comparable to `requests` retired.
+                        sh.metrics.ssd_submitted[s.ssd].add(1);
+                    }
+                }
+                Command::RingDoorbell { ssd, .. } => {
+                    qps[ssd].ring_doorbell();
+                    update_inflight_gauges(sh, ssd, &qps[ssd], health);
+                }
+                Command::GroupSubmitted {
+                    batch,
+                    ssd,
+                    sqes,
+                    recv_ns,
+                    submit_ns,
+                } => {
+                    let span = submit_ns.saturating_sub(recv_ns);
+                    let op_idx = op_index(batch.op);
+                    sh.metrics.stage(op_idx, Stage::Submit).record(span);
+                    sh.metrics.ssd_submit_ns[ssd].record(span);
+                    if let Some(w) = &sh.windows {
+                        w.stage(Stage::Submit).record_at(submit_ns, span);
+                    }
+                    if let Some(rec) = &sh.recorder {
+                        rec.emit_at(
+                            submit_ns,
+                            EventKind::GroupSubmit {
+                                channel: batch.channel as u16,
+                                seq: batch.seq,
+                                ssd: ssd as u16,
+                                worker: wid as u16,
+                                sqes,
+                            },
+                        );
+                    }
+                }
+                Command::CmdRetry {
+                    batch,
+                    ssd,
+                    cid,
+                    attempt,
+                    now_ns,
+                    ..
+                } => {
+                    sh.metrics.retries.inc();
+                    if let Some(w) = &sh.windows {
+                        w.ssd_retries[ssd].add_at(now_ns, 1, 0);
+                    }
+                    if let Some(rec) = &sh.recorder {
+                        rec.emit_at(
+                            now_ns,
+                            EventKind::CmdRetry {
+                                channel: batch.channel as u16,
+                                seq: batch.seq,
+                                ssd: ssd as u16,
+                                cid,
+                                attempt,
+                            },
+                        );
+                    }
+                    if let Some(t) = health[ssd].on_retry() {
+                        super::emit_lane_transition(sh, t, now_ns);
+                    }
+                }
+                Command::CmdTimeout {
+                    batch,
+                    ssd,
+                    cid,
+                    attempts,
+                    now_ns,
+                } => {
+                    sh.metrics.cmd_timeouts.inc();
+                    if let Some(rec) = &sh.recorder {
+                        rec.emit_at(
+                            now_ns,
+                            EventKind::CmdTimeout {
+                                channel: batch.channel as u16,
+                                seq: batch.seq,
+                                ssd: ssd as u16,
+                                cid,
+                                attempts,
+                            },
+                        );
+                    }
+                    if let Some(t) = health[ssd].on_timeout() {
+                        super::emit_lane_transition(sh, t, now_ns);
+                    }
+                }
+                Command::GroupComplete {
+                    batch,
+                    ssd,
+                    sqes,
+                    errors,
+                    anchor_ns,
+                    complete_ns,
+                } => {
+                    let span = complete_ns.saturating_sub(anchor_ns);
+                    let op_idx = op_index(batch.op);
+                    sh.metrics.stage(op_idx, Stage::Complete).record(span);
+                    sh.metrics.ssd_complete_ns[ssd].record(span);
+                    sh.metrics.ssd_completed[ssd].add(sqes as u64);
+                    if let Some(w) = &sh.windows {
+                        w.stage(Stage::Complete).record_at(complete_ns, span);
+                        w.ssd_complete[ssd].record_at(complete_ns, span);
+                        // Denominator of the windowed retry rate: groups closed.
+                        w.ssd_retries[ssd].add_at(complete_ns, 0, 1);
+                    }
+                    if let Some(rec) = &sh.recorder {
+                        rec.emit_at(
+                            complete_ns,
+                            EventKind::GroupComplete {
+                                channel: batch.channel as u16,
+                                seq: batch.seq,
+                                ssd: ssd as u16,
+                                worker: wid as u16,
+                                errors: errors as u32,
+                            },
+                        );
+                    }
+                }
+                Command::RetireBatch { batch, complete_ns } => {
+                    retire_batch(sh, &batch, complete_ns, copy_buf);
+                }
+            }
         }
     }
 }
 
 pub(super) fn worker_loop(sh: &Shared, wid: usize, rx: Receiver<GroupSpec>) {
-    if let Some(rec) = &sh.recorder {
-        rec.name_current_thread(&format!("cam-worker{wid}"));
-    }
-    let qps: Vec<Arc<QueuePair>> = (0..sh.n_ssds)
-        .map(|ssd| Arc::clone(&sh.qps[ssd][wid]))
-        .collect();
-    // This thread is the only host-side driver of its queue-pair column
-    // for the process lifetime; claim them so a sharding bug panics.
-    for qp in &qps {
-        qp.bind_host_owner();
-    }
-    let mut core = WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry);
-    let mut health = new_lane_health(sh.n_ssds);
-    let mut out: Vec<Command> = Vec::new();
-    let mut cqes: Vec<Cqe> = Vec::new();
+    let mut w = Worker::new(sh, wid);
     loop {
         let mut progress = false;
-        if core.idle() {
+        if w.core.idle() {
             match rx.recv_timeout(Duration::from_millis(5)) {
                 Ok(spec) => {
-                    accept(sh, wid, &mut core, spec);
+                    w.accept(sh, spec);
                     progress = true;
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -94,222 +327,17 @@ pub(super) fn worker_loop(sh: &Shared, wid: usize, rx: Receiver<GroupSpec>) {
             // depth. The blocking baseline skips this and runs one group at
             // a time — same code path, depth ≤ one group.
             while let Ok(spec) = rx.try_recv() {
-                accept(sh, wid, &mut core, spec);
+                w.accept(sh, spec);
                 progress = true;
             }
         }
-        core.pump(sh.clock.now_ns(), &mut out);
-        progress |= !out.is_empty();
-        execute(sh, wid, &qps, &mut health, &mut out);
-        progress |= reap(sh, &qps, &mut core, &mut health, &mut out, &mut cqes, wid);
+        progress |= w.pump(sh);
+        progress |= w.reap(sh);
         if !progress {
             std::thread::yield_now();
         }
     }
-    drain_lane_health(sh, &mut health);
-}
-
-/// One reap pass over every queue pair: drains available CQEs into the
-/// protocol core and executes the resulting commands. Returns whether any
-/// completion arrived.
-pub(super) fn reap(
-    sh: &Shared,
-    qps: &[Arc<QueuePair>],
-    core: &mut WorkerCore,
-    health: &mut [LaneHealth],
-    out: &mut Vec<Command>,
-    cqes: &mut Vec<Cqe>,
-    wid: usize,
-) -> bool {
-    let mut progress = false;
-    for (ssd, qp) in qps.iter().enumerate() {
-        cqes.clear();
-        if qp.poll_cqes(qp.depth(), cqes) == 0 {
-            continue;
-        }
-        progress = true;
-        let now = sh.clock.now_ns();
-        for cqe in cqes.drain(..) {
-            core.on_cqe(ssd, cqe.cid, cqe.status, now, out);
-        }
-        execute(sh, wid, qps, health, out);
-        update_inflight_gauges(sh, ssd, qp, health);
-    }
-    progress
-}
-
-/// Takes ownership of a dispatched group: record the dispatch stage, then
-/// hand it to the protocol core.
-pub(super) fn accept(sh: &Shared, wid: usize, core: &mut WorkerCore, spec: GroupSpec) {
-    let recv_ns = sh.clock.now_ns();
-    let op_idx = op_index(spec.batch.op);
-    let dispatch_span = recv_ns.saturating_sub(spec.batch.pickup_ns);
-    sh.metrics
-        .stage(op_idx, Stage::Dispatch)
-        .record(dispatch_span);
-    if let Some(w) = &sh.windows {
-        w.stage(Stage::Dispatch).record_at(recv_ns, dispatch_span);
-    }
-    if let Some(rec) = &sh.recorder {
-        rec.emit_at(
-            recv_ns,
-            EventKind::GroupDispatch {
-                channel: spec.batch.channel as u16,
-                seq: spec.batch.seq,
-                ssd: spec.ssd as u16,
-                worker: wid as u16,
-            },
-        );
-    }
-    core.on_group(spec, recv_ns);
-}
-
-/// Executes drained protocol commands against the real queue pairs and the
-/// telemetry registry, in order (submissions precede their doorbell ring).
-pub(super) fn execute(
-    sh: &Shared,
-    wid: usize,
-    qps: &[Arc<QueuePair>],
-    health: &mut [LaneHealth],
-    out: &mut Vec<Command>,
-) {
-    for cmd in out.drain(..) {
-        match cmd {
-            Command::Submit(s) => {
-                let sqe = match s.op {
-                    ChannelOp::Read => Sqe::read(s.cid, s.dev_lba, s.blocks, s.addr),
-                    ChannelOp::Write => Sqe::write(s.cid, s.dev_lba, s.blocks, s.addr),
-                };
-                qps[s.ssd]
-                    .push_sqe(sqe)
-                    .expect("protocol admission implies SQ room");
-                if s.first {
-                    // Retries are deliberately excluded:
-                    // `cam_ssd_submitted_total` counts logical requests, so
-                    // its sum stays comparable to `requests` retired.
-                    sh.metrics.ssd_submitted[s.ssd].add(1);
-                }
-            }
-            Command::RingDoorbell { ssd, .. } => {
-                qps[ssd].ring_doorbell();
-                update_inflight_gauges(sh, ssd, &qps[ssd], health);
-            }
-            Command::GroupSubmitted {
-                batch,
-                ssd,
-                sqes,
-                recv_ns,
-                submit_ns,
-            } => {
-                let span = submit_ns.saturating_sub(recv_ns);
-                let op_idx = op_index(batch.op);
-                sh.metrics.stage(op_idx, Stage::Submit).record(span);
-                sh.metrics.ssd_submit_ns[ssd].record(span);
-                if let Some(w) = &sh.windows {
-                    w.stage(Stage::Submit).record_at(submit_ns, span);
-                }
-                if let Some(rec) = &sh.recorder {
-                    rec.emit_at(
-                        submit_ns,
-                        EventKind::GroupSubmit {
-                            channel: batch.channel as u16,
-                            seq: batch.seq,
-                            ssd: ssd as u16,
-                            worker: wid as u16,
-                            sqes,
-                        },
-                    );
-                }
-            }
-            Command::CmdRetry {
-                batch,
-                ssd,
-                cid,
-                attempt,
-                now_ns,
-                ..
-            } => {
-                sh.metrics.retries.inc();
-                if let Some(w) = &sh.windows {
-                    w.ssd_retries[ssd].add_at(now_ns, 1, 0);
-                }
-                if let Some(rec) = &sh.recorder {
-                    rec.emit_at(
-                        now_ns,
-                        EventKind::CmdRetry {
-                            channel: batch.channel as u16,
-                            seq: batch.seq,
-                            ssd: ssd as u16,
-                            cid,
-                            attempt,
-                        },
-                    );
-                }
-                if let Some(t) = health[ssd].on_retry() {
-                    super::emit_lane_transition(sh, t, now_ns);
-                }
-            }
-            Command::CmdTimeout {
-                batch,
-                ssd,
-                cid,
-                attempts,
-                now_ns,
-            } => {
-                sh.metrics.cmd_timeouts.inc();
-                if let Some(rec) = &sh.recorder {
-                    rec.emit_at(
-                        now_ns,
-                        EventKind::CmdTimeout {
-                            channel: batch.channel as u16,
-                            seq: batch.seq,
-                            ssd: ssd as u16,
-                            cid,
-                            attempts,
-                        },
-                    );
-                }
-                if let Some(t) = health[ssd].on_timeout() {
-                    super::emit_lane_transition(sh, t, now_ns);
-                }
-            }
-            Command::GroupComplete {
-                batch,
-                ssd,
-                sqes,
-                errors,
-                anchor_ns,
-                complete_ns,
-            } => {
-                let span = complete_ns.saturating_sub(anchor_ns);
-                let op_idx = op_index(batch.op);
-                sh.metrics.stage(op_idx, Stage::Complete).record(span);
-                sh.metrics.ssd_complete_ns[ssd].record(span);
-                sh.metrics.ssd_completed[ssd].add(sqes as u64);
-                if let Some(w) = &sh.windows {
-                    w.stage(Stage::Complete).record_at(complete_ns, span);
-                    w.ssd_complete[ssd].record_at(complete_ns, span);
-                    // Denominator of the windowed retry rate: groups closed.
-                    w.ssd_retries[ssd].add_at(complete_ns, 0, 1);
-                }
-                if let Some(rec) = &sh.recorder {
-                    rec.emit_at(
-                        complete_ns,
-                        EventKind::GroupComplete {
-                            channel: batch.channel as u16,
-                            seq: batch.seq,
-                            ssd: ssd as u16,
-                            worker: wid as u16,
-                            errors: errors as u32,
-                        },
-                    );
-                }
-            }
-            Command::RetireBatch { batch, complete_ns } => {
-                retire_batch(sh, &batch, complete_ns);
-            }
-        }
-    }
+    w.drain_lane_health(sh);
 }
 
 /// Publishes the lane's live in-flight depth (and its high-water mark) to

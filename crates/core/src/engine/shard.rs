@@ -4,10 +4,9 @@
 //! `ssd % active` outright: it performs doorbell pickup and planning
 //! inline ([`dispatch::poll_channel`] — no central poller hop), routes
 //! each per-SSD group to the owning worker over the bounded SPSC fabric
-//! (`rings[dst][src]`), and runs the shared reactor machinery
-//! ([`reactor::accept`]/[`reactor::execute`]/[`reactor::reap`]) over its
-//! private queue pairs. Groups for its own SSDs skip the fabric and go
-//! straight into the local inbox.
+//! (`rings[dst][src]`), and runs the shared worker shell
+//! ([`reactor::Worker`]) over its private queue pairs. Groups for its own
+//! SSDs skip the fabric and go straight into the local inbox.
 //!
 //! Idleness is protocol-driven: when [`WorkerCore::park_hint`] reports
 //! nothing actionable, the worker parks on its [`Parker`] — woken by
@@ -21,15 +20,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
-use cam_nvme::spec::Cqe;
-use cam_nvme::QueuePair;
-use cam_protocol::{Command, GroupSpec, ParkHint, WorkerCore};
+use cam_protocol::{GroupSpec, ParkHint};
 use cam_telemetry::{WindowConfig, WindowedCounter};
 
-use super::{dispatch, reactor, Shared};
+use super::reactor::Worker;
+use super::{dispatch, Shared};
 
 /// Upper bound on one park: an idle worker re-checks the world (and
 /// refreshes its park-ratio gauge) at least this often, so a hypothetical
@@ -50,28 +47,13 @@ const IDLE_SPIN: u32 = 128;
 const FLUSH_ITERS: u32 = 512;
 
 pub(super) fn shard_loop(sh: &Shared, wid: usize) {
-    if let Some(rec) = &sh.recorder {
-        rec.name_current_thread(&format!("cam-worker{wid}"));
-    }
     let n_workers = sh.parkers.len();
-    let qps: Vec<Arc<QueuePair>> = (0..sh.n_ssds)
-        .map(|ssd| Arc::clone(&sh.qps[ssd][wid]))
-        .collect();
-    // Queue-pair columns are worker-private even across rescale epochs
-    // (ownership moves change *which column* serves an SSD, not who
-    // drives a pair); claim them so a double-poll bug panics at the site.
-    for qp in &qps {
-        qp.bind_host_owner();
-    }
-    let mut core = WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry);
-    let mut health = reactor::new_lane_health(sh.n_ssds);
+    let mut w = Worker::new(sh, wid);
     // Static channel shard: this worker is the only thread that ever polls
     // these channels' doorbells.
     let owned: Vec<usize> = (wid..sh.channels.len()).step_by(n_workers).collect();
     let mut last_seen = vec![0u64; owned.len()];
     let mut inbox: VecDeque<GroupSpec> = VecDeque::new();
-    let mut out: Vec<Command> = Vec::new();
-    let mut cqes: Vec<Cqe> = Vec::new();
     // Park accounting: parked-ns over elapsed-ns per rolling window,
     // exported ×1000 (the registry's milli-gauge convention, like
     // `cam_slo_burn_rate`).
@@ -100,22 +82,20 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize) {
         //    one group at a time — same code path, depth ≤ one group.
         if sh.pipelined {
             while let Some(spec) = inbox.pop_front() {
-                reactor::accept(sh, wid, &mut core, spec);
+                w.accept(sh, spec);
                 progress = true;
             }
-        } else if core.idle() {
+        } else if w.core.idle() {
             if let Some(spec) = inbox.pop_front() {
-                reactor::accept(sh, wid, &mut core, spec);
+                w.accept(sh, spec);
                 progress = true;
             }
         }
         // 4. Pump submissions, execute effects, reap completions.
-        core.pump(sh.clock.now_ns(), &mut out);
-        progress |= !out.is_empty();
-        reactor::execute(sh, wid, &qps, &mut health, &mut out);
-        progress |= reactor::reap(sh, &qps, &mut core, &mut health, &mut out, &mut cqes, wid);
+        progress |= w.pump(sh);
+        progress |= w.reap(sh);
 
-        if stopping && core.idle() && inbox.is_empty() {
+        if stopping && w.core.idle() && inbox.is_empty() {
             break;
         }
         // 5. Idle policy from the protocol: park instead of spinning.
@@ -124,15 +104,13 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize) {
             idle_streak = 0;
         } else if !stopping {
             idle_streak = idle_streak.saturating_add(1);
-            match core.park_hint() {
+            match w.core.park_hint() {
                 ParkHint::Poll => std::thread::yield_now(),
                 ParkHint::Until(t) => {
                     let now = sh.clock.now_ns();
                     if t > now {
                         let before = now;
-                        sh.parkers[wid].park_timeout(
-                            Duration::from_nanos(t - now).min(MAX_PARK),
-                        );
+                        sh.parkers[wid].park_timeout(Duration::from_nanos(t - now).min(MAX_PARK));
                         parked_ns = sh.clock.now_ns().saturating_sub(before);
                     } else {
                         std::thread::yield_now();
@@ -160,7 +138,7 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize) {
             iters_since_flush = 0;
         }
     }
-    reactor::drain_lane_health(sh, &mut health);
+    w.drain_lane_health(sh);
 }
 
 /// Routes freshly planned groups: local SSDs go straight to the inbox,

@@ -58,9 +58,11 @@ pub struct Channel {
     publishing: std::sync::atomic::AtomicBool,
     /// Invoked after every doorbell publish — the control plane installs a
     /// hook that unparks the worker owning this channel, so an idle
-    /// (parked) thread-per-core engine wakes without polling. `None` until
-    /// installed; the legacy central-poller engine installs nothing.
-    waker: parking_lot::Mutex<Option<std::sync::Arc<dyn Fn() + Send + Sync>>>,
+    /// (parked) thread-per-core engine wakes without polling. Unset until
+    /// installed (once, at attach); the legacy central-poller engine
+    /// installs nothing. Reading it is one atomic load: the GPU-side
+    /// publish path takes no lock.
+    waker: std::sync::OnceLock<std::sync::Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl Channel {
@@ -79,15 +81,16 @@ impl Channel {
             acked_errors: AtomicU64::new(0),
             published_ns: AtomicU64::new(0),
             publishing: std::sync::atomic::AtomicBool::new(false),
-            waker: parking_lot::Mutex::new(None),
+            waker: std::sync::OnceLock::new(),
         }
     }
 
-    /// Installs the post-publish wakeup hook (replacing any previous one).
-    /// Called by the control plane at attach; the hook runs on the
+    /// Installs the post-publish wakeup hook. Set-once: the control plane
+    /// calls this at attach, and a later call is ignored (a channel is
+    /// served by one control plane for its lifetime). The hook runs on the
     /// publishing (GPU-side) thread after the region-3 doorbell store.
     pub fn set_waker(&self, waker: std::sync::Arc<dyn Fn() + Send + Sync>) {
-        *self.waker.lock() = Some(waker);
+        let _ = self.waker.set(waker);
     }
 
     /// Maximum requests per batch (region-1 capacity).
@@ -171,9 +174,8 @@ impl Channel {
         self.publishing.store(false, Ordering::Release);
         // Wake the owning worker *after* the doorbell is visible: a worker
         // that wakes and sees nothing simply re-parks (token protocol).
-        let waker = self.waker.lock().clone();
-        if let Some(w) = waker {
-            w();
+        if let Some(wake) = self.waker.get() {
+            wake();
         }
         Ok(seq)
     }

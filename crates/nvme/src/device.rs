@@ -7,6 +7,13 @@
 //! counterpart of the hardware NVMe controller + its DMA engines; everything
 //! above it (SPDK-style user-space drivers, BaM-style GPU submission, CAM's
 //! CPU control plane) drives these queues.
+//!
+//! Reads are single-copy: [`BlockStore::read_blocks`] lends each media block
+//! to a visitor that DMA-writes it straight into the pinned page, so a block
+//! is touched once (media → page). The media shard lock is held across that
+//! DMA write — the data path's one lock order is **media shard, then DMA
+//! page**. Writes keep a per-thread bounce buffer (DMA → bounce → media)
+//! precisely so they never hold the two in the opposite order.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -114,6 +121,9 @@ struct Shared {
     store: Arc<dyn BlockStore>,
     dma: Arc<dyn DmaSpace>,
     qps: RwLock<Vec<Arc<QueuePair>>>,
+    /// Bumped (under the `qps` write lock) on every registration; service
+    /// threads re-snapshot their share of `qps` only when it moved.
+    qps_epoch: AtomicU64,
     stop: AtomicBool,
     stats: DeviceStats,
     telemetry: OnceLock<DeviceTelemetry>,
@@ -141,6 +151,7 @@ impl NvmeDevice {
             store,
             dma,
             qps: RwLock::new(Vec::new()),
+            qps_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             stats: DeviceStats::default(),
             telemetry: OnceLock::new(),
@@ -169,6 +180,7 @@ impl NvmeDevice {
             qp.attach_recorder(Arc::clone(rec));
         }
         qps.push(Arc::clone(&qp));
+        self.shared.qps_epoch.fetch_add(1, Ordering::Release);
         qp
     }
 
@@ -244,18 +256,25 @@ impl Drop for NvmeDevice {
 }
 
 fn service_loop(sh: &Shared, tid: usize) {
-    let mut scratch: Vec<u8> = Vec::new();
+    let mut bounce: Vec<u8> = Vec::new();
     let mut idle_rounds = 0u32;
+    // This thread's share of the queue pairs, refreshed only when a
+    // registration moved the epoch (0 = nothing registered yet).
+    let mut qps: Vec<Arc<QueuePair>> = Vec::new();
+    let mut seen_epoch = 0u64;
     while !sh.stop.load(Ordering::Acquire) {
-        let qps: Vec<Arc<QueuePair>> = {
-            let guard = sh.qps.read();
-            guard
+        let epoch = sh.qps_epoch.load(Ordering::Acquire);
+        if epoch != seen_epoch {
+            seen_epoch = epoch;
+            qps = sh
+                .qps
+                .read()
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| i % sh.config.service_threads == tid)
                 .map(|(_, qp)| Arc::clone(qp))
-                .collect()
-        };
+                .collect();
+        }
         let mut serviced = 0;
         for qp in &qps {
             let mut burst = 0;
@@ -267,7 +286,7 @@ fn service_loop(sh: &Shared, tid: usize) {
                                 std::thread::sleep(lat);
                             }
                         }
-                        let status = execute(sh, &sqe, &mut scratch);
+                        let status = execute(sh, &sqe, &mut bounce);
                         qp.post_cqe(Cqe {
                             cid: sqe.cid,
                             status,
@@ -294,11 +313,11 @@ fn service_loop(sh: &Shared, tid: usize) {
     }
 }
 
-fn execute(sh: &Shared, sqe: &Sqe, scratch: &mut Vec<u8>) -> Status {
+fn execute(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
     let telemetry = sh.telemetry.get();
     let recorder = sh.recorder.get();
     let start_ns = (telemetry.is_some() || recorder.is_some()).then(clock::now_ns);
-    let status = execute_inner(sh, sqe, scratch);
+    let status = execute_inner(sh, sqe, bounce);
     if let (Some(t), Some(start)) = (telemetry, start_ns) {
         t.cmd_ns.record(clock::now_ns().saturating_sub(start));
     }
@@ -316,21 +335,20 @@ fn execute(sh: &Shared, sqe: &Sqe, scratch: &mut Vec<u8>) -> Status {
         });
     }
     match status {
-        Status::Success => match sqe.opcode {
-            Opcode::Read => {
-                sh.stats.reads.fetch_add(1, Ordering::Relaxed);
-                sh.stats
-                    .read_bytes
-                    .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+        Status::Success => {
+            let bytes = u64::from(sqe.nlb) * u64::from(sh.store.geometry().block_size);
+            match sqe.opcode {
+                Opcode::Read => {
+                    sh.stats.reads.fetch_add(1, Ordering::Relaxed);
+                    sh.stats.read_bytes.fetch_add(bytes, Ordering::Relaxed);
+                }
+                Opcode::Write => {
+                    sh.stats.writes.fetch_add(1, Ordering::Relaxed);
+                    sh.stats.write_bytes.fetch_add(bytes, Ordering::Relaxed);
+                }
+                Opcode::Flush => {}
             }
-            Opcode::Write => {
-                sh.stats.writes.fetch_add(1, Ordering::Relaxed);
-                sh.stats
-                    .write_bytes
-                    .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-            }
-            Opcode::Flush => {}
-        },
+        }
         _ => {
             sh.stats.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -338,41 +356,48 @@ fn execute(sh: &Shared, sqe: &Sqe, scratch: &mut Vec<u8>) -> Status {
     status
 }
 
-fn execute_inner(sh: &Shared, sqe: &Sqe, scratch: &mut Vec<u8>) -> Status {
-    match sqe.opcode {
-        Opcode::Flush => {
-            // The in-memory media is always durable; flush is a barrier that
-            // completes after everything the service thread already executed.
-            scratch.clear();
-            Status::Success
+fn execute_inner(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
+    if sqe.opcode == Opcode::Flush {
+        // The in-memory media is always durable; flush is a barrier that
+        // completes after everything the service thread already executed.
+        return Status::Success;
+    }
+    if sqe.nlb == 0 || sqe.nlb > sh.config.max_transfer_blocks {
+        return Status::InvalidField;
+    }
+    let bs = sh.store.geometry().block_size as usize;
+    let bytes = sqe.nlb as usize * bs;
+    if sqe.opcode == Opcode::Read {
+        // Check the whole DMA range up front, so a bad (or only partly
+        // mapped) range moves no bytes — but still walk the media when it
+        // is bad: range and media errors take precedence over DMA errors.
+        let mut dma_ok = sh.dma.contains(sqe.data_addr, bytes);
+        let walked = sh
+            .store
+            .read_blocks(Lba(sqe.slba), u64::from(sqe.nlb), &mut |i, block| {
+                if dma_ok {
+                    let addr = sqe.data_addr + (i * bs) as u64;
+                    dma_ok = sh.dma.dma_write(addr, block).is_ok();
+                }
+            });
+        match walked {
+            Err(e) => block_err_status(e),
+            Ok(()) if !dma_ok => Status::DataTransferError,
+            Ok(()) => Status::Success,
         }
-        Opcode::Read | Opcode::Write => {
-            if sqe.nlb == 0 || sqe.nlb > sh.config.max_transfer_blocks {
-                scratch.clear();
-                return Status::InvalidField;
-            }
-            let bs = sh.store.geometry().block_size as usize;
-            let bytes = sqe.nlb as usize * bs;
-            scratch.clear();
-            scratch.resize(bytes, 0);
-            if sqe.opcode == Opcode::Read {
-                match sh.store.read(Lba(sqe.slba), scratch) {
-                    Ok(()) => {}
-                    Err(e) => return block_err_status(e),
-                }
-                if sh.dma.dma_write(sqe.data_addr, scratch).is_err() {
-                    return Status::DataTransferError;
-                }
-            } else {
-                if sh.dma.dma_read(sqe.data_addr, scratch).is_err() {
-                    return Status::DataTransferError;
-                }
-                match sh.store.write(Lba(sqe.slba), scratch) {
-                    Ok(()) => {}
-                    Err(e) => return block_err_status(e),
-                }
-            }
-            Status::Success
+    } else {
+        // The bounce buffer only ever grows; `dma_read` overwrites all of
+        // `buf`, so stale bytes from earlier commands never reach media.
+        if bounce.len() < bytes {
+            bounce.resize(bytes, 0);
+        }
+        let buf = &mut bounce[..bytes];
+        if sh.dma.dma_read(sqe.data_addr, buf).is_err() {
+            return Status::DataTransferError;
+        }
+        match sh.store.write(Lba(sqe.slba), buf) {
+            Ok(()) => Status::Success,
+            Err(e) => block_err_status(e),
         }
     }
 }
@@ -493,6 +518,127 @@ mod tests {
         let qp = dev.add_queue_pair(8);
         qp.submit(Sqe::read(1, 0, 1, 0xDEAD_BEEF_0000)).unwrap();
         assert_eq!(wait_cqe(&qp).status, Status::DataTransferError);
+    }
+
+    #[test]
+    fn media_and_range_errors_win_over_dma_errors() {
+        use cam_blockdev::{FaultPolicy, FaultyStore};
+        let inner: Arc<dyn BlockStore> =
+            Arc::new(SparseMemStore::new(BlockGeometry::new(512, 4096)));
+        let store = Arc::new(FaultyStore::new(
+            inner,
+            FaultPolicy::transient_reads_in(8, 16, u32::MAX),
+        ));
+        let dma = Arc::new(PinnedRegion::new(0x1_0000, 1 << 20));
+        let dev = NvmeDevice::start(
+            DeviceConfig::default(),
+            Arc::clone(&store) as Arc<dyn BlockStore>,
+            dma as Arc<dyn DmaSpace>,
+        );
+        let qp = dev.add_queue_pair(8);
+        let unmapped = 0xDEAD_BEEF_0000;
+        // Faulted media + unmapped buffer: the media error is reported.
+        qp.submit(Sqe::read(1, 8, 1, unmapped)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::TransientMediaError);
+        assert_eq!(store.injected(), 1, "the media was consulted exactly once");
+        // Out-of-range LBA + unmapped buffer: the range error is reported.
+        qp.submit(Sqe::read(2, 4095, 2, unmapped)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::LbaOutOfRange);
+        // Healthy media + unmapped buffer: only now is it a DMA error.
+        qp.submit(Sqe::read(3, 0, 1, unmapped)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::DataTransferError);
+    }
+
+    #[test]
+    fn partly_mapped_dma_range_moves_no_bytes() {
+        let (dev, dma) = setup();
+        let qp = dev.add_queue_pair(8);
+        dev.store().write(Lba(0), &[0x5Au8; 4 * 512]).unwrap();
+        // Four blocks aimed at the last two blocks' worth of the region:
+        // the first half of the transfer is mapped, the second is not.
+        let tail = 0x1_0000 + (1 << 20) - 1024;
+        dma.fill((1 << 20) - 1024, 1024, 0xEE);
+        qp.submit(Sqe::read(1, 0, 4, tail)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::DataTransferError);
+        let mut out = [0u8; 1024];
+        dma.dma_read(tail, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0xEE), "mapped half was written");
+        assert_eq!(dev.stats().read_bytes(), 0);
+    }
+
+    #[test]
+    fn multi_block_read_lands_across_pinned_pages() {
+        let (dev, dma) = setup();
+        let qp = dev.add_queue_pair(8);
+        // 20 blocks of 512 B, block 7 left unwritten (reads as zeroes),
+        // landing 1.5 KiB before a page boundary: four 4 KiB pages.
+        let mut want = vec![0u8; 20 * 512];
+        for (i, block) in want.chunks_exact_mut(512).enumerate() {
+            if i != 7 {
+                block.fill(i as u8 + 1);
+                dev.store().write(Lba(100 + i as u64), block).unwrap();
+            }
+        }
+        let addr = 0x1_0000 + 4096 - 1536;
+        dma.fill(4096 - 1536, want.len(), 0xEE);
+        qp.submit(Sqe::read(1, 100, 20, addr)).unwrap();
+        assert!(wait_cqe(&qp).status.is_ok());
+        let mut out = vec![0u8; want.len()];
+        dma.dma_read(addr, &mut out).unwrap();
+        assert_eq!(out, want);
+        assert_eq!(dev.stats().read_bytes(), 20 * 512);
+    }
+
+    #[test]
+    fn transient_read_faults_clear_through_the_visitor_path() {
+        use cam_blockdev::{FaultPolicy, FaultyStore};
+        let inner: Arc<dyn BlockStore> =
+            Arc::new(SparseMemStore::new(BlockGeometry::new(512, 4096)));
+        inner.write(Lba(40), &[0xC3u8; 1024]).unwrap();
+        let store = Arc::new(FaultyStore::new(
+            inner,
+            FaultPolicy::transient_reads_in(40, 41, 2),
+        ));
+        let dma = Arc::new(PinnedRegion::new(0x1_0000, 1 << 20));
+        let dev = NvmeDevice::start(
+            DeviceConfig::default(),
+            Arc::clone(&store) as Arc<dyn BlockStore>,
+            Arc::clone(&dma) as Arc<dyn DmaSpace>,
+        );
+        let qp = dev.add_queue_pair(8);
+        let statuses: Vec<Status> = (0..3)
+            .map(|attempt| {
+                qp.submit(Sqe::read(attempt, 40, 2, 0x1_0000)).unwrap();
+                wait_cqe(&qp).status
+            })
+            .collect();
+        assert_eq!(
+            statuses,
+            [
+                Status::TransientMediaError,
+                Status::TransientMediaError,
+                Status::Success
+            ]
+        );
+        assert_eq!(store.injected(), 2);
+        let mut out = [0u8; 1024];
+        dma.dma_read(0x1_0000, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0xC3));
+        assert_eq!(dev.stats().reads(), 1);
+        assert_eq!(dev.stats().errors(), 2);
+    }
+
+    #[test]
+    fn queue_pairs_added_while_running_are_serviced() {
+        // The service thread snapshots its queue pairs and refreshes the
+        // snapshot only when the registration epoch moves.
+        let (dev, _dma) = setup();
+        for round in 0..4u16 {
+            let qp = dev.add_queue_pair(8);
+            assert_eq!(qp.id(), round);
+            qp.submit(Sqe::flush(round)).unwrap();
+            assert_eq!(wait_cqe(&qp).cid, round);
+        }
     }
 
     #[test]

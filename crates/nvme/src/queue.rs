@@ -3,19 +3,42 @@
 //!
 //! The queue pair is the unit of lock-free parallelism in both SPDK and CAM:
 //! "dedicate a single NVMe queue pair to each NVMe device [per thread] —
-//! the NVMe driver takes no locks in the I/O path" (§ III-A). Submission and
-//! completion rings here are `crossbeam` array queues (single producer /
-//! single consumer by convention), and submissions become visible to the
-//! device only when the doorbell is rung, so batched submission — one
-//! doorbell for a whole batch of SQEs, the key control-plane saving CAM
-//! inherits from SPDK — is observable in the [`QpStats`].
+//! the NVMe driver takes no locks in the I/O path" (§ III-A). Both rings are
+//! fixed arrays of atomic slot words ([`Sqe`]/[`Cqe`] are plain data, packed
+//! into `u64`s), indexed by monotone 64-bit positions:
+//!
+//! * **SQ** — the host writes an SQE straight into slot `staged` and bumps
+//!   its private `staged` cursor; nothing is visible to the device until
+//!   [`ring_doorbell`](QueuePair::ring_doorbell) release-stores the SQ
+//!   *tail* — literally the NVMe tail doorbell. One doorbell publishes a
+//!   whole batch of SQEs (the key control-plane saving CAM inherits from
+//!   SPDK), observable in the [`QpStats`]. The device claims the SQ *head*
+//!   by compare-exchange, so a second service thread taking from the same
+//!   pair is still safe.
+//! * **CQ** — the device writes a CQE into slot `cq_tail` and release-stores
+//!   the new tail; the host reaps everything visible with one acquire-load
+//!   and advances its *head* (`completed`).
+//!
+//! **Memory-ordering contract.** Slot words are `Relaxed`; they are
+//! published by the `Release` store of the ring's tail and read after an
+//! `Acquire` load of it. A slot is reused only after its previous occupant
+//! was consumed: the depth check in `push_sqe` reads `completed`, which the
+//! host itself advances only after an `Acquire` load of `cq_tail` — and the
+//! device's `cq_tail` store is sequenced after (and its head
+//! compare-exchange is `AcqRel` with) every SQ-slot read it made. The CQ
+//! side mirrors this through the `Release`/`Acquire` pair on `completed`.
+//! Nothing on either side takes a lock.
+//!
+//! The host side (`push_sqe` / `ring_doorbell` / `poll_cqe*`) is
+//! single-threaded by contract — one driver thread at a time, which
+//! [`bind_host_owner`](QueuePair::bind_host_owner) turns into a debug
+//! assertion — and so is completion posting: a device assigns each pair to
+//! one service thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cam_telemetry::{EventKind, FlightRecorder, HistogramHandle};
-use crossbeam::queue::ArrayQueue;
-use parking_lot::Mutex;
 
 use crate::spec::{Cqe, Sqe};
 
@@ -36,10 +59,14 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-/// Counters exported by a queue pair.
+/// Counters exported by a queue pair. All four are written by the host
+/// side only; `submitted` and `completed` double as the SQ tail doorbell
+/// and the CQ head of the rings.
 #[derive(Default)]
 pub struct QpStats {
+    /// SQ tail: SQEs at positions below it are visible to the device.
     submitted: AtomicU64,
+    /// CQ head: CQEs at positions below it were reaped by the host.
     completed: AtomicU64,
     doorbells: AtomicU64,
     peak_inflight: AtomicU64,
@@ -69,6 +96,32 @@ impl QpStats {
     }
 }
 
+/// Every word the host side writes, together on one cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct HostSide {
+    stats: QpStats,
+    /// Host-private: position of the next SQ slot to stage into. SQEs in
+    /// `[submitted, staged)` are written but not yet rung.
+    staged: AtomicU64,
+}
+
+/// The ring cursors the device side writes, on a cache line of their own:
+/// neither side's stores bounce the other's line, nor the read-only ring
+/// geometry both keep reading.
+#[derive(Default)]
+#[repr(align(64))]
+struct DeviceCursors {
+    /// SQ head: SQEs at positions below it were claimed by `take_sqe`.
+    sq_head: AtomicU64,
+    /// CQ tail: CQEs at positions below it are visible to the host.
+    cq_tail: AtomicU64,
+}
+
+/// One SQ slot: the three words of [`Sqe::to_words`].
+#[derive(Default)]
+struct SqSlot([AtomicU64; 3]);
+
 /// A submission/completion ring pair of fixed depth.
 ///
 /// Host-side methods ([`push_sqe`](Self::push_sqe), [`ring_doorbell`](Self::ring_doorbell),
@@ -78,11 +131,14 @@ impl QpStats {
 pub struct QueuePair {
     id: u16,
     depth: usize,
-    /// Host-staged SQEs not yet visible to the device.
-    staged: Mutex<Vec<Sqe>>,
-    sq: ArrayQueue<Sqe>,
-    cq: ArrayQueue<Cqe>,
-    stats: QpStats,
+    /// Ring capacity − 1. The capacity is the depth rounded up to a power
+    /// of two, so positions map to slots with a mask; admission is still
+    /// bounded by `depth`.
+    mask: u64,
+    sq: Box<[SqSlot]>,
+    cq: Box<[AtomicU64]>,
+    host: HostSide,
+    dev: DeviceCursors,
     /// Telemetry: SQEs published per doorbell ring (batched-submission
     /// depth). Unset until attached; the disabled cost is one atomic load.
     doorbell_batch: OnceLock<HistogramHandle>,
@@ -93,7 +149,7 @@ pub struct QueuePair {
     /// [`bind_host_owner`](Self::bind_host_owner), if any. Host-side entry
     /// points assert against it in debug builds, turning a sharding bug
     /// (two engine workers polling one queue pair) into a panic at the
-    /// violation site instead of silent lock contention.
+    /// violation site instead of silently interleaved ring writes.
     host_owner: OnceLock<std::thread::ThreadId>,
 }
 
@@ -101,13 +157,15 @@ impl QueuePair {
     /// Creates a queue pair with the given id and depth (≥ 1).
     pub fn new(id: u16, depth: usize) -> Arc<Self> {
         assert!(depth >= 1, "queue depth must be >= 1");
+        let capacity = depth.next_power_of_two();
         Arc::new(QueuePair {
             id,
             depth,
-            staged: Mutex::new(Vec::new()),
-            sq: ArrayQueue::new(depth),
-            cq: ArrayQueue::new(depth),
-            stats: QpStats::default(),
+            mask: capacity as u64 - 1,
+            sq: (0..capacity).map(|_| SqSlot::default()).collect(),
+            cq: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            host: HostSide::default(),
+            dev: DeviceCursors::default(),
             doorbell_batch: OnceLock::new(),
             recorder: OnceLock::new(),
             host_owner: OnceLock::new(),
@@ -119,7 +177,7 @@ impl QueuePair {
     /// builds) that they run on this thread. Idempotent from the owning
     /// thread; panics if another thread already holds the claim. Backends
     /// that legitimately drive a pair from changing threads (synchronous
-    /// per-call stacks) simply never claim it.
+    /// per-call stacks, one caller at a time) simply never claim it.
     pub fn bind_host_owner(&self) {
         let me = std::thread::current().id();
         let owner = *self.host_owner.get_or_init(|| me);
@@ -167,23 +225,32 @@ impl QueuePair {
 
     /// Commands submitted but not yet reaped.
     pub fn in_flight(&self) -> u64 {
-        self.stats.submitted() - self.stats.completed()
+        self.host.stats.submitted() - self.host.stats.completed()
     }
 
     /// Exported counters.
     pub fn stats(&self) -> &QpStats {
-        &self.stats
+        &self.host.stats
     }
 
     /// Stages an SQE without making it visible. Fails if staging it would
     /// exceed the queue depth in flight once rung.
     pub fn push_sqe(&self, sqe: Sqe) -> Result<(), QueueError> {
         self.assert_host_owner();
-        let mut staged = self.staged.lock();
-        if self.in_flight() + staged.len() as u64 >= self.depth as u64 {
+        let staged = self.host.staged.load(Ordering::Relaxed);
+        // `staged − completed` = in flight + staged-but-unrung. Admitting
+        // only below `depth ≤ capacity` also makes the slot safe to
+        // overwrite: its last occupant sat at `staged − capacity`, which is
+        // below `completed` and so below the SQ head — every reaped
+        // completion answers an SQE the device had already taken.
+        if staged - self.host.stats.completed() >= self.depth as u64 {
             return Err(QueueError::SqFull);
         }
-        staged.push(sqe);
+        let slot = &self.sq[(staged & self.mask) as usize];
+        for (word, value) in slot.0.iter().zip(sqe.to_words()) {
+            word.store(value, Ordering::Relaxed);
+        }
+        self.host.staged.store(staged + 1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -191,23 +258,26 @@ impl QueuePair {
     /// Returns the number published.
     pub fn ring_doorbell(&self) -> usize {
         self.assert_host_owner();
-        let mut staged = self.staged.lock();
-        let n = staged.len();
+        let staged = self.host.staged.load(Ordering::Relaxed);
+        let n = (staged - self.host.stats.submitted()) as usize;
         if n == 0 {
             return 0;
         }
-        for sqe in staged.drain(..) {
-            // Capacity is guaranteed by the in-flight check in `push_sqe`.
-            self.sq
-                .push(sqe)
-                .expect("SQ overflow despite depth accounting");
+        // The tail doorbell: this one release-store publishes every slot
+        // word written since the previous ring.
+        self.host.stats.submitted.store(staged, Ordering::Release);
+        // Host-only counters: plain load/store, no read-modify-write.
+        let now_inflight = staged - self.host.stats.completed();
+        if now_inflight > self.host.stats.peak_in_flight() {
+            self.host
+                .stats
+                .peak_inflight
+                .store(now_inflight, Ordering::Relaxed);
         }
-        let submitted = self.stats.submitted.fetch_add(n as u64, Ordering::Release) + n as u64;
-        let now_inflight = submitted - self.stats.completed();
-        self.stats
-            .peak_inflight
-            .fetch_max(now_inflight, Ordering::Relaxed);
-        self.stats.doorbells.fetch_add(1, Ordering::Relaxed);
+        self.host
+            .stats
+            .doorbells
+            .store(self.host.stats.doorbells() + 1, Ordering::Relaxed);
         if let Some(h) = self.doorbell_batch.get() {
             h.record(n as u64);
         }
@@ -244,40 +314,84 @@ impl QueuePair {
 
     /// Host side: reaps one completion if available.
     pub fn poll_cqe(&self) -> Option<Cqe> {
-        self.assert_host_owner();
-        let cqe = self.cq.pop()?;
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        Some(cqe)
+        let mut cqe = None;
+        self.reap(1, |c| cqe = Some(c));
+        cqe
     }
 
     /// Host side: reaps up to `max` completions into `out`; returns count.
     pub fn poll_cqes(&self, max: usize, out: &mut Vec<Cqe>) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.poll_cqe() {
-                Some(c) => {
-                    out.push(c);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
+        self.reap(max, |c| out.push(c))
     }
 
-    /// Device side: takes the next visible SQE, if any.
+    /// Reaps up to `max` visible CQEs with one acquire-load of the CQ tail
+    /// and one store of the new head.
+    #[inline]
+    fn reap(&self, max: usize, mut sink: impl FnMut(Cqe)) -> usize {
+        self.assert_host_owner();
+        let head = self.host.stats.completed();
+        let tail = self.dev.cq_tail.load(Ordering::Acquire);
+        let n = (tail - head).min(max as u64);
+        for pos in head..head + n {
+            sink(Cqe::from_word(
+                self.cq[(pos & self.mask) as usize].load(Ordering::Relaxed),
+            ));
+        }
+        if n > 0 {
+            // Release: `post_cqe` may overwrite the reaped slots once it
+            // observes the new head.
+            self.host.stats.completed.store(head + n, Ordering::Release);
+        }
+        n as usize
+    }
+
+    /// Device side: takes the next visible SQE, if any. The head is claimed
+    /// by compare-exchange, so concurrent takers each get every SQE exactly
+    /// once — but see [`post_cqe`](Self::post_cqe): completions still go
+    /// through one poster.
     pub fn take_sqe(&self) -> Option<Sqe> {
-        self.sq.pop()
+        let mut head = self.dev.sq_head.load(Ordering::Relaxed);
+        loop {
+            if head == self.host.stats.submitted.load(Ordering::Acquire) {
+                return None;
+            }
+            // Read first, claim second: once the claim succeeds the host
+            // may complete-and-reuse the slot, and a failed claim discards
+            // whatever (possibly torn) words were read.
+            let slot = &self.sq[(head & self.mask) as usize];
+            let words = [0, 1, 2].map(|i| slot.0[i].load(Ordering::Relaxed));
+            match self.dev.sq_head.compare_exchange_weak(
+                head,
+                head + 1,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some(Sqe::from_words(words)),
+                Err(current) => head = current,
+            }
+        }
     }
 
     /// Device side: posts a completion.
     ///
+    /// **One poster per pair.** The CQ tail is a plain load then store, not
+    /// a claim: a device assigns each pair to exactly one service thread
+    /// (`NvmeDevice` does, by pair index), and a design that adds takers
+    /// must still funnel their completions through that one thread.
+    ///
     /// The depth invariant guarantees space; a full CQ indicates a protocol
     /// violation and panics.
     pub fn post_cqe(&self, cqe: Cqe) {
-        self.cq
-            .push(cqe)
-            .expect("CQ overflow: more completions than in-flight commands");
+        let tail = self.dev.cq_tail.load(Ordering::Relaxed);
+        // Acquire pairs with the host's head store: the slot about to be
+        // overwritten has been read.
+        let unreaped = tail - self.host.stats.completed.load(Ordering::Acquire);
+        assert!(
+            unreaped < self.depth as u64,
+            "CQ overflow: more completions than in-flight commands"
+        );
+        self.cq[(tail & self.mask) as usize].store(cqe.to_word(), Ordering::Relaxed);
+        self.dev.cq_tail.store(tail + 1, Ordering::Release);
     }
 }
 
@@ -381,37 +495,250 @@ mod tests {
             .unwrap();
     }
 
+    /// Spin loops of the threaded tests call the returned check whenever
+    /// they find nothing to do, so a peer thread that panicked becomes a
+    /// failure here too instead of an endless spin.
+    fn stall_check() -> impl Fn() {
+        let started = std::time::Instant::now();
+        move || assert!(started.elapsed().as_secs() < 120, "peer thread stalled")
+    }
+
+    const STATUSES: [Status; 6] = [
+        Status::Success,
+        Status::LbaOutOfRange,
+        Status::InvalidField,
+        Status::DataTransferError,
+        Status::MediaError,
+        Status::TransientMediaError,
+    ];
+
+    fn sqe_fields(s: &Sqe) -> (u16, crate::spec::Opcode, u64, u32, u64) {
+        (s.cid, s.opcode, s.slba, s.nlb, s.data_addr)
+    }
+
     #[test]
-    fn cross_thread_producer_consumer() {
-        let qp = QueuePair::new(0, 1024);
-        let dev = Arc::clone(&qp);
-        let server = std::thread::spawn(move || {
-            let mut served = 0u32;
-            while served < 1000 {
-                if let Some(sqe) = dev.take_sqe() {
+    fn seeded_interleaving_matches_a_deque_model_across_many_wraps() {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        use std::collections::VecDeque;
+        for depth in [1usize, 2, 3, 7] {
+            let qp = QueuePair::new(0, depth);
+            let mut rng = StdRng::seed_from_u64(depth as u64);
+            // The model: four FIFOs a command moves through.
+            let mut staged: VecDeque<Sqe> = VecDeque::new();
+            let mut visible: VecDeque<Sqe> = VecDeque::new();
+            let mut taken: VecDeque<u16> = VecDeque::new();
+            let mut posted: VecDeque<Cqe> = VecDeque::new();
+            let (mut submitted, mut completed, mut doorbells, mut peak) = (0u64, 0u64, 0u64, 0u64);
+            let mut reaped = Vec::new();
+            for step in 0..40_000u64 {
+                match rng.next_u64() % 5 {
+                    0 => {
+                        let r = rng.next_u64();
+                        let sqe = match r % 3 {
+                            0 => Sqe::read(step as u16, r, (r >> 8) as u32, !r),
+                            1 => Sqe::write(step as u16, !r, (r >> 16) as u32, r),
+                            _ => Sqe::flush(step as u16),
+                        };
+                        let room = submitted - completed + (staged.len() as u64) < depth as u64;
+                        assert_eq!(qp.push_sqe(sqe).is_ok(), room, "step {step}");
+                        if room {
+                            staged.push_back(sqe);
+                        } else {
+                            assert_eq!(qp.push_sqe(sqe), Err(QueueError::SqFull));
+                        }
+                    }
+                    1 => {
+                        let n = staged.len();
+                        assert_eq!(qp.ring_doorbell(), n, "step {step}");
+                        visible.extend(staged.drain(..));
+                        submitted += n as u64;
+                        if n > 0 {
+                            doorbells += 1;
+                            peak = peak.max(submitted - completed);
+                        }
+                    }
+                    2 => {
+                        // Staged-but-unrung SQEs are invisible: only the
+                        // model's `visible` FIFO can feed a take.
+                        let got = qp.take_sqe();
+                        let want = visible.pop_front();
+                        assert_eq!(
+                            got.as_ref().map(sqe_fields),
+                            want.as_ref().map(sqe_fields),
+                            "step {step}"
+                        );
+                        taken.extend(want.map(|s| s.cid));
+                    }
+                    3 => {
+                        if let Some(cid) = taken.pop_front() {
+                            let cqe = Cqe {
+                                cid,
+                                status: STATUSES[(rng.next_u64() % 6) as usize],
+                            };
+                            qp.post_cqe(cqe);
+                            posted.push_back(cqe);
+                        }
+                    }
+                    _ => {
+                        let max = (rng.next_u64() % (depth as u64 + 2)) as usize;
+                        reaped.clear();
+                        let n = qp.poll_cqes(max, &mut reaped);
+                        assert_eq!(n, max.min(posted.len()), "step {step}");
+                        for got in &reaped {
+                            let want = posted.pop_front().unwrap();
+                            assert_eq!((got.cid, got.status), (want.cid, want.status));
+                        }
+                        completed += n as u64;
+                    }
+                }
+                assert_eq!(qp.stats().submitted(), submitted);
+                assert_eq!(qp.stats().completed(), completed);
+                assert_eq!(qp.in_flight(), submitted - completed);
+            }
+            assert_eq!(qp.stats().doorbells(), doorbells);
+            assert_eq!(qp.stats().peak_in_flight(), peak);
+            assert!(
+                submitted > 100 * depth.next_power_of_two() as u64,
+                "depth {depth}: only {submitted} commands, too few ring wraps"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "CQ overflow")]
+    fn posting_more_completions_than_the_depth_panics() {
+        let qp = QueuePair::new(0, 3);
+        // Nothing reaps, so the fourth unreaped completion cannot fit —
+        // whether or not a command was ever submitted for it.
+        for cid in 0..4 {
+            qp.post_cqe(Cqe {
+                cid,
+                status: Status::Success,
+            });
+        }
+    }
+
+    #[test]
+    fn two_thread_stress_echoes_every_command_exactly_once() {
+        const COMMANDS: u64 = 1_000_000;
+        let qp = QueuePair::new(0, 64);
+        std::thread::scope(|s| {
+            let dev = &qp;
+            s.spawn(move || {
+                // One service thread: commands arrive, and are completed,
+                // in submission order with every field intact.
+                let stalled = stall_check();
+                let mut next = 0u64;
+                while next < COMMANDS {
+                    let Some(sqe) = dev.take_sqe() else {
+                        stalled();
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    assert_eq!(
+                        (sqe.cid, sqe.slba, sqe.nlb, sqe.data_addr),
+                        (next as u16, next, next as u32, !next)
+                    );
                     dev.post_cqe(Cqe {
                         cid: sqe.cid,
-                        status: Status::Success,
+                        status: STATUSES[(next % 6) as usize],
                     });
-                    served += 1;
-                } else {
+                    next += 1;
+                }
+                assert!(dev.take_sqe().is_none());
+            });
+            let stalled = stall_check();
+            let (mut pushed, mut echoed) = (0u64, 0u64);
+            let mut cqes = Vec::new();
+            while echoed < COMMANDS {
+                // Bursts of varying size, one doorbell each.
+                let burst = 1 + pushed % 17;
+                for _ in 0..burst {
+                    if pushed == COMMANDS
+                        || qp
+                            .push_sqe(Sqe::read(pushed as u16, pushed, pushed as u32, !pushed))
+                            .is_err()
+                    {
+                        break;
+                    }
+                    pushed += 1;
+                }
+                qp.ring_doorbell();
+                cqes.clear();
+                if qp.poll_cqes(64, &mut cqes) == 0 {
+                    stalled();
                     std::thread::yield_now();
                 }
+                for cqe in &cqes {
+                    // In order and gap-free: each CID echoes exactly once.
+                    assert_eq!(
+                        (cqe.cid, cqe.status),
+                        (echoed as u16, STATUSES[(echoed % 6) as usize])
+                    );
+                    echoed += 1;
+                }
             }
+            assert_eq!(pushed, COMMANDS);
         });
-        let mut completed = 0u32;
-        let mut next = 0u16;
-        while completed < 1000 {
-            while next < 1000 && qp.push_sqe(Sqe::read(next, next as u64, 1, 0)).is_ok() {
-                next += 1;
+        assert_eq!(qp.stats().submitted(), COMMANDS);
+        assert_eq!(qp.stats().completed(), COMMANDS);
+        assert_eq!(qp.in_flight(), 0);
+        assert!(qp.poll_cqe().is_none());
+    }
+
+    #[test]
+    fn concurrent_takers_claim_each_sqe_exactly_once() {
+        const COMMANDS: u64 = 200_000;
+        let qp = QueuePair::new(0, 128);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (tx, rx) = std::sync::mpsc::channel::<(u16, u64)>();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (tx, dev, done) = (tx.clone(), &qp, &done);
+                s.spawn(move || {
+                    let stalled = stall_check();
+                    while !done.load(Ordering::Acquire) {
+                        match dev.take_sqe() {
+                            Some(sqe) => {
+                                assert_eq!(sqe.data_addr, !sqe.slba, "torn SQE");
+                                tx.send((sqe.cid, sqe.slba)).unwrap();
+                            }
+                            None => {
+                                stalled();
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                });
             }
-            qp.ring_doorbell();
-            while qp.poll_cqe().is_some() {
-                completed += 1;
+            // This thread is the host and the pair's one completion poster.
+            let mut claimed = vec![false; COMMANDS as usize];
+            let (mut pushed, mut reaped) = (0u64, 0u64);
+            let stalled = stall_check();
+            while reaped < COMMANDS {
+                stalled();
+                while pushed < COMMANDS
+                    && qp
+                        .push_sqe(Sqe::read(pushed as u16, pushed, 1, !pushed))
+                        .is_ok()
+                {
+                    pushed += 1;
+                }
+                qp.ring_doorbell();
+                while let Ok((cid, id)) = rx.try_recv() {
+                    assert_eq!(cid, id as u16);
+                    assert!(!std::mem::replace(&mut claimed[id as usize], true));
+                    qp.post_cqe(Cqe {
+                        cid,
+                        status: Status::Success,
+                    });
+                }
+                while qp.poll_cqe().is_some() {
+                    reaped += 1;
+                }
             }
-        }
-        server.join().unwrap();
-        assert_eq!(qp.stats().submitted(), 1000);
-        assert_eq!(qp.stats().completed(), 1000);
+            done.store(true, Ordering::Release);
+            assert!(claimed.iter().all(|&c| c));
+        });
     }
 }

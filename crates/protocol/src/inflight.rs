@@ -6,11 +6,26 @@
 //! allocator skips in-use slots, so a late completion can never be
 //! attributed to the wrong request after CID reuse.
 
-use std::collections::HashMap;
-
 /// CID-keyed table of commands awaiting their completion.
+///
+/// Live commands sit densely in `live`; `index` is an open-addressed map
+/// from CID to position in `live`, probed linearly from a multiplicative
+/// hash of the CID and at most half full, so allocation checks, inserts and
+/// completion matching are a multiply and a probe or two — no SipHash.
+/// (The hash scatters the sequentially allocated CIDs on purpose: mapped
+/// by their low bits they would sit in one contiguous run, which removal's
+/// backward shift would have to walk end to end.) Memory is proportional
+/// to the depth (two bytes per index slot; `live` grows as commands
+/// arrive).
 pub struct InflightTable<T> {
-    slots: HashMap<u16, T>,
+    /// `(cid, command)` for every command in flight, in no particular order.
+    live: Vec<(u16, T)>,
+    /// Position in `live`, plus one, of the entry in this slot; 0 = vacant.
+    /// Always keeps at least one slot vacant, so probes terminate.
+    index: Box<[u16]>,
+    mask: usize,
+    /// `32 - log2(index.len())`: keeps the hash's top bits.
+    shift: u32,
     next_cid: u16,
     capacity: usize,
 }
@@ -18,26 +33,32 @@ pub struct InflightTable<T> {
 impl<T> InflightTable<T> {
     /// A table bounded by the queue depth (and by the 16-bit CID space).
     pub fn new(depth: usize) -> Self {
+        let capacity = depth.min(u16::MAX as usize);
+        // At most half full, so probes stay short and always end.
+        let slots = (2 * capacity).next_power_of_two().max(2);
         InflightTable {
-            slots: HashMap::with_capacity(depth.min(u16::MAX as usize)),
+            live: Vec::with_capacity(capacity),
+            index: vec![0; slots].into_boxed_slice(),
+            mask: slots - 1,
+            shift: 32 - slots.trailing_zeros(),
             next_cid: 0,
-            capacity: depth.min(u16::MAX as usize),
+            capacity,
         }
     }
 
     /// Commands currently in flight.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.live.len()
     }
 
     /// Whether nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.live.is_empty()
     }
 
     /// Whether another command can be admitted.
     pub fn is_full(&self) -> bool {
-        self.slots.len() >= self.capacity
+        self.live.len() >= self.capacity
     }
 
     /// Allocates the next free CID, or `None` when the table is full. The
@@ -52,22 +73,75 @@ impl<T> InflightTable<T> {
         loop {
             let cid = self.next_cid;
             self.next_cid = self.next_cid.wrapping_add(1);
-            if !self.slots.contains_key(&cid) {
+            if self.slot_of(cid).is_none() {
                 return Some(cid);
+            }
+        }
+    }
+
+    /// The index slot a CID's probe starts at (Fibonacci hashing).
+    fn home(&self, cid: u16) -> usize {
+        (u32::from(cid).wrapping_mul(0x9E37_79B9) >> self.shift) as usize
+    }
+
+    /// The index slot holding `cid`, if it is in flight.
+    fn slot_of(&self, cid: u16) -> Option<usize> {
+        let mut i = self.home(cid);
+        loop {
+            match self.index[i] {
+                0 => return None,
+                p if self.live[p as usize - 1].0 == cid => return Some(i),
+                _ => i = (i + 1) & self.mask,
             }
         }
     }
 
     /// Records `cmd` as in flight under `cid`.
     pub fn put(&mut self, cid: u16, cmd: T) {
-        let prev = self.slots.insert(cid, cmd);
-        debug_assert!(prev.is_none(), "CID {cid} double-allocated");
+        debug_assert!(self.slot_of(cid).is_none(), "CID {cid} double-allocated");
+        debug_assert!(!self.is_full(), "put into a full table");
+        self.live.push((cid, cmd));
+        let mut i = self.home(cid);
+        while self.index[i] != 0 {
+            i = (i + 1) & self.mask;
+        }
+        // `live.len() ≤ capacity ≤ u16::MAX`, so the position fits.
+        self.index[i] = self.live.len() as u16;
     }
 
     /// Matches a completion back to its command; `None` for a stale or
     /// unknown CID.
     pub fn remove(&mut self, cid: u16) -> Option<T> {
-        self.slots.remove(&cid)
+        let slot = self.slot_of(cid)?;
+        let pos = self.index[slot] as usize - 1;
+        let (_, cmd) = self.live.swap_remove(pos);
+        // The former last entry (if any) now sits at `pos`: repoint its
+        // slot while every probe chain is still intact.
+        if let Some(&(moved, _)) = self.live.get(pos) {
+            let was = self.live.len() as u16 + 1;
+            let mut i = self.home(moved);
+            while self.index[i] != was {
+                i = (i + 1) & self.mask;
+            }
+            self.index[i] = pos as u16 + 1;
+        }
+        // Vacate `slot` by backward-shift deletion: pull up every later
+        // entry of the run whose probe would otherwise stop at the hole.
+        let (mut hole, mut j) = (slot, slot);
+        loop {
+            j = (j + 1) & self.mask;
+            let p = self.index[j];
+            if p == 0 {
+                break;
+            }
+            let home = self.home(self.live[p as usize - 1].0);
+            if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(hole) & self.mask) {
+                self.index[hole] = p;
+                hole = j;
+            }
+        }
+        self.index[hole] = 0;
+        Some(cmd)
     }
 }
 
@@ -122,6 +196,104 @@ mod tests {
         let cid = t.alloc_cid().unwrap();
         assert_ne!(cid, 0);
         assert_eq!(t.remove(0), Some(42));
+    }
+
+    /// The allocator this table has always had, as a model: a wrapping
+    /// cursor that skips exactly the CIDs still in flight. Drivers, traces
+    /// and the DES all see CIDs, so the sequence is part of the contract.
+    struct ModelTable {
+        live: std::collections::BTreeSet<u16>,
+        next: u16,
+        capacity: usize,
+    }
+
+    impl ModelTable {
+        fn alloc(&mut self) -> Option<u16> {
+            if self.live.len() >= self.capacity {
+                return None;
+            }
+            loop {
+                let cid = self.next;
+                self.next = self.next.wrapping_add(1);
+                if self.live.insert(cid) {
+                    return Some(cid);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cid_sequence_is_the_wrapping_skip_in_use_sequence_through_a_u16_wrap() {
+        // 128 index slots; four stragglers parked for the whole run.
+        check_against_model(48, &[0, 1, 7, 40]);
+        // 16 slots, half the table parked: long probe runs around them.
+        check_against_model(6, &[0, 1, 2]);
+    }
+
+    fn check_against_model(depth: usize, stragglers: &[u16]) {
+        let mut t: InflightTable<u32> = InflightTable::new(depth);
+        let mut model = ModelTable {
+            live: Default::default(),
+            next: 0,
+            capacity: depth,
+        };
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_rand = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        // A few early commands stay in flight for the whole run, so the
+        // cursor has to step over them on every wrap.
+        let mut live: Vec<u16> = Vec::new();
+        let mut allocated = 0u32;
+        let mut most_off_home = 0;
+        while allocated < 3 << 16 {
+            if live.len() < depth && (live.len() <= stragglers.len() || next_rand() % 3 != 0) {
+                let cid = t.alloc_cid().expect("table has room");
+                assert_eq!(Some(cid), model.alloc(), "allocation {allocated}");
+                if (allocated as usize) < depth {
+                    assert_eq!(u32::from(cid), allocated, "a fresh table counts up");
+                }
+                t.put(cid, u32::from(cid) + 1);
+                live.push(cid);
+                allocated += 1;
+            } else {
+                let i = next_rand() as usize % live.len();
+                if stragglers.contains(&live[i]) {
+                    continue;
+                }
+                let cid = live.swap_remove(i);
+                assert_eq!(t.remove(cid), Some(u32::from(cid) + 1));
+                assert_eq!(t.remove(cid), None, "second reap is stale");
+                assert!(model.live.remove(&cid));
+            }
+            assert_eq!(t.len(), live.len());
+            if allocated % 64 == 0 {
+                let off_home = t
+                    .live
+                    .iter()
+                    .filter(|&&(c, _)| t.slot_of(c) != Some(t.home(c)))
+                    .count();
+                most_off_home = most_off_home.max(off_home);
+            }
+        }
+        // Entries did land off their home slot, so probing past a collision
+        // and the backward shift on removal both ran.
+        assert!(most_off_home > 0);
+        // A full table refuses, like the model.
+        while t.len() < depth {
+            let cid = t.alloc_cid().unwrap();
+            assert_eq!(Some(cid), model.alloc());
+            t.put(cid, 0);
+        }
+        assert_eq!(t.alloc_cid(), None);
+        assert_eq!(model.alloc(), None);
+        // The stragglers survived three wraps untouched.
+        for &cid in stragglers {
+            assert_eq!(t.remove(cid), Some(u32::from(cid) + 1));
+        }
     }
 
     #[test]

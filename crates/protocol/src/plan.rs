@@ -94,26 +94,20 @@ pub fn plan_batch(
     mut reqs: Vec<(u64, u64)>,
 ) -> BatchPlan {
     let requests = reqs.len() as u64;
-    let mut dups: Vec<(u64, u64)> = Vec::new();
-    if op == ChannelOp::Read {
-        let mut first: std::collections::HashMap<u64, u64> =
-            std::collections::HashMap::with_capacity(reqs.len());
-        reqs.retain(|&(lba, addr)| match first.entry(lba) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                dups.push((*e.get(), addr));
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(addr);
-                true
-            }
-        });
-    }
+    let dups = if op == ChannelOp::Read {
+        dedup_keep_first(&mut reqs)
+    } else {
+        Vec::new()
+    };
     // Split the batch by stripe across SSDs. Requests that cross a stripe
     // boundary become several stripe-contiguous runs — the CPU control
     // plane owns the striping, so GPU code never needs to know the array
     // layout.
-    let mut groups: Vec<Vec<(u64, u64, u32)>> = vec![Vec::new(); cfg.n_ssds];
+    // Striping spreads a batch evenly: size every group for its share up
+    // front instead of growing it push by push.
+    let mut groups: Vec<Vec<(u64, u64, u32)>> = (0..cfg.n_ssds)
+        .map(|_| Vec::with_capacity(reqs.len().div_ceil(cfg.n_ssds)))
+        .collect();
     let bs = cfg.block_size as u64;
     let mut total_runs = 0u64;
     for (lba, addr) in &reqs {
@@ -134,6 +128,49 @@ pub fn plan_batch(
         groups,
         stripe_splits: total_runs.saturating_sub(reqs.len() as u64),
     }
+}
+
+/// Removes every request whose LBA already appeared earlier in `reqs`
+/// (keep-first, order preserved) and returns the `(primary address,
+/// duplicate address)` pairs in request order.
+///
+/// The first-occurrence index is an open-addressed table of positions into
+/// the compacted prefix of `reqs`, probed linearly from a Fibonacci hash of
+/// the LBA — no SipHash, one small allocation. LBAs are chosen by the
+/// caller's own kernel, not by an outside party, and a batch is bounded by
+/// region-1 capacity, so a collision-resistant hash buys nothing here.
+fn dedup_keep_first(reqs: &mut Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    const EMPTY: u32 = u32::MAX;
+    let mut dups = Vec::new();
+    if reqs.len() < 2 {
+        return dups;
+    }
+    // At most half full, so probes stay short and always find a vacancy.
+    let bits = (2 * reqs.len()).next_power_of_two().trailing_zeros();
+    let mask = (1usize << bits) - 1;
+    let mut first = vec![EMPTY; mask + 1];
+    let mut kept = 0;
+    for i in 0..reqs.len() {
+        let (lba, addr) = reqs[i];
+        let mut h = (lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        loop {
+            match first[h] {
+                EMPTY => {
+                    first[h] = kept as u32;
+                    reqs[kept] = (lba, addr);
+                    kept += 1;
+                    break;
+                }
+                k if reqs[k as usize].0 == lba => {
+                    dups.push((reqs[k as usize].1, addr));
+                    break;
+                }
+                _ => h = (h + 1) & mask,
+            }
+        }
+    }
+    reqs.truncate(kept);
+    dups
 }
 
 /// Timing-independent protocol decisions, for driver-fidelity comparison.
@@ -196,6 +233,47 @@ mod tests {
         assert_eq!(plan.requests, 4);
         assert_eq!(plan.dups, vec![(0x1000, 0x3000), (0x1000, 0x4000)]);
         assert_eq!(plan.runs(), 2, "two distinct LBAs survive dispatch");
+    }
+
+    #[test]
+    fn dedup_matches_a_keep_first_map_on_colliding_and_scattered_lbas() {
+        // Reference: the ordered-map formulation of keep-first dedup.
+        type Pairs = Vec<(u64, u64)>;
+        fn reference(reqs: &[(u64, u64)]) -> (Pairs, Pairs) {
+            let mut first = std::collections::BTreeMap::new();
+            let (mut kept, mut dups) = (Vec::new(), Vec::new());
+            for &(lba, addr) in reqs {
+                match first.get(&lba) {
+                    Some(&primary) => dups.push((primary, addr)),
+                    None => {
+                        first.insert(lba, addr);
+                        kept.push((lba, addr));
+                    }
+                }
+            }
+            (kept, dups)
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for n in [0usize, 1, 2, 3, 64, 257, 4096] {
+            for spread in [1u64, 7, 64, 1 << 20, u64::MAX] {
+                // `<< 40` strips the low bits a weaker hash would lean on.
+                for shift in [0u32, 40] {
+                    let reqs: Vec<(u64, u64)> = (0..n)
+                        .map(|i| ((next() % spread) << shift, 0x1000 * i as u64))
+                        .collect();
+                    let (kept, dups) = reference(&reqs);
+                    let mut got = reqs.clone();
+                    assert_eq!(dedup_keep_first(&mut got), dups, "n={n} spread={spread}");
+                    assert_eq!(got, kept, "n={n} spread={spread}");
+                }
+            }
+        }
     }
 
     #[test]

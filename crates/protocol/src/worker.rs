@@ -16,7 +16,7 @@
 //! queue-pair depth, so a driver may treat a submit command as infallible:
 //! admission here *is* admission there.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cam_nvme::spec::Status;
@@ -157,8 +157,8 @@ pub enum ParkHint {
 
 /// One command's worker-side state, from dispatch to final completion.
 struct PendingCmd {
-    /// Key into the worker's group slab.
-    group: u64,
+    /// Index into the worker's group slab.
+    group: usize,
     dev_lba: u64,
     addr: u64,
     blocks: u32,
@@ -200,8 +200,13 @@ struct GroupState {
 /// The per-worker protocol state machine.
 pub struct WorkerCore {
     lanes: Vec<Lane>,
-    groups: HashMap<u64, GroupState>,
-    next_group: u64,
+    /// Open groups, keyed by slab index: a command carries its group's
+    /// index, so reaching the accounting record is one indexed load. A
+    /// slot is vacated when its group closes — by then every command that
+    /// named it has reached a final state — and reused by a later group.
+    groups: Vec<Option<GroupState>>,
+    /// Vacant `groups` slots, reused last-in-first-out.
+    free_groups: Vec<usize>,
     retry: RetryPolicy,
     counters: DecisionCounters,
 }
@@ -216,8 +221,8 @@ impl WorkerCore {
                     inflight: InflightTable::new(queue_depth),
                 })
                 .collect(),
-            groups: HashMap::new(),
-            next_group: 0,
+            groups: Vec::new(),
+            free_groups: Vec::new(),
             retry,
             counters: DecisionCounters::default(),
         }
@@ -226,7 +231,7 @@ impl WorkerCore {
     /// Whether no group is open (the blocking baseline accepts a new group
     /// only when this holds).
     pub fn idle(&self) -> bool {
-        self.groups.is_empty()
+        self.groups.len() == self.free_groups.len()
     }
 
     /// Commands in flight on `ssd` (this worker's lane).
@@ -294,34 +299,42 @@ impl WorkerCore {
     /// SSD's lane and opens its accounting record. Call
     /// [`pump`](WorkerCore::pump) afterwards to generate submissions.
     pub fn on_group(&mut self, spec: GroupSpec, recv_ns: u64) {
-        let gid = self.next_group;
-        self.next_group += 1;
         let deadline_ns = self.retry.deadline_ns.map(|d| recv_ns + d);
-        for &(dev_lba, addr, blocks) in &spec.reqs {
-            self.lanes[spec.ssd].queue.push_back(PendingCmd {
-                group: gid,
-                dev_lba,
-                addr,
-                blocks,
-                attempts: 0,
-                earliest_ns: 0,
-                deadline_ns,
-                last_cid: 0,
-            });
-        }
-        self.groups.insert(
-            gid,
-            GroupState {
-                ssd: spec.ssd,
-                total: spec.reqs.len(),
-                done: 0,
-                errors: 0,
-                submitted_first: 0,
-                recv_ns,
-                submit_ns: 0,
-                batch: spec.batch,
-            },
-        );
+        let state = GroupState {
+            ssd: spec.ssd,
+            total: spec.reqs.len(),
+            done: 0,
+            errors: 0,
+            submitted_first: 0,
+            recv_ns,
+            submit_ns: 0,
+            batch: spec.batch,
+        };
+        let gid = match self.free_groups.pop() {
+            Some(gid) => {
+                self.groups[gid] = Some(state);
+                gid
+            }
+            None => {
+                self.groups.push(Some(state));
+                self.groups.len() - 1
+            }
+        };
+        let queue = &mut self.lanes[spec.ssd].queue;
+        queue.extend(spec.reqs.iter().map(|&(dev_lba, addr, blocks)| PendingCmd {
+            group: gid,
+            dev_lba,
+            addr,
+            blocks,
+            attempts: 0,
+            earliest_ns: 0,
+            deadline_ns,
+            last_cid: 0,
+        }));
+    }
+
+    fn group_mut(&mut self, gid: usize) -> &mut GroupState {
+        self.groups[gid].as_mut().expect("command without group")
     }
 
     /// One submission pass over every lane at `now_ns`: times out
@@ -357,9 +370,8 @@ impl WorkerCore {
             let first = cmd.attempts == 0;
             cmd.attempts += 1;
             cmd.last_cid = cid;
-            let g = self
-                .groups
-                .get_mut(&cmd.group)
+            let g = self.groups[cmd.group]
+                .as_mut()
                 .expect("command without group");
             out.push(Command::Submit(SubmitCmd {
                 ssd,
@@ -413,10 +425,7 @@ impl WorkerCore {
         };
         if status == Status::Success {
             let gid = cmd.group;
-            self.groups
-                .get_mut(&gid)
-                .expect("command without group")
-                .done += 1;
+            self.group_mut(gid).done += 1;
             self.close_if_done(gid, now_ns, out);
             return;
         }
@@ -426,7 +435,7 @@ impl WorkerCore {
         {
             Verdict::Retry { at_ns } => {
                 self.counters.retries += 1;
-                let g = &self.groups[&cmd.group];
+                let g = self.group_mut(cmd.group);
                 out.push(Command::CmdRetry {
                     batch: Arc::clone(&g.batch),
                     ssd,
@@ -441,7 +450,7 @@ impl WorkerCore {
             Verdict::TimedOut => self.time_out(ssd, &cmd, now_ns, out),
             Verdict::Permanent => {
                 let gid = cmd.group;
-                let g = self.groups.get_mut(&gid).expect("command without group");
+                let g = self.group_mut(gid);
                 g.done += 1;
                 g.errors += 1;
                 self.close_if_done(gid, now_ns, out);
@@ -454,7 +463,7 @@ impl WorkerCore {
     fn time_out(&mut self, ssd: usize, cmd: &PendingCmd, now_ns: u64, out: &mut Vec<Command>) {
         self.counters.timeouts += 1;
         let gid = cmd.group;
-        let g = self.groups.get_mut(&gid).expect("command without group");
+        let g = self.group_mut(gid);
         g.done += 1;
         g.errors += 1;
         out.push(Command::CmdTimeout {
@@ -469,12 +478,13 @@ impl WorkerCore {
 
     /// Closes `gid` if all of its commands reached a final state, and asks
     /// for batch retirement if it was the batch's last group.
-    fn close_if_done(&mut self, gid: u64, now_ns: u64, out: &mut Vec<Command>) {
-        let finished = self.groups.get(&gid).is_some_and(|g| g.done >= g.total);
+    fn close_if_done(&mut self, gid: usize, now_ns: u64, out: &mut Vec<Command>) {
+        let finished = self.groups[gid].as_ref().is_some_and(|g| g.done >= g.total);
         if !finished {
             return;
         }
-        let g = self.groups.remove(&gid).expect("group vanished");
+        let g = self.groups[gid].take().expect("group vanished");
+        self.free_groups.push(gid);
         let anchor_ns = if g.submit_ns > 0 {
             g.submit_ns
         } else {
@@ -752,6 +762,51 @@ mod tests {
             "second group's close retires"
         );
         assert!(w.idle());
+    }
+
+    #[test]
+    fn closed_group_slots_are_reused() {
+        // Three groups open at once, closed out of order, then three more:
+        // the slab never grows past the peak number of open groups, and a
+        // reused slot carries none of its previous tenant's accounting.
+        let mut w = WorkerCore::new(1, 16, no_retry());
+        let mut out = Vec::new();
+        for round in 0..4u64 {
+            let batches: Vec<_> = (0..3).map(|_| batch(1)).collect();
+            for (g, b) in batches.iter().enumerate() {
+                w.on_group(
+                    GroupSpec {
+                        ssd: 0,
+                        reqs: (0..=g as u64).map(|i| (i, 0, 1)).collect(),
+                        batch: Arc::clone(b),
+                    },
+                    round,
+                );
+            }
+            assert!(!w.idle());
+            out.clear();
+            w.pump(round, &mut out);
+            let subs = submits(&out);
+            assert_eq!(subs.len(), 1 + 2 + 3);
+            out.clear();
+            // Complete in reverse submission order: the last group closes
+            // first.
+            for s in subs.iter().rev() {
+                w.on_cqe(0, s.cid, Status::Success, round, &mut out);
+            }
+            let closed: Vec<u32> = out
+                .iter()
+                .filter_map(|c| match c {
+                    Command::GroupComplete {
+                        sqes, errors: 0, ..
+                    } => Some(*sqes),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(closed, vec![3, 2, 1]);
+            assert!(w.idle());
+            assert_eq!(w.groups.len(), 3, "round {round}: slab grew");
+        }
     }
 
     #[test]
