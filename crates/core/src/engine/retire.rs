@@ -41,10 +41,23 @@ pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64, copy_bu
         }
     }
     let batch_errors = b.errors.load(Ordering::Relaxed);
-    sh.channels[b.channel].retire(b.seq, batch_errors);
     let retire_ns = sh.clock.now_ns();
     let io = Dur::ns(retire_ns.saturating_sub(b.dispatched_ns));
+    // Everything a client may read as soon as its wait returns — the
+    // `ControlStats` counters, and `last_retire`, which the pickup of its
+    // next doorbell turns into a compute gap — settles before region 4
+    // releases it (the region-4 store is the release the waiter acquires).
     sh.last_retire[b.channel].store(retire_ns, Ordering::Relaxed);
+    m.batches.inc();
+    m.requests.add(b.requests);
+    m.errors.add(batch_errors);
+    m.io_time_ns.add(io.as_ns());
+    let compute_gap = Dur::ns(b.compute_gap_ns);
+    if compute_gap > Dur::ZERO {
+        m.compute_time_ns.add(compute_gap.as_ns());
+        m.compute_samples.inc();
+    }
+    sh.channels[b.channel].retire(b.seq, batch_errors);
     let retire_span = retire_ns.saturating_sub(complete_ns);
     let total_ns = retire_ns.saturating_sub(b.doorbell_ns);
     m.stage(op_idx, Stage::Retire).record(retire_span);
@@ -69,15 +82,6 @@ pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64, copy_bu
                 errors: batch_errors as u32,
             },
         );
-    }
-    m.batches.inc();
-    m.requests.add(b.requests);
-    m.errors.add(batch_errors);
-    m.io_time_ns.add(io.as_ns());
-    let compute_gap = Dur::ns(b.compute_gap_ns);
-    if compute_gap > Dur::ZERO {
-        m.compute_time_ns.add(compute_gap.as_ns());
-        m.compute_samples.inc();
     }
     if sh.dynamic && compute_gap > Dur::ZERO {
         let prev = sh.active_workers.load(Ordering::Relaxed);

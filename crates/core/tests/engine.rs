@@ -48,6 +48,33 @@ fn channels_beyond_64_track_compute_gaps() {
 }
 
 #[test]
+fn stats_are_settled_when_wait_returns() {
+    // `retire_batch` once released the waiter (region 4) before it counted
+    // the batch, so a client returning from `wait` could read a
+    // `ControlStats` that did not include the batch it had just waited for.
+    // (An optimised build lost that race on the first batch, every run; it
+    // was also the 1-in-15 flake of the test above.) The counters are now
+    // written before the region-4 release-store the waiter acquires, so
+    // every iteration must see its own batch.
+    let rig = Rig::new(RigConfig {
+        n_ssds: 2,
+        blocks_per_ssd: 4096,
+        ..RigConfig::default()
+    });
+    let cam = CamContext::attach(&rig, CamConfig::default());
+    let dev = cam.device();
+    let buf = cam.alloc(4 * 4096).unwrap();
+    for i in 1..=2000 {
+        dev.submit(0, ChannelOp::Read, &[0, 1, 2, 3], buf.addr())
+            .unwrap()
+            .wait()
+            .unwrap();
+        let stats = cam.stats();
+        assert_eq!((stats.batches, stats.requests), (i, 4 * i), "batch {i}");
+    }
+}
+
+#[test]
 fn stripe_boundary_splits_are_counted() {
     // Stripe width 4, requests of 8 blocks starting on a stripe boundary:
     // each request splits into exactly 2 stripe-contiguous runs, so 4

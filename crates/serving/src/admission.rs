@@ -66,16 +66,19 @@ impl TokenBucket {
     }
 
     /// Earliest instant at which `try_take(_, cost)` could succeed, given
-    /// the balance left by the last call. Used to arm the DES wake-up timer
-    /// when every tenant is admission-stalled.
+    /// the balance left by the last call; `u64::MAX` when it never will (a
+    /// zero rate, or a refill so slow the instant is past the end of the
+    /// timeline). Used to arm the DES wake-up timer when every tenant is
+    /// admission-stalled.
     pub fn ready_at(&self, cost: f64) -> u64 {
         let cost = cost.min(self.cfg.burst_blocks);
         let deficit = cost - self.tokens;
         if deficit <= 0.0 {
             return self.last_ns;
         }
+        // The float-to-int cast saturates, so an infinite wait is u64::MAX.
         let wait_ns = (deficit / self.cfg.rate_blocks_per_s * 1e9).ceil() as u64;
-        self.last_ns + wait_ns.max(1)
+        self.last_ns.saturating_add(wait_ns.max(1))
     }
 
     /// Tokens currently in the bucket (after the last refill).
@@ -118,6 +121,16 @@ mod tests {
         // A 100-block step clamps to the 4-block burst: admits when full.
         assert!(b.try_take(1_000_000_000, 100.0));
         assert!(b.balance() < 1.0);
+    }
+
+    #[test]
+    fn zero_or_tiny_rate_is_never_ready_instead_of_overflowing() {
+        for rate in [0.0, 1e-12] {
+            let mut b = bucket(rate, 4.0);
+            assert!(b.try_take(1_000, 4.0), "the initial burst still admits");
+            assert!(!b.try_take(2_000, 1.0));
+            assert_eq!(b.ready_at(1.0), u64::MAX, "rate {rate}");
+        }
     }
 
     #[test]

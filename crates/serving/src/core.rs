@@ -25,6 +25,7 @@
 //! latency the SLO accounting records.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use cam_protocol::ChannelOp;
 use cam_telemetry::{
@@ -34,7 +35,7 @@ use cam_workloads::kv_cache::{self, KvCacheConfig, KvStep};
 
 use crate::admission::{AdmissionConfig, TokenBucket};
 use crate::sched::{FairScheduler, Policy, WorkItem};
-use crate::session::{SessionConfig, SessionTable};
+use crate::session::{SessionConfig, SessionSlot, SessionTable, SessionView};
 
 /// Demand-read channel.
 pub const CH_DEMAND: usize = 0;
@@ -158,10 +159,14 @@ pub struct ServingStats {
     pub duration_ns: u64,
 }
 
+/// A work item naming its session by table slot: the key is resolved once,
+/// at admission, and the pin the item holds keeps the slot valid.
+type Item = WorkItem<SessionSlot>;
+
 /// One in-flight batch's bookkeeping, per channel.
 enum Inflight {
     /// Demand reads / readahead: the items riding the batch.
-    Items(Vec<WorkItem>),
+    Items(Vec<Item>),
     /// Write-back: fire-and-forget, nothing to resolve at retire.
     Writeback,
 }
@@ -173,9 +178,16 @@ pub struct ServingCore {
     traces: Vec<VecDeque<KvStep>>,
     buckets: Vec<TokenBucket>,
     table: SessionTable,
-    sched: FairScheduler,
-    ra_queue: VecDeque<WorkItem>,
+    sched: FairScheduler<SessionSlot>,
+    /// Readahead items, in arrival order whatever the demand policy.
+    readahead: FairScheduler<SessionSlot>,
     wb_queue: VecDeque<u64>,
+    /// Instant of the last [`admit`](Self::admit) pass, until a retirement
+    /// or disconnect changes what a pass would decide. A second pass at
+    /// the same instant is a no-op (each tenant stops where it stopped: cap
+    /// reached, trace empty, or bucket refusing the same step with no time
+    /// elapsed), so the channels polled at one instant share one pass.
+    admitted_at: Option<u64>,
     inflight: [Option<Inflight>; N_CHANNELS],
     inflight_steps: Vec<usize>,
     max_inflight: Vec<usize>,
@@ -225,10 +237,11 @@ impl ServingCore {
                 .map(|_| WindowedHistogram::new(window_cfg))
                 .collect(),
             metrics: registry.map(|r| TenantMetrics::new(r, tenants)),
+            readahead: FairScheduler::new(Policy::Fifo, tenants, cfg.quantum_blocks),
             traces,
             table,
-            ra_queue: VecDeque::new(),
             wb_queue: VecDeque::new(),
+            admitted_at: None,
             inflight: [None, None, None],
             inflight_steps: vec![0; tenants],
             max_inflight,
@@ -281,16 +294,18 @@ impl ServingCore {
     }
 
     fn admit_step(&mut self, t: usize, step: KvStep, now_ns: u64) {
-        let key = (t, step.session);
-        self.table.ensure_open(key, now_ns);
+        let (slot, _) = self.table.open((t, step.session), now_ns);
         self.accum[t].admitted += 1;
         if let Some(m) = &self.metrics {
             m.admitted[t].inc();
         }
 
         // Demand reads over the context window written *before* this step.
-        let written = self.table.written(key);
-        let resident = self.table.resident(key);
+        let SessionView {
+            extent,
+            written,
+            resident,
+        } = self.table.view(slot);
         let window = step.read_blocks.min(written);
         let hits = window.min(resident);
         let misses = window - hits;
@@ -299,34 +314,25 @@ impl ServingCore {
         if misses > 0 {
             // The resident suffix covers [written-resident, written); the
             // missing prefix of the window pages in from SSD.
-            let lbas: Vec<u64> = (written - window..written - hits)
-                .map(|b| self.table.lba(key, b))
-                .collect();
-            self.table.pin(key);
+            let item = |blocks: Range<u64>, resident_target| Item {
+                tenant: t,
+                key: slot,
+                lbas: (extent + blocks.start..extent + blocks.end).collect(),
+                resident_target,
+                admit_ns: now_ns,
+            };
+            self.table.pin_slot(slot);
             self.inflight_steps[t] += 1;
             // Cold restore: prefetch older context beyond the demand
             // window on the readahead channel.
             if resident == 0 && written > window && self.cfg.readahead_blocks > 0 {
                 let ra = self.cfg.readahead_blocks.min(written - window);
-                let ra_lbas: Vec<u64> = (written - window - ra..written - window)
-                    .map(|b| self.table.lba(key, b))
-                    .collect();
-                self.table.pin(key);
-                self.ra_queue.push_back(WorkItem {
-                    tenant: t,
-                    key,
-                    lbas: ra_lbas,
-                    resident_target: window + ra,
-                    admit_ns: now_ns,
-                });
+                self.table.pin_slot(slot);
+                self.readahead
+                    .push(item(written - window - ra..written - window, window + ra));
             }
-            self.sched.push(WorkItem {
-                tenant: t,
-                key,
-                lbas,
-                resident_target: window,
-                admit_ns: now_ns,
-            });
+            self.sched
+                .push(item(written - window..written - hits, window));
         } else {
             // Every context block is GPU-resident (or the step reads
             // nothing): the step completes at admission.
@@ -336,10 +342,9 @@ impl ServingCore {
         // Appends: new KV blocks are born resident and written back
         // asynchronously on the write-back channel.
         if step.write_blocks > 0 {
-            let range = self.table.append(key, step.write_blocks, now_ns);
-            for b in range {
-                self.wb_queue.push_back(self.table.lba(key, b));
-            }
+            let appended = self.table.append_slot(slot, step.write_blocks, now_ns);
+            self.wb_queue
+                .extend(extent + appended.start..extent + appended.end);
         }
     }
 
@@ -369,14 +374,25 @@ impl ServingCore {
             "channel {channel} already has a batch in flight"
         );
         self.start_ns.get_or_insert(now_ns);
-        self.admit(now_ns);
+        if self.admitted_at != Some(now_ns) {
+            self.admit(now_ns);
+            self.admitted_at = Some(now_ns);
+        }
         let (lbas, op, inflight) = match channel {
-            CH_DEMAND => {
-                let items = self.sched.next_batch(self.cfg.max_batch_blocks);
+            CH_DEMAND | CH_READAHEAD => {
+                let sched = if channel == CH_DEMAND {
+                    &mut self.sched
+                } else {
+                    &mut self.readahead
+                };
+                let items = sched.next_batch(self.cfg.max_batch_blocks);
                 if items.is_empty() {
                     return None;
                 }
-                let lbas: Vec<u64> = items.iter().flat_map(|i| i.lbas.iter().copied()).collect();
+                let mut lbas = Vec::with_capacity(items.iter().map(|i| i.lbas.len()).sum());
+                for item in &items {
+                    lbas.extend_from_slice(&item.lbas);
+                }
                 (lbas, ChannelOp::Read, Inflight::Items(items))
             }
             CH_WRITEBACK => {
@@ -386,23 +402,6 @@ impl ServingCore {
                 let take = (self.cfg.max_batch_blocks as usize).min(self.wb_queue.len());
                 let lbas: Vec<u64> = self.wb_queue.drain(..take).collect();
                 (lbas, ChannelOp::Write, Inflight::Writeback)
-            }
-            CH_READAHEAD => {
-                let mut items = Vec::new();
-                let mut blocks = 0;
-                while let Some(front) = self.ra_queue.front() {
-                    if !items.is_empty() && blocks + front.cost() > self.cfg.max_batch_blocks {
-                        break;
-                    }
-                    let item = self.ra_queue.pop_front().expect("front exists");
-                    blocks += item.cost();
-                    items.push(item);
-                }
-                if items.is_empty() {
-                    return None;
-                }
-                let lbas: Vec<u64> = items.iter().flat_map(|i| i.lbas.iter().copied()).collect();
-                (lbas, ChannelOp::Read, Inflight::Items(items))
             }
             _ => panic!("serving drives channels 0..{N_CHANNELS}"),
         };
@@ -419,14 +418,15 @@ impl ServingCore {
         let inflight = self.inflight[channel]
             .take()
             .expect("retire without a batch in flight");
+        self.admitted_at = None;
         match inflight {
             Inflight::Writeback => {}
             Inflight::Items(items) => {
                 let errored = u64::from(errors > 0);
                 for item in items {
                     self.table
-                        .mark_resident(item.key, item.resident_target, now_ns);
-                    self.table.unpin(item.key);
+                        .mark_resident_slot(item.key, item.resident_target, now_ns);
+                    self.table.unpin_slot(item.key);
                     if channel == CH_DEMAND {
                         self.inflight_steps[item.tenant] -= 1;
                         let latency = now_ns.saturating_sub(item.admit_ns);
@@ -439,7 +439,9 @@ impl ServingCore {
 
     /// Earliest instant at which an admission-throttled tenant's bucket
     /// could grant its head-of-line step; `None` when no tenant is
-    /// throttle-stalled (any other stall resolves at the next retire).
+    /// throttle-stalled (any other stall resolves at the next retire) or
+    /// every stalled bucket will never refill (a paused tenant waits for a
+    /// [`disconnect`](Self::disconnect), not for a timer).
     pub fn next_ready_ns(&mut self, now_ns: u64) -> Option<u64> {
         let _ = now_ns;
         (0..self.traces.len())
@@ -451,6 +453,7 @@ impl ServingCore {
                 let cost = (step.read_blocks + step.write_blocks) as f64;
                 Some(self.buckets[t].ready_at(cost))
             })
+            .filter(|&ready_ns| ready_ns != u64::MAX)
             .min()
     }
 
@@ -458,7 +461,7 @@ impl ServingCore {
     pub fn is_drained(&self) -> bool {
         self.traces.iter().all(VecDeque::is_empty)
             && self.sched.is_empty()
-            && self.ra_queue.is_empty()
+            && self.readahead.is_empty()
             && self.wb_queue.is_empty()
             && self.inflight.iter().all(Option::is_none)
     }
@@ -468,19 +471,14 @@ impl ServingCore {
     /// batches retire normally — sessions stay pinned until then.
     pub fn disconnect(&mut self, tenant: usize, now_ns: u64) {
         self.traces[tenant].clear();
+        self.admitted_at = None;
         for item in self.sched.drain_tenant(tenant) {
-            self.table.unpin(item.key);
+            self.table.unpin_slot(item.key);
             self.inflight_steps[tenant] -= 1;
         }
-        let mut kept = VecDeque::new();
-        while let Some(item) = self.ra_queue.pop_front() {
-            if item.tenant == tenant {
-                self.table.unpin(item.key);
-            } else {
-                kept.push_back(item);
-            }
+        for item in self.readahead.drain_tenant(tenant) {
+            self.table.unpin_slot(item.key);
         }
-        self.ra_queue = kept;
         let _ = now_ns;
     }
 

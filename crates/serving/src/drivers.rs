@@ -52,11 +52,10 @@ pub struct ServingRun {
     pub substrate_batches: u64,
 }
 
-/// Runs the core to completion on the DES driver (fault-free calibrated
-/// P5510 array, pipelined reactor). Returns the serving stats and the
-/// underlying [`CamDesReport`].
-pub fn run_serving_des(core: Arc<Mutex<ServingCore>>, n_ssds: usize) -> (ServingRun, CamDesReport) {
-    let cfg = CamDesConfig {
+/// The DES substrate every serving run uses: a fault-free calibrated
+/// P5510 array under the pipelined reactor.
+fn des_config(n_ssds: usize) -> CamDesConfig {
+    CamDesConfig {
         n_ssds,
         block_size: 4096,
         stripe_blocks: 1,
@@ -70,9 +69,14 @@ pub fn run_serving_des(core: Arc<Mutex<ServingCore>>, n_ssds: usize) -> (Serving
         retry: CamDesConfig::inert_retry(),
         fault: None,
         ssd_model: SsdModel::p5510(),
-    };
+    }
+}
+
+/// Runs the core to completion on the DES driver. Returns the serving
+/// stats and the underlying [`CamDesReport`].
+pub fn run_serving_des(core: Arc<Mutex<ServingCore>>, n_ssds: usize) -> (ServingRun, CamDesReport) {
     let report = run_cam_des_source(
-        cfg,
+        des_config(n_ssds),
         N_CHANNELS,
         Box::new(CoreSource(Arc::clone(&core))),
         None,
@@ -185,7 +189,11 @@ pub fn run_serving_threaded(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
+    use crate::admission::AdmissionConfig;
     use crate::core::ServingConfig;
     use crate::sched::Policy;
     use cam_workloads::kv_cache::KvCacheConfig;
@@ -219,6 +227,86 @@ mod tests {
         let a = run();
         assert!(a.2.iter().all(|&(completed, _)| completed == 40));
         assert_eq!(a, run(), "DES serving run must be deterministic");
+    }
+
+    /// `CoreSource` that disconnects tenant 0 once tenant 1 has completed
+    /// `live_steps`, counting the driver's wake-up queries on the way.
+    struct DisconnectPaused {
+        inner: CoreSource,
+        live_steps: u64,
+        wakeup_queries: Rc<Cell<u64>>,
+    }
+
+    impl DesBatchSource for DisconnectPaused {
+        fn next_batch(&mut self, channel: usize, now_ns: u64) -> Option<(CamDesBatch, ChannelOp)> {
+            self.inner.next_batch(channel, now_ns)
+        }
+
+        fn on_retire(&mut self, channel: usize, now_ns: u64, errors: u64) {
+            self.inner.on_retire(channel, now_ns, errors);
+            let mut core = self.inner.0.lock();
+            if core.report(now_ns).tenants[1].completed == self.live_steps {
+                core.disconnect(0, now_ns);
+            }
+        }
+
+        fn next_ready_ns(&mut self, now_ns: u64) -> Option<u64> {
+            self.wakeup_queries.set(self.wakeup_queries.get() + 1);
+            self.inner.next_ready_ns(now_ns)
+        }
+
+        fn is_drained(&self) -> bool {
+            self.inner.is_drained()
+        }
+    }
+
+    /// A tenant whose bucket never refills (rate 0) used to overflow
+    /// `ready_at` (debug: panic; release: a wake-up one virtual nanosecond
+    /// ahead, re-armed forever). It must instead just wait: the live tenant
+    /// runs to completion on its own timers, and the run ends once the
+    /// paused tenant is disconnected.
+    #[test]
+    fn paused_tenant_waits_for_disconnect_without_a_timer_storm() {
+        let mut wl = KvCacheConfig::uniform(2, 4, 40);
+        wl.seed = 17;
+        let mut cfg = ServingConfig::for_workload(wl, Policy::Drr);
+        cfg.admission[0] = AdmissionConfig {
+            rate_blocks_per_s: 0.0,
+            burst_blocks: 16.0,
+        };
+        // The live tenant throttles too, so real wake-ups are armed beside
+        // the never-ready one.
+        cfg.admission[1] = AdmissionConfig {
+            rate_blocks_per_s: 50_000.0,
+            burst_blocks: 16.0,
+        };
+        let core = Arc::new(Mutex::new(ServingCore::new(cfg, None)));
+        let wakeup_queries = Rc::new(Cell::new(0));
+        let report = run_cam_des_source(
+            des_config(2),
+            N_CHANNELS,
+            Box::new(DisconnectPaused {
+                inner: CoreSource(Arc::clone(&core)),
+                live_steps: 40,
+                wakeup_queries: Rc::clone(&wakeup_queries),
+            }),
+            None,
+            CamDesObs::default(),
+        );
+        let stats = core.lock().report(report.duration.as_ns());
+        assert_eq!(stats.tenants[1].completed, 40);
+        assert!(stats.tenants[1].throttled > 0);
+        let paused = &stats.tenants[0];
+        assert!(paused.throttled == 1 && paused.admitted < 40, "{paused:?}");
+        assert_eq!(paused.completed, paused.admitted);
+        // One query per poll of the idle channels: a few per batch, not one
+        // per virtual nanosecond.
+        assert!(
+            wakeup_queries.get() <= 4 * report.batches + 4 * 40,
+            "{} wake-up queries for {} batches",
+            wakeup_queries.get(),
+            report.batches
+        );
     }
 
     #[test]

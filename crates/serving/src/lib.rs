@@ -44,4 +44,4 @@ pub use crate::core::{
 pub use admission::{AdmissionConfig, TokenBucket};
 pub use drivers::{run_serving_des, run_serving_threaded, CoreSource, ServingRun};
 pub use sched::{FairScheduler, Policy, WorkItem};
-pub use session::{SessionConfig, SessionKey, SessionTable};
+pub use session::{SessionConfig, SessionKey, SessionSlot, SessionTable, SessionView};

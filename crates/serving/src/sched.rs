@@ -24,13 +24,16 @@ pub enum Policy {
 }
 
 /// One schedulable unit of work: the demand reads (or readahead) of one
-/// admitted step. Items are never split across batches.
+/// admitted step. Items are never split across batches. `S` is how the
+/// item names its session: a [`SessionKey`] by default, the table's
+/// [`SessionSlot`](crate::SessionSlot) inside `ServingCore`, which resolves
+/// the key once at admission and carries the handle to retirement.
 #[derive(Clone, Debug)]
-pub struct WorkItem {
+pub struct WorkItem<S = SessionKey> {
     /// Owning tenant.
     pub tenant: usize,
     /// Session the blocks belong to (pinned while the item is in flight).
-    pub key: SessionKey,
+    pub key: S,
     /// Array LBAs to move.
     pub lbas: Vec<u64>,
     /// Resident suffix length to install once the blocks land on the GPU.
@@ -39,7 +42,7 @@ pub struct WorkItem {
     pub admit_ns: u64,
 }
 
-impl WorkItem {
+impl<S> WorkItem<S> {
     /// Scheduling cost of the item, blocks.
     pub fn cost(&self) -> u64 {
         self.lbas.len() as u64
@@ -48,18 +51,18 @@ impl WorkItem {
 
 /// A per-channel scheduler multiplexing tenant queues.
 #[derive(Debug)]
-pub struct FairScheduler {
+pub struct FairScheduler<S = SessionKey> {
     policy: Policy,
     quantum: u64,
-    queues: Vec<VecDeque<WorkItem>>,
+    queues: Vec<VecDeque<WorkItem<S>>>,
     deficit: Vec<u64>,
     /// Round-robin position, persistent across batches so service rotates.
     cursor: usize,
-    fifo: VecDeque<WorkItem>,
+    fifo: VecDeque<WorkItem<S>>,
     queued: usize,
 }
 
-impl FairScheduler {
+impl<S> FairScheduler<S> {
     /// A scheduler over `n_tenants` queues. `quantum_blocks` is the DRR
     /// deficit earned per backlogged tenant per round (≥ 1).
     pub fn new(policy: Policy, n_tenants: usize, quantum_blocks: u64) -> Self {
@@ -75,7 +78,7 @@ impl FairScheduler {
     }
 
     /// Enqueues an item on its tenant's queue.
-    pub fn push(&mut self, item: WorkItem) {
+    pub fn push(&mut self, item: WorkItem<S>) {
         self.queued += 1;
         match self.policy {
             Policy::Drr => self.queues[item.tenant].push_back(item),
@@ -96,14 +99,14 @@ impl FairScheduler {
     /// Builds the next batch, at most `max_blocks` blocks. Returns an
     /// empty vec when nothing is queued; otherwise always makes progress
     /// (at least one item, even if it alone exceeds `max_blocks`).
-    pub fn next_batch(&mut self, max_blocks: u64) -> Vec<WorkItem> {
+    pub fn next_batch(&mut self, max_blocks: u64) -> Vec<WorkItem<S>> {
         match self.policy {
             Policy::Fifo => self.next_batch_fifo(max_blocks),
             Policy::Drr => self.next_batch_drr(max_blocks),
         }
     }
 
-    fn next_batch_fifo(&mut self, max_blocks: u64) -> Vec<WorkItem> {
+    fn next_batch_fifo(&mut self, max_blocks: u64) -> Vec<WorkItem<S>> {
         let mut batch = Vec::new();
         let mut blocks = 0;
         while let Some(front) = self.fifo.front() {
@@ -118,7 +121,7 @@ impl FairScheduler {
         batch
     }
 
-    fn next_batch_drr(&mut self, max_blocks: u64) -> Vec<WorkItem> {
+    fn next_batch_drr(&mut self, max_blocks: u64) -> Vec<WorkItem<S>> {
         let n = self.queues.len();
         let mut batch = Vec::new();
         let mut blocks = 0u64;
@@ -179,8 +182,8 @@ impl FairScheduler {
     /// Removes every queued item of `tenant` (disconnect mid-burst) and
     /// returns them so the caller can release session pins. In-flight
     /// items are not affected — they retire normally.
-    pub fn drain_tenant(&mut self, tenant: usize) -> Vec<WorkItem> {
-        let drained: Vec<WorkItem> = match self.policy {
+    pub fn drain_tenant(&mut self, tenant: usize) -> Vec<WorkItem<S>> {
+        let drained: Vec<WorkItem<S>> = match self.policy {
             Policy::Drr => {
                 self.deficit[tenant] = 0;
                 std::mem::take(&mut self.queues[tenant]).into()
