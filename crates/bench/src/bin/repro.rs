@@ -18,7 +18,7 @@
 //! DES microbenchmark with a flight recorder attached, and writes the
 //! combined timeline as Chrome trace-event JSON — open it in Perfetto or
 //! `chrome://tracing`. Process 1 is the functional engine (one track per
-//! poller/worker/emitting thread, one async span per batch); process 2 is
+//! worker/emitting thread, one async span per batch); process 2 is
 //! the simulated SSDs.
 //!
 //! `repro watch` drives a fault-injected workload through a fully observed

@@ -2,10 +2,10 @@
 //! cost as a function of batch size and fits the linear model
 //! ([`CpuPipeModel`]) the DES charges in virtual time.
 //!
-//! The DES models the poller's fan-out as `base + per_req · requests`
+//! The DES models the worker's dispatch as `base + per_req · requests`
 //! nanoseconds on a single dispatcher pipe. Those two constants must come
 //! from measurement, not guesswork: this module drives the real
-//! `CamContext` poller over a sweep of batch sizes with a flight recorder
+//! `CamContext` engine over a sweep of batch sizes with a flight recorder
 //! attached, joins each retired batch's dispatch-stage attribution
 //! ([`critical::analyze`]) with its doorbell's request count, and fits the
 //! line through the per-size **lower quartiles**. Wall-clock dispatch noise
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use cam_core::{CamConfig, CamContext, ThreadModel};
+use cam_core::{CamConfig, CamContext};
 use cam_iostacks::{CpuPipeModel, Rig, RigConfig};
 use cam_telemetry::critical;
 use cam_telemetry::{EventKind, FlightRecorder, Stage};
@@ -132,14 +132,7 @@ pub fn measure_dispatch(rounds_per_size: u64) -> Vec<(u64, u64)> {
         recorder: Some(Arc::clone(&recorder)),
         ..Default::default()
     };
-    // Pinned to the legacy poller engine: `CpuPipeModel` is fitted on the
-    // poller's Dispatch hop, and the drift gate compares against baselines
-    // captured there. The thread-per-core engine has no separate hop.
-    let cfg = CamConfig {
-        thread_model: ThreadModel::CentralPoller,
-        ..CamConfig::default()
-    };
-    let cam = CamContext::attach_observed(&rig, cfg, obs);
+    let cam = CamContext::attach_observed(&rig, CamConfig::default(), obs);
     let dev = cam.device();
     let bs = cam.block_size() as usize;
     let max = *CALIBRATION_SIZES.iter().max().expect("sizes") as usize;

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cam_cache::{CacheConfig, CachedDevice};
-use cam_core::{CamConfig, CamContext, ChannelOp, ThreadModel};
+use cam_core::{CamConfig, CamContext, ChannelOp};
 use cam_iostacks::cam_des::{
     run_cam_des, run_cam_des_cached, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel,
 };
@@ -239,8 +239,8 @@ pub fn run_fidelity_experiment_seeded(rounds: u64, seed: u64) -> FidelityReport 
     FidelityReport {
         expected: expected_decisions(&workload),
         functional: FidelityEngineReport {
-            pipelined: run_functional(true, &workload),
-            blocking: run_functional(false, &workload),
+            pipelined: run_functional(true, 1, &workload),
+            blocking: run_functional(false, 1, &workload),
         },
         des: FidelityEngineReport {
             pipelined: run_des(true, &workload, None),
@@ -253,19 +253,11 @@ pub fn run_fidelity_experiment_seeded(rounds: u64, seed: u64) -> FidelityReport 
     }
 }
 
-fn run_functional(pipelined: bool, channels: &[Vec<CamDesBatch>]) -> FidelityModeReport {
-    // One worker owning all SSDs, as in the pipeline experiment: any
-    // overlap must come from the reactor, not thread parallelism. Pinned
-    // to the legacy poller engine: the DES mirrors the poller's dispatch
-    // hop, and the decision-counter equality is asserted byte-identical
-    // against it. Thread-per-core planning parity is covered separately by
-    // `thread_per_core_planning_matches_the_plan_replay`.
-    run_functional_with(pipelined, ThreadModel::CentralPoller, 1, channels)
-}
-
-fn run_functional_with(
+/// The report's runs use one worker owning all SSDs, as in the pipeline
+/// experiment and the DES (`threads: 1`): any overlap must come from the
+/// reactor, not thread parallelism.
+fn run_functional(
     pipelined: bool,
-    thread_model: ThreadModel,
     workers: usize,
     channels: &[Vec<CamDesBatch>],
 ) -> FidelityModeReport {
@@ -278,7 +270,7 @@ fn run_functional_with(
     assert_eq!(rig.block_size(), BLOCK_SIZE);
     let registry = Arc::new(MetricsRegistry::new());
     // The recorder is the group-count witness: one GroupDispatch event per
-    // non-empty per-SSD group the poller ships.
+    // non-empty per-SSD group a worker accepts.
     let recorder = Arc::new(FlightRecorder::new());
     let mut obs = Observability::with_registry(Arc::clone(&registry));
     obs.recorder = Some(Arc::clone(&recorder));
@@ -286,7 +278,6 @@ fn run_functional_with(
         n_channels: N_CHANNELS,
         workers: Some(workers),
         pipelined,
-        thread_model,
         ..CamConfig::default()
     };
     let cam = CamContext::attach_observed(&rig, cfg, obs);
@@ -531,7 +522,6 @@ fn run_functional_cached(pipelined: bool, batches: &[Vec<u64>]) -> CachedModeRep
             n_channels: CACHED_N_CHANNELS,
             workers: Some(1),
             pipelined,
-            thread_model: ThreadModel::CentralPoller,
             ..CamConfig::default()
         },
         Observability::with_registry(Arc::clone(&registry)),
@@ -732,9 +722,18 @@ mod tests {
         assert!(report.expected.dedup_dropped > 0, "workload has no dups");
         assert!(report.expected.stripe_splits > 0, "workload has no splits");
         assert_eq!(report.expected.batches, 6 * N_CHANNELS as u64);
+        // Two workers force cross-worker ring handoff (each worker plans
+        // channels whose SSD groups the other owns): sharded pickup, SPSC
+        // routing and parking reorder work in time but may not change what
+        // is planned, deduped, split, grouped or submitted.
+        let workload = fidelity_workload(6);
+        let two_pipelined = run_functional(true, 2, &workload);
+        let two_blocking = run_functional(false, 2, &workload);
         for (name, m) in [
             ("functional/pipelined", &report.functional.pipelined),
             ("functional/blocking", &report.functional.blocking),
+            ("functional/2 workers/pipelined", &two_pipelined),
+            ("functional/2 workers/blocking", &two_blocking),
             ("des/pipelined", &report.des.pipelined),
             ("des/blocking", &report.des.blocking),
         ] {
@@ -781,25 +780,6 @@ mod tests {
             "\"speedup_direction_agrees\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
-        }
-    }
-
-    /// The thread-per-core engine makes *exactly* the planned decisions
-    /// too — sharded pickup, SPSC routing, and parking reorder work in
-    /// time but may not change what is planned, deduped, split, grouped,
-    /// or submitted. Two workers force cross-worker ring handoff (each
-    /// worker plans channels whose SSD groups are owned by the other).
-    #[test]
-    fn thread_per_core_planning_matches_the_plan_replay() {
-        let workload = fidelity_workload(6);
-        let expected = expected_decisions(&workload);
-        for pipelined in [true, false] {
-            let m = run_functional_with(pipelined, ThreadModel::ThreadPerCore, 2, &workload);
-            assert_eq!(
-                m.decisions, expected,
-                "thread-per-core (pipelined={pipelined}) diverged from the plan replay"
-            );
-            assert_eq!(m.batches, expected.batches);
         }
     }
 

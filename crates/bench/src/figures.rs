@@ -128,11 +128,6 @@ pub static EXPERIMENTS: &[(&str, &str, Generator)] = &[
         "Multi-tenant KV-cache serving: admission, DRR fairness, per-tenant SLO (writes the serving section of BENCH_repro.json)",
         serve,
     ),
-    (
-        "modes",
-        "Engine mode x load sweep: blocking vs pipelined vs thread-per-core, plus idle park ratio (writes the mode_load section of BENCH_repro.json)",
-        modes,
-    ),
 ];
 
 /// Every experiment, in paper order (a `Vec` view of [`EXPERIMENTS`] for
@@ -143,10 +138,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, Generator)> {
 
 fn serve(p: &BenchParams) -> Vec<Table> {
     crate::serving_run::serve(p)
-}
-
-fn modes(p: &BenchParams) -> Vec<Table> {
-    crate::mode_run::modes(p)
 }
 
 fn tab1(_p: &BenchParams) -> Vec<Table> {

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cam_blockdev::{BlockGeometry, BlockStore, FaultPolicy, FaultyStore, SparseMemStore};
-use cam_core::{CamConfig, CamContext, ChannelOp, ThreadModel};
+use cam_core::{CamConfig, CamContext, ChannelOp};
 use cam_iostacks::cam_des::{
     run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel, DesFaultSpec,
 };
@@ -160,10 +160,6 @@ fn run_functional() -> HealthDriverReport {
         workers: Some(1),
         max_retries: MAX_RETRIES,
         retry_backoff_ns: RETRY_BACKOFF_NS,
-        // Pinned to the legacy poller engine so the transition sequence
-        // this run emits stays byte-comparable to the DES baseline that CI
-        // diffs against.
-        thread_model: ThreadModel::CentralPoller,
         ..CamConfig::default()
     };
     let cam = CamContext::attach_observed(&rig, cfg, obs);

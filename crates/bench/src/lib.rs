@@ -20,7 +20,6 @@ pub mod calibrate;
 pub mod fidelity_run;
 pub mod figures;
 pub mod health_run;
-pub mod mode_run;
 pub mod pipeline_run;
 pub mod serving_run;
 mod table;

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cam_core::{CamConfig, CamContext, ChannelOp, ThreadModel};
+use cam_core::{CamConfig, CamContext, ChannelOp};
 use cam_iostacks::{Rig, RigConfig};
 use cam_telemetry::{MetricsRegistry, Observability};
 
@@ -84,11 +84,6 @@ fn run_mode(pipelined: bool, rounds: u64) -> PipelineModeReport {
         // come from the reactor's pipelining, not from thread parallelism.
         workers: Some(1),
         pipelined,
-        // Pinned to the legacy poller engine: this experiment isolates the
-        // reactor's pipelining win, and its baselines were captured with
-        // the dispatch hop in place. The thread-per-core comparison lives
-        // in `mode_run`.
-        thread_model: ThreadModel::CentralPoller,
         ..CamConfig::default()
     };
     let obs = Observability::with_registry(Arc::clone(&registry));

@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use cam_core::{CamConfig, CamContext, ThreadModel};
+use cam_core::{CamConfig, CamContext};
 use cam_iostacks::{Rig, RigConfig};
 use cam_telemetry::critical;
 use cam_telemetry::{
@@ -74,14 +74,7 @@ pub fn run_recorded(
     let registry = Arc::new(MetricsRegistry::new());
     let mut obs = Observability::with_registry(Arc::clone(&registry));
     obs.recorder = recorder.clone();
-    // Pinned to the legacy poller engine: the exported trace (and the CI
-    // smoke assertion on it) names the dedicated `cam-poller` track, which
-    // the thread-per-core engine folds into its workers.
-    let cfg = CamConfig {
-        thread_model: ThreadModel::CentralPoller,
-        ..CamConfig::default()
-    };
-    let cam = CamContext::attach_observed(&rig, cfg, obs);
+    let cam = CamContext::attach_observed(&rig, CamConfig::default(), obs);
     let dev = cam.device();
     let bs = cam.block_size() as usize;
     let wbuf = cam.alloc(batch as usize * bs).expect("alloc write buffer");
@@ -120,7 +113,7 @@ pub fn run_recorded(
 /// Runs the instrumented functional workload *and* a small traced CAM DES
 /// microbenchmark into one shared flight recorder, and returns the run
 /// together with the combined Chrome-trace JSON: process 1 carries the
-/// functional engine's poller/worker/doorbell tracks, process 2 the
+/// functional engine's worker/doorbell tracks, process 2 the
 /// simulated SSDs — one file, both engines, loadable in Perfetto.
 pub fn run_traced(rounds: u64, batch: u64) -> (TelemetryRun, String) {
     use cam_hostos::IoDir;
@@ -324,16 +317,33 @@ mod tests {
         assert_eq!(summary.async_begin, summary.async_end);
         // Both engines present: functional (pid 1) and simulated (pid 2).
         assert_eq!(summary.processes, 2);
-        // Distinct tracks for the poller, the workers, and simulated SSDs.
+        // Distinct tracks for the workers and simulated SSDs; doorbell
+        // pickup happens on the worker owning the channel, so worker 0's
+        // track (channel 0, the reads) carries pickup instants and no
+        // pickup lands anywhere but a worker track.
         assert!(
-            summary.named_tracks.iter().any(|t| t == "cam-poller"),
+            summary.named_tracks.iter().any(|t| t == "cam-worker0"),
             "tracks: {:?}",
             summary.named_tracks
         );
-        assert!(summary
-            .named_tracks
+        let track = |tid: u32| {
+            run.thread_names
+                .iter()
+                .find(|(id, _)| *id == tid)
+                .map_or("", |(_, name)| name.as_str())
+        };
+        let pickups: Vec<&str> = run
+            .events
             .iter()
-            .any(|t| t.starts_with("cam-worker")));
+            .filter(|e| matches!(e.kind, cam_telemetry::EventKind::BatchPickup { .. }))
+            .map(|e| track(e.thread))
+            .collect();
+        assert_eq!(pickups.len(), batches);
+        assert!(pickups.contains(&"cam-worker0"), "pickups on: {pickups:?}");
+        assert!(
+            pickups.iter().all(|t| t.starts_with("cam-worker")),
+            "pickups on: {pickups:?}"
+        );
         assert!(summary.named_tracks.iter().any(|t| t == "sim-ssd0"));
         assert!(summary.named_tracks.iter().any(|t| t == "sim-ssd1"));
     }

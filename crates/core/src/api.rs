@@ -45,13 +45,8 @@ pub struct CamConfig {
     /// flight per SSD up to queue depth. Turn off for the blocking
     /// group-at-a-time baseline (benchmarks only).
     pub pipelined: bool,
-    /// Threading model of the control plane. The default
-    /// [`ThreadModel::ThreadPerCore`] runs lcore-style workers that own
-    /// their channels, plan inline, and park when idle;
-    /// [`ThreadModel::CentralPoller`] keeps the legacy poller + MPMC
-    /// fan-out engine (mode-comparison benchmarks, and workloads
-    /// calibrated against the poller's dispatch hop). Protocol decisions
-    /// are identical under both.
+    /// Read by no code: kept only because the frozen benchmark names it;
+    /// delete at the next benchmark re-anchor.
     pub thread_model: ThreadModel,
     /// How long `synchronize_*` and [`BatchTicket::wait`] spin for region 4
     /// before giving up with [`CamError::SyncTimeout`] — a wedged control
@@ -147,8 +142,8 @@ pub struct CamContext {
 
 impl CamContext {
     /// `CAM_init`: sets up the four memory regions per channel, registers
-    /// queue pairs on every SSD, and starts the persistent CPU polling
-    /// thread and worker pool. Telemetry goes to a private registry
+    /// queue pairs on every SSD, and starts the persistent CPU worker
+    /// threads. Telemetry goes to a private registry
     /// (reachable via [`registry`](Self::registry)); use
     /// [`attach_with`](Self::attach_with) to supply your own.
     pub fn attach(rig: &Rig, cfg: CamConfig) -> Self {
@@ -232,7 +227,6 @@ impl CamContext {
                 retry_backoff_ns: cfg.retry_backoff_ns,
                 cmd_deadline_ns: cfg.cmd_deadline_ns,
                 pipelined: cfg.pipelined,
-                thread_model: cfg.thread_model,
             },
             Arc::clone(&metrics),
             &obs,

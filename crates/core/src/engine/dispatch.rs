@@ -1,24 +1,18 @@
 //! Doorbell pickup and dispatch planning.
 //!
-//! [`poll_channel`] is the single pickup path both threaded engines share:
-//! it snapshots a channel whose region-3 doorbell advanced and hands the
-//! batch to [`cam_protocol::plan_batch`] — dedup, stripe split, per-SSD
-//! grouping all happen in the shared protocol layer, so the DES driver
-//! plans identically. The rest is threaded-driver glue: timestamps,
-//! metrics, events, and one [`GroupSpec`] per non-empty group.
-//!
-//! [`poller_loop`] is the legacy central-poller engine: one persistent
-//! thread runs `poll_channel` over every channel and fans the groups out
-//! to the reactor workers over MPMC channels. The thread-per-core engine
-//! (`shard`) instead calls `poll_channel` inline on the channels each
-//! worker owns.
+//! [`poll_channel`] is the engine's one pickup path, called inline by the
+//! worker that owns the channel (`shard`): it snapshots a channel whose
+//! region-3 doorbell advanced and hands the batch to
+//! [`cam_protocol::plan_batch`] — dedup, stripe split, per-SSD grouping all
+//! happen in the shared protocol layer, so the DES driver plans
+//! identically. The rest is threaded-driver glue: timestamps, metrics,
+//! events, and one [`GroupSpec`] per non-empty group.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cam_protocol::{op_index, plan_batch, BatchCore, GroupSpec};
 use cam_telemetry::{EventKind, Stage};
-use crossbeam::channel::Sender;
 
 use super::Shared;
 
@@ -111,33 +105,4 @@ pub(super) fn poll_channel(
             })
             .collect(),
     )
-}
-
-pub(super) fn poller_loop(sh: &Shared, senders: &[Sender<GroupSpec>]) {
-    if let Some(rec) = &sh.recorder {
-        rec.name_current_thread("cam-poller");
-    }
-    let mut last_seen = vec![0u64; sh.channels.len()];
-    while !sh.stop.load(Ordering::Acquire) {
-        let mut progress = false;
-        for ch_idx in 0..sh.channels.len() {
-            let Some(specs) = poll_channel(sh, ch_idx, &mut last_seen[ch_idx]) else {
-                continue;
-            };
-            progress = true;
-            let active = sh
-                .active_workers
-                .load(Ordering::Relaxed)
-                .clamp(1, senders.len());
-            for spec in specs {
-                // An SSD is always handled by the worker `ssd % active`, so
-                // one SSD's queue pairs are never polled by two threads at
-                // once within an active-count epoch.
-                let _ = senders[spec.ssd % active].send(spec);
-            }
-        }
-        if !progress {
-            std::thread::yield_now();
-        }
-    }
 }

@@ -1,29 +1,22 @@
 //! The CPU user-space control plane (§ III-A): the threaded driver over
 //! the pure protocol layer.
 //!
-//! The default engine ([`ThreadModel::ThreadPerCore`]) is a set of
-//! lcore-style **run-to-completion workers** ([`shard`]): worker *w* owns
-//! channels `ch % workers` outright, performs doorbell pickup and
-//! [`cam_protocol::plan_batch`] planning inline, routes each per-SSD group
-//! to the worker owning that SSD over bounded SPSC rings ([`ring`]), and
-//! drives a [`cam_protocol::WorkerCore`] state machine over private queue
-//! pairs (SPDK's no-locks-in-the-I/O-path discipline), executing the
-//! [`cam_protocol::Command`]s it emits — SQE pushes, doorbell rings,
-//! telemetry records. When the protocol reports nothing actionable
+//! The engine is a set of lcore-style **run-to-completion workers**
+//! ([`shard`]) — the paper's persistent CPU threads ("CAM does not require
+//! persistent threads on the GPU. Instead, it requires a persistent thread
+//! on the CPU"). Worker *w* owns channels `ch % workers` outright, performs
+//! doorbell pickup and [`cam_protocol::plan_batch`] planning inline
+//! ([`dispatch::poll_channel`]), routes each per-SSD group to the worker
+//! owning that SSD over bounded SPSC rings ([`ring`]), and drives a
+//! [`cam_protocol::WorkerCore`] state machine over private queue pairs
+//! (SPDK's no-locks-in-the-I/O-path discipline), executing the
+//! [`cam_protocol::Command`]s it emits ([`reactor`]) — SQE pushes, doorbell
+//! rings, telemetry records. The last group of a batch retires it
+//! ([`retire`]) by writing region 4 and feeds the [`DynamicScaler`] with the
+//! batch's compute/I/O times. When the protocol reports nothing actionable
 //! ([`cam_protocol::ParkHint`]), the worker parks on a [`park::Parker`]
 //! woken by doorbell publishes, ring pushes and stop — idle CPU burn goes
 //! to ~0 instead of a spin loop.
-//!
-//! The legacy engine ([`ThreadModel::CentralPoller`]) keeps the paper's
-//! original shape for comparison benchmarks: one persistent **polling
-//! thread** ([`dispatch`]) watches every channel's doorbell ("CAM does not
-//! require persistent threads on the GPU. Instead, it requires a
-//! persistent thread on the CPU") and fans planned groups out to worker
-//! threads ([`reactor`]) over MPMC channels. Both engines share the same
-//! pickup/planning code ([`dispatch::poll_channel`]), command execution
-//! ([`reactor::execute`]) and retirement ([`retire`]): the last group of a
-//! batch retires it by writing region 4 and feeds the [`DynamicScaler`]
-//! with the batch's compute/I/O times.
 //!
 //! All protocol decisions live in `cam-protocol` and are clock-agnostic;
 //! this module is the *only* place wall-clock time enters — [`WallClock`]
@@ -52,7 +45,6 @@ use cam_telemetry::{
     ControlMetrics, EventKind, FlightRecorder, Observability, OpsWindows, PostmortemDumper,
     SloTracker, TelemetrySink,
 };
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 
 use crate::regions::Channel;
@@ -70,23 +62,11 @@ impl Clock for WallClock {
     }
 }
 
-/// Which threaded engine drives the control plane.
-///
-/// Both models execute identical protocol decisions (`cam-protocol` plans,
-/// admits, retries and retires; the fidelity matrix asserts byte-identical
-/// decision counters across them) — they differ only in which thread does
-/// what, and what an idle thread costs.
+/// The threaded engine's one threading model. Kept only because the frozen
+/// benchmark names it; delete at the next benchmark re-anchor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ThreadModel {
-    /// Legacy engine: one central poller thread picks up every channel's
-    /// doorbells, plans batches, and fans groups out to reactor workers
-    /// over MPMC channels. Idle threads spin/sleep-poll. Kept for the
-    /// mode-comparison benchmarks.
-    CentralPoller,
-    /// lcore-style run-to-completion engine: each worker owns channels
-    /// `ch % workers`, picks up and plans inline, exchanges cross-worker
-    /// groups over bounded SPSC rings, and parks on a condvar when the
-    /// protocol reports nothing actionable.
+    /// lcore-style run-to-completion workers (see the module docs).
     #[default]
     ThreadPerCore,
 }
@@ -112,9 +92,6 @@ pub(crate) struct ControlConfig {
     /// Pipelined reactor (in-flight depth > 1 per SSD across batches) vs.
     /// the blocking group-at-a-time baseline.
     pub pipelined: bool,
-    /// Threading model: run-to-completion shards (default) or the legacy
-    /// central poller.
-    pub thread_model: ThreadModel,
 }
 
 /// A point-in-time snapshot of control-plane counters.
@@ -207,7 +184,7 @@ fn mean_dur(total_ns: u64, n: u64) -> Option<Dur> {
     (n > 0).then(|| Dur::ns(total_ns / n))
 }
 
-/// State shared by the poller, the workers, and the host-facing
+/// State shared by the workers and the host-facing
 /// [`ControlPlane`] handle.
 struct Shared {
     channels: Arc<Vec<Channel>>,
@@ -238,8 +215,6 @@ struct Shared {
     /// Per-command retry/backoff/deadline policy for the workers' protocol
     /// cores.
     retry: RetryPolicy,
-    /// Pipelined reactor vs. blocking group-at-a-time baseline.
-    pipelined: bool,
     /// The driver clock every timestamp flows through (wall clock here;
     /// the DES driver substitutes virtual time).
     clock: Arc<dyn Clock>,
@@ -251,8 +226,6 @@ struct Shared {
     /// Live ops plane: per-channel SLO accounting, when attached.
     slo: Option<Arc<SloTracker>>,
     /// Cross-worker SPSC handoff fabric: `rings[consumer][producer]`.
-    /// Only the thread-per-core engine pushes/pops; the legacy engine
-    /// leaves them empty.
     rings: Vec<Vec<ring::SpscRing<GroupSpec>>>,
     /// One parker per worker, woken by doorbell publishes (channel
     /// wakers), ring pushes, and stop. `Arc`ed individually so channel
@@ -281,13 +254,11 @@ fn emit_lane_transition(sh: &Shared, t: HealthTransition, now_ns: u64) {
 /// The running control plane. Stops and joins its threads on drop.
 pub(crate) struct ControlPlane {
     shared: Arc<Shared>,
-    senders: Vec<Sender<GroupSpec>>,
-    poller: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ControlPlane {
-    /// Spawns the poller and worker threads.
+    /// Spawns the worker threads.
     ///
     /// Fails with the OS error if any thread cannot be spawned (resource
     /// exhaustion); threads spawned before the failure are stopped and
@@ -345,7 +316,6 @@ impl ControlPlane {
                 backoff_base_ns: cfg.retry_backoff_ns,
                 deadline_ns: cfg.cmd_deadline_ns,
             },
-            pipelined: cfg.pipelined,
             clock: Arc::new(WallClock),
             last_retire: (0..n_channels).map(|_| AtomicU64::new(0)).collect(),
             windows: obs.windows.clone(),
@@ -359,9 +329,7 @@ impl ControlPlane {
                 .map(|_| {
                     (0..max_workers)
                         .map(|_| {
-                            ring::SpscRing::with_capacity(
-                                n_channels.div_ceil(max_workers) * n_ssds,
-                            )
+                            ring::SpscRing::with_capacity(n_channels.div_ceil(max_workers) * n_ssds)
                         })
                         .collect()
                 })
@@ -384,68 +352,25 @@ impl ControlPlane {
             }
             e
         };
-        let mut senders = Vec::with_capacity(max_workers);
+        // Doorbell publishes wake the worker owning the channel
+        // (`ch % workers` — the same static shard the workers poll), so an
+        // idle engine burns no CPU waiting for work.
+        for (ch_idx, ch) in shared.channels.iter().enumerate() {
+            let parker = Arc::clone(&shared.parkers[ch_idx % max_workers]);
+            ch.set_waker(Arc::new(move || parker.unpark()));
+        }
         let mut workers = Vec::with_capacity(max_workers);
-        let mut poller = None;
-        match cfg.thread_model {
-            ThreadModel::ThreadPerCore => {
-                // Doorbell publishes wake the worker owning the channel
-                // (`ch % workers` — the same static shard the workers
-                // poll), so an idle engine burns no CPU waiting for work.
-                for (ch_idx, ch) in shared.channels.iter().enumerate() {
-                    let parker = Arc::clone(&shared.parkers[ch_idx % max_workers]);
-                    ch.set_waker(Arc::new(move || parker.unpark()));
-                }
-                for wid in 0..max_workers {
-                    let sh = Arc::clone(&shared);
-                    match std::thread::Builder::new()
-                        .name(format!("cam-worker{wid}"))
-                        .spawn(move || shard::shard_loop(&sh, wid))
-                    {
-                        Ok(h) => workers.push(h),
-                        Err(e) => return Err(abort(&shared, workers, e)),
-                    }
-                }
-            }
-            ThreadModel::CentralPoller => {
-                for wid in 0..max_workers {
-                    let (tx, rx) = crossbeam::channel::unbounded::<GroupSpec>();
-                    let sh = Arc::clone(&shared);
-                    match std::thread::Builder::new()
-                        .name(format!("cam-worker{wid}"))
-                        .spawn(move || reactor::worker_loop(&sh, wid, rx))
-                    {
-                        Ok(h) => {
-                            senders.push(tx);
-                            workers.push(h);
-                        }
-                        Err(e) => {
-                            drop(tx);
-                            drop(senders); // disconnect worker queues
-                            return Err(abort(&shared, workers, e));
-                        }
-                    }
-                }
-                let sh = Arc::clone(&shared);
-                let poller_senders = senders.clone();
-                match std::thread::Builder::new()
-                    .name("cam-poller".to_string())
-                    .spawn(move || dispatch::poller_loop(&sh, &poller_senders))
-                {
-                    Ok(h) => poller = Some(h),
-                    Err(e) => {
-                        drop(senders);
-                        return Err(abort(&shared, workers, e));
-                    }
-                }
+        for wid in 0..max_workers {
+            let sh = Arc::clone(&shared);
+            match std::thread::Builder::new()
+                .name(format!("cam-worker{wid}"))
+                .spawn(move || shard::shard_loop(&sh, wid, cfg.pipelined))
+            {
+                Ok(h) => workers.push(h),
+                Err(e) => return Err(abort(&shared, workers, e)),
             }
         }
-        Ok(ControlPlane {
-            shared,
-            senders,
-            poller,
-            workers,
-        })
+        Ok(ControlPlane { shared, workers })
     }
 
     pub(crate) fn stats(&self) -> ControlStats {
@@ -478,14 +403,10 @@ impl ControlPlane {
 
     pub(crate) fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        self.senders.clear(); // disconnect worker queues
-        // Wake every parked (or recv-blocked) worker so shutdown latency
-        // is bounded by the join, not by a park/poll timeout.
+        // Wake every parked worker so shutdown latency is bounded by the
+        // join, not by a park timeout.
         for p in &self.shared.parkers {
             p.unpark();
-        }
-        if let Some(p) = self.poller.take() {
-            let _ = p.join();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();

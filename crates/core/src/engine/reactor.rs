@@ -1,8 +1,6 @@
 //! The threaded worker shell around [`WorkerCore`].
 //!
-//! [`Worker`] is shared by both threaded engines: the legacy
-//! central-poller workers ([`worker_loop`]) and the thread-per-core shards
-//! (`shard`). Each worker thread owns one private queue pair per SSD, a
+//! Each worker thread (`shard`) owns one private queue pair per SSD, a
 //! [`WorkerCore`] protocol state machine, its own [`LaneHealth`] machines
 //! (worker-owned state — no per-lane mutex; the lane-health CI workloads
 //! run single-worker configurations, where the sequence is identical to a
@@ -21,15 +19,12 @@
 //! has room, and the queue pair admits exactly `depth − in_flight` staged
 //! SQEs — so admission there implies SQ room here.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cam_nvme::spec::{Cqe, Sqe};
 use cam_nvme::QueuePair;
 use cam_protocol::{op_index, ChannelOp, Command, GroupSpec, HealthConfig, LaneHealth, WorkerCore};
 use cam_telemetry::{EventKind, Stage};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use super::retire::retire_batch;
 use super::Shared;
@@ -54,8 +49,9 @@ impl Worker {
     /// on, is the only host-side driver of its queue-pair column (ownership
     /// moves across rescale epochs change *which column* serves an SSD, not
     /// who drives a pair); the pairs are claimed so a sharding bug panics
-    /// at the site.
-    pub(super) fn new(sh: &Shared, wid: usize) -> Self {
+    /// at the site. `pipelined = false` selects the blocking baseline's
+    /// group-at-a-time admission.
+    pub(super) fn new(sh: &Shared, wid: usize, pipelined: bool) -> Self {
         if let Some(rec) = &sh.recorder {
             rec.name_current_thread(&format!("cam-worker{wid}"));
         }
@@ -67,7 +63,7 @@ impl Worker {
         }
         Worker {
             wid,
-            core: WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry),
+            core: WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry).group_at_a_time(!pipelined),
             qps,
             health: (0..sh.n_ssds)
                 .map(|ssd| LaneHealth::new(ssd, HealthConfig::default()))
@@ -300,44 +296,6 @@ impl Worker {
             }
         }
     }
-}
-
-pub(super) fn worker_loop(sh: &Shared, wid: usize, rx: Receiver<GroupSpec>) {
-    let mut w = Worker::new(sh, wid);
-    loop {
-        let mut progress = false;
-        if w.core.idle() {
-            match rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(spec) => {
-                    w.accept(sh, spec);
-                    progress = true;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if sh.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if sh.pipelined {
-            // Pipelining: pull every already-dispatched group in before
-            // submitting, so commands from several batches share the queue
-            // depth. The blocking baseline skips this and runs one group at
-            // a time — same code path, depth ≤ one group.
-            while let Ok(spec) = rx.try_recv() {
-                w.accept(sh, spec);
-                progress = true;
-            }
-        }
-        progress |= w.pump(sh);
-        progress |= w.reap(sh);
-        if !progress {
-            std::thread::yield_now();
-        }
-    }
-    w.drain_lane_health(sh);
 }
 
 /// Publishes the lane's live in-flight depth (and its high-water mark) to

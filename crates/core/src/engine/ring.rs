@@ -129,7 +129,7 @@ mod tests {
                 rng ^= rng << 13;
                 rng ^= rng >> 7;
                 rng ^= rng << 17;
-                if rng % 2 == 0 {
+                if rng.is_multiple_of(2) {
                     let res = r.push(next_val);
                     if model.len() < cap {
                         assert_eq!(res, Ok(()), "cap {cap}: push into non-full ring");

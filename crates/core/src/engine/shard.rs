@@ -1,19 +1,19 @@
-//! The thread-per-core run-to-completion worker.
+//! The run-to-completion worker loop.
 //!
 //! Worker *w* of *W* owns channels `ch % W` and the per-SSD lanes
 //! `ssd % active` outright: it performs doorbell pickup and planning
-//! inline ([`dispatch::poll_channel`] — no central poller hop), routes
-//! each per-SSD group to the owning worker over the bounded SPSC fabric
-//! (`rings[dst][src]`), and runs the shared worker shell
-//! ([`reactor::Worker`]) over its private queue pairs. Groups for its own
-//! SSDs skip the fabric and go straight into the local inbox.
+//! inline ([`dispatch::poll_channel`]), routes each per-SSD group to the
+//! owning worker over the bounded SPSC fabric (`rings[dst][src]`), and
+//! runs the worker shell ([`reactor::Worker`]) over its private queue
+//! pairs. Groups for its own SSDs skip the fabric and go straight into the
+//! local inbox.
 //!
 //! Idleness is protocol-driven: when [`WorkerCore::park_hint`] reports
 //! nothing actionable, the worker parks on its [`Parker`] — woken by
 //! doorbell publishes on owned channels (channel wakers), ring pushes
 //! from peer workers, and stop. The parked-time share is exported as
-//! `cam_worker_park_ratio{worker}` (milli-units, windowed), so the
-//! idle-burn win over the legacy spin loop is observable.
+//! `cam_worker_park_ratio{worker}` (milli-units, windowed), so idle CPU
+//! burn is observable.
 //!
 //! [`Parker`]: super::park::Parker
 //! [`WorkerCore::park_hint`]: cam_protocol::WorkerCore::park_hint
@@ -46,9 +46,9 @@ const IDLE_SPIN: u32 = 128;
 /// fresh; a busy worker amortizes the window lock over this many loops.
 const FLUSH_ITERS: u32 = 512;
 
-pub(super) fn shard_loop(sh: &Shared, wid: usize) {
+pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
     let n_workers = sh.parkers.len();
-    let mut w = Worker::new(sh, wid);
+    let mut w = Worker::new(sh, wid, pipelined);
     // Static channel shard: this worker is the only thread that ever polls
     // these channels' doorbells.
     let owned: Vec<usize> = (wid..sh.channels.len()).step_by(n_workers).collect();
@@ -77,19 +77,13 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize) {
         }
         // 2. Drain groups routed here by peer workers.
         progress |= drain_rings(sh, wid, &mut inbox);
-        // 3. Admission: pipelined takes everything (commands from several
-        //    batches share the queue depth); the blocking baseline runs
-        //    one group at a time — same code path, depth ≤ one group.
-        if sh.pipelined {
-            while let Some(spec) = inbox.pop_front() {
-                w.accept(sh, spec);
-                progress = true;
-            }
-        } else if w.core.idle() {
-            if let Some(spec) = inbox.pop_front() {
-                w.accept(sh, spec);
-                progress = true;
-            }
+        // 3. Admission, by the protocol's rule: pipelined takes everything
+        //    (commands from several batches share the queue depth); the
+        //    blocking baseline one group at a time.
+        while w.core.accepts_group() {
+            let Some(spec) = inbox.pop_front() else { break };
+            w.accept(sh, spec);
+            progress = true;
         }
         // 4. Pump submissions, execute effects, reap completions.
         progress |= w.pump(sh);

@@ -28,8 +28,9 @@
 //!
 //! ## Control plane (§ III-A)
 //!
-//! A persistent CPU polling thread watches doorbells and dispatches batches
-//! to worker threads; each worker owns the queue pairs of its SSDs (no locks
+//! Persistent CPU worker threads each watch the doorbells of the channels
+//! they own, plan the batch, and hand its per-SSD groups to the worker
+//! owning each SSD; that worker owns the queue pairs of its SSDs (no locks
 //! in the I/O path), submits the whole batch with one doorbell per SSD, and
 //! polls completions. A [`DynamicScaler`] adjusts the number of active
 //! workers between `N/4` and `N/2` for `N` SSDs from the observed

@@ -51,17 +51,16 @@ pub struct Channel {
     acked_errors: AtomicU64,
     /// Telemetry: when the current batch's doorbell was rung, on the
     /// [`cam_telemetry::clock`] timeline. Stamped just before the region-3
-    /// release-store, so the poller reads a coherent value.
+    /// release-store, so the owning worker reads a coherent value.
     published_ns: AtomicU64,
     /// Guards region 1+2 writes: the protocol has a single leading thread,
     /// but a racing misuse must fail with `Busy`, not corrupt the regions.
     publishing: std::sync::atomic::AtomicBool,
     /// Invoked after every doorbell publish — the control plane installs a
     /// hook that unparks the worker owning this channel, so an idle
-    /// (parked) thread-per-core engine wakes without polling. Unset until
-    /// installed (once, at attach); the legacy central-poller engine
-    /// installs nothing. Reading it is one atomic load: the GPU-side
-    /// publish path takes no lock.
+    /// (parked) engine wakes without polling. Unset until installed (once,
+    /// at attach). Reading it is one atomic load: the GPU-side publish
+    /// path takes no lock.
     waker: std::sync::OnceLock<std::sync::Arc<dyn Fn() + Send + Sync>>,
 }
 
@@ -180,7 +179,7 @@ impl Channel {
         Ok(seq)
     }
 
-    /// CPU side (poller): returns the pending batch sequence if a new
+    /// CPU side (owning worker): returns the pending batch sequence if a new
     /// doorbell has been rung.
     pub fn pending(&self, last_seen: u64) -> Option<u64> {
         let db = self.doorbell.load(Ordering::Acquire);

@@ -1,10 +1,11 @@
-//! Engine lifecycle regressions across both thread models:
+//! Engine lifecycle regressions:
 //!
 //! * **Bounded shutdown** — `drop(cam)` must return promptly even when
-//!   every worker is parked (thread-per-core) or blocked on its MPMC
-//!   receive (central poller). `stop()` wakes parked workers explicitly;
-//!   without that wake, shutdown latency is bounded only by park/poll
+//!   every worker is parked. `stop()` wakes parked workers explicitly;
+//!   without that wake, shutdown latency is bounded only by park
 //!   timeouts — and a lost token would hang the join forever.
+//! * **Idle parking** — an idle engine's workers spend their time parked,
+//!   not spinning (`cam_worker_park_ratio{worker}` above 0.9).
 //! * **Rescale epochs** — with dynamic scaling on, the active-worker
 //!   count moves while batches are in flight. Group ownership
 //!   (`ssd % active`) migrates between workers across epochs, but each
@@ -16,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cam_core::{CamConfig, CamContext, ChannelOp, ThreadModel};
+use cam_core::{CamConfig, CamContext, ChannelOp};
 use cam_iostacks::{Rig, RigConfig};
 use cam_telemetry::{MetricsRegistry, Observability};
 
@@ -25,7 +26,7 @@ use cam_telemetry::{MetricsRegistry, Observability};
 /// full hang once workers park without a timeout safety net.
 const SHUTDOWN_BOUND: Duration = Duration::from_millis(500);
 
-fn shutdown_elapsed(thread_model: ThreadModel, submit_first: bool) -> Duration {
+fn shutdown_elapsed(submit_first: bool) -> Duration {
     let rig = Rig::new(RigConfig {
         n_ssds: 2,
         blocks_per_ssd: 4096,
@@ -33,7 +34,6 @@ fn shutdown_elapsed(thread_model: ThreadModel, submit_first: bool) -> Duration {
     });
     let cfg = CamConfig {
         workers: Some(2),
-        thread_model,
         ..CamConfig::default()
     };
     let cam = CamContext::attach(&rig, cfg);
@@ -45,9 +45,8 @@ fn shutdown_elapsed(thread_model: ThreadModel, submit_first: bool) -> Duration {
             .unwrap();
         t.wait().unwrap();
     }
-    // Let the workers go fully idle: thread-per-core workers are deep in
-    // a (50 ms-bounded) park by now, the legacy workers deep in their
-    // receive timeout — the exact states shutdown must punch through.
+    // Let the workers go fully idle: they are deep in a (50 ms-bounded)
+    // park by now — the exact state shutdown must punch through.
     std::thread::sleep(Duration::from_millis(60));
     let start = Instant::now();
     drop(cam);
@@ -56,14 +55,49 @@ fn shutdown_elapsed(thread_model: ThreadModel, submit_first: bool) -> Duration {
 
 #[test]
 fn shutdown_is_bounded_with_parked_workers() {
-    for model in [ThreadModel::ThreadPerCore, ThreadModel::CentralPoller] {
-        for submit_first in [false, true] {
-            let elapsed = shutdown_elapsed(model, submit_first);
-            assert!(
-                elapsed < SHUTDOWN_BOUND,
-                "{model:?} (submit_first={submit_first}) took {elapsed:?} to stop"
-            );
-        }
+    for submit_first in [false, true] {
+        let elapsed = shutdown_elapsed(submit_first);
+        assert!(
+            elapsed < SHUTDOWN_BOUND,
+            "(submit_first={submit_first}) took {elapsed:?} to stop"
+        );
+    }
+}
+
+/// One warm-up batch, then nothing: every worker's windowed park ratio
+/// must sit above 0.9 (measured 0.999) — an engine with no doorbell to
+/// serve burns no CPU.
+#[test]
+fn idle_workers_park() {
+    const WORKERS: usize = 2;
+    let rig = Rig::new(RigConfig {
+        n_ssds: 4,
+        ..RigConfig::default()
+    });
+    let registry = Arc::new(MetricsRegistry::new());
+    let cam = CamContext::attach_observed(
+        &rig,
+        CamConfig {
+            n_channels: 4,
+            workers: Some(WORKERS),
+            ..CamConfig::default()
+        },
+        Observability::with_registry(Arc::clone(&registry)),
+    );
+    let buf = cam.alloc(cam.block_size() as usize).unwrap();
+    cam.device()
+        .submit(0, ChannelOp::Read, &[0], buf.addr())
+        .unwrap()
+        .wait()
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(800));
+    let snap = registry.snapshot();
+    for w in 0..WORKERS {
+        let milli = snap.gauge(&format!("cam_worker_park_ratio{{worker=\"{w}\"}}"));
+        assert!(
+            milli > 900,
+            "worker {w} parked only {milli}/1000 while idle"
+        );
     }
 }
 
@@ -71,7 +105,8 @@ fn shutdown_is_bounded_with_parked_workers() {
 /// (`burst_latency`) with back-to-back batches makes I/O the critical
 /// path (grow); the same I/O behind a long host-side gap hides under
 /// compute (shrink). 8 SSDs bound the scaler to [2, 4] workers.
-fn run_rescale_epochs(thread_model: ThreadModel) {
+#[test]
+fn rescale_epochs_never_double_drive_a_queue_pair() {
     let rig = Rig::new(RigConfig {
         n_ssds: 8,
         blocks_per_ssd: 4096,
@@ -83,7 +118,6 @@ fn run_rescale_epochs(thread_model: ThreadModel) {
     let cfg = CamConfig {
         n_channels: 2,
         dynamic_scaling: true,
-        thread_model,
         ..CamConfig::default()
     };
     let cam = CamContext::attach_observed(&rig, cfg, obs);
@@ -139,14 +173,4 @@ fn counter_value(prom: &str, name: &str) -> u64 {
         .find_map(|l| l.strip_prefix(&format!("{name} ")))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0)
-}
-
-#[test]
-fn rescale_epochs_never_double_drive_a_queue_pair_thread_per_core() {
-    run_rescale_epochs(ThreadModel::ThreadPerCore);
-}
-
-#[test]
-fn rescale_epochs_never_double_drive_a_queue_pair_central_poller() {
-    run_rescale_epochs(ThreadModel::CentralPoller);
 }

@@ -10,14 +10,17 @@
 //!
 //! ```text
 //!   Doorbell ──► dispatch pipe (CpuPipeModel) ──► Submit ──► CPU pipe (thread_cost) ──► SSD ──► host PCIe ──► CQE
-//!               one management thread             one per worker thread       P5510 model   shared
+//!               one planner                       one per worker thread       P5510 model   shared
 //! ```
 //!
-//! The dispatch pipe charges the calibrated per-batch planning cost of the
-//! management thread (measured from the threaded engine; see
-//! `docs/TIMING.md`), so `repro attribute` decomposes DES batches into the
-//! same nonzero dispatch and lane-wait components the threaded driver
-//! shows.
+//! The dispatch pipe charges the calibrated per-batch cost the threaded
+//! engine's owning worker pays between a doorbell and its groups reaching
+//! a reactor — pickup, [`plan_batch`], routing (measured from the threaded
+//! engine; see `docs/TIMING.md`) — so `repro attribute` decomposes DES
+//! batches into the same nonzero dispatch and lane-wait components the
+//! threaded driver shows. All channels serialise on the one pipe: exact
+//! for one planning worker, an approximation for more (the threaded engine
+//! plans channels `ch % W` on *W* workers in parallel).
 //!
 //! Channels keep the paper's single-outstanding-batch semantics: a
 //! channel's next batch publishes the instant the previous one retires, so
@@ -43,14 +46,14 @@ use cam_protocol::{
 use cam_simkit::{Dur, EventKind, FlightRecorder, Pipe, Sim, Time};
 use cam_telemetry::{OpsWindows, SloTracker};
 
-/// Calibrated cost model for the CPU management thread's per-batch work:
-/// doorbell pickup, request planning ([`plan_batch`]), and group dispatch.
+/// Calibrated cost model for the planning worker's per-batch work:
+/// doorbell pickup, request planning ([`plan_batch`]), and group routing.
 ///
 /// The threaded engine pays this cost on a real CPU; the DES charges it on
 /// a dedicated dispatch [`Pipe`] in virtual time, so a batch's groups reach
 /// their workers `base + per_req · requests` nanoseconds after its
-/// doorbell — and back-to-back doorbells queue behind one management
-/// thread, exactly as in the threaded driver.
+/// doorbell — and back-to-back doorbells queue behind one planner, as
+/// they do behind one worker of the threaded driver.
 ///
 /// The committed constants in [`CpuPipeModel::calibrated`] are fitted from
 /// the threaded engine's own lifecycle traces by `repro calibrate`
@@ -120,7 +123,7 @@ pub struct CamDesConfig {
     /// Per-command CPU submit+complete cost (Fig. 12's knob; see
     /// [`crate::des::cam_thread_cost`]).
     pub thread_cost: Dur,
-    /// Per-batch management-thread cost (pickup + planning + dispatch),
+    /// Per-batch planner cost (pickup + planning + dispatch),
     /// charged on a dedicated dispatch pipe before a batch's groups reach
     /// their workers. [`CpuPipeModel::calibrated`] in all the paper
     /// experiments.
@@ -302,10 +305,10 @@ struct DesWorld {
     cfg: CamDesConfig,
     plan: PlanConfig,
     cores: Vec<WorkerCore>,
-    /// Blocking mode: groups a busy worker has not accepted yet.
+    /// Groups a worker has not accepted yet (group-at-a-time admission).
     pending: Vec<VecDeque<GroupSpec>>,
     cpus: Vec<Pipe>,
-    /// The management thread's dispatch pipe: every published batch pays
+    /// The planner's dispatch pipe: every published batch pays
     /// its [`CpuPipeModel`] cost here before its groups reach the workers.
     dispatcher: Pipe,
     /// Per-(worker, ssd) instant the worker's CPU pipe drains the last
@@ -387,7 +390,7 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     if w.obs.lifecycle {
         // Doorbell and pickup coincide in virtual time: the DES has no
         // polling delay, so the doorbell-wait component is structurally 0.
-        // Dispatch is NOT free: the management thread pays the calibrated
+        // Dispatch is NOT free: the planner pays the calibrated
         // per-batch planning cost on its pipe before groups go out.
         sim.emit(EventKind::BatchDoorbell {
             channel: ch as u16,
@@ -431,9 +434,10 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
             },
         ));
     }
-    // Groups reach their workers when the management thread finishes the
-    // batch's planning/dispatch work — back-to-back doorbells serialize
-    // behind the one dispatch pipe, as behind the one threaded dispatcher.
+    // Groups reach their workers when the planner finishes the batch's
+    // planning/dispatch work — back-to-back doorbells serialize behind the
+    // one dispatch pipe, as behind one planning worker of the threaded
+    // engine.
     sim.schedule_at(done, move |sim, w| {
         for (wid, spec) in groups {
             deliver(sim, w, wid, spec);
@@ -468,11 +472,11 @@ fn publish_all_idle(sim: &mut Sim<DesWorld>, w: &mut DesWorld) {
     });
 }
 
-/// Hands a group to its worker — immediately when pipelined (or the worker
-/// is idle), else parked until the worker's current group closes, which is
-/// exactly the blocking baseline's one-group-at-a-time admission.
+/// Hands a group to its worker — immediately when the core accepts it, else
+/// parked until the worker's current group closes (the blocking baseline's
+/// one-group-at-a-time admission).
 fn deliver(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
-    if w.cfg.pipelined || w.cores[wid].idle() {
+    if w.cores[wid].accepts_group() {
         let now = now_ns(sim, w);
         emit_dispatch(sim, w, wid, &spec);
         w.cores[wid].on_group(spec, now);
@@ -495,9 +499,10 @@ fn emit_dispatch(sim: &Sim<DesWorld>, w: &DesWorld, wid: usize, spec: &GroupSpec
     }
 }
 
-/// Blocking mode: feed the worker its next parked group once it goes idle.
+/// Feeds the worker its parked groups while it accepts them (nothing is
+/// ever parked under pipelined admission).
 fn feed_pending(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
-    while w.cores[wid].idle() {
+    while w.cores[wid].accepts_group() {
         let Some(spec) = w.pending[wid].pop_front() else {
             return;
         };
@@ -627,9 +632,7 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
                         .record_at(complete_ns, complete_ns.saturating_sub(anchor_ns));
                     wd.ssd_retries[ssd].add_at(complete_ns, 0, 1);
                 }
-                if !w.cfg.pipelined {
-                    feed_pending(sim, w, wid);
-                }
+                feed_pending(sim, w, wid);
             }
             Command::RetireBatch { batch, complete_ns } => {
                 w.batches_done += 1;
@@ -807,7 +810,9 @@ pub fn run_cam_des_source(
             block_size: cfg.block_size,
         },
         cores: (0..cfg.threads)
-            .map(|_| WorkerCore::new(cfg.n_ssds, cfg.queue_depth, retry))
+            .map(|_| {
+                WorkerCore::new(cfg.n_ssds, cfg.queue_depth, retry).group_at_a_time(!cfg.pipelined)
+            })
             .collect(),
         pending: (0..cfg.threads).map(|_| VecDeque::new()).collect(),
         cpus,

@@ -270,7 +270,7 @@ mod tests {
                 assert!(model.live.remove(&cid));
             }
             assert_eq!(t.len(), live.len());
-            if allocated % 64 == 0 {
+            if allocated.is_multiple_of(64) {
                 let off_home = t
                     .live
                     .iter()

@@ -209,10 +209,14 @@ pub struct WorkerCore {
     free_groups: Vec<usize>,
     retry: RetryPolicy,
     counters: DecisionCounters,
+    /// Admission rule: a new group only once every open one has closed
+    /// (the blocking baseline), instead of whenever one is offered.
+    group_at_a_time: bool,
 }
 
 impl WorkerCore {
     /// A worker over `n_ssds` lanes, each admitting `queue_depth` commands.
+    /// Pipelined admission; see [`group_at_a_time`](Self::group_at_a_time).
     pub fn new(n_ssds: usize, queue_depth: usize, retry: RetryPolicy) -> Self {
         WorkerCore {
             lanes: (0..n_ssds)
@@ -225,13 +229,29 @@ impl WorkerCore {
             free_groups: Vec::new(),
             retry,
             counters: DecisionCounters::default(),
+            group_at_a_time: false,
         }
     }
 
-    /// Whether no group is open (the blocking baseline accepts a new group
-    /// only when this holds).
+    /// Selects the admission rule: `true` is the blocking baseline (depth ≤
+    /// one group per worker), `false` lets commands from several batches
+    /// share the queue depth.
+    pub fn group_at_a_time(mut self, on: bool) -> Self {
+        self.group_at_a_time = on;
+        self
+    }
+
+    /// Whether no group is open.
     pub fn idle(&self) -> bool {
         self.groups.len() == self.free_groups.len()
+    }
+
+    /// Whether the driver may hand over another group now
+    /// ([`on_group`](Self::on_group)); a group offered while this is false
+    /// waits in the driver's queue. Every driver asks here, so blocking vs
+    /// pipelined is decided once, where the core is built.
+    pub fn accepts_group(&self) -> bool {
+        !self.group_at_a_time || self.idle()
     }
 
     /// Commands in flight on `ssd` (this worker's lane).
@@ -806,6 +826,29 @@ mod tests {
             assert_eq!(closed, vec![3, 2, 1]);
             assert!(w.idle());
             assert_eq!(w.groups.len(), 3, "round {round}: slab grew");
+        }
+    }
+
+    #[test]
+    fn group_at_a_time_admits_only_between_groups() {
+        for blocking in [true, false] {
+            let mut w = WorkerCore::new(1, 8, no_retry()).group_at_a_time(blocking);
+            assert!(w.accepts_group());
+            w.on_group(
+                GroupSpec {
+                    ssd: 0,
+                    reqs: vec![(0, 0, 1)],
+                    batch: batch(1),
+                },
+                0,
+            );
+            assert_eq!(w.accepts_group(), !blocking, "a group is open");
+            let mut out = Vec::new();
+            w.pump(0, &mut out);
+            let cid = submits(&out)[0].cid;
+            assert_eq!(w.accepts_group(), !blocking, "still open while in flight");
+            w.on_cqe(0, cid, Status::Success, 10, &mut out);
+            assert!(w.accepts_group(), "closed: the next group may enter");
         }
     }
 

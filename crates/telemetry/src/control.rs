@@ -83,8 +83,7 @@ pub struct ControlMetrics {
     pub slo_burn: Vec<Gauge>,
     /// Per-worker parked-time share over the rolling window, ×1000 (the
     /// same milli-gauge convention as `cam_slo_burn_rate`; 1000 = the
-    /// worker spent the whole window parked). Only the thread-per-core
-    /// engine parks; the legacy poller engine leaves these at 0.
+    /// worker spent the whole window parked).
     pub worker_park_ratio: Vec<Gauge>,
     /// Per-SSD submit-phase latency (worker dequeue → doorbell rung).
     pub ssd_submit_ns: Vec<HistogramHandle>,

@@ -3,91 +3,9 @@
 //! The build environment has no crates-registry access, so the workspace
 //! wires `crossbeam` to this std-backed shim (see the workspace
 //! `Cargo.toml`). It covers exactly the surface the workspace uses:
-//! `crossbeam::channel::{unbounded, Sender, Receiver, RecvTimeoutError}` and
-//! `crossbeam::queue::ArrayQueue`. Semantics match the real crate for those
-//! uses (MPSC here — every `Receiver` in this workspace is owned by a single
-//! thread).
+//! `crossbeam::queue::ArrayQueue`, with the real crate's semantics.
 
 #![deny(unsafe_code)]
-
-/// Multi-producer channels (std `mpsc` backed).
-pub mod channel {
-    use std::sync::mpsc;
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-
-    /// Sending half of a channel. Cloneable.
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends a message; fails if all receivers are gone.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value).map_err(|e| SendError(e.0))
-        }
-    }
-
-    /// Receiving half of a channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or all senders are gone.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Blocks for at most `timeout`.
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-    }
-
-    /// Error returned by [`Sender::send`]: the message could not be delivered.
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`].
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub enum RecvTimeoutError {
-        /// No message within the timeout.
-        Timeout,
-        /// All senders dropped and the queue is drained.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-    pub enum TryRecvError {
-        /// Channel currently empty.
-        Empty,
-        /// All senders dropped and the queue is drained.
-        Disconnected,
-    }
-}
 
 /// Concurrent queues.
 pub mod queue {
@@ -154,35 +72,7 @@ pub mod queue {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{unbounded, RecvTimeoutError};
     use super::queue::ArrayQueue;
-    use std::time::Duration;
-
-    #[test]
-    fn channel_fan_in() {
-        let (tx, rx) = unbounded();
-        let tx2 = tx.clone();
-        std::thread::spawn(move || tx2.send(1).unwrap());
-        tx.send(2).unwrap();
-        drop(tx);
-        let mut got = vec![rx.recv().unwrap(), rx.recv().unwrap()];
-        got.sort_unstable();
-        assert_eq!(got, [1, 2]);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn channel_timeout() {
-        let (tx, rx) = unbounded::<u8>();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        drop(tx);
-    }
 
     #[test]
     fn array_queue_bounds() {
