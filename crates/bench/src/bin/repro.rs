@@ -8,11 +8,40 @@
 //! repro --trace t.json         # also write a Perfetto-loadable trace
 //! ```
 //!
+//! Every verb of `repro list` returns its tables, the top-level sections of
+//! `BENCH_repro.json` it owns, and the acceptance bars it failed. Each
+//! section has exactly one owner:
+//!
+//! | verb       | sections it writes                                          |
+//! |------------|-------------------------------------------------------------|
+//! | `bench`    | `workload`, `throughput`, `stages_ns`, `doorbell_to_retire_ns`, `critical_path`, `trajectory` (appends) |
+//! | `cache`    | `cache` (and `cache_trace.json`)                            |
+//! | `pipeline` | `pipeline`                                                  |
+//! | `fidelity` | `fidelity` (and `fidelity_trace.json`)                      |
+//! | `slo`      | `slo`                                                       |
+//! | `serve`    | `serving`                                                   |
+//!
+//! Failed bars are always printed; with `--check` they make the exit code
+//! 1, so `repro bench cache pipeline fidelity slo serve --check` is what CI
+//! runs and what a developer runs locally (`docs/OBSERVABILITY.md` lists
+//! every bar).
+//!
+//! `bench` runs the seeded DES perf trajectories — uncached and
+//! cached-mode — and gates each against its committed baseline
+//! (`bench/baselines/trajectory.json` and `trajectory_cached.json`;
+//! `--baselines <path>` relocates both): a statistical regression is a
+//! failed bar and writes `baseline_diff.json` (or
+//! `baseline_diff_cached.json`) with per-component queue-delay
+//! attribution. `repro bench --update-baselines` regenerates both
+//! baselines. `--trials N` / `--seed S` tune the trajectory; `--perturb F`
+//! scales the SSD model's service time (the gate's demo knob: `repro bench
+//! --check --perturb 1.2` models a device 20% slower across the board and
+//! exits 1). `repro attribute` prints the doorbell→retire queue-delay
+//! decomposition (mean + p99 tail) for both drivers.
+//!
 //! `--metrics <path>` runs an instrumented functional-engine workload and
 //! writes the complete metrics-registry snapshot (counters, gauges, stage
-//! histograms with p50/p99) to `<path>` as JSON. The `bench` experiment
-//! additionally writes `BENCH_repro.json` with throughput, per-stage
-//! quantiles, and critical-path attribution.
+//! histograms with p50/p99) to `<path>` as JSON.
 //!
 //! `--trace <path>` runs the same instrumented workload plus a small CAM
 //! DES microbenchmark with a flight recorder attached, and writes the
@@ -28,25 +57,6 @@
 //! watch --once` renders a single end-of-run snapshot and writes
 //! `bench/out/health_snapshot.json` — for scripting and CI smoke.
 //!
-//! `repro serve` runs the multi-tenant KV-cache serving experiment
-//! (`docs/SERVING.md`): a 1050-session 4-tenant scale run on the DES
-//! driver, a hot-tenant skew run under both DRR and FIFO (the fairness
-//! comparison), and a threaded smoke — writing the `"serving"` section of
-//! `BENCH_repro.json`.
-//!
-//! `repro bench --check` runs the seeded DES perf trajectories — uncached
-//! and cached-mode — and gates each against its committed baseline
-//! (`bench/baselines/trajectory.json` and `trajectory_cached.json`;
-//! `--baselines <path>` relocates both): exit 1 plus `baseline_diff.json`
-//! (or `baseline_diff_cached.json`) with per-component queue-delay
-//! attribution on a statistical regression. `repro bench
-//! --update-baselines` regenerates both baselines.
-//! `--trials N` / `--seed S` tune the trajectory; `--perturb F` scales
-//! the SSD model's service time (the gate's self-test knob: `--perturb
-//! 1.2` models a device 20% slower across the board). `repro attribute`
-//! prints the doorbell→retire queue-delay decomposition (mean + p99
-//! tail) for both drivers.
-//!
 //! `repro calibrate [--rounds N]` re-fits the DES CPU-pipe constants
 //! (`CpuPipeModel::calibrated()`) from the threaded engine's own lifecycle
 //! traces on this machine and exits 1 when the predicted dispatch cost
@@ -55,13 +65,8 @@
 
 use std::process::ExitCode;
 
-use cam_bench::figures::{registry, BenchParams};
-use cam_bench::telemetry_run::{run_instrumented, run_traced};
-use cam_bench::trajectory_run::{
-    baseline_json, cached_baseline_path, check, current_git_sha, merge_bench_json, parse_baseline,
-    run_cached_trajectory, run_trajectory, trajectory_entry_json, GateConfig, TrajectoryReport,
-    BASELINE_PATH,
-};
+use cam_bench::figures::{write_sections, BenchParams, BENCH_DOC, EXPERIMENTS};
+use cam_bench::telemetry_run::{run_recorded, run_traced};
 use cam_telemetry::trace::validate_chrome_trace;
 
 fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, ExitCode> {
@@ -104,268 +109,139 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
-/// `repro bench --check` / `--update-baselines`: the statistical
-/// perf-regression gate over the DES trajectory. Returns the process exit
-/// code: 0 pass, 1 regression, 2 usage/environment error.
-fn print_merged(label: &str, report: &TrajectoryReport) {
-    println!(
-        "{label}: {} batches, p50 {} ns (CI {}..{}), p99 {} ns (CI {}..{}), mean {:.0} ns",
-        report.decomposition.batches,
-        report.p50_ns,
-        report.p50_ci.lo,
-        report.p50_ci.hi,
-        report.p99_ns,
-        report.p99_ci.lo,
-        report.p99_ci.hi,
-        report.mean_batch_ns,
-    );
-    print!("{}", report.decomposition.render_table());
-}
-
-/// Gates one report against the baseline at `path`; writes `diff_path` on
-/// regression. Returns the exit code the whole gate should (at least)
-/// carry: 0 pass, 1 regression, 2 missing/invalid baseline.
-fn gate_one(label: &str, report: &TrajectoryReport, path: &str, diff_path: &str) -> u8 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "could not read {label} baseline {path}: {e}\n\
-                 (seed one with 'repro bench --update-baselines')"
-            );
-            return 2;
-        }
-    };
-    let baseline = match parse_baseline(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("invalid {label} baseline {path}: {e}");
-            return 2;
-        }
-    };
-    let outcome = check(report, &baseline, &GateConfig::default());
-    print!("{label} {}", outcome.render());
-    if outcome.regressed {
-        match std::fs::write(diff_path, outcome.to_json()) {
-            Ok(()) => eprintln!("{label} regression report written to {diff_path}"),
-            Err(e) => eprintln!("could not write {diff_path}: {e}"),
-        }
-        return 1;
-    }
-    0
-}
-
-fn run_gate(params: &BenchParams, baselines: &str, update: bool) -> ExitCode {
-    let tp = params.trial_params();
-    println!(
-        "trajectory: {} trials + {} warmup, seed {:#x}, {} rounds/channel, latency scale {:.2}",
-        tp.trials, tp.warmup, tp.seed, tp.rounds, tp.latency_scale
-    );
-    let report = run_trajectory(&tp);
-    print_merged("uncached merged", &report);
-    let cached_report = run_cached_trajectory(&tp);
-    print_merged("cached merged", &cached_report);
-    let cached_path = cached_baseline_path(baselines);
-    if update {
-        if let Some(dir) = std::path::Path::new(baselines).parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("could not create {}: {e}", dir.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        for (path, rep) in [(baselines, &report), (cached_path.as_str(), &cached_report)] {
-            if let Err(e) = std::fs::write(path, baseline_json(rep)) {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("updated baseline at {path}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    let uncached = gate_one("uncached", &report, baselines, "baseline_diff.json");
-    let cached = gate_one(
-        "cached",
-        &cached_report,
-        &cached_path,
-        "baseline_diff_cached.json",
-    );
-    // Environment errors (2) outrank regressions (1).
-    match uncached.max(cached) {
-        0 => {}
-        code => return ExitCode::from(code),
-    }
-    // A passing run still extends the trajectory record.
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entry = trajectory_entry_json(&report, &current_git_sha(), unix_time);
-    let path = "BENCH_repro.json";
-    let prev = std::fs::read_to_string(path).ok();
-    if let Err(e) = std::fs::write(path, merge_bench_json(prev.as_deref(), "{}", &entry)) {
-        eprintln!("warning: could not append trajectory entry to {path}: {e}");
-    }
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_path = match take_flag_value(&mut args, "--metrics") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let trace_path = match take_flag_value(&mut args, "--trace") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let trials = match parse_flag::<usize>(&mut args, "--trials") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let seed = match parse_flag::<u64>(&mut args, "--seed") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let latency_scale = match parse_flag::<f64>(&mut args, "--perturb") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let baselines = match take_flag_value(&mut args, "--baselines") {
-        Ok(p) => p,
-        Err(code) => return code,
-    }
-    .unwrap_or_else(|| BASELINE_PATH.to_string());
-    let check_flag = take_flag(&mut args, "--check");
-    let update_flag = take_flag(&mut args, "--update-baselines");
-    let params = BenchParams {
-        trials,
-        seed,
-        latency_scale,
-    };
-    if check_flag || update_flag {
-        if args.first().map(String::as_str) != Some("bench") {
-            eprintln!(
-                "--check/--update-baselines apply to the 'bench' experiment: repro bench --check"
-            );
+/// `repro calibrate`: re-fits the DES CPU-pipe constants on this machine
+/// and gates the drift — the CI smoke for stale
+/// `CpuPipeModel::calibrated()`.
+fn calibrate(rounds: u64) -> ExitCode {
+    // Up to three sweeps, passing on the first in-tolerance fit: a
+    // transient load spike (CI runner just finished compiling) fails
+    // one sweep; genuinely stale constants fail all three.
+    const ATTEMPTS: u32 = 3;
+    for attempt in 1..=ATTEMPTS {
+        let Some(r) = cam_bench::calibrate::calibrate(rounds) else {
+            eprintln!("calibration sweep produced too few samples to fit");
             return ExitCode::from(2);
-        }
-        return run_gate(&params, &baselines, update_flag);
-    }
-    // `calibrate` re-fits the DES CPU-pipe constants on this machine and
-    // gates the drift — the CI smoke for stale CpuPipeModel::calibrated().
-    if args.first().map(String::as_str) == Some("calibrate") {
-        let rounds = match parse_flag::<u64>(&mut args, "--rounds") {
-            Ok(v) => v.unwrap_or(24),
-            Err(code) => return code,
         };
-        // Up to three sweeps, passing on the first in-tolerance fit: a
-        // transient load spike (CI runner just finished compiling) fails
-        // one sweep; genuinely stale constants fail all three.
-        const ATTEMPTS: u32 = 3;
-        let mut report = None;
-        for attempt in 1..=ATTEMPTS {
-            let Some(r) = cam_bench::calibrate::calibrate(rounds) else {
-                eprintln!("calibration sweep produced too few samples to fit");
-                return ExitCode::from(2);
-            };
-            if attempt > 1 {
-                println!("-- attempt {attempt}/{ATTEMPTS} --");
-            }
-            print!("{}", r.render());
-            let ok = r.within_tolerance();
-            report = Some(r);
-            if ok {
-                break;
-            }
+        if attempt > 1 {
+            println!("-- attempt {attempt}/{ATTEMPTS} --");
         }
-        let report = report.expect("at least one attempt ran");
-        return if report.within_tolerance() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        print!("{}", r.render());
+        if r.within_tolerance() {
+            return ExitCode::SUCCESS;
+        }
     }
-    // `watch` is a live view, not a figure generator: handle it before the
-    // registry dispatch.
-    if args.first().map(String::as_str) == Some("watch") {
-        let once = args.iter().any(|a| a == "--once");
-        let report = cam_bench::watch::run_watch(once, |frame| println!("{frame}"));
-        if once {
-            let path = "bench/out/health_snapshot.json";
-            if let Err(e) = std::fs::create_dir_all("bench/out") {
-                eprintln!("could not create bench/out: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Err(e) = std::fs::write(path, &report.snapshot_json) {
+    ExitCode::FAILURE
+}
+
+/// `repro watch [--once]`: a live view, not a figure generator.
+fn watch(once: bool) -> Result<ExitCode, ExitCode> {
+    let report = cam_bench::watch::run_watch(once, |frame| println!("{frame}"));
+    if once {
+        let path = "bench/out/health_snapshot.json";
+        std::fs::create_dir_all("bench/out")
+            .and_then(|()| std::fs::write(path, format!("{:#}", report.snapshot_json)))
+            .map_err(|e| {
                 eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path}");
-        }
-        return ExitCode::SUCCESS;
+                ExitCode::FAILURE
+            })?;
+        println!("wrote {path}");
     }
-    let reg = registry();
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run() -> Result<ExitCode, ExitCode> {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let metrics_path = take_flag_value(&mut args, "--metrics")?;
+    let trace_path = take_flag_value(&mut args, "--trace")?;
+    let params = BenchParams {
+        trials: parse_flag(&mut args, "--trials")?,
+        seed: parse_flag(&mut args, "--seed")?,
+        latency_scale: parse_flag(&mut args, "--perturb")?,
+        baselines: take_flag_value(&mut args, "--baselines")?,
+        update_baselines: take_flag(&mut args, "--update-baselines"),
+    };
+    let check = take_flag(&mut args, "--check");
+    let first = args.first().map(String::as_str);
+    if params.update_baselines && first != Some("bench") {
+        eprintln!(
+            "--update-baselines applies to the 'bench' experiment: repro bench --update-baselines"
+        );
+        return Err(ExitCode::from(2));
+    }
+    if first == Some("calibrate") {
+        let rounds = parse_flag(&mut args, "--rounds")?.unwrap_or(24);
+        return Ok(calibrate(rounds));
+    }
+    if first == Some("watch") {
+        return watch(args.iter().any(|a| a == "--once"));
+    }
     if metrics_path.is_none()
         && trace_path.is_none()
-        && (args.is_empty() || args[0] == "help" || args[0] == "--help")
+        && matches!(first, None | Some("help" | "--help"))
     {
         eprintln!(
             "usage: repro [--metrics <path>] [--trace <path>] [--trials N] [--seed S] \
-             [--perturb F] [--baselines <path>] [all|list|watch [--once]|calibrate [--rounds N]|\
-             bench [--check|--update-baselines]|<experiment id>...]"
+             [--perturb F] [--baselines <path>] [--check] [all|list|watch [--once]|\
+             calibrate [--rounds N]|bench [--update-baselines]|<experiment id>...]"
         );
         eprintln!("experiments:");
-        for (id, desc, _) in &reg {
-            eprintln!("  {id:<6} {desc}");
+        for (id, desc, _) in EXPERIMENTS {
+            eprintln!("  {id:<8} {desc}");
         }
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
-    if args.first().map(String::as_str) == Some("list") {
-        for (id, desc, _) in &reg {
-            println!("{id:<6} {desc}");
+    if first == Some("list") {
+        for (id, desc, _) in EXPERIMENTS {
+            println!("{id:<8} {desc}");
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let wanted: Vec<&str> = if args.first().map(String::as_str) == Some("all") {
-        reg.iter().map(|(id, _, _)| *id).collect()
+    let wanted: Vec<&str> = if first == Some("all") {
+        EXPERIMENTS.iter().map(|(id, _, _)| *id).collect()
     } else {
-        args.iter().map(|s| s.as_str()).collect()
+        args.iter().map(String::as_str).collect()
     };
+    let mut failed_bars = 0usize;
     for want in &wanted {
-        let Some((_, desc, gen)) = reg.iter().find(|(id, _, _)| id == want) else {
+        let Some((_, desc, gen)) = EXPERIMENTS.iter().find(|(id, _, _)| id == want) else {
             eprintln!("unknown experiment '{want}' (try 'repro list')");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         };
         println!("######## {want}: {desc}\n");
-        for table in gen(&params) {
+        let outcome = gen(&params);
+        for table in &outcome.tables {
             println!("{table}");
         }
+        if !outcome.sections.is_empty() {
+            if let Err(e) = write_sections(outcome.sections) {
+                eprintln!("warning: could not write {BENCH_DOC}: {e}");
+            }
+        }
+        for failure in &outcome.failures {
+            eprintln!("BAR FAILED [{want}] {failure}");
+        }
+        failed_bars += outcome.failures.len();
     }
     if let Some(path) = metrics_path {
-        let run = run_instrumented(20, 64);
-        if let Err(e) = std::fs::write(&path, run.snapshot.to_json()) {
+        let run = run_recorded(20, 64, None);
+        std::fs::write(&path, format!("{:#}", run.snapshot.to_json())).map_err(|e| {
             eprintln!("could not write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+            ExitCode::FAILURE
+        })?;
         println!("wrote telemetry registry snapshot to {path}");
     }
     if let Some(path) = trace_path {
         let (run, trace) = run_traced(20, 64);
         // Self-check before writing: a trace that fails its own validator
         // (missing fields, unbalanced async spans) is a bug, not output.
-        let summary = match validate_chrome_trace(&trace) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("generated trace failed validation: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(&path, &trace) {
+        let summary = validate_chrome_trace(&trace).map_err(|e| {
+            eprintln!("generated trace failed validation: {e}");
+            ExitCode::FAILURE
+        })?;
+        std::fs::write(&path, &trace).map_err(|e| {
             eprintln!("could not write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+            ExitCode::FAILURE
+        })?;
         println!(
             "wrote Chrome trace to {path}: {} events, {} async spans, {} tracks across {} processes ({} batches retired)",
             summary.events,
@@ -375,5 +251,14 @@ fn main() -> ExitCode {
             run.snapshot.counter("cam_batches_total"),
         );
     }
-    ExitCode::SUCCESS
+    // `--update-baselines` is a write, so its failure is fatal too.
+    if failed_bars > 0 && (check || params.update_baselines) {
+        eprintln!("{failed_bars} acceptance bar(s) failed");
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    run().unwrap_or_else(|code| code)
 }

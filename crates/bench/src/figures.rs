@@ -2,6 +2,9 @@
 //! the same rows/series the paper reports, computed from the calibrated
 //! models and the DES microbenchmark engine (see `DESIGN.md` for the
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured values).
+//! The repo-grown experiments (`bench` … `serve`) also return the
+//! `BENCH_repro.json` sections they own and the acceptance bars they
+//! failed — see [`Outcome`].
 
 use cam_gpu::GpuSpec;
 use cam_hostos::{CpuModel, IoDir, IoStackKind, MemoryModel};
@@ -13,12 +16,16 @@ use cam_workloads::gnn::{fig9_speedup, model_epoch, GnnConfig, GnnModel, GnnSyst
 use cam_workloads::graph::GraphSpec;
 use cam_workloads::sort::{model_sort, model_sort_read_gbps, SortEngine};
 
+use cam_telemetry::json::{parse, Json};
+use cam_telemetry::trace::{chrome_trace, validate_chrome_trace, TraceSummary};
+use cam_telemetry::{Event, FlightRecorder};
+
 use crate::table::{f1, f2, pct, Table};
 
 /// Runtime knobs the `repro` CLI threads into every generator. `None`
 /// means "the experiment's historical default", so unflagged runs stay
 /// bit-identical with committed expectations.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct BenchParams {
     /// `--trials N`: measured trials for multi-trial experiments.
     pub trials: Option<usize>,
@@ -27,33 +34,112 @@ pub struct BenchParams {
     /// `--perturb F`: SSD read-latency multiplier for the trajectory run
     /// (the regression gate's deliberate-perturbation knob).
     pub latency_scale: Option<f64>,
+    /// `--baselines <path>`: the uncached trajectory baseline `bench` gates
+    /// against (the cached one sits beside it).
+    pub baselines: Option<String>,
+    /// `--update-baselines`: `bench` rewrites the baselines instead of
+    /// gating against them.
+    pub update_baselines: bool,
 }
 
 impl BenchParams {
     /// The trajectory-run parameters implied by these knobs.
     pub fn trial_params(&self) -> crate::trajectory_run::TrialParams {
-        let mut p = crate::trajectory_run::TrialParams::default();
-        if let Some(t) = self.trials {
-            p.trials = t;
+        let d = crate::trajectory_run::TrialParams::default();
+        crate::trajectory_run::TrialParams {
+            trials: self.trials.unwrap_or(d.trials),
+            seed: self.seed.unwrap_or(d.seed),
+            latency_scale: self.latency_scale.unwrap_or(d.latency_scale),
+            ..d
         }
-        if let Some(s) = self.seed {
-            p.seed = s;
-        }
-        if let Some(f) = self.latency_scale {
-            p.latency_scale = f;
-        }
-        p
     }
 }
 
-/// An experiment generator: produces the figure/table's row data.
-pub type Generator = fn(&BenchParams) -> Vec<Table>;
+/// What one experiment produced.
+#[derive(Default)]
+pub struct Outcome {
+    /// The figure/table row data, printed by the CLI.
+    pub tables: Vec<Table>,
+    /// The top-level sections of [`BENCH_DOC`] this verb owns, freshly
+    /// computed; the CLI replaces exactly these and keeps the rest.
+    pub sections: Vec<(&'static str, Json)>,
+    /// Acceptance bars that failed, one line each. Always printed; with
+    /// `--check` they make the exit code 1.
+    pub failures: Vec<String>,
+}
+
+impl From<Vec<Table>> for Outcome {
+    fn from(tables: Vec<Table>) -> Self {
+        Outcome {
+            tables,
+            ..Outcome::default()
+        }
+    }
+}
+
+/// Records `what` as a failed acceptance bar unless `ok`.
+pub(crate) fn require(failed: &mut Vec<String>, ok: bool, what: String) {
+    if !ok {
+        failed.push(what);
+    }
+}
+
+/// The machine-readable results document, in the working directory. Each
+/// top-level section is written by exactly one verb (see [`EXPERIMENTS`]).
+pub const BENCH_DOC: &str = "BENCH_repro.json";
+
+/// The current [`BENCH_DOC`], or an empty object when it is absent or not
+/// a JSON object.
+pub fn read_bench_doc() -> Json {
+    std::fs::read_to_string(BENCH_DOC)
+        .ok()
+        .and_then(|text| parse(&text).ok())
+        .filter(|doc| matches!(doc, Json::Obj(_)))
+        .unwrap_or(Json::Obj(Vec::new()))
+}
+
+/// Replaces `sections` in [`BENCH_DOC`], preserving every other section.
+pub fn write_sections(sections: Vec<(&'static str, Json)>) -> std::io::Result<()> {
+    let mut doc = read_bench_doc();
+    for (key, value) in sections {
+        doc.set(key, value);
+    }
+    std::fs::write(BENCH_DOC, format!("{doc:#}"))
+}
+
+/// Exports a recorder timeline as Chrome-trace JSON and validates it
+/// before writing it to `path`: a trace that fails its own validator is a
+/// failed bar, not an artifact.
+fn write_trace(
+    path: &str,
+    events: &[Event],
+    rec: &FlightRecorder,
+    failed: &mut Vec<String>,
+) -> Option<TraceSummary> {
+    let trace = chrome_trace(events, &rec.thread_names());
+    match validate_chrome_trace(&trace) {
+        Ok(summary) => {
+            if let Err(e) = std::fs::write(path, &trace) {
+                eprintln!("warning: could not write {path}: {e}");
+            }
+            Some(summary)
+        }
+        Err(e) => {
+            failed.push(format!("{path} failed trace validation: {e}"));
+            None
+        }
+    }
+}
+
+/// An experiment generator: produces the figure/table's row data, the
+/// [`BENCH_DOC`] sections it owns, and its failed acceptance bars.
+pub type Generator = fn(&BenchParams) -> Outcome;
 
 /// Every experiment, in paper order: `(id, description, generator)`.
 ///
-/// The single source of truth for the CLI verb list — `registry()`, the
-/// `repro` usage text, and the coverage test all derive from this const,
-/// so a new verb registers in exactly one place.
+/// The single source of truth for the CLI verb list — the `repro` usage
+/// text, `repro all` and the coverage test all derive from this const, so
+/// a new verb registers in exactly one place.
 pub static EXPERIMENTS: &[(&str, &str, Generator)] = &[
     ("tab1", "Architectural design comparison", tab1),
     ("fig1", "GIDS GNN training time breakdown (Paper100M)", fig1),
@@ -105,18 +191,28 @@ pub static EXPERIMENTS: &[(&str, &str, Generator)] = &[
     ),
     (
         "bench",
-        "Functional-engine telemetry benchmark (writes BENCH_repro.json)",
+        "Functional-engine telemetry benchmark + DES perf trajectory gated against bench/baselines (writes workload, throughput, stages_ns, doorbell_to_retire_ns, critical_path, trajectory)",
         bench,
     ),
     (
         "cache",
-        "GPU-memory block cache: hit rate / NVMe-submission sweep (writes cache_trace.json)",
+        "GPU-memory block cache: hit rate / NVMe-submission sweep (writes the cache section and cache_trace.json)",
         cache,
     ),
     (
+        "pipeline",
+        "Multi-channel pipelining: per-SSD in-flight depth and read latency vs the blocking baseline (writes the pipeline section)",
+        pipeline,
+    ),
+    (
         "fidelity",
-        "Model fidelity: DES driver vs functional driver on a matched workload (writes fidelity_trace.json)",
+        "Model fidelity: DES driver vs functional driver on a matched workload (writes the fidelity section and fidelity_trace.json)",
         fidelity,
+    ),
+    (
+        "slo",
+        "SLO burn and lane health under a transient overload, threaded vs DES driver (writes the slo section)",
+        slo,
     ),
     (
         "attribute",
@@ -125,22 +221,12 @@ pub static EXPERIMENTS: &[(&str, &str, Generator)] = &[
     ),
     (
         "serve",
-        "Multi-tenant KV-cache serving: admission, DRR fairness, per-tenant SLO (writes the serving section of BENCH_repro.json)",
-        serve,
+        "Multi-tenant KV-cache serving: admission, DRR fairness, per-tenant SLO (writes the serving section)",
+        crate::serving_run::serve,
     ),
 ];
 
-/// Every experiment, in paper order (a `Vec` view of [`EXPERIMENTS`] for
-/// callers that iterate by value).
-pub fn registry() -> Vec<(&'static str, &'static str, Generator)> {
-    EXPERIMENTS.to_vec()
-}
-
-fn serve(p: &BenchParams) -> Vec<Table> {
-    crate::serving_run::serve(p)
-}
-
-fn tab1(_p: &BenchParams) -> Vec<Table> {
+fn tab1(_p: &BenchParams) -> Outcome {
     let mut t = Table::new(
         "Table I: Architectural design comparison",
         &["system", "initiated by", "control plane", "data plane"],
@@ -163,10 +249,10 @@ fn tab1(_p: &BenchParams) -> Vec<Table> {
         "CPU user I/O queue".into(),
         "SSD - GPU memory".into(),
     ]);
-    vec![t]
+    vec![t].into()
 }
 
-fn fig1(_p: &BenchParams) -> Vec<Table> {
+fn fig1(_p: &BenchParams) -> Outcome {
     let spec = GraphSpec::paper100m();
     let cfg = GnnConfig::default();
     let mut t = Table::new(
@@ -192,10 +278,10 @@ fn fig1(_p: &BenchParams) -> Vec<Table> {
         ]);
     }
     t.note("paper: extraction 40-65% of step time, training 16-44%");
-    vec![t]
+    vec![t].into()
 }
 
-fn fig2(_p: &BenchParams) -> Vec<Table> {
+fn fig2(_p: &BenchParams) -> Outcome {
     let m = SsdModel::p5510();
     let mut out = Vec::new();
     for (dir, op, label) in [
@@ -223,10 +309,10 @@ fn fig2(_p: &BenchParams) -> Vec<Table> {
         ));
         out.push(t);
     }
-    out
+    out.into()
 }
 
-fn fig3(_p: &BenchParams) -> Vec<Table> {
+fn fig3(_p: &BenchParams) -> Outcome {
     let mut out = Vec::new();
     for dir in [IoDir::Read, IoDir::Write] {
         let mut t = Table::new(
@@ -259,10 +345,10 @@ fn fig3(_p: &BenchParams) -> Vec<Table> {
         t.note("paper: >34% of request time in io_map + LBA retrieval");
         out.push(t);
     }
-    out
+    out.into()
 }
 
-fn fig4(_p: &BenchParams) -> Vec<Table> {
+fn fig4(_p: &BenchParams) -> Outcome {
     let g = GpuSpec::a100_80g();
     let mut t = Table::new(
         "Fig. 4: A100 SM utilization for BaM to saturate N SSDs",
@@ -272,10 +358,10 @@ fn fig4(_p: &BenchParams) -> Vec<Table> {
         t.row(vec![n.to_string(), pct(g.bam_sm_utilization(n)), pct(0.0)]);
     }
     t.note("paper: \"when the number of SSDs exceeds five, BaM engages nearly all available SMs\"");
-    vec![t]
+    vec![t].into()
 }
 
-fn tab3(_p: &BenchParams) -> Vec<Table> {
+fn tab3(_p: &BenchParams) -> Outcome {
     let mut t = Table::new(
         "Table III: Experimental platform (simulated)",
         &["component", "specification"],
@@ -299,10 +385,10 @@ fn tab3(_p: &BenchParams) -> Vec<Table> {
     ] {
         t.row(vec![c.into(), s.into()]);
     }
-    vec![t]
+    vec![t].into()
 }
 
-fn tab4(_p: &BenchParams) -> Vec<Table> {
+fn tab4(_p: &BenchParams) -> Outcome {
     let mut t = Table::new(
         "Table IV: Datasets",
         &["dataset", "nodes", "edges", "feature dim", "feature size"],
@@ -317,10 +403,10 @@ fn tab4(_p: &BenchParams) -> Vec<Table> {
         ]);
     }
     t.note("synthetic scale-downs preserve avg degree, skew, and record size");
-    vec![t]
+    vec![t].into()
 }
 
-fn tab5(_p: &BenchParams) -> Vec<Table> {
+fn tab5(_p: &BenchParams) -> Outcome {
     let cfg = GnnConfig::default();
     let mut t = Table::new(
         "Table V: GNN experiment configuration",
@@ -340,10 +426,10 @@ fn tab5(_p: &BenchParams) -> Vec<Table> {
         cfg.hidden_dim.to_string(),
     ]);
     t.row(vec!["batch size".into(), cfg.batch_size.to_string()]);
-    vec![t]
+    vec![t].into()
 }
 
-fn fig8(_p: &BenchParams) -> Vec<Table> {
+fn fig8(_p: &BenchParams) -> Outcome {
     let engines = [Engine::Cam, Engine::Spdk, Engine::Bam, Engine::Posix];
     let mut out = Vec::new();
     // (a)/(c): 4 KiB throughput vs number of SSDs.
@@ -384,10 +470,10 @@ fn fig8(_p: &BenchParams) -> Vec<Table> {
         }
         out.push(t);
     }
-    out
+    out.into()
 }
 
-fn fig9(_p: &BenchParams) -> Vec<Table> {
+fn fig9(_p: &BenchParams) -> Outcome {
     let cfg = GnnConfig::default();
     let mut out = Vec::new();
     for spec in [GraphSpec::paper100m(), GraphSpec::igb_full()] {
@@ -407,10 +493,10 @@ fn fig9(_p: &BenchParams) -> Vec<Table> {
         }
         out.push(t);
     }
-    out
+    out.into()
 }
 
-fn fig10(_p: &BenchParams) -> Vec<Table> {
+fn fig10(_p: &BenchParams) -> Outcome {
     let mut out = Vec::new();
     // (a) mergesort.
     let mut t = Table::new(
@@ -450,10 +536,10 @@ fn fig10(_p: &BenchParams) -> Vec<Table> {
     }
     t.note("paper: GDS only 0.8 GB/s with 12 SSDs; CAM nearly 20 GB/s; CAM up to 1.84x vs BaM");
     out.push(t);
-    out
+    out.into()
 }
 
-fn tab6(_p: &BenchParams) -> Vec<Table> {
+fn tab6(_p: &BenchParams) -> Outcome {
     let mut t = Table::new(
         "Table VI: lines of code per workload",
         &[
@@ -485,10 +571,10 @@ fn tab6(_p: &BenchParams) -> Vec<Table> {
         gemm.to_string(),
     ]);
     t.note("our examples include dataset generation and verification; the paper counts only the I/O core loop");
-    vec![t]
+    vec![t].into()
 }
 
-fn fig11(_p: &BenchParams) -> Vec<Table> {
+fn fig11(_p: &BenchParams) -> Outcome {
     let mut out = Vec::new();
     let mut t = Table::new(
         "Fig. 11(a): sort-phase read throughput GB/s vs SSD count",
@@ -518,10 +604,10 @@ fn fig11(_p: &BenchParams) -> Vec<Table> {
     }
     t.note("paper: CAM-Sync achieves nearly the same performance as CAM-Async/SPDK");
     out.push(t);
-    out
+    out.into()
 }
 
-fn fig12(_p: &BenchParams) -> Vec<Table> {
+fn fig12(_p: &BenchParams) -> Outcome {
     let mut out = Vec::new();
     for dir in [IoDir::Read, IoDir::Write] {
         let mut t = Table::new(
@@ -547,10 +633,10 @@ fn fig12(_p: &BenchParams) -> Vec<Table> {
         t.note("paper: 2 SSDs/thread free; 4 SSDs/thread ~75%");
         out.push(t);
     }
-    out
+    out.into()
 }
 
-fn fig13(_p: &BenchParams) -> Vec<Table> {
+fn fig13(_p: &BenchParams) -> Outcome {
     let cpu = CpuModel::xeon_gold_5320();
     let m = SsdModel::p5510();
     let mut out = Vec::new();
@@ -573,10 +659,10 @@ fn fig13(_p: &BenchParams) -> Vec<Table> {
         t.note("paper: CAM/SPDK fewer instructions and far fewer cycles than libaio; polling has high IPC");
         out.push(t);
     }
-    out
+    out.into()
 }
 
-fn fig14(_p: &BenchParams) -> Vec<Table> {
+fn fig14(_p: &BenchParams) -> Outcome {
     let mem = MemoryModel::xeon_16ch();
     let mut t = Table::new(
         "Fig. 14: CPU memory traffic (GB/s) vs delivered SSD bandwidth",
@@ -594,10 +680,10 @@ fn fig14(_p: &BenchParams) -> Vec<Table> {
         ]);
     }
     t.note("paper: SPDK's memory traffic is ~2x the SSD bandwidth; CAM's grows much slower");
-    vec![t]
+    vec![t].into()
 }
 
-fn fig15(_p: &BenchParams) -> Vec<Table> {
+fn fig15(_p: &BenchParams) -> Outcome {
     let mut out = Vec::new();
     for dir in [IoDir::Read, IoDir::Write] {
         let mut t = Table::new(
@@ -617,10 +703,10 @@ fn fig15(_p: &BenchParams) -> Vec<Table> {
         t.note("paper: SPDK degrades when memory bandwidth is limited; CAM is unaffected");
         out.push(t);
     }
-    out
+    out.into()
 }
 
-fn fig16(_p: &BenchParams) -> Vec<Table> {
+fn fig16(_p: &BenchParams) -> Outcome {
     let mut t = Table::new(
         "Fig. 16: staged (SPDK) GB/s vs granularity, non-contiguous destination, 12 SSDs",
         &["granularity", "SPDK", "CAM"],
@@ -650,10 +736,10 @@ fn fig16(_p: &BenchParams) -> Vec<Table> {
         ]);
     }
     t.note("paper: at 4KB the staged path delivers 1.3 GB/s, 93.5% below CAM");
-    vec![t]
+    vec![t].into()
 }
 
-fn issue2(_p: &BenchParams) -> Vec<Table> {
+fn issue2(_p: &BenchParams) -> Outcome {
     let mut t = Table::new(
         "Issue 2 (§ II-A): cudaMemcpyAsync share of staged ANNS time, 12 SSDs",
         &["granularity", "copy share"],
@@ -665,10 +751,10 @@ fn issue2(_p: &BenchParams) -> Vec<Table> {
         ]);
     }
     t.note("paper: \"cudaMemcpyAsync costs 78% of the total time\" at 4KB; CAM's direct path pays none");
-    vec![t]
+    vec![t].into()
 }
 
-fn motiv(_p: &BenchParams) -> Vec<Table> {
+fn motiv(_p: &BenchParams) -> Outcome {
     use cam_workloads::dlrm::{model_iteration, DlrmSystem};
     use cam_workloads::llm::{model_step, LlmSystem};
     let mut t = Table::new(
@@ -707,57 +793,34 @@ fn motiv(_p: &BenchParams) -> Vec<Table> {
     ]);
     t.note("paper: TorchRec spends 75% of each iteration on embedding access at ~64% bandwidth;");
     t.note("ZeRO-Infinity spends >80% of time in the update phase at ~70% bandwidth");
-    vec![t]
+    vec![t].into()
 }
 
-fn bench(p: &BenchParams) -> Vec<Table> {
-    use crate::telemetry_run::{bench_json, run_recorded};
-    use crate::trajectory_run::{
-        current_git_sha, merge_bench_json, run_trajectory, trajectory_entry_json,
-    };
-    use cam_telemetry::{critical, FlightRecorder, Stage};
+fn bench(p: &BenchParams) -> Outcome {
+    use crate::telemetry_run::{bars, bench_sections, run_recorded};
+    use crate::trajectory_run::{run_gate, BASELINE_PATH};
+    use cam_telemetry::{critical, Stage};
     use std::sync::Arc;
 
-    let recorder = Arc::new(FlightRecorder::new());
-    let run = run_recorded(20, 64, Some(recorder));
-    // The cache sweep rides along so BENCH_repro.json carries hit rate,
-    // coalesced misses, and readahead accuracy per workload (S6), and the
-    // pipelining experiment proves in-flight depth > 1 per SSD with lower
-    // read latency than the blocking baseline.
-    let reports = crate::cache_run::run_cache_sweep(&[256, 2048]);
-    let pipeline = crate::pipeline_run::run_pipeline_experiment(16);
-    // The fidelity comparison rides along so BENCH_repro.json records the
-    // DES-vs-functional decision agreement and timing trends.
-    let fidelity = crate::fidelity_run::run_fidelity_experiment(8);
-    // The SLO experiment rides along so BENCH_repro.json records burn rates
-    // and the per-driver lane-health transition sequences under a transient
-    // overload.
-    let slo = crate::health_run::run_health_experiment();
-    let fresh = bench_json(
-        &run,
-        Some(&reports),
-        Some(&pipeline),
-        Some(&fidelity),
-        Some(&slo),
-    );
-    // The perf trajectory rides along: a seeded multi-trial DES run whose
-    // headline metrics append to the `trajectory` array. Merging (instead
-    // of a plain write) preserves prior runs' trajectory entries and any
-    // sections this binary version no longer generates.
-    let tp = p.trial_params();
-    let trajectory = run_trajectory(&tp);
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entry = trajectory_entry_json(&trajectory, &current_git_sha(), unix_time);
-    let path = "BENCH_repro.json";
-    let prev = std::fs::read_to_string(path).ok();
-    let json = merge_bench_json(prev.as_deref(), &fresh, &entry);
-    match std::fs::write(path, &json) {
-        Ok(()) => {}
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    let run = run_recorded(20, 64, Some(Arc::new(FlightRecorder::new())));
+    // Critical-path attribution from the event timeline: where each
+    // channel's doorbell→retire latency actually went.
+    let report = critical::analyze(&run.events);
+    let mut sections = bench_sections(&run, &report);
+    let mut failures = bars(&run, &report);
+
+    // The perf trajectory: seeded multi-trial DES runs, gated against the
+    // committed baselines; the uncached run's headline metrics append to
+    // the `trajectory` array, which keeps every prior entry.
+    let baselines = p.baselines.as_deref().unwrap_or(BASELINE_PATH);
+    let gate = run_gate(&p.trial_params(), baselines, p.update_baselines);
+    failures.extend(gate.failures);
+    let mut trajectory = match read_bench_doc().get("trajectory") {
+        Some(Json::Arr(prior)) => prior.clone(),
+        _ => Vec::new(),
+    };
+    trajectory.push(gate.entry);
+    sections.push(("trajectory", Json::Arr(trajectory)));
 
     let mut t = Table::new(
         "Functional engine: batch-lifecycle stage latency (instrumented run)",
@@ -781,34 +844,13 @@ fn bench(p: &BenchParams) -> Vec<Table> {
         }
     }
     t.note(format!(
-        "{} requests in {:.2} ms: {} GB/s, {} K IOPS; full report in {path}",
+        "{} requests in {:.2} ms: {} GB/s, {} K IOPS; full report in {BENCH_DOC}",
         run.requests,
         run.elapsed_ns as f64 / 1e6,
         f2(run.gbps()),
         f1(run.kiops()),
     ));
-    t.note(format!(
-        "slo (transient overload): burn short {}/{} (functional/des), \
-         health sequences match: {}, overloaded->recovered: {}",
-        f1(slo.functional.burn_short),
-        f1(slo.des.burn_short),
-        slo.sequences_match(),
-        slo.overloaded_then_recovered(),
-    ));
-    t.note(format!(
-        "trajectory: {} trials (seed {:#x}, scale {:.2}): p50 {} ns, p99 {} ns, \
-         dominant {}; entry appended to {path}",
-        tp.trials,
-        tp.seed,
-        tp.latency_scale,
-        trajectory.p50_ns,
-        trajectory.p99_ns,
-        cam_telemetry::attribution::component_name(trajectory.decomposition.dominant_mean()),
-    ));
 
-    // Critical-path attribution from the event timeline: where each
-    // channel's doorbell→retire latency actually went (mean ns per batch).
-    let report = critical::analyze(&run.events);
     let mut cp = Table::new(
         "Critical path: per-channel doorbell->retire attribution (mean ns/batch)",
         &[
@@ -832,10 +874,20 @@ fn bench(p: &BenchParams) -> Vec<Table> {
             ),
         ]);
     }
+    let mut tables = vec![t, cp];
+    tables.extend(gate.tables);
+    Outcome {
+        tables,
+        sections,
+        failures,
+    }
+}
 
-    // Multi-channel pipelining: the reactor's in-flight depth and its
-    // latency win over the blocking group-at-a-time baseline.
-    let mut pl = Table::new(
+fn pipeline(_p: &BenchParams) -> Outcome {
+    use crate::pipeline_run::{bars, pipeline_section_json, run_pipeline_experiment};
+
+    let report = run_pipeline_experiment(16);
+    let mut t = Table::new(
         "Pipelining: per-SSD in-flight depth and mean read latency vs. blocking baseline",
         &[
             "mode",
@@ -845,44 +897,81 @@ fn bench(p: &BenchParams) -> Vec<Table> {
             "batches",
         ],
     );
-    for m in [&pipeline.pipelined, &pipeline.blocking] {
-        let depth = m
-            .inflight_mean
-            .iter()
-            .map(|v| format!("{v:.2}"))
-            .collect::<Vec<_>>()
-            .join("/");
-        let peak = m
-            .inflight_peak
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("/");
-        pl.row(vec![
+    for m in [&report.pipelined, &report.blocking] {
+        let join = |cells: Vec<String>| cells.join("/");
+        t.row(vec![
             if m.pipelined { "pipelined" } else { "blocking" }.into(),
-            depth,
-            peak,
+            join(m.inflight_mean.iter().map(|v| format!("{v:.2}")).collect()),
+            join(m.inflight_peak.iter().map(u64::to_string).collect()),
             format!("{:.1}", m.mean_read_ns as f64 / 1e3),
             m.batches.to_string(),
         ]);
     }
-    pl.note(format!(
+    t.note(format!(
         "4 channels x 4 SSDs, 1 worker; read latency speedup {:.2}x",
-        pipeline.speedup()
+        report.speedup()
     ));
-    vec![t, cp, pl]
+    Outcome {
+        tables: vec![t],
+        sections: vec![("pipeline", pipeline_section_json(&report))],
+        failures: bars(&report),
+    }
 }
 
-fn cache(p: &BenchParams) -> Vec<Table> {
+fn slo(_p: &BenchParams) -> Outcome {
+    use crate::health_run::{bars, run_health_experiment, slo_section_json};
+    use cam_telemetry::health_state_label;
+
+    let report = run_health_experiment();
+    let mut t = Table::new(
+        "SLO & lane health: transient overload on SSD 0, threaded vs DES driver",
+        &[
+            "driver",
+            "burn short",
+            "burn long",
+            "retries",
+            "faults",
+            "batches",
+            "lane 0 walk",
+        ],
+    );
+    for (driver, d) in [("functional", &report.functional), ("des", &report.des)] {
+        let walk: Vec<&str> = (d.transitions.first().map(|t| t.1).into_iter())
+            .chain(d.transitions.iter().map(|t| t.2))
+            .map(health_state_label)
+            .collect();
+        t.row(vec![
+            driver.into(),
+            f1(d.burn_short),
+            f1(d.burn_long),
+            d.retries.to_string(),
+            d.faults.to_string(),
+            d.batches.to_string(),
+            walk.join(" > "),
+        ]);
+    }
+    t.note(format!(
+        "health sequences match: {}, overloaded->recovered: {}",
+        report.sequences_match(),
+        report.overloaded_then_recovered(),
+    ));
+    Outcome {
+        tables: vec![t],
+        sections: vec![("slo", slo_section_json(&report))],
+        failures: bars(&report),
+    }
+}
+
+fn cache(p: &BenchParams) -> Outcome {
     use crate::cache_run::{
-        run_cache_sweep_seeded, run_cached_seeded, CacheWorkload, DEFAULT_CACHE_SEED,
+        bars, cache_section_json, run_cache_sweep, run_cached, CacheWorkload, DEFAULT_CACHE_SEED,
     };
-    use cam_telemetry::trace::{chrome_trace, validate_chrome_trace};
-    use cam_telemetry::FlightRecorder;
+    use cam_telemetry::EventKind;
     use std::sync::Arc;
 
     let seed = p.seed.unwrap_or(DEFAULT_CACHE_SEED);
-    let reports = run_cache_sweep_seeded(&[256, 2048], seed);
+    let reports = run_cache_sweep(&[256, 2048], seed);
+    let mut failures = bars(&reports);
     let mut t = Table::new(
         "Block cache: cache size x workload sweep (cached vs uncached runs)",
         &[
@@ -920,43 +1009,47 @@ fn cache(p: &BenchParams) -> Vec<Table> {
     }
     t.note("subs = NVMe commands submitted; cached runs include readahead traffic");
 
-    // A recorded cached run, exported through the Chrome-trace pipeline and
-    // self-validated before writing — the cache events (access / evict /
-    // readahead / flush instants) must satisfy the PR-2 trace validator.
+    // A recorded cached run, exported through the Chrome-trace pipeline:
+    // the cache events (access / evict / readahead / flush instants) must
+    // satisfy the trace validator beside balanced batch spans.
     let rec = Arc::new(FlightRecorder::new());
-    let _ = run_cached_seeded(CacheWorkload::SeqScan, 1024, seed, Some(Arc::clone(&rec)));
-    let trace = chrome_trace(&rec.snapshot(), &rec.thread_names());
+    let _ = run_cached(CacheWorkload::SeqScan, 1024, seed, Some(Arc::clone(&rec)));
     let path = "cache_trace.json";
-    match validate_chrome_trace(&trace) {
-        Ok(summary) => {
-            match std::fs::write(path, &trace) {
-                Ok(()) => {}
-                Err(e) => eprintln!("warning: could not write {path}: {e}"),
-            }
-            t.note(format!(
-                "cached-mode trace valid: {} events across {} tracks, written to {path}",
-                summary.events,
-                summary.named_tracks.len(),
-            ));
-        }
-        Err(e) => {
-            t.note(format!("cached-mode trace FAILED validation: {e}"));
-        }
+    let events = rec.snapshot();
+    if let Some(summary) = write_trace(path, &events, &rec, &mut failures) {
+        let accesses = events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::CacheAccess { .. }));
+        require(
+            &mut failures,
+            accesses && summary.async_begin > 0,
+            format!("{path} lacks cache-access instants or batch spans"),
+        );
+        t.note(format!(
+            "cached-mode trace valid: {} events across {} tracks, written to {path}",
+            summary.events,
+            summary.named_tracks.len(),
+        ));
     }
-    vec![t]
+    Outcome {
+        tables: vec![t],
+        sections: vec![("cache", cache_section_json(&reports))],
+        failures,
+    }
 }
 
-fn fidelity(p: &BenchParams) -> Vec<Table> {
+fn fidelity(p: &BenchParams) -> Outcome {
     use crate::fidelity_run::{
-        fidelity_workload_seeded, run_des, run_fidelity_experiment_seeded, DEFAULT_SEED,
-        N_CHANNELS, N_SSDS,
+        decision_bars, fidelity_section_json, fidelity_workload, run_des, run_fidelity_experiment,
+        timing_bars, DEFAULT_SEED, N_CHANNELS, N_SSDS,
     };
-    use cam_telemetry::trace::{chrome_trace, validate_chrome_trace};
-    use cam_telemetry::FlightRecorder;
+    use cam_telemetry::EventKind;
     use std::sync::Arc;
 
     let seed = p.seed.unwrap_or(DEFAULT_SEED);
-    let report = run_fidelity_experiment_seeded(8, seed);
+    let report = run_fidelity_experiment(8, seed);
+    let mut failures = decision_bars(&report);
+    failures.extend(timing_bars(&report));
 
     // The decision comparison: every counter, plan replay vs. each
     // driver × mode. The whole point is that the four rightmost columns
@@ -1075,36 +1168,40 @@ fn fidelity(p: &BenchParams) -> Vec<Table> {
         8 * 3,
     ));
 
-    // The virtual-time trace artifact: a recorded DES pipelined run,
-    // validated before writing (sim-ssd tracks under process 2).
+    // The virtual-time trace artifact: a recorded DES pipelined run — sim
+    // events only, on sim-ssd tracks under process 2.
     let rec = Arc::new(FlightRecorder::new());
-    let _ = run_des(
-        true,
-        &fidelity_workload_seeded(8, seed),
-        Some(Arc::clone(&rec)),
-    );
-    let trace = chrome_trace(&rec.snapshot(), &rec.thread_names());
+    let _ = run_des(true, &fidelity_workload(8, seed), Some(Arc::clone(&rec)));
     let path = "fidelity_trace.json";
-    match validate_chrome_trace(&trace) {
-        Ok(summary) => {
-            match std::fs::write(path, &trace) {
-                Ok(()) => {}
-                Err(e) => eprintln!("warning: could not write {path}: {e}"),
-            }
-            tr.note(format!(
-                "DES trace valid: {} events across {} tracks, written to {path}",
-                summary.events,
-                summary.named_tracks.len(),
-            ));
-        }
-        Err(e) => {
-            tr.note(format!("DES trace FAILED validation: {e}"));
-        }
+    let events = rec.snapshot();
+    if let Some(summary) = write_trace(path, &events, &rec, &mut failures) {
+        let sim_only = events.iter().all(|e| {
+            matches!(
+                e.kind,
+                EventKind::SimIssue { .. } | EventKind::SimComplete { .. }
+            )
+        });
+        require(
+            &mut failures,
+            sim_only
+                && summary.async_begin > 0
+                && summary.named_tracks.iter().any(|n| n == "sim-ssd0"),
+            format!("{path} must hold only sim spans, on sim-ssd tracks"),
+        );
+        tr.note(format!(
+            "DES trace valid: {} events across {} tracks, written to {path}",
+            summary.events,
+            summary.named_tracks.len(),
+        ));
     }
-    vec![t, tc, tr]
+    Outcome {
+        tables: vec![t, tc, tr],
+        sections: vec![("fidelity", fidelity_section_json(&report))],
+        failures,
+    }
 }
 
-fn attribute(p: &BenchParams) -> Vec<Table> {
+fn attribute(p: &BenchParams) -> Outcome {
     use crate::trajectory_run::{run_trial, TrialParams};
     use cam_telemetry::attribution::{component_name, decompose};
     use cam_telemetry::{critical, FlightRecorder, Stage};
@@ -1180,7 +1277,7 @@ fn attribute(p: &BenchParams) -> Vec<Table> {
         }
         out.push(t);
     }
-    out
+    out.into()
 }
 
 #[cfg(test)]
@@ -1198,8 +1295,8 @@ mod tests {
         assert_eq!(unique.len(), ids.len(), "duplicate experiment ids: {ids:?}");
         // The paper's core evaluation plus every repo-grown experiment must
         // register exactly once, including the serving front-end verb.
-        assert!(ids.len() >= 25, "registry shrank: {ids:?}");
-        for want in ["tab1", "fig8", "bench", "attribute", "serve"] {
+        assert!(ids.len() >= 27, "registry shrank: {ids:?}");
+        for want in ["tab1", "fig8", "bench", "pipeline", "slo", "serve"] {
             assert!(ids.contains(&want), "missing {want}");
         }
         for (id, desc, _) in EXPERIMENTS {
@@ -1214,21 +1311,35 @@ mod tests {
             "tab1", "fig1", "fig3", "fig4", "tab3", "tab4", "tab5", "fig9", "fig10", "fig11",
             "fig13", "fig15",
         ] {
-            let gen = registry()
-                .into_iter()
-                .find(|(i, _, _)| *i == id)
-                .map(|(_, _, g)| g)
-                .unwrap();
-            for t in gen(&BenchParams::default()) {
+            let (_, _, gen) = EXPERIMENTS.iter().find(|(i, _, _)| *i == id).unwrap();
+            let outcome = gen(&BenchParams::default());
+            assert!(outcome.sections.is_empty() && outcome.failures.is_empty());
+            for t in outcome.tables {
                 assert!(!t.is_empty(), "{id}: empty table {}", t.title());
             }
         }
     }
 
     #[test]
+    fn attribute_marks_structurally_absent_des_components_na() {
+        // Doorbell/pickup coincide in virtual time and retire follows the
+        // last completion instantly: the DES rows must say n/a, never 0.
+        let tables = attribute(&BenchParams::default()).tables;
+        let des = &tables[1];
+        assert!(des.title().contains("(des)"), "{}", des.title());
+        for row in 0..des.len() {
+            assert_eq!((des.cell(row, 1), des.cell(row, 5)), ("n/a", "n/a"));
+            assert_ne!(
+                des.cell(row, 2),
+                "n/a",
+                "dispatch is charged by the CPU pipe"
+            );
+        }
+    }
+
+    #[test]
     fn fig4_table_hits_full_utilization_by_five() {
-        let tables = fig4(&BenchParams::default());
-        let t = &tables[0];
+        let t = &fig4(&BenchParams::default()).tables[0];
         // Row 4 = 5 SSDs (1-indexed SSD count in col 0).
         assert_eq!(t.cell(4, 0), "5");
         let u: f64 = t.cell(4, 1).trim_end_matches('%').parse().unwrap();

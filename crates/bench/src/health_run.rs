@@ -11,25 +11,25 @@
 //!
 //! Because lane-health transitions are gated only on protocol decisions
 //! (see `cam_protocol::health`), the `(ssd, from, to, faults)` sequence
-//! must be *identical* across the threaded and DES drivers — CI asserts
-//! exactly that on the `"slo"` section of `BENCH_repro.json`.
+//! must be *identical* across the threaded and DES drivers — [`bars`]
+//! asserts exactly that (`repro slo --check`, and the unit test below).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cam_blockdev::{BlockGeometry, BlockStore, FaultPolicy, FaultyStore, SparseMemStore};
 use cam_core::{CamConfig, CamContext, ChannelOp};
-use cam_iostacks::cam_des::{
-    run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel, DesFaultSpec,
-};
-use cam_iostacks::des::cam_thread_cost;
+use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, DesFaultSpec};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::RetryPolicy;
+use cam_telemetry::json::Json;
 use cam_telemetry::{
-    clock, health_state_label, EventKind, FlightRecorder, MetricsRegistry, Observability,
+    clock, health_state_label, obj, EventKind, FlightRecorder, MetricsRegistry, Observability,
     SloConfig, SloTracker,
 };
+
+use crate::fidelity_run::des_config;
+use crate::figures::require;
 
 /// SSDs in the array; SSD 0 carries the faults, SSD 1 stays healthy.
 pub const N_SSDS: usize = 2;
@@ -50,7 +50,7 @@ const BLOCK_SIZE: u32 = 4096;
 /// A latency target no batch can meet (doorbell→retire is tens of
 /// microseconds on either timeline), so the bad fraction is 1.0 and the
 /// burn rate is deterministically `1 / error_budget` on both drivers.
-fn slo_config() -> SloConfig {
+pub(crate) fn slo_config() -> SloConfig {
     SloConfig {
         latency_target_ns: 1_000,
         error_budget: 0.01,
@@ -127,28 +127,34 @@ pub fn run_health_experiment() -> HealthReport {
     }
 }
 
-fn run_functional() -> HealthDriverReport {
+/// The overload rig (also behind `repro watch`): SSD 0's media fails every
+/// read of its first [`FAULT_LBAS`] LBAs [`FAIL_TIMES`] times before
+/// succeeding; the other SSDs stay healthy. Returns the rig and the faulty
+/// store (for its injected-fault count).
+pub(crate) fn overload_rig() -> (Rig, Arc<FaultyStore>) {
     let rig_cfg = RigConfig {
         n_ssds: N_SSDS,
         blocks_per_ssd: 4096,
         ..RigConfig::default()
     };
     assert_eq!(rig_cfg.block_size, BLOCK_SIZE);
-    let faulty = Arc::new(FaultyStore::new(
+    let healthy = || -> Arc<dyn BlockStore> {
         Arc::new(SparseMemStore::new(BlockGeometry::new(
             rig_cfg.block_size,
             rig_cfg.blocks_per_ssd,
-        ))),
+        )))
+    };
+    let faulty = Arc::new(FaultyStore::new(
+        healthy(),
         FaultPolicy::transient_reads_in(0, FAULT_LBAS, FAIL_TIMES),
     ));
     let mut stores: Vec<Arc<dyn BlockStore>> = vec![Arc::clone(&faulty) as Arc<dyn BlockStore>];
-    for _ in 1..N_SSDS {
-        stores.push(Arc::new(SparseMemStore::new(BlockGeometry::new(
-            rig_cfg.block_size,
-            rig_cfg.blocks_per_ssd,
-        ))));
-    }
-    let rig = Rig::with_stores(rig_cfg, stores);
+    stores.extend((1..N_SSDS).map(|_| healthy()));
+    (Rig::with_stores(rig_cfg, stores), faulty)
+}
+
+fn run_functional() -> HealthDriverReport {
+    let (rig, faulty) = overload_rig();
 
     let registry = Arc::new(MetricsRegistry::new());
     let recorder = Arc::new(FlightRecorder::new());
@@ -206,16 +212,6 @@ fn run_des() -> HealthDriverReport {
     };
     let r = run_cam_des_obs(
         CamDesConfig {
-            n_ssds: N_SSDS,
-            block_size: BLOCK_SIZE,
-            stripe_blocks: 1,
-            op: ChannelOp::Read,
-            threads: 1,
-            queue_depth: CamConfig::default().queue_depth,
-            pipelined: true,
-            thread_cost: cam_thread_cost(N_SSDS as f64),
-            cpu_pipe: CpuPipeModel::calibrated(),
-            host_gbps: 21.0,
             retry: RetryPolicy {
                 max_retries: MAX_RETRIES,
                 backoff_base_ns: RETRY_BACKOFF_NS,
@@ -224,7 +220,7 @@ fn run_des() -> HealthDriverReport {
             fault: Some(DesFaultSpec::transient_reads_in(
                 0, 0, FAULT_LBAS, FAIL_TIMES,
             )),
-            ssd_model: SsdModel::p5510(),
+            ..des_config(N_SSDS, 1, true, SsdModel::p5510())
         },
         workload(),
         None,
@@ -264,50 +260,83 @@ pub fn transitions_from_events(recorder: &FlightRecorder) -> Vec<TransitionKey> 
 }
 
 /// The `"slo"` section of `BENCH_repro.json`.
-pub fn slo_section_json(report: &HealthReport) -> String {
+pub fn slo_section_json(report: &HealthReport) -> Json {
     let cfg = slo_config();
     let driver = |d: &HealthDriverReport| {
-        let transitions = d
-            .transitions
-            .iter()
-            .map(|&(ssd, from, to, faults)| {
-                format!(
-                    "{{\"ssd\": {ssd}, \"from\": \"{}\", \"to\": \"{}\", \"faults\": {faults}}}",
-                    health_state_label(from),
-                    health_state_label(to)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"burn_short\": {:.2}, \"burn_long\": {:.2}, \"retries\": {}, \
-             \"faults_injected\": {}, \"batches\": {}, \"transitions\": [{transitions}]}}",
-            d.burn_short, d.burn_long, d.retries, d.faults, d.batches
-        )
+        obj! {
+            "burn_short" => Json::fixed(d.burn_short, 2),
+            "burn_long" => Json::fixed(d.burn_long, 2),
+            "retries" => d.retries,
+            "faults_injected" => d.faults,
+            "batches" => d.batches,
+            "transitions" => Json::arr(d.transitions.iter().map(|&(ssd, from, to, faults)| {
+                obj! {
+                    "ssd" => ssd,
+                    "from" => health_state_label(from),
+                    "to" => health_state_label(to),
+                    "faults" => faults,
+                }
+            })),
+        }
     };
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "    \"target\": {{\"latency_ns\": {}, \"error_budget\": {}, \
-         \"short_window_ns\": {}, \"long_window_ns\": {}}},",
-        cfg.latency_target_ns,
-        cfg.error_budget,
-        cfg.short.window_ns(),
-        cfg.long.window_ns()
-    );
-    let _ = writeln!(out, "    \"functional\": {},", driver(&report.functional));
-    let _ = writeln!(out, "    \"des\": {},", driver(&report.des));
-    let _ = writeln!(
-        out,
-        "    \"agreement\": {{\"sequences_match\": {}, \"burn_exceeds_one\": {}, \
-         \"overloaded_then_recovered\": {}}}",
+    obj! {
+        "target" => obj! {
+            "latency_ns" => cfg.latency_target_ns,
+            "error_budget" => cfg.error_budget,
+            "short_window_ns" => cfg.short.window_ns(),
+            "long_window_ns" => cfg.long.window_ns(),
+        },
+        "functional" => driver(&report.functional),
+        "des" => driver(&report.des),
+        "agreement" => obj! {
+            "sequences_match" => report.sequences_match(),
+            "burn_exceeds_one" => report.burn_exceeds_one(),
+            "overloaded_then_recovered" => report.overloaded_then_recovered(),
+        },
+    }
+}
+
+/// The acceptance bars, all deterministic (transitions are gated on
+/// protocol decisions; the latency target is unmeetable on any clock):
+/// under the transient overload both drivers walk lane 0 through the
+/// identical `healthy -> degraded -> overloaded -> recovered` sequence,
+/// absorb the same faults with the same retries, and burn their SLO budget
+/// at more than 1x.
+pub fn bars(report: &HealthReport) -> Vec<String> {
+    let mut failed = Vec::new();
+    let (f, d) = (&report.functional, &report.des);
+    require(
+        &mut failed,
         report.sequences_match(),
-        report.burn_exceeds_one(),
-        report.overloaded_then_recovered()
+        format!(
+            "lane-health sequences diverge: functional {:?} vs des {:?}",
+            f.transitions, d.transitions
+        ),
     );
-    out.push_str("  }");
-    out
+    let walk: Vec<(u8, u8)> = f.transitions.iter().map(|t| (t.1, t.2)).collect();
+    require(
+        &mut failed,
+        walk == [(0, 1), (1, 2), (2, 3)],
+        format!("lane 0 must walk healthy->degraded->overloaded->recovered, got {walk:?}"),
+    );
+    require(
+        &mut failed,
+        report.burn_exceeds_one(),
+        format!(
+            "burn rate must exceed 1: functional {:.1}/{:.1}, des {:.1}/{:.1}",
+            f.burn_short, f.burn_long, d.burn_short, d.burn_long
+        ),
+    );
+    require(
+        &mut failed,
+        f.faults == d.faults && f.faults > 0 && f.retries == d.retries && f.retries > 0,
+        format!(
+            "drivers must absorb the same faults: functional {} faults/{} retries, \
+             des {} faults/{} retries",
+            f.faults, f.retries, d.faults, d.retries
+        ),
+    );
+    failed
 }
 
 #[cfg(test)]
@@ -332,34 +361,16 @@ mod tests {
             report.functional.transitions, expected,
             "functional transition sequence diverged"
         );
-        assert!(report.sequences_match());
-        assert!(report.overloaded_then_recovered());
-        assert_eq!(report.functional.retries, report.des.retries);
-        assert_eq!(report.functional.faults, report.des.faults);
+        assert_eq!(bars(&report), Vec::<String>::new());
         assert_eq!(report.functional.batches, ROUNDS as u64);
         assert_eq!(report.des.batches, ROUNDS as u64);
-        assert!(
-            report.burn_exceeds_one(),
-            "burn: functional {:.1}/{:.1}, des {:.1}/{:.1}",
-            report.functional.burn_short,
-            report.functional.burn_long,
-            report.des.burn_short,
-            report.des.burn_long
-        );
-
-        let json = slo_section_json(&report);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in [
-            "\"target\"",
-            "\"functional\"",
-            "\"des\"",
-            "\"sequences_match\": true",
-            "\"burn_exceeds_one\": true",
-            "\"overloaded_then_recovered\": true",
-            "\"to\": \"overloaded\"",
-            "\"to\": \"recovered\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let section = slo_section_json(&report);
+        let last = section
+            .get("des")
+            .and_then(|d| d.get("transitions"))
+            .and_then(Json::as_arr)
+            .and_then(<[Json]>::last)
+            .expect("des transitions");
+        assert_eq!(last.get("to").and_then(Json::as_str), Some("recovered"));
     }
 }

@@ -15,25 +15,22 @@
 //!   a live metrics registry, proving the metric schema is identical
 //!   across drivers and that the `tenant`-labeled gauges populate.
 //!
-//! The run writes the `"serving"` section of `BENCH_repro.json` via
-//! [`merge_section`](crate::trajectory_run::merge_section) — the
-//! trajectory array and every other experiment's section survive
-//! untouched.
+//! `serve` owns the `"serving"` section of `BENCH_repro.json`; every other
+//! verb's section survives its write untouched.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cam_serving::{
     run_serving_des, run_serving_threaded, AdmissionConfig, Policy, ServingConfig, ServingCore,
     ServingRun,
 };
-use cam_telemetry::MetricsRegistry;
+use cam_telemetry::json::Json;
+use cam_telemetry::{obj, MetricsRegistry};
 use cam_workloads::kv_cache::KvCacheConfig;
 use parking_lot::Mutex;
 
-use crate::figures::BenchParams;
+use crate::figures::{require, BenchParams, Outcome};
 use crate::table::{f2, pct, Table};
-use crate::trajectory_run::merge_section;
 
 /// SSDs behind the DES scenarios.
 const DES_SSDS: usize = 4;
@@ -214,74 +211,115 @@ fn policy_name(p: Policy) -> &'static str {
 }
 
 /// One scenario as JSON — the *same* schema for both drivers, by
-/// construction (CI diffs the key sets).
-fn scenario_json(s: &ScenarioReport) -> String {
+/// construction.
+fn scenario_json(s: &ScenarioReport) -> Json {
     let stats = &s.run.stats;
-    let tenants = stats
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            format!(
-                "{{\"tenant\": {i}, \"sessions\": {}, \"admitted\": {}, \"throttled\": {}, \
-                 \"completed\": {}, \"rps\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                 \"burn_short\": {:.2}, \"burn_long\": {:.2}, \"hit_rate\": {:.4}}}",
-                s.sessions[i],
-                t.admitted,
-                t.throttled,
-                t.completed,
-                t.rps,
-                t.p50_ns,
-                t.p99_ns,
-                t.burn_short,
-                t.burn_long,
-                t.hit_rate()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"driver\": \"{}\", \"policy\": \"{}\", \"duration_ns\": {}, \
-         \"batches\": {{\"demand\": {}, \"writeback\": {}, \"readahead\": {}}}, \
-         \"blocks\": {{\"demand\": {}, \"writeback\": {}, \"readahead\": {}}}, \
-         \"evictions\": {}, \"substrate_batches\": {}, \"tenants\": [{tenants}]}}",
-        s.driver,
-        policy_name(s.policy),
-        stats.duration_ns,
-        stats.batches[0],
-        stats.batches[1],
-        stats.batches[2],
-        stats.blocks[0],
-        stats.blocks[1],
-        stats.blocks[2],
-        stats.evictions,
-        s.run.substrate_batches,
-    )
+    let per_channel = |v: &[u64]| obj! {"demand" => v[0], "writeback" => v[1], "readahead" => v[2]};
+    obj! {
+        "driver" => s.driver,
+        "policy" => policy_name(s.policy),
+        "duration_ns" => stats.duration_ns,
+        "batches" => per_channel(&stats.batches),
+        "blocks" => per_channel(&stats.blocks),
+        "evictions" => stats.evictions,
+        "substrate_batches" => s.run.substrate_batches,
+        "tenants" => Json::arr(stats.tenants.iter().enumerate().map(|(i, t)| {
+            obj! {
+                "tenant" => i,
+                "sessions" => s.sessions[i],
+                "admitted" => t.admitted,
+                "throttled" => t.throttled,
+                "completed" => t.completed,
+                "rps" => Json::fixed(t.rps, 1),
+                "p50_ns" => t.p50_ns,
+                "p99_ns" => t.p99_ns,
+                "burn_short" => Json::fixed(t.burn_short, 2),
+                "burn_long" => Json::fixed(t.burn_long, 2),
+                "hit_rate" => Json::fixed(t.hit_rate(), 4),
+            }
+        })),
+    }
 }
 
 /// The `"serving"` section of `BENCH_repro.json`.
-pub fn serving_section_json(report: &ServingReport) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    let _ = writeln!(out, "    \"main\": {},", scenario_json(&report.main));
-    let _ = writeln!(out, "    \"skew\": {{");
-    let _ = writeln!(out, "      \"drr\": {},", scenario_json(&report.skew_drr));
-    let _ = writeln!(out, "      \"fifo\": {},", scenario_json(&report.skew_fifo));
+pub fn serving_section_json(report: &ServingReport) -> Json {
     let f = &report.fairness;
-    let _ = writeln!(
-        out,
-        "      \"fairness\": {{\"drr_hot_p99_ns\": {}, \"drr_cold_p99_ns\": {}, \
-         \"fifo_cold_p99_ns\": {}, \"drr_bounded\": {}, \"fifo_starves_cold\": {}}}",
-        f.drr_hot_p99_ns,
-        f.drr_cold_p99_ns,
-        f.fifo_cold_p99_ns,
-        f.drr_bounded(),
-        f.fifo_starves_cold()
+    obj! {
+        "main" => scenario_json(&report.main),
+        "skew" => obj! {
+            "drr" => scenario_json(&report.skew_drr),
+            "fifo" => scenario_json(&report.skew_fifo),
+            "fairness" => obj! {
+                "drr_hot_p99_ns" => f.drr_hot_p99_ns,
+                "drr_cold_p99_ns" => f.drr_cold_p99_ns,
+                "fifo_cold_p99_ns" => f.fifo_cold_p99_ns,
+                "drr_bounded" => f.drr_bounded(),
+                "fifo_starves_cold" => f.fifo_starves_cold(),
+            },
+        },
+        "threaded" => scenario_json(&report.threaded),
+    }
+}
+
+/// Minimum concurrent sessions / tenants of the DES scale run.
+pub const SCALE_MIN: (usize, usize) = (1000, 4);
+
+/// The acceptance bars. Scale and fairness run on the DES (deterministic
+/// per seed): >= [`SCALE_MIN`] sessions x tenants with every tenant
+/// retiring its whole trace, DRR bounding the cold tenants' p99 within 2x
+/// the hot tenant's while FIFO inflates it >= 2x DRR's. Both drivers must
+/// retire traffic for at least two tenants.
+pub fn bars(report: &ServingReport) -> Vec<String> {
+    let mut failed = Vec::new();
+    let main = &report.main;
+    let (min_sessions, min_tenants) = SCALE_MIN;
+    require(
+        &mut failed,
+        main.sessions.iter().sum::<usize>() >= min_sessions && main.sessions.len() >= min_tenants,
+        format!(
+            "scale run below SCALE_MIN {SCALE_MIN:?}: sessions {:?}",
+            main.sessions
+        ),
     );
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"threaded\": {}", scenario_json(&report.threaded));
-    out.push_str("  }");
-    out
+    for (i, t) in main.run.stats.tenants.iter().enumerate() {
+        require(
+            &mut failed,
+            t.completed == t.admitted && t.completed > 0,
+            format!(
+                "des tenant {i} left steps behind: {} admitted, {} completed",
+                t.admitted, t.completed
+            ),
+        );
+    }
+    for s in [main, &report.threaded] {
+        let live = s.run.stats.tenants.iter().filter(|t| t.completed > 0);
+        require(
+            &mut failed,
+            live.count() >= 2,
+            format!(
+                "{} driver retired traffic for fewer than 2 tenants",
+                s.driver
+            ),
+        );
+    }
+    let f = &report.fairness;
+    require(
+        &mut failed,
+        f.drr_cold_p99_ns > 0 && f.drr_bounded(),
+        format!(
+            "DRR must bound the (paging) cold tenants' p99 {} ns within 2x the hot tenant's {} ns",
+            f.drr_cold_p99_ns, f.drr_hot_p99_ns
+        ),
+    );
+    require(
+        &mut failed,
+        f.fifo_starves_cold(),
+        format!(
+            "FIFO cold p99 {} ns is not >= 2x DRR's {} ns",
+            f.fifo_cold_p99_ns, f.drr_cold_p99_ns
+        ),
+    );
+    failed
 }
 
 fn scenario_table(title: &str, s: &ScenarioReport) -> Table {
@@ -333,17 +371,11 @@ fn scenario_table(title: &str, s: &ScenarioReport) -> Table {
     t
 }
 
-/// The `serve` experiment generator: runs the three scenarios, writes the
-/// `"serving"` section of `BENCH_repro.json`, and returns the CLI tables.
-pub fn serve(p: &BenchParams) -> Vec<Table> {
+/// The `serve` experiment generator: runs the three scenarios and returns
+/// the CLI tables, the `"serving"` section and the failed bars.
+pub fn serve(p: &BenchParams) -> Outcome {
     let seed = p.seed.unwrap_or(0x005e_5510);
     let report = run_serving_experiment(seed);
-    let path = "BENCH_repro.json";
-    let prev = std::fs::read_to_string(path).ok();
-    let merged = merge_section(prev.as_deref(), "serving", &serving_section_json(&report));
-    if let Err(e) = std::fs::write(path, merged) {
-        eprintln!("warning: could not write serving section to {path}: {e}");
-    }
     let f = &report.fairness;
     let mut skew_drr = scenario_table("skew: hot tenant 0 under DRR", &report.skew_drr);
     skew_drr.note(format!(
@@ -355,39 +387,27 @@ pub fn serve(p: &BenchParams) -> Vec<Table> {
         f.fifo_cold_p99_ns as f64 / 1e3,
         f.fifo_starves_cold()
     ));
-    vec![
-        scenario_table("serving: 1050 sessions, 4 tenants (DES)", &report.main),
-        skew_drr,
-        scenario_table("skew: identical workload under FIFO", &report.skew_fifo),
-        scenario_table("threaded smoke: 32 sessions, 4 tenants", &report.threaded),
-    ]
+    Outcome {
+        tables: vec![
+            scenario_table("serving: 1050 sessions, 4 tenants (DES)", &report.main),
+            skew_drr,
+            scenario_table("skew: identical workload under FIFO", &report.skew_fifo),
+            scenario_table("threaded smoke: 32 sessions, 4 tenants", &report.threaded),
+        ],
+        sections: vec![("serving", serving_section_json(&report))],
+        failures: bars(&report),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cam_telemetry::trace::{parse_json, Json};
-
-    /// Extracts the sorted key set of a JSON object.
-    fn keys(j: &Json) -> Vec<String> {
-        match j {
-            Json::Obj(pairs) => {
-                let mut ks: Vec<String> = pairs.iter().map(|(k, _)| k.clone()).collect();
-                ks.sort();
-                ks
-            }
-            _ => panic!("expected object"),
-        }
-    }
 
     #[test]
     fn full_experiment_meets_the_acceptance_bar() {
         let report = run_serving_experiment(0x005e_5510);
-
-        // Scale: >= 1000 concurrent Zipf sessions across >= 4 tenants on
-        // the DES driver, and every tenant retires its full trace.
-        assert!(report.main.sessions.iter().sum::<usize>() >= 1000);
-        assert!(report.main.sessions.len() >= 4);
+        assert_eq!(bars(&report), Vec::<String>::new());
+        // Every tenant retires its full trace, not merely what it admitted.
         for (t, &steps) in report
             .main
             .run
@@ -399,49 +419,9 @@ mod tests {
             assert_eq!(t.completed, steps as u64, "tenant left steps behind");
             assert!(t.rps > 0.0);
         }
-
-        // Fairness: DRR bounds the cold tenants' p99 to <= 2x the hot
-        // tenant's; the FIFO baseline on the identical workload does not.
-        let f = &report.fairness;
-        assert!(f.drr_cold_p99_ns > 0, "cold tenants must actually page");
-        assert!(
-            f.drr_bounded(),
-            "DRR cold p99 {} vs hot {}",
-            f.drr_cold_p99_ns,
-            f.drr_hot_p99_ns
-        );
-        assert!(
-            f.fifo_starves_cold(),
-            "FIFO cold p99 {} vs DRR cold {}",
-            f.fifo_cold_p99_ns,
-            f.drr_cold_p99_ns
-        );
-
-        // Schema: the DES and threaded sections expose identical keys,
-        // top-level and per-tenant.
-        let des = parse_json(&scenario_json(&report.main)).expect("des json");
-        let thr = parse_json(&scenario_json(&report.threaded)).expect("threaded json");
-        assert_eq!(keys(&des), keys(&thr));
-        let tenant_keys = |j: &Json| {
-            keys(
-                j.get("tenants")
-                    .and_then(Json::as_arr)
-                    .and_then(<[Json]>::first)
-                    .expect("tenant entry"),
-            )
-        };
-        assert_eq!(tenant_keys(&des), tenant_keys(&thr));
-
-        // The full section parses and carries every scenario.
         let section = serving_section_json(&report);
-        let parsed = parse_json(&section).expect("serving section json");
-        for key in ["main", "skew", "threaded"] {
-            assert!(parsed.get(key).is_some(), "missing {key}");
-        }
-        let fairness = parsed
-            .get("skew")
-            .and_then(|s| s.get("fairness"))
-            .expect("fairness block");
-        assert!(fairness.get("drr_bounded").is_some());
+        let driver = |key: &str| section.get(key).and_then(|s| s.get("driver")).cloned();
+        assert_eq!(driver("main"), Some(Json::from("des")));
+        assert_eq!(driver("threaded"), Some(Json::from("threaded")));
     }
 }

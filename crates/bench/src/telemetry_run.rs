@@ -1,17 +1,19 @@
 //! Instrumented functional-engine run: drives a multi-batch read+write
 //! workload through [`CamContext`] with a shared [`MetricsRegistry`] and
-//! renders the `BENCH_repro.json` report (throughput plus stage latency
-//! quantiles straight from the registry).
+//! builds the `bench` verb's `BENCH_repro.json` sections (throughput plus
+//! stage latency quantiles straight from the registry).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cam_core::{CamConfig, CamContext};
 use cam_iostacks::{Rig, RigConfig};
-use cam_telemetry::critical;
+use cam_telemetry::critical::CriticalPathReport;
+use cam_telemetry::json::Json;
 use cam_telemetry::{
-    clock, Event, FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability, Stage,
+    clock, obj, Event, FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability, Stage,
 };
+
+use crate::figures::require;
 
 /// Result of one instrumented workload run.
 pub struct TelemetryRun {
@@ -57,14 +59,9 @@ impl TelemetryRun {
 
 /// Runs `rounds` rounds of a `batch`-request write-back + prefetch workload
 /// on a default 4-SSD rig, fully instrumented, and returns the telemetry.
-pub fn run_instrumented(rounds: u64, batch: u64) -> TelemetryRun {
-    run_recorded(rounds, batch, None)
-}
-
-/// [`run_instrumented`] with an optional flight recorder attached: the
-/// returned [`TelemetryRun`] then carries the merged event timeline (for
-/// Chrome-trace export and critical-path analysis) alongside the metric
-/// snapshot.
+/// With a flight recorder attached the returned [`TelemetryRun`] also
+/// carries the merged event timeline (for Chrome-trace export and
+/// critical-path analysis) alongside the metric snapshot.
 pub fn run_recorded(
     rounds: u64,
     batch: u64,
@@ -131,104 +128,84 @@ pub fn run_traced(rounds: u64, batch: u64) -> (TelemetryRun, String) {
     (run, trace)
 }
 
-/// Renders the `BENCH_repro.json` report: workload shape, throughput, and
-/// p50/p99 for every protocol stage and for the doorbell→retire span. When
-/// `cache` carries sweep results (see [`crate::cache_run`]), a `"cache"`
-/// section records per-workload hit rate, coalesced misses, readahead
-/// accuracy, and the cached-vs-uncached submission/latency deltas. When
-/// `pipeline` carries the multi-channel pipelining experiment (see
-/// [`crate::pipeline_run`]), a `"pipeline"` section records per-SSD
-/// in-flight depth and read latency for the pipelined reactor vs. the
-/// blocking baseline. When `fidelity` carries the two-driver comparison
-/// (see [`crate::fidelity_run`]), a `"fidelity"` section records the
-/// DES-vs-functional decision agreement and timing trends. When `slo`
-/// carries the transient-overload SLO experiment (see
-/// [`crate::health_run`]), a `"slo"` section records burn rates and the
-/// per-driver lane-health transition sequences.
-pub fn bench_json(
+/// The sections of `BENCH_repro.json` the instrumented run fills:
+/// workload shape, throughput, p50/p99 for every protocol stage and for
+/// the doorbell→retire span, and the per-channel critical-path
+/// attribution of a recorded run's timeline.
+pub fn bench_sections(
     run: &TelemetryRun,
-    cache: Option<&[crate::cache_run::CacheWorkloadReport]>,
-    pipeline: Option<&crate::pipeline_run::PipelineReport>,
-    fidelity: Option<&crate::fidelity_run::FidelityReport>,
-    slo: Option<&crate::health_run::HealthReport>,
-) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"workload\": {{\"rounds\": {}, \"batch\": {}, \"ops\": [\"read\", \"write\"]}},",
-        run.rounds, run.batch
-    );
-    let _ = writeln!(
-        out,
-        "  \"throughput\": {{\"requests\": {}, \"bytes\": {}, \"elapsed_ns\": {}, \
-         \"gbps\": {:.4}, \"kiops\": {:.2}}},",
-        run.requests,
-        run.bytes,
-        run.elapsed_ns,
-        run.gbps(),
-        run.kiops()
-    );
-    out.push_str("  \"stages_ns\": {\n");
-    for (i, op) in ["read", "write"].iter().enumerate() {
-        let _ = write!(out, "    \"{op}\": {{");
-        for (j, stage) in Stage::ALL.iter().enumerate() {
+    critical: &CriticalPathReport,
+) -> Vec<(&'static str, Json)> {
+    let quantiles = |name: String| {
+        let h = run.snapshot.histogram(&name);
+        obj! {"p50" => h.map_or(0, |h| h.p50), "p99" => h.map_or(0, |h| h.p99)}
+    };
+    let stages = |op: &str| {
+        Json::obj(Stage::ALL.iter().map(|stage| {
             let name = format!("cam_stage_ns{{op=\"{op}\",stage=\"{}\"}}", stage.name());
-            let (p50, p99) = run
-                .snapshot
-                .histogram(&name)
-                .map(|h| (h.p50, h.p99))
-                .unwrap_or((0, 0));
-            let comma = if j + 1 < Stage::ALL.len() { ", " } else { "" };
-            let _ = write!(
-                out,
-                "\"{}\": {{\"p50\": {p50}, \"p99\": {p99}}}{comma}",
-                stage.name()
-            );
-        }
-        let _ = writeln!(out, "}}{}", if i == 0 { "," } else { "" });
-    }
-    out.push_str("  },\n  \"doorbell_to_retire_ns\": {\n");
+            (stage.name(), quantiles(name))
+        }))
+    };
     // Reads ride channel 0, writes channel 1 (the Fig. 7 convention).
-    for (i, (op, channel)) in [("read", 0), ("write", 1)].iter().enumerate() {
-        let name = format!("cam_batch_total_ns{{channel=\"{channel}\",op=\"{op}\"}}");
-        let (p50, p99) = run
-            .snapshot
-            .histogram(&name)
-            .map(|h| (h.p50, h.p99))
-            .unwrap_or((0, 0));
-        let _ = writeln!(
-            out,
-            "    \"{op}\": {{\"p50\": {p50}, \"p99\": {p99}}}{}",
-            if i == 0 { "," } else { "" }
-        );
-    }
-    out.push_str("  }");
-    if let Some(reports) = cache {
-        out.push_str(",\n  \"cache\": ");
-        out.push_str(&crate::cache_run::cache_section_json(reports));
-    }
-    if let Some(report) = pipeline {
-        out.push_str(",\n  \"pipeline\": ");
-        out.push_str(&crate::pipeline_run::pipeline_section_json(report));
-    }
-    if let Some(report) = fidelity {
-        out.push_str(",\n  \"fidelity\": ");
-        out.push_str(&crate::fidelity_run::fidelity_section_json(report));
-    }
-    if let Some(report) = slo {
-        out.push_str(",\n  \"slo\": ");
-        out.push_str(&crate::health_run::slo_section_json(report));
-    }
-    // Per-channel doorbell→retire latency attribution, only available when
-    // the run carried a flight recorder.
-    if !run.events.is_empty() {
-        let report = critical::analyze(&run.events);
-        out.push_str(",\n  \"critical_path\": ");
-        out.push_str(&report.to_json());
-    }
-    out.push_str("\n}\n");
-    out
+    let total = |op: &str, channel: u32| {
+        quantiles(format!(
+            "cam_batch_total_ns{{channel=\"{channel}\",op=\"{op}\"}}"
+        ))
+    };
+    vec![
+        (
+            "workload",
+            obj! {
+                "rounds" => run.rounds,
+                "batch" => run.batch,
+                "ops" => Json::arr(["read", "write"]),
+            },
+        ),
+        (
+            "throughput",
+            obj! {
+                "requests" => run.requests,
+                "bytes" => run.bytes,
+                "elapsed_ns" => run.elapsed_ns,
+                "gbps" => Json::fixed(run.gbps(), 4),
+                "kiops" => Json::fixed(run.kiops(), 2),
+            },
+        ),
+        (
+            "stages_ns",
+            obj! {"read" => stages("read"), "write" => stages("write")},
+        ),
+        (
+            "doorbell_to_retire_ns",
+            obj! {"read" => total("read", 0), "write" => total("write", 1)},
+        ),
+        ("critical_path", critical.to_json()),
+    ]
+}
+
+/// The instrumented run's acceptance bars (counter facts of one run): the
+/// read channel recorded a doorbell→retire distribution, and the timeline
+/// attributes batches on both the read and the write channel.
+pub fn bars(run: &TelemetryRun, critical: &CriticalPathReport) -> Vec<String> {
+    let mut failed = Vec::new();
+    let read_p99 = run
+        .snapshot
+        .histogram("cam_batch_total_ns{channel=\"0\",op=\"read\"}")
+        .map_or(0, |h| h.p99);
+    require(
+        &mut failed,
+        read_p99 > 0,
+        "no doorbell->retire latency recorded on the read channel".into(),
+    );
+    require(
+        &mut failed,
+        critical.channels.len() >= 2 && critical.channels.iter().all(|c| c.batches > 0),
+        format!(
+            "critical path must attribute batches on >= 2 channels, got {:?}",
+            critical.channels
+        ),
+    );
+    failed
 }
 
 #[cfg(test)]
@@ -237,7 +214,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_populates_every_stage() {
-        let run = run_instrumented(4, 16);
+        let run = run_recorded(4, 16, None);
         assert_eq!(run.requests, 2 * 4 * 16);
         assert!(run.elapsed_ns > 0);
         assert_eq!(run.snapshot.counter("cam_batches_total"), 8);
@@ -253,28 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_balanced_and_complete() {
-        let run = run_instrumented(2, 8);
-        let json = bench_json(&run, None, None, None, None);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in [
-            "\"workload\"",
-            "\"throughput\"",
-            "\"gbps\"",
-            "\"stages_ns\"",
-            "\"pickup\"",
-            "\"retire\"",
-            "\"doorbell_to_retire_ns\"",
-            "\"p50\"",
-            "\"p99\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // No recorder → no critical-path section.
-        assert!(!json.contains("\"critical_path\""));
-    }
-
-    #[test]
     fn recorded_run_carries_events_and_critical_path() {
         let rec = Arc::new(FlightRecorder::new());
         let run = run_recorded(3, 16, Some(Arc::clone(&rec)));
@@ -286,18 +241,26 @@ mod tests {
             .filter(|e| matches!(e.kind, cam_telemetry::EventKind::BatchRetire { .. }))
             .count();
         assert_eq!(retires, 6);
-        let json = bench_json(&run, None, None, None, None);
-        assert!(
-            json.contains("\"critical_path\""),
-            "missing section: {json}"
-        );
-        assert!(json.contains("\"dominant\""));
-        let report = critical::analyze(&run.events);
+        let report = cam_telemetry::critical::analyze(&run.events);
         assert_eq!(report.batches.len(), 6);
         assert_eq!(report.channels.len(), 2, "read + write channels");
-        for ch in &report.channels {
-            assert!(ch.total_ns > 0);
-        }
+        assert_eq!(bars(&run, &report), Vec::<String>::new());
+
+        let sections = bench_sections(&run, &report);
+        let section = |key: &str| &sections.iter().find(|(k, _)| *k == key).expect(key).1;
+        let retire = section("stages_ns")
+            .get("write")
+            .and_then(|w| w.get("retire"))
+            .expect("every stage of every op is keyed");
+        assert!(retire.get("p99").and_then(Json::as_u64).is_some());
+        assert_eq!(
+            section("throughput").get("requests").and_then(Json::as_u64),
+            Some(run.requests)
+        );
+        assert_eq!(
+            section("critical_path").as_arr().map(<[Json]>::len),
+            Some(2)
+        );
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! the queue-delay decomposition ([`cam_telemetry::attribution`]) says
 //! *which* component moved. `repro bench --check` exits non-zero on a
 //! flagged regression; `repro bench --update-baselines` rewrites the
-//! baseline file.
+//! baseline file. The gate is one of the `bench` verb's acceptance bars
+//! ([`run_gate`]).
 //!
 //! A second, **cached-mode** trajectory runs the seeded cache workload
 //! through the DES cache stage ([`run_cached_trajectory`]) and gates it
@@ -30,33 +31,22 @@
 //! flush, or the readahead pipeline moves a committed number even though
 //! the uncached trajectory never exercises that code.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use cam_core::CamConfig;
-use cam_core::ChannelOp;
 use cam_iostacks::cam_des::{
-    run_cam_des_cached, run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel,
+    run_cam_des_cached, run_cam_des_obs, CamDesConfig, CamDesObs, CamDesReport,
 };
-use cam_iostacks::des::cam_thread_cost;
 use cam_nvme::SsdModel;
 use cam_simkit::Dur;
 use cam_telemetry::attribution::{component_name, decompose, LatencyDecomposition};
+use cam_telemetry::json::{parse, Json};
 use cam_telemetry::stats::{
     binned_mean, binned_quantile, bootstrap_quantile_ci, mann_whitney, MannWhitney, QuantileCi,
 };
-use cam_telemetry::trace::{parse_json, Json};
-use cam_telemetry::{critical, FlightRecorder, Histogram, Stage};
+use cam_telemetry::{critical, obj, FlightRecorder, Histogram, Stage};
 
-/// SSDs in the trajectory workload's array.
-pub const N_SSDS: usize = 4;
-/// Channels driven concurrently.
-pub const N_CHANNELS: usize = 4;
-const STRIPE_BLOCKS: u64 = 2;
-const BLOCK_SIZE: u32 = 4096;
-const BLOCKS_PER_REQ: u32 = 2;
-const BATCH_REQS: usize = 16;
-const LBA_WINDOW: u64 = 96;
+use crate::fidelity_run::{des_config, fidelity_workload, N_SSDS, STRIPE_BLOCKS};
+use crate::table::Table;
 
 /// Default path of the committed baseline, relative to the repo root.
 pub const BASELINE_PATH: &str = "bench/baselines/trajectory.json";
@@ -149,38 +139,9 @@ pub struct TrajectoryReport {
     pub decomposition: LatencyDecomposition,
 }
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
-/// The seeded workload of one trial: `rounds` batches per channel, each
-/// [`BATCH_REQS`] two-block reads from the channel's LBA window (same
-/// shape as the fidelity workload, so dedup and stripe splits occur).
-pub fn trial_workload(seed: u64, rounds: u64) -> Vec<Vec<CamDesBatch>> {
-    let mut rng = Lcg(seed);
-    (0..N_CHANNELS)
-        .map(|ch| {
-            let base = ch as u64 * 256;
-            (0..rounds)
-                .map(|_| CamDesBatch {
-                    lbas: (0..BATCH_REQS)
-                        .map(|_| base + rng.next() % LBA_WINDOW)
-                        .collect(),
-                    blocks: BLOCKS_PER_REQ,
-                })
-                .collect()
-        })
-        .collect()
-}
-
+/// The fidelity DES configuration on a P5510 whose service time is scaled
+/// by `latency_scale`; each trial drives it with the fidelity experiment's
+/// seeded workload, so dedup and stripe splits occur.
 fn trial_config(latency_scale: f64) -> CamDesConfig {
     let mut model = SsdModel::p5510();
     model.read_latency = Dur::ns((model.read_latency.as_ns() as f64 * latency_scale) as u64);
@@ -188,38 +149,22 @@ fn trial_config(latency_scale: f64) -> CamDesConfig {
     model.channel_read_gbps /= latency_scale;
     model.channel_write_gbps /= latency_scale;
     model.link_gbps /= latency_scale;
-    CamDesConfig {
-        n_ssds: N_SSDS,
-        block_size: BLOCK_SIZE,
-        stripe_blocks: STRIPE_BLOCKS,
-        op: ChannelOp::Read,
-        threads: 1,
-        queue_depth: CamConfig::default().queue_depth,
-        pipelined: true,
-        thread_cost: cam_thread_cost(N_SSDS as f64),
-        cpu_pipe: CpuPipeModel::calibrated(),
-        host_gbps: 21.0,
-        retry: CamDesConfig::inert_retry(),
-        fault: None,
-        ssd_model: model,
-    }
+    des_config(N_SSDS, STRIPE_BLOCKS, true, model)
 }
 
-/// Runs one trial: a recorded DES run with lifecycle events, attributed
-/// through [`critical::analyze`].
-pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
+/// Runs one DES trial with lifecycle events on and a flight recorder
+/// attached, and attributes its timeline through [`critical::analyze`].
+fn recorded_trial(
+    seed: u64,
+    run: impl FnOnce(Option<Arc<FlightRecorder>>, CamDesObs) -> CamDesReport,
+) -> TrialMetrics {
     let recorder = Arc::new(FlightRecorder::new());
     let obs = CamDesObs {
         windows: None,
         slo: None,
         lifecycle: true,
     };
-    let r = run_cam_des_obs(
-        trial_config(latency_scale),
-        trial_workload(seed, rounds),
-        Some(Arc::clone(&recorder)),
-        obs,
-    );
+    let r = run(Some(Arc::clone(&recorder)), obs);
     let report = critical::analyze(&recorder.snapshot());
     let mut hist = Histogram::new();
     for b in &report.batches {
@@ -234,6 +179,18 @@ pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
         bins: hist.bins(),
         attributions: report.batches,
     }
+}
+
+/// Runs one uncached trial on the fidelity experiment's seeded workload.
+pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
+    recorded_trial(seed, |recorder, obs| {
+        run_cam_des_obs(
+            trial_config(latency_scale),
+            fidelity_workload(rounds, seed),
+            recorder,
+            obs,
+        )
+    })
 }
 
 /// Runs one **cached-mode** trial: the seeded cache workload (same shape
@@ -244,34 +201,17 @@ pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
 /// [`crate::fidelity_run::cached_cache_cfg`] configuration, so a cache
 /// regression surfaces here as a latency/attribution shift.
 pub fn run_cached_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
-    let recorder = Arc::new(FlightRecorder::new());
-    let obs = CamDesObs {
-        windows: None,
-        slo: None,
-        lifecycle: true,
-    };
-    let (r, _counters) = run_cam_des_cached(
-        trial_config(latency_scale),
-        crate::fidelity_run::cached_cache_cfg(),
-        CACHED_ARRAY_BLOCKS,
-        crate::fidelity_run::cached_fidelity_workload_seeded(rounds * 3, seed),
-        Some(Arc::clone(&recorder)),
-        obs,
-    );
-    let report = critical::analyze(&recorder.snapshot());
-    let mut hist = Histogram::new();
-    for b in &report.batches {
-        hist.record(b.total_ns);
-    }
-    TrialMetrics {
-        seed,
-        duration_ns: r.duration.as_ns(),
-        batches: r.batches,
-        p50_ns: hist.quantile(0.5),
-        p99_ns: hist.quantile(0.99),
-        bins: hist.bins(),
-        attributions: report.batches,
-    }
+    recorded_trial(seed, |recorder, obs| {
+        run_cam_des_cached(
+            trial_config(latency_scale),
+            crate::fidelity_run::cached_cache_cfg(),
+            CACHED_ARRAY_BLOCKS,
+            crate::fidelity_run::cached_fidelity_workload_seeded(rounds * 3, seed),
+            recorder,
+            obs,
+        )
+        .0
+    })
 }
 
 /// Runs the full trajectory: `warmup` discarded trials then `trials`
@@ -349,74 +289,54 @@ pub struct Baseline {
     pub mean_component_ns: [f64; Stage::ALL.len()],
 }
 
-/// Serializes a report as the committed baseline file. All values are
-/// integers or short decimals well under 2^53, so the serde-free parser
-/// round-trips them exactly.
-pub fn baseline_json(report: &TrajectoryReport) -> String {
+/// A report as the committed baseline document.
+pub fn baseline_json(report: &TrajectoryReport) -> Json {
     let p = &report.params;
-    let mut out = String::with_capacity(1024);
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": {BASELINE_SCHEMA},");
-    let _ = writeln!(
-        out,
-        "  \"params\": {{\"trials\": {}, \"warmup\": {}, \"seed\": {}, \"rounds\": {}}},",
-        p.trials, p.warmup, p.seed, p.rounds
-    );
-    let _ = writeln!(out, "  \"p50_ns\": {},", report.p50_ns);
-    let _ = writeln!(out, "  \"p99_ns\": {},", report.p99_ns);
-    let _ = writeln!(out, "  \"mean_batch_ns\": {:.1},", report.mean_batch_ns);
-    out.push_str("  \"mean_component_ns\": {");
-    for (i, s) in Stage::ALL.iter().enumerate() {
-        let comma = if i > 0 { ", " } else { "" };
-        let _ = write!(
-            out,
-            "{comma}\"{}\": {:.1}",
-            component_name(*s),
-            report.decomposition.mean_ns[s.index()]
-        );
+    obj! {
+        "schema" => BASELINE_SCHEMA,
+        "params" => obj! {
+            "trials" => p.trials,
+            "warmup" => p.warmup,
+            "seed" => p.seed,
+            "rounds" => p.rounds,
+        },
+        "p50_ns" => report.p50_ns,
+        "p99_ns" => report.p99_ns,
+        "mean_batch_ns" => Json::fixed(report.mean_batch_ns, 1),
+        "mean_component_ns" => Json::obj(Stage::ALL.iter().map(|s| {
+            let mean = Json::fixed(report.decomposition.mean_ns[s.index()], 1);
+            (component_name(*s), mean)
+        })),
+        "bins" => Json::arr(report.bins.iter().map(|&(low, count)| Json::arr([low, count]))),
     }
-    out.push_str("},\n  \"bins\": [");
-    for (i, (low, count)) in report.bins.iter().enumerate() {
-        let comma = if i > 0 { ", " } else { "" };
-        let _ = write!(out, "{comma}[{low}, {count}]");
-    }
-    out.push_str("]\n}\n");
-    out
 }
 
-/// Parses a baseline file. Numeric fidelity is safe: every stored value
-/// fits an f64 mantissa.
+/// Parses a baseline file.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let json = parse_json(text)?;
-    let schema = json
-        .get("schema")
-        .and_then(Json::as_f64)
-        .ok_or("baseline missing 'schema'")? as u64;
+    let json = parse(text)?;
+    let int = |key: &str| -> Result<u64, String> {
+        json.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("baseline missing '{key}'"))
+    };
+    let schema = int("schema")?;
     if schema != BASELINE_SCHEMA {
         return Err(format!(
             "baseline schema {schema} != supported {BASELINE_SCHEMA} \
              (regenerate with 'repro bench --update-baselines')"
         ));
     }
-    let num = |key: &str| -> Result<f64, String> {
-        json.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("baseline missing '{key}'"))
-    };
     let bins = json
         .get("bins")
         .and_then(Json::as_arr)
         .ok_or("baseline missing 'bins'")?
         .iter()
-        .map(|pair| {
-            let p = pair.as_arr().filter(|p| p.len() == 2);
-            match p {
-                Some(p) => Ok((
-                    p[0].as_f64().ok_or("non-numeric bin low")? as u64,
-                    p[1].as_f64().ok_or("non-numeric bin count")? as u64,
-                )),
-                None => Err("bin is not a [low, count] pair".to_string()),
-            }
+        .map(|pair| match pair.as_arr() {
+            Some([low, count]) => Ok((
+                low.as_u64().ok_or("non-integer bin low")?,
+                count.as_u64().ok_or("non-integer bin count")?,
+            )),
+            _ => Err("bin is not a [low, count] pair".to_string()),
         })
         .collect::<Result<Vec<_>, String>>()?;
     let comps = json
@@ -431,9 +351,12 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     }
     Ok(Baseline {
         bins,
-        p50_ns: num("p50_ns")? as u64,
-        p99_ns: num("p99_ns")? as u64,
-        mean_batch_ns: num("mean_batch_ns")?,
+        p50_ns: int("p50_ns")?,
+        p99_ns: int("p99_ns")?,
+        mean_batch_ns: json
+            .get("mean_batch_ns")
+            .and_then(Json::as_f64)
+            .ok_or("baseline missing 'mean_batch_ns'")?,
         mean_component_ns,
     })
 }
@@ -540,80 +463,59 @@ impl GateOutcome {
             .filter(|c| c.current_ns > c.baseline_ns)
     }
 
-    /// Renders the verdict plus the per-stage attribution table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let z = self.mw.as_ref().map_or(0.0, |m| m.z);
-        let _ = writeln!(
-            out,
+    /// The verdict plus the per-component attribution, as a CLI table.
+    pub fn table(&self, label: &str) -> Table {
+        let mut t = Table::new(
+            format!("Perf gate ({label}): mean ns/batch per component, baseline vs current"),
+            &["component", "baseline ns", "current ns", "delta"],
+        );
+        for c in &self.components {
+            t.row(vec![
+                c.name.into(),
+                format!("{:.0}", c.baseline_ns),
+                format!("{:.0}", c.current_ns),
+                format!("{:+.1}%", c.rel_delta() * 100.0),
+            ]);
+        }
+        t.note(format!(
             "gate: {} (z = {:.2}, p50 shift {:+.1}%, p99 shift {:+.1}%, \
              CI excludes baseline p50: {})",
             if self.regressed { "REGRESSED" } else { "ok" },
-            z,
+            self.mw.as_ref().map_or(0.0, |m| m.z),
             self.rel_shift_p50 * 100.0,
             self.rel_shift_p99 * 100.0,
             self.ci_excludes_baseline
-        );
-        let _ = writeln!(
-            out,
-            "{:<14} {:>14} {:>14} {:>9}",
-            "component", "baseline ns", "current ns", "delta"
-        );
-        for c in &self.components {
-            let _ = writeln!(
-                out,
-                "{:<14} {:>14.0} {:>14.0} {:>8.1}%",
-                c.name,
-                c.baseline_ns,
-                c.current_ns,
-                c.rel_delta() * 100.0
-            );
-        }
+        ));
         if let Some(dom) = self.dominant_shift() {
-            let _ = writeln!(
-                out,
+            t.note(format!(
                 "largest shift: {} ({:+.0} ns/batch, {:+.1}%)",
                 dom.name,
                 dom.current_ns - dom.baseline_ns,
                 dom.rel_delta() * 100.0
-            );
+            ));
         }
-        out
+        t
     }
 
     /// The machine-readable diff report (`baseline_diff.json`, uploaded
     /// as a CI artifact when the gate fails).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let z = self.mw.as_ref().map_or(0.0, |m| m.z);
-        let _ = write!(
-            out,
-            "{{\"regressed\": {}, \"z\": {:.3}, \"rel_shift_p50\": {:.4}, \
-             \"rel_shift_p99\": {:.4}, \"ci_excludes_baseline\": {}, \
-             \"components\": {{",
-            self.regressed, z, self.rel_shift_p50, self.rel_shift_p99, self.ci_excludes_baseline
-        );
-        for (i, c) in self.components.iter().enumerate() {
-            let comma = if i > 0 { ", " } else { "" };
-            let _ = write!(
-                out,
-                "{comma}\"{}\": {{\"baseline_ns\": {:.1}, \"current_ns\": {:.1}, \
-                 \"rel_delta\": {:.4}}}",
-                c.name,
-                c.baseline_ns,
-                c.current_ns,
-                c.rel_delta()
-            );
+    pub fn to_json(&self) -> Json {
+        obj! {
+            "regressed" => self.regressed,
+            "z" => Json::fixed(self.mw.as_ref().map_or(0.0, |m| m.z), 3),
+            "rel_shift_p50" => Json::fixed(self.rel_shift_p50, 4),
+            "rel_shift_p99" => Json::fixed(self.rel_shift_p99, 4),
+            "ci_excludes_baseline" => self.ci_excludes_baseline,
+            "components" => Json::obj(self.components.iter().map(|c| {
+                let delta = obj! {
+                    "baseline_ns" => Json::fixed(c.baseline_ns, 1),
+                    "current_ns" => Json::fixed(c.current_ns, 1),
+                    "rel_delta" => Json::fixed(c.rel_delta(), 4),
+                };
+                (c.name, delta)
+            })),
+            "dominant_shift" => self.dominant_shift().map(|d| d.name),
         }
-        out.push_str("}, \"dominant_shift\": ");
-        match self.dominant_shift() {
-            Some(d) => {
-                let _ = write!(out, "\"{}\"", d.name);
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -650,182 +552,136 @@ pub fn check(report: &TrajectoryReport, baseline: &Baseline, gate: &GateConfig) 
     }
 }
 
-// ---------------------------------------------------------------------------
-// BENCH_repro.json trajectory append
-// ---------------------------------------------------------------------------
+/// What [`run_gate`] hands the `bench` generator.
+pub struct GateRun {
+    /// The trajectory summary and, per gated mode, the component table.
+    pub tables: Vec<Table>,
+    /// The uncached run's entry for `BENCH_repro.json`'s `trajectory` array.
+    pub entry: Json,
+    /// Failed bars: a flagged regression, or a baseline that cannot be
+    /// read, parsed or (with `update`) written.
+    pub failures: Vec<String>,
+}
+
+/// Runs the uncached and cached trajectories and gates each against its
+/// committed baseline (`baselines` and its [`cached_baseline_path`]); a
+/// regression also writes `baseline_diff.json` / `baseline_diff_cached.json`
+/// with the per-component attribution. With `update` the baselines are
+/// rewritten from this run instead of judged.
+pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
+    let mut summary = Table::new(
+        "Perf trajectory: seeded DES trials, per-batch doorbell->retire latency",
+        &[
+            "mode",
+            "batches",
+            "p50 ns (CI)",
+            "p99 ns (CI)",
+            "mean ns",
+            "dominant",
+        ],
+    );
+    summary.note(format!(
+        "{} trials + {} warmup, seed {:#x}, {} rounds/channel, latency scale {:.2}",
+        tp.trials, tp.warmup, tp.seed, tp.rounds, tp.latency_scale
+    ));
+    let mut tables = Vec::new();
+    let mut failures = Vec::new();
+    let uncached = run_trajectory(tp);
+    let cached = run_cached_trajectory(tp);
+    for (label, report, path, diff_path) in [
+        (
+            "uncached",
+            &uncached,
+            baselines.to_string(),
+            "baseline_diff.json",
+        ),
+        (
+            "cached",
+            &cached,
+            cached_baseline_path(baselines),
+            "baseline_diff_cached.json",
+        ),
+    ] {
+        summary.row(vec![
+            label.into(),
+            report.decomposition.batches.to_string(),
+            format!(
+                "{} ({}..{})",
+                report.p50_ns, report.p50_ci.lo, report.p50_ci.hi
+            ),
+            format!(
+                "{} ({}..{})",
+                report.p99_ns, report.p99_ci.lo, report.p99_ci.hi
+            ),
+            format!("{:.0}", report.mean_batch_ns),
+            component_name(report.decomposition.dominant_mean()).into(),
+        ]);
+        if update {
+            let dir = std::path::Path::new(&path).parent();
+            let written = dir
+                .map_or(Ok(()), std::fs::create_dir_all)
+                .and_then(|()| std::fs::write(&path, format!("{:#}", baseline_json(report))));
+            match written {
+                Ok(()) => {
+                    summary.note(format!("updated {label} baseline at {path}"));
+                }
+                Err(e) => failures.push(format!("could not write {label} baseline {path}: {e}")),
+            }
+            continue;
+        }
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| {
+                format!("unreadable ({e}); seed one with 'repro bench --update-baselines'")
+            })
+            .and_then(|text| parse_baseline(&text));
+        let outcome = match baseline {
+            Ok(b) => check(report, &b, &GateConfig::default()),
+            Err(e) => {
+                failures.push(format!("{label} baseline {path}: {e}"));
+                continue;
+            }
+        };
+        if outcome.regressed {
+            let shift = outcome.dominant_shift().map_or("none", |c| c.name);
+            failures.push(format!(
+                "{label} trajectory REGRESSED against {path} (p50 {:+.1}%, p99 {:+.1}%, \
+                 largest shift: {shift}); attribution in {diff_path}",
+                outcome.rel_shift_p50 * 100.0,
+                outcome.rel_shift_p99 * 100.0,
+            ));
+            if let Err(e) = std::fs::write(diff_path, format!("{:#}", outcome.to_json())) {
+                eprintln!("warning: could not write {diff_path}: {e}");
+            }
+        }
+        tables.push(outcome.table(label));
+    }
+    tables.insert(0, summary);
+    let unix_time = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    GateRun {
+        tables,
+        entry: trajectory_entry_json(&uncached, &current_git_sha(), unix_time),
+        failures,
+    }
+}
 
 /// One run's entry in `BENCH_repro.json`'s `trajectory` array.
-pub fn trajectory_entry_json(report: &TrajectoryReport, git_sha: &str, unix_time: u64) -> String {
+pub fn trajectory_entry_json(report: &TrajectoryReport, git_sha: &str, unix_time: u64) -> Json {
     let p = &report.params;
-    format!(
-        "{{\"git_sha\": \"{}\", \"unix_time\": {}, \"seed\": {}, \"trials\": {}, \
-         \"rounds\": {}, \"latency_scale\": {:.2}, \"p50_ns\": {}, \"p99_ns\": {}, \
-         \"mean_batch_ns\": {:.1}, \"dominant_mean\": \"{}\"}}",
-        git_sha.escape_default(),
-        unix_time,
-        p.seed,
-        p.trials,
-        p.rounds,
-        p.latency_scale,
-        report.p50_ns,
-        report.p99_ns,
-        report.mean_batch_ns,
-        component_name(report.decomposition.dominant_mean())
-    )
-}
-
-/// Splits a JSON object's top-level `"key": value` pairs **textually**,
-/// returning each value's raw source text. This is how `BENCH_repro.json`
-/// is merged without a parse → reserialize round trip (the serde-free
-/// parser holds numbers as f64, which would corrupt 64-bit counters).
-pub fn split_top_level(json: &str) -> Option<Vec<(String, String)>> {
-    let bytes = json.as_bytes();
-    let mut i = 0usize;
-    let skip_ws = |i: &mut usize| {
-        while bytes
-            .get(*i)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            *i += 1;
-        }
-    };
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&b'{') {
-        return None;
+    obj! {
+        "git_sha" => git_sha,
+        "unix_time" => unix_time,
+        "seed" => p.seed,
+        "trials" => p.trials,
+        "rounds" => p.rounds,
+        "latency_scale" => Json::fixed(p.latency_scale, 2),
+        "p50_ns" => report.p50_ns,
+        "p99_ns" => report.p99_ns,
+        "mean_batch_ns" => Json::fixed(report.mean_batch_ns, 1),
+        "dominant_mean" => component_name(report.decomposition.dominant_mean()),
     }
-    i += 1;
-    let mut out = Vec::new();
-    loop {
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(b'}') => return Some(out),
-            Some(b',') if !out.is_empty() => {
-                i += 1;
-                skip_ws(&mut i);
-            }
-            _ => {}
-        }
-        if bytes.get(i) == Some(&b'}') {
-            return Some(out);
-        }
-        // Key.
-        if bytes.get(i) != Some(&b'"') {
-            return None;
-        }
-        let key_start = i + 1;
-        i += 1;
-        while let Some(&b) = bytes.get(i) {
-            match b {
-                b'\\' => i += 2,
-                b'"' => break,
-                _ => i += 1,
-            }
-        }
-        let key = json.get(key_start..i)?.to_string();
-        i += 1;
-        skip_ws(&mut i);
-        if bytes.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        skip_ws(&mut i);
-        // Value: balance braces/brackets outside strings.
-        let val_start = i;
-        let mut depth = 0i64;
-        let mut in_str = false;
-        loop {
-            let &b = bytes.get(i)?;
-            if in_str {
-                match b {
-                    b'\\' => i += 1,
-                    b'"' => in_str = false,
-                    _ => {}
-                }
-            } else {
-                match b {
-                    b'"' => in_str = true,
-                    b'{' | b'[' => depth += 1,
-                    b'}' | b']' if depth > 0 => depth -= 1,
-                    b',' | b'}' | b']' if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        out.push((key, json.get(val_start..i)?.trim_end().to_string()));
-    }
-}
-
-/// Merges a freshly generated `BENCH_repro.json` body with the previous
-/// file's contents: fresh sections win, prior sections absent from the
-/// fresh body are preserved verbatim, and the `trajectory` array keeps
-/// every prior entry with `entry` appended. `prev = None` (first run)
-/// starts the array at one entry.
-pub fn merge_bench_json(prev: Option<&str>, fresh: &str, entry: &str) -> String {
-    let fresh_sections = split_top_level(fresh).unwrap_or_default();
-    let prev_sections = prev.and_then(split_top_level).unwrap_or_default();
-    let mut out = String::with_capacity(fresh.len() + entry.len() + 256);
-    out.push_str("{\n");
-    let mut first = true;
-    let mut push = |out: &mut String, key: &str, value: &str| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        let _ = write!(out, "  \"{key}\": {value}");
-    };
-    for (key, value) in &fresh_sections {
-        if key != "trajectory" {
-            push(&mut out, key, value);
-        }
-    }
-    for (key, value) in &prev_sections {
-        if key != "trajectory" && !fresh_sections.iter().any(|(k, _)| k == key) {
-            push(&mut out, key, value);
-        }
-    }
-    // The trajectory array: prior entries (textually preserved) + this run.
-    let mut array = String::from("[");
-    if let Some((_, prior)) = prev_sections.iter().find(|(k, _)| k == "trajectory") {
-        let inner = prior
-            .trim()
-            .strip_prefix('[')
-            .and_then(|s| s.trim_end().strip_suffix(']'))
-            .map(str::trim)
-            .unwrap_or("");
-        if !inner.is_empty() {
-            array.push_str(inner);
-            array.push_str(", ");
-        }
-    }
-    array.push_str(entry);
-    array.push(']');
-    push(&mut out, "trajectory", &array);
-    out.push_str("\n}\n");
-    out
-}
-
-/// Replaces (or inserts) one top-level section of `BENCH_repro.json`,
-/// preserving every other section — including the `trajectory` array —
-/// verbatim. Experiments that own a single section (e.g. `"serving"`)
-/// use this instead of [`merge_bench_json`] so they never fabricate a
-/// trajectory entry.
-pub fn merge_section(prev: Option<&str>, key: &str, value: &str) -> String {
-    let mut sections = prev.and_then(split_top_level).unwrap_or_default();
-    match sections.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = value.to_string(),
-        None => sections.push((key.to_string(), value.to_string())),
-    }
-    let mut out = String::with_capacity(value.len() + 256);
-    out.push_str("{\n");
-    let mut first = true;
-    for (k, v) in &sections {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        let _ = write!(out, "  \"{k}\": {v}");
-    }
-    out.push_str("\n}\n");
-    out
 }
 
 /// Best-effort commit id for trajectory entries: `git rev-parse` in the
@@ -854,6 +710,7 @@ pub fn current_git_sha() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fidelity_run::N_CHANNELS;
 
     fn small() -> TrialParams {
         TrialParams {
@@ -923,26 +780,9 @@ mod tests {
         assert!(a.decomposition.mean_ns[Stage::Dispatch.index()] > 0.0);
         assert_eq!(a.decomposition.mean_ns[Stage::Pickup.index()], 0.0);
         // The same baseline schema and gate serve cached mode unchanged.
-        let baseline = parse_baseline(&baseline_json(&a)).expect("baseline");
+        let baseline = parse_baseline(&baseline_json(&a).to_string()).expect("baseline");
         let outcome = check(&a, &baseline, &GateConfig::default());
-        assert!(!outcome.regressed, "{}", outcome.render());
-    }
-
-    #[test]
-    fn cached_trajectory_flags_a_slower_device() {
-        let p = small();
-        let baseline =
-            parse_baseline(&baseline_json(&run_cached_trajectory(&p))).expect("baseline");
-        let perturbed = TrialParams {
-            latency_scale: 1.5,
-            ..p
-        };
-        let outcome = check(
-            &run_cached_trajectory(&perturbed),
-            &baseline,
-            &GateConfig::default(),
-        );
-        assert!(outcome.regressed, "{}", outcome.render());
+        assert!(!outcome.regressed, "{}", outcome.table("test"));
     }
 
     #[test]
@@ -961,8 +801,7 @@ mod tests {
     #[test]
     fn baseline_round_trips_through_json() {
         let r = run_trajectory(&small());
-        let json = baseline_json(&r);
-        let b = parse_baseline(&json).expect("parses");
+        let b = parse_baseline(&format!("{:#}", baseline_json(&r))).expect("parses");
         assert_eq!(b.bins, r.bins);
         assert_eq!(b.p50_ns, r.p50_ns);
         assert_eq!(b.p99_ns, r.p99_ns);
@@ -973,121 +812,39 @@ mod tests {
         }
     }
 
+    /// The gate's self-test, against the files CI gates on: the default
+    /// trajectory reproduces both committed baselines (so a stale baseline
+    /// fails `cargo test`), and a device 20% slower across the board is
+    /// flagged in both modes and attributed to `ssd_service`.
     #[test]
-    fn split_top_level_handles_nesting_and_strings() {
-        let json = r#"{"a": {"x": [1, 2, {"y": "},"}]}, "b": 7, "c": "s,tr", "d": []}"#;
-        let sections = split_top_level(json).expect("splits");
-        let get = |k: &str| {
-            sections
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-        };
-        assert_eq!(sections.len(), 4);
-        assert_eq!(get("a"), Some(r#"{"x": [1, 2, {"y": "},"}]}"#));
-        assert_eq!(get("b"), Some("7"));
-        assert_eq!(get("c"), Some(r#""s,tr""#));
-        assert_eq!(get("d"), Some("[]"));
-    }
-
-    #[test]
-    fn merge_preserves_sections_and_appends_trajectory() {
-        let prev = r#"{"run": {"old": 1}, "legacy": [5], "trajectory": [{"seed": 1}]}"#;
-        let fresh = r#"{"run": {"new": 2}, "cache": {"z": 9}}"#;
-        let merged = merge_bench_json(Some(prev), fresh, r#"{"seed": 2}"#);
-        let sections = split_top_level(&merged).expect("merged splits");
-        let get = |k: &str| {
-            sections
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-        };
-        // Fresh wins; absent prior sections survive.
-        assert_eq!(get("run"), Some(r#"{"new": 2}"#));
-        assert_eq!(get("cache"), Some(r#"{"z": 9}"#));
-        assert_eq!(get("legacy"), Some("[5]"));
-        // Trajectory appends.
-        assert_eq!(get("trajectory"), Some(r#"[{"seed": 1}, {"seed": 2}]"#));
-        // And the result is valid JSON.
-        let parsed = parse_json(&merged).expect("valid");
-        assert_eq!(
-            parsed
-                .get("trajectory")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn merge_section_replaces_only_its_key() {
-        let prev = r#"{"run": {"old": 1}, "trajectory": [{"seed": 1}], "serving": {"v": 0}}"#;
-        let merged = merge_section(Some(prev), "serving", r#"{"v": 1}"#);
-        let sections = split_top_level(&merged).expect("merged splits");
-        let get = |k: &str| {
-            sections
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-        };
-        assert_eq!(get("serving"), Some(r#"{"v": 1}"#));
-        assert_eq!(get("run"), Some(r#"{"old": 1}"#));
-        // Unlike merge_bench_json, the trajectory array is untouched.
-        assert_eq!(get("trajectory"), Some(r#"[{"seed": 1}]"#));
-        assert!(parse_json(&merged).is_ok(), "merged output parses");
-        // Absent key (or no prior file) inserts.
-        let fresh = merge_section(None, "serving", "{}");
-        assert_eq!(fresh.trim(), "{\n  \"serving\": {}\n}");
-    }
-
-    #[test]
-    fn merge_without_prior_file_starts_the_array() {
-        let fresh = r#"{"run": {"v": 1}}"#;
-        let merged = merge_bench_json(None, fresh, r#"{"seed": 9}"#);
-        let parsed = parse_json(&merged).expect("valid");
-        assert_eq!(
-            parsed
-                .get("trajectory")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn unchanged_rerun_passes_the_gate() {
-        let r = run_trajectory(&small());
-        let baseline = parse_baseline(&baseline_json(&r)).expect("baseline");
-        let outcome = check(&r, &baseline, &GateConfig::default());
-        assert!(!outcome.regressed, "{}", outcome.render());
-        assert_eq!(
-            outcome.mw.as_ref().map(|m| m.z),
-            Some(0.0),
-            "identical bins"
-        );
-    }
-
-    #[test]
-    fn injected_latency_regression_is_flagged_with_attribution() {
-        let p = small();
-        let base_report = run_trajectory(&p);
-        let baseline = parse_baseline(&baseline_json(&base_report)).expect("baseline");
-        let perturbed = TrialParams {
+    fn committed_baselines_gate_green_and_flag_a_20_percent_slower_device() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        let uncached_path = format!("{dir}{BASELINE_PATH}");
+        let slow = TrialParams {
             latency_scale: 1.2,
-            ..p
+            ..TrialParams::default()
         };
-        let outcome = check(
-            &run_trajectory(&perturbed),
-            &baseline,
-            &GateConfig::default(),
-        );
-        assert!(outcome.regressed, "{}", outcome.render());
-        assert!(outcome.rel_shift_p50.max(outcome.rel_shift_p99) > 0.05);
-        assert_eq!(
-            outcome.dominant_shift().map(|c| c.name),
-            Some("ssd_service"),
-            "a slower device model must be attributed to the ssd_service component"
-        );
-        assert!(outcome.to_json().contains("\"regressed\": true"));
+        type Run = fn(&TrialParams) -> TrajectoryReport;
+        for (path, run) in [
+            (uncached_path.clone(), run_trajectory as Run),
+            (cached_baseline_path(&uncached_path), run_cached_trajectory),
+        ] {
+            let text = std::fs::read_to_string(&path).expect("committed baseline");
+            let baseline = parse_baseline(&text).expect("committed baseline parses");
+            let gate = GateConfig::default();
+            let same = check(&run(&TrialParams::default()), &baseline, &gate);
+            assert!(!same.regressed, "{path}\n{}", same.table("stale?"));
+            assert_eq!(same.mw.map(|m| m.z), Some(0.0), "bins reproduce exactly");
+            let slower = check(&run(&slow), &baseline, &gate);
+            assert!(slower.regressed, "{path}\n{}", slower.table("slow"));
+            assert!(slower.rel_shift_p50.max(slower.rel_shift_p99) > gate.min_rel_shift);
+            let diff = slower.to_json();
+            assert_eq!(diff.get("regressed"), Some(&Json::Bool(true)));
+            assert_eq!(diff.get("dominant_shift"), Some(&Json::from("ssd_service")));
+        }
+        // One worker pushing four channels' SQEs is the honest bottleneck
+        // of the default configuration, and the trajectory entry says so.
+        let entry = trajectory_entry_json(&run_trajectory(&TrialParams::default()), "sha", 1);
+        assert_eq!(entry.get("dominant_mean"), Some(&Json::from("lane_wait")));
     }
 }

@@ -9,25 +9,23 @@
 //! end-of-run snapshot (deterministic shape, for scripts and CI smoke) and
 //! returns the `bench/out/health_snapshot.json` payload.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cam_blockdev::{BlockGeometry, BlockStore, FaultPolicy, FaultyStore, SparseMemStore};
 use cam_core::{CamConfig, CamContext, ChannelOp};
-use cam_iostacks::{Rig, RigConfig};
 use cam_serving::{run_serving_threaded, Policy, ServingConfig, ServingCore};
+use cam_telemetry::json::Json;
 use cam_telemetry::{
-    clock, health_state_label, FlightRecorder, MetricsRegistry, Observability, OpsWindows,
-    SloConfig, SloTracker, WindowConfig,
+    clock, health_state_label, obj, FlightRecorder, MetricsRegistry, Observability, OpsWindows,
+    SloTracker, WindowConfig,
 };
 use cam_workloads::kv_cache::KvCacheConfig;
 use parking_lot::Mutex;
 
+use crate::health_run::{overload_rig, slo_config, N_SSDS};
 use crate::Table;
 
-const N_SSDS: usize = 2;
 const N_CHANNELS: usize = 2;
 const BLOCK_SIZE: u32 = 4096;
 const BATCH_REQS: u64 = 32;
@@ -43,7 +41,7 @@ pub struct WatchReport {
     /// The final rendered snapshot (what `--once` prints).
     pub rendered: String,
     /// The `bench/out/health_snapshot.json` payload.
-    pub snapshot_json: String,
+    pub snapshot_json: Json,
     /// Snapshot frames rendered (1 in `--once` mode).
     pub frames: u64,
 }
@@ -73,36 +71,13 @@ pub fn run_watch(once: bool, mut emit: impl FnMut(&str)) -> WatchReport {
     // The serving smoke runs first: its end-of-run gauges hold steady, so
     // every frame (live and final) carries the per-tenant rows.
     let tenant_reg = run_serving_smoke();
-    let rig_cfg = RigConfig {
-        n_ssds: N_SSDS,
-        blocks_per_ssd: 4096,
-        ..RigConfig::default()
-    };
-    let faulty: Arc<dyn BlockStore> = Arc::new(FaultyStore::new(
-        Arc::new(SparseMemStore::new(BlockGeometry::new(
-            rig_cfg.block_size,
-            rig_cfg.blocks_per_ssd,
-        ))),
-        FaultPolicy::transient_reads_in(0, 16, 2),
-    ));
-    let healthy: Arc<dyn BlockStore> = Arc::new(SparseMemStore::new(BlockGeometry::new(
-        rig_cfg.block_size,
-        rig_cfg.blocks_per_ssd,
-    )));
-    let rig = Rig::with_stores(rig_cfg, vec![faulty, healthy]);
+    let (rig, _faulty) = overload_rig();
 
     let registry = Arc::new(MetricsRegistry::new());
     let recorder = Arc::new(FlightRecorder::with_capacity(RING_CAPACITY));
     recorder.attach_dropped_counter(&registry);
     let windows = Arc::new(OpsWindows::new(WindowConfig::default(), N_SSDS, N_CHANNELS));
-    let slo = Arc::new(SloTracker::new(
-        SloConfig {
-            latency_target_ns: 1_000,
-            error_budget: 0.01,
-            ..SloConfig::default()
-        },
-        N_CHANNELS,
-    ));
+    let slo = Arc::new(SloTracker::new(slo_config(), N_CHANNELS));
     let obs = Observability::recorded(Arc::clone(&registry), Arc::clone(&recorder))
         .with_windows(Arc::clone(&windows))
         .with_slo(Arc::clone(&slo));
@@ -305,78 +280,57 @@ pub fn snapshot_json(
     windows: &OpsWindows,
     slo: &SloTracker,
     tenant_reg: &MetricsRegistry,
-) -> String {
+) -> Json {
     let now = clock::now_ns();
     let snap = registry.snapshot();
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n  \"lanes\": [\n");
-    for ssd in 0..windows.ssd_complete.len() {
-        let health = snap.gauge(&format!("cam_lane_health{{ssd=\"{ssd}\"}}"));
-        let retry_rate = windows.ssd_retries[ssd].ratio_at(now).unwrap_or(0.0);
-        let _ = write!(
-            out,
-            "    {{\"ssd\": {ssd}, \"health\": \"{}\", \"inflight_peak\": {}, \
-             \"window_retry_rate\": {retry_rate:.4}, \"window_complete_p99_ns\": {}}}",
-            health_state_label(health.min(u64::from(u8::MAX)) as u8),
-            snap.gauge(&format!("cam_inflight_peak{{ssd=\"{ssd}\"}}")),
-            windows.ssd_complete[ssd].quantile_at(now, 0.99)
-        );
-        out.push_str(if ssd + 1 < windows.ssd_complete.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"channels\": [\n");
-    for ch in 0..slo.n_channels() {
-        let burn = slo.burn_rate(ch, now);
-        let _ = write!(
-            out,
-            "    {{\"channel\": {ch}, \"burn_short\": {:.2}, \"burn_long\": {:.2}, \
-             \"window_batches\": {}, \"window_batch_p99_ns\": {}}}",
-            burn.short,
-            burn.long,
-            windows.channel_batch[ch].count_at(now),
-            windows.channel_batch[ch].quantile_at(now, 0.99)
-        );
-        out.push_str(if ch + 1 < slo.n_channels() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"workers\": [\n");
-    let parked = park_ratios(&snap);
-    for (i, (worker, milli)) in parked.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"worker\": {worker}, \"park_ratio\": {:.3}}}",
-            *milli as f64 / 1000.0
-        );
-        out.push_str(if i + 1 < parked.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"tenants\": [\n");
     let tsnap = tenant_reg.snapshot();
-    for tenant in 0..SERVE_TENANTS {
+    let lanes = (0..windows.ssd_complete.len()).map(|ssd| {
+        let health = snap.gauge(&format!("cam_lane_health{{ssd=\"{ssd}\"}}"));
+        obj! {
+            "ssd" => ssd,
+            "health" => health_state_label(health.min(u64::from(u8::MAX)) as u8),
+            "inflight_peak" => snap.gauge(&format!("cam_inflight_peak{{ssd=\"{ssd}\"}}")),
+            "window_retry_rate" =>
+                Json::fixed(windows.ssd_retries[ssd].ratio_at(now).unwrap_or(0.0), 4),
+            "window_complete_p99_ns" => windows.ssd_complete[ssd].quantile_at(now, 0.99),
+        }
+    });
+    let channels = (0..slo.n_channels()).map(|ch| {
+        let burn = slo.burn_rate(ch, now);
+        obj! {
+            "channel" => ch,
+            "burn_short" => Json::fixed(burn.short, 2),
+            "burn_long" => Json::fixed(burn.long, 2),
+            "window_batches" => windows.channel_batch[ch].count_at(now),
+            "window_batch_p99_ns" => windows.channel_batch[ch].quantile_at(now, 0.99),
+        }
+    });
+    let workers = park_ratios(&snap).into_iter().map(|(worker, milli)| {
+        obj! {
+            "worker" => worker.parse::<u64>().ok(),
+            "park_ratio" => Json::fixed(milli as f64 / 1000.0, 3),
+        }
+    });
+    let tenants = (0..SERVE_TENANTS).map(|tenant| {
         let (burn, p50, p99, hit, admitted, throttled, completed) = tenant_row(&tsnap, tenant);
-        let _ = write!(
-            out,
-            "    {{\"tenant\": {tenant}, \"burn_rate\": {burn:.2}, \"p50_ns\": {p50}, \
-             \"p99_ns\": {p99}, \"hit_rate\": {hit:.3}, \"admitted\": {admitted}, \
-             \"throttled\": {throttled}, \"completed\": {completed}}}"
-        );
-        out.push_str(if tenant + 1 < SERVE_TENANTS {
-            ",\n"
-        } else {
-            "\n"
-        });
+        obj! {
+            "tenant" => tenant,
+            "burn_rate" => Json::fixed(burn, 2),
+            "p50_ns" => p50,
+            "p99_ns" => p99,
+            "hit_rate" => Json::fixed(hit, 3),
+            "admitted" => admitted,
+            "throttled" => throttled,
+            "completed" => completed,
+        }
+    });
+    obj! {
+        "lanes" => Json::arr(lanes),
+        "channels" => Json::arr(channels),
+        "workers" => Json::arr(workers),
+        "tenants" => Json::arr(tenants),
+        "trace_dropped" => snap.counter("cam_trace_dropped_total"),
     }
-    let _ = write!(
-        out,
-        "  ],\n  \"trace_dropped\": {}\n}}\n",
-        snap.counter("cam_trace_dropped_total")
-    );
-    out
 }
 
 #[cfg(test)]
@@ -397,37 +351,34 @@ mod tests {
             report.rendered
         );
         assert!(report.rendered.contains("healthy"));
+        assert!(report.rendered.contains("lanes (rolling window)"));
+        assert!(report.rendered.contains("burn short"));
         assert!(report.rendered.contains("workers (rolling window)"));
         assert!(report.rendered.contains("tenants (rolling window)"));
         assert!(report.rendered.contains("trace events dropped:"));
+        // The machine-readable twin carries the same story, typed.
         let json = &report.snapshot_json;
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in [
-            "\"lanes\"",
-            "\"channels\"",
-            "\"health\": \"recovered\"",
-            "\"health\": \"healthy\"",
-            "\"burn_short\"",
-            "\"workers\"",
-            "\"park_ratio\"",
-            "\"tenants\"",
-            "\"hit_rate\"",
-            "\"trace_dropped\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let rows = |key: &str| json.get(key).and_then(Json::as_arr).expect("array");
+        let lanes = rows("lanes");
+        assert_eq!((lanes.len(), rows("channels").len()), (N_SSDS, N_CHANNELS));
+        let health = |lane: &Json| lane.get("health").and_then(Json::as_str).map(str::to_owned);
+        assert_eq!(health(&lanes[0]).as_deref(), Some("recovered"));
+        assert_eq!(health(&lanes[1]).as_deref(), Some("healthy"));
+        let num = |row: &Json, key: &str| row.get(key).and_then(Json::as_f64).expect("number");
+        assert!(num(&lanes[0], "window_retry_rate") > 0.0, "{json}");
+        assert!(rows("channels").iter().all(|c| num(c, "burn_short") >= 0.0));
+        assert!(!rows("workers").is_empty());
+        assert!(json.get("trace_dropped").and_then(Json::as_u64).is_some());
         // The serving smoke retired real multi-tenant traffic: every
         // tenant row reports completions and a sub-unity hit rate.
-        let parsed = cam_telemetry::trace::parse_json(json).expect("snapshot json");
-        let tenants = parsed
-            .get("tenants")
-            .and_then(cam_telemetry::trace::Json::as_arr)
-            .expect("tenants array");
+        let tenants = rows("tenants");
         assert_eq!(tenants.len(), SERVE_TENANTS);
         for t in tenants {
-            let completed = t.get("completed").and_then(|v| v.as_f64()).unwrap();
-            assert!(completed > 0.0, "tenant retired no traffic: {json}");
-            let hit = t.get("hit_rate").and_then(|v| v.as_f64()).unwrap();
+            assert!(
+                num(t, "completed") > 0.0,
+                "tenant retired no traffic: {json}"
+            );
+            let hit = num(t, "hit_rate");
             assert!((0.0..1.0).contains(&hit), "degenerate hit rate: {json}");
         }
     }

@@ -20,9 +20,9 @@
 //! p99s, so the components of the tail row still sum to the tail's total —
 //! per-stage quantiles don't add up and routinely mis-attribute tails.
 
-use std::fmt::Write as _;
-
 use crate::critical::BatchAttribution;
+use crate::json::Json;
+use crate::obj;
 use crate::span::Stage;
 
 /// Operator-facing name of a stage's delay component (see module docs).
@@ -80,102 +80,25 @@ impl LatencyDecomposition {
         self.mean_ns[stage.index()] / self.mean_total_ns
     }
 
-    /// Renders the decomposition as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"batches\": {}, \"mean_total_ns\": {:.1}, \"p99_total_ns\": {}, \
-             \"tail_batches\": {}, \"mean_ns\": {{",
-            self.batches, self.mean_total_ns, self.p99_total_ns, self.tail_batches
-        );
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            let comma = if i > 0 { ", " } else { "" };
-            if self.present[s.index()] {
-                let _ = write!(
-                    out,
-                    "{comma}\"{}\": {:.1}",
-                    component_name(*s),
-                    self.mean_ns[s.index()]
-                );
-            } else {
-                let _ = write!(out, "{comma}\"{}\": null", component_name(*s));
-            }
-        }
-        out.push_str("}, \"p99_tail_mean_ns\": {");
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            let comma = if i > 0 { ", " } else { "" };
-            if self.present[s.index()] {
-                let _ = write!(
-                    out,
-                    "{comma}\"{}\": {:.1}",
-                    component_name(*s),
-                    self.tail_mean_ns[s.index()]
-                );
-            } else {
-                let _ = write!(out, "{comma}\"{}\": null", component_name(*s));
-            }
-        }
-        let _ = write!(
-            out,
-            "}}, \"dominant_mean\": \"{}\", \"dominant_tail\": \"{}\"}}",
-            component_name(self.dominant_mean()),
-            component_name(self.dominant_tail())
-        );
-        out
-    }
-
-    /// Renders a two-row human table: mean and p99-tail, one column per
-    /// component, with the dominant component flagged.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<10} {:>14} {:>14} {:>12} {:>14} {:>10}  total (ns)",
-            "row", "doorbell_wait", "dispatch", "lane_wait", "ssd_service", "retire"
-        );
-        let cell = |stage: Stage, vals: &[f64; Stage::ALL.len()]| {
-            if self.present[stage.index()] {
-                format!("{:.0}", vals[stage.index()])
-            } else {
-                "n/a".to_string()
-            }
+    /// The decomposition as a JSON object; structurally absent components
+    /// are `null`.
+    pub fn to_json(&self) -> Json {
+        let components = |vals: &[f64; Stage::ALL.len()]| {
+            Json::obj(Stage::ALL.iter().map(|s| {
+                let v = self.present[s.index()].then(|| Json::fixed(vals[s.index()], 1));
+                (component_name(*s), Json::from(v))
+            }))
         };
-        let row = |label: &str, vals: &[f64; Stage::ALL.len()], total: f64, dom: Stage| {
-            format!(
-                "{:<10} {:>14} {:>14} {:>12} {:>14} {:>10}  {:.0} (dominant: {})",
-                label,
-                cell(Stage::Pickup, vals),
-                cell(Stage::Dispatch, vals),
-                cell(Stage::Submit, vals),
-                cell(Stage::Complete, vals),
-                cell(Stage::Retire, vals),
-                total,
-                component_name(dom),
-            )
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            row(
-                "mean",
-                &self.mean_ns,
-                self.mean_total_ns,
-                self.dominant_mean()
-            )
-        );
-        let tail_total: f64 = self.tail_mean_ns.iter().sum();
-        let _ = writeln!(
-            out,
-            "{}",
-            row(
-                "p99 tail",
-                &self.tail_mean_ns,
-                tail_total,
-                self.dominant_tail()
-            )
-        );
-        out
+        obj! {
+            "batches" => self.batches,
+            "mean_total_ns" => Json::fixed(self.mean_total_ns, 1),
+            "p99_total_ns" => self.p99_total_ns,
+            "tail_batches" => self.tail_batches,
+            "mean_ns" => components(&self.mean_ns),
+            "p99_tail_mean_ns" => components(&self.tail_mean_ns),
+            "dominant_mean" => component_name(self.dominant_mean()),
+            "dominant_tail" => component_name(self.dominant_tail()),
+        }
     }
 }
 
@@ -294,32 +217,29 @@ mod tests {
     }
 
     #[test]
-    fn json_and_table_render_every_component() {
+    fn json_renders_every_component() {
         let batches: Vec<_> = (0..10).map(|i| batch(2000 + i, 1500)).collect();
         let d = decompose(&batches).unwrap();
         let json = d.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in [
-            "\"doorbell_wait\"",
-            "\"dispatch\"",
-            "\"lane_wait\"",
-            "\"ssd_service\"",
-            "\"retire\"",
-            "\"dominant_mean\"",
-            "\"p99_tail_mean_ns\"",
-        ] {
-            assert!(json.contains(key), "missing {key}: {json}");
+        for section in ["mean_ns", "p99_tail_mean_ns"] {
+            for key in [
+                "doorbell_wait",
+                "dispatch",
+                "lane_wait",
+                "ssd_service",
+                "retire",
+            ] {
+                let v = json.get(section).and_then(|s| s.get(key));
+                assert!(
+                    v.and_then(Json::as_f64).is_some(),
+                    "missing {section}.{key}"
+                );
+            }
         }
-        let parsed = crate::trace::parse_json(&json).expect("valid json");
         assert_eq!(
-            parsed
-                .get("dominant_mean")
-                .and_then(crate::trace::Json::as_str),
+            json.get("dominant_mean").and_then(Json::as_str),
             Some("ssd_service")
         );
-        let table = d.render_table();
-        assert_eq!(table.lines().count(), 3);
-        assert!(table.contains("ssd_service"));
     }
 
     #[test]
@@ -328,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn structurally_absent_components_render_na_not_zero() {
+    fn structurally_absent_components_render_null_not_zero() {
         // A DES-like timeline: doorbell and pickup coincide and retire
         // follows the last completion instantly, so neither component
         // ever produces a sample — distinct from a component that merely
@@ -353,24 +273,13 @@ mod tests {
         assert!(!d.present[Stage::Retire.index()]);
         assert!(d.present[Stage::Dispatch.index()]);
 
-        let table = d.render_table();
-        let mean_row = table.lines().nth(1).expect("mean row");
+        let mean = d.to_json().get("mean_ns").cloned().expect("mean_ns");
         assert_eq!(
-            mean_row.matches("n/a").count(),
-            2,
-            "absent components must print n/a: {mean_row}"
+            mean.get("doorbell_wait"),
+            Some(&Json::Null),
+            "absent mean must be null"
         );
-        assert!(!mean_row.contains(" 0 "), "no bare zeros: {mean_row}");
-
-        let json = d.to_json();
-        assert!(
-            json.contains("\"doorbell_wait\": null"),
-            "absent mean must be null: {json}"
-        );
-        assert!(json.contains("\"retire\": null"));
-        assert!(json.contains("\"dispatch\": 100.0"));
-        // Still valid JSON with the nulls in place.
-        let parsed = crate::trace::parse_json(&json).expect("valid json");
-        assert!(parsed.get("mean_ns").is_some());
+        assert_eq!(mean.get("retire"), Some(&Json::Null));
+        assert_eq!(mean.get("dispatch"), Some(&Json::Num(100.0)));
     }
 }

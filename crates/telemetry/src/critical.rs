@@ -10,9 +10,10 @@
 //! stage dominates" question, answered per channel).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
+use crate::json::Json;
+use crate::obj;
 use crate::span::Stage;
 
 /// Stage attribution for one retired batch.
@@ -87,58 +88,21 @@ pub struct CriticalPathReport {
 }
 
 impl CriticalPathReport {
-    /// Renders the per-channel rollup as a JSON array (embedded in
-    /// `BENCH_repro.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, ch) in self.channels.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"channel\": {}, \"batches\": {}, \"dominant\": \"{}\", \
-                 \"dominant_fraction\": {:.4}",
-                ch.channel,
-                ch.batches,
-                ch.dominant().name(),
-                ch.dominant_fraction()
-            );
+    /// The per-channel rollup as a JSON array (`BENCH_repro.json`'s
+    /// `critical_path` section).
+    pub fn to_json(&self) -> Json {
+        Json::arr(self.channels.iter().map(|ch| {
+            let mut row = obj! {
+                "channel" => ch.channel,
+                "batches" => ch.batches,
+                "dominant" => ch.dominant().name(),
+                "dominant_fraction" => Json::fixed(ch.dominant_fraction(), 4),
+            };
             for s in Stage::ALL {
-                let _ = write!(out, ", \"{}_ns\": {}", s.name(), ch.stage_ns[s.index()]);
+                row.set(&format!("{}_ns", s.name()), ch.stage_ns[s.index()].into());
             }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
-
-    /// Renders a human-readable table of the per-channel attribution (the
-    /// `bench` experiment prints this next to the p50/p99 table).
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}  dominant",
-            "channel", "batches", "pickup", "dispatch", "submit", "complete", "retire"
-        );
-        for ch in &self.channels {
-            let mean = |s: Stage| ch.stage_ns[s.index()].checked_div(ch.batches).unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "{:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}  {} ({:.0}%)",
-                ch.channel,
-                ch.batches,
-                mean(Stage::Pickup),
-                mean(Stage::Dispatch),
-                mean(Stage::Submit),
-                mean(Stage::Complete),
-                mean(Stage::Retire),
-                ch.dominant().name(),
-                ch.dominant_fraction() * 100.0
-            );
-        }
-        out
+            row
+        }))
     }
 }
 
@@ -357,15 +321,16 @@ mod tests {
         assert!(ch0.dominant_fraction() > 0.5);
         assert_eq!(ch0.dominant_batches[Stage::Complete.index()], 3);
         let json = report.to_json();
-        let parsed = crate::trace::parse_json(&json).expect("valid json");
-        let arr = parsed.as_arr().unwrap();
+        let arr = json.as_arr().unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(
-            arr[0].get("dominant").and_then(crate::trace::Json::as_str),
+            arr[0].get("dominant").and_then(Json::as_str),
             Some("complete")
         );
-        // Table renders one line per channel plus a header.
-        assert_eq!(report.render_table().lines().count(), 3);
+        assert_eq!(
+            arr[0].get("complete_ns").and_then(Json::as_u64),
+            Some(ch0.stage_ns[Stage::Complete.index()])
+        );
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! * [`FlightRecorder`] — a bounded, per-thread-sharded ring of typed
 //!   [`Event`]s covering every protocol hand-off in both engines;
 //! * [`trace`] — Chrome trace-event / Perfetto export of a recorder
-//!   snapshot, plus a serde-free JSON parser and schema validator;
+//!   snapshot, plus its schema validator;
+//! * [`json`] — the one serde-free JSON value model, parser and writer
+//!   every emitted document goes through;
 //! * [`PostmortemDumper`] — fault-/deadline-triggered dumps of the last N
 //!   events plus a registry snapshot;
 //! * [`critical`] — per-batch critical-path attribution of doorbell→retire
@@ -59,6 +61,7 @@ mod control;
 pub mod critical;
 mod event;
 mod hist;
+pub mod json;
 mod obs;
 mod postmortem;
 mod recorder;

@@ -11,13 +11,13 @@
 //! Dumps are capped (`max_dumps`) so a fault storm cannot fill the disk;
 //! each dump gets a distinct `-<n>` suffixed path after the first.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::json::Json;
 use crate::recorder::FlightRecorder;
-use crate::MetricsRegistry;
+use crate::{obj, MetricsRegistry};
 
 /// Where and how much to dump. See [`PostmortemDumper`].
 #[derive(Clone, Debug)]
@@ -94,41 +94,24 @@ impl PostmortemDumper {
         self.cfg.path.with_file_name(format!("{stem}-{n}.{ext}"))
     }
 
-    /// Renders the dump body (also used by tests, which validate it with
-    /// [`crate::trace::parse_json`]).
+    /// Renders the dump body.
     pub fn render(&self, reason: &str) -> String {
         let events = self.recorder.last_n(self.cfg.last_events);
-        let mut out = String::with_capacity(events.len() * 128 + 1024);
-        let _ = write!(
-            out,
-            "{{\n  \"reason\": \"{}\",\n  \"triggered_at_ns\": {},\n  \"events_emitted\": {},\n  \
-             \"events_dropped\": {},\n  \"threads\": {{",
-            escape(reason),
-            crate::clock::now_ns(),
-            self.recorder.emitted(),
-            self.recorder.dropped(),
-        );
-        for (i, (tid, name)) in self.recorder.thread_names().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{tid}\": \"{}\"", escape(name));
-        }
-        out.push_str("},\n  \"events\": [\n");
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("    ");
-            out.push_str(&ev.to_json());
-        }
-        // The registry snapshot is itself a JSON object — embed it verbatim.
-        let _ = write!(
-            out,
-            "\n  ],\n  \"metrics\": {}\n}}\n",
-            self.registry.snapshot().to_json()
-        );
-        out
+        let threads = self.recorder.thread_names();
+        let dump = obj! {
+            "reason" => reason,
+            "triggered_at_ns" => crate::clock::now_ns(),
+            "events_emitted" => self.recorder.emitted(),
+            "events_dropped" => self.recorder.dropped(),
+            "threads" => Json::obj(threads.into_iter().map(|(tid, name)| (tid.to_string(), name.into()))),
+            // `Event::to_json` streams text (trace dumps are large); the
+            // envelope re-reads its records as values.
+            "events" => Json::arr(events.iter().map(|ev| {
+                crate::json::parse(&ev.to_json()).expect("Event::to_json emits valid JSON")
+            })),
+            "metrics" => self.registry.snapshot().to_json(),
+        };
+        format!("{dump:#}")
     }
 
     /// Writes a dump unless the cap is reached. Returns the path written,
@@ -161,10 +144,6 @@ impl std::fmt::Debug for PostmortemDumper {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Joins a base path with a test-scoped unique name under the target tmp dir.
 #[cfg(test)]
 fn tmp_path(name: &str) -> PathBuf {
@@ -177,7 +156,7 @@ fn tmp_path(name: &str) -> PathBuf {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::trace::{parse_json, Json};
+    use crate::json::{parse, Json};
 
     fn dumper(last_events: usize, max_dumps: u64, tag: &str) -> PostmortemDumper {
         let rec = Arc::new(FlightRecorder::new());
@@ -196,12 +175,13 @@ mod tests {
             d.recorder()
                 .emit_at(i, EventKind::FaultInjected { lba: i, read: true });
         }
-        let body = d.render("fault injected: lba 9");
-        let parsed = parse_json(&body).expect("dump parses");
-        assert_eq!(
-            parsed.get("reason").and_then(Json::as_str),
-            Some("fault injected: lba 9")
-        );
+        // Reasons are arbitrary caller text: control characters and quotes
+        // must survive the trip through the file.
+        for reason in ["fault injected: lba 9", "line\nbreak\t\"q\""] {
+            let parsed = parse(&d.render(reason)).expect("dump parses");
+            assert_eq!(parsed.get("reason").and_then(Json::as_str), Some(reason));
+        }
+        let parsed = parse(&d.render("fault injected: lba 9")).expect("dump parses");
         let events = parsed.get("events").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 4, "window is last N");
         // The window holds the most recent events.

@@ -15,6 +15,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::hist::Histogram;
+use crate::json::Json;
+use crate::obj;
 use crate::shared::HistogramHandle;
 
 /// A monotonically increasing counter. Cloning shares the underlying cell.
@@ -144,43 +146,31 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Serializes the snapshot as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in &self.counters {
-            sep(&mut out, &mut first, "    ");
-            let _ = write!(out, "{}: {v}", json_str(name));
+    /// The snapshot as a self-contained JSON object (`metrics.json`, and
+    /// the `metrics` field of a post-mortem dump).
+    pub fn to_json(&self) -> Json {
+        let scalars = |m: &BTreeMap<String, u64>| {
+            Json::obj(m.iter().map(|(name, v)| (name.as_str(), Json::from(*v))))
+        };
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let summary = obj! {
+                "count" => h.count,
+                "min" => h.min,
+                "max" => h.max,
+                "sum" => Json::Int(i128::try_from(h.sum).unwrap_or(i128::MAX)),
+                "mean" => Json::fixed(h.mean, 3),
+                "p50" => h.p50,
+                "p90" => h.p90,
+                "p95" => h.p95,
+                "p99" => h.p99,
+            };
+            (name.as_str(), summary)
+        });
+        obj! {
+            "counters" => scalars(&self.counters),
+            "gauges" => scalars(&self.gauges),
+            "histograms" => Json::obj(histograms),
         }
-        out.push_str("\n  },\n  \"gauges\": {");
-        let mut first = true;
-        for (name, v) in &self.gauges {
-            sep(&mut out, &mut first, "    ");
-            let _ = write!(out, "{}: {v}", json_str(name));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        let mut first = true;
-        for (name, h) in &self.histograms {
-            sep(&mut out, &mut first, "    ");
-            let _ = write!(
-                out,
-                "{}: {{\"count\": {}, \"min\": {}, \"max\": {}, \"sum\": {}, \
-                 \"mean\": {:.3}, \"p50\": {}, \"p90\": {}, \"p95\": {}, \"p99\": {}}}",
-                json_str(name),
-                h.count,
-                h.min,
-                h.max,
-                h.sum,
-                h.mean,
-                h.p50,
-                h.p90,
-                h.p95,
-                h.p99
-            );
-        }
-        out.push_str("\n  }\n}\n");
-        out
     }
 
     /// Serializes the snapshot in the Prometheus text exposition format.
@@ -235,37 +225,6 @@ impl MetricsSnapshot {
         }
         out
     }
-}
-
-fn sep(out: &mut String, first: &mut bool, indent: &str) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
-    out.push('\n');
-    out.push_str(indent);
-}
-
-/// JSON string literal with escaping (metric names contain `"` in labels).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Splits `name{a="b"}` into (`name`, `a="b"`); labels are `""` if absent.
@@ -372,7 +331,7 @@ impl MetricsRegistry {
     }
 
     /// Convenience: JSON of a fresh snapshot.
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         self.snapshot().to_json()
     }
 
@@ -425,11 +384,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("c_total{op=\"read\"}").inc();
         reg.histogram("h_ns").record(42);
-        let json = reg.to_json();
+        let json = reg.to_json().to_string();
         // Label quotes must be escaped into valid JSON.
         assert!(json.contains("\"c_total{op=\\\"read\\\"}\": 1"), "{json}");
         assert!(json.contains("\"p99\": 42"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(crate::json::parse(&json), Ok(reg.to_json()));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Chrome trace-event (Perfetto-loadable) export of a flight-recorder
-//! timeline, plus a dependency-free JSON parser used to validate traces in
-//! tests and tools (the workspace has no serde).
+//! timeline, plus the schema validator tests and tools run over it. The
+//! exporter streams one record per event with `write!` (dumps reach 10^5
+//! events) and shares [`crate::json`]'s escaper; the validator parses with
+//! [`crate::json::parse`].
 //!
 //! Mapping (see `docs/OBSERVABILITY.md` for the full schema):
 //!
@@ -20,32 +22,15 @@
 //! * Simulated requests are async spans `cat:"sim"` on per-SSD tracks.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
+use crate::json::{esc, parse, Json};
 use crate::ControlMetrics;
 
 /// pid of the functional-engine process group in exported traces.
 pub const PID_FUNCTIONAL: u64 = 1;
 /// pid of the DES timing-engine process group in exported traces.
 pub const PID_SIM: u64 = 2;
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn op_name(op: u8) -> &'static str {
     ControlMetrics::OPS
@@ -456,247 +441,6 @@ pub fn chrome_trace(events: &[Event], thread_names: &[(u32, String)]) -> String 
     w.finish()
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (validation only — the workspace has no serde).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Just enough structure to validate exported traces
-/// and post-mortem dumps in tests.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("JSON error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn lit(&mut self, text: &str, val: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected '{text}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number bytes"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("short \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u bytes"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parses a complete JSON document.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(v)
-}
-
 /// Shape counts from a validated trace (see [`validate_chrome_trace`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
@@ -723,7 +467,7 @@ pub struct TraceSummary {
 /// `cat` + `id` on async records, `dur` on complete spans, and balanced
 /// async begin/end counts per `(cat, id)`.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
-    let root = parse_json(text)?;
+    let root = parse(text)?;
     let events = root
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -892,6 +636,10 @@ mod tests {
         let rec = sample_recorder();
         let json = chrome_trace(&rec.snapshot(), &rec.thread_names());
         let summary = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(
+            parse(&json).unwrap().get("displayTimeUnit"),
+            Some(&Json::from("ns"))
+        );
         // One batch async span + one sim async span.
         assert_eq!(summary.async_begin, 2);
         assert_eq!(summary.async_end, 2);
@@ -914,19 +662,5 @@ mod tests {
         let bad = "{\"traceEvents\": [{\"name\": \"a\", \"cat\": \"c\", \"ph\": \"b\", \
                    \"id\": \"1\", \"pid\": 1, \"tid\": 0, \"ts\": 1}]}";
         assert!(validate_chrome_trace(bad).is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_numbers() {
-        let v = parse_json("{\"a\\n\\\"b\": [1.5, -2e3, true, null, \"\\u0041\"]}").unwrap();
-        let arr = v.get("a\n\"b").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.5));
-        assert_eq!(arr[1].as_f64(), Some(-2000.0));
-        assert_eq!(arr[2], Json::Bool(true));
-        assert_eq!(arr[3], Json::Null);
-        assert_eq!(arr[4].as_str(), Some("A"));
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("[1] extra").is_err());
     }
 }

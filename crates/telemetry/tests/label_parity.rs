@@ -20,7 +20,7 @@ fn every_metric_keeps_its_labels_in_both_expositions() {
     m.slo_burn[0].set(1500);
     m.worker_park_ratio[1].set(990);
     let snap = reg.snapshot();
-    let json = snap.to_json();
+    let json = snap.to_json().to_string();
     let prom = snap.to_prometheus();
     for name in snap.counters.keys().chain(snap.gauges.keys()) {
         assert!(json.contains(&json_key(name)), "JSON lost {name}");
@@ -83,7 +83,7 @@ fn tenant_labels_survive_both_expositions_beside_channel_labels() {
     tenants.throttled[1].add(3);
     tenants.completed[0].add(11);
     let snap = reg.snapshot();
-    let json = snap.to_json();
+    let json = snap.to_json().to_string();
     let prom = snap.to_prometheus();
     // The tenant dimension is a *new* label set on an *existing* family:
     // both series coexist under the one burn-rate name.
