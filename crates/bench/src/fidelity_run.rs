@@ -30,16 +30,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cam_cache::{CacheConfig, CachedDevice};
+use cam_cache::{run_cam_des_cached, CacheConfig, CachedDevice};
 use cam_core::{CamConfig, CamContext, ChannelOp};
-use cam_iostacks::cam_des::{
-    run_cam_des, run_cam_des_cached, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel,
-};
+use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel};
 use cam_iostacks::des::cam_thread_cost;
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::cache_core::{replay_read_workload, CacheDecisionCounters};
-use cam_protocol::{plan_batch, DecisionCounters, PlanConfig};
+use cam_protocol::{replay_plan_workload, DecisionCounters, PlanConfig};
 use cam_telemetry::json::Json;
 use cam_telemetry::{obj, EventKind, FlightRecorder, MetricsRegistry, Observability};
 
@@ -215,22 +213,12 @@ pub fn expected_decisions(channels: &[Vec<CamDesBatch>]) -> DecisionCounters {
         stripe_blocks: STRIPE_BLOCKS,
         block_size: BLOCK_SIZE,
     };
-    let mut d = DecisionCounters::default();
-    for ch in channels {
-        for b in ch {
-            let stride = u64::from(b.blocks) * u64::from(BLOCK_SIZE);
-            let reqs = b
-                .lbas
-                .iter()
-                .enumerate()
-                .map(|(i, &lba)| (lba, i as u64 * stride))
-                .collect();
-            let plan = plan_batch(&cfg, ChannelOp::Read, b.blocks, reqs);
-            d.record_plan(&plan);
-            d.sqes += plan.runs();
-        }
-    }
-    d
+    let batches = channels.iter().flatten();
+    replay_plan_workload(
+        &cfg,
+        ChannelOp::Read,
+        batches.map(|b| (b.lbas.as_slice(), b.blocks)),
+    )
 }
 
 /// Runs the seeded workload on both drivers in both modes and assembles
@@ -382,10 +370,11 @@ pub fn run_des(
     channels: &[Vec<CamDesBatch>],
     recorder: Option<Arc<FlightRecorder>>,
 ) -> FidelityModeReport {
-    let r = run_cam_des(
+    let r = run_cam_des_obs(
         des_config(N_SSDS, STRIPE_BLOCKS, pipelined, rig_matched_ssd_model()),
         channels.to_vec(),
         recorder,
+        CamDesObs::default(),
     );
     FidelityModeReport {
         pipelined,
@@ -453,8 +442,6 @@ pub fn cached_fidelity_workload_seeded(rounds: u64, seed: u64) -> Vec<Vec<u64>> 
 /// One cached run's outcome: the decision counters (the exact-equality
 /// payload) plus the informative mean demand-read latency.
 pub struct CachedModeReport {
-    /// Whether the reactor ran pipelined.
-    pub pipelined: bool,
     /// Every cache decision the run made.
     pub counters: CacheDecisionCounters,
     /// Mean doorbell→retire latency of demand batches, ns (wall-clock or
@@ -527,7 +514,6 @@ fn run_functional_cached(pipelined: bool, batches: &[Vec<u64>]) -> CachedModeRep
         .map(|h| h.mean)
         .unwrap_or(0.0) as u64;
     CachedModeReport {
-        pipelined,
         counters,
         mean_read_ns,
     }
@@ -540,14 +526,9 @@ fn run_des_cached(pipelined: bool, batches: &[Vec<u64>], array_blocks: u64) -> C
         array_blocks,
         batches.to_vec(),
         None,
-        CamDesObs {
-            windows: None,
-            slo: None,
-            lifecycle: false,
-        },
+        CamDesObs::default(),
     );
     CachedModeReport {
-        pipelined,
         counters,
         mean_read_ns: r.mean_batch_ns as u64,
     }

@@ -25,7 +25,7 @@ use cam_protocol::RetryPolicy;
 use cam_telemetry::json::Json;
 use cam_telemetry::{
     clock, health_state_label, obj, EventKind, FlightRecorder, MetricsRegistry, Observability,
-    SloConfig, SloTracker,
+    OpsWindows, SloConfig, SloTracker, WindowConfig,
 };
 
 use crate::fidelity_run::des_config;
@@ -71,6 +71,11 @@ pub struct HealthDriverReport {
     pub burn_long: f64,
     /// Protocol retries the run decided.
     pub retries: u64,
+    /// `CmdRetry` events on the driver's timeline.
+    pub retry_events: u64,
+    /// Numerator of lane 0's windowed retry rate at end of run (retries
+    /// only; the window outlasts the run).
+    pub retry_window: u64,
     /// Transient faults the device layer injected.
     pub faults: u64,
     /// Batches retired.
@@ -105,6 +110,19 @@ impl HealthReport {
         self.functional.burn_short.max(self.functional.burn_long) > 1.0
             && self.des.burn_short.max(self.des.burn_long) > 1.0
     }
+}
+
+/// Rolling windows long enough to hold the whole run on either timeline.
+fn run_long_windows() -> Arc<OpsWindows> {
+    let cfg = WindowConfig::new(3_600_000_000_000, 4);
+    Arc::new(OpsWindows::new(cfg, N_SSDS, 1))
+}
+
+/// `CmdRetry` events in a recorder's timeline.
+fn retry_events(recorder: &FlightRecorder) -> u64 {
+    let is_retry = |kind| matches!(kind, EventKind::CmdRetry { .. });
+    let events = recorder.snapshot();
+    events.iter().filter(|e| is_retry(e.kind)).count() as u64
 }
 
 /// The matched workload: `ROUNDS` batches of single-block reads over
@@ -159,8 +177,10 @@ fn run_functional() -> HealthDriverReport {
     let registry = Arc::new(MetricsRegistry::new());
     let recorder = Arc::new(FlightRecorder::new());
     let slo = Arc::new(SloTracker::new(slo_config(), 1));
+    let windows = run_long_windows();
     let obs = Observability::recorded(Arc::clone(&registry), Arc::clone(&recorder))
-        .with_slo(Arc::clone(&slo));
+        .with_slo(Arc::clone(&slo))
+        .with_windows(Arc::clone(&windows));
     let cfg = CamConfig {
         n_channels: 1,
         workers: Some(1),
@@ -192,12 +212,15 @@ fn run_functional() -> HealthDriverReport {
     drop(cam);
 
     let transitions = transitions_from_events(&recorder);
-    let burn = slo.burn_rate(0, clock::now_ns());
+    let now = clock::now_ns();
+    let burn = slo.burn_rate(0, now);
     HealthDriverReport {
         transitions,
         burn_short: burn.short,
         burn_long: burn.long,
         retries: stats.retries,
+        retry_events: retry_events(&recorder),
+        retry_window: windows.ssd_retries[0].sums_at(now).0,
         faults: faulty.injected(),
         batches: stats.batches,
     }
@@ -205,10 +228,12 @@ fn run_functional() -> HealthDriverReport {
 
 fn run_des() -> HealthDriverReport {
     let slo = Arc::new(SloTracker::new(slo_config(), 1));
+    let windows = run_long_windows();
+    let recorder = Arc::new(FlightRecorder::new());
     let obs = CamDesObs {
-        windows: None,
+        windows: Some(Arc::clone(&windows)),
         slo: Some(Arc::clone(&slo)),
-        lifecycle: false,
+        lifecycle: true,
     };
     let r = run_cam_des_obs(
         CamDesConfig {
@@ -223,10 +248,11 @@ fn run_des() -> HealthDriverReport {
             ..des_config(N_SSDS, 1, true, SsdModel::p5510())
         },
         workload(),
-        None,
+        Some(Arc::clone(&recorder)),
         obs,
     );
-    let burn = slo.burn_rate(0, r.duration.as_ns());
+    let end = r.duration.as_ns();
+    let burn = slo.burn_rate(0, end);
     HealthDriverReport {
         transitions: r
             .transitions
@@ -236,6 +262,8 @@ fn run_des() -> HealthDriverReport {
         burn_short: burn.short,
         burn_long: burn.long,
         retries: r.decisions.retries,
+        retry_events: retry_events(&recorder),
+        retry_window: windows.ssd_retries[0].sums_at(end).0,
         faults: r.faults_injected,
         batches: r.batches,
     }
@@ -336,6 +364,20 @@ pub fn bars(report: &HealthReport) -> Vec<String> {
             f.faults, f.retries, d.faults, d.retries
         ),
     );
+    require(
+        &mut failed,
+        [
+            f.retry_events,
+            f.retry_window,
+            d.retry_events,
+            d.retry_window,
+        ] == [f.retries; 4],
+        format!(
+            "every retry must be one CmdRetry event and one windowed-rate numerator count: \
+             functional {} events/{} windowed, des {} events/{} windowed, {} retries",
+            f.retry_events, f.retry_window, d.retry_events, d.retry_window, f.retries
+        ),
+    );
     failed
 }
 
@@ -362,6 +404,10 @@ mod tests {
             "functional transition sequence diverged"
         );
         assert_eq!(bars(&report), Vec::<String>::new());
+        // Driver drift guard: the shared fault schedule yields the same
+        // retry events and the same windowed-retry numerator on both.
+        assert_eq!(report.functional.retry_events, report.des.retry_events);
+        assert_eq!(report.functional.retry_window, report.des.retry_window);
         assert_eq!(report.functional.batches, ROUNDS as u64);
         assert_eq!(report.des.batches, ROUNDS as u64);
         let section = slo_section_json(&report);

@@ -33,9 +33,8 @@
 
 use std::sync::Arc;
 
-use cam_iostacks::cam_des::{
-    run_cam_des_cached, run_cam_des_obs, CamDesConfig, CamDesObs, CamDesReport,
-};
+use cam_cache::run_cam_des_cached;
+use cam_iostacks::cam_des::{run_cam_des_obs, CamDesConfig, CamDesObs, CamDesReport};
 use cam_nvme::SsdModel;
 use cam_simkit::Dur;
 use cam_telemetry::attribution::{component_name, decompose, LatencyDecomposition};

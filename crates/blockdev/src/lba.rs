@@ -70,28 +70,10 @@ impl BlockGeometry {
         BlockGeometry { block_size, blocks }
     }
 
-    /// Geometry of a store with 4 KiB blocks and the given total bytes
-    /// (rounded down to whole blocks).
-    pub fn with_capacity_bytes(block_size: u32, bytes: u64) -> Self {
-        Self::new(block_size, bytes / block_size as u64)
-    }
-
     /// Total capacity in bytes.
     #[inline]
     pub fn capacity_bytes(&self) -> u64 {
         self.blocks * self.block_size as u64
-    }
-
-    /// Byte offset of `lba`.
-    #[inline]
-    pub fn byte_offset(&self, lba: Lba) -> u64 {
-        lba.0 * self.block_size as u64
-    }
-
-    /// Number of blocks needed to hold `bytes` (rounded up).
-    #[inline]
-    pub fn blocks_for_bytes(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.block_size as u64)
     }
 
     /// Whether the `count`-block range at `lba` lies inside the space.
@@ -120,19 +102,9 @@ mod tests {
     fn geometry_math() {
         let g = BlockGeometry::new(4096, 1024);
         assert_eq!(g.capacity_bytes(), 4 << 20);
-        assert_eq!(g.byte_offset(Lba(2)), 8192);
-        assert_eq!(g.blocks_for_bytes(1), 1);
-        assert_eq!(g.blocks_for_bytes(4096), 1);
-        assert_eq!(g.blocks_for_bytes(4097), 2);
         assert!(g.contains(Lba(1023), 1));
         assert!(!g.contains(Lba(1023), 2));
         assert!(!g.contains(Lba(u64::MAX), 2)); // overflow-safe
-    }
-
-    #[test]
-    fn capacity_constructor_rounds_down() {
-        let g = BlockGeometry::with_capacity_bytes(512, 1_000_000);
-        assert_eq!(g.blocks, 1953);
     }
 
     #[test]

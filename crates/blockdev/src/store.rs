@@ -168,11 +168,6 @@ impl SparseMemStore {
         }
     }
 
-    /// Convenience constructor: 4 KiB blocks, `bytes` total capacity.
-    pub fn with_capacity_bytes(bytes: u64) -> Self {
-        Self::new(BlockGeometry::with_capacity_bytes(4096, bytes))
-    }
-
     #[inline]
     fn shard(&self, block: u64) -> &Mutex<HashMap<u64, Box<[u8]>>> {
         // Mix the low bits a little so striped access doesn't hammer one shard.

@@ -155,41 +155,21 @@ impl BlockCache {
         self.inner.buf.addr() + idx as u64 * self.inner.block_size as u64
     }
 
-    /// Mirrors new core decisions into the metrics registry (and the
-    /// rolling hit/accuracy windows). Called with the state lock held
-    /// after every mutating core operation.
+    /// Mirrors new core decisions into the metrics registry. Called with
+    /// the state lock held after every mutating core operation.
     fn sync_metrics(&self, st: &mut CoreState) {
         let c = st.core.counters();
         let s = &st.synced;
         let m = &self.inner.metrics;
-        let (d_hits, d_misses, d_coal) = (
-            c.hits - s.hits,
-            c.misses - s.misses,
-            c.coalesced - s.coalesced,
-        );
-        let (d_ra_hits, d_ra_issued) = (
-            c.readahead_hits - s.readahead_hits,
-            c.readahead_issued - s.readahead_issued,
-        );
-        m.hits.add(d_hits);
-        m.misses.add(d_misses);
-        m.coalesced.add(d_coal);
+        m.hits.add(c.hits - s.hits);
+        m.misses.add(c.misses - s.misses);
+        m.coalesced.add(c.coalesced - s.coalesced);
         m.evictions.add(c.evictions - s.evictions);
         m.write_absorbed.add(c.write_absorbed - s.write_absorbed);
         m.flushed_blocks.add(c.flushed_blocks - s.flushed_blocks);
-        m.readahead_issued.add(d_ra_issued);
-        m.readahead_hits.add(d_ra_hits);
-        if d_hits + d_misses + d_coal > 0 {
-            m.hit_window.add_at(
-                cam_telemetry::clock::now_ns(),
-                d_hits,
-                d_hits + d_misses + d_coal,
-            );
-        }
-        if d_ra_hits + d_ra_issued > 0 {
-            m.ra_window
-                .add_at(cam_telemetry::clock::now_ns(), d_ra_hits, d_ra_issued);
-        }
+        m.readahead_issued
+            .add(c.readahead_issued - s.readahead_issued);
+        m.readahead_hits.add(c.readahead_hits - s.readahead_hits);
         st.synced = c;
     }
 

@@ -1,0 +1,400 @@
+//! The cached DES run: the block cache in front of the DES driver
+//! (`cam_iostacks::cam_des`), on the channel conventions of
+//! [`CachedDevice`](crate::CachedDevice) — demand reads on channel 0,
+//! write-back on 1 (idle on these read-only workloads), speculation on 2.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+
+use cam_iostacks::cam_des::{
+    run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, CamDesReport, DesBatchSource,
+};
+use cam_protocol::cache_core::{
+    CacheConfig, CacheCore, CacheDecisionCounters, ReadBatchPlan, ReadaheadPlan,
+};
+use cam_protocol::ChannelOp;
+use cam_telemetry::FlightRecorder;
+
+use crate::device::{READAHEAD_CHANNEL, READ_CHANNEL};
+
+/// One cached logical batch mid-flight: its demand classification, its
+/// (committed) speculative plan, and which DES batches are still out.
+struct CachedInflight {
+    plan: ReadBatchPlan,
+    ra: Option<ReadaheadPlan>,
+    /// Pending publication for the demand channel (fills + uncached
+    /// fallbacks), taken by `next_batch(0)`.
+    demand_pub: Option<CamDesBatch>,
+    /// Pending publication for the speculative channel.
+    ra_pub: Option<CamDesBatch>,
+    demand_open: bool,
+    ra_open: bool,
+}
+
+/// The DES cache stage: a [`DesBatchSource`] that steps the *same*
+/// [`CacheCore`] the threaded `BlockCache` wraps, in virtual time.
+///
+/// Per logical batch it follows the quiesced discipline of the threaded
+/// `CachedDevice` under `quiesce()` (and of
+/// [`replay_read_workload`](cam_protocol::cache_core::replay_read_workload)): classify the
+/// demand batch, plan + commit at most one speculative batch, publish both
+/// as DES batches on their channels, and only when **both** retire —
+/// publishing fills into the core — plan the next logical batch. Every
+/// cache decision is therefore independent of I/O timing, and the decision
+/// counters match the threaded driver and the pure replay *exactly*.
+struct CachedSource {
+    core: Arc<Mutex<CacheCore>>,
+    batches: VecDeque<Vec<u64>>,
+    array_blocks: u64,
+    /// The driver-side channel gate for speculation (`n_channels >= 3` in
+    /// the threaded device).
+    readahead: bool,
+    cur: Option<CachedInflight>,
+    /// Virtual cost of serving one cache hit: the host-side DMA copy from
+    /// the resident slot to the destination buffer (`block_size /
+    /// host_gbps`). The threaded driver pays this on the CPU before the
+    /// miss batch's doorbell; without it the DES would model hits as free
+    /// and overstate cached throughput.
+    hit_dma_ns: u64,
+    /// Earliest virtual instant the pending publications may be taken:
+    /// planning pushes it forward by `hits × hit_dma_ns` (including
+    /// pure-hit batches, whose copies delay the next doorbell). Timing
+    /// only — cache *decisions* are charged nothing and stay
+    /// byte-identical with the threaded driver and the pure replay.
+    ready_ns: u64,
+}
+
+impl CachedSource {
+    /// Plans logical batches until one needs device I/O (or none remain).
+    /// All-hit batches resolve entirely inside the core — no DES traffic
+    /// (but their hit copies still advance the readiness gate).
+    fn advance(&mut self, now_ns: u64) {
+        while self.cur.is_none() {
+            let Some(lbas) = self.batches.pop_front() else {
+                return;
+            };
+            if lbas.is_empty() {
+                continue;
+            }
+            let mut core = self.core.lock().unwrap();
+            let plan = core.plan_read_batch(&lbas);
+            debug_assert_eq!(plan.flushed, 0, "cached DES runs are read-only");
+            self.ready_ns = self.ready_ns.max(now_ns) + plan.hits * self.hit_dma_ns;
+            let ra = if self.readahead {
+                core.plan_readahead(lbas[0], self.array_blocks)
+            } else {
+                None
+            };
+            if let Some(p) = &ra {
+                // Channel publication cannot fail here, so the plan
+                // commits at planning time — where the threaded device
+                // commits after its submit succeeds.
+                core.commit_readahead(p);
+            }
+            let mut demand: Vec<u64> = plan.fills.iter().map(|&(_, lba)| lba).collect();
+            demand.extend(plan.direct.iter().copied());
+            let ra_pub = ra.as_ref().map(|p| CamDesBatch {
+                lbas: p.fills.iter().map(|&(_, lba)| lba).collect(),
+                blocks: 1,
+            });
+            if demand.is_empty() && ra_pub.is_none() {
+                // Pure-hit batch: publish immediately (a no-op on slot
+                // state beyond the hits already counted) and keep going.
+                core.publish_read_batch(&plan);
+                continue;
+            }
+            let demand_pub = (!demand.is_empty()).then_some(CamDesBatch {
+                lbas: demand,
+                blocks: 1,
+            });
+            if demand_pub.is_none() {
+                core.publish_read_batch(&plan);
+            }
+            self.cur = Some(CachedInflight {
+                demand_open: false,
+                ra_open: false,
+                demand_pub,
+                ra_pub,
+                plan,
+                ra,
+            });
+        }
+    }
+
+    /// Drops the finished logical batch and plans the next one.
+    fn maybe_next(&mut self, now_ns: u64) {
+        if let Some(c) = &self.cur {
+            if c.demand_open || c.ra_open || c.demand_pub.is_some() || c.ra_pub.is_some() {
+                return;
+            }
+        }
+        self.cur = None;
+        self.advance(now_ns);
+    }
+}
+
+impl DesBatchSource for CachedSource {
+    fn next_batch(&mut self, channel: usize, now_ns: u64) -> Option<(CamDesBatch, ChannelOp)> {
+        if self.cur.is_none() {
+            self.advance(now_ns);
+        }
+        // The batch's hit copies occupy the host before its doorbells: the
+        // driver re-offers at `next_ready_ns`.
+        if now_ns < self.ready_ns {
+            return None;
+        }
+        let c = self.cur.as_mut()?;
+        let b = match channel {
+            READ_CHANNEL => {
+                let b = c.demand_pub.take()?;
+                c.demand_open = true;
+                b
+            }
+            READAHEAD_CHANNEL => {
+                let b = c.ra_pub.take()?;
+                c.ra_open = true;
+                b
+            }
+            _ => return None,
+        };
+        Some((b, ChannelOp::Read))
+    }
+
+    fn on_retire(&mut self, channel: usize, now_ns: u64, errors: u64) {
+        assert_eq!(errors, 0, "cached DES runs are fault-free");
+        let c = self.cur.as_mut().expect("retire without an open batch");
+        let mut core = self.core.lock().unwrap();
+        match channel {
+            READ_CHANNEL => {
+                core.publish_read_batch(&c.plan);
+                c.demand_open = false;
+            }
+            READAHEAD_CHANNEL => {
+                let p = c.ra.as_ref().expect("readahead retire without a plan");
+                for &(slot, _) in &p.fills {
+                    core.complete_fill_speculative(slot);
+                }
+                core.readahead_retired();
+                c.ra_open = false;
+            }
+            _ => unreachable!("cached DES publishes only channels 0 and 2"),
+        }
+        drop(core);
+        self.maybe_next(now_ns);
+    }
+
+    fn next_ready_ns(&mut self, now_ns: u64) -> Option<u64> {
+        // Only the publication gate is time-driven; everything else is
+        // unblocked by retirements.
+        let pending = self
+            .cur
+            .as_ref()
+            .is_some_and(|c| c.demand_pub.is_some() || c.ra_pub.is_some());
+        (pending && self.ready_ns > now_ns).then_some(self.ready_ns)
+    }
+
+    fn is_drained(&self) -> bool {
+        self.batches.is_empty() && self.cur.is_none()
+    }
+}
+
+/// Runs a read-only batched workload through the DES driver with the block
+/// cache in the path: the same [`CacheCore`] decision object the threaded
+/// `CachedDevice` drives, stepped on the virtual timeline. Returns the DES
+/// report plus the cache decision counters — the fidelity harness asserts
+/// the latter *exactly equal* across the threaded driver, this driver, and
+/// the pure replay.
+///
+/// The run uses the cached channel conventions (demand 0, write-back 1
+/// idle, speculation 2); speculation requires
+/// `cache_cfg.readahead.enable`, mirroring the threaded device's
+/// `n_channels >= 3` gate.
+pub fn run_cam_des_cached(
+    cfg: CamDesConfig,
+    cache_cfg: CacheConfig,
+    array_blocks: u64,
+    batches: Vec<Vec<u64>>,
+    recorder: Option<Arc<FlightRecorder>>,
+    obs: CamDesObs,
+) -> (CamDesReport, CacheDecisionCounters) {
+    let core = Arc::new(Mutex::new(CacheCore::new(cache_cfg)));
+    let source = CachedSource {
+        core: Arc::clone(&core),
+        batches: batches.into(),
+        array_blocks,
+        readahead: cache_cfg.readahead.enable,
+        cur: None,
+        // One block over the host fabric, in ns (GB/s ≡ bytes/ns).
+        hit_dma_ns: (f64::from(cfg.block_size) / cfg.host_gbps).round() as u64,
+        ready_ns: 0,
+    };
+    let report = run_cam_des_source(cfg, READAHEAD_CHANNEL + 1, Box::new(source), recorder, obs);
+    let counters = core.lock().unwrap().counters();
+    (report, counters)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cam_iostacks::cam_des::CpuPipeModel;
+    use cam_iostacks::des::cam_thread_cost;
+    use cam_nvme::SsdModel;
+
+    fn cfg(n_ssds: usize, pipelined: bool) -> CamDesConfig {
+        CamDesConfig {
+            n_ssds,
+            block_size: 4096,
+            stripe_blocks: 1,
+            op: ChannelOp::Read,
+            threads: 1,
+            queue_depth: 64,
+            pipelined,
+            thread_cost: cam_thread_cost(1.0),
+            cpu_pipe: CpuPipeModel::calibrated(),
+            host_gbps: 21.0,
+            retry: CamDesConfig::inert_retry(),
+            fault: None,
+            ssd_model: SsdModel::p5510(),
+        }
+    }
+
+    fn cached_cfg() -> CacheConfig {
+        CacheConfig {
+            slots: 32,
+            shards: 4,
+            flush_batch: 8,
+            readahead: cam_protocol::cache_core::ReadaheadConfig::default(),
+        }
+    }
+
+    /// A read stream with re-references (hits), duplicates within batches
+    /// (coalescing), sequential runs (readahead confirmation), and enough
+    /// distinct blocks to force CLOCK evictions on a 32-slot cache.
+    fn cached_workload() -> Vec<Vec<u64>> {
+        let mut batches = Vec::new();
+        for round in 0u64..12 {
+            let base = round * 8;
+            let mut lbas: Vec<u64> = (base..base + 8).collect();
+            lbas.push(base); // in-batch duplicate: exercises coalescing
+            if round >= 2 {
+                lbas.push((round - 2) * 8); // re-reference: hit or refetch
+            }
+            batches.push(lbas);
+        }
+        batches
+    }
+
+    #[test]
+    fn cached_des_counters_match_the_pure_replay_exactly() {
+        let array_blocks = 4096;
+        for ra in [true, false] {
+            let mut cache_cfg = cached_cfg();
+            cache_cfg.readahead.enable = ra;
+            let expected = cam_protocol::cache_core::replay_read_workload(
+                cache_cfg,
+                array_blocks,
+                ra,
+                &cached_workload(),
+            );
+            let (report, counters) = run_cam_des_cached(
+                cfg(2, true),
+                cache_cfg,
+                array_blocks,
+                cached_workload(),
+                None,
+                CamDesObs::default(),
+            );
+            assert_eq!(counters, expected, "readahead={ra}");
+            assert!(counters.hits > 0 && counters.misses > 0 && counters.coalesced > 0);
+            assert!(counters.evictions > 0, "32 slots must thrash");
+            if ra {
+                assert!(counters.readahead_issued > 0);
+                assert!(counters.readahead_hits > 0);
+            } else {
+                assert_eq!(counters.readahead_issued, 0);
+            }
+            // Only misses and uncached fallbacks generate device traffic.
+            assert_eq!(report.commands, counters.misses + counters.readahead_issued);
+            assert!(report.duration.as_ns() > 0);
+            // Determinism: virtual time and decisions replay bit-identically.
+            let (r2, c2) = run_cam_des_cached(
+                cfg(2, true),
+                cache_cfg,
+                array_blocks,
+                cached_workload(),
+                None,
+                CamDesObs::default(),
+            );
+            assert_eq!(c2, counters);
+            assert_eq!(r2.duration.as_ns(), report.duration.as_ns());
+        }
+    }
+
+    #[test]
+    fn cached_des_all_hit_batches_need_no_device_traffic() {
+        // Second pass over a fully resident working set: every batch after
+        // the first pass is pure hits and publishes nothing.
+        let lbas: Vec<u64> = (0..16).collect();
+        let mut cache_cfg = cached_cfg();
+        cache_cfg.readahead.enable = false;
+        let (report, counters) = run_cam_des_cached(
+            cfg(2, true),
+            cache_cfg,
+            4096,
+            vec![lbas.clone(), lbas.clone(), lbas],
+            None,
+            CamDesObs::default(),
+        );
+        assert_eq!(counters.misses, 16);
+        assert_eq!(counters.hits, 32);
+        assert_eq!(report.batches, 1, "only the cold pass touches the array");
+        assert_eq!(report.commands, 16);
+    }
+
+    #[test]
+    fn cache_hits_charge_host_dma_time() {
+        // Two workloads with *identical device traffic* (8 fresh blocks
+        // per batch): one additionally re-reads the previous batch's
+        // blocks — pure hits, which publish nothing but occupy the host
+        // with slot→buffer DMA copies before the batch's doorbell. The
+        // virtual-time difference must be exactly the hits' copy time,
+        // `hits × block_size / host_gbps` — hits are not free.
+        let mut with_hits = Vec::new();
+        let mut miss_only = Vec::new();
+        for round in 0u64..6 {
+            let base = round * 8;
+            let fresh: Vec<u64> = (base..base + 8).collect();
+            miss_only.push(fresh.clone());
+            let mut lbas = fresh;
+            if round >= 1 {
+                lbas.extend((round - 1) * 8..round * 8); // resident: hits
+            }
+            with_hits.push(lbas);
+        }
+        let mut cache_cfg = cached_cfg();
+        cache_cfg.readahead.enable = false;
+        let run = |batches: Vec<Vec<u64>>| {
+            run_cam_des_cached(
+                cfg(2, true),
+                cache_cfg,
+                4096,
+                batches,
+                None,
+                CamDesObs::default(),
+            )
+        };
+        let (hit_report, hit_counters) = run(with_hits);
+        let (miss_report, miss_counters) = run(miss_only);
+        assert_eq!(hit_counters.hits, 40);
+        assert_eq!(hit_counters.misses, 48);
+        assert_eq!(miss_counters.hits, 0);
+        assert_eq!(miss_counters.misses, 48);
+        assert_eq!(hit_report.commands, miss_report.commands);
+        let hit_dma_ns = (4096.0f64 / 21.0).round() as u64;
+        assert_eq!(
+            hit_report.duration.as_ns(),
+            miss_report.duration.as_ns() + hit_counters.hits * hit_dma_ns,
+            "hit DMA copies must gate the doorbells in virtual time"
+        );
+    }
+}

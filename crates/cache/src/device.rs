@@ -24,11 +24,11 @@ use crate::cache::{BlockCache, FillTicket, Lookup, SlotWait};
 use crate::config::CacheConfig;
 
 /// Fig. 7 channel conventions, shared with `cam_core`.
-const READ_CHANNEL: usize = 0;
+pub(crate) const READ_CHANNEL: usize = 0;
 const WRITE_CHANNEL: usize = 1;
 /// Speculative traffic rides its own channel so readahead never makes a
 /// demand `prefetch` see `ChannelBusy`.
-const READAHEAD_CHANNEL: usize = 2;
+pub(crate) const READAHEAD_CHANNEL: usize = 2;
 
 /// One outstanding demand read batch and its pending resolutions.
 struct ReadBatch {

@@ -42,11 +42,13 @@
 
 mod cache;
 mod config;
+mod des;
 mod device;
 mod metrics;
 
 pub use cache::{BlockCache, FillTicket, Lookup, ReadaheadBatch, SlotPin, SlotWait};
 pub use cam_protocol::cache_core::ReadaheadCore as ReadaheadEngine;
 pub use config::{CacheConfig, ReadaheadConfig};
+pub use des::run_cam_des_cached;
 pub use device::{CachedBackend, CachedDevice};
 pub use metrics::CacheMetrics;

@@ -1,7 +1,7 @@
 //! [`CacheMetrics`] — the pre-registered cache metric bundle, following the
 //! same handle-up-front discipline as `cam_telemetry::ControlMetrics`.
 
-use cam_telemetry::{Counter, Gauge, MetricsRegistry, WindowConfig, WindowedCounter};
+use cam_telemetry::{Counter, Gauge, MetricsRegistry};
 
 /// Every metric the cache layer maintains, resolved to registry handles.
 ///
@@ -35,13 +35,6 @@ pub struct CacheMetrics {
     pub readahead_hits: Counter,
     /// Configured cache capacity in blocks.
     pub slots: Gauge,
-    /// Rolling window behind the live hit ratio: numerator = hits,
-    /// denominator = demand accesses (hits + misses + coalesced).
-    pub hit_window: WindowedCounter,
-    /// Rolling window behind the live readahead accuracy: numerator =
-    /// speculative blocks that served a demand access, denominator =
-    /// speculative blocks issued.
-    pub ra_window: WindowedCounter,
 }
 
 impl CacheMetrics {
@@ -57,8 +50,6 @@ impl CacheMetrics {
             readahead_issued: reg.counter("cam_cache_readahead_issued_total"),
             readahead_hits: reg.counter("cam_cache_readahead_hits_total"),
             slots: reg.gauge("cam_cache_slots"),
-            hit_window: WindowedCounter::new(WindowConfig::default()),
-            ra_window: WindowedCounter::new(WindowConfig::default()),
         }
     }
 
@@ -76,19 +67,6 @@ impl CacheMetrics {
     pub fn readahead_accuracy(&self) -> Option<f64> {
         let issued = self.readahead_issued.get();
         (issued > 0).then(|| self.readahead_hits.get() as f64 / issued as f64)
-    }
-
-    /// Hit fraction over the rolling window ending at `now_ns` (the
-    /// cumulative [`CacheMetrics::hit_rate`] restricted to recent
-    /// accesses). `None` when the window saw no demand access.
-    pub fn windowed_hit_rate(&self, now_ns: u64) -> Option<f64> {
-        self.hit_window.ratio_at(now_ns)
-    }
-
-    /// Readahead accuracy over the rolling window ending at `now_ns`.
-    /// `None` when the window saw no speculative issue.
-    pub fn windowed_readahead_accuracy(&self, now_ns: u64) -> Option<f64> {
-        self.ra_window.ratio_at(now_ns)
     }
 }
 
@@ -111,18 +89,5 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("cam_cache_hits_total"), 3);
         assert_eq!(snap.counter("cam_cache_misses_total"), 1);
-    }
-
-    #[test]
-    fn windowed_rates_age_out() {
-        let reg = MetricsRegistry::new();
-        let m = CacheMetrics::new(&reg);
-        assert_eq!(m.windowed_hit_rate(0), None);
-        m.hit_window.add_at(0, 3, 4);
-        assert_eq!(m.windowed_hit_rate(0), Some(0.75));
-        let horizon = m.hit_window.config().window_ns();
-        assert_eq!(m.windowed_hit_rate(horizon), None, "window rolled over");
-        m.ra_window.add_at(horizon, 1, 2);
-        assert_eq!(m.windowed_readahead_accuracy(horizon), Some(0.5));
     }
 }

@@ -9,7 +9,7 @@ use cam_gpu::{Gpu, GpuBuffer, OutOfMemory};
 use cam_iostacks::Rig;
 use cam_telemetry::{
     clock, ControlMetrics, EventKind, FlightRecorder, Histogram, HistogramHandle, MetricsRegistry,
-    Observability, Stage, TelemetrySink,
+    Observability, Stage,
 };
 
 use crate::engine::{ControlConfig, ControlPlane, ControlStats, ThreadModel};
@@ -145,30 +145,13 @@ impl CamContext {
     /// queue pairs on every SSD, and starts the persistent CPU worker
     /// threads. Telemetry goes to a private registry
     /// (reachable via [`registry`](Self::registry)); use
-    /// [`attach_with`](Self::attach_with) to supply your own.
+    /// [`attach_observed`](Self::attach_observed) to supply your own.
     pub fn attach(rig: &Rig, cfg: CamConfig) -> Self {
         Self::attach_observed(rig, cfg, Observability::default())
     }
 
-    /// [`attach`](Self::attach) with an explicit metrics registry and a
-    /// [`TelemetrySink`] notified per retired batch and per scaler
-    /// decision. The registry is shared: exporters snapshot it while the
-    /// control plane records.
-    pub fn attach_with(
-        rig: &Rig,
-        cfg: CamConfig,
-        registry: Arc<MetricsRegistry>,
-        sink: Arc<dyn TelemetrySink>,
-    ) -> Self {
-        Self::attach_observed(
-            rig,
-            cfg,
-            Observability::with_registry(registry).with_sink(sink),
-        )
-    }
-
     /// [`attach`](Self::attach) with a full [`Observability`] bundle
-    /// (registry + sink + optional flight recorder, post-mortem dumper and
+    /// (registry + optional flight recorder, post-mortem dumper and
     /// batch deadline). Panics on thread-spawn failure; use
     /// [`try_attach_observed`](Self::try_attach_observed) to handle it.
     pub fn attach_observed(rig: &Rig, cfg: CamConfig, obs: Observability) -> Self {

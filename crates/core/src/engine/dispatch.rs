@@ -6,12 +6,12 @@
 //! [`cam_protocol::plan_batch`] — dedup, stripe split, per-SSD grouping all
 //! happen in the shared protocol layer, so the DES driver plans
 //! identically. The rest is threaded-driver glue: timestamps, metrics,
-//! events, and one [`GroupSpec`] per non-empty group.
+//! events; [`open_batch`] turns the plan into the batch record and one
+//! [`GroupSpec`] per non-empty group.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
-use cam_protocol::{op_index, plan_batch, BatchCore, GroupSpec};
+use cam_protocol::{op_index, open_batch, plan_batch, BatchStamps, GroupSpec};
 use cam_telemetry::{EventKind, Stage};
 
 use super::Shared;
@@ -79,30 +79,11 @@ pub(super) fn poll_channel(
     if plan.stripe_splits > 0 {
         sh.metrics.stripe_splits.add(plan.stripe_splits);
     }
-    let batch = Arc::new(BatchCore {
-        channel: ch_idx,
-        seq,
-        op,
-        remaining: AtomicUsize::new(plan.n_groups()),
-        errors: AtomicU64::new(0),
-        requests: plan.requests,
-        dispatched_ns: pickup_ns,
-        compute_gap_ns,
+    let at = BatchStamps {
         doorbell_ns,
         pickup_ns,
-        dups: plan.dups,
-        blocks,
-    });
-    Some(
-        plan.groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, reqs)| !reqs.is_empty())
-            .map(|(ssd, reqs)| GroupSpec {
-                ssd,
-                reqs,
-                batch: Arc::clone(&batch),
-            })
-            .collect(),
-    )
+        dispatched_ns: pickup_ns,
+        compute_gap_ns,
+    };
+    Some(open_batch(plan, ch_idx, seq, at))
 }

@@ -39,11 +39,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cam_nvme::{DmaSpace, NvmeDevice, QueuePair};
-use cam_protocol::{Clock, GroupSpec, HealthTransition, PlanConfig, RetryPolicy};
+use cam_protocol::{Clock, GroupSpec, PlanConfig, RetryPolicy};
 use cam_simkit::Dur;
 use cam_telemetry::{
-    ControlMetrics, EventKind, FlightRecorder, Observability, OpsWindows, PostmortemDumper,
-    SloTracker, TelemetrySink,
+    ControlMetrics, FlightRecorder, Observability, OpsWindows, PostmortemDumper, SloTracker,
 };
 use parking_lot::Mutex;
 
@@ -171,11 +170,6 @@ impl ControlStats {
     pub fn mean_io_secs(&self) -> Option<f64> {
         self.mean_io.map(|d| d.as_secs_f64())
     }
-
-    /// Mean compute gap in seconds, NaN-safe: `None` without observations.
-    pub fn mean_compute_secs(&self) -> Option<f64> {
-        self.mean_compute.map(|d| d.as_secs_f64())
-    }
 }
 
 /// `total / n` as a duration, or `None` when there are no observations —
@@ -204,7 +198,6 @@ struct Shared {
     /// All counters/histograms live in the registry behind these handles —
     /// the control plane keeps no parallel ad-hoc stat atomics.
     metrics: Arc<ControlMetrics>,
-    sink: Arc<dyn TelemetrySink>,
     /// Event layer: protocol-stage events per batch when attached.
     recorder: Option<Arc<FlightRecorder>>,
     /// Post-mortem dumper, triggered at retire on errors or deadline
@@ -232,23 +225,6 @@ struct Shared {
     /// waker closures don't hold `Shared` (which holds the channels —
     /// that cycle would leak the control plane).
     parkers: Vec<Arc<park::Parker>>,
-}
-
-/// Publishes a lane-health transition: gauge update plus a typed
-/// flight-recorder event stamped at `now_ns` on the driver clock.
-fn emit_lane_transition(sh: &Shared, t: HealthTransition, now_ns: u64) {
-    sh.metrics.lane_health[t.ssd].set(u64::from(t.to.code()));
-    if let Some(rec) = &sh.recorder {
-        rec.emit_at(
-            now_ns,
-            EventKind::LaneHealth {
-                ssd: t.ssd as u16,
-                from: t.from.code(),
-                to: t.to.code(),
-                retries: t.faults,
-            },
-        );
-    }
 }
 
 /// The running control plane. Stops and joins its threads on drop.
@@ -307,7 +283,6 @@ impl ControlPlane {
             scaler: Mutex::new(scaler),
             dynamic: cfg.dynamic_scaling,
             metrics,
-            sink: Arc::clone(&obs.sink),
             recorder: obs.recorder.clone(),
             postmortem: obs.postmortem.clone(),
             deadline_ns: obs.batch_deadline_ns,
@@ -411,11 +386,9 @@ impl ControlPlane {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Lane quiescence (degraded/overloaded → recovered) is emitted by
-        // each worker as it exits — the lane-health machines are
-        // worker-owned state, and the workers have all joined by now. The
-        // DES driver performs the identical drain at the end of its
-        // calendar, keeping the transition sequences comparable.
+        // Lane quiescence (degraded/overloaded → recovered) was emitted by
+        // each worker as it exited — the lane-health machines live in the
+        // workers' protocol cores, and the workers have all joined by now.
     }
 }
 

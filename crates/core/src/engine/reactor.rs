@@ -1,10 +1,8 @@
 //! The threaded worker shell around [`WorkerCore`].
 //!
 //! Each worker thread (`shard`) owns one private queue pair per SSD, a
-//! [`WorkerCore`] protocol state machine, its own [`LaneHealth`] machines
-//! (worker-owned state — no per-lane mutex; the lane-health CI workloads
-//! run single-worker configurations, where the sequence is identical to a
-//! global machine's) and the scratch buffers the loop reuses, so the
+//! [`WorkerCore`] protocol state machine (which also owns the lane-health
+//! machines of its lanes) and the scratch buffers the loop reuses, so the
 //! steady-state I/O path allocates nothing and takes no lock. The loop is
 //! pure driver glue: feed accepted groups in
 //! ([`accept`](Worker::accept)), [`pump`](Worker::pump) at the wall clock,
@@ -23,7 +21,7 @@ use std::sync::Arc;
 
 use cam_nvme::spec::{Cqe, Sqe};
 use cam_nvme::QueuePair;
-use cam_protocol::{op_index, ChannelOp, Command, GroupSpec, HealthConfig, LaneHealth, WorkerCore};
+use cam_protocol::{op_index, ChannelOp, Command, GroupSpec, WorkerCore};
 use cam_telemetry::{EventKind, Stage};
 
 use super::retire::retire_batch;
@@ -35,7 +33,6 @@ pub(super) struct Worker {
     /// This worker's queue-pair column: one private pair per SSD.
     qps: Vec<Arc<QueuePair>>,
     pub(super) core: WorkerCore,
-    health: Vec<LaneHealth>,
     /// Commands drained from the core, executed in order.
     out: Vec<Command>,
     cqes: Vec<Cqe>,
@@ -65,26 +62,18 @@ impl Worker {
             wid,
             core: WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry).group_at_a_time(!pipelined),
             qps,
-            health: (0..sh.n_ssds)
-                .map(|ssd| LaneHealth::new(ssd, HealthConfig::default()))
-                .collect(),
             out: Vec::new(),
             cqes: Vec::new(),
             copy_buf: Vec::new(),
         }
     }
 
-    /// Quiesces the lanes at loop exit: every lane is drained once a worker
-    /// stops, so degraded/overloaded lanes are declared recovered. The DES
-    /// driver performs the identical drain at the end of its calendar,
-    /// keeping the transition sequences comparable.
-    pub(super) fn drain_lane_health(&mut self, sh: &Shared) {
-        let now = sh.clock.now_ns();
-        for lane in &mut self.health {
-            if let Some(t) = lane.on_drain() {
-                super::emit_lane_transition(sh, t, now);
-            }
-        }
+    /// Quiesces the lanes at loop exit, so degraded/overloaded lanes are
+    /// declared recovered. The DES driver performs the identical drain at
+    /// the end of its calendar, keeping the transition sequences comparable.
+    pub(super) fn drain_lanes(&mut self, sh: &Shared) {
+        self.core.drain_lanes(sh.clock.now_ns(), &mut self.out);
+        self.execute(sh);
     }
 
     /// Takes ownership of a dispatched group: record the dispatch stage,
@@ -140,7 +129,7 @@ impl Worker {
                     .on_cqe(ssd, cqe.cid, cqe.status, now, &mut self.out);
             }
             self.execute(sh);
-            update_inflight_gauges(sh, ssd, &self.qps[ssd], &mut self.health);
+            update_inflight_gauges(sh, ssd, &self.qps[ssd]);
         }
         progress
     }
@@ -152,7 +141,6 @@ impl Worker {
         let Worker {
             wid,
             qps,
-            health,
             out,
             copy_buf,
             ..
@@ -177,7 +165,7 @@ impl Worker {
                 }
                 Command::RingDoorbell { ssd, .. } => {
                     qps[ssd].ring_doorbell();
-                    update_inflight_gauges(sh, ssd, &qps[ssd], health);
+                    update_inflight_gauges(sh, ssd, &qps[ssd]);
                 }
                 Command::GroupSubmitted {
                     batch,
@@ -230,9 +218,6 @@ impl Worker {
                             },
                         );
                     }
-                    if let Some(t) = health[ssd].on_retry() {
-                        super::emit_lane_transition(sh, t, now_ns);
-                    }
                 }
                 Command::CmdTimeout {
                     batch,
@@ -254,8 +239,22 @@ impl Worker {
                             },
                         );
                     }
-                    if let Some(t) = health[ssd].on_timeout() {
-                        super::emit_lane_transition(sh, t, now_ns);
+                }
+                Command::LaneTransition {
+                    transition: t,
+                    now_ns,
+                } => {
+                    sh.metrics.lane_health[t.ssd].set(u64::from(t.to.code()));
+                    if let Some(rec) = &sh.recorder {
+                        rec.emit_at(
+                            now_ns,
+                            EventKind::LaneHealth {
+                                ssd: t.ssd as u16,
+                                from: t.from.code(),
+                                to: t.to.code(),
+                                retries: t.faults,
+                            },
+                        );
                     }
                 }
                 Command::GroupComplete {
@@ -299,14 +298,11 @@ impl Worker {
 }
 
 /// Publishes the lane's live in-flight depth (and its high-water mark) to
-/// the `cam_inflight{ssd}` gauges, and feeds the lane-health saturation
-/// watermark (which, by design, never gates a health transition — see
-/// `cam_protocol::health`).
-fn update_inflight_gauges(sh: &Shared, ssd: usize, qp: &QueuePair, health: &mut [LaneHealth]) {
+/// the `cam_inflight{ssd}` gauges.
+fn update_inflight_gauges(sh: &Shared, ssd: usize, qp: &QueuePair) {
     let cur = qp.in_flight();
     sh.metrics.inflight[ssd].set(cur);
     if cur > sh.metrics.inflight_peak[ssd].get() {
         sh.metrics.inflight_peak[ssd].set(cur);
     }
-    health[ssd].observe_depth(cur as usize, qp.depth());
 }

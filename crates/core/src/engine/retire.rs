@@ -12,7 +12,7 @@ use std::sync::atomic::Ordering;
 
 use cam_protocol::{op_index, BatchCore};
 use cam_simkit::Dur;
-use cam_telemetry::{BatchSpan, ControlMetrics, EventKind, Stage};
+use cam_telemetry::{EventKind, Stage};
 
 use super::Shared;
 
@@ -100,19 +100,8 @@ pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64, copy_bu
                     grew: active > prev,
                 });
             }
-            sh.sink.workers_scaled(active);
         }
     }
-    sh.sink.batch_retired(&BatchSpan {
-        channel: b.channel,
-        op: ControlMetrics::OPS[op_idx],
-        seq: b.seq,
-        requests: b.requests,
-        errors: batch_errors,
-        doorbell_ns: b.doorbell_ns,
-        pickup_ns: b.pickup_ns,
-        retire_ns,
-    });
     if let Some(pm) = &sh.postmortem {
         if batch_errors > 0 {
             pm.trigger(&format!(

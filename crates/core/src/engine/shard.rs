@@ -132,7 +132,7 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
             iters_since_flush = 0;
         }
     }
-    w.drain_lane_health(sh);
+    w.drain_lanes(sh);
 }
 
 /// Routes freshly planned groups: local SSDs go straight to the inbox,

@@ -220,11 +220,6 @@ impl Channel {
         self.complete.load(Ordering::Acquire) >= seq
     }
 
-    /// Cumulative failed commands on this channel.
-    pub fn error_count(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
     /// GPU side: errors that appeared since the last call (consumed by
     /// `synchronize` so each failure is reported exactly once).
     pub fn take_new_errors(&self) -> u64 {
@@ -272,7 +267,7 @@ mod tests {
         ch.retire(1, 0);
         assert!(ch.retired(1));
         assert!(ch.idle());
-        assert_eq!(ch.error_count(), 0);
+        assert_eq!(ch.take_new_errors(), 0);
     }
 
     #[test]
@@ -291,7 +286,8 @@ mod tests {
         let ch = Channel::new(4);
         let s = ch.publish(ChannelOp::Read, &[1, 2], |_| 0, 1);
         ch.retire(s, 2);
-        assert_eq!(ch.error_count(), 2);
+        assert_eq!(ch.take_new_errors(), 2);
+        assert_eq!(ch.take_new_errors(), 0, "each failure is reported once");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! `ControlStats` — batch counts agree, every protocol stage histogram is
 //! populated, and per-SSD submit/complete counters sum to the request total.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cam_blockdev::{BlockStore, Lba};
 use cam_core::{CamConfig, CamContext, ControlStats};
 use cam_iostacks::{Rig, RigConfig};
-use cam_telemetry::{BatchSpan, MetricsRegistry, Stage, TelemetrySink};
+use cam_telemetry::{EventKind, FlightRecorder, MetricsRegistry, Observability, Stage};
 
 fn small_rig(n_ssds: usize) -> Rig {
     Rig::new(RigConfig {
@@ -50,11 +50,10 @@ fn registry_agrees_with_control_stats() {
     let rig = small_rig(3);
     load_pattern(&rig, 512);
     let registry = Arc::new(MetricsRegistry::new());
-    let cam = CamContext::attach_with(
+    let cam = CamContext::attach_observed(
         &rig,
         CamConfig::default(),
-        Arc::clone(&registry),
-        Arc::new(cam_telemetry::NoopSink),
+        Observability::with_registry(Arc::clone(&registry)),
     );
     let rounds = 10u64;
     let batch = 24u64;
@@ -111,61 +110,65 @@ fn registry_agrees_with_control_stats() {
     assert!(snap.histogram("cam_sync_wait_ns").unwrap().count >= 2 * rounds);
 }
 
-/// A sink counting spans and checking their internal consistency.
-#[derive(Default)]
-struct RecordingSink {
-    spans: Mutex<Vec<BatchSpan>>,
-    scaled: AtomicU64,
-}
-
-impl TelemetrySink for RecordingSink {
-    fn batch_retired(&self, span: &BatchSpan) {
-        self.spans.lock().unwrap().push(span.clone());
-    }
-
-    fn workers_scaled(&self, _active: usize) {
-        self.scaled.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 #[test]
-fn sink_sees_every_batch_span() {
+fn recorder_sees_every_batch_lifecycle() {
     let rig = small_rig(2);
     load_pattern(&rig, 256);
-    let sink = Arc::new(RecordingSink::default());
-    let cam = CamContext::attach_with(
+    let recorder = Arc::new(FlightRecorder::new());
+    let cam = CamContext::attach_observed(
         &rig,
         CamConfig::default(),
-        Arc::new(MetricsRegistry::new()),
-        Arc::clone(&sink) as Arc<dyn TelemetrySink>,
+        Observability::recorded(Arc::new(MetricsRegistry::new()), Arc::clone(&recorder)),
     );
     drive(&cam, 6, 16);
+    drop(cam);
 
-    let spans = sink.spans.lock().unwrap();
-    assert_eq!(spans.len(), 12);
-    for span in spans.iter() {
-        assert_eq!(span.requests, 16);
-        assert_eq!(span.errors, 0);
-        // The span timeline is ordered: doorbell ≤ pickup ≤ retire.
-        assert!(span.doorbell_ns <= span.pickup_ns, "doorbell after pickup");
-        assert!(span.pickup_ns <= span.retire_ns, "pickup after retire");
-        assert_eq!(span.total_ns(), span.retire_ns - span.doorbell_ns);
-        let ch = match span.op {
-            "read" => 0,
-            "write" => 1,
-            other => panic!("unexpected op {other}"),
+    // (channel, seq) → [doorbell, pickup, retire] timestamps.
+    let mut batches: BTreeMap<(u16, u64), [Option<u64>; 3]> = BTreeMap::new();
+    for ev in recorder.snapshot() {
+        let (id, step) = match ev.kind {
+            EventKind::BatchDoorbell {
+                channel,
+                seq,
+                op,
+                requests,
+            } => {
+                assert_eq!(requests, 16);
+                // Reads ride channel 0, writes channel 1.
+                assert_eq!(u16::from(op), channel);
+                ((channel, seq), 0)
+            }
+            EventKind::BatchPickup { channel, seq } => ((channel, seq), 1),
+            EventKind::BatchRetire {
+                channel,
+                seq,
+                errors,
+            } => {
+                assert_eq!(errors, 0);
+                ((channel, seq), 2)
+            }
+            _ => continue,
         };
-        assert_eq!(span.channel, ch);
+        let slot = &mut batches.entry(id).or_default()[step];
+        assert_eq!(slot.replace(ev.ts_ns), None, "{id:?} step {step} twice");
     }
-    // Sequence numbers per channel are strictly increasing.
+    assert_eq!(batches.len(), 12);
+    for (id, steps) in &batches {
+        let [Some(doorbell), Some(pickup), Some(retire)] = steps else {
+            panic!("{id:?} is missing a lifecycle step: {steps:?}");
+        };
+        // The batch timeline is ordered: doorbell ≤ pickup ≤ retire.
+        assert!(doorbell <= pickup, "{id:?}: doorbell after pickup");
+        assert!(pickup <= retire, "{id:?}: pickup after retire");
+    }
+    // Six batches per channel, and sequence numbers follow publication
+    // order: a channel's batch retires before its successor's doorbell.
     for ch in 0..2 {
-        let seqs: Vec<u64> = spans
-            .iter()
-            .filter(|s| s.channel == ch)
-            .map(|s| s.seq)
-            .collect();
-        assert_eq!(seqs.len(), 6);
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seqs {seqs:?}");
+        let of_ch: Vec<_> = batches.iter().filter(|((c, _), _)| *c == ch).collect();
+        assert_eq!(of_ch.len(), 6);
+        for pair in of_ch.windows(2) {
+            assert!(pair[0].1[2] <= pair[1].1[0], "ch{ch}: {pair:?}");
+        }
     }
 }
 

@@ -12,8 +12,7 @@
 //!   closure body playing the *leading thread* (the only thread CAM's device
 //!   API does real work on, § III-B);
 //! * **occupancy accounting** — [`GpuSpec`] knows how many SMs a grid
-//!   occupies and how long a kernel of given FLOPs/bytes runs (roofline),
-//!   which is what Figs. 1, 4 and 9 are made of.
+//!   occupies, which is what Figs. 1, 4 and 9 are made of.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -24,4 +23,4 @@ mod spec;
 
 pub use exec::{BlockCtx, Gpu};
 pub use memory::{GpuBuffer, GpuMemory, OutOfMemory};
-pub use spec::{GpuSpec, KernelCost};
+pub use spec::GpuSpec;

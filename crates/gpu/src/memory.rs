@@ -110,12 +110,6 @@ impl GpuBuffer {
         self.inner.region.base() + self.extent.start.index() * PAGE as u64
     }
 
-    /// Physical address of byte `offset` within the buffer.
-    pub fn addr_at(&self, offset: usize) -> u64 {
-        assert!(offset < self.capacity(), "offset out of buffer");
-        self.addr() + offset as u64
-    }
-
     /// Requested length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -209,7 +203,6 @@ mod tests {
         b.write(0, &[2u8; 8192]);
         assert!(a.to_vec().iter().all(|&x| x == 1));
         assert!(b.to_vec().iter().all(|&x| x == 2));
-        assert_eq!(a.addr_at(100), a.addr() + 100);
     }
 
     #[test]

@@ -1,31 +1,4 @@
-//! [`GpuSpec`] — architectural parameters, SM-occupancy math, and the
-//! roofline kernel-time model.
-
-use cam_simkit::Dur;
-
-/// The cost of one kernel, for the timing model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KernelCost {
-    /// Floating-point operations executed.
-    pub flops: f64,
-    /// Bytes moved to/from device DRAM.
-    pub dram_bytes: f64,
-}
-
-impl KernelCost {
-    /// A compute-plus-memory cost.
-    pub fn new(flops: f64, dram_bytes: f64) -> Self {
-        KernelCost { flops, dram_bytes }
-    }
-
-    /// Sums two costs (kernels fused or run back-to-back).
-    pub fn plus(self, other: KernelCost) -> KernelCost {
-        KernelCost {
-            flops: self.flops + other.flops,
-            dram_bytes: self.dram_bytes + other.dram_bytes,
-        }
-    }
-}
+//! [`GpuSpec`] — architectural parameters and SM-occupancy math.
 
 /// Architectural parameters of a GPU.
 #[derive(Clone, Copy, Debug)]
@@ -36,12 +9,6 @@ pub struct GpuSpec {
     pub max_threads_per_sm: u32,
     /// Maximum resident thread blocks per SM.
     pub max_blocks_per_sm: u32,
-    /// Sustained compute throughput for the mixed workloads we model
-    /// (TFLOP/s). The A100 peaks at 312 tensor TFLOP/s; sustained mixed
-    /// GNN/GEMM arithmetic lands far lower.
-    pub sustained_tflops: f64,
-    /// Device memory bandwidth, GB/s.
-    pub mem_gbps: f64,
     /// Host interface (PCIe Gen4 ×16) measured bandwidth, GB/s — the
     /// paper's 21 GB/s practical ceiling, not the 32 GB/s theoretical one.
     pub pcie_gbps: f64,
@@ -60,8 +27,6 @@ impl GpuSpec {
             sms: 108,
             max_threads_per_sm: 2048,
             max_blocks_per_sm: 32,
-            sustained_tflops: 45.0,
-            mem_gbps: 1935.0,
             pcie_gbps: 21.0,
             bam_threads_per_ssd: 32_500.0,
             bam_contention_exp: 1.18,
@@ -79,22 +44,6 @@ impl GpuSpec {
     pub fn sms_for(&self, blocks: u64, threads_per_block: u32) -> u32 {
         let per_sm = self.blocks_per_sm(threads_per_block) as u64;
         (blocks.div_ceil(per_sm)).min(self.sms as u64) as u32
-    }
-
-    /// Roofline kernel duration: the slower of compute and memory.
-    pub fn kernel_time(&self, cost: KernelCost) -> Dur {
-        let compute_ns = cost.flops / self.sustained_tflops / 1e3;
-        let mem_ns = cost.dram_bytes / self.mem_gbps;
-        Dur::from_ns_f64(compute_ns.max(mem_ns))
-    }
-
-    /// Kernel duration when only `sms_available` of the machine's SMs are
-    /// free (compute scales down proportionally; Issue 3's contention).
-    pub fn kernel_time_on(&self, cost: KernelCost, sms_available: u32) -> Dur {
-        let frac = (sms_available.min(self.sms) as f64 / self.sms as f64).max(1e-6);
-        let compute_ns = cost.flops / (self.sustained_tflops * frac) / 1e3;
-        let mem_ns = cost.dram_bytes / (self.mem_gbps * frac);
-        Dur::from_ns_f64(compute_ns.max(mem_ns))
     }
 
     /// Fraction of SMs (0..=1) BaM's GPU-managed control plane occupies to
@@ -137,28 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn roofline_picks_the_slower_side() {
-        let g = GpuSpec::a100_80g();
-        // Compute-bound: 45 GFLOP at 45 TFLOP/s = 1 ms.
-        let t = g.kernel_time(KernelCost::new(45e9, 1.0));
-        assert!((t.as_ns() as f64 - 1e6).abs() < 1e3, "{t}");
-        // Memory-bound: 1935 MB at 1935 GB/s = 1 ms.
-        let t = g.kernel_time(KernelCost::new(1.0, 1935e6));
-        assert!((t.as_ns() as f64 - 1e6).abs() < 1e3, "{t}");
-    }
-
-    #[test]
-    fn fewer_sms_mean_slower_kernels() {
-        let g = GpuSpec::a100_80g();
-        let c = KernelCost::new(1e12, 1e9);
-        let full = g.kernel_time_on(c, 108);
-        let half = g.kernel_time_on(c, 54);
-        assert_eq!(full, g.kernel_time(c));
-        let ratio = half.as_ns() as f64 / full.as_ns() as f64;
-        assert!((ratio - 2.0).abs() < 0.01, "ratio = {ratio}");
-    }
-
-    #[test]
     fn fig4_anchor_points() {
         let g = GpuSpec::a100_80g();
         assert_eq!(g.bam_sm_utilization(0), 0.0);
@@ -175,12 +102,5 @@ mod tests {
             assert!(u >= last);
             last = u;
         }
-    }
-
-    #[test]
-    fn kernel_cost_compose() {
-        let c = KernelCost::new(10.0, 20.0).plus(KernelCost::new(1.0, 2.0));
-        assert_eq!(c.flops, 11.0);
-        assert_eq!(c.dram_bytes, 22.0);
     }
 }

@@ -18,7 +18,6 @@ pub struct IoMapper {
     pins: AtomicU64,
     unpins: AtomicU64,
     pinned_pages: AtomicU64,
-    peak_pinned: AtomicU64,
 }
 
 /// Pages held pinned; unpins on drop.
@@ -41,8 +40,7 @@ impl IoMapper {
     pub fn pin(self: &Arc<Self>, bytes: u64) -> PinnedPages {
         let pages = bytes.div_ceil(Self::PAGE).max(1);
         self.pins.fetch_add(1, Ordering::Relaxed);
-        let now = self.pinned_pages.fetch_add(pages, Ordering::Relaxed) + pages;
-        self.peak_pinned.fetch_max(now, Ordering::Relaxed);
+        self.pinned_pages.fetch_add(pages, Ordering::Relaxed);
         PinnedPages {
             mapper: Arc::clone(self),
             pages,
@@ -62,11 +60,6 @@ impl IoMapper {
     /// Pages currently pinned.
     pub fn pinned_pages(&self) -> u64 {
         self.pinned_pages.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of pinned pages.
-    pub fn peak_pinned_pages(&self) -> u64 {
-        self.peak_pinned.load(Ordering::Relaxed)
     }
 }
 
@@ -94,7 +87,6 @@ mod tests {
         }
         assert_eq!(m.unpin_calls(), 2);
         assert_eq!(m.pinned_pages(), 0);
-        assert_eq!(m.peak_pinned_pages(), 3);
     }
 
     #[test]
@@ -112,6 +104,5 @@ mod tests {
             let _g = batched.pin(64 * 4096);
         }
         assert_eq!(batched.pin_calls() + batched.unpin_calls(), 2);
-        assert_eq!(batched.peak_pinned_pages(), 64);
     }
 }

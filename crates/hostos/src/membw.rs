@@ -32,11 +32,6 @@ impl MemoryModel {
         Self::with_channels(16)
     }
 
-    /// The paper's throttled "2c" configuration.
-    pub fn xeon_2ch() -> Self {
-        Self::with_channels(2)
-    }
-
     /// An arbitrary channel count with testbed DDR4-3200 parameters.
     pub fn with_channels(channels: u32) -> Self {
         assert!(channels >= 1);
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn two_channels_throttle_spdk_reads_but_not_cam() {
-        let m = MemoryModel::xeon_2ch();
+        let m = MemoryModel::with_channels(2);
         let spdk = m.staged_delivered_gbps(21.0);
         assert!(
             spdk < 15.0 && spdk > 10.0,
@@ -123,7 +118,7 @@ mod tests {
 
     #[test]
     fn two_channels_derate_writes_modestly() {
-        let m = MemoryModel::xeon_2ch();
+        let m = MemoryModel::with_channels(2);
         let w = m.staged_delivered_gbps(8.2);
         assert!(w < 8.2, "some derate expected");
         assert!(w > 6.5, "writes should not collapse, got {w}");

@@ -30,18 +30,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use cam_nvme::spec::{Opcode, Status};
 use cam_nvme::{DesSsd, SsdModel};
-use cam_protocol::cache_core::{
-    CacheConfig, CacheCore, CacheDecisionCounters, ReadBatchPlan, ReadaheadPlan,
-};
 use cam_protocol::{
-    op_index, plan_batch, BatchCore, ChannelOp, Clock, Command, DecisionCounters, GroupSpec,
-    HealthConfig, HealthTransition, LaneHealth, PlanConfig, RetryPolicy, SubmitCmd, VirtualClock,
-    WorkerCore,
+    op_index, open_batch, plan_batch, BatchStamps, ChannelOp, Clock, Command, DecisionCounters,
+    GroupSpec, HealthTransition, PlanConfig, RetryPolicy, SubmitCmd, VirtualClock, WorkerCore,
 };
 use cam_simkit::{Dur, EventKind, FlightRecorder, Pipe, Sim, Time};
 use cam_telemetry::{OpsWindows, SloTracker};
@@ -109,7 +105,7 @@ pub struct CamDesConfig {
     pub block_size: u32,
     /// Blocks per stripe unit.
     pub stripe_blocks: u64,
-    /// Operation every batch of a fixed [`run_cam_des`] workload carries.
+    /// Operation every batch of a fixed [`run_cam_des_obs`] workload carries.
     /// Ignored by [`run_cam_des_source`], where each batch brings its own
     /// op from the [`DesBatchSource`].
     pub op: ChannelOp,
@@ -249,7 +245,7 @@ pub trait DesBatchSource {
     fn is_drained(&self) -> bool;
 }
 
-/// The fixed-workload source behind [`run_cam_des`]: one pre-built queue
+/// The fixed-workload source behind [`run_cam_des_obs`]: one pre-built queue
 /// per channel, every batch carrying the configured op.
 struct StaticSource {
     queues: Vec<VecDeque<CamDesBatch>>,
@@ -343,7 +339,6 @@ struct DesWorld {
     lanes: Vec<LaneStat>,
     /// Per-(ssd, device LBA) read attempts, for the transient-fault spec.
     attempts: HashMap<(usize, u64), u32>,
-    health: Vec<LaneHealth>,
     transitions: Vec<HealthTransition>,
     faults_injected: u64,
     obs: CamDesObs,
@@ -360,7 +355,7 @@ fn now_ns(sim: &Sim<DesWorld>, w: &DesWorld) -> u64 {
 }
 
 /// Publishes the channel's next batch, if any: pull it from the source,
-/// plan it, open its [`BatchCore`], and deliver its per-SSD groups to
+/// plan it, open it ([`open_batch`]), and deliver its per-SSD groups to
 /// their workers.
 fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     if w.channel_busy[ch] {
@@ -405,41 +400,20 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     }
     let cost = w.cfg.cpu_pipe.dispatch_cost(n_requests);
     let done = sim.pipe_enqueue_work(w.dispatcher, cost);
-    let core = Arc::new(BatchCore {
-        channel: ch,
-        seq,
-        op,
-        remaining: AtomicUsize::new(plan.n_groups()),
-        errors: AtomicU64::new(0),
-        requests: plan.requests,
-        dispatched_ns: done.as_ns(),
-        compute_gap_ns: 0,
+    let at = BatchStamps {
         doorbell_ns: now,
         pickup_ns: now,
-        dups: plan.dups,
-        blocks: batch.blocks,
-    });
-    let mut groups: Vec<(usize, GroupSpec)> = Vec::new();
-    for (ssd, reqs) in plan.groups.into_iter().enumerate() {
-        if reqs.is_empty() {
-            continue;
-        }
-        let wid = ssd % w.cores.len();
-        groups.push((
-            wid,
-            GroupSpec {
-                ssd,
-                reqs,
-                batch: Arc::clone(&core),
-            },
-        ));
-    }
+        dispatched_ns: done.as_ns(),
+        compute_gap_ns: 0,
+    };
+    let groups = open_batch(plan, ch, seq, at);
     // Groups reach their workers when the planner finishes the batch's
     // planning/dispatch work — back-to-back doorbells serialize behind the
     // one dispatch pipe, as behind one planning worker of the threaded
     // engine.
     sim.schedule_at(done, move |sim, w| {
-        for (wid, spec) in groups {
+        for spec in groups {
+            let wid = spec.ssd % w.cores.len();
             deliver(sim, w, wid, spec);
         }
     });
@@ -542,18 +516,6 @@ fn arm_timer(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
     });
 }
 
-/// Records a lane-health transition: kept for the report (sequence
-/// comparison across drivers) and emitted on the virtual timeline.
-fn lane_transition(sim: &Sim<DesWorld>, w: &mut DesWorld, t: HealthTransition) {
-    w.transitions.push(t);
-    sim.emit(EventKind::LaneHealth {
-        ssd: t.ssd as u16,
-        from: t.from.code(),
-        to: t.to.code(),
-        retries: t.faults,
-    });
-}
-
 /// Executes drained protocol commands against the timing models.
 fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<Command>) {
     for cmd in out.drain(..) {
@@ -594,21 +556,54 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
                     sim.schedule_at(Time::from_ns(at), move |sim, _w| sim.emit(ev));
                 }
             }
-            Command::CmdRetry { ssd, now_ns, .. } => {
+            Command::CmdRetry {
+                batch,
+                ssd,
+                cid,
+                attempt,
+                now_ns,
+                ..
+            } => {
                 if let Some(wd) = &w.obs.windows {
                     wd.ssd_retries[ssd].add_at(now_ns, 1, 0);
                 }
-                if let Some(t) = w.health[ssd].on_retry() {
-                    lane_transition(sim, w, t);
+                if w.obs.lifecycle {
+                    sim.emit(EventKind::CmdRetry {
+                        channel: batch.channel as u16,
+                        seq: batch.seq,
+                        ssd: ssd as u16,
+                        cid,
+                        attempt,
+                    });
                 }
             }
-            Command::CmdTimeout { ssd, now_ns, .. } => {
-                if let Some(wd) = &w.obs.windows {
-                    wd.ssd_retries[ssd].add_at(now_ns, 1, 0);
+            Command::CmdTimeout {
+                batch,
+                ssd,
+                cid,
+                attempts,
+                ..
+            } => {
+                if w.obs.lifecycle {
+                    sim.emit(EventKind::CmdTimeout {
+                        channel: batch.channel as u16,
+                        seq: batch.seq,
+                        ssd: ssd as u16,
+                        cid,
+                        attempts,
+                    });
                 }
-                if let Some(t) = w.health[ssd].on_timeout() {
-                    lane_transition(sim, w, t);
-                }
+            }
+            // Kept for the report (sequence comparison across drivers) and
+            // emitted on the virtual timeline.
+            Command::LaneTransition { transition: t, .. } => {
+                w.transitions.push(t);
+                sim.emit(EventKind::LaneHealth {
+                    ssd: t.ssd as u16,
+                    from: t.from.code(),
+                    to: t.to.code(),
+                    retries: t.faults,
+                });
             }
             Command::GroupComplete {
                 batch,
@@ -750,18 +745,9 @@ fn bump_depth(w: &mut DesWorld, ssd: usize, now: u64, delta: i64) {
 /// channel's batches have retired. Deterministic: same inputs, same
 /// virtual-time outcome; an attached recorder observes
 /// [`EventKind::SimIssue`]/[`EventKind::SimComplete`] pairs without
-/// perturbing the model.
-pub fn run_cam_des(
-    cfg: CamDesConfig,
-    channels: Vec<Vec<CamDesBatch>>,
-    recorder: Option<Arc<FlightRecorder>>,
-) -> CamDesReport {
-    run_cam_des_obs(cfg, channels, recorder, CamDesObs::default())
-}
-
-/// [`run_cam_des`] with live observability taps attached: the run feeds
-/// the supplied rolling windows and SLO tracker at virtual timestamps,
-/// exactly as the threaded engine feeds its own at wall timestamps.
+/// perturbing the model. The run feeds `obs`'s rolling windows and SLO
+/// tracker at virtual timestamps, exactly as the threaded engine feeds its
+/// own at wall timestamps ([`CamDesObs::default`] attaches none).
 pub fn run_cam_des_obs(
     cfg: CamDesConfig,
     channels: Vec<Vec<CamDesBatch>>,
@@ -843,9 +829,6 @@ pub fn run_cam_des_source(
             })
             .collect(),
         attempts: HashMap::new(),
-        health: (0..cfg.n_ssds)
-            .map(|ssd| LaneHealth::new(ssd, HealthConfig::default()))
-            .collect(),
         transitions: Vec::new(),
         faults_injected: 0,
         obs,
@@ -858,10 +841,11 @@ pub fn run_cam_des_source(
     // End-of-calendar drain: every lane is quiesced, so degraded or
     // overloaded lanes are declared recovered — the same drain the
     // threaded engine performs in `Engine::stop` after joining workers.
-    for ssd in 0..w.cfg.n_ssds {
-        if let Some(t) = w.health[ssd].on_drain() {
-            lane_transition(&sim, &mut w, t);
-        }
+    for wid in 0..w.cores.len() {
+        let mut out = mem::take(&mut w.scratch);
+        w.cores[wid].drain_lanes(end_ns, &mut out);
+        execute(&mut sim, &mut w, wid, &mut out);
+        w.scratch = out;
     }
     assert!(w.source.is_drained(), "every batch must publish");
     assert!(
@@ -901,230 +885,6 @@ pub fn run_cam_des_source(
     }
 }
 
-/// Channel conventions of the cached DES run, shared with
-/// `cam-cache::CachedDevice`: demand reads on 0, write-back on 1 (idle on
-/// the read-only fidelity workloads), speculation on 2.
-const CACHED_READ_CHANNEL: usize = 0;
-const CACHED_READAHEAD_CHANNEL: usize = 2;
-/// Channels a cached DES run drives.
-const CACHED_CHANNELS: usize = 3;
-
-/// One cached logical batch mid-flight: its demand classification, its
-/// (committed) speculative plan, and which DES batches are still out.
-struct CachedInflight {
-    plan: ReadBatchPlan,
-    ra: Option<ReadaheadPlan>,
-    /// Pending publication for the demand channel (fills + uncached
-    /// fallbacks), taken by `next_batch(0)`.
-    demand_pub: Option<CamDesBatch>,
-    /// Pending publication for the speculative channel.
-    ra_pub: Option<CamDesBatch>,
-    demand_open: bool,
-    ra_open: bool,
-}
-
-/// The DES cache stage: a [`DesBatchSource`] that steps the *same*
-/// [`CacheCore`] the threaded `BlockCache` wraps, in virtual time.
-///
-/// Per logical batch it follows the quiesced discipline of the threaded
-/// `CachedDevice` under `quiesce()` (and of
-/// [`cam_protocol::cache_core::replay_read_workload`]): classify the
-/// demand batch, plan + commit at most one speculative batch, publish both
-/// as DES batches on their channels, and only when **both** retire —
-/// publishing fills into the core — plan the next logical batch. Every
-/// cache decision is therefore independent of I/O timing, and the decision
-/// counters match the threaded driver and the pure replay *exactly*.
-struct CachedSource {
-    core: Arc<Mutex<CacheCore>>,
-    batches: VecDeque<Vec<u64>>,
-    array_blocks: u64,
-    /// The driver-side channel gate for speculation (`n_channels >= 3` in
-    /// the threaded device).
-    readahead: bool,
-    cur: Option<CachedInflight>,
-    /// Virtual cost of serving one cache hit: the host-side DMA copy from
-    /// the resident slot to the destination buffer (`block_size /
-    /// host_gbps`). The threaded driver pays this on the CPU before the
-    /// miss batch's doorbell; without it the DES would model hits as free
-    /// and overstate cached throughput.
-    hit_dma_ns: u64,
-    /// Earliest virtual instant the pending publications may be taken:
-    /// planning pushes it forward by `hits × hit_dma_ns` (including
-    /// pure-hit batches, whose copies delay the next doorbell). Timing
-    /// only — cache *decisions* are charged nothing and stay
-    /// byte-identical with the threaded driver and the pure replay.
-    ready_ns: u64,
-}
-
-impl CachedSource {
-    /// Plans logical batches until one needs device I/O (or none remain).
-    /// All-hit batches resolve entirely inside the core — no DES traffic
-    /// (but their hit copies still advance the readiness gate).
-    fn advance(&mut self, now_ns: u64) {
-        while self.cur.is_none() {
-            let Some(lbas) = self.batches.pop_front() else {
-                return;
-            };
-            if lbas.is_empty() {
-                continue;
-            }
-            let mut core = self.core.lock().unwrap();
-            let plan = core.plan_read_batch(&lbas);
-            debug_assert_eq!(plan.flushed, 0, "cached DES runs are read-only");
-            self.ready_ns = self.ready_ns.max(now_ns) + plan.hits * self.hit_dma_ns;
-            let ra = if self.readahead {
-                core.plan_readahead(lbas[0], self.array_blocks)
-            } else {
-                None
-            };
-            if let Some(p) = &ra {
-                // Channel publication cannot fail here, so the plan
-                // commits at planning time — where the threaded device
-                // commits after its submit succeeds.
-                core.commit_readahead(p);
-            }
-            let mut demand: Vec<u64> = plan.fills.iter().map(|&(_, lba)| lba).collect();
-            demand.extend(plan.direct.iter().copied());
-            let ra_pub = ra.as_ref().map(|p| CamDesBatch {
-                lbas: p.fills.iter().map(|&(_, lba)| lba).collect(),
-                blocks: 1,
-            });
-            if demand.is_empty() && ra_pub.is_none() {
-                // Pure-hit batch: publish immediately (a no-op on slot
-                // state beyond the hits already counted) and keep going.
-                core.publish_read_batch(&plan);
-                continue;
-            }
-            let demand_pub = (!demand.is_empty()).then_some(CamDesBatch {
-                lbas: demand,
-                blocks: 1,
-            });
-            if demand_pub.is_none() {
-                core.publish_read_batch(&plan);
-            }
-            self.cur = Some(CachedInflight {
-                demand_open: false,
-                ra_open: false,
-                demand_pub,
-                ra_pub,
-                plan,
-                ra,
-            });
-        }
-    }
-
-    /// Drops the finished logical batch and plans the next one.
-    fn maybe_next(&mut self, now_ns: u64) {
-        if let Some(c) = &self.cur {
-            if c.demand_open || c.ra_open || c.demand_pub.is_some() || c.ra_pub.is_some() {
-                return;
-            }
-        }
-        self.cur = None;
-        self.advance(now_ns);
-    }
-}
-
-impl DesBatchSource for CachedSource {
-    fn next_batch(&mut self, channel: usize, now_ns: u64) -> Option<(CamDesBatch, ChannelOp)> {
-        if self.cur.is_none() {
-            self.advance(now_ns);
-        }
-        // The batch's hit copies occupy the host before its doorbells: the
-        // driver re-offers at `next_ready_ns`.
-        if now_ns < self.ready_ns {
-            return None;
-        }
-        let c = self.cur.as_mut()?;
-        let b = match channel {
-            CACHED_READ_CHANNEL => {
-                let b = c.demand_pub.take()?;
-                c.demand_open = true;
-                b
-            }
-            CACHED_READAHEAD_CHANNEL => {
-                let b = c.ra_pub.take()?;
-                c.ra_open = true;
-                b
-            }
-            _ => return None,
-        };
-        Some((b, ChannelOp::Read))
-    }
-
-    fn on_retire(&mut self, channel: usize, now_ns: u64, errors: u64) {
-        assert_eq!(errors, 0, "cached DES runs are fault-free");
-        let c = self.cur.as_mut().expect("retire without an open batch");
-        let mut core = self.core.lock().unwrap();
-        match channel {
-            CACHED_READ_CHANNEL => {
-                core.publish_read_batch(&c.plan);
-                c.demand_open = false;
-            }
-            CACHED_READAHEAD_CHANNEL => {
-                let p = c.ra.as_ref().expect("readahead retire without a plan");
-                for &(slot, _) in &p.fills {
-                    core.complete_fill_speculative(slot);
-                }
-                core.readahead_retired();
-                c.ra_open = false;
-            }
-            _ => unreachable!("cached DES publishes only channels 0 and 2"),
-        }
-        drop(core);
-        self.maybe_next(now_ns);
-    }
-
-    fn next_ready_ns(&mut self, now_ns: u64) -> Option<u64> {
-        // Only the publication gate is time-driven; everything else is
-        // unblocked by retirements.
-        let pending = self
-            .cur
-            .as_ref()
-            .is_some_and(|c| c.demand_pub.is_some() || c.ra_pub.is_some());
-        (pending && self.ready_ns > now_ns).then_some(self.ready_ns)
-    }
-
-    fn is_drained(&self) -> bool {
-        self.batches.is_empty() && self.cur.is_none()
-    }
-}
-
-/// Runs a read-only batched workload through the DES driver with the block
-/// cache in the path: the same [`CacheCore`] decision object the threaded
-/// `CachedDevice` drives, stepped on the virtual timeline. Returns the DES
-/// report plus the cache decision counters — the fidelity harness asserts
-/// the latter *exactly equal* across the threaded driver, this driver, and
-/// the pure replay.
-///
-/// The run uses the cached channel conventions (demand 0, write-back 1
-/// idle, speculation 2); speculation requires
-/// `cache_cfg.readahead.enable`, mirroring the threaded device's
-/// `n_channels >= 3` gate.
-pub fn run_cam_des_cached(
-    cfg: CamDesConfig,
-    cache_cfg: CacheConfig,
-    array_blocks: u64,
-    batches: Vec<Vec<u64>>,
-    recorder: Option<Arc<FlightRecorder>>,
-    obs: CamDesObs,
-) -> (CamDesReport, CacheDecisionCounters) {
-    let core = Arc::new(Mutex::new(CacheCore::new(cache_cfg)));
-    let source = CachedSource {
-        core: Arc::clone(&core),
-        batches: batches.into(),
-        array_blocks,
-        readahead: cache_cfg.readahead.enable,
-        cur: None,
-        // One block over the host fabric, in ns (GB/s ≡ bytes/ns).
-        hit_dma_ns: (f64::from(cfg.block_size) / cfg.host_gbps).round() as u64,
-        ready_ns: 0,
-    };
-    let report = run_cam_des_source(cfg, CACHED_CHANNELS, Box::new(source), recorder, obs);
-    let counters = core.lock().unwrap().counters();
-    (report, counters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1147,6 +907,11 @@ mod tests {
         }
     }
 
+    /// An unobserved fixed-workload run.
+    fn run(cfg: CamDesConfig, channels: Vec<Vec<CamDesBatch>>) -> CamDesReport {
+        run_cam_des_obs(cfg, channels, None, CamDesObs::default())
+    }
+
     fn seq_batch(base: u64, n: u64) -> CamDesBatch {
         CamDesBatch {
             lbas: (base..base + n).collect(),
@@ -1156,11 +921,7 @@ mod tests {
 
     #[test]
     fn closed_loop_drains_and_counts_every_decision() {
-        let r = run_cam_des(
-            cfg(2, true),
-            vec![vec![seq_batch(0, 8), seq_batch(8, 8)]],
-            None,
-        );
+        let r = run(cfg(2, true), vec![vec![seq_batch(0, 8), seq_batch(8, 8)]]);
         assert_eq!(r.batches, 2);
         assert_eq!(r.commands, 16);
         assert_eq!(r.bytes, 16 * 4096);
@@ -1195,16 +956,14 @@ mod tests {
                 blocks: 2,
             },
         ];
-        let mut expected = DecisionCounters::default();
-        for b in &batches {
-            let reqs = b.lbas.iter().map(|&l| (l, 0u64)).collect();
-            let plan = plan_batch(&plan_cfg, ChannelOp::Read, b.blocks, reqs);
-            expected.record_plan(&plan);
-            expected.sqes += plan.runs();
-        }
+        let expected = cam_protocol::replay_plan_workload(
+            &plan_cfg,
+            ChannelOp::Read,
+            batches.iter().map(|b| (b.lbas.as_slice(), b.blocks)),
+        );
         let mut c = cfg(2, true);
         c.stripe_blocks = 2;
-        let r = run_cam_des(c, vec![batches.to_vec()], None);
+        let r = run(c, vec![batches.to_vec()]);
         assert_eq!(r.decisions, expected);
         assert_eq!(r.commands, expected.sqes);
     }
@@ -1217,8 +976,8 @@ mod tests {
                 vec![seq_batch(1 << 32, 16), seq_batch((1 << 32) + 16, 16)],
             ]
         };
-        let piped = run_cam_des(cfg(1, true), channels(), None);
-        let blocking = run_cam_des(cfg(1, false), channels(), None);
+        let piped = run(cfg(1, true), channels());
+        let blocking = run(cfg(1, false), channels());
         assert_eq!(piped.commands, blocking.commands);
         assert_eq!(
             piped.decisions, blocking.decisions,
@@ -1249,7 +1008,7 @@ mod tests {
             deadline_ns: None,
         };
         c.fault = Some(DesFaultSpec::transient_reads_in(0, 0, 16, 2));
-        let r = run_cam_des(c, vec![vec![seq_batch(0, 16)]], None);
+        let r = run(c, vec![vec![seq_batch(0, 16)]]);
         assert_eq!(r.faults_injected, 32, "each of 16 LBAs fails twice");
         assert_eq!(r.decisions.retries, 32);
         assert_eq!(r.commands, 16, "every request eventually succeeds");
@@ -1272,8 +1031,44 @@ mod tests {
         let mut c2 = cfg(1, true);
         c2.retry = c.retry;
         c2.fault = c.fault;
-        let r2 = run_cam_des(c2, vec![vec![seq_batch(0, 16)]], None);
+        let r2 = run(c2, vec![vec![seq_batch(0, 16)]]);
         assert_eq!(r2.transitions, r.transitions);
+    }
+
+    #[test]
+    fn retries_and_timeouts_are_told_apart_in_windows_and_events() {
+        use cam_telemetry::{OpsWindows, WindowConfig};
+        // Every read of LBA 0 fails; the deadline expires after a few
+        // backed-off retries. The windowed retry rate counts the retries
+        // only (as the threaded driver and docs/OBSERVABILITY.md do), and
+        // the lifecycle stream carries one event per retry and per timeout.
+        let mut c = cfg(1, true);
+        c.retry = RetryPolicy {
+            max_retries: 100,
+            backoff_base_ns: 50_000,
+            deadline_ns: Some(400_000),
+        };
+        c.fault = Some(DesFaultSpec::transient_reads_in(0, 0, 1, u32::MAX));
+        let windows = Arc::new(OpsWindows::new(WindowConfig::new(4_000_000_000, 4), 1, 1));
+        let rec = Arc::new(FlightRecorder::new());
+        let obs = CamDesObs {
+            windows: Some(Arc::clone(&windows)),
+            slo: None,
+            lifecycle: true,
+        };
+        let r = run_cam_des_obs(c, vec![vec![seq_batch(0, 4)]], Some(Arc::clone(&rec)), obs);
+        assert!(r.decisions.retries >= 2, "{:?}", r.decisions);
+        assert_eq!(r.decisions.timeouts, 1);
+        let (retried, groups) = windows.ssd_retries[0].sums_at(r.duration.as_ns());
+        assert_eq!(retried, r.decisions.retries, "timeouts are not retries");
+        assert_eq!(groups, 1);
+        let events = rec.snapshot();
+        let count = |pick: fn(&EventKind) -> bool| lifecycle_ts(&events, pick).len() as u64;
+        assert_eq!(
+            count(|k| matches!(k, EventKind::CmdRetry { .. })),
+            r.decisions.retries
+        );
+        assert_eq!(count(|k| matches!(k, EventKind::CmdTimeout { .. })), 1);
     }
 
     #[test]
@@ -1288,7 +1083,7 @@ mod tests {
             deadline_ns: None,
         };
         c.fault = Some(DesFaultSpec::transient_reads_in(0, 0, 1, 1));
-        let r = run_cam_des(c, vec![vec![seq_batch(0, 1)]], None);
+        let r = run(c, vec![vec![seq_batch(0, 1)]]);
         assert_eq!(r.commands, 1);
         assert_eq!(r.decisions.retries, 1);
         assert!(
@@ -1545,152 +1340,17 @@ mod tests {
         assert_eq!(dispatches, vec![500, 1_000]);
     }
 
-    fn cached_cfg() -> CacheConfig {
-        CacheConfig {
-            slots: 32,
-            shards: 4,
-            flush_batch: 8,
-            readahead: cam_protocol::cache_core::ReadaheadConfig::default(),
-        }
-    }
-
-    /// A read stream with re-references (hits), duplicates within batches
-    /// (coalescing), sequential runs (readahead confirmation), and enough
-    /// distinct blocks to force CLOCK evictions on a 32-slot cache.
-    fn cached_workload() -> Vec<Vec<u64>> {
-        let mut batches = Vec::new();
-        for round in 0u64..12 {
-            let base = round * 8;
-            let mut lbas: Vec<u64> = (base..base + 8).collect();
-            lbas.push(base); // in-batch duplicate: exercises coalescing
-            if round >= 2 {
-                lbas.push((round - 2) * 8); // re-reference: hit or refetch
-            }
-            batches.push(lbas);
-        }
-        batches
-    }
-
-    #[test]
-    fn cached_des_counters_match_the_pure_replay_exactly() {
-        let array_blocks = 4096;
-        for ra in [true, false] {
-            let mut cache_cfg = cached_cfg();
-            cache_cfg.readahead.enable = ra;
-            let expected = cam_protocol::cache_core::replay_read_workload(
-                cache_cfg,
-                array_blocks,
-                ra,
-                &cached_workload(),
-            );
-            let (report, counters) = run_cam_des_cached(
-                cfg(2, true),
-                cache_cfg,
-                array_blocks,
-                cached_workload(),
-                None,
-                CamDesObs::default(),
-            );
-            assert_eq!(counters, expected, "readahead={ra}");
-            assert!(counters.hits > 0 && counters.misses > 0 && counters.coalesced > 0);
-            assert!(counters.evictions > 0, "32 slots must thrash");
-            if ra {
-                assert!(counters.readahead_issued > 0);
-                assert!(counters.readahead_hits > 0);
-            } else {
-                assert_eq!(counters.readahead_issued, 0);
-            }
-            // Only misses and uncached fallbacks generate device traffic.
-            assert_eq!(report.commands, counters.misses + counters.readahead_issued);
-            assert!(report.duration > Dur::ZERO);
-            // Determinism: virtual time and decisions replay bit-identically.
-            let (r2, c2) = run_cam_des_cached(
-                cfg(2, true),
-                cache_cfg,
-                array_blocks,
-                cached_workload(),
-                None,
-                CamDesObs::default(),
-            );
-            assert_eq!(c2, counters);
-            assert_eq!(r2.duration.as_ns(), report.duration.as_ns());
-        }
-    }
-
-    #[test]
-    fn cached_des_all_hit_batches_need_no_device_traffic() {
-        // Second pass over a fully resident working set: every batch after
-        // the first pass is pure hits and publishes nothing.
-        let lbas: Vec<u64> = (0..16).collect();
-        let mut cache_cfg = cached_cfg();
-        cache_cfg.readahead.enable = false;
-        let (report, counters) = run_cam_des_cached(
-            cfg(2, true),
-            cache_cfg,
-            4096,
-            vec![lbas.clone(), lbas.clone(), lbas],
-            None,
-            CamDesObs::default(),
-        );
-        assert_eq!(counters.misses, 16);
-        assert_eq!(counters.hits, 32);
-        assert_eq!(report.batches, 1, "only the cold pass touches the array");
-        assert_eq!(report.commands, 16);
-    }
-
-    #[test]
-    fn cache_hits_charge_host_dma_time() {
-        // Two workloads with *identical device traffic* (8 fresh blocks
-        // per batch): one additionally re-reads the previous batch's
-        // blocks — pure hits, which publish nothing but occupy the host
-        // with slot→buffer DMA copies before the batch's doorbell. The
-        // virtual-time difference must be exactly the hits' copy time,
-        // `hits × block_size / host_gbps` — hits are not free.
-        let mut with_hits = Vec::new();
-        let mut miss_only = Vec::new();
-        for round in 0u64..6 {
-            let base = round * 8;
-            let fresh: Vec<u64> = (base..base + 8).collect();
-            miss_only.push(fresh.clone());
-            let mut lbas = fresh;
-            if round >= 1 {
-                lbas.extend((round - 1) * 8..round * 8); // resident: hits
-            }
-            with_hits.push(lbas);
-        }
-        let mut cache_cfg = cached_cfg();
-        cache_cfg.readahead.enable = false;
-        let run = |batches: Vec<Vec<u64>>| {
-            run_cam_des_cached(
-                cfg(2, true),
-                cache_cfg,
-                4096,
-                batches,
-                None,
-                CamDesObs::default(),
-            )
-        };
-        let (hit_report, hit_counters) = run(with_hits);
-        let (miss_report, miss_counters) = run(miss_only);
-        assert_eq!(hit_counters.hits, 40);
-        assert_eq!(hit_counters.misses, 48);
-        assert_eq!(miss_counters.hits, 0);
-        assert_eq!(miss_counters.misses, 48);
-        assert_eq!(hit_report.commands, miss_report.commands);
-        let hit_dma_ns = (4096.0f64 / 21.0).round() as u64;
-        assert_eq!(
-            hit_report.duration.as_ns(),
-            miss_report.duration.as_ns() + hit_counters.hits * hit_dma_ns,
-            "hit DMA copies must gate the doorbells in virtual time"
-        );
-    }
-
     #[test]
     fn recorder_does_not_perturb_virtual_time() {
         let workload = || vec![vec![seq_batch(0, 32)]];
-        let plain = run_cam_des(cfg(2, true), workload(), None);
+        let plain = run(cfg(2, true), workload());
         let rec = Arc::new(FlightRecorder::new());
-        let traced = run_cam_des(cfg(2, true), workload(), Some(Arc::clone(&rec)));
+        let traced = run_cam_des_obs(
+            cfg(2, true),
+            workload(),
+            Some(Arc::clone(&rec)),
+            CamDesObs::default(),
+        );
         assert_eq!(plain.duration.as_ns(), traced.duration.as_ns());
         let events = rec.snapshot();
         let issues = events

@@ -27,7 +27,7 @@ use cam_nvme::{DesSsd, SsdModel};
 use cam_protocol::ChannelOp;
 use cam_simkit::{Dur, EventKind, FlightRecorder, Pipe, Sim, Time};
 
-use crate::cam_des::{run_cam_des, CamDesBatch, CamDesConfig, CpuPipeModel};
+use crate::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel};
 
 /// The SSD management being modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -478,7 +478,7 @@ fn run_cam_microbench(
         remaining -= n;
         ch = (ch + 1) % CAM_DES_CHANNELS;
     }
-    let report = run_cam_des(des_cfg, channels, recorder);
+    let report = run_cam_des_obs(des_cfg, channels, recorder, CamDesObs::default());
     assert_eq!(report.commands, cfg.requests, "closed loop must drain");
 
     let raw_gbps = (cfg.requests * cfg.granularity) as f64 / report.duration.as_ns().max(1) as f64;

@@ -60,21 +60,6 @@ impl Default for DeviceConfig {
     }
 }
 
-/// Controller identification data (the Identify admin command's answer).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ControllerInfo {
-    /// Model string.
-    pub model: String,
-    /// Namespace capacity in blocks.
-    pub capacity_blocks: u64,
-    /// Logical block size in bytes.
-    pub block_size: u32,
-    /// MDTS in blocks.
-    pub max_transfer_blocks: u32,
-    /// Queue pairs currently created.
-    pub queue_pairs: usize,
-}
-
 /// Device counters (all monotonically increasing).
 #[derive(Default)]
 pub struct DeviceStats {
@@ -215,19 +200,6 @@ impl NvmeDevice {
     /// Media geometry.
     pub fn geometry(&self) -> cam_blockdev::BlockGeometry {
         self.shared.store.geometry()
-    }
-
-    /// Identify: controller/namespace data (the admin-queue handshake every
-    /// user-space driver performs before creating I/O queues).
-    pub fn identify(&self) -> ControllerInfo {
-        let g = self.shared.store.geometry();
-        ControllerInfo {
-            model: self.shared.config.name.clone(),
-            capacity_blocks: g.blocks,
-            block_size: g.block_size,
-            max_transfer_blocks: self.shared.config.max_transfer_blocks,
-            queue_pairs: self.shared.qps.read().len(),
-        }
     }
 
     /// Device counters.
@@ -469,18 +441,6 @@ mod tests {
         qp.submit(Sqe::read(1, 4095, 2, 0x1_0000)).unwrap();
         assert_eq!(wait_cqe(&qp).status, Status::LbaOutOfRange);
         assert_eq!(dev.stats().errors(), 1);
-    }
-
-    #[test]
-    fn identify_reports_controller_data() {
-        let (dev, _dma) = setup();
-        let _qp = dev.add_queue_pair(8);
-        let info = dev.identify();
-        assert_eq!(info.capacity_blocks, 4096);
-        assert_eq!(info.block_size, 512);
-        assert_eq!(info.max_transfer_blocks, 1024);
-        assert_eq!(info.queue_pairs, 1);
-        assert_eq!(info.model, "nvme0");
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod model;
 mod queue;
 pub mod spec;
 
-pub use device::{ControllerInfo, DeviceConfig, DeviceStats, NvmeDevice};
+pub use device::{DeviceConfig, DeviceStats, NvmeDevice};
 pub use mem::{DmaError, DmaRouter, DmaSpace, PinnedRegion};
 pub use model::{DesSsd, SsdModel};
 pub use queue::{QpStats, QueueError, QueuePair};

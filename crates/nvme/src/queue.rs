@@ -298,20 +298,6 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Convenience: stage a batch and ring once (the CAM/SPDK pattern).
-    /// Returns how many were accepted before the queue filled.
-    pub fn submit_batch<I: IntoIterator<Item = Sqe>>(&self, sqes: I) -> usize {
-        let mut accepted = 0;
-        for sqe in sqes {
-            if self.push_sqe(sqe).is_err() {
-                break;
-            }
-            accepted += 1;
-        }
-        self.ring_doorbell();
-        accepted
-    }
-
     /// Host side: reaps one completion if available.
     pub fn poll_cqe(&self) -> Option<Cqe> {
         let mut cqe = None;
@@ -432,10 +418,21 @@ mod tests {
         assert_eq!(qp.stats().peak_in_flight(), 2);
     }
 
+    /// Stages SQEs until the queue fills, then rings once (the CAM/SPDK
+    /// pattern). Returns how many were accepted.
+    fn submit_batch(qp: &QueuePair, sqes: impl IntoIterator<Item = Sqe>) -> usize {
+        let accepted = sqes
+            .into_iter()
+            .take_while(|&sqe| qp.push_sqe(sqe).is_ok())
+            .count();
+        qp.ring_doorbell();
+        accepted
+    }
+
     #[test]
     fn batch_submission_counts_one_doorbell() {
         let qp = QueuePair::new(0, 64);
-        let n = qp.submit_batch((0..32).map(|i| Sqe::read(i, i as u64, 1, 0)));
+        let n = submit_batch(&qp, (0..32).map(|i| Sqe::read(i, i as u64, 1, 0)));
         assert_eq!(n, 32);
         assert_eq!(qp.stats().doorbells(), 1);
         assert_eq!(qp.stats().submitted(), 32);
@@ -444,7 +441,7 @@ mod tests {
     #[test]
     fn batch_submission_stops_at_capacity() {
         let qp = QueuePair::new(0, 4);
-        let n = qp.submit_batch((0..10).map(|i| Sqe::read(i, 0, 1, 0)));
+        let n = submit_batch(&qp, (0..10).map(|i| Sqe::read(i, 0, 1, 0)));
         assert_eq!(n, 4);
         assert_eq!(qp.in_flight(), 4);
     }
@@ -452,7 +449,7 @@ mod tests {
     #[test]
     fn poll_cqes_reaps_up_to_max() {
         let qp = QueuePair::new(0, 8);
-        qp.submit_batch((0..6).map(|i| Sqe::read(i, 0, 1, 0)));
+        submit_batch(&qp, (0..6).map(|i| Sqe::read(i, 0, 1, 0)));
         while let Some(sqe) = qp.take_sqe() {
             qp.post_cqe(Cqe {
                 cid: sqe.cid,

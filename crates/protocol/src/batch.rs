@@ -7,8 +7,10 @@
 //! they read identically under the single-threaded DES driver.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use crate::plan::ChannelOp;
+use crate::plan::{BatchPlan, ChannelOp};
+use crate::worker::GroupSpec;
 
 /// One batch's identity, plan residue, and completion accounting, owned
 /// jointly by the batch's per-SSD groups.
@@ -44,6 +46,51 @@ pub struct BatchCore {
     pub blocks: u32,
 }
 
+/// When the driver saw a batch, on its own clock (see the [`BatchCore`]
+/// fields of the same names).
+#[derive(Clone, Copy, Debug)]
+pub struct BatchStamps {
+    /// When the GPU rang the doorbell.
+    pub doorbell_ns: u64,
+    /// When the poller picked the batch up.
+    pub pickup_ns: u64,
+    /// When dispatch planning ran (or, in virtual time, finishes).
+    pub dispatched_ns: u64,
+    /// Previous retire → this pickup on the channel; 0 = no sample.
+    pub compute_gap_ns: u64,
+}
+
+/// Opens the batch `plan` describes: its non-empty per-SSD groups in SSD
+/// order — ready for [`WorkerCore::on_group`](crate::WorkerCore::on_group)
+/// — sharing one [`BatchCore`] that expects a close from each. A plan with
+/// no runs yields no groups (nothing would ever retire its core).
+pub fn open_batch(plan: BatchPlan, channel: usize, seq: u64, at: BatchStamps) -> Vec<GroupSpec> {
+    let batch = Arc::new(BatchCore {
+        channel,
+        seq,
+        op: plan.op,
+        remaining: AtomicUsize::new(plan.n_groups()),
+        errors: AtomicU64::new(0),
+        requests: plan.requests,
+        dispatched_ns: at.dispatched_ns,
+        compute_gap_ns: at.compute_gap_ns,
+        doorbell_ns: at.doorbell_ns,
+        pickup_ns: at.pickup_ns,
+        dups: plan.dups,
+        blocks: plan.blocks,
+    });
+    plan.groups
+        .into_iter()
+        .enumerate()
+        .filter(|(_, reqs)| !reqs.is_empty())
+        .map(|(ssd, reqs)| GroupSpec {
+            ssd,
+            reqs,
+            batch: Arc::clone(&batch),
+        })
+        .collect()
+}
+
 impl BatchCore {
     /// Closes one group with `errors` failed commands; returns whether this
     /// was the batch's last group — the caller must then retire the batch
@@ -59,26 +106,94 @@ impl BatchCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{plan_batch, PlanConfig};
+
+    const AT: BatchStamps = BatchStamps {
+        doorbell_ns: 10,
+        pickup_ns: 20,
+        dispatched_ns: 30,
+        compute_gap_ns: 5,
+    };
 
     #[test]
     fn last_group_retires_exactly_once() {
-        let b = BatchCore {
-            channel: 0,
-            seq: 1,
-            op: ChannelOp::Read,
-            remaining: AtomicUsize::new(3),
-            errors: AtomicU64::new(0),
-            requests: 12,
-            dispatched_ns: 0,
-            compute_gap_ns: 0,
-            doorbell_ns: 0,
-            pickup_ns: 0,
-            dups: Vec::new(),
-            blocks: 1,
+        let cfg = PlanConfig {
+            n_ssds: 3,
+            stripe_blocks: 1,
+            block_size: 4096,
         };
+        let reqs = (0..12u64).map(|lba| (lba, lba * 4096)).collect();
+        let groups = open_batch(plan_batch(&cfg, ChannelOp::Read, 1, reqs), 0, 1, AT);
+        assert_eq!(groups.len(), 3);
+        let b = &groups[0].batch;
         assert!(!b.finish_group(0));
         assert!(!b.finish_group(2));
         assert!(b.finish_group(1), "third close retires");
         assert_eq!(b.errors.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn open_batch_matches_the_field_by_field_construction() {
+        // Seeded plans with duplicates, stripe crossings and untouched SSDs,
+        // checked against the construction both drivers used to spell out.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut saw_empty_group = false;
+        let mut saw_dups = false;
+        for round in 0..64u64 {
+            let cfg = PlanConfig {
+                n_ssds: 1 + next(6) as usize,
+                stripe_blocks: 1 + next(4),
+                block_size: 4096,
+            };
+            let op = if round % 4 == 3 {
+                ChannelOp::Write
+            } else {
+                ChannelOp::Read
+            };
+            let blocks = 1 + next(3) as u32;
+            let n = next(9);
+            let reqs: Vec<(u64, u64)> = (0..n).map(|i| (next(12), i * 0x4000)).collect();
+            let plan = plan_batch(&cfg, op, blocks, reqs.clone());
+            let want = plan_batch(&cfg, op, blocks, reqs);
+            let groups = open_batch(plan, 7, round, AT);
+            assert_eq!(groups.len(), want.n_groups());
+            saw_empty_group |= groups.len() < cfg.n_ssds;
+            saw_dups |= !want.dups.is_empty();
+            let Some(first) = groups.first() else {
+                continue;
+            };
+            let batch = &first.batch;
+            assert_eq!(batch.remaining.load(Ordering::Relaxed), want.n_groups());
+            assert_eq!(batch.errors.load(Ordering::Relaxed), 0);
+            assert_eq!((batch.channel, batch.seq, batch.op), (7, round, op));
+            assert_eq!((batch.requests, batch.blocks), (n, blocks));
+            assert_eq!(batch.dups, want.dups);
+            assert_eq!(
+                (batch.doorbell_ns, batch.pickup_ns),
+                (AT.doorbell_ns, AT.pickup_ns)
+            );
+            assert_eq!(
+                (batch.dispatched_ns, batch.compute_gap_ns),
+                (AT.dispatched_ns, AT.compute_gap_ns)
+            );
+            let expected: Vec<_> = want
+                .groups
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| !g.is_empty())
+                .collect();
+            for (spec, (ssd, reqs)) in groups.iter().zip(expected) {
+                assert_eq!(spec.ssd, ssd);
+                assert_eq!(&spec.reqs, reqs);
+                assert!(Arc::ptr_eq(&spec.batch, batch), "groups share one core");
+            }
+        }
+        assert!(saw_empty_group && saw_dups, "seeds must cover both cases");
     }
 }

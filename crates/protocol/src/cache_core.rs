@@ -380,19 +380,9 @@ impl CacheCore {
         &self.cfg
     }
 
-    /// Total slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Decision counters so far.
     pub fn counters(&self) -> CacheDecisionCounters {
         self.counters
-    }
-
-    /// Current readahead window in blocks.
-    pub fn readahead_window(&self) -> u32 {
-        self.ra.window()
     }
 
     /// Multiplicative hash so strided LBA streams still spread over shards.
@@ -637,8 +627,8 @@ impl CacheCore {
     /// batch is outstanding, reserves fills for the predicted window
     /// (clamped to `array_blocks`). The plan is *reserved but not
     /// committed*: call [`commit_readahead`](Self::commit_readahead) after
-    /// the speculative I/O is issued, or
-    /// [`abort_readahead`](Self::abort_readahead) if issuing failed.
+    /// the speculative I/O is issued, or [`abort_fill`](Self::abort_fill)
+    /// every reserved slot if issuing failed.
     ///
     /// Also closes the accuracy loop on the previous committed issue —
     /// even if that batch is still outstanding, matching the threaded
@@ -703,14 +693,6 @@ impl CacheCore {
         self.ra_hits_at_issue = self.counters.readahead_hits;
         self.ra_last_issue = plan.fills.len() as u32;
         self.ra_outstanding = true;
-    }
-
-    /// Rolls back a reserved plan whose I/O could not be issued: every
-    /// reserved fill is aborted, and nothing is counted.
-    pub fn abort_readahead(&mut self, plan: &ReadaheadPlan) {
-        for &(slot, _) in &plan.fills {
-            self.abort_fill(slot);
-        }
     }
 
     /// Marks the committed speculative batch as no longer outstanding
@@ -999,7 +981,6 @@ mod tests {
         c.readahead_retired();
         // Every speculative block serves a demand hit; the accuracy sample
         // closes at the next plan call → window grows.
-        let w0 = c.readahead_window();
         for &(_, lba) in &plan.fills {
             let CoreLookup::Hit { slot } = c.lookup(lba, Intent::DemandRead) else {
                 panic!("speculative block resident");
@@ -1007,8 +988,7 @@ mod tests {
             c.unpin(slot);
         }
         let next = c.plan_readahead(48, 1 << 20).expect("stride still held");
-        assert!(next.window > w0, "window grew on perfect accuracy");
-        c.abort_readahead(&next);
+        assert!(next.window > plan.window, "window grew on perfect accuracy");
     }
 
     #[test]
@@ -1029,27 +1009,12 @@ mod tests {
     }
 
     #[test]
-    fn readahead_abort_frees_reserved_slots() {
-        let mut c = ra_core(64);
-        c.plan_readahead(0, 1 << 20);
-        c.plan_readahead(8, 1 << 20);
-        let plan = c.plan_readahead(16, 1 << 20).expect("plan");
-        let issued_before = c.counters().readahead_issued;
-        c.abort_readahead(&plan);
-        assert_eq!(c.counters().readahead_issued, issued_before);
-        for &(_, lba) in &plan.fills {
-            assert!(!c.contains(lba), "aborted fill still mapped");
-        }
-    }
-
-    #[test]
     fn readahead_clamps_to_array_end() {
         let mut c = ra_core(64);
         c.plan_readahead(0, 40);
         c.plan_readahead(8, 40);
         let plan = c.plan_readahead(16, 40).expect("plan");
         assert!(plan.fills.iter().all(|&(_, lba)| lba < 40));
-        c.abort_readahead(&plan);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! [`LaneHealth`] — the per-SSD-lane health state machine, driven beside
+//! [`LaneHealth`] — the per-SSD-lane health state machine, owned and fed by
 //! [`crate::WorkerCore`].
 //!
 //! A *lane* is one SSD's command stream through a worker: the unit the
@@ -14,20 +14,19 @@
 //!                              Recovered
 //! ```
 //!
-//! **Determinism contract.** Transitions are gated *only* on protocol
-//! decisions — retry and timeout counts, and the driver-signalled drain —
-//! never on wall-clock rates or sampled depths. Protocol decisions are
-//! proven identical across the threaded and DES drivers by the fidelity
-//! harness, so the transition sequence a workload produces is itself
-//! driver-independent: the same seed yields the same `(from, to, faults)`
-//! sequence in wall time and in virtual time. Saturation signals (inflight
-//! depth vs. queue depth) are inherently timing-dependent, so they are
-//! tracked as *watermarks* for gauges and live views but deliberately do
-//! not gate transitions.
+//! **Determinism contract.** Transitions are gated *only* on the worker
+//! core's own decisions — its retry and timeout verdicts, and the
+//! driver-signalled drain — never on wall-clock rates or sampled depths
+//! (saturation is timing-dependent, so it gates nothing). Protocol
+//! decisions are proven identical across the threaded and DES drivers by
+//! the fidelity harness, so the transition sequence a workload produces is
+//! itself driver-independent: the same seed yields the same `(from, to,
+//! faults)` sequence in wall time and in virtual time.
 //!
-//! The state machine never reads a clock; drivers emit transitions as
-//! flight-recorder events stamped on their own timeline and mirror the
-//! state code into the `cam_lane_health{ssd}` gauge.
+//! The state machine never reads a clock; the core hands each transition
+//! to its driver as a [`Command::LaneTransition`](crate::Command), which
+//! the driver emits as a flight-recorder event on its own timeline and
+//! mirrors into the `cam_lane_health{ssd}` gauge.
 
 /// The four lane-health states. `code` values are stable (they index
 /// `cam-telemetry`'s `health_state_label` and the `cam_lane_health` gauge).
@@ -82,10 +81,10 @@ pub struct HealthTransition {
 
 /// Thresholds for the lane state machine.
 #[derive(Clone, Copy, Debug)]
-pub struct HealthConfig {
+pub(crate) struct HealthConfig {
     /// Faults within one episode (since the last clean state) that
     /// escalate `Degraded` → `Overloaded`.
-    pub overload_faults: u64,
+    pub(crate) overload_faults: u64,
 }
 
 impl Default for HealthConfig {
@@ -99,93 +98,32 @@ impl Default for HealthConfig {
 /// Per-lane health detector. See module docs for the state machine and
 /// the determinism contract.
 #[derive(Debug)]
-pub struct LaneHealth {
+pub(crate) struct LaneHealth {
     ssd: usize,
     cfg: HealthConfig,
     state: HealthState,
-    /// Cumulative retries observed.
-    retries: u64,
-    /// Cumulative deadline misses observed.
-    timeouts: u64,
+    /// Cumulative faults (retries + timeouts) observed.
+    faults: u64,
     /// Faults in the current episode (reset on drain).
     episode: u64,
-    /// Watermark: deepest inflight depth observed (reported, not gating).
-    depth_peak: usize,
-    /// Watermark: polls that found the lane at its queue-depth budget.
-    saturated_polls: u64,
-    /// Watermark: total depth observations.
-    polls: u64,
 }
 
 impl LaneHealth {
     /// A healthy lane for SSD `ssd`.
-    pub fn new(ssd: usize, cfg: HealthConfig) -> Self {
+    pub(crate) fn new(ssd: usize, cfg: HealthConfig) -> Self {
         LaneHealth {
             ssd,
             cfg,
             state: HealthState::Healthy,
-            retries: 0,
-            timeouts: 0,
+            faults: 0,
             episode: 0,
-            depth_peak: 0,
-            saturated_polls: 0,
-            polls: 0,
         }
     }
 
-    /// Current state.
-    pub fn state(&self) -> HealthState {
-        self.state
-    }
-
-    /// Lane (SSD index).
-    pub fn ssd(&self) -> usize {
-        self.ssd
-    }
-
-    /// Cumulative retries observed.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Cumulative deadline misses observed.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Cumulative faults (retries + timeouts).
-    pub fn faults(&self) -> u64 {
-        self.retries + self.timeouts
-    }
-
-    /// Deepest inflight depth observed (watermark).
-    pub fn depth_peak(&self) -> usize {
-        self.depth_peak
-    }
-
-    /// Fraction of depth observations that found the lane saturated
-    /// (inflight == queue-depth budget); 0 before any observation.
-    pub fn saturation(&self) -> f64 {
-        if self.polls == 0 {
-            0.0
-        } else {
-            self.saturated_polls as f64 / self.polls as f64
-        }
-    }
-
-    /// A command on this lane was re-queued after a transient failure.
-    pub fn on_retry(&mut self) -> Option<HealthTransition> {
-        self.retries += 1;
-        self.on_fault()
-    }
-
-    /// A command on this lane missed its deadline.
-    pub fn on_timeout(&mut self) -> Option<HealthTransition> {
-        self.timeouts += 1;
-        self.on_fault()
-    }
-
-    fn on_fault(&mut self) -> Option<HealthTransition> {
+    /// A command on this lane was re-queued after a transient failure, or
+    /// missed its deadline.
+    pub(crate) fn on_fault(&mut self) -> Option<HealthTransition> {
+        self.faults += 1;
         self.episode += 1;
         let to = match self.state {
             HealthState::Healthy | HealthState::Recovered => HealthState::Degraded,
@@ -200,7 +138,7 @@ impl LaneHealth {
     /// The driver drained the lane clean (quiesce / end of run): a
     /// degraded or overloaded lane is declared recovered and its episode
     /// counter reset. No-op on a lane with no open episode.
-    pub fn on_drain(&mut self) -> Option<HealthTransition> {
+    pub(crate) fn on_drain(&mut self) -> Option<HealthTransition> {
         match self.state {
             HealthState::Degraded | HealthState::Overloaded => {
                 self.episode = 0;
@@ -210,25 +148,12 @@ impl LaneHealth {
         }
     }
 
-    /// Records an inflight-depth observation against the lane's
-    /// queue-depth budget. Watermark only — never causes a transition
-    /// (see the determinism contract in the module docs).
-    pub fn observe_depth(&mut self, inflight: usize, queue_depth: usize) {
-        self.polls += 1;
-        if inflight > self.depth_peak {
-            self.depth_peak = inflight;
-        }
-        if queue_depth > 0 && inflight >= queue_depth {
-            self.saturated_polls += 1;
-        }
-    }
-
     fn transition(&mut self, to: HealthState) -> HealthTransition {
         let t = HealthTransition {
             ssd: self.ssd,
             from: self.state,
             to,
-            faults: self.faults(),
+            faults: self.faults,
         };
         self.state = to;
         t
@@ -251,18 +176,18 @@ mod tests {
     #[test]
     fn fault_storm_walks_healthy_degraded_overloaded_recovered() {
         let mut l = lane(3);
-        let t = l.on_retry().expect("first fault degrades");
+        let t = l.on_fault().expect("first fault degrades");
         assert_eq!(
             (t.from, t.to, t.faults),
             (HealthState::Healthy, HealthState::Degraded, 1)
         );
-        assert!(l.on_retry().is_none(), "second fault: still degraded");
-        let t = l.on_retry().expect("threshold fault overloads");
+        assert!(l.on_fault().is_none(), "second fault: still degraded");
+        let t = l.on_fault().expect("threshold fault overloads");
         assert_eq!(
             (t.from, t.to, t.faults),
             (HealthState::Degraded, HealthState::Overloaded, 3)
         );
-        assert!(l.on_retry().is_none(), "overloaded absorbs further faults");
+        assert!(l.on_fault().is_none(), "overloaded absorbs further faults");
         let t = l.on_drain().expect("drain recovers");
         assert_eq!(
             (t.from, t.to),
@@ -275,10 +200,10 @@ mod tests {
     #[test]
     fn recovery_resets_the_episode_but_not_cumulative_counts() {
         let mut l = lane(2);
-        l.on_retry();
-        l.on_retry(); // → Overloaded
+        l.on_fault();
+        l.on_fault(); // → Overloaded
         l.on_drain(); // → Recovered
-        let t = l.on_retry().expect("fault after recovery re-degrades");
+        let t = l.on_fault().expect("fault after recovery re-degrades");
         assert_eq!(
             (t.from, t.to),
             (HealthState::Recovered, HealthState::Degraded)
@@ -286,31 +211,16 @@ mod tests {
         assert_eq!(t.faults, 3, "cumulative count survives recovery");
         // Fresh episode: one more fault reaches the threshold again.
         let t = l
-            .on_retry()
+            .on_fault()
             .expect("episode threshold counts from recovery");
         assert_eq!(t.to, HealthState::Overloaded);
     }
 
     #[test]
-    fn timeouts_count_as_faults() {
-        let mut l = lane(2);
-        assert_eq!(l.on_timeout().unwrap().to, HealthState::Degraded);
-        assert_eq!(l.on_timeout().unwrap().to, HealthState::Overloaded);
-        assert_eq!((l.retries(), l.timeouts(), l.faults()), (0, 2, 2));
-    }
-
-    #[test]
-    fn depth_observations_never_transition() {
+    fn healthy_lanes_do_not_recover() {
         let mut l = lane(1);
-        for _ in 0..1000 {
-            l.observe_depth(64, 64);
-        }
-        assert_eq!(l.state(), HealthState::Healthy);
-        assert_eq!(l.depth_peak(), 64);
-        assert_eq!(l.saturation(), 1.0);
-        l.observe_depth(3, 64);
-        assert!(l.saturation() < 1.0);
-        assert!(l.on_drain().is_none(), "healthy lanes do not 'recover'");
+        assert!(l.on_drain().is_none());
+        assert_eq!(l.state, HealthState::Healthy);
     }
 
     #[test]

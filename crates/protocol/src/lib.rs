@@ -39,11 +39,13 @@ mod plan;
 mod retry;
 mod worker;
 
-pub use batch::BatchCore;
+pub use batch::{open_batch, BatchCore, BatchStamps};
 pub use cache_core::{CacheCore, CacheDecisionCounters};
 pub use clock::{Clock, VirtualClock};
-pub use health::{HealthConfig, HealthState, HealthTransition, LaneHealth};
+pub use health::{HealthState, HealthTransition};
 pub use inflight::InflightTable;
-pub use plan::{op_index, plan_batch, BatchPlan, ChannelOp, DecisionCounters, PlanConfig};
+pub use plan::{
+    op_index, plan_batch, replay_plan_workload, BatchPlan, ChannelOp, DecisionCounters, PlanConfig,
+};
 pub use retry::{RetryPolicy, Verdict};
 pub use worker::{Command, GroupSpec, ParkHint, SubmitCmd, WorkerCore};

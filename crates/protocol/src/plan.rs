@@ -51,6 +51,10 @@ impl PlanConfig {
 
 /// The planner's output for one batch.
 pub struct BatchPlan {
+    /// Operation the batch carries.
+    pub op: ChannelOp,
+    /// Blocks per request as published.
+    pub blocks: u32,
     /// Requests as published (before dedup).
     pub requests: u64,
     /// Duplicate read requests removed from dispatch: `(primary address,
@@ -123,6 +127,8 @@ pub fn plan_batch(
         }
     }
     BatchPlan {
+        op,
+        blocks,
         requests,
         dups,
         groups,
@@ -208,6 +214,33 @@ impl DecisionCounters {
         self.stripe_splits += plan.stripe_splits;
         self.groups += plan.n_groups() as u64;
     }
+}
+
+/// Replays fault-free batches — `(start LBAs, blocks per request)` each —
+/// through [`plan_batch`] alone and returns the decisions any driver must
+/// reach on them: every plan folded in, one first submission per run. The
+/// uncached counterpart of
+/// [`replay_read_workload`](crate::cache_core::replay_read_workload).
+pub fn replay_plan_workload<'a>(
+    cfg: &PlanConfig,
+    op: ChannelOp,
+    batches: impl IntoIterator<Item = (&'a [u64], u32)>,
+) -> DecisionCounters {
+    let mut d = DecisionCounters::default();
+    for (lbas, blocks) in batches {
+        // Destinations are synthesized as the drivers lay them out; no
+        // decision reads them.
+        let stride = u64::from(blocks) * u64::from(cfg.block_size);
+        let reqs = lbas
+            .iter()
+            .enumerate()
+            .map(|(i, &lba)| (lba, i as u64 * stride))
+            .collect();
+        let plan = plan_batch(cfg, op, blocks, reqs);
+        d.record_plan(&plan);
+        d.sqes += plan.runs();
+    }
+    d
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! the per-SSD [`InflightTable`] admits — across batches — and asks for one
 //! doorbell ring per burst; [`on_cqe`](WorkerCore::on_cqe) matches each
 //! completion back through the table and applies the [`RetryPolicy`] to
-//! failures. Nothing ever blocks on a single group, so an SSD's in-flight
+//! failures — and, since lane health is gated on exactly those verdicts,
+//! feeds each lane's health machine (`crate::health`) in the same step.
+//! Nothing ever blocks on a single group, so an SSD's in-flight
 //! depth stays above one whenever independent batches overlap (the
 //! pipelining the blocking baseline forfeits).
 //!
@@ -22,6 +24,7 @@ use std::sync::Arc;
 use cam_nvme::spec::Status;
 
 use crate::batch::BatchCore;
+use crate::health::{HealthConfig, HealthTransition, LaneHealth};
 use crate::inflight::InflightTable;
 use crate::plan::{ChannelOp, DecisionCounters};
 use crate::retry::{RetryPolicy, Verdict};
@@ -110,6 +113,15 @@ pub enum Command {
         /// When the deadline expiry was observed.
         now_ns: u64,
     },
+    /// A lane's health state changed — raised right after the
+    /// [`Command::CmdRetry`] / [`Command::CmdTimeout`] that caused it, or by
+    /// [`WorkerCore::drain_lanes`].
+    LaneTransition {
+        /// The state change.
+        transition: HealthTransition,
+        /// When the gating decision was made.
+        now_ns: u64,
+    },
     /// Every command of a group reached a final state (telemetry: the
     /// complete-stage span is `complete_ns − anchor_ns`).
     GroupComplete {
@@ -172,11 +184,12 @@ struct PendingCmd {
     last_cid: u16,
 }
 
-/// Per-SSD submission state: commands waiting to be (re-)submitted and the
-/// CID-keyed in-flight table.
+/// Per-SSD submission state: commands waiting to be (re-)submitted, the
+/// CID-keyed in-flight table, and the lane's health machine.
 struct Lane {
     queue: VecDeque<PendingCmd>,
     inflight: InflightTable<PendingCmd>,
+    health: LaneHealth,
 }
 
 /// One accepted per-SSD group and its completion accounting.
@@ -195,6 +208,11 @@ struct GroupState {
     recv_ns: u64,
     /// Stamped when the last command of the group first hits the wire.
     submit_ns: u64,
+}
+
+/// Hands a lane-health change, if there was one, to the driver.
+fn push_transition(out: &mut Vec<Command>, transition: Option<HealthTransition>, now_ns: u64) {
+    out.extend(transition.map(|transition| Command::LaneTransition { transition, now_ns }));
 }
 
 /// The per-worker protocol state machine.
@@ -220,9 +238,10 @@ impl WorkerCore {
     pub fn new(n_ssds: usize, queue_depth: usize, retry: RetryPolicy) -> Self {
         WorkerCore {
             lanes: (0..n_ssds)
-                .map(|_| Lane {
+                .map(|ssd| Lane {
                     queue: VecDeque::new(),
                     inflight: InflightTable::new(queue_depth),
+                    health: LaneHealth::new(ssd, HealthConfig::default()),
                 })
                 .collect(),
             groups: Vec::new(),
@@ -465,7 +484,9 @@ impl WorkerCore {
                     at_ns,
                 });
                 cmd.earliest_ns = at_ns;
-                self.lanes[ssd].queue.push_back(cmd);
+                let lane = &mut self.lanes[ssd];
+                lane.queue.push_back(cmd);
+                push_transition(out, lane.health.on_fault(), now_ns);
             }
             Verdict::TimedOut => self.time_out(ssd, &cmd, now_ns, out),
             Verdict::Permanent => {
@@ -493,7 +514,16 @@ impl WorkerCore {
             attempts: cmd.attempts,
             now_ns,
         });
+        push_transition(out, self.lanes[ssd].health.on_fault(), now_ns);
         self.close_if_done(gid, now_ns, out);
+    }
+
+    /// The driver quiesced this worker (loop exit / end of run): every
+    /// degraded or overloaded lane is declared recovered.
+    pub fn drain_lanes(&mut self, now_ns: u64, out: &mut Vec<Command>) {
+        for lane in &mut self.lanes {
+            push_transition(out, lane.health.on_drain(), now_ns);
+        }
     }
 
     /// Closes `gid` if all of its commands reached a final state, and asks
@@ -530,6 +560,7 @@ impl WorkerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::HealthState;
     use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     fn no_retry() -> RetryPolicy {
@@ -682,12 +713,15 @@ mod tests {
         w.on_cqe(0, cid, Status::TransientMediaError, 100, &mut out);
         assert!(matches!(
             out.as_slice(),
-            [Command::CmdRetry {
-                attempt: 1,
-                now_ns: 100,
-                at_ns: 1100,
-                ..
-            }]
+            [
+                Command::CmdRetry {
+                    attempt: 1,
+                    now_ns: 100,
+                    at_ns: 1100,
+                    ..
+                },
+                Command::LaneTransition { now_ns: 100, .. }
+            ]
         ));
         assert_eq!(w.next_timer_ns(), Some(1100), "timer armed for backoff");
         // Before the backoff gate: nothing moves.
@@ -735,6 +769,7 @@ mod tests {
                     now_ns: 5000,
                     ..
                 },
+                Command::LaneTransition { now_ns: 5000, .. },
                 Command::GroupComplete {
                     errors: 1,
                     anchor_ns: 0,
@@ -850,6 +885,118 @@ mod tests {
             w.on_cqe(0, cid, Status::Success, 10, &mut out);
             assert!(w.accepts_group(), "closed: the next group may enter");
         }
+    }
+
+    #[test]
+    fn core_owned_lane_health_matches_a_standalone_machine() {
+        // 2 workers x 3 SSDs under a scripted retry / timeout / drain
+        // trace: the transitions leaving each core as commands equal what
+        // standalone `LaneHealth` machines fed the same faults report.
+        enum Step {
+            Retry(usize, usize),
+            Timeout(usize, usize),
+            Drain(usize),
+        }
+        use Step::*;
+        let mut script: Vec<Step> = (0..10).map(|_| Retry(0, 0)).collect();
+        script.extend([Timeout(1, 2), Retry(0, 1), Drain(0), Retry(0, 0)]);
+        script.extend((0..7).map(|_| Timeout(1, 2)));
+        script.extend([Retry(1, 0), Drain(1), Drain(0), Drain(0)]);
+
+        const DEADLINE: u64 = 1_000;
+        let policy = RetryPolicy {
+            max_retries: 3,
+            backoff_base_ns: 0,
+            deadline_ns: Some(DEADLINE),
+        };
+        let mut cores: Vec<WorkerCore> = (0..2).map(|_| WorkerCore::new(3, 8, policy)).collect();
+        let mut reference: Vec<Vec<LaneHealth>> = (0..2)
+            .map(|_| {
+                (0..3)
+                    .map(|ssd| LaneHealth::new(ssd, HealthConfig::default()))
+                    .collect()
+            })
+            .collect();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        let mut now = 0u64;
+        for step in script {
+            now += 10 * DEADLINE;
+            out.clear();
+            match step {
+                Retry(w, ssd) | Timeout(w, ssd) => {
+                    let core = &mut cores[w];
+                    core.on_group(
+                        GroupSpec {
+                            ssd,
+                            reqs: vec![(0, 0, 1)],
+                            batch: batch(1),
+                        },
+                        now,
+                    );
+                    core.pump(now, &mut out);
+                    let cid = submits(&out)[0].cid;
+                    // A transient failure inside the deadline retries (and
+                    // then succeeds); one past it times the command out.
+                    let fail_at = match step {
+                        Retry(..) => now + 1,
+                        _ => now + DEADLINE,
+                    };
+                    core.on_cqe(ssd, cid, Status::TransientMediaError, fail_at, &mut out);
+                    if matches!(step, Retry(..)) {
+                        core.pump(fail_at, &mut out);
+                        let cid = submits(&out).last().unwrap().cid;
+                        core.on_cqe(ssd, cid, Status::Success, fail_at, &mut out);
+                    }
+                    assert!(core.idle(), "every scripted group closes");
+                    want.extend(reference[w][ssd].on_fault().map(|t| (w, t)));
+                }
+                Drain(w) => {
+                    cores[w].drain_lanes(now, &mut out);
+                    want.extend(
+                        reference[w]
+                            .iter_mut()
+                            .filter_map(LaneHealth::on_drain)
+                            .map(|t| (w, t)),
+                    );
+                }
+            }
+            let w = match step {
+                Retry(w, _) | Timeout(w, _) | Drain(w) => w,
+            };
+            got.extend(out.iter().filter_map(|c| match c {
+                Command::LaneTransition { transition, .. } => Some((w, *transition)),
+                _ => None,
+            }));
+        }
+        assert_eq!(got, want);
+        let walk: Vec<(usize, usize, HealthState, u64)> = got
+            .iter()
+            .map(|(w, t)| (*w, t.ssd, t.to, t.faults))
+            .collect();
+        use HealthState::*;
+        assert_eq!(
+            walk,
+            [
+                (0, 0, Degraded, 1),
+                (0, 0, Overloaded, 8),
+                (1, 2, Degraded, 1),
+                (0, 1, Degraded, 1),
+                (0, 0, Recovered, 10),
+                (0, 1, Recovered, 1),
+                (0, 0, Degraded, 11),
+                (1, 2, Overloaded, 8),
+                (1, 0, Degraded, 1),
+                (1, 0, Recovered, 1),
+                (1, 2, Recovered, 8),
+                (0, 0, Recovered, 11),
+            ]
+        );
+        let faults: u64 = cores
+            .iter()
+            .map(|c| c.counters().retries + c.counters().timeouts)
+            .sum();
+        assert_eq!(faults, 21, "11 + 1 + 1 retries, 8 timeouts");
     }
 
     #[test]

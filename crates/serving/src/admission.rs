@@ -80,11 +80,6 @@ impl TokenBucket {
         let wait_ns = (deficit / self.cfg.rate_blocks_per_s * 1e9).ceil() as u64;
         self.last_ns.saturating_add(wait_ns.max(1))
     }
-
-    /// Tokens currently in the bucket (after the last refill).
-    pub fn balance(&self) -> f64 {
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -117,10 +112,10 @@ mod tests {
         assert!(b.try_take(0, 4.0));
         // A long idle period refills to burst, not beyond.
         b.refill(1_000_000_000);
-        assert!(b.balance() <= 4.0 + 1e-9);
+        assert!(b.tokens <= 4.0 + 1e-9);
         // A 100-block step clamps to the 4-block burst: admits when full.
         assert!(b.try_take(1_000_000_000, 100.0));
-        assert!(b.balance() < 1.0);
+        assert!(b.tokens < 1.0);
     }
 
     #[test]

@@ -482,11 +482,6 @@ impl ServingCore {
         let _ = now_ns;
     }
 
-    /// Closes a session explicitly (frees its extent once unpinned).
-    pub fn close_session(&mut self, tenant: usize, session: usize) {
-        self.table.close((tenant, session));
-    }
-
     /// GPU-resident blocks across all sessions right now.
     pub fn resident_blocks(&self) -> u64 {
         self.table.resident_total()

@@ -82,37 +82,27 @@ fn idle_tenant_admits_immediately_and_banks_no_credit() {
 }
 
 /// Eviction under GPU-budget pressure must skip sessions with requests in
-/// flight (pinned), and a close during flight defers until the last pin
-/// drops — the retiring batch never addresses a recycled extent.
+/// flight (pinned): the retiring batch's context stays resident.
 #[test]
-fn eviction_and_close_respect_in_flight_pins() {
+fn eviction_respects_in_flight_pins() {
     let mut t = SessionTable::new(SessionConfig {
         session_blocks: 16,
         capacity_blocks: 160,
         gpu_budget_blocks: 32,
     });
     // Session A is mid-request: pinned with full residency.
-    t.ensure_open((0, 0), 1);
-    t.append((0, 0), 16, 1);
-    t.pin((0, 0));
+    let (a, _) = t.open((0, 0), 1);
+    t.append_slot(a, 16, 1);
+    t.pin_slot(a);
     // Sessions B and C overflow the budget; only B (unpinned LRU) and C
     // may lose residency, never pinned A.
-    t.ensure_open((0, 1), 2);
-    t.append((0, 1), 16, 2);
-    t.ensure_open((0, 2), 3);
-    t.append((0, 2), 16, 3);
-    assert_eq!(t.resident((0, 0)), 16, "pinned session evicted");
+    for (session, now) in [(1, 2), (2, 3)] {
+        let (slot, _) = t.open((0, session), now);
+        t.append_slot(slot, 16, now);
+    }
+    assert_eq!(t.view(a).resident, 16, "pinned session evicted");
     assert!(t.resident_total() <= 32 + 16, "budget overshot beyond pins");
-    // Close A mid-flight: the extent must survive until unpin.
-    let extent_lba = t.lba((0, 0), 0);
-    t.close((0, 0));
-    assert!(t.is_open((0, 0)), "close must defer while pinned");
-    assert_eq!(t.lba((0, 0), 0), extent_lba);
-    t.unpin((0, 0));
-    assert!(!t.is_open((0, 0)), "deferred close must complete at unpin");
-    // The freed extent recycles to the next open.
-    t.ensure_open((9, 9), 4);
-    assert_eq!(t.lba((9, 9), 0), extent_lba);
+    t.unpin_slot(a);
 }
 
 /// End-to-end pump used by the disconnect test: fixed service time per

@@ -1,10 +1,9 @@
 //! Deterministic random distributions for workload and device models.
 //!
 //! The approved dependency set includes `rand` but not `rand_distr`, so the
-//! handful of distributions the models need are implemented here:
-//! exponential and log-normal service times, Pareto tails, and Zipf ranks
+//! one distribution the models need is implemented here: Zipf ranks
 //! (rejection-inversion after Hörmann & Derflinger, as used by the `zipf`
-//! crate and `rand_distr`). Every sampler takes an explicit `Rng` so that
+//! crate and `rand_distr`). The sampler takes an explicit `Rng` so that
 //! all experiments are seed-reproducible.
 
 use rand::Rng;
@@ -13,82 +12,6 @@ use rand::SeedableRng;
 /// Creates the crate's canonical deterministic RNG from a seed.
 pub fn seeded_rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
-}
-
-/// Exponential distribution with the given mean.
-#[derive(Clone, Copy, Debug)]
-pub struct Exp {
-    mean: f64,
-}
-
-impl Exp {
-    /// Creates an exponential distribution; `mean` must be positive.
-    pub fn new(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
-        Exp { mean }
-    }
-
-    /// Draws a sample (inverse-transform).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        -self.mean * u.ln()
-    }
-}
-
-/// Standard normal via Box–Muller (no caching; we draw pairs rarely).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Log-normal distribution parameterized by the underlying normal's
-/// `mu`/`sigma`. Used for SSD latency jitter.
-#[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal with underlying normal parameters.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite(), "sigma must be >= 0");
-        LogNormal { mu, sigma }
-    }
-
-    /// Creates a log-normal with the given *distribution* median and a
-    /// shape factor (sigma of the underlying normal).
-    pub fn from_median(median: f64, sigma: f64) -> Self {
-        assert!(median > 0.0, "median must be positive");
-        Self::new(median.ln(), sigma)
-    }
-
-    /// Draws a sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
-    }
-}
-
-/// Pareto distribution (heavy-tailed sizes).
-#[derive(Clone, Copy, Debug)]
-pub struct Pareto {
-    scale: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto with minimum value `scale` and tail index `alpha`.
-    pub fn new(scale: f64, alpha: f64) -> Self {
-        assert!(scale > 0.0 && alpha > 0.0, "scale and alpha must be > 0");
-        Pareto { scale, alpha }
-    }
-
-    /// Draws a sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        self.scale / u.powf(1.0 / self.alpha)
-    }
 }
 
 /// Zipf distribution over ranks `1..=n` with exponent `s > 0`, sampled by
@@ -178,34 +101,6 @@ fn helper2(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exp_mean_converges() {
-        let mut rng = seeded_rng(7);
-        let d = Exp::new(15_000.0);
-        let mean: f64 = (0..200_000).map(|_| d.sample(&mut rng)).sum::<f64>() / 200_000.0;
-        assert!((mean - 15_000.0).abs() / 15_000.0 < 0.02, "mean = {mean}");
-    }
-
-    #[test]
-    fn lognormal_median_converges() {
-        let mut rng = seeded_rng(11);
-        let d = LogNormal::from_median(100.0, 0.25);
-        let mut xs: Vec<f64> = (0..100_001).map(|_| d.sample(&mut rng)).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = xs[50_000];
-        assert!((median - 100.0).abs() / 100.0 < 0.02, "median = {median}");
-        assert!(xs[0] > 0.0);
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = seeded_rng(13);
-        let d = Pareto::new(4096.0, 1.5);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 4096.0);
-        }
-    }
 
     #[test]
     fn zipf_in_range_and_skewed() {

@@ -74,11 +74,6 @@ impl<W: 'static> Sim<W> {
         self.link_reschedule(link);
     }
 
-    /// Number of currently active flows.
-    pub fn link_active_flows(&self, link: SharedLink) -> usize {
-        self.links[link.0].flows.len()
-    }
-
     /// Total bytes accepted by the link.
     pub fn link_bytes(&self, link: SharedLink) -> u64 {
         self.links[link.0].bytes

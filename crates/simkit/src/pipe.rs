@@ -5,7 +5,7 @@
 //! aggregate throughput is exactly the configured rate, which is the property
 //! the paper's throughput figures depend on. Pipes model PCIe links, SSD
 //! internal bandwidth, DRAM channel bandwidth, and — with time-based service
-//! via [`Sim::pipe_busy`] — single CPU threads and GPU SMs.
+//! via [`Sim::pipe_enqueue_work`] — single CPU threads and GPU SMs.
 
 use crate::sim::Sim;
 use crate::time::{Dur, Time};
@@ -19,8 +19,6 @@ pub(crate) struct PipeState {
     rate: f64,
     /// Time at which the pipe finishes everything currently queued.
     free_at: Time,
-    /// Accumulated busy time, for utilization reporting.
-    busy: Dur,
     /// Total bytes accepted.
     bytes: u64,
 }
@@ -42,7 +40,6 @@ impl<W: 'static> Sim<W> {
         self.pipes.push(PipeState {
             rate: rate_gbps,
             free_at: Time::ZERO,
-            busy: Dur::ZERO,
             bytes: 0,
         });
         Pipe(self.pipes.len() - 1)
@@ -57,7 +54,6 @@ impl<W: 'static> Sim<W> {
         let service = p.service_dur(bytes);
         let start = p.free_at.max(now);
         p.free_at = start + service;
-        p.busy += service;
         p.bytes += bytes;
         p.free_at
     }
@@ -69,7 +65,6 @@ impl<W: 'static> Sim<W> {
         let p = &mut self.pipes[pipe.0];
         let start = p.free_at.max(now);
         p.free_at = start + work;
-        p.busy += work;
         p.free_at
     }
 
@@ -85,40 +80,9 @@ impl<W: 'static> Sim<W> {
         done
     }
 
-    /// Enqueues time-based work and schedules `cb` at its completion.
-    pub fn pipe_busy(
-        &mut self,
-        pipe: Pipe,
-        work: Dur,
-        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) -> Time {
-        let done = self.pipe_enqueue_work(pipe, work);
-        self.schedule_at(done, cb);
-        done
-    }
-
-    /// Earliest time at which new work on the pipe would start.
-    pub fn pipe_free_at(&self, pipe: Pipe) -> Time {
-        self.pipes[pipe.0].free_at.max(self.now())
-    }
-
-    /// Accumulated busy time of the pipe (service time of all accepted work).
-    pub fn pipe_busy_time(&self, pipe: Pipe) -> Dur {
-        self.pipes[pipe.0].busy
-    }
-
     /// Total bytes accepted by the pipe.
     pub fn pipe_bytes(&self, pipe: Pipe) -> u64 {
         self.pipes[pipe.0].bytes
-    }
-
-    /// Utilization of the pipe over `[0, now]`, in `0.0..=1.0`.
-    pub fn pipe_utilization(&self, pipe: Pipe) -> f64 {
-        let elapsed = self.now().as_ns();
-        if elapsed == 0 {
-            return 0.0;
-        }
-        (self.pipes[pipe.0].busy.as_ns() as f64 / elapsed as f64).min(1.0)
     }
 }
 
@@ -147,7 +111,6 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(w, vec![100, 200, 300, 400]);
         assert_eq!(sim.pipe_bytes(p), 400);
-        assert_eq!(sim.pipe_busy_time(p), Dur::ns(400));
     }
 
     #[test]
@@ -163,11 +126,10 @@ mod tests {
         assert_eq!(w, 1000 * 4096 / 4);
         let gbps = sim.pipe_bytes(p) as f64 / sim.now().as_ns() as f64;
         assert!((gbps - 4.0).abs() < 1e-9);
-        assert!((sim.pipe_utilization(p) - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    fn idle_gaps_do_not_count_as_busy() {
+    fn an_idle_pipe_starts_work_at_arrival() {
         let mut sim: Sim<()> = Sim::new();
         let p = sim.new_pipe(1.0);
         sim.schedule_in(Dur::ns(1000), move |sim, _| {
@@ -175,18 +137,14 @@ mod tests {
         });
         sim.run(&mut ());
         assert_eq!(sim.now().as_ns(), 1100);
-        assert_eq!(sim.pipe_busy_time(p), Dur::ns(100));
-        assert!((sim.pipe_utilization(p) - 100.0 / 1100.0).abs() < 1e-9);
     }
 
     #[test]
     fn work_based_service() {
-        let mut sim: Sim<u64> = Sim::new();
-        let mut w = 0;
+        let mut sim: Sim<()> = Sim::new();
         let core = sim.new_pipe(1.0);
-        sim.pipe_busy(core, Dur::us(5), |sim, w: &mut u64| *w = sim.now().as_ns());
-        sim.run(&mut w);
-        assert_eq!(w, 5000);
+        assert_eq!(sim.pipe_enqueue_work(core, Dur::us(5)).as_ns(), 5000);
+        assert_eq!(sim.pipe_enqueue_work(core, Dur::us(1)).as_ns(), 6000);
     }
 
     #[test]

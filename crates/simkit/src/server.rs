@@ -49,16 +49,6 @@ impl<W: 'static> Sim<W> {
         }
     }
 
-    /// Jobs currently in service.
-    pub fn server_in_service(&self, server: Server) -> usize {
-        self.servers[server.0].in_service
-    }
-
-    /// Jobs waiting in the queue.
-    pub fn server_queued(&self, server: Server) -> usize {
-        self.servers[server.0].queue.len()
-    }
-
     /// Total jobs completed.
     pub fn server_completed(&self, server: Server) -> u64 {
         self.servers[server.0].completed
@@ -109,20 +99,6 @@ mod tests {
         }
         sim.run(&mut w);
         assert_eq!(w, vec![10, 10, 10, 10, 20, 20, 20, 20]);
-    }
-
-    #[test]
-    fn queue_depth_is_observable() {
-        let mut sim: Sim<()> = Sim::new();
-        let s = sim.new_server(2);
-        for _ in 0..5 {
-            sim.server_submit(s, Dur::ns(100), |_, _| {});
-        }
-        assert_eq!(sim.server_in_service(s), 2);
-        assert_eq!(sim.server_queued(s), 3);
-        sim.run(&mut ());
-        assert_eq!(sim.server_in_service(s), 0);
-        assert_eq!(sim.server_queued(s), 0);
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl<W: 'static> Sim<W> {
         self.executed
     }
 
-    /// Number of events currently pending.
-    #[inline]
-    pub fn pending_events(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Schedules `cb` to run at absolute time `at` (clamped to `now` if in
     /// the past, so causality is never violated).
     pub fn schedule_at(&mut self, at: Time, cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
@@ -174,19 +168,6 @@ impl<W: 'static> Sim<W> {
         }
         self.now = self.now.max(deadline);
         self.now
-    }
-
-    /// Runs until no events remain or `max_events` have executed; returns
-    /// `true` if the calendar drained. A guard against model bugs that
-    /// self-reschedule forever.
-    pub fn run_bounded(&mut self, world: &mut W, max_events: u64) -> bool {
-        let stop = self.executed + max_events;
-        while self.executed < stop {
-            if !self.step(world) {
-                return true;
-            }
-        }
-        self.heap.is_empty()
     }
 }
 
@@ -254,7 +235,6 @@ mod tests {
         sim.run_until(&mut w, Time::from_ns(20));
         assert_eq!(w, 1);
         assert_eq!(sim.now().as_ns(), 20);
-        assert_eq!(sim.pending_events(), 1);
         sim.run(&mut w);
         assert_eq!(w, 2);
     }
@@ -289,15 +269,5 @@ mod tests {
         });
         sim.run(&mut ());
         assert!(sim.recorder().is_none());
-    }
-
-    #[test]
-    fn run_bounded_detects_runaway() {
-        let mut sim: Sim<()> = Sim::new();
-        fn forever(sim: &mut Sim<()>, _: &mut ()) {
-            sim.schedule_in(Dur::ns(1), forever);
-        }
-        sim.schedule_in(Dur::ns(1), forever);
-        assert!(!sim.run_bounded(&mut (), 1000));
     }
 }

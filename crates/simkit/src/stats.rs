@@ -1,74 +1,13 @@
-//! Measurement collectors: log-linear latency histograms, online
-//! mean/variance, and byte/operation counters with throughput helpers.
+//! Measurement collectors: log-linear latency histograms and
+//! byte/operation counters with throughput helpers.
 //!
-//! The [`Histogram`] now lives in `cam-telemetry` (the functional engine's
+//! The [`Histogram`] lives in `cam-telemetry` (the functional engine's
 //! metrics registry records into the same implementation); it is re-exported
-//! here unchanged, with [`RecordDur`] adding the DES-flavoured
-//! `record_dur(Dur)` entry point.
+//! here unchanged.
 
-use crate::time::{Dur, Time};
+use crate::time::Time;
 
 pub use cam_telemetry::Histogram;
-
-/// Extension trait recording simulator [`Dur`]s into a telemetry
-/// [`Histogram`] (which natively speaks `u64` nanoseconds).
-pub trait RecordDur {
-    /// Records a duration in nanoseconds.
-    fn record_dur(&mut self, d: Dur);
-}
-
-impl RecordDur for Histogram {
-    fn record_dur(&mut self, d: Dur) {
-        self.record(d.as_ns());
-    }
-}
-
-/// Online mean/variance via Welford's algorithm.
-#[derive(Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (n-1 denominator); 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// Byte/operation counter with throughput helpers for reporting.
 #[derive(Clone, Copy, Default)]
@@ -115,29 +54,6 @@ impl Meter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_dur_records_nanoseconds() {
-        // Full Histogram coverage lives in cam-telemetry; here we only pin
-        // the Dur-based entry point.
-        let mut h = Histogram::new();
-        h.record_dur(Dur::us(2));
-        h.record_dur(Dur::ns(500));
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 500);
-        assert_eq!(h.max(), 2000);
-    }
-
-    #[test]
-    fn online_stats_mean_variance() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
 
     #[test]
     fn meter_throughput() {

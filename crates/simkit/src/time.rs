@@ -116,12 +116,6 @@ impl Dur {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional microseconds (for reporting).
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, other: Dur) -> Dur {

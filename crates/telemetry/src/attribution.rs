@@ -72,14 +72,6 @@ impl LatencyDecomposition {
         argmax(&self.tail_mean_ns)
     }
 
-    /// Fraction (0..=1) of the mean spent in `stage`.
-    pub fn mean_fraction(&self, stage: Stage) -> f64 {
-        if self.mean_total_ns <= 0.0 {
-            return 0.0;
-        }
-        self.mean_ns[stage.index()] / self.mean_total_ns
-    }
-
     /// The decomposition as a JSON object; structurally absent components
     /// are `null`.
     pub fn to_json(&self) -> Json {
@@ -197,7 +189,7 @@ mod tests {
             d.mean_total_ns
         );
         assert_eq!(d.dominant_mean(), Stage::Complete);
-        assert!(d.mean_fraction(Stage::Complete) > 0.5);
+        assert!(d.mean_ns[Stage::Complete.index()] > 0.5 * d.mean_total_ns);
     }
 
     #[test]

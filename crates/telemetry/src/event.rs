@@ -12,7 +12,8 @@
 //! Events are `Copy` and carry only scalars so a recorder write is a plain
 //! memcpy into a ring slot — no allocation on the hot path.
 
-use std::fmt::Write as _;
+use crate::json::Json;
+use crate::obj;
 
 /// One flight-recorder record, stamped on the [`crate::clock`] timeline
 /// (functional engine) or on virtual time (DES engine).
@@ -270,18 +271,112 @@ impl EventKind {
         }
     }
 
-    /// The batch identity `(channel, seq)` if this event belongs to one.
-    pub fn batch_id(&self) -> Option<(u16, u64)> {
+    /// The payload's fields as a JSON object — the one field list every
+    /// output (post-mortem dumps, Chrome-trace `args`) is built from. A
+    /// batch's sequence number is keyed `batch`, leaving `seq` to the
+    /// [`Event`] envelope; lane-health state codes print as their labels.
+    pub fn args(&self) -> Json {
         match *self {
-            EventKind::BatchDoorbell { channel, seq, .. }
-            | EventKind::BatchPickup { channel, seq }
-            | EventKind::GroupDispatch { channel, seq, .. }
-            | EventKind::GroupSubmit { channel, seq, .. }
-            | EventKind::GroupComplete { channel, seq, .. }
-            | EventKind::BatchRetire { channel, seq, .. }
-            | EventKind::CmdRetry { channel, seq, .. }
-            | EventKind::CmdTimeout { channel, seq, .. } => Some((channel, seq)),
-            _ => None,
+            EventKind::BatchDoorbell {
+                channel,
+                seq,
+                op,
+                requests,
+            } => obj! {"channel" => channel, "batch" => seq, "op" => op, "requests" => requests},
+            EventKind::BatchPickup { channel, seq } => obj! {"channel" => channel, "batch" => seq},
+            EventKind::GroupDispatch {
+                channel,
+                seq,
+                ssd,
+                worker,
+            } => obj! {"channel" => channel, "batch" => seq, "ssd" => ssd, "worker" => worker},
+            EventKind::GroupSubmit {
+                channel,
+                seq,
+                ssd,
+                worker,
+                sqes,
+            } => obj! {
+                "channel" => channel, "batch" => seq, "ssd" => ssd, "worker" => worker,
+                "sqes" => sqes,
+            },
+            EventKind::GroupComplete {
+                channel,
+                seq,
+                ssd,
+                worker,
+                errors,
+            } => obj! {
+                "channel" => channel, "batch" => seq, "ssd" => ssd, "worker" => worker,
+                "errors" => errors,
+            },
+            EventKind::BatchRetire {
+                channel,
+                seq,
+                errors,
+            } => obj! {"channel" => channel, "batch" => seq, "errors" => errors},
+            EventKind::QpDoorbell { qp, sqes } => obj! {"qp" => qp, "sqes" => sqes},
+            EventKind::NvmeCmd {
+                device,
+                opcode,
+                ok,
+                start_ns,
+            } => obj! {"device" => device, "opcode" => opcode, "ok" => ok, "start_ns" => start_ns},
+            EventKind::KernelBegin { kernel, grid } => obj! {"kernel" => kernel, "grid" => grid},
+            EventKind::KernelEnd { kernel } => obj! {"kernel" => kernel},
+            EventKind::SyncWait { channel, start_ns } => {
+                obj! {"channel" => channel, "start_ns" => start_ns}
+            }
+            EventKind::FaultInjected { lba, read } => obj! {"lba" => lba, "read" => read},
+            EventKind::ScalerDecision { active, grew } => obj! {"active" => active, "grew" => grew},
+            EventKind::CacheAccess {
+                channel,
+                hits,
+                misses,
+                coalesced,
+            } => obj! {
+                "channel" => channel, "hits" => hits, "misses" => misses,
+                "coalesced" => coalesced,
+            },
+            EventKind::CacheEvict { lba, dirty } => obj! {"lba" => lba, "dirty" => dirty},
+            EventKind::Readahead {
+                lba,
+                blocks,
+                window,
+            } => obj! {"lba" => lba, "blocks" => blocks, "window" => window},
+            EventKind::CacheFlush { blocks } => obj! {"blocks" => blocks},
+            EventKind::CmdRetry {
+                channel,
+                seq,
+                ssd,
+                cid,
+                attempt,
+            } => obj! {
+                "channel" => channel, "batch" => seq, "ssd" => ssd, "cid" => cid,
+                "attempt" => attempt,
+            },
+            EventKind::CmdTimeout {
+                channel,
+                seq,
+                ssd,
+                cid,
+                attempts,
+            } => obj! {
+                "channel" => channel, "batch" => seq, "ssd" => ssd, "cid" => cid,
+                "attempts" => attempts,
+            },
+            EventKind::LaneHealth {
+                ssd,
+                from,
+                to,
+                retries,
+            } => obj! {
+                "ssd" => ssd, "from" => health_state_label(from), "to" => health_state_label(to),
+                "retries" => retries,
+            },
+            EventKind::SimIssue { ssd, req } | EventKind::SimComplete { ssd, req } => {
+                obj! {"ssd" => ssd, "req" => req}
+            }
         }
     }
 }
@@ -301,185 +396,19 @@ pub fn health_state_label(code: u8) -> &'static str {
 }
 
 impl Event {
-    /// Serializes the event as one self-contained JSON object (post-mortem
-    /// dump format).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        let _ = write!(
-            out,
-            "{{\"ts_ns\": {}, \"seq\": {}, \"thread\": {}, \"kind\": \"{}\"",
-            self.ts_ns,
-            self.seq,
-            self.thread,
-            self.kind.name()
-        );
-        match self.kind {
-            EventKind::BatchDoorbell {
-                channel,
-                seq,
-                op,
-                requests,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"batch\": {seq}, \"op\": {op}, \
-                     \"requests\": {requests}"
-                );
-            }
-            EventKind::BatchPickup { channel, seq } => {
-                let _ = write!(out, ", \"channel\": {channel}, \"batch\": {seq}");
-            }
-            EventKind::GroupDispatch {
-                channel,
-                seq,
-                ssd,
-                worker,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"batch\": {seq}, \"ssd\": {ssd}, \
-                     \"worker\": {worker}"
-                );
-            }
-            EventKind::GroupSubmit {
-                channel,
-                seq,
-                ssd,
-                worker,
-                sqes,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"batch\": {seq}, \"ssd\": {ssd}, \
-                     \"worker\": {worker}, \"sqes\": {sqes}"
-                );
-            }
-            EventKind::GroupComplete {
-                channel,
-                seq,
-                ssd,
-                worker,
-                errors,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"batch\": {seq}, \"ssd\": {ssd}, \
-                     \"worker\": {worker}, \"errors\": {errors}"
-                );
-            }
-            EventKind::BatchRetire {
-                channel,
-                seq,
-                errors,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"batch\": {seq}, \"errors\": {errors}"
-                );
-            }
-            EventKind::QpDoorbell { qp, sqes } => {
-                let _ = write!(out, ", \"qp\": {qp}, \"sqes\": {sqes}");
-            }
-            EventKind::NvmeCmd {
-                device,
-                opcode,
-                ok,
-                start_ns,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"device\": {device}, \"opcode\": {opcode}, \"ok\": {ok}, \
-                     \"start_ns\": {start_ns}"
-                );
-            }
-            EventKind::KernelBegin { kernel, grid } => {
-                let _ = write!(out, ", \"kernel\": {kernel}, \"grid\": {grid}");
-            }
-            EventKind::KernelEnd { kernel } => {
-                let _ = write!(out, ", \"kernel\": {kernel}");
-            }
-            EventKind::SyncWait { channel, start_ns } => {
-                let _ = write!(out, ", \"channel\": {channel}, \"start_ns\": {start_ns}");
-            }
-            EventKind::FaultInjected { lba, read } => {
-                let _ = write!(out, ", \"lba\": {lba}, \"read\": {read}");
-            }
-            EventKind::ScalerDecision { active, grew } => {
-                let _ = write!(out, ", \"active\": {active}, \"grew\": {grew}");
-            }
-            EventKind::CacheAccess {
-                channel,
-                hits,
-                misses,
-                coalesced,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"hits\": {hits}, \"misses\": {misses}, \
-                     \"coalesced\": {coalesced}"
-                );
-            }
-            EventKind::CacheEvict { lba, dirty } => {
-                let _ = write!(out, ", \"lba\": {lba}, \"dirty\": {dirty}");
-            }
-            EventKind::Readahead {
-                lba,
-                blocks,
-                window,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"lba\": {lba}, \"blocks\": {blocks}, \"window\": {window}"
-                );
-            }
-            EventKind::CacheFlush { blocks } => {
-                let _ = write!(out, ", \"blocks\": {blocks}");
-            }
-            EventKind::CmdRetry {
-                channel,
-                seq,
-                ssd,
-                cid,
-                attempt,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"batch\": {seq}, \"ssd\": {ssd}, \
-                     \"cid\": {cid}, \"attempt\": {attempt}"
-                );
-            }
-            EventKind::CmdTimeout {
-                channel,
-                seq,
-                ssd,
-                cid,
-                attempts,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"channel\": {channel}, \"batch\": {seq}, \"ssd\": {ssd}, \
-                     \"cid\": {cid}, \"attempts\": {attempts}"
-                );
-            }
-            EventKind::LaneHealth {
-                ssd,
-                from,
-                to,
-                retries,
-            } => {
-                let _ = write!(
-                    out,
-                    ", \"ssd\": {ssd}, \"from\": \"{}\", \"to\": \"{}\", \"retries\": {retries}",
-                    health_state_label(from),
-                    health_state_label(to)
-                );
-            }
-            EventKind::SimIssue { ssd, req } | EventKind::SimComplete { ssd, req } => {
-                let _ = write!(out, ", \"ssd\": {ssd}, \"req\": {req}");
-            }
+    /// The event as one self-contained JSON object (post-mortem dump
+    /// format): the envelope, then the payload's [`EventKind::args`].
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("ts_ns".to_string(), self.ts_ns.into()),
+            ("seq".to_string(), self.seq.into()),
+            ("thread".to_string(), self.thread.into()),
+            ("kind".to_string(), self.kind.name().into()),
+        ];
+        if let Json::Obj(args) = self.kind.args() {
+            fields.extend(args);
         }
-        out.push('}');
-        out
+        Json::Obj(fields)
     }
 }
 
@@ -487,22 +416,54 @@ impl Event {
 mod tests {
     use super::*;
 
-    #[test]
-    fn batch_events_expose_identity() {
-        let k = EventKind::GroupSubmit {
-            channel: 3,
-            seq: 42,
-            ssd: 1,
-            worker: 0,
-            sqes: 16,
-        };
-        assert_eq!(k.batch_id(), Some((3, 42)));
-        assert_eq!(k.name(), "group_submit");
-        assert_eq!(EventKind::QpDoorbell { qp: 0, sqes: 1 }.batch_id(), None);
-    }
+    /// `(kind, "key:type ...")` of `Event::to_json` per variant, as the
+    /// post-mortem dump format has spelled them since the flight recorder
+    /// landed — consumers of old dumps rely on it.
+    const GOLDEN: [(&str, &str); 22] = [
+        (
+            "batch_doorbell",
+            "channel:int batch:int op:int requests:int",
+        ),
+        ("batch_pickup", "channel:int batch:int"),
+        ("group_dispatch", "channel:int batch:int ssd:int worker:int"),
+        (
+            "group_submit",
+            "channel:int batch:int ssd:int worker:int sqes:int",
+        ),
+        (
+            "group_complete",
+            "channel:int batch:int ssd:int worker:int errors:int",
+        ),
+        ("batch_retire", "channel:int batch:int errors:int"),
+        ("qp_doorbell", "qp:int sqes:int"),
+        ("nvme_cmd", "device:int opcode:int ok:bool start_ns:int"),
+        ("kernel_begin", "kernel:int grid:int"),
+        ("kernel_end", "kernel:int"),
+        ("sync_wait", "channel:int start_ns:int"),
+        ("fault_injected", "lba:int read:bool"),
+        ("scaler_decision", "active:int grew:bool"),
+        (
+            "cache_access",
+            "channel:int hits:int misses:int coalesced:int",
+        ),
+        ("cache_evict", "lba:int dirty:bool"),
+        ("readahead", "lba:int blocks:int window:int"),
+        ("cache_flush", "blocks:int"),
+        (
+            "cmd_retry",
+            "channel:int batch:int ssd:int cid:int attempt:int",
+        ),
+        (
+            "cmd_timeout",
+            "channel:int batch:int ssd:int cid:int attempts:int",
+        ),
+        ("lane_health", "ssd:int from:str to:str retries:int"),
+        ("sim_issue", "ssd:int req:int"),
+        ("sim_complete", "ssd:int req:int"),
+    ];
 
     #[test]
-    fn json_parses_for_every_variant() {
+    fn json_of_every_variant_keeps_the_golden_keys_and_types() {
         let kinds = [
             EventKind::BatchDoorbell {
                 channel: 0,
@@ -596,18 +557,36 @@ mod tests {
             EventKind::SimIssue { ssd: 0, req: 0 },
             EventKind::SimComplete { ssd: 0, req: 0 },
         ];
-        for kind in kinds {
+        assert_eq!(kinds.len(), GOLDEN.len());
+        for (kind, (name, fields)) in kinds.into_iter().zip(GOLDEN) {
             let ev = Event {
                 ts_ns: 10,
                 seq: 1,
                 thread: 0,
                 kind,
             };
-            let json = crate::json::parse(&ev.to_json()).expect("valid json");
+            let Json::Obj(got) = ev.to_json() else {
+                panic!("{name}: not an object");
+            };
+            let signature: Vec<String> = got
+                .iter()
+                .map(|(key, value)| {
+                    let ty = match value {
+                        Json::Int(_) => "int",
+                        Json::Str(_) => "str",
+                        Json::Bool(_) => "bool",
+                        other => panic!("{name}.{key}: unexpected {other:?}"),
+                    };
+                    format!("{key}:{ty}")
+                })
+                .collect();
             assert_eq!(
-                json.get("kind").and_then(crate::json::Json::as_str),
-                Some(kind.name())
+                signature.join(" "),
+                format!("ts_ns:int seq:int thread:int kind:str {fields}"),
+                "{name}"
             );
+            assert_eq!(got[3].1.as_str(), Some(name));
+            assert_eq!(kind.name(), name);
         }
     }
 }

@@ -62,12 +62,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records a [`std::time::Duration`] as nanoseconds (saturating at
-    /// `u64::MAX`, ~584 years).
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -316,15 +310,5 @@ mod tests {
             );
         }
         assert!(Histogram::new().bins().is_empty());
-    }
-
-    #[test]
-    fn duration_recording_saturates() {
-        let mut h = Histogram::new();
-        h.record_duration(std::time::Duration::from_nanos(1500));
-        assert_eq!(h.min(), 1500);
-        h.record_duration(std::time::Duration::from_secs(u64::MAX));
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.count(), 2);
     }
 }

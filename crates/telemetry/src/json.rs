@@ -1,6 +1,6 @@
 //! The workspace's one JSON value model (there is no serde): a [`Json`]
-//! tree, a strict RFC 8259 parser ([`parse`]), one string escaper
-//! ([`esc`]) and one writer (`Display`).
+//! tree, a strict RFC 8259 parser ([`parse`]), one string escaper and one
+//! writer (`Display`).
 //!
 //! Every document the harness emits is built as a tree and written here,
 //! so validity and escaping hold by construction. Integers are kept exact
@@ -175,8 +175,8 @@ impl fmt::Display for Json {
 }
 
 /// `s` with JSON string escaping applied (no surrounding quotes) — the
-/// workspace's only escaper; the streaming trace writers share it.
-pub fn esc(s: &str) -> String {
+/// workspace's only escaper.
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -14,18 +14,15 @@
 //! * [`SharedHistogram`] / [`HistogramHandle`] — the same histogram behind
 //!   sharded `parking_lot` locks for concurrent recording from pollers,
 //!   workers and device service threads;
-//! * [`Stage`] / [`BatchSpan`] — the batch lifecycle protocol stages
-//!   (doorbell → pickup → dispatch → submit → complete → retire) and the
-//!   per-batch span record;
-//! * [`TelemetrySink`] — a callback trait (no-op by default) for streaming
-//!   span records out of the control plane;
+//! * [`Stage`] — the batch lifecycle protocol stages (doorbell → pickup →
+//!   dispatch → submit → complete → retire);
 //! * [`ControlMetrics`] — the pre-registered metric bundle the functional
 //!   engine records into, so hot paths never touch the registry's maps;
 //! * [`TenantMetrics`] — the per-tenant bundle the `cam-serving` request
 //!   plane records into (`tenant`-labeled burn rate, latency, hit rate);
 //! * [`clock`] — the shared monotonic nanosecond clock all spans use.
 //!
-//! On top of the metric layer sits the **event layer** (this PR): the
+//! On top of the metric layer sits the **event layer**: the
 //! flight recorder and its consumers, sharing the same clock and the same
 //! attach-gated cost model:
 //!
@@ -45,7 +42,7 @@
 //! * [`stats`] — Mann-Whitney U change detection and seeded bootstrap
 //!   confidence intervals over histogram bins, the substrate of the bench
 //!   perf-regression gate;
-//! * [`Observability`] — the bundle (`registry` + `sink` + `recorder` +
+//! * [`Observability`] — the bundle (`registry` + `recorder` +
 //!   `postmortem` + deadline) a CAM attachment records into.
 //!
 //! Instrumentation cost when nobody is looking: counters and gauges are one
@@ -67,7 +64,6 @@ mod postmortem;
 mod recorder;
 mod registry;
 mod shared;
-mod sink;
 mod span;
 pub mod stats;
 mod tenant;
@@ -82,8 +78,7 @@ pub use postmortem::{PostmortemConfig, PostmortemDumper};
 pub use recorder::{FlightRecorder, DEFAULT_CAPACITY_PER_SHARD};
 pub use registry::{Counter, Gauge, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use shared::{HistogramHandle, SharedHistogram};
-pub use sink::{NoopSink, TelemetrySink};
-pub use span::{BatchSpan, Stage};
+pub use span::Stage;
 pub use tenant::TenantMetrics;
 pub use window::{
     OpsWindows, SloBurn, SloConfig, SloTracker, WindowConfig, WindowedCounter, WindowedHistogram,

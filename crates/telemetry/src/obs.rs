@@ -1,26 +1,24 @@
 //! The [`Observability`] bundle: everything a CAM attachment can record
 //! into, carried as one value.
 //!
-//! PR 1's `attach_with(registry, sink)` covered the metric layer. The event
-//! layer adds two more optional endpoints (flight recorder, post-mortem
-//! dumper) plus a batch deadline; bundling them keeps `CamConfig` `Copy`
-//! and gives `CamContext::attach_observed` a single argument that defaults
-//! to "metrics only, discard spans".
+//! The metric layer is the registry; the event layer adds two optional
+//! endpoints (flight recorder, post-mortem dumper) plus a batch deadline,
+//! and the live ops plane two more (windows, SLO tracker). Bundling them
+//! keeps `CamConfig` `Copy` and gives `CamContext::attach_observed` a
+//! single argument that defaults to "metrics only".
 
 use std::sync::Arc;
 
 use crate::postmortem::PostmortemDumper;
 use crate::recorder::FlightRecorder;
 use crate::window::{OpsWindows, SloTracker};
-use crate::{MetricsRegistry, NoopSink, TelemetrySink};
+use crate::MetricsRegistry;
 
 /// Observability endpoints for one CAM attachment. See module docs.
 #[derive(Clone)]
 pub struct Observability {
     /// Metric layer: counters, gauges, stage histograms.
     pub registry: Arc<MetricsRegistry>,
-    /// Span callback, invoked per retired batch / scaler decision.
-    pub sink: Arc<dyn TelemetrySink>,
     /// Event layer: when set, every instrumented site emits typed events.
     pub recorder: Option<Arc<FlightRecorder>>,
     /// When set, triggered on batch errors and deadline overruns.
@@ -35,11 +33,10 @@ pub struct Observability {
 }
 
 impl Observability {
-    /// Metrics into `registry`, spans discarded, no event layer.
+    /// Metrics into `registry`, no event layer.
     pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
         Observability {
             registry,
-            sink: Arc::new(NoopSink),
             recorder: None,
             postmortem: None,
             batch_deadline_ns: None,
@@ -53,12 +50,6 @@ impl Observability {
         let mut o = Self::with_registry(registry);
         o.recorder = Some(recorder);
         o
-    }
-
-    /// Sets the span sink.
-    pub fn with_sink(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
-        self.sink = sink;
-        self
     }
 
     /// Arms the post-mortem dumper (also adopts its recorder if none is
@@ -91,7 +82,7 @@ impl Observability {
 }
 
 impl Default for Observability {
-    /// Private registry, spans discarded, event layer off — the same
+    /// Private registry, event layer off — the same
     /// behaviour as plain `CamContext::attach`.
     fn default() -> Self {
         Self::with_registry(Arc::new(MetricsRegistry::new()))

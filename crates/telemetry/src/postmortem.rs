@@ -15,6 +15,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::event::Event;
 use crate::json::Json;
 use crate::recorder::FlightRecorder;
 use crate::{obj, MetricsRegistry};
@@ -104,11 +105,7 @@ impl PostmortemDumper {
             "events_emitted" => self.recorder.emitted(),
             "events_dropped" => self.recorder.dropped(),
             "threads" => Json::obj(threads.into_iter().map(|(tid, name)| (tid.to_string(), name.into()))),
-            // `Event::to_json` streams text (trace dumps are large); the
-            // envelope re-reads its records as values.
-            "events" => Json::arr(events.iter().map(|ev| {
-                crate::json::parse(&ev.to_json()).expect("Event::to_json emits valid JSON")
-            })),
+            "events" => Json::arr(events.iter().map(Event::to_json)),
             "metrics" => self.registry.snapshot().to_json(),
         };
         format!("{dump:#}")

@@ -5,7 +5,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -38,11 +37,6 @@ impl SharedHistogram {
     /// Records one sample into the calling thread's shard.
     pub fn record(&self, value: u64) {
         MY_SHARD.with(|&s| self.shards[s].lock().record(value));
-    }
-
-    /// Records a duration as nanoseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Merges every shard into one point-in-time [`Histogram`].
@@ -80,11 +74,6 @@ impl HistogramHandle {
     /// Records one sample.
     pub fn record(&self, value: u64) {
         self.0.record(value);
-    }
-
-    /// Records a duration as nanoseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.0.record_duration(d);
     }
 
     /// Point-in-time merged view.

@@ -1,5 +1,4 @@
-//! Batch-lifecycle spans: the protocol stages a CAM batch passes through and
-//! the per-batch record handed to [`crate::TelemetrySink`]s.
+//! Batch-lifecycle spans: the protocol stages a CAM batch passes through.
 
 /// One interval in the life of a batch. Each stage measures the time from
 /// the end of the previous stage:
@@ -49,35 +48,6 @@ impl Stage {
     }
 }
 
-/// The completed lifecycle of one batch, timestamps in nanoseconds on the
-/// [`crate::clock`] timeline.
-#[derive(Clone, Debug)]
-pub struct BatchSpan {
-    /// Channel the batch was published on.
-    pub channel: usize,
-    /// Operation label (`"read"` or `"write"`).
-    pub op: &'static str,
-    /// Channel-local batch sequence number.
-    pub seq: u64,
-    /// Requests in the batch.
-    pub requests: u64,
-    /// Requests that completed with errors.
-    pub errors: u64,
-    /// When the GPU rang the channel doorbell.
-    pub doorbell_ns: u64,
-    /// When the polling thread picked the batch up.
-    pub pickup_ns: u64,
-    /// When the batch retired through region 4.
-    pub retire_ns: u64,
-}
-
-impl BatchSpan {
-    /// Total doorbell→retire latency.
-    pub fn total_ns(&self) -> u64 {
-        self.retire_ns.saturating_sub(self.doorbell_ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,20 +62,5 @@ mod tests {
             names,
             ["pickup", "dispatch", "submit", "complete", "retire"]
         );
-    }
-
-    #[test]
-    fn span_total_saturates() {
-        let span = BatchSpan {
-            channel: 0,
-            op: "read",
-            seq: 1,
-            requests: 4,
-            errors: 0,
-            doorbell_ns: 100,
-            pickup_ns: 150,
-            retire_ns: 90,
-        };
-        assert_eq!(span.total_ns(), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Chrome trace-event (Perfetto-loadable) export of a flight-recorder
-//! timeline, plus the schema validator tests and tools run over it. The
-//! exporter streams one record per event with `write!` (dumps reach 10^5
-//! events) and shares [`crate::json`]'s escaper; the validator parses with
-//! [`crate::json::parse`].
+//! timeline, plus the schema validator tests and tools run over it. Every
+//! record is a [`Json`] tree whose `args` are the event's own
+//! [`EventKind::args`]; the exporter writes one record per line (dumps reach
+//! 10^5 events) and the validator parses with [`crate::json::parse`].
 //!
 //! Mapping (see `docs/OBSERVABILITY.md` for the full schema):
 //!
@@ -17,15 +17,15 @@
 //!   `stage+ring` (dequeue → SQ doorbell) and `await cqes` (doorbell →
 //!   last CQE) on the worker's track; NVMe command service, GPU kernels,
 //!   and `*_synchronize` waits are also `X` spans on their threads.
-//! * Queue-pair doorbells, fault injections, and scaler decisions are
-//!   **instants** (`ph:"i"`).
+//! * Every other event kind is an **instant** (`ph:"i"`).
 //! * Simulated requests are async spans `cat:"sim"` on per-SSD tracks.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
-use crate::event::{Event, EventKind};
-use crate::json::{esc, parse, Json};
-use crate::ControlMetrics;
+use crate::event::{health_state_label, Event, EventKind};
+use crate::json::{parse, Json};
+use crate::{obj, ControlMetrics};
 
 /// pid of the functional-engine process group in exported traces.
 pub const PID_FUNCTIONAL: u64 = 1;
@@ -39,81 +39,64 @@ fn op_name(op: u8) -> &'static str {
         .unwrap_or("op?")
 }
 
-/// Microsecond timestamp field from nanoseconds (trace-event `ts` unit).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Microseconds from nanoseconds (the trace-event `ts` / `dur` unit).
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1000.0
 }
 
+/// The `(pid, tid)` track an event renders on: a simulated request on its
+/// SSD's track under the DES process, anything else on the emitting thread's.
+fn track(ev: &Event) -> (u64, u64) {
+    match ev.kind {
+        EventKind::SimIssue { ssd, .. } | EventKind::SimComplete { ssd, .. } => {
+            (PID_SIM, ssd.into())
+        }
+        _ => (PID_FUNCTIONAL, ev.thread.into()),
+    }
+}
+
+/// Writes the trace document one record per line.
 struct TraceWriter {
     out: String,
-    first: bool,
 }
 
 impl TraceWriter {
     fn new() -> Self {
         TraceWriter {
-            out: String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n"),
-            first: true,
+            out: String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": ["),
         }
     }
 
-    fn push(&mut self, record: String) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
-        self.first = false;
-        self.out.push_str("  ");
-        self.out.push_str(&record);
+    fn push(&mut self, record: Json) {
+        let sep = if self.out.ends_with('[') { "" } else { "," };
+        let _ = write!(self.out, "{sep}\n  {record}");
     }
 
     fn metadata(&mut self, pid: u64, tid: Option<u64>, which: &str, name: &str) {
-        let tid_field = tid.map(|t| format!("\"tid\": {t}, ")).unwrap_or_default();
-        self.push(format!(
-            "{{\"name\": \"{which}\", \"ph\": \"M\", \"pid\": {pid}, {tid_field}\"args\": \
-             {{\"name\": \"{}\"}}}}",
-            esc(name)
-        ));
+        let mut record = obj! {"name" => which, "ph" => "M", "pid" => pid};
+        if let Some(tid) = tid {
+            record.set("tid", tid.into());
+        }
+        record.set("args", obj! {"name" => name});
+        self.push(record);
     }
 
-    #[allow(clippy::too_many_arguments)] // a trace record simply has this many fields
-    fn async_ev(
-        &mut self,
-        ph: char,
-        name: &str,
-        cat: &str,
-        id: &str,
-        pid: u64,
-        tid: u64,
-        ts_ns: u64,
-        args: &str,
-    ) {
-        self.push(format!(
-            "{{\"name\": \"{}\", \"cat\": \"{cat}\", \"ph\": \"{ph}\", \"id\": \"{}\", \
-             \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}{args}}}",
-            esc(name),
-            esc(id),
-            us(ts_ns)
-        ));
+    /// An async begin / instant / end (`ph` = `b` / `n` / `e`) of span
+    /// `cat`/`id`, on the event's own track.
+    fn async_ev(&mut self, ph: &str, name: String, cat: &str, id: String, ev: &Event) {
+        let (pid, tid) = track(ev);
+        self.push(obj! {
+            "name" => name, "cat" => cat, "ph" => ph, "id" => id, "pid" => pid, "tid" => tid,
+            "ts" => us(ev.ts_ns), "args" => ev.kind.args(),
+        });
     }
 
-    fn complete(&mut self, name: &str, pid: u64, tid: u64, start_ns: u64, end_ns: u64, args: &str) {
-        let dur = end_ns.saturating_sub(start_ns);
-        self.push(format!(
-            "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}, \
-             \"dur\": {}{args}}}",
-            esc(name),
-            us(start_ns),
-            us(dur)
-        ));
-    }
-
-    fn instant(&mut self, name: &str, pid: u64, tid: u64, ts_ns: u64, args: &str) {
-        self.push(format!(
-            "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"ts\": {}{args}}}",
-            esc(name),
-            us(ts_ns)
-        ));
+    /// A complete span on the functional engine's track `tid`.
+    fn complete(&mut self, name: String, tid: u32, start_ns: u64, end_ns: u64, args: Json) {
+        self.push(obj! {
+            "name" => name, "ph" => "X", "pid" => PID_FUNCTIONAL, "tid" => tid,
+            "ts" => us(start_ns), "dur" => us(end_ns.saturating_sub(start_ns)), "args" => args,
+        });
     }
 
     fn finish(mut self) -> String {
@@ -138,78 +121,41 @@ pub fn chrome_trace(events: &[Event], thread_names: &[(u32, String)]) -> String 
     // Name every functional track that actually emitted, and every
     // simulated-SSD track referenced by DES events.
     let names: BTreeMap<u32, &str> = thread_names.iter().map(|(t, n)| (*t, n.as_str())).collect();
-    let mut func_tids: Vec<u32> = Vec::new();
-    let mut sim_ssds: Vec<u16> = Vec::new();
-    for ev in events {
-        match ev.kind {
-            EventKind::SimIssue { ssd, .. } | EventKind::SimComplete { ssd, .. } => {
-                if !sim_ssds.contains(&ssd) {
-                    sim_ssds.push(ssd);
-                }
-            }
-            _ => {
-                if !func_tids.contains(&ev.thread) {
-                    func_tids.push(ev.thread);
-                }
-            }
-        }
-    }
-    func_tids.sort_unstable();
-    sim_ssds.sort_unstable();
-    for tid in &func_tids {
-        let fallback = format!("thread-{tid}");
-        let name = names.get(tid).copied().unwrap_or(&fallback);
-        w.metadata(PID_FUNCTIONAL, Some(*tid as u64), "thread_name", name);
-    }
-    for ssd in &sim_ssds {
-        w.metadata(
-            PID_SIM,
-            Some(*ssd as u64),
-            "thread_name",
-            &format!("sim-ssd{ssd}"),
-        );
+    let tracks: BTreeSet<(u64, u64)> = events.iter().map(track).collect();
+    for (pid, tid) in tracks {
+        let name = match names.get(&(tid as u32)) {
+            _ if pid == PID_SIM => format!("sim-ssd{tid}"),
+            Some(name) => name.to_string(),
+            None => format!("thread-{tid}"),
+        };
+        w.metadata(pid, Some(tid), "thread_name", &name);
     }
 
     // Pairing state.
     let mut batch_op: BTreeMap<(u16, u64), u8> = BTreeMap::new(); // open async batch spans
     let mut group_phase: BTreeMap<(u16, u64, u16), u64> = BTreeMap::new(); // last phase ts
-    let mut kernels: BTreeMap<u64, (u64, u32, u64)> = BTreeMap::new(); // id → (ts, tid, grid)
+    let mut kernels: BTreeMap<u64, &Event> = BTreeMap::new(); // open kernel launches
 
     for ev in events {
-        let tid = ev.thread as u64;
+        let batch_span = |ph: &str, w: &mut TraceWriter, channel: u16, seq: u64, op: u8| {
+            let name = format!("batch ch{channel} {}", op_name(op));
+            w.async_ev(ph, name, "batch", format!("ch{channel}:{seq}"), ev);
+        };
         match ev.kind {
             EventKind::BatchDoorbell {
-                channel,
-                seq,
-                op,
-                requests,
+                channel, seq, op, ..
             } => {
                 batch_op.insert((channel, seq), op);
-                let args = format!(", \"args\": {{\"requests\": {requests}}}");
-                w.async_ev(
-                    'b',
-                    &format!("batch ch{channel} {}", op_name(op)),
-                    "batch",
-                    &format!("ch{channel}:{seq}"),
-                    PID_FUNCTIONAL,
-                    tid,
-                    ev.ts_ns,
-                    &args,
-                );
+                batch_span("b", &mut w, channel, seq, op);
             }
             EventKind::BatchPickup { channel, seq } => {
-                if let Some(op) = batch_op.get(&(channel, seq)) {
-                    w.async_ev(
-                        'n',
-                        &format!("batch ch{channel} {}", op_name(*op)),
-                        "batch",
-                        &format!("ch{channel}:{seq}"),
-                        PID_FUNCTIONAL,
-                        tid,
-                        ev.ts_ns,
-                        ", \"args\": {\"step\": \"pickup\"}",
-                    );
+                if let Some(&op) = batch_op.get(&(channel, seq)) {
+                    batch_span("n", &mut w, channel, seq, op);
                 }
+            }
+            EventKind::BatchRetire { channel, seq, .. } => {
+                let op = batch_op.remove(&(channel, seq)).unwrap_or(0);
+                batch_span("e", &mut w, channel, seq, op);
             }
             EventKind::GroupDispatch {
                 channel, seq, ssd, ..
@@ -217,224 +163,83 @@ pub fn chrome_trace(events: &[Event], thread_names: &[(u32, String)]) -> String 
                 group_phase.insert((channel, seq, ssd), ev.ts_ns);
             }
             EventKind::GroupSubmit {
-                channel,
-                seq,
-                ssd,
-                sqes,
-                ..
+                channel, seq, ssd, ..
             } => {
                 if let Some(start) = group_phase.insert((channel, seq, ssd), ev.ts_ns) {
-                    let args = format!(
-                        ", \"args\": {{\"channel\": {channel}, \"batch\": {seq}, \"sqes\": {sqes}}}"
-                    );
-                    w.complete(
-                        &format!("stage+ring ssd{ssd}"),
-                        PID_FUNCTIONAL,
-                        tid,
-                        start,
-                        ev.ts_ns,
-                        &args,
-                    );
+                    let name = format!("stage+ring ssd{ssd}");
+                    w.complete(name, ev.thread, start, ev.ts_ns, ev.kind.args());
                 }
             }
             EventKind::GroupComplete {
-                channel,
-                seq,
-                ssd,
-                errors,
-                ..
+                channel, seq, ssd, ..
             } => {
                 if let Some(start) = group_phase.remove(&(channel, seq, ssd)) {
-                    let args = format!(
-                        ", \"args\": {{\"channel\": {channel}, \"batch\": {seq}, \
-                         \"errors\": {errors}}}"
-                    );
-                    w.complete(
-                        &format!("await cqes ssd{ssd}"),
-                        PID_FUNCTIONAL,
-                        tid,
-                        start,
-                        ev.ts_ns,
-                        &args,
-                    );
+                    let name = format!("await cqes ssd{ssd}");
+                    w.complete(name, ev.thread, start, ev.ts_ns, ev.kind.args());
                 }
             }
-            EventKind::BatchRetire {
-                channel,
-                seq,
-                errors,
-            } => {
-                let op = batch_op.remove(&(channel, seq)).unwrap_or(0);
-                let args = format!(", \"args\": {{\"errors\": {errors}}}");
-                w.async_ev(
-                    'e',
-                    &format!("batch ch{channel} {}", op_name(op)),
-                    "batch",
-                    &format!("ch{channel}:{seq}"),
-                    PID_FUNCTIONAL,
-                    tid,
-                    ev.ts_ns,
-                    &args,
-                );
-            }
-            EventKind::QpDoorbell { qp, sqes } => {
-                let args = format!(", \"args\": {{\"qp\": {qp}, \"sqes\": {sqes}}}");
-                w.instant("qp doorbell", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
             EventKind::NvmeCmd {
-                device,
-                opcode,
-                ok,
-                start_ns,
+                opcode, start_ns, ..
             } => {
                 let verb = match opcode {
                     1 => "write",
                     2 => "read",
                     _ => "flush",
                 };
-                let args = format!(", \"args\": {{\"device\": {device}, \"ok\": {ok}}}");
-                w.complete(
-                    &format!("nvme {verb}"),
-                    PID_FUNCTIONAL,
-                    tid,
-                    start_ns,
-                    ev.ts_ns,
-                    &args,
-                );
+                let name = format!("nvme {verb}");
+                w.complete(name, ev.thread, start_ns, ev.ts_ns, ev.kind.args());
             }
-            EventKind::KernelBegin { kernel, grid } => {
-                kernels.insert(kernel, (ev.ts_ns, ev.thread, grid));
+            EventKind::KernelBegin { kernel, .. } => {
+                kernels.insert(kernel, ev);
             }
             EventKind::KernelEnd { kernel } => {
-                if let Some((start, ktid, grid)) = kernels.remove(&kernel) {
-                    let args = format!(", \"args\": {{\"grid\": {grid}}}");
-                    w.complete(
-                        &format!("kernel {kernel}"),
-                        PID_FUNCTIONAL,
-                        ktid as u64,
-                        start,
-                        ev.ts_ns,
-                        &args,
-                    );
+                if let Some(begin) = kernels.remove(&kernel) {
+                    let name = format!("kernel {kernel}");
+                    w.complete(name, begin.thread, begin.ts_ns, ev.ts_ns, begin.kind.args());
                 }
             }
             EventKind::SyncWait { channel, start_ns } => {
-                w.complete(
-                    &format!("sync ch{channel}"),
-                    PID_FUNCTIONAL,
-                    tid,
-                    start_ns,
-                    ev.ts_ns,
-                    "",
-                );
-            }
-            EventKind::FaultInjected { lba, read } => {
-                let args = format!(", \"args\": {{\"lba\": {lba}, \"read\": {read}}}");
-                w.instant("fault injected", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::ScalerDecision { active, grew } => {
-                let args = format!(", \"args\": {{\"active\": {active}, \"grew\": {grew}}}");
-                w.instant("scaler", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::CacheAccess {
-                channel,
-                hits,
-                misses,
-                coalesced,
-            } => {
-                let args = format!(
-                    ", \"args\": {{\"channel\": {channel}, \"hits\": {hits}, \
-                     \"misses\": {misses}, \"coalesced\": {coalesced}}}"
-                );
-                w.instant("cache access", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::CacheEvict { lba, dirty } => {
-                let args = format!(", \"args\": {{\"lba\": {lba}, \"dirty\": {dirty}}}");
-                w.instant("cache evict", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::Readahead {
-                lba,
-                blocks,
-                window,
-            } => {
-                let args = format!(
-                    ", \"args\": {{\"lba\": {lba}, \"blocks\": {blocks}, \"window\": {window}}}"
-                );
-                w.instant("readahead", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::CacheFlush { blocks } => {
-                let args = format!(", \"args\": {{\"blocks\": {blocks}}}");
-                w.instant("cache flush", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::CmdRetry {
-                channel,
-                seq,
-                ssd,
-                cid,
-                attempt,
-            } => {
-                let args = format!(
-                    ", \"args\": {{\"channel\": {channel}, \"batch\": {seq}, \"ssd\": {ssd}, \
-                     \"cid\": {cid}, \"attempt\": {attempt}}}"
-                );
-                w.instant("cmd retry", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::CmdTimeout {
-                channel,
-                seq,
-                ssd,
-                cid,
-                attempts,
-            } => {
-                let args = format!(
-                    ", \"args\": {{\"channel\": {channel}, \"batch\": {seq}, \"ssd\": {ssd}, \
-                     \"cid\": {cid}, \"attempts\": {attempts}}}"
-                );
-                w.instant("cmd timeout", PID_FUNCTIONAL, tid, ev.ts_ns, &args);
-            }
-            EventKind::LaneHealth {
-                ssd,
-                from,
-                to,
-                retries,
-            } => {
-                let args = format!(
-                    ", \"args\": {{\"ssd\": {ssd}, \"from\": \"{}\", \"to\": \"{}\", \
-                     \"retries\": {retries}}}",
-                    crate::event::health_state_label(from),
-                    crate::event::health_state_label(to)
-                );
-                w.instant(
-                    &format!("lane ssd{ssd} {}", crate::event::health_state_label(to)),
-                    PID_FUNCTIONAL,
-                    tid,
-                    ev.ts_ns,
-                    &args,
-                );
+                let name = format!("sync ch{channel}");
+                w.complete(name, ev.thread, start_ns, ev.ts_ns, ev.kind.args());
             }
             EventKind::SimIssue { ssd, req } => {
                 w.async_ev(
-                    'b',
-                    &format!("io ssd{ssd}"),
+                    "b",
+                    format!("io ssd{ssd}"),
                     "sim",
-                    &format!("ssd{ssd}:{req}"),
-                    PID_SIM,
-                    ssd as u64,
-                    ev.ts_ns,
-                    "",
+                    format!("ssd{ssd}:{req}"),
+                    ev,
                 );
             }
             EventKind::SimComplete { ssd, req } => {
                 w.async_ev(
-                    'e',
-                    &format!("io ssd{ssd}"),
+                    "e",
+                    format!("io ssd{ssd}"),
                     "sim",
-                    &format!("ssd{ssd}:{req}"),
-                    PID_SIM,
-                    ssd as u64,
-                    ev.ts_ns,
-                    "",
+                    format!("ssd{ssd}:{req}"),
+                    ev,
                 );
+            }
+            EventKind::QpDoorbell { .. }
+            | EventKind::FaultInjected { .. }
+            | EventKind::ScalerDecision { .. }
+            | EventKind::CacheAccess { .. }
+            | EventKind::CacheEvict { .. }
+            | EventKind::Readahead { .. }
+            | EventKind::CacheFlush { .. }
+            | EventKind::CmdRetry { .. }
+            | EventKind::CmdTimeout { .. }
+            | EventKind::LaneHealth { .. } => {
+                let name = match ev.kind {
+                    EventKind::LaneHealth { ssd, to, .. } => {
+                        format!("lane ssd{ssd} {}", health_state_label(to))
+                    }
+                    kind => kind.name().replace('_', " "),
+                };
+                w.push(obj! {
+                    "name" => name, "ph" => "i", "s" => "t", "pid" => PID_FUNCTIONAL,
+                    "tid" => ev.thread, "ts" => us(ev.ts_ns), "args" => ev.kind.args(),
+                });
             }
         }
     }

@@ -240,11 +240,6 @@ impl WindowedCounter {
         (num, den)
     }
 
-    /// Numerator sum over the window ending at `now_ns` (plain-count use).
-    pub fn sum_at(&self, now_ns: u64) -> u64 {
-        self.sums_at(now_ns).0
-    }
-
     /// `num / den` over the window ending at `now_ns`; `None` while the
     /// denominator is zero.
     pub fn ratio_at(&self, now_ns: u64) -> Option<f64> {

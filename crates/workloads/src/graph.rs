@@ -133,11 +133,6 @@ impl Graph {
         let e = self.offsets[v as usize + 1] as usize;
         &self.targets[s..e]
     }
-
-    /// Bytes of one node's feature record.
-    pub fn feature_bytes(&self) -> u64 {
-        self.feature_dim as u64 * 4
-    }
 }
 
 #[cfg(test)]

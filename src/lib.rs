@@ -54,8 +54,8 @@ pub use cam_iostacks::{
 };
 pub use cam_serving::{ServingConfig, ServingCore, ServingStats, TenantStats};
 pub use cam_telemetry::{
-    BatchSpan, ControlMetrics, Counter, Gauge, Histogram, HistogramHandle, HistogramSummary,
-    MetricsRegistry, MetricsSnapshot, NoopSink, Stage, TelemetrySink, TenantMetrics,
+    ControlMetrics, Counter, Gauge, Histogram, HistogramHandle, HistogramSummary, MetricsRegistry,
+    MetricsSnapshot, Observability, Stage, TenantMetrics,
 };
 
 /// Substrate crates, re-exported for direct access to the simulated

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use cam::substrate::blockdev::{BlockStore, Lba};
 use cam::{CamConfig, CamContext, ChannelOp, MetricsRegistry, Rig, RigConfig};
-use cam_protocol::{plan_batch, DecisionCounters, PlanConfig};
+use cam_protocol::{replay_plan_workload, DecisionCounters, PlanConfig};
 use cam_telemetry::Observability;
 
 const N_SSDS: usize = 4;
@@ -64,18 +64,12 @@ fn replay(channels: &[Vec<Vec<u64>>]) -> DecisionCounters {
         stripe_blocks: STRIPE_BLOCKS,
         block_size: BLOCK_SIZE as u32,
     };
-    let mut d = DecisionCounters::default();
-    for lbas in channels.iter().flatten() {
-        let reqs = lbas
-            .iter()
-            .enumerate()
-            .map(|(i, &lba)| (lba, (i * REQ_BYTES) as u64))
-            .collect();
-        let plan = plan_batch(&cfg, ChannelOp::Read, BLOCKS_PER_REQ, reqs);
-        d.record_plan(&plan);
-        d.sqes += plan.runs();
-    }
-    d
+    let batches = channels.iter().flatten();
+    replay_plan_workload(
+        &cfg,
+        ChannelOp::Read,
+        batches.map(|lbas| (lbas.as_slice(), BLOCKS_PER_REQ)),
+    )
 }
 
 #[test]
