@@ -1,6 +1,6 @@
 //! Cache-mode benchmark: the same repeated-access workloads driven through
 //! the uncached [`CamDevice`](cam_core::CamDevice) and through
-//! [`CachedDevice`](cam_cache::CachedDevice), on separate registries, so
+//! [`CachedDevice`], on separate registries, so
 //! the NVMe-submission and doorbell→retire deltas attribute entirely to
 //! the cache layer. The sweep axis is the cache size in slots.
 

@@ -14,7 +14,7 @@
 //!   `plan_batch` replay.
 //! * **Timing trends**: per-SSD in-flight depth and doorbell→retire
 //!   latency. The rig injects a 200 µs service latency and the DES runs a
-//!   device model matched to it ([`rig_matched_ssd_model`]), so the depth
+//!   device model matched to it (`rig_matched_ssd_model`), so the depth
 //!   regimes are directly comparable; agreement is judged on the reported
 //!   depth relative error and on whether both drivers see the pipelined
 //!   reactor beat the blocking baseline.
@@ -69,7 +69,7 @@ pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
 /// burst-sleep service discipline is only approximated by the DES server
 /// model, so the depths agree in regime, not in digits: with the DES
 /// device matched to the rig's injected service latency
-/// ([`rig_matched_ssd_model`]) the seeded workload lands ≈ 0.2–0.35
+/// (`rig_matched_ssd_model`) the seeded workload lands ≈ 0.2–0.35
 /// relative error. 0.5 flags a driver whose depth regime collapsed (e.g.
 /// pipelining silently lost) while absorbing sampling noise. One of the
 /// wall-clock clauses of [`timing_bars`].
@@ -125,6 +125,8 @@ impl FidelityEngineReport {
 
 /// The full fidelity comparison: plan replay vs. threaded vs. DES.
 pub struct FidelityReport {
+    /// Seed of the workload every run below drove.
+    pub seed: u64,
     /// Pure `plan_batch` replay of the workload (one first submission per
     /// planned run).
     pub expected: DecisionCounters,
@@ -185,8 +187,8 @@ impl Lcg {
 }
 
 /// The seeded workload both drivers (and the perf trajectory's trials)
-/// run: `rounds` batches per channel, each batch [`BATCH_REQS`] two-block
-/// reads drawn from the channel's [`LBA_WINDOW`]-slot window.
+/// run: `rounds` batches per channel, each batch `BATCH_REQS` two-block
+/// reads drawn from the channel's `LBA_WINDOW`-slot window.
 /// Deterministic: same rounds and seed, same batches.
 pub fn fidelity_workload(rounds: u64, seed: u64) -> Vec<Vec<CamDesBatch>> {
     let mut rng = Lcg(seed);
@@ -226,6 +228,7 @@ pub fn expected_decisions(channels: &[Vec<CamDesBatch>]) -> DecisionCounters {
 pub fn run_fidelity_experiment(rounds: u64, seed: u64) -> FidelityReport {
     let workload = fidelity_workload(rounds, seed);
     FidelityReport {
+        seed,
         expected: expected_decisions(&workload),
         functional: FidelityEngineReport {
             pipelined: run_functional(true, 1, &workload),
@@ -581,19 +584,11 @@ pub fn fidelity_section_json(report: &FidelityReport) -> Json {
             "read_latency_speedup" => Json::fixed(e.speedup(), 2),
         }
     };
-    let d = &report.expected;
-    let c = &report.cached.expected;
+    let counters = |fields: [(&'static str, u64); 8]| {
+        Json::obj(fields.into_iter().map(|(name, v)| (name, Json::from(v))))
+    };
     let mut cached = obj! {
-        "expected" => obj! {
-            "hits" => c.hits,
-            "misses" => c.misses,
-            "coalesced" => c.coalesced,
-            "evictions" => c.evictions,
-            "write_absorbed" => c.write_absorbed,
-            "flushed_blocks" => c.flushed_blocks,
-            "readahead_issued" => c.readahead_issued,
-            "readahead_hits" => c.readahead_hits,
-        },
+        "expected" => counters(report.cached.expected.fields()),
     };
     for (label, m) in report.cached.modes() {
         cached.set(
@@ -613,18 +608,9 @@ pub fn fidelity_section_json(report: &FidelityReport) -> Json {
             "blocks_per_req" => BLOCKS_PER_REQ,
             "batch_requests" => BATCH_REQS,
             "lba_window" => LBA_WINDOW,
-            "seed" => DEFAULT_SEED,
+            "seed" => report.seed,
         },
-        "decisions" => obj! {
-            "batches" => d.batches,
-            "requests" => d.requests,
-            "dedup_dropped" => d.dedup_dropped,
-            "stripe_splits" => d.stripe_splits,
-            "groups" => d.groups,
-            "sqes" => d.sqes,
-            "retries" => d.retries,
-            "timeouts" => d.timeouts,
-        },
+        "decisions" => counters(report.expected.fields()),
         "functional" => engine(&report.functional),
         "des" => engine(&report.des),
         "cached" => cached,
@@ -719,6 +705,13 @@ pub fn timing_bars(report: &FidelityReport) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn section_records_the_seed_the_run_used() {
+        let section = fidelity_section_json(&run_fidelity_experiment(1, 7));
+        let seed = section.get("workload").and_then(|w| w.get("seed"));
+        assert_eq!(seed.and_then(Json::as_u64), Some(7));
+    }
 
     #[test]
     fn both_drivers_make_exactly_the_planned_decisions() {

@@ -1065,27 +1065,15 @@ fn fidelity(p: &BenchParams) -> Outcome {
             "des blocking",
         ],
     );
-    let fields = |d: &cam_protocol::DecisionCounters| {
-        [
-            ("batches", d.batches),
-            ("requests", d.requests),
-            ("dedup dropped", d.dedup_dropped),
-            ("stripe splits", d.stripe_splits),
-            ("groups", d.groups),
-            ("sqes", d.sqes),
-            ("retries", d.retries),
-            ("timeouts", d.timeouts),
-        ]
-    };
     let cols = [
-        fields(&report.expected),
-        fields(&report.functional.pipelined.decisions),
-        fields(&report.functional.blocking.decisions),
-        fields(&report.des.pipelined.decisions),
-        fields(&report.des.blocking.decisions),
+        report.expected.fields(),
+        report.functional.pipelined.decisions.fields(),
+        report.functional.blocking.decisions.fields(),
+        report.des.pipelined.decisions.fields(),
+        report.des.blocking.decisions.fields(),
     ];
     for i in 0..cols[0].len() {
-        let mut row = vec![cols[0][i].0.to_string()];
+        let mut row = vec![cols[0][i].0.replace('_', " ")];
         row.extend(cols.iter().map(|c| c[i].1.to_string()));
         t.row(row);
     }
@@ -1126,33 +1114,28 @@ fn fidelity(p: &BenchParams) -> Outcome {
     // The cached matrix: the same CacheCore behind both drivers, decision
     // counters against the pure replay. The whole point is four identical
     // rows under the "expected" one.
+    let names = report
+        .cached
+        .expected
+        .fields()
+        .map(|(name, _)| name.replace('_', " "));
+    let mut headers = vec!["run"];
+    headers.extend(names.iter().map(String::as_str));
+    headers.push("mean read (us)");
     let mut tc = Table::new(
         "Model fidelity: cache decisions, pure replay vs threaded CachedDevice vs DES cache stage",
-        &[
-            "run",
-            "hits",
-            "misses",
-            "coalesced",
-            "evictions",
-            "ra issued",
-            "ra hits",
-            "mean read (us)",
-        ],
+        &headers,
     );
     let cache_row =
         |label: &str, c: &cam_protocol::cache_core::CacheDecisionCounters, mean_ns: Option<u64>| {
-            vec![
-                label.to_string(),
-                c.hits.to_string(),
-                c.misses.to_string(),
-                c.coalesced.to_string(),
-                c.evictions.to_string(),
-                c.readahead_issued.to_string(),
-                c.readahead_hits.to_string(),
+            let mut row = vec![label.to_string()];
+            row.extend(c.fields().iter().map(|(_, v)| v.to_string()));
+            row.push(
                 mean_ns
                     .map(|ns| format!("{:.1}", ns as f64 / 1e3))
                     .unwrap_or_else(|| "-".into()),
-            ]
+            );
+            row
         };
     tc.row(cache_row(
         "replay (expected)",

@@ -25,7 +25,7 @@ use cam_protocol::RetryPolicy;
 use cam_telemetry::json::Json;
 use cam_telemetry::{
     clock, health_state_label, obj, EventKind, FlightRecorder, MetricsRegistry, Observability,
-    OpsWindows, SloConfig, SloTracker, WindowConfig,
+    OpsWindows, SloConfig, SloTracker, Stage, WindowConfig,
 };
 
 use crate::fidelity_run::des_config;
@@ -76,6 +76,9 @@ pub struct HealthDriverReport {
     /// Numerator of lane 0's windowed retry rate at end of run (retries
     /// only; the window outlasts the run).
     pub retry_window: u64,
+    /// Samples in each per-stage window at end of run, in [`Stage::ALL`]
+    /// order: one per batch for pickup/retire, one per group for the rest.
+    pub stage_window: [u64; 5],
     /// Transient faults the device layer injected.
     pub faults: u64,
     /// Batches retired.
@@ -116,6 +119,11 @@ impl HealthReport {
 fn run_long_windows() -> Arc<OpsWindows> {
     let cfg = WindowConfig::new(3_600_000_000_000, 4);
     Arc::new(OpsWindows::new(cfg, N_SSDS, 1))
+}
+
+/// Samples in each per-stage window at `now`.
+fn stage_counts(windows: &OpsWindows, now: u64) -> [u64; 5] {
+    Stage::ALL.map(|s| windows.stage(s).count_at(now))
 }
 
 /// `CmdRetry` events in a recorder's timeline.
@@ -221,6 +229,7 @@ fn run_functional() -> HealthDriverReport {
         retries: stats.retries,
         retry_events: retry_events(&recorder),
         retry_window: windows.ssd_retries[0].sums_at(now).0,
+        stage_window: stage_counts(&windows, now),
         faults: faulty.injected(),
         batches: stats.batches,
     }
@@ -264,6 +273,7 @@ fn run_des() -> HealthDriverReport {
         retries: r.decisions.retries,
         retry_events: retry_events(&recorder),
         retry_window: windows.ssd_retries[0].sums_at(end).0,
+        stage_window: stage_counts(&windows, end),
         faults: r.faults_injected,
         batches: r.batches,
     }
@@ -328,8 +338,8 @@ pub fn slo_section_json(report: &HealthReport) -> Json {
 /// protocol decisions; the latency target is unmeetable on any clock):
 /// under the transient overload both drivers walk lane 0 through the
 /// identical `healthy -> degraded -> overloaded -> recovered` sequence,
-/// absorb the same faults with the same retries, and burn their SLO budget
-/// at more than 1x.
+/// absorb the same faults with the same retries, burn their SLO budget at
+/// more than 1x, and feed every per-stage window the same number of samples.
 pub fn bars(report: &HealthReport) -> Vec<String> {
     let mut failed = Vec::new();
     let (f, d) = (&report.functional, &report.des);
@@ -378,6 +388,15 @@ pub fn bars(report: &HealthReport) -> Vec<String> {
             f.retry_events, f.retry_window, d.retry_events, d.retry_window, f.retries
         ),
     );
+    require(
+        &mut failed,
+        f.stage_window == d.stage_window && f.stage_window.iter().all(|&n| n > 0),
+        format!(
+            "both drivers must feed every per-stage window the same sample count \
+             (pickup/dispatch/submit/complete/retire): functional {:?}, des {:?}",
+            f.stage_window, d.stage_window
+        ),
+    );
     failed
 }
 
@@ -410,6 +429,12 @@ mod tests {
         assert_eq!(report.functional.retry_window, report.des.retry_window);
         assert_eq!(report.functional.batches, ROUNDS as u64);
         assert_eq!(report.des.batches, ROUNDS as u64);
+        // No silently-empty window on either driver: one pickup and one
+        // retire sample per batch, one of the rest per (batch, SSD) group.
+        let (batches, groups) = (ROUNDS as u64, (ROUNDS * N_SSDS) as u64);
+        let expected = [batches, groups, groups, groups, batches];
+        assert_eq!(report.functional.stage_window, expected);
+        assert_eq!(report.des.stage_window, expected);
         let section = slo_section_json(&report);
         let last = section
             .get("des")

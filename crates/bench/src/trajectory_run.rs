@@ -17,7 +17,7 @@
 //!
 //! Warmup trials are discarded; the measured trials' bins are merged and
 //! compared against `bench/baselines/trajectory.json` with a Mann-Whitney
-//! U test plus a minimum-relative-shift guard (see [`GateConfig`]), and
+//! U test plus a minimum-relative-shift guard (see [`check`]), and
 //! the queue-delay decomposition ([`cam_telemetry::attribution`]) says
 //! *which* component moved. `repro bench --check` exits non-zero on a
 //! flagged regression; `repro bench --update-baselines` rewrites the
@@ -364,48 +364,13 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
 // The gate
 // ---------------------------------------------------------------------------
 
-/// Decision thresholds of the regression gate.
-///
-/// A run is flagged as regressed when **either** detector fires:
-/// * the Mann-Whitney z over the merged bins exceeds `z_threshold`
-///   (current stochastically slower than baseline) — catches dense,
-///   whole-distribution shifts with statistical confidence, **or**
-/// * the relative p50 **or** p99 shift exceeds `min_rel_shift` — catches
-///   tail-only regressions that Mann-Whitney cannot power at these sample
-///   sizes. The tail arm matters in this pipelined system: a device 20%
-///   slower across the board is largely absorbed by CPU/device overlap
-///   near the median (measured p50 shift ~3%, within a log-linear bucket)
-///   but surfaces whole in the tail (p99 +13–15%), leaving z ≈ 1–2 even
-///   at hundreds of batches per side because most histogram mass never
-///   moves.
-///
-/// Using OR instead of AND does not make the gate flaky: the DES is
-/// deterministic, so a baseline-identical rerun reproduces the bins
-/// bit-for-bit (z = 0, shifts = 0) and passes structurally, not by luck.
-/// `min_rel_shift` at 5% sits above the histogram's ~3% bucket
-/// quantization, so a one-bucket wobble alone cannot fire the shift arm.
-#[derive(Clone, Copy, Debug)]
-pub struct GateConfig {
-    /// Mann-Whitney z threshold (≈ one-sided p < 0.001 at 3.0).
-    pub z_threshold: f64,
-    /// Minimum relative p50-or-p99 shift (0.05 = 5%) to call a regression.
-    pub min_rel_shift: f64,
-    /// Bootstrap resamples for the reported CIs.
-    pub resamples: usize,
-    /// Two-sided CI miss probability.
-    pub alpha: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            z_threshold: 3.0,
-            min_rel_shift: 0.05,
-            resamples: 200,
-            alpha: 0.05,
-        }
-    }
-}
+/// Mann-Whitney z threshold of the regression gate (≈ one-sided
+/// p < 0.001).
+pub const Z_THRESHOLD: f64 = 3.0;
+/// Minimum relative p50-or-p99 shift (5%) the gate calls a regression:
+/// above the histogram's ~3% bucket quantization, so a one-bucket wobble
+/// alone cannot fire the shift arm.
+pub const MIN_REL_SHIFT: f64 = 0.05;
 
 /// Per-component baseline-vs-current delta in the gate report.
 #[derive(Clone, Debug)]
@@ -519,7 +484,24 @@ impl GateOutcome {
 }
 
 /// Gates a trajectory report against a baseline.
-pub fn check(report: &TrajectoryReport, baseline: &Baseline, gate: &GateConfig) -> GateOutcome {
+///
+/// A run is flagged as regressed when **either** detector fires:
+/// * the Mann-Whitney z over the merged bins exceeds [`Z_THRESHOLD`]
+///   (current stochastically slower than baseline) — catches dense,
+///   whole-distribution shifts with statistical confidence, **or**
+/// * the relative p50 **or** p99 shift exceeds [`MIN_REL_SHIFT`] — catches
+///   tail-only regressions that Mann-Whitney cannot power at these sample
+///   sizes. The tail arm matters in this pipelined system: a device 20%
+///   slower across the board is largely absorbed by CPU/device overlap
+///   near the median (measured p50 shift ~3%, within a log-linear bucket)
+///   but surfaces whole in the tail (p99 +13–15%), leaving z ≈ 1–2 even
+///   at hundreds of batches per side because most histogram mass never
+///   moves.
+///
+/// Using OR instead of AND does not make the gate flaky: the DES is
+/// deterministic, so a baseline-identical rerun reproduces the bins
+/// bit-for-bit (z = 0, shifts = 0) and passes structurally, not by luck.
+pub fn check(report: &TrajectoryReport, baseline: &Baseline) -> GateOutcome {
     let mw = mann_whitney(&baseline.bins, &report.bins);
     let rel = |base: u64, cur: u64| {
         if base == 0 {
@@ -532,7 +514,7 @@ pub fn check(report: &TrajectoryReport, baseline: &Baseline, gate: &GateConfig) 
     let rel_shift_p99 = rel(baseline.p99_ns, binned_quantile(&report.bins, 0.99));
     let slower = mw
         .as_ref()
-        .is_some_and(|m| m.slower_than_baseline(gate.z_threshold));
+        .is_some_and(|m| m.slower_than_baseline(Z_THRESHOLD));
     let components = Stage::ALL
         .iter()
         .map(|s| ComponentDelta {
@@ -542,7 +524,7 @@ pub fn check(report: &TrajectoryReport, baseline: &Baseline, gate: &GateConfig) 
         })
         .collect();
     GateOutcome {
-        regressed: slower || rel_shift_p50.max(rel_shift_p99) > gate.min_rel_shift,
+        regressed: slower || rel_shift_p50.max(rel_shift_p99) > MIN_REL_SHIFT,
         mw,
         rel_shift_p50,
         rel_shift_p99,
@@ -634,7 +616,7 @@ pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
             })
             .and_then(|text| parse_baseline(&text));
         let outcome = match baseline {
-            Ok(b) => check(report, &b, &GateConfig::default()),
+            Ok(b) => check(report, &b),
             Err(e) => {
                 failures.push(format!("{label} baseline {path}: {e}"));
                 continue;
@@ -780,7 +762,7 @@ mod tests {
         assert_eq!(a.decomposition.mean_ns[Stage::Pickup.index()], 0.0);
         // The same baseline schema and gate serve cached mode unchanged.
         let baseline = parse_baseline(&baseline_json(&a).to_string()).expect("baseline");
-        let outcome = check(&a, &baseline, &GateConfig::default());
+        let outcome = check(&a, &baseline);
         assert!(!outcome.regressed, "{}", outcome.table("test"));
     }
 
@@ -830,13 +812,12 @@ mod tests {
         ] {
             let text = std::fs::read_to_string(&path).expect("committed baseline");
             let baseline = parse_baseline(&text).expect("committed baseline parses");
-            let gate = GateConfig::default();
-            let same = check(&run(&TrialParams::default()), &baseline, &gate);
+            let same = check(&run(&TrialParams::default()), &baseline);
             assert!(!same.regressed, "{path}\n{}", same.table("stale?"));
             assert_eq!(same.mw.map(|m| m.z), Some(0.0), "bins reproduce exactly");
-            let slower = check(&run(&slow), &baseline, &gate);
+            let slower = check(&run(&slow), &baseline);
             assert!(slower.regressed, "{path}\n{}", slower.table("slow"));
-            assert!(slower.rel_shift_p50.max(slower.rel_shift_p99) > gate.min_rel_shift);
+            assert!(slower.rel_shift_p50.max(slower.rel_shift_p99) > MIN_REL_SHIFT);
             let diff = slower.to_json();
             assert_eq!(diff.get("regressed"), Some(&Json::Bool(true)));
             assert_eq!(diff.get("dominant_shift"), Some(&Json::from("ssd_service")));

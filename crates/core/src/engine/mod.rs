@@ -11,19 +11,22 @@
 //! [`cam_protocol::WorkerCore`] state machine over private queue pairs
 //! (SPDK's no-locks-in-the-I/O-path discipline), executing the
 //! [`cam_protocol::Command`]s it emits ([`reactor`]) — SQE pushes, doorbell
-//! rings, telemetry records. The last group of a batch retires it
+//! rings, and one [`LifecycleTap`] call per lifecycle hand-off (the tap
+//! owns every span, metric, window and event of the lifecycle; this driver
+//! only says what happened and when). The last group of a batch retires it
 //! ([`retire`]) by writing region 4 and feeds the [`DynamicScaler`] with the
 //! batch's compute/I/O times. When the protocol reports nothing actionable
 //! ([`cam_protocol::ParkHint`]), the worker parks on a [`park::Parker`]
 //! woken by doorbell publishes, ring pushes and stop — idle CPU burn goes
 //! to ~0 instead of a spin loop.
 //!
-//! All protocol decisions live in `cam-protocol` and are clock-agnostic;
-//! this module is the *only* place wall-clock time enters — [`WallClock`]
-//! adapts the telemetry timeline to the protocol's
-//! [`Clock`](cam_protocol::Clock). The DES driver
-//! (`cam_iostacks::cam_des`) steps the same protocol objects in virtual
-//! time; `docs/TIMING.md` describes the split.
+//! All protocol decisions live in `cam-protocol` and are clock-agnostic —
+//! time enters them as a `now_ns` argument. This module is the *only*
+//! place wall-clock time enters: every `now_ns` it hands over is read
+//! from the telemetry timeline ([`cam_telemetry::clock::now_ns`]), so
+//! protocol timestamps and trace events share one time base. The DES
+//! driver (`cam_iostacks::cam_des`) steps the same protocol objects in
+//! virtual time; `docs/TIMING.md` describes the split.
 //!
 //! [`DynamicScaler`]: crate::DynamicScaler
 
@@ -39,27 +42,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cam_nvme::{DmaSpace, NvmeDevice, QueuePair};
-use cam_protocol::{Clock, GroupSpec, PlanConfig, RetryPolicy};
+use cam_protocol::{GroupSpec, PlanConfig, RetryPolicy};
 use cam_simkit::Dur;
 use cam_telemetry::{
-    ControlMetrics, FlightRecorder, Observability, OpsWindows, PostmortemDumper, SloTracker,
+    ControlMetrics, FlightRecorder, LifecycleTap, Observability, PostmortemDumper,
 };
 use parking_lot::Mutex;
 
 use crate::regions::Channel;
 use crate::scaler::DynamicScaler;
-
-/// The threaded driver's clock: the telemetry timeline
-/// ([`cam_telemetry::clock::now_ns`]), so protocol timestamps and trace
-/// events share one time base. This adapter is the only point where real
-/// time enters the control plane.
-struct WallClock;
-
-impl Clock for WallClock {
-    fn now_ns(&self) -> u64 {
-        cam_telemetry::clock::now_ns()
-    }
-}
 
 /// The threaded engine's one threading model. Kept only because the frozen
 /// benchmark names it; delete at the next benchmark re-anchor.
@@ -196,9 +187,13 @@ struct Shared {
     scaler: Mutex<DynamicScaler>,
     dynamic: bool,
     /// All counters/histograms live in the registry behind these handles —
-    /// the control plane keeps no parallel ad-hoc stat atomics.
+    /// the control plane keeps no parallel ad-hoc stat atomics. The
+    /// lifecycle ones are fed through `tap`; used directly here only for
+    /// what this driver alone has (queue pairs, parking, scaling).
     metrics: Arc<ControlMetrics>,
-    /// Event layer: protocol-stage events per batch when attached.
+    /// The lifecycle observer: every batch hand-off is reported here.
+    tap: LifecycleTap,
+    /// Event layer, for the scaler's decisions and thread names.
     recorder: Option<Arc<FlightRecorder>>,
     /// Post-mortem dumper, triggered at retire on errors or deadline
     /// overrun.
@@ -208,16 +203,9 @@ struct Shared {
     /// Per-command retry/backoff/deadline policy for the workers' protocol
     /// cores.
     retry: RetryPolicy,
-    /// The driver clock every timestamp flows through (wall clock here;
-    /// the DES driver substitutes virtual time).
-    clock: Arc<dyn Clock>,
-    /// Per-channel retire timestamps (driver-clock ns; 0 = no retire yet)
-    /// for compute-gap estimation, sized to the channel count.
+    /// Per-channel retire timestamps (telemetry-timeline ns; 0 = no retire
+    /// yet) for compute-gap estimation, sized to the channel count.
     last_retire: Vec<AtomicU64>,
-    /// Live ops plane: rolling-window samplers, when attached.
-    windows: Option<Arc<OpsWindows>>,
-    /// Live ops plane: per-channel SLO accounting, when attached.
-    slo: Option<Arc<SloTracker>>,
     /// Cross-worker SPSC handoff fabric: `rings[consumer][producer]`.
     rings: Vec<Vec<ring::SpscRing<GroupSpec>>>,
     /// One parker per worker, woken by doorbell publishes (channel
@@ -282,6 +270,13 @@ impl ControlPlane {
             stop: AtomicBool::new(false),
             scaler: Mutex::new(scaler),
             dynamic: cfg.dynamic_scaling,
+            tap: LifecycleTap {
+                metrics: Some(Arc::clone(&metrics)),
+                recorder: obs.recorder.clone(),
+                lifecycle: true,
+                windows: obs.windows.clone(),
+                slo: obs.slo.clone(),
+            },
             metrics,
             recorder: obs.recorder.clone(),
             postmortem: obs.postmortem.clone(),
@@ -291,10 +286,7 @@ impl ControlPlane {
                 backoff_base_ns: cfg.retry_backoff_ns,
                 deadline_ns: cfg.cmd_deadline_ns,
             },
-            clock: Arc::new(WallClock),
             last_retire: (0..n_channels).map(|_| AtomicU64::new(0)).collect(),
-            windows: obs.windows.clone(),
-            slo: obs.slo.clone(),
             // Ring capacity: a producer owns ceil(C/W) channels, each with
             // one outstanding batch fanning out to at most n_ssds groups —
             // a push can only find the ring full under a transient drain

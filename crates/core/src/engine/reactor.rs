@@ -8,9 +8,10 @@
 //! ([`accept`](Worker::accept)), [`pump`](Worker::pump) at the wall clock,
 //! [`reap`](Worker::reap) CQEs into [`on_cqe`](WorkerCore::on_cqe), and
 //! execute whatever [`Command`]s come back — SQE pushes, doorbell rings,
-//! metrics, flight-recorder events, batch retirement. Every submission,
-//! retry, and closure *decision* is the protocol's; the DES driver executes
-//! the same commands against a device timing model instead.
+//! batch retirement; the lifecycle ones are handed to the
+//! [`LifecycleTap`](cam_telemetry::LifecycleTap) as they are. Every
+//! submission, retry, and closure *decision* is the protocol's; the DES
+//! driver executes the same commands against a device timing model instead.
 //!
 //! A `Submit` command is executed infallibly: the protocol admits a
 //! command only when the lane's inflight table (sized to the queue depth)
@@ -19,10 +20,11 @@
 
 use std::sync::Arc;
 
+use cam_iostacks::cam_des::batch_facts;
 use cam_nvme::spec::{Cqe, Sqe};
 use cam_nvme::QueuePair;
-use cam_protocol::{op_index, ChannelOp, Command, GroupSpec, WorkerCore};
-use cam_telemetry::{EventKind, Stage};
+use cam_protocol::{ChannelOp, Command, GroupSpec, WorkerCore};
+use cam_telemetry::{clock, Lane};
 
 use super::retire::retire_batch;
 use super::Shared;
@@ -72,40 +74,27 @@ impl Worker {
     /// declared recovered. The DES driver performs the identical drain at
     /// the end of its calendar, keeping the transition sequences comparable.
     pub(super) fn drain_lanes(&mut self, sh: &Shared) {
-        self.core.drain_lanes(sh.clock.now_ns(), &mut self.out);
+        self.core.drain_lanes(clock::now_ns(), &mut self.out);
         self.execute(sh);
     }
 
-    /// Takes ownership of a dispatched group: record the dispatch stage,
-    /// then hand it to the protocol core.
+    /// Takes ownership of a dispatched group: report the dispatch, then
+    /// hand it to the protocol core.
     pub(super) fn accept(&mut self, sh: &Shared, spec: GroupSpec) {
-        let recv_ns = sh.clock.now_ns();
-        let op_idx = op_index(spec.batch.op);
-        let dispatch_span = recv_ns.saturating_sub(spec.batch.pickup_ns);
-        sh.metrics
-            .stage(op_idx, Stage::Dispatch)
-            .record(dispatch_span);
-        if let Some(w) = &sh.windows {
-            w.stage(Stage::Dispatch).record_at(recv_ns, dispatch_span);
-        }
-        if let Some(rec) = &sh.recorder {
-            rec.emit_at(
-                recv_ns,
-                EventKind::GroupDispatch {
-                    channel: spec.batch.channel as u16,
-                    seq: spec.batch.seq,
-                    ssd: spec.ssd as u16,
-                    worker: self.wid as u16,
-                },
-            );
-        }
+        let recv_ns = clock::now_ns();
+        let at = Lane {
+            ssd: spec.ssd,
+            worker: self.wid,
+        };
+        sh.tap
+            .group_dispatch(&batch_facts(&spec.batch), at, recv_ns);
         self.core.on_group(spec, recv_ns);
     }
 
     /// One submission pass at the wall clock, executed. Returns whether it
     /// produced any command.
     pub(super) fn pump(&mut self, sh: &Shared) -> bool {
-        self.core.pump(sh.clock.now_ns(), &mut self.out);
+        self.core.pump(clock::now_ns(), &mut self.out);
         let progress = !self.out.is_empty();
         self.execute(sh);
         progress
@@ -123,7 +112,7 @@ impl Worker {
                 continue;
             }
             progress = true;
-            let now = sh.clock.now_ns();
+            let now = clock::now_ns();
             for cqe in &self.cqes {
                 self.core
                     .on_cqe(ssd, cqe.cid, cqe.status, now, &mut self.out);
@@ -134,9 +123,8 @@ impl Worker {
         progress
     }
 
-    /// Executes the drained protocol commands against the real queue pairs
-    /// and the telemetry registry, in order (submissions precede their
-    /// doorbell ring).
+    /// Executes the drained protocol commands against the real queue pairs,
+    /// in order (submissions precede their doorbell ring).
     fn execute(&mut self, sh: &Shared) {
         let Worker {
             wid,
@@ -146,6 +134,7 @@ impl Worker {
             ..
         } = self;
         let wid = *wid;
+        let at = |ssd| Lane { ssd, worker: wid };
         for cmd in out.drain(..) {
             match cmd {
                 Command::Submit(s) => {
@@ -174,25 +163,8 @@ impl Worker {
                     recv_ns,
                     submit_ns,
                 } => {
-                    let span = submit_ns.saturating_sub(recv_ns);
-                    let op_idx = op_index(batch.op);
-                    sh.metrics.stage(op_idx, Stage::Submit).record(span);
-                    sh.metrics.ssd_submit_ns[ssd].record(span);
-                    if let Some(w) = &sh.windows {
-                        w.stage(Stage::Submit).record_at(submit_ns, span);
-                    }
-                    if let Some(rec) = &sh.recorder {
-                        rec.emit_at(
-                            submit_ns,
-                            EventKind::GroupSubmit {
-                                channel: batch.channel as u16,
-                                seq: batch.seq,
-                                ssd: ssd as u16,
-                                worker: wid as u16,
-                                sqes,
-                            },
-                        );
-                    }
+                    sh.tap
+                        .group_submitted(&batch_facts(&batch), at(ssd), sqes, recv_ns, submit_ns);
                 }
                 Command::CmdRetry {
                     batch,
@@ -201,61 +173,24 @@ impl Worker {
                     attempt,
                     now_ns,
                     ..
-                } => {
-                    sh.metrics.retries.inc();
-                    if let Some(w) = &sh.windows {
-                        w.ssd_retries[ssd].add_at(now_ns, 1, 0);
-                    }
-                    if let Some(rec) = &sh.recorder {
-                        rec.emit_at(
-                            now_ns,
-                            EventKind::CmdRetry {
-                                channel: batch.channel as u16,
-                                seq: batch.seq,
-                                ssd: ssd as u16,
-                                cid,
-                                attempt,
-                            },
-                        );
-                    }
-                }
+                } => sh
+                    .tap
+                    .cmd_retry(&batch_facts(&batch), ssd, cid, attempt, now_ns),
                 Command::CmdTimeout {
                     batch,
                     ssd,
                     cid,
                     attempts,
                     now_ns,
-                } => {
-                    sh.metrics.cmd_timeouts.inc();
-                    if let Some(rec) = &sh.recorder {
-                        rec.emit_at(
-                            now_ns,
-                            EventKind::CmdTimeout {
-                                channel: batch.channel as u16,
-                                seq: batch.seq,
-                                ssd: ssd as u16,
-                                cid,
-                                attempts,
-                            },
-                        );
-                    }
-                }
+                } => sh
+                    .tap
+                    .cmd_timeout(&batch_facts(&batch), ssd, cid, attempts, now_ns),
                 Command::LaneTransition {
                     transition: t,
                     now_ns,
                 } => {
-                    sh.metrics.lane_health[t.ssd].set(u64::from(t.to.code()));
-                    if let Some(rec) = &sh.recorder {
-                        rec.emit_at(
-                            now_ns,
-                            EventKind::LaneHealth {
-                                ssd: t.ssd as u16,
-                                from: t.from.code(),
-                                to: t.to.code(),
-                                retries: t.faults,
-                            },
-                        );
-                    }
+                    sh.tap
+                        .lane_transition(t.ssd, t.from.code(), t.to.code(), t.faults, now_ns);
                 }
                 Command::GroupComplete {
                     batch,
@@ -265,29 +200,14 @@ impl Worker {
                     anchor_ns,
                     complete_ns,
                 } => {
-                    let span = complete_ns.saturating_sub(anchor_ns);
-                    let op_idx = op_index(batch.op);
-                    sh.metrics.stage(op_idx, Stage::Complete).record(span);
-                    sh.metrics.ssd_complete_ns[ssd].record(span);
-                    sh.metrics.ssd_completed[ssd].add(sqes as u64);
-                    if let Some(w) = &sh.windows {
-                        w.stage(Stage::Complete).record_at(complete_ns, span);
-                        w.ssd_complete[ssd].record_at(complete_ns, span);
-                        // Denominator of the windowed retry rate: groups closed.
-                        w.ssd_retries[ssd].add_at(complete_ns, 0, 1);
-                    }
-                    if let Some(rec) = &sh.recorder {
-                        rec.emit_at(
-                            complete_ns,
-                            EventKind::GroupComplete {
-                                channel: batch.channel as u16,
-                                seq: batch.seq,
-                                ssd: ssd as u16,
-                                worker: wid as u16,
-                                errors: errors as u32,
-                            },
-                        );
-                    }
+                    sh.tap.group_complete(
+                        &batch_facts(&batch),
+                        at(ssd),
+                        sqes,
+                        errors,
+                        anchor_ns,
+                        complete_ns,
+                    );
                 }
                 Command::RetireBatch { batch, complete_ns } => {
                     retire_batch(sh, &batch, complete_ns, copy_buf);

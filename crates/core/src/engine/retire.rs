@@ -3,16 +3,19 @@
 //! The protocol layer decides *when* a batch retires (its last group's
 //! [`BatchCore::finish_group`] returning true); this module is the
 //! threaded driver's retirement effect: replicate deduplicated reads,
-//! write region 4, feed the [`DynamicScaler`], fire the post-mortem
-//! triggers.
+//! write region 4 (from inside the lifecycle tap's retire report, so the
+//! counters a waiter reads settle first), feed the [`DynamicScaler`], fire
+//! the post-mortem triggers.
 //!
 //! [`DynamicScaler`]: crate::DynamicScaler
 
 use std::sync::atomic::Ordering;
 
-use cam_protocol::{op_index, BatchCore};
+use cam_iostacks::cam_des::batch_facts;
+use cam_protocol::BatchCore;
 use cam_simkit::Dur;
-use cam_telemetry::{EventKind, Stage};
+use cam_telemetry::clock::now_ns;
+use cam_telemetry::EventKind;
 
 use super::Shared;
 
@@ -23,7 +26,6 @@ use super::Shared;
 /// allocates nothing.
 pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64, copy_buf: &mut Vec<u8>) {
     let m = &sh.metrics;
-    let op_idx = op_index(b.op);
     // Replicate deduplicated reads to their duplicate destinations
     // before region 4 is written — after retire the GPU is free to
     // read any of them.
@@ -41,50 +43,24 @@ pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64, copy_bu
         }
     }
     let batch_errors = b.errors.load(Ordering::Relaxed);
-    let retire_ns = sh.clock.now_ns();
-    let io = Dur::ns(retire_ns.saturating_sub(b.dispatched_ns));
-    // Everything a client may read as soon as its wait returns — the
-    // `ControlStats` counters, and `last_retire`, which the pickup of its
-    // next doorbell turns into a compute gap — settles before region 4
-    // releases it (the region-4 store is the release the waiter acquires).
+    let retire_ns = now_ns();
+    // Everything a client may read as soon as its wait returns settles
+    // before region 4 releases it (the region-4 store is the release the
+    // waiter acquires): the `ControlStats` counters, inside the tap, and
+    // `last_retire`, which the pickup of its next doorbell turns into a
+    // compute gap.
     sh.last_retire[b.channel].store(retire_ns, Ordering::Relaxed);
-    m.batches.inc();
-    m.requests.add(b.requests);
-    m.errors.add(batch_errors);
-    m.io_time_ns.add(io.as_ns());
+    let total_ns = sh.tap.batch_retire(
+        &batch_facts(b),
+        batch_errors,
+        complete_ns,
+        retire_ns,
+        || sh.channels[b.channel].retire(b.seq, batch_errors),
+    );
     let compute_gap = Dur::ns(b.compute_gap_ns);
-    if compute_gap > Dur::ZERO {
-        m.compute_time_ns.add(compute_gap.as_ns());
-        m.compute_samples.inc();
-    }
-    sh.channels[b.channel].retire(b.seq, batch_errors);
-    let retire_span = retire_ns.saturating_sub(complete_ns);
-    let total_ns = retire_ns.saturating_sub(b.doorbell_ns);
-    m.stage(op_idx, Stage::Retire).record(retire_span);
-    m.batch_total(b.channel, op_idx).record(total_ns);
-    if let Some(w) = &sh.windows {
-        w.stage(Stage::Pickup)
-            .record_at(retire_ns, b.pickup_ns.saturating_sub(b.doorbell_ns));
-        w.stage(Stage::Retire).record_at(retire_ns, retire_span);
-        w.channel_batch[b.channel].record_at(retire_ns, total_ns);
-    }
-    if let Some(slo) = &sh.slo {
-        slo.record(b.channel, total_ns, batch_errors, retire_ns);
-        let burn = slo.burn_rate(b.channel, retire_ns).max();
-        m.slo_burn[b.channel].set((burn * 1000.0) as u64);
-    }
-    if let Some(rec) = &sh.recorder {
-        rec.emit_at(
-            retire_ns,
-            EventKind::BatchRetire {
-                channel: b.channel as u16,
-                seq: b.seq,
-                errors: batch_errors as u32,
-            },
-        );
-    }
     if sh.dynamic && compute_gap > Dur::ZERO {
         let prev = sh.active_workers.load(Ordering::Relaxed);
+        let io = Dur::ns(retire_ns.saturating_sub(b.dispatched_ns));
         let active = sh.scaler.lock().observe(compute_gap, io);
         sh.active_workers.store(active, Ordering::Relaxed);
         if active != prev {

@@ -23,6 +23,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use cam_protocol::{GroupSpec, ParkHint};
+use cam_telemetry::clock::now_ns;
 use cam_telemetry::{WindowConfig, WindowedCounter};
 
 use super::reactor::Worker;
@@ -58,7 +59,7 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
     // exported ×1000 (the registry's milli-gauge convention, like
     // `cam_slo_burn_rate`).
     let park_win = WindowedCounter::new(WindowConfig::default());
-    let mut last_mark = sh.clock.now_ns();
+    let mut last_mark = now_ns();
     let mut idle_streak = 0u32;
     // Window flushes are batched: the add/sum per iteration would cost
     // more than a hot iteration's useful work (a lock plus a slot scan).
@@ -101,11 +102,11 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
             match w.core.park_hint() {
                 ParkHint::Poll => std::thread::yield_now(),
                 ParkHint::Until(t) => {
-                    let now = sh.clock.now_ns();
+                    let now = now_ns();
                     if t > now {
                         let before = now;
                         sh.parkers[wid].park_timeout(Duration::from_nanos(t - now).min(MAX_PARK));
-                        parked_ns = sh.clock.now_ns().saturating_sub(before);
+                        parked_ns = now_ns().saturating_sub(before);
                     } else {
                         std::thread::yield_now();
                     }
@@ -115,15 +116,15 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
                     // No token is lost to the publish→park race: a doorbell
                     // or ring push that lands just before this park leaves
                     // the token set, so the park returns immediately.
-                    let before = sh.clock.now_ns();
+                    let before = now_ns();
                     sh.parkers[wid].park_timeout(MAX_PARK);
-                    parked_ns = sh.clock.now_ns().saturating_sub(before);
+                    parked_ns = now_ns().saturating_sub(before);
                 }
             }
         }
         iters_since_flush += 1;
         if parked_ns > 0 || iters_since_flush >= FLUSH_ITERS {
-            let now = sh.clock.now_ns();
+            let now = now_ns();
             park_win.add_at(now, parked_ns, now.saturating_sub(last_mark));
             last_mark = now;
             if let Some(ratio) = park_win.ratio_at(now) {

@@ -13,6 +13,7 @@ use cam_gpu::Gpu;
 use cam_hostos::IoDir;
 use cam_nvme::spec::{Sqe, Status};
 use cam_nvme::QueuePair;
+use cam_protocol::PlanConfig;
 
 use crate::rig::Rig;
 use crate::types::{BackendError, IoRequest, StorageBackend};
@@ -24,9 +25,8 @@ pub struct BamBackend {
     qps: Vec<Vec<Arc<QueuePair>>>,
     gpu: Arc<Gpu>,
     n_blocks: u64,
-    n_ssds: usize,
-    stripe_blocks: u64,
-    block_size: u32,
+    /// Array geometry: the RAID-0 map and the stripe-run walk.
+    plan: PlanConfig,
 }
 
 impl BamBackend {
@@ -41,20 +41,8 @@ impl BamBackend {
             qps,
             gpu: Arc::clone(rig.gpu()),
             n_blocks,
-            n_ssds: rig.n_ssds(),
-            stripe_blocks: rig.stripe_blocks(),
-            block_size: rig.block_size(),
+            plan: rig.plan_config(),
         }
-    }
-
-    fn map(&self, lba: u64) -> (usize, u64) {
-        let n = self.n_ssds as u64;
-        let stripe = lba / self.stripe_blocks;
-        let within = lba % self.stripe_blocks;
-        (
-            (stripe % n) as usize,
-            (stripe / n) * self.stripe_blocks + within,
-        )
     }
 }
 
@@ -74,27 +62,21 @@ impl StorageBackend for BamBackend {
             // Each block strides over the batch; every request is
             // synchronous: submit, then poll until *this* request's
             // completion arrives (the thread idles the full I/O latency).
-            let block_bytes = self.block_size as u64;
             let mut i = ctx.block_idx as usize;
             while i < reqs.len() {
                 let req = &reqs[i];
                 // Requests crossing stripe boundaries split into per-SSD
                 // sub-commands, each synchronous (submit → poll).
                 let mut subs: Vec<(usize, Sqe)> = Vec::new();
-                crate::types::for_each_stripe_run(
-                    req.lba,
-                    req.blocks,
-                    self.stripe_blocks,
-                    |alba, run, blkoff| {
-                        let (ssd, dev_lba) = self.map(alba);
-                        let addr = req.addr + blkoff as u64 * block_bytes;
+                self.plan
+                    .for_each_run(req.lba, req.blocks, |ssd, dev_lba, run, offset| {
+                        let addr = req.addr + offset;
                         let sqe = match req.dir {
                             IoDir::Read => Sqe::read(i as u16, dev_lba, run, addr),
                             IoDir::Write => Sqe::write(i as u16, dev_lba, run, addr),
                         };
                         subs.push((ssd, sqe));
-                    },
-                );
+                    });
                 for (ssd, sqe) in subs {
                     let qp = &my_qps[ssd];
                     if qp.submit(sqe).is_err() {

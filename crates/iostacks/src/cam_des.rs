@@ -6,7 +6,8 @@
 //! and retirement *decision* is shared code. Where the threaded driver
 //! executes [`Command`]s against real queue pairs on the wall clock, this
 //! driver executes them against the calibrated timing models in virtual
-//! time:
+//! time, and both report every lifecycle hand-off to the same
+//! [`LifecycleTap`]:
 //!
 //! ```text
 //!   Doorbell ──► dispatch pipe (CpuPipeModel) ──► Submit ──► CPU pipe (thread_cost) ──► SSD ──► host PCIe ──► CQE
@@ -36,11 +37,11 @@ use std::sync::Arc;
 use cam_nvme::spec::{Opcode, Status};
 use cam_nvme::{DesSsd, SsdModel};
 use cam_protocol::{
-    op_index, open_batch, plan_batch, BatchStamps, ChannelOp, Clock, Command, DecisionCounters,
-    GroupSpec, HealthTransition, PlanConfig, RetryPolicy, SubmitCmd, VirtualClock, WorkerCore,
+    op_index, open_batch, plan_batch, BatchCore, BatchStamps, ChannelOp, Command, DecisionCounters,
+    GroupSpec, HealthTransition, PlanConfig, RetryPolicy, SubmitCmd, WorkerCore,
 };
 use cam_simkit::{Dur, EventKind, FlightRecorder, Pipe, Sim, Time};
-use cam_telemetry::{OpsWindows, SloTracker};
+use cam_telemetry::{BatchFacts, Lane, LifecycleTap, OpsWindows, SloTracker};
 
 /// Calibrated cost model for the planning worker's per-batch work:
 /// doorbell pickup, request planning ([`plan_batch`]), and group routing.
@@ -181,10 +182,11 @@ impl DesFaultSpec {
     }
 }
 
-/// Observability taps for a DES run: the same windowed samplers and SLO
-/// tracker the threaded engine feeds, here advanced on virtual time — the
-/// `Clock`-agnostic window semantics are what make the two drivers'
-/// rollups comparable.
+/// Observability endpoints for a DES run: the same windowed samplers and
+/// SLO tracker the threaded engine feeds, here advanced on virtual time —
+/// the windows take their `now_ns` as an argument, which is what makes the
+/// two drivers' rollups comparable. The run's [`LifecycleTap`] is built
+/// from these plus the recorder; the metrics registry stays off.
 #[derive(Clone, Default)]
 pub struct CamDesObs {
     /// Rolling-window samplers, advanced at virtual timestamps.
@@ -326,9 +328,6 @@ struct DesWorld {
     seqs: Vec<u64>,
     /// Reused command buffer (taken/restored around protocol calls).
     scratch: Vec<Command>,
-    /// The protocol-facing clock, advanced to the calendar's virtual time
-    /// before every protocol call.
-    clock: VirtualClock,
     decisions: DecisionCounters,
     batches_done: u64,
     batch_total_ns: u128,
@@ -341,17 +340,26 @@ struct DesWorld {
     attempts: HashMap<(usize, u64), u32>,
     transitions: Vec<HealthTransition>,
     faults_injected: u64,
-    obs: CamDesObs,
+    /// The lifecycle observer (no metrics registry on this driver).
+    tap: LifecycleTap,
     /// Per-worker armed wake time (0 = none) — dedupes calendar wakeups
     /// for backoff-gated retries.
     timer_armed: Vec<u64>,
 }
 
-/// Advances the virtual clock to the calendar and reads it back — every
-/// protocol call sees the same monotone timeline the events run on.
-fn now_ns(sim: &Sim<DesWorld>, w: &DesWorld) -> u64 {
-    w.clock.set_ns(sim.now().as_ns());
-    w.clock.now_ns()
+/// The batch as the [`LifecycleTap`] takes it: plain integers. Shared with
+/// the threaded driver, so the mirror of [`BatchCore`] is spelled once.
+pub fn batch_facts(b: &BatchCore) -> BatchFacts {
+    BatchFacts {
+        channel: b.channel,
+        seq: b.seq,
+        op: op_index(b.op),
+        requests: b.requests,
+        doorbell_ns: b.doorbell_ns,
+        pickup_ns: b.pickup_ns,
+        dispatched_ns: b.dispatched_ns,
+        compute_gap_ns: b.compute_gap_ns,
+    }
 }
 
 /// Publishes the channel's next batch, if any: pull it from the source,
@@ -361,7 +369,7 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     if w.channel_busy[ch] {
         return;
     }
-    let now = now_ns(sim, w);
+    let now = sim.now().as_ns();
     let Some((batch, op)) = w.source.next_batch(ch, now) else {
         return;
     };
@@ -382,24 +390,13 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     let n_requests = reqs.len() as u32;
     let plan = plan_batch(&w.plan, op, batch.blocks, reqs);
     w.decisions.record_plan(&plan);
-    if w.obs.lifecycle {
-        // Doorbell and pickup coincide in virtual time: the DES has no
-        // polling delay, so the doorbell-wait component is structurally 0.
-        // Dispatch is NOT free: the planner pays the calibrated
-        // per-batch planning cost on its pipe before groups go out.
-        sim.emit(EventKind::BatchDoorbell {
-            channel: ch as u16,
-            seq,
-            op: op_index(op) as u8,
-            requests: n_requests,
-        });
-        sim.emit(EventKind::BatchPickup {
-            channel: ch as u16,
-            seq,
-        });
-    }
+    let (dedup_dropped, stripe_splits) = (plan.dups.len() as u64, plan.stripe_splits);
     let cost = w.cfg.cpu_pipe.dispatch_cost(n_requests);
     let done = sim.pipe_enqueue_work(w.dispatcher, cost);
+    // Doorbell and pickup coincide in virtual time: the DES has no polling
+    // delay, so the doorbell-wait component is structurally 0. Dispatch is
+    // NOT free: the planner pays the calibrated per-batch planning cost on
+    // its pipe before groups go out.
     let at = BatchStamps {
         doorbell_ns: now,
         pickup_ns: now,
@@ -407,6 +404,10 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
         compute_gap_ns: 0,
     };
     let groups = open_batch(plan, ch, seq, at);
+    if let Some(g) = groups.first() {
+        w.tap
+            .batch_pickup(&batch_facts(&g.batch), dedup_dropped, stripe_splits);
+    }
     // Groups reach their workers when the planner finishes the batch's
     // planning/dispatch work — back-to-back doorbells serialize behind the
     // one dispatch pipe, as behind one planning worker of the threaded
@@ -429,7 +430,7 @@ fn publish_all_idle(sim: &mut Sim<DesWorld>, w: &mut DesWorld) {
     if w.channel_busy.iter().all(|&b| b) {
         return; // a retirement is pending; it will re-poll the source
     }
-    let now = now_ns(sim, w);
+    let now = sim.now().as_ns();
     let Some(t) = w.source.next_ready_ns(now) else {
         return;
     };
@@ -451,26 +452,23 @@ fn publish_all_idle(sim: &mut Sim<DesWorld>, w: &mut DesWorld) {
 /// one-group-at-a-time admission).
 fn deliver(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
     if w.cores[wid].accepts_group() {
-        let now = now_ns(sim, w);
-        emit_dispatch(sim, w, wid, &spec);
-        w.cores[wid].on_group(spec, now);
-        pump_worker(sim, w, wid);
+        accept(sim, w, wid, spec);
     } else {
         w.pending[wid].push_back(spec);
     }
 }
 
-/// Lifecycle tap: one [`EventKind::GroupDispatch`] as the worker accepts a
-/// group, matching the threaded driver's dispatch emission point.
-fn emit_dispatch(sim: &Sim<DesWorld>, w: &DesWorld, wid: usize, spec: &GroupSpec) {
-    if w.obs.lifecycle {
-        sim.emit(EventKind::GroupDispatch {
-            channel: spec.batch.channel as u16,
-            seq: spec.batch.seq,
-            ssd: spec.ssd as u16,
-            worker: wid as u16,
-        });
-    }
+/// The worker takes the group: report the dispatch, hand it to the
+/// protocol core, pump.
+fn accept(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
+    let now = sim.now().as_ns();
+    let at = Lane {
+        ssd: spec.ssd,
+        worker: wid,
+    };
+    w.tap.group_dispatch(&batch_facts(&spec.batch), at, now);
+    w.cores[wid].on_group(spec, now);
+    pump_worker(sim, w, wid);
 }
 
 /// Feeds the worker its parked groups while it accepts them (nothing is
@@ -480,16 +478,13 @@ fn feed_pending(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
         let Some(spec) = w.pending[wid].pop_front() else {
             return;
         };
-        let now = now_ns(sim, w);
-        emit_dispatch(sim, w, wid, &spec);
-        w.cores[wid].on_group(spec, now);
-        pump_worker(sim, w, wid);
+        accept(sim, w, wid, spec);
     }
 }
 
 /// One protocol submission pass for `wid` at the current virtual time.
 fn pump_worker(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
-    let now = now_ns(sim, w);
+    let now = sim.now().as_ns();
     let mut out = mem::take(&mut w.scratch);
     w.cores[wid].pump(now, &mut out);
     execute(sim, w, wid, &mut out);
@@ -518,6 +513,7 @@ fn arm_timer(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
 
 /// Executes drained protocol commands against the timing models.
 fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<Command>) {
+    let on = |ssd| Lane { ssd, worker: wid };
     for cmd in out.drain(..) {
         match cmd {
             Command::Submit(s) => {
@@ -536,24 +532,29 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
             // protocol core itself.
             Command::RingDoorbell { .. } => {}
             Command::GroupSubmitted {
-                batch, ssd, sqes, ..
+                batch,
+                ssd,
+                sqes,
+                recv_ns,
+                ..
             } => {
-                if w.obs.lifecycle {
-                    // The submit marker lands when the worker's CPU pipe
-                    // drains the group's last SQE — the protocol raises
-                    // the command the instant the submit is *decided*,
-                    // but the queue entry exists only once the CPU paid
-                    // for it. This is the DES's lane-wait component.
-                    let lane = wid * w.cfg.n_ssds + ssd;
-                    let at = w.lane_submit_done[lane].max(sim.now().as_ns());
-                    let ev = EventKind::GroupSubmit {
-                        channel: batch.channel as u16,
-                        seq: batch.seq,
-                        ssd: ssd as u16,
-                        worker: wid as u16,
-                        sqes,
-                    };
-                    sim.schedule_at(Time::from_ns(at), move |sim, _w| sim.emit(ev));
+                // The submit marker lands when the worker's CPU pipe drains
+                // the group's last SQE — the protocol raises the command
+                // the instant the submit is *decided*, but the queue entry
+                // exists only once the CPU paid for it. This is the DES's
+                // lane-wait component.
+                let lane = wid * w.cfg.n_ssds + ssd;
+                let at = w.lane_submit_done[lane].max(sim.now().as_ns());
+                let (b, on) = (batch_facts(&batch), on(ssd));
+                if w.tap.lifecycle {
+                    // With the event stream on, report from the calendar,
+                    // so the marker takes its place among the device
+                    // events of that instant.
+                    sim.schedule_at(Time::from_ns(at), move |_, w| {
+                        w.tap.group_submitted(&b, on, sqes, recv_ns, at)
+                    });
+                } else {
+                    w.tap.group_submitted(&b, on, sqes, recv_ns, at);
                 }
             }
             Command::CmdRetry {
@@ -563,90 +564,58 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
                 attempt,
                 now_ns,
                 ..
-            } => {
-                if let Some(wd) = &w.obs.windows {
-                    wd.ssd_retries[ssd].add_at(now_ns, 1, 0);
-                }
-                if w.obs.lifecycle {
-                    sim.emit(EventKind::CmdRetry {
-                        channel: batch.channel as u16,
-                        seq: batch.seq,
-                        ssd: ssd as u16,
-                        cid,
-                        attempt,
-                    });
-                }
-            }
+            } => w
+                .tap
+                .cmd_retry(&batch_facts(&batch), ssd, cid, attempt, now_ns),
             Command::CmdTimeout {
                 batch,
                 ssd,
                 cid,
                 attempts,
-                ..
+                now_ns,
+            } => w
+                .tap
+                .cmd_timeout(&batch_facts(&batch), ssd, cid, attempts, now_ns),
+            // Kept for the report (sequence comparison across drivers).
+            Command::LaneTransition {
+                transition: t,
+                now_ns,
             } => {
-                if w.obs.lifecycle {
-                    sim.emit(EventKind::CmdTimeout {
-                        channel: batch.channel as u16,
-                        seq: batch.seq,
-                        ssd: ssd as u16,
-                        cid,
-                        attempts,
-                    });
-                }
-            }
-            // Kept for the report (sequence comparison across drivers) and
-            // emitted on the virtual timeline.
-            Command::LaneTransition { transition: t, .. } => {
                 w.transitions.push(t);
-                sim.emit(EventKind::LaneHealth {
-                    ssd: t.ssd as u16,
-                    from: t.from.code(),
-                    to: t.to.code(),
-                    retries: t.faults,
-                });
+                w.tap
+                    .lane_transition(t.ssd, t.from.code(), t.to.code(), t.faults, now_ns);
             }
             Command::GroupComplete {
                 batch,
                 ssd,
+                sqes,
                 errors,
                 anchor_ns,
                 complete_ns,
-                ..
             } => {
-                if w.obs.lifecycle {
-                    sim.emit(EventKind::GroupComplete {
-                        channel: batch.channel as u16,
-                        seq: batch.seq,
-                        ssd: ssd as u16,
-                        worker: wid as u16,
-                        errors: errors.min(u64::from(u32::MAX)) as u32,
-                    });
-                }
-                if let Some(wd) = &w.obs.windows {
-                    wd.ssd_complete[ssd]
-                        .record_at(complete_ns, complete_ns.saturating_sub(anchor_ns));
-                    wd.ssd_retries[ssd].add_at(complete_ns, 0, 1);
-                }
+                w.tap.group_complete(
+                    &batch_facts(&batch),
+                    on(ssd),
+                    sqes,
+                    errors,
+                    anchor_ns,
+                    complete_ns,
+                );
                 feed_pending(sim, w, wid);
             }
             Command::RetireBatch { batch, complete_ns } => {
-                w.batches_done += 1;
-                let total_ns = complete_ns.saturating_sub(batch.doorbell_ns);
-                w.batch_total_ns += u128::from(total_ns);
                 let errors = batch.errors.load(Ordering::Relaxed);
-                if w.obs.lifecycle {
-                    sim.emit(EventKind::BatchRetire {
-                        channel: batch.channel as u16,
-                        seq: batch.seq,
-                        errors: errors.min(u64::from(u32::MAX)) as u32,
-                    });
-                }
-                if let Some(wd) = &w.obs.windows {
-                    wd.channel_batch[batch.channel].record_at(complete_ns, total_ns);
-                }
-                if let Some(slo) = &w.obs.slo {
-                    slo.record(batch.channel, total_ns, errors, complete_ns);
-                }
+                // Retirement is instantaneous in virtual time (the retire
+                // component is structurally 0) and releases nothing.
+                let total_ns = w.tap.batch_retire(
+                    &batch_facts(&batch),
+                    errors,
+                    complete_ns,
+                    complete_ns,
+                    || (),
+                );
+                w.batches_done += 1;
+                w.batch_total_ns += u128::from(total_ns);
                 // Single-outstanding-batch channels: retirement frees the
                 // channel and re-polls the source (the closed loop of
                 // Fig. 7). Every idle channel is offered, because a
@@ -667,7 +636,7 @@ fn enter_ssd(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, s: SubmitCmd
         req: w.issued_ord[s.ssd],
     });
     w.issued_ord[s.ssd] += 1;
-    let now = now_ns(sim, w);
+    let now = sim.now().as_ns();
     bump_depth(w, s.ssd, now, 1);
     let bytes = u64::from(s.blocks) * u64::from(w.cfg.block_size);
     let op = match s.op {
@@ -718,7 +687,7 @@ fn complete_cmd(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, s: Submit
         w.completed += 1;
         w.bytes_done += bytes;
     }
-    let now = now_ns(sim, w);
+    let now = sim.now().as_ns();
     bump_depth(w, s.ssd, now, -1);
     let mut out = mem::take(&mut w.scratch);
     w.cores[wid].on_cqe(s.ssd, s.cid, status, now, &mut out);
@@ -779,6 +748,13 @@ pub fn run_cam_des_source(
     assert!(cfg.n_ssds >= 1 && cfg.threads >= 1 && cfg.queue_depth >= 1);
     assert!(n_channels >= 1, "at least one channel");
     let mut sim: Sim<DesWorld> = Sim::new();
+    let tap = LifecycleTap {
+        metrics: None,
+        recorder: recorder.clone(),
+        lifecycle: obs.lifecycle,
+        windows: obs.windows,
+        slo: obs.slo,
+    };
     if let Some(rec) = recorder {
         sim.attach_recorder(rec);
     }
@@ -812,7 +788,6 @@ pub fn run_cam_des_source(
         source_timer_ns: 0,
         seqs: vec![0; n_channels],
         scratch: Vec::new(),
-        clock: VirtualClock::new(),
         decisions: DecisionCounters::default(),
         batches_done: 0,
         batch_total_ns: 0,
@@ -831,7 +806,7 @@ pub fn run_cam_des_source(
         attempts: HashMap::new(),
         transitions: Vec::new(),
         faults_injected: 0,
-        obs,
+        tap,
         timer_armed: vec![0; cfg.threads],
         cfg,
     };

@@ -17,6 +17,7 @@ use cam_blockdev::BlockStore;
 use cam_hostos::{FileId, IoDir, MiniFs};
 use cam_nvme::spec::{Sqe, Status};
 use cam_nvme::QueuePair;
+use cam_protocol::PlanConfig;
 
 use crate::rig::Rig;
 use crate::types::{BackendError, IoRequest, StorageBackend};
@@ -26,9 +27,8 @@ pub struct GdsBackend {
     fs: MiniFs,
     file: FileId,
     qps: Vec<Arc<QueuePair>>,
-    n_ssds: usize,
-    stripe_blocks: u64,
-    block_size: usize,
+    /// Array geometry: the RAID-0 map and the stripe-run walk.
+    plan: PlanConfig,
 }
 
 impl GdsBackend {
@@ -47,20 +47,8 @@ impl GdsBackend {
                 .iter()
                 .map(|d| d.add_queue_pair(256))
                 .collect(),
-            n_ssds: rig.n_ssds(),
-            stripe_blocks: rig.stripe_blocks(),
-            block_size: rig.block_size() as usize,
+            plan: rig.plan_config(),
         }
-    }
-
-    fn map(&self, lba: u64) -> (usize, u64) {
-        let n = self.n_ssds as u64;
-        let stripe = lba / self.stripe_blocks;
-        let within = lba % self.stripe_blocks;
-        (
-            (stripe % n) as usize,
-            (stripe / n) * self.stripe_blocks + within,
-        )
     }
 
     /// Filesystem lookups performed (the NVFS/EXT4 control-path work).
@@ -79,7 +67,7 @@ impl StorageBackend for GdsBackend {
     }
 
     fn execute_batch(&self, reqs: &[IoRequest]) -> Result<(), BackendError> {
-        let bs = self.block_size as u64;
+        let bs = u64::from(self.plan.block_size);
         for req in reqs {
             // Control path: cuFileRead resolves (file, offset) → LBA runs
             // through the filesystem, synchronously, per request.
@@ -92,13 +80,11 @@ impl StorageBackend for GdsBackend {
             for (file_lba, blocks) in runs {
                 // The file spans the array from LBA 0, so file LBAs are
                 // array LBAs; split further at stripe boundaries.
-                crate::types::for_each_stripe_run(
+                self.plan.for_each_run(
                     file_lba.index(),
                     blocks as u32,
-                    self.stripe_blocks,
-                    |alba, run, blkoff| {
-                        let (ssd, dev_lba) = self.map(alba);
-                        let addr = req.addr + byte_off + blkoff as u64 * bs;
+                    |ssd, dev_lba, run, offset| {
+                        let addr = req.addr + byte_off + offset;
                         let sqe = match req.dir {
                             IoDir::Read => Sqe::read(0, dev_lba, run, addr),
                             IoDir::Write => Sqe::write(0, dev_lba, run, addr),

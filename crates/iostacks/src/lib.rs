@@ -41,5 +41,5 @@ pub use gds::GdsBackend;
 pub use posix::PosixBackend;
 pub use rig::{Rig, RigConfig};
 pub use spdk::SpdkBackend;
-pub use types::{for_each_stripe_run, BackendError, IoRequest, StorageBackend};
+pub use types::{BackendError, IoRequest, StorageBackend};
 pub use uring::{CompletionMode, UringBackend};

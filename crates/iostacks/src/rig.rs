@@ -7,6 +7,7 @@ use std::sync::Arc;
 use cam_blockdev::{BlockGeometry, BlockStore, Raid0, SparseMemStore};
 use cam_gpu::{Gpu, GpuSpec};
 use cam_nvme::{DeviceConfig, DmaRouter, DmaSpace, NvmeDevice, PinnedRegion};
+use cam_protocol::PlanConfig;
 
 /// Physical base address of the host bounce buffer (distinct from the GPU
 /// region at `0x7_0000_0000` so routing bugs surface as DMA errors).
@@ -145,14 +146,14 @@ impl Rig {
         self.raid_view().geometry().blocks
     }
 
-    /// Maps an array LBA to `(ssd index, device LBA)` (RAID-0 striping).
-    pub fn map(&self, lba: u64) -> (usize, u64) {
-        let n = self.devices.len() as u64;
-        let stripe = lba / self.stripe_blocks;
-        let within = lba % self.stripe_blocks;
-        let ssd = (stripe % n) as usize;
-        let dev_lba = (stripe / n) * self.stripe_blocks + within;
-        (ssd, dev_lba)
+    /// The array geometry as the protocol's planner takes it — the RAID-0
+    /// map and stripe-run walk every per-SSD submitter uses.
+    pub fn plan_config(&self) -> PlanConfig {
+        PlanConfig {
+            n_ssds: self.devices.len(),
+            stripe_blocks: self.stripe_blocks,
+            block_size: self.block_size,
+        }
     }
 
     /// A RAID-0 view over the SSD media, for loading datasets out-of-band
@@ -179,14 +180,16 @@ mod tests {
 
     #[test]
     fn rig_map_agrees_with_raid0() {
+        // `cam-blockdev` sits below `cam-protocol` and keeps its own copy of
+        // the stripe map; this pins the pair.
         let rig = Rig::new(RigConfig {
             n_ssds: 3,
             stripe_blocks: 4,
             ..RigConfig::default()
         });
-        let raid = rig.raid_view();
+        let (plan, raid) = (rig.plan_config(), rig.raid_view());
         for lba in 0..2000u64 {
-            let (s, l) = rig.map(lba);
+            let (s, l) = plan.map(lba);
             let (rs, rl) = raid.map(Lba(lba));
             assert_eq!((s, l), (rs, rl.index()));
         }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use cam_hostos::IoDir;
 use cam_nvme::spec::{Sqe, Status};
 use cam_nvme::{DmaSpace, PinnedRegion, QueuePair};
+use cam_protocol::PlanConfig;
 
 use crate::rig::Rig;
 use crate::types::{BackendError, IoRequest, StorageBackend};
@@ -21,9 +22,8 @@ pub struct SpdkBackend {
     qps: Vec<Arc<QueuePair>>,
     bounce: Arc<PinnedRegion>,
     gpu_region: Arc<PinnedRegion>,
-    block_size: usize,
-    n_ssds: usize,
-    stripe_blocks: u64,
+    /// Array geometry: the RAID-0 map and the stripe-run walk.
+    plan: PlanConfig,
 }
 
 impl SpdkBackend {
@@ -40,20 +40,8 @@ impl SpdkBackend {
                 .collect(),
             bounce: Arc::clone(rig.bounce()),
             gpu_region: rig.gpu().memory().region(),
-            block_size: rig.block_size() as usize,
-            n_ssds: rig.n_ssds(),
-            stripe_blocks: rig.stripe_blocks(),
+            plan: rig.plan_config(),
         }
-    }
-
-    fn map(&self, lba: u64) -> (usize, u64) {
-        let n = self.n_ssds as u64;
-        let stripe = lba / self.stripe_blocks;
-        let within = lba % self.stripe_blocks;
-        (
-            (stripe % n) as usize,
-            (stripe / n) * self.stripe_blocks + within,
-        )
     }
 
     /// Executes one bounce-sized chunk of same-direction requests.
@@ -63,7 +51,7 @@ impl SpdkBackend {
         if dir == IoDir::Write {
             let mut tmp = Vec::new();
             for (boff, req) in reqs {
-                let bytes = req.blocks as usize * self.block_size;
+                let bytes = req.blocks as usize * self.plan.block_size as usize;
                 tmp.clear();
                 tmp.resize(bytes, 0);
                 self.gpu_region.dma_read(req.addr, &mut tmp)?;
@@ -72,23 +60,17 @@ impl SpdkBackend {
         }
         // Split every request at stripe boundaries, then stage SQEs per SSD
         // with one doorbell per SSD (batched submission).
-        let bs = self.block_size as u64;
         let mut subs: Vec<(usize, Sqe)> = Vec::new();
         for (i, (boff, req)) in reqs.iter().enumerate() {
-            crate::types::for_each_stripe_run(
-                req.lba,
-                req.blocks,
-                self.stripe_blocks,
-                |alba, run, blkoff| {
-                    let (ssd, dev_lba) = self.map(alba);
-                    let addr = self.bounce.base() + boff + blkoff as u64 * bs;
+            self.plan
+                .for_each_run(req.lba, req.blocks, |ssd, dev_lba, run, offset| {
+                    let addr = self.bounce.base() + boff + offset;
                     let sqe = match dir {
                         IoDir::Read => Sqe::read(i as u16, dev_lba, run, addr),
                         IoDir::Write => Sqe::write(i as u16, dev_lba, run, addr),
                     };
                     subs.push((ssd, sqe));
-                },
-            );
+                });
         }
         let mut pending = 0u64;
         for (ssd, sqe) in subs {
@@ -116,7 +98,7 @@ impl SpdkBackend {
         if dir == IoDir::Read {
             let mut tmp = Vec::new();
             for (boff, req) in reqs {
-                let bytes = req.blocks as usize * self.block_size;
+                let bytes = req.blocks as usize * self.plan.block_size as usize;
                 tmp.clear();
                 tmp.resize(bytes, 0);
                 self.bounce.dma_read(self.bounce.base() + boff, &mut tmp)?;
@@ -156,7 +138,7 @@ impl StorageBackend for SpdkBackend {
         let mut chunk: Vec<(u64, &IoRequest)> = Vec::new();
         let mut used = 0usize;
         for req in reqs {
-            let bytes = req.blocks as usize * self.block_size;
+            let bytes = req.blocks as usize * self.plan.block_size as usize;
             if bytes > cap {
                 return Err(BackendError::BatchTooLarge {
                     needed: bytes,

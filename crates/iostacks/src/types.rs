@@ -99,29 +99,6 @@ impl From<DmaError> for BackendError {
     }
 }
 
-/// Splits a multi-block array request at stripe boundaries and calls
-/// `f(array_lba, run_blocks, block_offset)` for each stripe-contiguous run.
-/// Runs never cross a stripe, so `map(array_lba)` resolves each run to a
-/// single `(ssd, device LBA)` placement. Backends that submit NVMe commands
-/// per SSD must use this; sending a boundary-crossing request whole to one
-/// device would silently de-stripe the array.
-pub fn for_each_stripe_run(
-    lba: u64,
-    blocks: u32,
-    stripe_blocks: u64,
-    mut f: impl FnMut(u64, u32, u32),
-) {
-    let mut done = 0u64;
-    let total = blocks as u64;
-    while done < total {
-        let cur = lba + done;
-        let left_in_stripe = stripe_blocks - cur % stripe_blocks;
-        let run = left_in_stripe.min(total - done) as u32;
-        f(cur, run, done as u32);
-        done += run as u64;
-    }
-}
-
 /// A complete SSD management: executes batches of block transfers between
 /// the array and pinned memory. Implementations differ in who controls the
 /// SSDs (kernel, CPU user space, GPU) and how data travels (bounced through

@@ -7,7 +7,7 @@
 //! pointer that makes the direct SSD↔GPU data path possible.
 //!
 //! Both entries are plain data and pack losslessly into `u64` words
-//! ([`Sqe::to_words`], [`Cqe::to_word`]) — the representation the
+//! (`Sqe::to_words`, `Cqe::to_word`) — the representation the
 //! [`QueuePair`](crate::QueuePair) rings keep in their atomic slots.
 
 /// I/O command opcode.

@@ -195,6 +195,23 @@ pub struct CacheDecisionCounters {
     pub readahead_hits: u64,
 }
 
+impl CacheDecisionCounters {
+    /// Every counter as `(name, value)`, in declaration order — the one
+    /// field list reports and tables iterate.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("coalesced", self.coalesced),
+            ("evictions", self.evictions),
+            ("write_absorbed", self.write_absorbed),
+            ("flushed_blocks", self.flushed_blocks),
+            ("readahead_issued", self.readahead_issued),
+            ("readahead_hits", self.readahead_hits),
+        ]
+    }
+}
+
 /// What the caller intends to do with the block — selects which decision
 /// counters a [`CacheCore::lookup`] bumps (the slot state transitions are
 /// identical for all intents).

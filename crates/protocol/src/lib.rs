@@ -10,13 +10,14 @@
 //!
 //! Inputs are events (a batch arrived, a CQE was reaped, a timer fired);
 //! outputs are [`Command`] values (submit an SQE, ring a doorbell, record a
-//! group's lifecycle, retire a batch). All time enters as plain `u64`
-//! nanoseconds read from a [`Clock`] by the *driver*:
+//! group's lifecycle, retire a batch). All time enters as the plain `u64`
+//! `now_ns` argument every entry point takes; which timeline it counts on
+//! is the *driver's* business:
 //!
-//! * the **threaded driver** (`cam-core`'s `engine/` shell) reads the
+//! * the **threaded driver** (`cam-core`'s `engine/` shell) passes the
 //!   wall-clock telemetry timeline and executes commands against real
 //!   `QueuePair`s serviced by device threads;
-//! * the **DES driver** (`cam-iostacks::cam_des`) reads `simkit` virtual
+//! * the **DES driver** (`cam-iostacks::cam_des`) passes `simkit` virtual
 //!   time and executes commands against the `DesSsd` timing model —
 //!   so the figures measure the *same* protocol code the functional tests
 //!   validate.
@@ -32,7 +33,6 @@
 
 mod batch;
 pub mod cache_core;
-mod clock;
 mod health;
 mod inflight;
 mod plan;
@@ -41,7 +41,6 @@ mod worker;
 
 pub use batch::{open_batch, BatchCore, BatchStamps};
 pub use cache_core::{CacheCore, CacheDecisionCounters};
-pub use clock::{Clock, VirtualClock};
 pub use health::{HealthState, HealthTransition};
 pub use inflight::InflightTable;
 pub use plan::{

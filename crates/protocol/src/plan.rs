@@ -47,6 +47,27 @@ impl PlanConfig {
             (stripe / n) * self.stripe_blocks + within,
         )
     }
+
+    /// Splits `blocks` logical blocks starting at `lba` at stripe
+    /// boundaries and calls `f(ssd, device LBA, run blocks, byte offset)`
+    /// for each stripe-contiguous run, in order; the byte offset is the
+    /// run's position inside the request's buffer. Runs never cross a
+    /// stripe, so each lands whole on one SSD — whoever submits NVMe
+    /// commands per SSD must walk a request this way, or a
+    /// boundary-crossing request would silently de-stripe the array.
+    #[inline]
+    pub fn for_each_run(&self, lba: u64, blocks: u32, mut f: impl FnMut(usize, u64, u32, u64)) {
+        let total = u64::from(blocks);
+        let mut done = 0u64;
+        while done < total {
+            let cur = lba + done;
+            let left = self.stripe_blocks - cur % self.stripe_blocks;
+            let run = left.min(total - done) as u32;
+            let (ssd, dev_lba) = self.map(cur);
+            f(ssd, dev_lba, run, done * u64::from(self.block_size));
+            done += u64::from(run);
+        }
+    }
 }
 
 /// The planner's output for one batch.
@@ -112,19 +133,12 @@ pub fn plan_batch(
     let mut groups: Vec<Vec<(u64, u64, u32)>> = (0..cfg.n_ssds)
         .map(|_| Vec::with_capacity(reqs.len().div_ceil(cfg.n_ssds)))
         .collect();
-    let bs = cfg.block_size as u64;
     let mut total_runs = 0u64;
-    for (lba, addr) in &reqs {
-        let mut done = 0u64;
-        while done < blocks as u64 {
-            let cur = lba + done;
-            let left = cfg.stripe_blocks - cur % cfg.stripe_blocks;
-            let run = left.min(blocks as u64 - done) as u32;
-            let (ssd, dev_lba) = cfg.map(cur);
-            groups[ssd].push((dev_lba, addr + done * bs, run));
+    for &(lba, addr) in &reqs {
+        cfg.for_each_run(lba, blocks, |ssd, dev_lba, run, offset| {
+            groups[ssd].push((dev_lba, addr + offset, run));
             total_runs += 1;
-            done += run as u64;
-        }
+        });
     }
     BatchPlan {
         op,
@@ -206,6 +220,21 @@ pub struct DecisionCounters {
 }
 
 impl DecisionCounters {
+    /// Every counter as `(name, value)`, in declaration order — the one
+    /// field list reports and tables iterate.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("batches", self.batches),
+            ("requests", self.requests),
+            ("dedup_dropped", self.dedup_dropped),
+            ("stripe_splits", self.stripe_splits),
+            ("groups", self.groups),
+            ("sqes", self.sqes),
+            ("retries", self.retries),
+            ("timeouts", self.timeouts),
+        ]
+    }
+
     /// Folds one batch plan into the counters.
     pub fn record_plan(&mut self, plan: &BatchPlan) {
         self.batches += 1;

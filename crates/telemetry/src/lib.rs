@@ -18,6 +18,9 @@
 //!   dispatch → submit → complete → retire);
 //! * [`ControlMetrics`] — the pre-registered metric bundle the functional
 //!   engine records into, so hot paths never touch the registry's maps;
+//! * [`LifecycleTap`] — the one observer both drivers report lifecycle
+//!   hand-offs to: it owns the stage spans, the lifecycle metrics, windows,
+//!   SLO samples and events;
 //! * [`TenantMetrics`] — the per-tenant bundle the `cam-serving` request
 //!   plane records into (`tenant`-labeled burn rate, latency, hit rate);
 //! * [`clock`] — the shared monotonic nanosecond clock all spans use.
@@ -59,6 +62,7 @@ pub mod critical;
 mod event;
 mod hist;
 pub mod json;
+mod lifecycle;
 mod obs;
 mod postmortem;
 mod recorder;
@@ -73,6 +77,7 @@ mod window;
 pub use control::ControlMetrics;
 pub use event::{health_state_label, Event, EventKind};
 pub use hist::Histogram;
+pub use lifecycle::{BatchFacts, Lane, LifecycleTap};
 pub use obs::Observability;
 pub use postmortem::{PostmortemConfig, PostmortemDumper};
 pub use recorder::{FlightRecorder, DEFAULT_CAPACITY_PER_SHARD};

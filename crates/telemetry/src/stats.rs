@@ -3,9 +3,9 @@
 //! The perf-regression gate (see `cam-bench`'s trajectory runner) needs to
 //! tell a real latency shift from run-to-run noise without pulling in a
 //! statistics crate. Both tests here run directly on the log-linear
-//! [`Histogram`](crate::Histogram) bins ([`Histogram::bins`]
-//! (crate::Histogram::bins) `(value, count)` pairs), so a multi-million
-//! sample comparison costs a few hundred bin entries:
+//! [`Histogram`](crate::Histogram) bins
+//! ([`Histogram::bins`](crate::Histogram::bins) `(value, count)` pairs), so
+//! a multi-million sample comparison costs a few hundred bin entries:
 //!
 //! * [`mann_whitney`] — the Mann-Whitney U rank test (normal approximation
 //!   with tie correction; bins are ties by construction). Nonparametric, so

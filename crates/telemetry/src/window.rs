@@ -12,7 +12,7 @@
 //!   slot) no matter how long the process runs.
 //! * [`WindowedCounter`] / [`WindowedRatio`] — the counter analogue, for
 //!   rates (retries/s) and ratios (cache hit rate) over the window.
-//! * [`OpsWindows`] — the keyed bundle the drivers record into: one
+//! * [`OpsWindows`] — the keyed bundle the lifecycle tap records into: one
 //!   completion-latency window per SSD, one doorbell→retire window per
 //!   channel, one window per protocol [`Stage`].
 //! * [`SloTracker`] — per-channel latency/error objectives with
@@ -20,11 +20,12 @@
 //!   violation rate divided by the error budget).
 //!
 //! **Clock discipline.** Nothing here reads a clock. Every operation takes
-//! an explicit `now_ns`, which drivers obtain from their `Clock`
-//! implementation — the threaded engine passes the wall-clock telemetry
-//! timeline ([`crate::clock::now_ns`]), the DES driver passes its
-//! `VirtualClock`. Window boundaries therefore fall at *identical*
-//! timeline offsets in both drivers: slot rollover happens exactly at
+//! an explicit `now_ns` on the driver's own timeline — the threaded engine
+//! passes the wall-clock telemetry timeline ([`crate::clock::now_ns`]), the
+//! DES driver its calendar's virtual time — relayed by the
+//! [`LifecycleTap`](crate::LifecycleTap). Window boundaries therefore
+//! fall at *identical* timeline offsets in both drivers: slot rollover
+//! happens exactly at
 //! multiples of `slot_ns` on whichever timeline feeds the window, and a
 //! virtual-time window can never leak wall-clock time.
 //!
@@ -257,10 +258,12 @@ impl std::fmt::Debug for WindowedCounter {
     }
 }
 
-/// The keyed rolling-window bundle the drivers record into, one sampler
-/// per (ssd | channel | stage) key. Both the threaded engine and the DES
-/// driver feed the same structure — on their own clocks — so a live view
-/// (`repro watch`) and a virtual-time replay expose identical semantics.
+/// The keyed rolling-window bundle, one sampler per (ssd | channel |
+/// stage) key. Its only writer is the [`LifecycleTap`](crate::LifecycleTap)
+/// both the threaded engine and the DES driver report to — each on its own
+/// timeline — so every member is fed by either driver under the same
+/// rules, and a live view (`repro watch`) and a virtual-time replay expose
+/// identical semantics.
 #[derive(Debug)]
 pub struct OpsWindows {
     cfg: WindowConfig,

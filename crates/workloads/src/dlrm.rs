@@ -4,10 +4,11 @@
 //! table from SSD with only ~64% SSD bandwidth utilization".
 //!
 //! * **Functional** — [`EmbeddingTable`] stores rows on the raw array;
-//!   [`lookup_pooled`] gathers and sum-pools Zipf-skewed rows through any
-//!   [`StorageBackend`]; [`sgd_update`] applies a verifiable
-//!   gradient step and writes rows back (the read-modify-write pattern of
-//!   embedding training).
+//!   [`EmbeddingTable::lookup_pooled`] gathers and sum-pools Zipf-skewed
+//!   rows through any [`StorageBackend`];
+//!   [`EmbeddingTable::sgd_update`] applies a verifiable gradient step and
+//!   writes rows back (the read-modify-write pattern of embedding
+//!   training).
 //! * **Analytic** — [`model_iteration`] reproduces the TorchRec breakdown
 //!   and shows what CAM's full-bandwidth, overlapped access does to it.
 

@@ -300,7 +300,7 @@ pub mod collection {
         }
     }
 
-    /// Result of [`vec`].
+    /// Result of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
