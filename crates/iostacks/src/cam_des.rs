@@ -391,33 +391,41 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     let plan = plan_batch(&w.plan, op, batch.blocks, reqs);
     w.decisions.record_plan(&plan);
     let (dedup_dropped, stripe_splits) = (plan.dups.len() as u64, plan.stripe_splits);
+    let (has_groups, op_idx, requests) = (plan.n_groups() > 0, op_index(plan.op), plan.requests);
     let cost = w.cfg.cpu_pipe.dispatch_cost(n_requests);
-    let done = sim.pipe_enqueue_work(w.dispatcher, cost);
-    // Doorbell and pickup coincide in virtual time: the DES has no polling
-    // delay, so the doorbell-wait component is structurally 0. Dispatch is
-    // NOT free: the planner pays the calibrated per-batch planning cost on
-    // its pipe before groups go out.
-    let at = BatchStamps {
-        doorbell_ns: now,
-        pickup_ns: now,
-        dispatched_ns: done.as_ns(),
-        compute_gap_ns: 0,
-    };
-    let groups = open_batch(plan, ch, seq, at);
-    if let Some(g) = groups.first() {
-        w.tap
-            .batch_pickup(&batch_facts(&g.batch), dedup_dropped, stripe_splits);
-    }
     // Groups reach their workers when the planner finishes the batch's
     // planning/dispatch work — back-to-back doorbells serialize behind the
     // one dispatch pipe, as behind one planning worker of the threaded
     // engine.
-    sim.schedule_at(done, move |sim, w| {
-        for spec in groups {
+    let done = sim.pipe_work(w.dispatcher, cost, move |sim, w| {
+        // Doorbell and pickup coincide in virtual time: the DES has no
+        // polling delay, so the doorbell-wait component is structurally 0.
+        // Dispatch is NOT free: the planner paid the calibrated per-batch
+        // planning cost on its pipe, which completes now.
+        let at = BatchStamps {
+            doorbell_ns: now,
+            pickup_ns: now,
+            dispatched_ns: sim.now().as_ns(),
+            compute_gap_ns: 0,
+        };
+        for spec in open_batch(plan, ch, seq, at) {
             let wid = spec.ssd % w.cores.len();
             deliver(sim, w, wid, spec);
         }
     });
+    if has_groups {
+        let b = BatchFacts {
+            channel: ch,
+            seq,
+            op: op_idx,
+            requests,
+            doorbell_ns: now,
+            pickup_ns: now,
+            dispatched_ns: done.as_ns(),
+            compute_gap_ns: 0,
+        };
+        w.tap.batch_pickup(&b, dedup_dropped, stripe_splits);
+    }
 }
 
 /// Offers every idle channel to the source, then arms a wakeup at the
@@ -522,10 +530,9 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
                 // with it.
                 let cpu = w.cpus[wid];
                 let cost = w.cfg.thread_cost;
-                let done = sim.pipe_enqueue_work(cpu, cost);
                 let lane = wid * w.cfg.n_ssds + s.ssd;
+                let done = sim.pipe_work(cpu, cost, move |sim, w| enter_ssd(sim, w, wid, s));
                 w.lane_submit_done[lane] = w.lane_submit_done[lane].max(done.as_ns());
-                sim.schedule_at(done, move |sim, w| enter_ssd(sim, w, wid, s));
             }
             // Doorbell rings are free here: their cost is folded into
             // `thread_cost`, and the decision counters live in the
@@ -646,8 +653,9 @@ fn enter_ssd(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, s: SubmitCmd
     let dev = w.ssds[s.ssd];
     dev.submit(sim, op, bytes, move |sim, w: &mut DesWorld| {
         let host = w.host;
-        let t = sim.pipe_enqueue(host, bytes);
-        sim.schedule_at(t, move |sim, w| complete_cmd(sim, w, wid, s, bytes));
+        sim.pipe_transfer(host, bytes, move |sim, w| {
+            complete_cmd(sim, w, wid, s, bytes)
+        });
     });
 }
 

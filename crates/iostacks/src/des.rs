@@ -212,8 +212,7 @@ fn issue(sim: &mut Sim<World>, w: &mut World, ssd: usize) {
     let thread = ssd % w.submit.len();
     let pipe = w.submit[thread];
     let cost = w.submit_cost;
-    let done = sim.pipe_enqueue_work(pipe, cost);
-    sim.schedule_at(done, move |sim, w| {
+    sim.pipe_work(pipe, cost, move |sim, w| {
         let bytes = w.bytes;
         let host = w.host;
         let copy = w.copy;
@@ -249,12 +248,10 @@ fn finish_transfer(
     host: Pipe,
     copy: Option<Pipe>,
 ) {
-    let after_host = sim.pipe_enqueue(host, bytes);
-    sim.schedule_at(after_host, move |sim, w| match copy {
+    sim.pipe_transfer(host, bytes, move |sim, w| match copy {
         Some(cp) => {
             sim.pipe_enqueue_work(cp, MEMCPY_LAUNCH_OVERHEAD);
-            let done = sim.pipe_enqueue(cp, bytes);
-            sim.schedule_at(done, move |sim, w| complete(sim, w, ssd));
+            sim.pipe_transfer(cp, bytes, move |sim, w| complete(sim, w, ssd));
         }
         None => complete(sim, w, ssd),
     });

@@ -5,25 +5,43 @@
 //! aggregate throughput is exactly the configured rate, which is the property
 //! the paper's throughput figures depend on. Pipes model PCIe links, SSD
 //! internal bandwidth, DRAM channel bandwidth, and — with time-based service
-//! via [`Sim::pipe_enqueue_work`] — single CPU threads and GPU SMs.
+//! via [`Sim::pipe_work`] — single CPU threads and GPU SMs.
+//!
+//! Because a pipe is FIFO, its completion times never decrease, so the
+//! completions it has scheduled are already in calendar order. Each pipe
+//! keeps them in a queue of its own — its *lane* — and the calendar's heap
+//! holds only the lane's head (the [crate docs](crate)' ordering contract):
+//! scheduling on a pipe is O(1), and the execution order is exactly what
+//! [`Sim::schedule_at`] at the completion time would have produced.
 
-use crate::sim::Sim;
+use std::collections::binary_heap::PeekMut;
+use std::collections::VecDeque;
+
+use crate::sim::{key, Entry, Event, Held, Pending, Sim};
 use crate::time::{Dur, Time};
 
 /// Handle to a pipe created with [`Sim::new_pipe`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct Pipe(pub(crate) usize);
 
-pub(crate) struct PipeState {
+pub(crate) struct PipeState<W> {
     /// Service rate in bytes per nanosecond (= GB/s, numerically).
     rate: f64,
     /// Time at which the pipe finishes everything currently queued.
     free_at: Time,
     /// Total bytes accepted.
     bytes: u64,
+    /// Scheduled completions not yet run, ascending in `(time, seq)`.
+    pub(crate) lane: VecDeque<LaneEntry<W>>,
 }
 
-impl PipeState {
+/// One scheduled completion waiting in a pipe's lane.
+pub(crate) struct LaneEntry<W> {
+    pub(crate) key: u128,
+    pub(crate) cb: Event<W>,
+}
+
+impl<W> PipeState<W> {
     fn service_dur(&self, bytes: u64) -> Dur {
         Dur::from_ns_f64(bytes as f64 / self.rate)
     }
@@ -37,18 +55,22 @@ impl<W: 'static> Sim<W> {
             rate_gbps.is_finite() && rate_gbps > 0.0,
             "pipe rate must be positive, got {rate_gbps}"
         );
+        assert!(
+            u32::try_from(self.pipes.len()).is_ok(),
+            "a lane head names its pipe in 32 bits"
+        );
         self.pipes.push(PipeState {
             rate: rate_gbps,
             free_at: Time::ZERO,
             bytes: 0,
+            lane: VecDeque::new(),
         });
         Pipe(self.pipes.len() - 1)
     }
 
-    /// Enqueues a `bytes`-sized transfer and returns its completion time
-    /// without scheduling anything. Useful when the caller wants to chain
-    /// stages manually.
-    pub fn pipe_enqueue(&mut self, pipe: Pipe, bytes: u64) -> Time {
+    /// Occupies the pipe with a `bytes`-sized transfer and returns its
+    /// completion time.
+    fn pipe_enqueue(&mut self, pipe: Pipe, bytes: u64) -> Time {
         let now = self.now();
         let p = &mut self.pipes[pipe.0];
         let service = p.service_dur(bytes);
@@ -59,7 +81,9 @@ impl<W: 'static> Sim<W> {
     }
 
     /// Enqueues a transfer expressed as a service *duration* rather than a
-    /// byte count (e.g. CPU work on a thread). Returns the completion time.
+    /// byte count (e.g. CPU work on a thread) and returns its completion
+    /// time without scheduling anything: occupancy only. To run something
+    /// at the completion use [`pipe_work`](Self::pipe_work).
     pub fn pipe_enqueue_work(&mut self, pipe: Pipe, work: Dur) -> Time {
         let now = self.now();
         let p = &mut self.pipes[pipe.0];
@@ -76,8 +100,65 @@ impl<W: 'static> Sim<W> {
         cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
     ) -> Time {
         let done = self.pipe_enqueue(pipe, bytes);
-        self.schedule_at(done, cb);
+        self.lane_push(pipe, done, Box::new(cb));
         done
+    }
+
+    /// Enqueues `work` of service time (the duration twin of
+    /// [`pipe_transfer`](Self::pipe_transfer)) and schedules `cb` at its
+    /// completion.
+    pub fn pipe_work(
+        &mut self,
+        pipe: Pipe,
+        work: Dur,
+        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
+    ) -> Time {
+        let done = self.pipe_enqueue_work(pipe, work);
+        self.lane_push(pipe, done, Box::new(cb));
+        done
+    }
+
+    /// Schedules `cb` at `time`, the completion the pipe just computed, by
+    /// appending it to the pipe's lane; an empty lane's new head also goes
+    /// on the heap. The lane must stay ascending: that is checked here, not
+    /// assumed, and a completion that would break it goes on the heap as a
+    /// general event, where the global order holds regardless.
+    fn lane_push(&mut self, pipe: Pipe, time: Time, cb: Event<W>) {
+        let key = key(time, self.next_seq());
+        let lane = &mut self.pipes[pipe.0].lane;
+        let ascending = lane.back().is_none_or(|tail| tail.key <= key);
+        debug_assert!(
+            ascending,
+            "pipe completion at {time:?} precedes the lane tail"
+        );
+        if !ascending {
+            let what = Pending::Call(cb);
+            self.heap.push(Entry { key, what });
+            return;
+        }
+        if lane.is_empty() {
+            let what = Pending::Held(Held::LaneHead(pipe.0 as u32));
+            self.heap.push(Entry { key, what });
+        }
+        lane.push_back(LaneEntry { key, cb });
+    }
+
+    /// Takes the completion at the head of `pipe`'s lane, which is the top
+    /// of the heap. The lane's next completion takes over the heap entry in
+    /// place (one sift, no pop + push) before the callback can append to
+    /// the lane.
+    pub(crate) fn lane_pop(&mut self, pipe: u32) -> Event<W> {
+        let mut top = self.heap.peek_mut().expect("a lane head is on the heap");
+        let lane = &mut self.pipes[pipe as usize].lane;
+        let done = lane.pop_front().expect("a lane head has a lane entry");
+        debug_assert_eq!(done.key, top.key);
+        match lane.front() {
+            Some(next) => top.key = next.key,
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        done.cb
     }
 
     /// Total bytes accepted by the pipe.
@@ -145,6 +226,23 @@ mod tests {
         let core = sim.new_pipe(1.0);
         assert_eq!(sim.pipe_enqueue_work(core, Dur::us(5)).as_ns(), 5000);
         assert_eq!(sim.pipe_enqueue_work(core, Dur::us(1)).as_ns(), 6000);
+    }
+
+    /// No pipe operation completes out of order, so the checked branch of
+    /// `lane_push` is driven directly: optimised builds fall back to the
+    /// general heap and keep the global order, debug builds refuse.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "precedes the lane tail"))]
+    fn an_out_of_order_completion_never_misorders_the_lane() {
+        let mut sim: Sim<Vec<u32>> = Sim::new();
+        let mut w = Vec::new();
+        let p = sim.new_pipe(1.0);
+        sim.pipe_transfer(p, 300, |_, w: &mut Vec<u32>| w.push(300));
+        sim.lane_push(p, Time::from_ns(100), Box::new(|_, w| w.push(100)));
+        sim.pipe_transfer(p, 100, |_, w: &mut Vec<u32>| w.push(400));
+        sim.run(&mut w);
+        assert_eq!(w, vec![100, 300, 400]);
+        assert_eq!(sim.executed_events(), 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::sim::{Event, Sim};
+use crate::sim::{Event, Held, Pending, Sim};
 use crate::time::Dur;
 
 /// Handle to a server created with [`Sim::new_server`].
@@ -19,6 +19,23 @@ pub(crate) struct ServerState<W> {
     in_service: usize,
     queue: VecDeque<(Dur, Event<W>)>,
     completed: u64,
+}
+
+/// The jobs in service across all servers. A job's completion entry on the
+/// heap names its slot here, so the callback boxed at submission is the
+/// only allocation the job makes, whether or not it queued first.
+pub(crate) struct InService<W> {
+    slots: Vec<Option<(Server, Event<W>)>>,
+    free: Vec<u32>,
+}
+
+impl<W> Default for InService<W> {
+    fn default() -> Self {
+        InService {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
 }
 
 impl<W: 'static> Sim<W> {
@@ -54,17 +71,41 @@ impl<W: 'static> Sim<W> {
         self.servers[server.0].completed
     }
 
+    /// Puts a job in service: its callback waits in a slot, its completion
+    /// goes on the calendar.
     fn server_start(&mut self, server: Server, service: Dur, cb: Event<W>) {
         self.servers[server.0].in_service += 1;
-        self.schedule_in(service, move |sim, w| {
-            let st = &mut sim.servers[server.0];
-            st.in_service -= 1;
-            st.completed += 1;
-            if let Some((next_service, next_cb)) = st.queue.pop_front() {
-                sim.server_start(server, next_service, next_cb);
+        let job = Some((server, cb));
+        let slot = match self.in_service.free.pop() {
+            Some(slot) => {
+                self.in_service.slots[slot as usize] = job;
+                slot
             }
-            cb(sim, w);
-        });
+            None => {
+                let slot = u32::try_from(self.in_service.slots.len());
+                self.in_service.slots.push(job);
+                slot.expect("a completion entry names its slot in 32 bits")
+            }
+        };
+        let done = self.now() + service;
+        self.push(done, Pending::Held(Held::ServerJob(slot)));
+    }
+
+    /// The job in `slot` left service: the freed capacity goes to the
+    /// server's longest-waiting job, and the finished job's callback is
+    /// returned to run next.
+    pub(crate) fn server_finish(&mut self, slot: u32) -> Event<W> {
+        let (server, cb) = self.in_service.slots[slot as usize]
+            .take()
+            .expect("a completion entry names an occupied slot");
+        self.in_service.free.push(slot);
+        let st = &mut self.servers[server.0];
+        st.in_service -= 1;
+        st.completed += 1;
+        if let Some((service, next)) = st.queue.pop_front() {
+            self.server_start(server, service, next);
+        }
+        cb
     }
 }
 

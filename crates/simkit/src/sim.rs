@@ -1,6 +1,17 @@
-//! The event calendar: [`Sim`] owns the virtual clock, the pending-event
-//! heap, and all bandwidth resources, and drives user callbacks in
-//! deterministic `(time, insertion)` order.
+//! The event calendar: [`Sim`] owns the virtual clock, the pending events
+//! and all resources, and drives user callbacks in deterministic
+//! `(time, insertion)` order.
+//!
+//! **Ordering contract.** Every scheduling call — [`Sim::schedule_at`], a
+//! pipe completion, a server job entering service — draws the next
+//! insertion sequence number, and callbacks run in ascending
+//! `(time, sequence)` order. That is the whole semantics. How the pending
+//! set is stored is an implementation of it: a FIFO [`Pipe`](crate::Pipe)
+//! completes in the order it accepted work, so its pending completions sit
+//! in a queue of their own (a *lane*) that is already sorted, and the
+//! binary heap orders only the general events and the *head* of each
+//! non-empty lane. A lane head ties with a heap entry exactly as two heap
+//! entries would: by sequence number.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -10,22 +21,53 @@ use cam_telemetry::{EventKind, FlightRecorder};
 
 use crate::link::LinkState;
 use crate::pipe::PipeState;
-use crate::server::ServerState;
+use crate::server::{InService, ServerState};
 use crate::time::{Dur, Time};
 
 /// A scheduled callback. Events receive the simulator (to schedule follow-up
 /// work) and the user world `W` (all model state).
 pub type Event<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W)>;
 
-struct Entry<W> {
-    time: Time,
-    seq: u64,
-    cb: Event<W>,
+/// Where a heap entry's callback is.
+///
+/// Two words, which keeps an [`Entry`] at four: the heap's cost is moving
+/// entries, and a fifth word makes the plain `schedule_in` path a quarter
+/// slower (24 → 30 ns per event over 64 timer chains).
+pub(crate) enum Pending<W> {
+    /// In the entry: a general event.
+    Call(Event<W>),
+    /// With the resource that scheduled it.
+    Held(Held),
+}
+
+/// A callback a resource keeps until its heap entry comes up.
+#[derive(Clone, Copy)]
+pub(crate) enum Held {
+    /// The head of this pipe's lane.
+    LaneHead(u32),
+    /// The server job in this in-service slot.
+    ServerJob(u32),
+}
+
+/// The calendar's sort key: `(time, insertion sequence)` as one integer,
+/// time in the high half, so every sift step is a single comparison.
+pub(crate) fn key(time: Time, seq: u64) -> u128 {
+    (u128::from(time.as_ns()) << 64) | u128::from(seq)
+}
+
+/// The instant a [`key`] was built from.
+pub(crate) fn key_time(key: u128) -> Time {
+    Time::from_ns((key >> 64) as u64)
+}
+
+pub(crate) struct Entry<W> {
+    pub(crate) key: u128,
+    pub(crate) what: Pending<W>,
 }
 
 impl<W> PartialEq for Entry<W> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<W> Eq for Entry<W> {}
@@ -38,10 +80,7 @@ impl<W> Ord for Entry<W> {
     // Reversed so that `BinaryHeap` (a max-heap) pops the earliest event;
     // ties break by insertion sequence for determinism.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -52,14 +91,16 @@ pub struct Sim<W> {
     now: Time,
     seq: u64,
     executed: u64,
-    heap: BinaryHeap<Entry<W>>,
+    /// General events and the head of every non-empty pipe lane.
+    pub(crate) heap: BinaryHeap<Entry<W>>,
     /// Event hook: models call [`emit`](Self::emit) and events land in the
     /// recorder stamped with **virtual** time, so DES runs produce the same
     /// trace format as the functional engine.
     recorder: Option<Arc<FlightRecorder>>,
-    pub(crate) pipes: Vec<PipeState>,
+    pub(crate) pipes: Vec<PipeState<W>>,
     pub(crate) links: Vec<LinkState<W>>,
     pub(crate) servers: Vec<ServerState<W>>,
+    pub(crate) in_service: InService<W>,
 }
 
 impl<W: 'static> Default for Sim<W> {
@@ -80,6 +121,7 @@ impl<W: 'static> Sim<W> {
             pipes: Vec::new(),
             links: Vec::new(),
             servers: Vec::new(),
+            in_service: InService::default(),
         }
     }
 
@@ -120,13 +162,22 @@ impl<W: 'static> Sim<W> {
     /// the past, so causality is never violated).
     pub fn schedule_at(&mut self, at: Time, cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
         let time = at.max(self.now);
+        self.push(time, Pending::Call(Box::new(cb)));
+    }
+
+    /// Draws the next insertion sequence number.
+    #[inline]
+    pub(crate) fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry {
-            time,
-            seq,
-            cb: Box::new(cb),
-        });
+        seq
+    }
+
+    /// Puts `what` on the heap at `time` (not before `now`).
+    #[inline]
+    pub(crate) fn push(&mut self, time: Time, what: Pending<W>) {
+        let key = key(time, self.next_seq());
+        self.heap.push(Entry { key, what });
     }
 
     /// Schedules `cb` to run `delay` after the current time.
@@ -137,15 +188,39 @@ impl<W: 'static> Sim<W> {
 
     /// Runs a single event if one is pending; returns whether one ran.
     pub fn step(&mut self, world: &mut W) -> bool {
-        match self.heap.pop() {
-            Some(e) => {
-                debug_assert!(e.time >= self.now, "event scheduled in the past");
-                self.now = e.time;
-                self.executed += 1;
-                (e.cb)(self, world);
-                true
+        let Some(top) = self.heap.peek() else {
+            return false;
+        };
+        let time = key_time(top.key);
+        debug_assert!(time >= self.now, "event scheduled in the past");
+        self.now = time;
+        self.executed += 1;
+        let cb = match top.what {
+            Pending::Held(held) => self.take_held(held),
+            Pending::Call(_) => match self.heap.pop() {
+                Some(Entry {
+                    what: Pending::Call(cb),
+                    ..
+                }) => cb,
+                _ => unreachable!("pop returns the entry just peeked"),
+            },
+        };
+        cb(self, world);
+        true
+    }
+
+    /// Takes the callback the top heap entry's resource holds for it, and
+    /// the entry with it. Out of line so that [`step`](Self::step)'s
+    /// general path stays the pop-and-call it was (inlined, plain
+    /// `schedule_in` events cost 24 ns instead of 22).
+    #[inline(never)]
+    fn take_held(&mut self, held: Held) -> Event<W> {
+        match held {
+            Held::LaneHead(pipe) => self.lane_pop(pipe),
+            Held::ServerJob(job) => {
+                self.heap.pop();
+                self.server_finish(job)
             }
-            None => false,
         }
     }
 
@@ -160,7 +235,7 @@ impl<W: 'static> Sim<W> {
     pub fn run_until(&mut self, world: &mut W, deadline: Time) -> Time {
         loop {
             match self.heap.peek() {
-                Some(e) if e.time <= deadline => {
+                Some(e) if key_time(e.key) <= deadline => {
                     self.step(world);
                 }
                 _ => break,
@@ -174,6 +249,11 @@ impl<W: 'static> Sim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_heap_entry_is_four_words() {
+        assert_eq!(std::mem::size_of::<Entry<()>>(), 32);
+    }
 
     #[test]
     fn events_run_in_time_order() {

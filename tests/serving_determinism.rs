@@ -23,6 +23,11 @@ struct Outcome {
     evictions: u64,
     /// Per tenant: completed, hits, accesses, throttled, p50_ns, p99_ns.
     tenants: [[u64; 6]; 4],
+    /// What the DES substrate reports underneath: batches, commands, bytes,
+    /// groups, SQEs, mean batch latency (f64 bits), then per SSD the peak
+    /// and the time-weighted mean (f64 bits) device depth. Captured on the
+    /// last commit whose event calendar was a single binary heap (00d511d).
+    substrate: [u64; 10],
 }
 
 fn run(policy: Policy) -> Outcome {
@@ -49,8 +54,20 @@ fn run(policy: Policy) -> Outcome {
     })
     .collect();
     let core = Arc::new(Mutex::new(ServingCore::new(cfg, None)));
-    let (run, _des) = run_serving_des(core, 2);
+    let (run, des) = run_serving_des(core, 2);
     let s = run.stats;
+    let substrate = [
+        des.batches,
+        des.commands,
+        des.bytes,
+        des.decisions.groups,
+        des.decisions.sqes,
+        des.mean_batch_ns.to_bits(),
+        des.inflight_peak[0],
+        des.inflight_peak[1],
+        des.inflight_mean[0].to_bits(),
+        des.inflight_mean[1].to_bits(),
+    ];
     let mut tenants = [[0; 6]; 4];
     for (row, t) in tenants.iter_mut().zip(&s.tenants) {
         *row = [
@@ -68,6 +85,7 @@ fn run(policy: Policy) -> Outcome {
         blocks: s.blocks,
         evictions: s.evictions,
         tenants,
+        substrate,
     }
 }
 
@@ -83,6 +101,18 @@ fn drr_run_matches_the_golden_virtual_time_outcome() {
             [100, 28, 368, 97, 29_620, 65_625],
             [100, 88, 368, 97, 29_620, 60_657],
             [100, 68, 368, 97, 29_620, 61_943],
+        ],
+        substrate: [
+            499,
+            6272,
+            25_690_112,
+            997,
+            6272,
+            4_677_889_879_488_226_183,
+            24,
+            24,
+            4_621_910_875_751_972_069,
+            4_621_775_051_537_043_952,
         ],
     };
     assert_eq!(run(Policy::Drr), golden);
@@ -100,6 +130,18 @@ fn fifo_run_matches_the_golden_virtual_time_outcome() {
             [100, 60, 368, 97, 29_620, 946_582],
             [100, 118, 368, 97, 27_958, 939_833],
             [100, 97, 368, 97, 29_620, 951_474],
+        ],
+        substrate: [
+            496,
+            6261,
+            25_645_056,
+            991,
+            6261,
+            4_677_929_764_899_013_137,
+            25,
+            25,
+            4_621_916_564_966_454_407,
+            4_621_771_097_304_601_908,
         ],
     };
     assert_eq!(run(Policy::Fifo), golden);
