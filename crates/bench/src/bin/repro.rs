@@ -29,15 +29,19 @@
 //! `bench` runs the seeded DES perf trajectories — uncached and
 //! cached-mode — and gates each against its committed baseline
 //! (`bench/baselines/trajectory.json` and `trajectory_cached.json`;
-//! `--baselines <path>` relocates both): a statistical regression is a
-//! failed bar and writes `baseline_diff.json` (or
-//! `baseline_diff_cached.json`) with per-component queue-delay
-//! attribution. `repro bench --update-baselines` regenerates both
-//! baselines. `--trials N` / `--seed S` tune the trajectory; `--perturb F`
-//! scales the SSD model's service time (the gate's demo knob: `repro bench
-//! --check --perturb 1.2` models a device 20% slower across the board and
-//! exits 1). `repro attribute` prints the doorbell→retire queue-delay
-//! decomposition (mean + p99 tail) for both drivers.
+//! `--baselines <path>` relocates both) exactly: virtual time is
+//! deterministic, so any recorded fact that differs — slower or faster —
+//! is a failed bar naming the first such fact and the queue-delay
+//! component that moved most, and writes `baseline_diff.json` (or
+//! `baseline_diff_cached.json`) with the per-component attribution. A
+//! baseline recorded on other parameters than the run's (`--seed S`) is a
+//! failed bar too, never a comparison. `repro bench --update-baselines`
+//! regenerates both baselines. `--perturb F` scales the SSD model's
+//! service time (the gate's demo knob: `repro bench --check --perturb
+//! 1.02` models a device 2% slower across the board and exits 1; it cannot
+//! be combined with `--update-baselines`). `repro attribute` prints the
+//! doorbell→retire queue-delay decomposition (mean + p99 tail) for both
+//! drivers.
 //!
 //! `--metrics <path>` runs an instrumented functional-engine workload and
 //! writes the complete metrics-registry snapshot (counters, gauges, stage
@@ -154,7 +158,6 @@ fn run() -> Result<ExitCode, ExitCode> {
     let metrics_path = take_flag_value(&mut args, "--metrics")?;
     let trace_path = take_flag_value(&mut args, "--trace")?;
     let params = BenchParams {
-        trials: parse_flag(&mut args, "--trials")?,
         seed: parse_flag(&mut args, "--seed")?,
         latency_scale: parse_flag(&mut args, "--perturb")?,
         baselines: take_flag_value(&mut args, "--baselines")?,
@@ -165,6 +168,13 @@ fn run() -> Result<ExitCode, ExitCode> {
     if params.update_baselines && first != Some("bench") {
         eprintln!(
             "--update-baselines applies to the 'bench' experiment: repro bench --update-baselines"
+        );
+        return Err(ExitCode::from(2));
+    }
+    if params.update_baselines && params.latency_scale.is_some() {
+        eprintln!(
+            "--update-baselines cannot be combined with --perturb: \
+             a baseline records the unperturbed model"
         );
         return Err(ExitCode::from(2));
     }
@@ -180,7 +190,7 @@ fn run() -> Result<ExitCode, ExitCode> {
         && matches!(first, None | Some("help" | "--help"))
     {
         eprintln!(
-            "usage: repro [--metrics <path>] [--trace <path>] [--trials N] [--seed S] \
+            "usage: repro [--metrics <path>] [--trace <path>] [--seed S] \
              [--perturb F] [--baselines <path>] [--check] [all|list|watch [--once]|\
              calibrate [--rounds N]|bench [--update-baselines]|<experiment id>...]"
         );

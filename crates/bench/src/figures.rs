@@ -27,12 +27,10 @@ use crate::table::{f1, f2, pct, Table};
 /// bit-identical with committed expectations.
 #[derive(Clone, Debug, Default)]
 pub struct BenchParams {
-    /// `--trials N`: measured trials for multi-trial experiments.
-    pub trials: Option<usize>,
     /// `--seed S`: base seed for seeded workloads.
     pub seed: Option<u64>,
-    /// `--perturb F`: SSD read-latency multiplier for the trajectory run
-    /// (the regression gate's deliberate-perturbation knob).
+    /// `--perturb F`: SSD service-time multiplier for the trajectory run
+    /// (the perf gate's deliberate-perturbation knob).
     pub latency_scale: Option<f64>,
     /// `--baselines <path>`: the uncached trajectory baseline `bench` gates
     /// against (the cached one sits beside it).
@@ -47,7 +45,6 @@ impl BenchParams {
     pub fn trial_params(&self) -> crate::trajectory_run::TrialParams {
         let d = crate::trajectory_run::TrialParams::default();
         crate::trajectory_run::TrialParams {
-            trials: self.trials.unwrap_or(d.trials),
             seed: self.seed.unwrap_or(d.seed),
             latency_scale: self.latency_scale.unwrap_or(d.latency_scale),
             ..d
@@ -1201,10 +1198,7 @@ fn attribute(p: &BenchParams) -> Outcome {
     let des_trial = run_trial(seed, defaults.rounds, 1.0);
 
     let mut out = Vec::new();
-    for (driver, batches) in [
-        ("threaded", &threaded.batches),
-        ("des", &des_trial.attributions),
-    ] {
+    for (driver, batches) in [("threaded", &threaded.batches), ("des", &des_trial)] {
         let mut t = Table::new(
             format!("Queue-delay attribution ({driver}): doorbell->retire decomposition, ns/batch"),
             &[

@@ -1,35 +1,37 @@
-//! Perf-trajectory subsystem: seeded multi-trial DES bench runs, a
-//! statistical regression gate against committed baselines, and run
-//! metadata appended to `BENCH_repro.json`'s `trajectory` array.
+//! Perf-trajectory subsystem: seeded multi-trial DES bench runs, an exact
+//! gate against committed baselines, and run metadata appended to
+//! `BENCH_repro.json`'s `trajectory` array.
 //!
 //! The gate runs on the **DES driver only**: virtual time makes every
-//! trial metric machine-independent, so a baseline committed from one
-//! machine is bit-comparable in CI on any other. (Wall-clock numbers from
-//! the threaded driver would drown a 20% model regression in scheduler
-//! noise.) Each trial:
+//! trial metric machine-independent and exactly reproducible, so a
+//! baseline committed from one machine is bit-comparable in CI on any
+//! other — and the comparison is equality, not a hypothesis test. Each
+//! trial:
 //!
-//! 1. builds a seeded workload (seed = `params.seed + trial index`, so
+//! 1. builds a seeded workload (trial `i` uses `params.seed + 1 + i`, so
 //!    trials differ but the whole trajectory is reproducible),
 //! 2. runs the CAM DES driver with lifecycle events on and a flight
 //!    recorder attached,
-//! 3. feeds the timeline through [`critical::analyze`] and collects the
-//!    per-batch doorbell→retire totals into a log-linear [`Histogram`].
+//! 3. feeds the timeline through [`critical::analyze`] into per-batch
+//!    doorbell→retire attributions.
 //!
-//! Warmup trials are discarded; the measured trials' bins are merged and
-//! compared against `bench/baselines/trajectory.json` with a Mann-Whitney
-//! U test plus a minimum-relative-shift guard (see [`check`]), and
-//! the queue-delay decomposition ([`cam_telemetry::attribution`]) says
-//! *which* component moved. `repro bench --check` exits non-zero on a
-//! flagged regression; `repro bench --update-baselines` rewrites the
-//! baseline file. The gate is one of the `bench` verb's acceptance bars
+//! The trials' batches are merged into one [`Trajectory`]: a log-linear
+//! [`Histogram`] of the per-batch totals and the integer nanosecond sums of
+//! doorbell→retire and of each queue-delay component
+//! ([`cam_telemetry::attribution`]). [`check`] compares those facts with
+//! `bench/baselines/trajectory.json` for equality — slower or faster, any
+//! difference fails — and says *which* fact differs first and which
+//! component moved most. `repro bench --check` exits non-zero on a
+//! difference; `repro bench --update-baselines` rewrites the baseline
+//! file. The gate is one of the `bench` verb's acceptance bars
 //! ([`run_gate`]).
 //!
 //! A second, **cached-mode** trajectory runs the seeded cache workload
 //! through the DES cache stage ([`run_cached_trajectory`]) and gates it
-//! against `bench/baselines/trajectory_cached.json` with the same
-//! statistics — so a regression in the cache hit path, the write-back
-//! flush, or the readahead pipeline moves a committed number even though
-//! the uncached trajectory never exercises that code.
+//! against `bench/baselines/trajectory_cached.json` the same way — so a
+//! change in the cache hit path, the write-back flush, or the readahead
+//! pipeline moves a committed number even though the uncached trajectory
+//! never exercises that code.
 
 use std::sync::Arc;
 
@@ -37,12 +39,10 @@ use cam_cache::run_cam_des_cached;
 use cam_iostacks::cam_des::{run_cam_des_obs, CamDesConfig, CamDesObs, CamDesReport};
 use cam_nvme::SsdModel;
 use cam_simkit::Dur;
-use cam_telemetry::attribution::{component_name, decompose, LatencyDecomposition};
+use cam_telemetry::attribution::component_name;
+use cam_telemetry::critical::{self, BatchAttribution};
 use cam_telemetry::json::{parse, Json};
-use cam_telemetry::stats::{
-    binned_mean, binned_quantile, bootstrap_quantile_ci, mann_whitney, MannWhitney, QuantileCi,
-};
-use cam_telemetry::{critical, obj, FlightRecorder, Histogram, Stage};
+use cam_telemetry::{obj, FlightRecorder, Histogram, Stage};
 
 use crate::fidelity_run::{des_config, fidelity_workload, N_SSDS, STRIPE_BLOCKS};
 use crate::table::Table;
@@ -50,7 +50,7 @@ use crate::table::Table;
 /// Default path of the committed baseline, relative to the repo root.
 pub const BASELINE_PATH: &str = "bench/baselines/trajectory.json";
 /// Baseline schema version, bumped when the JSON layout changes.
-pub const BASELINE_SCHEMA: u64 = 1;
+pub const BASELINE_SCHEMA: u64 = 2;
 /// Blocks in the cached trajectory's array (matches the fidelity rig:
 /// [`N_SSDS`] SSDs × 16 Ki blocks each), so readahead sees real bounds.
 const CACHED_ARRAY_BLOCKS: u64 = N_SSDS as u64 * 16 * 1024;
@@ -65,22 +65,21 @@ pub fn cached_baseline_path(baselines: &str) -> String {
     }
 }
 
-/// Parameters of one trajectory run (the `repro` CLI threads `--trials`
-/// and `--seed` here).
+/// Parameters of one trajectory run (the `repro` CLI threads `--seed` and
+/// `--perturb` here).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrialParams {
-    /// Measured trials (after warmup).
+    /// Trials merged into the trajectory.
     pub trials: usize,
-    /// Leading trials discarded before statistics.
-    pub warmup: usize,
-    /// Base seed; trial `i` uses `seed + i`.
+    /// Base seed; trial `i` uses `seed + 1 + i`.
     pub seed: u64,
     /// Batches per channel per trial.
     pub rounds: u64,
     /// SSD service-time multiplier — the deliberate perturbation knob the
     /// gate's failing-path test (and CI job) uses. Scales command latency
-    /// up and channel/link bandwidth down, i.e. `1.2` models a device 20%
-    /// slower across the board.
+    /// up and channel/link bandwidth down, i.e. `1.02` models a device 2%
+    /// slower across the board. Not recorded in a baseline: comparing a
+    /// perturbed run with the committed one is the demo of a failing gate.
     pub latency_scale: f64,
 }
 
@@ -88,54 +87,11 @@ impl Default for TrialParams {
     fn default() -> Self {
         TrialParams {
             trials: 5,
-            warmup: 1,
             seed: 0x7E57_5EED,
             rounds: 10,
             latency_scale: 1.0,
         }
     }
-}
-
-/// Metrics of a single measured trial.
-#[derive(Clone, Debug)]
-pub struct TrialMetrics {
-    /// The trial's workload seed.
-    pub seed: u64,
-    /// Virtual doorbell→last-retire duration, ns.
-    pub duration_ns: u64,
-    /// Batches retired.
-    pub batches: u64,
-    /// p50 of per-batch doorbell→retire latency, ns.
-    pub p50_ns: u64,
-    /// p99 of per-batch doorbell→retire latency, ns.
-    pub p99_ns: u64,
-    /// Log-linear histogram bins of the per-batch totals.
-    pub bins: Vec<(u64, u64)>,
-    /// Per-batch attributions (feed of the merged decomposition).
-    pub attributions: Vec<critical::BatchAttribution>,
-}
-
-/// A full trajectory run: per-trial metrics plus merged statistics.
-#[derive(Clone, Debug)]
-pub struct TrajectoryReport {
-    /// The parameters that produced it.
-    pub params: TrialParams,
-    /// Measured trials, in order (warmup already discarded).
-    pub trials: Vec<TrialMetrics>,
-    /// Bins merged across all measured trials.
-    pub bins: Vec<(u64, u64)>,
-    /// Merged p50 of per-batch latency, ns.
-    pub p50_ns: u64,
-    /// Merged p99 of per-batch latency, ns.
-    pub p99_ns: u64,
-    /// Merged mean per-batch latency, ns.
-    pub mean_batch_ns: f64,
-    /// Bootstrap CI around the merged p50.
-    pub p50_ci: QuantileCi,
-    /// Bootstrap CI around the merged p99.
-    pub p99_ci: QuantileCi,
-    /// Queue-delay decomposition over every measured batch.
-    pub decomposition: LatencyDecomposition,
 }
 
 /// The fidelity DES configuration on a P5510 whose service time is scaled
@@ -154,35 +110,22 @@ fn trial_config(latency_scale: f64) -> CamDesConfig {
 /// Runs one DES trial with lifecycle events on and a flight recorder
 /// attached, and attributes its timeline through [`critical::analyze`].
 fn recorded_trial(
-    seed: u64,
     run: impl FnOnce(Option<Arc<FlightRecorder>>, CamDesObs) -> CamDesReport,
-) -> TrialMetrics {
+) -> Vec<BatchAttribution> {
     let recorder = Arc::new(FlightRecorder::new());
     let obs = CamDesObs {
         windows: None,
         slo: None,
         lifecycle: true,
     };
-    let r = run(Some(Arc::clone(&recorder)), obs);
-    let report = critical::analyze(&recorder.snapshot());
-    let mut hist = Histogram::new();
-    for b in &report.batches {
-        hist.record(b.total_ns);
-    }
-    TrialMetrics {
-        seed,
-        duration_ns: r.duration.as_ns(),
-        batches: r.batches,
-        p50_ns: hist.quantile(0.5),
-        p99_ns: hist.quantile(0.99),
-        bins: hist.bins(),
-        attributions: report.batches,
-    }
+    run(Some(Arc::clone(&recorder)), obs);
+    critical::analyze(&recorder.snapshot()).batches
 }
 
-/// Runs one uncached trial on the fidelity experiment's seeded workload.
-pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
-    recorded_trial(seed, |recorder, obs| {
+/// Runs one uncached trial on the fidelity experiment's seeded workload
+/// and returns its per-batch attributions.
+pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> Vec<BatchAttribution> {
+    recorded_trial(|recorder, obs| {
         run_cam_des_obs(
             trial_config(latency_scale),
             fidelity_workload(rounds, seed),
@@ -195,12 +138,12 @@ pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
 /// Runs one **cached-mode** trial: the seeded cache workload (same shape
 /// the cached fidelity matrix proved decision-exact across drivers)
 /// through the DES cache stage, attributed exactly like [`run_trial`].
-/// The trajectory gates latency distributions, not decisions — decision
-/// exactness is the fidelity suite's job — but it runs on the identical
+/// The trajectory gates latencies, not decisions — decision exactness is
+/// the fidelity suite's job — but it runs on the identical
 /// [`crate::fidelity_run::cached_cache_cfg`] configuration, so a cache
-/// regression surfaces here as a latency/attribution shift.
-pub fn run_cached_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetrics {
-    recorded_trial(seed, |recorder, obs| {
+/// change surfaces here as a latency/attribution difference.
+pub fn run_cached_trial(seed: u64, rounds: u64, latency_scale: f64) -> Vec<BatchAttribution> {
+    recorded_trial(|recorder, obs| {
         run_cam_des_cached(
             trial_config(latency_scale),
             crate::fidelity_run::cached_cache_cfg(),
@@ -213,58 +156,103 @@ pub fn run_cached_trial(seed: u64, rounds: u64, latency_scale: f64) -> TrialMetr
     })
 }
 
-/// Runs the full trajectory: `warmup` discarded trials then `trials`
-/// measured ones, merged statistics over the measured set. Deterministic:
-/// same params, same report (virtual time end to end).
-pub fn run_trajectory(params: &TrialParams) -> TrajectoryReport {
+/// The exact facts of one trajectory run — what a baseline file records
+/// and what the gate compares. Everything is an integer on the virtual
+/// timeline, so two runs of the same model on the same parameters are
+/// `==`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Trajectory {
+    /// Trials merged.
+    pub trials: usize,
+    /// Base seed of the run.
+    pub seed: u64,
+    /// Batches per channel per trial.
+    pub rounds: u64,
+    /// p50 of per-batch doorbell→retire latency over the merged bins, ns.
+    pub p50_ns: u64,
+    /// p99 of per-batch doorbell→retire latency over the merged bins, ns.
+    pub p99_ns: u64,
+    /// Sum of every batch's doorbell→retire latency, ns.
+    pub total_ns: u64,
+    /// Sum of every batch's time per queue-delay component, ns, indexed by
+    /// [`Stage::index`].
+    pub component_ns: [u64; Stage::ALL.len()],
+    /// Log-linear histogram bins of the per-batch totals, all trials
+    /// merged.
+    pub bins: Vec<(u64, u64)>,
+}
+
+impl Trajectory {
+    /// Batches retired across all trials.
+    pub fn batches(&self) -> u64 {
+        self.bins.iter().map(|&(_, count)| count).sum()
+    }
+
+    /// Mean doorbell→retire latency per batch, ns.
+    pub fn mean_batch_ns(&self) -> f64 {
+        self.per_batch(self.total_ns)
+    }
+
+    /// The component with the largest share of the total.
+    pub fn dominant(&self) -> Stage {
+        *Stage::ALL
+            .iter()
+            .max_by_key(|s| self.component_ns[s.index()])
+            .expect("five stages")
+    }
+
+    fn per_batch(&self, sum_ns: u64) -> f64 {
+        sum_ns as f64 / self.batches().max(1) as f64
+    }
+
+    fn params(&self) -> String {
+        format!(
+            "{} trials, seed {:#x}, {} rounds/channel",
+            self.trials, self.seed, self.rounds
+        )
+    }
+}
+
+/// Runs the full uncached trajectory: `params.trials` seeded trials,
+/// merged. Deterministic: same params, same [`Trajectory`] (virtual time
+/// end to end).
+pub fn run_trajectory(params: &TrialParams) -> Trajectory {
     run_trajectory_with(params, run_trial)
 }
 
-/// The cached-mode counterpart of [`run_trajectory`]: same trial/warmup
-/// merge over [`run_cached_trial`]. Gated against
+/// The cached-mode counterpart of [`run_trajectory`]: the same merge over
+/// [`run_cached_trial`]. Gated against
 /// `bench/baselines/trajectory_cached.json` by `repro bench --check`.
-pub fn run_cached_trajectory(params: &TrialParams) -> TrajectoryReport {
+pub fn run_cached_trajectory(params: &TrialParams) -> Trajectory {
     run_trajectory_with(params, run_cached_trial)
 }
 
 fn run_trajectory_with(
     params: &TrialParams,
-    run: impl Fn(u64, u64, f64) -> TrialMetrics,
-) -> TrajectoryReport {
-    let mut trials = Vec::with_capacity(params.trials);
-    for i in 0..params.warmup + params.trials {
-        let t = run(
-            params.seed.wrapping_add(i as u64),
-            params.rounds,
-            params.latency_scale,
-        );
-        if i >= params.warmup {
-            trials.push(t);
-        }
-    }
+    run: impl Fn(u64, u64, f64) -> Vec<BatchAttribution>,
+) -> Trajectory {
     let mut merged = Histogram::new();
-    let mut attributions = Vec::new();
-    for t in &trials {
-        for b in &t.attributions {
+    let mut total_ns = 0;
+    let mut component_ns = [0; Stage::ALL.len()];
+    for i in 0..params.trials as u64 {
+        let seed = params.seed.wrapping_add(1 + i);
+        for b in run(seed, params.rounds, params.latency_scale) {
             merged.record(b.total_ns);
+            total_ns += b.total_ns;
+            for (sum, ns) in component_ns.iter_mut().zip(b.stage_ns) {
+                *sum += ns;
+            }
         }
-        attributions.extend(t.attributions.iter().cloned());
     }
-    let bins = merged.bins();
-    let decomposition = decompose(&attributions).expect("trajectory retires at least one batch");
-    let p50_ci = bootstrap_quantile_ci(&bins, 0.5, 200, 0.05, params.seed).expect("non-empty bins");
-    let p99_ci =
-        bootstrap_quantile_ci(&bins, 0.99, 200, 0.05, params.seed).expect("non-empty bins");
-    TrajectoryReport {
-        params: *params,
+    Trajectory {
+        trials: params.trials,
+        seed: params.seed,
+        rounds: params.rounds,
         p50_ns: merged.quantile(0.5),
         p99_ns: merged.quantile(0.99),
-        mean_batch_ns: binned_mean(&bins),
-        p50_ci,
-        p99_ci,
-        decomposition,
-        bins,
-        trials,
+        total_ns,
+        component_ns,
+        bins: merged.bins(),
     }
 }
 
@@ -272,53 +260,34 @@ fn run_trajectory_with(
 // Baselines
 // ---------------------------------------------------------------------------
 
-/// A committed baseline: the merged bins and headline metrics of a past
-/// trajectory run on the same parameters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Baseline {
-    /// Merged histogram bins of per-batch latency.
-    pub bins: Vec<(u64, u64)>,
-    /// Merged p50, ns.
-    pub p50_ns: u64,
-    /// Merged p99, ns.
-    pub p99_ns: u64,
-    /// Merged mean, ns.
-    pub mean_batch_ns: f64,
-    /// Mean ns per queue-delay component, indexed by [`Stage::index`].
-    pub mean_component_ns: [f64; Stage::ALL.len()],
-}
-
-/// A report as the committed baseline document.
-pub fn baseline_json(report: &TrajectoryReport) -> Json {
-    let p = &report.params;
+/// A trajectory as the committed baseline document.
+pub fn baseline_json(t: &Trajectory) -> Json {
     obj! {
         "schema" => BASELINE_SCHEMA,
         "params" => obj! {
-            "trials" => p.trials,
-            "warmup" => p.warmup,
-            "seed" => p.seed,
-            "rounds" => p.rounds,
+            "trials" => t.trials,
+            "seed" => t.seed,
+            "rounds" => t.rounds,
         },
-        "p50_ns" => report.p50_ns,
-        "p99_ns" => report.p99_ns,
-        "mean_batch_ns" => Json::fixed(report.mean_batch_ns, 1),
-        "mean_component_ns" => Json::obj(Stage::ALL.iter().map(|s| {
-            let mean = Json::fixed(report.decomposition.mean_ns[s.index()], 1);
-            (component_name(*s), mean)
-        })),
-        "bins" => Json::arr(report.bins.iter().map(|&(low, count)| Json::arr([low, count]))),
+        "p50_ns" => t.p50_ns,
+        "p99_ns" => t.p99_ns,
+        "doorbell_to_retire_ns" => t.total_ns,
+        "component_ns" => Json::obj(
+            Stage::ALL.iter().map(|s| (component_name(*s), Json::from(t.component_ns[s.index()]))),
+        ),
+        "bins" => Json::arr(t.bins.iter().map(|&(low, count)| Json::arr([low, count]))),
     }
 }
 
 /// Parses a baseline file.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
+pub fn parse_baseline(text: &str) -> Result<Trajectory, String> {
     let json = parse(text)?;
-    let int = |key: &str| -> Result<u64, String> {
-        json.get(key)
+    let int = |obj: &Json, key: &str| -> Result<u64, String> {
+        obj.get(key)
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("baseline missing '{key}'"))
     };
-    let schema = int("schema")?;
+    let schema = int(&json, "schema")?;
     if schema != BASELINE_SCHEMA {
         return Err(format!(
             "baseline schema {schema} != supported {BASELINE_SCHEMA} \
@@ -338,39 +307,29 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
             _ => Err("bin is not a [low, count] pair".to_string()),
         })
         .collect::<Result<Vec<_>, String>>()?;
+    let params = json.get("params").ok_or("baseline missing 'params'")?;
     let comps = json
-        .get("mean_component_ns")
-        .ok_or("baseline missing 'mean_component_ns'")?;
-    let mut mean_component_ns = [0.0; Stage::ALL.len()];
+        .get("component_ns")
+        .ok_or("baseline missing 'component_ns'")?;
+    let mut component_ns = [0; Stage::ALL.len()];
     for s in Stage::ALL {
-        mean_component_ns[s.index()] = comps
-            .get(component_name(s))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("baseline missing component '{}'", component_name(s)))?;
+        component_ns[s.index()] = int(comps, component_name(s))?;
     }
-    Ok(Baseline {
+    Ok(Trajectory {
+        trials: int(params, "trials")? as usize,
+        seed: int(params, "seed")?,
+        rounds: int(params, "rounds")?,
+        p50_ns: int(&json, "p50_ns")?,
+        p99_ns: int(&json, "p99_ns")?,
+        total_ns: int(&json, "doorbell_to_retire_ns")?,
+        component_ns,
         bins,
-        p50_ns: int("p50_ns")?,
-        p99_ns: int("p99_ns")?,
-        mean_batch_ns: json
-            .get("mean_batch_ns")
-            .and_then(Json::as_f64)
-            .ok_or("baseline missing 'mean_batch_ns'")?,
-        mean_component_ns,
     })
 }
 
 // ---------------------------------------------------------------------------
 // The gate
 // ---------------------------------------------------------------------------
-
-/// Mann-Whitney z threshold of the regression gate (≈ one-sided
-/// p < 0.001).
-pub const Z_THRESHOLD: f64 = 3.0;
-/// Minimum relative p50-or-p99 shift (5%) the gate calls a regression:
-/// above the histogram's ~3% bucket quantization, so a one-bucket wobble
-/// alone cannot fire the shift arm.
-pub const MIN_REL_SHIFT: f64 = 0.05;
 
 /// Per-component baseline-vs-current delta in the gate report.
 #[derive(Clone, Debug)]
@@ -384,6 +343,11 @@ pub struct ComponentDelta {
 }
 
 impl ComponentDelta {
+    /// Signed change vs baseline, ns per batch (positive = slower).
+    pub fn shift_ns(&self) -> f64 {
+        self.current_ns - self.baseline_ns
+    }
+
     /// Relative change vs baseline (0.2 = +20%); 0 when the baseline
     /// component is empty.
     pub fn rel_delta(&self) -> f64 {
@@ -394,37 +358,37 @@ impl ComponentDelta {
     }
 }
 
-/// Outcome of gating a trajectory report against a baseline.
+/// Outcome of comparing a trajectory with a baseline recorded on the same
+/// parameters.
 #[derive(Clone, Debug)]
 pub struct GateOutcome {
-    /// Whether the gate flags a regression.
-    pub regressed: bool,
-    /// The Mann-Whitney test over the merged bins (None only for empty
-    /// inputs, which cannot happen through [`run_trajectory`]).
-    pub mw: Option<MannWhitney>,
+    /// The first recorded fact that differs, as `name: baseline X, current
+    /// Y` — in file order: `p50_ns`, `p99_ns`, `doorbell_to_retire_ns`, the
+    /// five `component_ns`, `bins`. `None` when the run reproduces the
+    /// baseline exactly.
+    pub first_difference: Option<String>,
     /// Relative p50 shift vs baseline (positive = slower).
     pub rel_shift_p50: f64,
     /// Relative p99 shift vs baseline.
     pub rel_shift_p99: f64,
-    /// Whether the baseline p50 falls outside the current p50's
-    /// bootstrap CI (reported, not part of the decision rule).
-    pub ci_excludes_baseline: bool,
     /// Per-component deltas, stage order.
     pub components: Vec<ComponentDelta>,
 }
 
 impl GateOutcome {
-    /// The component with the largest absolute ns increase — where the
-    /// regression went, in queue-delay terms.
+    /// Whether the run differs from the baseline in any recorded fact.
+    pub fn differs(&self) -> bool {
+        self.first_difference.is_some()
+    }
+
+    /// The component whose ns/batch moved most in either direction — where
+    /// the difference went, in queue-delay terms. `None` when no component
+    /// moved.
     pub fn dominant_shift(&self) -> Option<&ComponentDelta> {
         self.components
             .iter()
-            .max_by(|a, b| {
-                let da = a.current_ns - a.baseline_ns;
-                let db = b.current_ns - b.baseline_ns;
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .filter(|c| c.current_ns > c.baseline_ns)
+            .max_by(|a, b| a.shift_ns().abs().total_cmp(&b.shift_ns().abs()))
+            .filter(|c| c.shift_ns() != 0.0)
     }
 
     /// The verdict plus the per-component attribution, as a CLI table.
@@ -441,20 +405,19 @@ impl GateOutcome {
                 format!("{:+.1}%", c.rel_delta() * 100.0),
             ]);
         }
-        t.note(format!(
-            "gate: {} (z = {:.2}, p50 shift {:+.1}%, p99 shift {:+.1}%, \
-             CI excludes baseline p50: {})",
-            if self.regressed { "REGRESSED" } else { "ok" },
-            self.mw.as_ref().map_or(0.0, |m| m.z),
-            self.rel_shift_p50 * 100.0,
-            self.rel_shift_p99 * 100.0,
-            self.ci_excludes_baseline
-        ));
+        t.note(match &self.first_difference {
+            None => "gate: identical to the baseline".to_string(),
+            Some(fact) => format!(
+                "gate: DIFFERS (first difference {fact}; p50 shift {:+.1}%, p99 shift {:+.1}%)",
+                self.rel_shift_p50 * 100.0,
+                self.rel_shift_p99 * 100.0
+            ),
+        });
         if let Some(dom) = self.dominant_shift() {
             t.note(format!(
                 "largest shift: {} ({:+.0} ns/batch, {:+.1}%)",
                 dom.name,
-                dom.current_ns - dom.baseline_ns,
+                dom.shift_ns(),
                 dom.rel_delta() * 100.0
             ));
         }
@@ -464,12 +427,12 @@ impl GateOutcome {
     /// The machine-readable diff report (`baseline_diff.json`, uploaded
     /// as a CI artifact when the gate fails).
     pub fn to_json(&self) -> Json {
+        let dominant = self.dominant_shift();
         obj! {
-            "regressed" => self.regressed,
-            "z" => Json::fixed(self.mw.as_ref().map_or(0.0, |m| m.z), 3),
+            "differs" => self.differs(),
+            "first_difference" => self.first_difference.as_deref(),
             "rel_shift_p50" => Json::fixed(self.rel_shift_p50, 4),
             "rel_shift_p99" => Json::fixed(self.rel_shift_p99, 4),
-            "ci_excludes_baseline" => self.ci_excludes_baseline,
             "components" => Json::obj(self.components.iter().map(|c| {
                 let delta = obj! {
                     "baseline_ns" => Json::fixed(c.baseline_ns, 1),
@@ -478,31 +441,48 @@ impl GateOutcome {
                 };
                 (c.name, delta)
             })),
-            "dominant_shift" => self.dominant_shift().map(|d| d.name),
+            "dominant_shift" => dominant.map(|d| d.name),
+            "dominant_shift_ns" => dominant.map(|d| Json::fixed(d.shift_ns(), 1)),
         }
     }
 }
 
-/// Gates a trajectory report against a baseline.
+/// Gates a trajectory against a baseline: every recorded fact must be
+/// equal. The DES is deterministic, so a rerun of the same model
+/// reproduces the baseline bit for bit; any difference — slower *or*
+/// faster — means the model changed, and an intended change is committed
+/// with `repro bench --update-baselines`.
 ///
-/// A run is flagged as regressed when **either** detector fires:
-/// * the Mann-Whitney z over the merged bins exceeds [`Z_THRESHOLD`]
-///   (current stochastically slower than baseline) — catches dense,
-///   whole-distribution shifts with statistical confidence, **or**
-/// * the relative p50 **or** p99 shift exceeds [`MIN_REL_SHIFT`] — catches
-///   tail-only regressions that Mann-Whitney cannot power at these sample
-///   sizes. The tail arm matters in this pipelined system: a device 20%
-///   slower across the board is largely absorbed by CPU/device overlap
-///   near the median (measured p50 shift ~3%, within a log-linear bucket)
-///   but surfaces whole in the tail (p99 +13–15%), leaving z ≈ 1–2 even
-///   at hundreds of batches per side because most histogram mass never
-///   moves.
-///
-/// Using OR instead of AND does not make the gate flaky: the DES is
-/// deterministic, so a baseline-identical rerun reproduces the bins
-/// bit-for-bit (z = 0, shifts = 0) and passes structurally, not by luck.
-pub fn check(report: &TrajectoryReport, baseline: &Baseline) -> GateOutcome {
-    let mw = mann_whitney(&baseline.bins, &report.bins);
+/// `Err` when the baseline was recorded on other parameters than this run
+/// used: the two are different workloads and comparing them says nothing.
+pub fn check(current: &Trajectory, baseline: &Trajectory) -> Result<GateOutcome, String> {
+    if (baseline.trials, baseline.seed, baseline.rounds)
+        != (current.trials, current.seed, current.rounds)
+    {
+        return Err(format!(
+            "baseline recorded with {}, this run used {}",
+            baseline.params(),
+            current.params()
+        ));
+    }
+    let mut facts = vec![
+        ("p50_ns", baseline.p50_ns, current.p50_ns),
+        ("p99_ns", baseline.p99_ns, current.p99_ns),
+        ("doorbell_to_retire_ns", baseline.total_ns, current.total_ns),
+    ];
+    facts.extend(Stage::ALL.iter().map(|s| {
+        let i = s.index();
+        (
+            component_name(*s),
+            baseline.component_ns[i],
+            current.component_ns[i],
+        )
+    }));
+    let first_difference = facts
+        .iter()
+        .find(|(_, base, cur)| base != cur)
+        .map(|(name, base, cur)| format!("{name}: baseline {base}, current {cur}"))
+        .or_else(|| (baseline.bins != current.bins).then(|| "bins".to_string()));
     let rel = |base: u64, cur: u64| {
         if base == 0 {
             0.0
@@ -510,27 +490,20 @@ pub fn check(report: &TrajectoryReport, baseline: &Baseline) -> GateOutcome {
             cur as f64 / base as f64 - 1.0
         }
     };
-    let rel_shift_p50 = rel(baseline.p50_ns, binned_quantile(&report.bins, 0.5));
-    let rel_shift_p99 = rel(baseline.p99_ns, binned_quantile(&report.bins, 0.99));
-    let slower = mw
-        .as_ref()
-        .is_some_and(|m| m.slower_than_baseline(Z_THRESHOLD));
     let components = Stage::ALL
         .iter()
         .map(|s| ComponentDelta {
             name: component_name(*s),
-            baseline_ns: baseline.mean_component_ns[s.index()],
-            current_ns: report.decomposition.mean_ns[s.index()],
+            baseline_ns: baseline.per_batch(baseline.component_ns[s.index()]),
+            current_ns: current.per_batch(current.component_ns[s.index()]),
         })
         .collect();
-    GateOutcome {
-        regressed: slower || rel_shift_p50.max(rel_shift_p99) > MIN_REL_SHIFT,
-        mw,
-        rel_shift_p50,
-        rel_shift_p99,
-        ci_excludes_baseline: report.p50_ci.excludes(baseline.p50_ns),
+    Ok(GateOutcome {
+        first_difference,
+        rel_shift_p50: rel(baseline.p50_ns, current.p50_ns),
+        rel_shift_p99: rel(baseline.p99_ns, current.p99_ns),
         components,
-    }
+    })
 }
 
 /// What [`run_gate`] hands the `bench` generator.
@@ -539,37 +512,31 @@ pub struct GateRun {
     pub tables: Vec<Table>,
     /// The uncached run's entry for `BENCH_repro.json`'s `trajectory` array.
     pub entry: Json,
-    /// Failed bars: a flagged regression, or a baseline that cannot be
-    /// read, parsed or (with `update`) written.
+    /// Failed bars: a run that differs from its baseline, or a baseline
+    /// that cannot be read, parsed, compared (other parameters) or (with
+    /// `update`) written.
     pub failures: Vec<String>,
 }
 
 /// Runs the uncached and cached trajectories and gates each against its
 /// committed baseline (`baselines` and its [`cached_baseline_path`]); a
-/// regression also writes `baseline_diff.json` / `baseline_diff_cached.json`
+/// difference also writes `baseline_diff.json` / `baseline_diff_cached.json`
 /// with the per-component attribution. With `update` the baselines are
 /// rewritten from this run instead of judged.
 pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
     let mut summary = Table::new(
         "Perf trajectory: seeded DES trials, per-batch doorbell->retire latency",
-        &[
-            "mode",
-            "batches",
-            "p50 ns (CI)",
-            "p99 ns (CI)",
-            "mean ns",
-            "dominant",
-        ],
+        &["mode", "batches", "p50 ns", "p99 ns", "mean ns", "dominant"],
     );
     summary.note(format!(
-        "{} trials + {} warmup, seed {:#x}, {} rounds/channel, latency scale {:.2}",
-        tp.trials, tp.warmup, tp.seed, tp.rounds, tp.latency_scale
+        "{} trials, seed {:#x}, {} rounds/channel, latency scale {:.2}",
+        tp.trials, tp.seed, tp.rounds, tp.latency_scale
     ));
     let mut tables = Vec::new();
     let mut failures = Vec::new();
     let uncached = run_trajectory(tp);
     let cached = run_cached_trajectory(tp);
-    for (label, report, path, diff_path) in [
+    for (label, current, path, diff_path) in [
         (
             "uncached",
             &uncached,
@@ -585,23 +552,17 @@ pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
     ] {
         summary.row(vec![
             label.into(),
-            report.decomposition.batches.to_string(),
-            format!(
-                "{} ({}..{})",
-                report.p50_ns, report.p50_ci.lo, report.p50_ci.hi
-            ),
-            format!(
-                "{} ({}..{})",
-                report.p99_ns, report.p99_ci.lo, report.p99_ci.hi
-            ),
-            format!("{:.0}", report.mean_batch_ns),
-            component_name(report.decomposition.dominant_mean()).into(),
+            current.batches().to_string(),
+            current.p50_ns.to_string(),
+            current.p99_ns.to_string(),
+            format!("{:.0}", current.mean_batch_ns()),
+            component_name(current.dominant()).into(),
         ]);
         if update {
             let dir = std::path::Path::new(&path).parent();
             let written = dir
                 .map_or(Ok(()), std::fs::create_dir_all)
-                .and_then(|()| std::fs::write(&path, format!("{:#}", baseline_json(report))));
+                .and_then(|()| std::fs::write(&path, format!("{:#}", baseline_json(current))));
             match written {
                 Ok(()) => {
                     summary.note(format!("updated {label} baseline at {path}"));
@@ -610,25 +571,26 @@ pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
             }
             continue;
         }
-        let baseline = std::fs::read_to_string(&path)
+        let outcome = std::fs::read_to_string(&path)
             .map_err(|e| {
                 format!("unreadable ({e}); seed one with 'repro bench --update-baselines'")
             })
-            .and_then(|text| parse_baseline(&text));
-        let outcome = match baseline {
-            Ok(b) => check(report, &b),
+            .and_then(|text| parse_baseline(&text))
+            .and_then(|baseline| check(current, &baseline));
+        let outcome = match outcome {
+            Ok(o) => o,
             Err(e) => {
                 failures.push(format!("{label} baseline {path}: {e}"));
                 continue;
             }
         };
-        if outcome.regressed {
-            let shift = outcome.dominant_shift().map_or("none", |c| c.name);
+        if let Some(fact) = &outcome.first_difference {
+            let shift = outcome.dominant_shift().map_or("none".to_string(), |c| {
+                format!("{} ({:+.0} ns/batch)", c.name, c.shift_ns())
+            });
             failures.push(format!(
-                "{label} trajectory REGRESSED against {path} (p50 {:+.1}%, p99 {:+.1}%, \
-                 largest shift: {shift}); attribution in {diff_path}",
-                outcome.rel_shift_p50 * 100.0,
-                outcome.rel_shift_p99 * 100.0,
+                "{label} trajectory DIFFERS from {path} (first difference {fact}; \
+                 largest shift: {shift}); attribution in {diff_path}"
             ));
             if let Err(e) = std::fs::write(diff_path, format!("{:#}", outcome.to_json())) {
                 eprintln!("warning: could not write {diff_path}: {e}");
@@ -643,25 +605,29 @@ pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
         .unwrap_or(0);
     GateRun {
         tables,
-        entry: trajectory_entry_json(&uncached, &current_git_sha(), unix_time),
+        entry: trajectory_entry_json(&uncached, tp.latency_scale, &current_git_sha(), unix_time),
         failures,
     }
 }
 
 /// One run's entry in `BENCH_repro.json`'s `trajectory` array.
-pub fn trajectory_entry_json(report: &TrajectoryReport, git_sha: &str, unix_time: u64) -> Json {
-    let p = &report.params;
+pub fn trajectory_entry_json(
+    t: &Trajectory,
+    latency_scale: f64,
+    git_sha: &str,
+    unix_time: u64,
+) -> Json {
     obj! {
         "git_sha" => git_sha,
         "unix_time" => unix_time,
-        "seed" => p.seed,
-        "trials" => p.trials,
-        "rounds" => p.rounds,
-        "latency_scale" => Json::fixed(p.latency_scale, 2),
-        "p50_ns" => report.p50_ns,
-        "p99_ns" => report.p99_ns,
-        "mean_batch_ns" => Json::fixed(report.mean_batch_ns, 1),
-        "dominant_mean" => component_name(report.decomposition.dominant_mean()),
+        "seed" => t.seed,
+        "trials" => t.trials,
+        "rounds" => t.rounds,
+        "latency_scale" => Json::fixed(latency_scale, 2),
+        "p50_ns" => t.p50_ns,
+        "p99_ns" => t.p99_ns,
+        "mean_batch_ns" => Json::fixed(t.mean_batch_ns(), 1),
+        "dominant_mean" => component_name(t.dominant()),
     }
 }
 
@@ -696,7 +662,6 @@ mod tests {
     fn small() -> TrialParams {
         TrialParams {
             trials: 2,
-            warmup: 1,
             rounds: 4,
             ..TrialParams::default()
         }
@@ -706,16 +671,8 @@ mod tests {
     fn trajectory_is_deterministic() {
         let p = small();
         let a = run_trajectory(&p);
-        let b = run_trajectory(&p);
-        assert_eq!(a.bins, b.bins);
-        assert_eq!(a.p50_ns, b.p50_ns);
-        assert_eq!(a.p99_ns, b.p99_ns);
+        assert_eq!(a, run_trajectory(&p));
         assert!(a.p50_ns > 0);
-        assert_eq!(
-            a.trials.len(),
-            p.trials,
-            "warmup trials are discarded from the measured set"
-        );
     }
 
     #[test]
@@ -723,47 +680,45 @@ mod tests {
         let p = small();
         let r = run_trajectory(&p);
         let expected = (p.trials as u64) * (p.rounds * N_CHANNELS as u64);
-        let attributed: u64 = r.trials.iter().map(|t| t.attributions.len() as u64).sum();
-        assert_eq!(attributed, expected, "every retired batch is attributed");
+        assert_eq!(r.batches(), expected, "every retired batch is attributed");
         // In the DES, doorbell and pickup coincide: the doorbell-wait
         // component is structurally zero. Dispatch and submit are NOT —
         // the calibrated CPU pipe charges batch planning on the dispatch
         // pipe and SQE pushes on the worker pipe, so both components are
         // visible exactly as in the threaded driver.
-        assert_eq!(r.decomposition.mean_ns[Stage::Pickup.index()], 0.0);
+        assert_eq!(r.component_ns[Stage::Pickup.index()], 0);
         assert!(
-            r.decomposition.mean_ns[Stage::Dispatch.index()] > 0.0,
+            r.component_ns[Stage::Dispatch.index()] > 0,
             "CPU pipe must surface a dispatch component"
         );
         assert!(
-            r.decomposition.mean_ns[Stage::Submit.index()] > 0.0,
+            r.component_ns[Stage::Submit.index()] > 0,
             "worker CPU must surface a lane-wait component"
         );
         // One worker pushing four channels' SQEs at the paper's per-command
         // cost makes the submission CPU the honest bottleneck of this
         // configuration; device service is the runner-up.
-        assert!(matches!(
-            r.decomposition.dominant_mean(),
-            Stage::Submit | Stage::Complete
-        ));
+        assert!(matches!(r.dominant(), Stage::Submit | Stage::Complete));
     }
 
     #[test]
     fn cached_trajectory_is_deterministic_and_gateable() {
         let p = small();
         let a = run_cached_trajectory(&p);
-        let b = run_cached_trajectory(&p);
-        assert_eq!(a.bins, b.bins, "virtual time replays bit-identically");
-        assert_eq!(a.p50_ns, b.p50_ns);
+        assert_eq!(
+            a,
+            run_cached_trajectory(&p),
+            "virtual time replays bit-identically"
+        );
         assert!(a.p50_ns > 0);
         // The cached stage runs on the calibrated CPU pipe too: dispatch
         // and lane-wait are charged, doorbell-wait stays structurally zero.
-        assert!(a.decomposition.mean_ns[Stage::Dispatch.index()] > 0.0);
-        assert_eq!(a.decomposition.mean_ns[Stage::Pickup.index()], 0.0);
+        assert!(a.component_ns[Stage::Dispatch.index()] > 0);
+        assert_eq!(a.component_ns[Stage::Pickup.index()], 0);
         // The same baseline schema and gate serve cached mode unchanged.
         let baseline = parse_baseline(&baseline_json(&a).to_string()).expect("baseline");
-        let outcome = check(&a, &baseline);
-        assert!(!outcome.regressed, "{}", outcome.table("test"));
+        let outcome = check(&a, &baseline).expect("same parameters");
+        assert!(!outcome.differs(), "{}", outcome.table("test"));
     }
 
     #[test]
@@ -783,48 +738,56 @@ mod tests {
     fn baseline_round_trips_through_json() {
         let r = run_trajectory(&small());
         let b = parse_baseline(&format!("{:#}", baseline_json(&r))).expect("parses");
-        assert_eq!(b.bins, r.bins);
-        assert_eq!(b.p50_ns, r.p50_ns);
-        assert_eq!(b.p99_ns, r.p99_ns);
-        for s in Stage::ALL {
-            assert!(
-                (b.mean_component_ns[s.index()] - r.decomposition.mean_ns[s.index()]).abs() < 0.1
-            );
-        }
+        assert_eq!(b, r);
     }
 
     /// The gate's self-test, against the files CI gates on: the default
-    /// trajectory reproduces both committed baselines (so a stale baseline
-    /// fails `cargo test`), and a device 20% slower across the board is
-    /// flagged in both modes and attributed to `ssd_service`.
+    /// trajectory reproduces both committed baselines exactly (so a stale
+    /// baseline fails `cargo test`), a device 2% slower or 2% faster across
+    /// the board is flagged in both modes and attributed to `ssd_service`
+    /// with its sign, and a run on other parameters is refused rather than
+    /// compared.
     #[test]
-    fn committed_baselines_gate_green_and_flag_a_20_percent_slower_device() {
+    fn committed_baselines_reproduce_exactly_and_a_2_percent_device_change_is_flagged() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
         let uncached_path = format!("{dir}{BASELINE_PATH}");
-        let slow = TrialParams {
-            latency_scale: 1.2,
-            ..TrialParams::default()
-        };
-        type Run = fn(&TrialParams) -> TrajectoryReport;
+        type Run = fn(&TrialParams) -> Trajectory;
         for (path, run) in [
             (uncached_path.clone(), run_trajectory as Run),
             (cached_baseline_path(&uncached_path), run_cached_trajectory),
         ] {
             let text = std::fs::read_to_string(&path).expect("committed baseline");
             let baseline = parse_baseline(&text).expect("committed baseline parses");
-            let same = check(&run(&TrialParams::default()), &baseline);
-            assert!(!same.regressed, "{path}\n{}", same.table("stale?"));
-            assert_eq!(same.mw.map(|m| m.z), Some(0.0), "bins reproduce exactly");
-            let slower = check(&run(&slow), &baseline);
-            assert!(slower.regressed, "{path}\n{}", slower.table("slow"));
-            assert!(slower.rel_shift_p50.max(slower.rel_shift_p99) > MIN_REL_SHIFT);
-            let diff = slower.to_json();
-            assert_eq!(diff.get("regressed"), Some(&Json::Bool(true)));
-            assert_eq!(diff.get("dominant_shift"), Some(&Json::from("ssd_service")));
+            let same = run(&TrialParams::default());
+            assert_eq!(same, baseline, "{path} is stale");
+            assert_eq!(text, format!("{:#}", baseline_json(&same)), "{path}");
+            let same = check(&same, &baseline).expect("same parameters");
+            assert!(!same.differs(), "{path}\n{}", same.table("stale?"));
+            for (latency_scale, slower) in [(1.02, true), (0.98, false)] {
+                let perturbed = run(&TrialParams {
+                    latency_scale,
+                    ..TrialParams::default()
+                });
+                let outcome = check(&perturbed, &baseline).expect("same parameters");
+                assert!(outcome.differs(), "{path}\n{}", outcome.table("perturbed"));
+                let dom = outcome.dominant_shift().expect("a component moved");
+                assert_eq!(dom.name, "ssd_service", "{}", outcome.table("perturbed"));
+                assert_eq!(dom.shift_ns() > 0.0, slower);
+                let diff = outcome.to_json();
+                assert_eq!(diff.get("differs"), Some(&Json::Bool(true)));
+                assert_eq!(diff.get("dominant_shift"), Some(&Json::from("ssd_service")));
+            }
+            let other_seed = run(&TrialParams { seed: 7, ..small() });
+            let refused = check(&other_seed, &baseline).expect_err("other parameters");
+            assert!(
+                refused.contains("baseline recorded with 5 trials, seed 0x7e575eed")
+                    && refused.contains("this run used 2 trials, seed 0x7"),
+                "{refused}"
+            );
         }
         // One worker pushing four channels' SQEs is the honest bottleneck
         // of the default configuration, and the trajectory entry says so.
-        let entry = trajectory_entry_json(&run_trajectory(&TrialParams::default()), "sha", 1);
+        let entry = trajectory_entry_json(&run_trajectory(&TrialParams::default()), 1.0, "sha", 1);
         assert_eq!(entry.get("dominant_mean"), Some(&Json::from("lane_wait")));
     }
 }

@@ -247,10 +247,9 @@ impl CamContext {
     /// Full-bin snapshots of every (`op`, stage) latency histogram, as
     /// `(op label, stage, merged histogram)` triples in
     /// [`ControlMetrics::OPS`] × [`Stage::ALL`] order. The registry's
-    /// summaries keep only quantiles; the statistical regression gate and
-    /// the queue-delay attribution need the bins themselves, so this is
-    /// the threaded driver's per-stage snapshot hook (the DES driver's
-    /// equivalent is its lifecycle event stream).
+    /// summaries keep only quantiles; the queue-delay attribution needs the
+    /// bins themselves, so this is the threaded driver's per-stage snapshot
+    /// hook (the DES driver's equivalent is its lifecycle event stream).
     pub fn stage_snapshots(&self) -> Vec<(&'static str, Stage, Histogram)> {
         let mut out = Vec::with_capacity(ControlMetrics::OPS.len() * Stage::ALL.len());
         for (op_idx, op) in ControlMetrics::OPS.iter().enumerate() {

@@ -146,8 +146,8 @@ impl Histogram {
     /// The non-empty bins as `(representative value, count)` pairs in
     /// ascending value order. The representative is the bin's lower bound,
     /// so reconstructed samples carry the histogram's usual ≤
-    /// `1/SUB_BUCKETS` relative error — the input the [`crate::stats`]
-    /// rank and bootstrap machinery runs on.
+    /// `1/SUB_BUCKETS` relative error — what the bench perf gate's
+    /// baselines record.
     pub fn bins(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()

@@ -42,9 +42,6 @@
 //! * [`attribution`] — queue-delay decomposition of mean and p99
 //!   doorbell→retire latency into doorbell-wait / dispatch / lane-wait /
 //!   SSD-service / retire components;
-//! * [`stats`] — Mann-Whitney U change detection and seeded bootstrap
-//!   confidence intervals over histogram bins, the substrate of the bench
-//!   perf-regression gate;
 //! * [`Observability`] — the bundle (`registry` + `recorder` +
 //!   `postmortem` + deadline) a CAM attachment records into.
 //!
@@ -69,7 +66,6 @@ mod recorder;
 mod registry;
 mod shared;
 mod span;
-pub mod stats;
 mod tenant;
 pub mod trace;
 mod window;
