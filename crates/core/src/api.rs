@@ -312,22 +312,38 @@ impl BatchTicket {
     /// [`CamConfig::sync_timeout_ns`]); reports command failures.
     pub fn wait(&self) -> Result<(), CamError> {
         let ch = &self.channels[self.channel];
-        let start_ns = clock::now_ns();
-        while !ch.retired(self.seq) {
-            if let Some(limit) = self.timeout_ns {
-                let waited_ns = clock::now_ns().saturating_sub(start_ns);
-                if waited_ns > limit {
-                    return Err(CamError::SyncTimeout { waited_ns });
-                }
+        wait_retired(ch, self.seq, self.timeout_ns, clock::now_ns())?;
+        take_io_result(ch)
+    }
+}
+
+/// Yields until batch `seq` of `ch` retires — "all threads are blocked and
+/// wait for the leading thread to check if the fourth region has been
+/// written" — giving up with [`CamError::SyncTimeout`] once more than
+/// `timeout_ns` has passed since `start_ns`.
+fn wait_retired(
+    ch: &Channel,
+    seq: u64,
+    timeout_ns: Option<u64>,
+    start_ns: u64,
+) -> Result<(), CamError> {
+    while !ch.retired(seq) {
+        if let Some(limit) = timeout_ns {
+            let waited_ns = clock::now_ns().saturating_sub(start_ns);
+            if waited_ns > limit {
+                return Err(CamError::SyncTimeout { waited_ns });
             }
-            std::thread::yield_now();
         }
-        let failed = ch.take_new_errors();
-        if failed > 0 {
-            Err(CamError::Io { failed })
-        } else {
-            Ok(())
-        }
+        std::thread::yield_now();
+    }
+    Ok(())
+}
+
+/// Reports the command failures `ch` collected since the last wait.
+fn take_io_result(ch: &Channel) -> Result<(), CamError> {
+    match ch.take_new_errors() {
+        0 => Ok(()),
+        failed => Err(CamError::Io { failed }),
     }
 }
 
@@ -449,19 +465,8 @@ impl CamDevice {
             .channels
             .get(channel)
             .ok_or(CamError::BadChannel(channel))?;
-        // "All threads are blocked and wait for the leading thread to check
-        // if the fourth region has been written."
-        let seq = ch.current_seq();
         let wait_start = clock::now_ns();
-        while !ch.retired(seq) {
-            if let Some(limit) = self.sync_timeout_ns {
-                let waited_ns = clock::now_ns().saturating_sub(wait_start);
-                if waited_ns > limit {
-                    return Err(CamError::SyncTimeout { waited_ns });
-                }
-            }
-            std::thread::yield_now();
-        }
+        wait_retired(ch, ch.current_seq(), self.sync_timeout_ns, wait_start)?;
         self.sync_wait
             .record(clock::now_ns().saturating_sub(wait_start));
         if let Some(rec) = &self.recorder {
@@ -470,12 +475,7 @@ impl CamDevice {
                 start_ns: wait_start,
             });
         }
-        let failed = ch.take_new_errors();
-        if failed > 0 {
-            Err(CamError::Io { failed })
-        } else {
-            Ok(())
-        }
+        take_io_result(ch)
     }
 }
 

@@ -135,6 +135,10 @@ impl Worker {
         } = self;
         let wid = *wid;
         let at = |ssd| Lane { ssd, worker: wid };
+        // First submissions staged since the last doorbell. The protocol
+        // stages one lane at a time and closes every burst with that lane's
+        // `RingDoorbell`, so the tally always belongs to the ringing SSD.
+        let mut first_submits = 0u64;
         for cmd in out.drain(..) {
             match cmd {
                 Command::Submit(s) => {
@@ -145,15 +149,19 @@ impl Worker {
                     qps[s.ssd]
                         .push_sqe(sqe)
                         .expect("protocol admission implies SQ room");
-                    if s.first {
-                        // Retries are deliberately excluded:
-                        // `cam_ssd_submitted_total` counts logical requests, so
-                        // its sum stays comparable to `requests` retired.
-                        sh.metrics.ssd_submitted[s.ssd].add(1);
-                    }
+                    // Retries are deliberately excluded:
+                    // `cam_ssd_submitted_total` counts logical requests, so
+                    // its sum stays comparable to `requests` retired.
+                    first_submits += u64::from(s.first);
                 }
                 Command::RingDoorbell { ssd, .. } => {
                     qps[ssd].ring_doorbell();
+                    // One shared-counter update per doorbell, not per SQE.
+                    // Not folded further into `GroupSubmitted`: a group that
+                    // loses a queued command to its deadline never raises
+                    // it, and its first submissions would go uncounted.
+                    sh.metrics.ssd_submitted[ssd].add(first_submits);
+                    first_submits = 0;
                     update_inflight_gauges(sh, ssd, &qps[ssd]);
                 }
                 Command::GroupSubmitted {
@@ -214,6 +222,7 @@ impl Worker {
                 }
             }
         }
+        debug_assert_eq!(first_submits, 0, "submissions without a doorbell");
     }
 }
 

@@ -38,8 +38,10 @@ pub struct RigConfig {
     pub bounce_bytes: usize,
     /// Stripe width in blocks.
     pub stripe_blocks: u64,
-    /// Optional injected wall-clock latency per device service round, to
-    /// make I/O slow enough that overlap is visible in real-time demos.
+    /// Optional injected wall-clock latency per device burst (each time a
+    /// service thread finds a queue pair non-empty — see
+    /// [`DeviceConfig::burst_latency`]), to make I/O slow enough that
+    /// overlap is visible in real-time demos.
     pub burst_latency: Option<std::time::Duration>,
 }
 

@@ -38,9 +38,11 @@ pub struct DeviceConfig {
     pub service_threads: usize,
     /// Maximum commands taken from one queue pair per service round.
     pub max_burst: usize,
-    /// Optional wall-clock latency injected once per non-empty service
-    /// round, to make compute/I/O overlap visible in real-time demos.
-    /// `None` (the default) services at memory speed.
+    /// Optional wall-clock latency injected once per burst — each time a
+    /// service thread finds a queue pair non-empty, before it executes up
+    /// to `max_burst` of that pair's commands; a round that finds *k* pairs
+    /// non-empty sleeps *k* times. Makes compute/I/O overlap visible in
+    /// real-time demos. `None` (the default) services at memory speed.
     pub burst_latency: Option<Duration>,
     /// Maximum data transfer size (MDTS) in blocks per command; larger
     /// commands complete with `InvalidField`, as a real controller would
@@ -95,7 +97,8 @@ impl DeviceStats {
 
 /// Per-device registry handles, resolved once at attach time.
 struct DeviceTelemetry {
-    /// Per-command service latency (take SQE → CQE posted).
+    /// Per-command service latency (take SQE → CQE posted), fed one burst
+    /// at a time: every command of a burst records the burst's mean.
     cmd_ns: HistogramHandle,
     /// SQEs per doorbell ring, shared with this device's queue pairs.
     doorbell_batch: HistogramHandle,
@@ -170,10 +173,14 @@ impl NvmeDevice {
     }
 
     /// Registers this device's metrics in `reg` and starts recording:
-    /// `cam_nvme_cmd_ns{device="<name>"}` (per-command service latency) and
+    /// `cam_nvme_cmd_ns{device="<name>"}` (per-command service latency;
+    /// `count` = commands executed, each carrying the mean of its burst, so
+    /// the quantiles are quantiles of burst means) and
     /// `cam_nvme_doorbell_batch{device="<name>"}` (SQEs per doorbell, wired
     /// into every current and future queue pair). One-shot; later calls are
-    /// ignored. Before attachment the hot path pays one atomic load.
+    /// ignored. Before attachment a burst pays two atomic loads; after it,
+    /// two clock reads and one histogram shard lock more — per burst of up
+    /// to `max_burst` commands, never per command.
     pub fn attach_telemetry(&self, reg: &MetricsRegistry) {
         let name = &self.shared.config.name;
         let t = DeviceTelemetry {
@@ -189,7 +196,8 @@ impl NvmeDevice {
     /// Event layer: tags this device with `index` and emits one
     /// [`EventKind::NvmeCmd`] per executed command into `rec` from now on,
     /// wiring every current and future queue pair's doorbell events too.
-    /// One-shot; later calls are ignored.
+    /// One-shot; later calls are ignored. This is what puts a clock read on
+    /// the per-command path (one per command, plus one per burst).
     pub fn attach_recorder(&self, index: u16, rec: Arc<FlightRecorder>) {
         for qp in self.shared.qps.read().iter() {
             qp.attach_recorder(Arc::clone(&rec));
@@ -249,26 +257,7 @@ fn service_loop(sh: &Shared, tid: usize) {
         }
         let mut serviced = 0;
         for qp in &qps {
-            let mut burst = 0;
-            while burst < sh.config.max_burst {
-                match qp.take_sqe() {
-                    Some(sqe) => {
-                        if burst == 0 {
-                            if let Some(lat) = sh.config.burst_latency {
-                                std::thread::sleep(lat);
-                            }
-                        }
-                        let status = execute(sh, &sqe, &mut bounce);
-                        qp.post_cqe(Cqe {
-                            cid: sqe.cid,
-                            status,
-                        });
-                        burst += 1;
-                    }
-                    None => break,
-                }
-            }
-            serviced += burst;
+            serviced += service_burst(sh, qp, &mut bounce);
         }
         if serviced == 0 {
             idle_rounds += 1;
@@ -285,27 +274,81 @@ fn service_loop(sh: &Shared, tid: usize) {
     }
 }
 
-fn execute(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
+/// Services one burst — up to `max_burst` commands from `qp` — and returns
+/// how many it executed.
+///
+/// Observation is paid per burst, not per command: with telemetry attached
+/// the burst is stamped once after the injected `burst_latency` sleep and
+/// once when it ends, and `cam_nvme_cmd_ns` takes the burst's mean as one
+/// weighted sample per command (one lock). Only an attached recorder, whose
+/// [`EventKind::NvmeCmd`] carries a start stamp per command, makes the loop
+/// read the clock per command — once, chained: command *i*'s CQE-posted
+/// instant is command *i + 1*'s start, so each span is "take SQE → CQE
+/// posted". With nothing attached the burst reads no clock at all.
+fn service_burst(sh: &Shared, qp: &QueuePair, bounce: &mut Vec<u8>) -> usize {
+    let Some(mut sqe) = qp.take_sqe() else {
+        return 0;
+    };
+    if let Some(lat) = sh.config.burst_latency {
+        std::thread::sleep(lat);
+    }
     let telemetry = sh.telemetry.get();
     let recorder = sh.recorder.get();
-    let start_ns = (telemetry.is_some() || recorder.is_some()).then(clock::now_ns);
-    let status = execute_inner(sh, sqe, bounce);
-    if let (Some(t), Some(start)) = (telemetry, start_ns) {
-        t.cmd_ns.record(clock::now_ns().saturating_sub(start));
-    }
-    if let (Some((device, rec)), Some(start)) = (recorder, start_ns) {
-        rec.emit(EventKind::NvmeCmd {
-            device: *device,
-            // NVMe opcode bytes: 0 flush, 1 write, 2 read.
-            opcode: match sqe.opcode {
-                Opcode::Flush => 0,
-                Opcode::Write => 1,
-                Opcode::Read => 2,
-            },
-            ok: status == Status::Success,
-            start_ns: start,
+    let burst_start = if telemetry.is_some() || recorder.is_some() {
+        clock::now_ns()
+    } else {
+        0
+    };
+    // End of the previous command (recorder attached) or `burst_start`.
+    let mut stamp = burst_start;
+    let mut burst = 0;
+    loop {
+        let status = execute(sh, &sqe, bounce);
+        qp.post_cqe(Cqe {
+            cid: sqe.cid,
+            status,
         });
+        burst += 1;
+        if let Some((device, rec)) = recorder {
+            let end_ns = clock::now_ns();
+            rec.emit_at(
+                end_ns,
+                EventKind::NvmeCmd {
+                    device: *device,
+                    // NVMe opcode bytes: 0 flush, 1 write, 2 read.
+                    opcode: match sqe.opcode {
+                        Opcode::Flush => 0,
+                        Opcode::Write => 1,
+                        Opcode::Read => 2,
+                    },
+                    ok: status == Status::Success,
+                    start_ns: stamp,
+                },
+            );
+            stamp = end_ns;
+        }
+        if burst == sh.config.max_burst {
+            break;
+        }
+        match qp.take_sqe() {
+            Some(next) => sqe = next,
+            None => break,
+        }
     }
+    if let Some(t) = telemetry {
+        let end_ns = if recorder.is_some() {
+            stamp
+        } else {
+            clock::now_ns()
+        };
+        let n = burst as u64;
+        t.cmd_ns.record_n(end_ns.saturating_sub(burst_start) / n, n);
+    }
+    burst
+}
+
+fn execute(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
+    let status = execute_inner(sh, sqe, bounce);
     match status {
         Status::Success => {
             let bytes = u64::from(sqe.nlb) * u64::from(sh.store.geometry().block_size);

@@ -53,11 +53,26 @@ impl Histogram {
         (1u64 << major) + (sub << (major - Self::SUB_BUCKETS.trailing_zeros() as usize))
     }
 
-    /// Records one sample.
+    /// Records one sample. (Not `record_n(value, 1)`: every hot path in the
+    /// workspace records through here, and it stays the code it always was.)
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::index(value)] += 1;
         self.count += 1;
         self.sum += value as u128;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Records `n` samples of `value` with one bin update — exactly what
+    /// `n` calls of [`record`](Self::record) leave behind (`n = 0` records
+    /// nothing). For feeds that time a burst and know only its mean.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::index(value)] += n;
+        self.count += n;
+        self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }

@@ -3,10 +3,12 @@
 //! own shard, so the CPU poller, N workers and device service threads never
 //! contend on the hot path; readers merge the shards into one snapshot.
 
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::hist::Histogram;
 
@@ -24,6 +26,10 @@ thread_local! {
 /// A histogram safe to record into from many threads concurrently.
 pub struct SharedHistogram {
     shards: Vec<Mutex<Histogram>>,
+    /// Shard locks taken to record (debug builds only; see
+    /// [`HistogramHandle::record_locks`]).
+    #[cfg(debug_assertions)]
+    record_locks: AtomicU64,
 }
 
 impl SharedHistogram {
@@ -31,12 +37,27 @@ impl SharedHistogram {
     pub fn new() -> Self {
         SharedHistogram {
             shards: (0..SHARDS).map(|_| Mutex::new(Histogram::new())).collect(),
+            #[cfg(debug_assertions)]
+            record_locks: AtomicU64::new(0),
         }
+    }
+
+    /// Locks the calling thread's shard to record into it.
+    fn my_shard(&self) -> MutexGuard<'_, Histogram> {
+        #[cfg(debug_assertions)]
+        self.record_locks.fetch_add(1, Ordering::Relaxed);
+        MY_SHARD.with(|&s| self.shards[s].lock())
     }
 
     /// Records one sample into the calling thread's shard.
     pub fn record(&self, value: u64) {
-        MY_SHARD.with(|&s| self.shards[s].lock().record(value));
+        self.my_shard().record(value);
+    }
+
+    /// Records `n` samples of `value` ([`Histogram::record_n`]) under one
+    /// lock of the calling thread's shard.
+    pub fn record_n(&self, value: u64, n: u64) {
+        self.my_shard().record_n(value, n);
     }
 
     /// Merges every shard into one point-in-time [`Histogram`].
@@ -74,6 +95,20 @@ impl HistogramHandle {
     /// Records one sample.
     pub fn record(&self, value: u64) {
         self.0.record(value);
+    }
+
+    /// Records `n` samples of `value` under one lock
+    /// ([`Histogram::record_n`]).
+    pub fn record_n(&self, value: u64, n: u64) {
+        self.0.record_n(value, n);
+    }
+
+    /// How many times a shard lock was taken to record into this histogram.
+    /// Exists only in debug builds, for tests that hold a hot path to a
+    /// lock budget (`crates/nvme/tests/clock_budget.rs`).
+    #[cfg(debug_assertions)]
+    pub fn record_locks(&self) -> u64 {
+        self.0.record_locks.load(Ordering::Relaxed)
     }
 
     /// Point-in-time merged view.

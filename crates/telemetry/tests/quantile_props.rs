@@ -1,7 +1,8 @@
 //! Property tests of the documented `Histogram` accuracy contract: for any
 //! sample set, `quantile(q)` is within `1/SUB_BUCKETS` relative error of the
 //! exact order statistic, never above it, and exact at power-of-two
-//! boundaries and for values below `SUB_BUCKETS`.
+//! boundaries and for values below `SUB_BUCKETS` — and of the weighted
+//! record: `record_n(v, n)` is indistinguishable from `n × record(v)`.
 
 use cam_telemetry::Histogram;
 use proptest::prelude::*;
@@ -14,7 +15,65 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[k - 1]
 }
 
+/// Everything a reader can learn from a histogram.
+#[derive(PartialEq, Debug)]
+struct Observable {
+    bins: Vec<(u64, u64)>,
+    pow2_buckets: Vec<(u64, u64)>,
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+    quantiles: Vec<u64>,
+}
+
+fn observable(h: &Histogram) -> Observable {
+    Observable {
+        bins: h.bins(),
+        pow2_buckets: h.pow2_buckets(),
+        count: h.count(),
+        sum: h.sum(),
+        min: h.min(),
+        max: h.max(),
+        quantiles: [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0]
+            .iter()
+            .map(|&q| h.quantile(q))
+            .collect(),
+    }
+}
+
 proptest! {
+    /// `record_n(v, n)` leaves exactly what `n` calls of `record(v)` leave
+    /// (`n = 0`: nothing), and merging a weighted shard with an unweighted
+    /// one agrees with the flat sequence recorded into one histogram.
+    #[test]
+    fn weighted_record_equals_repeated_record(
+        a in proptest::collection::vec((0u64..u32::MAX as u64, 0u64..40), 0..60),
+        b in proptest::collection::vec((0u64..u32::MAX as u64, 0u64..40), 0..60),
+    ) {
+        let mut weighted = Histogram::new();
+        let mut repeated = Histogram::new();
+        let mut flat = Histogram::new();
+        for &(v, n) in &a {
+            weighted.record_n(v, n);
+            for _ in 0..n {
+                repeated.record(v);
+                flat.record(v);
+            }
+        }
+        prop_assert_eq!(observable(&weighted), observable(&repeated));
+        // The second shard is fed one sample at a time, then merged in.
+        let mut unweighted = Histogram::new();
+        for &(v, n) in &b {
+            for _ in 0..n {
+                unweighted.record(v);
+                flat.record(v);
+            }
+        }
+        weighted.merge(&unweighted);
+        prop_assert_eq!(observable(&weighted), observable(&flat));
+    }
+
     /// Relative error of every quantile is bounded by 1/SUB_BUCKETS, and the
     /// approximation never overshoots the exact order statistic.
     #[test]
