@@ -4,13 +4,20 @@
 //! repro all                    # everything, in paper order
 //! repro list                   # available experiment ids
 //! repro fig8 fig9              # a subset
+//! repro experiments > EXPERIMENTS.md   # the paper-vs-measured document
 //! repro --metrics m.json bench # also dump the full telemetry registry
 //! repro --trace t.json         # also write a Perfetto-loadable trace
 //! ```
 //!
 //! Every verb of `repro list` returns its tables, the top-level sections of
-//! `BENCH_repro.json` it owns, and the acceptance bars it failed. Each
-//! section has exactly one owner:
+//! `BENCH_repro.json` it owns, and the acceptance bars it failed. The
+//! paper's tables and figures (`tab1` … `motiv`) own no section and read no
+//! flag — `--seed`, `--perturb` or `--baselines` with only such verbs is a
+//! usage error —; their bars are the paper's claims, each judged on a
+//! printed cell. `repro experiments` prints `EXPERIMENTS.md`: per figure the
+//! claims beside the cells and bounds they are held to, then the raw tables
+//! (a tier-1 test fails when the committed file differs). Each section has
+//! exactly one owner:
 //!
 //! | verb       | sections it writes                                          |
 //! |------------|-------------------------------------------------------------|
@@ -22,9 +29,8 @@
 //! | `serve`    | `serving`                                                   |
 //!
 //! Failed bars are always printed; with `--check` they make the exit code
-//! 1, so `repro bench cache pipeline fidelity slo serve --check` is what CI
-//! runs and what a developer runs locally (`docs/OBSERVABILITY.md` lists
-//! every bar).
+//! 1, so `repro all --check` is what CI runs and what a developer runs
+//! locally (`docs/OBSERVABILITY.md` lists every bar).
 //!
 //! `bench` runs the seeded DES perf trajectories — uncached and
 //! cached-mode — and gates each against its committed baseline
@@ -69,7 +75,10 @@
 
 use std::process::ExitCode;
 
-use cam_bench::figures::{write_sections, BenchParams, BENCH_DOC, EXPERIMENTS};
+use cam_bench::figures::{
+    run_figures, write_sections, BenchParams, Experiment, BENCH_DOC, EXPERIMENTS,
+};
+use cam_bench::paper::experiments_md;
 use cam_bench::telemetry_run::{run_recorded, run_traced};
 use cam_telemetry::trace::validate_chrome_trace;
 
@@ -191,34 +200,55 @@ fn run() -> Result<ExitCode, ExitCode> {
     {
         eprintln!(
             "usage: repro [--metrics <path>] [--trace <path>] [--seed S] \
-             [--perturb F] [--baselines <path>] [--check] [all|list|watch [--once]|\
-             calibrate [--rounds N]|bench [--update-baselines]|<experiment id>...]"
+             [--perturb F] [--baselines <path>] [--check] [all|list|experiments|\
+             watch [--once]|calibrate [--rounds N]|bench [--update-baselines]|\
+             <experiment id>...]"
         );
         eprintln!("experiments:");
-        for (id, desc, _) in EXPERIMENTS {
-            eprintln!("  {id:<8} {desc}");
+        for e in EXPERIMENTS {
+            eprintln!("  {:<8} {}", e.id(), e.desc());
         }
         return Err(ExitCode::from(2));
     }
     if first == Some("list") {
-        for (id, desc, _) in EXPERIMENTS {
-            println!("{id:<8} {desc}");
+        for e in EXPERIMENTS {
+            println!("{:<8} {}", e.id(), e.desc());
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let wanted: Vec<&str> = if first == Some("all") {
-        EXPERIMENTS.iter().map(|(id, _, _)| *id).collect()
+    if first == Some("experiments") {
+        print!("{}", experiments_md(&run_figures()));
+        return Ok(ExitCode::SUCCESS);
+    }
+    let wanted: Vec<&Experiment> = if first == Some("all") {
+        EXPERIMENTS.iter().collect()
     } else {
-        args.iter().map(String::as_str).collect()
-    };
-    let mut failed_bars = 0usize;
-    for want in &wanted {
-        let Some((_, desc, gen)) = EXPERIMENTS.iter().find(|(id, _, _)| id == want) else {
-            eprintln!("unknown experiment '{want}' (try 'repro list')");
-            return Err(ExitCode::FAILURE);
+        let find = |want: &String| {
+            EXPERIMENTS.iter().find(|e| e.id() == want).ok_or_else(|| {
+                eprintln!("unknown experiment '{want}' (try 'repro list')");
+                ExitCode::FAILURE
+            })
         };
-        println!("######## {want}: {desc}\n");
-        let outcome = gen(&params);
+        args.iter().map(find).collect::<Result<_, _>>()?
+    };
+    let flagged =
+        params.seed.is_some() || params.latency_scale.is_some() || params.baselines.is_some();
+    if flagged && !wanted.is_empty() && wanted.iter().all(|e| e.figure().is_some()) {
+        let readers: Vec<&str> = (EXPERIMENTS.iter().filter(|e| e.figure().is_none()))
+            .map(Experiment::id)
+            .collect();
+        eprintln!(
+            "--seed, --perturb and --baselines are read only by {}: \
+             a paper figure takes no parameter",
+            readers.join(", ")
+        );
+        return Err(ExitCode::from(2));
+    }
+    let mut failed_bars = 0usize;
+    for experiment in wanted {
+        let want = experiment.id();
+        println!("######## {want}: {}\n", experiment.desc());
+        let outcome = experiment.run(&params);
         for table in &outcome.tables {
             println!("{table}");
         }

@@ -32,8 +32,7 @@ use std::time::Duration;
 
 use cam_cache::{run_cam_des_cached, CacheConfig, CachedDevice};
 use cam_core::{CamConfig, CamContext, ChannelOp};
-use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel};
-use cam_iostacks::des::cam_thread_cost;
+use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::cache_core::{replay_read_workload, CacheDecisionCounters};
@@ -349,19 +348,11 @@ pub(crate) fn des_config(
     ssd_model: SsdModel,
 ) -> CamDesConfig {
     CamDesConfig {
-        n_ssds,
         block_size: BLOCK_SIZE,
         stripe_blocks,
-        op: ChannelOp::Read,
-        threads: 1,
-        queue_depth: CamConfig::default().queue_depth,
         pipelined,
-        thread_cost: cam_thread_cost(n_ssds as f64),
-        cpu_pipe: CpuPipeModel::calibrated(),
-        host_gbps: 21.0,
-        retry: CamDesConfig::inert_retry(),
-        fault: None,
         ssd_model,
+        ..CamDesConfig::calibrated(n_ssds, 1)
     }
 }
 
@@ -721,6 +712,9 @@ mod tests {
         assert!(report.expected.dedup_dropped > 0, "workload has no dups");
         assert!(report.expected.stripe_splits > 0, "workload has no splits");
         assert_eq!(report.expected.batches, 6 * N_CHANNELS as u64);
+        // The DES base config copies the threaded engine's lane depth.
+        let des = CamDesConfig::calibrated(N_SSDS, 1);
+        assert_eq!(des.queue_depth, CamConfig::default().queue_depth);
         // Two workers force cross-worker ring handoff (each worker plans
         // channels whose SSD groups the other owns): sharded pickup, SPSC
         // routing and parking reorder work in time but may not change what

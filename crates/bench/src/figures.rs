@@ -1,18 +1,22 @@
-//! One generator per table/figure of the paper's evaluation. Each returns
-//! the same rows/series the paper reports, computed from the calibrated
-//! models and the DES microbenchmark engine (see `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured values).
-//! The repo-grown experiments (`bench` … `serve`) also return the
+//! The `repro` verbs. [`EXPERIMENTS`] lists them in paper order: first the
+//! tables and figures of the paper's evaluation, each a [`Figure`] — a
+//! function that builds the rows the paper reports, from the calibrated
+//! models and the DES microbenchmark engine, plus the [`Claim`]s the paper
+//! makes about them (`EXPERIMENTS.md` is rendered from this list) — then
+//! the repo-grown experiments (`bench` … `serve`), which also return the
 //! `BENCH_repro.json` sections they own and the acceptance bars they
 //! failed — see [`Outcome`].
 
 use cam_gpu::GpuSpec;
-use cam_hostos::{CpuModel, IoDir, IoStackKind, MemoryModel};
+use cam_hostos::{CpuModel, IoDir, IoStackKind, LayerCosts, MemoryModel, PerfCounts};
 use cam_iostacks::des::{run_microbench, Engine, MicrobenchConfig};
 use cam_nvme::spec::Opcode;
 use cam_nvme::SsdModel;
+use cam_simkit::Dur;
 use cam_workloads::gemm::{model_gemm, GemmEngine};
-use cam_workloads::gnn::{fig9_speedup, model_epoch, GnnConfig, GnnModel, GnnSystem};
+use cam_workloads::gnn::{
+    fig9_speedup, model_epoch, EpochBreakdown, GnnConfig, GnnModel, GnnSystem,
+};
 use cam_workloads::graph::GraphSpec;
 use cam_workloads::sort::{model_sort, model_sort_read_gbps, SortEngine};
 
@@ -20,11 +24,15 @@ use cam_telemetry::json::{parse, Json};
 use cam_telemetry::trace::{chrome_trace, validate_chrome_trace, TraceSummary};
 use cam_telemetry::{Event, FlightRecorder};
 
+use crate::paper::{Bound, Cell, Claim, Figure, Verdict};
 use crate::table::{f1, f2, pct, Table};
+use Bound::{Ordered, Range, Ratio, Within};
+use Experiment::{Harness, Paper};
 
-/// Runtime knobs the `repro` CLI threads into every generator. `None`
-/// means "the experiment's historical default", so unflagged runs stay
-/// bit-identical with committed expectations.
+/// Runtime knobs the `repro` CLI threads into every harness experiment (a
+/// paper figure reads none). `None` means "the experiment's historical
+/// default", so unflagged runs stay bit-identical with committed
+/// expectations.
 #[derive(Clone, Debug, Default)]
 pub struct BenchParams {
     /// `--seed S`: base seed for seeded workloads.
@@ -128,633 +136,1023 @@ fn write_trace(
     }
 }
 
-/// An experiment generator: produces the figure/table's row data, the
-/// [`BENCH_DOC`] sections it owns, and its failed acceptance bars.
-pub type Generator = fn(&BenchParams) -> Outcome;
+/// A `repro` verb: a figure of the paper, or a repo-grown harness
+/// experiment.
+pub enum Experiment {
+    /// A table or figure of the paper: rows plus claims. Its tables are a
+    /// `fn() -> Vec<Table>`, so it reads no flag.
+    Paper(Figure),
+    /// `(id, description, generator)` of a harness experiment, which reads
+    /// [`BenchParams`], may own [`BENCH_DOC`] sections and judges its own
+    /// bars.
+    Harness(&'static str, &'static str, fn(&BenchParams) -> Outcome),
+}
 
-/// Every experiment, in paper order: `(id, description, generator)`.
+impl Experiment {
+    /// The verb.
+    pub fn id(&self) -> &'static str {
+        match self {
+            Paper(f) => f.id,
+            Harness(id, ..) => id,
+        }
+    }
+
+    /// One line for `repro list`.
+    pub fn desc(&self) -> &'static str {
+        match self {
+            Paper(f) => f.desc,
+            Harness(_, desc, _) => desc,
+        }
+    }
+
+    /// The paper figure behind the verb, if it is one.
+    pub fn figure(&self) -> Option<&Figure> {
+        match self {
+            Paper(f) => Some(f),
+            Harness(..) => None,
+        }
+    }
+
+    /// Runs the verb. A figure's failed claims are its failed bars.
+    pub fn run(&self, params: &BenchParams) -> Outcome {
+        match self {
+            Paper(f) => {
+                let (tables, failures) = f.run();
+                Outcome {
+                    tables,
+                    failures,
+                    ..Outcome::default()
+                }
+            }
+            Harness(.., generate) => generate(params),
+        }
+    }
+}
+
+/// Every paper figure, run: what [`experiments_md`](crate::paper::experiments_md)
+/// renders.
+pub fn run_figures() -> Vec<(&'static Figure, Vec<Table>)> {
+    let figures = EXPERIMENTS.iter().filter_map(Experiment::figure);
+    figures.map(|f| (f, f.run().0)).collect()
+}
+
+const fn ok(paper: &'static str, cell: Cell, bound: Bound) -> Claim {
+    Claim {
+        paper,
+        cell,
+        bound,
+        verdict: Verdict::Reproduced,
+    }
+}
+
+const fn deviation(paper: &'static str, cell: Cell, bound: Bound, why: &'static str) -> Claim {
+    Claim {
+        paper,
+        cell,
+        bound,
+        verdict: Verdict::Deviation(why),
+    }
+}
+
+const INF: f64 = f64::INFINITY;
+const EXTRACT: &str = "feature extraction takes 40-65% of step time";
+const TRAIN: &str = "training takes 16-44% of step time";
+const IO_MAP: &str = "more than 34% of request time goes to io_map and LBA retrieval";
+const IGB_GAINS_MORE: &str = "speedups on IGB-full exceed those on Paper100M";
+const GAT_GAINS_MOST: &str = "on Paper100M, GAT gains most";
+const SYNC_SAME: &str = "CAM-Sync achieves nearly the same performance as CAM-Async/SPDK";
+const SPDK_DEGRADES: &str = "SPDK degrades when memory bandwidth is limited";
+const CAM_UNAFFECTED: &str = "CAM is unaffected by the number of memory channels";
+const LOC: &str = "CAM needs 66 / 510 / 130 lines for GNN / sort / GEMM";
+const LOC_WHY: &str =
+    "absolute counts differ: ours are library calls over one generic backend trait \
+    (and include dataset generation and verification), the paper's are CUDA I/O core loops; the \
+    programmability ordering (CAM below every baseline) holds";
+const OURS: &str = "this repo's CAM example LoC";
+
+/// Every experiment, in paper order — the paper's tables and figures with
+/// their claims, then the harness experiments.
 ///
 /// The single source of truth for the CLI verb list — the `repro` usage
-/// text, `repro all` and the coverage test all derive from this const, so
-/// a new verb registers in exactly one place.
-pub static EXPERIMENTS: &[(&str, &str, Generator)] = &[
-    ("tab1", "Architectural design comparison", tab1),
-    ("fig1", "GIDS GNN training time breakdown (Paper100M)", fig1),
-    (
-        "fig2",
-        "4KB random I/O throughput of software I/O stacks",
-        fig2,
-    ),
-    (
-        "fig3",
-        "Read/write I/O time breakdown of software I/O stacks",
-        fig3,
-    ),
-    (
-        "fig4",
-        "A100 SM utilization for BaM to saturate N SSDs",
-        fig4,
-    ),
-    ("tab3", "Experimental platform", tab3),
-    ("tab4", "Real-world datasets", tab4),
-    ("tab5", "GNN experiment configuration", tab5),
-    ("fig8", "I/O throughput: CAM vs BaM, SPDK, POSIX", fig8),
-    ("fig9", "GNN training epoch time: CAM vs GIDS", fig9),
-    ("fig10", "Sort and GEMM end-to-end comparison", fig10),
-    ("tab6", "Lines of code in real-world applications", tab6),
-    ("fig11", "CAM-Sync vs CAM-Async vs SPDK (sort)", fig11),
-    ("fig12", "One CPU thread controlling multiple SSDs", fig12),
-    ("fig13", "CPU instructions/cycles per request", fig13),
-    (
-        "fig14",
-        "CPU memory bandwidth usage vs SSD bandwidth",
-        fig14,
-    ),
-    ("fig15", "Throughput at 2 vs 16 memory channels", fig15),
-    (
-        "fig16",
-        "SPDK staging throughput vs access granularity",
-        fig16,
-    ),
-    (
-        "issue2",
-        "ANNS: cudaMemcpyAsync share of staged-path time",
-        issue2,
-    ),
-    (
-        "motiv",
-        "Section II motivation: DLRM / LLM-offload baselines",
-        motiv,
-    ),
-    (
+/// text, `repro all`, `repro experiments` and the claim tests all derive
+/// from this const, so a verb, and a claim of the paper, registers in
+/// exactly one place.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Paper(Figure {
+        id: "tab1",
+        desc: "Architectural design comparison",
+        heading: "Table I",
+        build: tab1,
+        claims: &[],
+        commentary: "Documentation table, reproduced verbatim.",
+    }),
+    Paper(Figure {
+        id: "fig1",
+        desc: "GIDS GNN training time breakdown (Paper100M)",
+        heading: "Fig. 1",
+        build: fig1,
+        claims: &[
+            ok(EXTRACT, (0, "GAT", "extract %"), Range(40.0, 65.0)),
+            ok(EXTRACT, (0, "GRAPHSAGE", "extract %"), Range(40.0, 65.0)),
+            deviation(
+                EXTRACT,
+                (0, "GCN", "extract %"),
+                Within(65.0, 0.01),
+                "GCN's light training step leaves extraction a hair above the paper's upper edge",
+            ),
+            ok(TRAIN, (0, "GCN", "train %"), Range(16.0, 44.0)),
+            ok(TRAIN, (0, "GRAPHSAGE", "train %"), Range(16.0, 44.0)),
+            deviation(
+                TRAIN,
+                (0, "GAT", "train %"),
+                Range(44.0, 48.0),
+                "a consequence of calibrating GAT to also satisfy Fig. 9's \"GAT gains most on \
+                 Paper100M\"",
+            ),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "fig2",
+        desc: "4KB random I/O throughput of software I/O stacks",
+        heading: "Fig. 2",
+        build: fig2,
+        claims: &[
+            ok(
+                "reads: POSIX < libaio < io_uring (interrupt) < io_uring (poll)",
+                (0, "POSIX I/O", "KIOPS"),
+                Ordered(&[
+                    (0, "libaio", "KIOPS"),
+                    (0, "io_uring int", "KIOPS"),
+                    (0, "io_uring poll", "KIOPS"),
+                ]),
+            ),
+            deviation(
+                "every stack stays visibly below the SSD maximum",
+                (0, "io_uring poll", "KIOPS"),
+                Within(427.3, 0.005),
+                "our dashed line is the modelled achievable rate, so io_uring-poll touches it; the \
+                 paper's spec-sheet line leaves all stacks below; ordering and magnitudes match",
+            ),
+            deviation(
+                "writes: small gaps between the stacks",
+                (1, "POSIX I/O", "KIOPS"),
+                Ratio((1, "io_uring poll", "KIOPS"), 0.99, 1.0),
+                "the P5510's write ceiling sits below every stack's submission rate in our model, \
+                 collapsing the bars to the ceiling",
+            ),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "fig3",
+        desc: "Read/write I/O time breakdown of software I/O stacks",
+        heading: "Fig. 3",
+        build: fig3,
+        claims: &[
+            ok(IO_MAP, (0, "POSIX I/O", "fs+io_map %"), Range(34.0, INF)),
+            ok(IO_MAP, (1, "POSIX I/O", "fs+io_map %"), Range(34.0, INF)),
+        ],
+        commentary: "POSIX I/O has the smallest filesystem + io_map share of the four kernel \
+            stacks and the highest cost per request; SPDK and CAM have no kernel layers at all.",
+    }),
+    Paper(Figure {
+        id: "fig4",
+        desc: "A100 SM utilization for BaM to saturate N SSDs",
+        heading: "Fig. 4",
+        build: fig4,
+        claims: &[
+            ok(
+                "beyond five SSDs BaM engages nearly all (100%) of the available SMs",
+                (0, "6", "SM utilization"),
+                Within(100.0, 0.01),
+            ),
+            ok(
+                "CAM occupies 0 SMs for I/O control",
+                (0, "12", "CAM (for reference)"),
+                Range(0.0, 0.0),
+            ),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "tab3",
+        desc: "Experimental platform",
+        heading: "Table III",
+        build: tab3,
+        claims: &[],
+        commentary: "Constants carried in code (`CpuModel`, `MemoryModel`, `GpuSpec::a100_80g`, \
+            `SsdModel::p5510`).",
+    }),
+    Paper(Figure {
+        id: "tab4",
+        desc: "Real-world datasets",
+        heading: "Table IV",
+        build: tab4,
+        claims: &[
+            ok("Paper100M features: 56 GB", (0, "Paper100M", "feature size"), Within(56.0, 0.02)),
+            ok(
+                "IGB-full features: 1.1 TB (1100 GB)",
+                (0, "IGB-full", "feature size"),
+                Within(1100.0, 0.01),
+            ),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "tab5",
+        desc: "GNN experiment configuration",
+        heading: "Table V",
+        build: tab5,
+        claims: &[],
+        commentary: "Constants carried in `GnnConfig::default`.",
+    }),
+    Paper(Figure {
+        id: "fig8",
+        desc: "I/O throughput: CAM vs BaM, SPDK, POSIX",
+        heading: "Fig. 8",
+        build: fig8,
+        claims: &[
+            ok("CAM is capable of achieving 20 GB/s", (0, "12", "CAM"), Within(20.0, 0.05)),
+            ok("CAM matches SPDK", (0, "12", "CAM"), Ratio((0, "12", "SPDK"), 0.97, 1.03)),
+            ok("CAM matches BaM", (0, "12", "CAM"), Ratio((0, "12", "BaM"), 0.97, 1.03)),
+            ok(
+                "POSIX I/O, on one core, is an order of magnitude behind",
+                (0, "12", "CAM"),
+                Ratio((0, "12", "POSIX I/O"), 10.0, INF),
+            ),
+            ok(
+                "12 SSDs sustain about 8 GB/s of 4KB random writes",
+                (1, "12", "CAM"),
+                Within(8.0, 0.05),
+            ),
+            ok(
+                "read throughput rises with access granularity",
+                (2, "512 B", "CAM"),
+                Ordered(&[(2, "1024 B", "CAM"), (2, "4096 B", "CAM")]),
+            ),
+            ok(
+                "large writes reach the 21 GB/s PCIe ceiling",
+                (3, "16384 B", "CAM"),
+                Within(21.0, 0.03),
+            ),
+        ],
+        commentary: "(a)/(c) scale with the SSD count until the PCIe ceiling (reads) or the \
+            device write rate; (b)/(d) rise with granularity, POSIX I/O closing the gap only at \
+            128 KiB.",
+    }),
+    Paper(Figure {
+        id: "fig9",
+        desc: "GNN training epoch time: CAM vs GIDS",
+        heading: "Fig. 9",
+        build: fig9,
+        claims: &[
+            ok(
+                "CAM is up to 1.84x faster than GIDS",
+                (1, "GRAPHSAGE", "speedup"),
+                Within(1.84, 0.03),
+            ),
+            ok(IGB_GAINS_MORE, (0, "GCN", "speedup"), Ordered(&[(1, "GCN", "speedup")])),
+            ok(IGB_GAINS_MORE, (0, "GAT", "speedup"), Ordered(&[(1, "GAT", "speedup")])),
+            ok(
+                IGB_GAINS_MORE,
+                (0, "GRAPHSAGE", "speedup"),
+                Ordered(&[(1, "GRAPHSAGE", "speedup")]),
+            ),
+            ok(GAT_GAINS_MOST, (0, "GCN", "speedup"), Ordered(&[(0, "GAT", "speedup")])),
+            ok(GAT_GAINS_MOST, (0, "GRAPHSAGE", "speedup"), Ordered(&[(0, "GAT", "speedup")])),
+        ],
+        commentary: "GAT gains most on Paper100M because its compute hides more of the I/O.",
+    }),
+    Paper(Figure {
+        id: "fig10",
+        desc: "Sort and GEMM end-to-end comparison",
+        heading: "Fig. 10",
+        build: fig10,
+        claims: &[
+            ok(
+                "sort: CAM is up to 1.5x faster than POSIX I/O",
+                (0, "POSIX I/O", "vs CAM"),
+                Within(1.5, 0.03),
+            ),
+            ok("sort: CAM performs like SPDK (1x)", (0, "SPDK", "vs CAM"), Within(1.0, 0.03)),
+            ok(
+                "GEMM: CAM is up to 1.84x faster than BaM",
+                (1, "BaM", "vs CAM"),
+                Within(1.84, 0.03),
+            ),
+            ok(
+                "GEMM: GDS only reaches 0.8 GB/s with 12 SSDs",
+                (1, "GDS", "I/O GB/s"),
+                Within(0.8, 0.05),
+            ),
+            deviation(
+                "GEMM: CAM reads at nearly 20 GB/s",
+                (1, "CAM", "I/O GB/s"),
+                Range(18.0, 18.5),
+                "our GEMM step is marginally compute-bound (the tile multiply outlasts the tile \
+                 read, plus a pipeline bubble), so the delivered I/O rate sits below the array's",
+            ),
+            deviation(
+                "absolute seconds on the authors' testbed",
+                (0, "CAM", "time s"),
+                Within(24.0, 0.02),
+                "the substrate is a simulator, so absolute times everywhere are the model's; this \
+                 one is pinned so that a model change shows up, and only ratios are compared with \
+                 the paper",
+            ),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "tab6",
+        desc: "Lines of code in real-world applications",
+        heading: "Table VI",
+        build: tab6,
+        claims: &[
+            deviation(
+                LOC,
+                (0, "GNN training", OURS),
+                Ordered(&[(0, "GNN training", "paper CAM LoC")]),
+                LOC_WHY,
+            ),
+            deviation(LOC, (0, "Sort", OURS), Ordered(&[(0, "Sort", "paper CAM LoC")]), LOC_WHY),
+            deviation(LOC, (0, "GEMM", OURS), Ordered(&[(0, "GEMM", "paper CAM LoC")]), LOC_WHY),
+        ],
+        commentary: "Meaningful lines, counted at build time from `examples/`.",
+    }),
+    Paper(Figure {
+        id: "fig11",
+        desc: "CAM-Sync vs CAM-Async vs SPDK (sort)",
+        heading: "Fig. 11",
+        build: fig11,
+        claims: &[
+            ok(SYNC_SAME, (0, "12", "CAM-Sync"), Ratio((0, "12", "CAM-Async"), 0.97, 1.0)),
+            ok(SYNC_SAME, (1, "16 Gi", "CAM-Sync"), Ratio((1, "16 Gi", "CAM-Async"), 1.0, 1.03)),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "fig12",
+        desc: "One CPU thread controlling multiple SSDs",
+        heading: "Fig. 12",
+        build: fig12,
+        claims: &[
+            ok(
+                "one thread drives 2 SSDs at no cost (100%)",
+                (0, "6", "vs 12 threads"),
+                Within(100.0, 0.01),
+            ),
+            ok(
+                "one thread driving 4 SSDs keeps about 75%",
+                (0, "3", "vs 12 threads"),
+                Within(75.0, 0.05),
+            ),
+        ],
+        commentary: "Writes are device-bound and degrade later than reads.",
+    }),
+    Paper(Figure {
+        id: "fig13",
+        desc: "CPU instructions/cycles per request",
+        heading: "Fig. 13",
+        build: fig13,
+        claims: &[
+            ok(
+                "reads: CAM and SPDK execute fewer instructions than libaio",
+                (0, "SPDK", "instructions"),
+                Ordered(&[(0, "CAM", "instructions"), (0, "libaio", "instructions")]),
+            ),
+            ok(
+                "reads: and far fewer cycles",
+                (0, "libaio", "cycles"),
+                Ratio((0, "CAM", "cycles"), 5.0, INF),
+            ),
+            ok(
+                "writes: slightly fewer instructions but significantly fewer cycles",
+                (1, "CAM", "instructions"),
+                Ordered(&[(1, "libaio", "instructions")]),
+            ),
+            ok("polling runs at a high IPC", (0, "libaio", "IPC"), Ordered(&[(0, "CAM", "IPC")])),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "fig14",
+        desc: "CPU memory bandwidth usage vs SSD bandwidth",
+        heading: "Fig. 14",
+        build: fig14,
+        claims: &[
+            ok(
+                "SPDK's memory traffic is about 2x the SSD bandwidth",
+                (0, "12", "SPDK mem GB/s"),
+                Ratio((0, "12", "SSD GB/s"), 1.9, 2.1),
+            ),
+            ok(
+                "CAM's grows much slower (queue entries only)",
+                (0, "12", "CAM mem GB/s"),
+                Ratio((0, "12", "SSD GB/s"), -INF, 0.05),
+            ),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "fig15",
+        desc: "Throughput at 2 vs 16 memory channels",
+        heading: "Fig. 15",
+        build: fig15,
+        claims: &[
+            ok(SPDK_DEGRADES, (0, "SPDK", "2 channels"), Ordered(&[(0, "SPDK", "16 channels")])),
+            ok(SPDK_DEGRADES, (1, "SPDK", "2 channels"), Ordered(&[(1, "SPDK", "16 channels")])),
+            ok(
+                CAM_UNAFFECTED,
+                (0, "CAM", "2 channels"),
+                Ratio((0, "CAM", "16 channels"), 0.99, 1.01),
+            ),
+            ok(
+                CAM_UNAFFECTED,
+                (1, "CAM", "2 channels"),
+                Ratio((1, "CAM", "16 channels"), 0.99, 1.01),
+            ),
+        ],
+        commentary: "",
+    }),
+    Paper(Figure {
+        id: "fig16",
+        desc: "SPDK staging throughput vs access granularity",
+        heading: "Fig. 16",
+        build: fig16,
+        claims: &[
+            ok("at 4KB the staged path delivers 1.3 GB/s", (0, "4 KB", "SPDK"), Within(1.3, 0.05)),
+            ok(
+                "93.5% lower than CAM",
+                (0, "4 KB", "SPDK"),
+                Ratio((0, "4 KB", "CAM"), 0.061, 0.069),
+            ),
+        ],
+        commentary: "The staged path recovers with granularity; CAM is unaffected by the \
+            destination layout.",
+    }),
+    Paper(Figure {
+        id: "issue2",
+        desc: "ANNS: cudaMemcpyAsync share of staged-path time",
+        heading: "Issue 2 (§ II-A)",
+        build: issue2,
+        claims: &[ok(
+            "cudaMemcpyAsync costs 78% of the total time at 4KB",
+            (0, "4096 B", "copy share"),
+            Within(78.0, 0.02),
+        )],
+        commentary: "The copy \"can not be overlapped by computation\"; CAM's direct path pays \
+            none of it.",
+    }),
+    Paper(Figure {
+        id: "motiv",
+        desc: "Section II motivation: DLRM / LLM-offload baselines",
+        heading: "§ II",
+        build: motiv,
+        claims: &[
+            ok(
+                "TorchRec spends 75% of each iteration on embedding access, at ~64% bandwidth",
+                (0, "DLRM (TorchRec-style)", "I/O phase share"),
+                Within(75.0, 0.01),
+            ),
+            ok(
+                "ZeRO-Infinity spends >80% of time in the update phase, at ~70% bandwidth",
+                (0, "LLM 100B (ZeRO-Infinity-style)", "I/O phase share"),
+                Range(80.0, INF),
+            ),
+        ],
+        commentary: "",
+    }),
+    Harness(
         "bench",
         "Functional-engine telemetry benchmark + DES perf trajectory gated against bench/baselines (writes workload, throughput, stages_ns, doorbell_to_retire_ns, critical_path, trajectory)",
         bench,
     ),
-    (
+    Harness(
         "cache",
         "GPU-memory block cache: hit rate / NVMe-submission sweep (writes the cache section and cache_trace.json)",
         cache,
     ),
-    (
+    Harness(
         "pipeline",
         "Multi-channel pipelining: per-SSD in-flight depth and read latency vs the blocking baseline (writes the pipeline section)",
         pipeline,
     ),
-    (
+    Harness(
         "fidelity",
         "Model fidelity: DES driver vs functional driver on a matched workload (writes the fidelity section and fidelity_trace.json)",
         fidelity,
     ),
-    (
+    Harness(
         "slo",
         "SLO burn and lane health under a transient overload, threaded vs DES driver (writes the slo section)",
         slo,
     ),
-    (
+    Harness(
         "attribute",
         "Queue-delay attribution: doorbell->retire decomposition, threaded and DES drivers",
         attribute,
     ),
-    (
+    Harness(
         "serve",
         "Multi-tenant KV-cache serving: admission, DRR fairness, per-tenant SLO (writes the serving section)",
         crate::serving_run::serve,
     ),
 ];
 
-fn tab1(_p: &BenchParams) -> Outcome {
-    let mut t = Table::new(
+/// A table from its rows.
+fn table(
+    title: impl Into<String>,
+    headers: &[&str],
+    rows: impl IntoIterator<Item = Vec<String>>,
+) -> Table {
+    let mut t = Table::new(title, headers);
+    for row in rows {
+        t.row(row);
+    }
+    t
+}
+
+/// A table of fixed text.
+fn listing<const N: usize>(title: &str, headers: [&str; N], rows: &[[&str; N]]) -> Table {
+    let rows = rows
+        .iter()
+        .map(|r| r.iter().map(|c| c.to_string()).collect());
+    table(title, &headers, rows)
+}
+
+/// A table as rows × columns × a cell function; the first column holds the
+/// row labels under the header `corner`.
+fn sweep<R, C>(
+    title: impl Into<String>,
+    corner: &str,
+    rows: &[(String, R)],
+    cols: &[(&str, C)],
+    cell: impl Fn(&R, &C) -> String,
+) -> Table {
+    let mut headers = vec![corner];
+    headers.extend(cols.iter().map(|(h, _)| *h));
+    let rows = rows.iter().map(|(label, r)| {
+        let mut row = vec![label.clone()];
+        row.extend(cols.iter().map(|(_, c)| cell(r, c)));
+        row
+    });
+    table(title, &headers, rows)
+}
+
+/// Sweep rows (or columns) labelled by their own value.
+fn labelled<T: Copy + ToString>(values: &[T]) -> Vec<(String, T)> {
+    values.iter().map(|&v| (v.to_string(), v)).collect()
+}
+
+/// A column that formats one field of the row's record.
+type Field<R> = fn(&R) -> String;
+
+/// Delivered GB/s of one DES microbenchmark: `engine` on `n_ssds` SSDs,
+/// with `tune` applied to [`MicrobenchConfig::new`]'s defaults.
+fn gbps(
+    engine: Engine,
+    n_ssds: usize,
+    dir: IoDir,
+    tune: impl FnOnce(&mut MicrobenchConfig),
+) -> f64 {
+    let mut cfg = MicrobenchConfig::new(engine, n_ssds, dir);
+    tune(&mut cfg);
+    run_microbench(cfg).gbps
+}
+
+const DIRS: [(IoDir, Opcode); 2] = [(IoDir::Read, Opcode::Read), (IoDir::Write, Opcode::Write)];
+
+fn tab1() -> Vec<Table> {
+    vec![listing(
         "Table I: Architectural design comparison",
-        &["system", "initiated by", "control plane", "data plane"],
-    );
-    t.row(vec![
-        "POSIX I/O".into(),
-        "CPU".into(),
-        "CPU OS kernel".into(),
-        "SSD - CPU memory - GPU memory".into(),
-    ]);
-    t.row(vec![
-        "BaM".into(),
-        "GPU".into(),
-        "GPU user I/O queue".into(),
-        "SSD - GPU memory".into(),
-    ]);
-    t.row(vec![
-        "CAM".into(),
-        "GPU".into(),
-        "CPU user I/O queue".into(),
-        "SSD - GPU memory".into(),
-    ]);
-    vec![t].into()
-}
-
-fn fig1(_p: &BenchParams) -> Outcome {
-    let spec = GraphSpec::paper100m();
-    let cfg = GnnConfig::default();
-    let mut t = Table::new(
-        "Fig. 1: GIDS (BaM-based) step breakdown, Paper100M, 12 SSDs",
+        ["system", "initiated by", "control plane", "data plane"],
         &[
-            "model",
-            "sample ms",
-            "extract ms",
-            "train ms",
-            "extract %",
-            "train %",
-        ],
-    );
-    for model in GnnModel::ALL {
-        let b = model_epoch(GnnSystem::Gids, &spec, model, &cfg, 12);
-        t.row(vec![
-            model.name().into(),
-            f1(b.sample.as_secs_f64() * 1e3),
-            f1(b.extract.as_secs_f64() * 1e3),
-            f1(b.train.as_secs_f64() * 1e3),
-            pct(b.extract_fraction()),
-            pct(b.train_fraction()),
-        ]);
-    }
-    t.note("paper: extraction 40-65% of step time, training 16-44%");
-    vec![t].into()
-}
-
-fn fig2(_p: &BenchParams) -> Outcome {
-    let m = SsdModel::p5510();
-    let mut out = Vec::new();
-    for (dir, op, label) in [
-        (IoDir::Read, Opcode::Read, "(a) 4KB random read"),
-        (IoDir::Write, Opcode::Write, "(b) 4KB random write"),
-    ] {
-        let mut t = Table::new(
-            format!("Fig. 2{label}, single P5510, KIOPS"),
-            &["stack", "KIOPS"],
-        );
-        for engine in [
-            Engine::Posix,
-            Engine::Libaio,
-            Engine::IoUringInt,
-            Engine::IoUringPoll,
-        ] {
-            let mut cfg = MicrobenchConfig::new(engine, 1, dir);
-            cfg.requests = 8_000;
-            let r = run_microbench(cfg);
-            t.row(vec![engine.name().into(), f1(r.kiops)]);
-        }
-        t.note(format!(
-            "SSD maximum (dashed line): {:.1} KIOPS",
-            m.peak_iops_4k(op) / 1e3
-        ));
-        out.push(t);
-    }
-    out.into()
-}
-
-fn fig3(_p: &BenchParams) -> Outcome {
-    let mut out = Vec::new();
-    for dir in [IoDir::Read, IoDir::Write] {
-        let mut t = Table::new(
-            format!("Fig. 3: per-request time by layer, {dir:?}"),
-            &[
-                "stack",
-                "user ns",
-                "filesystem ns",
-                "io_map ns",
-                "block I/O ns",
-                "fs+io_map %",
+            [
+                "POSIX I/O",
+                "CPU",
+                "CPU OS kernel",
+                "SSD - CPU memory - GPU memory",
             ],
-        );
-        for stack in [
-            IoStackKind::Posix,
-            IoStackKind::Libaio,
-            IoStackKind::IoUringInt,
-            IoStackKind::IoUringPoll,
-        ] {
-            let c = stack.layer_costs(dir);
-            t.row(vec![
-                stack.name().into(),
-                c.user.as_ns().to_string(),
-                c.filesystem.as_ns().to_string(),
-                c.io_map.as_ns().to_string(),
-                c.block_io.as_ns().to_string(),
-                pct(c.avoidable_fraction()),
-            ]);
-        }
-        t.note("paper: >34% of request time in io_map + LBA retrieval");
-        out.push(t);
-    }
-    out.into()
+            ["BaM", "GPU", "GPU user I/O queue", "SSD - GPU memory"],
+            ["CAM", "GPU", "CPU user I/O queue", "SSD - GPU memory"],
+        ],
+    )]
 }
 
-fn fig4(_p: &BenchParams) -> Outcome {
+fn fig1() -> Vec<Table> {
+    let (spec, cfg) = (GraphSpec::paper100m(), GnnConfig::default());
+    let steps: Vec<_> = GnnModel::ALL
+        .iter()
+        .map(|&m| {
+            (
+                m.name().to_string(),
+                model_epoch(GnnSystem::Gids, &spec, m, &cfg, 12),
+            )
+        })
+        .collect();
+    let cols: [(&str, Field<EpochBreakdown>); 5] = [
+        ("sample ms", |b| f1(b.sample.as_secs_f64() * 1e3)),
+        ("extract ms", |b| f1(b.extract.as_secs_f64() * 1e3)),
+        ("train ms", |b| f1(b.train.as_secs_f64() * 1e3)),
+        ("extract %", |b| pct(b.extract_fraction())),
+        ("train %", |b| pct(b.train_fraction())),
+    ];
+    let title = "Fig. 1: GIDS (BaM-based) step breakdown, Paper100M, 12 SSDs";
+    vec![sweep(title, "model", &steps, &cols, |b, col| col(b))]
+}
+
+fn fig2() -> Vec<Table> {
+    let m = SsdModel::p5510();
+    let stacks = [
+        Engine::Posix,
+        Engine::Libaio,
+        Engine::IoUringInt,
+        Engine::IoUringPoll,
+    ]
+    .map(|e| (e.name().to_string(), e));
+    let subs = ["(a) 4KB random read", "(b) 4KB random write"];
+    let fig = |(label, (dir, op))| {
+        let title = format!("Fig. 2{label}, single P5510, KIOPS");
+        let mut t = sweep(title, "stack", &stacks, &[("KIOPS", ())], |&e, _| {
+            let mut cfg = MicrobenchConfig::new(e, 1, dir);
+            cfg.requests = 8_000;
+            f1(run_microbench(cfg).kiops)
+        });
+        let max = m.peak_iops_4k(op) / 1e3;
+        t.note(format!("SSD maximum (dashed line): {max:.1} KIOPS"));
+        t
+    };
+    subs.into_iter().zip(DIRS).map(fig).collect()
+}
+
+fn fig3() -> Vec<Table> {
+    let cols: [(&str, Field<LayerCosts>); 5] = [
+        ("user ns", |c| c.user.as_ns().to_string()),
+        ("filesystem ns", |c| c.filesystem.as_ns().to_string()),
+        ("io_map ns", |c| c.io_map.as_ns().to_string()),
+        ("block I/O ns", |c| c.block_io.as_ns().to_string()),
+        ("fs+io_map %", |c| pct(c.avoidable_fraction())),
+    ];
+    let stacks = [
+        IoStackKind::Posix,
+        IoStackKind::Libaio,
+        IoStackKind::IoUringInt,
+        IoStackKind::IoUringPoll,
+    ];
+    let fig = |(dir, _)| {
+        let costs = stacks.map(|s| (s.name().to_string(), s.layer_costs(dir)));
+        let title = format!("Fig. 3: per-request time by layer, {dir:?}");
+        sweep(title, "stack", &costs, &cols, |c, col| col(c))
+    };
+    DIRS.into_iter().map(fig).collect()
+}
+
+fn fig4() -> Vec<Table> {
     let g = GpuSpec::a100_80g();
-    let mut t = Table::new(
-        "Fig. 4: A100 SM utilization for BaM to saturate N SSDs",
-        &["SSDs", "SM utilization", "CAM (for reference)"],
-    );
-    for n in 1..=12u32 {
-        t.row(vec![n.to_string(), pct(g.bam_sm_utilization(n)), pct(0.0)]);
-    }
-    t.note("paper: \"when the number of SSDs exceeds five, BaM engages nearly all available SMs\"");
-    vec![t].into()
+    let cols = [("SM utilization", true), ("CAM (for reference)", false)];
+    let ssds: Vec<u32> = (1..=12).collect();
+    let title = "Fig. 4: A100 SM utilization for BaM to saturate N SSDs";
+    vec![sweep(title, "SSDs", &labelled(&ssds), &cols, |&n, &bam| {
+        pct(if bam { g.bam_sm_utilization(n) } else { 0.0 })
+    })]
 }
 
-fn tab3(_p: &BenchParams) -> Outcome {
-    let mut t = Table::new(
+fn tab3() -> Vec<Table> {
+    vec![listing(
         "Table III: Experimental platform (simulated)",
-        &["component", "specification"],
-    );
-    for (c, s) in [
-        (
-            "CPU",
-            "Intel Xeon Gold 5320 (2 x 52 threads) @ 2.20 GHz [CpuModel]",
-        ),
-        ("CPU memory", "768 GB, 16 DDR4-3200 channels [MemoryModel]"),
-        (
-            "GPU",
-            "80GB-PCIe-A100: 108 SMs, 2048 thr/SM [GpuSpec::a100_80g]",
-        ),
-        ("SSD", "12 x 3.84TB Intel P5510 [SsdModel::p5510]"),
-        ("PCIe", "Gen4 x16, 21 GB/s measured ceiling"),
-        (
-            "S/W",
-            "this reproduction: simulated NVMe/GPU substrate in Rust",
-        ),
-    ] {
-        t.row(vec![c.into(), s.into()]);
-    }
-    vec![t].into()
+        ["component", "specification"],
+        &[
+            [
+                "CPU",
+                "Intel Xeon Gold 5320 (2 x 52 threads) @ 2.20 GHz [CpuModel]",
+            ],
+            ["CPU memory", "768 GB, 16 DDR4-3200 channels [MemoryModel]"],
+            [
+                "GPU",
+                "80GB-PCIe-A100: 108 SMs, 2048 thr/SM [GpuSpec::a100_80g]",
+            ],
+            ["SSD", "12 x 3.84TB Intel P5510 [SsdModel::p5510]"],
+            ["PCIe", "Gen4 x16, 21 GB/s measured ceiling"],
+            [
+                "S/W",
+                "this reproduction: simulated NVMe/GPU substrate in Rust",
+            ],
+        ],
+    )]
 }
 
-fn tab4(_p: &BenchParams) -> Outcome {
-    let mut t = Table::new(
-        "Table IV: Datasets",
-        &["dataset", "nodes", "edges", "feature dim", "feature size"],
-    );
-    for spec in [GraphSpec::paper100m(), GraphSpec::igb_full()] {
-        t.row(vec![
-            spec.name.into(),
-            spec.nodes.to_string(),
-            spec.edges.to_string(),
-            spec.feature_dim.to_string(),
-            format!("{:.1} GB", spec.feature_store_bytes() as f64 / 1e9),
-        ]);
-    }
+fn tab4() -> Vec<Table> {
+    let specs = [GraphSpec::paper100m(), GraphSpec::igb_full()].map(|s| (s.name.to_string(), s));
+    let cols: [(&str, Field<GraphSpec>); 4] = [
+        ("nodes", |s| s.nodes.to_string()),
+        ("edges", |s| s.edges.to_string()),
+        ("feature dim", |s| s.feature_dim.to_string()),
+        ("feature size", |s| {
+            format!("{:.1} GB", s.feature_store_bytes() as f64 / 1e9)
+        }),
+    ];
+    let mut t = sweep("Table IV: Datasets", "dataset", &specs, &cols, |s, col| {
+        col(s)
+    });
     t.note("synthetic scale-downs preserve avg degree, skew, and record size");
-    vec![t].into()
+    vec![t]
 }
 
-fn tab5(_p: &BenchParams) -> Outcome {
+fn tab5() -> Vec<Table> {
     let cfg = GnnConfig::default();
-    let mut t = Table::new(
+    let fanouts = format!("{}, {}", cfg.fanouts[0], cfg.fanouts[1]);
+    vec![listing(
         "Table V: GNN experiment configuration",
-        &["parameter", "setting"],
-    );
-    t.row(vec!["GNN task".into(), "node classification".into()]);
-    t.row(vec![
-        "sampling method".into(),
-        "2-hop random neighbor sampling".into(),
-    ]);
-    t.row(vec![
-        "sampling fan-outs".into(),
-        format!("{}, {}", cfg.fanouts[0], cfg.fanouts[1]),
-    ]);
-    t.row(vec![
-        "hidden layer dimension".into(),
-        cfg.hidden_dim.to_string(),
-    ]);
-    t.row(vec!["batch size".into(), cfg.batch_size.to_string()]);
-    vec![t].into()
+        ["parameter", "setting"],
+        &[
+            ["GNN task", "node classification"],
+            ["sampling method", "2-hop random neighbor sampling"],
+            ["sampling fan-outs", &fanouts],
+            ["hidden layer dimension", &cfg.hidden_dim.to_string()],
+            ["batch size", &cfg.batch_size.to_string()],
+        ],
+    )]
 }
 
-fn fig8(_p: &BenchParams) -> Outcome {
-    let engines = [Engine::Cam, Engine::Spdk, Engine::Bam, Engine::Posix];
+fn fig8() -> Vec<Table> {
+    let engines = [Engine::Cam, Engine::Spdk, Engine::Bam, Engine::Posix].map(|e| (e.name(), e));
     let mut out = Vec::new();
     // (a)/(c): 4 KiB throughput vs number of SSDs.
-    for dir in [IoDir::Read, IoDir::Write] {
-        let sub = if dir == IoDir::Read { "(a)" } else { "(c)" };
-        let mut t = Table::new(
-            format!("Fig. 8{sub}: 4KB random {dir:?} GB/s vs SSD count"),
-            &["SSDs", "CAM", "SPDK", "BaM", "POSIX I/O"],
-        );
-        for n in [1usize, 2, 4, 8, 12] {
-            let mut row = vec![n.to_string()];
-            for e in engines {
-                let mut cfg = MicrobenchConfig::new(e, n, dir);
-                cfg.requests = (n as u64) * 6_000;
-                row.push(f2(run_microbench(cfg).gbps));
-            }
-            t.row(row);
-        }
-        out.push(t);
+    for (sub, dir) in [("(a)", IoDir::Read), ("(c)", IoDir::Write)] {
+        let title = format!("Fig. 8{sub}: 4KB random {dir:?} GB/s vs SSD count");
+        let ssds = labelled(&[1usize, 2, 4, 8, 12]);
+        out.push(sweep(title, "SSDs", &ssds, &engines, |&n, &e| {
+            f2(gbps(e, n, dir, |c| c.requests = (n as u64) * 6_000))
+        }));
     }
     // (b)/(d): throughput vs access granularity at 12 SSDs.
-    for dir in [IoDir::Read, IoDir::Write] {
-        let sub = if dir == IoDir::Read { "(b)" } else { "(d)" };
-        let mut t = Table::new(
-            format!("Fig. 8{sub}: {dir:?} GB/s vs granularity, 12 SSDs"),
-            &["granularity", "CAM", "SPDK", "BaM", "POSIX I/O"],
-        );
-        for shift in [9u32, 10, 12, 14, 17] {
-            let gran = 1u64 << shift;
-            let mut row = vec![format!("{} B", gran)];
-            for e in engines {
-                let mut cfg = MicrobenchConfig::new(e, 12, dir);
-                cfg.granularity = gran;
-                cfg.requests = 12 * 1_500;
-                row.push(f2(run_microbench(cfg).gbps));
-            }
-            t.row(row);
-        }
-        out.push(t);
+    for (sub, dir) in [("(b)", IoDir::Read), ("(d)", IoDir::Write)] {
+        let title = format!("Fig. 8{sub}: {dir:?} GB/s vs granularity, 12 SSDs");
+        let grans =
+            [9u32, 10, 12, 14, 17].map(|shift| (format!("{} B", 1u64 << shift), 1u64 << shift));
+        out.push(sweep(
+            title,
+            "granularity",
+            &grans,
+            &engines,
+            |&gran, &e| {
+                f2(gbps(e, 12, dir, |c| {
+                    c.granularity = gran;
+                    c.requests = 12 * 1_500;
+                }))
+            },
+        ));
     }
-    out.into()
+    out
 }
 
-fn fig9(_p: &BenchParams) -> Outcome {
+fn fig9() -> Vec<Table> {
     let cfg = GnnConfig::default();
-    let mut out = Vec::new();
-    for spec in [GraphSpec::paper100m(), GraphSpec::igb_full()] {
-        let mut t = Table::new(
-            format!("Fig. 9: GNN epoch time on {}, 12 SSDs", spec.name),
+    let fig = |spec: GraphSpec| {
+        let secs = |system, m| {
+            model_epoch(system, &spec, m, &cfg, 12)
+                .epoch()
+                .as_secs_f64()
+        };
+        let rows = GnnModel::ALL.map(|m| {
+            let speedup = format!("{:.2}x", fig9_speedup(&spec, m, &cfg, 12));
+            vec![
+                m.name().into(),
+                f1(secs(GnnSystem::Gids, m)),
+                f1(secs(GnnSystem::Cam, m)),
+                speedup,
+            ]
+        });
+        let title = format!("Fig. 9: GNN epoch time on {}, 12 SSDs", spec.name);
+        table(
+            title,
             &["model", "GIDS s/epoch", "CAM s/epoch", "speedup"],
-        );
-        for model in GnnModel::ALL {
-            let gids = model_epoch(GnnSystem::Gids, &spec, model, &cfg, 12);
-            let cam = model_epoch(GnnSystem::Cam, &spec, model, &cfg, 12);
-            t.row(vec![
-                model.name().into(),
-                f1(gids.epoch().as_secs_f64()),
-                f1(cam.epoch().as_secs_f64()),
-                format!("{:.2}x", fig9_speedup(&spec, model, &cfg, 12)),
-            ]);
-        }
-        out.push(t);
-    }
-    out.into()
+            rows,
+        )
+    };
+    [GraphSpec::paper100m(), GraphSpec::igb_full()]
+        .map(fig)
+        .into()
 }
 
-fn fig10(_p: &BenchParams) -> Outcome {
-    let mut out = Vec::new();
-    // (a) mergesort.
-    let mut t = Table::new(
+fn fig10() -> Vec<Table> {
+    let sort = |e| model_sort(e, 8 << 30, 12).as_secs_f64();
+    let cam = sort(SortEngine::CamSync);
+    let systems = [
+        ("CAM", SortEngine::CamSync),
+        ("SPDK", SortEngine::Spdk),
+        ("POSIX I/O", SortEngine::Posix),
+    ];
+    let a = table(
         "Fig. 10(a): mergesort time, 8Gi int32 (32 GB), 12 SSDs",
         &["system", "time s", "vs CAM"],
+        systems.map(|(name, e)| {
+            let secs = sort(e);
+            vec![name.into(), f1(secs), format!("{:.2}x", secs / cam)]
+        }),
     );
-    let cam = model_sort(SortEngine::CamSync, 8 << 30, 12).as_secs_f64();
-    for (e, name) in [
-        (SortEngine::CamSync, "CAM"),
-        (SortEngine::Spdk, "SPDK"),
-        (SortEngine::Posix, "POSIX I/O"),
-    ] {
-        let s = model_sort(e, 8 << 30, 12).as_secs_f64();
-        t.row(vec![name.into(), f1(s), format!("{:.2}x", s / cam)]);
-    }
-    t.note("paper: CAM up to 1.5x faster than POSIX, similar to SPDK");
-    out.push(t);
-    // (b)+(c) GEMM.
-    let mut t = Table::new(
+    let gemm = |e| model_gemm(e, 65_536, 4_096, 12);
+    let cam = gemm(GemmEngine::Cam).time.as_secs_f64();
+    let systems = [
+        ("CAM", GemmEngine::Cam),
+        ("BaM", GemmEngine::Bam),
+        ("GDS", GemmEngine::Gds),
+        ("SPDK", GemmEngine::Spdk),
+    ];
+    let bc = table(
         "Fig. 10(b,c): GEMM 65536^2 f32, 4096^2 tiles, 12 SSDs",
         &["system", "I/O GB/s", "time s", "vs CAM"],
+        systems.map(|(name, e)| {
+            let r = gemm(e);
+            let secs = r.time.as_secs_f64();
+            vec![
+                name.into(),
+                f2(r.io_gbps),
+                f1(secs),
+                format!("{:.2}x", secs / cam),
+            ]
+        }),
     );
-    let camr = model_gemm(GemmEngine::Cam, 65_536, 4_096, 12);
-    for (e, name) in [
-        (GemmEngine::Cam, "CAM"),
-        (GemmEngine::Bam, "BaM"),
-        (GemmEngine::Gds, "GDS"),
-        (GemmEngine::Spdk, "SPDK"),
-    ] {
-        let r = model_gemm(e, 65_536, 4_096, 12);
-        t.row(vec![
-            name.into(),
-            f2(r.io_gbps),
-            f1(r.time.as_secs_f64()),
-            format!("{:.2}x", r.time.as_secs_f64() / camr.time.as_secs_f64()),
-        ]);
-    }
-    t.note("paper: GDS only 0.8 GB/s with 12 SSDs; CAM nearly 20 GB/s; CAM up to 1.84x vs BaM");
-    out.push(t);
-    out.into()
+    vec![a, bc]
 }
 
-fn tab6(_p: &BenchParams) -> Outcome {
-    let mut t = Table::new(
+fn tab6() -> Vec<Table> {
+    let loc = |src| crate::count_loc(src).to_string();
+    let gnn = loc(include_str!("../../../examples/gnn_training.rs"));
+    let sort = loc(include_str!("../../../examples/out_of_core_sort.rs"));
+    let gemm = loc(include_str!("../../../examples/out_of_core_gemm.rs"));
+    let mut t = listing(
         "Table VI: lines of code per workload",
-        &[
+        [
             "workload",
             "paper baseline LoC",
             "paper CAM LoC",
             "this repo's CAM example LoC",
         ],
+        &[
+            ["GNN training", "BaM: 65", "66", &gnn],
+            ["Sort", "POSIX: 644", "510", &sort],
+            ["GEMM", "GDS: 158 / BaM: 165", "130", &gemm],
+        ],
     );
-    let gnn = crate::count_loc(include_str!("../../../examples/gnn_training.rs"));
-    let sort = crate::count_loc(include_str!("../../../examples/out_of_core_sort.rs"));
-    let gemm = crate::count_loc(include_str!("../../../examples/out_of_core_gemm.rs"));
-    t.row(vec![
-        "GNN training".into(),
-        "BaM: 65".into(),
-        "66".into(),
-        gnn.to_string(),
-    ]);
-    t.row(vec![
-        "Sort".into(),
-        "POSIX: 644".into(),
-        "510".into(),
-        sort.to_string(),
-    ]);
-    t.row(vec![
-        "GEMM".into(),
-        "GDS: 158 / BaM: 165".into(),
-        "130".into(),
-        gemm.to_string(),
-    ]);
     t.note("our examples include dataset generation and verification; the paper counts only the I/O core loop");
-    vec![t].into()
+    vec![t]
 }
 
-fn fig11(_p: &BenchParams) -> Outcome {
-    let mut out = Vec::new();
-    let mut t = Table::new(
-        "Fig. 11(a): sort-phase read throughput GB/s vs SSD count",
-        &["SSDs", "SPDK", "CAM-Async", "CAM-Sync"],
+fn fig11() -> Vec<Table> {
+    let engines = [
+        ("SPDK", SortEngine::Spdk),
+        ("CAM-Async", SortEngine::CamAsync),
+        ("CAM-Sync", SortEngine::CamSync),
+    ];
+    let title = "Fig. 11(a): sort-phase read throughput GB/s vs SSD count";
+    let a = sweep(
+        title,
+        "SSDs",
+        &labelled(&[2usize, 4, 8, 12]),
+        &engines,
+        |&n, &e| f2(model_sort_read_gbps(e, n)),
     );
-    for n in [2usize, 4, 8, 12] {
-        t.row(vec![
-            n.to_string(),
-            f2(model_sort_read_gbps(SortEngine::Spdk, n)),
-            f2(model_sort_read_gbps(SortEngine::CamAsync, n)),
-            f2(model_sort_read_gbps(SortEngine::CamSync, n)),
-        ]);
-    }
-    out.push(t);
-    let mut t = Table::new(
-        "Fig. 11(b): sort execution time (s) vs dataset size, 12 SSDs",
-        &["elements", "SPDK", "CAM-Async", "CAM-Sync"],
-    );
-    for gi in [2u64, 4, 8, 16] {
-        let elems = gi << 30;
-        t.row(vec![
-            format!("{gi} Gi"),
-            f1(model_sort(SortEngine::Spdk, elems, 12).as_secs_f64()),
-            f1(model_sort(SortEngine::CamAsync, elems, 12).as_secs_f64()),
-            f1(model_sort(SortEngine::CamSync, elems, 12).as_secs_f64()),
-        ]);
-    }
-    t.note("paper: CAM-Sync achieves nearly the same performance as CAM-Async/SPDK");
-    out.push(t);
-    out.into()
+    let title = "Fig. 11(b): sort execution time (s) vs dataset size, 12 SSDs";
+    let sizes = [2u64, 4, 8, 16].map(|gi| (format!("{gi} Gi"), gi << 30));
+    let b = sweep(title, "elements", &sizes, &engines, |&elems, &e| {
+        f1(model_sort(e, elems, 12).as_secs_f64())
+    });
+    vec![a, b]
 }
 
-fn fig12(_p: &BenchParams) -> Outcome {
-    let mut out = Vec::new();
-    for dir in [IoDir::Read, IoDir::Write] {
-        let mut t = Table::new(
-            format!("Fig. 12: {dir:?} GB/s, 12 SSDs, varying threads"),
+fn fig12() -> Vec<Table> {
+    let fig = |(dir, _)| {
+        let threads = [12usize, 6, 4, 3, 2, 1];
+        let rates = threads.map(|threads| {
+            gbps(Engine::Cam, 12, dir, |c| {
+                c.cam_threads = threads;
+                c.requests = 12 * 6_000;
+            })
+        });
+        let rows = threads.iter().zip(rates).map(|(&threads, g)| {
+            let per_thread = format!("{:.0}", 12.0 / threads as f64);
+            vec![threads.to_string(), per_thread, f2(g), pct(g / rates[0])]
+        });
+        let title = format!("Fig. 12: {dir:?} GB/s, 12 SSDs, varying threads");
+        table(
+            title,
             &["threads", "SSDs/thread", "GB/s", "vs 12 threads"],
-        );
-        let mut base = 0.0;
-        for threads in [12usize, 6, 4, 3, 2, 1] {
-            let mut cfg = MicrobenchConfig::new(Engine::Cam, 12, dir);
-            cfg.cam_threads = threads;
-            cfg.requests = 12 * 6_000;
-            let g = run_microbench(cfg).gbps;
-            if threads == 12 {
-                base = g;
-            }
-            t.row(vec![
-                threads.to_string(),
-                format!("{:.0}", 12.0 / threads as f64),
-                f2(g),
-                pct(g / base),
-            ]);
-        }
-        t.note("paper: 2 SSDs/thread free; 4 SSDs/thread ~75%");
-        out.push(t);
-    }
-    out.into()
+            rows,
+        )
+    };
+    DIRS.into_iter().map(fig).collect()
 }
 
-fn fig13(_p: &BenchParams) -> Outcome {
-    let cpu = CpuModel::xeon_gold_5320();
-    let m = SsdModel::p5510();
-    let mut out = Vec::new();
-    for (dir, op) in [(IoDir::Read, Opcode::Read), (IoDir::Write, Opcode::Write)] {
-        let device_rate = m.peak_iops_4k(op);
-        let mut t = Table::new(
-            format!("Fig. 13: CPU cost per 4KB {dir:?} request"),
-            &["stack", "instructions", "cycles", "IPC"],
-        );
-        for stack in [IoStackKind::Cam, IoStackKind::Spdk, IoStackKind::Libaio] {
-            let rate = stack.max_rate_per_core(dir).min(device_rate);
-            let c = cpu.per_request(stack, dir, rate);
-            t.row(vec![
-                stack.name().into(),
-                c.instructions.to_string(),
-                c.cycles.to_string(),
-                f2(c.instructions as f64 / c.cycles as f64),
-            ]);
-        }
-        t.note("paper: CAM/SPDK fewer instructions and far fewer cycles than libaio; polling has high IPC");
-        out.push(t);
-    }
-    out.into()
+fn fig13() -> Vec<Table> {
+    let (cpu, m) = (CpuModel::xeon_gold_5320(), SsdModel::p5510());
+    let cols: [(&str, Field<PerfCounts>); 3] = [
+        ("instructions", |c| c.instructions.to_string()),
+        ("cycles", |c| c.cycles.to_string()),
+        ("IPC", |c| f2(c.instructions as f64 / c.cycles as f64)),
+    ];
+    let fig = |(dir, op)| {
+        let costs = [IoStackKind::Cam, IoStackKind::Spdk, IoStackKind::Libaio].map(|stack| {
+            let rate = stack.max_rate_per_core(dir).min(m.peak_iops_4k(op));
+            (stack.name().to_string(), cpu.per_request(stack, dir, rate))
+        });
+        let title = format!("Fig. 13: CPU cost per 4KB {dir:?} request");
+        sweep(title, "stack", &costs, &cols, |c, col| col(c))
+    };
+    DIRS.into_iter().map(fig).collect()
 }
 
-fn fig14(_p: &BenchParams) -> Outcome {
+fn fig14() -> Vec<Table> {
     let mem = MemoryModel::xeon_16ch();
-    let mut t = Table::new(
-        "Fig. 14: CPU memory traffic (GB/s) vs delivered SSD bandwidth",
+    let rows = [1usize, 2, 4, 8, 12].map(|n| {
+        let ssd = gbps(Engine::Cam, n, IoDir::Read, |c| {
+            c.requests = (n as u64) * 4_000
+        });
+        let (spdk, cam) = (mem.traffic_gbps(ssd, true), mem.traffic_gbps(ssd, false));
+        vec![n.to_string(), f2(ssd), f2(spdk), f2(cam)]
+    });
+    let title = "Fig. 14: CPU memory traffic (GB/s) vs delivered SSD bandwidth";
+    vec![table(
+        title,
         &["SSDs", "SSD GB/s", "SPDK mem GB/s", "CAM mem GB/s"],
-    );
-    for n in [1usize, 2, 4, 8, 12] {
-        let mut cfg = MicrobenchConfig::new(Engine::Cam, n, IoDir::Read);
-        cfg.requests = (n as u64) * 4_000;
-        let ssd = run_microbench(cfg).gbps;
-        t.row(vec![
-            n.to_string(),
-            f2(ssd),
-            f2(mem.traffic_gbps(ssd, true)),
-            f2(mem.traffic_gbps(ssd, false)),
-        ]);
-    }
-    t.note("paper: SPDK's memory traffic is ~2x the SSD bandwidth; CAM's grows much slower");
-    vec![t].into()
+        rows,
+    )]
 }
 
-fn fig15(_p: &BenchParams) -> Outcome {
-    let mut out = Vec::new();
-    for dir in [IoDir::Read, IoDir::Write] {
-        let mut t = Table::new(
-            format!("Fig. 15: {dir:?} GB/s at limited memory channels, 12 SSDs"),
-            &["system", "2 channels", "16 channels"],
-        );
-        for e in [Engine::Spdk, Engine::Cam] {
-            let mut row = vec![e.name().to_string()];
-            for ch in [2u32, 16] {
-                let mut cfg = MicrobenchConfig::new(e, 12, dir);
-                cfg.mem_channels = ch;
-                cfg.requests = 12 * 4_000;
-                row.push(f2(run_microbench(cfg).gbps));
-            }
-            t.row(row);
-        }
-        t.note("paper: SPDK degrades when memory bandwidth is limited; CAM is unaffected");
-        out.push(t);
-    }
-    out.into()
+fn fig15() -> Vec<Table> {
+    let systems = [Engine::Spdk, Engine::Cam].map(|e| (e.name().to_string(), e));
+    let fig = |(dir, _)| {
+        let title = format!("Fig. 15: {dir:?} GB/s at limited memory channels, 12 SSDs");
+        let cols = [("2 channels", 2u32), ("16 channels", 16)];
+        sweep(title, "system", &systems, &cols, |&e, &channels| {
+            f2(gbps(e, 12, dir, |c| {
+                c.mem_channels = channels;
+                c.requests = 12 * 4_000;
+            }))
+        })
+    };
+    DIRS.into_iter().map(fig).collect()
 }
 
-fn fig16(_p: &BenchParams) -> Outcome {
-    let mut t = Table::new(
-        "Fig. 16: staged (SPDK) GB/s vs granularity, non-contiguous destination, 12 SSDs",
-        &["granularity", "SPDK", "CAM"],
-    );
-    for (gran, reqs) in [
-        (4u64 << 10, 24_000u64),
-        (64 << 10, 12_000),
-        (1 << 20, 2_400),
-        (16 << 20, 600),
-        (128 << 20, 240),
-    ] {
-        let mut spdk = MicrobenchConfig::new(Engine::Spdk, 12, IoDir::Read);
-        spdk.granularity = gran;
-        spdk.requests = reqs;
-        spdk.noncontig_dest = true;
-        let mut cam = MicrobenchConfig::new(Engine::Cam, 12, IoDir::Read);
-        cam.granularity = gran.min(1 << 20); // CAM scatters at block granularity
-        cam.requests = reqs.max(2_400);
-        t.row(vec![
-            if gran >= 1 << 20 {
-                format!("{} MB", gran >> 20)
-            } else {
-                format!("{} KB", gran >> 10)
-            },
-            f2(run_microbench(spdk).gbps),
-            f2(run_microbench(cam).gbps),
-        ]);
-    }
-    t.note("paper: at 4KB the staged path delivers 1.3 GB/s, 93.5% below CAM");
-    vec![t].into()
+fn fig16() -> Vec<Table> {
+    let sizes = [
+        ("4 KB", (4u64 << 10, 24_000u64)),
+        ("64 KB", (64 << 10, 12_000)),
+        ("1 MB", (1 << 20, 2_400)),
+        ("16 MB", (16 << 20, 600)),
+        ("128 MB", (128 << 20, 240)),
+    ]
+    .map(|(label, run)| (label.to_string(), run));
+    let title = "Fig. 16: staged (SPDK) GB/s vs granularity, non-contiguous destination, 12 SSDs";
+    let cols = [("SPDK", Engine::Spdk), ("CAM", Engine::Cam)];
+    vec![sweep(
+        title,
+        "granularity",
+        &sizes,
+        &cols,
+        |&(gran, reqs), &e| {
+            f2(gbps(e, 12, IoDir::Read, |c| match e {
+                Engine::Spdk => {
+                    c.granularity = gran;
+                    c.requests = reqs;
+                    c.noncontig_dest = true;
+                }
+                _ => {
+                    c.granularity = gran.min(1 << 20); // CAM scatters at block granularity
+                    c.requests = reqs.max(2_400);
+                }
+            }))
+        },
+    )]
 }
 
-fn issue2(_p: &BenchParams) -> Outcome {
-    let mut t = Table::new(
-        "Issue 2 (§ II-A): cudaMemcpyAsync share of staged ANNS time, 12 SSDs",
-        &["granularity", "copy share"],
-    );
-    for gran in [4u64 << 10, 16 << 10, 64 << 10, 1 << 20, 16 << 20] {
-        t.row(vec![
-            format!("{} B", gran),
-            pct(cam_workloads::anns::staged_copy_fraction(gran, 12)),
-        ]);
-    }
-    t.note("paper: \"cudaMemcpyAsync costs 78% of the total time\" at 4KB; CAM's direct path pays none");
-    vec![t].into()
+fn issue2() -> Vec<Table> {
+    let grans = [4u64 << 10, 16 << 10, 64 << 10, 1 << 20, 16 << 20].map(|g| (format!("{g} B"), g));
+    let title = "Issue 2 (§ II-A): cudaMemcpyAsync share of staged ANNS time, 12 SSDs";
+    vec![sweep(
+        title,
+        "granularity",
+        &grans,
+        &[("copy share", ())],
+        |&gran, _| pct(cam_workloads::anns::staged_copy_fraction(gran, 12)),
+    )]
 }
 
-fn motiv(_p: &BenchParams) -> Outcome {
+fn motiv() -> Vec<Table> {
     use cam_workloads::dlrm::{model_iteration, DlrmSystem};
     use cam_workloads::llm::{model_step, LlmSystem};
-    let mut t = Table::new(
+    let dlrm = |system| model_iteration(system, 4096, 26, 20, 128, 12);
+    let (d_base, d_cam) = (dlrm(DlrmSystem::TorchRec), dlrm(DlrmSystem::Cam).iteration);
+    let (l_base, l_cam) = (
+        model_step(LlmSystem::ZeroInfinity, 100.0, 12),
+        model_step(LlmSystem::Cam, 100.0, 12).step,
+    );
+    let speedup = |base: Dur, cam: Dur| format!("{:.2}x", base.as_ns() as f64 / cam.as_ns() as f64);
+    let ms = |d: Dur| format!("{:.1} ms/iter", d.as_secs_f64() * 1e3);
+    let s = |d: Dur| format!("{:.1} s/step", d.as_secs_f64());
+    vec![table(
         "Section II motivation: storage-bound training baselines, 12 SSDs",
         &[
             "system",
@@ -763,34 +1161,23 @@ fn motiv(_p: &BenchParams) -> Outcome {
             "CAM time",
             "speedup",
         ],
-    );
-    let d_base = model_iteration(DlrmSystem::TorchRec, 4096, 26, 20, 128, 12);
-    let d_cam = model_iteration(DlrmSystem::Cam, 4096, 26, 20, 128, 12);
-    t.row(vec![
-        "DLRM (TorchRec-style)".into(),
-        pct(d_base.embedding_fraction()),
-        format!("{:.1} ms/iter", d_base.iteration.as_secs_f64() * 1e3),
-        format!("{:.1} ms/iter", d_cam.iteration.as_secs_f64() * 1e3),
-        format!(
-            "{:.2}x",
-            d_base.iteration.as_ns() as f64 / d_cam.iteration.as_ns() as f64
-        ),
-    ]);
-    let l_base = model_step(LlmSystem::ZeroInfinity, 100.0, 12);
-    let l_cam = model_step(LlmSystem::Cam, 100.0, 12);
-    t.row(vec![
-        "LLM 100B (ZeRO-Infinity-style)".into(),
-        pct(l_base.update_fraction()),
-        format!("{:.1} s/step", l_base.step.as_secs_f64()),
-        format!("{:.1} s/step", l_cam.step.as_secs_f64()),
-        format!(
-            "{:.2}x",
-            l_base.step.as_ns() as f64 / l_cam.step.as_ns() as f64
-        ),
-    ]);
-    t.note("paper: TorchRec spends 75% of each iteration on embedding access at ~64% bandwidth;");
-    t.note("ZeRO-Infinity spends >80% of time in the update phase at ~70% bandwidth");
-    vec![t].into()
+        [
+            vec![
+                "DLRM (TorchRec-style)".into(),
+                pct(d_base.embedding_fraction()),
+                ms(d_base.iteration),
+                ms(d_cam),
+                speedup(d_base.iteration, d_cam),
+            ],
+            vec![
+                "LLM 100B (ZeRO-Infinity-style)".into(),
+                pct(l_base.update_fraction()),
+                s(l_base.step),
+                s(l_cam),
+                speedup(l_base.step, l_cam),
+            ],
+        ],
+    )]
 }
 
 fn bench(p: &BenchParams) -> Outcome {
@@ -982,6 +1369,7 @@ fn cache(p: &BenchParams) -> Outcome {
             "coalesced",
             "ra accuracy",
             "read mean delta",
+            "DES time delta",
         ],
     );
     for r in &reports {
@@ -1002,9 +1390,14 @@ fn cache(p: &BenchParams) -> Outcome {
                 "{:+.0}%",
                 (r.cached_read_mean_ns / r.uncached_read_mean_ns.max(1.0) - 1.0) * 100.0
             ),
+            format!(
+                "{:+.0}%",
+                (r.cached_des_ns as f64 / r.uncached_des_ns.max(1) as f64 - 1.0) * 100.0
+            ),
         ]);
     }
     t.note("subs = NVMe commands submitted; cached runs include readahead traffic");
+    t.note("read mean delta is wall clock (information); DES time delta is virtual time (the bar)");
 
     // A recorded cached run, exported through the Chrome-trace pipeline:
     // the cache events (access / evict / readahead / flush instants) must
@@ -1262,38 +1655,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_covers_every_table_and_figure() {
+    fn registry_ids_are_unique_and_described() {
         // `EXPERIMENTS` is the single source of truth for the CLI verb list;
         // this test guards its invariants rather than mirroring its contents.
-        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _, _)| *id).collect();
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(Experiment::id).collect();
         let mut unique = ids.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), ids.len(), "duplicate experiment ids: {ids:?}");
-        // The paper's core evaluation plus every repo-grown experiment must
-        // register exactly once, including the serving front-end verb.
-        assert!(ids.len() >= 27, "registry shrank: {ids:?}");
         for want in ["tab1", "fig8", "bench", "pipeline", "slo", "serve"] {
             assert!(ids.contains(&want), "missing {want}");
         }
-        for (id, desc, _) in EXPERIMENTS {
-            assert!(!desc.is_empty(), "experiment {id} has no description");
-        }
-    }
-
-    #[test]
-    fn cheap_generators_produce_rows() {
-        // The non-sweep generators are fast enough for unit tests.
-        for id in [
-            "tab1", "fig1", "fig3", "fig4", "tab3", "tab4", "tab5", "fig9", "fig10", "fig11",
-            "fig13", "fig15",
-        ] {
-            let (_, _, gen) = EXPERIMENTS.iter().find(|(i, _, _)| *i == id).unwrap();
-            let outcome = gen(&BenchParams::default());
-            assert!(outcome.sections.is_empty() && outcome.failures.is_empty());
-            for t in outcome.tables {
-                assert!(!t.is_empty(), "{id}: empty table {}", t.title());
-            }
+        for e in EXPERIMENTS {
+            assert!(
+                !e.desc().is_empty(),
+                "experiment {} has no description",
+                e.id()
+            );
         }
     }
 
@@ -1312,14 +1690,5 @@ mod tests {
                 "dispatch is charged by the CPU pipe"
             );
         }
-    }
-
-    #[test]
-    fn fig4_table_hits_full_utilization_by_five() {
-        let t = &fig4(&BenchParams::default()).tables[0];
-        // Row 4 = 5 SSDs (1-indexed SSD count in col 0).
-        assert_eq!(t.cell(4, 0), "5");
-        let u: f64 = t.cell(4, 1).trim_end_matches('%').parse().unwrap();
-        assert!(u > 90.0, "5-SSD utilization {u}%");
     }
 }

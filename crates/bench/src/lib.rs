@@ -1,16 +1,17 @@
 //! # cam-bench — the evaluation harness
 //!
-//! [`figures`] contains one generator per table/figure of the paper's
-//! evaluation (§ IV); each returns a [`Table`] of the same rows/series the
-//! paper reports. The `repro` binary prints them:
+//! [`figures`] lists every table/figure of the paper's evaluation (§ IV) as
+//! a [`paper::Figure`]: a function returning [`Table`]s of the same
+//! rows/series the paper reports, plus the paper's claims about them. The
+//! `repro` binary prints them and gates the claims:
 //!
 //! ```text
 //! cargo run -p cam-bench --release --bin repro -- all
 //! cargo run -p cam-bench --release --bin repro -- fig8 fig9 tab6
 //! ```
 //!
-//! `EXPERIMENTS.md` at the workspace root records paper-vs-measured values
-//! for every entry.
+//! `EXPERIMENTS.md` at the workspace root — paper vs. measured for every
+//! entry — is `repro experiments`' output.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -20,6 +21,7 @@ pub mod calibrate;
 pub mod fidelity_run;
 pub mod figures;
 pub mod health_run;
+pub mod paper;
 pub mod pipeline_run;
 pub mod serving_run;
 mod table;

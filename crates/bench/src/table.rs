@@ -53,6 +53,19 @@ impl Table {
     pub fn cell(&self, row: usize, col: usize) -> &str {
         &self.rows[row][col]
     }
+
+    /// The printed cell in the row whose first column reads `row_label`,
+    /// under the header `column`.
+    pub fn find(&self, row_label: &str, column: &str) -> Option<&str> {
+        let col = self.headers.iter().position(|h| h == column)?;
+        let row = self.rows.iter().find(|r| r[0] == row_label)?;
+        Some(&row[col])
+    }
+
+    /// The footnotes, in print order.
+    pub fn notes(&self) -> &[String] {
+        &self.notes
+    }
 }
 
 impl fmt::Display for Table {
@@ -119,6 +132,8 @@ mod tests {
         assert!(s.contains("note: a note"));
         assert_eq!(t.len(), 2);
         assert_eq!(t.cell(1, 1), "22222");
+        assert_eq!(t.find("b", "value"), Some("22222"));
+        assert_eq!((t.find("c", "value"), t.find("b", "size")), (None, None));
     }
 
     #[test]

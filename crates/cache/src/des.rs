@@ -236,25 +236,14 @@ pub fn run_cam_des_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cam_iostacks::cam_des::CpuPipeModel;
     use cam_iostacks::des::cam_thread_cost;
-    use cam_nvme::SsdModel;
 
     fn cfg(n_ssds: usize, pipelined: bool) -> CamDesConfig {
         CamDesConfig {
-            n_ssds,
-            block_size: 4096,
-            stripe_blocks: 1,
-            op: ChannelOp::Read,
-            threads: 1,
             queue_depth: 64,
             pipelined,
             thread_cost: cam_thread_cost(1.0),
-            cpu_pipe: CpuPipeModel::calibrated(),
-            host_gbps: 21.0,
-            retry: CamDesConfig::inert_retry(),
-            fault: None,
-            ssd_model: SsdModel::p5510(),
+            ..CamDesConfig::calibrated(n_ssds, 1)
         }
     }
 

@@ -7,10 +7,7 @@
 use std::sync::Arc;
 
 use cam_cache::{run_cam_des_cached, CacheConfig, ReadaheadConfig};
-use cam_iostacks::cam_des::{CamDesConfig, CamDesObs, CpuPipeModel};
-use cam_iostacks::des::cam_thread_cost;
-use cam_nvme::SsdModel;
-use cam_protocol::ChannelOp;
+use cam_iostacks::cam_des::{CamDesConfig, CamDesObs};
 use cam_telemetry::FlightRecorder;
 
 /// Everything the run decides, floats by their bits.
@@ -48,19 +45,8 @@ fn workload() -> Vec<Vec<u64>> {
 
 fn run() -> Outcome {
     let cfg = CamDesConfig {
-        n_ssds: 3,
-        block_size: 4096,
-        stripe_blocks: 1,
-        op: ChannelOp::Read,
-        threads: 2,
         queue_depth: 8,
-        pipelined: true,
-        thread_cost: cam_thread_cost(1.5),
-        cpu_pipe: CpuPipeModel::calibrated(),
-        host_gbps: 21.0,
-        retry: CamDesConfig::inert_retry(),
-        fault: None,
-        ssd_model: SsdModel::p5510(),
+        ..CamDesConfig::calibrated(3, 2)
     };
     let cache_cfg = CacheConfig {
         slots: 32,

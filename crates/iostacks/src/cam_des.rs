@@ -142,6 +142,31 @@ pub struct CamDesConfig {
 }
 
 impl CamDesConfig {
+    /// The base every DES run starts from, stated once: a fault-free
+    /// array of `n_ssds` calibrated P5510s read in 4 KiB blocks, striped
+    /// one block per SSD, by `threads` pipelined workers on the calibrated
+    /// CPU pipe, each paying [`cam_thread_cost`](crate::des::cam_thread_cost)
+    /// for its `n_ssds / threads` queue pairs at the threaded engine's
+    /// default queue depth, behind the A100's PCIe link. A site varies
+    /// fields by struct update; a refit of the timing model edits here.
+    pub fn calibrated(n_ssds: usize, threads: usize) -> Self {
+        CamDesConfig {
+            n_ssds,
+            block_size: 4096,
+            stripe_blocks: 1,
+            op: ChannelOp::Read,
+            threads,
+            queue_depth: 1024,
+            pipelined: true,
+            thread_cost: crate::des::cam_thread_cost(n_ssds as f64 / threads as f64),
+            cpu_pipe: CpuPipeModel::calibrated(),
+            host_gbps: cam_gpu::GpuSpec::a100_80g().pcie_gbps,
+            retry: Self::inert_retry(),
+            fault: None,
+            ssd_model: SsdModel::p5510(),
+        }
+    }
+
     /// The no-retry policy of the fault-free device model: the retry
     /// machinery is live but never triggered (see docs/TIMING.md).
     pub fn inert_retry() -> RetryPolicy {

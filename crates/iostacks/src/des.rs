@@ -27,7 +27,7 @@ use cam_nvme::{DesSsd, SsdModel};
 use cam_protocol::ChannelOp;
 use cam_simkit::{Dur, EventKind, FlightRecorder, Pipe, Sim, Time};
 
-use crate::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel};
+use crate::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs};
 
 /// The SSD management being modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -427,32 +427,20 @@ fn run_cam_microbench(
     cfg: MicrobenchConfig,
     recorder: Option<Arc<FlightRecorder>>,
 ) -> MicrobenchResult {
-    let gpu = GpuSpec::a100_80g();
     let mem = MemoryModel::with_channels(cfg.mem_channels);
     let threads = cfg.cam_threads.max(1);
-    let per = cfg.n_ssds as f64 / threads as f64;
     assert!(
         cfg.granularity <= u64::from(u32::MAX),
         "CAM granularity is one block"
     );
     let des_cfg = CamDesConfig {
-        n_ssds: cfg.n_ssds,
         block_size: cfg.granularity as u32,
-        stripe_blocks: 1,
         op: match cfg.dir {
             IoDir::Read => ChannelOp::Read,
             IoDir::Write => ChannelOp::Write,
         },
-        threads,
         queue_depth: (cfg.queue_depth.max(1)) as usize,
-        pipelined: true,
-        // +1 uncounted polling thread, per the paper's accounting.
-        thread_cost: cam_thread_cost(per),
-        cpu_pipe: CpuPipeModel::calibrated(),
-        host_gbps: gpu.pcie_gbps,
-        retry: CamDesConfig::inert_retry(),
-        fault: None,
-        ssd_model: SsdModel::p5510(),
+        ..CamDesConfig::calibrated(cfg.n_ssds, threads)
     };
     // Round-robin the request budget into per-channel batches of ~32
     // requests per SSD; each channel keeps one batch outstanding and
@@ -487,6 +475,7 @@ fn run_cam_microbench(
         kiops: cfg.requests as f64 / duration.as_secs_f64() / 1e3,
         duration,
         sm_utilization: 0.0,
+        // +1 uncounted polling thread, per the paper's accounting.
         cpu_cores: threads as f64,
         mem_traffic_gbps: mem.traffic_gbps(delivered, false),
     }

@@ -17,11 +17,10 @@ use std::sync::Arc;
 
 use cam_hostos::IoDir;
 use cam_iostacks::cam_des::{
-    run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, CamDesReport, CpuPipeModel,
-    DesBatchSource, DesFaultSpec,
+    run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, CamDesReport, DesBatchSource,
+    DesFaultSpec,
 };
-use cam_iostacks::des::{cam_thread_cost, run_microbench_traced, Engine, MicrobenchConfig};
-use cam_nvme::SsdModel;
+use cam_iostacks::des::{run_microbench_traced, Engine, MicrobenchConfig};
 use cam_protocol::{ChannelOp, RetryPolicy};
 use cam_telemetry::FlightRecorder;
 
@@ -82,19 +81,9 @@ fn trace(seed: u64) -> Vec<VecDeque<CamDesBatch>> {
 
 fn config() -> CamDesConfig {
     CamDesConfig {
-        n_ssds: N_SSDS,
-        block_size: 4096,
         stripe_blocks: 2,
-        op: ChannelOp::Read,
-        threads: 2,
         queue_depth: 16,
-        pipelined: true,
-        thread_cost: cam_thread_cost(2.0),
-        cpu_pipe: CpuPipeModel::calibrated(),
-        host_gbps: 21.0,
-        retry: CamDesConfig::inert_retry(),
-        fault: None,
-        ssd_model: SsdModel::p5510(),
+        ..CamDesConfig::calibrated(N_SSDS, 2)
     }
 }
 

@@ -8,12 +8,10 @@ use std::sync::Arc;
 
 use cam_core::{CamConfig, CamContext};
 use cam_iostacks::cam_des::{
-    run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, CamDesReport, CpuPipeModel,
-    DesBatchSource,
+    run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, CamDesReport, DesBatchSource,
 };
 use cam_iostacks::des::cam_thread_cost;
 use cam_iostacks::{Rig, RigConfig};
-use cam_nvme::SsdModel;
 use cam_protocol::ChannelOp;
 use cam_telemetry::{clock, MetricsRegistry, Observability};
 use parking_lot::Mutex;
@@ -56,19 +54,9 @@ pub struct ServingRun {
 /// P5510 array under the pipelined reactor.
 fn des_config(n_ssds: usize) -> CamDesConfig {
     CamDesConfig {
-        n_ssds,
-        block_size: 4096,
-        stripe_blocks: 1,
-        op: ChannelOp::Read, // ignored: each serving batch brings its own op
-        threads: 2.min(n_ssds),
-        queue_depth: CamConfig::default().queue_depth,
-        pipelined: true,
+        // Charged as if one worker polled every queue pair.
         thread_cost: cam_thread_cost(n_ssds as f64),
-        cpu_pipe: CpuPipeModel::calibrated(),
-        host_gbps: 21.0,
-        retry: CamDesConfig::inert_retry(),
-        fault: None,
-        ssd_model: SsdModel::p5510(),
+        ..CamDesConfig::calibrated(n_ssds, 2.min(n_ssds))
     }
 }
 
