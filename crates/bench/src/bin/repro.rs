@@ -9,24 +9,16 @@
 //! repro --trace t.json         # also write a Perfetto-loadable trace
 //! ```
 //!
-//! Every verb of `repro list` returns its tables, the top-level sections of
-//! `BENCH_repro.json` it owns, and the acceptance bars it failed. The
-//! paper's tables and figures (`tab1` … `motiv`) own no section and read no
-//! flag — `--seed`, `--perturb` or `--baselines` with only such verbs is a
-//! usage error —; their bars are the paper's claims, each judged on a
-//! printed cell. `repro experiments` prints `EXPERIMENTS.md`: per figure the
-//! claims beside the cells and bounds they are held to, then the raw tables
-//! (a tier-1 test fails when the committed file differs). Each section has
-//! exactly one owner:
-//!
-//! | verb       | sections it writes                                          |
-//! |------------|-------------------------------------------------------------|
-//! | `bench`    | `workload`, `throughput`, `stages_ns`, `doorbell_to_retire_ns`, `critical_path`, `trajectory` (appends) |
-//! | `cache`    | `cache` (and `cache_trace.json`)                            |
-//! | `pipeline` | `pipeline`                                                  |
-//! | `fidelity` | `fidelity` (and `fidelity_trace.json`)                      |
-//! | `slo`      | `slo`                                                       |
-//! | `serve`    | `serving`                                                   |
+//! Every verb of `repro list` returns its tables and the acceptance bars
+//! it failed. The tables are the report: `repro` prints them and writes
+//! them, as JSON under the verb's id, to `BENCH_repro.json` — one document
+//! per invocation, holding exactly the verbs it ran (the shape is stated in
+//! `docs/OBSERVABILITY.md`). The paper's tables and figures (`tab1` …
+//! `motiv`) read no flag — `--seed`, `--perturb` or `--baselines` with only
+//! such verbs is a usage error —; their bars are the paper's claims, each
+//! judged on a printed cell. `repro experiments` prints `EXPERIMENTS.md`:
+//! per figure the claims beside the cells and bounds they are held to, then
+//! the raw tables (a tier-1 test fails when the committed file differs).
 //!
 //! Failed bars are always printed; with `--check` they make the exit code
 //! 1, so `repro all --check` is what CI runs and what a developer runs
@@ -64,8 +56,8 @@
 //! engine and renders a live per-lane / per-channel / per-tenant snapshot
 //! table every few hundred milliseconds (rolling-window retries, latency
 //! quantiles, SLO burn rates, lane health, tenant hit rates). `repro
-//! watch --once` renders a single end-of-run snapshot and writes
-//! `bench/out/health_snapshot.json` — for scripting and CI smoke.
+//! watch --once` renders a single end-of-run snapshot and writes its
+//! tables to `bench/out/health_snapshot.json` — for scripting and CI smoke.
 //!
 //! `repro calibrate [--rounds N]` re-fits the DES CPU-pipe constants
 //! (`CpuPipeModel::calibrated()`) from the threaded engine's own lifecycle
@@ -75,9 +67,7 @@
 
 use std::process::ExitCode;
 
-use cam_bench::figures::{
-    run_figures, write_sections, BenchParams, Experiment, BENCH_DOC, EXPERIMENTS,
-};
+use cam_bench::figures::{bench_doc, run_figures, BenchParams, Experiment, BENCH_DOC, EXPERIMENTS};
 use cam_bench::paper::experiments_md;
 use cam_bench::telemetry_run::{run_recorded, run_traced};
 use cam_telemetry::trace::validate_chrome_trace;
@@ -148,11 +138,12 @@ fn calibrate(rounds: u64) -> ExitCode {
 
 /// `repro watch [--once]`: a live view, not a figure generator.
 fn watch(once: bool) -> Result<ExitCode, ExitCode> {
-    let report = cam_bench::watch::run_watch(once, |frame| println!("{frame}"));
+    let last = cam_bench::watch::run_watch(once, |frame| println!("{frame}"));
     if once {
         let path = "bench/out/health_snapshot.json";
+        let doc = bench_doc(&[("watch", last.tables)]);
         std::fs::create_dir_all("bench/out")
-            .and_then(|()| std::fs::write(path, format!("{:#}", report.snapshot_json)))
+            .and_then(|()| std::fs::write(path, format!("{doc:#}")))
             .map_err(|e| {
                 eprintln!("could not write {path}: {e}");
                 ExitCode::FAILURE
@@ -245,6 +236,7 @@ fn run() -> Result<ExitCode, ExitCode> {
         return Err(ExitCode::from(2));
     }
     let mut failed_bars = 0usize;
+    let mut ran = Vec::new();
     for experiment in wanted {
         let want = experiment.id();
         println!("######## {want}: {}\n", experiment.desc());
@@ -252,15 +244,17 @@ fn run() -> Result<ExitCode, ExitCode> {
         for table in &outcome.tables {
             println!("{table}");
         }
-        if !outcome.sections.is_empty() {
-            if let Err(e) = write_sections(outcome.sections) {
-                eprintln!("warning: could not write {BENCH_DOC}: {e}");
-            }
-        }
         for failure in &outcome.failures {
             eprintln!("BAR FAILED [{want}] {failure}");
         }
         failed_bars += outcome.failures.len();
+        ran.push((want, outcome.tables));
+    }
+    if !ran.is_empty() {
+        let doc = bench_doc(&ran);
+        if let Err(e) = std::fs::write(BENCH_DOC, format!("{doc:#}")) {
+            eprintln!("warning: could not write {BENCH_DOC}: {e}");
+        }
     }
     if let Some(path) = metrics_path {
         let run = run_recorded(20, 64, None);

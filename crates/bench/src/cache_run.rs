@@ -11,8 +11,7 @@ use cam_core::{CamConfig, CamContext};
 use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs};
 use cam_iostacks::{Rig, RigConfig};
 use cam_simkit::dist::{seeded_rng, Zipf};
-use cam_telemetry::json::Json;
-use cam_telemetry::{obj, FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability};
+use cam_telemetry::{FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability};
 
 use crate::figures::require;
 
@@ -247,27 +246,6 @@ pub fn run_cache_sweep(slot_sizes: &[usize], seed: u64) -> Vec<CacheWorkloadRepo
     out
 }
 
-/// The `"cache"` section of `BENCH_repro.json`: one object per sweep cell.
-pub fn cache_section_json(reports: &[CacheWorkloadReport]) -> Json {
-    Json::arr(reports.iter().map(|r| {
-        obj! {
-            "workload" => r.workload,
-            "slots" => r.slots,
-            "accesses" => r.accesses,
-            "uncached_submissions" => r.uncached_submissions,
-            "cached_submissions" => r.cached_submissions,
-            "submission_ratio" => Json::fixed(r.submission_ratio(), 2),
-            "uncached_read_mean_ns" => Json::fixed(r.uncached_read_mean_ns, 0),
-            "cached_read_mean_ns" => Json::fixed(r.cached_read_mean_ns, 0),
-            "uncached_des_ns" => r.uncached_des_ns,
-            "cached_des_ns" => r.cached_des_ns,
-            "cache_hit_rate" => Json::fixed(r.cache_hit_rate, 4),
-            "coalesced_misses" => r.coalesced_misses,
-            "readahead_accuracy" => r.readahead_accuracy.map(|a| Json::fixed(a, 4)),
-        }
-    }))
-}
-
 /// Minimum uncached/cached NVMe-submission ratio on the repeated-access
 /// workload at the largest cache size.
 pub const ZIPF_MIN_SUBMISSION_RATIO: f64 = 2.0;
@@ -363,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_section_rounds_at_the_build_site() {
+    fn cache_table_rounds_at_the_build_site() {
         let reports = vec![CacheWorkloadReport {
             workload: "dlrm_zipf",
             slots: 256,
@@ -378,11 +356,13 @@ mod tests {
             coalesced_misses: 120,
             readahead_accuracy: None,
         }];
-        let section = cache_section_json(&reports);
-        let cell = &section.as_arr().unwrap()[0];
-        assert_eq!(cell.get("cache_hit_rate"), Some(&Json::Num(0.81)));
-        assert_eq!(cell.get("uncached_read_mean_ns"), Some(&Json::Int(100_000)));
-        assert_eq!(cell.get("readahead_accuracy"), Some(&Json::Null));
+        let table = crate::figures::cache_table(&reports);
+        let cell = |column| table.find("dlrm_zipf", column);
+        assert_eq!(cell("hit rate"), Some("81.0%"));
+        assert_eq!(cell("ratio"), Some("5.85x"));
+        assert_eq!(cell("read mean delta"), Some("+40%"));
+        assert_eq!(cell("DES time delta"), Some("-55%"));
+        assert_eq!(cell("ra accuracy"), Some("-"));
         // The wall-clock means are information only: cached reads slower
         // here, and no bar fails.
         assert_eq!(bars(&reports), Vec::<String>::new());

@@ -17,16 +17,19 @@
 //!   device model matched to it (`rig_matched_ssd_model`), so the depth
 //!   regimes are directly comparable; agreement is judged on the reported
 //!   depth relative error and on whether both drivers see the pipelined
-//!   reactor beat the blocking baseline.
+//!   reactor beat the blocking baseline — in latency, and on the threaded
+//!   driver in in-flight depth on every SSD (one worker owns all four, so
+//!   depth beyond one group's commands is cross-batch overlap).
 //! * **Cache decisions** ([`CachedFidelityReport`]): the same seeded
 //!   cached read stream through the threaded [`CachedDevice`] and the DES
 //!   cached source, pipelined and blocking — every run's
 //!   [`CacheDecisionCounters`] must equal the pure
 //!   [`replay_read_workload`] exactly.
 //!
-//! The `"fidelity"` section of `BENCH_repro.json` records all of it; see
-//! `docs/TIMING.md` for the methodology.
+//! `repro fidelity` prints all of it; see `docs/TIMING.md` for the
+//! methodology.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,8 +40,7 @@ use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::cache_core::{replay_read_workload, CacheDecisionCounters};
 use cam_protocol::{replay_plan_workload, DecisionCounters, PlanConfig};
-use cam_telemetry::json::Json;
-use cam_telemetry::{obj, EventKind, FlightRecorder, MetricsRegistry, Observability};
+use cam_telemetry::{EventKind, FlightRecorder, MetricsRegistry, Observability};
 
 use crate::figures::require;
 
@@ -55,8 +57,8 @@ const BATCH_REQS: usize = 16;
 /// Per-channel LBA window; 16 picks per batch from 96 slots makes
 /// duplicate LBAs (and thus dedup decisions) near-certain.
 const LBA_WINDOW: u64 = 96;
-/// Injected functional-rig service latency per burst (as in
-/// [`crate::pipeline_run`]): slow enough that overlap dominates.
+/// Injected functional-rig service latency per burst: slow enough that
+/// overlap (or its absence) dominates the measured latency.
 const SERVICE_LATENCY: Duration = Duration::from_micros(200);
 /// Default workload seed (`repro --seed` overrides it).
 pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
@@ -244,20 +246,74 @@ pub fn run_fidelity_experiment(rounds: u64, seed: u64) -> FidelityReport {
     }
 }
 
-/// The report's runs use one worker owning all SSDs, as in the pipeline
-/// experiment and the DES (`threads: 1`): any overlap must come from the
-/// reactor, not thread parallelism.
+/// The threaded twin of the `channels` argument of `run_cam_des_obs`: one
+/// scoped thread per channel, each keeping one batch outstanding — scatter
+/// the batch's reads over a per-channel buffer, wait for the retire, next.
+pub(crate) fn drive_channels(cam: &CamContext, channels: &[Vec<CamDesBatch>]) {
+    let block_size = cam.block_size() as usize;
+    std::thread::scope(|s| {
+        for (ch, batches) in channels.iter().enumerate() {
+            let dev = cam.device();
+            let batch_bytes = |b: &CamDesBatch| b.lbas.len() * b.blocks as usize * block_size;
+            let buf = cam
+                .alloc(batches.iter().map(batch_bytes).max().unwrap_or(0))
+                .expect("alloc channel buffer");
+            s.spawn(move || {
+                let addr = buf.addr();
+                for b in batches {
+                    let bytes_per_req = b.blocks as usize * block_size;
+                    let ticket = dev
+                        .submit_scatter(
+                            ch,
+                            ChannelOp::Read,
+                            &b.lbas,
+                            |i| addr + (i * bytes_per_req) as u64,
+                            b.blocks,
+                        )
+                        .expect("submit");
+                    ticket.wait().expect("batch retires cleanly");
+                }
+            });
+        }
+    })
+}
+
+/// Runs `drive` while a sampler reads the live `cam_inflight{ssd}` gauges
+/// every 20 us; returns their time-mean per SSD.
+fn sample_inflight(cam: &CamContext, drive: impl FnOnce()) -> Vec<f64> {
+    let metrics = cam.metrics();
+    let stop = AtomicBool::new(false);
+    let (sums, samples) = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut sums = vec![0u64; N_SSDS];
+            let mut samples = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                for (ssd, sum) in sums.iter_mut().enumerate() {
+                    *sum += metrics.inflight[ssd].get();
+                }
+                samples += 1;
+                std::thread::sleep(Duration::from_micros(20));
+            }
+            (sums, samples)
+        });
+        drive();
+        stop.store(true, Ordering::Release);
+        sampler.join().expect("sampler")
+    });
+    sums.iter()
+        .map(|&s| s as f64 / samples.max(1) as f64)
+        .collect()
+}
+
+/// The report's runs use one worker owning all SSDs, as the DES does
+/// (`threads: 1`): any overlap must come from the reactor, not thread
+/// parallelism.
 fn run_functional(
     pipelined: bool,
     workers: usize,
     channels: &[Vec<CamDesBatch>],
 ) -> FidelityModeReport {
-    let rig = Rig::new(RigConfig {
-        n_ssds: N_SSDS,
-        stripe_blocks: STRIPE_BLOCKS,
-        burst_latency: Some(SERVICE_LATENCY),
-        ..RigConfig::default()
-    });
+    let rig = Rig::new(rig_config());
     assert_eq!(rig.block_size(), BLOCK_SIZE);
     let registry = Arc::new(MetricsRegistry::new());
     // The recorder is the group-count witness: one GroupDispatch event per
@@ -272,35 +328,17 @@ fn run_functional(
         ..CamConfig::default()
     };
     let cam = CamContext::attach_observed(&rig, cfg, obs);
-
-    let bytes_per_req = BLOCKS_PER_REQ as usize * BLOCK_SIZE as usize;
-    let drive = || {
-        std::thread::scope(|s| {
-            for (ch, rounds) in channels.iter().enumerate() {
-                let dev = cam.device();
-                let buf = cam.alloc(BATCH_REQS * bytes_per_req).unwrap();
-                s.spawn(move || {
-                    let addr = buf.addr();
-                    for b in rounds {
-                        let ticket = dev
-                            .submit_scatter(
-                                ch,
-                                ChannelOp::Read,
-                                &b.lbas,
-                                |i| addr + (i * bytes_per_req) as u64,
-                                b.blocks,
-                            )
-                            .expect("submit");
-                        ticket.wait().expect("batch retires cleanly");
-                    }
-                });
-            }
-        })
-    };
-    let m =
-        crate::pipeline_run::measure_reads(&cam, &registry, pipelined, N_SSDS, N_CHANNELS, drive);
+    let inflight_mean = sample_inflight(&cam, || drive_channels(&cam, channels));
 
     let snapshot = registry.snapshot();
+    let (mut total_ns, mut batches) = (0u128, 0u64);
+    for ch in 0..N_CHANNELS {
+        let name = format!("cam_batch_total_ns{{channel=\"{ch}\",op=\"read\"}}");
+        if let Some(h) = snapshot.histogram(&name) {
+            total_ns += h.sum;
+            batches += h.count;
+        }
+    }
     let groups = recorder
         .snapshot()
         .iter()
@@ -318,10 +356,12 @@ fn run_functional(
     };
     FidelityModeReport {
         pipelined,
-        mean_read_ns: m.mean_read_ns,
-        inflight_mean: m.inflight_mean,
-        inflight_peak: m.inflight_peak,
-        batches: m.batches,
+        mean_read_ns: (total_ns / u128::from(batches.max(1))) as u64,
+        inflight_mean,
+        inflight_peak: (0..N_SSDS)
+            .map(|ssd| snapshot.gauge(&format!("cam_inflight_peak{{ssd=\"{ssd}\"}}")))
+            .collect(),
+        batches,
         decisions,
     }
 }
@@ -358,7 +398,7 @@ pub(crate) fn des_config(
 
 /// Runs one DES mode of the fidelity workload; an attached recorder
 /// observes the virtual-time issue/complete stream without perturbing it
-/// (the `"fidelity"` generator uses this for the trace artifact).
+/// (the `fidelity` verb uses this for the trace artifact).
 pub fn run_des(
     pipelined: bool,
     channels: &[Vec<CamDesBatch>],
@@ -399,9 +439,9 @@ pub fn cached_cache_cfg() -> CacheConfig {
     }
 }
 
-/// Rig shape for the cached functional runs; the DES side derives its
+/// Rig shape of every functional run; the cached DES side derives its
 /// array size from the same config so readahead sees identical bounds.
-fn cached_rig_config() -> RigConfig {
+fn rig_config() -> RigConfig {
     RigConfig {
         n_ssds: N_SSDS,
         stripe_blocks: STRIPE_BLOCKS,
@@ -478,7 +518,7 @@ impl CachedFidelityReport {
 }
 
 fn run_functional_cached(pipelined: bool, batches: &[Vec<u64>]) -> CachedModeReport {
-    let rig = Rig::new(cached_rig_config());
+    let rig = Rig::new(rig_config());
     let registry = Arc::new(MetricsRegistry::new());
     let cam = CamContext::attach_observed(
         &rig,
@@ -531,7 +571,7 @@ fn run_des_cached(pipelined: bool, batches: &[Vec<u64>], array_blocks: u64) -> C
 /// Runs the cached matrix on `rounds` batches of the seeded stream.
 pub fn run_cached_fidelity_seeded(rounds: u64, seed: u64) -> CachedFidelityReport {
     let batches = cached_fidelity_workload_seeded(rounds, seed);
-    let rig_cfg = cached_rig_config();
+    let rig_cfg = rig_config();
     let array_blocks = rig_cfg.n_ssds as u64 * rig_cfg.blocks_per_ssd;
     CachedFidelityReport {
         expected: replay_read_workload(cached_cache_cfg(), array_blocks, true, &batches),
@@ -539,81 +579,6 @@ pub fn run_cached_fidelity_seeded(rounds: u64, seed: u64) -> CachedFidelityRepor
         functional_blocking: run_functional_cached(false, &batches),
         des_pipelined: run_des_cached(true, &batches, array_blocks),
         des_blocking: run_des_cached(false, &batches, array_blocks),
-    }
-}
-
-/// One mode's depth/latency record, the shape the `"pipeline"` and
-/// `"fidelity"` sections share.
-pub(crate) fn mode_json(
-    inflight_mean: &[f64],
-    inflight_peak: &[u64],
-    mean_read_ns: u64,
-    batches: u64,
-) -> Json {
-    obj! {
-        "inflight_mean" => Json::arr(inflight_mean.iter().map(|&v| Json::fixed(v, 3))),
-        "inflight_peak" => Json::arr(inflight_peak.iter().copied()),
-        "mean_read_ns" => mean_read_ns,
-        "batches" => batches,
-    }
-}
-
-/// The `"fidelity"` section of `BENCH_repro.json`.
-pub fn fidelity_section_json(report: &FidelityReport) -> Json {
-    let engine = |e: &FidelityEngineReport| {
-        let mode = |m: &FidelityModeReport| {
-            mode_json(
-                &m.inflight_mean,
-                &m.inflight_peak,
-                m.mean_read_ns,
-                m.batches,
-            )
-        };
-        obj! {
-            "pipelined" => mode(&e.pipelined),
-            "blocking" => mode(&e.blocking),
-            "read_latency_speedup" => Json::fixed(e.speedup(), 2),
-        }
-    };
-    let counters = |fields: [(&'static str, u64); 8]| {
-        Json::obj(fields.into_iter().map(|(name, v)| (name, Json::from(v))))
-    };
-    let mut cached = obj! {
-        "expected" => counters(report.cached.expected.fields()),
-    };
-    for (label, m) in report.cached.modes() {
-        cached.set(
-            &label.replace('/', "_"),
-            obj! {
-                "counters_match" => m.counters == report.cached.expected,
-                "mean_read_ns" => m.mean_read_ns,
-            },
-        );
-    }
-    cached.set("decisions_match", report.cached.decisions_match().into());
-    obj! {
-        "workload" => obj! {
-            "channels" => N_CHANNELS,
-            "ssds" => N_SSDS,
-            "stripe_blocks" => STRIPE_BLOCKS,
-            "blocks_per_req" => BLOCKS_PER_REQ,
-            "batch_requests" => BATCH_REQS,
-            "lba_window" => LBA_WINDOW,
-            "seed" => report.seed,
-        },
-        "decisions" => counters(report.expected.fields()),
-        "functional" => engine(&report.functional),
-        "des" => engine(&report.des),
-        "cached" => cached,
-        "agreement" => obj! {
-            "decisions_match" => report.decisions_match(),
-            "cache_decisions_match" => report.cached.decisions_match(),
-            "inflight_rel_err_pipelined" => Json::fixed(report.depth_rel_err(true), 4),
-            "inflight_rel_err_blocking" => Json::fixed(report.depth_rel_err(false), 4),
-            "depth_rel_err_tolerance" => DEPTH_REL_ERR_TOLERANCE,
-            "speedup_ratio_des_over_functional" => Json::fixed(report.speedup_ratio(), 4),
-            "speedup_direction_agrees" => report.speedup_direction_agrees(),
-        },
     }
 }
 
@@ -658,9 +623,36 @@ pub fn decision_bars(report: &FidelityReport) -> Vec<String> {
 
 /// The wall-clock acceptance bars (`docs/TIMING.md`): trends directional,
 /// magnitudes sanity-bounded, sampled in-flight depth within
-/// [`DEPTH_REL_ERR_TOLERANCE`] of the DES.
+/// [`DEPTH_REL_ERR_TOLERANCE`] of the DES — and, on the threaded driver,
+/// the cross-batch-overlap claim itself: a group-at-a-time reactor cannot
+/// hold more than one group's commands on an SSD, so the pipelined run's
+/// peak and time-mean in-flight depth must exceed the blocking run's on
+/// every SSD.
 pub fn timing_bars(report: &FidelityReport) -> Vec<String> {
     let mut failed = Vec::new();
+    let (p, b) = (&report.functional.pipelined, &report.functional.blocking);
+    require(
+        &mut failed,
+        p.inflight_peak
+            .iter()
+            .zip(&b.inflight_peak)
+            .all(|(p, b)| p > b),
+        format!(
+            "pipelined peak in-flight depth must exceed blocking's on every SSD: {:?} vs {:?}",
+            p.inflight_peak, b.inflight_peak
+        ),
+    );
+    require(
+        &mut failed,
+        p.inflight_mean
+            .iter()
+            .zip(&b.inflight_mean)
+            .all(|(p, b)| p > b),
+        format!(
+            "pipelined mean in-flight depth must exceed blocking's on every SSD: {:.2?} vs {:.2?}",
+            p.inflight_mean, b.inflight_mean
+        ),
+    );
     require(
         &mut failed,
         report.functional.speedup() >= 1.0 && report.speedup_direction_agrees(),
@@ -698,10 +690,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn section_records_the_seed_the_run_used() {
-        let section = fidelity_section_json(&run_fidelity_experiment(1, 7));
-        let seed = section.get("workload").and_then(|w| w.get("seed"));
-        assert_eq!(seed.and_then(Json::as_u64), Some(7));
+    fn decisions_note_prints_the_seed_the_run_used() {
+        let report = run_fidelity_experiment(1, 7);
+        assert_eq!(report.seed, 7);
+        let tables = crate::figures::fidelity_tables(&report, 1);
+        let note = &tables[0].notes()[0];
+        assert!(note.contains("workload seed 0x7)"), "{note}");
     }
 
     #[test]
@@ -731,6 +725,10 @@ mod tests {
                 "{name} diverged from the plan replay"
             );
             assert_eq!(m.batches, report.expected.batches, "{name} batches");
+        }
+        // Both modes of the report's own threaded runs retire every batch.
+        for m in [&report.functional.pipelined, &report.functional.blocking] {
+            assert_eq!(m.batches, 6 * N_CHANNELS as u64);
         }
         // The report's own four runs (and its cached matrix) are judged by
         // the same function `repro fidelity --check` runs.

@@ -3,9 +3,9 @@
 //! function that builds the rows the paper reports, from the calibrated
 //! models and the DES microbenchmark engine, plus the [`Claim`]s the paper
 //! makes about them (`EXPERIMENTS.md` is rendered from this list) — then
-//! the repo-grown experiments (`bench` … `serve`), which also return the
-//! `BENCH_repro.json` sections they own and the acceptance bars they
-//! failed — see [`Outcome`].
+//! the repo-grown experiments (`bench` … `serve`), which judge their own
+//! acceptance bars — see [`Outcome`]. A verb's tables are its whole report:
+//! [`bench_doc`] is what the CLI printed, as JSON.
 
 use cam_gpu::GpuSpec;
 use cam_hostos::{CpuModel, IoDir, IoStackKind, LayerCosts, MemoryModel, PerfCounts};
@@ -20,7 +20,7 @@ use cam_workloads::gnn::{
 use cam_workloads::graph::GraphSpec;
 use cam_workloads::sort::{model_sort, model_sort_read_gbps, SortEngine};
 
-use cam_telemetry::json::{parse, Json};
+use cam_telemetry::json::Json;
 use cam_telemetry::trace::{chrome_trace, validate_chrome_trace, TraceSummary};
 use cam_telemetry::{Event, FlightRecorder};
 
@@ -61,13 +61,10 @@ impl BenchParams {
 }
 
 /// What one experiment produced.
-#[derive(Default)]
 pub struct Outcome {
-    /// The figure/table row data, printed by the CLI.
+    /// The figure/table row data, printed by the CLI and written to
+    /// [`BENCH_DOC`] under the verb's id.
     pub tables: Vec<Table>,
-    /// The top-level sections of [`BENCH_DOC`] this verb owns, freshly
-    /// computed; the CLI replaces exactly these and keeps the rest.
-    pub sections: Vec<(&'static str, Json)>,
     /// Acceptance bars that failed, one line each. Always printed; with
     /// `--check` they make the exit code 1.
     pub failures: Vec<String>,
@@ -77,7 +74,7 @@ impl From<Vec<Table>> for Outcome {
     fn from(tables: Vec<Table>) -> Self {
         Outcome {
             tables,
-            ..Outcome::default()
+            failures: Vec::new(),
         }
     }
 }
@@ -89,27 +86,17 @@ pub(crate) fn require(failed: &mut Vec<String>, ok: bool, what: String) {
     }
 }
 
-/// The machine-readable results document, in the working directory. Each
-/// top-level section is written by exactly one verb (see [`EXPERIMENTS`]).
+/// The machine-readable results document, in the working directory:
+/// [`bench_doc`] of the verbs one `repro` invocation ran, overwritten by
+/// the next.
 pub const BENCH_DOC: &str = "BENCH_repro.json";
 
-/// The current [`BENCH_DOC`], or an empty object when it is absent or not
-/// a JSON object.
-pub fn read_bench_doc() -> Json {
-    std::fs::read_to_string(BENCH_DOC)
-        .ok()
-        .and_then(|text| parse(&text).ok())
-        .filter(|doc| matches!(doc, Json::Obj(_)))
-        .unwrap_or(Json::Obj(Vec::new()))
-}
-
-/// Replaces `sections` in [`BENCH_DOC`], preserving every other section.
-pub fn write_sections(sections: Vec<(&'static str, Json)>) -> std::io::Result<()> {
-    let mut doc = read_bench_doc();
-    for (key, value) in sections {
-        doc.set(key, value);
-    }
-    std::fs::write(BENCH_DOC, format!("{doc:#}"))
+/// The one document shape of the harness: `{"<verb>": [table, …]}`, each
+/// table as [`Table::to_json`] writes it — what the CLI printed, in JSON
+/// syntax (`docs/OBSERVABILITY.md`).
+pub fn bench_doc(ran: &[(&str, Vec<Table>)]) -> Json {
+    let tables = |tables: &Vec<Table>| Json::arr(tables.iter().map(Table::to_json));
+    Json::obj(ran.iter().map(|(verb, t)| (*verb, tables(t))))
 }
 
 /// Exports a recorder timeline as Chrome-trace JSON and validates it
@@ -143,8 +130,7 @@ pub enum Experiment {
     /// `fn() -> Vec<Table>`, so it reads no flag.
     Paper(Figure),
     /// `(id, description, generator)` of a harness experiment, which reads
-    /// [`BenchParams`], may own [`BENCH_DOC`] sections and judges its own
-    /// bars.
+    /// [`BenchParams`] and judges its own bars.
     Harness(&'static str, &'static str, fn(&BenchParams) -> Outcome),
 }
 
@@ -178,11 +164,7 @@ impl Experiment {
         match self {
             Paper(f) => {
                 let (tables, failures) = f.run();
-                Outcome {
-                    tables,
-                    failures,
-                    ..Outcome::default()
-                }
+                Outcome { tables, failures }
             }
             Harness(.., generate) => generate(params),
         }
@@ -626,27 +608,22 @@ pub static EXPERIMENTS: &[Experiment] = &[
     }),
     Harness(
         "bench",
-        "Functional-engine telemetry benchmark + DES perf trajectory gated against bench/baselines (writes workload, throughput, stages_ns, doorbell_to_retire_ns, critical_path, trajectory)",
+        "Functional-engine telemetry benchmark + DES perf trajectory gated against bench/baselines",
         bench,
     ),
     Harness(
         "cache",
-        "GPU-memory block cache: hit rate / NVMe-submission sweep (writes the cache section and cache_trace.json)",
+        "GPU-memory block cache: hit rate / NVMe-submission sweep (writes cache_trace.json)",
         cache,
     ),
     Harness(
-        "pipeline",
-        "Multi-channel pipelining: per-SSD in-flight depth and read latency vs the blocking baseline (writes the pipeline section)",
-        pipeline,
-    ),
-    Harness(
         "fidelity",
-        "Model fidelity: DES driver vs functional driver on a matched workload (writes the fidelity section and fidelity_trace.json)",
+        "Model fidelity: DES driver vs functional driver on a matched workload, pipelined vs blocking (writes fidelity_trace.json)",
         fidelity,
     ),
     Harness(
         "slo",
-        "SLO burn and lane health under a transient overload, threaded vs DES driver (writes the slo section)",
+        "SLO burn and lane health under a transient overload, threaded vs DES driver",
         slo,
     ),
     Harness(
@@ -656,7 +633,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     ),
     Harness(
         "serve",
-        "Multi-tenant KV-cache serving: admission, DRR fairness, per-tenant SLO (writes the serving section)",
+        "Multi-tenant KV-cache serving: admission, DRR fairness, per-tenant SLO",
         crate::serving_run::serve,
     ),
 ];
@@ -1181,7 +1158,7 @@ fn motiv() -> Vec<Table> {
 }
 
 fn bench(p: &BenchParams) -> Outcome {
-    use crate::telemetry_run::{bars, bench_sections, run_recorded};
+    use crate::telemetry_run::{bars, run_recorded};
     use crate::trajectory_run::{run_gate, BASELINE_PATH};
     use cam_telemetry::{critical, Stage};
     use std::sync::Arc;
@@ -1190,21 +1167,13 @@ fn bench(p: &BenchParams) -> Outcome {
     // Critical-path attribution from the event timeline: where each
     // channel's doorbell→retire latency actually went.
     let report = critical::analyze(&run.events);
-    let mut sections = bench_sections(&run, &report);
     let mut failures = bars(&run, &report);
 
     // The perf trajectory: seeded multi-trial DES runs, gated against the
-    // committed baselines; the uncached run's headline metrics append to
-    // the `trajectory` array, which keeps every prior entry.
+    // committed baselines.
     let baselines = p.baselines.as_deref().unwrap_or(BASELINE_PATH);
     let gate = run_gate(&p.trial_params(), baselines, p.update_baselines);
     failures.extend(gate.failures);
-    let mut trajectory = match read_bench_doc().get("trajectory") {
-        Some(Json::Arr(prior)) => prior.clone(),
-        _ => Vec::new(),
-    };
-    trajectory.push(gate.entry);
-    sections.push(("trajectory", Json::Arr(trajectory)));
 
     let mut t = Table::new(
         "Functional engine: batch-lifecycle stage latency (instrumented run)",
@@ -1228,7 +1197,7 @@ fn bench(p: &BenchParams) -> Outcome {
         }
     }
     t.note(format!(
-        "{} requests in {:.2} ms: {} GB/s, {} K IOPS; full report in {BENCH_DOC}",
+        "{} requests in {:.2} ms: {} GB/s, {} K IOPS",
         run.requests,
         run.elapsed_ns as f64 / 1e6,
         f2(run.gbps()),
@@ -1260,50 +1229,11 @@ fn bench(p: &BenchParams) -> Outcome {
     }
     let mut tables = vec![t, cp];
     tables.extend(gate.tables);
-    Outcome {
-        tables,
-        sections,
-        failures,
-    }
-}
-
-fn pipeline(_p: &BenchParams) -> Outcome {
-    use crate::pipeline_run::{bars, pipeline_section_json, run_pipeline_experiment};
-
-    let report = run_pipeline_experiment(16);
-    let mut t = Table::new(
-        "Pipelining: per-SSD in-flight depth and mean read latency vs. blocking baseline",
-        &[
-            "mode",
-            "mean depth/ssd",
-            "peak depth/ssd",
-            "mean read (us)",
-            "batches",
-        ],
-    );
-    for m in [&report.pipelined, &report.blocking] {
-        let join = |cells: Vec<String>| cells.join("/");
-        t.row(vec![
-            if m.pipelined { "pipelined" } else { "blocking" }.into(),
-            join(m.inflight_mean.iter().map(|v| format!("{v:.2}")).collect()),
-            join(m.inflight_peak.iter().map(u64::to_string).collect()),
-            format!("{:.1}", m.mean_read_ns as f64 / 1e3),
-            m.batches.to_string(),
-        ]);
-    }
-    t.note(format!(
-        "4 channels x 4 SSDs, 1 worker; read latency speedup {:.2}x",
-        report.speedup()
-    ));
-    Outcome {
-        tables: vec![t],
-        sections: vec![("pipeline", pipeline_section_json(&report))],
-        failures: bars(&report),
-    }
+    Outcome { tables, failures }
 }
 
 fn slo(_p: &BenchParams) -> Outcome {
-    use crate::health_run::{bars, run_health_experiment, slo_section_json};
+    use crate::health_run::{bars, run_health_experiment, slo_config};
     use cam_telemetry::health_state_label;
 
     let report = run_health_experiment();
@@ -1339,23 +1269,19 @@ fn slo(_p: &BenchParams) -> Outcome {
         report.sequences_match(),
         report.overloaded_then_recovered(),
     ));
+    let target = slo_config();
+    t.note(format!(
+        "target: doorbell->retire within {} ns, error budget {}",
+        target.latency_target_ns, target.error_budget
+    ));
     Outcome {
         tables: vec![t],
-        sections: vec![("slo", slo_section_json(&report))],
         failures: bars(&report),
     }
 }
 
-fn cache(p: &BenchParams) -> Outcome {
-    use crate::cache_run::{
-        bars, cache_section_json, run_cache_sweep, run_cached, CacheWorkload, DEFAULT_CACHE_SEED,
-    };
-    use cam_telemetry::EventKind;
-    use std::sync::Arc;
-
-    let seed = p.seed.unwrap_or(DEFAULT_CACHE_SEED);
-    let reports = run_cache_sweep(&[256, 2048], seed);
-    let mut failures = bars(&reports);
+/// The cache sweep as its printed table, one row per (workload, size) cell.
+pub(crate) fn cache_table(reports: &[crate::cache_run::CacheWorkloadReport]) -> Table {
     let mut t = Table::new(
         "Block cache: cache size x workload sweep (cached vs uncached runs)",
         &[
@@ -1372,7 +1298,7 @@ fn cache(p: &BenchParams) -> Outcome {
             "DES time delta",
         ],
     );
-    for r in &reports {
+    for r in reports {
         t.row(vec![
             r.workload.into(),
             r.slots.to_string(),
@@ -1398,6 +1324,18 @@ fn cache(p: &BenchParams) -> Outcome {
     }
     t.note("subs = NVMe commands submitted; cached runs include readahead traffic");
     t.note("read mean delta is wall clock (information); DES time delta is virtual time (the bar)");
+    t
+}
+
+fn cache(p: &BenchParams) -> Outcome {
+    use crate::cache_run::{bars, run_cache_sweep, run_cached, CacheWorkload, DEFAULT_CACHE_SEED};
+    use cam_telemetry::EventKind;
+    use std::sync::Arc;
+
+    let seed = p.seed.unwrap_or(DEFAULT_CACHE_SEED);
+    let reports = run_cache_sweep(&[256, 2048], seed);
+    let mut failures = bars(&reports);
+    let mut t = cache_table(&reports);
 
     // A recorded cached run, exported through the Chrome-trace pipeline:
     // the cache events (access / evict / readahead / flush instants) must
@@ -1423,23 +1361,17 @@ fn cache(p: &BenchParams) -> Outcome {
     }
     Outcome {
         tables: vec![t],
-        sections: vec![("cache", cache_section_json(&reports))],
         failures,
     }
 }
 
-fn fidelity(p: &BenchParams) -> Outcome {
-    use crate::fidelity_run::{
-        decision_bars, fidelity_section_json, fidelity_workload, run_des, run_fidelity_experiment,
-        timing_bars, DEFAULT_SEED, N_CHANNELS, N_SSDS,
-    };
-    use cam_telemetry::EventKind;
-    use std::sync::Arc;
-
-    let seed = p.seed.unwrap_or(DEFAULT_SEED);
-    let report = run_fidelity_experiment(8, seed);
-    let mut failures = decision_bars(&report);
-    failures.extend(timing_bars(&report));
+/// The fidelity report as its printed tables — protocol decisions, cache
+/// decisions, timing trends — for a run of `rounds` batches per channel.
+pub(crate) fn fidelity_tables(
+    report: &crate::fidelity_run::FidelityReport,
+    rounds: u64,
+) -> Vec<Table> {
+    use crate::fidelity_run::{DEPTH_REL_ERR_TOLERANCE, N_CHANNELS, N_SSDS};
 
     // The decision comparison: every counter, plan replay vs. each
     // driver × mode. The whole point is that the four rightmost columns
@@ -1468,22 +1400,33 @@ fn fidelity(p: &BenchParams) -> Outcome {
         t.row(row);
     }
     t.note(format!(
-        "decisions_match: {} ({N_CHANNELS} channels x 8 batches, {N_SSDS} SSDs, seeded workload)",
-        report.decisions_match()
+        "decisions_match: {} ({N_CHANNELS} channels x {rounds} batches, {N_SSDS} SSDs, \
+         workload seed {:#x})",
+        report.decisions_match(),
+        report.seed
     ));
 
     // The timing-trend comparison: magnitudes differ by design (wall clock
     // vs calibrated virtual time), directions must not.
     let mut tr = Table::new(
         "Model fidelity: in-flight depth and doorbell->retire latency trends",
-        &["driver", "mode", "mean depth", "mean read (us)", "speedup"],
+        &[
+            "driver",
+            "mode",
+            "mean depth",
+            "peak depth/ssd",
+            "mean read (us)",
+            "speedup",
+        ],
     );
     for (driver, engine) in [("functional", &report.functional), ("des", &report.des)] {
         for m in [&engine.pipelined, &engine.blocking] {
+            let peaks: Vec<String> = m.inflight_peak.iter().map(u64::to_string).collect();
             tr.row(vec![
                 driver.into(),
                 if m.pipelined { "pipelined" } else { "blocking" }.into(),
                 format!("{:.2}", m.depth()),
+                peaks.join("/"),
                 format!("{:.1}", m.mean_read_ns as f64 / 1e3),
                 if m.pipelined {
                     format!("{:.2}x", engine.speedup())
@@ -1497,7 +1440,7 @@ fn fidelity(p: &BenchParams) -> Outcome {
         "depth rel err: {:.2} piped / {:.2} blocking (tolerance {}); speedup direction agrees: {}",
         report.depth_rel_err(true),
         report.depth_rel_err(false),
-        crate::fidelity_run::DEPTH_REL_ERR_TOLERANCE,
+        DEPTH_REL_ERR_TOLERANCE,
         report.speedup_direction_agrees()
     ));
 
@@ -1538,13 +1481,34 @@ fn fidelity(p: &BenchParams) -> Outcome {
     tc.note(format!(
         "cache decisions_match: {} (seeded single-stream workload, {} batches)",
         report.cached.decisions_match(),
-        8 * 3,
+        rounds * 3,
     ));
+    vec![t, tc, tr]
+}
+
+fn fidelity(p: &BenchParams) -> Outcome {
+    use crate::fidelity_run::{
+        decision_bars, fidelity_workload, run_des, run_fidelity_experiment, timing_bars,
+        DEFAULT_SEED,
+    };
+    use cam_telemetry::EventKind;
+    use std::sync::Arc;
+
+    const ROUNDS: u64 = 8;
+    let seed = p.seed.unwrap_or(DEFAULT_SEED);
+    let report = run_fidelity_experiment(ROUNDS, seed);
+    let mut failures = decision_bars(&report);
+    failures.extend(timing_bars(&report));
+    let mut tables = fidelity_tables(&report, ROUNDS);
 
     // The virtual-time trace artifact: a recorded DES pipelined run — sim
     // events only, on sim-ssd tracks under process 2.
     let rec = Arc::new(FlightRecorder::new());
-    let _ = run_des(true, &fidelity_workload(8, seed), Some(Arc::clone(&rec)));
+    let _ = run_des(
+        true,
+        &fidelity_workload(ROUNDS, seed),
+        Some(Arc::clone(&rec)),
+    );
     let path = "fidelity_trace.json";
     let events = rec.snapshot();
     if let Some(summary) = write_trace(path, &events, &rec, &mut failures) {
@@ -1561,17 +1525,13 @@ fn fidelity(p: &BenchParams) -> Outcome {
                 && summary.named_tracks.iter().any(|n| n == "sim-ssd0"),
             format!("{path} must hold only sim spans, on sim-ssd tracks"),
         );
-        tr.note(format!(
+        tables[2].note(format!(
             "DES trace valid: {} events across {} tracks, written to {path}",
             summary.events,
             summary.named_tracks.len(),
         ));
     }
-    Outcome {
-        tables: vec![t, tc, tr],
-        sections: vec![("fidelity", fidelity_section_json(&report))],
-        failures,
-    }
+    Outcome { tables, failures }
 }
 
 fn attribute(p: &BenchParams) -> Outcome {
@@ -1663,7 +1623,7 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), ids.len(), "duplicate experiment ids: {ids:?}");
-        for want in ["tab1", "fig8", "bench", "pipeline", "slo", "serve"] {
+        for want in ["tab1", "fig8", "bench", "slo", "serve"] {
             assert!(ids.contains(&want), "missing {want}");
         }
         for e in EXPERIMENTS {
@@ -1673,6 +1633,33 @@ mod tests {
                 e.id()
             );
         }
+    }
+
+    #[test]
+    fn bench_doc_holds_exactly_the_verbs_run_and_the_tables_they_printed() {
+        let ran = ["tab1", "slo"].map(|id| {
+            let verb = EXPERIMENTS.iter().find(|e| e.id() == id).expect(id);
+            (id, verb.run(&BenchParams::default()).tables)
+        });
+        let doc = bench_doc(&ran);
+        let parsed = cam_telemetry::json::parse(&format!("{doc:#}")).expect("document parses");
+        assert_eq!(parsed, doc);
+        let Json::Obj(entries) = &parsed else {
+            panic!("not an object: {parsed}")
+        };
+        assert_eq!(entries.len(), ran.len(), "one key per verb run");
+        for ((id, tables), (key, entry)) in ran.iter().zip(entries) {
+            assert_eq!(id, key);
+            let titles = entry.as_arr().expect("array of tables").iter();
+            let titles: Vec<_> = titles
+                .map(|t| t.get("title").and_then(Json::as_str))
+                .collect();
+            let printed: Vec<_> = tables.iter().map(|t| Some(t.title())).collect();
+            assert_eq!(titles, printed, "{id}");
+        }
+        // The printed walk is the report: the DES lane drains to recovered.
+        let walk = ran[1].1[0].find("des", "lane 0 walk").expect("des row");
+        assert!(walk.ends_with("> recovered"), "{walk}");
     }
 
     #[test]

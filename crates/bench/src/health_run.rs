@@ -17,18 +17,17 @@
 use std::sync::Arc;
 
 use cam_blockdev::{BlockGeometry, BlockStore, FaultPolicy, FaultyStore, SparseMemStore};
-use cam_core::{CamConfig, CamContext, ChannelOp};
+use cam_core::{CamConfig, CamContext};
 use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, DesFaultSpec};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::RetryPolicy;
-use cam_telemetry::json::Json;
 use cam_telemetry::{
-    clock, health_state_label, obj, EventKind, FlightRecorder, MetricsRegistry, Observability,
-    OpsWindows, SloConfig, SloTracker, Stage, WindowConfig,
+    clock, EventKind, FlightRecorder, MetricsRegistry, Observability, OpsWindows, SloConfig,
+    SloTracker, Stage, WindowConfig,
 };
 
-use crate::fidelity_run::des_config;
+use crate::fidelity_run::{des_config, drive_channels};
 use crate::figures::require;
 
 /// SSDs in the array; SSD 0 carries the faults, SSD 1 stays healthy.
@@ -197,23 +196,8 @@ fn run_functional() -> HealthDriverReport {
         ..CamConfig::default()
     };
     let cam = CamContext::attach_observed(&rig, cfg, obs);
-    let dev = cam.device();
-    let buf = cam
-        .alloc(BATCH_REQS as usize * BLOCK_SIZE as usize)
-        .unwrap();
-    let addr = buf.addr();
-    for batch in &workload()[0] {
-        let ticket = dev
-            .submit_scatter(
-                0,
-                ChannelOp::Read,
-                &batch.lbas,
-                |i| addr + (i as u64) * u64::from(BLOCK_SIZE),
-                1,
-            )
-            .expect("submit");
-        ticket.wait().expect("transient faults retire clean");
-    }
+    // Transient faults retire clean: the retry budget absorbs every one.
+    drive_channels(&cam, &workload());
     let stats = cam.stats();
     // Stopping the engine drains the lanes — the `→ Recovered` transition
     // lands in the recorder before we snapshot it.
@@ -295,43 +279,6 @@ pub fn transitions_from_events(recorder: &FlightRecorder) -> Vec<TransitionKey> 
             _ => None,
         })
         .collect()
-}
-
-/// The `"slo"` section of `BENCH_repro.json`.
-pub fn slo_section_json(report: &HealthReport) -> Json {
-    let cfg = slo_config();
-    let driver = |d: &HealthDriverReport| {
-        obj! {
-            "burn_short" => Json::fixed(d.burn_short, 2),
-            "burn_long" => Json::fixed(d.burn_long, 2),
-            "retries" => d.retries,
-            "faults_injected" => d.faults,
-            "batches" => d.batches,
-            "transitions" => Json::arr(d.transitions.iter().map(|&(ssd, from, to, faults)| {
-                obj! {
-                    "ssd" => ssd,
-                    "from" => health_state_label(from),
-                    "to" => health_state_label(to),
-                    "faults" => faults,
-                }
-            })),
-        }
-    };
-    obj! {
-        "target" => obj! {
-            "latency_ns" => cfg.latency_target_ns,
-            "error_budget" => cfg.error_budget,
-            "short_window_ns" => cfg.short.window_ns(),
-            "long_window_ns" => cfg.long.window_ns(),
-        },
-        "functional" => driver(&report.functional),
-        "des" => driver(&report.des),
-        "agreement" => obj! {
-            "sequences_match" => report.sequences_match(),
-            "burn_exceeds_one" => report.burn_exceeds_one(),
-            "overloaded_then_recovered" => report.overloaded_then_recovered(),
-        },
-    }
 }
 
 /// The acceptance bars, all deterministic (transitions are gated on
@@ -435,13 +382,5 @@ mod tests {
         let expected = [batches, groups, groups, groups, batches];
         assert_eq!(report.functional.stage_window, expected);
         assert_eq!(report.des.stage_window, expected);
-        let section = slo_section_json(&report);
-        let last = section
-            .get("des")
-            .and_then(|d| d.get("transitions"))
-            .and_then(Json::as_arr)
-            .and_then(<[Json]>::last)
-            .expect("des transitions");
-        assert_eq!(last.get("to").and_then(Json::as_str), Some("recovered"));
     }
 }

@@ -22,7 +22,6 @@ pub mod fidelity_run;
 pub mod figures;
 pub mod health_run;
 pub mod paper;
-pub mod pipeline_run;
 pub mod serving_run;
 mod table;
 pub mod telemetry_run;

@@ -14,9 +14,6 @@
 //! * **threaded** (wall clock): a small run on the functional driver with
 //!   a live metrics registry, proving the metric schema is identical
 //!   across drivers and that the `tenant`-labeled gauges populate.
-//!
-//! `serve` owns the `"serving"` section of `BENCH_repro.json`; every other
-//! verb's section survives its write untouched.
 
 use std::sync::Arc;
 
@@ -24,8 +21,7 @@ use cam_serving::{
     run_serving_des, run_serving_threaded, AdmissionConfig, Policy, ServingConfig, ServingCore,
     ServingRun,
 };
-use cam_telemetry::json::Json;
-use cam_telemetry::{obj, MetricsRegistry};
+use cam_telemetry::MetricsRegistry;
 use cam_workloads::kv_cache::KvCacheConfig;
 use parking_lot::Mutex;
 
@@ -210,57 +206,6 @@ fn policy_name(p: Policy) -> &'static str {
     }
 }
 
-/// One scenario as JSON — the *same* schema for both drivers, by
-/// construction.
-fn scenario_json(s: &ScenarioReport) -> Json {
-    let stats = &s.run.stats;
-    let per_channel = |v: &[u64]| obj! {"demand" => v[0], "writeback" => v[1], "readahead" => v[2]};
-    obj! {
-        "driver" => s.driver,
-        "policy" => policy_name(s.policy),
-        "duration_ns" => stats.duration_ns,
-        "batches" => per_channel(&stats.batches),
-        "blocks" => per_channel(&stats.blocks),
-        "evictions" => stats.evictions,
-        "substrate_batches" => s.run.substrate_batches,
-        "tenants" => Json::arr(stats.tenants.iter().enumerate().map(|(i, t)| {
-            obj! {
-                "tenant" => i,
-                "sessions" => s.sessions[i],
-                "admitted" => t.admitted,
-                "throttled" => t.throttled,
-                "completed" => t.completed,
-                "rps" => Json::fixed(t.rps, 1),
-                "p50_ns" => t.p50_ns,
-                "p99_ns" => t.p99_ns,
-                "burn_short" => Json::fixed(t.burn_short, 2),
-                "burn_long" => Json::fixed(t.burn_long, 2),
-                "hit_rate" => Json::fixed(t.hit_rate(), 4),
-            }
-        })),
-    }
-}
-
-/// The `"serving"` section of `BENCH_repro.json`.
-pub fn serving_section_json(report: &ServingReport) -> Json {
-    let f = &report.fairness;
-    obj! {
-        "main" => scenario_json(&report.main),
-        "skew" => obj! {
-            "drr" => scenario_json(&report.skew_drr),
-            "fifo" => scenario_json(&report.skew_fifo),
-            "fairness" => obj! {
-                "drr_hot_p99_ns" => f.drr_hot_p99_ns,
-                "drr_cold_p99_ns" => f.drr_cold_p99_ns,
-                "fifo_cold_p99_ns" => f.fifo_cold_p99_ns,
-                "drr_bounded" => f.drr_bounded(),
-                "fifo_starves_cold" => f.fifo_starves_cold(),
-            },
-        },
-        "threaded" => scenario_json(&report.threaded),
-    }
-}
-
 /// Minimum concurrent sessions / tenants of the DES scale run.
 pub const SCALE_MIN: (usize, usize) = (1000, 4);
 
@@ -372,7 +317,8 @@ fn scenario_table(title: &str, s: &ScenarioReport) -> Table {
 }
 
 /// The `serve` experiment generator: runs the three scenarios and returns
-/// the CLI tables, the `"serving"` section and the failed bars.
+/// the CLI tables — one per scenario, the *same* columns for both drivers
+/// — and the failed bars.
 pub fn serve(p: &BenchParams) -> Outcome {
     let seed = p.seed.unwrap_or(0x005e_5510);
     let report = run_serving_experiment(seed);
@@ -394,7 +340,6 @@ pub fn serve(p: &BenchParams) -> Outcome {
             scenario_table("skew: identical workload under FIFO", &report.skew_fifo),
             scenario_table("threaded smoke: 32 sessions, 4 tenants", &report.threaded),
         ],
-        sections: vec![("serving", serving_section_json(&report))],
         failures: bars(&report),
     }
 }
@@ -419,9 +364,9 @@ mod tests {
             assert_eq!(t.completed, steps as u64, "tenant left steps behind");
             assert!(t.rps > 0.0);
         }
-        let section = serving_section_json(&report);
-        let driver = |key: &str| section.get(key).and_then(|s| s.get("driver")).cloned();
-        assert_eq!(driver("main"), Some(Json::from("des")));
-        assert_eq!(driver("threaded"), Some(Json::from("threaded")));
+        assert_eq!(
+            (report.main.driver, report.threaded.driver),
+            ("des", "threaded")
+        );
     }
 }

@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use cam_telemetry::json::{parse, Json};
+use cam_telemetry::obj;
+
 /// A titled table of string cells.
 pub struct Table {
     title: String,
@@ -65,6 +68,24 @@ impl Table {
     /// The footnotes, in print order.
     pub fn notes(&self) -> &[String] {
         &self.notes
+    }
+
+    /// The table as `{"title", "headers", "rows": [[cell, …], …], "notes"}`
+    /// — the printed text in JSON syntax. A cell that is exactly a decimal
+    /// number is written as one; any other cell (`"15.71x"`, `"n/a"`,
+    /// `"-"`) stays text.
+    pub fn to_json(&self) -> Json {
+        let cell = |c: &String| match parse(c) {
+            Ok(n @ (Json::Int(_) | Json::Num(_))) => n,
+            _ => Json::from(c.as_str()),
+        };
+        let strs = |v: &[String]| Json::arr(v.iter().map(String::as_str));
+        obj! {
+            "title" => self.title.as_str(),
+            "headers" => strs(&self.headers),
+            "rows" => Json::arr(self.rows.iter().map(|r| Json::arr(r.iter().map(cell)))),
+            "notes" => strs(&self.notes),
+        }
     }
 }
 
@@ -134,6 +155,36 @@ mod tests {
         assert_eq!(t.cell(1, 1), "22222");
         assert_eq!(t.find("b", "value"), Some("22222"));
         assert_eq!((t.find("c", "value"), t.find("b", "size")), (None, None));
+    }
+
+    #[test]
+    fn json_is_the_printed_table_with_numeric_cells_typed() {
+        let mut t = Table::new("Demo", &["name", "value"]);
+        let cells = [
+            "282.2",
+            "-3",
+            "15.71x",
+            "3.85/3.85",
+            "n/a",
+            "-",
+            "0x7",
+            "true",
+        ];
+        for (i, c) in cells.iter().enumerate() {
+            t.row(vec![format!("r{i}"), c.to_string()]);
+        }
+        t.note("a \"quoted\" note");
+        let json = t.to_json();
+        assert_eq!(json.get("title"), Some(&Json::from("Demo")));
+        assert_eq!(json.get("headers"), Some(&Json::arr(["name", "value"])));
+        let rows = json.get("rows").and_then(Json::as_arr).expect("rows");
+        let values: Vec<&Json> = rows.iter().map(|r| &r.as_arr().unwrap()[1]).collect();
+        assert_eq!(values[..2], [&Json::Num(282.2), &Json::Int(-3)]);
+        for (v, text) in values[2..].iter().zip(&cells[2..]) {
+            assert_eq!(**v, Json::from(*text));
+        }
+        assert_eq!(json.get("notes"), Some(&Json::arr(["a \"quoted\" note"])));
+        assert_eq!(parse(&format!("{json:#}")), Ok(json));
     }
 
     #[test]

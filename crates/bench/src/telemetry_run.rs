@@ -1,16 +1,15 @@
 //! Instrumented functional-engine run: drives a multi-batch read+write
-//! workload through [`CamContext`] with a shared [`MetricsRegistry`] and
-//! builds the `bench` verb's `BENCH_repro.json` sections (throughput plus
-//! stage latency quantiles straight from the registry).
+//! workload through [`CamContext`] with a shared [`MetricsRegistry`]; the
+//! `bench` verb prints its throughput and the stage latency quantiles
+//! straight from the registry.
 
 use std::sync::Arc;
 
 use cam_core::{CamConfig, CamContext};
 use cam_iostacks::{Rig, RigConfig};
 use cam_telemetry::critical::CriticalPathReport;
-use cam_telemetry::json::Json;
 use cam_telemetry::{
-    clock, obj, Event, FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability, Stage,
+    clock, Event, FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability,
 };
 
 use crate::figures::require;
@@ -25,10 +24,6 @@ pub struct TelemetryRun {
     /// Recorder thread names (for the Chrome-trace exporter). Empty unless
     /// recorded.
     pub thread_names: Vec<(u32, String)>,
-    /// Batch rounds driven (each round = one read batch + one write batch).
-    pub rounds: u64,
-    /// Requests per batch.
-    pub batch: u64,
     /// Requests completed, from the control plane.
     pub requests: u64,
     /// Bytes moved (requests × block size).
@@ -99,8 +94,6 @@ pub fn run_recorded(
         snapshot: registry.snapshot(),
         events,
         thread_names,
-        rounds,
-        batch,
         requests: stats.requests,
         bytes: stats.requests * bs as u64,
         elapsed_ns,
@@ -126,61 +119,6 @@ pub fn run_traced(rounds: u64, batch: u64) -> (TelemetryRun, String) {
     let events = rec.snapshot();
     let trace = chrome_trace(&events, &rec.thread_names());
     (run, trace)
-}
-
-/// The sections of `BENCH_repro.json` the instrumented run fills:
-/// workload shape, throughput, p50/p99 for every protocol stage and for
-/// the doorbell→retire span, and the per-channel critical-path
-/// attribution of a recorded run's timeline.
-pub fn bench_sections(
-    run: &TelemetryRun,
-    critical: &CriticalPathReport,
-) -> Vec<(&'static str, Json)> {
-    let quantiles = |name: String| {
-        let h = run.snapshot.histogram(&name);
-        obj! {"p50" => h.map_or(0, |h| h.p50), "p99" => h.map_or(0, |h| h.p99)}
-    };
-    let stages = |op: &str| {
-        Json::obj(Stage::ALL.iter().map(|stage| {
-            let name = format!("cam_stage_ns{{op=\"{op}\",stage=\"{}\"}}", stage.name());
-            (stage.name(), quantiles(name))
-        }))
-    };
-    // Reads ride channel 0, writes channel 1 (the Fig. 7 convention).
-    let total = |op: &str, channel: u32| {
-        quantiles(format!(
-            "cam_batch_total_ns{{channel=\"{channel}\",op=\"{op}\"}}"
-        ))
-    };
-    vec![
-        (
-            "workload",
-            obj! {
-                "rounds" => run.rounds,
-                "batch" => run.batch,
-                "ops" => Json::arr(["read", "write"]),
-            },
-        ),
-        (
-            "throughput",
-            obj! {
-                "requests" => run.requests,
-                "bytes" => run.bytes,
-                "elapsed_ns" => run.elapsed_ns,
-                "gbps" => Json::fixed(run.gbps(), 4),
-                "kiops" => Json::fixed(run.kiops(), 2),
-            },
-        ),
-        (
-            "stages_ns",
-            obj! {"read" => stages("read"), "write" => stages("write")},
-        ),
-        (
-            "doorbell_to_retire_ns",
-            obj! {"read" => total("read", 0), "write" => total("write", 1)},
-        ),
-        ("critical_path", critical.to_json()),
-    ]
 }
 
 /// The instrumented run's acceptance bars (counter facts of one run): the
@@ -211,6 +149,7 @@ pub fn bars(run: &TelemetryRun, critical: &CriticalPathReport) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cam_telemetry::Stage;
 
     #[test]
     fn instrumented_run_populates_every_stage() {
@@ -245,22 +184,6 @@ mod tests {
         assert_eq!(report.batches.len(), 6);
         assert_eq!(report.channels.len(), 2, "read + write channels");
         assert_eq!(bars(&run, &report), Vec::<String>::new());
-
-        let sections = bench_sections(&run, &report);
-        let section = |key: &str| &sections.iter().find(|(k, _)| *k == key).expect(key).1;
-        let retire = section("stages_ns")
-            .get("write")
-            .and_then(|w| w.get("retire"))
-            .expect("every stage of every op is keyed");
-        assert!(retire.get("p99").and_then(Json::as_u64).is_some());
-        assert_eq!(
-            section("throughput").get("requests").and_then(Json::as_u64),
-            Some(run.requests)
-        );
-        assert_eq!(
-            section("critical_path").as_arr().map(<[Json]>::len),
-            Some(2)
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Perf-trajectory subsystem: seeded multi-trial DES bench runs, an exact
-//! gate against committed baselines, and run metadata appended to
-//! `BENCH_repro.json`'s `trajectory` array.
+//! Perf-trajectory subsystem: seeded multi-trial DES bench runs and an
+//! exact gate against committed baselines.
 //!
 //! The gate runs on the **DES driver only**: virtual time makes every
 //! trial metric machine-independent and exactly reproducible, so a
@@ -45,6 +44,7 @@ use cam_telemetry::json::{parse, Json};
 use cam_telemetry::{obj, FlightRecorder, Histogram, Stage};
 
 use crate::fidelity_run::{des_config, fidelity_workload, N_SSDS, STRIPE_BLOCKS};
+use crate::figures::Outcome;
 use crate::table::Table;
 
 /// Default path of the committed baseline, relative to the repo root.
@@ -506,24 +506,15 @@ pub fn check(current: &Trajectory, baseline: &Trajectory) -> Result<GateOutcome,
     })
 }
 
-/// What [`run_gate`] hands the `bench` generator.
-pub struct GateRun {
-    /// The trajectory summary and, per gated mode, the component table.
-    pub tables: Vec<Table>,
-    /// The uncached run's entry for `BENCH_repro.json`'s `trajectory` array.
-    pub entry: Json,
-    /// Failed bars: a run that differs from its baseline, or a baseline
-    /// that cannot be read, parsed, compared (other parameters) or (with
-    /// `update`) written.
-    pub failures: Vec<String>,
-}
-
 /// Runs the uncached and cached trajectories and gates each against its
 /// committed baseline (`baselines` and its [`cached_baseline_path`]); a
 /// difference also writes `baseline_diff.json` / `baseline_diff_cached.json`
 /// with the per-component attribution. With `update` the baselines are
-/// rewritten from this run instead of judged.
-pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
+/// rewritten from this run instead of judged. Returns the trajectory
+/// summary and, per gated mode, the component table; a failed bar is a run
+/// that differs from its baseline, or a baseline that cannot be read,
+/// parsed, compared (other parameters) or (with `update`) written.
+pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> Outcome {
     let mut summary = Table::new(
         "Perf trajectory: seeded DES trials, per-batch doorbell->retire latency",
         &["mode", "batches", "p50 ns", "p99 ns", "mean ns", "dominant"],
@@ -599,59 +590,7 @@ pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> GateRun {
         tables.push(outcome.table(label));
     }
     tables.insert(0, summary);
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    GateRun {
-        tables,
-        entry: trajectory_entry_json(&uncached, tp.latency_scale, &current_git_sha(), unix_time),
-        failures,
-    }
-}
-
-/// One run's entry in `BENCH_repro.json`'s `trajectory` array.
-pub fn trajectory_entry_json(
-    t: &Trajectory,
-    latency_scale: f64,
-    git_sha: &str,
-    unix_time: u64,
-) -> Json {
-    obj! {
-        "git_sha" => git_sha,
-        "unix_time" => unix_time,
-        "seed" => t.seed,
-        "trials" => t.trials,
-        "rounds" => t.rounds,
-        "latency_scale" => Json::fixed(latency_scale, 2),
-        "p50_ns" => t.p50_ns,
-        "p99_ns" => t.p99_ns,
-        "mean_batch_ns" => Json::fixed(t.mean_batch_ns(), 1),
-        "dominant_mean" => component_name(t.dominant()),
-    }
-}
-
-/// Best-effort commit id for trajectory entries: `git rev-parse` in the
-/// current directory, then `GITHUB_SHA`, then `"unknown"`.
-pub fn current_git_sha() -> String {
-    if let Ok(output) = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-    {
-        if output.status.success() {
-            if let Ok(s) = String::from_utf8(output.stdout) {
-                let s = s.trim();
-                if !s.is_empty() {
-                    return s.to_string();
-                }
-            }
-        }
-    }
-    std::env::var("GITHUB_SHA")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .map(|s| s.chars().take(12).collect())
-        .unwrap_or_else(|| "unknown".to_string())
+    Outcome { tables, failures }
 }
 
 #[cfg(test)]
@@ -786,8 +725,8 @@ mod tests {
             );
         }
         // One worker pushing four channels' SQEs is the honest bottleneck
-        // of the default configuration, and the trajectory entry says so.
-        let entry = trajectory_entry_json(&run_trajectory(&TrialParams::default()), 1.0, "sha", 1);
-        assert_eq!(entry.get("dominant_mean"), Some(&Json::from("lane_wait")));
+        // of the default configuration, and the summary row says so.
+        let dominant = run_trajectory(&TrialParams::default()).dominant();
+        assert_eq!(component_name(dominant), "lane_wait");
     }
 }

@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use cam_telemetry::{EventKind, FlightRecorder};
 
-use crate::link::LinkState;
 use crate::pipe::PipeState;
 use crate::server::{InService, ServerState};
 use crate::time::{Dur, Time};
@@ -98,7 +97,6 @@ pub struct Sim<W> {
     /// trace format as the functional engine.
     recorder: Option<Arc<FlightRecorder>>,
     pub(crate) pipes: Vec<PipeState<W>>,
-    pub(crate) links: Vec<LinkState<W>>,
     pub(crate) servers: Vec<ServerState<W>>,
     pub(crate) in_service: InService<W>,
 }
@@ -119,7 +117,6 @@ impl<W: 'static> Sim<W> {
             heap: BinaryHeap::new(),
             recorder: None,
             pipes: Vec::new(),
-            links: Vec::new(),
             servers: Vec::new(),
             in_service: InService::default(),
         }

@@ -48,26 +48,6 @@ proptest! {
         prop_assert_eq!(sim.pipe_bytes(p), sizes.iter().sum::<u64>());
     }
 
-    /// A shared link delivers every flow exactly once and is work-conserving:
-    /// with all flows started at t=0, the last completion is the total bytes
-    /// divided by the rate (within rounding).
-    #[test]
-    fn shared_link_conservation(sizes in proptest::collection::vec(1u64..100_000, 1..40)) {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut w = 0u32;
-        let l = sim.new_shared_link(2.0);
-        for s in &sizes {
-            sim.link_start_flow(l, *s, |_, w: &mut u32| *w += 1);
-        }
-        sim.run(&mut w);
-        prop_assert_eq!(w as usize, sizes.len());
-        let ideal = sizes.iter().sum::<u64>() as f64 / 2.0;
-        let got = sim.now().as_ns() as f64;
-        // Each completion tick can round up by <1 ns.
-        prop_assert!((got - ideal).abs() <= sizes.len() as f64 + 1.0,
-            "got {} want {}", got, ideal);
-    }
-
     /// Server stations complete every job, and a capacity-1 station takes
     /// exactly the sum of service times.
     #[test]

@@ -21,8 +21,6 @@
 //! per-stage quantiles don't add up and routinely mis-attribute tails.
 
 use crate::critical::BatchAttribution;
-use crate::json::Json;
-use crate::obj;
 use crate::span::Stage;
 
 /// Operator-facing name of a stage's delay component (see module docs).
@@ -56,8 +54,8 @@ pub struct LatencyDecomposition {
     /// Whether the driver produced any nonzero sample for the component.
     /// A component that is `false` here is *structurally absent* — the
     /// driver's timeline never separates the two events that bound it
-    /// (e.g. DES doorbell and pickup coincide in virtual time) — and the
-    /// renderers print `n/a`/`null` instead of a misleading `0`.
+    /// (e.g. DES doorbell and pickup coincide in virtual time) — and
+    /// `repro attribute` prints `n/a` instead of a misleading `0`.
     pub present: [bool; Stage::ALL.len()],
 }
 
@@ -70,27 +68,6 @@ impl LatencyDecomposition {
     /// The component that dominates the p99 tail.
     pub fn dominant_tail(&self) -> Stage {
         argmax(&self.tail_mean_ns)
-    }
-
-    /// The decomposition as a JSON object; structurally absent components
-    /// are `null`.
-    pub fn to_json(&self) -> Json {
-        let components = |vals: &[f64; Stage::ALL.len()]| {
-            Json::obj(Stage::ALL.iter().map(|s| {
-                let v = self.present[s.index()].then(|| Json::fixed(vals[s.index()], 1));
-                (component_name(*s), Json::from(v))
-            }))
-        };
-        obj! {
-            "batches" => self.batches,
-            "mean_total_ns" => Json::fixed(self.mean_total_ns, 1),
-            "p99_total_ns" => self.p99_total_ns,
-            "tail_batches" => self.tail_batches,
-            "mean_ns" => components(&self.mean_ns),
-            "p99_tail_mean_ns" => components(&self.tail_mean_ns),
-            "dominant_mean" => component_name(self.dominant_mean()),
-            "dominant_tail" => component_name(self.dominant_tail()),
-        }
     }
 }
 
@@ -209,38 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn json_renders_every_component() {
-        let batches: Vec<_> = (0..10).map(|i| batch(2000 + i, 1500)).collect();
-        let d = decompose(&batches).unwrap();
-        let json = d.to_json();
-        for section in ["mean_ns", "p99_tail_mean_ns"] {
-            for key in [
-                "doorbell_wait",
-                "dispatch",
-                "lane_wait",
-                "ssd_service",
-                "retire",
-            ] {
-                let v = json.get(section).and_then(|s| s.get(key));
-                assert!(
-                    v.and_then(Json::as_f64).is_some(),
-                    "missing {section}.{key}"
-                );
-            }
-        }
-        assert_eq!(
-            json.get("dominant_mean").and_then(Json::as_str),
-            Some("ssd_service")
-        );
-    }
-
-    #[test]
     fn empty_input_yields_none() {
         assert!(decompose(&[]).is_none());
     }
 
     #[test]
-    fn structurally_absent_components_render_null_not_zero() {
+    fn structurally_absent_components_are_not_present() {
         // A DES-like timeline: doorbell and pickup coincide and retire
         // follows the last completion instantly, so neither component
         // ever produces a sample — distinct from a component that merely
@@ -264,14 +215,6 @@ mod tests {
         assert!(!d.present[Stage::Pickup.index()]);
         assert!(!d.present[Stage::Retire.index()]);
         assert!(d.present[Stage::Dispatch.index()]);
-
-        let mean = d.to_json().get("mean_ns").cloned().expect("mean_ns");
-        assert_eq!(
-            mean.get("doorbell_wait"),
-            Some(&Json::Null),
-            "absent mean must be null"
-        );
-        assert_eq!(mean.get("retire"), Some(&Json::Null));
-        assert_eq!(mean.get("dispatch"), Some(&Json::Num(100.0)));
+        assert_eq!(d.mean_ns[Stage::Dispatch.index()], 100.0);
     }
 }

@@ -12,8 +12,6 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind};
-use crate::json::Json;
-use crate::obj;
 use crate::span::Stage;
 
 /// Stage attribution for one retired batch.
@@ -85,25 +83,6 @@ pub struct CriticalPathReport {
     pub batches: Vec<BatchAttribution>,
     /// Per-channel aggregates, ordered by channel index.
     pub channels: Vec<ChannelCriticalPath>,
-}
-
-impl CriticalPathReport {
-    /// The per-channel rollup as a JSON array (`BENCH_repro.json`'s
-    /// `critical_path` section).
-    pub fn to_json(&self) -> Json {
-        Json::arr(self.channels.iter().map(|ch| {
-            let mut row = obj! {
-                "channel" => ch.channel,
-                "batches" => ch.batches,
-                "dominant" => ch.dominant().name(),
-                "dominant_fraction" => Json::fixed(ch.dominant_fraction(), 4),
-            };
-            for s in Stage::ALL {
-                row.set(&format!("{}_ns", s.name()), ch.stage_ns[s.index()].into());
-            }
-            row
-        }))
-    }
 }
 
 /// In-flight per-batch accumulator while walking the timeline.
@@ -307,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_rollup_and_json() {
+    fn channel_rollup() {
         let rec = FlightRecorder::new();
         for seq in 1..=3u64 {
             emit_batch(&rec, 0, seq, seq * 10_000);
@@ -320,17 +299,6 @@ mod tests {
         assert_eq!(ch0.dominant(), Stage::Complete);
         assert!(ch0.dominant_fraction() > 0.5);
         assert_eq!(ch0.dominant_batches[Stage::Complete.index()], 3);
-        let json = report.to_json();
-        let arr = json.as_arr().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(
-            arr[0].get("dominant").and_then(Json::as_str),
-            Some("complete")
-        );
-        assert_eq!(
-            arr[0].get("complete_ns").and_then(Json::as_u64),
-            Some(ch0.stage_ns[Stage::Complete.index()])
-        );
     }
 
     #[test]

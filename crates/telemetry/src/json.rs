@@ -5,8 +5,8 @@
 //! Every document the harness emits is built as a tree and written here,
 //! so validity and escaping hold by construction. Integers are kept exact
 //! ([`Json::Int`]), so parse → write → parse is the identity on any tree
-//! whose floats are finite — 64-bit seeds and counters survive a
-//! read-modify-write of `BENCH_repro.json`.
+//! whose floats are finite — the 64-bit seeds and counters of
+//! `bench/baselines/*.json` read back as they were written.
 //!
 //! `{}` writes one line (`{"a": 1, "b": [2, 3]}`). `{:#}` is the document
 //! layout: the root and its direct children print one element per line,
