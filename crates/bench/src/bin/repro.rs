@@ -37,9 +37,9 @@
 //! regenerates both baselines. `--perturb F` scales the SSD model's
 //! service time (the gate's demo knob: `repro bench --check --perturb
 //! 1.02` models a device 2% slower across the board and exits 1; it cannot
-//! be combined with `--update-baselines`). `repro attribute` prints the
-//! doorbell→retire queue-delay decomposition (mean + p99 tail) for both
-//! drivers.
+//! be combined with `--update-baselines`). `bench` also prints the
+//! doorbell→retire decomposition (mean + p99 tail) of its threaded run and
+//! of the uncached DES trials, attributed along each batch's gating group.
 //!
 //! `--metrics <path>` runs an instrumented functional-engine workload and
 //! writes the complete metrics-registry snapshot (counters, gauges, stage
@@ -128,7 +128,7 @@ fn calibrate(rounds: u64) -> ExitCode {
         if attempt > 1 {
             println!("-- attempt {attempt}/{ATTEMPTS} --");
         }
-        print!("{}", r.render());
+        println!("{}", r.table());
         if r.within_tolerance() {
             return ExitCode::SUCCESS;
         }

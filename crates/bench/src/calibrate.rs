@@ -6,9 +6,9 @@
 //! nanoseconds on a single dispatcher pipe. Those two constants must come
 //! from measurement, not guesswork: this module drives the real
 //! `CamContext` engine over a sweep of batch sizes with a flight recorder
-//! attached, joins each retired batch's dispatch-stage attribution
-//! ([`critical::analyze`]) with its doorbell's request count, and fits the
-//! line through the per-size **lower quartiles**. Wall-clock dispatch noise
+//! attached, measures each retired batch's pickup → last `GroupDispatch`
+//! span ([`dispatch_samples`]) beside its doorbell's request count, and fits
+//! the line through the per-size **lower quartiles**. Wall-clock dispatch noise
 //! is one-sided — scheduling, frequency scaling, and residual load only
 //! ever inflate a sample — so the distribution's floor is the model and
 //! everything above it is machine state. The lower quartile shrugs off
@@ -25,13 +25,13 @@
 //! noisier than the line it describes.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use cam_core::{CamConfig, CamContext};
 use cam_iostacks::{CpuPipeModel, Rig, RigConfig};
-use cam_telemetry::critical;
-use cam_telemetry::{EventKind, FlightRecorder, Stage};
+use cam_telemetry::{Event, EventKind, FlightRecorder};
+
+use crate::table::Table;
 
 /// Batch sizes the calibration sweep drives. Spanning 4..=64 requests
 /// brackets every batch size the repo's experiments use.
@@ -59,8 +59,6 @@ pub struct SizePoint {
 pub struct CalibrationReport {
     /// Per-size calibration points, ascending by batch size.
     pub points: Vec<SizePoint>,
-    /// Total (batch, dispatch) samples joined from the timeline.
-    pub samples: usize,
     /// Model fitted to this run's quartile points.
     pub fitted: CpuPipeModel,
     /// The constants the DES currently charges.
@@ -76,38 +74,36 @@ impl CalibrationReport {
         self.drift <= DRIFT_TOLERANCE
     }
 
-    /// Renders the sweep, the fit, and the drift verdict as a table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>8} {:>10} {:>18} {:>18} {:>18}",
-            "requests", "samples", "p25 (ns)", "fitted (ns)", "committed (ns)"
+    /// The sweep as a table, with the fit and the drift verdict as notes.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
+            "CPU-pipe calibration: per-batch dispatch cost by batch size",
+            &[
+                "requests",
+                "samples",
+                "p25 (ns)",
+                "fitted (ns)",
+                "committed (ns)",
+            ],
         );
         for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>8} {:>10} {:>18} {:>18} {:>18}",
-                p.requests,
-                p.samples,
-                p.dispatch_ns,
-                self.fitted.dispatch_cost(p.requests as u32).as_ns(),
-                self.committed.dispatch_cost(p.requests as u32).as_ns(),
-            );
+            let cost = |m: &CpuPipeModel| m.dispatch_cost(p.requests as u32).as_ns().to_string();
+            t.row(vec![
+                p.requests.to_string(),
+                p.samples.to_string(),
+                p.dispatch_ns.to_string(),
+                cost(&self.fitted),
+                cost(&self.committed),
+            ]);
         }
-        let _ = writeln!(
-            out,
-            "fitted:    base {} ns + {} ns/request",
-            self.fitted.dispatch_base_ns, self.fitted.dispatch_per_req_ns
-        );
-        let _ = writeln!(
-            out,
-            "committed: base {} ns + {} ns/request",
-            self.committed.dispatch_base_ns, self.committed.dispatch_per_req_ns
-        );
-        let _ = writeln!(
-            out,
-            "drift:     {:.1}% (tolerance {:.0}%) — {}",
+        for (label, m) in [("fitted", &self.fitted), ("committed", &self.committed)] {
+            t.note(format!(
+                "{label}: base {} ns + {} ns/request",
+                m.dispatch_base_ns, m.dispatch_per_req_ns
+            ));
+        }
+        t.note(format!(
+            "drift: {:.1}% (tolerance {:.0}%) — {}",
             self.drift * 100.0,
             DRIFT_TOLERANCE * 100.0,
             if self.within_tolerance() {
@@ -115,16 +111,15 @@ impl CalibrationReport {
             } else {
                 "DRIFTED: re-fit and update CpuPipeModel::calibrated()"
             }
-        );
-        out
+        ));
+        t
     }
 }
 
 /// Drives the calibration sweep: `rounds_per_size` prefetch batches at
 /// each of [`CALIBRATION_SIZES`] (interleaved, so warmup effects spread
 /// across sizes instead of biasing one) on a default 4-SSD rig with a
-/// flight recorder, and returns the joined `(requests, dispatch_ns)`
-/// samples.
+/// flight recorder, and returns its [`dispatch_samples`].
 pub fn measure_dispatch(rounds_per_size: u64) -> Vec<(u64, u64)> {
     let rig = Rig::new(RigConfig::default());
     let recorder = Arc::new(FlightRecorder::new());
@@ -148,31 +143,47 @@ pub fn measure_dispatch(rounds_per_size: u64) -> Vec<(u64, u64)> {
         }
     }
 
-    let events = recorder.snapshot();
-    // The attribution carries (channel, seq) but not the batch's request
-    // count; the doorbell does. Join on the key both sides share.
-    let mut requests_by_batch: BTreeMap<(u16, u64), u64> = BTreeMap::new();
-    for ev in &events {
-        if let EventKind::BatchDoorbell {
-            channel,
-            seq,
-            requests,
-            ..
-        } = ev.kind
-        {
-            requests_by_batch.insert((channel, seq), u64::from(requests));
+    dispatch_samples(&recorder.snapshot())
+}
+
+/// One `(requests, dispatch_ns)` sample per retired batch of a
+/// timeline-sorted event slice: pickup → the batch's *last*
+/// `GroupDispatch`, the span [`CpuPipeModel`] charges, with the request
+/// count from the doorbell. A retire whose doorbell fell out of the ring
+/// window yields no sample.
+pub fn dispatch_samples(events: &[Event]) -> Vec<(u64, u64)> {
+    // (channel, seq) → (requests, pickup — or doorbell — ns, dispatch ns).
+    let mut open: BTreeMap<(u16, u64), (u64, u64, u64)> = BTreeMap::new();
+    let mut samples = Vec::new();
+    for ev in events {
+        match ev.kind {
+            EventKind::BatchDoorbell {
+                channel,
+                seq,
+                requests,
+                ..
+            } => {
+                open.insert((channel, seq), (u64::from(requests), ev.ts_ns, 0));
+            }
+            EventKind::BatchPickup { channel, seq } => {
+                if let Some(b) = open.get_mut(&(channel, seq)) {
+                    b.1 = ev.ts_ns;
+                }
+            }
+            EventKind::GroupDispatch { channel, seq, .. } => {
+                if let Some(b) = open.get_mut(&(channel, seq)) {
+                    b.2 = b.2.max(ev.ts_ns.saturating_sub(b.1));
+                }
+            }
+            EventKind::BatchRetire { channel, seq, .. } => {
+                if let Some((requests, _, dispatch_ns)) = open.remove(&(channel, seq)) {
+                    samples.push((requests, dispatch_ns));
+                }
+            }
+            _ => {}
         }
     }
-    let report = critical::analyze(&events);
-    report
-        .batches
-        .iter()
-        .filter_map(|b| {
-            requests_by_batch
-                .get(&(b.channel, b.seq))
-                .map(|&reqs| (reqs, b.stage_ns[Stage::Dispatch.index()]))
-        })
-        .collect()
+    samples
 }
 
 /// Collapses raw samples to per-size lower quartiles and least-squares
@@ -251,7 +262,6 @@ pub fn calibrate(rounds_per_size: u64) -> Option<CalibrationReport> {
     let drift = predicted_drift(&fitted, &committed);
     Some(CalibrationReport {
         points,
-        samples: samples.len(),
         fitted,
         committed,
         drift,
@@ -277,6 +287,59 @@ mod tests {
         assert_eq!(points.len(), CALIBRATION_SIZES.len());
         assert_eq!(m.dispatch_per_req_ns, 50);
         assert_eq!(m.dispatch_base_ns, 1000);
+    }
+
+    #[test]
+    fn a_sample_is_pickup_to_the_last_group_dispatch() {
+        // SSD 1 is dispatched first but completes last: the CPU pipe's cost
+        // runs to SSD 0's later dispatch (20 ns after pickup), whichever
+        // group gated retirement.
+        let rec = FlightRecorder::new();
+        let (channel, seq, op, requests, errors) = (0, 1, 0, 16, 0);
+        rec.emit_at(
+            1000,
+            EventKind::BatchDoorbell {
+                channel,
+                seq,
+                op,
+                requests,
+            },
+        );
+        rec.emit_at(1010, EventKind::BatchPickup { channel, seq });
+        for (ssd, dispatch, complete) in [(0, 1030, 1100), (1, 1020, 1540)] {
+            let worker = ssd;
+            rec.emit_at(
+                dispatch,
+                EventKind::GroupDispatch {
+                    channel,
+                    seq,
+                    ssd,
+                    worker,
+                },
+            );
+            rec.emit_at(
+                complete,
+                EventKind::GroupComplete {
+                    channel,
+                    seq,
+                    ssd,
+                    worker,
+                    errors,
+                },
+            );
+        }
+        // The second retire's doorbell fell out of the ring: no sample.
+        for (ts, seq) in [(1550, seq), (1600, 0)] {
+            rec.emit_at(
+                ts,
+                EventKind::BatchRetire {
+                    channel,
+                    seq,
+                    errors,
+                },
+            );
+        }
+        assert_eq!(dispatch_samples(&rec.snapshot()), [(16, 20)]);
     }
 
     #[test]
@@ -319,14 +382,16 @@ mod tests {
         // must land near the committed constants. Kept at a modest round
         // count so the test stays fast; `repro calibrate` runs longer.
         let report = calibrate(6).expect("sweep must produce a fit");
-        assert!(report.samples >= 20, "only {} samples", report.samples);
+        let samples: usize = report.points.iter().map(|p| p.samples).sum();
+        assert!(samples >= 20, "only {samples} samples");
         assert!(
             report.points.len() == CALIBRATION_SIZES.len(),
             "every size must contribute: {:?}",
             report.points
         );
-        let rendered = report.render();
-        assert!(rendered.contains("fitted:"), "{rendered}");
-        assert!(rendered.contains("committed:"), "{rendered}");
+        let t = report.table();
+        assert_eq!(t.len(), CALIBRATION_SIZES.len());
+        assert!(t.notes()[0].starts_with("fitted: base"), "{t}");
+        assert!(t.notes()[1].starts_with("committed: base"), "{t}");
     }
 }

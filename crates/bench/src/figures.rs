@@ -627,11 +627,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
         slo,
     ),
     Harness(
-        "attribute",
-        "Queue-delay attribution: doorbell->retire decomposition, threaded and DES drivers",
-        attribute,
-    ),
-    Harness(
         "serve",
         "Multi-tenant KV-cache serving: admission, DRR fairness, per-tenant SLO",
         crate::serving_run::serve,
@@ -1160,19 +1155,17 @@ fn motiv() -> Vec<Table> {
 fn bench(p: &BenchParams) -> Outcome {
     use crate::telemetry_run::{bars, run_recorded};
     use crate::trajectory_run::{run_gate, BASELINE_PATH};
-    use cam_telemetry::{critical, Stage};
+    use cam_telemetry::{attribution, Stage};
     use std::sync::Arc;
 
     let run = run_recorded(20, 64, Some(Arc::new(FlightRecorder::new())));
-    // Critical-path attribution from the event timeline: where each
-    // channel's doorbell→retire latency actually went.
-    let report = critical::analyze(&run.events);
-    let mut failures = bars(&run, &report);
+    let threaded = attribution::analyze(&run.events);
+    let mut failures = bars(&run, &threaded);
 
     // The perf trajectory: seeded multi-trial DES runs, gated against the
     // committed baselines.
     let baselines = p.baselines.as_deref().unwrap_or(BASELINE_PATH);
-    let gate = run_gate(&p.trial_params(), baselines, p.update_baselines);
+    let (gate, des) = run_gate(&p.trial_params(), baselines, p.update_baselines);
     failures.extend(gate.failures);
 
     let mut t = Table::new(
@@ -1204,32 +1197,83 @@ fn bench(p: &BenchParams) -> Outcome {
         f1(run.kiops()),
     ));
 
-    let mut cp = Table::new(
-        "Critical path: per-channel doorbell->retire attribution (mean ns/batch)",
-        &[
-            "channel", "batches", "pickup", "dispatch", "submit", "complete", "retire", "dominant",
-        ],
+    let mut tables = vec![
+        t,
+        decomposition("threaded", &threaded, &mut failures),
+        decomposition("des", &des, &mut failures),
+    ];
+    tables[2].note(
+        "n/a components are structurally absent from the DES timeline \
+         (doorbell/pickup coincide in virtual time; retire follows the last \
+         completion instantly); dispatch and lane_wait are charged by the \
+         calibrated CPU pipe (see `repro calibrate`)",
     );
-    for ch in &report.channels {
-        let mean = |i: usize| ch.stage_ns[i].checked_div(ch.batches).unwrap_or(0);
-        cp.row(vec![
-            ch.channel.to_string(),
-            ch.batches.to_string(),
-            mean(0).to_string(),
-            mean(1).to_string(),
-            mean(2).to_string(),
-            mean(3).to_string(),
-            mean(4).to_string(),
-            format!(
-                "{} ({:.0}%)",
-                ch.dominant().name(),
-                ch.dominant_fraction() * 100.0
-            ),
-        ]);
-    }
-    let mut tables = vec![t, cp];
     tables.extend(gate.tables);
     Outcome { tables, failures }
+}
+
+/// The mean + p99-tail decomposition of one driver's attributed batches,
+/// and `bench`'s closure bar: every batch's components sum to its
+/// doorbell→retire total.
+fn decomposition(
+    driver: &str,
+    batches: &[cam_telemetry::attribution::BatchAttribution],
+    failed: &mut Vec<String>,
+) -> Table {
+    use cam_telemetry::attribution::{component_name, decompose};
+    use cam_telemetry::Stage;
+
+    let open = (batches.iter())
+        .filter(|b| b.stage_ns.iter().sum::<u64>() != b.total_ns)
+        .count();
+    require(
+        failed,
+        open == 0,
+        format!(
+            "{open} of {} {driver} batches do not close: components must sum to doorbell->retire",
+            batches.len()
+        ),
+    );
+    let mut headers = vec!["row"];
+    headers.extend(Stage::ALL.map(component_name));
+    headers.extend(["total", "dominant"]);
+    let mut t = Table::new(
+        format!(
+            "Latency attribution ({driver}): doorbell->retire along the gating group, ns/batch"
+        ),
+        &headers,
+    );
+    let Some(d) = decompose(batches) else {
+        failed.push(format!("no {driver} batch attributed"));
+        return t;
+    };
+    let rows = [
+        ("mean", d.mean_ns, d.mean_total_ns, d.dominant_mean()),
+        (
+            "p99 tail",
+            d.tail_mean_ns,
+            d.tail_mean_total_ns,
+            d.dominant_tail(),
+        ),
+    ];
+    for (label, vals, total, dominant) in rows {
+        let mut r = vec![label.to_string()];
+        r.extend(Stage::ALL.iter().map(|s| {
+            if d.present[s.index()] {
+                format!("{:.0}", vals[s.index()])
+            } else {
+                "n/a".into()
+            }
+        }));
+        r.extend([format!("{total:.0}"), component_name(dominant).into()]);
+        t.row(r);
+    }
+    t.note(format!(
+        "{} batches, p99 total {} ns, {} tail batches; the p99-tail row averages \
+         the batches at or above the p99",
+        d.batches, d.p99_total_ns, d.tail_batches
+    ));
+    t
 }
 
 fn slo(_p: &BenchParams) -> Outcome {
@@ -1534,82 +1578,6 @@ fn fidelity(p: &BenchParams) -> Outcome {
     Outcome { tables, failures }
 }
 
-fn attribute(p: &BenchParams) -> Outcome {
-    use crate::trajectory_run::{run_trial, TrialParams};
-    use cam_telemetry::attribution::{component_name, decompose};
-    use cam_telemetry::{critical, FlightRecorder, Stage};
-    use std::sync::Arc;
-
-    let defaults = TrialParams::default();
-    let seed = p.seed.unwrap_or(defaults.seed);
-
-    // Threaded driver: a recorded functional-engine run on the wall clock.
-    let recorder = Arc::new(FlightRecorder::new());
-    let run = crate::telemetry_run::run_recorded(20, 64, Some(Arc::clone(&recorder)));
-    let threaded = critical::analyze(&run.events);
-    // DES driver: one seeded virtual-time trial with lifecycle events on.
-    let des_trial = run_trial(seed, defaults.rounds, 1.0);
-
-    let mut out = Vec::new();
-    for (driver, batches) in [("threaded", &threaded.batches), ("des", &des_trial)] {
-        let mut t = Table::new(
-            format!("Queue-delay attribution ({driver}): doorbell->retire decomposition, ns/batch"),
-            &[
-                "row",
-                "doorbell_wait",
-                "dispatch",
-                "lane_wait",
-                "ssd_service",
-                "retire",
-                "total",
-                "dominant",
-            ],
-        );
-        let Some(d) = decompose(batches) else {
-            t.note("no batches attributed");
-            out.push(t);
-            continue;
-        };
-        let present = d.present;
-        let row = move |label: &str, vals: &[f64; Stage::ALL.len()], total: f64, dom: Stage| {
-            let mut r = vec![label.to_string()];
-            r.extend(Stage::ALL.iter().map(|s| {
-                if present[s.index()] {
-                    format!("{:.0}", vals[s.index()])
-                } else {
-                    "n/a".into()
-                }
-            }));
-            r.push(format!("{total:.0}"));
-            r.push(component_name(dom).into());
-            r
-        };
-        t.row(row("mean", &d.mean_ns, d.mean_total_ns, d.dominant_mean()));
-        let tail_total: f64 = d.tail_mean_ns.iter().sum();
-        t.row(row(
-            "p99 tail",
-            &d.tail_mean_ns,
-            tail_total,
-            d.dominant_tail(),
-        ));
-        t.note(format!(
-            "{} batches, p99 total {} ns, {} tail batches; p99-tail row averages the \
-             batches at or above the p99 (components sum to the tail total)",
-            d.batches, d.p99_total_ns, d.tail_batches
-        ));
-        if driver == "des" {
-            t.note(
-                "n/a components are structurally absent from the DES timeline \
-                 (doorbell/pickup coincide in virtual time; retire follows the last \
-                 completion instantly); dispatch and lane_wait are charged by the \
-                 calibrated CPU pipe (see `repro calibrate`)",
-            );
-        }
-        out.push(t);
-    }
-    out.into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1663,16 +1631,23 @@ mod tests {
     }
 
     #[test]
-    fn attribute_marks_structurally_absent_des_components_na() {
+    fn bench_decomposes_both_drivers_and_every_batch_closes() {
+        use crate::trajectory_run::BASELINE_PATH;
+        let baselines = format!("{}/../../{BASELINE_PATH}", env!("CARGO_MANIFEST_DIR"));
+        let params = BenchParams {
+            baselines: Some(baselines),
+            ..BenchParams::default()
+        };
+        let outcome = bench(&params);
+        assert_eq!(outcome.failures, Vec::<String>::new());
+        let des = &outcome.tables[2];
         // Doorbell/pickup coincide in virtual time and retire follows the
         // last completion instantly: the DES rows must say n/a, never 0.
-        let tables = attribute(&BenchParams::default()).tables;
-        let des = &tables[1];
-        assert!(des.title().contains("(des)"), "{}", des.title());
-        for row in 0..des.len() {
-            assert_eq!((des.cell(row, 1), des.cell(row, 5)), ("n/a", "n/a"));
+        for row in ["mean", "p99 tail"] {
+            let cell = |c| des.find(row, c).expect("decomposition cell");
+            assert_eq!((cell("doorbell_wait"), cell("retire")), ("n/a", "n/a"));
             assert_ne!(
-                des.cell(row, 2),
+                cell("dispatch"),
                 "n/a",
                 "dispatch is charged by the CPU pipe"
             );

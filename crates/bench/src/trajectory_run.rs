@@ -11,13 +11,13 @@
 //!    trials differ but the whole trajectory is reproducible),
 //! 2. runs the CAM DES driver with lifecycle events on and a flight
 //!    recorder attached,
-//! 3. feeds the timeline through [`critical::analyze`] into per-batch
+//! 3. feeds the timeline through [`attribution::analyze`] into per-batch
 //!    doorbell→retire attributions.
 //!
 //! The trials' batches are merged into one [`Trajectory`]: a log-linear
 //! [`Histogram`] of the per-batch totals and the integer nanosecond sums of
 //! doorbell→retire and of each queue-delay component
-//! ([`cam_telemetry::attribution`]). [`check`] compares those facts with
+//! ([`attribution::component_name`]). [`check`] compares those facts with
 //! `bench/baselines/trajectory.json` for equality — slower or faster, any
 //! difference fails — and says *which* fact differs first and which
 //! component moved most. `repro bench --check` exits non-zero on a
@@ -38,12 +38,14 @@ use cam_cache::run_cam_des_cached;
 use cam_iostacks::cam_des::{run_cam_des_obs, CamDesConfig, CamDesObs, CamDesReport};
 use cam_nvme::SsdModel;
 use cam_simkit::Dur;
-use cam_telemetry::attribution::component_name;
-use cam_telemetry::critical::{self, BatchAttribution};
+use cam_telemetry::attribution::{self, component_name, BatchAttribution};
 use cam_telemetry::json::{parse, Json};
 use cam_telemetry::{obj, FlightRecorder, Histogram, Stage};
 
-use crate::fidelity_run::{des_config, fidelity_workload, N_SSDS, STRIPE_BLOCKS};
+use crate::fidelity_run::{
+    cached_cache_cfg, cached_fidelity_workload_seeded, des_config, fidelity_workload, N_SSDS,
+    STRIPE_BLOCKS,
+};
 use crate::figures::Outcome;
 use crate::table::Table;
 
@@ -107,52 +109,36 @@ fn trial_config(latency_scale: f64) -> CamDesConfig {
     des_config(N_SSDS, STRIPE_BLOCKS, true, model)
 }
 
-/// Runs one DES trial with lifecycle events on and a flight recorder
-/// attached, and attributes its timeline through [`critical::analyze`].
-fn recorded_trial(
-    run: impl FnOnce(Option<Arc<FlightRecorder>>, CamDesObs) -> CamDesReport,
+/// Every attributed batch of `params.trials` seeded DES trials: `run`
+/// drives trial `i` on seed `params.seed + 1 + i` with lifecycle events on
+/// and a flight recorder attached, and [`attribution::analyze`] splits its
+/// timeline.
+fn trial_batches(
+    params: &TrialParams,
+    run: impl Fn(u64, Option<Arc<FlightRecorder>>, CamDesObs) -> CamDesReport,
 ) -> Vec<BatchAttribution> {
-    let recorder = Arc::new(FlightRecorder::new());
-    let obs = CamDesObs {
-        windows: None,
-        slo: None,
-        lifecycle: true,
-    };
-    run(Some(Arc::clone(&recorder)), obs);
-    critical::analyze(&recorder.snapshot()).batches
+    let mut batches = Vec::new();
+    for i in 0..params.trials as u64 {
+        let recorder = Arc::new(FlightRecorder::new());
+        let obs = CamDesObs {
+            lifecycle: true,
+            ..CamDesObs::default()
+        };
+        run(
+            params.seed.wrapping_add(1 + i),
+            Some(Arc::clone(&recorder)),
+            obs,
+        );
+        batches.extend(attribution::analyze(&recorder.snapshot()));
+    }
+    batches
 }
 
-/// Runs one uncached trial on the fidelity experiment's seeded workload
-/// and returns its per-batch attributions.
-pub fn run_trial(seed: u64, rounds: u64, latency_scale: f64) -> Vec<BatchAttribution> {
-    recorded_trial(|recorder, obs| {
-        run_cam_des_obs(
-            trial_config(latency_scale),
-            fidelity_workload(rounds, seed),
-            recorder,
-            obs,
-        )
-    })
-}
-
-/// Runs one **cached-mode** trial: the seeded cache workload (same shape
-/// the cached fidelity matrix proved decision-exact across drivers)
-/// through the DES cache stage, attributed exactly like [`run_trial`].
-/// The trajectory gates latencies, not decisions — decision exactness is
-/// the fidelity suite's job — but it runs on the identical
-/// [`crate::fidelity_run::cached_cache_cfg`] configuration, so a cache
-/// change surfaces here as a latency/attribution difference.
-pub fn run_cached_trial(seed: u64, rounds: u64, latency_scale: f64) -> Vec<BatchAttribution> {
-    recorded_trial(|recorder, obs| {
-        run_cam_des_cached(
-            trial_config(latency_scale),
-            crate::fidelity_run::cached_cache_cfg(),
-            CACHED_ARRAY_BLOCKS,
-            crate::fidelity_run::cached_fidelity_workload_seeded(rounds * 3, seed),
-            recorder,
-            obs,
-        )
-        .0
+/// The uncached trials' batches: the fidelity experiment's seeded workload.
+fn uncached_batches(params: &TrialParams) -> Vec<BatchAttribution> {
+    trial_batches(params, |seed, recorder, obs| {
+        let workload = fidelity_workload(params.rounds, seed);
+        run_cam_des_obs(trial_config(params.latency_scale), workload, recorder, obs)
     })
 }
 
@@ -195,10 +181,7 @@ impl Trajectory {
 
     /// The component with the largest share of the total.
     pub fn dominant(&self) -> Stage {
-        *Stage::ALL
-            .iter()
-            .max_by_key(|s| self.component_ns[s.index()])
-            .expect("five stages")
+        attribution::dominant(&self.component_ns)
     }
 
     fn per_batch(&self, sum_ns: u64) -> f64 {
@@ -217,31 +200,36 @@ impl Trajectory {
 /// merged. Deterministic: same params, same [`Trajectory`] (virtual time
 /// end to end).
 pub fn run_trajectory(params: &TrialParams) -> Trajectory {
-    run_trajectory_with(params, run_trial)
+    merge(params, &uncached_batches(params))
 }
 
-/// The cached-mode counterpart of [`run_trajectory`]: the same merge over
-/// [`run_cached_trial`]. Gated against
-/// `bench/baselines/trajectory_cached.json` by `repro bench --check`.
+/// The cached-mode counterpart of [`run_trajectory`]: each trial runs the
+/// seeded cache workload (same shape the cached fidelity matrix proved
+/// decision-exact across drivers) through the DES cache stage. The
+/// trajectory gates latencies, not decisions — decision exactness is the
+/// fidelity suite's job — but it runs on the identical [`cached_cache_cfg`]
+/// configuration, so a cache change surfaces here as a latency/attribution
+/// difference. Gated against `bench/baselines/trajectory_cached.json` by
+/// `repro bench --check`.
 pub fn run_cached_trajectory(params: &TrialParams) -> Trajectory {
-    run_trajectory_with(params, run_cached_trial)
+    let batches = trial_batches(params, |seed, recorder, obs| {
+        let workload = cached_fidelity_workload_seeded(params.rounds * 3, seed);
+        let (config, cache) = (trial_config(params.latency_scale), cached_cache_cfg());
+        run_cam_des_cached(config, cache, CACHED_ARRAY_BLOCKS, workload, recorder, obs).0
+    });
+    merge(params, &batches)
 }
 
-fn run_trajectory_with(
-    params: &TrialParams,
-    run: impl Fn(u64, u64, f64) -> Vec<BatchAttribution>,
-) -> Trajectory {
+/// The trajectory facts of a run's attributed batches.
+fn merge(params: &TrialParams, batches: &[BatchAttribution]) -> Trajectory {
     let mut merged = Histogram::new();
     let mut total_ns = 0;
     let mut component_ns = [0; Stage::ALL.len()];
-    for i in 0..params.trials as u64 {
-        let seed = params.seed.wrapping_add(1 + i);
-        for b in run(seed, params.rounds, params.latency_scale) {
-            merged.record(b.total_ns);
-            total_ns += b.total_ns;
-            for (sum, ns) in component_ns.iter_mut().zip(b.stage_ns) {
-                *sum += ns;
-            }
+    for b in batches {
+        merged.record(b.total_ns);
+        total_ns += b.total_ns;
+        for (sum, ns) in component_ns.iter_mut().zip(b.stage_ns) {
+            *sum += ns;
         }
     }
     Trajectory {
@@ -348,13 +336,20 @@ impl ComponentDelta {
         self.current_ns - self.baseline_ns
     }
 
-    /// Relative change vs baseline (0.2 = +20%); 0 when the baseline
-    /// component is empty.
-    pub fn rel_delta(&self) -> f64 {
-        if self.baseline_ns <= 0.0 {
-            return 0.0;
+    /// Relative change vs baseline (0.2 = +20%); `None` when the
+    /// component appears from a zero baseline.
+    pub fn rel_delta(&self) -> Option<f64> {
+        if self.baseline_ns > 0.0 {
+            Some(self.current_ns / self.baseline_ns - 1.0)
+        } else {
+            (self.current_ns == 0.0).then_some(0.0)
         }
-        self.current_ns / self.baseline_ns - 1.0
+    }
+
+    /// [`Self::rel_delta`] as printed: `+2.0%`, or `new`.
+    fn rel_delta_cell(&self) -> String {
+        self.rel_delta()
+            .map_or("new".into(), |d| format!("{:+.1}%", d * 100.0))
     }
 }
 
@@ -402,7 +397,7 @@ impl GateOutcome {
                 c.name.into(),
                 format!("{:.0}", c.baseline_ns),
                 format!("{:.0}", c.current_ns),
-                format!("{:+.1}%", c.rel_delta() * 100.0),
+                c.rel_delta_cell(),
             ]);
         }
         t.note(match &self.first_difference {
@@ -415,10 +410,10 @@ impl GateOutcome {
         });
         if let Some(dom) = self.dominant_shift() {
             t.note(format!(
-                "largest shift: {} ({:+.0} ns/batch, {:+.1}%)",
+                "largest shift: {} ({:+.0} ns/batch, {})",
                 dom.name,
                 dom.shift_ns(),
-                dom.rel_delta() * 100.0
+                dom.rel_delta_cell()
             ));
         }
         t
@@ -437,7 +432,7 @@ impl GateOutcome {
                 let delta = obj! {
                     "baseline_ns" => Json::fixed(c.baseline_ns, 1),
                     "current_ns" => Json::fixed(c.current_ns, 1),
-                    "rel_delta" => Json::fixed(c.rel_delta(), 4),
+                    "rel_delta" => c.rel_delta().map(|d| Json::fixed(d, 4)),
                 };
                 (c.name, delta)
             })),
@@ -513,8 +508,14 @@ pub fn check(current: &Trajectory, baseline: &Trajectory) -> Result<GateOutcome,
 /// rewritten from this run instead of judged. Returns the trajectory
 /// summary and, per gated mode, the component table; a failed bar is a run
 /// that differs from its baseline, or a baseline that cannot be read,
-/// parsed, compared (other parameters) or (with `update`) written.
-pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> Outcome {
+/// parsed, compared (other parameters) or (with `update`) written. Also
+/// returns the uncached trials' attributed batches, which `bench`
+/// decomposes as its DES driver.
+pub fn run_gate(
+    tp: &TrialParams,
+    baselines: &str,
+    update: bool,
+) -> (Outcome, Vec<BatchAttribution>) {
     let mut summary = Table::new(
         "Perf trajectory: seeded DES trials, per-batch doorbell->retire latency",
         &["mode", "batches", "p50 ns", "p99 ns", "mean ns", "dominant"],
@@ -525,7 +526,8 @@ pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> Outcome {
     ));
     let mut tables = Vec::new();
     let mut failures = Vec::new();
-    let uncached = run_trajectory(tp);
+    let des = uncached_batches(tp);
+    let uncached = merge(tp, &des);
     let cached = run_cached_trajectory(tp);
     for (label, current, path, diff_path) in [
         (
@@ -590,7 +592,7 @@ pub fn run_gate(tp: &TrialParams, baselines: &str, update: bool) -> Outcome {
         tables.push(outcome.table(label));
     }
     tables.insert(0, summary);
-    Outcome { tables, failures }
+    (Outcome { tables, failures }, des)
 }
 
 #[cfg(test)]
@@ -671,6 +673,21 @@ mod tests {
             "custom/t_cached.json"
         );
         assert_eq!(cached_baseline_path("noext"), "noext_cached");
+    }
+
+    #[test]
+    fn a_component_from_a_zero_baseline_is_new_not_zero() {
+        // The DES retire component is structurally 0 in the baseline.
+        let baseline = run_trajectory(&small());
+        let mut current = baseline.clone();
+        current.component_ns[Stage::Retire.index()] += 1_000;
+        let outcome = check(&current, &baseline).expect("same parameters");
+        let table = outcome.table("test");
+        assert_eq!(table.find("retire", "delta"), Some("new"));
+        assert_eq!(table.find("doorbell_wait", "delta"), Some("+0.0%"));
+        let diff = outcome.to_json();
+        let retire = diff.get("components").and_then(|c| c.get("retire"));
+        assert_eq!(retire.and_then(|r| r.get("rel_delta")), Some(&Json::Null));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! The dispatch pipe charges the calibrated per-batch cost the threaded
 //! engine's owning worker pays between a doorbell and its groups reaching
 //! a reactor — pickup, [`plan_batch`], routing (measured from the threaded
-//! engine; see `docs/TIMING.md`) — so `repro attribute` decomposes DES
+//! engine; see `docs/TIMING.md`) — so `repro bench` decomposes DES
 //! batches into the same nonzero dispatch and lane-wait components the
 //! threaded driver shows. All channels serialise on the one pipe: exact
 //! for one planning worker, an approximation for more (the threaded engine
@@ -55,7 +55,9 @@ use cam_telemetry::{BatchFacts, Lane, LifecycleTap, OpsWindows, SloTracker};
 /// The committed constants in [`CpuPipeModel::calibrated`] are fitted from
 /// the threaded engine's own lifecycle traces by `repro calibrate`
 /// (least-squares over per-batch dispatch latencies; see
-/// `docs/TIMING.md`). CI re-fits and fails on >25% drift.
+/// `docs/TIMING.md`). CI re-fits them on every run and uploads the
+/// report, but its job is `continue-on-error` while these constants are
+/// known stale, so drift beyond 25% does not fail CI.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuPipeModel {
     /// Fixed per-batch planning/dispatch cost, ns.
@@ -220,7 +222,7 @@ pub struct CamDesObs {
     pub slo: Option<Arc<SloTracker>>,
     /// Emit the full batch-lifecycle event stream (doorbell → pickup →
     /// dispatch → submit → complete → retire) on the virtual timeline, so
-    /// [`cam_telemetry::critical::analyze`] attributes DES batches exactly
+    /// [`cam_telemetry::attribution::analyze`] attributes DES batches exactly
     /// as it does threaded ones. Off by default: the plain DES trace
     /// artifact stays sim-process-only (issue/complete pairs), which the
     /// fidelity trace validator asserts.

@@ -37,11 +37,10 @@
 //!   every emitted document goes through;
 //! * [`PostmortemDumper`] — fault-/deadline-triggered dumps of the last N
 //!   events plus a registry snapshot;
-//! * [`critical`] — per-batch critical-path attribution of doorbell→retire
-//!   latency to the five protocol stages;
-//! * [`attribution`] — queue-delay decomposition of mean and p99
-//!   doorbell→retire latency into doorbell-wait / dispatch / lane-wait /
-//!   SSD-service / retire components;
+//! * [`attribution`] — per-batch attribution of doorbell→retire latency
+//!   along the group that gated retirement, and its mean and p99-tail
+//!   decomposition into doorbell-wait / dispatch / lane-wait / SSD-service /
+//!   retire components;
 //! * [`Observability`] — the bundle (`registry` + `recorder` +
 //!   `postmortem` + deadline) a CAM attachment records into.
 //!
@@ -55,7 +54,6 @@
 pub mod attribution;
 pub mod clock;
 mod control;
-pub mod critical;
 mod event;
 mod hist;
 pub mod json;
