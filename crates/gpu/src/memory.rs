@@ -4,7 +4,10 @@
 //! This is the reproduction's `CAM_alloc` substrate: allocation returns a
 //! buffer whose **physical address** ([`GpuBuffer::addr`]) is stable and
 //! registered in one contiguous [`PinnedRegion`], exactly the contract the
-//! paper gets from GDRCopy. Buffers free their pages on drop (`CAM_free`).
+//! paper gets from GDRCopy. Buffers return their extent to the allocator on
+//! drop (`CAM_free`); the pages themselves stay pinned and keep their bytes.
+//! The whole pool's address range is reserved up front, but host memory is
+//! paid for page by page on first write ([`PinnedRegion`]).
 
 use std::fmt;
 use std::sync::Arc;
@@ -226,6 +229,24 @@ mod tests {
         let mut out = vec![0u8; 5000];
         buf.read(3000, &mut out);
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn cam_free_returns_the_extent_not_the_bytes() {
+        let mem = GpuMemory::new(0, 1 << 20);
+        let region = mem.region();
+        let a = mem.alloc(8192).unwrap();
+        assert!(a.to_vec().iter().all(|&x| x == 0), "untouched reads zero");
+        assert_eq!(region.resident_pages(), 0);
+        a.write(0, &[0x5Au8; 8192]);
+        let addr = a.addr();
+        drop(a);
+        // `CAM_free` hands the extent back to the allocator; the pinned
+        // pages keep their bytes, and the next `CAM_alloc` of it sees them.
+        let b = mem.alloc(8192).unwrap();
+        assert_eq!(b.addr(), addr);
+        assert!(b.to_vec().iter().all(|&x| x == 0x5A));
+        assert_eq!(region.resident_pages(), 2);
     }
 
     #[test]

@@ -178,8 +178,9 @@ const GDS_CPU_PER_REQUEST: Dur = Dur::us(500);
 
 /// Fixed per-`cudaMemcpyAsync` overhead on the staging copy engine
 /// (Fig. 16): at 4 KiB granularity the copy engine, not the SSDs, is the
-/// bottleneck — 4096 B / (2.95 µs + 4096/21 ns) ≈ 1.3 GB/s.
-const MEMCPY_LAUNCH_OVERHEAD: Dur = Dur::ns(2_950);
+/// bottleneck — 4096 B / (2.95 µs + 4096/21 ns) ≈ 1.3 GB/s. The ANNS
+/// copy-share model (`cam_workloads::anns`) reads the same constant.
+pub const MEMCPY_LAUNCH_OVERHEAD: Dur = Dur::ns(2_950);
 
 struct World {
     ssds: Vec<DesSsd>,

@@ -32,9 +32,11 @@ pub struct RigConfig {
     pub blocks_per_ssd: u64,
     /// Block size in bytes (512 or 4096 in the paper).
     pub block_size: u32,
-    /// GPU device-memory bytes.
+    /// GPU device-memory bytes. The address range is reserved at
+    /// construction; host memory is paid for page by page on first write.
     pub gpu_mem: usize,
-    /// Host bounce-buffer bytes (staged paths).
+    /// Host bounce-buffer bytes (staged paths). Reserved like `gpu_mem`:
+    /// a page costs memory only once a staged copy writes it.
     pub bounce_bytes: usize,
     /// Stripe width in blocks.
     pub stripe_blocks: u64,

@@ -7,6 +7,12 @@
 //! simulated physical address space, organised as page-locked buffers that
 //! both "device DMA engines" (NVMe service threads) and "kernels" (GPU
 //! thread-block closures) can access concurrently.
+//!
+//! The whole address range is reserved at construction, but host memory is
+//! paid for on first write: a page is allocated (zeroed) by the first
+//! `dma_write` that touches it, and a page never written reads as zeros
+//! without being allocated — the DMA twin of
+//! `cam_blockdev::SparseMemStore`.
 
 use std::fmt;
 
@@ -55,13 +61,19 @@ pub trait DmaSpace: Send + Sync {
 /// physical address from any virtual address in this chunk." — § III-A.
 /// `PinnedRegion` has exactly that contract: a base physical address plus
 /// offset arithmetic. Internally the region is divided into page-sized
-/// buffers, each behind its own lock, so concurrent DMA to different pages
+/// slots, each behind its own lock, so concurrent DMA to different pages
 /// proceeds in parallel.
+///
+/// Construction reserves the address range only. A slot holds no buffer
+/// until the first `dma_write` touching that page allocates a zeroed one
+/// under the page's lock; reads of a never-written page fill zeros and
+/// allocate nothing. [`resident_pages`](Self::resident_pages) counts the
+/// pages paid for so far.
 pub struct PinnedRegion {
     base: u64,
     len: usize,
     page_size: usize,
-    pages: Vec<Mutex<Box<[u8]>>>,
+    pages: Vec<Mutex<Option<Box<[u8]>>>>,
 }
 
 impl PinnedRegion {
@@ -83,9 +95,7 @@ impl PinnedRegion {
         );
         assert!(len > 0, "region must be nonempty");
         let n_pages = len.div_ceil(page_size);
-        let pages = (0..n_pages)
-            .map(|_| Mutex::new(vec![0u8; page_size].into_boxed_slice()))
-            .collect();
+        let pages = (0..n_pages).map(|_| Mutex::new(None)).collect();
         PinnedRegion {
             base,
             len: n_pages * page_size,
@@ -107,6 +117,13 @@ impl PinnedRegion {
     /// Whether the region is empty (never true; constructor forbids it).
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Number of pages allocated so far (each by its first write). A scan
+    /// of every page's lock, for tests and reports: the DMA path keeps no
+    /// counter.
+    pub fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.lock().is_some()).count()
     }
 
     /// Physical address of byte `offset` within the region.
@@ -177,8 +194,11 @@ impl DmaSpace for PinnedRegion {
             let page = off / self.page_size;
             let in_page = off % self.page_size;
             let n = (self.page_size - in_page).min(buf.len() - read);
-            let p = self.pages[page].lock();
-            buf[read..read + n].copy_from_slice(&p[in_page..in_page + n]);
+            let dst = &mut buf[read..read + n];
+            match &*self.pages[page].lock() {
+                Some(p) => dst.copy_from_slice(&p[in_page..in_page + n]),
+                None => dst.fill(0),
+            }
             off += n;
             read += n;
         }
@@ -192,7 +212,9 @@ impl DmaSpace for PinnedRegion {
             let page = off / self.page_size;
             let in_page = off % self.page_size;
             let n = (self.page_size - in_page).min(data.len() - written);
-            let mut p = self.pages[page].lock();
+            let mut slot = self.pages[page].lock();
+            // Only a first write allocates, under the page's own lock.
+            let p = slot.get_or_insert_with(|| vec![0u8; self.page_size].into_boxed_slice());
             p[in_page..in_page + n].copy_from_slice(&data[written..written + n]);
             off += n;
             written += n;
@@ -232,6 +254,15 @@ mod tests {
         let mut out = vec![0u8; data.len()];
         r.dma_read(1234, &mut out).unwrap();
         assert_eq!(out, data);
+        // [1234, 11234) spans pages 0, 1 and 2 of 4, and allocates just those;
+        // the untouched head of page 0 and tail of page 2 read as zeros.
+        assert_eq!(r.resident_pages(), 3);
+        let mut head = [0xFFu8; 1234];
+        r.dma_read(0, &mut head).unwrap();
+        assert!(head.iter().all(|&b| b == 0));
+        let mut tail = vec![0xFFu8; 3 * 4096 - 11_234];
+        r.dma_read(11_234, &mut tail).unwrap();
+        assert!(tail.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -278,6 +309,90 @@ mod tests {
             r.dma_read(t * 8 * 4096, &mut buf).unwrap();
             assert!(buf.iter().all(|&b| b == t as u8 + 1));
         }
+        assert_eq!(r.resident_pages(), 64);
+    }
+
+    #[test]
+    fn concurrent_first_touch_of_shared_pages() {
+        // Eight threads first-touch disjoint 512-byte slices of the same
+        // eight pages at once: exactly one allocation per page wins, and no
+        // thread's bytes land in a page another thread then replaces.
+        const PAGES: usize = 8;
+        const SLICE: usize = 4096 / 8;
+        let r = Arc::new(PinnedRegion::new(0, PAGES * 4096));
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8usize)
+            .map(|t| {
+                let (r, start) = (Arc::clone(&r), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let data = [t as u8 + 1; SLICE];
+                    start.wait();
+                    for page in 0..PAGES {
+                        r.dma_write((page * 4096 + t * SLICE) as u64, &data)
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(r.resident_pages(), PAGES);
+        let mut all = vec![0u8; PAGES * 4096];
+        r.dma_read(0, &mut all).unwrap();
+        for (i, &b) in all.iter().enumerate() {
+            assert_eq!(b, ((i % 4096) / SLICE) as u8 + 1, "byte {i}");
+        }
+    }
+
+    #[test]
+    fn a_fresh_region_holds_no_pages() {
+        let r = PinnedRegion::new(0, 64 << 20);
+        assert_eq!(r.len(), 64 << 20);
+        assert_eq!(r.resident_pages(), 0);
+    }
+
+    #[test]
+    fn reading_untouched_pages_allocates_nothing() {
+        let r = PinnedRegion::new(0x1000, 8 * 4096);
+        r.dma_write(0x1000 + 4096, &[7u8; 16]).unwrap();
+        let mut buf = vec![0xAAu8; 8 * 4096];
+        r.dma_read(0x1000, &mut buf).unwrap();
+        assert!(buf[..4096].iter().all(|&b| b == 0));
+        assert!(buf[4096..4096 + 16].iter().all(|&b| b == 7));
+        assert!(buf[4096 + 16..].iter().all(|&b| b == 0));
+        assert_eq!(r.resident_pages(), 1, "reading materializes nothing");
+    }
+
+    #[test]
+    fn overwrites_allocate_nothing_new() {
+        let r = PinnedRegion::new(0, 4 * 4096);
+        r.dma_write(0, &[1u8; 8192]).unwrap();
+        assert_eq!(r.resident_pages(), 2);
+        r.dma_write(100, &[2u8; 4096]).unwrap();
+        r.dma_write(0, &[3u8; 10]).unwrap();
+        assert_eq!(r.resident_pages(), 2, "overwrites materialize nothing");
+        let mut out = [0u8; 8192];
+        r.dma_read(0, &mut out).unwrap();
+        assert!(out[..10].iter().all(|&b| b == 3));
+        assert!(out[10..100].iter().all(|&b| b == 1));
+        assert!(out[100..4196].iter().all(|&b| b == 2));
+        assert!(out[4196..].iter().all(|&b| b == 1));
+    }
+
+    #[test]
+    fn rejected_accesses_allocate_nothing() {
+        let r = PinnedRegion::new(0x1000, 4096);
+        let err = DmaError::OutOfBounds {
+            addr: 0x1000 + 4090,
+            len: 8,
+        };
+        assert_eq!(r.dma_write(0x1000 + 4090, &[1u8; 8]), Err(err));
+        assert!(r.dma_write(0xFF8, &[1u8; 16]).is_err());
+        assert!(r.dma_write(u64::MAX - 2, &[1u8; 8]).is_err());
+        let mut buf = [0u8; 8];
+        assert_eq!(r.dma_read(0x1000 + 4090, &mut buf), Err(err));
+        assert_eq!(r.resident_pages(), 0);
     }
 }
 
@@ -319,5 +434,25 @@ mod router_tests {
         assert!(router.dma_read(0x1000 + 4090, &mut buf).is_err());
         assert!(router.contains(0x1000, 4096));
         assert!(!router.contains(0x1000, 4097 + 4096));
+    }
+
+    #[test]
+    fn router_rejections_allocate_nothing() {
+        let a = Arc::new(PinnedRegion::new(0x1000, 4096));
+        let b = Arc::new(PinnedRegion::new(0x2000, 4096));
+        let router = DmaRouter::new(vec![
+            Arc::clone(&a) as Arc<dyn DmaSpace>,
+            Arc::clone(&b) as Arc<dyn DmaSpace>,
+        ]);
+        // Unmapped, then straddling the a|b boundary.
+        for addr in [0x9_0000, 0x1000 + 4090] {
+            assert_eq!(
+                router.dma_write(addr, &[1u8; 16]),
+                Err(DmaError::OutOfBounds { addr, len: 16 })
+            );
+        }
+        assert_eq!((a.resident_pages(), b.resident_pages()), (0, 0));
+        router.dma_write(0x2000, &[1u8; 16]).unwrap();
+        assert_eq!((a.resident_pages(), b.resident_pages()), (0, 1));
     }
 }

@@ -16,6 +16,7 @@
 //!   the same per-chunk `cudaMemcpyAsync` overhead as Fig. 16's model.
 
 use cam_gpu::Gpu;
+use cam_iostacks::des::MEMCPY_LAUNCH_OVERHEAD;
 use cam_iostacks::{BackendError, IoRequest, StorageBackend};
 use cam_simkit::dist::seeded_rng;
 use rand::Rng;
@@ -261,9 +262,6 @@ impl IvfIndex {
 // Analytic model: Issue 2's "cudaMemcpyAsync costs 78% of the total time".
 // ---------------------------------------------------------------------------
 
-/// Per-`cudaMemcpyAsync` launch overhead (same constant as Fig. 16's model).
-const MEMCPY_LAUNCH_NS: f64 = 2_950.0;
-
 /// Distance-scan compute cost per fetched byte (ns/B): one squared-diff
 /// FMA chain per f32, at GPU memory-bound rates.
 const SCAN_NS_PER_BYTE: f64 = 0.22;
@@ -281,7 +279,8 @@ const SCAN_NS_PER_BYTE: f64 = 0.22;
 pub fn staged_copy_fraction(gran: u64, n_ssds: usize) -> f64 {
     let ssd_pace = gran as f64 / array_read_gbps(n_ssds, gran);
     let compute = gran as f64 * SCAN_NS_PER_BYTE;
-    let copy = MEMCPY_LAUNCH_NS + gran as f64 / 21.0;
+    // Each chunk pays Fig. 16's per-`cudaMemcpyAsync` launch overhead.
+    let copy = MEMCPY_LAUNCH_OVERHEAD.as_ns() as f64 + gran as f64 / 21.0;
     copy / (copy + ssd_pace.max(compute))
 }
 
