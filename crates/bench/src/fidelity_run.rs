@@ -75,6 +75,14 @@ pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
 /// pipelining silently lost) while absorbing sampling noise. One of the
 /// wall-clock clauses of [`timing_bars`].
 pub const DEPTH_REL_ERR_TOLERANCE: f64 = 0.5;
+/// CI tolerance on the functional-over-DES **blocking** mean
+/// doorbell→retire latency ([`FidelityReport::blocking_latency_ratio`]),
+/// as a relative distance from 1. A blocking run is a chain of
+/// device-service rounds with nothing overlapping them, so its mean is the
+/// device the rig actually runs: ±10 % says the rig's injected latency is
+/// the one `rig_matched_ssd_model` gives the DES. One of the wall-clock
+/// clauses of [`timing_bars`].
+pub const BLOCKING_LATENCY_TOLERANCE: f64 = 0.10;
 /// Sanity window on the DES-over-functional speedup ratio: wall clock and
 /// virtual time differ by design, so this bounds the ratio rather than
 /// pinning it.
@@ -161,6 +169,12 @@ impl FidelityReport {
             (&self.functional.blocking, &self.des.blocking)
         };
         (d.depth() - f.depth()).abs() / f.depth().max(1e-9)
+    }
+
+    /// Functional blocking mean doorbell→retire latency over the DES one
+    /// (1 = the rig runs the device the DES models).
+    pub fn blocking_latency_ratio(&self) -> f64 {
+        self.functional.blocking.mean_read_ns as f64 / self.des.blocking.mean_read_ns.max(1) as f64
     }
 
     /// DES speedup over functional speedup.
@@ -285,6 +299,8 @@ fn sample_inflight(cam: &CamContext, drive: impl FnOnce()) -> Vec<f64> {
     let stop = AtomicBool::new(false);
     let (sums, samples) = std::thread::scope(|s| {
         let sampler = s.spawn(|| {
+            // Without this a 20 us sleep takes about 70 us.
+            cam_telemetry::clock::exact_sleeps();
             let mut sums = vec![0u64; N_SSDS];
             let mut samples = 0u64;
             while !stop.load(Ordering::Acquire) {
@@ -623,7 +639,8 @@ pub fn decision_bars(report: &FidelityReport) -> Vec<String> {
 
 /// The wall-clock acceptance bars (`docs/TIMING.md`): trends directional,
 /// magnitudes sanity-bounded, sampled in-flight depth within
-/// [`DEPTH_REL_ERR_TOLERANCE`] of the DES — and, on the threaded driver,
+/// [`DEPTH_REL_ERR_TOLERANCE`] of the DES, the blocking mean read within
+/// [`BLOCKING_LATENCY_TOLERANCE`] of the DES — and, on the threaded driver,
 /// the cross-batch-overlap claim itself: a group-at-a-time reactor cannot
 /// hold more than one group's commands on an SSD, so the pipelined run's
 /// peak and time-mean in-flight depth must exceed the blocking run's on
@@ -682,6 +699,15 @@ pub fn timing_bars(report: &FidelityReport) -> Vec<String> {
             ),
         );
     }
+    let ratio = report.blocking_latency_ratio();
+    require(
+        &mut failed,
+        (ratio - 1.0).abs() <= BLOCKING_LATENCY_TOLERANCE,
+        format!(
+            "functional/DES blocking mean read {ratio:.3} is more than \
+             BLOCKING_LATENCY_TOLERANCE {BLOCKING_LATENCY_TOLERANCE} from 1"
+        ),
+    );
     failed
 }
 

@@ -1415,7 +1415,9 @@ pub(crate) fn fidelity_tables(
     report: &crate::fidelity_run::FidelityReport,
     rounds: u64,
 ) -> Vec<Table> {
-    use crate::fidelity_run::{DEPTH_REL_ERR_TOLERANCE, N_CHANNELS, N_SSDS};
+    use crate::fidelity_run::{
+        BLOCKING_LATENCY_TOLERANCE, DEPTH_REL_ERR_TOLERANCE, N_CHANNELS, N_SSDS,
+    };
 
     // The decision comparison: every counter, plan replay vs. each
     // driver × mode. The whole point is that the four rightmost columns
@@ -1481,11 +1483,14 @@ pub(crate) fn fidelity_tables(
         }
     }
     tr.note(format!(
-        "depth rel err: {:.2} piped / {:.2} blocking (tolerance {}); speedup direction agrees: {}",
+        "depth rel err: {:.2} piped / {:.2} blocking (tolerance {}); speedup direction agrees: {}; \
+         blocking mean read functional/DES: {:.3} (tolerance ±{})",
         report.depth_rel_err(true),
         report.depth_rel_err(false),
         DEPTH_REL_ERR_TOLERANCE,
-        report.speedup_direction_agrees()
+        report.speedup_direction_agrees(),
+        report.blocking_latency_ratio(),
+        BLOCKING_LATENCY_TOLERANCE
     ));
 
     // The cached matrix: the same CacheCore behind both drivers, decision

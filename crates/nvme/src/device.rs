@@ -43,6 +43,11 @@ pub struct DeviceConfig {
     /// to `max_burst` of that pair's commands; a round that finds *k* pairs
     /// non-empty sleeps *k* times. Makes compute/I/O overlap visible in
     /// real-time demos. `None` (the default) services at memory speed.
+    ///
+    /// On Linux the sleep lasts within a few µs of the latency given: with
+    /// a latency set, each service thread first drops its timer slack to
+    /// 1 ns ([`clock::exact_sleeps`]). Under the default 50 µs slack the
+    /// kernel would defer each wake-up, so 100 µs would take about 154 µs.
     pub burst_latency: Option<Duration>,
     /// Maximum data transfer size (MDTS) in blocks per command; larger
     /// commands complete with `InvalidField`, as a real controller would
@@ -236,6 +241,11 @@ impl Drop for NvmeDevice {
 }
 
 fn service_loop(sh: &Shared, tid: usize) {
+    // Only a thread that sleeps pays for the slack write; a memory-speed
+    // device never sleeps.
+    if sh.config.burst_latency.is_some() {
+        clock::exact_sleeps();
+    }
     let mut bounce: Vec<u8> = Vec::new();
     let mut idle_rounds = 0u32;
     // This thread's share of the queue pairs, refreshed only when a
@@ -701,6 +711,66 @@ mod tests {
         let mut out = vec![0u8; 512];
         dma.dma_read(0x700_000, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 11));
+    }
+
+    /// The Linux timer slack of the thread `tid`, as `/proc` prints it.
+    fn slack_of(tid: &std::ffi::OsStr) -> String {
+        let path = std::path::Path::new("/proc")
+            .join(tid)
+            .join("timerslack_ns");
+        std::fs::read_to_string(path)
+            .expect("read timerslack_ns")
+            .trim()
+            .to_string()
+    }
+
+    /// The timer slack of the service thread of a device named `name`,
+    /// read once it has executed a command, so it is past its set-up;
+    /// `None` where `/proc` has no `thread-self`.
+    fn service_thread_slack(name: &str, burst_latency: Option<Duration>) -> Option<String> {
+        std::fs::read_link("/proc/thread-self").ok()?;
+        let store: Arc<dyn BlockStore> = Arc::new(SparseMemStore::new(BlockGeometry::new(512, 64)));
+        let dev = NvmeDevice::start(
+            DeviceConfig {
+                name: name.to_string(),
+                burst_latency,
+                ..DeviceConfig::default()
+            },
+            store,
+            Arc::new(PinnedRegion::new(0, 4096)),
+        );
+        let qp = dev.add_queue_pair(8);
+        qp.submit(Sqe::flush(1)).unwrap();
+        wait_cqe(&qp);
+        let comm = format!("{name}-svc0");
+        let tid = std::fs::read_dir("/proc/self/task")
+            .expect("list threads")
+            .flatten()
+            .find(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|c| c.trim_end() == comm)
+            })
+            .unwrap_or_else(|| panic!("no thread named {comm}"))
+            .file_name();
+        Some(slack_of(&tid))
+    }
+
+    #[test]
+    fn a_device_with_burst_latency_services_with_exact_sleeps() {
+        if let Some(slack) = service_thread_slack("slk", Some(Duration::from_micros(1))) {
+            assert_eq!(slack, "1");
+        }
+    }
+
+    #[test]
+    fn a_memory_speed_device_keeps_its_creators_slack() {
+        let Ok(own) = std::fs::read_link("/proc/thread-self") else {
+            return;
+        };
+        let own_slack = slack_of(own.file_name().expect("tid"));
+        if let Some(slack) = service_thread_slack("slkfree", None) {
+            assert_eq!(slack, own_slack);
+        }
     }
 
     #[test]
