@@ -37,10 +37,10 @@ use std::sync::Arc;
 use cam_nvme::spec::{Opcode, Status};
 use cam_nvme::{DesSsd, SsdModel};
 use cam_protocol::{
-    op_index, open_batch, plan_batch, BatchCore, BatchStamps, ChannelOp, Command, DecisionCounters,
-    GroupSpec, HealthTransition, PlanConfig, RetryPolicy, SubmitCmd, WorkerCore,
+    op_index, open_batch, plan_batch, BatchCore, BatchPlan, BatchStamps, ChannelOp, Command,
+    DecisionCounters, GroupSpec, HealthTransition, PlanConfig, RetryPolicy, SubmitCmd, WorkerCore,
 };
-use cam_simkit::{Dur, EventKind, FlightRecorder, Pipe, Sim, Time};
+use cam_simkit::{Dur, EventKind, Fire, FlightRecorder, Pipe, Sim, Time};
 use cam_telemetry::{BatchFacts, Lane, LifecycleTap, OpsWindows, SloTracker};
 
 /// Calibrated cost model for the planning worker's per-batch work:
@@ -326,6 +326,132 @@ struct LaneStat {
     last_change_ns: u64,
 }
 
+/// Everything the driver schedules. There is no closure variant: each
+/// command's four hops (CPU, flash, device link, host fabric) are values,
+/// so the per-command path cannot allocate an event by construction.
+/// Payloads larger than a word wait in the world instead — a command in
+/// [`DesWorld::cmds`], a batch in [`DesWorld::dispatching`] — or, off the
+/// per-command path, in a box of their own. That keeps this type at 16
+/// bytes, so a calendar entry that holds one stays at four words (a unit
+/// test pins both).
+enum DesEvent {
+    /// The dispatch pipe finished the oldest batch in `dispatching`.
+    Dispatched,
+    /// The source wake-up armed for this instant (ns).
+    SourceWake(u64),
+    /// Worker `wid`'s protocol timer armed for instant `t` (ns).
+    Timer { wid: u32, t: u64 },
+    /// The worker's CPU paid for the command: it enters the SSD.
+    CpuDone(CmdId),
+    /// The SSD served the command: its data crosses the device link.
+    FlashDone(CmdId),
+    /// The data crossed the device link: it crosses the host fabric.
+    LinkDone(CmdId),
+    /// The data reached the host: the CQE goes to the worker.
+    HostDone(CmdId),
+    /// The group's last SQE is in its queue (lifecycle stream only).
+    GroupSubmit(Box<GroupSubmit>),
+}
+
+/// A command between its CPU cost and its CQE: its slot in
+/// [`DesWorld::cmds`].
+#[derive(Clone, Copy)]
+struct CmdId(u32);
+
+/// The commands on their way through the timing models, each with its
+/// worker. Slots are reused, so the table is as large as the most
+/// commands ever in flight at once.
+#[derive(Default)]
+struct Cmds {
+    slots: Vec<Option<(usize, SubmitCmd)>>,
+    free: Vec<u32>,
+}
+
+impl Cmds {
+    fn park(&mut self, wid: usize, s: SubmitCmd) -> CmdId {
+        let cmd = Some((wid, s));
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = cmd;
+                CmdId(slot)
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("a command id fits 32 bits");
+                self.slots.push(cmd);
+                CmdId(slot)
+            }
+        }
+    }
+
+    fn get(&self, id: CmdId) -> &SubmitCmd {
+        let cmd = self.slots[id.0 as usize].as_ref();
+        &cmd.expect("an event names a command in flight").1
+    }
+
+    fn take(&mut self, id: CmdId) -> (usize, SubmitCmd) {
+        self.free.push(id.0);
+        self.slots[id.0 as usize]
+            .take()
+            .expect("an event names a command in flight")
+    }
+}
+
+/// A group-submit marker waiting for its instant.
+struct GroupSubmit {
+    batch: BatchFacts,
+    on: Lane,
+    sqes: u32,
+    recv_ns: u64,
+    at: u64,
+}
+
+type DesSim = Sim<DesWorld, DesEvent>;
+
+impl Fire<DesWorld> for DesEvent {
+    fn fire(self, sim: &mut DesSim, w: &mut DesWorld) {
+        match self {
+            DesEvent::Dispatched => dispatched(sim, w),
+            DesEvent::SourceWake(t) => {
+                if w.source_timer_ns == t {
+                    w.source_timer_ns = 0;
+                }
+                publish_all_idle(sim, w);
+            }
+            DesEvent::Timer { wid, t } => {
+                let wid = wid as usize;
+                if w.timer_armed[wid] == t {
+                    w.timer_armed[wid] = 0;
+                }
+                pump_worker(sim, w, wid);
+            }
+            DesEvent::CpuDone(c) => enter_ssd(sim, w, c),
+            DesEvent::FlashDone(c) => {
+                let s = w.cmds.get(c);
+                match w.cmd_bytes(s) {
+                    0 => DesEvent::LinkDone(c).fire(sim, w),
+                    bytes => w.ssds[s.ssd].dma(sim, bytes, DesEvent::LinkDone(c)),
+                }
+            }
+            DesEvent::LinkDone(c) => {
+                let bytes = w.cmd_bytes(w.cmds.get(c));
+                sim.post_transfer(w.host, bytes, DesEvent::HostDone(c));
+            }
+            DesEvent::HostDone(c) => complete_cmd(sim, w, c),
+            DesEvent::GroupSubmit(g) => w
+                .tap
+                .group_submitted(&g.batch, g.on, g.sqes, g.recv_ns, g.at),
+        }
+    }
+}
+
+/// A planned batch waiting on the dispatch pipe.
+struct Dispatching {
+    plan: BatchPlan,
+    ch: usize,
+    seq: u64,
+    doorbell_ns: u64,
+}
+
 struct DesWorld {
     cfg: CamDesConfig,
     plan: PlanConfig,
@@ -336,6 +462,11 @@ struct DesWorld {
     /// The planner's dispatch pipe: every published batch pays
     /// its [`CpuPipeModel`] cost here before its groups reach the workers.
     dispatcher: Pipe,
+    /// The batches on `dispatcher`, in the order it completes them (it is
+    /// FIFO), each popped by its [`DesEvent::Dispatched`].
+    dispatching: VecDeque<Dispatching>,
+    /// The submitted commands not yet completed, named by their events.
+    cmds: Cmds,
     /// Per-(worker, ssd) instant the worker's CPU pipe drains the last
     /// submit charged toward that SSD — the virtual time the group's SQEs
     /// are actually in the lane's queue, where the
@@ -374,6 +505,13 @@ struct DesWorld {
     timer_armed: Vec<u64>,
 }
 
+impl DesWorld {
+    /// Payload bytes `s` moves.
+    fn cmd_bytes(&self, s: &SubmitCmd) -> u64 {
+        u64::from(s.blocks) * u64::from(self.cfg.block_size)
+    }
+}
+
 /// The batch as the [`LifecycleTap`] takes it: plain integers. Shared with
 /// the threaded driver, so the mirror of [`BatchCore`] is spelled once.
 pub fn batch_facts(b: &BatchCore) -> BatchFacts {
@@ -392,7 +530,7 @@ pub fn batch_facts(b: &BatchCore) -> BatchFacts {
 /// Publishes the channel's next batch, if any: pull it from the source,
 /// plan it, open it ([`open_batch`]), and deliver its per-SSD groups to
 /// their workers.
-fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
+fn publish_next(sim: &mut DesSim, w: &mut DesWorld, ch: usize) {
     if w.channel_busy[ch] {
         return;
     }
@@ -424,22 +562,13 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     // planning/dispatch work — back-to-back doorbells serialize behind the
     // one dispatch pipe, as behind one planning worker of the threaded
     // engine.
-    let done = sim.pipe_work(w.dispatcher, cost, move |sim, w| {
-        // Doorbell and pickup coincide in virtual time: the DES has no
-        // polling delay, so the doorbell-wait component is structurally 0.
-        // Dispatch is NOT free: the planner paid the calibrated per-batch
-        // planning cost on its pipe, which completes now.
-        let at = BatchStamps {
-            doorbell_ns: now,
-            pickup_ns: now,
-            dispatched_ns: sim.now().as_ns(),
-            compute_gap_ns: 0,
-        };
-        for spec in open_batch(plan, ch, seq, at) {
-            let wid = spec.ssd % w.cores.len();
-            deliver(sim, w, wid, spec);
-        }
+    w.dispatching.push_back(Dispatching {
+        plan,
+        ch,
+        seq,
+        doorbell_ns: now,
     });
+    let done = sim.post_work(w.dispatcher, cost, DesEvent::Dispatched);
     if has_groups {
         let b = BatchFacts {
             channel: ch,
@@ -455,10 +584,33 @@ fn publish_next(sim: &mut Sim<DesWorld>, w: &mut DesWorld, ch: usize) {
     }
 }
 
+/// The dispatch pipe finished planning its oldest batch: open it and hand
+/// its per-SSD groups to their workers.
+fn dispatched(sim: &mut DesSim, w: &mut DesWorld) {
+    let d = w
+        .dispatching
+        .pop_front()
+        .expect("a dispatch completion has its batch");
+    // Doorbell and pickup coincide in virtual time: the DES has no polling
+    // delay, so the doorbell-wait component is structurally 0. Dispatch is
+    // NOT free: the planner paid the calibrated per-batch planning cost on
+    // its pipe, which completes now.
+    let at = BatchStamps {
+        doorbell_ns: d.doorbell_ns,
+        pickup_ns: d.doorbell_ns,
+        dispatched_ns: sim.now().as_ns(),
+        compute_gap_ns: 0,
+    };
+    for spec in open_batch(d.plan, d.ch, d.seq, at) {
+        let wid = spec.ssd % w.cores.len();
+        deliver(sim, w, wid, spec);
+    }
+}
+
 /// Offers every idle channel to the source, then arms a wakeup at the
 /// source's next time-gated readiness instant so admission-throttled work
 /// makes progress even with nothing left on the calendar.
-fn publish_all_idle(sim: &mut Sim<DesWorld>, w: &mut DesWorld) {
+fn publish_all_idle(sim: &mut DesSim, w: &mut DesWorld) {
     for ch in 0..w.n_channels {
         publish_next(sim, w, ch);
     }
@@ -474,18 +626,13 @@ fn publish_all_idle(sim: &mut Sim<DesWorld>, w: &mut DesWorld) {
         return;
     }
     w.source_timer_ns = t;
-    sim.schedule_at(Time::from_ns(t), move |sim, w| {
-        if w.source_timer_ns == t {
-            w.source_timer_ns = 0;
-        }
-        publish_all_idle(sim, w);
-    });
+    sim.post_at(Time::from_ns(t), DesEvent::SourceWake(t));
 }
 
 /// Hands a group to its worker — immediately when the core accepts it, else
 /// parked until the worker's current group closes (the blocking baseline's
 /// one-group-at-a-time admission).
-fn deliver(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
+fn deliver(sim: &mut DesSim, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
     if w.cores[wid].accepts_group() {
         accept(sim, w, wid, spec);
     } else {
@@ -495,7 +642,7 @@ fn deliver(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, spec: GroupSpe
 
 /// The worker takes the group: report the dispatch, hand it to the
 /// protocol core, pump.
-fn accept(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
+fn accept(sim: &mut DesSim, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
     let now = sim.now().as_ns();
     let at = Lane {
         ssd: spec.ssd,
@@ -508,7 +655,7 @@ fn accept(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, spec: GroupSpec
 
 /// Feeds the worker its parked groups while it accepts them (nothing is
 /// ever parked under pipelined admission).
-fn feed_pending(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
+fn feed_pending(sim: &mut DesSim, w: &mut DesWorld, wid: usize) {
     while w.cores[wid].accepts_group() {
         let Some(spec) = w.pending[wid].pop_front() else {
             return;
@@ -518,7 +665,7 @@ fn feed_pending(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
 }
 
 /// One protocol submission pass for `wid` at the current virtual time.
-fn pump_worker(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
+fn pump_worker(sim: &mut DesSim, w: &mut DesWorld, wid: usize) {
     let now = sim.now().as_ns();
     let mut out = mem::take(&mut w.scratch);
     w.cores[wid].pump(now, &mut out);
@@ -530,7 +677,7 @@ fn pump_worker(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
 /// Schedules a calendar wakeup at the worker's earliest pending protocol
 /// timer (retry backoff / deadline), so a lone backoff-gated command makes
 /// progress even when nothing else is on the calendar. Deduped per worker.
-fn arm_timer(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
+fn arm_timer(sim: &mut DesSim, w: &mut DesWorld, wid: usize) {
     let Some(t) = w.cores[wid].next_timer_ns() else {
         return;
     };
@@ -538,16 +685,12 @@ fn arm_timer(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize) {
         return;
     }
     w.timer_armed[wid] = t;
-    sim.schedule_at(Time::from_ns(t), move |sim, w| {
-        if w.timer_armed[wid] == t {
-            w.timer_armed[wid] = 0;
-        }
-        pump_worker(sim, w, wid);
-    });
+    let wid = wid as u32;
+    sim.post_at(Time::from_ns(t), DesEvent::Timer { wid, t });
 }
 
 /// Executes drained protocol commands against the timing models.
-fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<Command>) {
+fn execute(sim: &mut DesSim, w: &mut DesWorld, wid: usize, out: &mut Vec<Command>) {
     let on = |ssd| Lane { ssd, worker: wid };
     for cmd in out.drain(..) {
         match cmd {
@@ -558,7 +701,8 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
                 let cpu = w.cpus[wid];
                 let cost = w.cfg.thread_cost;
                 let lane = wid * w.cfg.n_ssds + s.ssd;
-                let done = sim.pipe_work(cpu, cost, move |sim, w| enter_ssd(sim, w, wid, s));
+                let id = w.cmds.park(wid, s);
+                let done = sim.post_work(cpu, cost, DesEvent::CpuDone(id));
                 w.lane_submit_done[lane] = w.lane_submit_done[lane].max(done.as_ns());
             }
             // Doorbell rings are free here: their cost is folded into
@@ -579,16 +723,21 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
                 // lane-wait component.
                 let lane = wid * w.cfg.n_ssds + ssd;
                 let at = w.lane_submit_done[lane].max(sim.now().as_ns());
-                let (b, on) = (batch_facts(&batch), on(ssd));
+                let (batch, on) = (batch_facts(&batch), on(ssd));
                 if w.tap.lifecycle {
                     // With the event stream on, report from the calendar,
                     // so the marker takes its place among the device
                     // events of that instant.
-                    sim.schedule_at(Time::from_ns(at), move |_, w| {
-                        w.tap.group_submitted(&b, on, sqes, recv_ns, at)
-                    });
+                    let g = GroupSubmit {
+                        batch,
+                        on,
+                        sqes,
+                        recv_ns,
+                        at,
+                    };
+                    sim.post_at(Time::from_ns(at), DesEvent::GroupSubmit(Box::new(g)));
                 } else {
-                    w.tap.group_submitted(&b, on, sqes, recv_ns, at);
+                    w.tap.group_submitted(&batch, on, sqes, recv_ns, at);
                 }
             }
             Command::CmdRetry {
@@ -664,7 +813,8 @@ fn execute(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, out: &mut Vec<
 }
 
 /// A command clears its CPU cost and enters the device.
-fn enter_ssd(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, s: SubmitCmd) {
+fn enter_ssd(sim: &mut DesSim, w: &mut DesWorld, c: CmdId) {
+    let s = *w.cmds.get(c);
     sim.emit(EventKind::SimIssue {
         ssd: s.ssd as u16,
         req: w.issued_ord[s.ssd],
@@ -672,22 +822,16 @@ fn enter_ssd(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, s: SubmitCmd
     w.issued_ord[s.ssd] += 1;
     let now = sim.now().as_ns();
     bump_depth(w, s.ssd, now, 1);
-    let bytes = u64::from(s.blocks) * u64::from(w.cfg.block_size);
     let op = match s.op {
         ChannelOp::Read => Opcode::Read,
         ChannelOp::Write => Opcode::Write,
     };
-    let dev = w.ssds[s.ssd];
-    dev.submit(sim, op, bytes, move |sim, w: &mut DesWorld| {
-        let host = w.host;
-        sim.pipe_transfer(host, bytes, move |sim, w| {
-            complete_cmd(sim, w, wid, s, bytes)
-        });
-    });
+    let bytes = w.cmd_bytes(&s);
+    w.ssds[s.ssd].serve(sim, op, bytes, DesEvent::FlashDone(c));
 }
 
 /// Applies the transient-fault schedule to one device completion.
-fn fault_status(sim: &Sim<DesWorld>, w: &mut DesWorld, s: &SubmitCmd) -> Status {
+fn fault_status(sim: &DesSim, w: &mut DesWorld, s: &SubmitCmd) -> Status {
     let Some(f) = w.cfg.fault else {
         return Status::Success;
     };
@@ -711,7 +855,8 @@ fn fault_status(sim: &Sim<DesWorld>, w: &mut DesWorld, s: &SubmitCmd) -> Status 
 
 /// The command's payload crossed the host fabric: reap its CQE into the
 /// protocol core and pump whatever the freed depth admits.
-fn complete_cmd(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, s: SubmitCmd, bytes: u64) {
+fn complete_cmd(sim: &mut DesSim, w: &mut DesWorld, c: CmdId) {
+    let (wid, s) = w.cmds.take(c);
     sim.emit(EventKind::SimComplete {
         ssd: s.ssd as u16,
         req: w.done_ord[s.ssd],
@@ -720,7 +865,7 @@ fn complete_cmd(sim: &mut Sim<DesWorld>, w: &mut DesWorld, wid: usize, s: Submit
     let status = fault_status(sim, w, &s);
     if status == Status::Success {
         w.completed += 1;
-        w.bytes_done += bytes;
+        w.bytes_done += w.cmd_bytes(&s);
     }
     let now = sim.now().as_ns();
     bump_depth(w, s.ssd, now, -1);
@@ -782,7 +927,7 @@ pub fn run_cam_des_source(
 ) -> CamDesReport {
     assert!(cfg.n_ssds >= 1 && cfg.threads >= 1 && cfg.queue_depth >= 1);
     assert!(n_channels >= 1, "at least one channel");
-    let mut sim: Sim<DesWorld> = Sim::new();
+    let mut sim = DesSim::default();
     let tap = LifecycleTap {
         metrics: None,
         recorder: recorder.clone(),
@@ -814,6 +959,8 @@ pub fn run_cam_des_source(
         pending: (0..cfg.threads).map(|_| VecDeque::new()).collect(),
         cpus,
         dispatcher,
+        dispatching: VecDeque::new(),
+        cmds: Cmds::default(),
         lane_submit_done: vec![0; cfg.threads * cfg.n_ssds],
         ssds,
         host,
@@ -915,6 +1062,17 @@ mod tests {
             fault: None,
             ssd_model: SsdModel::p5510(),
         }
+    }
+
+    /// Every calendar entry, lane entry and server slot holds a
+    /// `DesEvent`, so a field that grows it slows every command. At 16
+    /// bytes, with its tag leaving room beside it, a heap entry (key +
+    /// event) stays at the four words the calendar pins for closures: one
+    /// word more costs a quarter of the plain-event path.
+    #[test]
+    fn a_des_event_keeps_the_heap_entry_at_four_words() {
+        assert_eq!(std::mem::size_of::<DesEvent>(), 16);
+        assert_eq!(DesSim::ENTRY_BYTES, 32);
     }
 
     /// An unobserved fixed-workload run.

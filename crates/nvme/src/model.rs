@@ -16,10 +16,13 @@
 //!   and a PCIe Gen4 ×4 device link that caps large-transfer throughput.
 //!
 //! A command's life: acquire a channel slot → `latency + bytes/channel_bw`
-//! of service → DMA over the device link → completion callback. Host-side
-//! fabric contention (the shared ×16 root complex) is layered on by callers.
+//! of service ([`DesSsd::serve`]) → DMA over the device link
+//! ([`DesSsd::dma`]) → completion event. [`DesSsd::submit`] chains both
+//! stages for a closure calendar; a model with its own event type fires one
+//! event per stage. Host-side fabric contention (the shared ×16 root
+//! complex) is layered on by callers.
 
-use cam_simkit::{Dur, Pipe, Server, Sim};
+use cam_simkit::{Boxed, Dur, Fire, Pipe, Server, Sim};
 
 use crate::spec::Opcode;
 
@@ -91,7 +94,7 @@ pub struct DesSsd {
 
 impl DesSsd {
     /// Creates the SSD's resources on `sim`.
-    pub fn new<W: 'static>(sim: &mut Sim<W>, model: SsdModel) -> Self {
+    pub fn new<W, E: Fire<W>>(sim: &mut Sim<W, E>, model: SsdModel) -> Self {
         DesSsd {
             model,
             read_srv: sim.new_server(model.read_channels),
@@ -114,6 +117,18 @@ impl DesSsd {
         bytes: u64,
         cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
     ) {
+        let ssd = *self;
+        let stage2 = move |sim: &mut Sim<W>, w: &mut W| match bytes {
+            0 => cb(sim, w),
+            _ => ssd.dma(sim, bytes, Boxed::new(cb)),
+        };
+        self.serve(sim, op, bytes, Boxed::new(stage2));
+    }
+
+    /// A command's first stage: `bytes` of flash service behind the
+    /// controller's channel parallelism; `ev` fires when it leaves
+    /// service. A typed model then moves the data with [`dma`](Self::dma).
+    pub fn serve<W, E: Fire<W>>(&self, sim: &mut Sim<W, E>, op: Opcode, bytes: u64, ev: E) {
         let (srv, lat, ch_bw) = match op {
             Opcode::Write => (
                 self.write_srv,
@@ -132,18 +147,17 @@ impl DesSsd {
             }
         };
         let service = lat + Dur::from_ns_f64(bytes as f64 / ch_bw);
-        let link = self.link;
-        sim.server_submit(srv, service, move |sim, w| {
-            if bytes == 0 {
-                cb(sim, w);
-            } else {
-                sim.pipe_transfer(link, bytes, cb);
-            }
-        });
+        sim.post_serve(srv, service, ev);
+    }
+
+    /// A command's second stage: its `bytes` cross the device link; `ev`
+    /// fires when they have.
+    pub fn dma<W, E: Fire<W>>(&self, sim: &mut Sim<W, E>, bytes: u64, ev: E) {
+        sim.post_transfer(self.link, bytes, ev);
     }
 
     /// Bytes moved over the device link so far.
-    pub fn link_bytes<W: 'static>(&self, sim: &Sim<W>) -> u64 {
+    pub fn link_bytes<W, E: Fire<W>>(&self, sim: &Sim<W, E>) -> u64 {
         sim.pipe_bytes(self.link)
     }
 }

@@ -17,14 +17,14 @@
 use std::collections::binary_heap::PeekMut;
 use std::collections::VecDeque;
 
-use crate::sim::{key, Entry, Event, Held, Pending, Sim};
+use crate::sim::{key, Boxed, Entry, Fire, Held, Pending, Sim};
 use crate::time::{Dur, Time};
 
 /// Handle to a pipe created with [`Sim::new_pipe`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct Pipe(pub(crate) usize);
 
-pub(crate) struct PipeState<W> {
+pub(crate) struct PipeState<E> {
     /// Service rate in bytes per nanosecond (= GB/s, numerically).
     rate: f64,
     /// Time at which the pipe finishes everything currently queued.
@@ -32,22 +32,47 @@ pub(crate) struct PipeState<W> {
     /// Total bytes accepted.
     bytes: u64,
     /// Scheduled completions not yet run, ascending in `(time, seq)`.
-    pub(crate) lane: VecDeque<LaneEntry<W>>,
+    pub(crate) lane: VecDeque<LaneEntry<E>>,
 }
 
 /// One scheduled completion waiting in a pipe's lane.
-pub(crate) struct LaneEntry<W> {
+pub(crate) struct LaneEntry<E> {
     pub(crate) key: u128,
-    pub(crate) cb: Event<W>,
+    pub(crate) ev: E,
 }
 
-impl<W> PipeState<W> {
+impl<E> PipeState<E> {
     fn service_dur(&self, bytes: u64) -> Dur {
         Dur::from_ns_f64(bytes as f64 / self.rate)
     }
 }
 
+/// Closure twins of the typed pipe calls.
 impl<W: 'static> Sim<W> {
+    /// Enqueues a transfer and schedules `cb` at its completion;
+    /// [`post_transfer`](Self::post_transfer).
+    pub fn pipe_transfer(
+        &mut self,
+        pipe: Pipe,
+        bytes: u64,
+        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
+    ) -> Time {
+        self.post_transfer(pipe, bytes, Boxed::new(cb))
+    }
+
+    /// Enqueues `work` of service time and schedules `cb` at its
+    /// completion; [`post_work`](Self::post_work).
+    pub fn pipe_work(
+        &mut self,
+        pipe: Pipe,
+        work: Dur,
+        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
+    ) -> Time {
+        self.post_work(pipe, work, Boxed::new(cb))
+    }
+}
+
+impl<W, E: Fire<W>> Sim<W, E> {
     /// Creates a pipe with the given rate in **bytes per nanosecond**
     /// (numerically equal to GB/s). Must be positive and finite.
     pub fn new_pipe(&mut self, rate_gbps: f64) -> Pipe {
@@ -82,8 +107,8 @@ impl<W: 'static> Sim<W> {
 
     /// Enqueues a transfer expressed as a service *duration* rather than a
     /// byte count (e.g. CPU work on a thread) and returns its completion
-    /// time without scheduling anything: occupancy only. To run something
-    /// at the completion use [`pipe_work`](Self::pipe_work).
+    /// time without scheduling anything: occupancy only. To fire an event
+    /// at the completion use [`post_work`](Self::post_work).
     pub fn pipe_enqueue_work(&mut self, pipe: Pipe, work: Dur) -> Time {
         let now = self.now();
         let p = &mut self.pipes[pipe.0];
@@ -92,38 +117,29 @@ impl<W: 'static> Sim<W> {
         p.free_at
     }
 
-    /// Enqueues a transfer and schedules `cb` at its completion.
-    pub fn pipe_transfer(
-        &mut self,
-        pipe: Pipe,
-        bytes: u64,
-        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) -> Time {
+    /// Enqueues a transfer of `bytes` and schedules `ev` at its completion,
+    /// which it returns.
+    pub fn post_transfer(&mut self, pipe: Pipe, bytes: u64, ev: E) -> Time {
         let done = self.pipe_enqueue(pipe, bytes);
-        self.lane_push(pipe, done, Box::new(cb));
+        self.lane_push(pipe, done, ev);
         done
     }
 
     /// Enqueues `work` of service time (the duration twin of
-    /// [`pipe_transfer`](Self::pipe_transfer)) and schedules `cb` at its
-    /// completion.
-    pub fn pipe_work(
-        &mut self,
-        pipe: Pipe,
-        work: Dur,
-        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) -> Time {
+    /// [`post_transfer`](Self::post_transfer)) and schedules `ev` at its
+    /// completion, which it returns.
+    pub fn post_work(&mut self, pipe: Pipe, work: Dur, ev: E) -> Time {
         let done = self.pipe_enqueue_work(pipe, work);
-        self.lane_push(pipe, done, Box::new(cb));
+        self.lane_push(pipe, done, ev);
         done
     }
 
-    /// Schedules `cb` at `time`, the completion the pipe just computed, by
+    /// Schedules `ev` at `time`, the completion the pipe just computed, by
     /// appending it to the pipe's lane; an empty lane's new head also goes
     /// on the heap. The lane must stay ascending: that is checked here, not
     /// assumed, and a completion that would break it goes on the heap as a
     /// general event, where the global order holds regardless.
-    fn lane_push(&mut self, pipe: Pipe, time: Time, cb: Event<W>) {
+    fn lane_push(&mut self, pipe: Pipe, time: Time, ev: E) {
         let key = key(time, self.next_seq());
         let lane = &mut self.pipes[pipe.0].lane;
         let ascending = lane.back().is_none_or(|tail| tail.key <= key);
@@ -132,7 +148,7 @@ impl<W: 'static> Sim<W> {
             "pipe completion at {time:?} precedes the lane tail"
         );
         if !ascending {
-            let what = Pending::Call(cb);
+            let what = Pending::Call(ev);
             self.heap.push(Entry { key, what });
             return;
         }
@@ -140,14 +156,14 @@ impl<W: 'static> Sim<W> {
             let what = Pending::Held(Held::LaneHead(pipe.0 as u32));
             self.heap.push(Entry { key, what });
         }
-        lane.push_back(LaneEntry { key, cb });
+        lane.push_back(LaneEntry { key, ev });
     }
 
     /// Takes the completion at the head of `pipe`'s lane, which is the top
     /// of the heap. The lane's next completion takes over the heap entry in
-    /// place (one sift, no pop + push) before the callback can append to
-    /// the lane.
-    pub(crate) fn lane_pop(&mut self, pipe: u32) -> Event<W> {
+    /// place (one sift, no pop + push) before the event can append to the
+    /// lane.
+    pub(crate) fn lane_pop(&mut self, pipe: u32) -> E {
         let mut top = self.heap.peek_mut().expect("a lane head is on the heap");
         let lane = &mut self.pipes[pipe as usize].lane;
         let done = lane.pop_front().expect("a lane head has a lane entry");
@@ -158,7 +174,7 @@ impl<W: 'static> Sim<W> {
                 PeekMut::pop(top);
             }
         }
-        done.cb
+        done.ev
     }
 
     /// Total bytes accepted by the pipe.
@@ -238,7 +254,11 @@ mod tests {
         let mut w = Vec::new();
         let p = sim.new_pipe(1.0);
         sim.pipe_transfer(p, 300, |_, w: &mut Vec<u32>| w.push(300));
-        sim.lane_push(p, Time::from_ns(100), Box::new(|_, w| w.push(100)));
+        sim.lane_push(
+            p,
+            Time::from_ns(100),
+            Boxed::new(|_, w: &mut Vec<u32>| w.push(100)),
+        );
         sim.pipe_transfer(p, 100, |_, w: &mut Vec<u32>| w.push(400));
         sim.run(&mut w);
         assert_eq!(w, vec![100, 300, 400]);

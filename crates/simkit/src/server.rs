@@ -7,29 +7,29 @@
 
 use std::collections::VecDeque;
 
-use crate::sim::{Event, Held, Pending, Sim};
+use crate::sim::{Boxed, Fire, Held, Pending, Sim};
 use crate::time::Dur;
 
 /// Handle to a server created with [`Sim::new_server`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct Server(pub(crate) usize);
 
-pub(crate) struct ServerState<W> {
+pub(crate) struct ServerState<E> {
     capacity: usize,
     in_service: usize,
-    queue: VecDeque<(Dur, Event<W>)>,
+    queue: VecDeque<(Dur, E)>,
     completed: u64,
 }
 
 /// The jobs in service across all servers. A job's completion entry on the
-/// heap names its slot here, so the callback boxed at submission is the
-/// only allocation the job makes, whether or not it queued first.
-pub(crate) struct InService<W> {
-    slots: Vec<Option<(Server, Event<W>)>>,
+/// heap names its slot here, so the event given at submission is all the
+/// job holds, whether or not it queued first.
+pub(crate) struct InService<E> {
+    slots: Vec<Option<(Server, E)>>,
     free: Vec<u32>,
 }
 
-impl<W> Default for InService<W> {
+impl<E> Default for InService<E> {
     fn default() -> Self {
         InService {
             slots: Vec::new(),
@@ -38,7 +38,21 @@ impl<W> Default for InService<W> {
     }
 }
 
+/// Closure twin of the typed server call.
 impl<W: 'static> Sim<W> {
+    /// Submits a job that needs `service` time; `cb` runs at its
+    /// completion; [`post_serve`](Self::post_serve).
+    pub fn server_submit(
+        &mut self,
+        server: Server,
+        service: Dur,
+        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
+    ) {
+        self.post_serve(server, service, Boxed::new(cb));
+    }
+}
+
+impl<W, E: Fire<W>> Sim<W, E> {
     /// Creates a station with `capacity` parallel servers (must be ≥ 1).
     pub fn new_server(&mut self, capacity: usize) -> Server {
         assert!(capacity >= 1, "server capacity must be >= 1");
@@ -51,18 +65,14 @@ impl<W: 'static> Sim<W> {
         Server(self.servers.len() - 1)
     }
 
-    /// Submits a job that needs `service` time; `cb` runs at its completion.
-    pub fn server_submit(
-        &mut self,
-        server: Server,
-        service: Dur,
-        cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) {
+    /// Submits a job that needs `service` time; `ev` fires at its
+    /// completion.
+    pub fn post_serve(&mut self, server: Server, service: Dur, ev: E) {
         let st = &mut self.servers[server.0];
         if st.in_service < st.capacity {
-            self.server_start(server, service, Box::new(cb));
+            self.server_start(server, service, ev);
         } else {
-            st.queue.push_back((service, Box::new(cb)));
+            st.queue.push_back((service, ev));
         }
     }
 
@@ -71,11 +81,11 @@ impl<W: 'static> Sim<W> {
         self.servers[server.0].completed
     }
 
-    /// Puts a job in service: its callback waits in a slot, its completion
+    /// Puts a job in service: its event waits in a slot, its completion
     /// goes on the calendar.
-    fn server_start(&mut self, server: Server, service: Dur, cb: Event<W>) {
+    fn server_start(&mut self, server: Server, service: Dur, ev: E) {
         self.servers[server.0].in_service += 1;
-        let job = Some((server, cb));
+        let job = Some((server, ev));
         let slot = match self.in_service.free.pop() {
             Some(slot) => {
                 self.in_service.slots[slot as usize] = job;
@@ -92,10 +102,10 @@ impl<W: 'static> Sim<W> {
     }
 
     /// The job in `slot` left service: the freed capacity goes to the
-    /// server's longest-waiting job, and the finished job's callback is
-    /// returned to run next.
-    pub(crate) fn server_finish(&mut self, slot: u32) -> Event<W> {
-        let (server, cb) = self.in_service.slots[slot as usize]
+    /// server's longest-waiting job, and the finished job's event is
+    /// returned to fire next.
+    pub(crate) fn server_finish(&mut self, slot: u32) -> E {
+        let (server, ev) = self.in_service.slots[slot as usize]
             .take()
             .expect("a completion entry names an occupied slot");
         self.in_service.free.push(slot);
@@ -105,7 +115,7 @@ impl<W: 'static> Sim<W> {
         if let Some((service, next)) = st.queue.pop_front() {
             self.server_start(server, service, next);
         }
-        cb
+        ev
     }
 }
 

@@ -1,10 +1,10 @@
 //! The event calendar: [`Sim`] owns the virtual clock, the pending events
-//! and all resources, and drives user callbacks in deterministic
+//! and all resources, and fires user events in deterministic
 //! `(time, insertion)` order.
 //!
-//! **Ordering contract.** Every scheduling call — [`Sim::schedule_at`], a
+//! **Ordering contract.** Every scheduling call — [`Sim::post_at`], a
 //! pipe completion, a server job entering service — draws the next
-//! insertion sequence number, and callbacks run in ascending
+//! insertion sequence number, and events fire in ascending
 //! `(time, sequence)` order. That is the whole semantics. How the pending
 //! set is stored is an implementation of it: a FIFO [`Pipe`](crate::Pipe)
 //! completes in the order it accepted work, so its pending completions sit
@@ -15,6 +15,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use cam_telemetry::{EventKind, FlightRecorder};
@@ -23,23 +24,52 @@ use crate::pipe::PipeState;
 use crate::server::{InService, ServerState};
 use crate::time::{Dur, Time};
 
-/// A scheduled callback. Events receive the simulator (to schedule follow-up
-/// work) and the user world `W` (all model state).
-pub type Event<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W)>;
-
-/// Where a heap entry's callback is.
+/// What an event does when its time comes: it receives the simulator (to
+/// schedule follow-up work) and the user world `W` (all model state).
 ///
-/// Two words, which keeps an [`Entry`] at four: the heap's cost is moving
-/// entries, and a fifth word makes the plain `schedule_in` path a quarter
-/// slower (24 → 30 ns per event over 64 timer chains).
-pub(crate) enum Pending<W> {
+/// A model that schedules a fixed set of things implements this for one
+/// `enum` and runs on `Sim<W, ThatEnum>`; every other model uses the
+/// default event type, [`Boxed`] closures.
+pub trait Fire<W>: Sized {
+    /// Runs the event at its scheduled instant (`sim.now()`).
+    fn fire(self, sim: &mut Sim<W, Self>, world: &mut W);
+}
+
+/// A callback on the closure calendar.
+type Callback<W> = dyn FnOnce(&mut Sim<W>, &mut W);
+
+/// The default event type: a boxed closure, one allocation per event.
+pub struct Boxed<W>(Box<Callback<W>>);
+
+impl<W> Boxed<W> {
+    /// Boxes `cb` as an event.
+    pub fn new(cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static) -> Self {
+        Boxed(Box::new(cb))
+    }
+}
+
+impl<W> Fire<W> for Boxed<W> {
+    #[inline]
+    fn fire(self, sim: &mut Sim<W>, world: &mut W) {
+        (self.0)(sim, world)
+    }
+}
+
+/// Where a heap entry's event is.
+///
+/// Two words when `E` is (a boxed closure; an `enum` of at most 16 bytes
+/// whose tag leaves room for a `u32` beside it), which keeps an [`Entry`]
+/// at four: the heap's cost is moving entries, and a fifth word makes the
+/// plain `schedule_in` path a quarter slower (24 → 30 ns per event over 64
+/// timer chains). A larger `E` still works, in a larger entry.
+pub(crate) enum Pending<E> {
     /// In the entry: a general event.
-    Call(Event<W>),
+    Call(E),
     /// With the resource that scheduled it.
     Held(Held),
 }
 
-/// A callback a resource keeps until its heap entry comes up.
+/// An event a resource keeps until its heap entry comes up.
 #[derive(Clone, Copy)]
 pub(crate) enum Held {
     /// The head of this pipe's lane.
@@ -59,23 +89,23 @@ pub(crate) fn key_time(key: u128) -> Time {
     Time::from_ns((key >> 64) as u64)
 }
 
-pub(crate) struct Entry<W> {
+pub(crate) struct Entry<E> {
     pub(crate) key: u128,
-    pub(crate) what: Pending<W>,
+    pub(crate) what: Pending<E>,
 }
 
-impl<W> PartialEq for Entry<W> {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<W> Eq for Entry<W> {}
-impl<W> PartialOrd for Entry<W> {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<W> Ord for Entry<W> {
+impl<E> Ord for Entry<E> {
     // Reversed so that `BinaryHeap` (a max-heap) pops the earliest event;
     // ties break by insertion sequence for determinism.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -83,33 +113,30 @@ impl<W> Ord for Entry<W> {
     }
 }
 
-/// A discrete-event simulator over a user-defined world `W`.
+/// A discrete-event simulator over a user-defined world `W`, whose events
+/// are values of `E` (boxed closures unless the model names its own type).
 ///
 /// See the [crate-level docs](crate) for the programming model.
-pub struct Sim<W> {
+pub struct Sim<W, E = Boxed<W>> {
     now: Time,
     seq: u64,
     executed: u64,
-    /// General events and the head of every non-empty pipe lane.
-    pub(crate) heap: BinaryHeap<Entry<W>>,
+    /// General events, server jobs in service, and the head of every
+    /// non-empty pipe lane.
+    pub(crate) heap: BinaryHeap<Entry<E>>,
     /// Event hook: models call [`emit`](Self::emit) and events land in the
     /// recorder stamped with **virtual** time, so DES runs produce the same
     /// trace format as the functional engine.
     recorder: Option<Arc<FlightRecorder>>,
-    pub(crate) pipes: Vec<PipeState<W>>,
-    pub(crate) servers: Vec<ServerState<W>>,
-    pub(crate) in_service: InService<W>,
+    pub(crate) pipes: Vec<PipeState<E>>,
+    pub(crate) servers: Vec<ServerState<E>>,
+    pub(crate) in_service: InService<E>,
+    /// Events fire against a `W`.
+    world: PhantomData<fn(&mut W)>,
 }
 
-impl<W: 'static> Default for Sim<W> {
+impl<W, E: Fire<W>> Default for Sim<W, E> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<W: 'static> Sim<W> {
-    /// Creates an empty simulator at `t = 0`.
-    pub fn new() -> Self {
         Sim {
             now: Time::ZERO,
             seq: 0,
@@ -119,8 +146,39 @@ impl<W: 'static> Sim<W> {
             pipes: Vec::new(),
             servers: Vec::new(),
             in_service: InService::default(),
+            world: PhantomData,
         }
     }
+}
+
+/// The closure calendar: each call boxes its callback as a [`Boxed`] event
+/// and schedules it with the typed twin named in its docs.
+impl<W: 'static> Sim<W> {
+    /// Creates an empty simulator at `t = 0` whose events are closures
+    /// (a typed calendar starts from [`Sim::default`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules `cb` to run at absolute time `at` (clamped to `now` if in
+    /// the past, so causality is never violated); [`post_at`](Self::post_at).
+    pub fn schedule_at(&mut self, at: Time, cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
+        self.post_at(at, Boxed::new(cb));
+    }
+
+    /// Schedules `cb` to run `delay` after the current time;
+    /// [`post_in`](Self::post_in).
+    #[inline]
+    pub fn schedule_in(&mut self, delay: Dur, cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
+        self.post_in(delay, Boxed::new(cb));
+    }
+}
+
+impl<W, E: Fire<W>> Sim<W, E> {
+    /// Bytes of one calendar entry, sort key and event: what the heap moves
+    /// on every sift. 32 for closures, and for any `E` of 16 bytes whose
+    /// tag leaves room for a `u32` beside it.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
 
     /// Attaches a flight recorder; subsequent [`emit`](Self::emit) calls
     /// record into it at virtual-time timestamps.
@@ -155,11 +213,16 @@ impl<W: 'static> Sim<W> {
         self.executed
     }
 
-    /// Schedules `cb` to run at absolute time `at` (clamped to `now` if in
+    /// Schedules `ev` to fire at absolute time `at` (clamped to `now` if in
     /// the past, so causality is never violated).
-    pub fn schedule_at(&mut self, at: Time, cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
-        let time = at.max(self.now);
-        self.push(time, Pending::Call(Box::new(cb)));
+    pub fn post_at(&mut self, at: Time, ev: E) {
+        self.push(at.max(self.now), Pending::Call(ev));
+    }
+
+    /// Schedules `ev` to fire `delay` after the current time.
+    #[inline]
+    pub fn post_in(&mut self, delay: Dur, ev: E) {
+        self.post_at(self.now + delay, ev);
     }
 
     /// Draws the next insertion sequence number.
@@ -172,15 +235,9 @@ impl<W: 'static> Sim<W> {
 
     /// Puts `what` on the heap at `time` (not before `now`).
     #[inline]
-    pub(crate) fn push(&mut self, time: Time, what: Pending<W>) {
+    pub(crate) fn push(&mut self, time: Time, what: Pending<E>) {
         let key = key(time, self.next_seq());
         self.heap.push(Entry { key, what });
-    }
-
-    /// Schedules `cb` to run `delay` after the current time.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: Dur, cb: impl FnOnce(&mut Sim<W>, &mut W) + 'static) {
-        self.schedule_at(self.now + delay, cb);
     }
 
     /// Runs a single event if one is pending; returns whether one ran.
@@ -192,26 +249,26 @@ impl<W: 'static> Sim<W> {
         debug_assert!(time >= self.now, "event scheduled in the past");
         self.now = time;
         self.executed += 1;
-        let cb = match top.what {
+        let ev = match top.what {
             Pending::Held(held) => self.take_held(held),
             Pending::Call(_) => match self.heap.pop() {
                 Some(Entry {
-                    what: Pending::Call(cb),
+                    what: Pending::Call(ev),
                     ..
-                }) => cb,
+                }) => ev,
                 _ => unreachable!("pop returns the entry just peeked"),
             },
         };
-        cb(self, world);
+        ev.fire(self, world);
         true
     }
 
-    /// Takes the callback the top heap entry's resource holds for it, and
-    /// the entry with it. Out of line so that [`step`](Self::step)'s
-    /// general path stays the pop-and-call it was (inlined, plain
-    /// `schedule_in` events cost 24 ns instead of 22).
+    /// Takes the event the top heap entry's resource holds for it, and the
+    /// entry with it. Out of line so that [`step`](Self::step)'s general
+    /// path stays a pop and a call (inlined, plain `schedule_in` events
+    /// cost 24 ns instead of 22).
     #[inline(never)]
-    fn take_held(&mut self, held: Held) -> Event<W> {
+    fn take_held(&mut self, held: Held) -> E {
         match held {
             Held::LaneHead(pipe) => self.lane_pop(pipe),
             Held::ServerJob(job) => {
@@ -250,6 +307,7 @@ mod tests {
     #[test]
     fn a_heap_entry_is_four_words() {
         assert_eq!(std::mem::size_of::<Entry<()>>(), 32);
+        assert_eq!(std::mem::size_of::<Entry<Boxed<()>>>(), 32);
     }
 
     #[test]

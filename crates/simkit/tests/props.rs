@@ -115,14 +115,16 @@ proptest! {
 // Differential ordering: `Sim` against a model that sorts `(time, seq)`.
 //
 // The contract (`sim.rs` module docs): every scheduling call draws the next
-// insertion sequence number — `schedule_at`/`schedule_in`, a pipe completion,
-// a server job *entering service* — and callbacks run in ascending
-// `(time, sequence)` order. The model below is that sentence and nothing
-// else: one `Vec` of pending entries, the minimum found by sorting. Random
-// programs run on both; the execution logs must be equal element for element.
+// insertion sequence number — `post_at`/`post_in`, a pipe completion, a
+// server job *entering service* — and events fire in ascending
+// `(time, sequence)` order, whatever their type. The model below is that
+// sentence and nothing else: one `Vec` of pending entries, the minimum found
+// by sorting. Random programs run on it, on the closure calendar and on a
+// calendar whose events are plain `Item` values; the execution logs must be
+// equal element for element.
 // ---------------------------------------------------------------------------
 
-use cam_simkit::{Pipe, Server};
+use cam_simkit::{Boxed, Fire, Pipe, Server};
 
 const PIPES: usize = 8;
 const SERVERS: usize = 2;
@@ -131,7 +133,7 @@ const SERVERS: usize = 2;
 const RATES: [f64; PIPES] = [1.0, 2.0, 0.5, 4.0, 1.0, 8.0, 0.25, 1.0];
 const CAPACITY: [usize; SERVERS] = [1, 3];
 
-/// What a callback does after logging itself.
+/// What an event does after logging itself.
 #[derive(Clone, Copy, Debug)]
 enum Then {
     Nothing,
@@ -145,7 +147,7 @@ enum Then {
     Serve(usize, u64),
 }
 
-/// One scheduled callback: logs `(id, now)`, then acts `depth` levels deep.
+/// One scheduled event: logs `(id, now)`, then acts `depth` levels deep.
 #[derive(Clone, Copy, Debug)]
 struct Item {
     id: u32,
@@ -165,7 +167,7 @@ trait Calendar {
     fn serve(&mut self, server: usize, d_ns: u64, item: Item);
 }
 
-/// Runs `item`'s callback body on either side.
+/// Runs `item`'s body on either side.
 fn fire<C: Calendar>(c: &mut C, log: &mut Log, item: Item) {
     log.push((item.id, c.now_ns()));
     if item.depth == 0 {
@@ -193,14 +195,38 @@ struct World {
     servers: [Server; SERVERS],
 }
 
-/// `Sim` plus the handles, as a callback or the top-level program sees it.
-struct Real<'a> {
-    sim: &'a mut Sim<World>,
+/// How an [`Item`] becomes an event of the calendar under test: a boxed
+/// closure on the default calendar, or the item itself on a typed one.
+trait Event: Fire<World> {
+    fn of(item: Item) -> Self;
+}
+
+impl Event for Boxed<World> {
+    fn of(item: Item) -> Self {
+        Boxed::new(move |sim, w| fire_real(sim, w, item))
+    }
+}
+
+impl Fire<World> for Item {
+    fn fire(self, sim: &mut Sim<World, Item>, w: &mut World) {
+        fire_real(sim, w, self)
+    }
+}
+
+impl Event for Item {
+    fn of(item: Item) -> Self {
+        item
+    }
+}
+
+/// `Sim` plus the handles, as an event or the top-level program sees it.
+struct Real<'a, E> {
+    sim: &'a mut Sim<World, E>,
     pipes: [Pipe; PIPES],
     servers: [Server; SERVERS],
 }
 
-fn fire_real(sim: &mut Sim<World>, w: &mut World, item: Item) {
+fn fire_real<E: Event>(sim: &mut Sim<World, E>, w: &mut World, item: Item) {
     let mut c = Real {
         sim,
         pipes: w.pipes,
@@ -209,41 +235,32 @@ fn fire_real(sim: &mut Sim<World>, w: &mut World, item: Item) {
     fire(&mut c, &mut w.log, item);
 }
 
-impl Calendar for Real<'_> {
+impl<E: Event> Calendar for Real<'_, E> {
     fn now_ns(&self) -> u64 {
         self.sim.now().as_ns()
     }
     fn at(&mut self, t_ns: u64, item: Item) {
-        self.sim
-            .schedule_at(Time::from_ns(t_ns), move |sim, w| fire_real(sim, w, item));
+        self.sim.post_at(Time::from_ns(t_ns), E::of(item));
     }
     fn after(&mut self, d_ns: u64, item: Item) {
-        self.sim
-            .schedule_in(Dur::ns(d_ns), move |sim, w| fire_real(sim, w, item));
+        self.sim.post_in(Dur::ns(d_ns), E::of(item));
     }
     fn transfer(&mut self, pipe: usize, bytes: u64, item: Item) {
-        self.sim
-            .pipe_transfer(self.pipes[pipe], bytes, move |sim, w| {
-                fire_real(sim, w, item)
-            });
+        self.sim.post_transfer(self.pipes[pipe], bytes, E::of(item));
     }
     fn work(&mut self, pipe: usize, d_ns: u64, item: Item) {
         self.sim
-            .pipe_work(self.pipes[pipe], Dur::ns(d_ns), move |sim, w| {
-                fire_real(sim, w, item)
-            });
+            .post_work(self.pipes[pipe], Dur::ns(d_ns), E::of(item));
     }
     fn serve(&mut self, server: usize, d_ns: u64, item: Item) {
         self.sim
-            .server_submit(self.servers[server], Dur::ns(d_ns), move |sim, w| {
-                fire_real(sim, w, item)
-            });
+            .post_serve(self.servers[server], Dur::ns(d_ns), E::of(item));
     }
 }
 
 // --- the model -------------------------------------------------------------
 
-enum Fire {
+enum Due {
     Call(Item),
     /// A job leaving service on this server.
     ServerDone(usize, Item),
@@ -259,15 +276,15 @@ struct ModelServer {
 struct Model {
     now: u64,
     seq: u64,
-    pending: Vec<(u64, u64, Fire)>,
+    pending: Vec<(u64, u64, Due)>,
     free_at: [u64; PIPES],
     servers: [ModelServer; SERVERS],
     executed: u64,
 }
 
 impl Model {
-    fn push(&mut self, t_ns: u64, fire: Fire) {
-        self.pending.push((t_ns, self.seq, fire));
+    fn push(&mut self, t_ns: u64, due: Due) {
+        self.pending.push((t_ns, self.seq, due));
         self.seq += 1;
     }
 
@@ -278,7 +295,7 @@ impl Model {
 
     fn start(&mut self, server: usize, d_ns: u64, item: Item) {
         self.servers[server].in_service += 1;
-        self.push(self.now + d_ns, Fire::ServerDone(server, item));
+        self.push(self.now + d_ns, Due::ServerDone(server, item));
     }
 
     /// The earliest pending instant, found the slow way.
@@ -292,12 +309,12 @@ impl Model {
         if self.next_time().is_none() {
             return false;
         }
-        let (t, _, fire_what) = self.pending.pop().expect("just checked");
+        let (t, _, due) = self.pending.pop().expect("just checked");
         self.now = t;
         self.executed += 1;
-        let item = match fire_what {
-            Fire::Call(item) => item,
-            Fire::ServerDone(server, item) => {
+        let item = match due {
+            Due::Call(item) => item,
+            Due::ServerDone(server, item) => {
                 // The freed slot is handed on before the callback runs.
                 self.servers[server].in_service -= 1;
                 if let Some((d_ns, next)) = self.servers[server].queue.pop_front() {
@@ -323,19 +340,19 @@ impl Calendar for Model {
         self.now
     }
     fn at(&mut self, t_ns: u64, item: Item) {
-        self.push(t_ns.max(self.now), Fire::Call(item));
+        self.push(t_ns.max(self.now), Due::Call(item));
     }
     fn after(&mut self, d_ns: u64, item: Item) {
-        self.push(self.now + d_ns, Fire::Call(item));
+        self.push(self.now + d_ns, Due::Call(item));
     }
     fn transfer(&mut self, pipe: usize, bytes: u64, item: Item) {
         let d_ns = Dur::from_ns_f64(bytes as f64 / RATES[pipe]).as_ns();
         let done = self.occupy(pipe, d_ns);
-        self.push(done, Fire::Call(item));
+        self.push(done, Due::Call(item));
     }
     fn work(&mut self, pipe: usize, d_ns: u64, item: Item) {
         let done = self.occupy(pipe, d_ns);
-        self.push(done, Fire::Call(item));
+        self.push(done, Due::Call(item));
     }
     fn serve(&mut self, server: usize, d_ns: u64, item: Item) {
         if self.servers[server].in_service < CAPACITY[server] {
@@ -371,10 +388,10 @@ fn issue<C: Calendar>(c: &mut C, op: Op) {
     }
 }
 
-/// Runs `program` on `Sim` and on the model; returns both logs and both
-/// executed-event counts.
-fn run_both(program: &[Op]) -> ((Log, u64), (Log, u64)) {
-    let mut sim: Sim<World> = Sim::new();
+/// Runs `program` on a `Sim` whose events are `E`, and on the model;
+/// returns both logs and both executed-event counts.
+fn run_both<E: Event>(program: &[Op]) -> ((Log, u64), (Log, u64)) {
+    let mut sim: Sim<World, E> = Sim::default();
     let mut world = World {
         log: Vec::new(),
         pipes: RATES.map(|r| sim.new_pipe(r)),
@@ -439,20 +456,25 @@ proptest! {
 
     /// Random programs — plain events (zero delays, past instants), pipe
     /// transfers and work on 1–8 pipes, server jobs with unequal service
-    /// times, callbacks that schedule at `now`, `run_until` cuts — execute in
-    /// exactly the model's order, at the model's instants.
+    /// times, events that schedule at `now`, `run_until` cuts — execute in
+    /// exactly the model's order, at the model's instants, on the closure
+    /// calendar and on a typed one alike.
     #[test]
     fn sim_executes_in_the_order_of_a_sorted_vec(
         raw in proptest::collection::vec((0u8..8, 0u64..1000, 0u64..1000, 0u8..8), 1..160),
         n_pipes in 1usize..9,
     ) {
         let program: Vec<Op> = raw.iter().enumerate().map(|(i, &t)| decode(i, t, n_pipes)).collect();
-        let ((got, got_n), (want, want_n)) = run_both(&program);
-        prop_assert_eq!(got.len(), want.len());
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "execution {} (id, ns)", i);
+        let ((boxed, boxed_n), (want, want_n)) = run_both::<Boxed<World>>(&program);
+        let ((typed, typed_n), _) = run_both::<Item>(&program);
+        for got in [&boxed, &typed] {
+            prop_assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g, w, "execution {} (id, ns)", i);
+            }
         }
-        prop_assert_eq!(got_n, want_n);
+        prop_assert_eq!(boxed_n, want_n);
+        prop_assert_eq!(typed_n, want_n);
     }
 }
 
@@ -464,11 +486,12 @@ fn plain(id: u32) -> Item {
     }
 }
 
-/// Ids in execution order, after checking `Sim` against the model.
+/// Ids in execution order, after checking both calendars against the model.
 fn order(program: &[Op]) -> Vec<u32> {
-    let ((got, got_n), (want, want_n)) = run_both(program);
+    let ((got, got_n), (want, want_n)) = run_both::<Boxed<World>>(program);
     assert_eq!(got, want);
     assert_eq!(got_n, want_n);
+    assert_eq!(run_both::<Item>(program).0, (want, want_n));
     got.into_iter().map(|(id, _)| id).collect()
 }
 
