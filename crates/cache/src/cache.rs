@@ -8,6 +8,8 @@
 //! the threaded world needs:
 //!
 //! * slot addresses inside one pinned [`GpuBuffer`];
+//! * a batched demand-read classification (`lookup_read_batch`) that
+//!   takes the lock once per batch;
 //! * blocking coalesced waits ([`SlotWait`]) on a condvar;
 //! * RAII pin/fill ownership ([`SlotPin`], [`FillTicket`]);
 //! * `cam_cache_*` metrics, synced from the core's decision counters;
@@ -61,6 +63,21 @@ struct Inner {
 #[derive(Clone)]
 pub struct BlockCache {
     inner: Arc<Inner>,
+}
+
+/// A demand read batch as [`BlockCache::lookup_read_batch`] classified it,
+/// accumulated across the calls a `NeedFlush` splits it into.
+#[derive(Default)]
+pub(crate) struct ReadLookups {
+    /// Hits not yet copied: `(slot address, destination)`. Their slots are
+    /// unpinned, so copy them before any DMA can land in those slots.
+    pub hits: Vec<(u64, u64)>,
+    /// Misses this batch fills: fill ticket + caller destination.
+    pub fills: Vec<(FillTicket, u64)>,
+    /// Coalesced misses: waiter + `(lba, destination)` for the fallback.
+    pub waits: Vec<(SlotWait, u64, u64)>,
+    /// Misses on exhausted shards, served uncached: `(lba, destination)`.
+    pub direct: Vec<(u64, u64)>,
 }
 
 /// A planned (reserved, not yet issued) speculative readahead batch: the
@@ -240,6 +257,71 @@ impl BlockCache {
     /// `write_absorbed` decisions.
     pub fn lookup_write(&self, lba: u64) -> Lookup {
         self.lookup_with(lba, Intent::Write)
+    }
+
+    /// Classifies a demand read batch of `(lba, destination)` pairs in
+    /// order, under one lock and with one metrics sync, making the
+    /// decisions of one [`lookup_read`](Self::lookup_read) per pair. A hit
+    /// is unpinned at once (as `CacheCore::plan_read_batch` does) and
+    /// queued in `out.hits` for the caller to copy. A miss that reclaims
+    /// the slot of a queued hit first hands that hit to `copy_now`, while
+    /// the slot still holds its block.
+    ///
+    /// Stops before the first pair that needs a flush and returns how many
+    /// pairs it classified.
+    pub(crate) fn lookup_read_batch(
+        &self,
+        pairs: &[(u64, u64)],
+        out: &mut ReadLookups,
+        mut copy_now: impl FnMut(u64, u64),
+    ) -> usize {
+        let mut st = self.lock();
+        let mut done = 0;
+        for &(lba, dest) in pairs {
+            match st.core.lookup(lba, Intent::DemandRead) {
+                CoreLookup::Hit { slot } => {
+                    st.core.unpin(slot);
+                    out.hits.push((self.slot_addr(slot), dest));
+                }
+                CoreLookup::Miss { slot, evicted } => {
+                    let addr = self.slot_addr(slot);
+                    if let Some(old) = evicted {
+                        self.emit_evict(old);
+                        out.hits.retain(|&(src, dst)| {
+                            let reclaimed = src == addr;
+                            if reclaimed {
+                                copy_now(src, dst);
+                            }
+                            !reclaimed
+                        });
+                    }
+                    out.fills.push((
+                        FillTicket {
+                            cache: self.clone(),
+                            slot,
+                            lba,
+                            addr,
+                            done: false,
+                        },
+                        dest,
+                    ));
+                }
+                CoreLookup::InFlight => out.waits.push((
+                    SlotWait {
+                        cache: self.clone(),
+                        lba,
+                        intent: Intent::DemandRead,
+                    },
+                    lba,
+                    dest,
+                )),
+                CoreLookup::NeedFlush => break,
+                CoreLookup::Busy => out.direct.push((lba, dest)),
+            }
+            done += 1;
+        }
+        self.sync_metrics(&mut st);
+        done
     }
 
     /// Feeds the readahead stream detector with a demand batch starting at

@@ -52,15 +52,21 @@ struct CachedSource {
     cur: Option<CachedInflight>,
     /// Virtual cost of serving one cache hit: the host-side DMA copy from
     /// the resident slot to the destination buffer (`block_size /
-    /// host_gbps`). The threaded driver pays this on the CPU before the
-    /// miss batch's doorbell; without it the DES would model hits as free
-    /// and overstate cached throughput.
+    /// host_gbps`); without it the DES would model hits as free and
+    /// overstate cached throughput. This model charges the copies *before*
+    /// the miss batch's doorbell, while the threaded driver rings the
+    /// doorbell first and copies its hits at `prefetch_synchronize`, as the
+    /// SSDs work. That is a known model gap, left open so the cached
+    /// goldens stay bit-identical until the CPU-pipe refit on the ROADMAP
+    /// regenerates them.
     hit_dma_ns: u64,
     /// Earliest virtual instant the pending publications may be taken:
     /// planning pushes it forward by `hits × hit_dma_ns` (including
-    /// pure-hit batches, whose copies delay the next doorbell). Timing
-    /// only — cache *decisions* are charged nothing and stay
-    /// byte-identical with the threaded driver and the pure replay.
+    /// pure-hit batches, whose copies delay the next doorbell), so the
+    /// copies still precede this batch's doorbell here (see
+    /// `hit_dma_ns`). Timing only — cache *decisions* are charged nothing
+    /// and stay byte-identical with the threaded driver and the pure
+    /// replay.
     ready_ns: u64,
 }
 

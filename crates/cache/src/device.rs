@@ -4,9 +4,11 @@
 //! Hits are served straight from pinned GPU memory (no doorbell round
 //! trip); misses are batched into one demand read per `prefetch`, DMA'd by
 //! the SSDs **directly into cache slots**, and copied to the caller's
-//! destination at synchronize. `write_back` is absorbed into dirty slots
-//! and flushed lazily. Speculative readahead batches ride a third channel
-//! so they never occupy the demand channels.
+//! destination at synchronize. `prefetch` rings that doorbell and leaves
+//! the hits to synchronize too, where their copies overlap the SSDs' work.
+//! `write_back` is absorbed into dirty slots and flushed lazily.
+//! Speculative readahead batches ride a third channel so they never occupy
+//! the demand channels.
 
 use std::sync::{Arc, Mutex};
 
@@ -20,7 +22,7 @@ use cam_telemetry::{EventKind, FlightRecorder};
 
 use cam_protocol::cache_core::CacheDecisionCounters;
 
-use crate::cache::{BlockCache, FillTicket, Lookup, SlotWait};
+use crate::cache::{BlockCache, FillTicket, Lookup, ReadLookups, SlotWait};
 use crate::config::CacheConfig;
 
 /// Fig. 7 channel conventions, shared with `cam_core`.
@@ -34,6 +36,10 @@ pub(crate) const READAHEAD_CHANNEL: usize = 2;
 struct ReadBatch {
     /// `None` when every access was a hit or coalesced (no NVMe traffic).
     ticket: Option<BatchTicket>,
+    /// Hits still to copy: `(slot address, caller destination)`. Their
+    /// slots are unpinned; the device copies a hit out before any fill of
+    /// its own can reclaim the slot.
+    hits: Vec<(u64, u64)>,
     /// Misses owned by this batch: fill ticket + caller destination.
     fills: Vec<(FillTicket, u64)>,
     /// Coalesced misses: waiter + `(lba, destination)` for the fallback.
@@ -46,6 +52,8 @@ struct DevState {
     /// bookkeeping (hits at issue, last issue size, outstanding flag)
     /// lives in the shared decision core.
     ra_outstanding: Option<(BatchTicket, Vec<FillTicket>)>,
+    /// One block of bounce space for every host-side block copy.
+    scratch: Vec<u8>,
 }
 
 /// The cached device-side API: drop-in `prefetch` / `write_back` /
@@ -69,34 +77,29 @@ pub struct CachedDevice {
 
 impl CachedDevice {
     /// Builds the cached layer over an attached context: allocates
-    /// `cfg.slots` blocks of pinned GPU memory for the cache and wires the
-    /// context's registry/recorder through. `attach` itself is untouched —
-    /// this is the opt-in path.
+    /// `cfg.slots` blocks of pinned GPU memory for the cache the device
+    /// owns and wires the context's registry/recorder through.
+    /// `CamContext::attach` itself is untouched — this is the opt-in path.
     ///
     /// Readahead requires `CamConfig::n_channels >= 3` (the speculative
     /// channel); with fewer channels it is silently disabled.
     pub fn attach(rig: &Rig, cam: &CamContext, cfg: CacheConfig) -> Result<Self, OutOfMemory> {
-        let buf = cam.alloc(cfg.slots * cam.block_size() as usize)?;
+        let block_size = cam.block_size();
+        let buf = cam.alloc(cfg.slots * block_size as usize)?;
         let cache = BlockCache::new(
             buf,
-            cam.block_size(),
+            block_size,
             cfg,
             cam.registry(),
             cam.recorder().cloned(),
         );
-        Ok(Self::over_cache(rig, cam, cache, cfg))
-    }
-
-    /// [`attach`](Self::attach) with a caller-built cache (shared caches,
-    /// tests).
-    pub fn over_cache(rig: &Rig, cam: &CamContext, cache: BlockCache, cfg: CacheConfig) -> Self {
         let dev = cam.device();
         let ra_enabled = cfg.readahead.enable && dev.n_channels() > READAHEAD_CHANNEL;
-        CachedDevice {
+        Ok(CachedDevice {
             dev,
             cache,
             dma: rig.dma_space(),
-            block_size: cam.block_size() as u64,
+            block_size: block_size as u64,
             array_blocks: rig.array_blocks(),
             ra_enabled,
             flush_batch: cfg.flush_batch.max(1),
@@ -104,11 +107,15 @@ impl CachedDevice {
             state: Mutex::new(DevState {
                 read: None,
                 ra_outstanding: None,
+                scratch: vec![0; block_size as usize],
             }),
-        }
+        })
     }
 
-    /// The cache behind this device.
+    /// The cache behind this device. A lookup made through it between a
+    /// `prefetch` and its synchronize can reclaim the slot of a hit the
+    /// device has yet to copy; the device guards those only against its
+    /// own fills.
     pub fn cache(&self) -> &BlockCache {
         &self.cache
     }
@@ -119,7 +126,9 @@ impl CachedDevice {
     }
 
     /// Cached `prefetch`: block `i` of `lbas` lands at `dest_addr + i *
-    /// block_size`, from cache when resident, from the SSDs otherwise.
+    /// block_size`, from cache when resident, from the SSDs otherwise, by
+    /// the time [`prefetch_synchronize`](Self::prefetch_synchronize)
+    /// returns.
     pub fn prefetch(&self, lbas: &[u64], dest_addr: u64) -> Result<(), CamError> {
         let pairs: Vec<(u64, u64)> = lbas
             .iter()
@@ -129,94 +138,101 @@ impl CachedDevice {
         self.prefetch_pairs(&pairs)
     }
 
-    /// Cached `prefetch` with an explicit destination per block.
+    /// Cached `prefetch` with an explicit destination per block. Classifies
+    /// the batch, rings one doorbell for its misses and returns; the hits
+    /// are copied by `prefetch_synchronize`, while the SSDs work.
     pub fn prefetch_pairs(&self, pairs: &[(u64, u64)]) -> Result<(), CamError> {
         if pairs.is_empty() {
             return Ok(());
         }
-        let mut st = self.state.lock().unwrap();
+        let mut guard = self.state.lock().unwrap();
+        let st = &mut *guard;
         if st.read.is_some() {
             return Err(CamError::ChannelBusy);
         }
-        self.reap_readahead(&mut st, false);
+        self.reap_readahead(st, false);
 
-        let before = self.cache.decision_counters();
-        let mut fills: Vec<(FillTicket, u64)> = Vec::new();
-        let mut waits: Vec<(SlotWait, u64, u64)> = Vec::new();
-        let mut direct: Vec<(u64, u64)> = Vec::new();
-        for &(lba, dest) in pairs {
-            loop {
-                match self.cache.lookup_read(lba) {
-                    Lookup::Hit(pin) => {
-                        self.copy_block(pin.addr(), dest)?;
-                        break;
+        // Classify every access first. A hit is only queued here; the one
+        // exception is a hit whose slot a later miss of this batch
+        // reclaims, which `lookup_read_batch` copies before the slot's
+        // fill exists. Exhausted shards (`Busy`) are served uncached
+        // rather than stall the batch; the core counts them as misses.
+        let before = self
+            .recorder
+            .is_some()
+            .then(|| self.cache.decision_counters());
+        let mut batch = ReadLookups::default();
+        let mut done = 0;
+        loop {
+            let mut copied = Ok(());
+            done += self
+                .cache
+                .lookup_read_batch(&pairs[done..], &mut batch, |src, dst| {
+                    if copied.is_ok() {
+                        copied = self.copy_block(&mut st.scratch, src, dst);
                     }
-                    Lookup::Miss(t) => {
-                        fills.push((t, dest));
-                        break;
-                    }
-                    Lookup::InFlight(w) => {
-                        waits.push((w, lba, dest));
-                        break;
-                    }
-                    Lookup::NeedFlush => self.flush_locked()?,
-                    Lookup::Busy => {
-                        // Shard exhausted by pins/fills: serve this block
-                        // uncached rather than stall the batch (the core
-                        // counts the fallback as a miss).
-                        direct.push((lba, dest));
-                        break;
-                    }
-                }
+                });
+            copied?;
+            if done == pairs.len() {
+                break;
             }
+            // `pairs[done]` needs a flush. No DMA may run while a hit is
+            // still to be copied, so copy them all first.
+            for (src, dst) in batch.hits.drain(..) {
+                self.copy_block(&mut st.scratch, src, dst)?;
+            }
+            self.flush_locked()?;
         }
-        let after = self.cache.decision_counters();
-        let (hits, misses, coalesced) = (
-            (after.hits - before.hits) as u32,
-            (after.misses - before.misses) as u32,
-            (after.coalesced - before.coalesced) as u32,
-        );
-        if let Some(rec) = &self.recorder {
+        if let (Some(rec), Some(before)) = (&self.recorder, before) {
+            let after = self.cache.decision_counters();
             rec.emit(EventKind::CacheAccess {
                 channel: READ_CHANNEL as u16,
-                hits,
-                misses,
-                coalesced,
+                hits: (after.hits - before.hits) as u32,
+                misses: (after.misses - before.misses) as u32,
+                coalesced: (after.coalesced - before.coalesced) as u32,
             });
         }
 
         // One demand batch covers every real miss: fills DMA into their
         // cache slots, uncached fallbacks into the caller's buffer.
+        let ReadLookups {
+            mut hits,
+            fills,
+            waits,
+            direct,
+        } = batch;
         let ticket = if fills.is_empty() && direct.is_empty() {
             None
         } else {
-            let mut lbas = Vec::with_capacity(fills.len() + direct.len());
-            let mut addrs = Vec::with_capacity(fills.len() + direct.len());
-            for (t, _) in &fills {
-                lbas.push(t.lba());
-                addrs.push(t.addr());
-            }
-            for &(lba, dest) in &direct {
-                lbas.push(lba);
-                addrs.push(dest);
-            }
+            let lbas: Vec<u64> = fills
+                .iter()
+                .map(|(t, _)| t.lba())
+                .chain(direct.iter().map(|&(lba, _)| lba))
+                .collect();
+            let addrs: Vec<u64> = fills
+                .iter()
+                .map(|(t, _)| t.addr())
+                .chain(direct.iter().map(|&(_, dest)| dest))
+                .collect();
             Some(
                 self.dev
                     .submit_scatter(READ_CHANNEL, ChannelOp::Read, &lbas, |i| addrs[i], 1)?,
             )
         };
+        self.maybe_readahead(st, pairs[0].0, &mut hits);
         st.read = Some(ReadBatch {
             ticket,
+            hits,
             fills,
             waits,
         });
-        self.maybe_readahead(&mut st, pairs[0].0);
         Ok(())
     }
 
-    /// Blocks until the outstanding `prefetch` is fully resolved: the
-    /// demand batch retired, every fill published to the cache, and every
-    /// destination populated.
+    /// Blocks until the outstanding `prefetch` is fully resolved: every
+    /// hit copied (while the SSDs still serve the misses), the demand batch
+    /// retired, every fill published to the cache, and every destination
+    /// populated.
     pub fn prefetch_synchronize(&self) -> Result<(), CamError> {
         let mut st = self.state.lock().unwrap();
         self.synchronize_read_locked(&mut st)
@@ -226,14 +242,21 @@ impl CachedDevice {
         let Some(rb) = st.read.take() else {
             return Ok(());
         };
-        let mut result = Ok(());
-        if let Some(t) = rb.ticket {
-            result = t.wait();
+        if rb.ticket.is_some() && !rb.hits.is_empty() {
+            // Let the worker take the misses to the SSDs first: where it
+            // shares the core with this thread, this is what overlaps the
+            // hit copies with the SSDs' work.
+            std::thread::yield_now();
         }
+        let copied = rb
+            .hits
+            .iter()
+            .try_for_each(|&(src, dst)| self.copy_block(&mut st.scratch, src, dst));
+        let mut result = rb.ticket.map_or(Ok(()), |t| t.wait());
         for (fill, dest) in rb.fills {
             if result.is_ok() {
                 let pin = fill.complete(false);
-                result = self.copy_block(pin.addr(), dest);
+                result = self.copy_block(&mut st.scratch, pin.addr(), dest);
             }
             // On error the fill ticket drops un-completed, freeing the slot
             // and waking coalesced waiters into their fallback path.
@@ -245,7 +268,7 @@ impl CachedDevice {
             for (wait, lba, dest) in rb.waits {
                 match wait.wait() {
                     Some(pin) => {
-                        let r = self.copy_block(pin.addr(), dest);
+                        let r = self.copy_block(&mut st.scratch, pin.addr(), dest);
                         if result.is_ok() {
                             result = r;
                         }
@@ -264,7 +287,7 @@ impl CachedDevice {
                 }
             }
         }
-        result
+        copied.and(result)
     }
 
     /// Cached `write_back`: block `i` at `src_addr + i * block_size` is
@@ -284,33 +307,34 @@ impl CachedDevice {
         if pairs.is_empty() {
             return Ok(());
         }
-        let mut st = self.state.lock().unwrap();
+        let mut guard = self.state.lock().unwrap();
+        let st = &mut *guard;
         // A pending prefetch may hold fills for the very LBAs being
         // written; resolve it first so absorb-over-fill is ordered.
-        self.synchronize_read_locked(&mut st)?;
-        self.reap_readahead(&mut st, false);
+        self.synchronize_read_locked(st)?;
+        self.reap_readahead(st, false);
         let mut direct: Vec<(u64, u64)> = Vec::new();
         for &(lba, src) in pairs {
             loop {
                 match self.cache.lookup_write(lba) {
                     Lookup::Hit(pin) => {
-                        self.copy_block(src, pin.addr())?;
+                        self.copy_block(&mut st.scratch, src, pin.addr())?;
                         pin.mark_dirty();
                         break;
                     }
                     Lookup::Miss(t) => {
                         // Write-allocate: the slot is born dirty from host
                         // data, no fill from the array needed.
-                        self.copy_block(src, t.addr())?;
+                        self.copy_block(&mut st.scratch, src, t.addr())?;
                         drop(t.complete(true));
                         break;
                     }
                     Lookup::InFlight(w) => {
                         // A speculative fill is racing this write: wait it
                         // out, then overwrite. Aborted fills retry.
-                        self.reap_readahead(&mut st, true);
+                        self.reap_readahead(st, true);
                         if let Some(pin) = w.wait() {
-                            self.copy_block(src, pin.addr())?;
+                            self.copy_block(&mut st.scratch, src, pin.addr())?;
                             pin.mark_dirty();
                             break;
                         }
@@ -399,13 +423,21 @@ impl CachedDevice {
     /// Feeds the stream detector and issues at most one speculative batch.
     /// All decisions (accuracy feedback, stride confirmation, candidate
     /// selection, budget) are the core's; this method only issues the I/O.
-    fn maybe_readahead(&self, st: &mut DevState, batch_start: u64) {
+    /// A reserved slot that held one of the demand batch's `hits` has that
+    /// hit copied out first, before the speculative DMA can land there.
+    fn maybe_readahead(&self, st: &mut DevState, batch_start: u64, hits: &mut Vec<(u64, u64)>) {
         if !self.ra_enabled {
             return;
         }
         let Some(batch) = self.cache.plan_readahead(batch_start, self.array_blocks) else {
             return;
         };
+        // A copy that fails stays queued: it fails again, and is reported,
+        // at synchronize.
+        hits.retain(|&(src, dst)| {
+            !(batch.tickets().iter().any(|f| f.addr() == src)
+                && self.copy_block(&mut st.scratch, src, dst).is_ok())
+        });
         let lbas: Vec<u64> = batch.tickets().iter().map(|f| f.lba()).collect();
         let addrs: Vec<u64> = batch.tickets().iter().map(|f| f.addr()).collect();
         match self
@@ -447,14 +479,14 @@ impl CachedDevice {
     }
 
     /// Host-side copy of one block between pinned addresses (cache slot ↔
-    /// caller buffer), through the same DMA space the SSDs use.
-    fn copy_block(&self, src: u64, dst: u64) -> Result<(), CamError> {
-        let mut buf = vec![0u8; self.block_size as usize];
+    /// caller buffer), through the same DMA space the SSDs use, by way of
+    /// the device's one scratch block.
+    fn copy_block(&self, scratch: &mut [u8], src: u64, dst: u64) -> Result<(), CamError> {
         self.dma
-            .dma_read(src, &mut buf)
+            .dma_read(src, scratch)
             .map_err(|_| CamError::Io { failed: 1 })?;
         self.dma
-            .dma_write(dst, &buf)
+            .dma_write(dst, scratch)
             .map_err(|_| CamError::Io { failed: 1 })?;
         Ok(())
     }

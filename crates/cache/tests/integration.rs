@@ -1,14 +1,21 @@
 //! End-to-end tests of the cached data path: byte-exactness against the
 //! uncached device, NVMe traffic reduction, write absorption with lazy
-//! durability, in-batch LBA dedup (control-plane side), and the empty-batch
-//! no-op contracts.
+//! durability, in-batch LBA dedup (control-plane side), the empty-batch
+//! no-op contracts, and the read path's order: misses go to the SSDs
+//! before hits are copied, and no fill lands in a slot whose hit is still
+//! to be copied.
 
 use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 use cam_blockdev::{BlockStore, Lba};
 use cam_cache::{CacheConfig, CachedBackend, CachedDevice, ReadaheadConfig};
 use cam_core::{CamBackend, CamConfig, CamContext};
 use cam_iostacks::{Rig, RigConfig, StorageBackend};
+use cam_protocol::cache_core::{
+    replay_read_workload, CacheCore, CoreLookup, Intent, ReadBatchPlan,
+};
 use cam_workloads::gemm::{load_matrix, out_of_core_gemm, OocGemmConfig};
 use cam_workloads::sort::{out_of_core_sort, read_elems, OocSortConfig};
 
@@ -328,4 +335,260 @@ fn cached_backend_reports_name_and_direct_path() {
     assert_eq!(be.name(), "CAM+cache");
     assert!(!be.staged_data_path());
     assert_eq!(be.device().block_size(), BS as u64);
+}
+
+/// The pattern byte `load_pattern` gives `lba`.
+fn fill_of(lba: u64) -> u8 {
+    (lba % 251) as u8 + 1
+}
+
+fn one_shard(slots: usize) -> CacheConfig {
+    CacheConfig {
+        slots,
+        shards: 1,
+        ..no_readahead()
+    }
+}
+
+/// How long a test's "kernel" works between `prefetch` and
+/// `prefetch_synchronize`: ample time for the batch's DMA to land.
+const OVERLAP: Duration = Duration::from_millis(5);
+
+#[test]
+fn a_hit_whose_slot_is_reclaimed_later_in_its_batch_keeps_its_bytes() {
+    // One shard of two slots holding `a` and `b`. The batch hits `b`, then
+    // `a`, then misses `c`: the CLOCK sweep clears both referenced bits
+    // and gives `a`'s slot to `c`, whose DMA lands there while the caller
+    // works. So `a` must be copied out before the doorbell.
+    let rig = small_rig(2);
+    load_pattern(&rig, 64);
+    let (cam, dev) = cached_setup(&rig, one_shard(2));
+    let warm = cam.alloc(2 * BS).unwrap();
+    let dst = cam.alloc(3 * BS).unwrap();
+    for round in 0..4u64 {
+        let (a, b, c) = (3 * round + 1, 3 * round + 2, 3 * round + 3);
+        dev.prefetch(&[a, b], warm.addr()).unwrap();
+        dev.prefetch_synchronize().unwrap();
+        let before = dev.decision_counters();
+
+        dev.prefetch(&[b, a, c], dst.addr()).unwrap();
+        thread::sleep(OVERLAP);
+        dev.prefetch_synchronize().unwrap();
+
+        let after = dev.decision_counters();
+        assert_eq!(after.hits - before.hits, 2, "round {round}");
+        assert_eq!(after.misses - before.misses, 1, "round {round}");
+        assert!(
+            !dev.cache().contains(a) && dev.cache().contains(b),
+            "round {round}: the miss took the slot of `a`"
+        );
+        assert_blocks(&dst.to_vec(), &[b, a, c], &format!("round {round}"));
+    }
+}
+
+#[test]
+fn the_misses_are_submitted_before_any_hit_is_copied() {
+    let rig = small_rig(2);
+    load_pattern(&rig, 16);
+    let (cam, dev) = cached_setup(&rig, no_readahead());
+    let dst = cam.alloc(3 * BS).unwrap();
+    let (dst_hit, dst_8, dst_9) = (
+        dst.addr(),
+        dst.addr() + BS as u64,
+        dst.addr() + 2 * BS as u64,
+    );
+    let warm = cam.alloc(BS).unwrap();
+    dev.prefetch(&[7], warm.addr()).unwrap();
+    dev.prefetch_synchronize().unwrap();
+    let submitted = || {
+        cam.registry()
+            .snapshot()
+            .sum_counters("cam_ssd_submitted_total")
+    };
+    assert_eq!(submitted(), 1);
+
+    // `prefetch` rings the doorbell and returns; the hit is copied by
+    // `prefetch_synchronize`, while the SSDs work.
+    dev.prefetch_pairs(&[(7, dst_hit), (8, dst_8)]).unwrap();
+    assert!(
+        dst.to_vec()[..BS].iter().all(|&x| x == 0),
+        "the hit was copied before the doorbell"
+    );
+    dev.prefetch_synchronize().unwrap();
+    let data = dst.to_vec();
+    assert!(data[..BS].iter().all(|&x| x == fill_of(7)));
+    assert!(data[BS..2 * BS].iter().all(|&x| x == fill_of(8)));
+    assert_eq!(submitted(), 2);
+
+    // A hit whose destination lies outside every DMA region cannot be
+    // copied. The batch reports it, but its misses are on the SSDs already
+    // and still delivered, and nothing stays outstanding.
+    let nowhere = u64::MAX - BS as u64;
+    dev.prefetch_pairs(&[(7, nowhere), (9, dst_9)]).unwrap();
+    let err = dev.prefetch_synchronize().unwrap_err();
+    assert!(matches!(err, cam_core::CamError::Io { .. }), "{err:?}");
+    assert_eq!(submitted(), 3, "the miss was submitted");
+    assert!(dst.to_vec()[2 * BS..].iter().all(|&x| x == fill_of(9)));
+    dev.prefetch(&[8, 9], dst_8).unwrap();
+    dev.prefetch_synchronize().unwrap();
+    assert_eq!(submitted(), 3, "8 and 9 were published to the cache");
+}
+
+/// Batches of a seeded Zipf(1.1) stream over `rows` blocks, scattered so
+/// hot rows spread over the cache.
+fn zipf_batches(seed: u64, rows: u64, batches: usize, per_batch: usize) -> Vec<Vec<u64>> {
+    let mut cdf: Vec<f64> = (1..=rows).map(|r| 1.0 / (r as f64).powf(1.1)).collect();
+    let total: f64 = cdf.iter().sum();
+    let mut acc = 0.0;
+    for p in &mut cdf {
+        acc += *p / total;
+        *p = acc;
+    }
+    let mut x = seed;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..batches)
+        .map(|_| {
+            (0..per_batch)
+                .map(|_| {
+                    let u = next();
+                    let rank = cdf.partition_point(|&c| c < u).min(rows as usize - 1) as u64;
+                    (rank * 0x9E37) % rows
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Hits that lost their slot before being copied, over a whole stream:
+/// the core's own decisions, walked the way the device walks them
+/// (quiesced batches, as `replay_read_workload` replays them).
+#[derive(Default)]
+struct Reclaims {
+    /// To a later miss of the hit's own batch.
+    by_miss: usize,
+    /// To the speculative batch planned right after the hit's batch.
+    by_readahead: usize,
+}
+
+fn reclaims(cfg: CacheConfig, array_blocks: u64, batches: &[Vec<u64>]) -> Reclaims {
+    let mut core = CacheCore::new(cfg);
+    let mut out = Reclaims::default();
+    for lbas in batches {
+        let mut plan = ReadBatchPlan::default();
+        let mut hit_slots = Vec::new();
+        for &lba in lbas {
+            match core.lookup(lba, Intent::DemandRead) {
+                CoreLookup::Hit { slot } => {
+                    core.unpin(slot);
+                    hit_slots.push(slot);
+                }
+                CoreLookup::Miss { slot, .. } => {
+                    out.by_miss += hit_slots.iter().filter(|&&s| s == slot).count();
+                    hit_slots.retain(|&s| s != slot);
+                    plan.fills.push((slot, lba));
+                }
+                CoreLookup::InFlight => plan.waits.push(lba),
+                CoreLookup::Busy => {}
+                CoreLookup::NeedFlush => unreachable!("a read-only stream has no dirty slot"),
+            }
+        }
+        let ra = core.plan_readahead(lbas[0], array_blocks);
+        if let Some(p) = &ra {
+            out.by_readahead += hit_slots
+                .iter()
+                .filter(|&&s| p.fills.iter().any(|&(f, _)| f == s))
+                .count();
+            core.commit_readahead(p);
+        }
+        core.publish_read_batch(&plan);
+        if let Some(p) = &ra {
+            for &(slot, _) in &p.fills {
+                core.complete_fill_speculative(slot);
+            }
+            core.readahead_retired();
+        }
+    }
+    out
+}
+
+/// Asserts that block `i` of `data` holds the pattern of `lbas[i]`.
+fn assert_blocks(data: &[u8], lbas: &[u64], what: &str) {
+    for (i, &lba) in lbas.iter().enumerate() {
+        assert!(
+            data[i * BS..(i + 1) * BS]
+                .iter()
+                .all(|&x| x == fill_of(lba)),
+            "{what}, access {i}: lba {lba} does not hold its block"
+        );
+    }
+}
+
+/// Runs `batches` through a cached device, quiesced between batches and
+/// with the caller working between each `prefetch` and its synchronize;
+/// checks every destination and that the decisions equal the replay's.
+fn run_stream(rig: &Rig, cfg: CacheConfig, batches: &[Vec<u64>]) {
+    let (cam, dev) = cached_setup(rig, cfg);
+    let width = batches.iter().map(Vec::len).max().unwrap_or(1);
+    let dst = cam.alloc(width * BS).unwrap();
+    for (k, lbas) in batches.iter().enumerate() {
+        dev.prefetch(lbas, dst.addr()).unwrap();
+        thread::sleep(OVERLAP / 5);
+        dev.prefetch_synchronize().unwrap();
+        dev.quiesce().unwrap();
+        assert_blocks(&dst.to_vec(), lbas, &format!("batch {k}"));
+    }
+    assert_eq!(
+        dev.decision_counters(),
+        replay_read_workload(cfg, rig.array_blocks(), cfg.readahead.enable, batches)
+    );
+}
+
+#[test]
+fn a_zipf_stream_through_the_device_decides_as_the_replay_and_keeps_its_bytes() {
+    let rows = 512;
+    let rig = small_rig(2);
+    load_pattern(&rig, rows);
+    let cfg = CacheConfig {
+        slots: 32,
+        shards: 2,
+        ..no_readahead()
+    };
+    let batches = zipf_batches(29, rows, 200, 32);
+    assert!(
+        reclaims(cfg, rig.array_blocks(), &batches).by_miss > 0,
+        "a miss reclaims the slot of an earlier hit of its batch"
+    );
+    run_stream(&rig, cfg, &batches);
+}
+
+#[test]
+fn readahead_never_lands_in_the_slot_of_a_hit_still_to_copy() {
+    // Eight slots, a sequential stream of four-block batches: once the
+    // stride is confirmed every demand access hits a speculated block, and
+    // the next eight-block window can only be reserved by reclaiming them.
+    let rig = small_rig(2);
+    load_pattern(&rig, 256);
+    let cfg = CacheConfig {
+        slots: 8,
+        shards: 1,
+        readahead: ReadaheadConfig {
+            enable: true,
+            min_window: 8,
+            initial_window: 8,
+            max_window: 8,
+            budget_blocks: 8,
+        },
+        ..CacheConfig::default()
+    };
+    let batches: Vec<Vec<u64>> = (0..40u64).map(|k| (4 * k..4 * k + 4).collect()).collect();
+    assert!(
+        reclaims(cfg, rig.array_blocks(), &batches).by_readahead > 0,
+        "speculation reclaims the slot of a hit of the batch before it"
+    );
+    run_stream(&rig, cfg, &batches);
 }

@@ -32,8 +32,9 @@ use std::collections::HashMap;
 pub struct CacheConfig {
     /// Cache capacity in blocks (one pinned GPU-memory slot per block).
     pub slots: usize,
-    /// Lock stripes. Each shard owns `slots / shards` slots with a private
-    /// CLOCK hand; the threaded wrapper also gives each a private mutex.
+    /// CLOCK partitions. Each shard owns `slots / shards` slots with a
+    /// private CLOCK hand. They are not lock stripes: the threaded wrapper
+    /// keeps the whole core behind one mutex.
     pub shards: usize,
     /// Maximum dirty blocks written back per flush batch.
     pub flush_batch: usize,
