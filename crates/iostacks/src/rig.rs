@@ -43,7 +43,10 @@ pub struct RigConfig {
     /// Optional injected wall-clock latency per device burst (each time a
     /// service thread finds a queue pair non-empty — see
     /// [`DeviceConfig::burst_latency`]), to make I/O slow enough that
-    /// overlap is visible in real-time demos. On Linux each sleep lasts
+    /// overlap is visible in real-time demos. A burst's bytes move inside
+    /// this latency and its completions post when it has passed, so a
+    /// burst costs the latency, not the latency plus its copies. On Linux
+    /// each sleep lasts
     /// within a few µs of this latency: the service threads of a device
     /// given one run with 1 ns timer slack instead of the kernel's default
     /// 50 µs, which would make 100 µs take about 154 µs.

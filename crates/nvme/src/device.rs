@@ -14,6 +14,14 @@
 //! DMA write — the data path's one lock order is **media shard, then DMA
 //! page**. Writes keep a per-thread bounce buffer (DMA → bounce → media)
 //! precisely so they never hold the two in the opposite order.
+//!
+//! A device given a [`DeviceConfig::burst_latency`] moves a burst's bytes
+//! inside that latency, as an SSD's flash and DMA work while its service
+//! time runs: the commands visible at the burst's first take execute at
+//! once, the thread sleeps out what is left, and only then posts their
+//! CQEs, held in a per-thread `Vec` that is reused from burst to burst.
+//! Data still lands before its CQE, and [`DeviceStats`] still move before
+//! it posts.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -39,10 +47,14 @@ pub struct DeviceConfig {
     /// Maximum commands taken from one queue pair per service round.
     pub max_burst: usize,
     /// Optional wall-clock latency injected once per burst — each time a
-    /// service thread finds a queue pair non-empty, before it executes up
-    /// to `max_burst` of that pair's commands; a round that finds *k* pairs
-    /// non-empty sleeps *k* times. Makes compute/I/O overlap visible in
-    /// real-time demos. `None` (the default) services at memory speed.
+    /// service thread finds a queue pair non-empty and takes up to
+    /// `max_burst` of that pair's commands; a round that finds *k* pairs
+    /// non-empty sleeps *k* times. The burst's bytes move inside the
+    /// latency: the commands visible at the first take execute at once,
+    /// the thread sleeps out the rest, and their CQEs post at `take +
+    /// latency`, in take order; commands rung during the sleep join the
+    /// burst and complete right after it. Makes compute/I/O overlap visible
+    /// in real-time demos. `None` (the default) services at memory speed.
     ///
     /// On Linux the sleep lasts within a few µs of the latency given: with
     /// a latency set, each service thread first drops its timer slack to
@@ -102,8 +114,9 @@ impl DeviceStats {
 
 /// Per-device registry handles, resolved once at attach time.
 struct DeviceTelemetry {
-    /// Per-command service latency (take SQE → CQE posted), fed one burst
-    /// at a time: every command of a burst records the burst's mean.
+    /// Per-command service time — the device's own work, without the
+    /// injected latency's sleep — fed one burst at a time: every command
+    /// of a burst records the burst's mean.
     cmd_ns: HistogramHandle,
     /// SQEs per doorbell ring, shared with this device's queue pairs.
     doorbell_batch: HistogramHandle,
@@ -178,14 +191,16 @@ impl NvmeDevice {
     }
 
     /// Registers this device's metrics in `reg` and starts recording:
-    /// `cam_nvme_cmd_ns{device="<name>"}` (per-command service latency;
-    /// `count` = commands executed, each carrying the mean of its burst, so
-    /// the quantiles are quantiles of burst means) and
-    /// `cam_nvme_doorbell_batch{device="<name>"}` (SQEs per doorbell, wired
-    /// into every current and future queue pair). One-shot; later calls are
-    /// ignored. Before attachment a burst pays two atomic loads; after it,
-    /// two clock reads and one histogram shard lock more — per burst of up
-    /// to `max_burst` commands, never per command.
+    /// `cam_nvme_cmd_ns{device="<name>"}` (per-command service time, the
+    /// injected `burst_latency` left out; `count` = commands executed, each
+    /// carrying the mean of its burst, so the quantiles are quantiles of
+    /// burst means) and `cam_nvme_doorbell_batch{device="<name>"}` (SQEs
+    /// per doorbell, wired into every current and future queue pair).
+    /// One-shot; later calls are ignored. Before attachment a burst pays two
+    /// atomic loads (and, on a device with a `burst_latency`, the two clock
+    /// reads its sleep needs); after it, one histogram shard lock and at
+    /// most two clock reads more — per burst of up to `max_burst` commands,
+    /// never per command.
     pub fn attach_telemetry(&self, reg: &MetricsRegistry) {
         let name = &self.shared.config.name;
         let t = DeviceTelemetry {
@@ -247,6 +262,8 @@ fn service_loop(sh: &Shared, tid: usize) {
         clock::exact_sleeps();
     }
     let mut bounce: Vec<u8> = Vec::new();
+    // CQEs of a burst whose data has moved but whose latency has not passed.
+    let mut held: Vec<Cqe> = Vec::with_capacity(sh.config.max_burst);
     let mut idle_rounds = 0u32;
     // This thread's share of the queue pairs, refreshed only when a
     // registration moved the epoch (0 = nothing registered yet).
@@ -267,7 +284,7 @@ fn service_loop(sh: &Shared, tid: usize) {
         }
         let mut serviced = 0;
         for qp in &qps {
-            serviced += service_burst(sh, qp, &mut bounce);
+            serviced += service_burst(sh, qp, &mut bounce, &mut held);
         }
         if serviced == 0 {
             idle_rounds += 1;
@@ -287,37 +304,59 @@ fn service_loop(sh: &Shared, tid: usize) {
 /// Services one burst — up to `max_burst` commands from `qp` — and returns
 /// how many it executed.
 ///
+/// With a `burst_latency` the burst's bytes move inside its latency: the
+/// first take sets `deadline = take + latency`, every command visible until
+/// the queue runs dry executes at once and holds its CQE in `held`, and the
+/// thread sleeps out what is left, then posts the held CQEs in take order.
+/// Commands rung during the sleep join the burst (up to `max_burst` in all)
+/// and execute and post one by one afterwards — as every command of a
+/// memory-speed burst does, which has no deadline and holds nothing.
+///
 /// Observation is paid per burst, not per command: with telemetry attached
-/// the burst is stamped once after the injected `burst_latency` sleep and
-/// once when it ends, and `cam_nvme_cmd_ns` takes the burst's mean as one
-/// weighted sample per command (one lock). Only an attached recorder, whose
-/// [`EventKind::NvmeCmd`] carries a start stamp per command, makes the loop
-/// read the clock per command — once, chained: command *i*'s CQE-posted
-/// instant is command *i + 1*'s start, so each span is "take SQE → CQE
-/// posted". With nothing attached the burst reads no clock at all.
-fn service_burst(sh: &Shared, qp: &QueuePair, bounce: &mut Vec<u8>) -> usize {
+/// the burst is stamped at the take, before the sleep, and — only when a
+/// command joined during the sleep — after it and at the end.
+/// `cam_nvme_cmd_ns` takes the device's own work, the sleep left out, as
+/// one weighted sample per command (one lock). Only an attached recorder,
+/// whose [`EventKind::NvmeCmd`] carries a start stamp per command, makes the
+/// loop read the clock per command — once, chained: command *i*'s
+/// data-moved instant is command *i + 1*'s start, so each span is "take SQE
+/// → data moved" (a late joiner's starts after the sleep). Unobserved, a
+/// memory-speed burst reads no clock and a sleeping one reads it twice: for
+/// its deadline and for the time left.
+fn service_burst(sh: &Shared, qp: &QueuePair, bounce: &mut Vec<u8>, held: &mut Vec<Cqe>) -> usize {
     let Some(mut sqe) = qp.take_sqe() else {
         return 0;
     };
-    if let Some(lat) = sh.config.burst_latency {
-        std::thread::sleep(lat);
-    }
     let telemetry = sh.telemetry.get();
     let recorder = sh.recorder.get();
-    let burst_start = if telemetry.is_some() || recorder.is_some() {
+    let observed = telemetry.is_some() || recorder.is_some();
+    let latency = sh.config.burst_latency;
+    let take_ns = if observed || latency.is_some() {
         clock::now_ns()
     } else {
         0
     };
-    // End of the previous command (recorder attached) or `burst_start`.
-    let mut stamp = burst_start;
+    // Pending while the commands taken before the sleep execute; their
+    // CQEs wait in `held` until it passes.
+    let mut deadline = latency.map(|lat| take_ns + lat.as_nanos() as u64);
+    // Start of the execution stretch under way (`None` once the sleep has
+    // closed the burst), and the device's own work in closed stretches.
+    let mut stretch_ns = Some(take_ns);
+    let mut busy_ns = 0;
+    // End of the previous command (recorder attached) or the stretch start.
+    let mut stamp = take_ns;
     let mut burst = 0;
     loop {
         let status = execute(sh, &sqe, bounce);
-        qp.post_cqe(Cqe {
+        let cqe = Cqe {
             cid: sqe.cid,
             status,
-        });
+        };
+        if deadline.is_some() {
+            held.push(cqe);
+        } else {
+            qp.post_cqe(cqe);
+        }
         burst += 1;
         if let Some((device, rec)) = recorder {
             let end_ns = clock::now_ns();
@@ -337,22 +376,52 @@ fn service_burst(sh: &Shared, qp: &QueuePair, bounce: &mut Vec<u8>) -> usize {
             );
             stamp = end_ns;
         }
-        if burst == sh.config.max_burst {
+        let room = burst < sh.config.max_burst;
+        if let Some(next) = room.then(|| qp.take_sqe()).flatten() {
+            sqe = next;
+            continue;
+        }
+        let Some(due) = deadline.take() else {
             break;
-        }
-        match qp.take_sqe() {
-            Some(next) => sqe = next,
-            None => break,
-        }
-    }
-    if let Some(t) = telemetry {
-        let end_ns = if recorder.is_some() {
+        };
+        // Every command taken so far has moved its bytes: sleep out the
+        // rest of the latency, then complete them in take order.
+        let now = if recorder.is_some() {
             stamp
         } else {
             clock::now_ns()
         };
+        busy_ns = now - take_ns;
+        if due > now {
+            std::thread::sleep(Duration::from_nanos(due - now));
+        }
+        for cqe in held.drain(..) {
+            qp.post_cqe(cqe);
+        }
+        // Commands rung during the sleep join the burst.
+        match room.then(|| qp.take_sqe()).flatten() {
+            Some(next) => {
+                sqe = next;
+                stamp = if observed { clock::now_ns() } else { 0 };
+                stretch_ns = Some(stamp);
+            }
+            None => {
+                stretch_ns = None;
+                break;
+            }
+        }
+    }
+    if let Some(t) = telemetry {
+        if let Some(start_ns) = stretch_ns {
+            let end_ns = if recorder.is_some() {
+                stamp
+            } else {
+                clock::now_ns()
+            };
+            busy_ns += end_ns.saturating_sub(start_ns);
+        }
         let n = burst as u64;
-        t.cmd_ns.record_n(end_ns.saturating_sub(burst_start) / n, n);
+        t.cmd_ns.record_n(busy_ns / n, n);
     }
     burst
 }
@@ -446,16 +515,41 @@ mod tests {
     use crate::mem::PinnedRegion;
     use cam_blockdev::{BlockGeometry, SparseMemStore};
 
+    use std::time::Instant;
+
     fn setup() -> (NvmeDevice, Arc<PinnedRegion>) {
+        setup_with(DeviceConfig::default())
+    }
+
+    fn setup_with(config: DeviceConfig) -> (NvmeDevice, Arc<PinnedRegion>) {
         let store: Arc<dyn BlockStore> =
             Arc::new(SparseMemStore::new(BlockGeometry::new(512, 4096)));
         let dma = Arc::new(PinnedRegion::new(0x1_0000, 1 << 20));
-        let dev = NvmeDevice::start(
-            DeviceConfig::default(),
-            store,
-            Arc::clone(&dma) as Arc<dyn DmaSpace>,
-        );
+        let dev = NvmeDevice::start(config, store, Arc::clone(&dma) as Arc<dyn DmaSpace>);
         (dev, dma)
+    }
+
+    /// The burst latency of the timing tests: long enough that a loaded box
+    /// cannot blur which side of it an event falls on.
+    const L: Duration = Duration::from_millis(300);
+
+    fn slow_setup() -> (NvmeDevice, Arc<PinnedRegion>) {
+        setup_with(DeviceConfig {
+            burst_latency: Some(L),
+            ..DeviceConfig::default()
+        })
+    }
+
+    /// DMA address of the 512-byte slot `i`.
+    fn slot(i: u64) -> u64 {
+        0x1_0000 + 512 * i
+    }
+
+    /// Whether slot `i` holds a block filled with `byte`.
+    fn holds(dma: &PinnedRegion, i: u64, byte: u8) -> bool {
+        let mut out = [0u8; 512];
+        dma.dma_read(slot(i), &mut out).unwrap();
+        out.iter().all(|&b| b == byte)
     }
 
     fn wait_cqe(qp: &QueuePair) -> Cqe {
@@ -771,6 +865,92 @@ mod tests {
         if let Some(slack) = service_thread_slack("slkfree", None) {
             assert_eq!(slack, own_slack);
         }
+    }
+
+    #[test]
+    fn a_burst_moves_its_data_inside_its_latency() {
+        let (dev, dma) = slow_setup();
+        let qp = dev.add_queue_pair(8);
+        dev.store().write(Lba(5), &[0xA5; 512]).unwrap();
+        let rung = Instant::now();
+        qp.submit(Sqe::read(1, 5, 1, slot(0))).unwrap();
+        while !holds(&dma, 0, 0xA5) {
+            assert!(qp.poll_cqe().is_none(), "CQE posted before its bytes");
+            std::thread::yield_now();
+        }
+        let landed = rung.elapsed();
+        assert!(qp.poll_cqe().is_none(), "CQE posted with its bytes");
+        assert!(landed < L / 2, "bytes moved after the sleep: {landed:?}");
+        assert!(wait_cqe(&qp).status.is_ok());
+        let done = rung.elapsed();
+        assert!(done >= L, "CQE posted {done:?} after the ring");
+    }
+
+    #[test]
+    fn a_command_rung_during_the_sleep_joins_the_burst() {
+        let (dev, _dma) = slow_setup();
+        let qp = dev.add_queue_pair(8);
+        let rung = Instant::now();
+        qp.submit(Sqe::read(1, 0, 1, slot(0))).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        qp.submit(Sqe::read(2, 1, 1, slot(1))).unwrap();
+        assert_eq!(wait_cqe(&qp).cid, 1);
+        assert_eq!(wait_cqe(&qp).cid, 2);
+        let done = rung.elapsed();
+        assert!(done >= L, "burst shorter than its latency: {done:?}");
+        assert!(
+            done < L * 3 / 2,
+            "the late command waited for a burst of its own: {done:?}"
+        );
+    }
+
+    #[test]
+    fn the_33rd_command_waits_for_the_next_burst() {
+        let (dev, _dma) = slow_setup();
+        let qp = dev.add_queue_pair(64);
+        let rung = Instant::now();
+        for cid in 0..33u16 {
+            qp.push_sqe(Sqe::read(cid, u64::from(cid), 1, slot(u64::from(cid))))
+                .unwrap();
+        }
+        qp.ring_doorbell();
+        let done: Vec<(u16, Duration)> = (0..33)
+            .map(|_| {
+                let c = wait_cqe(&qp);
+                assert!(c.status.is_ok());
+                (c.cid, rung.elapsed())
+            })
+            .collect();
+        assert!(done.iter().map(|d| d.0).eq(0..33), "FIFO order");
+        assert!(done[0].1 >= L && done[31].1 < 2 * L, "{:?}", done[31]);
+        assert!(
+            done[32].1 >= 2 * L,
+            "33rd command done after {:?}",
+            done[32].1
+        );
+    }
+
+    #[test]
+    fn stopping_mid_burst_posts_every_taken_command() {
+        let (dev, dma) = slow_setup();
+        let qp = dev.add_queue_pair(8);
+        for i in 0..4u64 {
+            dev.store().write(Lba(i), &[i as u8 + 1; 512]).unwrap();
+            qp.push_sqe(Sqe::read(i as u16, i, 1, slot(i))).unwrap();
+        }
+        qp.ring_doorbell();
+        // Every byte has moved, no CQE is out: the service thread sleeps.
+        while !(0..4u64).all(|i| holds(&dma, i, i as u8 + 1)) {
+            std::thread::yield_now();
+        }
+        assert!(qp.poll_cqe().is_none());
+        drop(dev);
+        for i in 0..4u64 {
+            let c = qp.poll_cqe().expect("a taken command's CQE after stop");
+            assert_eq!((c.cid, c.status), (i as u16, Status::Success));
+            assert!(holds(&dma, i, i as u8 + 1));
+        }
+        assert!(qp.poll_cqe().is_none());
     }
 
     #[test]

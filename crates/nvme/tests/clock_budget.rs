@@ -5,12 +5,18 @@
 //! Only an attached `FlightRecorder` buys per-command stamps: one
 //! `NvmeCmd` event and one read per command, plus one read per burst.
 //!
+//! A device with a `burst_latency` reads the clock for its deadline and for
+//! the time left to sleep: two reads per burst with nothing attached, and
+//! with telemetry at most two more — after the sleep and at the end, only
+//! when a command joined the burst during the sleep.
+//!
 //! The counters behind these assertions (`clock::reads`,
 //! `HistogramHandle::record_locks`) exist only in debug builds, so this
 //! file compiles to nothing under `--release`; run it without that flag.
 #![cfg(debug_assertions)]
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use cam_blockdev::{BlockGeometry, BlockStore, SparseMemStore};
 use cam_nvme::spec::{Sqe, Status};
@@ -22,42 +28,74 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 const DMA_BASE: u64 = 0x1_0000;
 const MAX_BURST: usize = 32;
+const CMD_NS: &str = "cam_nvme_cmd_ns{device=\"nvme0\"}";
 
-fn device() -> (NvmeDevice, HistogramHandle) {
+/// The burst latency of the sleeping device.
+const LATENCY: Duration = Duration::from_millis(1);
+
+/// The three doorbells every test rings: `(commands, bursts, errors)`.
+const SHAPES: [(usize, u64, usize); 3] = [(1, 1, 0), (32, 1, 4), (33, 2, 4)];
+
+/// A device with nothing attached, and the `cam_nvme_cmd_ns` handle that
+/// `attach_telemetry(&reg)` would feed.
+fn bare_device(burst_latency: Option<Duration>) -> (NvmeDevice, MetricsRegistry, HistogramHandle) {
     let store: Arc<dyn BlockStore> = Arc::new(SparseMemStore::new(BlockGeometry::new(512, 4096)));
     let dma: Arc<dyn DmaSpace> = Arc::new(PinnedRegion::new(DMA_BASE, 1 << 20));
-    let config = DeviceConfig::default();
+    let config = DeviceConfig {
+        burst_latency,
+        ..DeviceConfig::default()
+    };
     assert_eq!(config.max_burst, MAX_BURST);
     let dev = NvmeDevice::start(config, store, dma);
     let reg = MetricsRegistry::new();
+    let cmd_ns = reg.histogram(CMD_NS);
+    (dev, reg, cmd_ns)
+}
+
+fn device(burst_latency: Option<Duration>) -> (NvmeDevice, HistogramHandle) {
+    let (dev, reg, cmd_ns) = bare_device(burst_latency);
     dev.attach_telemetry(&reg);
-    let cmd_ns = reg.histogram("cam_nvme_cmd_ns{device=\"nvme0\"}");
     (dev, cmd_ns)
 }
 
-/// What one doorbell's worth of commands cost the process.
+/// What one test step's commands cost the process.
 struct Cost {
     clock_reads: u64,
     record_locks: u64,
     errors: usize,
 }
 
-/// Publishes `n` commands with one doorbell — so the device sees them all
-/// at once and services them as `ceil(n / MAX_BURST)` bursts — reaps every
-/// completion, and waits until the device has recorded the last burst.
+/// Publishes `rings[k]` commands with the `k`-th doorbell, `gap` apart —
+/// with one doorbell the device sees them all at once and services them as
+/// `ceil(n / MAX_BURST)` bursts — reaps every completion, and, when
+/// `recorded`, waits until the device has recorded the last burst.
 /// Every seventh command fails (LBA out of range).
-fn run(qp: &QueuePair, cmd_ns: &HistogramHandle, n: usize) -> Cost {
+fn run_rings(
+    qp: &QueuePair,
+    cmd_ns: &HistogramHandle,
+    rings: &[usize],
+    gap: Duration,
+    recorded: bool,
+) -> Cost {
+    let n: usize = rings.iter().sum();
     let counted = cmd_ns.count();
     let (reads, locks) = (clock::reads(), cmd_ns.record_locks());
-    for i in 0..n {
-        let cid = i as u16;
-        let sqe = match i % 7 {
-            6 => Sqe::read(cid, 4095, 2, DMA_BASE),
-            _ => Sqe::read(cid, i as u64, 1, DMA_BASE + 512 * i as u64),
-        };
-        qp.push_sqe(sqe).unwrap();
+    let mut i = 0;
+    for (k, &batch) in rings.iter().enumerate() {
+        if k > 0 {
+            std::thread::sleep(gap);
+        }
+        for _ in 0..batch {
+            let cid = i as u16;
+            let sqe = match i % 7 {
+                6 => Sqe::read(cid, 4095, 2, DMA_BASE),
+                _ => Sqe::read(cid, i as u64, 1, DMA_BASE + 512 * i as u64),
+            };
+            qp.push_sqe(sqe).unwrap();
+            i += 1;
+        }
+        qp.ring_doorbell();
     }
-    qp.ring_doorbell();
     let (mut reaped, mut errors) = (0, 0);
     while reaped < n {
         match qp.poll_cqe() {
@@ -68,11 +106,13 @@ fn run(qp: &QueuePair, cmd_ns: &HistogramHandle, n: usize) -> Cost {
             None => std::thread::yield_now(),
         }
     }
-    // The burst is recorded after its last CQE is posted.
-    while cmd_ns.count() < counted + n as u64 {
-        std::thread::yield_now();
+    if recorded {
+        // The burst is recorded after its last CQE is posted.
+        while cmd_ns.count() < counted + n as u64 {
+            std::thread::yield_now();
+        }
+        assert_eq!(cmd_ns.count(), counted + n as u64, "count = commands");
     }
-    assert_eq!(cmd_ns.count(), counted + n as u64, "count = commands");
     Cost {
         clock_reads: clock::reads() - reads,
         record_locks: cmd_ns.record_locks() - locks,
@@ -80,12 +120,16 @@ fn run(qp: &QueuePair, cmd_ns: &HistogramHandle, n: usize) -> Cost {
     }
 }
 
+fn run(qp: &QueuePair, cmd_ns: &HistogramHandle, n: usize) -> Cost {
+    run_rings(qp, cmd_ns, &[n], Duration::ZERO, true)
+}
+
 #[test]
 fn unobserved_bursts_cost_two_reads_and_one_lock_each() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (dev, cmd_ns) = device();
+    let (dev, cmd_ns) = device(None);
     let qp = dev.add_queue_pair(64);
-    for (n, bursts, errors) in [(1, 1, 0), (32, 1, 4), (33, 2, 4)] {
+    for (n, bursts, errors) in SHAPES {
         let cost = run(&qp, &cmd_ns, n);
         assert_eq!(cost.errors, errors, "{n} commands");
         assert!(
@@ -100,24 +144,73 @@ fn unobserved_bursts_cost_two_reads_and_one_lock_each() {
 }
 
 #[test]
-fn a_recorder_buys_one_stamp_and_one_event_per_command() {
+fn sleeping_bursts_read_the_clock_for_their_deadline_only() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut dev, cmd_ns) = device();
+    let (dev, reg, cmd_ns) = bare_device(Some(LATENCY));
+    let qp = dev.add_queue_pair(64);
+    // Nothing attached: the deadline and the time left, nothing recorded.
+    for (n, bursts, errors) in SHAPES {
+        let cost = run_rings(&qp, &cmd_ns, &[n], Duration::ZERO, false);
+        assert_eq!(cost.errors, errors, "{n} commands");
+        assert!(
+            cost.clock_reads <= 2 * bursts,
+            "{n} unobserved commands in {bursts} burst(s) read the clock {} times",
+            cost.clock_reads
+        );
+        assert_eq!(cost.record_locks, 0, "{n} unobserved commands");
+    }
+    assert_eq!(cmd_ns.count(), 0);
+    // Telemetry attached: one weighted record per burst.
+    dev.attach_telemetry(&reg);
+    for (n, bursts, errors) in SHAPES {
+        let cost = run(&qp, &cmd_ns, n);
+        assert_eq!(cost.errors, errors, "{n} commands");
+        assert!(
+            cost.clock_reads <= 4 * bursts,
+            "{n} commands in {bursts} burst(s) read the clock {} times",
+            cost.clock_reads
+        );
+        assert_eq!(cost.record_locks, bursts, "{n} commands");
+    }
+    // A command rung a fifth of the way into the sleep joins its burst,
+    // unless the box is slow enough that it opens a burst of its own: the
+    // locks count the bursts either way.
+    let cost = run_rings(&qp, &cmd_ns, &[1, 1], LATENCY / 5, true);
+    assert!(
+        (1..=2).contains(&cost.record_locks),
+        "{} bursts",
+        cost.record_locks
+    );
+    assert!(
+        cost.clock_reads <= 4 * cost.record_locks,
+        "2 commands in {} burst(s) read the clock {} times",
+        cost.record_locks,
+        cost.clock_reads
+    );
+    assert_eq!(cmd_ns.count(), 68, "count = commands executed since attach");
+    assert_eq!(dev.stats().reads() + dev.stats().errors(), 134);
+}
+
+/// One `NvmeCmd` per command, stamped from take to data moved: spans
+/// chain without overlap in take order on either kind of device.
+fn recorder_budget(burst_latency: Option<Duration>) {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut dev, cmd_ns) = device(burst_latency);
     let rec = Arc::new(FlightRecorder::new());
     dev.attach_recorder(3, Arc::clone(&rec));
     let qp = dev.add_queue_pair(64);
     let mut commands = 0;
-    for (n, bursts) in [(1, 1), (32, 1), (33, 2)] {
+    for (n, bursts, _) in SHAPES {
         let cost = run(&qp, &cmd_ns, n);
         commands += n;
         // n chained stamps + one per burst, and the submitting thread's
         // own stamp on its `QpDoorbell` event.
         assert!(
-            cost.clock_reads <= (n + bursts + 1) as u64,
+            cost.clock_reads <= n as u64 + bursts + 1,
             "{n} commands in {bursts} burst(s) read the clock {} times",
             cost.clock_reads
         );
-        assert_eq!(cost.record_locks, bursts as u64, "{n} commands");
+        assert_eq!(cost.record_locks, bursts, "{n} commands");
     }
     // Joining the service thread orders its last emit before the snapshot.
     dev.stop();
@@ -146,4 +239,14 @@ fn a_recorder_buys_one_stamp_and_one_event_per_command() {
             .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].0),
         "start_ns non-decreasing, spans chained without overlap"
     );
+}
+
+#[test]
+fn a_recorder_buys_one_stamp_and_one_event_per_command() {
+    recorder_budget(None);
+}
+
+#[test]
+fn a_recorder_on_a_sleeping_device_buys_the_same_stamps() {
+    recorder_budget(Some(LATENCY));
 }
