@@ -1,9 +1,8 @@
 //! [`ExtentAllocator`] — first-fit extent allocation over a block range,
 //! with free-list coalescing.
 //!
-//! Used by the mini filesystem in `cam-hostos` (files map to extents, which
-//! is exactly why the kernel path must do LBA lookup per request, Fig. 3)
-//! and by workloads that carve a raw device into regions.
+//! Used by `cam-gpu`'s device memory, which hands out pinned buffers as
+//! extents of pages.
 
 use std::collections::BTreeMap;
 

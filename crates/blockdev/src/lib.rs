@@ -5,16 +5,15 @@
 //! that raw-block world for the reproduction:
 //!
 //! * [`Lba`] — typed logical block addresses and size math;
-//! * [`BlockStore`] — the storage trait the simulated NVMe namespaces and
-//!   all I/O backends read from and write to;
+//! * [`BlockStore`] — the storage trait the simulated NVMe namespaces read
+//!   from and write to;
 //! * [`SparseMemStore`] — a thread-safe, sparse, in-memory store standing in
 //!   for a multi-terabyte SSD (only touched blocks consume host memory);
 //! * [`Raid0`] — stripe aggregation across stores, used to present multiple
 //!   SSDs as one address space (the paper's POSIX baseline uses RAID 0, and
 //!   CAM itself stripes batches across SSDs);
 //! * [`ExtentAllocator`] — first-fit extent allocation with coalescing, used
-//!   by the mini filesystem in `cam-hostos` and by workloads that place
-//!   datasets on raw devices;
+//!   by `cam-gpu`'s pinned device-memory allocator (`CAM_alloc`);
 //! * [`FaultyStore`] — deterministic fault injection for failure-path
 //!   testing of every layer above.
 

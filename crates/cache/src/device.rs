@@ -12,10 +12,13 @@
 
 use std::sync::{Arc, Mutex};
 
-use cam_core::{BatchTicket, CamContext, CamDevice, CamError, ChannelOp};
+use cam_core::{
+    BackendError, BatchTicket, CamContext, CamDevice, CamError, ChannelOp, IoRequest,
+    StorageBackend,
+};
 use cam_gpu::OutOfMemory;
 use cam_hostos::IoDir;
-use cam_iostacks::{BackendError, IoRequest, Rig, StorageBackend};
+use cam_iostacks::Rig;
 use cam_nvme::spec::Status;
 use cam_nvme::DmaSpace;
 use cam_telemetry::{EventKind, FlightRecorder};
@@ -533,10 +536,6 @@ fn to_backend(e: CamError) -> BackendError {
 impl StorageBackend for CachedBackend {
     fn name(&self) -> &'static str {
         "CAM+cache"
-    }
-
-    fn staged_data_path(&self) -> bool {
-        false
     }
 
     fn execute_batch(&self, reqs: &[IoRequest]) -> Result<(), BackendError> {

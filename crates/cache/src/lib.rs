@@ -8,8 +8,8 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use cam_core::{CamConfig, CamContext};
-//! use cam_iostacks::{Rig, RigConfig, StorageBackend};
+//! use cam_core::{CamConfig, CamContext, StorageBackend};
+//! use cam_iostacks::{Rig, RigConfig};
 //! use cam_cache::{CacheConfig, CachedBackend, CachedDevice};
 //!
 //! let rig = Rig::new(RigConfig::default());
@@ -37,7 +37,7 @@
 //! * [`CachedDevice`] — the cached `prefetch` / `write_back` data path
 //!   wiring cache misses into single demand batches and speculation onto
 //!   its own channel.
-//! * [`CachedBackend`] — [`cam_iostacks::StorageBackend`] adapter so the
+//! * [`CachedBackend`] — [`cam_core::StorageBackend`] adapter so the
 //!   evaluation workloads run unchanged with the cache in the path.
 
 mod cache;

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use cam_blockdev::{BlockStore, Lba};
 use cam_cache::{CacheConfig, CachedBackend, CachedDevice, ReadaheadConfig};
-use cam_core::{CamBackend, CamConfig, CamContext};
-use cam_iostacks::{Rig, RigConfig, StorageBackend};
+use cam_core::{CamBackend, CamConfig, CamContext, StorageBackend};
+use cam_iostacks::{Rig, RigConfig};
 use cam_protocol::cache_core::{
     replay_read_workload, CacheCore, CoreLookup, Intent, ReadBatchPlan,
 };
@@ -328,12 +328,11 @@ fn gemm_is_byte_exact_with_cache() {
 }
 
 #[test]
-fn cached_backend_reports_name_and_direct_path() {
+fn cached_backend_reports_name_and_block_size() {
     let rig = small_rig(1);
     let (_cam, dev) = cached_setup(&rig, no_readahead());
     let be = CachedBackend::new(dev, 64);
     assert_eq!(be.name(), "CAM+cache");
-    assert!(!be.staged_data_path());
     assert_eq!(be.device().block_size(), BS as u64);
 }
 

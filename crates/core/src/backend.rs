@@ -1,13 +1,88 @@
-//! [`CamBackend`] — CAM exposed through the common
-//! [`StorageBackend`](cam_iostacks::StorageBackend) trait, so every
-//! workload in `cam-workloads` runs unchanged on POSIX, SPDK, BaM, or CAM.
+//! [`StorageBackend`] — the batch-of-block-transfers interface every
+//! workload in `cam-workloads` is written against — and [`CamBackend`],
+//! CAM behind it. `cam-cache`'s `CachedBackend` is the other
+//! implementation, so a workload runs unchanged on CAM or on cached CAM.
+
+use std::fmt;
 
 use cam_hostos::IoDir;
-use cam_iostacks::{BackendError, IoRequest, StorageBackend};
 use cam_nvme::spec::Status;
 
 use crate::api::{CamDevice, CamError};
 use crate::regions::ChannelOp;
+
+/// One block-granular transfer between the striped SSD array and pinned
+/// (GPU) memory.
+#[derive(Clone, Copy, Debug)]
+pub struct IoRequest {
+    /// Direction: `Read` = SSD → memory, `Write` = memory → SSD.
+    pub dir: IoDir,
+    /// Starting LBA in the *array* address space (striped across SSDs).
+    pub lba: u64,
+    /// Length in blocks (> 0).
+    pub blocks: u32,
+    /// Pinned-memory physical address of the data buffer.
+    pub addr: u64,
+}
+
+impl IoRequest {
+    /// A read of `blocks` array blocks at `lba` into pinned memory `addr`.
+    pub fn read(lba: u64, blocks: u32, addr: u64) -> Self {
+        IoRequest {
+            dir: IoDir::Read,
+            lba,
+            blocks,
+            addr,
+        }
+    }
+
+    /// A write of `blocks` array blocks at `lba` from pinned memory `addr`.
+    pub fn write(lba: u64, blocks: u32, addr: u64) -> Self {
+        IoRequest {
+            dir: IoDir::Write,
+            lba,
+            blocks,
+            addr,
+        }
+    }
+}
+
+/// Errors surfaced by a [`StorageBackend`].
+#[derive(Debug)]
+pub enum BackendError {
+    /// A device completed a command with a failure status.
+    Command(Status),
+    /// The batch didn't fit the channel's region-1 capacity.
+    BatchTooLarge {
+        /// Requests the batch needs at once.
+        needed: usize,
+        /// Requests the channel takes at once.
+        capacity: usize,
+    },
+}
+
+impl fmt::Display for BackendError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BackendError::Command(s) => write!(f, "command failed: {s:?}"),
+            BackendError::BatchTooLarge { needed, capacity } => {
+                write!(f, "batch of {needed} requests exceeds capacity {capacity}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BackendError {}
+
+/// A storage management that executes batches of block transfers between
+/// the array and pinned GPU memory.
+pub trait StorageBackend: Send + Sync {
+    /// Human-readable name (matches the paper's labels).
+    fn name(&self) -> &'static str;
+
+    /// Executes a batch, blocking until every request is durable/visible.
+    fn execute_batch(&self, reqs: &[IoRequest]) -> Result<(), BackendError>;
+}
 
 /// Adapter holding a device handle; batches are carried over the regular
 /// CAM channels (reads on channel 0, writes on channel 1).
@@ -67,10 +142,6 @@ impl StorageBackend for CamBackend {
         "CAM"
     }
 
-    fn staged_data_path(&self) -> bool {
-        false
-    }
-
     fn execute_batch(&self, reqs: &[IoRequest]) -> Result<(), BackendError> {
         // Chunk by (direction, per-request block count) and capacity,
         // preserving order across direction changes.
@@ -122,7 +193,6 @@ mod tests {
             .collect();
         be.execute_batch(&reads).unwrap();
         assert_eq!(src.to_vec(), dst.to_vec());
-        assert!(!be.staged_data_path());
         assert_eq!(be.name(), "CAM");
     }
 

@@ -76,7 +76,7 @@ mod regions;
 mod scaler;
 
 pub use api::{BatchTicket, CamConfig, CamContext, CamDevice, CamError};
-pub use backend::CamBackend;
+pub use backend::{BackendError, CamBackend, IoRequest, StorageBackend};
 pub use engine::{ControlStats, ThreadModel};
 pub use pipeline::DoubleBuffer;
 pub use regions::{Channel, ChannelOp, PublishError};

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use cam_blockdev::{
     BlockGeometry, BlockStore, FaultKind, FaultMode, FaultPolicy, FaultyStore, SparseMemStore,
 };
-use cam_core::{CamBackend, CamConfig, CamContext, CamError};
-use cam_iostacks::{IoRequest, Rig, RigConfig, StorageBackend};
+use cam_core::{CamBackend, CamConfig, CamContext, CamError, IoRequest, StorageBackend};
+use cam_iostacks::{Rig, RigConfig};
 use cam_telemetry::{
     FlightRecorder, MetricsRegistry, Observability, PostmortemConfig, PostmortemDumper,
 };

@@ -6,11 +6,6 @@
 //! that this throttles the NVMe command rate (Figs. 2 and 3). This crate
 //! models the host side of that story:
 //!
-//! * [`MiniFs`] — a real extent-based mini filesystem over a raw
-//!   [`BlockStore`](cam_blockdev::BlockStore). Files map to (possibly
-//!   fragmented) extents, so reading at a file offset genuinely requires the
-//!   LBA lookup the paper charges to the "file system" layer, and the POSIX
-//!   baseline in `cam-iostacks` pays it for real.
 //! * [`IoStackKind`] / [`LayerCosts`] — the calibrated per-request CPU cost
 //!   of each kernel stack, split by layer (Fig. 3), plus derived maximum
 //!   command rates (Fig. 2).
@@ -23,14 +18,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-mod fs;
-mod iomap;
 mod membw;
 mod perf;
 mod stacks;
 
-pub use fs::{FileId, FsError, MiniFs};
-pub use iomap::{IoMapper, PinnedPages};
 pub use membw::MemoryModel;
 pub use perf::{CpuModel, PerfCounts};
 pub use stacks::{IoDir, IoStackKind, LayerCosts};

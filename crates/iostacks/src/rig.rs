@@ -1,24 +1,20 @@
 //! [`Rig`] — the assembled functional testbed: N simulated SSDs, a
-//! simulated GPU, a pinned host bounce buffer, and the striping math that
-//! presents the SSDs as one array address space.
+//! simulated GPU, and the striping math that presents the SSDs as one array
+//! address space.
 
 use std::sync::Arc;
 
 use cam_blockdev::{BlockGeometry, BlockStore, Raid0, SparseMemStore};
 use cam_gpu::{Gpu, GpuSpec};
-use cam_nvme::{DeviceConfig, DmaRouter, DmaSpace, NvmeDevice, PinnedRegion};
+use cam_nvme::{DeviceConfig, DmaSpace, NvmeDevice};
 use cam_protocol::PlanConfig;
 
-/// Physical base address of the host bounce buffer (distinct from the GPU
-/// region at `0x7_0000_0000` so routing bugs surface as DMA errors).
-pub const BOUNCE_BASE: u64 = 0x2_0000_0000;
-
-/// The functional testbed shared by all backends.
+/// The functional testbed CAM's control plane runs on. Every SSD DMAs
+/// into one address space: the GPU's pinned device memory.
 pub struct Rig {
     gpu: Arc<Gpu>,
     devices: Vec<NvmeDevice>,
     stores: Vec<Arc<dyn BlockStore>>,
-    bounce: Arc<PinnedRegion>,
     stripe_blocks: u64,
     block_size: u32,
 }
@@ -35,9 +31,6 @@ pub struct RigConfig {
     /// GPU device-memory bytes. The address range is reserved at
     /// construction; host memory is paid for page by page on first write.
     pub gpu_mem: usize,
-    /// Host bounce-buffer bytes (staged paths). Reserved like `gpu_mem`:
-    /// a page costs memory only once a staged copy writes it.
-    pub bounce_bytes: usize,
     /// Stripe width in blocks.
     pub stripe_blocks: u64,
     /// Optional injected wall-clock latency per device burst (each time a
@@ -60,7 +53,6 @@ impl Default for RigConfig {
             blocks_per_ssd: 16 * 1024,
             block_size: 4096,
             gpu_mem: 64 << 20,
-            bounce_bytes: 16 << 20,
             stripe_blocks: 1,
             burst_latency: None,
         }
@@ -91,15 +83,10 @@ impl Rig {
             assert_eq!(s.geometry().block_size, cfg.block_size);
         }
         let gpu = Gpu::new(GpuSpec::a100_80g(), cfg.gpu_mem);
-        let bounce = Arc::new(PinnedRegion::new(BOUNCE_BASE, cfg.bounce_bytes));
         let devices = stores
             .iter()
             .enumerate()
             .map(|(i, store)| {
-                let dma: Arc<dyn DmaSpace> = Arc::new(DmaRouter::new(vec![
-                    gpu.memory().region() as Arc<dyn DmaSpace>,
-                    Arc::clone(&bounce) as Arc<dyn DmaSpace>,
-                ]));
                 NvmeDevice::start(
                     DeviceConfig {
                         name: format!("nvme{i}"),
@@ -107,7 +94,7 @@ impl Rig {
                         ..DeviceConfig::default()
                     },
                     Arc::clone(store),
-                    dma,
+                    gpu.memory().region(),
                 )
             })
             .collect();
@@ -115,7 +102,6 @@ impl Rig {
             gpu,
             devices,
             stores,
-            bounce,
             stripe_blocks: cfg.stripe_blocks,
             block_size: cfg.block_size,
         }
@@ -146,11 +132,6 @@ impl Rig {
         self.stripe_blocks
     }
 
-    /// The pinned host bounce buffer used by staged backends.
-    pub fn bounce(&self) -> &Arc<PinnedRegion> {
-        &self.bounce
-    }
-
     /// Total array capacity in blocks.
     pub fn array_blocks(&self) -> u64 {
         self.raid_view().geometry().blocks
@@ -167,19 +148,15 @@ impl Rig {
     }
 
     /// A RAID-0 view over the SSD media, for loading datasets out-of-band
-    /// and for the POSIX path's block layer.
+    /// and checking what the SSDs hold.
     pub fn raid_view(&self) -> Raid0 {
         Raid0::new(self.stores.clone(), self.stripe_blocks)
     }
 
-    /// A DMA view over both pinned regions (GPU device memory and the host
-    /// bounce buffer) — the same address space the SSDs themselves DMA
-    /// through, for host-side copies between pinned buffers.
+    /// The address space the SSDs DMA through — the GPU's pinned device
+    /// memory — for host-side copies between pinned buffers.
     pub fn dma_space(&self) -> Arc<dyn DmaSpace> {
-        Arc::new(DmaRouter::new(vec![
-            self.gpu.memory().region() as Arc<dyn DmaSpace>,
-            Arc::clone(&self.bounce) as Arc<dyn DmaSpace>,
-        ]))
+        self.gpu.memory().region()
     }
 }
 
@@ -206,30 +183,32 @@ mod tests {
     }
 
     #[test]
-    fn devices_can_dma_to_both_regions() {
+    fn devices_dma_only_into_gpu_memory() {
         let rig = Rig::new(RigConfig::default());
-        // Write a pattern via the raid view, then read one block to the GPU
-        // and one to the bounce through the first device's queue.
+        // Write a pattern via the raid view, then read one block into GPU
+        // memory and one to a host address outside it.
         let raid = rig.raid_view();
         raid.write(Lba(0), &vec![0x5Au8; 4096]).unwrap();
         let qp = rig.devices()[0].add_queue_pair(8);
         let gbuf = rig.gpu().alloc(4096).unwrap();
+        let region = rig.gpu().memory().region();
+        let resident = region.resident_pages();
         qp.submit(cam_nvme::spec::Sqe::read(1, 0, 1, gbuf.addr()))
             .unwrap();
-        qp.submit(cam_nvme::spec::Sqe::read(2, 0, 1, BOUNCE_BASE))
+        qp.submit(cam_nvme::spec::Sqe::read(2, 0, 1, 0x2_0000_0000))
             .unwrap();
-        let mut got = 0;
-        while got < 2 {
-            if let Some(c) = qp.poll_cqe() {
-                assert!(c.status.is_ok(), "{c:?}");
-                got += 1;
-            } else {
-                std::thread::yield_now();
+        let mut cqes = Vec::new();
+        while cqes.len() < 2 {
+            match qp.poll_cqe() {
+                Some(c) => cqes.push(c),
+                None => std::thread::yield_now(),
             }
         }
+        cqes.sort_by_key(|c| c.cid);
+        assert!(cqes[0].status.is_ok(), "{:?}", cqes[0]);
+        assert!(!cqes[1].status.is_ok(), "{:?}", cqes[1]);
         assert!(gbuf.to_vec().iter().all(|&b| b == 0x5A));
-        let mut host = vec![0u8; 4096];
-        rig.bounce().dma_read(BOUNCE_BASE, &mut host).unwrap();
-        assert!(host.iter().all(|&b| b == 0x5A));
+        // Only the GPU buffer's page was paid for.
+        assert_eq!(region.resident_pages(), resident + 1);
     }
 }

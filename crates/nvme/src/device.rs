@@ -4,9 +4,8 @@
 //! [`DmaSpace`] (the pinned memory commands point into). Service threads
 //! poll the device's queue pairs, execute commands — moving real bytes
 //! between media and DMA space — and post completions. This is the
-//! counterpart of the hardware NVMe controller + its DMA engines; everything
-//! above it (SPDK-style user-space drivers, BaM-style GPU submission, CAM's
-//! CPU control plane) drives these queues.
+//! counterpart of the hardware NVMe controller + its DMA engines; CAM's CPU
+//! control plane drives these queues.
 //!
 //! Reads are single-copy: [`BlockStore::read_blocks`] lends each media block
 //! to a visitor that DMA-writes it straight into the pinned page, so a block

@@ -9,7 +9,7 @@
 //!    completion rings with doorbell semantics, and [`NvmeDevice`] services
 //!    them from real threads, moving real bytes between a
 //!    [`BlockStore`](cam_blockdev::BlockStore) (the flash) and a
-//!    [`DmaSpace`] (pinned GPU or host memory). The "no locks in the I/O
+//!    [`DmaSpace`] (pinned GPU memory). The "no locks in the I/O
 //!    path" property the paper inherits from SPDK holds: one queue pair per
 //!    submitting thread, lock-free rings in between.
 //!
@@ -31,6 +31,6 @@ mod queue;
 pub mod spec;
 
 pub use device::{DeviceConfig, DeviceStats, NvmeDevice};
-pub use mem::{DmaError, DmaRouter, DmaSpace, PinnedRegion};
+pub use mem::{DmaError, DmaSpace, PinnedRegion};
 pub use model::{DesSsd, SsdModel};
 pub use queue::{QpStats, QueueError, QueuePair};

@@ -147,45 +147,6 @@ impl PinnedRegion {
     }
 }
 
-/// Routes DMA accesses to one of several disjoint regions by address —
-/// the "IOMMU view" a device has when both pinned GPU memory and pinned
-/// host bounce buffers are registered with it.
-pub struct DmaRouter {
-    regions: Vec<Arc<dyn DmaSpace>>,
-}
-
-/// `Arc` is needed for registration; re-exported via std.
-use std::sync::Arc;
-
-impl DmaRouter {
-    /// Creates a router over the given regions. Ranges should be disjoint;
-    /// the first region containing an address wins.
-    pub fn new(regions: Vec<Arc<dyn DmaSpace>>) -> Self {
-        DmaRouter { regions }
-    }
-
-    fn route(&self, addr: u64, len: usize) -> Result<&Arc<dyn DmaSpace>, DmaError> {
-        self.regions
-            .iter()
-            .find(|r| r.contains(addr, len))
-            .ok_or(DmaError::OutOfBounds { addr, len })
-    }
-}
-
-impl DmaSpace for DmaRouter {
-    fn dma_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), DmaError> {
-        self.route(addr, buf.len())?.dma_read(addr, buf)
-    }
-
-    fn dma_write(&self, addr: u64, data: &[u8]) -> Result<(), DmaError> {
-        self.route(addr, data.len())?.dma_write(addr, data)
-    }
-
-    fn contains(&self, addr: u64, len: usize) -> bool {
-        self.regions.iter().any(|r| r.contains(addr, len))
-    }
-}
-
 impl DmaSpace for PinnedRegion {
     fn dma_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), DmaError> {
         let mut off = self.offset_of(addr, buf.len())?;
@@ -393,66 +354,5 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(r.dma_read(0x1000 + 4090, &mut buf), Err(err));
         assert_eq!(r.resident_pages(), 0);
-    }
-}
-
-#[cfg(test)]
-mod router_tests {
-    use super::*;
-
-    #[test]
-    fn router_dispatches_by_address_range() {
-        let gpu = Arc::new(PinnedRegion::new(0x7000_0000, 8192));
-        let host = Arc::new(PinnedRegion::new(0x2000_0000, 8192));
-        let router = DmaRouter::new(vec![
-            Arc::clone(&gpu) as Arc<dyn DmaSpace>,
-            Arc::clone(&host) as Arc<dyn DmaSpace>,
-        ]);
-        router.dma_write(0x7000_0000, b"to-gpu").unwrap();
-        router.dma_write(0x2000_0010, b"to-host").unwrap();
-        let mut g = [0u8; 6];
-        gpu.dma_read(0x7000_0000, &mut g).unwrap();
-        assert_eq!(&g, b"to-gpu");
-        let mut h = [0u8; 7];
-        host.dma_read(0x2000_0010, &mut h).unwrap();
-        assert_eq!(&h, b"to-host");
-        // Reads route the same way.
-        let mut back = [0u8; 6];
-        router.dma_read(0x7000_0000, &mut back).unwrap();
-        assert_eq!(&back, b"to-gpu");
-    }
-
-    #[test]
-    fn router_rejects_unmapped_and_straddling_access() {
-        let a = Arc::new(PinnedRegion::new(0x1000, 4096));
-        let b = Arc::new(PinnedRegion::new(0x2000, 4096));
-        let router = DmaRouter::new(vec![a as Arc<dyn DmaSpace>, b as Arc<dyn DmaSpace>]);
-        let mut buf = [0u8; 16];
-        assert!(router.dma_read(0x9_0000, &mut buf).is_err());
-        // An access spanning the gapless boundary of two regions is not
-        // contained by either single region and must be rejected.
-        assert!(router.dma_read(0x1000 + 4090, &mut buf).is_err());
-        assert!(router.contains(0x1000, 4096));
-        assert!(!router.contains(0x1000, 4097 + 4096));
-    }
-
-    #[test]
-    fn router_rejections_allocate_nothing() {
-        let a = Arc::new(PinnedRegion::new(0x1000, 4096));
-        let b = Arc::new(PinnedRegion::new(0x2000, 4096));
-        let router = DmaRouter::new(vec![
-            Arc::clone(&a) as Arc<dyn DmaSpace>,
-            Arc::clone(&b) as Arc<dyn DmaSpace>,
-        ]);
-        // Unmapped, then straddling the a|b boundary.
-        for addr in [0x9_0000, 0x1000 + 4090] {
-            assert_eq!(
-                router.dma_write(addr, &[1u8; 16]),
-                Err(DmaError::OutOfBounds { addr, len: 16 })
-            );
-        }
-        assert_eq!((a.resident_pages(), b.resident_pages()), (0, 0));
-        router.dma_write(0x2000, &[1u8; 16]).unwrap();
-        assert_eq!((a.resident_pages(), b.resident_pages()), (0, 1));
     }
 }

@@ -15,9 +15,9 @@
 //! * **Analytic**: [`staged_copy_fraction`] reproduces the 78% claim from
 //!   the same per-chunk `cudaMemcpyAsync` overhead as Fig. 16's model.
 
+use cam_core::{BackendError, IoRequest, StorageBackend};
 use cam_gpu::Gpu;
 use cam_iostacks::des::MEMCPY_LAUNCH_OVERHEAD;
-use cam_iostacks::{BackendError, IoRequest, StorageBackend};
 use cam_simkit::dist::seeded_rng;
 use rand::Rng;
 

@@ -12,8 +12,8 @@
 //! * **Analytic** — [`model_iteration`] reproduces the TorchRec breakdown
 //!   and shows what CAM's full-bandwidth, overlapped access does to it.
 
+use cam_core::{BackendError, IoRequest, StorageBackend};
 use cam_gpu::Gpu;
-use cam_iostacks::{BackendError, IoRequest, StorageBackend};
 use cam_simkit::dist::Zipf;
 use cam_simkit::Dur;
 use rand::Rng;

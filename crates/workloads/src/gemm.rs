@@ -9,8 +9,8 @@
 //!   control plane contends with the GEMM kernel for SMs), and GDS is
 //!   control-path-bound at ~0.8 GB/s.
 
+use cam_core::{BackendError, IoRequest, StorageBackend};
 use cam_gpu::Gpu;
-use cam_iostacks::{BackendError, IoRequest, StorageBackend};
 use cam_simkit::Dur;
 
 use crate::gnn::array_read_gbps;

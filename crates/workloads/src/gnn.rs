@@ -19,7 +19,7 @@
 use std::collections::HashSet;
 
 use cam_blockdev::{BlockStore, Lba};
-use cam_iostacks::{BackendError, IoRequest, StorageBackend};
+use cam_core::{BackendError, IoRequest, StorageBackend};
 use cam_nvme::SsdModel;
 use cam_simkit::dist::seeded_rng;
 use cam_simkit::Dur;

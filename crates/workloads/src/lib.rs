@@ -22,8 +22,8 @@
 //!
 //! Every workload comes in two forms, mirroring the substrate crates:
 //! a **functional** implementation generic over
-//! [`StorageBackend`](cam_iostacks::StorageBackend) (real bytes, verified
-//! results — CAM, SPDK, BaM and POSIX are interchangeable), and an
+//! [`StorageBackend`](cam_core::StorageBackend) (real bytes, verified
+//! results — CAM and cached CAM are interchangeable), and an
 //! **analytic (DES) model** that reproduces the paper's end-to-end figures
 //! (Figs. 1, 9, 10, 11) on the calibrated hardware models.
 

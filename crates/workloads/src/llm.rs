@@ -10,8 +10,8 @@
 //! * **Analytic** — [`model_step`] reproduces the update-phase share and
 //!   shows the effect of CAM's full-bandwidth overlapped streaming.
 
+use cam_core::{BackendError, IoRequest, StorageBackend};
 use cam_gpu::Gpu;
-use cam_iostacks::{BackendError, IoRequest, StorageBackend};
 use cam_simkit::Dur;
 
 use crate::gnn::array_read_gbps;

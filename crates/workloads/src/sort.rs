@@ -10,8 +10,8 @@
 //!   Fig. 10a (CAM vs SPDK vs POSIX) and Fig. 11 (CAM-Sync vs CAM-Async vs
 //!   SPDK).
 
+use cam_core::{BackendError, IoRequest, StorageBackend};
 use cam_gpu::Gpu;
-use cam_iostacks::{BackendError, IoRequest, StorageBackend};
 use cam_simkit::Dur;
 
 use crate::gnn::array_read_gbps;

@@ -1,13 +1,9 @@
-//! Cross-crate functional tests: every workload runs on every storage
-//! management (POSIX, SPDK, BaM, CAM) over the simulated hardware and
-//! produces identical, verifiable results — Table I's four architectures
-//! are interchangeable behind one trait.
+//! Cross-crate functional tests: every workload runs through CAM over the
+//! simulated hardware and produces verifiable results, each checked
+//! against an oracle computed without storage.
 
-use cam_core::{CamBackend, CamConfig, CamContext};
-use cam_iostacks::{
-    BamBackend, CompletionMode, GdsBackend, PosixBackend, Rig, RigConfig, SpdkBackend,
-    StorageBackend, UringBackend,
-};
+use cam_core::{CamBackend, CamConfig, CamContext, IoRequest, StorageBackend};
+use cam_iostacks::{Rig, RigConfig};
 use cam_workloads::gemm::{load_matrix, model_gemm, out_of_core_gemm, GemmEngine, OocGemmConfig};
 use cam_workloads::gnn::{train_epoch_functional, FeatureStore, GnnConfig};
 use cam_workloads::graph::Graph;
@@ -20,40 +16,16 @@ fn rig() -> Rig {
         blocks_per_ssd: 8192,
         block_size: 4096,
         gpu_mem: 96 << 20,
-        bounce_bytes: 8 << 20,
         stripe_blocks: 1,
         burst_latency: None,
     })
 }
 
-type BackendList<'a> = Vec<(&'static str, Box<dyn StorageBackend + 'a>)>;
-
-/// Builds all four backends over one rig. CAM's context must outlive its
-/// backend, so it is returned alongside.
-fn backends(rig: &Rig) -> (BackendList<'_>, CamContext) {
-    let cam = CamContext::attach(rig, CamConfig::default());
-    let list: BackendList<'_> = vec![
-        ("posix", Box::new(PosixBackend::new(rig))),
-        (
-            "uring-poll",
-            Box::new(UringBackend::new(rig, CompletionMode::Poll)),
-        ),
-        (
-            "uring-int",
-            Box::new(UringBackend::new(rig, CompletionMode::Interrupt)),
-        ),
-        ("spdk", Box::new(SpdkBackend::new(rig))),
-        ("bam", Box::new(BamBackend::new(rig, 2))),
-        ("gds", Box::new(GdsBackend::new(rig))),
-        ("cam", Box::new(CamBackend::new(cam.device(), 2048))),
-    ];
-    (list, cam)
-}
-
 #[test]
-fn sort_is_correct_on_every_backend() {
+fn sort_is_correct_on_cam() {
     let r = rig();
-    let (list, _cam) = backends(&r);
+    let cam = CamContext::attach(&r, CamConfig::default());
+    let be = CamBackend::new(cam.device(), 2048);
     let elems: u64 = 16 * 1024; // 16 blocks of data, 4 runs
     let cfg = OocSortConfig {
         total_elems: elems,
@@ -62,28 +34,27 @@ fn sort_is_correct_on_every_backend() {
         data_lba: 0,
         scratch_lba: 64,
     };
-    for (name, be) in &list {
-        // Load a deterministic shuffled dataset.
-        let mut rng = cam_simkit::dist::seeded_rng(1234);
-        let data: Vec<u32> = (0..elems).map(|_| rng.gen()).collect();
-        let buf = r.gpu().alloc(elems as usize * 4).unwrap();
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        buf.write(0, &bytes);
-        be.execute_batch(&[cam_iostacks::IoRequest::write(0, 16, buf.addr())])
-            .unwrap();
+    // Load a deterministic shuffled dataset.
+    let mut rng = cam_simkit::dist::seeded_rng(1234);
+    let data: Vec<u32> = (0..elems).map(|_| rng.gen()).collect();
+    let buf = r.gpu().alloc(elems as usize * 4).unwrap();
+    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+    buf.write(0, &bytes);
+    be.execute_batch(&[IoRequest::write(0, 16, buf.addr())])
+        .unwrap();
 
-        let out_lba = out_of_core_sort(be.as_ref(), r.gpu(), &cfg).unwrap();
-        let sorted = read_elems(be.as_ref(), r.gpu(), 4096, out_lba, elems).unwrap();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        assert_eq!(sorted, expect, "backend {name}");
-    }
+    let out_lba = out_of_core_sort(&be, r.gpu(), &cfg).unwrap();
+    let sorted = read_elems(&be, r.gpu(), 4096, out_lba, elems).unwrap();
+    let mut expect = data.clone();
+    expect.sort_unstable();
+    assert_eq!(sorted, expect);
 }
 
 #[test]
-fn gemm_matches_dense_reference_on_every_backend() {
+fn gemm_matches_dense_reference_on_cam() {
     let r = rig();
-    let (list, _cam) = backends(&r);
+    let cam = CamContext::attach(&r, CamConfig::default());
+    let be = CamBackend::new(cam.device(), 2048);
     let n = 64u32;
     let t = 32u32;
     let cfg = OocGemmConfig {
@@ -105,54 +76,13 @@ fn gemm_matches_dense_reference_on_every_backend() {
             }
         }
     }
-    for (name, be) in &list {
-        load_matrix(be.as_ref(), r.gpu(), &cfg, 0, &a).unwrap();
-        load_matrix(be.as_ref(), r.gpu(), &cfg, 1, &b).unwrap();
-        let c = out_of_core_gemm(be.as_ref(), r.gpu(), &cfg).unwrap();
-        assert_eq!(c.len(), reference.len());
-        for (i, (&got, &want)) in c.iter().zip(&reference).enumerate() {
-            assert!(
-                (got - want).abs() < 1e-3,
-                "backend {name}: C[{i}] = {got}, want {want}"
-            );
-        }
+    load_matrix(&be, r.gpu(), &cfg, 0, &a).unwrap();
+    load_matrix(&be, r.gpu(), &cfg, 1, &b).unwrap();
+    let c = out_of_core_gemm(&be, r.gpu(), &cfg).unwrap();
+    assert_eq!(c.len(), reference.len());
+    for (i, (&got, &want)) in c.iter().zip(&reference).enumerate() {
+        assert!((got - want).abs() < 1e-3, "C[{i}] = {got}, want {want}");
     }
-}
-
-#[test]
-fn gnn_checksum_identical_across_backends() {
-    let r = rig();
-    let graph = Graph::generate(2_000, 12.0, 128, 77);
-    let layout = FeatureStore::layout(128, 4096);
-    // Load features once via the raw array (they're shared media).
-    layout.load_features(&r.raid_view(), graph.nodes());
-    let cfg = GnnConfig {
-        batch_size: 64,
-        fanouts: [5, 3],
-        hidden_dim: 128,
-    };
-    let (list, _cam) = backends(&r);
-    let mut reports = Vec::new();
-    for (name, be) in &list {
-        let rep =
-            train_epoch_functional(be.as_ref(), r.gpu(), &graph, layout, &cfg, 3, 999).unwrap();
-        assert_eq!(rep.steps, 3);
-        assert!(rep.nodes_fetched > 3 * 64);
-        reports.push((*name, rep));
-    }
-    // Same sample seed → identical node sets → identical checksums.
-    let first = reports[0].1;
-    for (name, rep) in &reports[1..] {
-        assert_eq!(rep.nodes_fetched, first.nodes_fetched, "{name}");
-        assert!(
-            (rep.checksum - first.checksum).abs() < 1e-9,
-            "{name}: {} vs {}",
-            rep.checksum,
-            first.checksum
-        );
-    }
-    // And the checksum is actually feature-dependent (not trivially zero).
-    assert!(first.checksum > 0.0);
 }
 
 #[test]
@@ -258,47 +188,6 @@ fn anns_search_matches_brute_force_over_probed_lists() {
 }
 
 #[test]
-fn anns_identical_across_backends() {
-    use cam_workloads::anns::{IvfBuildConfig, IvfIndex};
-    let r = rig();
-    let dim = 8usize;
-    let n = 200usize;
-    let mut rng = cam_simkit::dist::seeded_rng(77);
-    let vectors: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let query: Vec<f32> = (0..dim).map(|j| j as f32 / 8.0).collect();
-
-    let (list, _cam) = backends(&r);
-    let mut results = Vec::new();
-    for (name, be) in &list {
-        // Each backend builds at a distinct base LBA so media don't clash.
-        let base = results.len() as u64 * 512;
-        let index = IvfIndex::build(
-            be.as_ref(),
-            r.gpu(),
-            &vectors,
-            IvfBuildConfig {
-                dim,
-                nlist: 4,
-                block_size: 4096,
-                base_lba: base,
-                seed: 7,
-            },
-        )
-        .unwrap();
-        let hits = index.search(be.as_ref(), r.gpu(), &query, 2, 5).unwrap();
-        results.push((*name, hits));
-    }
-    let first = results[0].1.clone();
-    for (name, hits) in &results[1..] {
-        assert_eq!(hits.len(), first.len(), "{name}");
-        for (a, b) in hits.iter().zip(&first) {
-            assert_eq!(a.id, b.id, "{name}");
-            assert!((a.dist - b.dist).abs() < 1e-5, "{name}");
-        }
-    }
-}
-
-#[test]
 fn dlrm_pooled_lookup_and_update_verified() {
     use cam_workloads::dlrm::{zipf_bag, EmbeddingTable};
     let r = rig();
@@ -368,48 +257,5 @@ fn offloaded_adam_matches_in_memory_reference() {
             got[i],
             want[i]
         );
-    }
-}
-
-#[test]
-fn offloaded_adam_identical_on_posix_and_cam() {
-    use cam_workloads::llm::{AdamConfig, OffloadedOptimizer};
-    let r = rig();
-    let cam_ctx = CamContext::attach(&r, CamConfig::default());
-    let elems = 1024usize;
-    let init = |i: usize| i as f32 * 0.01;
-    let grads: Vec<f32> = (0..elems).map(|i| ((i % 7) as f32 - 3.0) / 10.0).collect();
-
-    // Distinct regions so the two optimizers don't share state.
-    let cam_be = CamBackend::new(cam_ctx.device(), 2048);
-    let mut a = OffloadedOptimizer::create(
-        &cam_be,
-        r.gpu(),
-        elems,
-        init,
-        4096,
-        0,
-        AdamConfig::default(),
-    )
-    .unwrap();
-    let posix = PosixBackend::new(&r);
-    let mut b = OffloadedOptimizer::create(
-        &posix,
-        r.gpu(),
-        elems,
-        init,
-        4096,
-        1000,
-        AdamConfig::default(),
-    )
-    .unwrap();
-    for _ in 0..3 {
-        a.step(&cam_be, r.gpu(), &grads).unwrap();
-        b.step(&posix, r.gpu(), &grads).unwrap();
-    }
-    let pa = a.params(&cam_be, r.gpu()).unwrap();
-    let pb = b.params(&posix, r.gpu()).unwrap();
-    for i in 0..elems {
-        assert!((pa[i] - pb[i]).abs() < 1e-6, "param {i}");
     }
 }

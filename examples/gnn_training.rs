@@ -8,7 +8,7 @@ use cam::workloads::gnn::{
     model_epoch, train_epoch_functional, FeatureStore, GnnConfig, GnnModel, GnnSystem,
 };
 use cam::workloads::graph::GraphSpec;
-use cam::{CamBackend, CamConfig, CamContext, PosixBackend, Rig, RigConfig};
+use cam::{CamBackend, CamConfig, CamContext, Rig, RigConfig};
 
 fn main() {
     // A scaled-down Paper100M: same average degree, skew and 128-dim
@@ -38,25 +38,20 @@ fn main() {
     };
     let steps = 8;
 
-    // Train through CAM and through the POSIX kernel path; identical
-    // checksums prove the data plane, different wall times show the cost.
+    // Train through CAM: every mini-batch's features arrive by one
+    // doorbell batch straight into GPU memory.
     let cam_ctx = CamContext::attach(&rig, CamConfig::default());
     let cam_backend = CamBackend::new(cam_ctx.device(), 4096);
     let t0 = std::time::Instant::now();
-    let cam_rep =
+    let rep =
         train_epoch_functional(&cam_backend, rig.gpu(), &graph, layout, &cfg, steps, 7).unwrap();
-    let cam_time = t0.elapsed();
-
-    let posix_backend = PosixBackend::new(&rig);
-    let t0 = std::time::Instant::now();
-    let posix_rep =
-        train_epoch_functional(&posix_backend, rig.gpu(), &graph, layout, &cfg, steps, 7).unwrap();
-    let posix_time = t0.elapsed();
-
-    assert!((cam_rep.checksum - posix_rep.checksum).abs() < 1e-9);
+    assert!(rep.nodes_fetched > 0 && rep.checksum.is_finite());
     println!(
-        "{} steps, {} features fetched; CAM {:?}, POSIX {:?}, checksum {:.3}",
-        steps, cam_rep.nodes_fetched, cam_time, posix_time, cam_rep.checksum
+        "{} steps, {} features fetched in {:?}, checksum {:.3}",
+        steps,
+        rep.nodes_fetched,
+        t0.elapsed(),
+        rep.checksum
     );
 
     // Paper-scale projection (Fig. 9) from the analytic model.

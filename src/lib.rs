@@ -46,12 +46,10 @@ pub use cam_cache::{
     ReadaheadEngine,
 };
 pub use cam_core::{
-    BatchTicket, CamBackend, CamConfig, CamContext, CamDevice, CamError, Channel, ChannelOp,
-    ControlStats, DoubleBuffer, DynamicScaler,
+    BackendError, BatchTicket, CamBackend, CamConfig, CamContext, CamDevice, CamError, Channel,
+    ChannelOp, ControlStats, DoubleBuffer, DynamicScaler, IoRequest, StorageBackend,
 };
-pub use cam_iostacks::{
-    BackendError, BamBackend, IoRequest, PosixBackend, Rig, RigConfig, SpdkBackend, StorageBackend,
-};
+pub use cam_iostacks::{Rig, RigConfig};
 pub use cam_serving::{ServingConfig, ServingCore, ServingStats, TenantStats};
 pub use cam_telemetry::{
     ControlMetrics, Counter, Gauge, Histogram, HistogramHandle, HistogramSummary, MetricsRegistry,

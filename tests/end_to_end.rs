@@ -2,12 +2,14 @@
 //! stack (simulated GPU → CAM protocol → CPU control plane → simulated
 //! NVMe → block media) exercised the way a downstream user would.
 
+use std::sync::Arc;
+
 use cam::substrate::blockdev::{BlockStore, Lba};
 use cam::workloads::gnn::{train_epoch_functional, FeatureStore, GnnConfig};
 use cam::workloads::graph::GraphSpec;
 use cam::{
-    CamBackend, CamConfig, CamContext, IoRequest, PosixBackend, Rig, RigConfig, SpdkBackend,
-    StorageBackend,
+    CacheConfig, CachedBackend, CachedDevice, CamBackend, CamConfig, CamContext, IoRequest, Rig,
+    RigConfig, StorageBackend,
 };
 
 #[test]
@@ -30,34 +32,46 @@ fn facade_quickstart_compiles_and_runs() {
 
 #[test]
 fn all_backends_see_the_same_media() {
-    // Write through CAM, read back through POSIX and SPDK — one media, four
-    // managements (Table I made concrete).
+    // Write through CAM, read back through the cached management and
+    // straight off the media — one trait, interchangeable managements.
     let rig = Rig::new(RigConfig {
         n_ssds: 3,
         ..RigConfig::default()
     });
-    let cam_ctx = CamContext::attach(&rig, CamConfig::default());
+    let cam_ctx = CamContext::attach(
+        &rig,
+        CamConfig {
+            n_channels: 3,
+            ..CamConfig::default()
+        },
+    );
     let cam = CamBackend::new(cam_ctx.device(), 4096);
-    let posix = PosixBackend::new(&rig);
-    let spdk = SpdkBackend::new(&rig);
+    let cached_dev = CachedDevice::attach(&rig, &cam_ctx, CacheConfig::default()).unwrap();
+    let cached = CachedBackend::new(Arc::new(cached_dev), 4096);
 
     let src = rig.gpu().alloc(16 * 4096).unwrap();
     for i in 0..16usize {
         src.write(i * 4096, &vec![i as u8 + 1; 4096]);
     }
+    let lba = |i: u64| i * 3 + 1;
     let writes: Vec<IoRequest> = (0..16u64)
-        .map(|i| IoRequest::write(i * 3 + 1, 1, src.addr() + i * 4096))
+        .map(|i| IoRequest::write(lba(i), 1, src.addr() + i * 4096))
         .collect();
     cam.execute_batch(&writes).unwrap();
 
-    for be in [&posix as &dyn StorageBackend, &spdk] {
-        let dst = rig.gpu().alloc(16 * 4096).unwrap();
-        let reads: Vec<IoRequest> = (0..16u64)
-            .map(|i| IoRequest::read(i * 3 + 1, 1, dst.addr() + i * 4096))
-            .collect();
-        be.execute_batch(&reads).unwrap();
-        assert_eq!(dst.to_vec(), src.to_vec(), "backend {}", be.name());
+    let dst = rig.gpu().alloc(16 * 4096).unwrap();
+    let reads: Vec<IoRequest> = (0..16u64)
+        .map(|i| IoRequest::read(lba(i), 1, dst.addr() + i * 4096))
+        .collect();
+    cached.execute_batch(&reads).unwrap();
+    assert_eq!(dst.to_vec(), src.to_vec(), "backend {}", cached.name());
+
+    let raid = rig.raid_view();
+    let mut media = vec![0u8; 16 * 4096];
+    for (i, block) in media.chunks_mut(4096).enumerate() {
+        raid.read(Lba(lba(i as u64)), block).unwrap();
     }
+    assert_eq!(media, src.to_vec(), "raid view");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Pinned memory costs what is touched: a default `Rig` reserves 64 MiB of
-//! GPU memory and a 16 MiB bounce buffer, but attaching CAM allocates none
-//! of it, and a read batch pays for exactly the destination pages it lands
-//! in. Eager pages would read 16 384 and 4 096 resident pages here.
+//! GPU memory, but attaching CAM allocates none of it, and a read batch
+//! pays for exactly the destination pages it lands in. Eager pages would
+//! read 16 384 resident pages here.
 
 use cam::substrate::blockdev::{BlockStore, Lba};
 use cam::{CamConfig, CamContext, ChannelOp, Rig, RigConfig};
@@ -13,13 +13,9 @@ const BATCH: usize = 64;
 fn a_default_rig_pays_only_for_the_pages_a_batch_touches() {
     let rig = Rig::new(RigConfig::default());
     let cam = CamContext::attach(&rig, CamConfig::default());
-    let (gpu, bounce) = (rig.gpu().memory().region(), rig.bounce());
+    let gpu = rig.gpu().memory().region();
     assert_eq!(gpu.len(), RigConfig::default().gpu_mem);
-    assert_eq!(
-        (gpu.resident_pages(), bounce.resident_pages()),
-        (0, 0),
-        "attach touches no pinned page"
-    );
+    assert_eq!(gpu.resident_pages(), 0, "attach touches no pinned page");
 
     // Media writes go straight to the store, not through pinned memory.
     let raid = rig.raid_view();
@@ -44,10 +40,5 @@ fn a_default_rig_pays_only_for_the_pages_a_batch_touches() {
         gpu.resident_pages(),
         BATCH,
         "one page per destination block"
-    );
-    assert_eq!(
-        bounce.resident_pages(),
-        0,
-        "CAM never stages through the bounce"
     );
 }
