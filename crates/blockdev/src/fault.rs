@@ -193,6 +193,12 @@ impl FaultyStore {
         fail
     }
 
+    /// Byte length of a `count`-block access, saturating.
+    fn access_len(&self, count: u64) -> usize {
+        let bs = self.inner.geometry().block_size as usize;
+        usize::try_from(count).map_or(usize::MAX, |c| c.saturating_mul(bs))
+    }
+
     fn fault(&self, lba: Lba, len: usize) -> BlockError {
         match self.policy.mode {
             // Media error surfaced as an addressing failure: the command
@@ -231,19 +237,31 @@ impl BlockStore for FaultyStore {
 
     /// Same fault decision as [`read`](Self::read) — one per access, before
     /// any range check — then the inner store lends its blocks directly, so
-    /// a wrapped device keeps the single-copy read path.
+    /// a wrapped device keeps moving whole pages by reference.
     fn read_blocks(
         &self,
         lba: Lba,
         count: u64,
-        visit: &mut dyn FnMut(usize, &[u8]),
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
     ) -> Result<(), BlockError> {
         if self.should_fail(lba, true) {
-            let bs = self.inner.geometry().block_size as usize;
-            let len = usize::try_from(count).map_or(usize::MAX, |c| c.saturating_mul(bs));
-            return Err(self.fault(lba, len));
+            return Err(self.fault(lba, self.access_len(count)));
         }
         self.inner.read_blocks(lba, count, visit)
+    }
+
+    /// Same fault decision as [`write`](Self::write), then the inner store
+    /// lends its blocks to `fill` directly.
+    fn write_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        if self.should_fail(lba, false) {
+            return Err(self.fault(lba, self.access_len(count)));
+        }
+        self.inner.write_blocks(lba, count, fill)
     }
 }
 
@@ -334,7 +352,7 @@ mod tests {
         let s = wrapped(FaultPolicy::transient_reads_in(0, 8, 1));
         s.write(Lba(3), &[6u8; 1024]).unwrap();
         let mut seen = Vec::new();
-        let mut visit = |i: usize, block: &[u8]| seen.push((i, block[0], block.len()));
+        let mut visit = |i: usize, block: &Arc<[u8]>| seen.push((i, block[0], block.len()));
         assert_eq!(
             s.read_blocks(Lba(3), 2, &mut visit),
             Err(BlockError::Media {
@@ -364,6 +382,32 @@ mod tests {
             assert!(s.read(Lba(1), &mut buf).is_err());
         }
         assert_eq!(s.injected(), 16);
+    }
+
+    #[test]
+    fn write_blocks_faults_like_write_then_lends_the_inner_blocks() {
+        let s = wrapped(FaultPolicy::transient_writes_in(0, 8, 1));
+        let mut fill = |_: usize, block: &mut Arc<[u8]>| *block = Arc::from(&[4u8; 512][..]);
+        assert_eq!(
+            s.write_blocks(Lba(3), 2, &mut fill),
+            Err(BlockError::Media {
+                lba: Lba(3),
+                transient: true
+            })
+        );
+        let mut buf = vec![9u8; 1024];
+        s.read(Lba(3), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0), "failed write must not land");
+        assert!(s.write_blocks(Lba(3), 2, &mut fill).is_ok());
+        s.read(Lba(3), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 4));
+        assert_eq!(s.injected(), 1);
+        // A permanent fault reports the same error `write` would.
+        let p = wrapped(FaultPolicy::writes_in(10, 20));
+        assert_eq!(
+            p.write_blocks(Lba(15), 2, &mut |_, _| panic!("lent a faulted block")),
+            p.write(Lba(15), &buf)
+        );
     }
 
     #[test]

@@ -160,6 +160,25 @@ mod tests {
     }
 
     #[test]
+    fn the_default_visitors_keep_the_striping() {
+        let r = array(3, 4);
+        r.write_blocks(Lba(2), 11, &mut |i, block| {
+            *block = Arc::from(&[i as u8 + 1; 512][..]);
+        })
+        .unwrap();
+        let mut seen = Vec::new();
+        r.read_blocks(Lba(2), 11, &mut |i, block| {
+            assert!(block.iter().all(|&b| b == block[0]));
+            seen.push((i, block[0]));
+        })
+        .unwrap();
+        assert_eq!(seen, (0..11).map(|i| (i, i as u8 + 1)).collect::<Vec<_>>());
+        let mut out = vec![0u8; 512];
+        r.read(Lba(6), &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 5), "block 6 is the fifth written");
+    }
+
+    #[test]
     fn members_see_only_their_share() {
         let children: Vec<Arc<SparseMemStore>> = (0..2)
             .map(|_| Arc::new(SparseMemStore::new(BlockGeometry::new(512, 1024))))

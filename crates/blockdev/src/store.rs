@@ -1,8 +1,17 @@
 //! The [`BlockStore`] trait and the sparse in-memory implementation that
 //! stands in for multi-terabyte SSD media.
+//!
+//! Blocks are shared, copy-on-write `Arc<[u8]>` buffers: a device lends a
+//! media block to pinned memory by reference ([`BlockStore::read_blocks`])
+//! and hands the store a pinned page's buffer the same way
+//! ([`BlockStore::write_blocks`]), so a whole-page transfer moves a
+//! reference instead of its bytes. Copy semantics hold throughout: a block
+//! shared with a page is never written in place — [`BlockStore::write`]
+//! replaces it with a fresh buffer, and the page keeps the old bytes.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -76,30 +85,60 @@ pub trait BlockStore: Send + Sync {
     fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError>;
 
     /// Visits the `count` blocks starting at `lba` in order, lending each
-    /// block's bytes to `visit(index within the access, block)` — the
-    /// single-copy read path: a device DMA-writes each lent block straight
-    /// to its destination. A store that holds blocks in memory overrides
-    /// this to lend them in place (under whatever lock guards them, so
-    /// `visit` must not call back into the store), and a wrapper forwards
-    /// to its inner store after its own checks (`FaultyStore`). This default
-    /// bounces through [`read`](Self::read) with a per-call buffer, so a
-    /// store that only implements `read` (`Raid0`) keeps its semantics
-    /// without further code — it is the cold path, not one a device should
-    /// sit on. `visit` is not called at all unless the whole access is
-    /// valid and readable.
+    /// block's shared buffer to `visit(index within the access, block)` —
+    /// the device read path: a device DMA-writes each lent block to its
+    /// destination, by reference where the destination is a whole pinned
+    /// page, so a block's bytes are copied at most once (media → page). A
+    /// store that holds blocks in memory overrides this to lend them in
+    /// place (under whatever lock guards them, so `visit` must not call back
+    /// into the store), and a wrapper forwards to its inner store after its
+    /// own checks (`FaultyStore`). This default bounces through
+    /// [`read`](Self::read) and a fresh buffer per block, so a store that
+    /// only implements `read` (`Raid0`) keeps its semantics without further
+    /// code — it is the cold path, not one a device should sit on. `visit`
+    /// is not called at all unless the whole access is valid and readable.
     fn read_blocks(
         &self,
         lba: Lba,
         count: u64,
-        visit: &mut dyn FnMut(usize, &[u8]),
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
     ) -> Result<(), BlockError> {
         let mut buf = vec![0u8; self.check_blocks(lba, count)?];
         self.read(lba, &mut buf)?;
         let bs = self.geometry().block_size as usize;
         for (i, block) in buf.chunks_exact(bs).enumerate() {
-            visit(i, block);
+            visit(i, &Arc::from(block));
         }
         Ok(())
+    }
+
+    /// Writes the `count` blocks starting at `lba` in order, lending each
+    /// block's buffer to `fill(index within the access, block)`, which
+    /// overwrites all of it with the block's new content — the device write
+    /// path. `fill` may write into the buffer in place only when it is
+    /// unique (`Arc::get_mut`); otherwise it replaces it, for instance with
+    /// a pinned page's buffer taken by reference. A store that holds blocks
+    /// in memory overrides this to lend them in place (under its lock, so
+    /// `fill` must not call back into the store), a wrapper forwards after
+    /// its own checks (`FaultyStore`), and this default lends a fresh block
+    /// and [`write`](Self::write)s what `fill` left in it. `fill` is not
+    /// called at all unless the whole access is valid and passes the
+    /// store's own checks.
+    fn write_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        let len = self.check_blocks(lba, count)?;
+        let bs = self.geometry().block_size as usize;
+        let mut buf = Vec::with_capacity(len);
+        for i in 0..len / bs {
+            let mut block = zeroed(bs);
+            fill(i, &mut block);
+            buf.extend_from_slice(&block);
+        }
+        self.write(lba, &buf)
     }
 
     /// Validates a `count`-block access and returns its length in bytes.
@@ -138,17 +177,27 @@ pub trait BlockStore: Send + Sync {
     }
 }
 
+/// A zero-filled buffer of `len` bytes, allocated once.
+fn zeroed(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0, len).collect()
+}
+
 /// A sparse, sharded, thread-safe in-memory block store.
 ///
 /// Only blocks that have been written consume memory, so a simulated
 /// 3.84 TB P5510 namespace costs nothing until data lands on it. Shard
-/// locks keep concurrent device threads off each other's necks.
+/// locks keep concurrent device threads off each other's necks. A block
+/// may share its buffer with pinned pages (see the module docs), so
+/// [`resident_blocks`](Self::resident_blocks) counts blocks, not bytes
+/// this store alone pays for.
 pub struct SparseMemStore {
     geometry: BlockGeometry,
-    shards: Vec<Mutex<HashMap<u64, Box<[u8]>>>>,
+    shards: Vec<Mutex<HashMap<u64, Arc<[u8]>>>>,
     shard_mask: u64,
-    /// What every never-written block reads as; lent by `read_blocks`.
-    zero_block: Box<[u8]>,
+    /// What every never-written block reads as; lent by `read_blocks` and
+    /// `write_blocks`. Always shared (this field holds it), so never
+    /// written in place.
+    zero_block: Arc<[u8]>,
 }
 
 impl SparseMemStore {
@@ -164,12 +213,12 @@ impl SparseMemStore {
             geometry,
             shards,
             shard_mask: (Self::SHARDS - 1) as u64,
-            zero_block: vec![0u8; geometry.block_size as usize].into_boxed_slice(),
+            zero_block: zeroed(geometry.block_size as usize),
         }
     }
 
     #[inline]
-    fn shard(&self, block: u64) -> &Mutex<HashMap<u64, Box<[u8]>>> {
+    fn shard(&self, block: u64) -> &Mutex<HashMap<u64, Arc<[u8]>>> {
         // Mix the low bits a little so striped access doesn't hammer one shard.
         &self.shards[((block ^ (block >> 7)) & self.shard_mask) as usize]
     }
@@ -205,13 +254,18 @@ impl BlockStore for SparseMemStore {
         for i in 0..count {
             let block = lba.0 + i;
             let src = &buf[i as usize * bs..(i as usize + 1) * bs];
-            // Overwrite a resident block in place; only a first write
-            // allocates.
-            self.shard(block)
-                .lock()
-                .entry(block)
-                .and_modify(|data| data.copy_from_slice(src))
-                .or_insert_with(|| src.into());
+            let mut shard = self.shard(block).lock();
+            match shard.get_mut(&block) {
+                // Overwrite a block no page shares in place; only a first
+                // write, or one over a shared block, allocates.
+                Some(data) => match Arc::get_mut(data) {
+                    Some(own) => own.copy_from_slice(src),
+                    None => *data = Arc::from(src),
+                },
+                None => {
+                    shard.insert(block, Arc::from(src));
+                }
+            }
         }
         Ok(())
     }
@@ -220,15 +274,37 @@ impl BlockStore for SparseMemStore {
         &self,
         lba: Lba,
         count: u64,
-        visit: &mut dyn FnMut(usize, &[u8]),
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
     ) -> Result<(), BlockError> {
         self.check_blocks(lba, count)?;
         for i in 0..count {
             let block = lba.0 + i;
             // The shard lock is held while the visitor runs, so the lent
-            // bytes cannot change under it.
+            // block cannot be replaced under it.
             let shard = self.shard(block).lock();
             visit(i as usize, shard.get(&block).unwrap_or(&self.zero_block));
+        }
+        Ok(())
+    }
+
+    fn write_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.check_blocks(lba, count)?;
+        for i in 0..count {
+            let block = lba.0 + i;
+            // `fill` runs under the shard lock: no reader can clone the
+            // block while it is written in place.
+            let mut shard = self.shard(block).lock();
+            fill(
+                i as usize,
+                shard
+                    .entry(block)
+                    .or_insert_with(|| Arc::clone(&self.zero_block)),
+            );
         }
         Ok(())
     }
@@ -313,6 +389,44 @@ mod tests {
         assert!(s
             .read_blocks(Lba(0), u64::MAX, &mut |_, _| calls += 1)
             .is_err());
+        assert_eq!(calls, 0);
+    }
+
+    #[test]
+    fn a_shared_block_is_never_written_in_place() {
+        let s = store();
+        s.write(Lba(0), &[1u8; 512]).unwrap();
+        let mut held = Vec::new();
+        s.read_blocks(Lba(0), 1, &mut |_, block| held.push(Arc::clone(block)))
+            .unwrap();
+        s.write(Lba(0), &[2u8; 512]).unwrap();
+        assert!(held[0].iter().all(|&b| b == 1), "the holder saw a write");
+        let mut out = [0u8; 512];
+        s.read(Lba(0), &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn write_blocks_lends_owned_blocks_unique_and_the_rest_shared() {
+        let s = store();
+        s.write(Lba(4), &[3u8; 512]).unwrap();
+        // Block 4 is resident and no one else holds it; block 5 was never
+        // written and is lent as the shared zero block.
+        s.write_blocks(Lba(4), 2, &mut |i, block| {
+            assert_eq!(block[0], [3, 0][i]);
+            match Arc::get_mut(block) {
+                Some(own) => own.fill(8),
+                None => *block = Arc::from(&[9u8; 512][..]),
+            }
+        })
+        .unwrap();
+        let mut out = vec![0u8; 1024];
+        s.read(Lba(4), &mut out).unwrap();
+        assert!(out[..512].iter().all(|&b| b == 8));
+        assert!(out[512..].iter().all(|&b| b == 9));
+        assert_eq!(s.resident_blocks(), 2);
+        let mut calls = 0;
+        assert!(s.write_blocks(Lba(999), 2, &mut |_, _| calls += 1).is_err());
         assert_eq!(calls, 0);
     }
 

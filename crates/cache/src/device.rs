@@ -55,8 +55,6 @@ struct DevState {
     /// bookkeeping (hits at issue, last issue size, outstanding flag)
     /// lives in the shared decision core.
     ra_outstanding: Option<(BatchTicket, Vec<FillTicket>)>,
-    /// One block of bounce space for every host-side block copy.
-    scratch: Vec<u8>,
 }
 
 /// The cached device-side API: drop-in `prefetch` / `write_back` /
@@ -110,7 +108,6 @@ impl CachedDevice {
             state: Mutex::new(DevState {
                 read: None,
                 ra_outstanding: None,
-                scratch: vec![0; block_size as usize],
             }),
         })
     }
@@ -172,7 +169,7 @@ impl CachedDevice {
                 .cache
                 .lookup_read_batch(&pairs[done..], &mut batch, |src, dst| {
                     if copied.is_ok() {
-                        copied = self.copy_block(&mut st.scratch, src, dst);
+                        copied = self.copy_block(src, dst);
                     }
                 });
             copied?;
@@ -182,7 +179,7 @@ impl CachedDevice {
             // `pairs[done]` needs a flush. No DMA may run while a hit is
             // still to be copied, so copy them all first.
             for (src, dst) in batch.hits.drain(..) {
-                self.copy_block(&mut st.scratch, src, dst)?;
+                self.copy_block(src, dst)?;
             }
             self.flush_locked()?;
         }
@@ -254,12 +251,12 @@ impl CachedDevice {
         let copied = rb
             .hits
             .iter()
-            .try_for_each(|&(src, dst)| self.copy_block(&mut st.scratch, src, dst));
+            .try_for_each(|&(src, dst)| self.copy_block(src, dst));
         let mut result = rb.ticket.map_or(Ok(()), |t| t.wait());
         for (fill, dest) in rb.fills {
             if result.is_ok() {
                 let pin = fill.complete(false);
-                result = self.copy_block(&mut st.scratch, pin.addr(), dest);
+                result = self.copy_block(pin.addr(), dest);
             }
             // On error the fill ticket drops un-completed, freeing the slot
             // and waking coalesced waiters into their fallback path.
@@ -271,7 +268,7 @@ impl CachedDevice {
             for (wait, lba, dest) in rb.waits {
                 match wait.wait() {
                     Some(pin) => {
-                        let r = self.copy_block(&mut st.scratch, pin.addr(), dest);
+                        let r = self.copy_block(pin.addr(), dest);
                         if result.is_ok() {
                             result = r;
                         }
@@ -321,14 +318,14 @@ impl CachedDevice {
             loop {
                 match self.cache.lookup_write(lba) {
                     Lookup::Hit(pin) => {
-                        self.copy_block(&mut st.scratch, src, pin.addr())?;
+                        self.copy_block(src, pin.addr())?;
                         pin.mark_dirty();
                         break;
                     }
                     Lookup::Miss(t) => {
                         // Write-allocate: the slot is born dirty from host
                         // data, no fill from the array needed.
-                        self.copy_block(&mut st.scratch, src, t.addr())?;
+                        self.copy_block(src, t.addr())?;
                         drop(t.complete(true));
                         break;
                     }
@@ -337,7 +334,7 @@ impl CachedDevice {
                         // out, then overwrite. Aborted fills retry.
                         self.reap_readahead(st, true);
                         if let Some(pin) = w.wait() {
-                            self.copy_block(&mut st.scratch, src, pin.addr())?;
+                            self.copy_block(src, pin.addr())?;
                             pin.mark_dirty();
                             break;
                         }
@@ -438,8 +435,7 @@ impl CachedDevice {
         // A copy that fails stays queued: it fails again, and is reported,
         // at synchronize.
         hits.retain(|&(src, dst)| {
-            !(batch.tickets().iter().any(|f| f.addr() == src)
-                && self.copy_block(&mut st.scratch, src, dst).is_ok())
+            !(batch.tickets().iter().any(|f| f.addr() == src) && self.copy_block(src, dst).is_ok())
         });
         let lbas: Vec<u64> = batch.tickets().iter().map(|f| f.lba()).collect();
         let addrs: Vec<u64> = batch.tickets().iter().map(|f| f.addr()).collect();
@@ -482,16 +478,12 @@ impl CachedDevice {
     }
 
     /// Host-side copy of one block between pinned addresses (cache slot ↔
-    /// caller buffer), through the same DMA space the SSDs use, by way of
-    /// the device's one scratch block.
-    fn copy_block(&self, scratch: &mut [u8], src: u64, dst: u64) -> Result<(), CamError> {
+    /// caller buffer), inside the DMA space the SSDs use: a whole-page
+    /// block is shared by reference, a smaller one copied.
+    fn copy_block(&self, src: u64, dst: u64) -> Result<(), CamError> {
         self.dma
-            .dma_read(src, scratch)
-            .map_err(|_| CamError::Io { failed: 1 })?;
-        self.dma
-            .dma_write(dst, scratch)
-            .map_err(|_| CamError::Io { failed: 1 })?;
-        Ok(())
+            .dma_copy(src, dst, self.block_size as usize)
+            .map_err(|_| CamError::Io { failed: 1 })
     }
 }
 

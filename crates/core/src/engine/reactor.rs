@@ -38,9 +38,6 @@ pub(super) struct Worker {
     /// Commands drained from the core, executed in order.
     out: Vec<Command>,
     cqes: Vec<Cqe>,
-    /// Bounce buffer for dedup replication at retire; grows to the largest
-    /// request once and is reused from then on.
-    copy_buf: Vec<u8>,
 }
 
 impl Worker {
@@ -66,7 +63,6 @@ impl Worker {
             qps,
             out: Vec::new(),
             cqes: Vec::new(),
-            copy_buf: Vec::new(),
         }
     }
 
@@ -126,13 +122,7 @@ impl Worker {
     /// Executes the drained protocol commands against the real queue pairs,
     /// in order (submissions precede their doorbell ring).
     fn execute(&mut self, sh: &Shared) {
-        let Worker {
-            wid,
-            qps,
-            out,
-            copy_buf,
-            ..
-        } = self;
+        let Worker { wid, qps, out, .. } = self;
         let wid = *wid;
         let at = |ssd| Lane { ssd, worker: wid };
         // First submissions staged since the last doorbell. The protocol
@@ -218,7 +208,7 @@ impl Worker {
                     );
                 }
                 Command::RetireBatch { batch, complete_ns } => {
-                    retire_batch(sh, &batch, complete_ns, copy_buf);
+                    retire_batch(sh, &batch, complete_ns);
                 }
             }
         }

@@ -21,25 +21,16 @@ use super::Shared;
 
 /// Retires `b`: region-4 write + bookkeeping. Called by the reactor when
 /// the batch's last group completed (at `complete_ns` on the driver
-/// clock). `copy_buf` is the calling worker's replication bounce buffer:
-/// it grows to the largest request once, so steady-state retirement
-/// allocates nothing.
-pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64, copy_buf: &mut Vec<u8>) {
+/// clock).
+pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64) {
     let m = &sh.metrics;
     // Replicate deduplicated reads to their duplicate destinations
     // before region 4 is written — after retire the GPU is free to
-    // read any of them.
-    if !b.dups.is_empty() {
-        let len = b.blocks as usize * sh.plan.block_size as usize;
-        if copy_buf.len() < len {
-            copy_buf.resize(len, 0);
-        }
-        // `dma_read` fills all of `buf` or fails, so no stale bytes leak.
-        let buf = &mut copy_buf[..len];
-        for &(src, dst) in &b.dups {
-            if sh.dma.dma_read(src, buf).is_err() || sh.dma.dma_write(dst, buf).is_err() {
-                b.errors.fetch_add(1, Ordering::Relaxed);
-            }
+    // read any of them. Whole pages are shared, not copied.
+    let len = b.blocks as usize * sh.plan.block_size as usize;
+    for &(src, dst) in &b.dups {
+        if sh.dma.dma_copy(src, dst, len).is_err() {
+            b.errors.fetch_add(1, Ordering::Relaxed);
         }
     }
     let batch_errors = b.errors.load(Ordering::Relaxed);

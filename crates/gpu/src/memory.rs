@@ -7,7 +7,8 @@
 //! paper gets from GDRCopy. Buffers return their extent to the allocator on
 //! drop (`CAM_free`); the pages themselves stay pinned and keep their bytes.
 //! The whole pool's address range is reserved up front, but host memory is
-//! paid for page by page on first write ([`PinnedRegion`]).
+//! paid for page by page as data lands, and a page an SSD read fills shares
+//! the media block instead of holding a copy ([`PinnedRegion`]).
 
 use std::fmt;
 use std::sync::Arc;

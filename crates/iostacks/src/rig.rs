@@ -29,7 +29,8 @@ pub struct RigConfig {
     /// Block size in bytes (512 or 4096 in the paper).
     pub block_size: u32,
     /// GPU device-memory bytes. The address range is reserved at
-    /// construction; host memory is paid for page by page on first write.
+    /// construction; a page costs host memory only once data lands in it,
+    /// and one that shares a media block costs nothing of its own.
     pub gpu_mem: usize,
     /// Stripe width in blocks.
     pub stripe_blocks: u64,

@@ -7,12 +7,17 @@
 //! counterpart of the hardware NVMe controller + its DMA engines; CAM's CPU
 //! control plane drives these queues.
 //!
-//! Reads are single-copy: [`BlockStore::read_blocks`] lends each media block
-//! to a visitor that DMA-writes it straight into the pinned page, so a block
-//! is touched once (media → page). The media shard lock is held across that
-//! DMA write — the data path's one lock order is **media shard, then DMA
-//! page**. Writes keep a per-thread bounce buffer (DMA → bounce → media)
-//! precisely so they never hold the two in the opposite order.
+//! A whole-page transfer moves a reference, not 4 KiB: media blocks and
+//! pinned pages are shared, copy-on-write buffers (see [`crate::mem`]). A
+//! read walks [`BlockStore::read_blocks`], which lends each media block to
+//! [`DmaSpace::dma_write_block`]: the block is installed in a whole
+//! destination page, and copied only into part of one. A write walks
+//! [`BlockStore::write_blocks`], which lends each media block to
+//! [`DmaSpace::dma_read_block`]: a block no page shares takes the page's
+//! bytes in place, and a shared one is replaced by the page's own buffer.
+//! Either way the media shard lock is held across the page access — the
+//! data path's one lock order is **media shard, then DMA page** — and no
+//! service thread keeps a buffer of its own.
 //!
 //! A device given a [`DeviceConfig::burst_latency`] moves a burst's bytes
 //! inside that latency, as an SSD's flash and DMA work while its service
@@ -260,7 +265,6 @@ fn service_loop(sh: &Shared, tid: usize) {
     if sh.config.burst_latency.is_some() {
         clock::exact_sleeps();
     }
-    let mut bounce: Vec<u8> = Vec::new();
     // CQEs of a burst whose data has moved but whose latency has not passed.
     let mut held: Vec<Cqe> = Vec::with_capacity(sh.config.max_burst);
     let mut idle_rounds = 0u32;
@@ -283,7 +287,7 @@ fn service_loop(sh: &Shared, tid: usize) {
         }
         let mut serviced = 0;
         for qp in &qps {
-            serviced += service_burst(sh, qp, &mut bounce, &mut held);
+            serviced += service_burst(sh, qp, &mut held);
         }
         if serviced == 0 {
             idle_rounds += 1;
@@ -322,7 +326,7 @@ fn service_loop(sh: &Shared, tid: usize) {
 /// → data moved" (a late joiner's starts after the sleep). Unobserved, a
 /// memory-speed burst reads no clock and a sleeping one reads it twice: for
 /// its deadline and for the time left.
-fn service_burst(sh: &Shared, qp: &QueuePair, bounce: &mut Vec<u8>, held: &mut Vec<Cqe>) -> usize {
+fn service_burst(sh: &Shared, qp: &QueuePair, held: &mut Vec<Cqe>) -> usize {
     let Some(mut sqe) = qp.take_sqe() else {
         return 0;
     };
@@ -346,7 +350,7 @@ fn service_burst(sh: &Shared, qp: &QueuePair, bounce: &mut Vec<u8>, held: &mut V
     let mut stamp = take_ns;
     let mut burst = 0;
     loop {
-        let status = execute(sh, &sqe, bounce);
+        let status = execute(sh, &sqe);
         let cqe = Cqe {
             cid: sqe.cid,
             status,
@@ -425,8 +429,8 @@ fn service_burst(sh: &Shared, qp: &QueuePair, bounce: &mut Vec<u8>, held: &mut V
     burst
 }
 
-fn execute(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
-    let status = execute_inner(sh, sqe, bounce);
+fn execute(sh: &Shared, sqe: &Sqe) -> Status {
+    let status = execute_inner(sh, sqe);
     match status {
         Status::Success => {
             let bytes = u64::from(sqe.nlb) * u64::from(sh.store.geometry().block_size);
@@ -449,7 +453,7 @@ fn execute(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
     status
 }
 
-fn execute_inner(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
+fn execute_inner(sh: &Shared, sqe: &Sqe) -> Status {
     if sqe.opcode == Opcode::Flush {
         // The in-memory media is always durable; flush is a barrier that
         // completes after everything the service thread already executed.
@@ -460,38 +464,30 @@ fn execute_inner(sh: &Shared, sqe: &Sqe, bounce: &mut Vec<u8>) -> Status {
     }
     let bs = sh.store.geometry().block_size as usize;
     let bytes = sqe.nlb as usize * bs;
-    if sqe.opcode == Opcode::Read {
-        // Check the whole DMA range up front, so a bad (or only partly
-        // mapped) range moves no bytes — but still walk the media when it
-        // is bad: range and media errors take precedence over DMA errors.
-        let mut dma_ok = sh.dma.contains(sqe.data_addr, bytes);
-        let walked = sh
-            .store
-            .read_blocks(Lba(sqe.slba), u64::from(sqe.nlb), &mut |i, block| {
-                if dma_ok {
-                    let addr = sqe.data_addr + (i * bs) as u64;
-                    dma_ok = sh.dma.dma_write(addr, block).is_ok();
-                }
-            });
-        match walked {
-            Err(e) => block_err_status(e),
-            Ok(()) if !dma_ok => Status::DataTransferError,
-            Ok(()) => Status::Success,
-        }
+    // Check the whole DMA range up front, so a bad (or only partly mapped)
+    // range moves no bytes. A read still walks the media when it is bad:
+    // range and media errors take precedence over DMA errors. A write
+    // fails before it touches the media.
+    let mut dma_ok = sh.dma.contains(sqe.data_addr, bytes);
+    let (lba, nlb) = (Lba(sqe.slba), u64::from(sqe.nlb));
+    let addr = |i: usize| sqe.data_addr + (i * bs) as u64;
+    let walked = if sqe.opcode == Opcode::Read {
+        sh.store.read_blocks(lba, nlb, &mut |i, block| {
+            if dma_ok {
+                dma_ok = sh.dma.dma_write_block(addr(i), block).is_ok();
+            }
+        })
+    } else if dma_ok {
+        sh.store.write_blocks(lba, nlb, &mut |i, block| {
+            dma_ok &= sh.dma.dma_read_block(addr(i), block).is_ok();
+        })
     } else {
-        // The bounce buffer only ever grows; `dma_read` overwrites all of
-        // `buf`, so stale bytes from earlier commands never reach media.
-        if bounce.len() < bytes {
-            bounce.resize(bytes, 0);
-        }
-        let buf = &mut bounce[..bytes];
-        if sh.dma.dma_read(sqe.data_addr, buf).is_err() {
-            return Status::DataTransferError;
-        }
-        match sh.store.write(Lba(sqe.slba), buf) {
-            Ok(()) => Status::Success,
-            Err(e) => block_err_status(e),
-        }
+        return Status::DataTransferError;
+    };
+    match walked {
+        Err(e) => block_err_status(e),
+        Ok(()) if !dma_ok => Status::DataTransferError,
+        Ok(()) => Status::Success,
     }
 }
 

@@ -1,7 +1,8 @@
 //! Pinned memory costs what is touched: a default `Rig` reserves 64 MiB of
 //! GPU memory, but attaching CAM allocates none of it, and a read batch
-//! pays for exactly the destination pages it lands in. Eager pages would
-//! read 16 384 resident pages here.
+//! holds exactly the destination pages it lands in — each sharing its
+//! media block, so in debug builds the batch is also held to copying no
+//! payload byte. Eager pages would read 16 384 resident pages here.
 
 use cam::substrate::blockdev::{BlockStore, Lba};
 use cam::{CamConfig, CamContext, ChannelOp, Rig, RigConfig};
@@ -30,6 +31,10 @@ fn a_default_rig_pays_only_for_the_pages_a_batch_touches() {
         .submit(0, ChannelOp::Read, &lbas, buf.addr())
         .and_then(|t| t.wait())
         .unwrap();
+    // Device reads and the fan-out of duplicates at retire move whole
+    // pages by reference.
+    #[cfg(debug_assertions)]
+    assert_eq!(gpu.bytes_copied(), 0, "the batch copied payload bytes");
 
     let mut block = vec![0u8; BLOCK];
     for (i, &lba) in lbas.iter().enumerate() {
