@@ -193,19 +193,13 @@ impl FaultyStore {
         fail
     }
 
-    /// Byte length of a `count`-block access, saturating.
-    fn access_len(&self, count: u64) -> usize {
-        let bs = self.inner.geometry().block_size as usize;
-        usize::try_from(count).map_or(usize::MAX, |c| c.saturating_mul(bs))
-    }
-
-    fn fault(&self, lba: Lba, len: usize) -> BlockError {
+    fn fault(&self, lba: Lba, count: u64) -> BlockError {
         match self.policy.mode {
             // Media error surfaced as an addressing failure: the command
             // layer maps any BlockError to a failed completion status.
             FaultMode::Permanent => BlockError::OutOfRange {
                 lba,
-                count: (len / self.inner.geometry().block_size as usize) as u64,
+                count,
                 blocks: self.inner.geometry().blocks,
             },
             FaultMode::Transient { .. } => BlockError::Media {
@@ -221,23 +215,9 @@ impl BlockStore for FaultyStore {
         self.inner.geometry()
     }
 
-    fn read(&self, lba: Lba, buf: &mut [u8]) -> Result<(), BlockError> {
-        if self.should_fail(lba, true) {
-            return Err(self.fault(lba, buf.len()));
-        }
-        self.inner.read(lba, buf)
-    }
-
-    fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError> {
-        if self.should_fail(lba, false) {
-            return Err(self.fault(lba, buf.len()));
-        }
-        self.inner.write(lba, buf)
-    }
-
-    /// Same fault decision as [`read`](Self::read) — one per access, before
-    /// any range check — then the inner store lends its blocks directly, so
-    /// a wrapped device keeps moving whole pages by reference.
+    /// One fault decision per access, before the inner store's range
+    /// check; then the inner store lends its blocks directly, so a wrapped
+    /// device keeps moving whole pages by reference.
     fn read_blocks(
         &self,
         lba: Lba,
@@ -245,13 +225,12 @@ impl BlockStore for FaultyStore {
         visit: &mut dyn FnMut(usize, &Arc<[u8]>),
     ) -> Result<(), BlockError> {
         if self.should_fail(lba, true) {
-            return Err(self.fault(lba, self.access_len(count)));
+            return Err(self.fault(lba, count));
         }
         self.inner.read_blocks(lba, count, visit)
     }
 
-    /// Same fault decision as [`write`](Self::write), then the inner store
-    /// lends its blocks to `fill` directly.
+    /// One fault decision per access, then the inner store lends its blocks.
     fn write_blocks(
         &self,
         lba: Lba,
@@ -259,7 +238,7 @@ impl BlockStore for FaultyStore {
         fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
     ) -> Result<(), BlockError> {
         if self.should_fail(lba, false) {
-            return Err(self.fault(lba, self.access_len(count)));
+            return Err(self.fault(lba, count));
         }
         self.inner.write_blocks(lba, count, fill)
     }

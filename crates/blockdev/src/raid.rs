@@ -11,7 +11,9 @@ use std::sync::Arc;
 use crate::lba::{BlockGeometry, Lba};
 use crate::store::{BlockError, BlockStore};
 
-/// A RAID-0 (striping) view over equal-geometry child stores.
+/// A RAID-0 (striping) view over equal-geometry child stores. An access
+/// visits each member's run in turn; a member that fails ends it after
+/// the runs before were visited (or written). No device reads through it.
 pub struct Raid0 {
     children: Vec<Arc<dyn BlockStore>>,
     stripe_blocks: u64,
@@ -85,25 +87,27 @@ impl BlockStore for Raid0 {
         self.geometry
     }
 
-    fn read(&self, lba: Lba, buf: &mut [u8]) -> Result<(), BlockError> {
-        self.check_access(lba, buf.len())?;
-        let bs = self.geometry.block_size as usize;
-        let count = (buf.len() / bs) as u64;
-        self.for_each_run(lba, count, |child, child_lba, run, off_blocks| {
-            let s = off_blocks * bs;
-            let e = s + run as usize * bs;
-            self.children[child].read(child_lba, &mut buf[s..e])
+    fn read_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.check_blocks(lba, count)?;
+        self.for_each_run(lba, count, |child, child_lba, run, off| {
+            self.children[child].read_blocks(child_lba, run, &mut |i, block| visit(off + i, block))
         })
     }
 
-    fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError> {
-        self.check_access(lba, buf.len())?;
-        let bs = self.geometry.block_size as usize;
-        let count = (buf.len() / bs) as u64;
-        self.for_each_run(lba, count, |child, child_lba, run, off_blocks| {
-            let s = off_blocks * bs;
-            let e = s + run as usize * bs;
-            self.children[child].write(child_lba, &buf[s..e])
+    fn write_blocks(
+        &self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.check_blocks(lba, count)?;
+        self.for_each_run(lba, count, |child, child_lba, run, off| {
+            self.children[child].write_blocks(child_lba, run, &mut |i, block| fill(off + i, block))
         })
     }
 }
@@ -160,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn the_default_visitors_keep_the_striping() {
+    fn the_visitors_keep_the_striping() {
         let r = array(3, 4);
         r.write_blocks(Lba(2), 11, &mut |i, block| {
             *block = Arc::from(&[i as u8 + 1; 512][..]);

@@ -71,46 +71,33 @@ impl std::error::Error for BlockError {}
 
 /// Raw block storage: whole-block reads and writes, no filesystem.
 ///
+/// A store implements one access path, the block visitors; the byte-slice
+/// [`read`](Self::read) and [`write`](Self::write) are built on them. A
+/// visitor runs only once the whole access is valid and passes the store's
+/// own checks, but a store over members (`Raid0`) visits the runs of
+/// earlier members before a later member fails.
+///
 /// Implementations must be thread-safe; simulated NVMe devices service
 /// queues from their own threads while workloads touch other ranges.
 pub trait BlockStore: Send + Sync {
     /// Block size and capacity.
     fn geometry(&self) -> BlockGeometry;
 
-    /// Reads `buf.len() / block_size` blocks starting at `lba`.
-    /// Blocks never written read as zeroes.
-    fn read(&self, lba: Lba, buf: &mut [u8]) -> Result<(), BlockError>;
-
-    /// Writes `buf.len() / block_size` blocks starting at `lba`.
-    fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError>;
-
     /// Visits the `count` blocks starting at `lba` in order, lending each
     /// block's shared buffer to `visit(index within the access, block)` —
     /// the device read path: a device DMA-writes each lent block to its
     /// destination, by reference where the destination is a whole pinned
-    /// page, so a block's bytes are copied at most once (media → page). A
-    /// store that holds blocks in memory overrides this to lend them in
-    /// place (under whatever lock guards them, so `visit` must not call back
-    /// into the store), and a wrapper forwards to its inner store after its
-    /// own checks (`FaultyStore`). This default bounces through
-    /// [`read`](Self::read) and a fresh buffer per block, so a store that
-    /// only implements `read` (`Raid0`) keeps its semantics without further
-    /// code — it is the cold path, not one a device should sit on. `visit`
-    /// is not called at all unless the whole access is valid and readable.
+    /// page, so a block's bytes are copied at most once (media → page).
+    /// Blocks never written read as zeroes. A store that holds blocks in
+    /// memory lends them in place, under whatever lock guards them, so
+    /// `visit` must not call back into the store; a wrapper forwards to its
+    /// inner store after its own checks (`FaultyStore`).
     fn read_blocks(
         &self,
         lba: Lba,
         count: u64,
         visit: &mut dyn FnMut(usize, &Arc<[u8]>),
-    ) -> Result<(), BlockError> {
-        let mut buf = vec![0u8; self.check_blocks(lba, count)?];
-        self.read(lba, &mut buf)?;
-        let bs = self.geometry().block_size as usize;
-        for (i, block) in buf.chunks_exact(bs).enumerate() {
-            visit(i, &Arc::from(block));
-        }
-        Ok(())
-    }
+    ) -> Result<(), BlockError>;
 
     /// Writes the `count` blocks starting at `lba` in order, lending each
     /// block's buffer to `fill(index within the access, block)`, which
@@ -118,27 +105,38 @@ pub trait BlockStore: Send + Sync {
     /// path. `fill` may write into the buffer in place only when it is
     /// unique (`Arc::get_mut`); otherwise it replaces it, for instance with
     /// a pinned page's buffer taken by reference. A store that holds blocks
-    /// in memory overrides this to lend them in place (under its lock, so
-    /// `fill` must not call back into the store), a wrapper forwards after
-    /// its own checks (`FaultyStore`), and this default lends a fresh block
-    /// and [`write`](Self::write)s what `fill` left in it. `fill` is not
-    /// called at all unless the whole access is valid and passes the
-    /// store's own checks.
+    /// in memory lends them in place (under its lock, so `fill` must not
+    /// call back into the store); a wrapper forwards after its own checks.
     fn write_blocks(
         &self,
         lba: Lba,
         count: u64,
         fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
-    ) -> Result<(), BlockError> {
-        let len = self.check_blocks(lba, count)?;
+    ) -> Result<(), BlockError>;
+
+    /// Reads `buf.len() / block_size` blocks starting at `lba`, copying
+    /// each block [`read_blocks`](Self::read_blocks) lends.
+    fn read(&self, lba: Lba, buf: &mut [u8]) -> Result<(), BlockError> {
+        let count = self.check_access(lba, buf.len())?;
         let bs = self.geometry().block_size as usize;
-        let mut buf = Vec::with_capacity(len);
-        for i in 0..len / bs {
-            let mut block = zeroed(bs);
-            fill(i, &mut block);
-            buf.extend_from_slice(&block);
-        }
-        self.write(lba, &buf)
+        self.read_blocks(lba, count, &mut |i, block| {
+            buf[i * bs..(i + 1) * bs].copy_from_slice(block);
+        })
+    }
+
+    /// Writes `buf.len() / block_size` blocks starting at `lba` through
+    /// [`write_blocks`](Self::write_blocks): a block no one else holds is
+    /// overwritten in place, a shared one is replaced by a fresh buffer.
+    fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError> {
+        let count = self.check_access(lba, buf.len())?;
+        let bs = self.geometry().block_size as usize;
+        self.write_blocks(lba, count, &mut |i, block| {
+            let src = &buf[i * bs..(i + 1) * bs];
+            match Arc::get_mut(block) {
+                Some(own) => own.copy_from_slice(src),
+                None => *block = Arc::from(src),
+            }
+        })
     }
 
     /// Validates a `count`-block access and returns its length in bytes.
@@ -177,11 +175,6 @@ pub trait BlockStore: Send + Sync {
     }
 }
 
-/// A zero-filled buffer of `len` bytes, allocated once.
-fn zeroed(len: usize) -> Arc<[u8]> {
-    std::iter::repeat_n(0, len).collect()
-}
-
 /// A sparse, sharded, thread-safe in-memory block store.
 ///
 /// Only blocks that have been written consume memory, so a simulated
@@ -213,7 +206,7 @@ impl SparseMemStore {
             geometry,
             shards,
             shard_mask: (Self::SHARDS - 1) as u64,
-            zero_block: zeroed(geometry.block_size as usize),
+            zero_block: std::iter::repeat_n(0, geometry.block_size as usize).collect(),
         }
     }
 
@@ -232,42 +225,6 @@ impl SparseMemStore {
 impl BlockStore for SparseMemStore {
     fn geometry(&self) -> BlockGeometry {
         self.geometry
-    }
-
-    fn read(&self, lba: Lba, buf: &mut [u8]) -> Result<(), BlockError> {
-        let count = self.check_access(lba, buf.len())?;
-        let bs = self.geometry.block_size as usize;
-        for i in 0..count {
-            let block = lba.0 + i;
-            let dst = &mut buf[i as usize * bs..(i as usize + 1) * bs];
-            match self.shard(block).lock().get(&block) {
-                Some(data) => dst.copy_from_slice(data),
-                None => dst.fill(0),
-            }
-        }
-        Ok(())
-    }
-
-    fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError> {
-        let count = self.check_access(lba, buf.len())?;
-        let bs = self.geometry.block_size as usize;
-        for i in 0..count {
-            let block = lba.0 + i;
-            let src = &buf[i as usize * bs..(i as usize + 1) * bs];
-            let mut shard = self.shard(block).lock();
-            match shard.get_mut(&block) {
-                // Overwrite a block no page shares in place; only a first
-                // write, or one over a shared block, allocates.
-                Some(data) => match Arc::get_mut(data) {
-                    Some(own) => own.copy_from_slice(src),
-                    None => *data = Arc::from(src),
-                },
-                None => {
-                    shard.insert(block, Arc::from(src));
-                }
-            }
-        }
-        Ok(())
     }
 
     fn read_blocks(

@@ -8,8 +8,8 @@
 //! the threaded world needs:
 //!
 //! * slot addresses inside one pinned [`GpuBuffer`];
-//! * a batched demand-read classification (`lookup_read_batch`) that
-//!   takes the lock once per batch;
+//! * one lock and one metrics sync per demand read batch, classified by
+//!   the core's `plan_read_batch` (the one classifier every driver runs);
 //! * blocking coalesced waits ([`SlotWait`]) on a condvar;
 //! * RAII pin/fill ownership ([`SlotPin`], [`FillTicket`]);
 //! * `cam_cache_*` metrics, synced from the core's decision counters;
@@ -19,7 +19,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use cam_gpu::GpuBuffer;
 use cam_protocol::cache_core::{
-    CacheCore, CacheDecisionCounters, CoreLookup, Intent, ReadaheadPlan, Resolve,
+    CacheCore, CacheDecisionCounters, CoreLookup, Intent, ReadBatchPlan, ReadaheadPlan, Resolve,
 };
 use cam_telemetry::{EventKind, FlightRecorder, MetricsRegistry};
 
@@ -63,21 +63,6 @@ struct Inner {
 #[derive(Clone)]
 pub struct BlockCache {
     inner: Arc<Inner>,
-}
-
-/// A demand read batch as [`BlockCache::lookup_read_batch`] classified it,
-/// accumulated across the calls a `NeedFlush` splits it into.
-#[derive(Default)]
-pub(crate) struct ReadLookups {
-    /// Hits not yet copied: `(slot address, destination)`. Their slots are
-    /// unpinned, so copy them before any DMA can land in those slots.
-    pub hits: Vec<(u64, u64)>,
-    /// Misses this batch fills: fill ticket + caller destination.
-    pub fills: Vec<(FillTicket, u64)>,
-    /// Coalesced misses: waiter + `(lba, destination)` for the fallback.
-    pub waits: Vec<(SlotWait, u64, u64)>,
-    /// Misses on exhausted shards, served uncached: `(lba, destination)`.
-    pub direct: Vec<(u64, u64)>,
 }
 
 /// A planned (reserved, not yet issued) speculative readahead batch: the
@@ -168,7 +153,7 @@ impl BlockCache {
     }
 
     /// Pinned address of global slot index `idx`.
-    fn slot_addr(&self, idx: usize) -> u64 {
+    pub(crate) fn slot_addr(&self, idx: usize) -> u64 {
         self.inner.buf.addr() + idx as u64 * self.inner.block_size as u64
     }
 
@@ -215,24 +200,33 @@ impl BlockCache {
                 if let Some(old) = evicted {
                     self.emit_evict(old);
                 }
-                Lookup::Miss(FillTicket {
-                    cache: self.clone(),
-                    slot,
-                    lba,
-                    addr: self.slot_addr(slot),
-                    done: false,
-                })
+                Lookup::Miss(self.fill_ticket(slot, lba))
             }
-            CoreLookup::InFlight => Lookup::InFlight(SlotWait {
-                cache: self.clone(),
-                lba,
-                intent,
-            }),
+            CoreLookup::InFlight => Lookup::InFlight(self.slot_wait(lba, intent)),
             CoreLookup::NeedFlush => Lookup::NeedFlush,
             CoreLookup::Busy => Lookup::Busy,
         };
         self.sync_metrics(&mut st);
         out
+    }
+
+    /// The ticket for the fill the core reserved on `slot`.
+    fn fill_ticket(&self, slot: usize, lba: u64) -> FillTicket {
+        FillTicket {
+            cache: self.clone(),
+            slot,
+            lba,
+            addr: self.slot_addr(slot),
+            done: false,
+        }
+    }
+
+    fn slot_wait(&self, lba: u64, intent: Intent) -> SlotWait {
+        SlotWait {
+            cache: self.clone(),
+            lba,
+            intent,
+        }
     }
 
     /// Classifies `lba`: resident (pin returned), absent (fill ticket
@@ -259,69 +253,34 @@ impl BlockCache {
         self.lookup_with(lba, Intent::Write)
     }
 
-    /// Classifies a demand read batch of `(lba, destination)` pairs in
-    /// order, under one lock and with one metrics sync, making the
-    /// decisions of one [`lookup_read`](Self::lookup_read) per pair. A hit
-    /// is unpinned at once (as `CacheCore::plan_read_batch` does) and
-    /// queued in `out.hits` for the caller to copy. A miss that reclaims
-    /// the slot of a queued hit first hands that hit to `copy_now`, while
-    /// the slot still holds its block.
-    ///
-    /// Stops before the first pair that needs a flush and returns how many
-    /// pairs it classified.
-    pub(crate) fn lookup_read_batch(
+    /// Classifies the demand reads `lbas[from..]` with
+    /// [`CacheCore::plan_read_batch`], under one lock and with one metrics
+    /// sync, and returns how many it classified (it stops where a flush is
+    /// needed). The hits and uncached fallbacks stay in `plan`; its fills
+    /// and coalesced accesses move into `fills` and `waits` as
+    /// [`FillTicket`]s and [`SlotWait`]s, each tagged with its position.
+    pub(crate) fn plan_read_batch(
         &self,
-        pairs: &[(u64, u64)],
-        out: &mut ReadLookups,
-        mut copy_now: impl FnMut(u64, u64),
+        lbas: &[u64],
+        from: usize,
+        plan: &mut ReadBatchPlan,
+        fills: &mut Vec<(usize, FillTicket)>,
+        waits: &mut Vec<(usize, SlotWait)>,
     ) -> usize {
         let mut st = self.lock();
-        let mut done = 0;
-        for &(lba, dest) in pairs {
-            match st.core.lookup(lba, Intent::DemandRead) {
-                CoreLookup::Hit { slot } => {
-                    st.core.unpin(slot);
-                    out.hits.push((self.slot_addr(slot), dest));
-                }
-                CoreLookup::Miss { slot, evicted } => {
-                    let addr = self.slot_addr(slot);
-                    if let Some(old) = evicted {
-                        self.emit_evict(old);
-                        out.hits.retain(|&(src, dst)| {
-                            let reclaimed = src == addr;
-                            if reclaimed {
-                                copy_now(src, dst);
-                            }
-                            !reclaimed
-                        });
-                    }
-                    out.fills.push((
-                        FillTicket {
-                            cache: self.clone(),
-                            slot,
-                            lba,
-                            addr,
-                            done: false,
-                        },
-                        dest,
-                    ));
-                }
-                CoreLookup::InFlight => out.waits.push((
-                    SlotWait {
-                        cache: self.clone(),
-                        lba,
-                        intent: Intent::DemandRead,
-                    },
-                    lba,
-                    dest,
-                )),
-                CoreLookup::NeedFlush => break,
-                CoreLookup::Busy => out.direct.push((lba, dest)),
-            }
-            done += 1;
-        }
+        let classified = st.core.plan_read_batch(lbas, from, plan);
         self.sync_metrics(&mut st);
-        done
+        drop(st);
+        for lba in plan.evicted.drain(..) {
+            self.emit_evict(lba);
+        }
+        for (pos, slot, lba) in plan.fills.drain(..) {
+            fills.push((pos, self.fill_ticket(slot, lba)));
+        }
+        for (pos, lba) in plan.waits.drain(..) {
+            waits.push((pos, self.slot_wait(lba, Intent::DemandRead)));
+        }
+        classified
     }
 
     /// Feeds the readahead stream detector with a demand batch starting at
@@ -341,13 +300,7 @@ impl BlockCache {
         let tickets = plan
             .fills
             .iter()
-            .map(|&(slot, lba)| FillTicket {
-                cache: self.clone(),
-                slot,
-                lba,
-                addr: self.slot_addr(slot),
-                done: false,
-            })
+            .map(|&(slot, lba)| self.fill_ticket(slot, lba))
             .collect();
         Some(ReadaheadBatch { plan, tickets })
     }

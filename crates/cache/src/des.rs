@@ -83,9 +83,10 @@ impl CachedSource {
                 continue;
             }
             let mut core = self.core.lock().unwrap();
-            let plan = core.plan_read_batch(&lbas);
-            debug_assert_eq!(plan.flushed, 0, "cached DES runs are read-only");
-            self.ready_ns = self.ready_ns.max(now_ns) + plan.hits * self.hit_dma_ns;
+            let mut plan = ReadBatchPlan::default();
+            let classified = core.plan_read_batch(&lbas, 0, &mut plan);
+            assert_eq!(classified, lbas.len(), "cached DES runs are read-only");
+            self.ready_ns = self.ready_ns.max(now_ns) + plan.hits.len() as u64 * self.hit_dma_ns;
             let ra = if self.readahead {
                 core.plan_readahead(lbas[0], self.array_blocks)
             } else {
@@ -97,8 +98,8 @@ impl CachedSource {
                 // commits after its submit succeeds.
                 core.commit_readahead(p);
             }
-            let mut demand: Vec<u64> = plan.fills.iter().map(|&(_, lba)| lba).collect();
-            demand.extend(plan.direct.iter().copied());
+            let mut demand: Vec<u64> = plan.fills.iter().map(|&(_, _, lba)| lba).collect();
+            demand.extend(plan.direct.iter().map(|&(_, lba)| lba));
             let ra_pub = ra.as_ref().map(|p| CamDesBatch {
                 lbas: p.fills.iter().map(|&(_, lba)| lba).collect(),
                 blocks: 1,

@@ -479,28 +479,19 @@ fn reclaims(cfg: CacheConfig, array_blocks: u64, batches: &[Vec<u64>]) -> Reclai
     let mut out = Reclaims::default();
     for lbas in batches {
         let mut plan = ReadBatchPlan::default();
-        let mut hit_slots = Vec::new();
-        for &lba in lbas {
-            match core.lookup(lba, Intent::DemandRead) {
-                CoreLookup::Hit { slot } => {
-                    core.unpin(slot);
-                    hit_slots.push(slot);
-                }
-                CoreLookup::Miss { slot, .. } => {
-                    out.by_miss += hit_slots.iter().filter(|&&s| s == slot).count();
-                    hit_slots.retain(|&s| s != slot);
-                    plan.fills.push((slot, lba));
-                }
-                CoreLookup::InFlight => plan.waits.push(lba),
-                CoreLookup::Busy => {}
-                CoreLookup::NeedFlush => unreachable!("a read-only stream has no dirty slot"),
-            }
-        }
+        assert_eq!(core.plan_read_batch(lbas, 0, &mut plan), lbas.len());
+        let fills: Vec<usize> = plan.fills.iter().map(|&(_, slot, _)| slot).collect();
+        let (lost, kept): (Vec<usize>, Vec<usize>) = plan
+            .hits
+            .iter()
+            .map(|&(_, slot)| slot)
+            .partition(|slot| fills.contains(slot));
+        out.by_miss += lost.len();
         let ra = core.plan_readahead(lbas[0], array_blocks);
         if let Some(p) = &ra {
-            out.by_readahead += hit_slots
+            out.by_readahead += kept
                 .iter()
-                .filter(|&&s| p.fills.iter().any(|&(f, _)| f == s))
+                .filter(|&&slot| p.fills.iter().any(|&(f, _)| f == slot))
                 .count();
             core.commit_readahead(p);
         }
@@ -590,4 +581,74 @@ fn readahead_never_lands_in_the_slot_of_a_hit_still_to_copy() {
         "speculation reclaims the slot of a hit of the batch before it"
     );
     run_stream(&rig, cfg, &batches);
+}
+
+#[test]
+fn a_prefetch_that_needs_a_flush_stops_flushes_and_resumes() {
+    // One shard of four slots, all dirty from `write_back`. The batch hits
+    // one of them, then misses: the first miss finds only dirty slots, so
+    // the batch stops, flushes every dirty slot on channel 1 and resumes.
+    // A resumed miss may then reclaim the slot of the hit before it.
+    let rig = small_rig(2);
+    load_pattern(&rig, 64);
+    let cfg = one_shard(4);
+    let (cam, dev) = cached_setup(&rig, cfg);
+    let written = [40u64, 41, 42, 43];
+    let marker = |lba: u64| 0xA0 + lba as u8;
+    let src = cam.alloc(written.len() * BS).unwrap();
+    for (i, &lba) in written.iter().enumerate() {
+        src.write(i * BS, &[marker(lba); BS]);
+    }
+    dev.write_back(&written, src.addr()).unwrap();
+    assert_eq!(dev.cache().dirty_blocks(), written.len());
+
+    let batch = [41u64, 1, 2, 3];
+    let dst = cam.alloc(batch.len() * BS).unwrap();
+    dev.prefetch(&batch, dst.addr()).unwrap();
+    thread::sleep(OVERLAP);
+    dev.prefetch_synchronize().unwrap();
+
+    let data = dst.to_vec();
+    assert!(data[..BS].iter().all(|&x| x == marker(41)), "the hit");
+    assert_blocks(&data[BS..], &batch[1..], "the misses");
+    let mut media = vec![0u8; written.len() * BS];
+    rig.raid_view().read(Lba(written[0]), &mut media).unwrap();
+    for (block, &lba) in media.chunks(BS).zip(&written) {
+        assert!(block.iter().all(|&x| x == marker(lba)), "lba {lba}");
+    }
+    assert_eq!(dev.cache().dirty_blocks(), 0);
+    let counters = dev.decision_counters();
+    assert_eq!(counters.flushed_blocks, written.len() as u64);
+
+    // The core, stepped with the same stop → flush all → resume loop.
+    let mut core = CacheCore::new(cfg);
+    for &lba in &written {
+        if let CoreLookup::Miss { slot, .. } = core.lookup(lba, Intent::Write) {
+            core.complete_fill(slot, true);
+            core.unpin(slot);
+        }
+    }
+    let mut plan = ReadBatchPlan::default();
+    let mut stops = Vec::new();
+    let mut done = 0;
+    loop {
+        done += core.plan_read_batch(&batch, done, &mut plan);
+        if done == batch.len() {
+            break;
+        }
+        stops.push(done);
+        for (slot, _) in core.take_dirty(usize::MAX) {
+            core.unpin(slot);
+        }
+    }
+    assert_eq!(stops, [1], "the batch stopped after its hit");
+    let reclaimed = plan
+        .fills
+        .iter()
+        .any(|&(_, slot, _)| slot == plan.hits[0].1);
+    assert!(reclaimed, "a resumed miss reclaimed the hit's slot");
+    assert_eq!(counters, core.counters());
+    for lba in written.iter().chain(&batch) {
+        assert_eq!(dev.cache().contains(*lba), core.contains(*lba), "lba {lba}");
+    }
 }

@@ -41,8 +41,8 @@ pub struct RigConfig {
     /// this latency and its completions post when it has passed, so a
     /// burst costs the latency, not the latency plus its copies. On Linux
     /// each sleep lasts
-    /// within a few µs of this latency: the service threads of a device
-    /// given one run with 1 ns timer slack instead of the kernel's default
+    /// within a few µs of this latency: the service thread of a device
+    /// given one runs with 1 ns timer slack instead of the kernel's default
     /// 50 µs, which would make 100 µs take about 154 µs.
     pub burst_latency: Option<std::time::Duration>,
 }
@@ -92,7 +92,6 @@ impl Rig {
                     DeviceConfig {
                         name: format!("nvme{i}"),
                         burst_latency: cfg.burst_latency,
-                        ..DeviceConfig::default()
                     },
                     Arc::clone(store),
                     gpu.memory().region(),

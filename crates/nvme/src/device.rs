@@ -1,9 +1,10 @@
-//! [`NvmeDevice`] — a functional simulated SSD serviced by real threads.
+//! [`NvmeDevice`] — a functional simulated SSD serviced by a real thread.
 //!
 //! Each device owns a [`BlockStore`] (the flash media) and a reference to a
-//! [`DmaSpace`] (the pinned memory commands point into). Service threads
-//! poll the device's queue pairs, execute commands — moving real bytes
-//! between media and DMA space — and post completions. This is the
+//! [`DmaSpace`] (the pinned memory commands point into). One service
+//! thread polls the device's queue pairs, executes commands — moving real
+//! bytes between media and DMA space — and posts completions, taking at
+//! most [`MAX_BURST`] commands from a pair per round. This is the
 //! counterpart of the hardware NVMe controller + its DMA engines; CAM's CPU
 //! control plane drives these queues.
 //!
@@ -40,19 +41,22 @@ use crate::mem::DmaSpace;
 use crate::queue::QueuePair;
 use crate::spec::{Cqe, Opcode, Sqe, Status};
 
+/// Maximum commands one service round takes from one queue pair.
+pub const MAX_BURST: usize = 32;
+
+/// Maximum data transfer size (MDTS) in blocks per command; larger
+/// commands complete with `InvalidField`, as a real controller would reject
+/// them.
+const MAX_TRANSFER_BLOCKS: u32 = 1024;
+
 /// Configuration of a functional device.
 #[derive(Clone, Debug)]
 pub struct DeviceConfig {
     /// Device name, for diagnostics.
     pub name: String,
-    /// Number of service threads (≥ 1). One models a single-LUN controller;
-    /// more model internal parallelism.
-    pub service_threads: usize,
-    /// Maximum commands taken from one queue pair per service round.
-    pub max_burst: usize,
-    /// Optional wall-clock latency injected once per burst — each time a
+    /// Optional wall-clock latency injected once per burst — each time the
     /// service thread finds a queue pair non-empty and takes up to
-    /// `max_burst` of that pair's commands; a round that finds *k* pairs
+    /// [`MAX_BURST`] of that pair's commands; a round that finds *k* pairs
     /// non-empty sleeps *k* times. The burst's bytes move inside the
     /// latency: the commands visible at the first take execute at once,
     /// the thread sleeps out the rest, and their CQEs post at `take +
@@ -61,24 +65,17 @@ pub struct DeviceConfig {
     /// in real-time demos. `None` (the default) services at memory speed.
     ///
     /// On Linux the sleep lasts within a few µs of the latency given: with
-    /// a latency set, each service thread first drops its timer slack to
+    /// a latency set, the service thread first drops its timer slack to
     /// 1 ns ([`clock::exact_sleeps`]). Under the default 50 µs slack the
     /// kernel would defer each wake-up, so 100 µs would take about 154 µs.
     pub burst_latency: Option<Duration>,
-    /// Maximum data transfer size (MDTS) in blocks per command; larger
-    /// commands complete with `InvalidField`, as a real controller would
-    /// reject them.
-    pub max_transfer_blocks: u32,
 }
 
 impl Default for DeviceConfig {
     fn default() -> Self {
         DeviceConfig {
             name: "nvme0".to_string(),
-            service_threads: 1,
-            max_burst: 32,
             burst_latency: None,
-            max_transfer_blocks: 1024,
         }
     }
 }
@@ -131,31 +128,27 @@ struct Shared {
     store: Arc<dyn BlockStore>,
     dma: Arc<dyn DmaSpace>,
     qps: RwLock<Vec<Arc<QueuePair>>>,
-    /// Bumped (under the `qps` write lock) on every registration; service
-    /// threads re-snapshot their share of `qps` only when it moved.
+    /// Bumped (under the `qps` write lock) on every registration; the
+    /// service thread re-snapshots `qps` only when it moved.
     qps_epoch: AtomicU64,
     stop: AtomicBool,
     stats: DeviceStats,
     telemetry: OnceLock<DeviceTelemetry>,
-    /// Event layer: `(device index, recorder)`; service threads emit a
+    /// Event layer: `(device index, recorder)`; the service thread emits a
     /// [`EventKind::NvmeCmd`] per executed command once attached.
     recorder: OnceLock<(u16, Arc<FlightRecorder>)>,
 }
 
-/// A running simulated NVMe SSD. Stops its service threads on drop.
+/// A running simulated NVMe SSD: one service thread, a single-LUN
+/// controller. Stops the thread on drop.
 pub struct NvmeDevice {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    worker: Option<JoinHandle<()>>,
 }
 
 impl NvmeDevice {
     /// Starts a device over the given media and DMA space.
     pub fn start(config: DeviceConfig, store: Arc<dyn BlockStore>, dma: Arc<dyn DmaSpace>) -> Self {
-        assert!(
-            config.service_threads >= 1,
-            "need at least one service thread"
-        );
-        assert!(config.max_burst >= 1, "burst must be >= 1");
         let shared = Arc::new(Shared {
             config,
             store,
@@ -167,16 +160,15 @@ impl NvmeDevice {
             telemetry: OnceLock::new(),
             recorder: OnceLock::new(),
         });
-        let workers = (0..shared.config.service_threads)
-            .map(|tid| {
-                let sh = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("{}-svc{}", sh.config.name, tid))
-                    .spawn(move || service_loop(&sh, tid))
-                    .expect("spawn device service thread")
-            })
-            .collect();
-        NvmeDevice { shared, workers }
+        let sh = Arc::clone(&shared);
+        let worker = std::thread::Builder::new()
+            .name(format!("{}-svc0", sh.config.name))
+            .spawn(move || service_loop(&sh))
+            .expect("spawn device service thread");
+        NvmeDevice {
+            shared,
+            worker: Some(worker),
+        }
     }
 
     /// Creates and registers a new queue pair of the given depth.
@@ -203,7 +195,7 @@ impl NvmeDevice {
     /// One-shot; later calls are ignored. Before attachment a burst pays two
     /// atomic loads (and, on a device with a `burst_latency`, the two clock
     /// reads its sleep needs); after it, one histogram shard lock and at
-    /// most two clock reads more — per burst of up to `max_burst` commands,
+    /// most two clock reads more — per burst of up to [`MAX_BURST`] commands,
     /// never per command.
     pub fn attach_telemetry(&self, reg: &MetricsRegistry) {
         let name = &self.shared.config.name;
@@ -244,10 +236,10 @@ impl NvmeDevice {
         &self.shared.store
     }
 
-    /// Stops service threads and waits for them to exit.
+    /// Stops the service thread and waits for it to exit.
     pub fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        for h in self.workers.drain(..) {
+        if let Some(h) = self.worker.take() {
             let _ = h.join();
         }
     }
@@ -259,31 +251,24 @@ impl Drop for NvmeDevice {
     }
 }
 
-fn service_loop(sh: &Shared, tid: usize) {
+fn service_loop(sh: &Shared) {
     // Only a thread that sleeps pays for the slack write; a memory-speed
     // device never sleeps.
     if sh.config.burst_latency.is_some() {
         clock::exact_sleeps();
     }
     // CQEs of a burst whose data has moved but whose latency has not passed.
-    let mut held: Vec<Cqe> = Vec::with_capacity(sh.config.max_burst);
+    let mut held: Vec<Cqe> = Vec::with_capacity(MAX_BURST);
     let mut idle_rounds = 0u32;
-    // This thread's share of the queue pairs, refreshed only when a
-    // registration moved the epoch (0 = nothing registered yet).
+    // A snapshot of the queue pairs, refreshed only when a registration
+    // moved the epoch (0 = nothing registered yet).
     let mut qps: Vec<Arc<QueuePair>> = Vec::new();
     let mut seen_epoch = 0u64;
     while !sh.stop.load(Ordering::Acquire) {
         let epoch = sh.qps_epoch.load(Ordering::Acquire);
         if epoch != seen_epoch {
             seen_epoch = epoch;
-            qps = sh
-                .qps
-                .read()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % sh.config.service_threads == tid)
-                .map(|(_, qp)| Arc::clone(qp))
-                .collect();
+            qps = sh.qps.read().clone();
         }
         let mut serviced = 0;
         for qp in &qps {
@@ -304,14 +289,14 @@ fn service_loop(sh: &Shared, tid: usize) {
     }
 }
 
-/// Services one burst — up to `max_burst` commands from `qp` — and returns
+/// Services one burst — up to [`MAX_BURST`] commands from `qp` — and returns
 /// how many it executed.
 ///
 /// With a `burst_latency` the burst's bytes move inside its latency: the
 /// first take sets `deadline = take + latency`, every command visible until
 /// the queue runs dry executes at once and holds its CQE in `held`, and the
 /// thread sleeps out what is left, then posts the held CQEs in take order.
-/// Commands rung during the sleep join the burst (up to `max_burst` in all)
+/// Commands rung during the sleep join the burst (up to `MAX_BURST` in all)
 /// and execute and post one by one afterwards — as every command of a
 /// memory-speed burst does, which has no deadline and holds nothing.
 ///
@@ -379,7 +364,7 @@ fn service_burst(sh: &Shared, qp: &QueuePair, held: &mut Vec<Cqe>) -> usize {
             );
             stamp = end_ns;
         }
-        let room = burst < sh.config.max_burst;
+        let room = burst < MAX_BURST;
         if let Some(next) = room.then(|| qp.take_sqe()).flatten() {
             sqe = next;
             continue;
@@ -459,7 +444,7 @@ fn execute_inner(sh: &Shared, sqe: &Sqe) -> Status {
         // completes after everything the service thread already executed.
         return Status::Success;
     }
-    if sqe.nlb == 0 || sqe.nlb > sh.config.max_transfer_blocks {
+    if sqe.nlb == 0 || sqe.nlb > MAX_TRANSFER_BLOCKS {
         return Status::InvalidField;
     }
     let bs = sh.store.geometry().block_size as usize;
@@ -591,17 +576,15 @@ mod tests {
             Arc::new(SparseMemStore::new(BlockGeometry::new(512, 8192)));
         let dma = Arc::new(PinnedRegion::new(0, 8 << 20));
         let dev = NvmeDevice::start(
-            DeviceConfig {
-                max_transfer_blocks: 4,
-                ..DeviceConfig::default()
-            },
+            DeviceConfig::default(),
             store,
             Arc::clone(&dma) as Arc<dyn DmaSpace>,
         );
         let qp = dev.add_queue_pair(8);
-        qp.submit(Sqe::read(1, 0, 5, 0)).unwrap();
+        qp.submit(Sqe::read(1, 0, MAX_TRANSFER_BLOCKS + 1, 0))
+            .unwrap();
         assert_eq!(wait_cqe(&qp).status, Status::InvalidField);
-        qp.submit(Sqe::read(2, 0, 4, 0)).unwrap();
+        qp.submit(Sqe::read(2, 0, MAX_TRANSFER_BLOCKS, 0)).unwrap();
         assert!(wait_cqe(&qp).status.is_ok());
     }
 
@@ -755,15 +738,12 @@ mod tests {
     }
 
     #[test]
-    fn many_commands_across_two_queue_pairs_and_threads() {
+    fn many_commands_across_two_queue_pairs() {
         let store: Arc<dyn BlockStore> =
             Arc::new(SparseMemStore::new(BlockGeometry::new(512, 65536)));
         let dma = Arc::new(PinnedRegion::new(0, 8 << 20));
         let dev = NvmeDevice::start(
-            DeviceConfig {
-                service_threads: 2,
-                ..DeviceConfig::default()
-            },
+            DeviceConfig::default(),
             store,
             Arc::clone(&dma) as Arc<dyn DmaSpace>,
         );
@@ -823,7 +803,6 @@ mod tests {
             DeviceConfig {
                 name: name.to_string(),
                 burst_latency,
-                ..DeviceConfig::default()
             },
             store,
             Arc::new(PinnedRegion::new(0, 4096)),

@@ -30,7 +30,7 @@ mod model;
 mod queue;
 pub mod spec;
 
-pub use device::{DeviceConfig, DeviceStats, NvmeDevice};
+pub use device::{DeviceConfig, DeviceStats, NvmeDevice, MAX_BURST};
 pub use mem::{DmaError, DmaSpace, PinnedRegion};
 pub use model::{DesSsd, SsdModel};
 pub use queue::{QpStats, QueueError, QueuePair};

@@ -1,5 +1,5 @@
 //! The device service loop's observation budget: with telemetry attached
-//! and no recorder, a burst of up to `max_burst` commands costs at most two
+//! and no recorder, a burst of up to `MAX_BURST` commands costs at most two
 //! clock reads and exactly one histogram lock — never a read or a lock per
 //! command — and `cam_nvme_cmd_ns` still counts every command executed.
 //! Only an attached `FlightRecorder` buys per-command stamps: one
@@ -20,21 +20,21 @@ use std::time::Duration;
 
 use cam_blockdev::{BlockGeometry, BlockStore, SparseMemStore};
 use cam_nvme::spec::{Sqe, Status};
-use cam_nvme::{DeviceConfig, DmaSpace, NvmeDevice, PinnedRegion, QueuePair};
+use cam_nvme::{DeviceConfig, DmaSpace, NvmeDevice, PinnedRegion, QueuePair, MAX_BURST};
 use cam_telemetry::{clock, EventKind, FlightRecorder, HistogramHandle, MetricsRegistry};
 
 /// `clock::reads` is process-wide: the tests of this file take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const DMA_BASE: u64 = 0x1_0000;
-const MAX_BURST: usize = 32;
 const CMD_NS: &str = "cam_nvme_cmd_ns{device=\"nvme0\"}";
 
 /// The burst latency of the sleeping device.
 const LATENCY: Duration = Duration::from_millis(1);
 
-/// The three doorbells every test rings: `(commands, bursts, errors)`.
-const SHAPES: [(usize, u64, usize); 3] = [(1, 1, 0), (32, 1, 4), (33, 2, 4)];
+/// The three doorbells every test rings: `(commands, bursts, errors)` —
+/// one command, one full burst, and one command past it.
+const SHAPES: [(usize, u64, usize); 3] = [(1, 1, 0), (MAX_BURST, 1, 4), (MAX_BURST + 1, 2, 4)];
 
 /// A device with nothing attached, and the `cam_nvme_cmd_ns` handle that
 /// `attach_telemetry(&reg)` would feed.
@@ -45,7 +45,10 @@ fn bare_device(burst_latency: Option<Duration>) -> (NvmeDevice, MetricsRegistry,
         burst_latency,
         ..DeviceConfig::default()
     };
-    assert_eq!(config.max_burst, MAX_BURST);
+    assert_eq!(
+        MAX_BURST, 32,
+        "SHAPES counts the errors of 32 and 33 commands"
+    );
     let dev = NvmeDevice::start(config, store, dma);
     let reg = MetricsRegistry::new();
     let cmd_ns = reg.histogram(CMD_NS);

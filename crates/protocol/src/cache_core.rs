@@ -21,6 +21,9 @@
 //! * the **replay** ([`replay_read_workload`]) runs the core with no driver
 //!   at all — the fidelity harness's ground truth.
 //!
+//! All three classify a demand read batch with one function,
+//! [`CacheCore::plan_read_batch`].
+//!
 //! The slot namespace is *global* (0..slots); sharding exists only to
 //! replicate the threaded cache's per-shard CLOCK hands and multiplicative
 //! shard hash, so eviction sequences are bit-identical across drivers.
@@ -311,24 +314,24 @@ pub struct ReadaheadPlan {
     pub evicted: Vec<u64>,
 }
 
-/// Classification of one demand read batch (see
-/// [`CacheCore::plan_read_batch`]): which accesses hit, which reserved
-/// fills, which coalesced, and which must go uncached.
+/// One demand read batch as [`CacheCore::plan_read_batch`] classified it,
+/// in batch order. Every entry carries its access's position in the batch,
+/// so a driver can find the access's destination.
 #[derive(Debug, Default)]
 pub struct ReadBatchPlan {
-    /// Accesses served from resident slots (already unpinned again).
-    pub hits: u64,
-    /// Reserved fills in batch order: `(global slot, lba)`.
-    pub fills: Vec<(usize, u64)>,
-    /// Coalesced accesses, resolved after the owning fills publish.
-    pub waits: Vec<u64>,
-    /// Uncached fallbacks (`Busy` shards) in batch order.
-    pub direct: Vec<u64>,
+    /// Hits: `(position, global slot)`. Each slot was pinned and unpinned
+    /// at once, so it holds the block only until a fill reclaims it: a
+    /// driver copies a hit out before any DMA can land in its slot.
+    pub hits: Vec<(usize, usize)>,
+    /// Reserved fills: `(position, global slot, lba)`.
+    pub fills: Vec<(usize, usize, u64)>,
+    /// Coalesced accesses `(position, lba)`, resolved after the owning
+    /// fills publish.
+    pub waits: Vec<(usize, u64)>,
+    /// Uncached fallbacks (`Busy` shards): `(position, lba)`.
+    pub direct: Vec<(usize, u64)>,
     /// Blocks evicted while reserving fills (for event emission).
     pub evicted: Vec<u64>,
-    /// Dirty blocks claimed by in-plan flushes (`NeedFlush` retries). Zero
-    /// on read-only workloads.
-    pub flushed: u64,
 }
 
 /// The block cache decision core. See the module docs for the contract.
@@ -719,52 +722,35 @@ impl CacheCore {
         self.ra_outstanding = false;
     }
 
-    /// Classifies one demand read batch: every access resolves to a hit
-    /// (pinned and immediately unpinned, as the threaded device does after
-    /// its copy-out), a reserved fill, a coalesced wait, or an uncached
-    /// fallback. `NeedFlush` is resolved in-plan by claiming dirty slots
-    /// ([`take_dirty`](Self::take_dirty)) and releasing them — read-only
-    /// workloads never take that path (`plan.flushed` stays 0).
-    pub fn plan_read_batch(&mut self, lbas: &[u64]) -> ReadBatchPlan {
-        let mut plan = ReadBatchPlan::default();
-        for &lba in lbas {
-            loop {
-                match self.lookup(lba, Intent::DemandRead) {
-                    CoreLookup::Hit { slot } => {
-                        self.unpin(slot);
-                        plan.hits += 1;
-                        break;
-                    }
-                    CoreLookup::Miss { slot, evicted } => {
-                        plan.fills.push((slot, lba));
-                        plan.evicted.extend(evicted);
-                        break;
-                    }
-                    CoreLookup::InFlight => {
-                        plan.waits.push(lba);
-                        break;
-                    }
-                    CoreLookup::NeedFlush => {
-                        let claimed = self.take_dirty(self.cfg.flush_batch.max(1));
-                        if claimed.is_empty() {
-                            // Cannot happen (NeedFlush implies an unpinned
-                            // dirty slot), but never spin: go uncached.
-                            plan.direct.push(lba);
-                            break;
-                        }
-                        plan.flushed += claimed.len() as u64;
-                        for (slot, _) in claimed {
-                            self.unpin(slot);
-                        }
-                    }
-                    CoreLookup::Busy => {
-                        plan.direct.push(lba);
-                        break;
-                    }
+    /// Classifies the demand reads `lbas[from..]` in batch order into
+    /// `plan`, one [`lookup`](Self::lookup) each (a hit unpinned at once),
+    /// and returns how many it classified. It stops before the first access
+    /// that needs a flush ([`CoreLookup::NeedFlush`], which counted nothing
+    /// but swept the CLOCK, as any retried lookup does): the caller flushes
+    /// ([`take_dirty`](Self::take_dirty), then the write-back) and resumes
+    /// from `from` plus the count. A read-only stream never stops.
+    pub fn plan_read_batch(
+        &mut self,
+        lbas: &[u64],
+        from: usize,
+        plan: &mut ReadBatchPlan,
+    ) -> usize {
+        for (pos, &lba) in lbas.iter().enumerate().skip(from) {
+            match self.lookup(lba, Intent::DemandRead) {
+                CoreLookup::Hit { slot } => {
+                    self.unpin(slot);
+                    plan.hits.push((pos, slot));
                 }
+                CoreLookup::Miss { slot, evicted } => {
+                    plan.fills.push((pos, slot, lba));
+                    plan.evicted.extend(evicted);
+                }
+                CoreLookup::InFlight => plan.waits.push((pos, lba)),
+                CoreLookup::Busy => plan.direct.push((pos, lba)),
+                CoreLookup::NeedFlush => return pos - from,
             }
         }
-        plan
+        lbas.len() - from
     }
 
     /// Publishes a retired demand batch: completes (and unpins) every
@@ -773,11 +759,11 @@ impl CacheCore {
     /// are resident (in the quiesced batch discipline, that is this same
     /// call).
     pub fn publish_read_batch(&mut self, plan: &ReadBatchPlan) {
-        for &(slot, _) in &plan.fills {
+        for &(_, slot, _) in &plan.fills {
             self.complete_fill(slot, false);
             self.unpin(slot);
         }
-        for &lba in &plan.waits {
+        for &(_, lba) in &plan.waits {
             match self.resolve_wait(lba, Intent::DemandRead) {
                 Resolve::Ready { slot } => self.unpin(slot),
                 // Aborted waiters re-fetch uncached — a driver decision
@@ -808,8 +794,9 @@ pub fn replay_read_workload(
         if lbas.is_empty() {
             continue;
         }
-        let plan = core.plan_read_batch(lbas);
-        debug_assert_eq!(plan.flushed, 0, "read-only replay flushed");
+        let mut plan = ReadBatchPlan::default();
+        let classified = core.plan_read_batch(lbas, 0, &mut plan);
+        assert_eq!(classified, lbas.len(), "a read-only replay needs no flush");
         let ra = if readahead_over_channel {
             core.plan_readahead(lbas[0], array_blocks)
         } else {
@@ -972,6 +959,66 @@ mod tests {
         };
         c.unpin(s);
         assert_eq!(c.counters().readahead_hits, 1);
+    }
+
+    /// One shard of four slots, each holding a block written into it.
+    fn all_dirty() -> CacheCore {
+        let mut c = small(4, 1);
+        for lba in 0..4 {
+            if let CoreLookup::Miss { slot, .. } = c.lookup(lba, Intent::Write) {
+                c.complete_fill(slot, true);
+                c.unpin(slot);
+            }
+        }
+        c
+    }
+
+    /// Writes back every dirty slot, as a driver's flush does.
+    fn flush_all(c: &mut CacheCore) {
+        for (slot, _) in c.take_dirty(usize::MAX) {
+            c.unpin(slot);
+        }
+    }
+
+    #[test]
+    fn a_read_batch_stops_before_a_flush_and_resumes_as_lookups_would() {
+        let batch = [1, 10, 10, 11];
+        let mut planned = all_dirty();
+        let mut plan = ReadBatchPlan::default();
+        // The hit classifies; the first miss finds only dirty slots.
+        assert_eq!(planned.plan_read_batch(&batch, 0, &mut plan), 1);
+        assert_eq!(planned.counters().flushed_blocks, 0);
+        flush_all(&mut planned);
+        assert_eq!(planned.plan_read_batch(&batch, 1, &mut plan), 3);
+
+        // One lookup per access on a core in the same state, flushed where
+        // the plan stopped.
+        let mut stepped = all_dirty();
+        let read = |c: &mut CacheCore, lba| c.lookup(lba, Intent::DemandRead);
+        let [(0, slot)] = plan.hits[..] else {
+            panic!("{plan:?}")
+        };
+        assert_eq!(read(&mut stepped, 1), CoreLookup::Hit { slot });
+        stepped.unpin(slot);
+        assert_eq!(read(&mut stepped, 10), CoreLookup::NeedFlush);
+        flush_all(&mut stepped);
+        let [(1, s10, 10), (3, s11, 11)] = plan.fills[..] else {
+            panic!("{plan:?}")
+        };
+        let [e10, e11] = plan.evicted[..] else {
+            panic!("{plan:?}")
+        };
+        let miss = |slot, lba| CoreLookup::Miss {
+            slot,
+            evicted: Some(lba),
+        };
+        assert_eq!(read(&mut stepped, 10), miss(s10, e10));
+        assert_eq!(read(&mut stepped, 10), CoreLookup::InFlight);
+        assert_eq!(read(&mut stepped, 11), miss(s11, e11));
+        assert_eq!(plan.waits, [(2, 10)]);
+        assert!(plan.direct.is_empty());
+        assert_eq!(planned.counters(), stepped.counters());
+        assert_eq!(planned.counters().flushed_blocks, 4);
     }
 
     fn ra_core(slots: usize) -> CacheCore {
