@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -175,6 +176,33 @@ pub trait BlockStore: Send + Sync {
     }
 }
 
+/// Hashes a block number by Fibonacci multiplication — no SipHash. The
+/// workload picks the blocks, not an adversary, so a collision-resistant
+/// hash buys nothing here. The product's well-mixed high half is rotated
+/// down to the low bits, which pick the bucket; its low half, on top, still
+/// varies for the bucket tags.
+#[derive(Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, block: u64) {
+        self.0 = block;
+    }
+}
+
+/// One shard's blocks, keyed by block number.
+type Shard = HashMap<u64, Arc<[u8]>, BuildHasherDefault<BlockHasher>>;
+
 /// A sparse, sharded, thread-safe in-memory block store.
 ///
 /// Only blocks that have been written consume memory, so a simulated
@@ -185,7 +213,7 @@ pub trait BlockStore: Send + Sync {
 /// this store alone pays for.
 pub struct SparseMemStore {
     geometry: BlockGeometry,
-    shards: Vec<Mutex<HashMap<u64, Arc<[u8]>>>>,
+    shards: Vec<Mutex<Shard>>,
     shard_mask: u64,
     /// What every never-written block reads as; lent by `read_blocks` and
     /// `write_blocks`. Always shared (this field holds it), so never
@@ -200,7 +228,7 @@ impl SparseMemStore {
     /// Creates an empty store with the given geometry.
     pub fn new(geometry: BlockGeometry) -> Self {
         let shards = (0..Self::SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
+            .map(|_| Mutex::new(Shard::default()))
             .collect();
         SparseMemStore {
             geometry,
@@ -211,7 +239,7 @@ impl SparseMemStore {
     }
 
     #[inline]
-    fn shard(&self, block: u64) -> &Mutex<HashMap<u64, Arc<[u8]>>> {
+    fn shard(&self, block: u64) -> &Mutex<Shard> {
         // Mix the low bits a little so striped access doesn't hammer one shard.
         &self.shards[((block ^ (block >> 7)) & self.shard_mask) as usize]
     }
@@ -437,6 +465,35 @@ mod tests {
             assert!(buf.iter().all(|&b| b == t as u8 + 1));
         }
         assert_eq!(s.resident_blocks(), 8 * 512);
+    }
+
+    #[test]
+    fn a_shards_blocks_spread_over_the_bucket_bits() {
+        use std::hash::BuildHasher;
+        let s = SparseMemStore::new(BlockGeometry::new(512, 1 << 20));
+        let hasher = BuildHasherDefault::<BlockHasher>::default();
+        // Dense and striped block runs alike: the keys one shard holds
+        // share low bits, and the bucket index is the hash's low bits.
+        for stride in [1u64, 12] {
+            let keys: Vec<u64> = (0..1 << 16)
+                .map(|i| i * stride)
+                .filter(|&b| std::ptr::eq(s.shard(b), s.shard(0)))
+                .collect();
+            let buckets = 2 * keys.len().next_power_of_two() as u64;
+            let mut used: Vec<u64> = keys
+                .iter()
+                .map(|&b| hasher.hash_one(b) & (buckets - 1))
+                .collect();
+            used.sort_unstable();
+            used.dedup();
+            // A random hash fills ~79 % of as many buckets as keys here.
+            assert!(
+                used.len() * 10 >= keys.len() * 7,
+                "stride {stride}: {} keys in {} buckets",
+                keys.len(),
+                used.len()
+            );
+        }
     }
 
     #[test]

@@ -20,13 +20,24 @@
 //! data path's one lock order is **media shard, then DMA page** — and no
 //! service thread keeps a buffer of its own.
 //!
-//! A device given a [`DeviceConfig::burst_latency`] moves a burst's bytes
-//! inside that latency, as an SSD's flash and DMA work while its service
-//! time runs: the commands visible at the burst's first take execute at
-//! once, the thread sleeps out what is left, and only then posts their
-//! CQEs, held in a per-thread `Vec` that is reused from burst to burst.
-//! Data still lands before its CQE, and [`DeviceStats`] still move before
-//! it posts.
+//! A burst is claimed once, counted once and, on a device given a
+//! [`DeviceConfig::burst_latency`], timed once, on device time. One
+//! compare-exchange of the SQ head claims every visible command, up to
+//! [`MAX_BURST`]; they execute at once, their CQEs wait in a per-thread
+//! `Vec` reused from burst to burst, the burst's [`DeviceStats`] are added
+//! in one update per counter, and only then do the CQEs post. So data and
+//! `DeviceStats` move before each CQE, on both kinds of device.
+//!
+//! With a latency, the burst's bytes move inside it, as an SSD's flash and
+//! DMA work while its service time runs, and its CQEs post at a deadline
+//! kept on device time: `max(previous burst's deadline, newest doorbell
+//! among the commands claimed) + latency`. The doorbell times come from
+//! the ring stamps of the device's queue pairs (see [`crate::queue`]), not
+//! from when the service thread got to run. So no command completes sooner
+//! than the latency after its own doorbell, a thread that wakes late posts
+//! at once, and its next burst chains on the deadline, not on the wake-up.
+//! Commands rung during the sleep still join the burst and complete right
+//! after it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -55,14 +66,15 @@ pub struct DeviceConfig {
     /// Device name, for diagnostics.
     pub name: String,
     /// Optional wall-clock latency injected once per burst — each time the
-    /// service thread finds a queue pair non-empty and takes up to
+    /// service thread finds a queue pair non-empty and claims up to
     /// [`MAX_BURST`] of that pair's commands; a round that finds *k* pairs
     /// non-empty sleeps *k* times. The burst's bytes move inside the
-    /// latency: the commands visible at the first take execute at once,
-    /// the thread sleeps out the rest, and their CQEs post at `take +
-    /// latency`, in take order; commands rung during the sleep join the
-    /// burst and complete right after it. Makes compute/I/O overlap visible
-    /// in real-time demos. `None` (the default) services at memory speed.
+    /// latency: the commands claimed execute at once, the thread sleeps out
+    /// the rest, and their CQEs post, in claim order, at `max(previous
+    /// burst's deadline, newest doorbell among them) + latency`; commands
+    /// rung during the sleep join the burst and complete right after it.
+    /// Makes compute/I/O overlap visible in real-time demos. `None` (the
+    /// default) services at memory speed.
     ///
     /// On Linux the sleep lasts within a few µs of the latency given: with
     /// a latency set, the service thread first drops its timer slack to
@@ -171,10 +183,17 @@ impl NvmeDevice {
         }
     }
 
-    /// Creates and registers a new queue pair of the given depth.
+    /// Creates and registers a new queue pair of the given depth. On a
+    /// device with a `burst_latency` its doorbells stamp their SQEs with
+    /// the clock, which the bursts' deadlines are kept from.
     pub fn add_queue_pair(&self, depth: usize) -> Arc<QueuePair> {
         let mut qps = self.shared.qps.write();
-        let qp = QueuePair::new(qps.len() as u16, depth);
+        let id = qps.len() as u16;
+        let qp = if self.shared.config.burst_latency.is_some() {
+            QueuePair::with_ring_stamps(id, depth)
+        } else {
+            QueuePair::new(id, depth)
+        };
         if let Some(t) = self.shared.telemetry.get() {
             qp.attach_telemetry(t.doorbell_batch.clone());
         }
@@ -193,10 +212,10 @@ impl NvmeDevice {
     /// burst means) and `cam_nvme_doorbell_batch{device="<name>"}` (SQEs
     /// per doorbell, wired into every current and future queue pair).
     /// One-shot; later calls are ignored. Before attachment a burst pays two
-    /// atomic loads (and, on a device with a `burst_latency`, the two clock
-    /// reads its sleep needs); after it, one histogram shard lock and at
-    /// most two clock reads more — per burst of up to [`MAX_BURST`] commands,
-    /// never per command.
+    /// atomic loads (and, on a device with a `burst_latency`, the clock read
+    /// for the time left to sleep); after it, one histogram shard lock and
+    /// at most three clock reads more — per burst of up to [`MAX_BURST`]
+    /// commands, never per command.
     pub fn attach_telemetry(&self, reg: &MetricsRegistry) {
         let name = &self.shared.config.name;
         let t = DeviceTelemetry {
@@ -257,8 +276,9 @@ fn service_loop(sh: &Shared) {
     if sh.config.burst_latency.is_some() {
         clock::exact_sleeps();
     }
-    // CQEs of a burst whose data has moved but whose latency has not passed.
-    let mut held: Vec<Cqe> = Vec::with_capacity(MAX_BURST);
+    let mut burst = Burst::default();
+    // Device time: the deadline of the previous burst (0 before the first).
+    let mut deadline_ns = 0u64;
     let mut idle_rounds = 0u32;
     // A snapshot of the queue pairs, refreshed only when a registration
     // moved the epoch (0 = nothing registered yet).
@@ -272,7 +292,7 @@ fn service_loop(sh: &Shared) {
         }
         let mut serviced = 0;
         for qp in &qps {
-            serviced += service_burst(sh, qp, &mut held);
+            serviced += service_burst(sh, qp, &mut burst, &mut deadline_ns);
         }
         if serviced == 0 {
             idle_rounds += 1;
@@ -289,63 +309,165 @@ fn service_loop(sh: &Shared) {
     }
 }
 
+/// When a burst's latency starts on device time: at its newest doorbell,
+/// or at the previous burst's deadline while that burst still had the
+/// device — never before either. The burst's deadline is this plus the
+/// latency.
+fn burst_start(previous_deadline_ns: u64, newest_ring_ns: u64) -> u64 {
+    previous_deadline_ns.max(newest_ring_ns)
+}
+
+/// A service thread's buffers for one burst, reused from burst to burst.
+#[derive(Default)]
+struct Burst {
+    /// The commands claimed, in claim order.
+    sqes: Vec<Sqe>,
+    /// Their completions, held until the burst's stats are added (and, on
+    /// a device with a latency, its deadline has passed).
+    cqes: Vec<Cqe>,
+    /// The burst's [`DeviceStats`] increments.
+    tally: Tally,
+}
+
+/// [`DeviceStats`] increments, added to the shared counters in one update
+/// per counter.
+#[derive(Default)]
+struct Tally {
+    reads: u64,
+    writes: u64,
+    read_bytes: u64,
+    write_bytes: u64,
+    errors: u64,
+}
+
+impl Tally {
+    fn count(&mut self, sqe: &Sqe, status: Status, block_size: u32) {
+        let bytes = u64::from(sqe.nlb) * u64::from(block_size);
+        match (status, sqe.opcode) {
+            (Status::Success, Opcode::Read) => {
+                self.reads += 1;
+                self.read_bytes += bytes;
+            }
+            (Status::Success, Opcode::Write) => {
+                self.writes += 1;
+                self.write_bytes += bytes;
+            }
+            (Status::Success, Opcode::Flush) => {}
+            _ => self.errors += 1,
+        }
+    }
+
+    /// Adds the increments to `stats` — one read-modify-write per counter
+    /// that moved — and starts over.
+    fn add_to(&mut self, stats: &DeviceStats) {
+        let t = std::mem::take(self);
+        for (counter, n) in [
+            (&stats.reads, t.reads),
+            (&stats.writes, t.writes),
+            (&stats.read_bytes, t.read_bytes),
+            (&stats.write_bytes, t.write_bytes),
+            (&stats.errors, t.errors),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// Services one burst — up to [`MAX_BURST`] commands from `qp` — and returns
 /// how many it executed.
 ///
-/// With a `burst_latency` the burst's bytes move inside its latency: the
-/// first take sets `deadline = take + latency`, every command visible until
-/// the queue runs dry executes at once and holds its CQE in `held`, and the
-/// thread sleeps out what is left, then posts the held CQEs in take order.
-/// Commands rung during the sleep join the burst (up to `MAX_BURST` in all)
-/// and execute and post one by one afterwards — as every command of a
-/// memory-speed burst does, which has no deadline and holds nothing.
+/// One claim takes every visible command, up to `MAX_BURST`. They execute
+/// at once and hold their CQEs in `burst`. With a `burst_latency` the
+/// thread then sets `deadline_ns` to `burst_start(deadline_ns, newest
+/// ring) + latency` and sleeps out what is left of it, if anything;
+/// commands rung meanwhile join the burst with a second claim (up to
+/// `MAX_BURST` in all) and execute after the sleep. Last, the burst's
+/// [`DeviceStats`] are added and its CQEs post in claim order.
 ///
 /// Observation is paid per burst, not per command: with telemetry attached
-/// the burst is stamped at the take, before the sleep, and — only when a
+/// the burst is stamped at the claim, before the sleep, and — only when a
 /// command joined during the sleep — after it and at the end.
 /// `cam_nvme_cmd_ns` takes the device's own work, the sleep left out, as
 /// one weighted sample per command (one lock). Only an attached recorder,
 /// whose [`EventKind::NvmeCmd`] carries a start stamp per command, makes the
 /// loop read the clock per command — once, chained: command *i*'s
-/// data-moved instant is command *i + 1*'s start, so each span is "take SQE
-/// → data moved" (a late joiner's starts after the sleep). Unobserved, a
-/// memory-speed burst reads no clock and a sleeping one reads it twice: for
-/// its deadline and for the time left.
-fn service_burst(sh: &Shared, qp: &QueuePair, held: &mut Vec<Cqe>) -> usize {
-    let Some(mut sqe) = qp.take_sqe() else {
+/// data-moved instant is command *i + 1*'s start, so each span is "claim →
+/// data moved" (a late joiner's starts after the sleep). Unobserved, a
+/// memory-speed burst reads no clock and a sleeping one reads it once, for
+/// the time left; its doorbell's read supplies the rest of its deadline.
+fn service_burst(sh: &Shared, qp: &QueuePair, burst: &mut Burst, deadline_ns: &mut u64) -> usize {
+    let Some(rung_ns) = qp.take_sqes(MAX_BURST, &mut burst.sqes) else {
         return 0;
     };
     let telemetry = sh.telemetry.get();
     let recorder = sh.recorder.get();
     let observed = telemetry.is_some() || recorder.is_some();
-    let latency = sh.config.burst_latency;
-    let take_ns = if observed || latency.is_some() {
-        clock::now_ns()
-    } else {
-        0
-    };
-    // Pending while the commands taken before the sleep execute; their
-    // CQEs wait in `held` until it passes.
-    let mut deadline = latency.map(|lat| take_ns + lat.as_nanos() as u64);
+    let take_ns = if observed { clock::now_ns() } else { 0 };
+    // End of the last command (recorder attached) or the stretch start.
+    let mut stamp = execute_claimed(sh, burst, 0, take_ns);
     // Start of the execution stretch under way (`None` once the sleep has
     // closed the burst), and the device's own work in closed stretches.
     let mut stretch_ns = Some(take_ns);
     let mut busy_ns = 0;
-    // End of the previous command (recorder attached) or the stretch start.
-    let mut stamp = take_ns;
-    let mut burst = 0;
-    loop {
-        let status = execute(sh, &sqe);
-        let cqe = Cqe {
+    if let Some(latency) = sh.config.burst_latency {
+        *deadline_ns = burst_start(*deadline_ns, rung_ns) + latency.as_nanos() as u64;
+        // Every command claimed has moved its bytes: sleep out the rest of
+        // the latency.
+        let now = if recorder.is_some() {
+            stamp
+        } else {
+            clock::now_ns()
+        };
+        busy_ns = now - take_ns;
+        if *deadline_ns > now {
+            std::thread::sleep(Duration::from_nanos(*deadline_ns - now));
+        }
+        // Commands rung during the sleep join the burst.
+        let claimed = burst.sqes.len();
+        stretch_ns = None;
+        if claimed < MAX_BURST && qp.take_sqes(MAX_BURST - claimed, &mut burst.sqes).is_some() {
+            let start_ns = if observed { clock::now_ns() } else { 0 };
+            stretch_ns = Some(start_ns);
+            stamp = execute_claimed(sh, burst, claimed, start_ns);
+        }
+    }
+    burst.tally.add_to(&sh.stats);
+    for cqe in burst.cqes.drain(..) {
+        qp.post_cqe(cqe);
+    }
+    let n = burst.sqes.len();
+    burst.sqes.clear();
+    if let Some(t) = telemetry {
+        if let Some(start_ns) = stretch_ns {
+            let end_ns = if recorder.is_some() {
+                stamp
+            } else {
+                clock::now_ns()
+            };
+            busy_ns += end_ns.saturating_sub(start_ns);
+        }
+        t.cmd_ns.record_n(busy_ns / n as u64, n as u64);
+    }
+    n
+}
+
+/// Executes `burst.sqes[from..]`, holding their CQEs and tallying their
+/// stats. With a recorder attached, emits one [`EventKind::NvmeCmd`] per
+/// command, the first starting at `start_ns`; returns the last command's
+/// end stamp (or `start_ns` without a recorder).
+fn execute_claimed(sh: &Shared, burst: &mut Burst, from: usize, start_ns: u64) -> u64 {
+    let recorder = sh.recorder.get();
+    let block_size = sh.store.geometry().block_size;
+    let mut stamp = start_ns;
+    for sqe in &burst.sqes[from..] {
+        let status = execute(sh, sqe);
+        burst.tally.count(sqe, status, block_size);
+        burst.cqes.push(Cqe {
             cid: sqe.cid,
             status,
-        };
-        if deadline.is_some() {
-            held.push(cqe);
-        } else {
-            qp.post_cqe(cqe);
-        }
-        burst += 1;
+        });
         if let Some((device, rec)) = recorder {
             let end_ns = clock::now_ns();
             rec.emit_at(
@@ -364,81 +486,11 @@ fn service_burst(sh: &Shared, qp: &QueuePair, held: &mut Vec<Cqe>) -> usize {
             );
             stamp = end_ns;
         }
-        let room = burst < MAX_BURST;
-        if let Some(next) = room.then(|| qp.take_sqe()).flatten() {
-            sqe = next;
-            continue;
-        }
-        let Some(due) = deadline.take() else {
-            break;
-        };
-        // Every command taken so far has moved its bytes: sleep out the
-        // rest of the latency, then complete them in take order.
-        let now = if recorder.is_some() {
-            stamp
-        } else {
-            clock::now_ns()
-        };
-        busy_ns = now - take_ns;
-        if due > now {
-            std::thread::sleep(Duration::from_nanos(due - now));
-        }
-        for cqe in held.drain(..) {
-            qp.post_cqe(cqe);
-        }
-        // Commands rung during the sleep join the burst.
-        match room.then(|| qp.take_sqe()).flatten() {
-            Some(next) => {
-                sqe = next;
-                stamp = if observed { clock::now_ns() } else { 0 };
-                stretch_ns = Some(stamp);
-            }
-            None => {
-                stretch_ns = None;
-                break;
-            }
-        }
     }
-    if let Some(t) = telemetry {
-        if let Some(start_ns) = stretch_ns {
-            let end_ns = if recorder.is_some() {
-                stamp
-            } else {
-                clock::now_ns()
-            };
-            busy_ns += end_ns.saturating_sub(start_ns);
-        }
-        let n = burst as u64;
-        t.cmd_ns.record_n(busy_ns / n, n);
-    }
-    burst
+    stamp
 }
 
 fn execute(sh: &Shared, sqe: &Sqe) -> Status {
-    let status = execute_inner(sh, sqe);
-    match status {
-        Status::Success => {
-            let bytes = u64::from(sqe.nlb) * u64::from(sh.store.geometry().block_size);
-            match sqe.opcode {
-                Opcode::Read => {
-                    sh.stats.reads.fetch_add(1, Ordering::Relaxed);
-                    sh.stats.read_bytes.fetch_add(bytes, Ordering::Relaxed);
-                }
-                Opcode::Write => {
-                    sh.stats.writes.fetch_add(1, Ordering::Relaxed);
-                    sh.stats.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-                }
-                Opcode::Flush => {}
-            }
-        }
-        _ => {
-            sh.stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    status
-}
-
-fn execute_inner(sh: &Shared, sqe: &Sqe) -> Status {
     if sqe.opcode == Opcode::Flush {
         // The in-memory media is always durable; flush is a barrier that
         // completes after everything the service thread already executed.
@@ -925,6 +977,32 @@ mod tests {
             assert!(holds(&dma, i, i as u8 + 1));
         }
         assert!(qp.poll_cqe().is_none());
+    }
+
+    #[test]
+    fn an_idle_device_starts_a_burst_at_its_newest_ring() {
+        // The previous burst ended before this one was rung.
+        assert_eq!(burst_start(1_000, 5_000), 5_000);
+        assert_eq!(burst_start(0, 7), 7);
+    }
+
+    #[test]
+    fn a_busy_device_starts_a_burst_at_the_previous_deadline() {
+        // Rung while the previous burst still had the device.
+        assert_eq!(burst_start(9_000, 5_000), 9_000);
+        assert_eq!(burst_start(5_000, 5_000), 5_000);
+    }
+
+    #[test]
+    fn a_burst_never_starts_before_its_ring_or_the_previous_deadline() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(35);
+        for _ in 0..10_000 {
+            let (deadline, ring) = (rng.gen_range(0..1u64 << 40), rng.gen_range(0..1u64 << 40));
+            let start = burst_start(deadline, ring);
+            assert!(start >= deadline && start >= ring);
+            assert!(start == deadline || start == ring, "no idle gap is added");
+        }
     }
 
     #[test]

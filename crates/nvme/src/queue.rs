@@ -12,9 +12,18 @@
 //!   [`ring_doorbell`](QueuePair::ring_doorbell) release-stores the SQ
 //!   *tail* — literally the NVMe tail doorbell. One doorbell publishes a
 //!   whole batch of SQEs (the key control-plane saving CAM inherits from
-//!   SPDK), observable in the [`QpStats`]. The device claims the SQ *head*
-//!   by compare-exchange, so a second service thread taking from the same
-//!   pair is still safe.
+//!   SPDK), observable in the [`QpStats`]. The device claims a burst of up
+//!   to `max` visible SQEs with one compare-exchange of the SQ *head*
+//!   (`take_sqes`; [`take_sqe`](QueuePair::take_sqe) is its one-entry
+//!   case), so a second service thread taking from the same pair is still
+//!   safe.
+//! * **Ring stamps** — on a pair whose device has a burst latency
+//!   (`NvmeDevice::add_queue_pair` decides), each SQ slot carries a fourth
+//!   word: the clock at the doorbell that published it, read once per
+//!   ring. A claim returns the newest stamp among its SQEs, which is the
+//!   stamp of its last one, so the device can keep time from the rings
+//!   rather than from when its thread got to run. Other pairs' slots are
+//!   three words and their doorbells read no clock.
 //! * **CQ** — the device writes a CQE into slot `cq_tail` and release-stores
 //!   the new tail; the host reaps everything visible with one acquire-load
 //!   and advances its *head* (`completed`).
@@ -38,7 +47,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cam_telemetry::{EventKind, FlightRecorder, HistogramHandle};
+use cam_telemetry::{clock, EventKind, FlightRecorder, HistogramHandle};
 
 use crate::spec::{Cqe, Sqe};
 
@@ -112,15 +121,15 @@ struct HostSide {
 #[derive(Default)]
 #[repr(align(64))]
 struct DeviceCursors {
-    /// SQ head: SQEs at positions below it were claimed by `take_sqe`.
+    /// SQ head: SQEs at positions below it were claimed by `take_sqes`.
     sq_head: AtomicU64,
     /// CQ tail: CQEs at positions below it are visible to the host.
     cq_tail: AtomicU64,
 }
 
-/// One SQ slot: the three words of [`Sqe::to_words`].
-#[derive(Default)]
-struct SqSlot([AtomicU64; 3]);
+/// Words of an SQE in its slot: those of [`Sqe::to_words`]. A stamped
+/// pair's slot has one more, the ring stamp.
+const SQE_WORDS: usize = 3;
 
 /// A submission/completion ring pair of fixed depth.
 ///
@@ -135,7 +144,9 @@ pub struct QueuePair {
     /// of two, so positions map to slots with a mask; admission is still
     /// bounded by `depth`.
     mask: u64,
-    sq: Box<[SqSlot]>,
+    /// The SQ slots' words, slot after slot: `SQE_WORDS` per slot, or one
+    /// more on a pair that stamps its rings (see [`Self::slot_words`]).
+    sq: Box<[AtomicU64]>,
     cq: Box<[AtomicU64]>,
     host: HostSide,
     dev: DeviceCursors,
@@ -156,13 +167,23 @@ pub struct QueuePair {
 impl QueuePair {
     /// Creates a queue pair with the given id and depth (≥ 1).
     pub fn new(id: u16, depth: usize) -> Arc<Self> {
+        Self::with_slot_words(id, depth, SQE_WORDS)
+    }
+
+    /// A queue pair whose doorbells stamp every slot they publish with the
+    /// clock (see the module docs), for a device that keeps time.
+    pub(crate) fn with_ring_stamps(id: u16, depth: usize) -> Arc<Self> {
+        Self::with_slot_words(id, depth, SQE_WORDS + 1)
+    }
+
+    fn with_slot_words(id: u16, depth: usize, words: usize) -> Arc<Self> {
         assert!(depth >= 1, "queue depth must be >= 1");
         let capacity = depth.next_power_of_two();
         Arc::new(QueuePair {
             id,
             depth,
             mask: capacity as u64 - 1,
-            sq: (0..capacity).map(|_| SqSlot::default()).collect(),
+            sq: (0..capacity * words).map(|_| AtomicU64::new(0)).collect(),
             cq: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             host: HostSide::default(),
             dev: DeviceCursors::default(),
@@ -199,6 +220,26 @@ impl QueuePair {
                 self.id
             );
         }
+    }
+
+    /// Words per SQ slot: `SQE_WORDS`, plus the ring stamp on a stamped
+    /// pair. The SQ's length against the CQ's (one word per slot) is the
+    /// record; no flag is kept.
+    #[inline]
+    fn slot_words(&self) -> usize {
+        if self.sq.len() > SQE_WORDS * self.cq.len() {
+            SQE_WORDS + 1
+        } else {
+            SQE_WORDS
+        }
+    }
+
+    /// The words of the SQ slot at ring position `pos`.
+    #[inline]
+    fn sq_slot(&self, pos: u64) -> &[AtomicU64] {
+        let words = self.slot_words();
+        let at = (pos & self.mask) as usize * words;
+        &self.sq[at..at + words]
     }
 
     /// Telemetry: records SQEs-per-doorbell into `hist` from now on.
@@ -246,8 +287,8 @@ impl QueuePair {
         if staged - self.host.stats.completed() >= self.depth as u64 {
             return Err(QueueError::SqFull);
         }
-        let slot = &self.sq[(staged & self.mask) as usize];
-        for (word, value) in slot.0.iter().zip(sqe.to_words()) {
+        let slot = self.sq_slot(staged);
+        for (word, value) in slot.iter().zip(sqe.to_words()) {
             word.store(value, Ordering::Relaxed);
         }
         self.host.staged.store(staged + 1, Ordering::Relaxed);
@@ -255,13 +296,28 @@ impl QueuePair {
     }
 
     /// Publishes all staged SQEs to the device in one doorbell write.
-    /// Returns the number published.
+    /// Returns the number published. On a stamped pair, first stamps their
+    /// slots with one clock read.
     pub fn ring_doorbell(&self) -> usize {
         self.assert_host_owner();
         let staged = self.host.staged.load(Ordering::Relaxed);
-        let n = (staged - self.host.stats.submitted()) as usize;
+        let submitted = self.host.stats.submitted();
+        let n = (staged - submitted) as usize;
         if n == 0 {
             return 0;
+        }
+        let stamped = self.slot_words() > SQE_WORDS;
+        let recorder = self.recorder.get();
+        // One read serves the stamps and the doorbell event alike.
+        let rung_ns = if stamped || recorder.is_some() {
+            clock::now_ns()
+        } else {
+            0
+        };
+        if stamped {
+            for pos in submitted..staged {
+                self.sq_slot(pos)[SQE_WORDS].store(rung_ns, Ordering::Relaxed);
+            }
         }
         // The tail doorbell: this one release-store publishes every slot
         // word written since the previous ring.
@@ -281,11 +337,14 @@ impl QueuePair {
         if let Some(h) = self.doorbell_batch.get() {
             h.record(n as u64);
         }
-        if let Some(rec) = self.recorder.get() {
-            rec.emit(EventKind::QpDoorbell {
-                qp: self.id,
-                sqes: n as u32,
-            });
+        if let Some(rec) = recorder {
+            rec.emit_at(
+                rung_ns,
+                EventKind::QpDoorbell {
+                    qp: self.id,
+                    sqes: n as u32,
+                },
+            );
         }
         n
     }
@@ -331,28 +390,73 @@ impl QueuePair {
         n as usize
     }
 
-    /// Device side: takes the next visible SQE, if any. The head is claimed
-    /// by compare-exchange, so concurrent takers each get every SQE exactly
+    /// Device side: takes the next visible SQE, if any — the one-entry
+    /// case of the burst claim (`take_sqes`). The head is claimed by
+    /// compare-exchange, so concurrent takers each get every SQE exactly
     /// once — but see [`post_cqe`](Self::post_cqe): completions still go
     /// through one poster.
     pub fn take_sqe(&self) -> Option<Sqe> {
+        let mut sqe = None;
+        self.claim(1, |_, s| sqe = Some(s))?;
+        sqe
+    }
+
+    /// Device side: claims up to `max` visible SQEs with one
+    /// compare-exchange of the SQ head and appends them to `out` in ring
+    /// order. Returns `None` when none is visible; else the ring stamp of
+    /// the newest SQE claimed (0 on a pair that does not stamp). Safe
+    /// beside other takers, as [`take_sqe`](Self::take_sqe) is.
+    pub(crate) fn take_sqes(&self, max: usize, out: &mut Vec<Sqe>) -> Option<u64> {
+        let start = out.len();
+        let claimed = self.claim(max, |i, sqe| {
+            // A failed claim rereads from `i = 0`: drop its reads.
+            out.truncate(start + i);
+            out.push(sqe);
+        });
+        if claimed.is_none() {
+            // ... or finds nothing left to read.
+            out.truncate(start);
+        }
+        claimed
+    }
+
+    /// The claim behind `take_sqe`/`take_sqes`: reads up to `max` visible
+    /// SQEs into `read(i, sqe)`, then claims them all with one
+    /// compare-exchange, retrying from `i = 0` when another taker moved
+    /// the head first. Returns the newest claimed SQE's ring stamp, or
+    /// `None` — possibly after reads that a failed claim discarded.
+    #[inline]
+    fn claim(&self, max: usize, mut read: impl FnMut(usize, Sqe)) -> Option<u64> {
         let mut head = self.dev.sq_head.load(Ordering::Relaxed);
         loop {
-            if head == self.host.stats.submitted.load(Ordering::Acquire) {
+            // Saturating: a stale tail below a head that another taker
+            // moved reads as nothing visible.
+            let tail = self.host.stats.submitted.load(Ordering::Acquire);
+            let n = tail.saturating_sub(head).min(max as u64);
+            if n == 0 {
                 return None;
             }
             // Read first, claim second: once the claim succeeds the host
-            // may complete-and-reuse the slot, and a failed claim discards
+            // may complete-and-reuse the slots, and a failed claim discards
             // whatever (possibly torn) words were read.
-            let slot = &self.sq[(head & self.mask) as usize];
-            let words = [0, 1, 2].map(|i| slot.0[i].load(Ordering::Relaxed));
+            for (i, pos) in (head..head + n).enumerate() {
+                let slot = self.sq_slot(pos);
+                read(
+                    i,
+                    Sqe::from_words([0, 1, 2].map(|w| slot[w].load(Ordering::Relaxed))),
+                );
+            }
+            let newest = self.sq_slot(head + n - 1);
+            let rung_ns = newest
+                .get(SQE_WORDS)
+                .map_or(0, |w| w.load(Ordering::Relaxed));
             match self.dev.sq_head.compare_exchange_weak(
                 head,
-                head + 1,
+                head + n,
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Some(Sqe::from_words(words)),
+                Ok(_) => return Some(rung_ns),
                 Err(current) => head = current,
             }
         }
@@ -517,9 +621,17 @@ mod tests {
     fn seeded_interleaving_matches_a_deque_model_across_many_wraps() {
         use rand::{rngs::StdRng, RngCore, SeedableRng};
         use std::collections::VecDeque;
-        for depth in [1usize, 2, 3, 7] {
-            let qp = QueuePair::new(0, depth);
+        for (depth, stamped) in [1usize, 2, 3, 7]
+            .into_iter()
+            .flat_map(|d| [(d, false), (d, true)])
+        {
+            let qp = if stamped {
+                QueuePair::with_ring_stamps(0, depth)
+            } else {
+                QueuePair::new(0, depth)
+            };
             let mut rng = StdRng::seed_from_u64(depth as u64);
+            let mut newest_ring = 0;
             // The model: four FIFOs a command moves through.
             let mut staged: VecDeque<Sqe> = VecDeque::new();
             let mut visible: VecDeque<Sqe> = VecDeque::new();
@@ -556,15 +668,25 @@ mod tests {
                     }
                     2 => {
                         // Staged-but-unrung SQEs are invisible: only the
-                        // model's `visible` FIFO can feed a take.
-                        let got = qp.take_sqe();
-                        let want = visible.pop_front();
-                        assert_eq!(
-                            got.as_ref().map(sqe_fields),
-                            want.as_ref().map(sqe_fields),
+                        // model's `visible` FIFO can feed a claim, of one
+                        // SQE or of a burst.
+                        let max = 1 + (rng.next_u64() % (depth as u64 + 1)) as usize;
+                        let mut got = Vec::new();
+                        if max == 1 {
+                            got.extend(qp.take_sqe());
+                        } else if let Some(rung_ns) = qp.take_sqes(max, &mut got) {
+                            // The newest claimed SQE's ring, never older
+                            // than an earlier claim's.
+                            assert_eq!(rung_ns == 0, !stamped, "step {step}");
+                            assert!(rung_ns >= newest_ring, "step {step}");
+                            newest_ring = rung_ns;
+                        }
+                        let want: Vec<Sqe> = visible.drain(..max.min(visible.len())).collect();
+                        assert!(
+                            got.iter().map(sqe_fields).eq(want.iter().map(sqe_fields)),
                             "step {step}"
                         );
-                        taken.extend(want.map(|s| s.cid));
+                        taken.extend(want.iter().map(|s| s.cid));
                     }
                     3 => {
                         if let Some(cid) = taken.pop_front() {
@@ -683,38 +805,47 @@ mod tests {
         assert!(qp.poll_cqe().is_none());
     }
 
-    #[test]
-    fn concurrent_takers_claim_each_sqe_exactly_once() {
-        const COMMANDS: u64 = 200_000;
-        let qp = QueuePair::new(0, 128);
+    /// Two taker threads claim with `take` from one pair while this thread
+    /// hosts it and posts every completion: each SQE must be claimed by
+    /// exactly one taker, untorn, and each taker's claims come in ring
+    /// order.
+    fn two_takers_claim_each_sqe_exactly_once(
+        qp: &QueuePair,
+        commands: u64,
+        take: impl Fn(&QueuePair, &mut Vec<Sqe>) + Sync,
+    ) {
         let done = std::sync::atomic::AtomicBool::new(false);
         let (tx, rx) = std::sync::mpsc::channel::<(u16, u64)>();
         std::thread::scope(|s| {
             for _ in 0..2 {
-                let (tx, dev, done) = (tx.clone(), &qp, &done);
+                let (tx, dev, done, take) = (tx.clone(), qp, &done, &take);
                 s.spawn(move || {
                     let stalled = stall_check();
+                    let mut claimed = Vec::new();
+                    let mut last = None;
                     while !done.load(Ordering::Acquire) {
-                        match dev.take_sqe() {
-                            Some(sqe) => {
-                                assert_eq!(sqe.data_addr, !sqe.slba, "torn SQE");
-                                tx.send((sqe.cid, sqe.slba)).unwrap();
-                            }
-                            None => {
-                                stalled();
-                                std::thread::yield_now();
-                            }
+                        claimed.clear();
+                        take(dev, &mut claimed);
+                        if claimed.is_empty() {
+                            stalled();
+                            std::thread::yield_now();
+                        }
+                        for sqe in &claimed {
+                            assert_eq!(sqe.data_addr, !sqe.slba, "torn SQE");
+                            assert!(last < Some(sqe.slba), "claims out of ring order");
+                            last = Some(sqe.slba);
+                            tx.send((sqe.cid, sqe.slba)).unwrap();
                         }
                     }
                 });
             }
             // This thread is the host and the pair's one completion poster.
-            let mut claimed = vec![false; COMMANDS as usize];
+            let mut claimed = vec![false; commands as usize];
             let (mut pushed, mut reaped) = (0u64, 0u64);
             let stalled = stall_check();
-            while reaped < COMMANDS {
+            while reaped < commands {
                 stalled();
-                while pushed < COMMANDS
+                while pushed < commands
                     && qp
                         .push_sqe(Sqe::read(pushed as u16, pushed, 1, !pushed))
                         .is_ok()
@@ -737,5 +868,43 @@ mod tests {
             done.store(true, Ordering::Release);
             assert!(claimed.iter().all(|&c| c));
         });
+    }
+
+    #[test]
+    fn concurrent_takers_claim_each_sqe_exactly_once() {
+        let qp = QueuePair::new(0, 128);
+        two_takers_claim_each_sqe_exactly_once(&qp, 200_000, |qp, out| out.extend(qp.take_sqe()));
+    }
+
+    #[test]
+    fn two_burst_takers_claim_each_sqe_exactly_once() {
+        // Burst claims of up to `MAX_BURST`, on a stamped pair (four words
+        // per slot) whose depth is no multiple of the burst.
+        let qp = QueuePair::with_ring_stamps(0, 100);
+        two_takers_claim_each_sqe_exactly_once(&qp, 400_000, |qp, out| {
+            qp.take_sqes(crate::MAX_BURST, out);
+        });
+    }
+
+    #[test]
+    fn a_stamped_pair_stamps_each_ring_once_and_a_claim_returns_the_newest() {
+        let qp = QueuePair::with_ring_stamps(0, 8);
+        let before = clock::now_ns();
+        qp.submit(Sqe::read(1, 0, 1, 0)).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        qp.push_sqe(Sqe::read(2, 1, 1, 0)).unwrap();
+        qp.push_sqe(Sqe::read(3, 2, 1, 0)).unwrap();
+        qp.ring_doorbell();
+        let after = clock::now_ns();
+        let mut out = Vec::new();
+        let first = qp.take_sqes(1, &mut out).unwrap();
+        let second = qp.take_sqes(8, &mut out).unwrap();
+        assert!(out.iter().map(|s| s.cid).eq(1..=3));
+        assert!(before <= first && first + 2_000_000 <= second && second <= after);
+        assert_eq!(qp.take_sqes(8, &mut out), None);
+        // A pair that does not stamp returns 0.
+        let plain = QueuePair::new(1, 8);
+        plain.submit(Sqe::flush(4)).unwrap();
+        assert_eq!(plain.take_sqes(8, &mut out), Some(0));
     }
 }
