@@ -735,8 +735,8 @@ mod tests {
         // The DES base config copies the threaded engine's lane depth.
         let des = CamDesConfig::calibrated(N_SSDS, 1);
         assert_eq!(des.queue_depth, CamConfig::default().queue_depth);
-        // Two workers force cross-worker ring handoff (each worker plans
-        // channels whose SSD groups the other owns): sharded pickup, SPSC
+        // Two workers force cross-worker handoff (each worker plans
+        // channels whose SSD groups the other owns): sharded pickup,
         // routing and parking reorder work in time but may not change what
         // is planned, deduped, split, grouped or submitted.
         let workload = fidelity_workload(6, DEFAULT_SEED);

@@ -7,18 +7,19 @@
 //! on the CPU"). Worker *w* owns channels `ch % workers` outright, performs
 //! doorbell pickup and [`cam_protocol::plan_batch`] planning inline
 //! ([`dispatch::poll_channel`]), routes each per-SSD group to the worker
-//! owning that SSD over bounded SPSC rings ([`ring`]), and drives a
-//! [`cam_protocol::WorkerCore`] state machine over private queue pairs
-//! (SPDK's no-locks-in-the-I/O-path discipline), executing the
+//! owning that SSD over that worker's bounded `std::sync::mpsc` channel,
+//! and drives a [`cam_protocol::WorkerCore`] state machine over private
+//! queue pairs (SPDK's no-locks-in-the-I/O-path discipline), executing the
 //! [`cam_protocol::Command`]s it emits ([`reactor`]) — SQE pushes, doorbell
 //! rings, and one [`LifecycleTap`] call per lifecycle hand-off (the tap
 //! owns every span, metric, window and event of the lifecycle; this driver
 //! only says what happened and when). The last group of a batch retires it
 //! ([`retire`]) by writing region 4 and feeds the [`DynamicScaler`] with the
 //! batch's compute/I/O times. When the protocol reports nothing actionable
-//! ([`cam_protocol::ParkHint`]), the worker parks on a [`park::Parker`]
-//! woken by doorbell publishes, ring pushes and stop — idle CPU burn goes
-//! to ~0 instead of a spin loop.
+//! ([`cam_protocol::ParkHint`]), the worker parks its thread
+//! (`std::thread::park_timeout`) and is unparked by doorbell publishes,
+//! hand-offs from peers and stop — idle CPU burn goes to ~0 instead of a
+//! spin loop.
 //!
 //! All protocol decisions live in `cam-protocol` and are clock-agnostic —
 //! time enters them as a `now_ns` argument. This module is the *only*
@@ -31,15 +32,14 @@
 //! [`DynamicScaler`]: crate::DynamicScaler
 
 mod dispatch;
-mod park;
 mod reactor;
 mod retire;
-mod ring;
 mod shard;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
 use cam_nvme::{DmaSpace, NvmeDevice, QueuePair};
 use cam_protocol::{GroupSpec, PlanConfig, RetryPolicy};
@@ -206,13 +206,25 @@ struct Shared {
     /// Per-channel retire timestamps (telemetry-timeline ns; 0 = no retire
     /// yet) for compute-gap estimation, sized to the channel count.
     last_retire: Vec<AtomicU64>,
-    /// Cross-worker SPSC handoff fabric: `rings[consumer][producer]`.
-    rings: Vec<Vec<ring::SpscRing<GroupSpec>>>,
-    /// One parker per worker, woken by doorbell publishes (channel
-    /// wakers), ring pushes, and stop. `Arc`ed individually so channel
-    /// waker closures don't hold `Shared` (which holds the channels —
-    /// that cycle would leak the control plane).
-    parkers: Vec<Arc<park::Parker>>,
+    /// Cross-worker hand-off: `handoff[w]` sends a group to worker `w`,
+    /// whose thread owns the matching receiver.
+    handoff: Vec<SyncSender<GroupSpec>>,
+    /// Every worker's thread, to unpark a peer after a hand-off. Set once
+    /// all workers are spawned, before [`ControlPlane::start`] returns; no
+    /// doorbell can be published before then, so no hand-off (and no
+    /// wake-up) can happen while it is unset.
+    threads: OnceLock<Vec<Thread>>,
+}
+
+impl Shared {
+    /// Wakes worker `w`: one atomic swap unless it is parked, and a token
+    /// its next park consumes if it is not.
+    fn unpark(&self, w: usize) {
+        self.threads
+            .get()
+            .expect("workers are spawned before any hand-off")[w]
+            .unpark();
+    }
 }
 
 /// The running control plane. Stops and joins its threads on drop.
@@ -256,6 +268,15 @@ impl ControlPlane {
         metrics.workers_min.set(scaler.min() as u64);
         metrics.workers_max.set(scaler.max() as u64);
         let n_channels = channels.len();
+        // Hand-off capacity: each of the W−1 peers owns ceil(C/W) channels,
+        // each with one outstanding batch fanning out to at most n_ssds
+        // groups — a send can only find the channel full under a transient
+        // drain lag, which the producer rides out by spinning (and draining
+        // its own receiver to avoid a mutual-send deadlock).
+        let capacity = ((max_workers - 1) * n_channels.div_ceil(max_workers) * n_ssds).max(1);
+        let (handoff, receivers): (Vec<_>, Vec<_>) = (0..max_workers)
+            .map(|_| mpsc::sync_channel(capacity))
+            .unzip();
         let shared = Arc::new(Shared {
             channels,
             dma,
@@ -287,57 +308,33 @@ impl ControlPlane {
                 deadline_ns: cfg.cmd_deadline_ns,
             },
             last_retire: (0..n_channels).map(|_| AtomicU64::new(0)).collect(),
-            // Ring capacity: a producer owns ceil(C/W) channels, each with
-            // one outstanding batch fanning out to at most n_ssds groups —
-            // a push can only find the ring full under a transient drain
-            // lag, which the producer rides out by spinning (and draining
-            // its own inbound rings to avoid a mutual-push deadlock).
-            rings: (0..max_workers)
-                .map(|_| {
-                    (0..max_workers)
-                        .map(|_| {
-                            ring::SpscRing::with_capacity(n_channels.div_ceil(max_workers) * n_ssds)
-                        })
-                        .collect()
-                })
-                .collect(),
-            parkers: (0..max_workers)
-                .map(|_| Arc::new(park::Parker::new()))
-                .collect(),
+            handoff,
+            threads: OnceLock::new(),
         });
 
-        // Any spawn failure unwinds what was already started: without the
-        // stop flag + joins, a half-built plane would leak live workers
-        // holding the shared state.
-        let abort = |shared: &Arc<Shared>, workers: Vec<JoinHandle<()>>, e: std::io::Error| {
-            shared.stop.store(true, Ordering::Release);
-            for p in &shared.parkers {
-                p.unpark();
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-            e
+        // A spawn failure drops `plane`, whose `Drop` stops, unparks and
+        // joins the workers already running: a half-built plane must not
+        // leak live workers holding the shared state.
+        let mut plane = ControlPlane {
+            shared,
+            workers: Vec::with_capacity(max_workers),
         };
+        for (wid, rx) in receivers.into_iter().enumerate() {
+            let sh = Arc::clone(&plane.shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("cam-worker{wid}"))
+                .spawn(move || shard::shard_loop(&sh, wid, &rx, cfg.pipelined));
+            plane.workers.push(spawned?);
+        }
+        let threads: Vec<Thread> = plane.workers.iter().map(|h| h.thread().clone()).collect();
         // Doorbell publishes wake the worker owning the channel
         // (`ch % workers` — the same static shard the workers poll), so an
         // idle engine burns no CPU waiting for work.
-        for (ch_idx, ch) in shared.channels.iter().enumerate() {
-            let parker = Arc::clone(&shared.parkers[ch_idx % max_workers]);
-            ch.set_waker(Arc::new(move || parker.unpark()));
+        for (ch_idx, ch) in plane.shared.channels.iter().enumerate() {
+            ch.set_waker(threads[ch_idx % max_workers].clone());
         }
-        let mut workers = Vec::with_capacity(max_workers);
-        for wid in 0..max_workers {
-            let sh = Arc::clone(&shared);
-            match std::thread::Builder::new()
-                .name(format!("cam-worker{wid}"))
-                .spawn(move || shard::shard_loop(&sh, wid, cfg.pipelined))
-            {
-                Ok(h) => workers.push(h),
-                Err(e) => return Err(abort(&shared, workers, e)),
-            }
-        }
-        Ok(ControlPlane { shared, workers })
+        let _ = plane.shared.threads.set(threads);
+        Ok(plane)
     }
 
     pub(crate) fn stats(&self) -> ControlStats {
@@ -372,8 +369,8 @@ impl ControlPlane {
         self.shared.stop.store(true, Ordering::Release);
         // Wake every parked worker so shutdown latency is bounded by the
         // join, not by a park timeout.
-        for p in &self.shared.parkers {
-            p.unpark();
+        for w in &self.workers {
+            w.thread().unpark();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();

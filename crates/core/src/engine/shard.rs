@@ -2,24 +2,24 @@
 //!
 //! Worker *w* of *W* owns channels `ch % W` and the per-SSD lanes
 //! `ssd % active` outright: it performs doorbell pickup and planning
-//! inline ([`dispatch::poll_channel`]), routes each per-SSD group to the
-//! owning worker over the bounded SPSC fabric (`rings[dst][src]`), and
-//! runs the worker shell ([`reactor::Worker`]) over its private queue
-//! pairs. Groups for its own SSDs skip the fabric and go straight into the
-//! local inbox.
+//! inline ([`dispatch::poll_channel`]), sends each per-SSD group to the
+//! owning worker over that worker's bounded `mpsc` channel, and runs the
+//! worker shell ([`reactor::Worker`]) over its private queue pairs. Groups
+//! for its own SSDs skip the channel and go straight into the local inbox.
 //!
 //! Idleness is protocol-driven: when [`WorkerCore::park_hint`] reports
-//! nothing actionable, the worker parks on its [`Parker`] — woken by
-//! doorbell publishes on owned channels (channel wakers), ring pushes
-//! from peer workers, and stop. The parked-time share is exported as
-//! `cam_worker_park_ratio{worker}` (milli-units, windowed), so idle CPU
-//! burn is observable.
+//! nothing actionable, the worker parks its thread
+//! ([`std::thread::park_timeout`]) — unparked by doorbell publishes on
+//! owned channels, hand-offs from peer workers, and stop. std's parker
+//! keeps one token, so an unpark that lands before the park is not lost.
+//! The parked-time share is exported as `cam_worker_park_ratio{worker}`
+//! (milli-units, windowed), so idle CPU burn is observable.
 //!
-//! [`Parker`]: super::park::Parker
 //! [`WorkerCore::park_hint`]: cam_protocol::WorkerCore::park_hint
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, TrySendError};
 use std::time::Duration;
 
 use cam_protocol::{GroupSpec, ParkHint};
@@ -36,7 +36,7 @@ const MAX_PARK: Duration = Duration::from_millis(50);
 
 /// Consecutive empty iterations a worker rides out with a plain yield
 /// before actually parking on an `Idle` hint. Under sustained load the
-/// next doorbell or ring push lands within microseconds, and a futex
+/// next doorbell or hand-off lands within microseconds, and a futex
 /// sleep+wake pair per batch costs more than the work itself; genuine
 /// idleness still parks after ~this many yields, so the idle park ratio
 /// stays high.
@@ -47,8 +47,8 @@ const IDLE_SPIN: u32 = 128;
 /// fresh; a busy worker amortizes the window lock over this many loops.
 const FLUSH_ITERS: u32 = 512;
 
-pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
-    let n_workers = sh.parkers.len();
+pub(super) fn shard_loop(sh: &Shared, wid: usize, handoff: &Receiver<GroupSpec>, pipelined: bool) {
+    let n_workers = sh.handoff.len();
     let mut w = Worker::new(sh, wid, pipelined);
     // Static channel shard: this worker is the only thread that ever polls
     // these channels' doorbells.
@@ -72,12 +72,12 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
             for (i, &ch_idx) in owned.iter().enumerate() {
                 if let Some(specs) = dispatch::poll_channel(sh, ch_idx, &mut last_seen[i]) {
                     progress = true;
-                    route_groups(sh, wid, n_workers, specs, &mut inbox);
+                    route_groups(sh, wid, n_workers, specs, handoff, &mut inbox);
                 }
             }
         }
         // 2. Drain groups routed here by peer workers.
-        progress |= drain_rings(sh, wid, &mut inbox);
+        progress |= drain_handoff(handoff, &mut inbox);
         // 3. Admission, by the protocol's rule: pipelined takes everything
         //    (commands from several batches share the queue depth); the
         //    blocking baseline one group at a time.
@@ -105,7 +105,7 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
                     let now = now_ns();
                     if t > now {
                         let before = now;
-                        sh.parkers[wid].park_timeout(Duration::from_nanos(t - now).min(MAX_PARK));
+                        std::thread::park_timeout(Duration::from_nanos(t - now).min(MAX_PARK));
                         parked_ns = now_ns().saturating_sub(before);
                     } else {
                         std::thread::yield_now();
@@ -114,10 +114,10 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
                 ParkHint::Idle if idle_streak < IDLE_SPIN => std::thread::yield_now(),
                 ParkHint::Idle => {
                     // No token is lost to the publish→park race: a doorbell
-                    // or ring push that lands just before this park leaves
+                    // or hand-off that lands just before this park leaves
                     // the token set, so the park returns immediately.
                     let before = now_ns();
-                    sh.parkers[wid].park_timeout(MAX_PARK);
+                    std::thread::park_timeout(MAX_PARK);
                     parked_ns = now_ns().saturating_sub(before);
                 }
             }
@@ -137,21 +137,27 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, pipelined: bool) {
 }
 
 /// Routes freshly planned groups: local SSDs go straight to the inbox,
-/// remote ones over the SPSC fabric (waking the consumer). A full ring is
-/// ridden out by spinning — while also draining our own inbound rings, so
-/// two workers pushing at each other can never deadlock.
+/// remote ones over the owner's channel (waking the owner). A full channel
+/// is ridden out by spinning — while also draining our own receiver, so
+/// two workers sending to each other can never deadlock.
+///
+/// A channel disconnects only once its worker has exited, which it does
+/// only after `stop`. A group for it is then dropped: it belongs to a
+/// batch picked up while the plane was stopping, which is never retired,
+/// like a group left in an exiting worker's channel.
 fn route_groups(
     sh: &Shared,
     wid: usize,
     n_workers: usize,
     specs: Vec<GroupSpec>,
+    handoff: &Receiver<GroupSpec>,
     inbox: &mut VecDeque<GroupSpec>,
 ) {
     let active = sh
         .active_workers
         .load(Ordering::Relaxed)
         .clamp(1, n_workers);
-    for spec in specs {
+    for mut spec in specs {
         // An SSD is always handled by the worker `ssd % active`, so one
         // SSD's queue pairs are never polled by two threads at once within
         // an active-count epoch.
@@ -160,17 +166,14 @@ fn route_groups(
             inbox.push_back(spec);
             continue;
         }
-        let mut spec = spec;
         loop {
-            match sh.rings[dst][wid].push(spec) {
-                Ok(()) => {
-                    sh.parkers[dst].unpark();
-                    break;
-                }
-                Err(back) => {
+            let sent = sh.handoff[dst].try_send(spec);
+            sh.unpark(dst);
+            match sent {
+                Ok(()) | Err(TrySendError::Disconnected(_)) => break,
+                Err(TrySendError::Full(back)) => {
                     spec = back;
-                    sh.parkers[dst].unpark();
-                    drain_rings(sh, wid, inbox);
+                    drain_handoff(handoff, inbox);
                     std::thread::yield_now();
                 }
             }
@@ -178,15 +181,10 @@ fn route_groups(
     }
 }
 
-/// Drains every inbound ring into the local inbox; returns whether
-/// anything arrived.
-fn drain_rings(sh: &Shared, wid: usize, inbox: &mut VecDeque<GroupSpec>) -> bool {
-    let mut any = false;
-    for ring in &sh.rings[wid] {
-        while let Some(spec) = ring.pop() {
-            inbox.push_back(spec);
-            any = true;
-        }
-    }
-    any
+/// Moves every group peers sent here into the local inbox; returns
+/// whether anything arrived.
+fn drain_handoff(handoff: &Receiver<GroupSpec>, inbox: &mut VecDeque<GroupSpec>) -> bool {
+    let before = inbox.len();
+    inbox.extend(handoff.try_iter());
+    inbox.len() > before
 }

@@ -56,12 +56,11 @@ pub struct Channel {
     /// Guards region 1+2 writes: the protocol has a single leading thread,
     /// but a racing misuse must fail with `Busy`, not corrupt the regions.
     publishing: std::sync::atomic::AtomicBool,
-    /// Invoked after every doorbell publish — the control plane installs a
-    /// hook that unparks the worker owning this channel, so an idle
-    /// (parked) engine wakes without polling. Unset until installed (once,
-    /// at attach). Reading it is one atomic load: the GPU-side publish
-    /// path takes no lock.
-    waker: std::sync::OnceLock<std::sync::Arc<dyn Fn() + Send + Sync>>,
+    /// The worker thread owning this channel, unparked after every doorbell
+    /// publish so an idle (parked) engine wakes without polling. Unset
+    /// until the control plane installs it (once, at attach). Reading it is
+    /// one atomic load: the GPU-side publish path takes no lock.
+    waker: std::sync::OnceLock<std::thread::Thread>,
 }
 
 impl Channel {
@@ -84,12 +83,13 @@ impl Channel {
         }
     }
 
-    /// Installs the post-publish wakeup hook. Set-once: the control plane
-    /// calls this at attach, and a later call is ignored (a channel is
-    /// served by one control plane for its lifetime). The hook runs on the
-    /// publishing (GPU-side) thread after the region-3 doorbell store.
-    pub fn set_waker(&self, waker: std::sync::Arc<dyn Fn() + Send + Sync>) {
-        let _ = self.waker.set(waker);
+    /// Installs the worker thread to unpark after each publish. Set-once:
+    /// the control plane calls this at attach, and a later call is ignored
+    /// (a channel is served by one control plane for its lifetime). The
+    /// publishing (GPU-side) thread unparks it after the region-3 doorbell
+    /// store.
+    pub fn set_waker(&self, worker: std::thread::Thread) {
+        let _ = self.waker.set(worker);
     }
 
     /// Maximum requests per batch (region-1 capacity).
@@ -171,10 +171,11 @@ impl Channel {
         let seq = self.doorbell.load(Ordering::Relaxed) + 1;
         self.doorbell.store(seq, Ordering::Release);
         self.publishing.store(false, Ordering::Release);
-        // Wake the owning worker *after* the doorbell is visible: a worker
-        // that wakes and sees nothing simply re-parks (token protocol).
-        if let Some(wake) = self.waker.get() {
-            wake();
+        // Wake the owning worker *after* the doorbell is visible: an unpark
+        // that lands before the worker parks leaves its token set, and a
+        // worker that wakes and sees nothing simply re-parks.
+        if let Some(worker) = self.waker.get() {
+            worker.unpark();
         }
         Ok(seq)
     }

@@ -6,6 +6,9 @@
 //!   timeouts — and a lost token would hang the join forever.
 //! * **Idle parking** — an idle engine's workers spend their time parked,
 //!   not spinning (`cam_worker_park_ratio{worker}` above 0.9).
+//! * **Wake-up** — a parked worker wakes at once on a doorbell on a
+//!   channel it owns and on a group a peer hands it; without the unpark it
+//!   would sleep out the rest of its (50 ms-bounded) park.
 //! * **Rescale epochs** — with dynamic scaling on, the active-worker
 //!   count moves while batches are in flight. Group ownership
 //!   (`ssd % active`) migrates between workers across epochs, but each
@@ -99,6 +102,58 @@ fn idle_workers_park() {
             "worker {w} parked only {milli}/1000 while idle"
         );
     }
+}
+
+/// The engine's bound on one park (`MAX_PARK` in the worker loop).
+const MAX_PARK: Duration = Duration::from_millis(50);
+
+/// Two workers, one channel (owned by worker 0) and a batch striped over
+/// both SSDs: worker 0 must wake on the doorbell, and worker 1 on the
+/// group worker 0 hands it for SSD 1. Each round publishes 20 ms into the
+/// workers' second park after the previous batch, so a missing unpark
+/// makes the round wait out the other ~30 ms of that park.
+#[test]
+fn parked_workers_wake_on_doorbell_and_handoff() {
+    const ROUNDS: usize = 10;
+    let rig = Rig::new(RigConfig {
+        n_ssds: 2,
+        blocks_per_ssd: 4096,
+        ..RigConfig::default()
+    });
+    let cam = CamContext::attach(
+        &rig,
+        CamConfig {
+            n_channels: 1,
+            workers: Some(2),
+            dynamic_scaling: false,
+            ..CamConfig::default()
+        },
+    );
+    let dev = cam.device();
+    let buf = cam.alloc(2 * 4096).unwrap();
+    // Stripe width 1: LBA 0 lives on SSD 0 (worker 0), LBA 1 on SSD 1
+    // (worker 1).
+    assert_eq!(rig.stripe_blocks(), 1);
+    let lbas = [0, 1];
+    let mut latencies = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        std::thread::sleep(MAX_PARK + Duration::from_millis(20));
+        let start = Instant::now();
+        dev.submit(0, ChannelOp::Read, &lbas, buf.addr())
+            .unwrap()
+            .wait()
+            .unwrap();
+        latencies.push(start.elapsed());
+    }
+    let fast = latencies
+        .iter()
+        .filter(|l| **l < Duration::from_millis(10))
+        .count();
+    assert!(
+        fast >= 8,
+        "only {fast} of {ROUNDS} rounds retired within 10 ms: {latencies:?}"
+    );
+    assert_eq!(cam.stats().requests, 2 * ROUNDS as u64);
 }
 
 /// Drives the scaler through shrink and grow epochs: slow I/O

@@ -153,7 +153,7 @@ pub enum Command {
 /// What a driver should do when a [`WorkerCore`] has drained its command
 /// output — the protocol's idleness surface (see
 /// [`park_hint`](WorkerCore::park_hint)). Pure data: the threaded driver
-/// maps it onto a parker/condvar, a virtual-time driver onto calendar
+/// maps it onto thread parking, a virtual-time driver onto calendar
 /// wakeups.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ParkHint {

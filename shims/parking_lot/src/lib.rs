@@ -4,7 +4,7 @@
 //! registry, so the workspace wires its external dependencies to small
 //! std-backed shims (see the workspace `Cargo.toml`). This crate exposes the
 //! subset of the `parking_lot` 0.12 API that the workspace actually uses —
-//! [`Mutex`], [`RwLock`] and [`Condvar`] — implemented on top of
+//! [`Mutex`] and [`RwLock`] — implemented on top of
 //! `std::sync`. Poisoning is swallowed (like real `parking_lot`, a panicking
 //! holder does not poison the lock for later users).
 
@@ -12,7 +12,6 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 /// A mutual-exclusion primitive (API-compatible subset of `parking_lot::Mutex`).
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -32,14 +31,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
+            Ok(g) => Some(MutexGuard(g)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -63,21 +62,18 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// Wraps the std guard in an `Option` so [`Condvar::wait_for`] can take the
-/// inner guard (std's wait API consumes it) and put it back.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0.as_deref().expect("guard taken")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0.as_deref_mut().expect("guard taken")
+        &mut self.0
     }
 }
 
@@ -151,68 +147,9 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Result of a timed wait on a [`Condvar`].
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True if the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable usable with this crate's [`Mutex`].
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard taken");
-        guard.0 = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard taken");
-        let (inner, res) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        guard.0 = Some(inner);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Wakes one waiter. Returns whether a thread was woken (always reported
-    /// `true` here; std does not expose the count).
-    pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
-        true
-    }
-
-    /// Wakes all waiters. Returns the number woken (std does not expose the
-    /// count, so this reports 0).
-    pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::time::Instant;
 
     #[test]
     fn mutex_roundtrip() {
@@ -230,31 +167,5 @@ mod tests {
         drop((a, b));
         *l.write() = 7;
         assert_eq!(*l.read(), 7);
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let start = Instant::now();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
-        assert!(start.elapsed() >= Duration::from_millis(5));
-    }
-
-    #[test]
-    fn condvar_notify_crosses_threads() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        std::thread::spawn(move || {
-            *p2.0.lock() = true;
-            p2.1.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut done = m.lock();
-        while !*done {
-            cv.wait_for(&mut done, Duration::from_millis(50));
-        }
     }
 }

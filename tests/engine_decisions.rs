@@ -6,7 +6,7 @@
 //! `CamContext`; the control plane's counters must equal a pure
 //! `cam_protocol::plan_batch` replay and every destination — duplicates
 //! included — must hold the media's bytes. Counters and bytes only: nothing
-//! here depends on timing. Two workers force cross-worker ring handoff
+//! here depends on timing. Two workers force cross-worker handoff
 //! (each worker plans channels whose SSD groups the other owns).
 
 use std::sync::Arc;
