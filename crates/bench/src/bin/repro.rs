@@ -14,11 +14,11 @@
 //! them, as JSON under the verb's id, to `BENCH_repro.json` — one document
 //! per invocation, holding exactly the verbs it ran (the shape is stated in
 //! `docs/OBSERVABILITY.md`). The paper's tables and figures (`tab1` …
-//! `motiv`) read no flag — `--seed`, `--perturb` or `--baselines` with only
-//! such verbs is a usage error —; their bars are the paper's claims, each
-//! judged on a printed cell. `repro experiments` prints `EXPERIMENTS.md`:
-//! per figure the claims beside the cells and bounds they are held to, then
-//! the raw tables (a tier-1 test fails when the committed file differs).
+//! `motiv`) read no flag — `--seed` or `--perturb` with only such verbs is
+//! a usage error —; their bars are the paper's claims, each judged on a
+//! printed cell. `repro experiments` prints `EXPERIMENTS.md`: per figure
+//! the claims beside the cells and bounds they are held to, then the raw
+//! tables (a tier-1 test fails when the committed file differs).
 //!
 //! Failed bars are always printed; with `--check` they make the exit code
 //! 1, so `repro all --check` is what CI runs and what a developer runs
@@ -26,15 +26,17 @@
 //!
 //! `bench` runs the seeded DES perf trajectories — uncached and
 //! cached-mode — and gates each against its committed baseline
-//! (`bench/baselines/trajectory.json` and `trajectory_cached.json`;
-//! `--baselines <path>` relocates both) exactly: virtual time is
-//! deterministic, so any recorded fact that differs — slower or faster —
-//! is a failed bar naming the first such fact and the queue-delay
-//! component that moved most, and writes `baseline_diff.json` (or
-//! `baseline_diff_cached.json`) with the per-component attribution. A
-//! baseline recorded on other parameters than the run's (`--seed S`) is a
-//! failed bar too, never a comparison. `repro bench --update-baselines`
-//! regenerates both baselines. `--perturb F` scales the SSD model's
+//! (`bench/baselines/trajectory.json` and `trajectory_cached.json` in the
+//! source tree `repro` was built from, whatever the working directory)
+//! exactly: virtual time is deterministic, so any recorded fact that
+//! differs — slower or faster — is a failed bar naming the first such fact
+//! and the queue-delay component that moved most, and writes
+//! `baseline_diff.json` (or `baseline_diff_cached.json`) with the
+//! per-component attribution. A baseline recorded on other parameters than
+//! the run's (`--seed S`) is a failed bar too, never a comparison. `repro
+//! bench --update-baselines` regenerates both baselines and the
+//! virtual-time transcript `virtual_time.golden` beside them
+//! (`cam_bench::pins`). `--perturb F` scales the SSD model's
 //! service time (the gate's demo knob: `repro bench --check --perturb
 //! 1.02` models a device 2% slower across the board and exits 1; it cannot
 //! be combined with `--update-baselines`). `bench` also prints the
@@ -160,7 +162,6 @@ fn run() -> Result<ExitCode, ExitCode> {
     let params = BenchParams {
         seed: parse_flag(&mut args, "--seed")?,
         latency_scale: parse_flag(&mut args, "--perturb")?,
-        baselines: take_flag_value(&mut args, "--baselines")?,
         update_baselines: take_flag(&mut args, "--update-baselines"),
     };
     let check = take_flag(&mut args, "--check");
@@ -191,7 +192,7 @@ fn run() -> Result<ExitCode, ExitCode> {
     {
         eprintln!(
             "usage: repro [--metrics <path>] [--trace <path>] [--seed S] \
-             [--perturb F] [--baselines <path>] [--check] [all|list|experiments|\
+             [--perturb F] [--check] [all|list|experiments|\
              watch [--once]|calibrate [--rounds N]|bench [--update-baselines]|\
              <experiment id>...]"
         );
@@ -222,14 +223,13 @@ fn run() -> Result<ExitCode, ExitCode> {
         };
         args.iter().map(find).collect::<Result<_, _>>()?
     };
-    let flagged =
-        params.seed.is_some() || params.latency_scale.is_some() || params.baselines.is_some();
+    let flagged = params.seed.is_some() || params.latency_scale.is_some();
     if flagged && !wanted.is_empty() && wanted.iter().all(|e| e.figure().is_some()) {
         let readers: Vec<&str> = (EXPERIMENTS.iter().filter(|e| e.figure().is_none()))
             .map(Experiment::id)
             .collect();
         eprintln!(
-            "--seed, --perturb and --baselines are read only by {}: \
+            "--seed and --perturb are read only by {}: \
              a paper figure takes no parameter",
             readers.join(", ")
         );

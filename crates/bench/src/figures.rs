@@ -40,11 +40,8 @@ pub struct BenchParams {
     /// `--perturb F`: SSD service-time multiplier for the trajectory run
     /// (the perf gate's deliberate-perturbation knob).
     pub latency_scale: Option<f64>,
-    /// `--baselines <path>`: the uncached trajectory baseline `bench` gates
-    /// against (the cached one sits beside it).
-    pub baselines: Option<String>,
-    /// `--update-baselines`: `bench` rewrites the baselines instead of
-    /// gating against them.
+    /// `--update-baselines`: `bench` rewrites everything under
+    /// `bench/baselines/` instead of gating against it.
     pub update_baselines: bool,
 }
 
@@ -1154,7 +1151,7 @@ fn motiv() -> Vec<Table> {
 
 fn bench(p: &BenchParams) -> Outcome {
     use crate::telemetry_run::{bars, run_recorded};
-    use crate::trajectory_run::{run_gate, BASELINE_PATH};
+    use crate::trajectory_run::run_gate;
     use cam_telemetry::{attribution, Stage};
     use std::sync::Arc;
 
@@ -1164,8 +1161,7 @@ fn bench(p: &BenchParams) -> Outcome {
 
     // The perf trajectory: seeded multi-trial DES runs, gated against the
     // committed baselines.
-    let baselines = p.baselines.as_deref().unwrap_or(BASELINE_PATH);
-    let (gate, des) = run_gate(&p.trial_params(), baselines, p.update_baselines);
+    let (gate, des) = run_gate(&p.trial_params(), p.update_baselines);
     failures.extend(gate.failures);
 
     let mut t = Table::new(
@@ -1637,13 +1633,7 @@ mod tests {
 
     #[test]
     fn bench_decomposes_both_drivers_and_every_batch_closes() {
-        use crate::trajectory_run::BASELINE_PATH;
-        let baselines = format!("{}/../../{BASELINE_PATH}", env!("CARGO_MANIFEST_DIR"));
-        let params = BenchParams {
-            baselines: Some(baselines),
-            ..BenchParams::default()
-        };
-        let outcome = bench(&params);
+        let outcome = bench(&BenchParams::default());
         assert_eq!(outcome.failures, Vec::<String>::new());
         let des = &outcome.tables[2];
         // Doorbell/pickup coincide in virtual time and retire follows the

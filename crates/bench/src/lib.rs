@@ -22,6 +22,7 @@ pub mod fidelity_run;
 pub mod figures;
 pub mod health_run;
 pub mod paper;
+pub mod pins;
 pub mod serving_run;
 mod table;
 pub mod telemetry_run;

@@ -1,13 +1,16 @@
-//! The DES drivers against a golden taken from commit 00d511d, the last one
-//! whose calendar was a single binary heap: fixed-seed runs of
-//! `run_cam_des_source` (plain, and with a fault schedule that exercises the
-//! retry + backoff timers) and of `run_microbench` (one staged, one direct
-//! engine) must reproduce that commit's virtual time, per-batch latencies,
-//! decisions, health transitions and recorded event sequence exactly. How
-//! `cam-simkit` stores pending events is free to change; what runs when is
-//! not. The cached run is pinned the same way in `cam-cache`'s
-//! `tests/des_identity.rs` and the serving run in the facade's
-//! `tests/serving_determinism.rs`, where those crates are in reach.
+//! The exact virtual-time pins: one transcript of small fixed-seed DES runs.
+//!
+//! [`transcript`] states, per case under an `== <case>` header, what each
+//! run computed — virtual time, decisions, per-batch latencies, health
+//! transitions, and the recorded events' count, FNV-1a hash and first
+//! events; floats by their bits. The cases: `run_cam_des_source` plain,
+//! with the lifecycle stream and with retried faults; three
+//! `run_microbench_traced` engines; the cached run with its cache
+//! decisions; the serving plane under DRR and FIFO with its tenant stats.
+//! It is committed as `bench/baselines/`[`TRANSCRIPT_FILE`] and rewritten by
+//! `repro bench --update-baselines`: how the calendar stores events or the
+//! cache and serving core index their state may change, what runs when may
+//! not.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -15,6 +18,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use cam_cache::{run_cam_des_cached, CacheConfig, ReadaheadConfig};
 use cam_hostos::IoDir;
 use cam_iostacks::cam_des::{
     run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, CamDesReport, DesBatchSource,
@@ -22,7 +26,14 @@ use cam_iostacks::cam_des::{
 };
 use cam_iostacks::des::{run_microbench_traced, Engine, MicrobenchConfig};
 use cam_protocol::{ChannelOp, RetryPolicy};
+use cam_serving::{run_serving_des, AdmissionConfig, Policy, ServingConfig, ServingCore};
 use cam_telemetry::FlightRecorder;
+use cam_workloads::kv_cache::KvCacheConfig;
+use parking_lot::Mutex;
+
+/// The transcript's file name under
+/// [`BASELINES_DIR`](crate::trajectory_run::BASELINES_DIR).
+pub const TRANSCRIPT_FILE: &str = "virtual_time.golden";
 
 const N_SSDS: usize = 4;
 const N_CHANNELS: usize = 3;
@@ -90,7 +101,7 @@ fn config() -> CamDesConfig {
 /// The recorded sequence: its length, an FNV-1a hash over every
 /// `(timestamp, kind)` in recorder order, and its first events verbatim.
 fn events(out: &mut String, rec: &FlightRecorder) {
-    assert_eq!(rec.dropped(), 0, "the golden covers the whole sequence");
+    assert_eq!(rec.dropped(), 0, "the transcript covers the whole sequence");
     let all = rec.snapshot();
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     let mut head = String::new();
@@ -180,7 +191,95 @@ fn microbench_case(out: &mut String, engine: Engine, noncontig_dest: bool) {
     events(out, &rec);
 }
 
-fn transcript() -> String {
+/// Re-references, in-batch duplicates, sequential runs and enough distinct
+/// blocks to thrash a 32-slot cache: hits, coalescing, readahead and
+/// evictions all occur.
+fn cached_case(out: &mut String) {
+    writeln!(out, "== cam_des cached").unwrap();
+    let workload = (0u64..14)
+        .map(|round| {
+            let base = round * 8;
+            let mut lbas: Vec<u64> = (base..base + 8).collect();
+            lbas.push(base);
+            if round >= 2 {
+                lbas.push((round - 2) * 8);
+            }
+            lbas
+        })
+        .collect();
+    let cfg = CamDesConfig {
+        queue_depth: 8,
+        ..CamDesConfig::calibrated(3, 2)
+    };
+    let cache_cfg = CacheConfig {
+        slots: 32,
+        shards: 4,
+        flush_batch: 8,
+        readahead: ReadaheadConfig::default(),
+    };
+    let rec = Arc::new(FlightRecorder::with_capacity(1 << 14));
+    let (r, counters) = run_cam_des_cached(
+        cfg,
+        cache_cfg,
+        4096,
+        workload,
+        Some(Arc::clone(&rec)),
+        CamDesObs::default(),
+    );
+    report(out, &r);
+    writeln!(out, "cache_decisions {:?}", counters.fields()).unwrap();
+    events(out, &rec);
+}
+
+/// Four tenants, one hot with skewed sessions, a GPU budget of one and a
+/// half sessions and throttling buckets, on a two-SSD array.
+fn serving_case(out: &mut String, policy: Policy) {
+    writeln!(out, "== serving {policy:?}").unwrap();
+    let mut wl = KvCacheConfig::uniform(4, 1, 1);
+    wl.sessions = vec![96, 8, 8, 8];
+    wl.steps = vec![1200, 100, 100, 100];
+    wl.zipf_exponent = 0.6;
+    wl.seed = 0xCA11;
+    let mut cfg = ServingConfig::for_workload(wl, policy);
+    cfg.gpu_budget_blocks = cfg.workload.session_blocks * 3 / 2;
+    cfg.max_batch_blocks = 16;
+    // The hot tenant's bucket outruns the array, so a demand backlog stands
+    // (DRR and FIFO then differ); the cold buckets throttle.
+    cfg.admission = [
+        (3_000_000.0, 192.0),
+        (40_000.0, 24.0),
+        (40_000.0, 24.0),
+        (40_000.0, 24.0),
+    ]
+    .iter()
+    .map(|&(rate_blocks_per_s, burst_blocks)| AdmissionConfig {
+        rate_blocks_per_s,
+        burst_blocks,
+    })
+    .collect();
+    let core = Arc::new(Mutex::new(ServingCore::new(cfg, None)));
+    let (run, des) = run_serving_des(core, 2);
+    report(out, &des);
+    let s = run.stats;
+    writeln!(
+        out,
+        "serving duration_ns {} batches {:?} blocks {:?} evictions {}",
+        s.duration_ns, s.batches, s.blocks, s.evictions
+    )
+    .unwrap();
+    for (i, t) in s.tenants.iter().enumerate() {
+        writeln!(
+            out,
+            "tenant {i} admitted {} throttled {} completed {} hits {} accesses {} \
+             p50_ns {} p99_ns {}",
+            t.admitted, t.throttled, t.completed, t.hits, t.accesses, t.p50_ns, t.p99_ns
+        )
+        .unwrap();
+    }
+}
+
+/// Every pinned run, in file order — what [`TRANSCRIPT_FILE`] holds.
+pub fn transcript() -> String {
     let mut out = String::new();
     cam_des_case(&mut out, "cam_des plain", config(), false);
     cam_des_case(&mut out, "cam_des lifecycle stream", config(), true);
@@ -199,15 +298,8 @@ fn transcript() -> String {
     microbench_case(&mut out, Engine::Spdk, true);
     microbench_case(&mut out, Engine::Bam, false);
     microbench_case(&mut out, Engine::Gds, false);
+    cached_case(&mut out);
+    serving_case(&mut out, Policy::Drr);
+    serving_case(&mut out, Policy::Fifo);
     out
-}
-
-#[test]
-fn des_drivers_reproduce_the_single_heap_calendar_exactly() {
-    let got = transcript();
-    let want = include_str!("des_identity.golden");
-    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "transcript line {}", i + 1);
-    }
-    assert_eq!(got.lines().count(), want.lines().count());
 }

@@ -21,9 +21,14 @@
 //! `bench/baselines/trajectory.json` for equality — slower or faster, any
 //! difference fails — and says *which* fact differs first and which
 //! component moved most. `repro bench --check` exits non-zero on a
-//! difference; `repro bench --update-baselines` rewrites the baseline
-//! file. The gate is one of the `bench` verb's acceptance bars
+//! difference. The gate is one of the `bench` verb's acceptance bars
 //! ([`run_gate`]).
+//!
+//! `repro bench --update-baselines` rewrites every file under
+//! [`BASELINES_DIR`]: both trajectory baselines and the virtual-time
+//! transcript of [`pins`]. The directory is resolved from this crate's
+//! manifest, so any working directory reads and writes the same files, and
+//! the facade's `tests/virtual_time_pins.rs` holds all three to the tree.
 //!
 //! A second, **cached-mode** trajectory runs the seeded cache workload
 //! through the DES cache stage ([`run_cached_trajectory`]) and gates it
@@ -47,25 +52,22 @@ use crate::fidelity_run::{
     STRIPE_BLOCKS,
 };
 use crate::figures::Outcome;
+use crate::pins;
 use crate::table::Table;
 
-/// Default path of the committed baseline, relative to the repo root.
-pub const BASELINE_PATH: &str = "bench/baselines/trajectory.json";
+/// The committed baselines (`bench/baselines/` at the workspace root),
+/// resolved from this crate's manifest so that `repro bench` reads and
+/// writes the same files from any working directory.
+pub const BASELINES_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baselines");
+/// The uncached trajectory's baseline file under [`BASELINES_DIR`].
+pub const BASELINE_FILE: &str = "trajectory.json";
+/// The cached trajectory's baseline file under [`BASELINES_DIR`].
+pub const CACHED_BASELINE_FILE: &str = "trajectory_cached.json";
 /// Baseline schema version, bumped when the JSON layout changes.
 pub const BASELINE_SCHEMA: u64 = 2;
 /// Blocks in the cached trajectory's array (matches the fidelity rig:
 /// [`N_SSDS`] SSDs × 16 Ki blocks each), so readahead sees real bounds.
 const CACHED_ARRAY_BLOCKS: u64 = N_SSDS as u64 * 16 * 1024;
-
-/// The cached-mode baseline path derived from the uncached one:
-/// `trajectory.json` → `trajectory_cached.json`, so `--baselines <path>`
-/// relocates both files together.
-pub fn cached_baseline_path(baselines: &str) -> String {
-    match baselines.strip_suffix(".json") {
-        Some(stem) => format!("{stem}_cached.json"),
-        None => format!("{baselines}_cached"),
-    }
-}
 
 /// Parameters of one trajectory run (the `repro` CLI threads `--seed` and
 /// `--perturb` here).
@@ -502,20 +504,17 @@ pub fn check(current: &Trajectory, baseline: &Trajectory) -> Result<GateOutcome,
 }
 
 /// Runs the uncached and cached trajectories and gates each against its
-/// committed baseline (`baselines` and its [`cached_baseline_path`]); a
-/// difference also writes `baseline_diff.json` / `baseline_diff_cached.json`
-/// with the per-component attribution. With `update` the baselines are
+/// committed baseline under [`BASELINES_DIR`]; a difference also writes
+/// `baseline_diff.json` / `baseline_diff_cached.json` to the working
+/// directory with the per-component attribution. With `update` the two
+/// baselines and the virtual-time transcript ([`pins::transcript`]) are
 /// rewritten from this run instead of judged. Returns the trajectory
 /// summary and, per gated mode, the component table; a failed bar is a run
 /// that differs from its baseline, or a baseline that cannot be read,
 /// parsed, compared (other parameters) or (with `update`) written. Also
 /// returns the uncached trials' attributed batches, which `bench`
 /// decomposes as its DES driver.
-pub fn run_gate(
-    tp: &TrialParams,
-    baselines: &str,
-    update: bool,
-) -> (Outcome, Vec<BatchAttribution>) {
+pub fn run_gate(tp: &TrialParams, update: bool) -> (Outcome, Vec<BatchAttribution>) {
     let mut summary = Table::new(
         "Perf trajectory: seeded DES trials, per-batch doorbell->retire latency",
         &["mode", "batches", "p50 ns", "p99 ns", "mean ns", "dominant"],
@@ -524,25 +523,20 @@ pub fn run_gate(
         "{} trials, seed {:#x}, {} rounds/channel, latency scale {:.2}",
         tp.trials, tp.seed, tp.rounds, tp.latency_scale
     ));
-    let mut tables = Vec::new();
     let mut failures = Vec::new();
     let des = uncached_batches(tp);
     let uncached = merge(tp, &des);
     let cached = run_cached_trajectory(tp);
-    for (label, current, path, diff_path) in [
-        (
-            "uncached",
-            &uncached,
-            baselines.to_string(),
-            "baseline_diff.json",
-        ),
+    let modes = [
+        ("uncached", &uncached, BASELINE_FILE, "baseline_diff.json"),
         (
             "cached",
             &cached,
-            cached_baseline_path(baselines),
+            CACHED_BASELINE_FILE,
             "baseline_diff_cached.json",
         ),
-    ] {
+    ];
+    for (label, current, _, _) in modes {
         summary.row(vec![
             label.into(),
             current.batches().to_string(),
@@ -551,19 +545,36 @@ pub fn run_gate(
             format!("{:.0}", current.mean_batch_ns()),
             component_name(current.dominant()).into(),
         ]);
-        if update {
-            let dir = std::path::Path::new(&path).parent();
-            let written = dir
-                .map_or(Ok(()), std::fs::create_dir_all)
-                .and_then(|()| std::fs::write(&path, format!("{:#}", baseline_json(current))));
-            match written {
+    }
+    if update {
+        let files = [
+            (BASELINE_FILE, format!("{:#}", baseline_json(&uncached))),
+            (
+                CACHED_BASELINE_FILE,
+                format!("{:#}", baseline_json(&cached)),
+            ),
+            (pins::TRANSCRIPT_FILE, pins::transcript()),
+        ];
+        for (file, text) in files {
+            let path = format!("{BASELINES_DIR}/{file}");
+            match std::fs::write(&path, text) {
                 Ok(()) => {
-                    summary.note(format!("updated {label} baseline at {path}"));
+                    summary.note(format!("updated bench/baselines/{file}"));
                 }
-                Err(e) => failures.push(format!("could not write {label} baseline {path}: {e}")),
+                Err(e) => failures.push(format!("could not write {path}: {e}")),
             }
-            continue;
         }
+        return (
+            Outcome {
+                tables: vec![summary],
+                failures,
+            },
+            des,
+        );
+    }
+    let mut tables = vec![summary];
+    for (label, current, file, diff_path) in modes {
+        let path = format!("{BASELINES_DIR}/{file}");
         let outcome = std::fs::read_to_string(&path)
             .map_err(|e| {
                 format!("unreadable ({e}); seed one with 'repro bench --update-baselines'")
@@ -582,7 +593,7 @@ pub fn run_gate(
                 format!("{} ({:+.0} ns/batch)", c.name, c.shift_ns())
             });
             failures.push(format!(
-                "{label} trajectory DIFFERS from {path} (first difference {fact}; \
+                "{label} trajectory DIFFERS from bench/baselines/{file} (first difference {fact}; \
                  largest shift: {shift}); attribution in {diff_path}"
             ));
             if let Err(e) = std::fs::write(diff_path, format!("{:#}", outcome.to_json())) {
@@ -591,7 +602,6 @@ pub fn run_gate(
         }
         tables.push(outcome.table(label));
     }
-    tables.insert(0, summary);
     (Outcome { tables, failures }, des)
 }
 
@@ -606,14 +616,6 @@ mod tests {
             rounds: 4,
             ..TrialParams::default()
         }
-    }
-
-    #[test]
-    fn trajectory_is_deterministic() {
-        let p = small();
-        let a = run_trajectory(&p);
-        assert_eq!(a, run_trajectory(&p));
-        assert!(a.p50_ns > 0);
     }
 
     #[test]
@@ -640,39 +642,10 @@ mod tests {
         // cost makes the submission CPU the honest bottleneck of this
         // configuration; device service is the runner-up.
         assert!(matches!(r.dominant(), Stage::Submit | Stage::Complete));
-    }
-
-    #[test]
-    fn cached_trajectory_is_deterministic_and_gateable() {
-        let p = small();
-        let a = run_cached_trajectory(&p);
-        assert_eq!(
-            a,
-            run_cached_trajectory(&p),
-            "virtual time replays bit-identically"
-        );
-        assert!(a.p50_ns > 0);
-        // The cached stage runs on the calibrated CPU pipe too: dispatch
-        // and lane-wait are charged, doorbell-wait stays structurally zero.
-        assert!(a.component_ns[Stage::Dispatch.index()] > 0);
-        assert_eq!(a.component_ns[Stage::Pickup.index()], 0);
-        // The same baseline schema and gate serve cached mode unchanged.
-        let baseline = parse_baseline(&baseline_json(&a).to_string()).expect("baseline");
-        let outcome = check(&a, &baseline).expect("same parameters");
-        assert!(!outcome.differs(), "{}", outcome.table("test"));
-    }
-
-    #[test]
-    fn cached_baseline_path_derives_from_the_uncached_one() {
-        assert_eq!(
-            cached_baseline_path(BASELINE_PATH),
-            "bench/baselines/trajectory_cached.json"
-        );
-        assert_eq!(
-            cached_baseline_path("custom/t.json"),
-            "custom/t_cached.json"
-        );
-        assert_eq!(cached_baseline_path("noext"), "noext_cached");
+        // The cached stage runs on the calibrated CPU pipe too.
+        let c = run_cached_trajectory(&p);
+        assert_eq!(c.component_ns[Stage::Pickup.index()], 0);
+        assert!(c.component_ns[Stage::Dispatch.index()] > 0);
     }
 
     #[test]
@@ -690,42 +663,30 @@ mod tests {
         assert_eq!(retire.and_then(|r| r.get("rel_delta")), Some(&Json::Null));
     }
 
+    /// The gate's self-test: against the default trajectory, a device 2%
+    /// slower or 2% faster across the board is flagged in both modes and
+    /// attributed to `ssd_service` with its sign, and a run on other
+    /// parameters is refused rather than compared. (That the default
+    /// trajectories are deterministic, equal the committed baselines and
+    /// round-trip through their JSON is the facade's
+    /// `tests/virtual_time_pins.rs`.)
     #[test]
-    fn baseline_round_trips_through_json() {
-        let r = run_trajectory(&small());
-        let b = parse_baseline(&format!("{:#}", baseline_json(&r))).expect("parses");
-        assert_eq!(b, r);
-    }
-
-    /// The gate's self-test, against the files CI gates on: the default
-    /// trajectory reproduces both committed baselines exactly (so a stale
-    /// baseline fails `cargo test`), a device 2% slower or 2% faster across
-    /// the board is flagged in both modes and attributed to `ssd_service`
-    /// with its sign, and a run on other parameters is refused rather than
-    /// compared.
-    #[test]
-    fn committed_baselines_reproduce_exactly_and_a_2_percent_device_change_is_flagged() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
-        let uncached_path = format!("{dir}{BASELINE_PATH}");
+    fn a_2_percent_device_change_is_flagged_and_other_parameters_refused() {
         type Run = fn(&TrialParams) -> Trajectory;
-        for (path, run) in [
-            (uncached_path.clone(), run_trajectory as Run),
-            (cached_baseline_path(&uncached_path), run_cached_trajectory),
+        for (mode, run) in [
+            ("uncached", run_trajectory as Run),
+            ("cached", run_cached_trajectory),
         ] {
-            let text = std::fs::read_to_string(&path).expect("committed baseline");
-            let baseline = parse_baseline(&text).expect("committed baseline parses");
-            let same = run(&TrialParams::default());
-            assert_eq!(same, baseline, "{path} is stale");
-            assert_eq!(text, format!("{:#}", baseline_json(&same)), "{path}");
-            let same = check(&same, &baseline).expect("same parameters");
-            assert!(!same.differs(), "{path}\n{}", same.table("stale?"));
+            let baseline = run(&TrialParams::default());
+            let same = check(&baseline, &baseline).expect("same parameters");
+            assert!(!same.differs(), "{mode}\n{}", same.table("same"));
             for (latency_scale, slower) in [(1.02, true), (0.98, false)] {
                 let perturbed = run(&TrialParams {
                     latency_scale,
                     ..TrialParams::default()
                 });
                 let outcome = check(&perturbed, &baseline).expect("same parameters");
-                assert!(outcome.differs(), "{path}\n{}", outcome.table("perturbed"));
+                assert!(outcome.differs(), "{mode}\n{}", outcome.table("perturbed"));
                 let dom = outcome.dominant_shift().expect("a component moved");
                 assert_eq!(dom.name, "ssd_service", "{}", outcome.table("perturbed"));
                 assert_eq!(dom.shift_ns() > 0.0, slower);
