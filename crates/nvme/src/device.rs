@@ -21,12 +21,14 @@
 //! service thread keeps a buffer of its own.
 //!
 //! A burst is claimed once, counted once and, on a device given a
-//! [`DeviceConfig::burst_latency`], timed once, on device time. One
-//! compare-exchange of the SQ head claims every visible command, up to
-//! [`MAX_BURST`]; they execute at once, their CQEs wait in a per-thread
-//! `Vec` reused from burst to burst, the burst's [`DeviceStats`] are added
-//! in one update per counter, and only then do the CQEs post. So data and
-//! `DeviceStats` move before each CQE, on both kinds of device.
+//! [`DeviceConfig::burst_latency`], timed once, on device time. One store
+//! of the SQ head claims every visible command, up to [`MAX_BURST`] — the
+//! service thread owns the device side of every pair it services, so no
+//! other taker races it. They execute at once, their CQEs wait in a
+//! per-thread `Vec` reused from burst to burst, the burst's
+//! [`DeviceStats`] are added in one update per counter, and only then do
+//! the CQEs post. So data and `DeviceStats` move before each CQE, on both
+//! kinds of device.
 //!
 //! With a latency, the burst's bytes move inside it, as an SSD's flash and
 //! DMA work while its service time runs, and its CQEs post at a deadline
@@ -289,6 +291,9 @@ fn service_loop(sh: &Shared) {
         if epoch != seen_epoch {
             seen_epoch = epoch;
             qps = sh.qps.read().clone();
+            for qp in &qps {
+                qp.bind_device_owner();
+            }
         }
         let mut serviced = 0;
         for qp in &qps {
@@ -776,6 +781,17 @@ mod tests {
             qp.submit(Sqe::flush(round)).unwrap();
             assert_eq!(wait_cqe(&qp).cid, round);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "device side driven off its owning thread")]
+    fn the_service_thread_owns_the_device_side_of_its_pairs() {
+        let (dev, _dma) = setup();
+        let qp = dev.add_queue_pair(8);
+        qp.submit(Sqe::flush(1)).unwrap();
+        wait_cqe(&qp);
+        qp.take_sqe();
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!   *tail* — literally the NVMe tail doorbell. One doorbell publishes a
 //!   whole batch of SQEs (the key control-plane saving CAM inherits from
 //!   SPDK), observable in the [`QpStats`]. The device claims a burst of up
-//!   to `max` visible SQEs with one compare-exchange of the SQ *head*
+//!   to `max` visible SQEs by moving its private SQ *head* past them
 //!   (`take_sqes`; [`take_sqe`](QueuePair::take_sqe) is its one-entry
-//!   case), so a second service thread taking from the same pair is still
-//!   safe.
+//!   case).
 //! * **Ring stamps** — on a pair whose device has a burst latency
 //!   (`NvmeDevice::add_queue_pair` decides), each SQ slot carries a fourth
 //!   word: the clock at the doorbell that published it, read once per
@@ -28,24 +27,27 @@
 //!   the new tail; the host reaps everything visible with one acquire-load
 //!   and advances its *head* (`completed`).
 //!
+//! **One thread per ring end.** The host side (`push_sqe` /
+//! `ring_doorbell` / `poll_cqe*`) has one thread, and so does the device
+//! side (`take_sqe*` / `post_cqe`): each cursor has one writer, and no
+//! update is a read-modify-write. An engine worker claims the host end
+//! ([`bind_host_owner`](QueuePair::bind_host_owner)), the device's service
+//! thread the device end; a second claimant panics, and so, in debug
+//! builds, does a call from another thread.
+//!
 //! **Memory-ordering contract.** Slot words are `Relaxed`; they are
 //! published by the `Release` store of the ring's tail and read after an
 //! `Acquire` load of it. A slot is reused only after its previous occupant
 //! was consumed: the depth check in `push_sqe` reads `completed`, which the
 //! host itself advances only after an `Acquire` load of `cq_tail` — and the
-//! device's `cq_tail` store is sequenced after (and its head
-//! compare-exchange is `AcqRel` with) every SQ-slot read it made. The CQ
+//! device's `Release` store of `cq_tail` is sequenced after every SQ-slot
+//! read it made. The SQ head is device-private, so it is `Relaxed`. The CQ
 //! side mirrors this through the `Release`/`Acquire` pair on `completed`.
 //! Nothing on either side takes a lock.
-//!
-//! The host side (`push_sqe` / `ring_doorbell` / `poll_cqe*`) is
-//! single-threaded by contract — one driver thread at a time, which
-//! [`bind_host_owner`](QueuePair::bind_host_owner) turns into a debug
-//! assertion — and so is completion posting: a device assigns each pair to
-//! one service thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::ThreadId;
 
 use cam_telemetry::{clock, EventKind, FlightRecorder, HistogramHandle};
 
@@ -121,10 +123,41 @@ struct HostSide {
 #[derive(Default)]
 #[repr(align(64))]
 struct DeviceCursors {
-    /// SQ head: SQEs at positions below it were claimed by `take_sqes`.
+    /// SQ head, device-private: SQEs below it were claimed by `take_sqes`.
     sq_head: AtomicU64,
     /// CQ tail: CQEs at positions below it are visible to the host.
     cq_tail: AtomicU64,
+}
+
+/// The thread that claimed one end of a queue pair, if any.
+#[derive(Default)]
+struct Owner(OnceLock<ThreadId>);
+
+impl Owner {
+    /// Claims this end for the calling thread. Idempotent from the owning
+    /// thread; panics, in release builds too, if another thread holds it.
+    fn claim(&self, qp: u16, end: &str) {
+        let me = std::thread::current().id();
+        let owner = *self.0.get_or_init(|| me);
+        assert_eq!(
+            owner, me,
+            "queue pair {qp} {end} side is already owned by another thread"
+        );
+    }
+
+    /// In debug builds, panics if this end is claimed by another thread.
+    #[inline]
+    fn check(&self, qp: u16, end: &str) {
+        if cfg!(debug_assertions) {
+            if let Some(owner) = self.0.get() {
+                assert_eq!(
+                    *owner,
+                    std::thread::current().id(),
+                    "queue pair {qp} {end} side driven off its owning thread"
+                );
+            }
+        }
+    }
 }
 
 /// Words of an SQE in its slot: those of [`Sqe::to_words`]. A stamped
@@ -136,7 +169,7 @@ const SQE_WORDS: usize = 3;
 /// Host-side methods ([`push_sqe`](Self::push_sqe), [`ring_doorbell`](Self::ring_doorbell),
 /// [`poll_cqe`](Self::poll_cqe)) are meant to be called from one thread;
 /// device-side methods ([`take_sqe`](Self::take_sqe), [`post_cqe`](Self::post_cqe))
-/// from the device's service thread.
+/// from one thread too, the device's service thread (see the module docs).
 pub struct QueuePair {
     id: u16,
     depth: usize,
@@ -156,12 +189,12 @@ pub struct QueuePair {
     /// Event layer: emits a [`EventKind::QpDoorbell`] per ring once
     /// attached. Same cost model as `doorbell_batch`.
     recorder: OnceLock<Arc<FlightRecorder>>,
-    /// The thread that claimed the host side via
-    /// [`bind_host_owner`](Self::bind_host_owner), if any. Host-side entry
-    /// points assert against it in debug builds, turning a sharding bug
-    /// (two engine workers polling one queue pair) into a panic at the
-    /// violation site instead of silently interleaved ring writes.
-    host_owner: OnceLock<std::thread::ThreadId>,
+    /// The threads that claimed each end. Entry points assert against
+    /// them in debug builds, turning a sharding bug (two engine workers
+    /// polling one pair, a second taker) into a panic at the violation
+    /// site instead of silently interleaved ring writes.
+    host_owner: Owner,
+    device_owner: Owner,
 }
 
 impl QueuePair {
@@ -189,37 +222,26 @@ impl QueuePair {
             dev: DeviceCursors::default(),
             doorbell_batch: OnceLock::new(),
             recorder: OnceLock::new(),
-            host_owner: OnceLock::new(),
+            host_owner: Owner::default(),
+            device_owner: Owner::default(),
         })
     }
 
     /// Claims the host side of this queue pair for the calling thread: from
     /// now on, `push_sqe` / `ring_doorbell` / `poll_cqe` assert (in debug
     /// builds) that they run on this thread. Idempotent from the owning
-    /// thread; panics if another thread already holds the claim. Backends
-    /// that legitimately drive a pair from changing threads (synchronous
-    /// per-call stacks, one caller at a time) simply never claim it.
+    /// thread; panics if another thread already holds the claim. Callers
+    /// that drive a pair from one thread of their own — unit tests, the
+    /// rig smoke test, `cam-perf`'s inline probe — leave it unclaimed.
     pub fn bind_host_owner(&self) {
-        let me = std::thread::current().id();
-        let owner = *self.host_owner.get_or_init(|| me);
-        assert_eq!(
-            owner, me,
-            "queue pair {} host side is already owned by another thread",
-            self.id
-        );
+        self.host_owner.claim(self.id, "host");
     }
 
-    #[inline]
-    fn assert_host_owner(&self) {
-        #[cfg(debug_assertions)]
-        if let Some(owner) = self.host_owner.get() {
-            assert_eq!(
-                *owner,
-                std::thread::current().id(),
-                "queue pair {} host side driven off its owning thread",
-                self.id
-            );
-        }
+    /// Claims the device side (`take_sqe*` / `post_cqe`) for the calling
+    /// thread, as [`bind_host_owner`](Self::bind_host_owner) does the host
+    /// side. `NvmeDevice`'s service thread claims every pair it services.
+    pub(crate) fn bind_device_owner(&self) {
+        self.device_owner.claim(self.id, "device");
     }
 
     /// Words per SQ slot: `SQE_WORDS`, plus the ring stamp on a stamped
@@ -277,7 +299,7 @@ impl QueuePair {
     /// Stages an SQE without making it visible. Fails if staging it would
     /// exceed the queue depth in flight once rung.
     pub fn push_sqe(&self, sqe: Sqe) -> Result<(), QueueError> {
-        self.assert_host_owner();
+        self.host_owner.check(self.id, "host");
         let staged = self.host.staged.load(Ordering::Relaxed);
         // `staged − completed` = in flight + staged-but-unrung. Admitting
         // only below `depth ≤ capacity` also makes the slot safe to
@@ -299,7 +321,7 @@ impl QueuePair {
     /// Returns the number published. On a stamped pair, first stamps their
     /// slots with one clock read.
     pub fn ring_doorbell(&self) -> usize {
-        self.assert_host_owner();
+        self.host_owner.check(self.id, "host");
         let staged = self.host.staged.load(Ordering::Relaxed);
         let submitted = self.host.stats.submitted();
         let n = (staged - submitted) as usize;
@@ -350,7 +372,7 @@ impl QueuePair {
     }
 
     /// Convenience: stage one SQE and ring the doorbell immediately
-    /// (per-command submission, the BaM/synchronous pattern).
+    /// (per-command submission; tests and the rig smoke test use it).
     pub fn submit(&self, sqe: Sqe) -> Result<(), QueueError> {
         self.push_sqe(sqe)?;
         self.ring_doorbell();
@@ -373,7 +395,7 @@ impl QueuePair {
     /// and one store of the new head.
     #[inline]
     fn reap(&self, max: usize, mut sink: impl FnMut(Cqe)) -> usize {
-        self.assert_host_owner();
+        self.host_owner.check(self.id, "host");
         let head = self.host.stats.completed();
         let tail = self.dev.cq_tail.load(Ordering::Acquire);
         let n = (tail - head).min(max as u64);
@@ -391,87 +413,57 @@ impl QueuePair {
     }
 
     /// Device side: takes the next visible SQE, if any — the one-entry
-    /// case of the burst claim (`take_sqes`). The head is claimed by
-    /// compare-exchange, so concurrent takers each get every SQE exactly
-    /// once — but see [`post_cqe`](Self::post_cqe): completions still go
-    /// through one poster.
+    /// case of the burst claim (`take_sqes`).
     pub fn take_sqe(&self) -> Option<Sqe> {
         let mut sqe = None;
-        self.claim(1, |_, s| sqe = Some(s))?;
+        self.claim(1, |s| sqe = Some(s))?;
         sqe
     }
 
-    /// Device side: claims up to `max` visible SQEs with one
-    /// compare-exchange of the SQ head and appends them to `out` in ring
-    /// order. Returns `None` when none is visible; else the ring stamp of
-    /// the newest SQE claimed (0 on a pair that does not stamp). Safe
-    /// beside other takers, as [`take_sqe`](Self::take_sqe) is.
+    /// Device side: claims up to `max` visible SQEs and appends them to
+    /// `out` in ring order. Returns `None` when none is visible; else the
+    /// ring stamp of the newest SQE claimed (0 on a pair that does not
+    /// stamp).
     pub(crate) fn take_sqes(&self, max: usize, out: &mut Vec<Sqe>) -> Option<u64> {
-        let start = out.len();
-        let claimed = self.claim(max, |i, sqe| {
-            // A failed claim rereads from `i = 0`: drop its reads.
-            out.truncate(start + i);
-            out.push(sqe);
-        });
-        if claimed.is_none() {
-            // ... or finds nothing left to read.
-            out.truncate(start);
-        }
-        claimed
+        self.claim(max, |sqe| out.push(sqe))
     }
 
-    /// The claim behind `take_sqe`/`take_sqes`: reads up to `max` visible
-    /// SQEs into `read(i, sqe)`, then claims them all with one
-    /// compare-exchange, retrying from `i = 0` when another taker moved
-    /// the head first. Returns the newest claimed SQE's ring stamp, or
-    /// `None` — possibly after reads that a failed claim discarded.
+    /// The claim behind `take_sqe`/`take_sqes`: up to `max` visible SQEs
+    /// into `read`, then a relaxed store of the head — no other thread
+    /// reads it, and `post_cqe`'s `Release` of the CQ tail orders these
+    /// reads before the host reuses the slots. Returns the newest claimed
+    /// SQE's ring stamp.
     #[inline]
-    fn claim(&self, max: usize, mut read: impl FnMut(usize, Sqe)) -> Option<u64> {
-        let mut head = self.dev.sq_head.load(Ordering::Relaxed);
-        loop {
-            // Saturating: a stale tail below a head that another taker
-            // moved reads as nothing visible.
-            let tail = self.host.stats.submitted.load(Ordering::Acquire);
-            let n = tail.saturating_sub(head).min(max as u64);
-            if n == 0 {
-                return None;
-            }
-            // Read first, claim second: once the claim succeeds the host
-            // may complete-and-reuse the slots, and a failed claim discards
-            // whatever (possibly torn) words were read.
-            for (i, pos) in (head..head + n).enumerate() {
-                let slot = self.sq_slot(pos);
-                read(
-                    i,
-                    Sqe::from_words([0, 1, 2].map(|w| slot[w].load(Ordering::Relaxed))),
-                );
-            }
-            let newest = self.sq_slot(head + n - 1);
-            let rung_ns = newest
-                .get(SQE_WORDS)
-                .map_or(0, |w| w.load(Ordering::Relaxed));
-            match self.dev.sq_head.compare_exchange_weak(
-                head,
-                head + n,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(rung_ns),
-                Err(current) => head = current,
-            }
+    fn claim(&self, max: usize, mut read: impl FnMut(Sqe)) -> Option<u64> {
+        self.device_owner.check(self.id, "device");
+        let head = self.dev.sq_head.load(Ordering::Relaxed);
+        let tail = self.host.stats.submitted.load(Ordering::Acquire);
+        debug_assert!(tail >= head, "SQ head {head} past the tail {tail}");
+        let n = (tail - head).min(max as u64);
+        if n == 0 {
+            return None;
         }
+        for pos in head..head + n {
+            let slot = self.sq_slot(pos);
+            read(Sqe::from_words(
+                [0, 1, 2].map(|w| slot[w].load(Ordering::Relaxed)),
+            ));
+        }
+        let rung_ns = self
+            .sq_slot(head + n - 1)
+            .get(SQE_WORDS)
+            .map_or(0, |w| w.load(Ordering::Relaxed));
+        self.dev.sq_head.store(head + n, Ordering::Relaxed);
+        Some(rung_ns)
     }
 
-    /// Device side: posts a completion.
-    ///
-    /// **One poster per pair.** The CQ tail is a plain load then store, not
-    /// a claim: a device assigns each pair to exactly one service thread
-    /// (`NvmeDevice` does, by pair index), and a design that adds takers
-    /// must still funnel their completions through that one thread.
+    /// Device side: posts a completion. The CQ tail is a plain load then
+    /// store: the device side has one thread (see the module docs).
     ///
     /// The depth invariant guarantees space; a full CQ indicates a protocol
     /// violation and panics.
     pub fn post_cqe(&self, cqe: Cqe) {
+        self.device_owner.check(self.id, "device");
         let tail = self.dev.cq_tail.load(Ordering::Relaxed);
         // Acquire pairs with the host's head store: the slot about to be
         // overwritten has been read.
@@ -570,7 +562,7 @@ mod tests {
     #[test]
     fn host_owner_claim_is_idempotent_and_exclusive() {
         let qp = QueuePair::new(3, 8);
-        // Unclaimed pairs accept any thread (the synchronous backends).
+        // An unclaimed host side accepts any thread.
         qp.submit(Sqe::read(1, 0, 1, 0)).unwrap();
         qp.bind_host_owner();
         qp.bind_host_owner(); // same thread: fine
@@ -589,11 +581,43 @@ mod tests {
             .join();
             assert!(drive.is_err(), "foreign host-side call must panic");
         }
-        // The device side stays thread-agnostic.
+        // The device side has an owner of its own, claimed apart.
         let dev = Arc::clone(&qp);
-        std::thread::spawn(move || while dev.take_sqe().is_some() {})
-            .join()
-            .unwrap();
+        std::thread::spawn(move || {
+            dev.bind_device_owner();
+            while dev.take_sqe().is_some() {}
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn device_owner_claim_is_exclusive() {
+        let qp = QueuePair::new(4, 8);
+        qp.submit(Sqe::read(1, 0, 1, 0)).unwrap();
+        qp.bind_device_owner();
+        qp.bind_device_owner(); // same thread: fine
+        let done = Cqe {
+            cid: qp.take_sqe().unwrap().cid,
+            status: Status::Success,
+        };
+        // A second taker cannot claim the device side, in release too…
+        let other = Arc::clone(&qp);
+        let claim = std::thread::spawn(move || other.bind_device_owner()).join();
+        assert!(claim.is_err(), "foreign device-side claim must panic");
+        // …and (debug builds) can neither take nor post.
+        #[cfg(debug_assertions)]
+        {
+            let other = Arc::clone(&qp);
+            let take = std::thread::spawn(move || other.take_sqe()).join();
+            assert!(take.is_err(), "foreign take_sqe must panic");
+            let other = Arc::clone(&qp);
+            let post = std::thread::spawn(move || other.post_cqe(done)).join();
+            assert!(post.is_err(), "foreign post_cqe must panic");
+        }
+        // The owner still completes the command.
+        qp.post_cqe(done);
+        assert_eq!(qp.poll_cqe().map(|c| c.cid), Some(1));
     }
 
     /// Spin loops of the threaded tests call the returned check whenever
@@ -803,87 +827,6 @@ mod tests {
         assert_eq!(qp.stats().completed(), COMMANDS);
         assert_eq!(qp.in_flight(), 0);
         assert!(qp.poll_cqe().is_none());
-    }
-
-    /// Two taker threads claim with `take` from one pair while this thread
-    /// hosts it and posts every completion: each SQE must be claimed by
-    /// exactly one taker, untorn, and each taker's claims come in ring
-    /// order.
-    fn two_takers_claim_each_sqe_exactly_once(
-        qp: &QueuePair,
-        commands: u64,
-        take: impl Fn(&QueuePair, &mut Vec<Sqe>) + Sync,
-    ) {
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let (tx, rx) = std::sync::mpsc::channel::<(u16, u64)>();
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let (tx, dev, done, take) = (tx.clone(), qp, &done, &take);
-                s.spawn(move || {
-                    let stalled = stall_check();
-                    let mut claimed = Vec::new();
-                    let mut last = None;
-                    while !done.load(Ordering::Acquire) {
-                        claimed.clear();
-                        take(dev, &mut claimed);
-                        if claimed.is_empty() {
-                            stalled();
-                            std::thread::yield_now();
-                        }
-                        for sqe in &claimed {
-                            assert_eq!(sqe.data_addr, !sqe.slba, "torn SQE");
-                            assert!(last < Some(sqe.slba), "claims out of ring order");
-                            last = Some(sqe.slba);
-                            tx.send((sqe.cid, sqe.slba)).unwrap();
-                        }
-                    }
-                });
-            }
-            // This thread is the host and the pair's one completion poster.
-            let mut claimed = vec![false; commands as usize];
-            let (mut pushed, mut reaped) = (0u64, 0u64);
-            let stalled = stall_check();
-            while reaped < commands {
-                stalled();
-                while pushed < commands
-                    && qp
-                        .push_sqe(Sqe::read(pushed as u16, pushed, 1, !pushed))
-                        .is_ok()
-                {
-                    pushed += 1;
-                }
-                qp.ring_doorbell();
-                while let Ok((cid, id)) = rx.try_recv() {
-                    assert_eq!(cid, id as u16);
-                    assert!(!std::mem::replace(&mut claimed[id as usize], true));
-                    qp.post_cqe(Cqe {
-                        cid,
-                        status: Status::Success,
-                    });
-                }
-                while qp.poll_cqe().is_some() {
-                    reaped += 1;
-                }
-            }
-            done.store(true, Ordering::Release);
-            assert!(claimed.iter().all(|&c| c));
-        });
-    }
-
-    #[test]
-    fn concurrent_takers_claim_each_sqe_exactly_once() {
-        let qp = QueuePair::new(0, 128);
-        two_takers_claim_each_sqe_exactly_once(&qp, 200_000, |qp, out| out.extend(qp.take_sqe()));
-    }
-
-    #[test]
-    fn two_burst_takers_claim_each_sqe_exactly_once() {
-        // Burst claims of up to `MAX_BURST`, on a stamped pair (four words
-        // per slot) whose depth is no multiple of the burst.
-        let qp = QueuePair::with_ring_stamps(0, 100);
-        two_takers_claim_each_sqe_exactly_once(&qp, 400_000, |qp, out| {
-            qp.take_sqes(crate::MAX_BURST, out);
-        });
     }
 
     #[test]
