@@ -6,7 +6,9 @@
 //! events; floats by their bits. The cases: `run_cam_des_source` plain,
 //! with the lifecycle stream and with retried faults; three
 //! `run_microbench_traced` engines; the cached run with its cache
-//! decisions; the serving plane under DRR and FIFO with its tenant stats.
+//! decisions; the serving plane under DRR and FIFO with its tenant stats;
+//! and, under `== worker_core`, seeded scripts driving one `WorkerCore`
+//! directly, every `Command` it emits on its own line.
 //! It is committed as `bench/baselines/`[`TRANSCRIPT_FILE`] and rewritten by
 //! `repro bench --update-baselines`: how the calendar stores events or the
 //! cache and serving core index their state may change, what runs when may
@@ -25,7 +27,11 @@ use cam_iostacks::cam_des::{
     DesFaultSpec,
 };
 use cam_iostacks::des::{run_microbench_traced, Engine, MicrobenchConfig};
-use cam_protocol::{ChannelOp, RetryPolicy};
+use cam_nvme::spec::Status;
+use cam_protocol::{
+    open_batch, plan_batch, BatchCore, BatchStamps, ChannelOp, Command, GroupSpec, PlanConfig,
+    RetryPolicy, WorkerCore,
+};
 use cam_serving::{run_serving_des, AdmissionConfig, Policy, ServingConfig, ServingCore};
 use cam_telemetry::FlightRecorder;
 use cam_workloads::kv_cache::KvCacheConfig;
@@ -278,6 +284,242 @@ fn serving_case(out: &mut String, policy: Policy) {
     }
 }
 
+/// One seeded script for [`worker_core_case`]: the admission rule, the
+/// retry policy, and how the scripted device answers.
+struct CoreScript {
+    name: &'static str,
+    depth: usize,
+    group_at_a_time: bool,
+    retry: RetryPolicy,
+    /// Out of 16 completions: how many fail transiently, and how many more
+    /// fail for good.
+    transient: u64,
+    permanent: u64,
+    /// The device completes an in-flight command in a pass with odds one
+    /// in this.
+    complete_one_in: u64,
+    /// Longest virtual-time step between two passes, in ns.
+    max_step_ns: u64,
+    seed: u64,
+}
+
+/// Every field of one [`Command`], batches by `(channel, seq)`.
+fn command_line(c: &Command) -> String {
+    let id = |b: &BatchCore| format!("ch {} seq {}", b.channel, b.seq);
+    match c {
+        Command::Submit(s) => format!(
+            "submit ssd {} cid {} {:?} lba {} addr {:#x} blocks {} first {}",
+            s.ssd, s.cid, s.op, s.dev_lba, s.addr, s.blocks, s.first
+        ),
+        Command::RingDoorbell { ssd, staged } => format!("ring ssd {ssd} staged {staged}"),
+        Command::GroupSubmitted {
+            batch,
+            ssd,
+            sqes,
+            recv_ns,
+            submit_ns,
+        } => format!(
+            "group_submitted {} ssd {ssd} sqes {sqes} recv {recv_ns} submit {submit_ns}",
+            id(batch)
+        ),
+        Command::CmdRetry {
+            batch,
+            ssd,
+            cid,
+            attempt,
+            now_ns,
+            at_ns,
+        } => format!(
+            "retry {} ssd {ssd} cid {cid} attempt {attempt} now {now_ns} at {at_ns}",
+            id(batch)
+        ),
+        Command::CmdTimeout {
+            batch,
+            ssd,
+            cid,
+            attempts,
+            now_ns,
+        } => format!(
+            "timeout {} ssd {ssd} cid {cid} attempts {attempts} now {now_ns}",
+            id(batch)
+        ),
+        Command::LaneTransition { transition, now_ns } => {
+            format!("lane {transition:?} now {now_ns}")
+        }
+        Command::GroupComplete {
+            batch,
+            ssd,
+            sqes,
+            errors,
+            anchor_ns,
+            complete_ns,
+        } => format!(
+            "group_complete {} ssd {ssd} sqes {sqes} errors {errors} anchor {anchor_ns} \
+             complete {complete_ns}",
+            id(batch)
+        ),
+        Command::RetireBatch { batch, complete_ns } => {
+            format!("retire {} complete {complete_ns}", id(batch))
+        }
+    }
+}
+
+/// Drives one [`WorkerCore`] over two SSDs through a seeded script at
+/// explicit `now_ns`: batches arrive, every pass pumps, the scripted device
+/// completes each in-flight command at the script's odds (failing some), and a
+/// completed CID is now and then reaped a second time. Prints every input
+/// and every [`Command`] in order, then the timer and park hint.
+fn worker_core_case(out: &mut String, s: &CoreScript) {
+    const BATCHES: u64 = 8;
+    writeln!(out, "== worker_core {}", s.name).unwrap();
+    let plan_cfg = PlanConfig {
+        n_ssds: 2,
+        stripe_blocks: 1,
+        block_size: 4096,
+    };
+    let mut core = WorkerCore::new(2, s.depth, s.retry).group_at_a_time(s.group_at_a_time);
+    let mut x = s.seed;
+    let mut rand = move |n: u64| {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % n
+    };
+    let mut cmds = Vec::new();
+    let mut waiting: VecDeque<GroupSpec> = VecDeque::new();
+    let mut in_flight: Vec<(usize, u16)> = Vec::new();
+    let mut reaped: Option<(usize, u16)> = None;
+    let (mut now, mut seq) = (0u64, 0u64);
+    let emit = |out: &mut String, cmds: &mut Vec<Command>, in_flight: &mut Vec<(usize, u16)>| {
+        for c in cmds.drain(..) {
+            if let Command::Submit(sub) = &c {
+                in_flight.push((sub.ssd, sub.cid));
+            }
+            writeln!(out, "  {}", command_line(&c)).unwrap();
+        }
+    };
+    for pass in 0.. {
+        if seq == BATCHES && waiting.is_empty() && core.idle() {
+            break;
+        }
+        assert!(pass < 2_000, "{}: the script never drains", s.name);
+        now += 1 + rand(s.max_step_ns);
+        if seq < BATCHES && rand(2) == 0 {
+            seq += 1;
+            let reqs = (0..1 + rand(8)).map(|i| (rand(24), i << 12)).collect();
+            let plan = plan_batch(&plan_cfg, ChannelOp::Read, 1, reqs);
+            let at = BatchStamps {
+                doorbell_ns: now,
+                pickup_ns: now,
+                dispatched_ns: now,
+                compute_gap_ns: 0,
+            };
+            waiting.extend(open_batch(plan, (seq % 2) as usize, seq, at));
+        }
+        while core.accepts_group() {
+            let Some(g) = waiting.pop_front() else { break };
+            let (ch, sq) = (g.batch.channel, g.batch.seq);
+            writeln!(
+                out,
+                "t {now} group ch {ch} seq {sq} ssd {} reqs {:?}",
+                g.ssd, g.reqs
+            )
+            .unwrap();
+            core.on_group(g, now);
+        }
+        writeln!(out, "t {now} pump").unwrap();
+        core.pump(now, &mut cmds);
+        emit(out, &mut cmds, &mut in_flight);
+        let mut i = 0;
+        while i < in_flight.len() {
+            if rand(s.complete_one_in) != 0 {
+                i += 1;
+                continue;
+            }
+            let (ssd, cid) = in_flight.remove(i);
+            let status = match rand(16) {
+                r if r < s.transient => Status::TransientMediaError,
+                r if r < s.transient + s.permanent => Status::MediaError,
+                _ => Status::Success,
+            };
+            writeln!(out, "t {now} cqe ssd {ssd} cid {cid} {status:?}").unwrap();
+            core.on_cqe(ssd, cid, status, now, &mut cmds);
+            emit(out, &mut cmds, &mut in_flight);
+            reaped = Some((ssd, cid));
+        }
+        // A CID reaped twice, while no later command holds it, is stale.
+        if let Some((ssd, cid)) = reaped.filter(|r| !in_flight.contains(r)) {
+            if rand(8) == 0 {
+                writeln!(out, "t {now} stale ssd {ssd} cid {cid}").unwrap();
+                core.on_cqe(ssd, cid, Status::Success, now, &mut cmds);
+                emit(out, &mut cmds, &mut in_flight);
+            }
+        }
+        writeln!(
+            out,
+            "t {now} timer {:?} park {:?}",
+            core.next_timer_ns(),
+            core.park_hint()
+        )
+        .unwrap();
+    }
+    writeln!(out, "decisions {:?}", core.counters().fields()).unwrap();
+}
+
+/// The [`worker_core_case`] scripts: pipelined and group-at-a-time
+/// admission, transient faults under backoff, permanent faults, and
+/// deadlines expiring in a depth-4 lane.
+fn worker_core_scripts() -> [CoreScript; 5] {
+    let retry = RetryPolicy {
+        max_retries: 3,
+        backoff_base_ns: 1_500,
+        deadline_ns: None,
+    };
+    let script = |name, seed| CoreScript {
+        name,
+        depth: 8,
+        group_at_a_time: false,
+        retry,
+        transient: 0,
+        permanent: 0,
+        complete_one_in: 2,
+        max_step_ns: 1_000,
+        seed,
+    };
+    [
+        script("pipelined", 1),
+        CoreScript {
+            group_at_a_time: true,
+            ..script("group_at_a_time", 2)
+        },
+        CoreScript {
+            transient: 4,
+            ..script("transient backoff", 3)
+        },
+        CoreScript {
+            retry: RetryPolicy {
+                max_retries: 1,
+                ..retry
+            },
+            transient: 2,
+            permanent: 3,
+            ..script("permanent", 4)
+        },
+        CoreScript {
+            depth: 4,
+            retry: RetryPolicy {
+                max_retries: 4,
+                backoff_base_ns: 2_000,
+                deadline_ns: Some(4_000),
+            },
+            transient: 3,
+            complete_one_in: 6,
+            max_step_ns: 1_500,
+            ..script("deadline depth 4", 5)
+        },
+    ]
+}
+
 /// Every pinned run, in file order — what [`TRANSCRIPT_FILE`] holds.
 pub fn transcript() -> String {
     let mut out = String::new();
@@ -301,5 +543,8 @@ pub fn transcript() -> String {
     cached_case(&mut out);
     serving_case(&mut out, Policy::Drr);
     serving_case(&mut out, Policy::Fifo);
+    for script in &worker_core_scripts() {
+        worker_core_case(&mut out, script);
+    }
     out
 }
