@@ -88,8 +88,12 @@ impl Worker {
     }
 
     /// One submission pass at the wall clock, executed. Returns whether it
-    /// produced any command.
+    /// produced any command. With no command queued a pass has nothing to
+    /// stage or time out, so it neither reads the clock nor runs.
     pub(super) fn pump(&mut self, sh: &Shared) -> bool {
+        if self.core.queued() == 0 {
+            return false;
+        }
         self.core.pump(clock::now_ns(), &mut self.out);
         let progress = !self.out.is_empty();
         self.execute(sh);

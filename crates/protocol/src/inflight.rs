@@ -15,8 +15,9 @@
 /// (The hash scatters the sequentially allocated CIDs on purpose: mapped
 /// by their low bits they would sit in one contiguous run, which removal's
 /// backward shift would have to walk end to end.) Memory is proportional
-/// to the depth (two bytes per index slot; `live` grows as commands
-/// arrive).
+/// to the depth: two bytes per index slot, and a `live` entry per command
+/// in flight — the CID and the caller's value, which for `WorkerCore` is
+/// the command's `u32` slab index, so eight bytes.
 pub struct InflightTable<T> {
     /// `(cid, command)` for every command in flight, in no particular order.
     live: Vec<(u16, T)>,

@@ -167,7 +167,10 @@ pub enum ParkHint {
     Idle,
 }
 
-/// One command's worker-side state, from dispatch to final completion.
+/// One command's worker-side state, from dispatch to final completion. It
+/// is written once, into the worker's command slab, and named by its slab
+/// index from then on: the lane queue and the in-flight table carry the
+/// index, never the command.
 struct PendingCmd {
     /// Index into the worker's group slab.
     group: usize,
@@ -184,11 +187,12 @@ struct PendingCmd {
     last_cid: u16,
 }
 
-/// Per-SSD submission state: commands waiting to be (re-)submitted, the
-/// CID-keyed in-flight table, and the lane's health machine.
+/// Per-SSD submission state: the slab indices of the commands waiting to
+/// be (re-)submitted, the in-flight table from CID to slab index, and the
+/// lane's health machine.
 struct Lane {
-    queue: VecDeque<PendingCmd>,
-    inflight: InflightTable<PendingCmd>,
+    queue: VecDeque<u32>,
+    inflight: InflightTable<u32>,
     health: LaneHealth,
 }
 
@@ -210,21 +214,118 @@ struct GroupState {
     submit_ns: u64,
 }
 
+/// Open groups, keyed by slab index: a command carries its group's index,
+/// so reaching the accounting record is one indexed load. A slot is
+/// vacated when its group closes — by then every command that named it has
+/// reached a final state — and reused by a later group.
+#[derive(Default)]
+struct Groups {
+    slots: Vec<Option<GroupState>>,
+    /// Vacant `slots`, reused last-in-first-out.
+    free: Vec<usize>,
+}
+
+impl Groups {
+    /// Slots ever opened (the peak number of open groups).
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn open(&mut self, state: GroupState) -> usize {
+        match self.free.pop() {
+            Some(gid) => {
+                self.slots[gid] = Some(state);
+                gid
+            }
+            None => {
+                self.slots.push(Some(state));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn get(&self, gid: usize) -> &GroupState {
+        self.slots[gid].as_ref().expect("command without group")
+    }
+
+    /// One more command of `gid` reached its final state (`failed`: with an
+    /// error). When it was the group's last, closes the group, and asks for
+    /// batch retirement if the group was its batch's last.
+    fn finish_cmd(&mut self, gid: usize, failed: bool, now_ns: u64, out: &mut Vec<Command>) {
+        let slot = &mut self.slots[gid];
+        let g = slot.as_mut().expect("command without group");
+        g.done += 1;
+        g.errors += u64::from(failed);
+        if g.done < g.total {
+            return;
+        }
+        let g = slot.take().expect("group vanished");
+        self.free.push(gid);
+        let anchor_ns = if g.submit_ns > 0 {
+            g.submit_ns
+        } else {
+            g.recv_ns
+        };
+        out.push(Command::GroupComplete {
+            batch: Arc::clone(&g.batch),
+            ssd: g.ssd,
+            sqes: g.total as u32,
+            errors: g.errors,
+            anchor_ns,
+            complete_ns: now_ns,
+        });
+        if g.batch.finish_group(g.errors) {
+            out.push(Command::RetireBatch {
+                batch: g.batch,
+                complete_ns: now_ns,
+            });
+        }
+    }
+}
+
 /// Hands a lane-health change, if there was one, to the driver.
 fn push_transition(out: &mut Vec<Command>, transition: Option<HealthTransition>, now_ns: u64) {
     out.extend(transition.map(|transition| Command::LaneTransition { transition, now_ns }));
 }
 
+/// Fails `cmd` terminally because its deadline expired: reported,
+/// accounted as completed-with-error — the worker moves on.
+fn time_out(
+    groups: &mut Groups,
+    lane: &mut Lane,
+    counters: &mut DecisionCounters,
+    ssd: usize,
+    cmd: &PendingCmd,
+    now_ns: u64,
+    out: &mut Vec<Command>,
+) {
+    counters.timeouts += 1;
+    out.push(Command::CmdTimeout {
+        batch: Arc::clone(&groups.get(cmd.group).batch),
+        ssd,
+        cid: cmd.last_cid,
+        attempts: cmd.attempts,
+        now_ns,
+    });
+    push_transition(out, lane.health.on_fault(), now_ns);
+    groups.finish_cmd(cmd.group, true, now_ns, out);
+}
+
 /// The per-worker protocol state machine.
 pub struct WorkerCore {
     lanes: Vec<Lane>,
-    /// Open groups, keyed by slab index: a command carries its group's
-    /// index, so reaching the accounting record is one indexed load. A
-    /// slot is vacated when its group closes — by then every command that
-    /// named it has reached a final state — and reused by a later group.
-    groups: Vec<Option<GroupState>>,
-    /// Vacant `groups` slots, reused last-in-first-out.
-    free_groups: Vec<usize>,
+    groups: Groups,
+    /// Every command between dispatch and its final state, keyed by slab
+    /// index; a slot is vacated at the final state and reused by a later
+    /// command.
+    cmds: Vec<PendingCmd>,
+    /// Vacant `cmds` slots, reused last-in-first-out.
+    free_cmds: Vec<u32>,
+    /// Commands waiting in the lane queues.
+    queued: usize,
+    /// Those among them gated by a backoff (`earliest_ns > 0`): while none
+    /// is, the timer and park questions need no walk of the queues.
+    gated: usize,
     retry: RetryPolicy,
     counters: DecisionCounters,
     /// Admission rule: a new group only once every open one has closed
@@ -244,8 +345,11 @@ impl WorkerCore {
                     health: LaneHealth::new(ssd, HealthConfig::default()),
                 })
                 .collect(),
-            groups: Vec::new(),
-            free_groups: Vec::new(),
+            groups: Groups::default(),
+            cmds: Vec::new(),
+            free_cmds: Vec::new(),
+            queued: 0,
+            gated: 0,
             retry,
             counters: DecisionCounters::default(),
             group_at_a_time: false,
@@ -262,7 +366,7 @@ impl WorkerCore {
 
     /// Whether no group is open.
     pub fn idle(&self) -> bool {
-        self.groups.len() == self.free_groups.len()
+        self.groups.len() == self.groups.free.len()
     }
 
     /// Whether the driver may hand over another group now
@@ -278,6 +382,12 @@ impl WorkerCore {
         self.lanes[ssd].inflight.len()
     }
 
+    /// Commands waiting in the lanes to be (re-)submitted. While it is 0,
+    /// [`pump`](Self::pump) has nothing to do.
+    pub fn queued(&self) -> usize {
+        self.queued
+    }
+
     /// Submission decisions made so far (`sqes`, `retries`, `timeouts`; the
     /// planning fields stay zero — fold in [`DecisionCounters::record_plan`]
     /// at the dispatch layer).
@@ -288,11 +398,17 @@ impl WorkerCore {
     /// The earliest future instant at which a queued command becomes
     /// actionable (backoff expiry or deadline), if any — the "arm timer"
     /// output. A virtual-time driver with nothing else scheduled should
-    /// wake then; the threaded driver polls and may ignore this.
+    /// wake then; the threaded driver polls and may ignore this. Only
+    /// backoff-gated commands set a timer, so with none queued this is
+    /// `None` without a look at the queues.
     pub fn next_timer_ns(&self) -> Option<u64> {
+        if self.gated == 0 {
+            return None;
+        }
         self.lanes
             .iter()
             .flat_map(|l| l.queue.iter())
+            .map(|&i| &self.cmds[i as usize])
             .filter(|c| c.earliest_ns > 0)
             .map(|c| match c.deadline_ns {
                 Some(d) => c.earliest_ns.min(d),
@@ -318,14 +434,7 @@ impl WorkerCore {
     ///    driver may park until an external wakeup (doorbell publish, ring
     ///    push, stop).
     pub fn park_hint(&self) -> ParkHint {
-        if self.lanes.iter().any(|l| !l.inflight.is_empty()) {
-            return ParkHint::Poll;
-        }
-        if self
-            .lanes
-            .iter()
-            .any(|l| l.queue.iter().any(|c| c.earliest_ns == 0))
-        {
+        if self.lanes.iter().any(|l| !l.inflight.is_empty()) || self.queued > self.gated {
             return ParkHint::Poll;
         }
         match self.next_timer_ns() {
@@ -334,12 +443,13 @@ impl WorkerCore {
         }
     }
 
-    /// Accepts a dispatched group at `recv_ns`: stages its commands on the
-    /// SSD's lane and opens its accounting record. Call
-    /// [`pump`](WorkerCore::pump) afterwards to generate submissions.
+    /// Accepts a dispatched group at `recv_ns`: writes its commands into
+    /// the slab, queues their indices on the SSD's lane and opens the
+    /// group's accounting record. Call [`pump`](WorkerCore::pump)
+    /// afterwards to generate submissions.
     pub fn on_group(&mut self, spec: GroupSpec, recv_ns: u64) {
         let deadline_ns = self.retry.deadline_ns.map(|d| recv_ns + d);
-        let state = GroupState {
+        let group = self.groups.open(GroupState {
             ssd: spec.ssd,
             total: spec.reqs.len(),
             done: 0,
@@ -348,68 +458,94 @@ impl WorkerCore {
             recv_ns,
             submit_ns: 0,
             batch: spec.batch,
-        };
-        let gid = match self.free_groups.pop() {
-            Some(gid) => {
-                self.groups[gid] = Some(state);
-                gid
-            }
-            None => {
-                self.groups.push(Some(state));
-                self.groups.len() - 1
-            }
-        };
-        let queue = &mut self.lanes[spec.ssd].queue;
-        queue.extend(spec.reqs.iter().map(|&(dev_lba, addr, blocks)| PendingCmd {
-            group: gid,
-            dev_lba,
-            addr,
-            blocks,
-            attempts: 0,
-            earliest_ns: 0,
-            deadline_ns,
-            last_cid: 0,
-        }));
-    }
-
-    fn group_mut(&mut self, gid: usize) -> &mut GroupState {
-        self.groups[gid].as_mut().expect("command without group")
+        });
+        let WorkerCore {
+            lanes,
+            cmds,
+            free_cmds,
+            ..
+        } = self;
+        lanes[spec.ssd]
+            .queue
+            .extend(spec.reqs.iter().map(|&(dev_lba, addr, blocks)| {
+                let cmd = PendingCmd {
+                    group,
+                    dev_lba,
+                    addr,
+                    blocks,
+                    attempts: 0,
+                    earliest_ns: 0,
+                    deadline_ns,
+                    last_cid: 0,
+                };
+                match free_cmds.pop() {
+                    Some(i) => {
+                        cmds[i as usize] = cmd;
+                        i
+                    }
+                    None => {
+                        cmds.push(cmd);
+                        (cmds.len() - 1) as u32
+                    }
+                }
+            }));
+        self.queued += spec.reqs.len();
     }
 
     /// One submission pass over every lane at `now_ns`: times out
     /// overdue commands, stages as many queued commands as each inflight
     /// table admits, and asks for one doorbell ring per non-empty burst.
     pub fn pump(&mut self, now_ns: u64, out: &mut Vec<Command>) {
+        if self.queued == 0 {
+            return;
+        }
         for ssd in 0..self.lanes.len() {
             self.pump_lane(ssd, now_ns, out);
         }
     }
 
     fn pump_lane(&mut self, ssd: usize, now_ns: u64, out: &mut Vec<Command>) {
+        let WorkerCore {
+            lanes,
+            groups,
+            cmds,
+            free_cmds,
+            queued,
+            gated,
+            counters,
+            ..
+        } = self;
+        let lane = &mut lanes[ssd];
         let mut staged = 0u32;
         // Each queued command is examined at most once per pass:
         // backoff-gated commands rotate to the back and wait for a later
         // pass.
-        for _ in 0..self.lanes[ssd].queue.len() {
-            let Some(mut cmd) = self.lanes[ssd].queue.pop_front() else {
+        for _ in 0..lane.queue.len() {
+            let Some(idx) = lane.queue.pop_front() else {
                 break;
             };
+            let cmd = &mut cmds[idx as usize];
             if cmd.deadline_ns.is_some_and(|d| now_ns >= d) {
-                self.time_out(ssd, &cmd, now_ns, out);
+                *queued -= 1;
+                *gated -= usize::from(cmd.earliest_ns > 0);
+                time_out(groups, lane, counters, ssd, cmd, now_ns, out);
+                free_cmds.push(idx);
                 continue;
             }
             if cmd.earliest_ns > now_ns {
-                self.lanes[ssd].queue.push_back(cmd);
+                lane.queue.push_back(idx);
                 continue;
             }
-            let Some(cid) = self.lanes[ssd].inflight.alloc_cid() else {
-                self.lanes[ssd].queue.push_front(cmd);
+            let Some(cid) = lane.inflight.alloc_cid() else {
+                lane.queue.push_front(idx);
                 break;
             };
+            *queued -= 1;
+            *gated -= usize::from(cmd.earliest_ns > 0);
             let first = cmd.attempts == 0;
             cmd.attempts += 1;
             cmd.last_cid = cid;
-            let g = self.groups[cmd.group]
+            let g = groups.slots[cmd.group]
                 .as_mut()
                 .expect("command without group");
             out.push(Command::Submit(SubmitCmd {
@@ -425,7 +561,7 @@ impl WorkerCore {
             if first {
                 // Retries are deliberately excluded: `sqes` counts logical
                 // requests, so its sum stays comparable to requests retired.
-                self.counters.sqes += 1;
+                counters.sqes += 1;
                 g.submitted_first += 1;
                 if g.submitted_first == g.total {
                     g.submit_ns = now_ns;
@@ -438,7 +574,7 @@ impl WorkerCore {
                     });
                 }
             }
-            self.lanes[ssd].inflight.put(cid, cmd);
+            lane.inflight.put(cid, idx);
         }
         if staged > 0 {
             out.push(Command::RingDoorbell { ssd, staged });
@@ -458,14 +594,14 @@ impl WorkerCore {
         now_ns: u64,
         out: &mut Vec<Command>,
     ) {
-        let Some(mut cmd) = self.lanes[ssd].inflight.remove(cid) else {
+        let Some(idx) = self.lanes[ssd].inflight.remove(cid) else {
             // Stale or unknown CID: nothing to attribute it to.
             return;
         };
+        let cmd = &mut self.cmds[idx as usize];
         if status == Status::Success {
-            let gid = cmd.group;
-            self.group_mut(gid).done += 1;
-            self.close_if_done(gid, now_ns, out);
+            self.groups.finish_cmd(cmd.group, false, now_ns, out);
+            self.free_cmds.push(idx);
             return;
         }
         match self
@@ -474,9 +610,8 @@ impl WorkerCore {
         {
             Verdict::Retry { at_ns } => {
                 self.counters.retries += 1;
-                let g = self.group_mut(cmd.group);
                 out.push(Command::CmdRetry {
-                    batch: Arc::clone(&g.batch),
+                    batch: Arc::clone(&self.groups.get(cmd.group).batch),
                     ssd,
                     cid,
                     attempt: cmd.attempts,
@@ -484,38 +619,25 @@ impl WorkerCore {
                     at_ns,
                 });
                 cmd.earliest_ns = at_ns;
+                self.queued += 1;
+                self.gated += usize::from(at_ns > 0);
                 let lane = &mut self.lanes[ssd];
-                lane.queue.push_back(cmd);
+                lane.queue.push_back(idx);
                 push_transition(out, lane.health.on_fault(), now_ns);
+                return;
             }
-            Verdict::TimedOut => self.time_out(ssd, &cmd, now_ns, out),
-            Verdict::Permanent => {
-                let gid = cmd.group;
-                let g = self.group_mut(gid);
-                g.done += 1;
-                g.errors += 1;
-                self.close_if_done(gid, now_ns, out);
-            }
+            Verdict::TimedOut => time_out(
+                &mut self.groups,
+                &mut self.lanes[ssd],
+                &mut self.counters,
+                ssd,
+                cmd,
+                now_ns,
+                out,
+            ),
+            Verdict::Permanent => self.groups.finish_cmd(cmd.group, true, now_ns, out),
         }
-    }
-
-    /// Fails `cmd` terminally because its deadline expired: reported,
-    /// accounted as completed-with-error — the worker moves on.
-    fn time_out(&mut self, ssd: usize, cmd: &PendingCmd, now_ns: u64, out: &mut Vec<Command>) {
-        self.counters.timeouts += 1;
-        let gid = cmd.group;
-        let g = self.group_mut(gid);
-        g.done += 1;
-        g.errors += 1;
-        out.push(Command::CmdTimeout {
-            batch: Arc::clone(&g.batch),
-            ssd,
-            cid: cmd.last_cid,
-            attempts: cmd.attempts,
-            now_ns,
-        });
-        push_transition(out, self.lanes[ssd].health.on_fault(), now_ns);
-        self.close_if_done(gid, now_ns, out);
+        self.free_cmds.push(idx);
     }
 
     /// The driver quiesced this worker (loop exit / end of run): every
@@ -523,36 +645,6 @@ impl WorkerCore {
     pub fn drain_lanes(&mut self, now_ns: u64, out: &mut Vec<Command>) {
         for lane in &mut self.lanes {
             push_transition(out, lane.health.on_drain(), now_ns);
-        }
-    }
-
-    /// Closes `gid` if all of its commands reached a final state, and asks
-    /// for batch retirement if it was the batch's last group.
-    fn close_if_done(&mut self, gid: usize, now_ns: u64, out: &mut Vec<Command>) {
-        let finished = self.groups[gid].as_ref().is_some_and(|g| g.done >= g.total);
-        if !finished {
-            return;
-        }
-        let g = self.groups[gid].take().expect("group vanished");
-        self.free_groups.push(gid);
-        let anchor_ns = if g.submit_ns > 0 {
-            g.submit_ns
-        } else {
-            g.recv_ns
-        };
-        out.push(Command::GroupComplete {
-            batch: Arc::clone(&g.batch),
-            ssd: g.ssd,
-            sqes: g.total as u32,
-            errors: g.errors,
-            anchor_ns,
-            complete_ns: now_ns,
-        });
-        if g.batch.finish_group(g.errors) {
-            out.push(Command::RetireBatch {
-                batch: g.batch,
-                complete_ns: now_ns,
-            });
         }
     }
 }
