@@ -14,34 +14,29 @@
 //! them, as JSON under the verb's id, to `BENCH_repro.json` — one document
 //! per invocation, holding exactly the verbs it ran (the shape is stated in
 //! `docs/OBSERVABILITY.md`). The paper's tables and figures (`tab1` …
-//! `motiv`) read no flag — `--seed` or `--perturb` with only such verbs is
-//! a usage error —; their bars are the paper's claims, each judged on a
-//! printed cell. `repro experiments` prints `EXPERIMENTS.md`: per figure
-//! the claims beside the cells and bounds they are held to, then the raw
-//! tables (a tier-1 test fails when the committed file differs).
+//! `motiv`) read no flag — `--seed` with only such verbs is a usage
+//! error —; their bars are the paper's claims, each judged on a printed
+//! cell. `repro experiments` prints `EXPERIMENTS.md`: per figure the claims
+//! beside the cells and bounds they are held to, then the raw tables (a
+//! tier-1 test fails when the committed file differs).
 //!
 //! Failed bars are always printed; with `--check` they make the exit code
 //! 1, so `repro all --check` is what CI runs and what a developer runs
 //! locally (`docs/OBSERVABILITY.md` lists every bar).
 //!
-//! `bench` runs the seeded DES perf trajectories — uncached and
-//! cached-mode — and gates each against its committed baseline
-//! (`bench/baselines/trajectory.json` and `trajectory_cached.json` in the
-//! source tree `repro` was built from, whatever the working directory)
-//! exactly: virtual time is deterministic, so any recorded fact that
-//! differs — slower or faster — is a failed bar naming the first such fact
-//! and the queue-delay component that moved most, and writes
-//! `baseline_diff.json` (or `baseline_diff_cached.json`) with the
-//! per-component attribution. A baseline recorded on other parameters than
-//! the run's (`--seed S`) is a failed bar too, never a comparison. `repro
-//! bench --update-baselines` regenerates both baselines and the
-//! virtual-time transcript `virtual_time.golden` beside them
-//! (`cam_bench::pins`). `--perturb F` scales the SSD model's
-//! service time (the gate's demo knob: `repro bench --check --perturb
-//! 1.02` models a device 2% slower across the board and exits 1; it cannot
-//! be combined with `--update-baselines`). `bench` also prints the
-//! doorbell→retire decomposition (mean + p99 tail) of its threaded run and
-//! of the uncached DES trials, attributed along each batch's gating group.
+//! `bench` prints the seeded DES perf trajectories — uncached and
+//! cached-mode, on `--seed S` — and gates every exact pin of virtual time:
+//! it compares the virtual-time transcript (`cam_bench::pins`, whose
+//! trajectory cases run at fixed parameters whatever the flags say) with
+//! `bench/baselines/virtual_time.golden` in the source tree `repro` was
+//! built from, whatever the working directory. Virtual time is
+//! deterministic, so any differing line — slower or faster — is a failed
+//! bar naming each differing case and its first differing lines; a moved
+//! `component` line of a trajectory case names the queue-delay stage.
+//! `repro bench --update-baselines` rewrites the transcript instead.
+//! `bench` also prints the doorbell→retire decomposition (mean + p99 tail)
+//! of its threaded run and of the uncached DES trials, attributed along
+//! each batch's gating group.
 //!
 //! `--metrics <path>` runs an instrumented functional-engine workload and
 //! writes the complete metrics-registry snapshot (counters, gauges, stage
@@ -161,7 +156,6 @@ fn run() -> Result<ExitCode, ExitCode> {
     let trace_path = take_flag_value(&mut args, "--trace")?;
     let params = BenchParams {
         seed: parse_flag(&mut args, "--seed")?,
-        latency_scale: parse_flag(&mut args, "--perturb")?,
         update_baselines: take_flag(&mut args, "--update-baselines"),
     };
     let check = take_flag(&mut args, "--check");
@@ -169,13 +163,6 @@ fn run() -> Result<ExitCode, ExitCode> {
     if params.update_baselines && first != Some("bench") {
         eprintln!(
             "--update-baselines applies to the 'bench' experiment: repro bench --update-baselines"
-        );
-        return Err(ExitCode::from(2));
-    }
-    if params.update_baselines && params.latency_scale.is_some() {
-        eprintln!(
-            "--update-baselines cannot be combined with --perturb: \
-             a baseline records the unperturbed model"
         );
         return Err(ExitCode::from(2));
     }
@@ -192,7 +179,7 @@ fn run() -> Result<ExitCode, ExitCode> {
     {
         eprintln!(
             "usage: repro [--metrics <path>] [--trace <path>] [--seed S] \
-             [--perturb F] [--check] [all|list|experiments|\
+             [--check] [all|list|experiments|\
              watch [--once]|calibrate [--rounds N]|bench [--update-baselines]|\
              <experiment id>...]"
         );
@@ -223,13 +210,12 @@ fn run() -> Result<ExitCode, ExitCode> {
         };
         args.iter().map(find).collect::<Result<_, _>>()?
     };
-    let flagged = params.seed.is_some() || params.latency_scale.is_some();
-    if flagged && !wanted.is_empty() && wanted.iter().all(|e| e.figure().is_some()) {
+    if params.seed.is_some() && !wanted.is_empty() && wanted.iter().all(|e| e.figure().is_some()) {
         let readers: Vec<&str> = (EXPERIMENTS.iter().filter(|e| e.figure().is_none()))
             .map(Experiment::id)
             .collect();
         eprintln!(
-            "--seed and --perturb are read only by {}: \
+            "--seed is read only by {}: \
              a paper figure takes no parameter",
             readers.join(", ")
         );

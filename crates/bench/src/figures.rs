@@ -37,24 +37,9 @@ use Experiment::{Harness, Paper};
 pub struct BenchParams {
     /// `--seed S`: base seed for seeded workloads.
     pub seed: Option<u64>,
-    /// `--perturb F`: SSD service-time multiplier for the trajectory run
-    /// (the perf gate's deliberate-perturbation knob).
-    pub latency_scale: Option<f64>,
-    /// `--update-baselines`: `bench` rewrites everything under
-    /// `bench/baselines/` instead of gating against it.
+    /// `--update-baselines`: `bench` rewrites the virtual-time transcript
+    /// under `bench/baselines/` instead of gating against it.
     pub update_baselines: bool,
-}
-
-impl BenchParams {
-    /// The trajectory-run parameters implied by these knobs.
-    pub fn trial_params(&self) -> crate::trajectory_run::TrialParams {
-        let d = crate::trajectory_run::TrialParams::default();
-        crate::trajectory_run::TrialParams {
-            seed: self.seed.unwrap_or(d.seed),
-            latency_scale: self.latency_scale.unwrap_or(d.latency_scale),
-            ..d
-        }
-    }
 }
 
 /// What one experiment produced.
@@ -1159,9 +1144,9 @@ fn bench(p: &BenchParams) -> Outcome {
     let threaded = attribution::analyze(&run.events);
     let mut failures = bars(&run, &threaded);
 
-    // The perf trajectory: seeded multi-trial DES runs, gated against the
-    // committed baselines.
-    let (gate, des) = run_gate(&p.trial_params(), p.update_baselines);
+    // The perf trajectory: seeded multi-trial DES runs, and the gate of
+    // every exact pin of virtual time against the committed transcript.
+    let (gate, des) = run_gate(p.seed, p.update_baselines);
     failures.extend(gate.failures);
 
     let mut t = Table::new(

@@ -7,12 +7,16 @@
 //! with the lifecycle stream and with retried faults; three
 //! `run_microbench_traced` engines; the cached run with its cache
 //! decisions; the serving plane under DRR and FIFO with its tenant stats;
-//! and, under `== worker_core`, seeded scripts driving one `WorkerCore`
-//! directly, every `Command` it emits on its own line.
+//! under `== worker_core`, seeded scripts driving one `WorkerCore`
+//! directly, every `Command` it emits on its own line; and, under
+//! `== trajectory uncached` and `== trajectory cached`, the seeded perf
+//! trajectories `repro bench` summarises, one line per queue-delay
+//! component and per histogram bin.
 //! It is committed as `bench/baselines/`[`TRANSCRIPT_FILE`] and rewritten by
 //! `repro bench --update-baselines`: how the calendar stores events or the
 //! cache and serving core index their state may change, what runs when may
-//! not.
+//! not. [`differences`] is the one check against it, run by the facade's
+//! `tests/virtual_time_pins.rs` and by `repro bench`'s gate.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -28,14 +32,18 @@ use cam_iostacks::cam_des::{
 };
 use cam_iostacks::des::{run_microbench_traced, Engine, MicrobenchConfig};
 use cam_nvme::spec::Status;
+use cam_nvme::SsdModel;
 use cam_protocol::{
     open_batch, plan_batch, BatchCore, BatchStamps, ChannelOp, Command, GroupSpec, PlanConfig,
     RetryPolicy, WorkerCore,
 };
 use cam_serving::{run_serving_des, AdmissionConfig, Policy, ServingConfig, ServingCore};
-use cam_telemetry::FlightRecorder;
+use cam_telemetry::attribution::component_name;
+use cam_telemetry::{FlightRecorder, Stage};
 use cam_workloads::kv_cache::KvCacheConfig;
 use parking_lot::Mutex;
+
+use crate::trajectory_run::{run_cached_trajectory, run_trajectory, TrialParams};
 
 /// The transcript's file name under
 /// [`BASELINES_DIR`](crate::trajectory_run::BASELINES_DIR).
@@ -546,5 +554,120 @@ pub fn transcript() -> String {
     for script in &worker_core_scripts() {
         worker_core_case(&mut out, script);
     }
+    out + &trajectory_cases(SsdModel::p5510())
+}
+
+/// The `== trajectory uncached` and `== trajectory cached` cases: the
+/// seeded perf trajectories at [`TrialParams::default`] on `model` SSDs —
+/// their parameters, batch count and quantiles, one line per queue-delay
+/// component (so a difference names the stage that moved) and one per
+/// histogram bin.
+pub fn trajectory_cases(model: SsdModel) -> String {
+    let p = TrialParams::default();
+    let mut out = String::new();
+    let modes = [
+        ("uncached", run_trajectory(&p, model)),
+        ("cached", run_cached_trajectory(&p, model)),
+    ];
+    let (trials, seed, rounds) = (p.trials, p.seed, p.rounds);
+    for (mode, t) in modes {
+        let (batches, p50, p99, total) = (t.batches(), t.p50_ns, t.p99_ns, t.total_ns);
+        writeln!(out, "== trajectory {mode}").unwrap();
+        writeln!(out, "trials {trials} seed {seed:#x} rounds {rounds}").unwrap();
+        let line = format!("batches {batches} p50_ns {p50} p99_ns {p99}");
+        writeln!(out, "{line} doorbell_to_retire_ns {total}").unwrap();
+        for s in Stage::ALL {
+            let ns = t.component_ns[s.index()];
+            writeln!(out, "component {} {ns}", component_name(s)).unwrap();
+        }
+        for (low, count) in t.bins {
+            writeln!(out, "bin {low} {count}").unwrap();
+        }
+    }
     out
+}
+
+/// Differing lines a [`differences`] report shows per case.
+const SHOWN_LINES: usize = 6;
+
+/// A transcript's cases in file order: each `== <case>` header's name and
+/// the lines under it. Lines before the first header fall in case `""`.
+fn cases(text: &str) -> Vec<(&str, Vec<&str>)> {
+    let mut cases = vec![("", Vec::new())];
+    for line in text.lines() {
+        match line.strip_prefix("== ") {
+            Some(name) => cases.push((name, Vec::new())),
+            None => cases.last_mut().expect("never empty").1.push(line),
+        }
+    }
+    cases
+}
+
+/// Where `got` (this tree's transcript) and `want` (the committed one)
+/// differ: under each differing case's `== <case>` header, its first
+/// differing lines — a changed, missing or extra one — as `line <n>` of
+/// the case with this tree's and the committed text, or that the case
+/// exists on one side only. Cases are paired by name, so every differing
+/// case is reported. `None` when the two texts are equal.
+pub fn differences(got: &str, want: &str) -> Option<String> {
+    let (got_cases, want_cases) = (cases(got), cases(want));
+    let mut report = String::new();
+    for (name, lines) in &got_cases {
+        let Some((_, committed)) = want_cases.iter().find(|(n, _)| n == name) else {
+            writeln!(report, "== {name}\n  only in this tree").unwrap();
+            continue;
+        };
+        let differing: Vec<usize> = (0..lines.len().max(committed.len()))
+            .filter(|&i| lines.get(i) != committed.get(i))
+            .collect();
+        if differing.is_empty() {
+            continue;
+        }
+        writeln!(report, "== {name}").unwrap();
+        let shown = |line: Option<&&str>| line.map_or("no line".into(), |l| format!("{l:?}"));
+        for &i in differing.iter().take(SHOWN_LINES) {
+            let (g, c) = (shown(lines.get(i)), shown(committed.get(i)));
+            writeln!(report, "  line {}: this tree {g}, committed {c}", i + 1).unwrap();
+        }
+        if differing.len() > SHOWN_LINES {
+            let more = differing.len() - SHOWN_LINES;
+            writeln!(report, "  and {more} more differing lines").unwrap();
+        }
+    }
+    for (name, _) in want_cases.iter() {
+        if got_cases.iter().any(|(n, _)| n == name) {
+            continue;
+        }
+        writeln!(report, "== {name}\n  only committed").unwrap();
+    }
+    if report.is_empty() && got != want {
+        report.push_str("the texts differ only in line endings\n");
+    }
+    (!report.is_empty()).then_some(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::differences;
+
+    #[test]
+    fn differences_names_every_differing_case_and_its_lines() {
+        let committed = "== a\nx 1\ny 2\n== b\nz 3\n== c\nw 4\nv 5\n== d\n";
+        assert_eq!(differences(committed, committed), None);
+        let tree = "== a\nx 1\ny 9\n== b\nz 3\nu 6\n== c\nw 4\n== e\n";
+        let diff = differences(tree, committed).expect("they differ");
+        assert_eq!(
+            diff,
+            "== a\n  line 2: this tree \"y 9\", committed \"y 2\"\n\
+             == b\n  line 2: this tree \"u 6\", committed no line\n\
+             == c\n  line 2: this tree no line, committed \"v 5\"\n\
+             == e\n  only in this tree\n\
+             == d\n  only committed\n"
+        );
+        let crlf = committed.replace('\n', "\r\n");
+        assert_eq!(
+            differences(&crlf, committed).as_deref(),
+            Some("the texts differ only in line endings\n")
+        );
+    }
 }

@@ -1,72 +1,62 @@
-//! Every exact pin of virtual time against the files under
-//! `bench/baselines/`: the transcript of small fixed-seed DES runs
-//! (`cam_bench::pins`) and the seeded perf trajectories (uncached and
-//! cached) the `bench` gate compares. The DES is deterministic, so each is
-//! equality, not a tolerance. A deliberate model change regenerates all
-//! three files with `repro bench --update-baselines`, and the review reads
-//! their diff.
+//! Every exact pin of virtual time against `bench/baselines/virtual_time.golden`:
+//! the transcript of small fixed-seed DES runs and of the seeded perf
+//! trajectories (`cam_bench::pins`), checked by `pins::differences` — the
+//! check `repro bench`'s gate runs too. The DES is deterministic, so it is
+//! equality, not a tolerance. A deliberate model change regenerates the
+//! file with `repro bench --update-baselines`, and the review reads its
+//! diff.
 
-use cam_bench::pins::{transcript, TRANSCRIPT_FILE};
-use cam_bench::trajectory_run::{
-    baseline_json, parse_baseline, run_cached_trajectory, run_trajectory, TrialParams,
-    BASELINES_DIR, BASELINE_FILE, CACHED_BASELINE_FILE,
-};
+use cam_bench::pins::{differences, trajectory_cases, transcript, TRANSCRIPT_FILE};
+use cam_bench::trajectory_run::BASELINES_DIR;
+use cam_nvme::SsdModel;
 
-fn committed(file: &str) -> String {
-    let path = format!("{BASELINES_DIR}/{file}");
+fn committed() -> String {
+    let path = format!("{BASELINES_DIR}/{TRANSCRIPT_FILE}");
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// The first line where `got` and `want` differ — a missing or an extra
-/// line included — under the `== <case>` header it falls in; `None` when
-/// every line is equal.
-fn first_difference(got: &str, want: &str) -> Option<String> {
-    let (mut got, mut want, mut case) = (got.lines(), want.lines(), "(none)");
-    for n in 1.. {
-        let (g, w) = (got.next(), want.next());
-        if g != w {
-            return Some(format!(
-                "case '{case}', line {n}: this tree {g:?}, committed {w:?}"
-            ));
-        }
-        case = g?.strip_prefix("== ").unwrap_or(case);
-    }
-    unreachable!()
+/// The committed `== trajectory` cases: the transcript's tail.
+fn committed_trajectories() -> String {
+    let mut text = committed();
+    text.split_off(text.find("== trajectory ").expect("trajectory cases"))
 }
 
 #[test]
 fn the_des_runs_reproduce_the_committed_transcript() {
-    let (got, want) = (transcript(), committed(TRANSCRIPT_FILE));
-    if let Some(diff) = first_difference(&got, &want) {
+    if let Some(diff) = differences(&transcript(), &committed()) {
         panic!(
-            "{TRANSCRIPT_FILE} differs at {diff}; after a deliberate model change \
-             regenerate it with 'repro bench --update-baselines' and review the diff"
+            "{TRANSCRIPT_FILE} differs; after a deliberate model change regenerate it \
+             with 'repro bench --update-baselines' and review the diff:\n{diff}"
         );
     }
-    assert!(got == want, "{TRANSCRIPT_FILE} differs in line endings");
 }
 
 #[test]
 fn the_default_trajectories_are_the_committed_baselines() {
-    type Run = fn(&TrialParams) -> cam_bench::trajectory_run::Trajectory;
-    for (file, run) in [
-        (BASELINE_FILE, run_trajectory as Run),
-        (CACHED_BASELINE_FILE, run_cached_trajectory),
-    ] {
-        let text = committed(file);
-        let baseline = parse_baseline(&text).expect("committed baseline parses");
-        let current = run(&TrialParams::default());
-        assert_eq!(current, baseline, "{file} is stale");
-        assert_eq!(text, format!("{:#}", baseline_json(&current)), "{file}");
+    let got = trajectory_cases(SsdModel::p5510());
+    if let Some(diff) = differences(&got, &committed_trajectories()) {
+        panic!("the trajectory cases of {TRANSCRIPT_FILE} are stale:\n{diff}");
     }
 }
 
-/// The committed baselines attribute every nanosecond once: the five
-/// queue-delay components sum to the recorded doorbell→retire total.
+/// The committed trajectories attribute every nanosecond once: in each
+/// `== trajectory` case the five `component` lines sum to the recorded
+/// doorbell→retire total.
 #[test]
 fn committed_baseline_components_sum_to_doorbell_to_retire() {
-    for file in [BASELINE_FILE, CACHED_BASELINE_FILE] {
-        let t = parse_baseline(&committed(file)).expect("committed baseline parses");
-        assert_eq!(t.component_ns.iter().sum::<u64>(), t.total_ns, "{file}");
+    let text = committed_trajectories();
+    let cases: Vec<&str> = text.split("== trajectory ").skip(1).collect();
+    assert_eq!(cases.len(), 2, "an uncached and a cached case");
+    // The last word of a `batches` or `component` line is its nanoseconds.
+    let ns = |line: &str| line.rsplit(' ').next().unwrap().parse::<u64>().unwrap();
+    for case in cases {
+        let lines = || case.lines();
+        let total = lines().find(|l| l.starts_with("batches ")).map(ns);
+        let components: Vec<u64> = lines()
+            .filter(|l| l.starts_with("component "))
+            .map(ns)
+            .collect();
+        assert_eq!(components.len(), 5, "{case}");
+        assert_eq!(Some(components.iter().sum::<u64>()), total, "{case}");
     }
 }
