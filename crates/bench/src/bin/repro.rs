@@ -5,49 +5,49 @@
 //! repro list                   # available experiment ids
 //! repro fig8 fig9              # a subset
 //! repro experiments > EXPERIMENTS.md   # the paper-vs-measured document
-//! repro --metrics m.json bench # also dump the full telemetry registry
-//! repro --trace t.json         # also write a Perfetto-loadable trace
+//! repro --metrics m.json bench # also dump bench's telemetry registry
+//! repro --trace t.json bench   # also write bench's Perfetto-loadable trace
 //! ```
 //!
 //! Every verb of `repro list` returns its tables and the acceptance bars
 //! it failed. The tables are the report: `repro` prints them and writes
 //! them, as JSON under the verb's id, to `BENCH_repro.json` — one document
 //! per invocation, holding exactly the verbs it ran (the shape is stated in
-//! `docs/OBSERVABILITY.md`). The paper's tables and figures (`tab1` …
-//! `motiv`) read no flag — `--seed` with only such verbs is a usage
-//! error —; their bars are the paper's claims, each judged on a printed
-//! cell. `repro experiments` prints `EXPERIMENTS.md`: per figure the claims
-//! beside the cells and bounds they are held to, then the raw tables (a
-//! tier-1 test fails when the committed file differs).
+//! `docs/OBSERVABILITY.md`). Only `bench` reads a flag; every other verb
+//! runs its committed seed. The bars of the paper's tables and figures
+//! (`tab1` … `motiv`) are the paper's claims, each judged on a printed
+//! cell. `repro experiments` prints `EXPERIMENTS.md`: per figure the
+//! claims beside the cells and bounds they are held to, then the raw
+//! tables (a tier-1 test fails when the committed file differs).
 //!
 //! Failed bars are always printed; with `--check` they make the exit code
 //! 1, so `repro all --check` is what CI runs and what a developer runs
 //! locally (`docs/OBSERVABILITY.md` lists every bar).
 //!
-//! `bench` prints the seeded DES perf trajectories — uncached and
-//! cached-mode, on `--seed S` — and gates every exact pin of virtual time:
-//! it compares the virtual-time transcript (`cam_bench::pins`, whose
-//! trajectory cases run at fixed parameters whatever the flags say) with
-//! `bench/baselines/virtual_time.golden` in the source tree `repro` was
-//! built from, whatever the working directory. Virtual time is
-//! deterministic, so any differing line — slower or faster — is a failed
-//! bar naming each differing case and its first differing lines; a moved
-//! `component` line of a trajectory case names the queue-delay stage.
-//! `repro bench --update-baselines` rewrites the transcript instead.
-//! `bench` also prints the doorbell→retire decomposition (mean + p99 tail)
-//! of its threaded run and of the uncached DES trials, attributed along
-//! each batch's gating group.
+//! `bench` does one instrumented threaded run and one set of seeded DES
+//! trials, and everything it prints, gates or writes reads those runs. It
+//! prints the DES perf trajectories — uncached and cached-mode, at fixed
+//! parameters — and gates every exact pin of virtual time: it compares the
+//! virtual-time transcript (`cam_bench::pins`, its trajectory cases
+//! rendered from those trials) with `bench/baselines/virtual_time.golden`
+//! in the source tree `repro` was built from, whatever the working
+//! directory. Virtual time is deterministic, so any differing line —
+//! slower or faster — is a failed bar naming each differing case and its
+//! first differing lines; a moved `component` line of a trajectory case
+//! names the queue-delay stage. `repro bench --update-baselines` rewrites
+//! the transcript instead. `bench` also prints the doorbell→retire
+//! decomposition (mean + p99 tail) of its threaded run and of the uncached
+//! DES trials, attributed along each batch's gating group.
 //!
-//! `--metrics <path>` runs an instrumented functional-engine workload and
-//! writes the complete metrics-registry snapshot (counters, gauges, stage
-//! histograms with p50/p99) to `<path>` as JSON.
-//!
-//! `--trace <path>` runs the same instrumented workload plus a small CAM
-//! DES microbenchmark with a flight recorder attached, and writes the
-//! combined timeline as Chrome trace-event JSON — open it in Perfetto or
+//! `--metrics <path>` and `--trace <path>` need `bench` among the verbs
+//! (`all` includes it). `--metrics` writes the complete metrics-registry
+//! snapshot (counters, gauges, stage histograms with p50/p99) of `bench`'s
+//! threaded run to `<path>` as JSON. `--trace` writes that run's timeline,
+//! followed by a small CAM DES microbenchmark recorded into the same
+//! flight recorder, as Chrome trace-event JSON — open it in Perfetto or
 //! `chrome://tracing`. Process 1 is the functional engine (one track per
-//! worker/emitting thread, one async span per batch); process 2 is
-//! the simulated SSDs.
+//! worker/emitting thread, one async span per batch); process 2 is the
+//! simulated SSDs. `bench` validates that trace on every run, as a bar.
 //!
 //! `repro watch` drives a fault-injected workload through a fully observed
 //! engine and renders a live per-lane / per-channel / per-tenant snapshot
@@ -66,8 +66,6 @@ use std::process::ExitCode;
 
 use cam_bench::figures::{bench_doc, run_figures, BenchParams, Experiment, BENCH_DOC, EXPERIMENTS};
 use cam_bench::paper::experiments_md;
-use cam_bench::telemetry_run::{run_recorded, run_traced};
-use cam_telemetry::trace::validate_chrome_trace;
 
 fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, ExitCode> {
     match args.iter().position(|a| a == flag) {
@@ -90,22 +88,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
             true
         }
         None => false,
-    }
-}
-
-fn parse_flag<T: std::str::FromStr>(
-    args: &mut Vec<String>,
-    flag: &str,
-) -> Result<Option<T>, ExitCode> {
-    match take_flag_value(args, flag)? {
-        Some(raw) => match raw.parse::<T>() {
-            Ok(v) => Ok(Some(v)),
-            Err(_) => {
-                eprintln!("{flag}: could not parse '{raw}'");
-                Err(ExitCode::from(2))
-            }
-        },
-        None => Ok(None),
     }
 }
 
@@ -152,10 +134,9 @@ fn watch(once: bool) -> Result<ExitCode, ExitCode> {
 
 fn run() -> Result<ExitCode, ExitCode> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_path = take_flag_value(&mut args, "--metrics")?;
-    let trace_path = take_flag_value(&mut args, "--trace")?;
     let params = BenchParams {
-        seed: parse_flag(&mut args, "--seed")?,
+        metrics: take_flag_value(&mut args, "--metrics")?,
+        trace: take_flag_value(&mut args, "--trace")?,
         update_baselines: take_flag(&mut args, "--update-baselines"),
     };
     let check = take_flag(&mut args, "--check");
@@ -166,20 +147,31 @@ fn run() -> Result<ExitCode, ExitCode> {
         );
         return Err(ExitCode::from(2));
     }
+    let bench_runs = first == Some("all") || args.iter().any(|a| a == "bench");
+    if (params.metrics.is_some() || params.trace.is_some()) && !bench_runs {
+        eprintln!(
+            "--metrics and --trace write the 'bench' experiment's run: \
+             repro --metrics <path> --trace <path> bench"
+        );
+        return Err(ExitCode::from(2));
+    }
     if first == Some("calibrate") {
-        let rounds = parse_flag(&mut args, "--rounds")?.unwrap_or(24);
+        let rounds = match take_flag_value(&mut args, "--rounds")? {
+            None => 24,
+            Some(raw) => raw.parse().map_err(|_| {
+                eprintln!("--rounds: could not parse '{raw}'");
+                ExitCode::from(2)
+            })?,
+        };
         return Ok(calibrate(rounds));
     }
     if first == Some("watch") {
         return watch(args.iter().any(|a| a == "--once"));
     }
-    if metrics_path.is_none()
-        && trace_path.is_none()
-        && matches!(first, None | Some("help" | "--help"))
-    {
+    if matches!(first, None | Some("help" | "--help")) {
         eprintln!(
-            "usage: repro [--metrics <path>] [--trace <path>] [--seed S] \
-             [--check] [all|list|experiments|\
+            "usage: repro [--metrics <path>] [--trace <path>] [--check] \
+             [all|list|experiments|\
              watch [--once]|calibrate [--rounds N]|bench [--update-baselines]|\
              <experiment id>...]"
         );
@@ -210,19 +202,9 @@ fn run() -> Result<ExitCode, ExitCode> {
         };
         args.iter().map(find).collect::<Result<_, _>>()?
     };
-    if params.seed.is_some() && !wanted.is_empty() && wanted.iter().all(|e| e.figure().is_some()) {
-        let readers: Vec<&str> = (EXPERIMENTS.iter().filter(|e| e.figure().is_none()))
-            .map(Experiment::id)
-            .collect();
-        eprintln!(
-            "--seed is read only by {}: \
-             a paper figure takes no parameter",
-            readers.join(", ")
-        );
-        return Err(ExitCode::from(2));
-    }
     let mut failed_bars = 0usize;
     let mut ran = Vec::new();
+    let mut files = Vec::new();
     for experiment in wanted {
         let want = experiment.id();
         println!("######## {want}: {}\n", experiment.desc());
@@ -235,6 +217,7 @@ fn run() -> Result<ExitCode, ExitCode> {
         }
         failed_bars += outcome.failures.len();
         ran.push((want, outcome.tables));
+        files.extend(outcome.files);
     }
     if !ran.is_empty() {
         let doc = bench_doc(&ran);
@@ -242,34 +225,12 @@ fn run() -> Result<ExitCode, ExitCode> {
             eprintln!("warning: could not write {BENCH_DOC}: {e}");
         }
     }
-    if let Some(path) = metrics_path {
-        let run = run_recorded(20, 64, None);
-        std::fs::write(&path, format!("{:#}", run.snapshot.to_json())).map_err(|e| {
-            eprintln!("could not write metrics to {path}: {e}");
+    for (path, contents) in files {
+        std::fs::write(&path, contents).map_err(|e| {
+            eprintln!("could not write {path}: {e}");
             ExitCode::FAILURE
         })?;
-        println!("wrote telemetry registry snapshot to {path}");
-    }
-    if let Some(path) = trace_path {
-        let (run, trace) = run_traced(20, 64);
-        // Self-check before writing: a trace that fails its own validator
-        // (missing fields, unbalanced async spans) is a bug, not output.
-        let summary = validate_chrome_trace(&trace).map_err(|e| {
-            eprintln!("generated trace failed validation: {e}");
-            ExitCode::FAILURE
-        })?;
-        std::fs::write(&path, &trace).map_err(|e| {
-            eprintln!("could not write trace to {path}: {e}");
-            ExitCode::FAILURE
-        })?;
-        println!(
-            "wrote Chrome trace to {path}: {} events, {} async spans, {} tracks across {} processes ({} batches retired)",
-            summary.events,
-            summary.async_begin,
-            summary.named_tracks.len(),
-            summary.processes,
-            run.snapshot.counter("cam_batches_total"),
-        );
+        println!("wrote {path}");
     }
     // `--update-baselines` is a write, so its failure is fatal too.
     if failed_bars > 0 && (check || params.update_baselines) {

@@ -15,8 +15,8 @@ use cam_telemetry::{FlightRecorder, MetricsRegistry, MetricsSnapshot, Observabil
 
 use crate::figures::require;
 
-/// Default Zipf-draw seed for the DLRM workload (`repro --seed` overrides
-/// it; the sequential scan is seed-free).
+/// The Zipf-draw seed of the DLRM workload `repro cache` runs (the
+/// sequential scan is seed-free).
 pub const DEFAULT_CACHE_SEED: u64 = 0xD78;
 
 /// Access-pattern shapes the cache is evaluated on.
@@ -174,7 +174,7 @@ fn run_uncached(workload: CacheWorkload, seed: u64) -> (u64, f64) {
 
 /// Drives `workload` through a [`CachedDevice`] with `slots` cache blocks;
 /// optionally records the run into `recorder`. Returns the final snapshot.
-pub fn run_cached(
+fn run_cached(
     workload: CacheWorkload,
     slots: usize,
     seed: u64,
@@ -203,11 +203,17 @@ pub fn run_cached(
     registry.snapshot()
 }
 
-/// Runs one sweep cell: the workload uncached, then cached with `slots`.
-pub fn run_cache_cell(workload: CacheWorkload, slots: usize, seed: u64) -> CacheWorkloadReport {
+/// Runs one sweep cell: the workload uncached, then cached with `slots`,
+/// recording the cached run into `recorder` if one is attached.
+pub fn run_cache_cell(
+    workload: CacheWorkload,
+    slots: usize,
+    seed: u64,
+    recorder: Option<Arc<FlightRecorder>>,
+) -> CacheWorkloadReport {
     let accesses: u64 = workload.batches(seed).iter().map(|b| b.len() as u64).sum();
     let (uncached_submissions, uncached_read_mean_ns) = run_uncached(workload, seed);
-    let snap = run_cached(workload, slots, seed, None);
+    let snap = run_cached(workload, slots, seed, recorder);
     let hits = snap.counter("cam_cache_hits_total");
     let misses = snap.counter("cam_cache_misses_total");
     let coalesced = snap.counter("cam_cache_coalesced_total");
@@ -235,12 +241,20 @@ pub fn run_cache_cell(workload: CacheWorkload, slots: usize, seed: u64) -> Cache
     }
 }
 
-/// The full sweep: every workload × cache size, small-to-large.
-pub fn run_cache_sweep(slot_sizes: &[usize], seed: u64) -> Vec<CacheWorkloadReport> {
+/// The full sweep: every workload × cache size, small-to-large. The cached
+/// `seq_scan` run at the largest size is recorded into `recorder`.
+pub fn run_cache_sweep(
+    slot_sizes: &[usize],
+    seed: u64,
+    recorder: &Arc<FlightRecorder>,
+) -> Vec<CacheWorkloadReport> {
+    let largest = slot_sizes.iter().copied().max();
     let mut out = Vec::with_capacity(CacheWorkload::ALL.len() * slot_sizes.len());
     for workload in CacheWorkload::ALL {
         for &slots in slot_sizes {
-            out.push(run_cache_cell(workload, slots, seed));
+            let traced = workload == CacheWorkload::SeqScan && Some(slots) == largest;
+            let recorder = traced.then(|| Arc::clone(recorder));
+            out.push(run_cache_cell(workload, slots, seed, recorder));
         }
     }
     out
@@ -317,7 +331,7 @@ mod tests {
     fn zipf_cell_meets_the_acceptance_bar() {
         // On the repeated-access workload, cached mode does >= 2x fewer
         // NVMe submissions and takes less virtual time.
-        let r = run_cache_cell(CacheWorkload::DlrmZipf, 2048, DEFAULT_CACHE_SEED);
+        let r = run_cache_cell(CacheWorkload::DlrmZipf, 2048, DEFAULT_CACHE_SEED, None);
         assert_eq!(bars(std::slice::from_ref(&r)), Vec::<String>::new());
         assert!(r.cache_hit_rate > 0.5, "hit rate {}", r.cache_hit_rate);
         assert!(
@@ -332,7 +346,7 @@ mod tests {
 
     #[test]
     fn seq_scan_exercises_readahead() {
-        let r = run_cache_cell(CacheWorkload::SeqScan, 2048, DEFAULT_CACHE_SEED);
+        let r = run_cache_cell(CacheWorkload::SeqScan, 2048, DEFAULT_CACHE_SEED, None);
         let acc = r.readahead_accuracy.expect("sequential stream speculated");
         assert!(acc > 0.0, "speculation never hit");
         // Epoch 2 re-reads everything: with the whole scan resident the

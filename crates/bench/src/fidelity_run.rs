@@ -43,6 +43,7 @@ use cam_protocol::{replay_plan_workload, DecisionCounters, PlanConfig};
 use cam_telemetry::{EventKind, FlightRecorder, MetricsRegistry, Observability};
 
 use crate::figures::require;
+use crate::Lcg;
 
 /// SSDs in the array (both drivers).
 pub const N_SSDS: usize = 4;
@@ -60,7 +61,7 @@ const LBA_WINDOW: u64 = 96;
 /// Injected functional-rig service latency per burst: slow enough that
 /// overlap (or its absence) dominates the measured latency.
 const SERVICE_LATENCY: Duration = Duration::from_micros(200);
-/// Default workload seed (`repro --seed` overrides it).
+/// The workload seed `repro fidelity` runs (tests drive others).
 pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
 
 /// CI tolerance on the **pipelined** per-SSD in-flight depth relative
@@ -189,18 +190,6 @@ impl FidelityReport {
     }
 }
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
 /// The seeded workload both drivers (and the perf trajectory's trials)
 /// run: `rounds` batches per channel, each batch `BATCH_REQS` two-block
 /// reads drawn from the channel's `LBA_WINDOW`-slot window.
@@ -239,8 +228,13 @@ pub fn expected_decisions(channels: &[Vec<CamDesBatch>]) -> DecisionCounters {
 }
 
 /// Runs the seeded workload on both drivers in both modes and assembles
-/// the comparison.
-pub fn run_fidelity_experiment(rounds: u64, seed: u64) -> FidelityReport {
+/// the comparison. An attached `recorder` observes the pipelined DES run
+/// (the `fidelity` verb's trace artifact) without perturbing it.
+pub fn run_fidelity_experiment(
+    rounds: u64,
+    seed: u64,
+    recorder: Option<Arc<FlightRecorder>>,
+) -> FidelityReport {
     let workload = fidelity_workload(rounds, seed);
     FidelityReport {
         seed,
@@ -250,7 +244,7 @@ pub fn run_fidelity_experiment(rounds: u64, seed: u64) -> FidelityReport {
             blocking: run_functional(false, 1, &workload),
         },
         des: FidelityEngineReport {
-            pipelined: run_des(true, &workload, None),
+            pipelined: run_des(true, &workload, recorder),
             blocking: run_des(false, &workload, None),
         },
         // 3x the uncached round count: the cached stream is a single
@@ -413,9 +407,8 @@ pub(crate) fn des_config(
 }
 
 /// Runs one DES mode of the fidelity workload; an attached recorder
-/// observes the virtual-time issue/complete stream without perturbing it
-/// (the `fidelity` verb uses this for the trace artifact).
-pub fn run_des(
+/// observes the virtual-time issue/complete stream.
+fn run_des(
     pipelined: bool,
     channels: &[Vec<CamDesBatch>],
     recorder: Option<Arc<FlightRecorder>>,
@@ -717,7 +710,7 @@ mod tests {
 
     #[test]
     fn decisions_note_prints_the_seed_the_run_used() {
-        let report = run_fidelity_experiment(1, 7);
+        let report = run_fidelity_experiment(1, 7, None);
         assert_eq!(report.seed, 7);
         let tables = crate::figures::fidelity_tables(&report, 1);
         let note = &tables[0].notes()[0];
@@ -726,7 +719,7 @@ mod tests {
 
     #[test]
     fn both_drivers_make_exactly_the_planned_decisions() {
-        let report = run_fidelity_experiment(6, DEFAULT_SEED);
+        let report = run_fidelity_experiment(6, DEFAULT_SEED, None);
         // The workload exercises real planner decisions, not a trivial
         // pass-through.
         assert!(report.expected.dedup_dropped > 0, "workload has no dups");

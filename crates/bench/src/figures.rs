@@ -29,20 +29,23 @@ use crate::table::{f1, f2, pct, Table};
 use Bound::{Ordered, Range, Ratio, Within};
 use Experiment::{Harness, Paper};
 
-/// Runtime knobs the `repro` CLI threads into every harness experiment (a
-/// paper figure reads none). `None` means "the experiment's historical
-/// default", so unflagged runs stay bit-identical with committed
-/// expectations.
+/// The `repro` flags the `bench` verb reads (every other verb reads none,
+/// and runs its committed seed).
 #[derive(Clone, Debug, Default)]
 pub struct BenchParams {
-    /// `--seed S`: base seed for seeded workloads.
-    pub seed: Option<u64>,
     /// `--update-baselines`: `bench` rewrites the virtual-time transcript
     /// under `bench/baselines/` instead of gating against it.
     pub update_baselines: bool,
+    /// `--metrics <path>`: where `bench` writes its instrumented run's
+    /// metrics-registry snapshot, as JSON.
+    pub metrics: Option<String>,
+    /// `--trace <path>`: where `bench` writes its two-engine timeline, as
+    /// Chrome trace-event JSON.
+    pub trace: Option<String>,
 }
 
 /// What one experiment produced.
+#[derive(Default)]
 pub struct Outcome {
     /// The figure/table row data, printed by the CLI and written to
     /// [`BENCH_DOC`] under the verb's id.
@@ -50,15 +53,9 @@ pub struct Outcome {
     /// Acceptance bars that failed, one line each. Always printed; with
     /// `--check` they make the exit code 1.
     pub failures: Vec<String>,
-}
-
-impl From<Vec<Table>> for Outcome {
-    fn from(tables: Vec<Table>) -> Self {
-        Outcome {
-            tables,
-            failures: Vec::new(),
-        }
-    }
+    /// `(path, contents)` of the files a flag asked the verb for; the CLI
+    /// writes them, and a failed write exits 1.
+    pub files: Vec<(String, String)>,
 }
 
 /// Records `what` as a failed acceptance bar unless `ok`.
@@ -81,28 +78,32 @@ pub fn bench_doc(ran: &[(&str, Vec<Table>)]) -> Json {
     Json::obj(ran.iter().map(|(verb, t)| (*verb, tables(t))))
 }
 
-/// Exports a recorder timeline as Chrome-trace JSON and validates it
-/// before writing it to `path`: a trace that fails its own validator is a
-/// failed bar, not an artifact.
+/// Exports a recorder timeline as Chrome-trace JSON and validates it: a
+/// trace that fails its own validator is a failed bar, not an artifact.
+fn checked_trace(
+    name: &str,
+    events: &[Event],
+    rec: &FlightRecorder,
+    failed: &mut Vec<String>,
+) -> Option<(String, TraceSummary)> {
+    let trace = chrome_trace(events, &rec.thread_names());
+    let checked = validate_chrome_trace(&trace).map(|summary| (trace, summary));
+    let failure = |e| failed.push(format!("{name} failed trace validation: {e}"));
+    checked.map_err(failure).ok()
+}
+
+/// A [`checked_trace`], written to `path` when it validates.
 fn write_trace(
     path: &str,
     events: &[Event],
     rec: &FlightRecorder,
     failed: &mut Vec<String>,
 ) -> Option<TraceSummary> {
-    let trace = chrome_trace(events, &rec.thread_names());
-    match validate_chrome_trace(&trace) {
-        Ok(summary) => {
-            if let Err(e) = std::fs::write(path, &trace) {
-                eprintln!("warning: could not write {path}: {e}");
-            }
-            Some(summary)
-        }
-        Err(e) => {
-            failed.push(format!("{path} failed trace validation: {e}"));
-            None
-        }
+    let (trace, summary) = checked_trace(path, events, rec, failed)?;
+    if let Err(e) = std::fs::write(path, &trace) {
+        eprintln!("warning: could not write {path}: {e}");
     }
+    Some(summary)
 }
 
 /// A `repro` verb: a figure of the paper, or a repo-grown harness
@@ -146,7 +147,11 @@ impl Experiment {
         match self {
             Paper(f) => {
                 let (tables, failures) = f.run();
-                Outcome { tables, failures }
+                Outcome {
+                    tables,
+                    failures,
+                    ..Outcome::default()
+                }
             }
             Harness(.., generate) => generate(params),
         }
@@ -1135,19 +1140,26 @@ fn motiv() -> Vec<Table> {
 }
 
 fn bench(p: &BenchParams) -> Outcome {
-    use crate::telemetry_run::{bars, run_recorded};
-    use crate::trajectory_run::run_gate;
+    use crate::telemetry_run::{bars, record_des_microbench, run_recorded};
+    use crate::trajectory_run::{run_cached_trajectory, run_gate, run_trajectory};
     use cam_telemetry::{attribution, Stage};
     use std::sync::Arc;
 
-    let run = run_recorded(20, 64, Some(Arc::new(FlightRecorder::new())));
+    let rec = Arc::new(FlightRecorder::new());
+    let run = run_recorded(20, 64, Some(Arc::clone(&rec)));
     let threaded = attribution::analyze(&run.events);
     let mut failures = bars(&run, &threaded);
+    let mut files = Vec::new();
+    if let Some(path) = &p.metrics {
+        files.push((path.clone(), format!("{:#}", run.snapshot.to_json())));
+    }
 
     // The perf trajectory: seeded multi-trial DES runs, and the gate of
     // every exact pin of virtual time against the committed transcript.
-    let (gate, des) = run_gate(p.seed, p.update_baselines);
-    failures.extend(gate.failures);
+    let model = SsdModel::p5510();
+    let uncached = run_trajectory(model);
+    let cached = run_cached_trajectory(model);
+    let gate = run_gate(&uncached, &cached, p.update_baselines, &mut failures);
 
     let mut t = Table::new(
         "Functional engine: batch-lifecycle stage latency (instrumented run)",
@@ -1177,11 +1189,28 @@ fn bench(p: &BenchParams) -> Outcome {
         f2(run.gbps()),
         f1(run.kiops()),
     ));
+    // The run's timeline, then a small DES run's: both engines, one trace.
+    record_des_microbench(&rec);
+    let name = "the two-engine trace";
+    if let Some((trace, summary)) = checked_trace(name, &rec.snapshot(), &rec, &mut failures) {
+        let processes = summary.processes;
+        let spans = format!("{name} spans {processes} processes, not 2");
+        require(&mut failures, processes == 2, spans);
+        t.note(format!(
+            "two-engine trace valid: {} events, {} async spans, {} tracks across {processes} \
+             processes ({} batches retired)",
+            summary.events,
+            summary.async_begin,
+            summary.named_tracks.len(),
+            run.snapshot.counter("cam_batches_total"),
+        ));
+        files.extend(p.trace.clone().map(|path| (path, trace)));
+    }
 
     let mut tables = vec![
         t,
         decomposition("threaded", &threaded, &mut failures),
-        decomposition("des", &des, &mut failures),
+        decomposition("des", &uncached.attributed, &mut failures),
     ];
     tables[2].note(
         "n/a components are structurally absent from the DES timeline \
@@ -1189,8 +1218,12 @@ fn bench(p: &BenchParams) -> Outcome {
          completion instantly); dispatch and lane_wait are charged by the \
          calibrated CPU pipe (see `repro calibrate`)",
     );
-    tables.extend(gate.tables);
-    Outcome { tables, failures }
+    tables.push(gate);
+    Outcome {
+        tables,
+        failures,
+        files,
+    }
 }
 
 /// The mean + p99-tail decomposition of one driver's attributed batches,
@@ -1302,6 +1335,7 @@ fn slo(_p: &BenchParams) -> Outcome {
     Outcome {
         tables: vec![t],
         failures: bars(&report),
+        ..Outcome::default()
     }
 }
 
@@ -1352,21 +1386,19 @@ pub(crate) fn cache_table(reports: &[crate::cache_run::CacheWorkloadReport]) -> 
     t
 }
 
-fn cache(p: &BenchParams) -> Outcome {
-    use crate::cache_run::{bars, run_cache_sweep, run_cached, CacheWorkload, DEFAULT_CACHE_SEED};
+fn cache(_p: &BenchParams) -> Outcome {
+    use crate::cache_run::{bars, run_cache_sweep, DEFAULT_CACHE_SEED};
     use cam_telemetry::EventKind;
     use std::sync::Arc;
 
-    let seed = p.seed.unwrap_or(DEFAULT_CACHE_SEED);
-    let reports = run_cache_sweep(&[256, 2048], seed);
+    // The sweep records its largest cached seq_scan run, exported through
+    // the Chrome-trace pipeline: the cache events (access / evict /
+    // readahead / flush instants) must satisfy the trace validator beside
+    // balanced batch spans.
+    let rec = Arc::new(FlightRecorder::new());
+    let reports = run_cache_sweep(&[256, 2048], DEFAULT_CACHE_SEED, &rec);
     let mut failures = bars(&reports);
     let mut t = cache_table(&reports);
-
-    // A recorded cached run, exported through the Chrome-trace pipeline:
-    // the cache events (access / evict / readahead / flush instants) must
-    // satisfy the trace validator beside balanced batch spans.
-    let rec = Arc::new(FlightRecorder::new());
-    let _ = run_cached(CacheWorkload::SeqScan, 1024, seed, Some(Arc::clone(&rec)));
     let path = "cache_trace.json";
     let events = rec.snapshot();
     if let Some(summary) = write_trace(path, &events, &rec, &mut failures) {
@@ -1387,6 +1419,7 @@ fn cache(p: &BenchParams) -> Outcome {
     Outcome {
         tables: vec![t],
         failures,
+        ..Outcome::default()
     }
 }
 
@@ -1516,29 +1549,19 @@ pub(crate) fn fidelity_tables(
     vec![t, tc, tr]
 }
 
-fn fidelity(p: &BenchParams) -> Outcome {
-    use crate::fidelity_run::{
-        decision_bars, fidelity_workload, run_des, run_fidelity_experiment, timing_bars,
-        DEFAULT_SEED,
-    };
+fn fidelity(_p: &BenchParams) -> Outcome {
+    use crate::fidelity_run::{decision_bars, run_fidelity_experiment, timing_bars, DEFAULT_SEED};
     use cam_telemetry::EventKind;
     use std::sync::Arc;
 
     const ROUNDS: u64 = 8;
-    let seed = p.seed.unwrap_or(DEFAULT_SEED);
-    let report = run_fidelity_experiment(ROUNDS, seed);
+    // The virtual-time trace artifact: the experiment's pipelined DES run,
+    // recorded — sim events only, on sim-ssd tracks under process 2.
+    let rec = Arc::new(FlightRecorder::new());
+    let report = run_fidelity_experiment(ROUNDS, DEFAULT_SEED, Some(Arc::clone(&rec)));
     let mut failures = decision_bars(&report);
     failures.extend(timing_bars(&report));
     let mut tables = fidelity_tables(&report, ROUNDS);
-
-    // The virtual-time trace artifact: a recorded DES pipelined run — sim
-    // events only, on sim-ssd tracks under process 2.
-    let rec = Arc::new(FlightRecorder::new());
-    let _ = run_des(
-        true,
-        &fidelity_workload(ROUNDS, seed),
-        Some(Arc::clone(&rec)),
-    );
     let path = "fidelity_trace.json";
     let events = rec.snapshot();
     if let Some(summary) = write_trace(path, &events, &rec, &mut failures) {
@@ -1561,7 +1584,11 @@ fn fidelity(p: &BenchParams) -> Outcome {
             summary.named_tracks.len(),
         ));
     }
-    Outcome { tables, failures }
+    Outcome {
+        tables,
+        failures,
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]

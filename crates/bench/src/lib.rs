@@ -31,6 +31,22 @@ pub mod watch;
 
 pub use table::Table;
 
+/// The generator of every seeded workload in this crate (the fidelity
+/// workloads, the transcript's traces and `WorkerCore` scripts): a 64-bit
+/// LCG whose draws are the state's top 31 bits.
+pub(crate) struct Lcg(pub(crate) u64);
+
+impl Lcg {
+    /// Steps the state and returns its next draw.
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.0 >> 33
+    }
+}
+
 /// Counts meaningful lines of code (non-empty, not comment-only) — used by
 /// Table VI's programmability comparison.
 pub fn count_loc(src: &str) -> usize {

@@ -1,13 +1,13 @@
 //! The exact virtual-time pins: one transcript of small fixed-seed DES runs.
 //!
-//! [`transcript`] states, per case under an `== <case>` header, what each
-//! run computed — virtual time, decisions, per-batch latencies, health
-//! transitions, and the recorded events' count, FNV-1a hash and first
-//! events; floats by their bits. The cases: `run_cam_des_source` plain,
-//! with the lifecycle stream and with retried faults; three
-//! `run_microbench_traced` engines; the cached run with its cache
-//! decisions; the serving plane under DRR and FIFO with its tenant stats;
-//! under `== worker_core`, seeded scripts driving one `WorkerCore`
+//! [`transcript`] states, per case under an `== <case>` header ([`case`]
+//! writes one), what each run computed — virtual time, decisions,
+//! per-batch latencies, health transitions, and the recorded events'
+//! count, FNV-1a hash and first events; floats by their bits. The cases:
+//! `run_cam_des_source` plain, with the lifecycle stream and with retried
+//! faults; three `run_microbench_traced` engines; the cached run with its
+//! cache decisions; the serving plane under DRR and FIFO with its tenant
+//! stats; under `== worker_core`, seeded scripts driving one `WorkerCore`
 //! directly, every `Command` it emits on its own line; and, under
 //! `== trajectory uncached` and `== trajectory cached`, the seeded perf
 //! trajectories `repro bench` summarises, one line per queue-delay
@@ -43,7 +43,10 @@ use cam_telemetry::{FlightRecorder, Stage};
 use cam_workloads::kv_cache::KvCacheConfig;
 use parking_lot::Mutex;
 
-use crate::trajectory_run::{run_cached_trajectory, run_trajectory, TrialParams};
+use crate::trajectory_run::{
+    run_cached_trajectory, run_trajectory, Trajectory, ROUNDS, SEED, TRIALS,
+};
+use crate::Lcg;
 
 /// The transcript's file name under
 /// [`BASELINES_DIR`](crate::trajectory_run::BASELINES_DIR).
@@ -86,17 +89,10 @@ impl DesBatchSource for Source {
 fn trace(seed: u64) -> Vec<VecDeque<CamDesBatch>> {
     (0..N_CHANNELS as u64)
         .map(|ch| {
-            let mut x = seed ^ (ch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut rng = Lcg(seed ^ (ch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             (0..5)
                 .map(|_| CamDesBatch {
-                    lbas: (0..24)
-                        .map(|_| {
-                            x = x
-                                .wrapping_mul(6_364_136_223_846_793_005)
-                                .wrapping_add(1_442_695_040_888_963_407);
-                            ch * WINDOW + (x >> 33) % WINDOW
-                        })
-                        .collect(),
+                    lbas: (0..24).map(|_| ch * WINDOW + rng.next() % WINDOW).collect(),
                     blocks: 2,
                 })
                 .collect()
@@ -155,8 +151,7 @@ fn report(out: &mut String, r: &CamDesReport) {
     }
 }
 
-fn cam_des_case(out: &mut String, name: &str, cfg: CamDesConfig, lifecycle: bool) {
-    writeln!(out, "== {name}").unwrap();
+fn cam_des_case(out: &mut String, cfg: CamDesConfig, lifecycle: bool) {
     let retired = Rc::new(RefCell::new(Vec::new()));
     let source = Source {
         queues: trace(0xC0FFEE),
@@ -187,7 +182,6 @@ fn cam_des_case(out: &mut String, name: &str, cfg: CamDesConfig, lifecycle: bool
 }
 
 fn microbench_case(out: &mut String, engine: Engine, noncontig_dest: bool) {
-    writeln!(out, "== microbench {engine:?} noncontig {noncontig_dest}").unwrap();
     let mut cfg = MicrobenchConfig::new(engine, 3, IoDir::Read);
     cfg.requests = 700;
     cfg.queue_depth = 24;
@@ -209,7 +203,6 @@ fn microbench_case(out: &mut String, engine: Engine, noncontig_dest: bool) {
 /// blocks to thrash a 32-slot cache: hits, coalescing, readahead and
 /// evictions all occur.
 fn cached_case(out: &mut String) {
-    writeln!(out, "== cam_des cached").unwrap();
     let workload = (0u64..14)
         .map(|round| {
             let base = round * 8;
@@ -248,7 +241,6 @@ fn cached_case(out: &mut String) {
 /// Four tenants, one hot with skewed sessions, a GPU budget of one and a
 /// half sessions and throttling buckets, on a two-SSD array.
 fn serving_case(out: &mut String, policy: Policy) {
-    writeln!(out, "== serving {policy:?}").unwrap();
     let mut wl = KvCacheConfig::uniform(4, 1, 1);
     wl.sessions = vec![96, 8, 8, 8];
     wl.steps = vec![1200, 100, 100, 100];
@@ -379,20 +371,14 @@ fn command_line(c: &Command) -> String {
 /// and every [`Command`] in order, then the timer and park hint.
 fn worker_core_case(out: &mut String, s: &CoreScript) {
     const BATCHES: u64 = 8;
-    writeln!(out, "== worker_core {}", s.name).unwrap();
     let plan_cfg = PlanConfig {
         n_ssds: 2,
         stripe_blocks: 1,
         block_size: 4096,
     };
     let mut core = WorkerCore::new(2, s.depth, s.retry).group_at_a_time(s.group_at_a_time);
-    let mut x = s.seed;
-    let mut rand = move |n: u64| {
-        x = x
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (x >> 33) % n
-    };
+    let mut rng = Lcg(s.seed);
+    let mut rand = move |n: u64| rng.next() % n;
     let mut cmds = Vec::new();
     let mut waiting: VecDeque<GroupSpec> = VecDeque::new();
     let mut in_flight: Vec<(usize, u16)> = Vec::new();
@@ -528,11 +514,20 @@ fn worker_core_scripts() -> [CoreScript; 5] {
     ]
 }
 
-/// Every pinned run, in file order — what [`TRANSCRIPT_FILE`] holds.
-pub fn transcript() -> String {
+/// The cases before the trajectories that `want` accepts, run and written
+/// in file order.
+fn des_cases(want: impl Fn(&str) -> bool) -> String {
     let mut out = String::new();
-    cam_des_case(&mut out, "cam_des plain", config(), false);
-    cam_des_case(&mut out, "cam_des lifecycle stream", config(), true);
+    let mut case = |name: &str, run: &dyn Fn(&mut String)| {
+        if want(name) {
+            writeln!(out, "== {name}").unwrap();
+            run(&mut out);
+        }
+    };
+    case("cam_des plain", &|o| cam_des_case(o, config(), false));
+    case("cam_des lifecycle stream", &|o| {
+        cam_des_case(o, config(), true)
+    });
     // Every read of 12 device LBAs on SSD 1 fails twice, then succeeds:
     // retries wait out a backoff on the calendar's timer path.
     let mut faulty = config();
@@ -542,47 +537,70 @@ pub fn transcript() -> String {
         deadline_ns: Some(5_000_000),
     };
     faulty.fault = Some(DesFaultSpec::transient_reads_in(1, 4, 16, 2));
-    cam_des_case(&mut out, "cam_des faults", faulty, false);
+    case("cam_des faults", &|o| cam_des_case(o, faulty, false));
     // Staged with a per-request staging copy (host pipe → copy pipe), and
     // the GDS fan-out across every SSD (direct).
-    microbench_case(&mut out, Engine::Spdk, true);
-    microbench_case(&mut out, Engine::Bam, false);
-    microbench_case(&mut out, Engine::Gds, false);
-    cached_case(&mut out);
-    serving_case(&mut out, Policy::Drr);
-    serving_case(&mut out, Policy::Fifo);
-    for script in &worker_core_scripts() {
-        worker_core_case(&mut out, script);
+    for (engine, noncontig) in [
+        (Engine::Spdk, true),
+        (Engine::Bam, false),
+        (Engine::Gds, false),
+    ] {
+        let name = format!("microbench {engine:?} noncontig {noncontig}");
+        case(&name, &|o| microbench_case(o, engine, noncontig));
     }
-    out + &trajectory_cases(SsdModel::p5510())
+    case("cam_des cached", &cached_case);
+    for policy in [Policy::Drr, Policy::Fifo] {
+        case(&format!("serving {policy:?}"), &|o| serving_case(o, policy));
+    }
+    for script in &worker_core_scripts() {
+        let name = format!("worker_core {}", script.name);
+        case(&name, &|o| worker_core_case(o, script));
+    }
+    out
 }
 
-/// The `== trajectory uncached` and `== trajectory cached` cases: the
-/// seeded perf trajectories at [`TrialParams::default`] on `model` SSDs —
-/// their parameters, batch count and quantiles, one line per queue-delay
-/// component (so a difference names the stage that moved) and one per
-/// histogram bin.
-pub fn trajectory_cases(model: SsdModel) -> String {
-    let p = TrialParams::default();
-    let mut out = String::new();
-    let modes = [
-        ("uncached", run_trajectory(&p, model)),
-        ("cached", run_cached_trajectory(&p, model)),
-    ];
-    let (trials, seed, rounds) = (p.trials, p.seed, p.rounds);
-    for (mode, t) in modes {
-        let (batches, p50, p99, total) = (t.batches(), t.p50_ns, t.p99_ns, t.total_ns);
-        writeln!(out, "== trajectory {mode}").unwrap();
-        writeln!(out, "trials {trials} seed {seed:#x} rounds {rounds}").unwrap();
-        let line = format!("batches {batches} p50_ns {p50} p99_ns {p99}");
-        writeln!(out, "{line} doorbell_to_retire_ns {total}").unwrap();
-        for s in Stage::ALL {
-            let ns = t.component_ns[s.index()];
-            writeln!(out, "component {} {ns}", component_name(s)).unwrap();
-        }
-        for (low, count) in t.bins {
-            writeln!(out, "bin {low} {count}").unwrap();
-        }
+/// One case of the transcript, run: its `== <name>` header and its lines,
+/// as they stand in [`TRANSCRIPT_FILE`]; empty for a name that is no case.
+pub fn case(name: &str) -> String {
+    let model = SsdModel::p5510();
+    match name {
+        "trajectory uncached" => trajectory_case(name, &run_trajectory(model)),
+        "trajectory cached" => trajectory_case(name, &run_cached_trajectory(model)),
+        _ => des_cases(|case| case == name),
+    }
+}
+
+/// Every pinned run, in file order — what [`TRANSCRIPT_FILE`] holds.
+pub fn transcript() -> String {
+    let model = SsdModel::p5510();
+    transcript_with(&run_trajectory(model), &run_cached_trajectory(model))
+}
+
+/// [`transcript`], its two closing trajectory cases rendered from
+/// `uncached` and `cached` — the P5510 trajectories a caller has already
+/// run — rather than run again.
+pub fn transcript_with(uncached: &Trajectory, cached: &Trajectory) -> String {
+    des_cases(|_| true)
+        + &trajectory_case("trajectory uncached", uncached)
+        + &trajectory_case("trajectory cached", cached)
+}
+
+/// A `== trajectory <mode>` case named `name`, stating the seeded perf
+/// trajectory `t`: its parameters, batch count and quantiles, one line per
+/// queue-delay component (so a difference names the stage that moved) and
+/// one per histogram bin.
+pub fn trajectory_case(name: &str, t: &Trajectory) -> String {
+    let mut out = format!("== {name}\n");
+    writeln!(out, "trials {TRIALS} seed {SEED:#x} rounds {ROUNDS}").unwrap();
+    let (batches, p50, p99, total) = (t.batches(), t.p50_ns, t.p99_ns, t.total_ns);
+    let line = format!("batches {batches} p50_ns {p50} p99_ns {p99}");
+    writeln!(out, "{line} doorbell_to_retire_ns {total}").unwrap();
+    for s in Stage::ALL {
+        let ns = t.component_ns[s.index()];
+        writeln!(out, "component {} {ns}", component_name(s)).unwrap();
+    }
+    for &(low, count) in &t.bins {
+        writeln!(out, "bin {low} {count}").unwrap();
     }
     out
 }

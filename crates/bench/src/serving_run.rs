@@ -28,6 +28,8 @@ use parking_lot::Mutex;
 use crate::figures::{require, BenchParams, Outcome};
 use crate::table::{f2, pct, Table};
 
+/// The workload seed `repro serve` runs.
+const SEED: u64 = 0x005e_5510;
 /// SSDs behind the DES scenarios.
 const DES_SSDS: usize = 4;
 /// SSDs behind the threaded smoke scenario.
@@ -319,9 +321,8 @@ fn scenario_table(title: &str, s: &ScenarioReport) -> Table {
 /// The `serve` experiment generator: runs the three scenarios and returns
 /// the CLI tables — one per scenario, the *same* columns for both drivers
 /// — and the failed bars.
-pub fn serve(p: &BenchParams) -> Outcome {
-    let seed = p.seed.unwrap_or(0x005e_5510);
-    let report = run_serving_experiment(seed);
+pub fn serve(_p: &BenchParams) -> Outcome {
+    let report = run_serving_experiment(SEED);
     let f = &report.fairness;
     let mut skew_drr = scenario_table("skew: hot tenant 0 under DRR", &report.skew_drr);
     skew_drr.note(format!(
@@ -341,6 +342,7 @@ pub fn serve(p: &BenchParams) -> Outcome {
             scenario_table("threaded smoke: 32 sessions, 4 tenants", &report.threaded),
         ],
         failures: bars(&report),
+        ..Outcome::default()
     }
 }
 
@@ -350,7 +352,7 @@ mod tests {
 
     #[test]
     fn full_experiment_meets_the_acceptance_bar() {
-        let report = run_serving_experiment(0x005e_5510);
+        let report = run_serving_experiment(SEED);
         assert_eq!(bars(&report), Vec::<String>::new());
         // Every tenant retires its full trace, not merely what it admitted.
         for (t, &steps) in report
@@ -359,7 +361,7 @@ mod tests {
             .stats
             .tenants
             .iter()
-            .zip(main_workload(0x005e_5510).steps.iter())
+            .zip(main_workload(SEED).steps.iter())
         {
             assert_eq!(t.completed, steps as u64, "tenant left steps behind");
             assert!(t.rps > 0.0);

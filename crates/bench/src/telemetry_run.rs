@@ -1,7 +1,9 @@
 //! Instrumented functional-engine run: drives a multi-batch read+write
 //! workload through [`CamContext`] with a shared [`MetricsRegistry`]; the
 //! `bench` verb prints its throughput and the stage latency quantiles
-//! straight from the registry.
+//! straight from the registry, writes the registry under `--metrics`, and
+//! exports its timeline, followed by a small DES run's
+//! ([`record_des_microbench`]), under `--trace`.
 
 use std::sync::Arc;
 
@@ -21,9 +23,6 @@ pub struct TelemetryRun {
     /// Flight-recorder events of the run, merged and time-ordered. Empty
     /// unless the run was recorded (see [`run_recorded`]).
     pub events: Vec<Event>,
-    /// Recorder thread names (for the Chrome-trace exporter). Empty unless
-    /// recorded.
-    pub thread_names: Vec<(u32, String)>,
     /// Requests completed, from the control plane.
     pub requests: u64,
     /// Bytes moved (requests × block size).
@@ -86,39 +85,28 @@ pub fn run_recorded(
     let elapsed_ns = clock::now_ns().saturating_sub(start_ns);
 
     let stats = cam.stats();
-    let (events, thread_names) = match &recorder {
-        Some(rec) => (rec.snapshot(), rec.thread_names()),
-        None => (Vec::new(), Vec::new()),
-    };
     TelemetryRun {
         snapshot: registry.snapshot(),
-        events,
-        thread_names,
+        events: recorder.map(|rec| rec.snapshot()).unwrap_or_default(),
         requests: stats.requests,
         bytes: stats.requests * bs as u64,
         elapsed_ns,
     }
 }
 
-/// Runs the instrumented functional workload *and* a small traced CAM DES
-/// microbenchmark into one shared flight recorder, and returns the run
-/// together with the combined Chrome-trace JSON: process 1 carries the
-/// functional engine's worker/doorbell tracks, process 2 the
-/// simulated SSDs — one file, both engines, loadable in Perfetto.
-pub fn run_traced(rounds: u64, batch: u64) -> (TelemetryRun, String) {
+/// Records a small CAM DES microbenchmark (2 SSDs, 128 reads at queue
+/// depth 16) into `recorder`. After an instrumented functional run
+/// ([`run_recorded`]) into the same recorder, its Chrome trace holds both
+/// engines, loadable in Perfetto: process 1 carries the functional
+/// engine's worker/doorbell tracks, process 2 the simulated SSDs.
+pub fn record_des_microbench(recorder: &Arc<FlightRecorder>) {
     use cam_hostos::IoDir;
     use cam_iostacks::des::{run_microbench_traced, Engine, MicrobenchConfig};
-    use cam_telemetry::trace::chrome_trace;
 
-    let rec = Arc::new(FlightRecorder::new());
-    let run = run_recorded(rounds, batch, Some(Arc::clone(&rec)));
     let mut cfg = MicrobenchConfig::new(Engine::Cam, 2, IoDir::Read);
     cfg.requests = 128;
     cfg.queue_depth = 16;
-    let _ = run_microbench_traced(cfg, Some(Arc::clone(&rec)));
-    let events = rec.snapshot();
-    let trace = chrome_trace(&events, &rec.thread_names());
-    (run, trace)
+    let _ = run_microbench_traced(cfg, Some(Arc::clone(recorder)));
 }
 
 /// The instrumented run's acceptance bars (counter facts of one run): the
@@ -179,9 +167,12 @@ mod tests {
 
     #[test]
     fn traced_run_exports_a_valid_two_engine_chrome_trace() {
-        use cam_telemetry::trace::validate_chrome_trace;
+        use cam_telemetry::trace::{chrome_trace, validate_chrome_trace};
 
-        let (run, trace) = run_traced(3, 16);
+        let rec = Arc::new(FlightRecorder::new());
+        let run = run_recorded(3, 16, Some(Arc::clone(&rec)));
+        record_des_microbench(&rec);
+        let trace = chrome_trace(&rec.snapshot(), &rec.thread_names());
         let summary = validate_chrome_trace(&trace).expect("trace must validate");
         // One async batch span per retired batch (plus the DES sim spans).
         let batches = run.snapshot.counter("cam_batches_total") as usize;
@@ -203,9 +194,9 @@ mod tests {
             "tracks: {:?}",
             summary.named_tracks
         );
+        let names = rec.thread_names();
         let track = |tid: u32| {
-            run.thread_names
-                .iter()
+            (names.iter())
                 .find(|(id, _)| *id == tid)
                 .map_or("", |(_, name)| name.as_str())
         };

@@ -6,7 +6,7 @@
 //! pin committed from one machine is bit-comparable in CI on any other —
 //! and the comparison is equality, not a hypothesis test. Each trial:
 //!
-//! 1. builds a seeded workload (trial `i` uses `params.seed + 1 + i`, so
+//! 1. builds a seeded workload (trial `i` uses [`SEED`]` + 1 + i`, so
 //!    trials differ but the whole trajectory is reproducible),
 //! 2. runs the CAM DES driver with lifecycle events on and a flight
 //!    recorder attached,
@@ -16,15 +16,16 @@
 //! The trials' batches are merged into one [`Trajectory`]: a log-linear
 //! [`Histogram`] of the per-batch totals and the integer nanosecond sums of
 //! doorbell→retire and of each queue-delay component
-//! ([`attribution::component_name`]). At [`TrialParams::default`] on a
-//! P5510 both trajectories are cases of the virtual-time transcript
-//! ([`pins::trajectory_cases`]), one line per component and per histogram
-//! bin. [`run_gate`] compares the whole transcript with the committed
-//! `bench/baselines/virtual_time.golden` through [`pins::differences`], the
-//! check the facade's `tests/virtual_time_pins.rs` runs too: any
-//! difference — slower or faster — is a failed bar, and a moved
-//! `component` line names the stage. `repro bench --check` exits non-zero
-//! on it.
+//! ([`attribution::component_name`]). On a P5510 both trajectories are
+//! cases of the virtual-time transcript ([`pins::trajectory_case`]), one
+//! line per component and per histogram bin. `repro bench` runs them once:
+//! [`run_gate`] prints their summary and compares the whole transcript,
+//! their cases rendered from those runs ([`pins::transcript_with`]), with
+//! the committed `bench/baselines/virtual_time.golden` through
+//! [`pins::differences`], the check the facade's
+//! `tests/virtual_time_pins.rs` runs too: any difference — slower or
+//! faster — is a failed bar, and a moved `component` line names the stage.
+//! `repro bench --check` exits non-zero on it.
 //!
 //! `repro bench --update-baselines` rewrites the transcript instead. Its
 //! directory [`BASELINES_DIR`] is resolved from this crate's manifest, so
@@ -48,7 +49,6 @@ use crate::fidelity_run::{
     cached_cache_cfg, cached_fidelity_workload_seeded, des_config, fidelity_workload, N_SSDS,
     STRIPE_BLOCKS,
 };
-use crate::figures::Outcome;
 use crate::pins::{self, TRANSCRIPT_FILE};
 use crate::table::Table;
 
@@ -60,68 +60,53 @@ pub const BASELINES_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benc
 /// [`N_SSDS`] SSDs × 16 Ki blocks each), so readahead sees real bounds.
 const CACHED_ARRAY_BLOCKS: u64 = N_SSDS as u64 * 16 * 1024;
 
-/// Parameters of one trajectory run (the `repro` CLI threads `--seed`
-/// here; the transcript's cases run at the default).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TrialParams {
-    /// Trials merged into the trajectory.
-    pub trials: usize,
-    /// Base seed; trial `i` uses `seed + 1 + i`.
-    pub seed: u64,
-    /// Batches per channel per trial.
-    pub rounds: u64,
-}
+/// Trials merged into each trajectory.
+pub const TRIALS: u64 = 5;
+/// Base seed of the trials: trial `i` runs on `SEED + 1 + i`.
+pub const SEED: u64 = 0x7E57_5EED;
+/// Batches per channel per uncached trial (the cached trials run three
+/// times as many on their one stream).
+pub const ROUNDS: u64 = 10;
 
-impl Default for TrialParams {
-    fn default() -> Self {
-        TrialParams {
-            trials: 5,
-            seed: 0x7E57_5EED,
-            rounds: 10,
-        }
-    }
-}
-
-/// Every attributed batch of `params.trials` seeded DES trials: `run`
-/// drives trial `i` on seed `params.seed + 1 + i` with lifecycle events on
-/// and a flight recorder attached, and [`attribution::analyze`] splits its
-/// timeline.
-fn trial_batches(
-    params: &TrialParams,
-    run: impl Fn(u64, Option<Arc<FlightRecorder>>, CamDesObs) -> CamDesReport,
-) -> Vec<BatchAttribution> {
-    let mut batches = Vec::new();
-    for i in 0..params.trials as u64 {
+/// The [`Trajectory`] of [`TRIALS`] seeded DES trials: `run` drives trial
+/// `i` on seed [`SEED`]` + 1 + i` with lifecycle events on and a flight
+/// recorder attached, [`attribution::analyze`] splits its timeline, and
+/// every trial's batches are merged.
+fn trials(run: impl Fn(u64, Option<Arc<FlightRecorder>>, CamDesObs) -> CamDesReport) -> Trajectory {
+    let mut attributed = Vec::new();
+    for i in 0..TRIALS {
         let recorder = Arc::new(FlightRecorder::new());
         let obs = CamDesObs {
             lifecycle: true,
             ..CamDesObs::default()
         };
-        run(
-            params.seed.wrapping_add(1 + i),
-            Some(Arc::clone(&recorder)),
-            obs,
-        );
-        batches.extend(attribution::analyze(&recorder.snapshot()));
+        run(SEED.wrapping_add(1 + i), Some(Arc::clone(&recorder)), obs);
+        attributed.extend(attribution::analyze(&recorder.snapshot()));
     }
-    batches
-}
-
-/// The uncached trials' batches: the fidelity experiment's seeded workload
-/// on the fidelity DES configuration with `model` SSDs, so dedup and
-/// stripe splits occur.
-fn uncached_batches(params: &TrialParams, model: SsdModel) -> Vec<BatchAttribution> {
-    trial_batches(params, |seed, recorder, obs| {
-        let workload = fidelity_workload(params.rounds, seed);
-        let config = des_config(N_SSDS, STRIPE_BLOCKS, true, model);
-        run_cam_des_obs(config, workload, recorder, obs)
-    })
+    let mut merged = Histogram::new();
+    let mut total_ns = 0;
+    let mut component_ns = [0; Stage::ALL.len()];
+    for b in &attributed {
+        merged.record(b.total_ns);
+        total_ns += b.total_ns;
+        for (sum, ns) in component_ns.iter_mut().zip(b.stage_ns) {
+            *sum += ns;
+        }
+    }
+    Trajectory {
+        p50_ns: merged.quantile(0.5),
+        p99_ns: merged.quantile(0.99),
+        total_ns,
+        component_ns,
+        bins: merged.bins(),
+        attributed,
+    }
 }
 
 /// The exact facts of one trajectory run — what the transcript's
-/// `== trajectory` cases state. Everything is an integer on the virtual
-/// timeline, so two runs of the same model on the same parameters are
-/// equal.
+/// `== trajectory` cases state — and the attributed batches they are
+/// merged from. Everything is an integer on the virtual timeline, so two
+/// runs of the same model are equal.
 #[derive(Clone, Debug)]
 pub struct Trajectory {
     /// p50 of per-batch doorbell→retire latency over the merged bins, ns.
@@ -136,6 +121,8 @@ pub struct Trajectory {
     /// Log-linear histogram bins of the per-batch totals, all trials
     /// merged.
     pub bins: Vec<(u64, u64)>,
+    /// Every trial's attributed batches, in trial order.
+    pub attributed: Vec<BatchAttribution>,
 }
 
 impl Trajectory {
@@ -150,11 +137,16 @@ impl Trajectory {
     }
 }
 
-/// Runs the full uncached trajectory on `model` SSDs: `params.trials`
-/// seeded trials, merged. Deterministic: same inputs, same [`Trajectory`]
-/// (virtual time end to end).
-pub fn run_trajectory(params: &TrialParams, model: SsdModel) -> Trajectory {
-    merge(&uncached_batches(params, model))
+/// Runs the full uncached trajectory on `model` SSDs: [`TRIALS`] seeded
+/// trials of the fidelity experiment's workload on the fidelity DES
+/// configuration, so dedup and stripe splits occur. Deterministic: same
+/// model, same [`Trajectory`] (virtual time end to end).
+pub fn run_trajectory(model: SsdModel) -> Trajectory {
+    trials(|seed, recorder, obs| {
+        let workload = fidelity_workload(ROUNDS, seed);
+        let config = des_config(N_SSDS, STRIPE_BLOCKS, true, model);
+        run_cam_des_obs(config, workload, recorder, obs)
+    })
 }
 
 /// The cached-mode counterpart of [`run_trajectory`]: each trial runs the
@@ -164,68 +156,37 @@ pub fn run_trajectory(params: &TrialParams, model: SsdModel) -> Trajectory {
 /// fidelity suite's job — but it runs on the identical [`cached_cache_cfg`]
 /// configuration, so a cache change surfaces here as a latency/attribution
 /// difference.
-pub fn run_cached_trajectory(params: &TrialParams, model: SsdModel) -> Trajectory {
-    let batches = trial_batches(params, |seed, recorder, obs| {
-        let workload = cached_fidelity_workload_seeded(params.rounds * 3, seed);
+pub fn run_cached_trajectory(model: SsdModel) -> Trajectory {
+    trials(|seed, recorder, obs| {
+        let workload = cached_fidelity_workload_seeded(ROUNDS * 3, seed);
         let config = des_config(N_SSDS, STRIPE_BLOCKS, true, model);
         let cache = cached_cache_cfg();
         run_cam_des_cached(config, cache, CACHED_ARRAY_BLOCKS, workload, recorder, obs).0
-    });
-    merge(&batches)
+    })
 }
 
-/// The trajectory facts of a run's attributed batches.
-fn merge(batches: &[BatchAttribution]) -> Trajectory {
-    let mut merged = Histogram::new();
-    let mut total_ns = 0;
-    let mut component_ns = [0; Stage::ALL.len()];
-    for b in batches {
-        merged.record(b.total_ns);
-        total_ns += b.total_ns;
-        for (sum, ns) in component_ns.iter_mut().zip(b.stage_ns) {
-            *sum += ns;
-        }
-    }
-    Trajectory {
-        p50_ns: merged.quantile(0.5),
-        p99_ns: merged.quantile(0.99),
-        total_ns,
-        component_ns,
-        bins: merged.bins(),
-    }
-}
-
-/// Runs the uncached and cached trajectories on P5510s, at the default
-/// [`TrialParams`] with `seed` as base seed, for the summary table, and
-/// gates the whole virtual-time transcript ([`pins::transcript`], whose
-/// trajectory cases run at the default parameters whatever `seed` says)
-/// against the committed one under [`BASELINES_DIR`]; with `update` the
-/// transcript is written there instead. A failed bar is a transcript that
-/// differs — the message names every differing case and its first
-/// differing lines — or a file that cannot be read or (with `update`)
-/// written. Also returns the uncached trials' attributed batches, which
-/// `bench` decomposes as its DES driver.
-pub fn run_gate(seed: Option<u64>, update: bool) -> (Outcome, Vec<BatchAttribution>) {
-    let d = TrialParams::default();
-    let tp = TrialParams {
-        seed: seed.unwrap_or(d.seed),
-        ..d
-    };
+/// The summary table of the uncached and cached trajectories on P5510s,
+/// and the gate of the whole virtual-time transcript, its trajectory cases
+/// rendered from those two runs ([`pins::transcript_with`]), against the
+/// committed one under [`BASELINES_DIR`]; with `update` the transcript is
+/// written there instead. A failed bar, pushed to `failed`, is a
+/// transcript that differs — the message names every differing case and
+/// its first differing lines — or a file that cannot be read or (with
+/// `update`) written.
+pub fn run_gate(
+    uncached: &Trajectory,
+    cached: &Trajectory,
+    update: bool,
+    failed: &mut Vec<String>,
+) -> Table {
     let mut summary = Table::new(
         "Perf trajectory: seeded DES trials, per-batch doorbell->retire latency",
         &["mode", "batches", "p50 ns", "p99 ns", "mean ns", "dominant"],
     );
     summary.note(format!(
-        "{} trials, seed {:#x}, {} rounds/channel",
-        tp.trials, tp.seed, tp.rounds
+        "{TRIALS} trials, seed {SEED:#x}, {ROUNDS} rounds/channel"
     ));
-    let model = SsdModel::p5510();
-    let des = uncached_batches(&tp, model);
-    let modes = [
-        ("uncached", merge(&des)),
-        ("cached", run_cached_trajectory(&tp, model)),
-    ];
-    for (label, t) in modes {
+    for (label, t) in [("uncached", uncached), ("cached", cached)] {
         let mean_ns = t.total_ns as f64 / t.batches().max(1) as f64;
         summary.row(vec![
             label.into(),
@@ -238,7 +199,7 @@ pub fn run_gate(seed: Option<u64>, update: bool) -> (Outcome, Vec<BatchAttributi
     }
     let path = format!("{BASELINES_DIR}/{TRANSCRIPT_FILE}");
     let file = format!("bench/baselines/{TRANSCRIPT_FILE}");
-    let transcript = pins::transcript();
+    let transcript = pins::transcript_with(uncached, cached);
     let verdict = if update {
         std::fs::write(&path, transcript)
             .map(|()| format!("updated {file}"))
@@ -258,15 +219,13 @@ pub fn run_gate(seed: Option<u64>, update: bool) -> (Outcome, Vec<BatchAttributi
             },
         }
     };
-    let failures = match verdict {
+    match verdict {
         Ok(note) => {
             summary.note(note);
-            Vec::new()
         }
-        Err(failure) => vec![failure],
-    };
-    let tables = vec![summary];
-    (Outcome { tables, failures }, des)
+        Err(failure) => failed.push(failure),
+    }
+    summary
 }
 
 #[cfg(test)]
@@ -277,13 +236,8 @@ mod tests {
 
     #[test]
     fn des_lifecycle_covers_every_batch() {
-        let p = TrialParams {
-            trials: 2,
-            rounds: 4,
-            ..TrialParams::default()
-        };
-        let r = run_trajectory(&p, SsdModel::p5510());
-        let expected = (p.trials as u64) * (p.rounds * N_CHANNELS as u64);
+        let r = run_trajectory(SsdModel::p5510());
+        let expected = TRIALS * ROUNDS * N_CHANNELS as u64;
         assert_eq!(r.batches(), expected, "every retired batch is attributed");
         // In the DES, doorbell and pickup coincide: the doorbell-wait
         // component is structurally zero. Dispatch and submit are NOT —
@@ -304,7 +258,7 @@ mod tests {
         // configuration; device service is the runner-up.
         assert!(matches!(r.dominant(), Stage::Submit | Stage::Complete));
         // The cached stage runs on the calibrated CPU pipe too.
-        let c = run_cached_trajectory(&p, SsdModel::p5510());
+        let c = run_cached_trajectory(SsdModel::p5510());
         assert_eq!(c.component_ns[Stage::Pickup.index()], 0);
         assert!(c.component_ns[Stage::Dispatch.index()] > 0);
     }
@@ -328,6 +282,16 @@ mod tests {
         cases.find(|c| c.starts_with(mode)).unwrap_or_default()
     }
 
+    /// The two `== trajectory` cases on `model` SSDs, and the uncached run
+    /// they state.
+    fn trajectory_cases(model: SsdModel) -> (String, Trajectory) {
+        let uncached = run_trajectory(model);
+        let cached = run_cached_trajectory(model);
+        let text = pins::trajectory_case("trajectory uncached", &uncached)
+            + &pins::trajectory_case("trajectory cached", &cached);
+        (text, uncached)
+    }
+
     /// The gate's self-test: against the default trajectories, a device 2%
     /// slower or 2% faster across the board makes the transcript check
     /// name both trajectory cases and their `component ssd_service` line,
@@ -335,10 +299,10 @@ mod tests {
     /// committed ones is the facade's `tests/virtual_time_pins.rs`.)
     #[test]
     fn a_2_percent_device_change_is_named_by_its_component_line() {
-        let committed = pins::trajectory_cases(SsdModel::p5510());
+        let (committed, p5510) = trajectory_cases(SsdModel::p5510());
         assert_eq!(pins::differences(&committed, &committed), None);
         for (scale, slower) in [(1.02, true), (0.98, false)] {
-            let perturbed = pins::trajectory_cases(scaled_p5510(scale));
+            let (perturbed, _) = trajectory_cases(scaled_p5510(scale));
             let diff = pins::differences(&perturbed, &committed).expect("flagged");
             for mode in ["uncached", "cached"] {
                 let ssd_service = |text| {
@@ -357,7 +321,6 @@ mod tests {
         }
         // One worker pushing four channels' SQEs is the honest bottleneck
         // of the default configuration, and the summary row says so.
-        let dominant = run_trajectory(&TrialParams::default(), SsdModel::p5510()).dominant();
-        assert_eq!(component_name(dominant), "lane_wait");
+        assert_eq!(component_name(p5510.dominant()), "lane_wait");
     }
 }

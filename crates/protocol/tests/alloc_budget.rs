@@ -165,5 +165,8 @@ fn planning_and_opening_a_batch_allocate_a_pinned_number_of_times() {
     // Per batch: the dedup index, the group list and one `Vec` per SSD
     // group, the `BatchCore` `Arc` and the `GroupSpec` list (six), plus
     // the duplicate pairs' `Vec` as it grows (about three).
-    assert_eq!(counted, 9_040, "plan_batch + open_batch over {BATCHES} batches");
+    assert_eq!(
+        counted, 9_040,
+        "plan_batch + open_batch over {BATCHES} batches"
+    );
 }

@@ -1,11 +1,12 @@
 //! The serving plane's virtual-time pin, one test per policy: the
-//! `== serving <policy>` section of `cam_bench::pins::transcript()` (the
-//! seeded `run_serving_des`'s substrate report, serving stats and
-//! per-tenant figures) equals that section of the committed transcript. A
+//! `== serving <policy>` case of the virtual-time transcript,
+//! `cam_bench::pins::case` (the seeded `run_serving_des`'s substrate
+//! report, serving stats and per-tenant figures), equals that section of
+//! the committed transcript. A
 //! deliberate policy change rewrites the file with
 //! `repro bench --update-baselines`.
 
-use cam_bench::pins::{transcript, TRANSCRIPT_FILE};
+use cam_bench::pins::{self, TRANSCRIPT_FILE};
 use cam_bench::trajectory_run::BASELINES_DIR;
 
 /// The lines under the `== <case>` header, the header included.
@@ -22,7 +23,8 @@ fn assert_section_is_committed(case: &str) {
     let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let want = section(&committed, case);
     assert!(want.len() > 1, "{path} has no '== {case}' section");
-    assert_eq!(section(&transcript(), case), want, "'== {case}' of {path}");
+    let got = pins::case(case);
+    assert_eq!(section(&got, case), want, "'== {case}' of {path}");
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //! the transcript of small fixed-seed DES runs and of the seeded perf
 //! trajectories (`cam_bench::pins`), checked by `pins::differences` — the
 //! check `repro bench`'s gate runs too. The DES is deterministic, so it is
-//! equality, not a tolerance. A deliberate model change regenerates the
+//! equality, not a tolerance. Only the first test runs the whole
+//! transcript; the others run the cases they check (`pins::case`). A deliberate model change regenerates the
 //! file with `repro bench --update-baselines`, and the review reads its
 //! diff.
 
-use cam_bench::pins::{differences, trajectory_cases, transcript, TRANSCRIPT_FILE};
+use cam_bench::pins::{case, differences, transcript, TRANSCRIPT_FILE};
 use cam_bench::trajectory_run::BASELINES_DIR;
-use cam_nvme::SsdModel;
 
 fn committed() -> String {
     let path = format!("{BASELINES_DIR}/{TRANSCRIPT_FILE}");
@@ -33,7 +33,7 @@ fn the_des_runs_reproduce_the_committed_transcript() {
 
 #[test]
 fn the_default_trajectories_are_the_committed_baselines() {
-    let got = trajectory_cases(SsdModel::p5510());
+    let got = case("trajectory uncached") + &case("trajectory cached");
     if let Some(diff) = differences(&got, &committed_trajectories()) {
         panic!("the trajectory cases of {TRANSCRIPT_FILE} are stale:\n{diff}");
     }
