@@ -1,18 +1,20 @@
 //! Cache-mode benchmark: the same repeated-access workloads driven through
 //! the uncached [`CamDevice`](cam_core::CamDevice) and through
-//! [`CachedDevice`], on separate registries, so
+//! [`CachedDevice`](cam_cache::CachedDevice), on separate registries, so
 //! the NVMe-submission and doorbell→retire deltas attribute entirely to
 //! the cache layer. The sweep axis is the cache size in slots.
 
 use std::sync::Arc;
 
-use cam_cache::{run_cam_des_cached, CacheConfig, CachedDevice};
-use cam_core::{CamConfig, CamContext};
-use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs};
+use cam_cache::{run_cam_des_cached, CacheConfig};
+use cam_core::CamConfig;
+use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesObs};
 use cam_iostacks::{Rig, RigConfig};
+use cam_nvme::SsdModel;
 use cam_simkit::dist::{seeded_rng, Zipf};
-use cam_telemetry::{FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability};
+use cam_telemetry::{FlightRecorder, MetricsRegistry, Observability};
 
+use crate::fidelity_run::{des_config, read_mean_ns, run_threaded, run_threaded_cached};
 use crate::figures::require;
 
 /// The Zipf-draw seed of the DLRM workload `repro cache` runs (the
@@ -113,148 +115,78 @@ impl CacheWorkloadReport {
 const N_SSDS: usize = 4;
 const BLOCKS_PER_SSD: u64 = 4096;
 
-fn bench_rig() -> Rig {
-    Rig::new(RigConfig {
-        n_ssds: N_SSDS,
-        blocks_per_ssd: BLOCKS_PER_SSD,
-        ..RigConfig::default()
-    })
-}
-
-/// Virtual time of the whole trace on the DES driver over the same array,
-/// one batch in flight as in the threaded runs: `(uncached, cached)` ns.
-fn des_trace_ns(workload: CacheWorkload, slots: usize, seed: u64) -> (u64, u64) {
-    let cfg = || CamDesConfig::calibrated(N_SSDS, 1);
-    let batches = workload.batches(seed);
-    let plain = batches.iter().map(|lbas| CamDesBatch {
-        lbas: lbas.clone(),
-        blocks: 1,
-    });
-    let uncached = run_cam_des_obs(cfg(), vec![plain.collect()], None, CamDesObs::default());
-    let (cached, _) = run_cam_des_cached(
-        cfg(),
-        CacheConfig::with_slots(slots),
-        N_SSDS as u64 * BLOCKS_PER_SSD,
-        batches,
-        None,
-        CamDesObs::default(),
-    );
-    (uncached.duration.as_ns(), cached.duration.as_ns())
-}
-
-fn read_mean_ns(snap: &MetricsSnapshot) -> f64 {
-    snap.histogram("cam_batch_total_ns{channel=\"0\",op=\"read\"}")
-        .map(|h| h.mean)
-        .unwrap_or(0.0)
-}
-
-/// Drives `workload` through the plain device and returns
-/// `(submissions, read_mean_ns)`.
-fn run_uncached(workload: CacheWorkload, seed: u64) -> (u64, f64) {
-    let rig = bench_rig();
-    let registry = Arc::new(MetricsRegistry::new());
-    let cam = CamContext::attach_observed(
-        &rig,
-        CamConfig::default(),
-        Observability::with_registry(Arc::clone(&registry)),
-    );
-    let dev = cam.device();
-    let bs = cam.block_size() as usize;
-    let buf = cam.alloc(64 * bs).expect("dest buffer");
-    for batch in workload.batches(seed) {
-        dev.prefetch(&batch, buf.addr()).expect("prefetch");
-        dev.prefetch_synchronize().expect("synchronize");
-    }
-    let snap = registry.snapshot();
-    (
-        snap.sum_counters("cam_ssd_submitted_total"),
-        read_mean_ns(&snap),
-    )
-}
-
-/// Drives `workload` through a [`CachedDevice`] with `slots` cache blocks;
-/// optionally records the run into `recorder`. Returns the final snapshot.
-fn run_cached(
-    workload: CacheWorkload,
-    slots: usize,
-    seed: u64,
-    recorder: Option<Arc<FlightRecorder>>,
-) -> MetricsSnapshot {
-    let rig = bench_rig();
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut obs = Observability::with_registry(Arc::clone(&registry));
-    obs.recorder = recorder;
-    let cam = CamContext::attach_observed(
-        &rig,
-        CamConfig {
-            n_channels: 3,
-            ..CamConfig::default()
-        },
-        obs,
-    );
-    let dev = CachedDevice::attach(&rig, &cam, CacheConfig::with_slots(slots))
-        .expect("cache fits GPU memory");
-    let bs = cam.block_size() as usize;
-    let buf = cam.alloc(64 * bs).expect("dest buffer");
-    for batch in workload.batches(seed) {
-        dev.prefetch(&batch, buf.addr()).expect("prefetch");
-        dev.prefetch_synchronize().expect("synchronize");
-    }
-    registry.snapshot()
-}
-
-/// Runs one sweep cell: the workload uncached, then cached with `slots`,
-/// recording the cached run into `recorder` if one is attached.
-pub fn run_cache_cell(
-    workload: CacheWorkload,
-    slots: usize,
-    seed: u64,
-    recorder: Option<Arc<FlightRecorder>>,
-) -> CacheWorkloadReport {
-    let accesses: u64 = workload.batches(seed).iter().map(|b| b.len() as u64).sum();
-    let (uncached_submissions, uncached_read_mean_ns) = run_uncached(workload, seed);
-    let snap = run_cached(workload, slots, seed, recorder);
-    let hits = snap.counter("cam_cache_hits_total");
-    let misses = snap.counter("cam_cache_misses_total");
-    let coalesced = snap.counter("cam_cache_coalesced_total");
-    let demand = hits + misses + coalesced;
-    let issued = snap.counter("cam_cache_readahead_issued_total");
-    let (uncached_des_ns, cached_des_ns) = des_trace_ns(workload, slots, seed);
-    CacheWorkloadReport {
-        workload: workload.name(),
-        slots,
-        accesses,
-        uncached_submissions,
-        cached_submissions: snap.sum_counters("cam_ssd_submitted_total"),
-        uncached_read_mean_ns,
-        cached_read_mean_ns: read_mean_ns(&snap),
-        uncached_des_ns,
-        cached_des_ns,
-        cache_hit_rate: if demand == 0 {
-            0.0
-        } else {
-            hits as f64 / demand as f64
-        },
-        coalesced_misses: coalesced,
-        readahead_accuracy: (issued > 0)
-            .then(|| snap.counter("cam_cache_readahead_hits_total") as f64 / issued as f64),
-    }
-}
-
-/// The full sweep: every workload × cache size, small-to-large. The cached
-/// `seq_scan` run at the largest size is recorded into `recorder`.
+/// The full sweep: every workload × cache size, small-to-large. Each
+/// workload's trace is drawn once, and its slot-independent uncached
+/// baseline runs once, threaded and on the DES; then each size runs the
+/// trace cached, threaded (quiescing between batches, so its counts are
+/// exact) and through the DES cache stage. Every DES run keeps one batch in
+/// flight, as the threaded runs do. The cached `seq_scan` run at the
+/// largest size is recorded into `recorder`.
 pub fn run_cache_sweep(
     slot_sizes: &[usize],
     seed: u64,
     recorder: &Arc<FlightRecorder>,
 ) -> Vec<CacheWorkloadReport> {
+    let rig = || {
+        Rig::new(RigConfig {
+            n_ssds: N_SSDS,
+            blocks_per_ssd: BLOCKS_PER_SSD,
+            ..RigConfig::default()
+        })
+    };
+    let des_cfg = || des_config(N_SSDS, 1, true, SsdModel::p5510());
     let largest = slot_sizes.iter().copied().max();
     let mut out = Vec::with_capacity(CacheWorkload::ALL.len() * slot_sizes.len());
     for workload in CacheWorkload::ALL {
+        let batches = workload.batches(seed);
+        let plain = vec![batches
+            .iter()
+            .map(|lbas| CamDesBatch {
+                lbas: lbas.clone(),
+                blocks: 1,
+            })
+            .collect()];
+        let registry = Arc::new(MetricsRegistry::new());
+        let obs = Observability::with_registry(Arc::clone(&registry));
+        run_threaded(&rig(), CamConfig::default(), obs, &plain);
+        let uncached = registry.snapshot();
+        let uncached_des = run_cam_des_obs(des_cfg(), plain, None, CamDesObs::default());
         for &slots in slot_sizes {
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut obs = Observability::with_registry(Arc::clone(&registry));
             let traced = workload == CacheWorkload::SeqScan && Some(slots) == largest;
-            let recorder = traced.then(|| Arc::clone(recorder));
-            out.push(run_cache_cell(workload, slots, seed, recorder));
+            obs.recorder = traced.then(|| Arc::clone(recorder));
+            let cache = CacheConfig::with_slots(slots);
+            let cached = run_threaded_cached(&rig(), CamConfig::default(), obs, cache, &batches);
+            let (cached_des, _) = run_cam_des_cached(
+                des_cfg(),
+                cache,
+                N_SSDS as u64 * BLOCKS_PER_SSD,
+                batches.clone(),
+                None,
+                CamDesObs::default(),
+            );
+            let c = cached.counters;
+            let demand = c.hits + c.misses + c.coalesced;
+            out.push(CacheWorkloadReport {
+                workload: workload.name(),
+                slots,
+                accesses: batches.iter().map(|b| b.len() as u64).sum(),
+                uncached_submissions: uncached.sum_counters("cam_ssd_submitted_total"),
+                cached_submissions: registry.snapshot().sum_counters("cam_ssd_submitted_total"),
+                uncached_read_mean_ns: read_mean_ns(&uncached),
+                cached_read_mean_ns: cached.mean_read_ns as f64,
+                uncached_des_ns: uncached_des.duration.as_ns(),
+                cached_des_ns: cached_des.duration.as_ns(),
+                cache_hit_rate: if demand == 0 {
+                    0.0
+                } else {
+                    c.hits as f64 / demand as f64
+                },
+                coalesced_misses: c.coalesced,
+                readahead_accuracy: (c.readahead_issued > 0)
+                    .then(|| c.readahead_hits as f64 / c.readahead_issued as f64),
+            });
         }
     }
     out
@@ -310,6 +242,15 @@ pub fn bars(reports: &[CacheWorkloadReport]) -> Vec<String> {
 mod tests {
     use super::*;
 
+    /// The sweep's cell for `workload` at `slots` alone.
+    fn cell(workload: CacheWorkload, slots: usize) -> CacheWorkloadReport {
+        let rec = Arc::new(FlightRecorder::new());
+        run_cache_sweep(&[slots], DEFAULT_CACHE_SEED, &rec)
+            .into_iter()
+            .find(|r| r.workload == workload.name())
+            .expect("the sweep runs every workload")
+    }
+
     #[test]
     fn traces_are_deterministic_and_sized() {
         let a = CacheWorkload::DlrmZipf.batches(DEFAULT_CACHE_SEED);
@@ -331,7 +272,7 @@ mod tests {
     fn zipf_cell_meets_the_acceptance_bar() {
         // On the repeated-access workload, cached mode does >= 2x fewer
         // NVMe submissions and takes less virtual time.
-        let r = run_cache_cell(CacheWorkload::DlrmZipf, 2048, DEFAULT_CACHE_SEED, None);
+        let r = cell(CacheWorkload::DlrmZipf, 2048);
         assert_eq!(bars(std::slice::from_ref(&r)), Vec::<String>::new());
         assert!(r.cache_hit_rate > 0.5, "hit rate {}", r.cache_hit_rate);
         assert!(
@@ -346,12 +287,58 @@ mod tests {
 
     #[test]
     fn seq_scan_exercises_readahead() {
-        let r = run_cache_cell(CacheWorkload::SeqScan, 2048, DEFAULT_CACHE_SEED, None);
+        let r = cell(CacheWorkload::SeqScan, 2048);
         let acc = r.readahead_accuracy.expect("sequential stream speculated");
         assert!(acc > 0.0, "speculation never hit");
         // Epoch 2 re-reads everything: with the whole scan resident the
         // hit rate must be at least ~half.
         assert!(r.cache_hit_rate >= 0.4, "hit rate {}", r.cache_hit_rate);
+    }
+
+    #[test]
+    fn seq_scan_counts_are_exact_and_equal_the_des_cache_stage() {
+        // The count columns of each seq_scan cell: slots, submissions, hit
+        // rate, coalesced misses, readahead accuracy.
+        type Counts = (usize, u64, f64, u64, Option<f64>);
+        let sweep = || -> Vec<Counts> {
+            let rec = Arc::new(FlightRecorder::new());
+            let reports = run_cache_sweep(&[256, 2048], DEFAULT_CACHE_SEED, &rec);
+            let seq = reports.iter().filter(|r| r.workload == "seq_scan");
+            seq.map(|r| {
+                let (subs, ra) = (r.cached_submissions, r.readahead_accuracy);
+                (r.slots, subs, r.cache_hit_rate, r.coalesced_misses, ra)
+            })
+            .collect()
+        };
+        let first = sweep();
+        assert_eq!(first, sweep(), "two sweeps printed different counts");
+        let batches = CacheWorkload::SeqScan.batches(DEFAULT_CACHE_SEED);
+        let des: Vec<Counts> = first
+            .iter()
+            .map(|&(slots, ..)| {
+                let (r, c) = run_cam_des_cached(
+                    des_config(N_SSDS, 1, true, SsdModel::p5510()),
+                    CacheConfig::with_slots(slots),
+                    N_SSDS as u64 * BLOCKS_PER_SSD,
+                    batches.clone(),
+                    None,
+                    CamDesObs::default(),
+                );
+                let hit_rate = c.hits as f64 / (c.hits + c.misses + c.coalesced) as f64;
+                let accuracy = c.readahead_hits as f64 / c.readahead_issued as f64;
+                (
+                    slots,
+                    r.decisions.sqes,
+                    hit_rate,
+                    c.coalesced,
+                    Some(accuracy),
+                )
+            })
+            .collect();
+        assert_eq!(
+            first, des,
+            "threaded counts differ from the DES cache stage's"
+        );
     }
 
     #[test]

@@ -27,10 +27,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cam_core::{CamConfig, CamContext};
+use cam_core::CamConfig;
+use cam_iostacks::cam_des::CamDesBatch;
 use cam_iostacks::{CpuPipeModel, Rig, RigConfig};
 use cam_telemetry::{Event, EventKind, FlightRecorder};
 
+use crate::fidelity_run::run_threaded;
 use crate::table::Table;
 
 /// Batch sizes the calibration sweep drives. Spanning 4..=64 requests
@@ -127,22 +129,20 @@ pub fn measure_dispatch(rounds_per_size: u64) -> Vec<(u64, u64)> {
         recorder: Some(Arc::clone(&recorder)),
         ..Default::default()
     };
-    let cam = CamContext::attach_observed(&rig, CamConfig::default(), obs);
-    let dev = cam.device();
-    let bs = cam.block_size() as usize;
-    let max = *CALIBRATION_SIZES.iter().max().expect("sizes") as usize;
-    let rbuf = cam.alloc(max * bs).expect("alloc calibration buffer");
-
-    for round in 0..rounds_per_size {
-        for (i, &size) in CALIBRATION_SIZES.iter().enumerate() {
-            let base = ((round * CALIBRATION_SIZES.len() as u64 + i as u64) * size)
-                % (rig.array_blocks() - size);
-            let lbas: Vec<u64> = (base..base + size).collect();
-            dev.prefetch(&lbas, rbuf.addr()).expect("prefetch");
-            dev.prefetch_synchronize().expect("prefetch_synchronize");
-        }
-    }
-
+    let span = rig.array_blocks();
+    let batches = (0..rounds_per_size)
+        .flat_map(|round| {
+            CALIBRATION_SIZES.iter().enumerate().map(move |(i, &size)| {
+                let base =
+                    ((round * CALIBRATION_SIZES.len() as u64 + i as u64) * size) % (span - size);
+                CamDesBatch {
+                    lbas: (base..base + size).collect(),
+                    blocks: 1,
+                }
+            })
+        })
+        .collect();
+    run_threaded(&rig, CamConfig::default(), obs, &[batches]);
     dispatch_samples(&recorder.snapshot())
 }
 

@@ -34,13 +34,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cam_cache::{run_cam_des_cached, CacheConfig, CachedDevice};
-use cam_core::{CamConfig, CamContext, ChannelOp};
+use cam_core::{CamConfig, CamContext, ChannelOp, ControlStats};
 use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::cache_core::{replay_read_workload, CacheDecisionCounters};
 use cam_protocol::{replay_plan_workload, DecisionCounters, PlanConfig};
-use cam_telemetry::{EventKind, FlightRecorder, MetricsRegistry, Observability};
+use cam_telemetry::{
+    EventKind, FlightRecorder, Gauge, MetricsRegistry, MetricsSnapshot, Observability,
+};
 
 use crate::figures::require;
 use crate::Lcg;
@@ -71,7 +73,7 @@ pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
 /// burst-sleep service discipline is only approximated by the DES server
 /// model, so the depths agree in regime, not in digits: with the DES
 /// device matched to the rig's injected service latency
-/// (`rig_matched_ssd_model`) the seeded workload lands ≈ 0.2–0.35
+/// (`rig_matched_ssd_model`) the seeded workload lands ≈ 0.2–0.4
 /// relative error. 0.5 flags a driver whose depth regime collapsed (e.g.
 /// pipelining silently lost) while absorbing sampling noise. One of the
 /// wall-clock clauses of [`timing_bars`].
@@ -254,10 +256,19 @@ pub fn run_fidelity_experiment(
     }
 }
 
-/// The threaded twin of the `channels` argument of `run_cam_des_obs`: one
-/// scoped thread per channel, each keeping one batch outstanding — scatter
-/// the batch's reads over a per-channel buffer, wait for the retire, next.
-pub(crate) fn drive_channels(cam: &CamContext, channels: &[Vec<CamDesBatch>]) {
+/// The threaded twin of `run_cam_des_obs`: attaches a [`CamContext`] to
+/// `rig` with `cfg` and `obs`, drives `channels` with one scoped thread per
+/// channel, each keeping one batch outstanding (scatter the batch's reads
+/// over a per-channel buffer, wait for the retire, next), and stops the
+/// engine before it returns the engine's counters. Stopping drains the
+/// lanes, so every event of the run is in `obs`'s recorder on return.
+pub(crate) fn run_threaded(
+    rig: &Rig,
+    cfg: CamConfig,
+    obs: Observability,
+    channels: &[Vec<CamDesBatch>],
+) -> ControlStats {
+    let cam = CamContext::attach_observed(rig, cfg, obs);
     let block_size = cam.block_size() as usize;
     std::thread::scope(|s| {
         for (ch, batches) in channels.iter().enumerate() {
@@ -283,13 +294,59 @@ pub(crate) fn drive_channels(cam: &CamContext, channels: &[Vec<CamDesBatch>]) {
                 }
             });
         }
-    })
+    });
+    cam.stats()
 }
 
-/// Runs `drive` while a sampler reads the live `cam_inflight{ssd}` gauges
-/// every 20 us; returns their time-mean per SSD.
-fn sample_inflight(cam: &CamContext, drive: impl FnOnce()) -> Vec<f64> {
-    let metrics = cam.metrics();
+/// The threaded twin of `run_cam_des_cached`: attaches a [`CamContext`]
+/// with `cfg` on `CACHED_N_CHANNELS` channels and a [`CachedDevice`]
+/// with `cache`, then reads `batches` one at a time. It quiesces after
+/// each batch, the discipline the replay models: each batch's demand and
+/// speculative I/O are published before the next batch's lookups, so the
+/// decisions do not depend on timing.
+pub(crate) fn run_threaded_cached(
+    rig: &Rig,
+    cfg: CamConfig,
+    obs: Observability,
+    cache: CacheConfig,
+    batches: &[Vec<u64>],
+) -> CachedModeReport {
+    let registry = Arc::clone(&obs.registry);
+    let cfg = CamConfig {
+        n_channels: CACHED_N_CHANNELS,
+        ..cfg
+    };
+    let cam = CamContext::attach_observed(rig, cfg, obs);
+    let dev = CachedDevice::attach(rig, &cam, cache).expect("cache fits GPU memory");
+    let bs = cam.block_size() as usize;
+    let max_lbas = batches.iter().map(Vec::len).max().unwrap_or(1);
+    let buf = cam.alloc(max_lbas * bs).expect("dest buffer");
+    for b in batches {
+        dev.prefetch(b, buf.addr()).expect("prefetch");
+        dev.quiesce().expect("quiesce");
+    }
+    CachedModeReport {
+        counters: dev.decision_counters(),
+        mean_read_ns: read_mean_ns(&registry.snapshot()) as u64,
+    }
+}
+
+/// Mean doorbell→retire latency of channel 0's read batches, ns (0 when
+/// none retired).
+pub(crate) fn read_mean_ns(snap: &MetricsSnapshot) -> f64 {
+    snap.histogram("cam_batch_total_ns{channel=\"0\",op=\"read\"}")
+        .map_or(0.0, |h| h.mean)
+}
+
+/// Runs `drive` while a sampler reads `registry`'s `cam_inflight{ssd}`
+/// gauges every 20 us; returns their time-mean per SSD over the busy
+/// window, from the first to the last sample with a command in flight.
+/// The window leaves out the engine's start and stop, which `drive`
+/// includes and which take as long as a short pipelined run.
+fn sample_inflight(registry: &MetricsRegistry, drive: impl FnOnce()) -> Vec<f64> {
+    let gauges: Vec<Gauge> = (0..N_SSDS)
+        .map(|ssd| registry.gauge(&format!("cam_inflight{{ssd=\"{ssd}\"}}")))
+        .collect();
     let stop = AtomicBool::new(false);
     let (sums, samples) = std::thread::scope(|s| {
         let sampler = s.spawn(|| {
@@ -297,14 +354,23 @@ fn sample_inflight(cam: &CamContext, drive: impl FnOnce()) -> Vec<f64> {
             cam_telemetry::clock::exact_sleeps();
             let mut sums = vec![0u64; N_SSDS];
             let mut samples = 0u64;
+            // The sums and sample count at the last busy sample.
+            let mut busy = (sums.clone(), 0u64);
             while !stop.load(Ordering::Acquire) {
-                for (ssd, sum) in sums.iter_mut().enumerate() {
-                    *sum += metrics.inflight[ssd].get();
+                let depths: Vec<u64> = gauges.iter().map(Gauge::get).collect();
+                let in_flight = depths.iter().any(|&d| d > 0);
+                if in_flight || samples > 0 {
+                    for (sum, depth) in sums.iter_mut().zip(depths) {
+                        *sum += depth;
+                    }
+                    samples += 1;
                 }
-                samples += 1;
+                if in_flight {
+                    busy = (sums.clone(), samples);
+                }
                 std::thread::sleep(Duration::from_micros(20));
             }
-            (sums, samples)
+            busy
         });
         drive();
         stop.store(true, Ordering::Release);
@@ -329,16 +395,16 @@ fn run_functional(
     // The recorder is the group-count witness: one GroupDispatch event per
     // non-empty per-SSD group a worker accepts.
     let recorder = Arc::new(FlightRecorder::new());
-    let mut obs = Observability::with_registry(Arc::clone(&registry));
-    obs.recorder = Some(Arc::clone(&recorder));
+    let obs = Observability::recorded(Arc::clone(&registry), Arc::clone(&recorder));
     let cfg = CamConfig {
         n_channels: N_CHANNELS,
         workers: Some(workers),
         pipelined,
         ..CamConfig::default()
     };
-    let cam = CamContext::attach_observed(&rig, cfg, obs);
-    let inflight_mean = sample_inflight(&cam, || drive_channels(&cam, channels));
+    let inflight_mean = sample_inflight(&registry, || {
+        run_threaded(&rig, cfg, obs, channels);
+    });
 
     let snapshot = registry.snapshot();
     let (mut total_ns, mut batches) = (0u128, 0u64);
@@ -526,42 +592,6 @@ impl CachedFidelityReport {
     }
 }
 
-fn run_functional_cached(pipelined: bool, batches: &[Vec<u64>]) -> CachedModeReport {
-    let rig = Rig::new(rig_config());
-    let registry = Arc::new(MetricsRegistry::new());
-    let cam = CamContext::attach_observed(
-        &rig,
-        CamConfig {
-            n_channels: CACHED_N_CHANNELS,
-            workers: Some(1),
-            pipelined,
-            ..CamConfig::default()
-        },
-        Observability::with_registry(Arc::clone(&registry)),
-    );
-    let dev = CachedDevice::attach(&rig, &cam, cached_cache_cfg()).expect("cache fits GPU memory");
-    let bs = cam.block_size() as usize;
-    let max_lbas = batches.iter().map(Vec::len).max().unwrap_or(1);
-    let buf = cam.alloc(max_lbas * bs).expect("dest buffer");
-    for b in batches {
-        dev.prefetch(b, buf.addr()).expect("prefetch");
-        // Quiesce between batches — the discipline the replay models:
-        // each batch's demand and speculative I/O fully published before
-        // the next batch's lookups, so decisions are timing-independent.
-        dev.quiesce().expect("quiesce");
-    }
-    let counters = dev.decision_counters();
-    let mean_read_ns = registry
-        .snapshot()
-        .histogram("cam_batch_total_ns{channel=\"0\",op=\"read\"}")
-        .map(|h| h.mean)
-        .unwrap_or(0.0) as u64;
-    CachedModeReport {
-        counters,
-        mean_read_ns,
-    }
-}
-
 fn run_des_cached(pipelined: bool, batches: &[Vec<u64>], array_blocks: u64) -> CachedModeReport {
     let (r, counters) = run_cam_des_cached(
         des_config(N_SSDS, STRIPE_BLOCKS, pipelined, rig_matched_ssd_model()),
@@ -582,10 +612,25 @@ pub fn run_cached_fidelity_seeded(rounds: u64, seed: u64) -> CachedFidelityRepor
     let batches = cached_fidelity_workload_seeded(rounds, seed);
     let rig_cfg = rig_config();
     let array_blocks = rig_cfg.n_ssds as u64 * rig_cfg.blocks_per_ssd;
+    let functional = |pipelined| {
+        let cfg = CamConfig {
+            workers: Some(1),
+            pipelined,
+            ..CamConfig::default()
+        };
+        let rig = Rig::new(rig_config());
+        run_threaded_cached(
+            &rig,
+            cfg,
+            Observability::default(),
+            cached_cache_cfg(),
+            &batches,
+        )
+    };
     CachedFidelityReport {
         expected: replay_read_workload(cached_cache_cfg(), array_blocks, true, &batches),
-        functional_pipelined: run_functional_cached(true, &batches),
-        functional_blocking: run_functional_cached(false, &batches),
+        functional_pipelined: functional(true),
+        functional_blocking: functional(false),
         des_pipelined: run_des_cached(true, &batches, array_blocks),
         des_blocking: run_des_cached(false, &batches, array_blocks),
     }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use cam_blockdev::{BlockGeometry, BlockStore, FaultPolicy, FaultyStore, SparseMemStore};
-use cam_core::{CamConfig, CamContext};
+use cam_core::CamConfig;
 use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, DesFaultSpec};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
@@ -27,7 +27,7 @@ use cam_telemetry::{
     SloTracker, Stage, WindowConfig,
 };
 
-use crate::fidelity_run::{des_config, drive_channels};
+use crate::fidelity_run::{des_config, run_threaded};
 use crate::figures::require;
 
 /// SSDs in the array; SSD 0 carries the faults, SSD 1 stays healthy.
@@ -195,13 +195,10 @@ fn run_functional() -> HealthDriverReport {
         retry_backoff_ns: RETRY_BACKOFF_NS,
         ..CamConfig::default()
     };
-    let cam = CamContext::attach_observed(&rig, cfg, obs);
     // Transient faults retire clean: the retry budget absorbs every one.
-    drive_channels(&cam, &workload());
-    let stats = cam.stats();
-    // Stopping the engine drains the lanes — the `→ Recovered` transition
-    // lands in the recorder before we snapshot it.
-    drop(cam);
+    // The runner stops the engine, which drains the lanes, so the
+    // `→ Recovered` transition is in the recorder before we snapshot it.
+    let stats = run_threaded(&rig, cfg, obs, &workload());
 
     let transitions = transitions_from_events(&recorder);
     let now = clock::now_ns();

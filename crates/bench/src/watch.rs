@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cam_core::{CamConfig, CamContext};
+use cam_core::CamConfig;
 use cam_iostacks::cam_des::CamDesBatch;
 use cam_serving::{run_serving_threaded, Policy, ServingConfig, ServingCore};
 use cam_telemetry::{
@@ -23,7 +23,7 @@ use cam_telemetry::{
 use cam_workloads::kv_cache::KvCacheConfig;
 use parking_lot::Mutex;
 
-use crate::fidelity_run::drive_channels;
+use crate::fidelity_run::run_threaded;
 use crate::health_run::{overload_rig, slo_config, N_SSDS};
 use crate::Table;
 
@@ -88,17 +88,13 @@ pub fn run_watch(once: bool, mut emit: impl FnMut(&Frame)) -> Frame {
     let obs = Observability::recorded(Arc::clone(&registry), Arc::clone(&recorder))
         .with_windows(Arc::clone(&windows))
         .with_slo(Arc::clone(&slo));
-    let cam = CamContext::attach_observed(
-        &rig,
-        CamConfig {
-            n_channels: N_CHANNELS,
-            workers: Some(1),
-            max_retries: 3,
-            retry_backoff_ns: 1_000,
-            ..CamConfig::default()
-        },
-        obs,
-    );
+    let cfg = CamConfig {
+        n_channels: N_CHANNELS,
+        workers: Some(1),
+        max_retries: 3,
+        retry_backoff_ns: 1_000,
+        ..CamConfig::default()
+    };
 
     // Channel 0 reads the fault window; channel 1 healthy LBAs.
     let workload: Vec<Vec<CamDesBatch>> = (0..N_CHANNELS as u64)
@@ -108,15 +104,14 @@ pub fn run_watch(once: bool, mut emit: impl FnMut(&Frame)) -> Frame {
         })
         .collect();
     std::thread::scope(|s| {
-        let driver = s.spawn(|| drive_channels(&cam, &workload));
+        let driver = s.spawn(|| run_threaded(&rig, cfg, obs, &workload));
         while !once && !driver.is_finished() {
             emit(&render(&registry, &windows, &slo, &tenant_reg));
             std::thread::sleep(Duration::from_millis(200));
         }
     });
-    // Stopping the engine drains the lanes, so the final frame shows
-    // `recovered` rather than a stuck `overloaded`.
-    drop(cam);
+    // The runner stopped the engine, which drains the lanes, so the final
+    // frame shows `recovered` rather than a stuck `overloaded`.
     let last = render(&registry, &windows, &slo, &tenant_reg);
     emit(&last);
     last

@@ -381,13 +381,19 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte at once. Those three are
+                    // ASCII, so the run ends on a scalar boundary of the
+                    // &str input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf8"))?;
-                    let c = s.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("bad utf8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -524,7 +530,8 @@ mod tests {
 
     #[test]
     fn every_escape_round_trips_and_key_order_is_preserved() {
-        let nasty = "q\" b\\ n\n r\r t\t bell\u{7} nul\u{0} é ✓";
+        let plain = "a long plain run ".repeat(64);
+        let nasty = &*format!("q\" b\\ n\n r\r t\t bell\u{7} nul\u{0} é ✓ 🦀 {plain}");
         let doc = obj! {"z" => nasty, nasty => 1u32, "a" => Json::Null};
         let text = doc.to_string();
         assert!(!text.contains('\n'), "control characters escaped: {text}");
