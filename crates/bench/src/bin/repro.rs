@@ -22,7 +22,9 @@
 //!
 //! Failed bars are always printed; with `--check` they make the exit code
 //! 1, so `repro all --check` is what CI runs and what a developer runs
-//! locally (`docs/OBSERVABILITY.md` lists every bar).
+//! locally (`docs/OBSERVABILITY.md` lists every bar). A reader that closes
+//! stdout early (`repro watch --once | head -1`) only stops the printing:
+//! the run goes on and exits with the code it would have had.
 //!
 //! `bench` does one instrumented threaded run and one set of seeded DES
 //! trials, and everything it prints, gates or writes reads those runs. It
@@ -62,10 +64,58 @@
 //! drifts more than 25% from the committed model on three consecutive
 //! sweeps — the CI smoke against stale calibration.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use cam_bench::figures::{bench_doc, run_figures, BenchParams, Experiment, BENCH_DOC, EXPERIMENTS};
 use cam_bench::paper::experiments_md;
+
+/// `repro`'s one stdout writer. A closed stdout (the reader went away)
+/// stops the printing and nothing else; any other write error is reported
+/// once the run is over and fails it.
+#[derive(Default)]
+struct Out {
+    closed: bool,
+    error: Option<io::Error>,
+}
+
+impl Out {
+    fn line(&mut self, text: impl fmt::Display) {
+        self.print(format_args!("{text}\n"));
+    }
+
+    fn print(&mut self, args: fmt::Arguments<'_>) {
+        if !self.closed {
+            let written = io::stdout().write_fmt(args);
+            self.check(written);
+        }
+    }
+
+    fn check(&mut self, written: io::Result<()>) {
+        if let Err(e) = written {
+            self.closed = true;
+            if e.kind() != io::ErrorKind::BrokenPipe {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// The exit code of a run that would have exited with `code`.
+    fn finish(mut self, code: ExitCode) -> ExitCode {
+        if !self.closed {
+            let flushed = io::stdout().flush();
+            self.check(flushed);
+        }
+        match self.error {
+            Some(e) => {
+                eprintln!("could not write to stdout: {e}");
+                ExitCode::FAILURE
+            }
+            None => code,
+        }
+    }
+}
 
 fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, ExitCode> {
     match args.iter().position(|a| a == flag) {
@@ -94,7 +144,7 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 /// `repro calibrate`: re-fits the DES CPU-pipe constants on this machine
 /// and gates the drift — the CI smoke for stale
 /// `CpuPipeModel::calibrated()`.
-fn calibrate(rounds: u64) -> ExitCode {
+fn calibrate(out: &mut Out, rounds: u64) -> ExitCode {
     // Up to three sweeps, passing on the first in-tolerance fit: a
     // transient load spike (CI runner just finished compiling) fails
     // one sweep; genuinely stale constants fail all three.
@@ -105,9 +155,9 @@ fn calibrate(rounds: u64) -> ExitCode {
             return ExitCode::from(2);
         };
         if attempt > 1 {
-            println!("-- attempt {attempt}/{ATTEMPTS} --");
+            out.line(format_args!("-- attempt {attempt}/{ATTEMPTS} --"));
         }
-        println!("{}", r.table());
+        out.line(r.table());
         if r.within_tolerance() {
             return ExitCode::SUCCESS;
         }
@@ -116,8 +166,8 @@ fn calibrate(rounds: u64) -> ExitCode {
 }
 
 /// `repro watch [--once]`: a live view, not a figure generator.
-fn watch(once: bool) -> Result<ExitCode, ExitCode> {
-    let last = cam_bench::watch::run_watch(once, |frame| println!("{frame}"));
+fn watch(out: &mut Out, once: bool) -> Result<ExitCode, ExitCode> {
+    let last = cam_bench::watch::run_watch(once, |frame| out.line(frame));
     if once {
         let path = "bench/out/health_snapshot.json";
         let doc = bench_doc(&[("watch", last.tables)]);
@@ -127,12 +177,12 @@ fn watch(once: bool) -> Result<ExitCode, ExitCode> {
                 eprintln!("could not write {path}: {e}");
                 ExitCode::FAILURE
             })?;
-        println!("wrote {path}");
+        out.line(format_args!("wrote {path}"));
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn run() -> Result<ExitCode, ExitCode> {
+fn run(out: &mut Out) -> Result<ExitCode, ExitCode> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let params = BenchParams {
         metrics: take_flag_value(&mut args, "--metrics")?,
@@ -163,10 +213,10 @@ fn run() -> Result<ExitCode, ExitCode> {
                 ExitCode::from(2)
             })?,
         };
-        return Ok(calibrate(rounds));
+        return Ok(calibrate(out, rounds));
     }
     if first == Some("watch") {
-        return watch(args.iter().any(|a| a == "--once"));
+        return watch(out, args.iter().any(|a| a == "--once"));
     }
     if matches!(first, None | Some("help" | "--help")) {
         eprintln!(
@@ -183,12 +233,12 @@ fn run() -> Result<ExitCode, ExitCode> {
     }
     if first == Some("list") {
         for e in EXPERIMENTS {
-            println!("{:<8} {}", e.id(), e.desc());
+            out.line(format_args!("{:<8} {}", e.id(), e.desc()));
         }
         return Ok(ExitCode::SUCCESS);
     }
     if first == Some("experiments") {
-        print!("{}", experiments_md(&run_figures()));
+        out.print(format_args!("{}", experiments_md(&run_figures())));
         return Ok(ExitCode::SUCCESS);
     }
     let wanted: Vec<&Experiment> = if first == Some("all") {
@@ -207,10 +257,10 @@ fn run() -> Result<ExitCode, ExitCode> {
     let mut files = Vec::new();
     for experiment in wanted {
         let want = experiment.id();
-        println!("######## {want}: {}\n", experiment.desc());
+        out.line(format_args!("######## {want}: {}\n", experiment.desc()));
         let outcome = experiment.run(&params);
         for table in &outcome.tables {
-            println!("{table}");
+            out.line(table);
         }
         for failure in &outcome.failures {
             eprintln!("BAR FAILED [{want}] {failure}");
@@ -230,7 +280,7 @@ fn run() -> Result<ExitCode, ExitCode> {
             eprintln!("could not write {path}: {e}");
             ExitCode::FAILURE
         })?;
-        println!("wrote {path}");
+        out.line(format_args!("wrote {path}"));
     }
     // `--update-baselines` is a write, so its failure is fatal too.
     if failed_bars > 0 && (check || params.update_baselines) {
@@ -241,5 +291,7 @@ fn run() -> Result<ExitCode, ExitCode> {
 }
 
 fn main() -> ExitCode {
-    run().unwrap_or_else(|code| code)
+    let mut out = Out::default();
+    let code = run(&mut out).unwrap_or_else(|code| code);
+    out.finish(code)
 }

@@ -41,7 +41,7 @@ use cam_nvme::SsdModel;
 use cam_protocol::cache_core::{replay_read_workload, CacheDecisionCounters};
 use cam_protocol::{replay_plan_workload, DecisionCounters, PlanConfig};
 use cam_telemetry::{
-    EventKind, FlightRecorder, Gauge, MetricsRegistry, MetricsSnapshot, Observability,
+    ControlMetrics, FlightRecorder, Gauge, MetricsRegistry, MetricsSnapshot, Observability,
 };
 
 use crate::figures::require;
@@ -392,10 +392,7 @@ fn run_functional(
     let rig = Rig::new(rig_config());
     assert_eq!(rig.block_size(), BLOCK_SIZE);
     let registry = Arc::new(MetricsRegistry::new());
-    // The recorder is the group-count witness: one GroupDispatch event per
-    // non-empty per-SSD group a worker accepts.
-    let recorder = Arc::new(FlightRecorder::new());
-    let obs = Observability::recorded(Arc::clone(&registry), Arc::clone(&recorder));
+    let obs = Observability::with_registry(Arc::clone(&registry));
     let cfg = CamConfig {
         n_channels: N_CHANNELS,
         workers: Some(workers),
@@ -415,21 +412,6 @@ fn run_functional(
             batches += h.count;
         }
     }
-    let groups = recorder
-        .snapshot()
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::GroupDispatch { .. }))
-        .count() as u64;
-    let decisions = DecisionCounters {
-        batches: snapshot.counter("cam_batches_total"),
-        requests: snapshot.counter("cam_requests_total"),
-        dedup_dropped: snapshot.counter("cam_dedup_dropped_total"),
-        stripe_splits: snapshot.counter("cam_stripe_splits_total"),
-        groups,
-        sqes: snapshot.sum_counters("cam_ssd_submitted_total"),
-        retries: snapshot.counter("cam_retries_total"),
-        timeouts: snapshot.counter("cam_cmd_timeouts_total"),
-    };
     FidelityModeReport {
         pipelined,
         mean_read_ns: (total_ns / u128::from(batches.max(1))) as u64,
@@ -438,7 +420,31 @@ fn run_functional(
             .map(|ssd| snapshot.gauge(&format!("cam_inflight_peak{{ssd=\"{ssd}\"}}")))
             .collect(),
         batches,
-        decisions,
+        decisions: threaded_decisions(&snapshot),
+    }
+}
+
+/// The threaded engine's protocol decisions, read from its registry: the
+/// planning and submission counters, and one group per
+/// `cam_stage_ns{stage="dispatch"}` sample (the lifecycle tap records one
+/// for every group a worker admits).
+pub fn threaded_decisions(snapshot: &MetricsSnapshot) -> DecisionCounters {
+    let groups = ControlMetrics::OPS
+        .iter()
+        .filter_map(|op| {
+            snapshot.histogram(&format!("cam_stage_ns{{op=\"{op}\",stage=\"dispatch\"}}"))
+        })
+        .map(|h| h.count)
+        .sum();
+    DecisionCounters {
+        batches: snapshot.counter("cam_batches_total"),
+        requests: snapshot.counter("cam_requests_total"),
+        dedup_dropped: snapshot.counter("cam_dedup_dropped_total"),
+        stripe_splits: snapshot.counter("cam_stripe_splits_total"),
+        groups,
+        sqes: snapshot.sum_counters("cam_ssd_submitted_total"),
+        retries: snapshot.counter("cam_retries_total"),
+        timeouts: snapshot.counter("cam_cmd_timeouts_total"),
     }
 }
 

@@ -7,12 +7,13 @@ use std::sync::Arc;
 
 use cam_gpu::{Gpu, GpuBuffer, OutOfMemory};
 use cam_iostacks::Rig;
+use cam_protocol::PlanConfig;
 use cam_telemetry::{
     clock, ControlMetrics, EventKind, FlightRecorder, Histogram, HistogramHandle, MetricsRegistry,
     Observability, Stage,
 };
 
-use crate::engine::{ControlConfig, ControlPlane, ControlStats, ThreadModel};
+use crate::engine::{ControlPlane, ControlStats, ThreadModel};
 use crate::regions::{Channel, ChannelOp, PublishError};
 
 /// Configuration for [`CamContext::attach`] (`CAM_init`).
@@ -196,21 +197,17 @@ impl CamContext {
         if let Some(rec) = &obs.recorder {
             rig.gpu().attach_recorder(Arc::clone(rec));
         }
+        let plan = PlanConfig {
+            n_ssds: rig.n_ssds(),
+            stripe_blocks: rig.stripe_blocks(),
+            block_size: rig.block_size(),
+        };
         let control = ControlPlane::start(
-            rig.devices(),
-            rig.dma_space(),
+            rig,
             Arc::clone(&channels),
-            ControlConfig {
-                queue_depth: cfg.queue_depth,
-                dynamic_scaling: cfg.dynamic_scaling,
-                max_workers,
-                stripe_blocks: rig.stripe_blocks(),
-                block_size: rig.block_size(),
-                max_retries: cfg.max_retries,
-                retry_backoff_ns: cfg.retry_backoff_ns,
-                cmd_deadline_ns: cfg.cmd_deadline_ns,
-                pipelined: cfg.pipelined,
-            },
+            &cfg,
+            max_workers,
+            plan,
             Arc::clone(&metrics),
             &obs,
         )

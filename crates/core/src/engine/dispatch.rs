@@ -11,7 +11,7 @@
 
 use std::sync::atomic::Ordering;
 
-use cam_iostacks::cam_des::batch_facts;
+use cam_iostacks::shell::batch_facts;
 use cam_protocol::{open_batch, plan_batch, BatchStamps, GroupSpec};
 use cam_telemetry::clock::now_ns;
 

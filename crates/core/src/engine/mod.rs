@@ -10,10 +10,12 @@
 //! owning that SSD over that worker's bounded `std::sync::mpsc` channel,
 //! and drives a [`cam_protocol::WorkerCore`] state machine over private
 //! queue pairs (SPDK's no-locks-in-the-I/O-path discipline), executing the
-//! [`cam_protocol::Command`]s it emits ([`reactor`]) — SQE pushes, doorbell
-//! rings, and one [`LifecycleTap`] call per lifecycle hand-off (the tap
-//! owns every span, metric, window and event of the lifecycle; this driver
-//! only says what happened and when). The last group of a batch retires it
+//! [`cam_protocol::Command`]s it emits ([`reactor`]) — SQE pushes and
+//! doorbell rings. Group admission and the lifecycle half of the commands
+//! (one [`LifecycleTap`] call per hand-off: the tap owns every span,
+//! metric, window and event of the lifecycle) go through the worker shell
+//! the DES driver runs too ([`cam_iostacks::shell`]); this driver only
+//! supplies the wall clock. The last group of a batch retires it
 //! ([`retire`]) by writing region 4 and feeds the [`DynamicScaler`] with the
 //! batch's compute/I/O times. When the protocol reports nothing actionable
 //! ([`cam_protocol::ParkHint`]), the worker parks its thread
@@ -41,7 +43,8 @@ use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 
-use cam_nvme::{DmaSpace, NvmeDevice, QueuePair};
+use cam_iostacks::Rig;
+use cam_nvme::{DmaSpace, QueuePair};
 use cam_protocol::{GroupSpec, PlanConfig, RetryPolicy};
 use cam_simkit::Dur;
 use cam_telemetry::{
@@ -51,6 +54,7 @@ use parking_lot::Mutex;
 
 use crate::regions::Channel;
 use crate::scaler::DynamicScaler;
+use crate::CamConfig;
 
 /// The threaded engine's one threading model. Kept only because the frozen
 /// benchmark names it; delete at the next benchmark re-anchor.
@@ -59,29 +63,6 @@ pub enum ThreadModel {
     /// lcore-style run-to-completion workers (see the module docs).
     #[default]
     ThreadPerCore,
-}
-
-/// Control-plane configuration (subset of [`CamConfig`]).
-///
-/// [`CamConfig`]: crate::CamConfig
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ControlConfig {
-    pub queue_depth: usize,
-    pub dynamic_scaling: bool,
-    /// Worker threads spawned (= the scaler's upper bound).
-    pub max_workers: usize,
-    pub stripe_blocks: u64,
-    pub block_size: u32,
-    /// Re-submissions allowed per command after a transient NVMe failure.
-    pub max_retries: u32,
-    /// Base of the exponential retry backoff (doubles per attempt).
-    pub retry_backoff_ns: u64,
-    /// Per-command budget from group dispatch to final completion; a
-    /// command over it is failed (the command, not the worker thread).
-    pub cmd_deadline_ns: Option<u64>,
-    /// Pipelined reactor (in-flight depth > 1 per SSD across batches) vs.
-    /// the blocking group-at-a-time baseline.
-    pub pipelined: bool,
 }
 
 /// A point-in-time snapshot of control-plane counters.
@@ -178,7 +159,6 @@ struct Shared {
     dma: Arc<dyn DmaSpace>,
     /// `qps[ssd][worker]` — each worker's private queue pair per SSD.
     qps: Vec<Vec<Arc<QueuePair>>>,
-    n_ssds: usize,
     /// Array geometry for dispatch planning (and the block size for the
     /// dedup replication copies at retire).
     plan: PlanConfig,
@@ -234,23 +214,25 @@ pub(crate) struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// Spawns the worker threads.
+    /// Spawns `max_workers` worker threads over `rig`'s SSDs, planning
+    /// batches by `plan` (the rig's array geometry).
     ///
     /// Fails with the OS error if any thread cannot be spawned (resource
     /// exhaustion); threads spawned before the failure are stopped and
     /// joined, so an `Err` leaves nothing running.
     pub(crate) fn start(
-        devices: &[NvmeDevice],
-        dma: Arc<dyn DmaSpace>,
+        rig: &Rig,
         channels: Arc<Vec<Channel>>,
-        cfg: ControlConfig,
+        cfg: &CamConfig,
+        max_workers: usize,
+        plan: PlanConfig,
         metrics: Arc<ControlMetrics>,
         obs: &Observability,
     ) -> std::io::Result<Self> {
-        let n_ssds = devices.len();
-        assert!(n_ssds >= 1);
-        let max_workers = cfg.max_workers.max(1);
-        let qps: Vec<Vec<Arc<QueuePair>>> = devices
+        let n_ssds = plan.n_ssds;
+        assert!(n_ssds >= 1 && max_workers >= 1);
+        let qps: Vec<Vec<Arc<QueuePair>>> = rig
+            .devices()
             .iter()
             .map(|d| {
                 (0..max_workers)
@@ -279,14 +261,9 @@ impl ControlPlane {
             .unzip();
         let shared = Arc::new(Shared {
             channels,
-            dma,
+            dma: rig.dma_space(),
             qps,
-            n_ssds,
-            plan: PlanConfig {
-                n_ssds,
-                stripe_blocks: cfg.stripe_blocks,
-                block_size: cfg.block_size,
-            },
+            plan,
             active_workers: AtomicUsize::new(initial),
             stop: AtomicBool::new(false),
             scaler: Mutex::new(scaler),
@@ -319,11 +296,12 @@ impl ControlPlane {
             shared,
             workers: Vec::with_capacity(max_workers),
         };
+        let pipelined = cfg.pipelined;
         for (wid, rx) in receivers.into_iter().enumerate() {
             let sh = Arc::clone(&plane.shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("cam-worker{wid}"))
-                .spawn(move || shard::shard_loop(&sh, wid, &rx, cfg.pipelined));
+                .spawn(move || shard::shard_loop(&sh, wid, &rx, pipelined));
             plane.workers.push(spawned?);
         }
         let threads: Vec<Thread> = plane.workers.iter().map(|h| h.thread().clone()).collect();

@@ -4,14 +4,16 @@
 //! [`WorkerCore`] protocol state machine (which also owns the lane-health
 //! machines of its lanes) and the scratch buffers the loop reuses, so the
 //! steady-state I/O path allocates nothing and takes no lock. The loop is
-//! pure driver glue: feed accepted groups in
-//! ([`accept`](Worker::accept)), [`pump`](Worker::pump) at the wall clock,
-//! [`reap`](Worker::reap) CQEs into [`on_cqe`](WorkerCore::on_cqe), and
-//! execute whatever [`Command`]s come back — SQE pushes, doorbell rings,
-//! batch retirement; the lifecycle ones are handed to the
-//! [`LifecycleTap`](cam_telemetry::LifecycleTap) as they are. Every
-//! submission, retry, and closure *decision* is the protocol's; the DES
-//! driver executes the same commands against a device timing model instead.
+//! pure driver glue: groups are admitted by the shared
+//! [`shell::admit`](cam_iostacks::shell::admit), [`pump`](Worker::pump)
+//! runs at the wall clock, [`reap`](Worker::reap) feeds CQEs into
+//! [`on_cqe`](WorkerCore::on_cqe), and whatever [`Command`]s come back are
+//! executed: the shared [`shell::report`] hands their lifecycle half to the
+//! [`LifecycleTap`](cam_telemetry::LifecycleTap), and this module does the
+//! rest — SQE pushes, doorbell rings, the group-submitted report and batch
+//! retirement. Every submission, retry, and closure *decision* is the
+//! protocol's; the DES driver runs the same shell and executes the same
+//! commands against a device timing model instead.
 //!
 //! A `Submit` command is executed infallibly: the protocol admits a
 //! command only when the lane's inflight table (sized to the queue depth)
@@ -20,10 +22,10 @@
 
 use std::sync::Arc;
 
-use cam_iostacks::cam_des::batch_facts;
+use cam_iostacks::shell::{self, batch_facts};
 use cam_nvme::spec::{Cqe, Sqe};
 use cam_nvme::QueuePair;
-use cam_protocol::{ChannelOp, Command, GroupSpec, WorkerCore};
+use cam_protocol::{ChannelOp, Command, WorkerCore};
 use cam_telemetry::{clock, Lane};
 
 use super::retire::retire_batch;
@@ -51,7 +53,7 @@ impl Worker {
         if let Some(rec) = &sh.recorder {
             rec.name_current_thread(&format!("cam-worker{wid}"));
         }
-        let qps: Vec<Arc<QueuePair>> = (0..sh.n_ssds)
+        let qps: Vec<Arc<QueuePair>> = (0..sh.plan.n_ssds)
             .map(|ssd| Arc::clone(&sh.qps[ssd][wid]))
             .collect();
         for qp in &qps {
@@ -59,7 +61,8 @@ impl Worker {
         }
         Worker {
             wid,
-            core: WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry).group_at_a_time(!pipelined),
+            core: WorkerCore::new(sh.plan.n_ssds, qps[0].depth(), sh.retry)
+                .group_at_a_time(!pipelined),
             qps,
             out: Vec::new(),
             cqes: Vec::new(),
@@ -72,19 +75,6 @@ impl Worker {
     pub(super) fn drain_lanes(&mut self, sh: &Shared) {
         self.core.drain_lanes(clock::now_ns(), &mut self.out);
         self.execute(sh);
-    }
-
-    /// Takes ownership of a dispatched group: report the dispatch, then
-    /// hand it to the protocol core.
-    pub(super) fn accept(&mut self, sh: &Shared, spec: GroupSpec) {
-        let recv_ns = clock::now_ns();
-        let at = Lane {
-            ssd: spec.ssd,
-            worker: self.wid,
-        };
-        sh.tap
-            .group_dispatch(&batch_facts(&spec.batch), at, recv_ns);
-        self.core.on_group(spec, recv_ns);
     }
 
     /// One submission pass at the wall clock, executed. Returns whether it
@@ -128,7 +118,6 @@ impl Worker {
     fn execute(&mut self, sh: &Shared) {
         let Worker { wid, qps, out, .. } = self;
         let wid = *wid;
-        let at = |ssd| Lane { ssd, worker: wid };
         // First submissions staged since the last doorbell. The protocol
         // stages one lane at a time and closes every burst with that lane's
         // `RingDoorbell`, so the tally always belongs to the ringing SSD.
@@ -165,55 +154,15 @@ impl Worker {
                     recv_ns,
                     submit_ns,
                 } => {
+                    let at = Lane { ssd, worker: wid };
                     sh.tap
-                        .group_submitted(&batch_facts(&batch), at(ssd), sqes, recv_ns, submit_ns);
-                }
-                Command::CmdRetry {
-                    batch,
-                    ssd,
-                    cid,
-                    attempt,
-                    now_ns,
-                    ..
-                } => sh
-                    .tap
-                    .cmd_retry(&batch_facts(&batch), ssd, cid, attempt, now_ns),
-                Command::CmdTimeout {
-                    batch,
-                    ssd,
-                    cid,
-                    attempts,
-                    now_ns,
-                } => sh
-                    .tap
-                    .cmd_timeout(&batch_facts(&batch), ssd, cid, attempts, now_ns),
-                Command::LaneTransition {
-                    transition: t,
-                    now_ns,
-                } => {
-                    sh.tap
-                        .lane_transition(t.ssd, t.from.code(), t.to.code(), t.faults, now_ns);
-                }
-                Command::GroupComplete {
-                    batch,
-                    ssd,
-                    sqes,
-                    errors,
-                    anchor_ns,
-                    complete_ns,
-                } => {
-                    sh.tap.group_complete(
-                        &batch_facts(&batch),
-                        at(ssd),
-                        sqes,
-                        errors,
-                        anchor_ns,
-                        complete_ns,
-                    );
+                        .group_submitted(&batch_facts(&batch), at, sqes, recv_ns, submit_ns);
                 }
                 Command::RetireBatch { batch, complete_ns } => {
                     retire_batch(sh, &batch, complete_ns);
                 }
+                // Retries, timeouts, lane transitions, group completions.
+                lifecycle => shell::report(&sh.tap, wid, &lifecycle),
             }
         }
         debug_assert_eq!(first_submits, 0, "submissions without a doorbell");

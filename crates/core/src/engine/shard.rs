@@ -22,6 +22,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, TrySendError};
 use std::time::Duration;
 
+use cam_iostacks::shell;
 use cam_protocol::{GroupSpec, ParkHint};
 use cam_telemetry::clock::now_ns;
 use cam_telemetry::{WindowConfig, WindowedCounter};
@@ -81,11 +82,7 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize, handoff: &Receiver<GroupSpec>,
         // 3. Admission, by the protocol's rule: pipelined takes everything
         //    (commands from several batches share the queue depth); the
         //    blocking baseline one group at a time.
-        while w.core.accepts_group() {
-            let Some(spec) = inbox.pop_front() else { break };
-            w.accept(sh, spec);
-            progress = true;
-        }
+        progress |= shell::admit(&mut w.core, &sh.tap, wid, &mut inbox, now_ns);
         // 4. Pump submissions, execute effects, reap completions.
         progress |= w.pump(sh);
         progress |= w.reap(sh);

@@ -2,12 +2,15 @@
 //!
 //! The threaded control plane in `cam-core` and this module drive the
 //! **same** `cam-protocol` state machines — [`plan_batch`],
-//! [`WorkerCore`], [`BatchCore`] — so every dispatch, submission, retry,
-//! and retirement *decision* is shared code. Where the threaded driver
-//! executes [`Command`]s against real queue pairs on the wall clock, this
-//! driver executes them against the calibrated timing models in virtual
-//! time, and both report every lifecycle hand-off to the same
-//! [`LifecycleTap`]:
+//! [`WorkerCore`], [`BatchCore`](cam_protocol::BatchCore) — so every
+//! dispatch, submission, retry, and retirement *decision* is shared code,
+//! and both run the same [`shell`] around each worker's core: group
+//! admission and the lifecycle reports of the [`Command`]s go through it
+//! to the [`LifecycleTap`]. Where the threaded driver executes the rest of
+//! the commands against real queue pairs on the wall clock, this driver
+//! charges them on the calibrated timing models in virtual time, reports
+//! each group's submission when its CPU pipe drains, retires batches, and
+//! re-admits a worker's waiting groups when one of its groups closes:
 //!
 //! ```text
 //!   Doorbell ──► dispatch pipe (CpuPipeModel) ──► Submit ──► CPU pipe (thread_cost) ──► SSD ──► host PCIe ──► CQE
@@ -37,11 +40,13 @@ use std::sync::Arc;
 use cam_nvme::spec::{Opcode, Status};
 use cam_nvme::{DesSsd, SsdModel};
 use cam_protocol::{
-    op_index, open_batch, plan_batch, BatchCore, BatchPlan, BatchStamps, ChannelOp, Command,
-    DecisionCounters, GroupSpec, HealthTransition, PlanConfig, RetryPolicy, SubmitCmd, WorkerCore,
+    op_index, open_batch, plan_batch, BatchPlan, BatchStamps, ChannelOp, Command, DecisionCounters,
+    GroupSpec, HealthTransition, PlanConfig, RetryPolicy, SubmitCmd, WorkerCore,
 };
 use cam_simkit::{Dur, EventKind, Fire, FlightRecorder, Pipe, Sim, Time};
 use cam_telemetry::{BatchFacts, Lane, LifecycleTap, OpsWindows, SloTracker};
+
+use crate::shell::{self, batch_facts};
 
 /// Calibrated cost model for the planning worker's per-batch work:
 /// doorbell pickup, request planning ([`plan_batch`]), and group routing.
@@ -456,7 +461,8 @@ struct DesWorld {
     cfg: CamDesConfig,
     plan: PlanConfig,
     cores: Vec<WorkerCore>,
-    /// Groups a worker has not accepted yet (group-at-a-time admission).
+    /// Groups delivered to a worker and not admitted yet (only the
+    /// blocking baseline's group-at-a-time admission leaves any here).
     pending: Vec<VecDeque<GroupSpec>>,
     cpus: Vec<Pipe>,
     /// The planner's dispatch pipe: every published batch pays
@@ -509,21 +515,6 @@ impl DesWorld {
     /// Payload bytes `s` moves.
     fn cmd_bytes(&self, s: &SubmitCmd) -> u64 {
         u64::from(s.blocks) * u64::from(self.cfg.block_size)
-    }
-}
-
-/// The batch as the [`LifecycleTap`] takes it: plain integers. Shared with
-/// the threaded driver, so the mirror of [`BatchCore`] is spelled once.
-pub fn batch_facts(b: &BatchCore) -> BatchFacts {
-    BatchFacts {
-        channel: b.channel,
-        seq: b.seq,
-        op: op_index(b.op),
-        requests: b.requests,
-        doorbell_ns: b.doorbell_ns,
-        pickup_ns: b.pickup_ns,
-        dispatched_ns: b.dispatched_ns,
-        compute_gap_ns: b.compute_gap_ns,
     }
 }
 
@@ -603,7 +594,8 @@ fn dispatched(sim: &mut DesSim, w: &mut DesWorld) {
     };
     for spec in open_batch(d.plan, d.ch, d.seq, at) {
         let wid = spec.ssd % w.cores.len();
-        deliver(sim, w, wid, spec);
+        w.pending[wid].push_back(spec);
+        admit_pending(sim, w, wid);
     }
 }
 
@@ -629,38 +621,13 @@ fn publish_all_idle(sim: &mut DesSim, w: &mut DesWorld) {
     sim.post_at(Time::from_ns(t), DesEvent::SourceWake(t));
 }
 
-/// Hands a group to its worker — immediately when the core accepts it, else
-/// parked until the worker's current group closes (the blocking baseline's
-/// one-group-at-a-time admission).
-fn deliver(sim: &mut DesSim, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
-    if w.cores[wid].accepts_group() {
-        accept(sim, w, wid, spec);
-    } else {
-        w.pending[wid].push_back(spec);
-    }
-}
-
-/// The worker takes the group: report the dispatch, hand it to the
-/// protocol core, pump.
-fn accept(sim: &mut DesSim, w: &mut DesWorld, wid: usize, spec: GroupSpec) {
+/// Admits the worker's waiting groups by the core's rule (the blocking
+/// baseline takes one while none is open; pipelined admission never holds
+/// one back) and, when it took any, pumps.
+fn admit_pending(sim: &mut DesSim, w: &mut DesWorld, wid: usize) {
     let now = sim.now().as_ns();
-    let at = Lane {
-        ssd: spec.ssd,
-        worker: wid,
-    };
-    w.tap.group_dispatch(&batch_facts(&spec.batch), at, now);
-    w.cores[wid].on_group(spec, now);
-    pump_worker(sim, w, wid);
-}
-
-/// Feeds the worker its parked groups while it accepts them (nothing is
-/// ever parked under pipelined admission).
-fn feed_pending(sim: &mut DesSim, w: &mut DesWorld, wid: usize) {
-    while w.cores[wid].accepts_group() {
-        let Some(spec) = w.pending[wid].pop_front() else {
-            return;
-        };
-        accept(sim, w, wid, spec);
+    if shell::admit(&mut w.cores[wid], &w.tap, wid, &mut w.pending[wid], || now) {
+        pump_worker(sim, w, wid);
     }
 }
 
@@ -691,7 +658,6 @@ fn arm_timer(sim: &mut DesSim, w: &mut DesWorld, wid: usize) {
 
 /// Executes drained protocol commands against the timing models.
 fn execute(sim: &mut DesSim, w: &mut DesWorld, wid: usize, out: &mut Vec<Command>) {
-    let on = |ssd| Lane { ssd, worker: wid };
     for cmd in out.drain(..) {
         match cmd {
             Command::Submit(s) => {
@@ -723,7 +689,7 @@ fn execute(sim: &mut DesSim, w: &mut DesWorld, wid: usize, out: &mut Vec<Command
                 // lane-wait component.
                 let lane = wid * w.cfg.n_ssds + ssd;
                 let at = w.lane_submit_done[lane].max(sim.now().as_ns());
-                let (batch, on) = (batch_facts(&batch), on(ssd));
+                let (batch, on) = (batch_facts(&batch), Lane { ssd, worker: wid });
                 if w.tap.lifecycle {
                     // With the event stream on, report from the calendar,
                     // so the marker takes its place among the device
@@ -739,52 +705,6 @@ fn execute(sim: &mut DesSim, w: &mut DesWorld, wid: usize, out: &mut Vec<Command
                 } else {
                     w.tap.group_submitted(&batch, on, sqes, recv_ns, at);
                 }
-            }
-            Command::CmdRetry {
-                batch,
-                ssd,
-                cid,
-                attempt,
-                now_ns,
-                ..
-            } => w
-                .tap
-                .cmd_retry(&batch_facts(&batch), ssd, cid, attempt, now_ns),
-            Command::CmdTimeout {
-                batch,
-                ssd,
-                cid,
-                attempts,
-                now_ns,
-            } => w
-                .tap
-                .cmd_timeout(&batch_facts(&batch), ssd, cid, attempts, now_ns),
-            // Kept for the report (sequence comparison across drivers).
-            Command::LaneTransition {
-                transition: t,
-                now_ns,
-            } => {
-                w.transitions.push(t);
-                w.tap
-                    .lane_transition(t.ssd, t.from.code(), t.to.code(), t.faults, now_ns);
-            }
-            Command::GroupComplete {
-                batch,
-                ssd,
-                sqes,
-                errors,
-                anchor_ns,
-                complete_ns,
-            } => {
-                w.tap.group_complete(
-                    &batch_facts(&batch),
-                    on(ssd),
-                    sqes,
-                    errors,
-                    anchor_ns,
-                    complete_ns,
-                );
-                feed_pending(sim, w, wid);
             }
             Command::RetireBatch { batch, complete_ns } => {
                 let errors = batch.errors.load(Ordering::Relaxed);
@@ -807,6 +727,18 @@ fn execute(sim: &mut DesSim, w: &mut DesWorld, wid: usize, out: &mut Vec<Command
                 w.channel_busy[batch.channel] = false;
                 w.source.on_retire(batch.channel, complete_ns, errors);
                 publish_all_idle(sim, w);
+            }
+            // Retries, timeouts, lane transitions, group completions. The
+            // DES also keeps its transitions for the report (sequence
+            // comparison across drivers) and re-admits after a group
+            // closes.
+            lifecycle => {
+                shell::report(&w.tap, wid, &lifecycle);
+                match lifecycle {
+                    Command::LaneTransition { transition, .. } => w.transitions.push(transition),
+                    Command::GroupComplete { .. } => admit_pending(sim, w, wid),
+                    _ => {}
+                }
             }
         }
     }

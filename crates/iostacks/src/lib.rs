@@ -12,7 +12,8 @@
 //!   memory channels) and returns achieved throughput plus SM/memory/CPU
 //!   side effects — the engine behind Figs. 2, 8, 12, 14, 15 and 16.
 //!   CAM's own DES driver ([`cam_des`]) runs the shared `cam-protocol`
-//!   core on the same models.
+//!   core on the same models, inside the same [`shell`] as the threaded
+//!   engine.
 //!
 //! * **The functional testbed** ([`Rig`]) assembles the simulated SSDs and
 //!   GPU that CAM's threaded control plane (`cam-core`) moves real bytes
@@ -24,6 +25,7 @@
 pub mod cam_des;
 pub mod des;
 mod rig;
+pub mod shell;
 
 pub use cam_des::CpuPipeModel;
 pub use rig::{Rig, RigConfig};
