@@ -87,6 +87,9 @@ pub enum CamError {
     /// A batch is still outstanding on the channel; call the matching
     /// `*_synchronize` first.
     ChannelBusy,
+    /// The batch's requests carry no blocks (`blocks_per_req == 0`).
+    /// Nothing was published, so the channel stays usable.
+    ZeroBlocks,
     /// Commands failed on the device.
     Io {
         /// Number of failed commands since the last synchronize.
@@ -113,6 +116,7 @@ impl fmt::Display for CamError {
                 capacity,
             } => write!(f, "batch of {requested} exceeds capacity {capacity}"),
             CamError::ChannelBusy => write!(f, "channel busy: synchronize first"),
+            CamError::ZeroBlocks => write!(f, "a batch must carry at least one block per request"),
             CamError::Io { failed } => write!(f, "{failed} command(s) failed"),
             CamError::BadChannel(ch) => write!(f, "no such channel {ch}"),
             CamError::SyncTimeout { waited_ns } => write!(
@@ -406,6 +410,7 @@ impl CamDevice {
             .try_publish(op, lbas, addrs, blocks_per_req)
             .map_err(|e| match e {
                 PublishError::Busy => CamError::ChannelBusy,
+                PublishError::ZeroBlocks => CamError::ZeroBlocks,
                 PublishError::TooLarge => CamError::BatchTooLarge {
                     requested: lbas.len(),
                     capacity: ch.capacity(),

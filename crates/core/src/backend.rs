@@ -131,9 +131,10 @@ fn cam_to_backend(e: CamError) -> BackendError {
         },
         // Spawn can't reach here (the backend wraps an already-running
         // context), but map it to a command failure rather than panic.
-        CamError::ChannelBusy | CamError::BadChannel(_) | CamError::Spawn => {
-            BackendError::Command(Status::InvalidField)
-        }
+        CamError::ChannelBusy
+        | CamError::ZeroBlocks
+        | CamError::BadChannel(_)
+        | CamError::Spawn => BackendError::Command(Status::InvalidField),
     }
 }
 

@@ -26,8 +26,9 @@ use cam_iostacks::shell::{self, batch_facts};
 use cam_nvme::spec::{Cqe, Sqe};
 use cam_nvme::QueuePair;
 use cam_protocol::{ChannelOp, Command, WorkerCore};
-use cam_telemetry::{clock, Lane};
+use cam_telemetry::{clock, Lane, ShardClaim};
 
+use super::dispatch::Pickup;
 use super::retire::retire_batch;
 use super::Shared;
 
@@ -40,6 +41,11 @@ pub(super) struct Worker {
     /// Commands drained from the core, executed in order.
     out: Vec<Command>,
     cqes: Vec<Cqe>,
+    /// Pickup buffers, fed the records this worker retires.
+    pub(super) pickup: Pickup,
+    /// This thread's lock-free histogram shards: the worker records every
+    /// lifecycle sample without a lock.
+    _shards: Option<ShardClaim>,
 }
 
 impl Worker {
@@ -66,6 +72,8 @@ impl Worker {
             qps,
             out: Vec::new(),
             cqes: Vec::new(),
+            pickup: Pickup::new(sh.plan.n_ssds, sh.channels.len()),
+            _shards: ShardClaim::claim(),
         }
     }
 
@@ -116,7 +124,13 @@ impl Worker {
     /// Executes the drained protocol commands against the real queue pairs,
     /// in order (submissions precede their doorbell ring).
     fn execute(&mut self, sh: &Shared) {
-        let Worker { wid, qps, out, .. } = self;
+        let Worker {
+            wid,
+            qps,
+            out,
+            pickup,
+            ..
+        } = self;
         let wid = *wid;
         // First submissions staged since the last doorbell. The protocol
         // stages one lane at a time and closes every burst with that lane's
@@ -160,6 +174,7 @@ impl Worker {
                 }
                 Command::RetireBatch { batch, complete_ns } => {
                     retire_batch(sh, &batch, complete_ns);
+                    pickup.recycle_batch(batch);
                 }
                 // Retries, timeouts, lane transitions, group completions.
                 lifecycle => shell::report(&sh.tap, wid, &lifecycle),

@@ -21,6 +21,9 @@ pub enum PublishError {
     Busy,
     /// The batch exceeds region-1 capacity.
     TooLarge,
+    /// The batch's requests carry no blocks: it would plan no command, so
+    /// nothing would ever retire it.
+    ZeroBlocks,
 }
 
 // The op enum lives in the protocol layer (both drivers plan and submit
@@ -122,6 +125,9 @@ impl Channel {
             Ok(seq) => seq,
             Err(PublishError::TooLarge) => panic!("batch exceeds region-1 capacity"),
             Err(PublishError::Busy) => panic!("channel busy: synchronize before re-publishing"),
+            Err(PublishError::ZeroBlocks) => {
+                panic!("a batch must carry at least one block per request")
+            }
         }
     }
 
@@ -135,6 +141,9 @@ impl Channel {
     ) -> Result<u64, PublishError> {
         if lbas.len() > self.capacity() {
             return Err(PublishError::TooLarge);
+        }
+        if blocks_per_req == 0 {
+            return Err(PublishError::ZeroBlocks);
         }
         // Claim exclusive publish rights before touching regions 1+2 — a
         // second concurrent publisher gets `Busy` instead of interleaving
@@ -189,22 +198,33 @@ impl Channel {
 
     /// CPU side: snapshot the published batch (after observing `pending`).
     pub fn snapshot(&self) -> (ChannelOp, u32, Vec<(u64, u64)>) {
-        let n = self.req_num.load(Ordering::Relaxed) as usize;
+        let (op, blocks, n) = self.header();
+        (op, blocks, (0..n).map(|i| self.request(i)).collect())
+    }
+
+    /// CPU side: the published batch's region 2 (after observing
+    /// `pending`): its op, blocks per request and request count. With
+    /// [`request`](Self::request), a planner reads region 1 in place
+    /// instead of copying it out first.
+    pub fn header(&self) -> (ChannelOp, u32, usize) {
         let op = if self.op.load(Ordering::Relaxed) == 0 {
             ChannelOp::Read
         } else {
             ChannelOp::Write
         };
-        let blocks = self.blocks_per_req.load(Ordering::Relaxed) as u32;
-        let reqs = (0..n)
-            .map(|i| {
-                (
-                    self.lbas[i].load(Ordering::Relaxed),
-                    self.addrs[i].load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        (op, blocks, reqs)
+        (
+            op,
+            self.blocks_per_req.load(Ordering::Relaxed) as u32,
+            self.req_num.load(Ordering::Relaxed) as usize,
+        )
+    }
+
+    /// CPU side: request `i` of the published batch, `(lba, address)`.
+    pub fn request(&self, i: usize) -> (u64, u64) {
+        (
+            self.lbas[i].load(Ordering::Relaxed),
+            self.addrs[i].load(Ordering::Relaxed),
+        )
     }
 
     /// CPU side: retire batch `seq`, adding `errors` failed commands.
@@ -297,6 +317,18 @@ mod tests {
         let ch = Channel::new(4);
         ch.publish(ChannelOp::Read, &[1], |_| 0, 1);
         ch.publish(ChannelOp::Read, &[2], |_| 0, 1);
+    }
+
+    #[test]
+    fn a_zero_block_batch_is_refused_and_leaves_the_channel_idle() {
+        let ch = Channel::new(4);
+        assert_eq!(
+            ch.try_publish(ChannelOp::Read, &[1, 2], |_| 0, 0),
+            Err(PublishError::ZeroBlocks)
+        );
+        assert!(ch.idle());
+        assert_eq!(ch.pending(0), None, "nothing was published");
+        assert_eq!(ch.try_publish(ChannelOp::Read, &[1, 2], |_| 0, 1), Ok(1));
     }
 
     #[test]

@@ -219,6 +219,41 @@ fn batch_too_large_is_reported() {
 }
 
 #[test]
+fn a_zero_block_batch_is_refused_and_the_channel_stays_usable() {
+    // A batch whose requests carry no blocks plans no command, so nothing
+    // would retire it: published, its wait timed out and every later
+    // submit on the channel was `ChannelBusy`. It is refused up front.
+    let rig = small_rig(2);
+    load_pattern(&rig, 4);
+    let cam = CamContext::attach(
+        &rig,
+        CamConfig {
+            sync_timeout_ns: Some(2_000_000_000),
+            ..CamConfig::default()
+        },
+    );
+    let dev = cam.device();
+    let buf = cam.alloc(4 * 4096).unwrap();
+    let err = dev
+        .submit_scatter(
+            0,
+            ChannelOp::Read,
+            &[0, 1],
+            |i| buf.addr() + i as u64 * 4096,
+            0,
+        )
+        .err();
+    assert_eq!(err, Some(cam_core::CamError::ZeroBlocks));
+    dev.submit(0, ChannelOp::Read, &[0, 1, 2, 3], buf.addr())
+        .and_then(|t| t.wait())
+        .expect("the channel takes the next batch");
+    let mut block = vec![0u8; 4096];
+    buf.read(3 * 4096, &mut block);
+    assert!(block.iter().all(|&b| b == 4), "block 3 landed");
+    assert_eq!(cam.stats().batches, 1);
+}
+
+#[test]
 fn dynamic_scaling_shrinks_under_compute_heavy_load() {
     let rig = Rig::new(RigConfig {
         n_ssds: 8,

@@ -256,7 +256,7 @@ pub trait DesBatchSource {
     /// The next batch for `channel` at virtual instant `now_ns`, with its
     /// op. `None` leaves the channel idle; the driver re-polls after every
     /// retirement and at [`DesBatchSource::next_ready_ns`]. Returned
-    /// batches must be non-empty.
+    /// batches must be non-empty and carry at least one block per request.
     fn next_batch(&mut self, channel: usize, now_ns: u64) -> Option<(CamDesBatch, ChannelOp)>;
 
     /// A batch previously returned for `channel` retired at `now_ns` with
@@ -533,6 +533,13 @@ fn publish_next(sim: &mut DesSim, w: &mut DesWorld, ch: usize) {
         !batch.lbas.is_empty(),
         "published batches must be non-empty"
     );
+    // The threaded driver refuses the same batch at publish
+    // (`CamError::ZeroBlocks`): it would plan no command, so nothing would
+    // ever retire it.
+    assert!(
+        batch.blocks > 0,
+        "published batches must carry at least one block per request"
+    );
     w.channel_busy[ch] = true;
     w.seqs[ch] += 1;
     let seq = w.seqs[ch];
@@ -626,7 +633,14 @@ fn publish_all_idle(sim: &mut DesSim, w: &mut DesWorld) {
 /// one back) and, when it took any, pumps.
 fn admit_pending(sim: &mut DesSim, w: &mut DesWorld, wid: usize) {
     let now = sim.now().as_ns();
-    if shell::admit(&mut w.cores[wid], &w.tap, wid, &mut w.pending[wid], || now) {
+    if shell::admit(
+        &mut w.cores[wid],
+        &w.tap,
+        wid,
+        &mut w.pending[wid],
+        || now,
+        drop,
+    ) {
         pump_worker(sim, w, wid);
     }
 }
@@ -1017,6 +1031,16 @@ mod tests {
             lbas: (base..base + n).collect(),
             blocks: 1,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "published batches must carry at least one block per request")]
+    fn a_zero_block_batch_is_refused_where_it_is_published() {
+        let batch = CamDesBatch {
+            lbas: vec![0, 1],
+            blocks: 0,
+        };
+        run(cfg(2, true), vec![vec![batch]]);
     }
 
     #[test]

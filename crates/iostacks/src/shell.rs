@@ -7,7 +7,7 @@
 //! * [`batch_facts`] — the batch as the [`LifecycleTap`] takes it;
 //! * [`admit`] — group admission by the core's own rule: while
 //!   [`WorkerCore::accepts_group`], report the dispatch and hand the group
-//!   to [`WorkerCore::on_group`];
+//!   to [`WorkerCore::on_group_runs`];
 //! * [`report`] — the lifecycle half of executing [`Command`]s: retries,
 //!   timeouts, lane transitions and group completions go to the tap.
 //!
@@ -40,25 +40,26 @@ pub fn batch_facts(b: &BatchCore) -> BatchFacts {
 /// accepts them: pipelined admission takes every one, the blocking
 /// baseline at most one (and none while a group is open). Each admitted
 /// group is stamped with one `now_ns()` read, reported to the tap as
-/// dispatched, then given to [`WorkerCore::on_group`]. Returns whether
-/// any group was admitted; the caller pumps the core afterwards.
+/// dispatched, then given to [`WorkerCore::on_group_runs`], and its run
+/// list, copied into the core, is handed to `spent` for reuse. Returns
+/// whether any group was admitted; the caller pumps the core afterwards.
 pub fn admit(
     core: &mut WorkerCore,
     tap: &LifecycleTap,
     worker: usize,
     queue: &mut VecDeque<GroupSpec>,
     mut now_ns: impl FnMut() -> u64,
+    mut spent: impl FnMut(Vec<(u64, u64, u32)>),
 ) -> bool {
     let mut admitted = false;
     while core.accepts_group() {
-        let Some(spec) = queue.pop_front() else { break };
-        let recv_ns = now_ns();
-        let at = Lane {
-            ssd: spec.ssd,
-            worker,
+        let Some(GroupSpec { ssd, reqs, batch }) = queue.pop_front() else {
+            break;
         };
-        tap.group_dispatch(&batch_facts(&spec.batch), at, recv_ns);
-        core.on_group(spec, recv_ns);
+        let recv_ns = now_ns();
+        tap.group_dispatch(&batch_facts(&batch), Lane { ssd, worker }, recv_ns);
+        core.on_group_runs(ssd, &reqs, batch, recv_ns);
+        spent(reqs);
         admitted = true;
     }
     admitted

@@ -64,34 +64,75 @@ pub struct BatchStamps {
 /// order — ready for [`WorkerCore::on_group`](crate::WorkerCore::on_group)
 /// — sharing one [`BatchCore`] that expects a close from each. A plan with
 /// no runs yields no groups (nothing would ever retire its core).
-pub fn open_batch(plan: BatchPlan, channel: usize, seq: u64, at: BatchStamps) -> Vec<GroupSpec> {
-    let batch = Arc::new(BatchCore {
-        channel,
-        seq,
-        op: plan.op,
-        remaining: AtomicUsize::new(plan.n_groups()),
-        errors: AtomicU64::new(0),
-        requests: plan.requests,
-        dispatched_ns: at.dispatched_ns,
-        compute_gap_ns: at.compute_gap_ns,
-        doorbell_ns: at.doorbell_ns,
-        pickup_ns: at.pickup_ns,
-        dups: plan.dups,
-        blocks: plan.blocks,
-    });
-    plan.groups
-        .into_iter()
-        .enumerate()
-        .filter(|(_, reqs)| !reqs.is_empty())
-        .map(|(ssd, reqs)| GroupSpec {
-            ssd,
-            reqs,
-            batch: Arc::clone(&batch),
-        })
-        .collect()
+///
+/// [`open_groups`] with a fresh record and fresh buffers.
+pub fn open_batch(
+    mut plan: BatchPlan,
+    channel: usize,
+    seq: u64,
+    at: BatchStamps,
+) -> Vec<GroupSpec> {
+    let mut batch = BatchCore::new(channel, seq, plan.op, plan.requests, plan.blocks, at);
+    batch.dups = std::mem::take(&mut plan.dups);
+    let mut specs = Vec::new();
+    open_groups(Arc::new(batch), &mut plan.groups, Vec::new, &mut specs);
+    specs
+}
+
+/// Opens `batch` over its planned runs, `groups[ssd]` per SSD: each
+/// non-empty list moves into a [`GroupSpec`] pushed to `specs`, in SSD
+/// order, and `spare()` takes its place, so a driver that keeps its run
+/// lists hands the same buffers round. `batch` expects one close per group
+/// pushed.
+pub fn open_groups(
+    batch: Arc<BatchCore>,
+    groups: &mut [Vec<(u64, u64, u32)>],
+    mut spare: impl FnMut() -> Vec<(u64, u64, u32)>,
+    specs: &mut Vec<GroupSpec>,
+) {
+    let n_groups = groups.iter().filter(|g| !g.is_empty()).count();
+    // Relaxed: the groups reach their workers through the driver's
+    // hand-off (a channel send, or the same thread), which publishes this
+    // store along with them.
+    batch.remaining.store(n_groups, Ordering::Relaxed);
+    for (ssd, reqs) in groups.iter_mut().enumerate() {
+        if !reqs.is_empty() {
+            specs.push(GroupSpec {
+                ssd,
+                reqs: std::mem::replace(reqs, spare()),
+                batch: Arc::clone(&batch),
+            });
+        }
+    }
 }
 
 impl BatchCore {
+    /// A batch's record before its groups open: no group outstanding, no
+    /// error and no duplicate pair yet.
+    pub fn new(
+        channel: usize,
+        seq: u64,
+        op: ChannelOp,
+        requests: u64,
+        blocks: u32,
+        at: BatchStamps,
+    ) -> Self {
+        BatchCore {
+            channel,
+            seq,
+            op,
+            remaining: AtomicUsize::new(0),
+            errors: AtomicU64::new(0),
+            requests,
+            dispatched_ns: at.dispatched_ns,
+            compute_gap_ns: at.compute_gap_ns,
+            doorbell_ns: at.doorbell_ns,
+            pickup_ns: at.pickup_ns,
+            dups: Vec::new(),
+            blocks,
+        }
+    }
+
     /// Closes one group with `errors` failed commands; returns whether this
     /// was the batch's last group — the caller must then retire the batch
     /// (exactly one caller sees `true`).

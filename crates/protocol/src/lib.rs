@@ -39,12 +39,13 @@ mod plan;
 mod retry;
 mod worker;
 
-pub use batch::{open_batch, BatchCore, BatchStamps};
+pub use batch::{open_batch, open_groups, BatchCore, BatchStamps};
 pub use cache_core::{CacheCore, CacheDecisionCounters};
 pub use health::{HealthState, HealthTransition};
 pub use inflight::InflightTable;
 pub use plan::{
     op_index, plan_batch, replay_plan_workload, BatchPlan, ChannelOp, DecisionCounters, PlanConfig,
+    Planner,
 };
 pub use retry::{RetryPolicy, Verdict};
 pub use worker::{Command, GroupSpec, ParkHint, SubmitCmd, WorkerCore};

@@ -39,13 +39,9 @@ pub struct PlanConfig {
 impl PlanConfig {
     /// Maps a logical block onto `(ssd, device LBA)`.
     pub fn map(&self, lba: u64) -> (usize, u64) {
-        let n = self.n_ssds as u64;
-        let stripe = lba / self.stripe_blocks;
-        let within = lba % self.stripe_blocks;
-        (
-            (stripe % n) as usize,
-            (stripe / n) * self.stripe_blocks + within,
-        )
+        let (stripe, within) = div_rem(lba, self.stripe_blocks);
+        let (row, ssd) = div_rem(stripe, self.n_ssds as u64);
+        (ssd as usize, row * self.stripe_blocks + within)
     }
 
     /// Splits `blocks` logical blocks starting at `lba` at stripe
@@ -61,12 +57,24 @@ impl PlanConfig {
         let mut done = 0u64;
         while done < total {
             let cur = lba + done;
-            let left = self.stripe_blocks - cur % self.stripe_blocks;
+            let left = self.stripe_blocks - div_rem(cur, self.stripe_blocks).1;
             let run = left.min(total - done) as u32;
             let (ssd, dev_lba) = self.map(cur);
             f(ssd, dev_lba, run, done * u64::from(self.block_size));
             done += u64::from(run);
         }
+    }
+}
+
+/// `(x / d, x % d)`: a shift and a mask when `d` is a power of two, as
+/// stripe widths and array sizes usually are, which spares the planner two
+/// or three integer divisions per request.
+#[inline]
+fn div_rem(x: u64, d: u64) -> (u64, u64) {
+    if d.is_power_of_two() {
+        (x >> d.trailing_zeros(), x & (d - 1))
+    } else {
+        (x / d, x % d)
     }
 }
 
@@ -112,85 +120,119 @@ impl BatchPlan {
 /// populated. Requests in a batch share `blocks`, so equal start LBAs
 /// cover identical ranges. Writes are left untouched (last-writer
 /// semantics would change if we collapsed them).
+///
+/// A driver that plans every batch holds a [`Planner`] and its own output
+/// buffers instead; this is [`Planner::plan`] into fresh ones.
 pub fn plan_batch(
     cfg: &PlanConfig,
     op: ChannelOp,
     blocks: u32,
-    mut reqs: Vec<(u64, u64)>,
+    reqs: Vec<(u64, u64)>,
 ) -> BatchPlan {
-    let requests = reqs.len() as u64;
-    let dups = if op == ChannelOp::Read {
-        dedup_keep_first(&mut reqs)
-    } else {
-        Vec::new()
-    };
-    // Split the batch by stripe across SSDs. Requests that cross a stripe
-    // boundary become several stripe-contiguous runs — the CPU control
-    // plane owns the striping, so GPU code never needs to know the array
-    // layout.
+    let mut dups = Vec::new();
     // Striping spreads a batch evenly: size every group for its share up
     // front instead of growing it push by push.
     let mut groups: Vec<Vec<(u64, u64, u32)>> = (0..cfg.n_ssds)
         .map(|_| Vec::with_capacity(reqs.len().div_ceil(cfg.n_ssds)))
         .collect();
-    let mut total_runs = 0u64;
-    for &(lba, addr) in &reqs {
-        cfg.for_each_run(lba, blocks, |ssd, dev_lba, run, offset| {
-            groups[ssd].push((dev_lba, addr + offset, run));
-            total_runs += 1;
-        });
-    }
+    let stripe_splits = Planner::default().plan(
+        cfg,
+        op,
+        blocks,
+        reqs.len(),
+        |i| reqs[i],
+        &mut dups,
+        &mut groups,
+    );
     BatchPlan {
         op,
         blocks,
-        requests,
+        requests: reqs.len() as u64,
         dups,
         groups,
-        stripe_splits: total_runs.saturating_sub(reqs.len() as u64),
+        stripe_splits,
     }
 }
 
-/// Removes every request whose LBA already appeared earlier in `reqs`
-/// (keep-first, order preserved) and returns the `(primary address,
-/// duplicate address)` pairs in request order.
-///
-/// The first-occurrence index is an open-addressed table of positions into
-/// the compacted prefix of `reqs`, probed linearly from a Fibonacci hash of
-/// the LBA — no SipHash, one small allocation. LBAs are chosen by the
-/// caller's own kernel, not by an outside party, and a batch is bounded by
-/// region-1 capacity, so a collision-resistant hash buys nothing here.
-fn dedup_keep_first(reqs: &mut Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+/// The planner's reusable scratch: the dedup index. One held across
+/// batches makes planning allocation-free once it has seen the largest
+/// batch.
+#[derive(Default)]
+pub struct Planner {
+    /// Open-addressed first-occurrence index: the position of the first
+    /// request of each distinct LBA, or [`Planner::EMPTY`].
+    first: Vec<u32>,
+}
+
+impl Planner {
     const EMPTY: u32 = u32::MAX;
-    let mut dups = Vec::new();
-    if reqs.len() < 2 {
-        return dups;
-    }
-    // At most half full, so probes stay short and always find a vacancy.
-    let bits = (2 * reqs.len()).next_power_of_two().trailing_zeros();
-    let mask = (1usize << bits) - 1;
-    let mut first = vec![EMPTY; mask + 1];
-    let mut kept = 0;
-    for i in 0..reqs.len() {
-        let (lba, addr) = reqs[i];
-        let mut h = (lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
-        loop {
-            match first[h] {
-                EMPTY => {
-                    first[h] = kept as u32;
-                    reqs[kept] = (lba, addr);
-                    kept += 1;
-                    break;
-                }
-                k if reqs[k as usize].0 == lba => {
-                    dups.push((reqs[k as usize].1, addr));
-                    break;
-                }
-                _ => h = (h + 1) & mask,
-            }
+
+    /// Plans the `n` requests `req(0)`, …, `req(n - 1)` (`(lba, address)`
+    /// each) the way [`plan_batch`] does, in one pass that reads each
+    /// request once: appends the duplicate pairs to `dups` and each
+    /// stripe-contiguous run to `groups[ssd]`, both in request order, and
+    /// returns the extra runs stripe splitting made. `groups` holds one
+    /// list per SSD; pass every list empty.
+    ///
+    /// The dedup index is an open-addressed table of request positions,
+    /// probed linearly from a Fibonacci hash of the LBA — no SipHash. LBAs
+    /// are chosen by the caller's own kernel, not by an outside party, and
+    /// a batch is bounded by region-1 capacity, so a collision-resistant
+    /// hash buys nothing here.
+    #[allow(clippy::too_many_arguments)]
+    pub fn plan(
+        &mut self,
+        cfg: &PlanConfig,
+        op: ChannelOp,
+        blocks: u32,
+        n: usize,
+        req: impl Fn(usize) -> (u64, u64),
+        dups: &mut Vec<(u64, u64)>,
+        groups: &mut [Vec<(u64, u64, u32)>],
+    ) -> u64 {
+        debug_assert_eq!(groups.len(), cfg.n_ssds);
+        let dedup = op == ChannelOp::Read && n >= 2;
+        // At most half full, so probes stay short and always find a vacancy.
+        let bits = (2 * n).next_power_of_two().trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        if dedup {
+            self.first.clear();
+            self.first.resize(mask + 1, Self::EMPTY);
         }
+        let (mut kept, mut runs) = (0u64, 0u64);
+        'reqs: for i in 0..n {
+            let (lba, addr) = req(i);
+            if dedup {
+                let mut h = (lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+                loop {
+                    match self.first[h] {
+                        Self::EMPTY => {
+                            self.first[h] = i as u32;
+                            break;
+                        }
+                        k => {
+                            let (first_lba, first_addr) = req(k as usize);
+                            if first_lba == lba {
+                                dups.push((first_addr, addr));
+                                continue 'reqs;
+                            }
+                            h = (h + 1) & mask;
+                        }
+                    }
+                }
+            }
+            // Split the request by stripe across SSDs. A request that
+            // crosses a stripe boundary becomes several stripe-contiguous
+            // runs — the CPU control plane owns the striping, so GPU code
+            // never needs to know the array layout.
+            kept += 1;
+            cfg.for_each_run(lba, blocks, |ssd, dev_lba, run, offset| {
+                groups[ssd].push((dev_lba, addr + offset, run));
+                runs += 1;
+            });
+        }
+        runs.saturating_sub(kept)
     }
-    reqs.truncate(kept);
-    dups
 }
 
 /// Timing-independent protocol decisions, for driver-fidelity comparison.
@@ -315,6 +357,13 @@ mod tests {
             }
             (kept, dups)
         }
+        // One SSD and one unbounded stripe: every kept request is one run
+        // at its own LBA.
+        let whole = PlanConfig {
+            n_ssds: 1,
+            stripe_blocks: u64::MAX,
+            block_size: 4096,
+        };
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             x ^= x << 13;
@@ -322,7 +371,9 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for n in [0usize, 1, 2, 3, 64, 257, 4096] {
+        // One planner across every case: its index is reused at every size.
+        let mut planner = Planner::default();
+        for n in [0usize, 1, 2, 3, 64, 257, 4096, 5] {
             for spread in [1u64, 7, 64, 1 << 20, u64::MAX] {
                 // `<< 40` strips the low bits a weaker hash would lean on.
                 for shift in [0u32, 40] {
@@ -330,9 +381,22 @@ mod tests {
                         .map(|i| ((next() % spread) << shift, 0x1000 * i as u64))
                         .collect();
                     let (kept, dups) = reference(&reqs);
-                    let mut got = reqs.clone();
-                    assert_eq!(dedup_keep_first(&mut got), dups, "n={n} spread={spread}");
+                    let (mut got_dups, mut groups) = (Vec::new(), vec![Vec::new()]);
+                    let splits = planner.plan(
+                        &whole,
+                        ChannelOp::Read,
+                        1,
+                        n,
+                        |i| reqs[i],
+                        &mut got_dups,
+                        &mut groups,
+                    );
+                    assert_eq!(got_dups, dups, "n={n} spread={spread}");
+                    let got: Pairs = groups[0].iter().map(|&(l, a, _)| (l, a)).collect();
                     assert_eq!(got, kept, "n={n} spread={spread}");
+                    assert_eq!(splits, 0);
+                    let plan = plan_batch(&whole, ChannelOp::Read, 1, reqs);
+                    assert_eq!((plan.dups, &plan.groups), (dups, &groups));
                 }
             }
         }
@@ -362,6 +426,32 @@ mod tests {
         // block.
         assert_eq!(plan.groups[0], vec![(1, 0x1000, 1)]);
         assert_eq!(plan.groups[1], vec![(0, 0x1000 + 4096, 1)]);
+    }
+
+    #[test]
+    fn the_map_is_the_division_formula_for_every_geometry() {
+        for n_ssds in 1..=6usize {
+            for stripe_blocks in [1u64, 2, 3, 4, 7, 8, 64, 96] {
+                let c = PlanConfig {
+                    n_ssds,
+                    stripe_blocks,
+                    block_size: 4096,
+                };
+                for lba in (0..300u64).chain([u64::MAX / 3, u64::MAX - 1, u64::MAX]) {
+                    let n = n_ssds as u64;
+                    let stripe = lba / stripe_blocks;
+                    let want = (
+                        (stripe % n) as usize,
+                        stripe / n * stripe_blocks + lba % stripe_blocks,
+                    );
+                    assert_eq!(
+                        c.map(lba),
+                        want,
+                        "{n_ssds} SSDs, stripe {stripe_blocks}, lba {lba}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

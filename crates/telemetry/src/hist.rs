@@ -20,11 +20,13 @@ impl Histogram {
     /// Linear sub-buckets per power of two.
     pub const SUB_BUCKETS: usize = 32;
     const MAJOR: usize = 64;
+    /// Buckets in every histogram.
+    pub(crate) const BUCKETS: usize = Self::MAJOR * Self::SUB_BUCKETS;
 
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; Self::MAJOR * Self::SUB_BUCKETS],
+            buckets: vec![0; Self::BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -32,7 +34,8 @@ impl Histogram {
         }
     }
 
-    fn index(value: u64) -> usize {
+    /// The bucket `value` falls in.
+    pub(crate) fn index(value: u64) -> usize {
         if value < Self::SUB_BUCKETS as u64 {
             return value as usize;
         }
@@ -170,6 +173,22 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (Self::bucket_low(i), c))
             .collect()
+    }
+
+    /// Adds `n` samples to bucket `i` alone: with
+    /// [`add_totals`](Self::add_totals), merges a shard kept in another
+    /// representation.
+    pub(crate) fn add_to_bucket(&mut self, i: usize, n: u64) {
+        self.buckets[i] += n;
+    }
+
+    /// Adds the count, sum, min and max of samples whose buckets were added
+    /// with [`add_to_bucket`](Self::add_to_bucket).
+    pub(crate) fn add_totals(&mut self, count: u64, sum: u128, min: u64, max: u64) {
+        self.count += count;
+        self.sum += sum;
+        self.min = self.min.min(min);
+        self.max = self.max.max(max);
     }
 
     /// Merges another histogram into this one.

@@ -76,7 +76,7 @@ pub use obs::Observability;
 pub use postmortem::{PostmortemConfig, PostmortemDumper};
 pub use recorder::{FlightRecorder, DEFAULT_CAPACITY_PER_SHARD};
 pub use registry::{Counter, Gauge, HistogramSummary, MetricsRegistry, MetricsSnapshot};
-pub use shared::{HistogramHandle, SharedHistogram};
+pub use shared::{HistogramHandle, ShardClaim, SharedHistogram};
 pub use span::Stage;
 pub use tenant::TenantMetrics;
 pub use window::{
