@@ -40,6 +40,8 @@ pub(super) struct Worker {
     pub(super) core: WorkerCore,
     /// Commands drained from the core, executed in order.
     out: Vec<Command>,
+    /// One queue pair's reaped CQEs: sized for a full pair up front, so a
+    /// reap that finds more than any before it does not grow it.
     cqes: Vec<Cqe>,
     /// Pickup buffers, fed the records this worker retires.
     pub(super) pickup: Pickup,
@@ -65,13 +67,13 @@ impl Worker {
         for qp in &qps {
             qp.bind_host_owner();
         }
+        let depth = qps[0].depth();
         Worker {
             wid,
-            core: WorkerCore::new(sh.plan.n_ssds, qps[0].depth(), sh.retry)
-                .group_at_a_time(!pipelined),
+            core: WorkerCore::new(sh.plan.n_ssds, depth, sh.retry).group_at_a_time(!pipelined),
             qps,
             out: Vec::new(),
-            cqes: Vec::new(),
+            cqes: Vec::with_capacity(depth),
             pickup: Pickup::new(sh.plan.n_ssds, sh.channels.len()),
             _shards: ShardClaim::claim(),
         }

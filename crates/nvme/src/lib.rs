@@ -7,7 +7,8 @@
 //!
 //! 1. **Functionally** — [`QueuePair`]s are real lock-free submission /
 //!    completion rings with doorbell semantics, and [`NvmeDevice`] services
-//!    them from real threads, moving real bytes between a
+//!    them from a real thread (one for a whole SSD array), moving real
+//!    bytes between a
 //!    [`BlockStore`](cam_blockdev::BlockStore) (the flash) and a
 //!    [`DmaSpace`] (pinned GPU memory). The "no locks in the I/O
 //!    path" property the paper inherits from SPDK holds: one queue pair per

@@ -13,6 +13,10 @@
 //! joined the burst during the sleep, two more: after the sleep and at the
 //! end.
 //!
+//! Devices that share a service thread ([`NvmeDevice::start_set`]) each
+//! keep that budget: two devices rung at once read the clock no more than
+//! two lone ones would, and each takes one histogram lock per burst.
+//!
 //! The counters behind these assertions (`clock::reads`,
 //! `HistogramHandle::record_locks`) exist only in debug builds, so this
 //! file compiles to nothing under `--release`; run it without that flag.
@@ -256,4 +260,109 @@ fn a_recorder_buys_one_stamp_and_one_event_per_command() {
 #[test]
 fn a_recorder_on_a_sleeping_device_buys_the_same_stamps() {
     recorder_budget(Some(LATENCY));
+}
+
+/// Two devices serviced by one thread ([`NvmeDevice::start_set`]), each
+/// with telemetry attached unless `bare`, and their `cam_nvme_cmd_ns`
+/// handles.
+fn device_pair(
+    burst_latency: Option<Duration>,
+    bare: bool,
+) -> (Vec<NvmeDevice>, MetricsRegistry, [HistogramHandle; 2]) {
+    let dma: Arc<dyn DmaSpace> = Arc::new(PinnedRegion::new(DMA_BASE, 1 << 20));
+    let set = NvmeDevice::start_set((0..2).map(|i| {
+        let config = DeviceConfig {
+            name: format!("nvme{i}"),
+            burst_latency,
+        };
+        let store: Arc<dyn BlockStore> =
+            Arc::new(SparseMemStore::new(BlockGeometry::new(512, 4096)));
+        (config, store, Arc::clone(&dma))
+    }));
+    let reg = MetricsRegistry::new();
+    let cmd_ns = [0, 1].map(|i| reg.histogram(&format!("cam_nvme_cmd_ns{{device=\"nvme{i}\"}}")));
+    if !bare {
+        for dev in &set {
+            dev.attach_telemetry(&reg);
+        }
+    }
+    (set, reg, cmd_ns)
+}
+
+/// [`run_rings`] with one doorbell of `n` commands on each device at once:
+/// the clock reads of both, and the histogram locks of each.
+fn run_both(
+    qps: &[Arc<QueuePair>],
+    cmd_ns: &[HistogramHandle; 2],
+    n: usize,
+    recorded: bool,
+) -> (u64, [u64; 2], usize) {
+    let counted = cmd_ns.each_ref().map(|h| h.count());
+    let locks = cmd_ns.each_ref().map(|h| h.record_locks());
+    let reads = clock::reads();
+    for (d, qp) in qps.iter().enumerate() {
+        for i in 0..n {
+            let cid = i as u16;
+            let addr = DMA_BASE + 512 * (64 * d + i) as u64;
+            let sqe = match i % 7 {
+                6 => Sqe::read(cid, 4095, 2, addr),
+                _ => Sqe::read(cid, i as u64, 1, addr),
+            };
+            qp.push_sqe(sqe).unwrap();
+        }
+        qp.ring_doorbell();
+    }
+    let (mut reaped, mut errors) = (0, 0);
+    while reaped < 2 * n {
+        let mut idle = true;
+        for qp in qps {
+            if let Some(cqe) = qp.poll_cqe() {
+                idle = false;
+                reaped += 1;
+                errors += usize::from(cqe.status != Status::Success);
+            }
+        }
+        if idle {
+            std::thread::yield_now();
+        }
+    }
+    if recorded {
+        for (h, before) in cmd_ns.iter().zip(counted) {
+            while h.count() < before + n as u64 {
+                std::thread::yield_now();
+            }
+        }
+    }
+    let locks = [0, 1].map(|d| cmd_ns[d].record_locks() - locks[d]);
+    (clock::reads() - reads, locks, errors)
+}
+
+#[test]
+fn devices_sharing_a_service_thread_keep_the_one_device_budget() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (latency, attached) in [(None, true), (Some(LATENCY), false), (Some(LATENCY), true)] {
+        // One device's clock reads for a doorbell taking `bursts` bursts,
+        // as the one-device tests above bound them.
+        let budget = |bursts: u64| match (latency, attached) {
+            (None, _) => 2 * bursts,
+            (Some(_), false) => 1 + bursts,
+            (Some(_), true) => 1 + 4 * bursts,
+        };
+        let (set, _reg, cmd_ns) = device_pair(latency, !attached);
+        let qps: Vec<_> = set.iter().map(|d| d.add_queue_pair(64)).collect();
+        for (n, bursts, errors) in SHAPES {
+            let (reads, locks, errs) = run_both(&qps, &cmd_ns, n, attached);
+            let case = format!("{latency:?}, attached {attached}: {n} commands a device");
+            assert_eq!(errs, 2 * errors, "{case}");
+            assert!(
+                reads <= 2 * budget(bursts),
+                "{case} in {bursts} burst(s) each read the clock {reads} times"
+            );
+            let per_device = if attached { bursts } else { 0 };
+            assert_eq!(locks, [per_device; 2], "{case}");
+        }
+        for dev in &set {
+            assert_eq!(dev.stats().errors(), 8);
+        }
+    }
 }
