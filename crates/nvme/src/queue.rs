@@ -21,8 +21,9 @@
 //!   word: the clock at the doorbell that published it, read once per
 //!   ring. A claim returns the newest stamp among its SQEs, which is the
 //!   stamp of its last one, so the device can keep time from the rings
-//!   rather than from when its thread got to run. Other pairs' slots are
-//!   three words and their doorbells read no clock.
+//!   rather than from when its thread got to run; a claim that opens a
+//!   burst ends at the next doorbell (`take_sqes_of_one_ring`). Other
+//!   pairs' slots are three words and their doorbells read no clock.
 //! * **CQ** — the device writes a CQE into slot `cq_tail` and release-stores
 //!   the new tail; the host reaps everything visible with one acquire-load
 //!   and advances its *head* (`completed`).
@@ -416,7 +417,7 @@ impl QueuePair {
     /// case of the burst claim (`take_sqes`).
     pub fn take_sqe(&self) -> Option<Sqe> {
         let mut sqe = None;
-        self.claim(1, |s| sqe = Some(s))?;
+        self.claim(1, false, |s| sqe = Some(s))?;
         sqe
     }
 
@@ -425,23 +426,44 @@ impl QueuePair {
     /// ring stamp of the newest SQE claimed (0 on a pair that does not
     /// stamp).
     pub(crate) fn take_sqes(&self, max: usize, out: &mut Vec<Sqe>) -> Option<u64> {
-        self.claim(max, |sqe| out.push(sqe))
+        self.claim(max, false, |sqe| out.push(sqe))
     }
 
-    /// The claim behind `take_sqe`/`take_sqes`: up to `max` visible SQEs
-    /// into `read`, then a relaxed store of the head — no other thread
-    /// reads it, and `post_cqe`'s `Release` of the CQ tail orders these
-    /// reads before the host reuses the slots. Returns the newest claimed
-    /// SQE's ring stamp.
+    /// Device side: [`take_sqes`](Self::take_sqes), but the claim ends at
+    /// the first SQE a later doorbell published, so every SQE claimed
+    /// carries the returned stamp. A device opens a burst this way: the
+    /// commands of later doorbells join the burst instead of pushing its
+    /// deadline back. On a pair that does not stamp it is `take_sqes`.
+    pub(crate) fn take_sqes_of_one_ring(&self, max: usize, out: &mut Vec<Sqe>) -> Option<u64> {
+        self.claim(max, true, |sqe| out.push(sqe))
+    }
+
+    /// The claim behind `take_sqe`/`take_sqes*`: up to `max` visible SQEs
+    /// (with `one_ring`, only those of the first doorbell among them) into
+    /// `read`, then a relaxed store of the head — no other thread reads
+    /// it, and `post_cqe`'s `Release` of the CQ tail orders these reads
+    /// before the host reuses the slots. Returns the newest claimed SQE's
+    /// ring stamp.
     #[inline]
-    fn claim(&self, max: usize, mut read: impl FnMut(Sqe)) -> Option<u64> {
+    fn claim(&self, max: usize, one_ring: bool, mut read: impl FnMut(Sqe)) -> Option<u64> {
         self.device_owner.check(self.id, "device");
         let head = self.dev.sq_head.load(Ordering::Relaxed);
         let tail = self.host.stats.submitted.load(Ordering::Acquire);
         debug_assert!(tail >= head, "SQ head {head} past the tail {tail}");
-        let n = (tail - head).min(max as u64);
+        let mut n = (tail - head).min(max as u64);
         if n == 0 {
             return None;
+        }
+        let stamp = |pos: u64| {
+            self.sq_slot(pos)
+                .get(SQE_WORDS)
+                .map_or(0, |w| w.load(Ordering::Relaxed))
+        };
+        if one_ring && self.slot_words() > SQE_WORDS {
+            // One doorbell stamps all its slots alike, and stamps never
+            // fall along the ring.
+            let first = stamp(head);
+            n = (1..n).find(|&k| stamp(head + k) != first).unwrap_or(n);
         }
         for pos in head..head + n {
             let slot = self.sq_slot(pos);
@@ -449,10 +471,7 @@ impl QueuePair {
                 [0, 1, 2].map(|w| slot[w].load(Ordering::Relaxed)),
             ));
         }
-        let rung_ns = self
-            .sq_slot(head + n - 1)
-            .get(SQE_WORDS)
-            .map_or(0, |w| w.load(Ordering::Relaxed));
+        let rung_ns = stamp(head + n - 1);
         self.dev.sq_head.store(head + n, Ordering::Relaxed);
         Some(rung_ns)
     }
@@ -849,5 +868,35 @@ mod tests {
         let plain = QueuePair::new(1, 8);
         plain.submit(Sqe::flush(4)).unwrap();
         assert_eq!(plain.take_sqes(8, &mut out), Some(0));
+    }
+
+    #[test]
+    fn a_one_ring_claim_ends_at_the_next_doorbell() {
+        let qp = QueuePair::with_ring_stamps(0, 8);
+        for cid in 1..=2 {
+            qp.push_sqe(Sqe::read(cid, 0, 1, 0)).unwrap();
+        }
+        qp.ring_doorbell();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        for cid in 3..=5 {
+            qp.push_sqe(Sqe::read(cid, 0, 1, 0)).unwrap();
+        }
+        qp.ring_doorbell();
+        let mut out = Vec::new();
+        let first = qp.take_sqes_of_one_ring(8, &mut out).unwrap();
+        assert!(out.iter().map(|s| s.cid).eq(1..=2));
+        // `max` still bounds the claim within a doorbell.
+        let second = qp.take_sqes_of_one_ring(2, &mut out).unwrap();
+        let third = qp.take_sqes_of_one_ring(8, &mut out).unwrap();
+        assert!(out.iter().map(|s| s.cid).eq(1..=5));
+        assert!(first + 2_000_000 <= second && second == third);
+        assert_eq!(qp.take_sqes_of_one_ring(8, &mut out), None);
+        // A pair that does not stamp claims every visible SQE.
+        let plain = QueuePair::new(1, 8);
+        plain.submit(Sqe::flush(6)).unwrap();
+        plain.submit(Sqe::flush(7)).unwrap();
+        out.clear();
+        assert_eq!(plain.take_sqes_of_one_ring(8, &mut out), Some(0));
+        assert_eq!(out.len(), 2);
     }
 }
