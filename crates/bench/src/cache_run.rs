@@ -7,14 +7,14 @@
 use std::sync::Arc;
 
 use cam_cache::{run_cam_des_cached, CacheConfig};
-use cam_core::CamConfig;
-use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesObs};
+use cam_core::{run_threaded_source, CamConfig, ChannelOp};
+use cam_iostacks::cam_des::{run_cam_des_source, CamDesBatch, CamDesObs, StaticSource};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_simkit::dist::{seeded_rng, Zipf};
 use cam_telemetry::{FlightRecorder, MetricsRegistry, Observability};
 
-use crate::fidelity_run::{des_config, read_mean_ns, run_threaded, run_threaded_cached};
+use crate::fidelity_run::{des_config, read_mean_ns, run_threaded_cached};
 use crate::figures::require;
 
 /// The Zipf-draw seed of the DLRM workload `repro cache` runs (the
@@ -139,18 +139,19 @@ pub fn run_cache_sweep(
     let mut out = Vec::with_capacity(CacheWorkload::ALL.len() * slot_sizes.len());
     for workload in CacheWorkload::ALL {
         let batches = workload.batches(seed);
-        let plain = vec![batches
-            .iter()
-            .map(|lbas| CamDesBatch {
+        let plain = || {
+            let batches = batches.iter().map(|lbas| CamDesBatch {
                 lbas: lbas.clone(),
                 blocks: 1,
-            })
-            .collect()];
+            });
+            StaticSource::new(vec![batches.collect()], ChannelOp::Read)
+        };
         let registry = Arc::new(MetricsRegistry::new());
         let obs = Observability::with_registry(Arc::clone(&registry));
-        run_threaded(&rig(), CamConfig::default(), obs, &plain);
+        run_threaded_source(&rig(), CamConfig::default(), obs, &mut plain());
         let uncached = registry.snapshot();
-        let uncached_des = run_cam_des_obs(des_cfg(), plain, None, CamDesObs::default());
+        let uncached_des =
+            run_cam_des_source(des_cfg(), 1, Box::new(plain()), None, CamDesObs::default());
         for &slots in slot_sizes {
             let registry = Arc::new(MetricsRegistry::new());
             let mut obs = Observability::with_registry(Arc::clone(&registry));

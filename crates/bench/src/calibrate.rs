@@ -27,12 +27,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cam_core::CamConfig;
-use cam_iostacks::cam_des::CamDesBatch;
+use cam_core::{run_threaded_source, CamConfig, ChannelOp};
+use cam_iostacks::cam_des::{CamDesBatch, StaticSource};
 use cam_iostacks::{CpuPipeModel, Rig, RigConfig};
 use cam_telemetry::{Event, EventKind, FlightRecorder};
 
-use crate::fidelity_run::run_threaded;
 use crate::table::Table;
 
 /// Batch sizes the calibration sweep drives. Spanning 4..=64 requests
@@ -142,7 +141,8 @@ pub fn measure_dispatch(rounds_per_size: u64) -> Vec<(u64, u64)> {
             })
         })
         .collect();
-    run_threaded(&rig, CamConfig::default(), obs, &[batches]);
+    let mut source = StaticSource::new(vec![batches], ChannelOp::Read);
+    run_threaded_source(&rig, CamConfig::default(), obs, &mut source);
     dispatch_samples(&recorder.snapshot())
 }
 

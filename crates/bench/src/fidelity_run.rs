@@ -3,10 +3,11 @@
 //!
 //! The threaded control plane (`cam-core`) and the DES driver
 //! (`cam_iostacks::cam_des`) both execute `cam-protocol`'s state machines.
-//! This experiment drives a matched multi-channel read workload — with
+//! This experiment states a multi-channel read workload once — with
 //! duplicate LBAs and stripe-boundary crossings, so the planner has real
-//! decisions to make — through both, in pipelined and blocking mode, and
-//! compares:
+//! decisions to make — as a [`StaticSource`], runs that source on both
+//! drivers ([`run_threaded_source`] and [`run_cam_des_source`]), in
+//! pipelined and blocking mode, and compares:
 //!
 //! * **Decisions** ([`DecisionCounters`]): batches, requests, dedup drops,
 //!   stripe splits, groups, first submissions, retries, timeouts. These are
@@ -34,8 +35,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cam_cache::{run_cam_des_cached, CacheConfig, CachedDevice};
-use cam_core::{CamConfig, CamContext, ChannelOp, ControlStats};
-use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs};
+use cam_core::{run_threaded_source, CamConfig, CamContext, ChannelOp};
+use cam_iostacks::cam_des::{
+    run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, StaticSource,
+};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::cache_core::{replay_read_workload, CacheDecisionCounters};
@@ -256,48 +259,6 @@ pub fn run_fidelity_experiment(
     }
 }
 
-/// The threaded twin of `run_cam_des_obs`: attaches a [`CamContext`] to
-/// `rig` with `cfg` and `obs`, drives `channels` with one scoped thread per
-/// channel, each keeping one batch outstanding (scatter the batch's reads
-/// over a per-channel buffer, wait for the retire, next), and stops the
-/// engine before it returns the engine's counters. Stopping drains the
-/// lanes, so every event of the run is in `obs`'s recorder on return.
-pub(crate) fn run_threaded(
-    rig: &Rig,
-    cfg: CamConfig,
-    obs: Observability,
-    channels: &[Vec<CamDesBatch>],
-) -> ControlStats {
-    let cam = CamContext::attach_observed(rig, cfg, obs);
-    let block_size = cam.block_size() as usize;
-    std::thread::scope(|s| {
-        for (ch, batches) in channels.iter().enumerate() {
-            let dev = cam.device();
-            let batch_bytes = |b: &CamDesBatch| b.lbas.len() * b.blocks as usize * block_size;
-            let buf = cam
-                .alloc(batches.iter().map(batch_bytes).max().unwrap_or(0))
-                .expect("alloc channel buffer");
-            s.spawn(move || {
-                let addr = buf.addr();
-                for b in batches {
-                    let bytes_per_req = b.blocks as usize * block_size;
-                    let ticket = dev
-                        .submit_scatter(
-                            ch,
-                            ChannelOp::Read,
-                            &b.lbas,
-                            |i| addr + (i * bytes_per_req) as u64,
-                            b.blocks,
-                        )
-                        .expect("submit");
-                    ticket.wait().expect("batch retires cleanly");
-                }
-            });
-        }
-    });
-    cam.stats()
-}
-
 /// The threaded twin of `run_cam_des_cached`: attaches a [`CamContext`]
 /// with `cfg` on `CACHED_N_CHANNELS` channels and a [`CachedDevice`]
 /// with `cache`, then reads `batches` one at a time. It quiesces after
@@ -400,7 +361,8 @@ fn run_functional(
         ..CamConfig::default()
     };
     let inflight_mean = sample_inflight(&registry, || {
-        run_threaded(&rig, cfg, obs, channels);
+        let mut source = StaticSource::new(channels.to_vec(), ChannelOp::Read);
+        run_threaded_source(&rig, cfg, obs, &mut source);
     });
 
     let snapshot = registry.snapshot();
@@ -485,9 +447,10 @@ fn run_des(
     channels: &[Vec<CamDesBatch>],
     recorder: Option<Arc<FlightRecorder>>,
 ) -> FidelityModeReport {
-    let r = run_cam_des_obs(
+    let r = run_cam_des_source(
         des_config(N_SSDS, STRIPE_BLOCKS, pipelined, rig_matched_ssd_model()),
-        channels.to_vec(),
+        channels.len(),
+        Box::new(StaticSource::new(channels.to_vec(), ChannelOp::Read)),
         recorder,
         CamDesObs::default(),
     );

@@ -17,8 +17,10 @@
 use std::sync::Arc;
 
 use cam_blockdev::{BlockGeometry, BlockStore, FaultPolicy, FaultyStore, SparseMemStore};
-use cam_core::CamConfig;
-use cam_iostacks::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs, DesFaultSpec};
+use cam_core::{run_threaded_source, CamConfig, ChannelOp};
+use cam_iostacks::cam_des::{
+    run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, DesFaultSpec, StaticSource,
+};
 use cam_iostacks::{Rig, RigConfig};
 use cam_nvme::SsdModel;
 use cam_protocol::RetryPolicy;
@@ -27,7 +29,7 @@ use cam_telemetry::{
     SloTracker, Stage, WindowConfig,
 };
 
-use crate::fidelity_run::{des_config, run_threaded};
+use crate::fidelity_run::des_config;
 use crate::figures::require;
 
 /// SSDs in the array; SSD 0 carries the faults, SSD 1 stays healthy.
@@ -132,16 +134,14 @@ fn retry_events(recorder: &FlightRecorder) -> u64 {
     events.iter().filter(|e| is_retry(e.kind)).count() as u64
 }
 
-/// The matched workload: `ROUNDS` batches of single-block reads over
-/// array LBAs `0..BATCH_REQS` on one channel.
-fn workload() -> Vec<Vec<CamDesBatch>> {
-    vec![vec![
-        CamDesBatch {
-            lbas: (0..BATCH_REQS).collect(),
-            blocks: 1,
-        };
-        ROUNDS
-    ]]
+/// The matched workload both drivers run: `ROUNDS` batches of
+/// single-block reads over array LBAs `0..BATCH_REQS` on one channel.
+fn workload() -> StaticSource {
+    let batch = CamDesBatch {
+        lbas: (0..BATCH_REQS).collect(),
+        blocks: 1,
+    };
+    StaticSource::new(vec![vec![batch; ROUNDS]], ChannelOp::Read)
 }
 
 /// Runs the overload workload on both drivers and assembles the report.
@@ -198,7 +198,7 @@ fn run_functional() -> HealthDriverReport {
     // Transient faults retire clean: the retry budget absorbs every one.
     // The runner stops the engine, which drains the lanes, so the
     // `→ Recovered` transition is in the recorder before we snapshot it.
-    let stats = run_threaded(&rig, cfg, obs, &workload());
+    let stats = run_threaded_source(&rig, cfg, obs, &mut workload());
 
     let transitions = transitions_from_events(&recorder);
     let now = clock::now_ns();
@@ -225,7 +225,7 @@ fn run_des() -> HealthDriverReport {
         slo: Some(Arc::clone(&slo)),
         lifecycle: true,
     };
-    let r = run_cam_des_obs(
+    let r = run_cam_des_source(
         CamDesConfig {
             retry: RetryPolicy {
                 max_retries: MAX_RETRIES,
@@ -237,7 +237,8 @@ fn run_des() -> HealthDriverReport {
             )),
             ..des_config(N_SSDS, 1, true, SsdModel::p5510())
         },
-        workload(),
+        1,
+        Box::new(workload()),
         Some(Arc::clone(&recorder)),
         obs,
     );

@@ -1,18 +1,19 @@
 //! Instrumented functional-engine run: drives a multi-batch read+write
-//! workload through [`CamContext`] with a shared [`MetricsRegistry`]; the
+//! workload, stated as a [`DesBatchSource`], through the threaded engine
+//! ([`run_threaded_source`]) with a shared [`MetricsRegistry`]; the
 //! `bench` verb prints its throughput and the stage latency quantiles
 //! straight from the registry, writes the registry under `--metrics`, and
 //! exports its timeline, followed by a small DES run's
 //! ([`record_des_microbench`]), under `--trace`.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use cam_core::{CamConfig, CamContext};
+use cam_core::{run_threaded_source, CamConfig, ChannelOp};
+use cam_iostacks::cam_des::{CamDesBatch, DesBatchSource};
 use cam_iostacks::{Rig, RigConfig};
 use cam_telemetry::attribution::BatchAttribution;
-use cam_telemetry::{
-    clock, Event, FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability,
-};
+use cam_telemetry::{Event, FlightRecorder, MetricsRegistry, MetricsSnapshot, Observability};
 
 use crate::figures::require;
 
@@ -27,7 +28,8 @@ pub struct TelemetryRun {
     pub requests: u64,
     /// Bytes moved (requests × block size).
     pub bytes: u64,
-    /// Wall-clock duration of the workload, nanoseconds.
+    /// Wall-clock time the workload's batches were in flight (one at a
+    /// time, doorbell to retire), nanoseconds.
     pub elapsed_ns: u64,
 }
 
@@ -51,11 +53,11 @@ impl TelemetryRun {
     }
 }
 
-/// Runs `rounds` rounds of a `batch`-request write-back + prefetch workload
-/// on a default 4-SSD rig, fully instrumented, and returns the telemetry.
-/// With a flight recorder attached the returned [`TelemetryRun`] also
-/// carries the merged event timeline (for Chrome-trace export and
-/// latency attribution) alongside the metric snapshot.
+/// Runs `rounds` rounds of a `batch`-request write-back (channel 1) +
+/// prefetch (channel 0) workload on a default 4-SSD rig, fully
+/// instrumented, and returns the telemetry. With a flight recorder
+/// attached the returned [`TelemetryRun`] also carries the merged event
+/// timeline (for Chrome-trace export and latency attribution).
 pub fn run_recorded(
     rounds: u64,
     batch: u64,
@@ -65,32 +67,47 @@ pub fn run_recorded(
     let registry = Arc::new(MetricsRegistry::new());
     let mut obs = Observability::with_registry(Arc::clone(&registry));
     obs.recorder = recorder.clone();
-    let cam = CamContext::attach_observed(&rig, CamConfig::default(), obs);
-    let dev = cam.device();
-    let bs = cam.block_size() as usize;
-    let wbuf = cam.alloc(batch as usize * bs).expect("alloc write buffer");
-    let rbuf = cam.alloc(batch as usize * bs).expect("alloc read buffer");
-    wbuf.write(0, &vec![0xC3; batch as usize * bs]);
-
-    let start_ns = clock::now_ns();
+    let mut source = OneAtATime::default();
     for round in 0..rounds {
         let base = (round * batch) % (rig.array_blocks() - batch);
         let lbas: Vec<u64> = (base..base + batch).collect();
-        dev.write_back(&lbas, wbuf.addr()).expect("write_back");
-        dev.write_back_synchronize()
-            .expect("write_back_synchronize");
-        dev.prefetch(&lbas, rbuf.addr()).expect("prefetch");
-        dev.prefetch_synchronize().expect("prefetch_synchronize");
+        source.steps.push_back((1, ChannelOp::Write, lbas.clone()));
+        source.steps.push_back((0, ChannelOp::Read, lbas));
     }
-    let elapsed_ns = clock::now_ns().saturating_sub(start_ns);
-
-    let stats = cam.stats();
+    let stats = run_threaded_source(&rig, CamConfig::default(), obs, &mut source);
     TelemetryRun {
         snapshot: registry.snapshot(),
         events: recorder.map(|rec| rec.snapshot()).unwrap_or_default(),
         requests: stats.requests,
-        bytes: stats.requests * bs as u64,
-        elapsed_ns,
+        bytes: stats.requests * u64::from(rig.block_size()),
+        elapsed_ns: stats.total_io.as_ns(),
+    }
+}
+
+/// Single-block batches, each published on its channel once the one
+/// before it retired.
+#[derive(Default)]
+struct OneAtATime {
+    steps: VecDeque<(usize, ChannelOp, Vec<u64>)>,
+    in_flight: bool,
+}
+
+impl DesBatchSource for OneAtATime {
+    fn next_batch(&mut self, channel: usize, _now_ns: u64) -> Option<(CamDesBatch, ChannelOp)> {
+        if self.in_flight || self.steps.front()?.0 != channel {
+            return None;
+        }
+        let (_, op, lbas) = self.steps.pop_front()?;
+        self.in_flight = true;
+        Some((CamDesBatch { lbas, blocks: 1 }, op))
+    }
+
+    fn on_retire(&mut self, _channel: usize, _now_ns: u64, _errors: u64) {
+        self.in_flight = false;
+    }
+
+    fn is_drained(&self) -> bool {
+        !self.in_flight && self.steps.is_empty()
     }
 }
 

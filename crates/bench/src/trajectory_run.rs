@@ -40,14 +40,15 @@
 use std::sync::Arc;
 
 use cam_cache::run_cam_des_cached;
-use cam_iostacks::cam_des::{run_cam_des_obs, CamDesObs, CamDesReport};
+use cam_iostacks::cam_des::{run_cam_des_source, CamDesObs, CamDesReport, StaticSource};
 use cam_nvme::SsdModel;
+use cam_protocol::ChannelOp;
 use cam_telemetry::attribution::{self, component_name, BatchAttribution};
 use cam_telemetry::{FlightRecorder, Histogram, Stage};
 
 use crate::fidelity_run::{
-    cached_cache_cfg, cached_fidelity_workload_seeded, des_config, fidelity_workload, N_SSDS,
-    STRIPE_BLOCKS,
+    cached_cache_cfg, cached_fidelity_workload_seeded, des_config, fidelity_workload, N_CHANNELS,
+    N_SSDS, STRIPE_BLOCKS,
 };
 use crate::pins::{self, TRANSCRIPT_FILE};
 use crate::table::Table;
@@ -143,9 +144,9 @@ impl Trajectory {
 /// model, same [`Trajectory`] (virtual time end to end).
 pub fn run_trajectory(model: SsdModel) -> Trajectory {
     trials(|seed, recorder, obs| {
-        let workload = fidelity_workload(ROUNDS, seed);
+        let workload = StaticSource::new(fidelity_workload(ROUNDS, seed), ChannelOp::Read);
         let config = des_config(N_SSDS, STRIPE_BLOCKS, true, model);
-        run_cam_des_obs(config, workload, recorder, obs)
+        run_cam_des_source(config, N_CHANNELS, Box::new(workload), recorder, obs)
     })
 }
 

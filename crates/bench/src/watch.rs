@@ -13,8 +13,8 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cam_core::CamConfig;
-use cam_iostacks::cam_des::CamDesBatch;
+use cam_core::{run_threaded_source, CamConfig, ChannelOp};
+use cam_iostacks::cam_des::{CamDesBatch, StaticSource};
 use cam_serving::{run_serving_threaded, Policy, ServingConfig, ServingCore};
 use cam_telemetry::{
     clock, health_state_label, FlightRecorder, MetricsRegistry, Observability, OpsWindows,
@@ -23,7 +23,6 @@ use cam_telemetry::{
 use cam_workloads::kv_cache::KvCacheConfig;
 use parking_lot::Mutex;
 
-use crate::fidelity_run::run_threaded;
 use crate::health_run::{overload_rig, slo_config, N_SSDS};
 use crate::Table;
 
@@ -103,8 +102,9 @@ pub fn run_watch(once: bool, mut emit: impl FnMut(&Frame)) -> Frame {
             vec![CamDesBatch { lbas, blocks: 1 }; ROUNDS]
         })
         .collect();
+    let mut source = StaticSource::new(workload, ChannelOp::Read);
     std::thread::scope(|s| {
-        let driver = s.spawn(|| run_threaded(&rig, cfg, obs, &workload));
+        let driver = s.spawn(|| run_threaded_source(&rig, cfg, obs, &mut source));
         while !once && !driver.is_finished() {
             emit(&render(&registry, &windows, &slo, &tenant_reg));
             std::thread::sleep(Duration::from_millis(200));

@@ -74,6 +74,7 @@ mod engine;
 mod pipeline;
 mod regions;
 mod scaler;
+mod source;
 
 pub use api::{BatchTicket, CamConfig, CamContext, CamDevice, CamError};
 pub use backend::{BackendError, CamBackend, IoRequest, StorageBackend};
@@ -81,3 +82,4 @@ pub use engine::{ControlStats, ThreadModel};
 pub use pipeline::DoubleBuffer;
 pub use regions::{Channel, ChannelOp, PublishError};
 pub use scaler::DynamicScaler;
+pub use source::run_threaded_source;

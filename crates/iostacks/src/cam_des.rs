@@ -29,8 +29,10 @@
 //! Channels keep the paper's single-outstanding-batch semantics: a
 //! channel's next batch publishes the instant the previous one retires, so
 //! cross-batch pipelining comes from multiple channels — exactly as in the
-//! functional engine. `cam-bench`'s fidelity experiment runs matched
-//! workloads on both drivers and asserts the protocol decisions agree.
+//! functional engine. A workload is one [`DesBatchSource`], run here by
+//! [`run_cam_des_source`] or on the wall clock by
+//! `cam_core::run_threaded_source`; `cam-bench`'s fidelity experiment runs
+//! one on both drivers and asserts the protocol decisions agree.
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
@@ -113,9 +115,9 @@ pub struct CamDesConfig {
     pub block_size: u32,
     /// Blocks per stripe unit.
     pub stripe_blocks: u64,
-    /// Operation every batch of a fixed [`run_cam_des_obs`] workload carries.
-    /// Ignored by [`run_cam_des_source`], where each batch brings its own
-    /// op from the [`DesBatchSource`].
+    /// Read by no code: each batch carries the op its [`DesBatchSource`]
+    /// returns ([`StaticSource::new`] takes it). Kept only because the
+    /// frozen benchmark names it; delete at the next benchmark re-anchor.
     pub op: ChannelOp,
     /// Worker threads modelled (one CPU submit pipe each); SSD `s` belongs
     /// to worker `s % threads`, as in the threaded driver's routing.
@@ -245,18 +247,17 @@ pub struct CamDesBatch {
     pub blocks: u32,
 }
 
-/// A dynamic batch feed for [`run_cam_des_source`]: instead of fixed
-/// per-channel queues, the source decides each channel's next batch (and
-/// the NVMe op it carries) at the moment the channel frees, on the virtual
-/// timeline. This is what lets a closed-loop layer above the protocol — a
-/// fair scheduler, an admission controller — make decisions that depend on
-/// completions, while the driver keeps the paper's single-outstanding-batch
-/// channel semantics.
+/// A workload as a batch feed, run by [`run_cam_des_source`] in virtual
+/// time or by `cam_core::run_threaded_source` on the wall clock: the
+/// source decides each channel's next batch (and its op) the moment the
+/// channel frees, so a closed-loop layer above the protocol — a fair
+/// scheduler, an admission controller — can decide on completions, while
+/// each channel keeps the paper's single-outstanding-batch semantics.
 pub trait DesBatchSource {
-    /// The next batch for `channel` at virtual instant `now_ns`, with its
-    /// op. `None` leaves the channel idle; the driver re-polls after every
-    /// retirement and at [`DesBatchSource::next_ready_ns`]. Returned
-    /// batches must be non-empty and carry at least one block per request.
+    /// The next batch for `channel` at `now_ns` on the driver's clock, with
+    /// its op. `None` leaves the channel idle; the driver re-polls after
+    /// every retirement and at [`DesBatchSource::next_ready_ns`]. Batches
+    /// must be non-empty and carry at least one block per request.
     fn next_batch(&mut self, channel: usize, now_ns: u64) -> Option<(CamDesBatch, ChannelOp)>;
 
     /// A batch previously returned for `channel` retired at `now_ns` with
@@ -266,29 +267,41 @@ pub trait DesBatchSource {
     }
 
     /// Earliest future instant at which new work may appear even if no
-    /// retirement happens first (e.g. a token bucket refilling). The driver
-    /// arms a calendar timer there whenever a channel is idle. `None`
-    /// means only retirements can unblock the source.
+    /// retirement happens first (e.g. a token bucket refilling): the DES
+    /// arms a timer there whenever a channel is idle, the threaded driver
+    /// polls. `None` means only retirements can unblock the source.
     fn next_ready_ns(&mut self, now_ns: u64) -> Option<u64> {
         let _ = now_ns;
         None
     }
 
-    /// Whether the source has no queued, gated, or in-flight work left.
-    /// The run asserts this after the calendar drains.
+    /// Whether the source has no queued, gated, or in-flight work left;
+    /// with every channel idle, it ends a run on either driver.
     fn is_drained(&self) -> bool;
 }
 
-/// The fixed-workload source behind [`run_cam_des_obs`]: one pre-built queue
-/// per channel, every batch carrying the configured op.
-struct StaticSource {
+/// A fixed workload: one queue of batches per channel, all carrying one
+/// op, each published the moment its channel frees. Channels past the
+/// last queue stay idle.
+pub struct StaticSource {
     queues: Vec<VecDeque<CamDesBatch>>,
     op: ChannelOp,
 }
 
+impl StaticSource {
+    /// Channel `c` publishes `channels[c]` in order.
+    pub fn new(channels: Vec<Vec<CamDesBatch>>, op: ChannelOp) -> Self {
+        StaticSource {
+            queues: channels.into_iter().map(VecDeque::from).collect(),
+            op,
+        }
+    }
+}
+
 impl DesBatchSource for StaticSource {
     fn next_batch(&mut self, channel: usize, _now_ns: u64) -> Option<(CamDesBatch, ChannelOp)> {
-        self.queues[channel].pop_front().map(|b| (b, self.op))
+        let batch = self.queues.get_mut(channel)?.pop_front()?;
+        Some((batch, self.op))
     }
 
     fn is_drained(&self) -> bool {
@@ -836,33 +849,13 @@ fn bump_depth(w: &mut DesWorld, ssd: usize, now: u64, delta: i64) {
     }
 }
 
-/// Runs the CAM protocol layer over the DES timing models until every
-/// channel's batches have retired. Deterministic: same inputs, same
-/// virtual-time outcome; an attached recorder observes
-/// [`EventKind::SimIssue`]/[`EventKind::SimComplete`] pairs without
-/// perturbing the model. The run feeds `obs`'s rolling windows and SLO
-/// tracker at virtual timestamps, exactly as the threaded engine feeds its
-/// own at wall timestamps ([`CamDesObs::default`] attaches none).
-pub fn run_cam_des_obs(
-    cfg: CamDesConfig,
-    channels: Vec<Vec<CamDesBatch>>,
-    recorder: Option<Arc<FlightRecorder>>,
-    obs: CamDesObs,
-) -> CamDesReport {
-    assert!(!channels.is_empty(), "at least one channel");
-    let n_channels = channels.len();
-    let source = StaticSource {
-        queues: channels.into_iter().map(VecDeque::from).collect(),
-        op: cfg.op,
-    };
-    run_cam_des_source(cfg, n_channels, Box::new(source), recorder, obs)
-}
-
-/// Runs the CAM protocol layer over the DES timing models with a dynamic
-/// [`DesBatchSource`] feeding the channels (the serving front-end's entry
-/// point). `cfg.op` is ignored — each batch carries the op the source
-/// returns. The run ends when the calendar drains, and asserts the source
-/// reports itself drained (a source stalled with work left and no
+/// Runs the CAM protocol layer over the DES timing models, `source`
+/// feeding `n_channels` channels. Deterministic; an attached recorder
+/// observes [`EventKind::SimIssue`]/[`EventKind::SimComplete`] pairs
+/// without perturbing the model, and `obs`'s windows and SLO tracker are
+/// fed at virtual timestamps, as the threaded engine feeds its own at wall
+/// timestamps. The run ends when the calendar drains, and asserts the
+/// source reports itself drained (a source stalled with work left and no
 /// [`DesBatchSource::next_ready_ns`] wakeup is a scheduling bug).
 pub fn run_cam_des_source(
     cfg: CamDesConfig,
@@ -1021,9 +1014,20 @@ mod tests {
         assert_eq!(DesSim::ENTRY_BYTES, 32);
     }
 
+    /// A fixed read workload, observed by `recorder` and `obs`.
+    fn run_obs(
+        cfg: CamDesConfig,
+        channels: Vec<Vec<CamDesBatch>>,
+        recorder: Option<Arc<FlightRecorder>>,
+        obs: CamDesObs,
+    ) -> CamDesReport {
+        let source = StaticSource::new(channels, ChannelOp::Read);
+        run_cam_des_source(cfg, source.queues.len(), Box::new(source), recorder, obs)
+    }
+
     /// An unobserved fixed-workload run.
     fn run(cfg: CamDesConfig, channels: Vec<Vec<CamDesBatch>>) -> CamDesReport {
-        run_cam_des_obs(cfg, channels, None, CamDesObs::default())
+        run_obs(cfg, channels, None, CamDesObs::default())
     }
 
     fn seq_batch(base: u64, n: u64) -> CamDesBatch {
@@ -1180,7 +1184,7 @@ mod tests {
             slo: None,
             lifecycle: true,
         };
-        let r = run_cam_des_obs(c, vec![vec![seq_batch(0, 4)]], Some(Arc::clone(&rec)), obs);
+        let r = run_obs(c, vec![vec![seq_batch(0, 4)]], Some(Arc::clone(&rec)), obs);
         assert!(r.decisions.retries >= 2, "{:?}", r.decisions);
         assert_eq!(r.decisions.timeouts, 1);
         let (retried, groups) = windows.ssd_retries[0].sums_at(r.duration.as_ns());
@@ -1231,7 +1235,7 @@ mod tests {
             slo: Some(Arc::clone(&slo)),
             lifecycle: false,
         };
-        let r = run_cam_des_obs(
+        let r = run_obs(
             cfg(1, true),
             vec![vec![seq_batch(0, 8), seq_batch(8, 8)]],
             None,
@@ -1253,7 +1257,7 @@ mod tests {
             slo: None,
             lifecycle: false,
         };
-        let r2 = run_cam_des_obs(
+        let r2 = run_obs(
             cfg(1, true),
             vec![vec![seq_batch(0, 8), seq_batch(8, 8)]],
             None,
@@ -1396,7 +1400,7 @@ mod tests {
                 slo: None,
                 lifecycle: true,
             };
-            run_cam_des_obs(
+            run_obs(
                 c,
                 vec![vec![seq_batch(0, 8), seq_batch(8, 8)]],
                 Some(Arc::clone(&rec)),
@@ -1451,7 +1455,7 @@ mod tests {
             slo: None,
             lifecycle: true,
         };
-        run_cam_des_obs(
+        run_obs(
             c,
             vec![vec![seq_batch(0, 4)], vec![seq_batch(1 << 32, 4)]],
             Some(Arc::clone(&rec)),
@@ -1469,7 +1473,7 @@ mod tests {
         let workload = || vec![vec![seq_batch(0, 32)]];
         let plain = run(cfg(2, true), workload());
         let rec = Arc::new(FlightRecorder::new());
-        let traced = run_cam_des_obs(
+        let traced = run_obs(
             cfg(2, true),
             workload(),
             Some(Arc::clone(&rec)),

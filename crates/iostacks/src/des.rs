@@ -27,7 +27,7 @@ use cam_nvme::{DesSsd, SsdModel};
 use cam_protocol::ChannelOp;
 use cam_simkit::{Dur, EventKind, FlightRecorder, Pipe, Sim, Time};
 
-use crate::cam_des::{run_cam_des_obs, CamDesBatch, CamDesConfig, CamDesObs};
+use crate::cam_des::{run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, StaticSource};
 
 /// The SSD management being modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -436,10 +436,6 @@ fn run_cam_microbench(
     );
     let des_cfg = CamDesConfig {
         block_size: cfg.granularity as u32,
-        op: match cfg.dir {
-            IoDir::Read => ChannelOp::Read,
-            IoDir::Write => ChannelOp::Write,
-        },
         queue_depth: (cfg.queue_depth.max(1)) as usize,
         ..CamDesConfig::calibrated(cfg.n_ssds, threads)
     };
@@ -464,7 +460,13 @@ fn run_cam_microbench(
         remaining -= n;
         ch = (ch + 1) % CAM_DES_CHANNELS;
     }
-    let report = run_cam_des_obs(des_cfg, channels, recorder, CamDesObs::default());
+    let op = match cfg.dir {
+        IoDir::Read => ChannelOp::Read,
+        IoDir::Write => ChannelOp::Write,
+    };
+    let source = Box::new(StaticSource::new(channels, op));
+    let obs = CamDesObs::default();
+    let report = run_cam_des_source(des_cfg, CAM_DES_CHANNELS, source, recorder, obs);
     assert_eq!(report.commands, cfg.requests, "closed loop must drain");
 
     let raw_gbps = (cfg.requests * cfg.granularity) as f64 / report.duration.as_ns().max(1) as f64;

@@ -263,11 +263,6 @@ impl ServingCore {
         self.cfg.capacity_blocks()
     }
 
-    /// Largest batch the core publishes on any channel, blocks.
-    pub fn max_batch_blocks(&self) -> u64 {
-        self.cfg.max_batch_blocks
-    }
-
     /// Pulls admissible steps from every tenant's trace head.
     fn admit(&mut self, now_ns: u64) {
         for t in 0..self.traces.len() {

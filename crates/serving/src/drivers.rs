@@ -1,12 +1,12 @@
-//! The two drivers that pump a [`ServingCore`]: the DES driver (virtual
-//! time, thousands of sessions in milliseconds of CPU) and the threaded
-//! driver (real `CamContext` batch tickets on the wall clock). Both obey
-//! the same pump contract, so a run's metric schema is identical across
-//! drivers — only the timeline differs.
+//! A [`ServingCore`] on either clock: [`CoreSource`] makes the core a
+//! [`DesBatchSource`], which the DES driver runs in virtual time and the
+//! threaded one ([`run_threaded_source`]) on real batch tickets. Both call
+//! the same hooks, failed commands included, so a run's metric schema is
+//! identical across drivers — only the timeline differs.
 
 use std::sync::Arc;
 
-use cam_core::{CamConfig, CamContext};
+use cam_core::{run_threaded_source, CamConfig};
 use cam_iostacks::cam_des::{
     run_cam_des_source, CamDesBatch, CamDesConfig, CamDesObs, CamDesReport, DesBatchSource,
 };
@@ -84,9 +84,8 @@ pub fn run_serving_des(core: Arc<Mutex<ServingCore>>, n_ssds: usize) -> (Serving
     )
 }
 
-/// Runs the core to completion on the threaded functional driver: a real
-/// `CamContext` over sparse media, one outstanding batch ticket per
-/// channel, polled on the wall clock. `registry` (when given) should be
+/// Runs the core to completion on the threaded functional driver, over
+/// sparse media sized for its sessions. `registry` (when given) should be
 /// the registry the core's [`TenantMetrics`](cam_telemetry::TenantMetrics)
 /// were built against, so control-plane and tenant metrics land together.
 pub fn run_serving_threaded(
@@ -94,84 +93,28 @@ pub fn run_serving_threaded(
     n_ssds: usize,
     registry: Option<Arc<MetricsRegistry>>,
 ) -> ServingRun {
-    let (capacity, max_batch) = {
-        let c = core.lock();
-        (c.capacity_blocks(), c.max_batch_blocks())
+    let rig = Rig::new(rig_config(&core.lock(), n_ssds));
+    let cfg = CamConfig {
+        n_channels: N_CHANNELS,
+        workers: Some(2.min(n_ssds)),
+        ..CamConfig::default()
     };
-    let rig_cfg = RigConfig {
-        n_ssds,
-        blocks_per_ssd: capacity.div_ceil(n_ssds as u64).max(64),
-        ..RigConfig::default()
-    };
-    let block_size = u64::from(rig_cfg.block_size);
-    let rig = Rig::new(rig_cfg);
-    let obs = match registry {
-        Some(reg) => Observability::with_registry(reg),
-        None => Observability::default(),
-    };
-    let cam = CamContext::attach_observed(
-        &rig,
-        CamConfig {
-            n_channels: N_CHANNELS,
-            workers: Some(2.min(n_ssds)),
-            ..CamConfig::default()
-        },
-        obs,
-    );
-    let dev = cam.device();
-    // One buffer per channel, sized for the largest batch; the oversize
-    // guard can exceed it, so destinations wrap (read data is not
-    // consumed by the serving model).
-    let buf_blocks = max_batch.max(1);
-    let bufs: Vec<_> = (0..N_CHANNELS)
-        .map(|_| {
-            cam.alloc(buf_blocks as usize * block_size as usize)
-                .expect("serving buffer")
-        })
-        .collect();
-    let mut tickets: [Option<cam_core::BatchTicket>; N_CHANNELS] = [None, None, None];
-
-    loop {
-        let mut all_idle = true;
-        for ch in 0..N_CHANNELS {
-            if let Some(t) = &tickets[ch] {
-                if !t.is_done() {
-                    all_idle = false;
-                    continue;
-                }
-                tickets[ch] = None;
-                core.lock().on_retire(ch, clock::now_ns(), 0);
-            }
-            let next = core.lock().next_batch(ch, clock::now_ns());
-            if let Some((lbas, op)) = next {
-                let addr = bufs[ch].addr();
-                let ticket = dev
-                    .submit_scatter(
-                        ch,
-                        op,
-                        &lbas,
-                        |i| addr + (i as u64 % buf_blocks) * block_size,
-                        1,
-                    )
-                    .expect("serving submit");
-                tickets[ch] = Some(ticket);
-                all_idle = false;
-            }
-        }
-        if all_idle {
-            if core.lock().is_drained() {
-                break;
-            }
-            // Admission-throttled on the wall clock: let time pass.
-            std::thread::yield_now();
-        }
-    }
+    let obs = registry.map_or_else(Observability::default, Observability::with_registry);
+    let substrate = run_threaded_source(&rig, cfg, obs, &mut CoreSource(Arc::clone(&core)));
     let stats = core.lock().report(clock::now_ns());
-    let substrate_batches = cam.stats().batches;
-    drop(cam);
     ServingRun {
         stats,
-        substrate_batches,
+        substrate_batches: substrate.batches,
+    }
+}
+
+/// The functional rig of a threaded serving run: sparse media holding
+/// every session of `core`.
+fn rig_config(core: &ServingCore, n_ssds: usize) -> RigConfig {
+    RigConfig {
+        n_ssds,
+        blocks_per_ssd: core.capacity_blocks().div_ceil(n_ssds as u64).max(64),
+        ..RigConfig::default()
     }
 }
 
@@ -295,6 +238,96 @@ mod tests {
             wakeup_queries.get(),
             report.batches
         );
+    }
+
+    /// `CoreSource` that counts, per tenant, the steps completed by a
+    /// demand batch that retired with failed commands.
+    struct FailedSteps {
+        inner: CoreSource,
+        failed: Vec<u64>,
+    }
+
+    impl FailedSteps {
+        fn completed(&self, now_ns: u64) -> Vec<u64> {
+            let stats = self.inner.0.lock().report(now_ns);
+            stats.tenants.iter().map(|t| t.completed).collect()
+        }
+    }
+
+    impl DesBatchSource for FailedSteps {
+        fn next_batch(&mut self, channel: usize, now_ns: u64) -> Option<(CamDesBatch, ChannelOp)> {
+            self.inner.next_batch(channel, now_ns)
+        }
+
+        fn on_retire(&mut self, channel: usize, now_ns: u64, errors: u64) {
+            let before = self.completed(now_ns);
+            self.inner.on_retire(channel, now_ns, errors);
+            if errors > 0 {
+                let after = self.completed(now_ns);
+                for (t, failed) in self.failed.iter_mut().enumerate() {
+                    *failed += after[t] - before[t];
+                }
+            }
+        }
+
+        fn next_ready_ns(&mut self, now_ns: u64) -> Option<u64> {
+            self.inner.next_ready_ns(now_ns)
+        }
+
+        fn is_drained(&self) -> bool {
+            self.inner.is_drained()
+        }
+    }
+
+    /// SSD 0 fails every read of its first 64 LBAs (the first sessions'
+    /// extents) more often than the engine retries, so demand batches
+    /// that page them in retire with failed commands. The threaded driver
+    /// must hand those counts to the core, which books each step of such a
+    /// batch as bad: with no latency target, a tenant's burn over the
+    /// run's window is its share of failed steps.
+    #[test]
+    fn threaded_driver_counts_failed_demand_steps_as_tenant_errors() {
+        use cam_blockdev::{BlockGeometry, BlockStore, FaultPolicy, FaultyStore, SparseMemStore};
+        use cam_telemetry::SloConfig;
+
+        let mut wl = KvCacheConfig::uniform(3, 6, 40);
+        wl.seed = 13;
+        let mut cfg = ServingConfig::for_workload(wl, Policy::Drr);
+        cfg.max_batch_blocks = 64;
+        cfg.gpu_budget_blocks = cfg.workload.session_blocks * 2;
+        cfg.slo = SloConfig {
+            latency_target_ns: u64::MAX,
+            error_budget: 1.0,
+            ..SloConfig::default()
+        };
+        let core = Arc::new(Mutex::new(ServingCore::new(cfg, None)));
+        let rig_cfg = rig_config(&core.lock(), 2);
+        let media = || -> Arc<dyn BlockStore> {
+            let geometry = BlockGeometry::new(rig_cfg.block_size, rig_cfg.blocks_per_ssd);
+            Arc::new(SparseMemStore::new(geometry))
+        };
+        let policy = FaultPolicy::transient_reads_in(0, 64, u32::MAX);
+        let stores = vec![Arc::new(FaultyStore::new(media(), policy)), media()];
+        let rig = Rig::with_stores(rig_cfg.clone(), stores);
+        let mut source = FailedSteps {
+            inner: CoreSource(Arc::clone(&core)),
+            failed: vec![0; 3],
+        };
+        let obs = Observability::default();
+        let cfg = CamConfig {
+            n_channels: N_CHANNELS,
+            workers: Some(2),
+            ..CamConfig::default()
+        };
+        let engine = run_threaded_source(&rig, cfg, obs, &mut source);
+        assert!(engine.errors > 0, "the faulty extents were paged in");
+        assert!(source.failed.iter().sum::<u64>() > 0, "{:?}", source.failed);
+        let stats = core.lock().report(clock::now_ns());
+        for (t, ts) in stats.tenants.iter().enumerate() {
+            assert_eq!(ts.completed, 40);
+            let bad = (ts.burn_long * ts.completed as f64).round() as u64;
+            assert_eq!(bad, source.failed[t], "tenant {t}: {ts:?}");
+        }
     }
 
     #[test]
