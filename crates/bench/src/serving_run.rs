@@ -13,7 +13,9 @@
 //!   cold request behind the hot backlog.
 //! * **threaded** (wall clock): a small run on the functional driver with
 //!   a live metrics registry, proving the metric schema is identical
-//!   across drivers and that the `tenant`-labeled gauges populate.
+//!   across drivers. That every tenant's `tenant`-labeled completion
+//!   counter, hit-rate gauge and p99 gauge populate is asserted by this
+//!   module's tests, which read the registry the experiment drops.
 
 use std::sync::Arc;
 
@@ -349,6 +351,28 @@ pub fn serve(_p: &BenchParams) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_threaded_smoke_populates_every_tenants_metrics() {
+        let (threaded, registry) = run_threaded(SEED);
+        let snap = registry.snapshot();
+        let tenant = |family: &str, t: usize| format!("{family}{{tenant=\"{t}\"}}");
+        // The p50 and the SLO burn may read 0 on a working run (most steps
+        // find their context resident; no step breaches its SLO), so the
+        // check is on what every tenant's traffic must move.
+        for (t, stats) in threaded.run.stats.tenants.iter().enumerate() {
+            assert_eq!(
+                snap.counter(&tenant("cam_tenant_completed_total", t)),
+                stats.completed,
+                "tenant {t}"
+            );
+            assert!(stats.completed > 0, "tenant {t} completed nothing");
+            for gauge in ["cam_tenant_hit_rate_milli", "cam_tenant_latency_p99_ns"] {
+                assert!(snap.gauge(&tenant(gauge, t)) > 0, "{gauge} of tenant {t}");
+            }
+        }
+        assert_eq!(threaded.run.stats.tenants.len(), threaded.sessions.len());
+    }
 
     #[test]
     fn full_experiment_meets_the_acceptance_bar() {

@@ -13,7 +13,7 @@ use cam_telemetry::{Counter, EventKind, FlightRecorder, MetricsRegistry};
 use parking_lot::Mutex;
 
 use crate::lba::{BlockGeometry, Lba};
-use crate::store::{BlockError, BlockStore};
+use crate::store::{BlockError, BlockSession, BlockStore};
 
 /// Which operations a fault rule applies to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -150,6 +150,14 @@ impl FaultyStore {
         let _ = self.recorder.set(rec);
     }
 
+    /// The access's fault decision: `Err` when it is to fail.
+    fn check(&self, lba: Lba, count: u64, is_read: bool) -> Result<(), BlockError> {
+        if self.should_fail(lba, is_read) {
+            return Err(self.fault(lba, count));
+        }
+        Ok(())
+    }
+
     fn should_fail(&self, lba: Lba, is_read: bool) -> bool {
         let dir_match = match self.policy.kind {
             FaultKind::Read => is_read,
@@ -224,9 +232,7 @@ impl BlockStore for FaultyStore {
         count: u64,
         visit: &mut dyn FnMut(usize, &Arc<[u8]>),
     ) -> Result<(), BlockError> {
-        if self.should_fail(lba, true) {
-            return Err(self.fault(lba, count));
-        }
+        self.check(lba, count, true)?;
         self.inner.read_blocks(lba, count, visit)
     }
 
@@ -237,9 +243,44 @@ impl BlockStore for FaultyStore {
         count: u64,
         fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
     ) -> Result<(), BlockError> {
-        if self.should_fail(lba, false) {
-            return Err(self.fault(lba, count));
-        }
+        self.check(lba, count, false)?;
+        self.inner.write_blocks(lba, count, fill)
+    }
+
+    /// The inner store's session, with one fault decision per access: a
+    /// wrapped device keeps its one media lock per burst, taken before
+    /// the DMA space's.
+    fn session(&self, run: &mut dyn FnMut(&mut dyn BlockSession)) {
+        self.inner
+            .session(&mut |inner| run(&mut FaultySession { store: self, inner }))
+    }
+}
+
+/// A [`FaultyStore`] session: the inner store's, behind the fault
+/// decisions.
+struct FaultySession<'a> {
+    store: &'a FaultyStore,
+    inner: &'a mut dyn BlockSession,
+}
+
+impl BlockSession for FaultySession<'_> {
+    fn read_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.store.check(lba, count, true)?;
+        self.inner.read_blocks(lba, count, visit)
+    }
+
+    fn write_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.store.check(lba, count, false)?;
         self.inner.write_blocks(lba, count, fill)
     }
 }

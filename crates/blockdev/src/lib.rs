@@ -30,4 +30,4 @@ pub use extent::{Extent, ExtentAllocator};
 pub use fault::{FaultKind, FaultMode, FaultPolicy, FaultyStore};
 pub use lba::{BlockGeometry, Lba};
 pub use raid::Raid0;
-pub use store::{BlockError, BlockStore, SparseMemStore};
+pub use store::{BlockError, BlockSession, BlockStore, SparseMemStore};

@@ -8,13 +8,20 @@
 //! reference instead of its bytes. Copy semantics hold throughout: a block
 //! shared with a page is never written in place — [`BlockStore::write`]
 //! replaces it with a fresh buffer, and the page keeps the old bytes.
+//!
+//! A device runs a whole burst of commands in one [`BlockStore::session`]:
+//! [`SparseMemStore`] takes its one lock once for the burst, not once per
+//! block. One service thread serves every SSD of an array, so the store's
+//! lock separates that thread only from host-side loads and checks.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::lba::{BlockGeometry, Lba};
 
@@ -115,6 +122,16 @@ pub trait BlockStore: Send + Sync {
         fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
     ) -> Result<(), BlockError>;
 
+    /// Runs `run` with a [`BlockSession`] through which it may make any
+    /// number of block accesses — a device's burst of commands. A store
+    /// that holds its blocks under one lock takes it once for the whole
+    /// session, so `run` must not call back into the store. The default
+    /// session forwards each access to [`read_blocks`](Self::read_blocks)
+    /// or [`write_blocks`](Self::write_blocks), which lock on their own.
+    fn session(&self, run: &mut dyn FnMut(&mut dyn BlockSession)) {
+        run(&mut PerAccess(self))
+    }
+
     /// Reads `buf.len() / block_size` blocks starting at `lba`, copying
     /// each block [`read_blocks`](Self::read_blocks) lends.
     fn read(&self, lba: Lba, buf: &mut [u8]) -> Result<(), BlockError> {
@@ -176,6 +193,51 @@ pub trait BlockStore: Send + Sync {
     }
 }
 
+/// Block accesses inside a [`BlockStore::session`]: the store's
+/// [`read_blocks`](BlockStore::read_blocks) and
+/// [`write_blocks`](BlockStore::write_blocks), with the same checks and
+/// visitors, under the session's hold of the store's lock.
+pub trait BlockSession {
+    /// [`BlockStore::read_blocks`] inside the session.
+    fn read_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
+    ) -> Result<(), BlockError>;
+
+    /// [`BlockStore::write_blocks`] inside the session.
+    fn write_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError>;
+}
+
+/// The default session: every access locks on its own.
+struct PerAccess<'a, S: ?Sized>(&'a S);
+
+impl<S: BlockStore + ?Sized> BlockSession for PerAccess<'_, S> {
+    fn read_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.0.read_blocks(lba, count, visit)
+    }
+
+    fn write_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.0.write_blocks(lba, count, fill)
+    }
+}
+
 /// Hashes a block number by Fibonacci multiplication — no SipHash. The
 /// workload picks the blocks, not an adversary, so a collision-resistant
 /// hash buys nothing here. The product's well-mixed high half is rotated
@@ -200,53 +262,107 @@ impl Hasher for BlockHasher {
     }
 }
 
-/// One shard's blocks, keyed by block number.
-type Shard = HashMap<u64, Arc<[u8]>, BuildHasherDefault<BlockHasher>>;
+/// The store's blocks, keyed by block number.
+type Blocks = HashMap<u64, Arc<[u8]>, BuildHasherDefault<BlockHasher>>;
 
-/// A sparse, sharded, thread-safe in-memory block store.
+/// A sparse, thread-safe in-memory block store.
 ///
 /// Only blocks that have been written consume memory, so a simulated
-/// 3.84 TB P5510 namespace costs nothing until data lands on it. Shard
-/// locks keep concurrent device threads off each other's necks. A block
-/// may share its buffer with pinned pages (see the module docs), so
+/// 3.84 TB P5510 namespace costs nothing until data lands on it. One lock
+/// guards every block: a device takes it once per burst
+/// ([`BlockStore::session`]), and every other access once per call. A
+/// block may share its buffer with pinned pages (see the module docs), so
 /// [`resident_blocks`](Self::resident_blocks) counts blocks, not bytes
 /// this store alone pays for.
 pub struct SparseMemStore {
     geometry: BlockGeometry,
-    shards: Vec<Mutex<Shard>>,
-    shard_mask: u64,
+    blocks: Mutex<Blocks>,
     /// What every never-written block reads as; lent by `read_blocks` and
     /// `write_blocks`. Always shared (this field holds it), so never
     /// written in place.
     zero_block: Arc<[u8]>,
+    /// Acquisitions of `blocks` so far (debug builds only).
+    #[cfg(debug_assertions)]
+    locks: AtomicU64,
 }
 
 impl SparseMemStore {
-    /// Default number of lock shards (power of two).
-    const SHARDS: usize = 64;
-
     /// Creates an empty store with the given geometry.
     pub fn new(geometry: BlockGeometry) -> Self {
-        let shards = (0..Self::SHARDS)
-            .map(|_| Mutex::new(Shard::default()))
-            .collect();
         SparseMemStore {
             geometry,
-            shards,
-            shard_mask: (Self::SHARDS - 1) as u64,
+            blocks: Mutex::new(Blocks::default()),
             zero_block: std::iter::repeat_n(0, geometry.block_size as usize).collect(),
+            #[cfg(debug_assertions)]
+            locks: AtomicU64::new(0),
         }
     }
 
-    #[inline]
-    fn shard(&self, block: u64) -> &Mutex<Shard> {
-        // Mix the low bits a little so striped access doesn't hammer one shard.
-        &self.shards[((block ^ (block >> 7)) & self.shard_mask) as usize]
+    /// A session over the locked blocks.
+    fn lock(&self) -> MemSession<'_> {
+        #[cfg(debug_assertions)]
+        self.locks.fetch_add(1, Ordering::Relaxed);
+        MemSession {
+            store: self,
+            blocks: self.blocks.lock(),
+        }
     }
 
     /// Number of blocks currently materialized in memory.
     pub fn resident_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.lock().blocks.len()
+    }
+
+    /// How many times this store has taken its lock so far: once per
+    /// [`BlockStore::session`] and once per access outside one. Exists
+    /// only in debug builds, for tests that hold a data path to a lock
+    /// budget (`crates/nvme/tests/lock_budget.rs`).
+    #[cfg(debug_assertions)]
+    pub fn locks_taken(&self) -> u64 {
+        self.locks.load(Ordering::Relaxed)
+    }
+}
+
+/// A [`SparseMemStore`] session: its blocks, locked.
+struct MemSession<'a> {
+    store: &'a SparseMemStore,
+    blocks: MutexGuard<'a, Blocks>,
+}
+
+impl BlockSession for MemSession<'_> {
+    fn read_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        visit: &mut dyn FnMut(usize, &Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.store.check_blocks(lba, count)?;
+        // The lock is held while the visitor runs, so the lent block
+        // cannot be replaced under it.
+        for i in 0..count {
+            let block = self.blocks.get(&(lba.0 + i));
+            visit(i as usize, block.unwrap_or(&self.store.zero_block));
+        }
+        Ok(())
+    }
+
+    fn write_blocks(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
+    ) -> Result<(), BlockError> {
+        self.store.check_blocks(lba, count)?;
+        // `fill` runs under the lock: no reader can clone the block while
+        // it is written in place.
+        for i in 0..count {
+            let block = self
+                .blocks
+                .entry(lba.0 + i)
+                .or_insert_with(|| Arc::clone(&self.store.zero_block));
+            fill(i as usize, block);
+        }
+        Ok(())
     }
 }
 
@@ -261,15 +377,7 @@ impl BlockStore for SparseMemStore {
         count: u64,
         visit: &mut dyn FnMut(usize, &Arc<[u8]>),
     ) -> Result<(), BlockError> {
-        self.check_blocks(lba, count)?;
-        for i in 0..count {
-            let block = lba.0 + i;
-            // The shard lock is held while the visitor runs, so the lent
-            // block cannot be replaced under it.
-            let shard = self.shard(block).lock();
-            visit(i as usize, shard.get(&block).unwrap_or(&self.zero_block));
-        }
-        Ok(())
+        self.lock().read_blocks(lba, count, visit)
     }
 
     fn write_blocks(
@@ -278,20 +386,11 @@ impl BlockStore for SparseMemStore {
         count: u64,
         fill: &mut dyn FnMut(usize, &mut Arc<[u8]>),
     ) -> Result<(), BlockError> {
-        self.check_blocks(lba, count)?;
-        for i in 0..count {
-            let block = lba.0 + i;
-            // `fill` runs under the shard lock: no reader can clone the
-            // block while it is written in place.
-            let mut shard = self.shard(block).lock();
-            fill(
-                i as usize,
-                shard
-                    .entry(block)
-                    .or_insert_with(|| Arc::clone(&self.zero_block)),
-            );
-        }
-        Ok(())
+        self.lock().write_blocks(lba, count, fill)
+    }
+
+    fn session(&self, run: &mut dyn FnMut(&mut dyn BlockSession)) {
+        run(&mut self.lock())
     }
 }
 
@@ -468,17 +567,13 @@ mod tests {
     }
 
     #[test]
-    fn a_shards_blocks_spread_over_the_bucket_bits() {
+    fn block_runs_spread_over_the_bucket_bits() {
         use std::hash::BuildHasher;
-        let s = SparseMemStore::new(BlockGeometry::new(512, 1 << 20));
         let hasher = BuildHasherDefault::<BlockHasher>::default();
-        // Dense and striped block runs alike: the keys one shard holds
-        // share low bits, and the bucket index is the hash's low bits.
-        for stride in [1u64, 12] {
-            let keys: Vec<u64> = (0..1 << 16)
-                .map(|i| i * stride)
-                .filter(|&b| std::ptr::eq(s.shard(b), s.shard(0)))
-                .collect();
+        // Dense and striped block runs alike: the bucket index is the
+        // hash's low bits.
+        for stride in [1u64, 12, 64] {
+            let keys: Vec<u64> = (0..1 << 12).map(|i| i * stride).collect();
             let buckets = 2 * keys.len().next_power_of_two() as u64;
             let mut used: Vec<u64> = keys
                 .iter()
@@ -494,6 +589,34 @@ mod tests {
                 used.len()
             );
         }
+    }
+
+    #[test]
+    fn a_session_takes_the_lock_once() {
+        let s = store();
+        s.write(Lba(3), &[4u8; 512]).unwrap();
+        #[cfg(debug_assertions)]
+        let before = s.locks_taken();
+        let mut seen = Vec::new();
+        s.session(&mut |media| {
+            for lba in 0..6 {
+                media
+                    .read_blocks(Lba(lba), 1, &mut |_, b| seen.push(b[0]))
+                    .unwrap();
+            }
+            media
+                .write_blocks(Lba(0), 2, &mut |i, b| {
+                    *b = Arc::from(&[i as u8 + 1; 512][..])
+                })
+                .unwrap();
+            assert!(media.read_blocks(Lba(999), 2, &mut |_, _| ()).is_err());
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(s.locks_taken() - before, 1);
+        assert_eq!(seen, [0, 0, 0, 4, 0, 0]);
+        let mut out = [0u8; 1024];
+        s.read(Lba(0), &mut out).unwrap();
+        assert_eq!((out[0], out[512]), (1, 2));
     }
 
     #[test]

@@ -252,10 +252,7 @@ impl CachedDevice {
             // hit copies with the SSDs' work.
             std::thread::yield_now();
         }
-        let copied = rb
-            .hits
-            .iter()
-            .try_for_each(|&(src, dst)| self.copy_block(src, dst));
+        let copied = self.copy_blocks(&rb.hits);
         let mut result = rb.ticket.map_or(Ok(()), |t| t.wait());
         for (fill, dest) in rb.fills {
             if result.is_ok() {
@@ -497,9 +494,23 @@ impl CachedDevice {
     /// caller buffer), inside the DMA space the SSDs use: a whole-page
     /// block is shared by reference, a smaller one copied.
     fn copy_block(&self, src: u64, dst: u64) -> Result<(), CamError> {
-        self.dma
-            .dma_copy(src, dst, self.block_size as usize)
-            .map_err(|_| CamError::Io { failed: 1 })
+        self.copy_blocks(&[(src, dst)])
+    }
+
+    /// [`copy_block`](Self::copy_block) for each `(src, dst)` in order,
+    /// under one hold of the DMA space's lock, stopping at the first that
+    /// fails.
+    fn copy_blocks(&self, copies: &[(u64, u64)]) -> Result<(), CamError> {
+        let mut copied = Ok(());
+        if !copies.is_empty() {
+            let len = self.block_size as usize;
+            self.dma.dma_session(&mut |dma| {
+                copied = copies
+                    .iter()
+                    .try_for_each(|&(src, dst)| dma.dma_copy(src, dst, len));
+            });
+        }
+        copied.map_err(|_| CamError::Io { failed: 1 })
     }
 }
 

@@ -26,12 +26,17 @@ pub(super) fn retire_batch(sh: &Shared, b: &BatchCore, complete_ns: u64) {
     let m = &sh.metrics;
     // Replicate deduplicated reads to their duplicate destinations
     // before region 4 is written — after retire the GPU is free to
-    // read any of them. Whole pages are shared, not copied.
-    let len = b.blocks as usize * sh.plan.block_size as usize;
-    for &(src, dst) in &b.dups {
-        if sh.dma.dma_copy(src, dst, len).is_err() {
-            b.errors.fetch_add(1, Ordering::Relaxed);
-        }
+    // read any of them. Whole pages are shared, not copied, all under one
+    // hold of the DMA space's lock.
+    if !b.dups.is_empty() {
+        let len = b.blocks as usize * sh.plan.block_size as usize;
+        sh.dma.dma_session(&mut |dma| {
+            for &(src, dst) in &b.dups {
+                if dma.dma_copy(src, dst, len).is_err() {
+                    b.errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
     }
     let batch_errors = b.errors.load(Ordering::Relaxed);
     let retire_ns = now_ns();

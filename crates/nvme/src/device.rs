@@ -13,15 +13,18 @@
 //!
 //! A whole-page transfer moves a reference, not 4 KiB: media blocks and
 //! pinned pages are shared, copy-on-write buffers (see [`crate::mem`]). A
-//! read walks [`BlockStore::read_blocks`], which lends each media block to
-//! [`DmaSpace::dma_write_block`]: the block is installed in a whole
+//! read walks [`BlockSession::read_blocks`], which lends each media block
+//! to [`DmaSession::dma_write_block`]: the block is installed in a whole
 //! destination page, and copied only into part of one. A write walks
-//! [`BlockStore::write_blocks`], which lends each media block to
-//! [`DmaSpace::dma_read_block`]: a block no page shares takes the page's
+//! [`BlockSession::write_blocks`], which lends each media block to
+//! [`DmaSession::dma_read_block`]: a block no page shares takes the page's
 //! bytes in place, and a shared one is replaced by the page's own buffer.
-//! Either way the media shard lock is held across the page access — the
-//! data path's one lock order is **media shard, then DMA page** — and no
-//! service thread keeps a buffer of its own.
+//! Reads, writes and flushes run on one path, and the commands a burst
+//! executes together share one [`BlockStore::session`] and, inside it, one
+//! [`DmaSpace::dma_session`]: the data path's one lock order is **media
+//! store, then DMA region**, each lock taken once per burst, not per
+//! command, and released before a burst's sleep. No service thread keeps a
+//! buffer of its own.
 //!
 //! A burst is claimed once, counted once and, on a set given a
 //! [`DeviceConfig::burst_latency`], timed once, on its device's time. One
@@ -58,11 +61,11 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cam_blockdev::{BlockError, BlockStore, Lba};
+use cam_blockdev::{BlockError, BlockSession, BlockStore, Lba};
 use cam_telemetry::{clock, EventKind, FlightRecorder, HistogramHandle, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 
-use crate::mem::DmaSpace;
+use crate::mem::{DmaSession, DmaSpace};
 use crate::queue::QueuePair;
 use crate::spec::{Cqe, Opcode, Sqe, Status};
 
@@ -658,43 +661,59 @@ impl Lane {
 }
 
 /// Executes `burst.sqes[from..]`, holding their CQEs and tallying their
-/// stats. With a recorder attached, emits one [`EventKind::NvmeCmd`] per
-/// command, the first starting at `start_ns`; returns the last command's
-/// end stamp (or `start_ns` without a recorder).
+/// stats, in one media session and, inside it, one DMA session: the
+/// stretch takes the store's lock, then the DMA space's, once each. With a
+/// recorder attached, emits one [`EventKind::NvmeCmd`] per command, the
+/// first starting at `start_ns`; returns the last command's end stamp (or
+/// `start_ns` without a recorder).
 fn execute_claimed(sh: &Shared, burst: &mut Burst, from: usize, start_ns: u64) -> u64 {
     let recorder = sh.recorder.get();
     let block_size = sh.store.geometry().block_size;
     let mut stamp = start_ns;
-    for sqe in &burst.sqes[from..] {
-        let status = execute(sh, sqe);
-        burst.tally.count(sqe, status, block_size);
-        burst.cqes.push(Cqe {
-            cid: sqe.cid,
-            status,
-        });
-        if let Some((device, rec)) = recorder {
-            let end_ns = clock::now_ns();
-            rec.emit_at(
-                end_ns,
-                EventKind::NvmeCmd {
-                    device: *device,
-                    // NVMe opcode bytes: 0 flush, 1 write, 2 read.
-                    opcode: match sqe.opcode {
-                        Opcode::Flush => 0,
-                        Opcode::Write => 1,
-                        Opcode::Read => 2,
-                    },
-                    ok: status == Status::Success,
-                    start_ns: stamp,
-                },
-            );
-            stamp = end_ns;
-        }
-    }
+    let Burst {
+        sqes, cqes, tally, ..
+    } = burst;
+    sh.store.session(&mut |media| {
+        sh.dma.dma_session(&mut |dma| {
+            for sqe in &sqes[from..] {
+                let status = execute(sh, media, dma, block_size, sqe);
+                tally.count(sqe, status, block_size);
+                cqes.push(Cqe {
+                    cid: sqe.cid,
+                    status,
+                });
+                if let Some((device, rec)) = recorder {
+                    let end_ns = clock::now_ns();
+                    rec.emit_at(
+                        end_ns,
+                        EventKind::NvmeCmd {
+                            device: *device,
+                            // NVMe opcode bytes: 0 flush, 1 write, 2 read.
+                            opcode: match sqe.opcode {
+                                Opcode::Flush => 0,
+                                Opcode::Write => 1,
+                                Opcode::Read => 2,
+                            },
+                            ok: status == Status::Success,
+                            start_ns: stamp,
+                        },
+                    );
+                    stamp = end_ns;
+                }
+            }
+        })
+    });
     stamp
 }
 
-fn execute(sh: &Shared, sqe: &Sqe) -> Status {
+/// Executes one command through the stretch's media and DMA sessions.
+fn execute(
+    sh: &Shared,
+    media: &mut dyn BlockSession,
+    dma: &mut dyn DmaSession,
+    block_size: u32,
+    sqe: &Sqe,
+) -> Status {
     if sqe.opcode == Opcode::Flush {
         // The in-memory media is always durable; flush is a barrier that
         // completes after everything the service thread already executed.
@@ -703,7 +722,7 @@ fn execute(sh: &Shared, sqe: &Sqe) -> Status {
     if sqe.nlb == 0 || sqe.nlb > MAX_TRANSFER_BLOCKS {
         return Status::InvalidField;
     }
-    let bs = sh.store.geometry().block_size as usize;
+    let bs = block_size as usize;
     let bytes = sqe.nlb as usize * bs;
     // Check the whole DMA range up front, so a bad (or only partly mapped)
     // range moves no bytes. A read still walks the media when it is bad:
@@ -713,14 +732,14 @@ fn execute(sh: &Shared, sqe: &Sqe) -> Status {
     let (lba, nlb) = (Lba(sqe.slba), u64::from(sqe.nlb));
     let addr = |i: usize| sqe.data_addr + (i * bs) as u64;
     let walked = if sqe.opcode == Opcode::Read {
-        sh.store.read_blocks(lba, nlb, &mut |i, block| {
+        media.read_blocks(lba, nlb, &mut |i, block| {
             if dma_ok {
-                dma_ok = sh.dma.dma_write_block(addr(i), block).is_ok();
+                dma_ok = dma.dma_write_block(addr(i), block).is_ok();
             }
         })
     } else if dma_ok {
-        sh.store.write_blocks(lba, nlb, &mut |i, block| {
-            dma_ok &= sh.dma.dma_read_block(addr(i), block).is_ok();
+        media.write_blocks(lba, nlb, &mut |i, block| {
+            dma_ok &= dma.dma_read_block(addr(i), block).is_ok();
         })
     } else {
         return Status::DataTransferError;
@@ -815,6 +834,35 @@ mod tests {
         assert_eq!(dev.stats().reads(), 1);
         assert_eq!(dev.stats().writes(), 1);
         assert_eq!(dev.stats().read_bytes(), 2048);
+    }
+
+    #[test]
+    fn writes_from_untouched_pages_store_the_shared_zero_page() {
+        let store = Arc::new(SparseMemStore::new(BlockGeometry::new(4096, 64)));
+        let dma = Arc::new(PinnedRegion::new(0x1_0000, 1 << 20));
+        let dev = NvmeDevice::start(
+            DeviceConfig::default(),
+            Arc::clone(&store) as Arc<dyn BlockStore>,
+            Arc::clone(&dma) as Arc<dyn DmaSpace>,
+        );
+        let qp = dev.add_queue_pair(8);
+        // Two whole-page writes from pinned pages nothing ever wrote.
+        qp.submit(Sqe::write(1, 3, 1, 0x1_0000)).unwrap();
+        assert!(wait_cqe(&qp).status.is_ok());
+        qp.submit(Sqe::write(2, 9, 1, 0x1_0000 + 8 * 4096)).unwrap();
+        assert!(wait_cqe(&qp).status.is_ok());
+        let mut stored = Vec::new();
+        for lba in [3, 9] {
+            store
+                .read_blocks(Lba(lba), 1, &mut |_, b| stored.push(Arc::clone(b)))
+                .unwrap();
+        }
+        assert!(
+            Arc::ptr_eq(&stored[0], &stored[1]),
+            "two zero pages allocated"
+        );
+        assert!(stored[0].iter().all(|&b| b == 0));
+        assert_eq!(dma.resident_pages(), 0, "a write materialized a page");
     }
 
     #[test]

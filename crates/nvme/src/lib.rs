@@ -32,6 +32,6 @@ mod queue;
 pub mod spec;
 
 pub use device::{DeviceConfig, DeviceStats, NvmeDevice, MAX_BURST};
-pub use mem::{DmaError, DmaSpace, PinnedRegion};
+pub use mem::{DmaError, DmaSession, DmaSpace, PinnedRegion};
 pub use model::{DesSsd, SsdModel};
 pub use queue::{QpStats, QueueError, QueuePair};

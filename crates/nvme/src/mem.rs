@@ -13,21 +13,27 @@
 //! `Arc<[u8]>` buffers, like the blocks of `cam_blockdev::SparseMemStore`:
 //! a whole, page-aligned transfer moves a reference instead of its bytes —
 //! a device read installs the media block in the page
-//! ([`DmaSpace::dma_write_block`]), a device write hands the page's buffer
-//! to the media ([`DmaSpace::dma_read_block`]), and a copy inside the
-//! region shares the source page ([`DmaSpace::dma_copy`]). Everything else
+//! ([`DmaSession::dma_write_block`]), a device write hands the page's buffer
+//! to the media ([`DmaSession::dma_read_block`]), and a copy inside the
+//! region shares the source page ([`DmaSession::dma_copy`]). Everything else
 //! copies bytes: sub-page and unaligned transfers, and host `dma_write`s,
 //! which first copy a page that is shared (copy-on-write). So a page is
 //! paid for by its first partial or host write, or by the media block it
-//! shares; one never written reads as zeros without holding a buffer. Every
+//! shares; one never written reads as zeros without holding a buffer, and a
+//! device write taking it gets the region's one shared zero page. Every
 //! `dma_read` sees exactly what byte copies would have put there.
+//!
+//! The block transfers run in a [`DmaSpace::dma_session`], which takes the
+//! region's one lock once for any number of them: a device burst, the
+//! retire's duplicate fan-out, a cached batch's hit copies. Host
+//! `dma_read`s and `dma_write`s take it once per page.
 
 use std::fmt;
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Errors from DMA accesses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,25 +71,46 @@ pub trait DmaSpace: Send + Sync {
     /// Copies `data` into the space at `addr`.
     fn dma_write(&self, addr: u64, data: &[u8]) -> Result<(), DmaError>;
 
-    /// Writes the shared `block` at `addr` — a device read landing. A block
-    /// that fills one aligned page is installed in it by reference;
-    /// anything else is copied.
-    fn dma_write_block(&self, addr: u64, block: &Arc<[u8]>) -> Result<(), DmaError>;
+    /// Runs `run` with a [`DmaSession`] through which it may make any
+    /// number of block transfers — a device's burst, a batch's duplicate
+    /// fan-out. The space is locked once for the whole session, so `run`
+    /// must not call back into the space.
+    fn dma_session(&self, run: &mut dyn FnMut(&mut dyn DmaSession));
 
-    /// Reads `block.len()` bytes at `addr` into `block` — a device write
-    /// taking its data. A block that fills one aligned page is copied into
-    /// in place when it is unique, and otherwise replaced by the page's own
-    /// buffer; anything else is copied into a buffer of `block`'s own.
-    fn dma_read_block(&self, addr: u64, block: &mut Arc<[u8]>) -> Result<(), DmaError>;
-
-    /// Copies `len` bytes from `src` to `dst` inside the space, as if
-    /// through a buffer (overlapping ranges included). Whole aligned pages
-    /// are shared by reference; partial pages are copied.
-    fn dma_copy(&self, src: u64, dst: u64, len: usize) -> Result<(), DmaError>;
+    /// [`DmaSession::dma_copy`] in a session of its own.
+    fn dma_copy(&self, src: u64, dst: u64, len: usize) -> Result<(), DmaError> {
+        let mut copied = Ok(());
+        self.dma_session(&mut |s| copied = s.dma_copy(src, dst, len));
+        copied
+    }
 
     /// Whether `[addr, addr + len)` lies inside the space.
     fn contains(&self, addr: u64, len: usize) -> bool;
 }
+
+/// Block transfers inside a [`DmaSpace::dma_session`], under its one hold
+/// of the space's lock.
+pub trait DmaSession {
+    /// Writes the shared `block` at `addr` — a device read landing. A block
+    /// that fills one aligned page is installed in it by reference;
+    /// anything else is copied.
+    fn dma_write_block(&mut self, addr: u64, block: &Arc<[u8]>) -> Result<(), DmaError>;
+
+    /// Reads `block.len()` bytes at `addr` into `block` — a device write
+    /// taking its data. A block that fills one aligned page is copied into
+    /// in place when it is unique, and otherwise replaced by the page's own
+    /// buffer (a never-written page's is the space's shared zero page);
+    /// anything else is copied into a buffer of `block`'s own.
+    fn dma_read_block(&mut self, addr: u64, block: &mut Arc<[u8]>) -> Result<(), DmaError>;
+
+    /// Copies `len` bytes from `src` to `dst` inside the space, as if
+    /// through a buffer (overlapping ranges included). Whole aligned pages
+    /// are shared by reference; partial pages are copied.
+    fn dma_copy(&mut self, src: u64, dst: u64, len: usize) -> Result<(), DmaError>;
+}
+
+/// A page's buffer, if one has landed in it.
+type Page = Option<Arc<[u8]>>;
 
 /// A pinned, physically-contiguous memory region (the GDRCopy stand-in).
 ///
@@ -91,25 +118,35 @@ pub trait DmaSpace: Send + Sync {
 /// chunk of memory, and the address is continuous. So, we can calculate the
 /// physical address from any virtual address in this chunk." — § III-A.
 /// `PinnedRegion` has exactly that contract: a base physical address plus
-/// offset arithmetic. Internally the region is divided into page-sized
-/// slots, each behind its own lock, so concurrent DMA to different pages
-/// proceeds in parallel. No operation holds two page locks at once; the
-/// device paths take a page lock inside a media shard lock, never the
-/// other way round.
+/// offset arithmetic. Internally the region is a table of page-sized
+/// slots behind one lock. A [`DmaSpace::dma_session`] — a device burst,
+/// a batch's duplicate fan-out, a cached batch's hit copies — takes it
+/// once; a host [`dma_read`](DmaSpace::dma_read) or
+/// [`dma_write`](DmaSpace::dma_write) takes it once per page, so it never
+/// holds it long. The device path takes it inside a media store's lock,
+/// never the other way round.
 ///
 /// Construction reserves the address range only. A slot holds no buffer
 /// until a transfer lands in it (see the module docs); reads of a page that
-/// holds none fill zeros and allocate nothing.
-/// [`resident_pages`](Self::resident_pages) counts the pages that hold a
-/// buffer, their own or one shared with media or other pages.
+/// holds none fill zeros, or lend the region's one shared zero page, and
+/// allocate nothing. [`resident_pages`](Self::resident_pages) counts the
+/// pages that hold a buffer, their own or one shared with media or other
+/// pages.
 pub struct PinnedRegion {
     base: u64,
     len: usize,
-    page_size: usize,
-    pages: Vec<Mutex<Option<Arc<[u8]>>>>,
+    /// log2 of the page size: a page index is a shift, not a division.
+    page_shift: u32,
+    pages: Mutex<Vec<Page>>,
+    /// What a never-written page reads as when a device write takes it.
+    /// Always shared (this field holds it), so never written in place.
+    zero_page: Arc<[u8]>,
     /// Payload bytes copied into or out of pages so far (debug builds only).
     #[cfg(debug_assertions)]
     copied: AtomicU64,
+    /// Acquisitions of `pages` so far (debug builds only).
+    #[cfg(debug_assertions)]
+    locks: AtomicU64,
 }
 
 /// A zero-filled buffer of `len` bytes, allocated once.
@@ -136,14 +173,16 @@ impl PinnedRegion {
         );
         assert!(len > 0, "region must be nonempty");
         let n_pages = len.div_ceil(page_size);
-        let pages = (0..n_pages).map(|_| Mutex::new(None)).collect();
         PinnedRegion {
             base,
             len: n_pages * page_size,
-            page_size,
-            pages,
+            page_shift: page_size.trailing_zeros(),
+            pages: Mutex::new(vec![None; n_pages]),
+            zero_page: zeroed(page_size),
             #[cfg(debug_assertions)]
             copied: AtomicU64::new(0),
+            #[cfg(debug_assertions)]
+            locks: AtomicU64::new(0),
         }
     }
 
@@ -163,10 +202,10 @@ impl PinnedRegion {
     }
 
     /// Number of pages holding a buffer — their own, or one shared with
-    /// media blocks or other pages. A scan of every page's lock, for tests
+    /// media blocks or other pages. A scan of the page table, for tests
     /// and reports: the DMA path keeps no counter.
     pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.lock().is_some()).count()
+        self.lock().iter().filter(|p| p.is_some()).count()
     }
 
     /// Payload bytes this region has copied into or out of its pages so
@@ -179,10 +218,30 @@ impl PinnedRegion {
         self.copied.load(Ordering::Relaxed)
     }
 
+    /// How many times this region has taken its page-table lock so far:
+    /// once per [`DmaSpace::dma_session`] and once per page of a host
+    /// `dma_read` or `dma_write`. Exists only in debug builds, for tests
+    /// that hold a data path to a lock budget
+    /// (`crates/nvme/tests/lock_budget.rs`).
+    #[cfg(debug_assertions)]
+    pub fn locks_taken(&self) -> u64 {
+        self.locks.load(Ordering::Relaxed)
+    }
+
     #[inline]
     fn count_copy(&self, _bytes: usize) {
         #[cfg(debug_assertions)]
         self.copied.fetch_add(_bytes as u64, Ordering::Relaxed);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Page>> {
+        #[cfg(debug_assertions)]
+        self.locks.fetch_add(1, Ordering::Relaxed);
+        self.pages.lock()
+    }
+
+    fn page_size(&self) -> usize {
+        1 << self.page_shift
     }
 
     /// Physical address of byte `offset` within the region.
@@ -200,15 +259,58 @@ impl PinnedRegion {
 
     /// The page `[off, off + len)` fills exactly, if it fills one.
     fn whole_page(&self, off: usize, len: usize) -> Option<usize> {
-        (len == self.page_size && off.is_multiple_of(self.page_size)).then(|| off / self.page_size)
+        let mask = self.page_size() - 1;
+        (len == self.page_size() && off & mask == 0).then_some(off >> self.page_shift)
+    }
+
+    /// Calls `piece(page, offset in page, offset in transfer, length)` for
+    /// each page's part of the `len` bytes at region offset `off`, in order.
+    fn for_each_piece(
+        &self,
+        off: usize,
+        len: usize,
+        mut piece: impl FnMut(usize, usize, usize, usize),
+    ) {
+        let mask = self.page_size() - 1;
+        let mut at = 0;
+        while at < len {
+            let o = off + at;
+            let n = (self.page_size() - (o & mask)).min(len - at);
+            piece(o >> self.page_shift, o & mask, at, n);
+            at += n;
+        }
+    }
+
+    /// Copies `dst.len()` bytes at `in_page` of `page` into `dst`.
+    fn read_piece(&self, page: &Page, in_page: usize, dst: &mut [u8]) {
+        match page {
+            Some(p) => {
+                self.count_copy(dst.len());
+                dst.copy_from_slice(&p[in_page..in_page + dst.len()]);
+            }
+            None => dst.fill(0),
+        }
+    }
+
+    /// Copies `src` into `slot`'s page at `in_page`.
+    fn write_piece(&self, slot: &mut Page, in_page: usize, src: &[u8]) {
+        self.count_copy(src.len());
+        let whole = src.len() == self.page_size();
+        match slot.as_mut().and_then(Arc::get_mut) {
+            // A whole page replaces the old bytes, so a page that is not
+            // this slot's alone is not copied first.
+            None if whole => *slot = Some(Arc::from(src)),
+            Some(own) if whole => own.copy_from_slice(src),
+            _ => self.own_page(slot)[in_page..in_page + src.len()].copy_from_slice(src),
+        }
     }
 
     /// The slot's page as a buffer of its own, to write into: a page that
     /// holds none gets a zeroed one, and a shared one is copied first.
-    fn own_page<'a>(&self, slot: &'a mut Option<Arc<[u8]>>) -> &'a mut [u8] {
-        let page = slot.get_or_insert_with(|| zeroed(self.page_size));
+    fn own_page<'a>(&self, slot: &'a mut Page) -> &'a mut [u8] {
+        let page = slot.get_or_insert_with(|| zeroed(self.page_size()));
         if Arc::get_mut(page).is_none() {
-            self.count_copy(self.page_size);
+            self.count_copy(self.page_size());
             *page = Arc::from(&page[..]);
         }
         Arc::get_mut(page).expect("a fresh copy is unique")
@@ -224,114 +326,26 @@ impl PinnedRegion {
 
 impl DmaSpace for PinnedRegion {
     fn dma_read(&self, addr: u64, buf: &mut [u8]) -> Result<(), DmaError> {
-        let mut off = self.offset_of(addr, buf.len())?;
-        let mut read = 0;
-        while read < buf.len() {
-            let page = off / self.page_size;
-            let in_page = off % self.page_size;
-            let n = (self.page_size - in_page).min(buf.len() - read);
-            let dst = &mut buf[read..read + n];
-            match &*self.pages[page].lock() {
-                Some(p) => {
-                    self.count_copy(n);
-                    dst.copy_from_slice(&p[in_page..in_page + n]);
-                }
-                None => dst.fill(0),
-            }
-            off += n;
-            read += n;
-        }
+        let off = self.offset_of(addr, buf.len())?;
+        self.for_each_piece(off, buf.len(), |page, in_page, at, n| {
+            self.read_piece(&self.lock()[page], in_page, &mut buf[at..at + n]);
+        });
         Ok(())
     }
 
     fn dma_write(&self, addr: u64, data: &[u8]) -> Result<(), DmaError> {
-        let mut off = self.offset_of(addr, data.len())?;
-        let mut written = 0;
-        while written < data.len() {
-            let page = off / self.page_size;
-            let in_page = off % self.page_size;
-            let n = (self.page_size - in_page).min(data.len() - written);
-            let src = &data[written..written + n];
-            let mut slot = self.pages[page].lock();
-            self.count_copy(n);
-            match slot.as_mut().and_then(Arc::get_mut) {
-                // A whole page replaces the old bytes, so a page that is
-                // not this slot's alone is not copied first.
-                None if n == self.page_size => *slot = Some(Arc::from(src)),
-                Some(own) if n == self.page_size => own.copy_from_slice(src),
-                _ => self.own_page(&mut slot)[in_page..in_page + n].copy_from_slice(src),
-            }
-            off += n;
-            written += n;
-        }
+        let off = self.offset_of(addr, data.len())?;
+        self.for_each_piece(off, data.len(), |page, in_page, at, n| {
+            self.write_piece(&mut self.lock()[page], in_page, &data[at..at + n]);
+        });
         Ok(())
     }
 
-    fn dma_write_block(&self, addr: u64, block: &Arc<[u8]>) -> Result<(), DmaError> {
-        let off = self.offset_of(addr, block.len())?;
-        match self.whole_page(off, block.len()) {
-            Some(page) => {
-                *self.pages[page].lock() = Some(Arc::clone(block));
-                Ok(())
-            }
-            None => self.dma_write(addr, block),
-        }
-    }
-
-    fn dma_read_block(&self, addr: u64, block: &mut Arc<[u8]>) -> Result<(), DmaError> {
-        let len = block.len();
-        let off = self.offset_of(addr, len)?;
-        let Some(page) = self.whole_page(off, len) else {
-            if Arc::get_mut(block).is_none() {
-                *block = zeroed(len);
-            }
-            let own = Arc::get_mut(block).expect("a fresh buffer is unique");
-            return self.dma_read(addr, own);
-        };
-        let slot = self.pages[page].lock();
-        match (&*slot, Arc::get_mut(block)) {
-            (Some(p), Some(own)) => {
-                self.count_copy(len);
-                own.copy_from_slice(p);
-            }
-            (Some(p), None) => *block = Arc::clone(p),
-            (None, Some(own)) => own.fill(0),
-            (None, None) => *block = zeroed(len),
-        }
-        Ok(())
-    }
-
-    fn dma_copy(&self, src: u64, dst: u64, len: usize) -> Result<(), DmaError> {
-        let mut from = self.offset_of(src, len)?;
-        let mut to = self.offset_of(dst, len)?;
-        if from < to + len && to < from + len {
-            // Overlapping ranges: the cold path, through a buffer.
-            let mut buf = vec![0; len];
-            self.dma_read(src, &mut buf)?;
-            return self.dma_write(dst, &buf);
-        }
-        let end = from + len;
-        while from < end {
-            let (s_in, d_in) = (from % self.page_size, to % self.page_size);
-            let n = (self.page_size - s_in.max(d_in)).min(end - from);
-            // The source page by reference, its lock released before the
-            // destination's is taken.
-            let page = self.pages[from / self.page_size].lock().clone();
-            let mut slot = self.pages[to / self.page_size].lock();
-            if n == self.page_size {
-                *slot = page;
-            } else {
-                self.count_copy(n);
-                let out = &mut self.own_page(&mut slot)[d_in..d_in + n];
-                match page {
-                    Some(p) => out.copy_from_slice(&p[s_in..s_in + n]),
-                    None => out.fill(0),
-                }
-            }
-            from += n;
-            to += n;
-        }
-        Ok(())
+    fn dma_session(&self, run: &mut dyn FnMut(&mut dyn DmaSession)) {
+        run(&mut Session {
+            region: self,
+            pages: self.lock(),
+        })
     }
 
     fn contains(&self, addr: u64, len: usize) -> bool {
@@ -343,10 +357,108 @@ impl DmaSpace for PinnedRegion {
     }
 }
 
+/// A [`PinnedRegion`] session: its page table, locked.
+struct Session<'a> {
+    region: &'a PinnedRegion,
+    pages: MutexGuard<'a, Vec<Page>>,
+}
+
+impl Session<'_> {
+    fn read(&self, off: usize, buf: &mut [u8]) {
+        let Session { region, pages } = self;
+        region.for_each_piece(off, buf.len(), |page, in_page, at, n| {
+            region.read_piece(&pages[page], in_page, &mut buf[at..at + n]);
+        });
+    }
+
+    fn write(&mut self, off: usize, data: &[u8]) {
+        let Session { region, pages } = self;
+        region.for_each_piece(off, data.len(), |page, in_page, at, n| {
+            region.write_piece(&mut pages[page], in_page, &data[at..at + n]);
+        });
+    }
+}
+
+impl DmaSession for Session<'_> {
+    fn dma_write_block(&mut self, addr: u64, block: &Arc<[u8]>) -> Result<(), DmaError> {
+        let off = self.region.offset_of(addr, block.len())?;
+        match self.region.whole_page(off, block.len()) {
+            Some(page) => self.pages[page] = Some(Arc::clone(block)),
+            None => self.write(off, block),
+        }
+        Ok(())
+    }
+
+    fn dma_read_block(&mut self, addr: u64, block: &mut Arc<[u8]>) -> Result<(), DmaError> {
+        let len = block.len();
+        let off = self.region.offset_of(addr, len)?;
+        let Some(page) = self.region.whole_page(off, len) else {
+            if Arc::get_mut(block).is_none() {
+                *block = zeroed(len);
+            }
+            self.read(off, Arc::get_mut(block).expect("a fresh buffer is unique"));
+            return Ok(());
+        };
+        match (&self.pages[page], Arc::get_mut(block)) {
+            (Some(p), Some(own)) => {
+                self.region.count_copy(len);
+                own.copy_from_slice(p);
+            }
+            (Some(p), None) => *block = Arc::clone(p),
+            (None, Some(own)) => own.fill(0),
+            (None, None) => *block = Arc::clone(&self.region.zero_page),
+        }
+        Ok(())
+    }
+
+    fn dma_copy(&mut self, src: u64, dst: u64, len: usize) -> Result<(), DmaError> {
+        let from = self.region.offset_of(src, len)?;
+        let to = self.region.offset_of(dst, len)?;
+        if from < to + len && to < from + len {
+            // Overlapping ranges: the cold path, through a buffer.
+            let mut buf = vec![0; len];
+            self.read(from, &mut buf);
+            self.write(to, &buf);
+            return Ok(());
+        }
+        let Session { region, pages } = self;
+        let (size, mask) = (region.page_size(), region.page_size() - 1);
+        let (mut from, mut to, end) = (from, to, from + len);
+        while from < end {
+            let (s_in, d_in) = (from & mask, to & mask);
+            let n = (size - s_in.max(d_in)).min(end - from);
+            // The source page by reference: a whole page is shared, part
+            // of one copied out of it.
+            let page = pages[from >> region.page_shift].clone();
+            let slot = &mut pages[to >> region.page_shift];
+            if n == size {
+                *slot = page;
+            } else {
+                region.count_copy(n);
+                let out = &mut region.own_page(slot)[d_in..d_in + n];
+                match page {
+                    Some(p) => out.copy_from_slice(&p[s_in..s_in + n]),
+                    None => out.fill(0),
+                }
+            }
+            from += n;
+            to += n;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// `f`'s result, run in a session of its own.
+    fn session<T>(r: &PinnedRegion, f: impl FnOnce(&mut dyn DmaSession) -> T) -> T {
+        let (mut f, mut out) = (Some(f), None);
+        r.dma_session(&mut |s| out = f.take().map(|f| f(s)));
+        out.expect("the session ran")
+    }
 
     #[test]
     fn round_trip_within_a_page() {
@@ -511,7 +623,7 @@ mod tests {
     fn whole_pages_move_by_reference_and_stay_isolated() {
         let r = PinnedRegion::new(0, 4 * 4096);
         let block: Arc<[u8]> = Arc::from(&[5u8; 4096][..]);
-        r.dma_write_block(4096, &block).unwrap();
+        session(&r, |s| s.dma_write_block(4096, &block)).unwrap();
         r.dma_copy(4096, 2 * 4096, 4096).unwrap();
         assert_eq!(Arc::strong_count(&block), 3, "both pages hold the block");
         // A host write copies the page it lands in first.
@@ -522,26 +634,53 @@ mod tests {
         // a unique one is written in place.
         let mut shared: Arc<[u8]> = Arc::from(&[0u8; 4096][..]);
         let _other = Arc::clone(&shared);
-        r.dma_read_block(4096, &mut shared).unwrap();
+        session(&r, |s| s.dma_read_block(4096, &mut shared)).unwrap();
         assert!(Arc::ptr_eq(&shared, &block));
         let mut own: Arc<[u8]> = Arc::from(&[0u8; 4096][..]);
         let at = Arc::as_ptr(&own);
-        r.dma_read_block(2 * 4096, &mut own).unwrap();
+        session(&r, |s| s.dma_read_block(2 * 4096, &mut own)).unwrap();
         assert_eq!(Arc::as_ptr(&own), at);
         assert_eq!(&own[8..16], &[5, 5, 6, 6, 6, 6, 5, 5]);
         // A never-written page reads into a block as zeros.
-        r.dma_read_block(3 * 4096, &mut own).unwrap();
+        session(&r, |s| s.dma_read_block(3 * 4096, &mut own)).unwrap();
         assert!(own.iter().all(|&b| b == 0));
         assert_eq!(r.resident_pages(), 2);
+    }
+
+    #[test]
+    fn a_session_locks_once_and_lends_one_zero_page() {
+        let r = PinnedRegion::new(0, 8 * 4096);
+        r.dma_write(0, &[1u8; 4096]).unwrap();
+        #[cfg(debug_assertions)]
+        let before = r.locks_taken();
+        let mut blocks: Vec<Arc<[u8]>> = (0..3).map(|_| Arc::from(&[9u8; 4096][..])).collect();
+        let held = blocks.clone();
+        r.dma_session(&mut |s| {
+            for (i, block) in blocks.iter_mut().enumerate() {
+                s.dma_read_block(4096 * (i as u64 + 1), block).unwrap();
+            }
+            s.dma_copy(0, 5 * 4096, 4096).unwrap();
+            s.dma_copy(10, 6 * 4096 + 10, 100).unwrap();
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(r.locks_taken() - before, 1);
+        drop(held);
+        // Shared blocks taking never-written pages all get the one zero page.
+        assert!(Arc::ptr_eq(&blocks[0], &blocks[1]) && Arc::ptr_eq(&blocks[1], &blocks[2]));
+        assert!(blocks[0].iter().all(|&b| b == 0));
+        let mut out = [0u8; 4096];
+        r.dma_read(6 * 4096, &mut out).unwrap();
+        assert!(out[10..110].iter().all(|&b| b == 1));
+        assert_eq!(r.resident_pages(), 3);
     }
 
     #[test]
     fn rejected_block_accesses_touch_nothing() {
         let r = PinnedRegion::new(0x1000, 2 * 4096);
         let block: Arc<[u8]> = Arc::from(&[1u8; 4096][..]);
-        assert!(r.dma_write_block(0x1000 + 4096 + 8, &block).is_err());
+        assert!(session(&r, |s| s.dma_write_block(0x1000 + 4096 + 8, &block)).is_err());
         let mut taken = Arc::clone(&block);
-        assert!(r.dma_read_block(0x1000 + 4096 + 8, &mut taken).is_err());
+        assert!(session(&r, |s| s.dma_read_block(0x1000 + 4096 + 8, &mut taken)).is_err());
         assert!(Arc::ptr_eq(&taken, &block));
         assert!(r.dma_copy(0x1000, 0x1000 + 4096 + 8, 4096).is_err());
         assert!(r.dma_copy(0xF00, 0x1000, 4096).is_err());
