@@ -8,13 +8,19 @@
 //! the threaded world needs:
 //!
 //! * slot addresses inside one pinned [`GpuBuffer`];
-//! * one lock and one metrics sync per demand read batch, classified by
-//!   the core's `plan_read_batch` (the one classifier every driver runs);
-//! * blocking coalesced waits ([`SlotWait`]) on a condvar;
+//! * two holds of the state lock per demand read batch: one to classify it
+//!   with the core's `plan_read_batch` (the one classifier every driver
+//!   runs), one to publish its fills with the core's `publish_fills`
+//!   ([`BlockCache::publish_fills`]), each with one metrics sync;
+//! * blocking coalesced waits ([`SlotWait`]) on a condvar, which a
+//!   publication or an abort signals only when a waiter is blocked (std's
+//!   `notify_all` makes a futex syscall even when nobody waits);
 //! * RAII pin/fill ownership ([`SlotPin`], [`FillTicket`]);
 //! * `cam_cache_*` metrics, synced from the core's decision counters;
 //! * `CacheEvict` flight-recorder events.
 
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use cam_gpu::GpuBuffer;
@@ -47,16 +53,22 @@ struct CoreState {
     core: CacheCore,
     /// Counter values already mirrored into the metrics registry.
     synced: CacheDecisionCounters,
+    /// [`SlotWait`]s blocked on `filled` right now.
+    waiters: usize,
 }
 
 struct Inner {
     buf: GpuBuffer,
     block_size: u32,
     state: Mutex<CoreState>,
-    /// Signalled whenever a fill completes or aborts.
+    /// Signalled when a fill completes or aborts while a waiter is blocked.
     filled: Condvar,
     metrics: CacheMetrics,
     recorder: Option<Arc<FlightRecorder>>,
+    #[cfg(debug_assertions)]
+    locks: AtomicU64,
+    #[cfg(debug_assertions)]
+    wakes: AtomicU64,
 }
 
 /// The sharded block cache. Cheap to clone (an `Arc` handle).
@@ -123,10 +135,15 @@ impl BlockCache {
                 state: Mutex::new(CoreState {
                     core: CacheCore::new(cfg),
                     synced: CacheDecisionCounters::default(),
+                    waiters: 0,
                 }),
                 filled: Condvar::new(),
                 metrics,
                 recorder,
+                #[cfg(debug_assertions)]
+                locks: AtomicU64::new(0),
+                #[cfg(debug_assertions)]
+                wakes: AtomicU64::new(0),
             }),
         }
     }
@@ -148,8 +165,41 @@ impl BlockCache {
         self.lock().core.counters()
     }
 
+    /// How many times this cache has taken its state lock so far. Exists
+    /// only in debug builds, like `PinnedRegion::locks_taken`, for tests
+    /// that hold the cached data path to a lock budget
+    /// (`crates/cache/tests/op_budget.rs`).
+    #[cfg(debug_assertions)]
+    pub fn locks_taken(&self) -> u64 {
+        self.inner.locks.load(Ordering::Relaxed)
+    }
+
+    /// How many times this cache has signalled its condvar so far: only a
+    /// completed or aborted fill with a [`SlotWait`] blocked does. Exists
+    /// only in debug builds, like [`locks_taken`](Self::locks_taken).
+    #[cfg(debug_assertions)]
+    pub fn wakes_sent(&self) -> u64 {
+        self.inner.wakes.load(Ordering::Relaxed)
+    }
+
     fn lock(&self) -> MutexGuard<'_, CoreState> {
+        #[cfg(debug_assertions)]
+        self.inner.locks.fetch_add(1, Ordering::Relaxed);
         self.inner.state.lock().unwrap()
+    }
+
+    /// Releases the state lock after a fill completed or aborted, and
+    /// wakes the blocked [`SlotWait`]s, if any. The waiter count is read
+    /// under the lock a waiter holds from its last check until it blocks,
+    /// so no wake is lost; with nobody blocked no futex call is made.
+    fn release_and_wake(&self, st: MutexGuard<'_, CoreState>) {
+        let blocked = st.waiters > 0;
+        drop(st);
+        if blocked {
+            #[cfg(debug_assertions)]
+            self.inner.wakes.fetch_add(1, Ordering::Relaxed);
+            self.inner.filled.notify_all();
+        }
     }
 
     /// Pinned address of global slot index `idx`.
@@ -258,14 +308,16 @@ impl BlockCache {
     /// sync, and returns how many it classified (it stops where a flush is
     /// needed). The hits and uncached fallbacks stay in `plan`; its fills
     /// and coalesced accesses move into `fills` and `waits` as
-    /// [`FillTicket`]s and [`SlotWait`]s, each tagged with its position.
+    /// [`FillTicket`]s and [`SlotWait`]s, each paired with `dest` of its
+    /// position.
     pub(crate) fn plan_read_batch(
         &self,
         lbas: &[u64],
         from: usize,
         plan: &mut ReadBatchPlan,
-        fills: &mut Vec<(usize, FillTicket)>,
-        waits: &mut Vec<(usize, SlotWait)>,
+        dest: impl Fn(usize) -> u64,
+        fills: &mut Vec<(FillTicket, u64)>,
+        waits: &mut Vec<(SlotWait, u64)>,
     ) -> usize {
         let mut st = self.lock();
         let classified = st.core.plan_read_batch(lbas, from, plan);
@@ -275,12 +327,33 @@ impl BlockCache {
             self.emit_evict(lba);
         }
         for (pos, slot, lba) in plan.fills.drain(..) {
-            fills.push((pos, self.fill_ticket(slot, lba)));
+            fills.push((self.fill_ticket(slot, lba), dest(pos)));
         }
         for (pos, lba) in plan.waits.drain(..) {
-            waits.push((pos, self.slot_wait(lba, Intent::DemandRead)));
+            waits.push((self.slot_wait(lba, Intent::DemandRead), dest(pos)));
         }
         classified
+    }
+
+    /// Publishes the fills of a retired demand batch, whose blocks have
+    /// landed (and been copied out), under one hold of the state lock:
+    /// [`CacheCore::publish_fills`] leaves each resident and unpinned, as
+    /// [`FillTicket::complete`] followed by dropping its pin would, and the
+    /// blocked [`SlotWait`]s, if any, are woken once.
+    ///
+    /// A wait of the same batch coalesced onto one of these fills needs no
+    /// step of its own: resolving it right after (pin, then unpin) would
+    /// leave the slot exactly as publication does, resident, referenced
+    /// and unpinned. So its data can be copied with the fills', while the
+    /// slot is still *Filling* and no one can reclaim it.
+    pub fn publish_fills(&self, fills: impl IntoIterator<Item = FillTicket>) {
+        let mut st = self.lock();
+        st.core.publish_fills(fills.into_iter().map(|mut f| {
+            f.done = true;
+            f.slot
+        }));
+        self.sync_metrics(&mut st);
+        self.release_and_wake(st);
     }
 
     /// Feeds the readahead stream detector with a demand batch starting at
@@ -314,10 +387,24 @@ impl BlockCache {
         self.sync_metrics(&mut st);
     }
 
-    /// Marks the committed speculative batch as retired (after its tickets
-    /// completed or aborted).
-    pub fn readahead_retired(&self) {
-        self.lock().core.readahead_retired();
+    /// Retires the committed speculative batch under one hold of the state
+    /// lock: publishes its fills as unpinned speculative residents (see
+    /// [`FillTicket::complete_speculative`]) when its I/O `landed`, aborts
+    /// them otherwise, marks the batch retired
+    /// ([`CacheCore::readahead_retired`]) and wakes the blocked
+    /// [`SlotWait`]s, if any, once.
+    pub fn retire_readahead(&self, fills: impl IntoIterator<Item = FillTicket>, landed: bool) {
+        let mut st = self.lock();
+        for mut f in fills {
+            f.done = true;
+            if landed {
+                st.core.complete_fill_speculative(f.slot);
+            } else {
+                st.core.abort_fill(f.slot);
+            }
+        }
+        st.core.readahead_retired();
+        self.release_and_wake(st);
     }
 
     /// Claims up to `max` dirty, unpinned, resident slots for a flush: each
@@ -410,8 +497,9 @@ impl FillTicket {
     /// rather than from the array.
     pub fn complete(mut self, dirty: bool) -> SlotPin {
         self.done = true;
-        self.cache.lock().core.complete_fill(self.slot, dirty);
-        self.cache.inner.filled.notify_all();
+        let mut st = self.cache.lock();
+        st.core.complete_fill(self.slot, dirty);
+        self.cache.release_and_wake(st);
         SlotPin {
             cache: self.cache.clone(),
             slot: self.slot,
@@ -424,8 +512,9 @@ impl FillTicket {
     /// flagged so the first demand access counts as a readahead hit.
     pub fn complete_speculative(mut self) {
         self.done = true;
-        self.cache.lock().core.complete_fill_speculative(self.slot);
-        self.cache.inner.filled.notify_all();
+        let mut st = self.cache.lock();
+        st.core.complete_fill_speculative(self.slot);
+        self.cache.release_and_wake(st);
     }
 }
 
@@ -434,8 +523,9 @@ impl Drop for FillTicket {
         if self.done {
             return;
         }
-        self.cache.lock().core.abort_fill(self.slot);
-        self.cache.inner.filled.notify_all();
+        let mut st = self.cache.lock();
+        st.core.abort_fill(self.slot);
+        self.cache.release_and_wake(st);
     }
 }
 
@@ -448,11 +538,15 @@ pub struct SlotWait {
 }
 
 impl SlotWait {
+    /// Array LBA whose fill this waits for.
+    pub fn lba(&self) -> u64 {
+        self.lba
+    }
+
     /// Blocks until the in-flight fill completes (returns the block pinned)
     /// or aborts (returns `None`; the caller must fetch the block itself).
     pub fn wait(self) -> Option<SlotPin> {
-        let inner = &self.cache.inner;
-        let mut st = inner.state.lock().unwrap();
+        let mut st = self.cache.lock();
         loop {
             match st.core.resolve_wait(self.lba, self.intent) {
                 Resolve::Ready { slot } => {
@@ -466,7 +560,9 @@ impl SlotWait {
                 }
                 Resolve::Aborted => return None,
                 Resolve::Pending => {
-                    st = inner.filled.wait(st).unwrap();
+                    st.waiters += 1;
+                    st = self.cache.inner.filled.wait(st).unwrap();
+                    st.waiters -= 1;
                 }
             }
         }

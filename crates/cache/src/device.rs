@@ -11,9 +11,21 @@
 //! the DES and the replay do. Where the plan stops for a dirty slot it
 //! flushes every dirty slot and resumes; before the doorbell it copies out
 //! each hit whose slot a fill of the same batch reserved.
-//! `write_back` is absorbed into dirty slots and flushed lazily.
-//! Speculative readahead batches ride a third channel so they never occupy
-//! the demand channels.
+//!
+//! A cached batch pays per batch, not per block. After the demand batch
+//! retires, `prefetch_synchronize` copies every fill (and every wait of
+//! the batch coalesced onto one) from its slot to its destination in one
+//! DMA-region session while the slots are still *Filling*, then publishes
+//! them all with `CacheCore::publish_fills` under one hold of the cache's
+//! state lock. So a warm batch takes the state lock twice (classify,
+//! publish) and the region lock once for its hits and once for its fills.
+//! Every list the two calls use lives in the device and is reused, so a
+//! warm batch allocates nothing.
+//!
+//! `write_back` is absorbed into dirty slots and flushed lazily, a block
+//! at a time. Speculative readahead batches ride a third channel so they
+//! never occupy the demand channels; a retired one is published in one
+//! hold of the state lock.
 
 use std::sync::{Arc, Mutex};
 
@@ -40,8 +52,13 @@ const WRITE_CHANNEL: usize = 1;
 /// demand `prefetch` see `ChannelBusy`.
 pub(crate) const READAHEAD_CHANNEL: usize = 2;
 
-/// One outstanding demand read batch and its pending resolutions.
-struct ReadBatch {
+/// The demand read batch between its `prefetch` and its synchronize, and
+/// the lists both use. They live as long as the device and are emptied,
+/// not dropped, after each batch: grown on first use, then reused.
+#[derive(Default)]
+struct DevState {
+    /// Whether a `prefetch` awaits its synchronize.
+    pending: bool,
     /// `None` when every access was a hit or coalesced (no NVMe traffic).
     ticket: Option<BatchTicket>,
     /// Hits still to copy: `(slot address, caller destination)`. Their
@@ -50,12 +67,18 @@ struct ReadBatch {
     hits: Vec<(u64, u64)>,
     /// Misses owned by this batch: fill ticket + caller destination.
     fills: Vec<(FillTicket, u64)>,
-    /// Coalesced misses: waiter + `(lba, destination)` for the fallback.
-    waits: Vec<(SlotWait, u64, u64)>,
-}
-
-struct DevState {
-    read: Option<ReadBatch>,
+    /// Coalesced misses: waiter + caller destination.
+    waits: Vec<(SlotWait, u64)>,
+    /// `prefetch_pairs`' LBAs, in batch order.
+    lbas: Vec<u64>,
+    plan: ReadBatchPlan,
+    /// `copy_out_reclaimed`'s sorted slot addresses.
+    reserved: Vec<u64>,
+    /// The demand submission's LBAs and addresses.
+    sub_lbas: Vec<u64>,
+    sub_addrs: Vec<u64>,
+    /// The fill copies: `(slot address, caller destination)`.
+    copies: Vec<(u64, u64)>,
     /// The single outstanding speculative batch, if any. The accuracy
     /// bookkeeping (hits at issue, last issue size, outstanding flag)
     /// lives in the shared decision core.
@@ -110,10 +133,7 @@ impl CachedDevice {
             ra_enabled,
             flush_batch: cfg.flush_batch.max(1),
             recorder: cam.recorder().cloned(),
-            state: Mutex::new(DevState {
-                read: None,
-                ra_outstanding: None,
-            }),
+            state: Mutex::new(DevState::default()),
         })
     }
 
@@ -135,12 +155,11 @@ impl CachedDevice {
     /// the time [`prefetch_synchronize`](Self::prefetch_synchronize)
     /// returns.
     pub fn prefetch(&self, lbas: &[u64], dest_addr: u64) -> Result<(), CamError> {
-        let pairs: Vec<(u64, u64)> = lbas
-            .iter()
-            .enumerate()
-            .map(|(i, &lba)| (lba, dest_addr + i as u64 * self.block_size))
-            .collect();
-        self.prefetch_pairs(&pairs)
+        if lbas.is_empty() {
+            return Ok(());
+        }
+        let mut st = self.state.lock().unwrap();
+        self.prefetch_locked(&mut st, lbas, |i| dest_addr + i as u64 * self.block_size)
     }
 
     /// Cached `prefetch` with an explicit destination per block. Classifies
@@ -150,9 +169,24 @@ impl CachedDevice {
         if pairs.is_empty() {
             return Ok(());
         }
-        let mut guard = self.state.lock().unwrap();
-        let st = &mut *guard;
-        if st.read.is_some() {
+        let mut st = self.state.lock().unwrap();
+        let mut lbas = std::mem::take(&mut st.lbas);
+        lbas.clear();
+        lbas.extend(pairs.iter().map(|&(lba, _)| lba));
+        let sent = self.prefetch_locked(&mut st, &lbas, |i| pairs[i].1);
+        st.lbas = lbas;
+        sent
+    }
+
+    /// The body of both `prefetch` forms: access `i` reads `lbas[i]` into
+    /// `dest(i)`.
+    fn prefetch_locked(
+        &self,
+        st: &mut DevState,
+        lbas: &[u64],
+        dest: impl Fn(usize) -> u64,
+    ) -> Result<(), CamError> {
+        if st.pending {
             return Err(CamError::ChannelBusy);
         }
         self.reap_readahead(st, false);
@@ -160,77 +194,91 @@ impl CachedDevice {
         // Classify every access first; a hit is only queued. Exhausted
         // shards (`Busy`) are served uncached rather than stall the batch;
         // the core counts them as misses.
-        let before = self
-            .recorder
-            .is_some()
-            .then(|| self.cache.decision_counters());
-        let lbas: Vec<u64> = pairs.iter().map(|&(lba, _)| lba).collect();
-        let mut plan = ReadBatchPlan::default();
-        let (mut fills, mut waits) = (Vec::new(), Vec::new());
+        st.plan.clear();
         let mut done = 0;
         loop {
-            done += self
-                .cache
-                .plan_read_batch(&lbas, done, &mut plan, &mut fills, &mut waits);
+            done += self.cache.plan_read_batch(
+                lbas,
+                done,
+                &mut st.plan,
+                &dest,
+                &mut st.fills,
+                &mut st.waits,
+            );
             if done == lbas.len() {
                 break;
             }
             // `lbas[done]` needs a flush. A flush only reads slots, so the
             // queued hits keep their blocks through it.
-            self.flush_locked()?;
+            if let Err(e) = self.flush_locked() {
+                self.drop_batch(st);
+                return Err(e);
+            }
         }
-        if let (Some(rec), Some(before)) = (&self.recorder, before) {
-            let after = self.cache.decision_counters();
+        if let Some(rec) = &self.recorder {
+            // The decisions this batch made, which the core counted: a
+            // `Busy` fallback counts as a miss.
             rec.emit(EventKind::CacheAccess {
                 channel: READ_CHANNEL as u16,
-                hits: (after.hits - before.hits) as u32,
-                misses: (after.misses - before.misses) as u32,
-                coalesced: (after.coalesced - before.coalesced) as u32,
+                hits: st.plan.hits.len() as u32,
+                misses: (st.fills.len() + st.plan.direct.len()) as u32,
+                coalesced: st.waits.len() as u32,
             });
         }
 
-        let dest = |pos: usize| pairs[pos].1;
-        let mut hits: Vec<(u64, u64)> = plan
-            .hits
-            .iter()
-            .map(|&(pos, slot)| (self.cache.slot_addr(slot), dest(pos)))
-            .collect();
+        let DevState {
+            hits,
+            fills,
+            plan,
+            reserved,
+            sub_lbas,
+            sub_addrs,
+            ..
+        } = st;
+        hits.extend(
+            plan.hits
+                .iter()
+                .map(|&(pos, slot)| (self.cache.slot_addr(slot), dest(pos))),
+        );
         // A fill may have reserved the slot of an earlier hit of this
         // batch: copy that hit out before the doorbell lets the fill's DMA
         // land there.
-        self.copy_out_reclaimed(&mut hits, fills.iter().map(|(_, f)| f));
+        self.copy_out_reclaimed(hits, reserved, fills.iter().map(|(f, _)| f));
 
         // One demand batch covers every real miss: fills DMA into their
         // cache slots, uncached fallbacks into the caller's buffer.
-        let ticket = if fills.is_empty() && plan.direct.is_empty() {
-            None
-        } else {
-            let lbas: Vec<u64> = fills
-                .iter()
-                .map(|(_, f)| f.lba())
-                .chain(plan.direct.iter().map(|&(_, lba)| lba))
-                .collect();
-            let addrs: Vec<u64> = fills
-                .iter()
-                .map(|(_, f)| f.addr())
-                .chain(plan.direct.iter().map(|&(pos, _)| dest(pos)))
-                .collect();
-            Some(
-                self.dev
-                    .submit_scatter(READ_CHANNEL, ChannelOp::Read, &lbas, |i| addrs[i], 1)?,
-            )
-        };
-        self.maybe_readahead(st, lbas[0], &mut hits);
-        st.read = Some(ReadBatch {
-            ticket,
-            hits,
-            fills: fills.into_iter().map(|(pos, f)| (f, dest(pos))).collect(),
-            waits: waits
-                .into_iter()
-                .map(|(pos, w)| (w, lbas[pos], dest(pos)))
-                .collect(),
-        });
+        if !fills.is_empty() || !plan.direct.is_empty() {
+            sub_lbas.clear();
+            sub_lbas.extend(fills.iter().map(|(f, _)| f.lba()));
+            sub_lbas.extend(plan.direct.iter().map(|&(_, lba)| lba));
+            sub_addrs.clear();
+            sub_addrs.extend(fills.iter().map(|(f, _)| f.addr()));
+            sub_addrs.extend(plan.direct.iter().map(|&(pos, _)| dest(pos)));
+            match self.dev.submit_scatter(
+                READ_CHANNEL,
+                ChannelOp::Read,
+                sub_lbas,
+                |i| sub_addrs[i],
+                1,
+            ) {
+                Ok(t) => st.ticket = Some(t),
+                Err(e) => {
+                    self.drop_batch(st);
+                    return Err(e);
+                }
+            }
+        }
+        self.maybe_readahead(st, lbas[0]);
+        st.pending = true;
         Ok(())
+    }
+
+    /// Forgets a batch that failed before its doorbell: its fill tickets
+    /// drop, aborting their fills, and its queued hits and waits go.
+    fn drop_batch(&self, st: &mut DevState) {
+        st.hits.clear();
+        st.fills.clear();
+        st.waits.clear();
     }
 
     /// Blocks until the outstanding `prefetch` is fully resolved: every
@@ -243,48 +291,65 @@ impl CachedDevice {
     }
 
     fn synchronize_read_locked(&self, st: &mut DevState) -> Result<(), CamError> {
-        let Some(rb) = st.read.take() else {
+        if !std::mem::take(&mut st.pending) {
             return Ok(());
-        };
-        if rb.ticket.is_some() && !rb.hits.is_empty() {
+        }
+        let ticket = st.ticket.take();
+        if ticket.is_some() && !st.hits.is_empty() {
             // Let the worker take the misses to the SSDs first: where it
             // shares the core with this thread, this is what overlaps the
             // hit copies with the SSDs' work.
             std::thread::yield_now();
         }
-        let copied = self.copy_blocks(&rb.hits);
-        let mut result = rb.ticket.map_or(Ok(()), |t| t.wait());
-        for (fill, dest) in rb.fills {
-            if result.is_ok() {
-                let pin = fill.complete(false);
-                result = self.copy_block(pin.addr(), dest);
-            }
-            // On error the fill ticket drops un-completed, freeing the slot
-            // and waking coalesced waiters into their fallback path.
+        let copied = self.copy_blocks(&st.hits);
+        st.hits.clear();
+        let mut result = ticket.map_or(Ok(()), |t| t.wait());
+        if result.is_ok() {
+            // The blocks have landed and the slots are still *Filling*, so
+            // no one can reclaim them: copy every fill out, and every wait
+            // coalesced onto one of them, in one region session, then
+            // publish the fills under one hold of the cache lock.
+            let DevState {
+                fills,
+                waits,
+                copies,
+                ..
+            } = st;
+            copies.clear();
+            copies.extend(fills.iter().map(|(f, dest)| (f.addr(), *dest)));
+            waits.retain(
+                |(w, dest)| match fills.iter().find(|(f, _)| f.lba() == w.lba()) {
+                    Some((f, _)) => {
+                        copies.push((f.addr(), *dest));
+                        false
+                    }
+                    None => true,
+                },
+            );
+            result = self.copy_blocks(copies);
+            self.cache.publish_fills(fills.drain(..).map(|(f, _)| f));
+        } else {
+            // The fill tickets drop un-completed, freeing their slots and
+            // waking coalesced waiters into their fallback path.
+            st.fills.clear();
         }
-        if !rb.waits.is_empty() {
+        if !st.waits.is_empty() {
             // Coalesced waiters may be waiting on speculative fills — make
             // sure those are published before blocking on the condvar.
             self.reap_readahead(st, true);
-            for (wait, lba, dest) in rb.waits {
-                match wait.wait() {
-                    Some(pin) => {
-                        let r = self.copy_block(pin.addr(), dest);
-                        if result.is_ok() {
-                            result = r;
-                        }
-                    }
-                    None => {
-                        // The owning fill aborted: fetch the block
-                        // uncached so the caller still gets its data.
-                        let r = self
-                            .dev
-                            .submit_scatter(READ_CHANNEL, ChannelOp::Read, &[lba], |_| dest, 1)
-                            .and_then(|t| t.wait());
-                        if result.is_ok() {
-                            result = r;
-                        }
-                    }
+            for (wait, dest) in st.waits.drain(..) {
+                let lba = wait.lba();
+                let r = match wait.wait() {
+                    Some(pin) => self.copy_block(pin.addr(), dest),
+                    // The owning fill aborted: fetch the block uncached so
+                    // the caller still gets its data.
+                    None => self
+                        .dev
+                        .submit_scatter(READ_CHANNEL, ChannelOp::Read, &[lba], |_| dest, 1)
+                        .and_then(|t| t.wait()),
+                };
+                if result.is_ok() {
+                    result = r;
                 }
             }
         }
@@ -398,8 +463,9 @@ impl CachedDevice {
     }
 
     /// Collects a finished speculative batch: publishes its fills as
-    /// resident speculative blocks (or aborts them if the batch errored).
-    /// With `block`, waits for an unfinished batch instead of leaving it.
+    /// resident speculative blocks (or aborts them if the batch errored),
+    /// all in one hold of the cache lock. With `block`, waits for an
+    /// unfinished batch instead of leaving it.
     fn reap_readahead(&self, st: &mut DevState, block: bool) {
         let Some((ticket, fills)) = st.ra_outstanding.take() else {
             return;
@@ -408,32 +474,25 @@ impl CachedDevice {
             st.ra_outstanding = Some((ticket, fills));
             return;
         }
-        match ticket.wait() {
-            Ok(()) => {
-                for f in fills {
-                    f.complete_speculative();
-                }
-            }
-            // Errored speculation: drop the tickets so the slots free up
-            // and any waiter falls back to a demand fetch.
-            Err(_) => drop(fills),
-        }
-        self.cache.readahead_retired();
+        // Errored speculation aborts its fills, so the slots free up and
+        // any waiter falls back to a demand fetch.
+        let landed = ticket.wait().is_ok();
+        self.cache.retire_readahead(fills, landed);
     }
 
     /// Feeds the stream detector and issues at most one speculative batch.
     /// All decisions (accuracy feedback, stride confirmation, candidate
     /// selection, budget) are the core's; this method only issues the I/O.
-    /// A reserved slot that held one of the demand batch's `hits` has that
-    /// hit copied out first, before the speculative DMA can land there.
-    fn maybe_readahead(&self, st: &mut DevState, batch_start: u64, hits: &mut Vec<(u64, u64)>) {
+    /// A reserved slot that held one of the demand batch's queued hits has
+    /// that hit copied out first, before the speculative DMA can land there.
+    fn maybe_readahead(&self, st: &mut DevState, batch_start: u64) {
         if !self.ra_enabled {
             return;
         }
         let Some(batch) = self.cache.plan_readahead(batch_start, self.array_blocks) else {
             return;
         };
-        self.copy_out_reclaimed(hits, batch.tickets().iter());
+        self.copy_out_reclaimed(&mut st.hits, &mut st.reserved, batch.tickets().iter());
         let lbas: Vec<u64> = batch.tickets().iter().map(|f| f.lba()).collect();
         let addrs: Vec<u64> = batch.tickets().iter().map(|f| f.addr()).collect();
         match self
@@ -474,19 +533,27 @@ impl CachedDevice {
         self.cache.decision_counters()
     }
 
-    /// Copies out every queued hit whose slot one of `reserved` took, so
-    /// the hit keeps its block when the reserving DMA lands. A copy that
-    /// fails stays queued: it fails again, and is reported, at
-    /// synchronize.
+    /// Copies out every queued hit whose slot one of `fills` took, so the
+    /// hit keeps its block when the reserving DMA lands, in one region
+    /// session, and only when there is one. A copy that fails stays
+    /// queued: it fails again, and is reported, at synchronize. `reserved`
+    /// is scratch for the sorted slot addresses.
     fn copy_out_reclaimed<'a>(
         &self,
         hits: &mut Vec<(u64, u64)>,
-        reserved: impl Iterator<Item = &'a FillTicket>,
+        reserved: &mut Vec<u64>,
+        fills: impl Iterator<Item = &'a FillTicket>,
     ) {
-        let mut reserved: Vec<u64> = reserved.map(FillTicket::addr).collect();
+        reserved.clear();
+        reserved.extend(fills.map(FillTicket::addr));
         reserved.sort_unstable();
-        hits.retain(|&(src, dst)| {
-            !(reserved.binary_search(&src).is_ok() && self.copy_block(src, dst).is_ok())
+        let reclaimed = |src: &u64| reserved.binary_search(src).is_ok();
+        if !hits.iter().any(|(src, _)| reclaimed(src)) {
+            return;
+        }
+        let len = self.block_size as usize;
+        self.dma.dma_session(&mut |dma| {
+            hits.retain(|&(src, dst)| !(reclaimed(&src) && dma.dma_copy(src, dst, len).is_ok()));
         });
     }
 

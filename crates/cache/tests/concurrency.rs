@@ -247,3 +247,42 @@ fn take_dirty_pins_against_concurrent_eviction() {
     );
     drop(flush);
 }
+
+#[test]
+fn a_blocked_wait_is_woken_by_a_batched_publication_and_by_an_abort() {
+    // Wakes are made only while a `SlotWait` is blocked, so a lost one
+    // leaves the waiter blocked for good: the bounded receive turns that
+    // into a failure in seconds instead of a hung test.
+    let (c, _reg) = cache(8, 1);
+    for abort in [false, true] {
+        let lba = 40 + u64::from(abort);
+        let (fill, other) = match (c.lookup(lba), c.lookup(lba + 100)) {
+            (Lookup::Miss(a), Lookup::Miss(b)) => (a, b),
+            (a, b) => panic!("unexpected {} / {}", variant(&a), variant(&b)),
+        };
+        let waiter = match c.lookup(lba) {
+            Lookup::InFlight(w) => w,
+            other => panic!("unexpected {}", variant(&other)),
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = thread::spawn(move || tx.send(waiter.wait().map(|pin| pin.addr())).unwrap());
+        // Let the waiter block on the condvar first.
+        thread::sleep(Duration::from_millis(20));
+        let addr = fill.addr();
+        if abort {
+            drop(fill); // the owning read failed
+            drop(other.complete(false));
+        } else {
+            c.publish_fills([fill, other]);
+        }
+        let woke = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("the waiter was not woken (abort: {abort})"));
+        assert_eq!(woke, (!abort).then_some(addr));
+        h.join().unwrap();
+    }
+    // Both published blocks are resident and unpinned, the aborted one gone.
+    assert!(matches!(c.lookup(40), Lookup::Hit(_)));
+    assert!(matches!(c.lookup(140), Lookup::Hit(_)));
+    assert!(matches!(c.lookup(41), Lookup::Miss(_)));
+}

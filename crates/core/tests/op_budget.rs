@@ -7,8 +7,11 @@
 //!
 //! * Allocations are counted by a process-wide counting global allocator,
 //!   so every thread counts: the client, the worker and the SSD service
-//!   threads. That is why this file is its own test binary with one test —
-//!   a second test running beside it would add its allocations.
+//!   threads. That is why this file is its own test binary with one test
+//!   and `harness = false`: a second test running beside it would add its
+//!   allocations, and so does libtest's own harness thread, which
+//!   allocates to report a test that has run for over 60 seconds (as this
+//!   one can on a loaded box).
 //! * Shard locks are the sum of `HistogramHandle::record_locks` over the
 //!   histograms the worker records into (the lifecycle stages, the per-SSD
 //!   submit/complete spans, the doorbell→retire totals and the queue
@@ -93,7 +96,8 @@ fn worker_locks(reg: &cam_telemetry::MetricsRegistry) -> u64 {
         .sum()
 }
 
-#[test]
+const NAME: &str = "a_warm_ctrl_read_batch_costs_a_pinned_number_of_allocations_and_locks";
+
 fn a_warm_ctrl_read_batch_costs_a_pinned_number_of_allocations_and_locks() {
     let rig = Rig::new(RigConfig {
         n_ssds: N_SSDS,
@@ -148,4 +152,14 @@ fn a_warm_ctrl_read_batch_costs_a_pinned_number_of_allocations_and_locks() {
         locks, 0,
         "histogram shard locks over {BATCHES} warm batches"
     );
+}
+
+fn main() {
+    // `--list` is how test runners enumerate a binary's tests.
+    if std::env::args().any(|a| a == "--list") {
+        println!("{NAME}: test");
+        return;
+    }
+    a_warm_ctrl_read_batch_costs_a_pinned_number_of_allocations_and_locks();
+    println!("test {NAME} ... ok");
 }

@@ -27,8 +27,14 @@
 //! The slot namespace is *global* (0..slots); sharding exists only to
 //! replicate the threaded cache's per-shard CLOCK hands and multiplicative
 //! shard hash, so eviction sequences are bit-identical across drivers.
+//!
+//! A lookup does no division and no SipHash: the shard index masks when
+//! the shard count is a power of two, the CLOCK hand wraps with a compare,
+//! and each shard's LBA index hashes by Fibonacci multiplication. None of
+//! these choices can change a decision — which slot, which victim.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration for the block cache (threaded wrapper and DES stage).
 #[derive(Clone, Copy, Debug)]
@@ -290,9 +296,35 @@ struct Slot {
     pins: u32,
 }
 
+/// Hashes an LBA by Fibonacci multiplication — no SipHash. LBAs come from
+/// the caller's own kernel, not from an outside party, so a
+/// collision-resistant hash buys nothing here (the `Planner`'s dedup index
+/// makes the same argument). The product's well-mixed high half is rotated
+/// down to the low bits, which pick the bucket. The multiplier differs from
+/// [`CacheCore::shard_of`]'s: with the same one, every LBA of a shard would
+/// share the bucket bits that picked its shard.
+#[derive(Default)]
+struct LbaHasher(u64);
+
+impl Hasher for LbaHasher {
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0xD6E8_FEB8_6659_FD93).rotate_left(32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, lba: u64) {
+        self.0 = lba;
+    }
+}
+
 struct ShardState {
     /// LBA → *global* slot index.
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, BuildHasherDefault<LbaHasher>>,
     /// Global index of the shard's first slot.
     base: usize,
     /// Slots owned by the shard.
@@ -334,6 +366,17 @@ pub struct ReadBatchPlan {
     pub evicted: Vec<u64>,
 }
 
+impl ReadBatchPlan {
+    /// Empties every list, keeping their capacity for the next batch.
+    pub fn clear(&mut self) {
+        self.hits.clear();
+        self.fills.clear();
+        self.waits.clear();
+        self.direct.clear();
+        self.evicted.clear();
+    }
+}
+
 /// The block cache decision core. See the module docs for the contract.
 pub struct CacheCore {
     cfg: CacheConfig,
@@ -347,6 +390,9 @@ pub struct CacheCore {
     /// the detector at the next demand batch.
     ra_hits_at_issue: u64,
     ra_last_issue: u32,
+    /// `shards.len() - 1` when the shard count is a power of two, so
+    /// [`shard_of`](Self::shard_of) masks instead of dividing.
+    shard_mask: Option<usize>,
 }
 
 impl CacheCore {
@@ -364,7 +410,11 @@ impl CacheCore {
             .map(|s| {
                 let len = per + usize::from(s < rem);
                 let st = ShardState {
-                    map: HashMap::with_capacity(len),
+                    // Twice the shard's slots: erased LBAs leave tombstones,
+                    // and once they fill the table, a table at most half
+                    // full rehashes in place, where a fuller one would
+                    // allocate a larger one mid-run.
+                    map: HashMap::with_capacity_and_hasher(2 * len, Default::default()),
                     base,
                     len,
                     hand: 0,
@@ -392,6 +442,7 @@ impl CacheCore {
             ra_outstanding: false,
             ra_hits_at_issue: 0,
             ra_last_issue: 0,
+            shard_mask: n_shards.is_power_of_two().then(|| n_shards - 1),
         }
     }
 
@@ -408,8 +459,11 @@ impl CacheCore {
 
     /// Multiplicative hash so strided LBA streams still spread over shards.
     fn shard_of(&self, lba: u64) -> usize {
-        let h = lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h as usize) % self.shards.len()
+        let h = (lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        match self.shard_mask {
+            Some(mask) => h & mask,
+            None => h % self.shards.len(),
+        }
     }
 
     /// Whether `lba` currently has a slot (resident *or* filling). Cheap
@@ -469,7 +523,7 @@ impl CacheCore {
         let mut evicted = None;
         for _ in 0..2 * len {
             let idx = self.shards[si].hand;
-            self.shards[si].hand = (idx + 1) % len;
+            self.shards[si].hand = if idx + 1 == len { 0 } else { idx + 1 };
             let g = base + idx;
             let (state, pins, referenced, dirty, old_lba) = {
                 let sl = &self.slots[g];
@@ -753,16 +807,29 @@ impl CacheCore {
         lbas.len() - from
     }
 
+    /// Publishes the fills of a retired demand batch: each slot becomes
+    /// resident, referenced and unpinned ([`complete_fill`] then
+    /// [`unpin`]). This is the fill half of
+    /// [`publish_read_batch`](Self::publish_read_batch), and the one
+    /// publication step every driver runs: the threaded device calls it
+    /// with the batch's slots under one hold of its lock.
+    ///
+    /// [`complete_fill`]: Self::complete_fill
+    /// [`unpin`]: Self::unpin
+    pub fn publish_fills(&mut self, slots: impl IntoIterator<Item = usize>) {
+        for slot in slots {
+            self.complete_fill(slot, false);
+            self.unpin(slot);
+        }
+    }
+
     /// Publishes a retired demand batch: completes (and unpins) every
     /// reserved fill, then resolves every coalesced wait. Call only after
     /// the batch's I/O finished — and after the owning fills of any waits
     /// are resident (in the quiesced batch discipline, that is this same
     /// call).
     pub fn publish_read_batch(&mut self, plan: &ReadBatchPlan) {
-        for &(_, slot, _) in &plan.fills {
-            self.complete_fill(slot, false);
-            self.unpin(slot);
-        }
+        self.publish_fills(plan.fills.iter().map(|&(_, slot, _)| slot));
         for &(_, lba) in &plan.waits {
             match self.resolve_wait(lba, Intent::DemandRead) {
                 Resolve::Ready { slot } => self.unpin(slot),
