@@ -388,8 +388,9 @@ impl BlockCache {
     }
 
     /// Retires the committed speculative batch under one hold of the state
-    /// lock: publishes its fills as unpinned speculative residents (see
-    /// [`FillTicket::complete_speculative`]) when its I/O `landed`, aborts
+    /// lock: publishes its fills as unpinned speculative residents, whose
+    /// first demand access counts as a readahead hit
+    /// ([`CacheCore::complete_fill_speculative`]), when its I/O `landed`, aborts
     /// them otherwise, marks the batch retired
     /// ([`CacheCore::readahead_retired`]) and wakes the blocked
     /// [`SlotWait`]s, if any, once.
@@ -506,15 +507,6 @@ impl FillTicket {
             lba: self.lba,
             addr: self.addr,
         }
-    }
-
-    /// Publishes a speculative (readahead) fill: resident, unpinned, and
-    /// flagged so the first demand access counts as a readahead hit.
-    pub fn complete_speculative(mut self) {
-        self.done = true;
-        let mut st = self.cache.lock();
-        st.core.complete_fill_speculative(self.slot);
-        self.cache.release_and_wake(st);
     }
 }
 
