@@ -10,8 +10,8 @@
 //! * slot addresses inside one pinned [`GpuBuffer`];
 //! * two holds of the state lock per demand read batch: one to classify it
 //!   with the core's `plan_read_batch` (the one classifier every driver
-//!   runs), one to publish its fills with the core's `publish_fills`
-//!   ([`BlockCache::publish_fills`]), each with one metrics sync;
+//!   runs) and sync the metrics, one to publish its fills, if it has any,
+//!   with the core's `publish_fills` ([`BlockCache::publish_fills`]);
 //! * blocking coalesced waits ([`SlotWait`]) on a condvar, which a
 //!   publication or an abort signals only when a waiter is blocked (std's
 //!   `notify_all` makes a futex syscall even when nobody waits);
@@ -339,7 +339,8 @@ impl BlockCache {
     /// landed (and been copied out), under one hold of the state lock:
     /// [`CacheCore::publish_fills`] leaves each resident and unpinned, as
     /// [`FillTicket::complete`] followed by dropping its pin would, and the
-    /// blocked [`SlotWait`]s, if any, are woken once.
+    /// blocked [`SlotWait`]s, if any, are woken once. Publication changes
+    /// no decision counter, so it syncs no metrics.
     ///
     /// A wait of the same batch coalesced onto one of these fills needs no
     /// step of its own: resolving it right after (pin, then unpin) would
@@ -352,7 +353,6 @@ impl BlockCache {
             f.done = true;
             f.slot
         }));
-        self.sync_metrics(&mut st);
         self.release_and_wake(st);
     }
 

@@ -18,7 +18,8 @@
 //! DMA-region session while the slots are still *Filling*, then publishes
 //! them all with `CacheCore::publish_fills` under one hold of the cache's
 //! state lock. So a warm batch takes the state lock twice (classify,
-//! publish) and the region lock once for its hits and once for its fills.
+//! publish), once if every access hit, and the region lock once for its
+//! hits and once for its fills.
 //! Every list the two calls use lives in the device and is reused, so a
 //! warm batch allocates nothing.
 //!
@@ -74,9 +75,8 @@ struct DevState {
     plan: ReadBatchPlan,
     /// `copy_out_reclaimed`'s sorted slot addresses.
     reserved: Vec<u64>,
-    /// The demand submission's LBAs and addresses.
+    /// The demand submission's LBAs.
     sub_lbas: Vec<u64>,
-    sub_addrs: Vec<u64>,
     /// The fill copies: `(slot address, caller destination)`.
     copies: Vec<(u64, u64)>,
     /// The single outstanding speculative batch, if any. The accuracy
@@ -232,7 +232,6 @@ impl CachedDevice {
             plan,
             reserved,
             sub_lbas,
-            sub_addrs,
             ..
         } = st;
         hits.extend(
@@ -251,16 +250,15 @@ impl CachedDevice {
             sub_lbas.clear();
             sub_lbas.extend(fills.iter().map(|(f, _)| f.lba()));
             sub_lbas.extend(plan.direct.iter().map(|&(_, lba)| lba));
-            sub_addrs.clear();
-            sub_addrs.extend(fills.iter().map(|(f, _)| f.addr()));
-            sub_addrs.extend(plan.direct.iter().map(|&(pos, _)| dest(pos)));
-            match self.dev.submit_scatter(
-                READ_CHANNEL,
-                ChannelOp::Read,
-                sub_lbas,
-                |i| sub_addrs[i],
-                1,
-            ) {
+            let n_fills = fills.len();
+            let addr = |i: usize| match i.checked_sub(n_fills) {
+                None => fills[i].0.addr(),
+                Some(d) => dest(plan.direct[d].0),
+            };
+            match self
+                .dev
+                .submit_scatter(READ_CHANNEL, ChannelOp::Read, sub_lbas, addr, 1)
+            {
                 Ok(t) => st.ticket = Some(t),
                 Err(e) => {
                     self.drop_batch(st);
@@ -327,7 +325,9 @@ impl CachedDevice {
                 },
             );
             result = self.copy_blocks(copies);
-            self.cache.publish_fills(fills.drain(..).map(|(f, _)| f));
+            if !fills.is_empty() {
+                self.cache.publish_fills(fills.drain(..).map(|(f, _)| f));
+            }
         } else {
             // The fill tickets drop un-completed, freeing their slots and
             // waking coalesced waiters into their fallback path.

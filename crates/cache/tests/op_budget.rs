@@ -2,7 +2,8 @@
 //! a real [`CamContext`] (one worker, two SSDs striped one block wide)
 //! driving 64-access Zipf(1.1) batches through a [`CachedDevice`] whose
 //! footprint is 8× its cache, quiesced between batches as `cam-perf`'s
-//! `cache_zipf` runs them:
+//! `cache_zipf` runs them. Every 16th counted batch repeats the one before
+//! it, so the count covers batches where every access hits too:
 //!
 //! * 0 heap allocations, counted by a process-wide counting global
 //!   allocator, so every thread counts: the client, the worker and the SSD
@@ -31,7 +32,9 @@ use cam_blockdev::{BlockGeometry, BlockStore, Lba, SparseMemStore};
 use cam_cache::{CacheConfig, CachedDevice, ReadaheadConfig};
 use cam_core::{CamConfig, CamContext};
 use cam_iostacks::{Rig, RigConfig};
-use cam_protocol::cache_core::{replay_read_workload, CacheCore, ReadBatchPlan};
+use cam_protocol::cache_core::replay_read_workload;
+#[cfg(debug_assertions)]
+use cam_protocol::cache_core::{CacheCore, ReadBatchPlan};
 
 struct Counting;
 
@@ -72,14 +75,17 @@ const BATCH: usize = 64;
 /// Warm-up batches, then counted batches.
 const WARM: usize = 1_000;
 const BATCHES: usize = 4_000;
+/// Every `REPEAT`th counted batch repeats the one before it.
+const REPEAT: usize = 16;
 
 fn fill_of(lba: u64) -> u8 {
     (lba % 251) as u8 + 1
 }
 
-/// Batches of a seeded Zipf(1.1) stream over the footprint, scattered so
-/// hot blocks spread over the cache's shards.
-fn zipf_batches(n: usize) -> Vec<Vec<u64>> {
+/// `WARM + BATCHES` batches of a seeded Zipf(1.1) stream over the
+/// footprint, scattered so hot blocks spread over the cache's shards; every
+/// `REPEAT`th counted batch is a copy of the one before it.
+fn zipf_batches() -> Vec<Vec<u64>> {
     let mut cdf: Vec<f64> = (1..=FOOTPRINT)
         .map(|r| 1.0 / (r as f64).powf(1.1))
         .collect();
@@ -96,8 +102,11 @@ fn zipf_batches(n: usize) -> Vec<Vec<u64>> {
             .wrapping_add(1_442_695_040_888_963_407);
         (x >> 11) as f64 / (1u64 << 53) as f64
     };
-    (0..n)
-        .map(|_| {
+    let mut batches: Vec<Vec<u64>> = Vec::with_capacity(WARM + BATCHES);
+    for k in 0..WARM + BATCHES {
+        let batch = if k >= WARM && (k - WARM).is_multiple_of(REPEAT) {
+            batches[k - 1].clone()
+        } else {
             (0..BATCH)
                 .map(|_| {
                     let u = unit();
@@ -105,8 +114,10 @@ fn zipf_batches(n: usize) -> Vec<Vec<u64>> {
                     (rank * 0x9E37) % FOOTPRINT
                 })
                 .collect()
-        })
-        .collect()
+        };
+        batches.push(batch);
+    }
+    batches
 }
 
 /// What the counted batches should cost, from a pure replay of every batch.
@@ -119,10 +130,12 @@ struct Expected {
     region_sessions: u64,
 }
 
+/// [`Expected`] and how many counted batches hit on every access.
 #[cfg(debug_assertions)]
-fn expected(cfg: CacheConfig, batches: &[Vec<u64>]) -> Expected {
+fn expected(cfg: CacheConfig, batches: &[Vec<u64>]) -> (Expected, usize) {
     let mut core = CacheCore::new(cfg);
     let mut out = Expected::default();
+    let mut all_hit = 0;
     for (k, lbas) in batches.iter().enumerate() {
         let mut plan = ReadBatchPlan::default();
         assert_eq!(core.plan_read_batch(lbas, 0, &mut plan), lbas.len());
@@ -138,11 +151,12 @@ fn expected(cfg: CacheConfig, batches: &[Vec<u64>]) -> Expected {
             continue;
         }
         let has = |n: u64| u64::from(n > 0);
+        all_hit += usize::from(fills == 0);
         out.state_locks += 1 + has(fills);
         out.region_sessions +=
             has(plan.hits.len() as u64 - reclaimed as u64) + has(reclaimed as u64) + has(fills);
     }
-    out
+    (out, all_hit)
 }
 
 fn a_warm_cached_batch_costs_a_pinned_number_of_allocations_locks_and_wakes() {
@@ -191,9 +205,12 @@ fn a_warm_cached_batch_costs_a_pinned_number_of_allocations_locks_and_wakes() {
     };
     let dev = CachedDevice::attach(&rig, &cam, cfg).expect("cache fits GPU memory");
     let buf = cam.alloc(BATCH * BLOCK).expect("destination buffer");
-    let batches = zipf_batches(WARM + BATCHES);
+    let batches = zipf_batches();
     #[cfg(debug_assertions)]
-    let want = expected(cfg, &batches);
+    let (want, all_hit) = expected(cfg, &batches);
+    // Each repeat finds every block of the batch before it resident.
+    #[cfg(debug_assertions)]
+    assert!(all_hit >= BATCHES / REPEAT, "{all_hit} all-hit batches");
 
     let run = |batches: &[Vec<u64>]| {
         for lbas in batches {
